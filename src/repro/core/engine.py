@@ -328,7 +328,9 @@ class IncrementalEngine:
         # Buffered inputs, applied in bulk by evaluate().
         self._pending_reports: dict[int, tuple[Point, Velocity, float]] = {}
         self._pending_removals: set[int] = set()
-        self._pending_registrations: list[QueryState] = []
+        # Keyed by qid (arrival order kept): every registration checks
+        # the buffer for a duplicate, so a list scan would be O(Q²).
+        self._pending_registrations: dict[int, QueryState] = {}
         self._pending_moves: dict[int, tuple[object, float]] = {}
         self._pending_unregistrations: set[int] = set()
         # k-NN queries holding fewer than k objects must watch for any
@@ -475,7 +477,7 @@ class IncrementalEngine:
         """
         self._check_fresh_qid(qid)
         region = self.grid.world.clip_or_pin(region)
-        self._pending_registrations.append(RangeQueryState(qid, region, t))
+        self._pending_registrations[qid] = RangeQueryState(qid, region, t)
 
     def register_knn_query(
         self, qid: int, center: Point, k: int, t: float = 0.0
@@ -484,7 +486,7 @@ class IncrementalEngine:
         self._check_fresh_qid(qid)
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        self._pending_registrations.append(KnnQueryState(qid, center, k, t))
+        self._pending_registrations[qid] = KnnQueryState(qid, center, k, t)
 
     def register_predictive_query(
         self, qid: int, region: Rect, horizon: float, t: float = 0.0
@@ -497,8 +499,8 @@ class IncrementalEngine:
                 f"(0, {self.prediction_horizon}]"
             )
         region = self.grid.world.clip_or_pin(region)
-        self._pending_registrations.append(
-            PredictiveQueryState(qid, region, horizon, t)
+        self._pending_registrations[qid] = PredictiveQueryState(
+            qid, region, horizon, t
         )
 
     def move_range_query(self, qid: int, region: Rect, t: float) -> None:
@@ -525,11 +527,8 @@ class IncrementalEngine:
         move raises a ``KeyError`` naming it, with every buffer left
         intact.
         """
-        if any(q.qid == qid for q in self._pending_registrations):
+        if self._pending_registrations.pop(qid, None) is not None:
             self._pending_moves.pop(qid, None)
-            self._pending_registrations = [
-                q for q in self._pending_registrations if q.qid != qid
-            ]
             return
         if qid in self.queries:
             self._pending_moves.pop(qid, None)
@@ -738,13 +737,10 @@ class IncrementalEngine:
         """
         if not self._pending_moves:
             return
-        pending = None
         for qid in self._pending_moves:
             if qid in self.queries and qid not in self._pending_unregistrations:
                 continue
-            if pending is None:
-                pending = {q.qid for q in self._pending_registrations}
-            if qid not in pending:
+            if qid not in self._pending_registrations:
                 raise KeyError(f"cannot move unknown query {qid}")
 
     # ------------------------------------------------------------------
@@ -806,7 +802,7 @@ class IncrementalEngine:
         dirty_predictive: set[int],
     ) -> None:
         qstore = self._qstore
-        for query in self._pending_registrations:
+        for query in self._pending_registrations.values():
             self.queries[query.qid] = query
             if query.kind is QueryKind.RANGE:
                 region = query.region
@@ -1814,10 +1810,7 @@ class IncrementalEngine:
     # ------------------------------------------------------------------
 
     def _check_fresh_qid(self, qid: int) -> None:
-        already_pending = any(
-            q.qid == qid for q in self._pending_registrations
-        )
-        if qid in self.queries or already_pending:
+        if qid in self.queries or qid in self._pending_registrations:
             raise KeyError(f"query {qid} is already registered")
 
     def check_invariants(self) -> None:

@@ -35,9 +35,10 @@ the :mod:`repro.faults` chaos schedules.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, repeat
 
-from repro.columnar.backend import numpy_or_none
 from repro.core.commit import CommittedAnswerStore
 from repro.core.engine import DEFAULT_WORLD, IncrementalEngine
 from repro.core.updates import Update, UpdateBatch
@@ -54,9 +55,15 @@ from repro.net import (
     ThrottledLink,
     UpdateMessage,
     WakeupMessage,
+    full_answer_bytes,
 )
 from repro.obs import FlightRecorder, MetricsRegistry
 from repro.storage import HistoryRepository, LocationRecord
+
+
+#: Owner of an update whose query has no binding (unregistered in the
+#: same batch); sorts before every client id.
+_NO_OWNER = float("-inf")
 
 
 @dataclass(slots=True)
@@ -302,9 +309,7 @@ class LocationAwareServer:
             (oid, location, t, velocity),
         ):
             return
-        self.stats.record_uplink(
-            ObjectReportMessage(oid, location, velocity, t)
-        )
+        self.stats.record_uplink(ObjectReportMessage)
         self.recorder.record("uplink_report", oid=oid, t=t)
         if self.history is not None:
             previous = self.engine.objects.get(oid)
@@ -321,7 +326,7 @@ class LocationAwareServer:
         report, and accounted as one (8 identifier bytes)."""
         if not self._gate("object_removal", self.remove_object, (oid,)):
             return
-        self.stats.record_uplink(ObjectRemovalMessage(oid))
+        self.stats.record_uplink(ObjectRemovalMessage)
         self.recorder.record("uplink_removal", oid=oid)
         self.engine.remove_object(oid)
 
@@ -359,7 +364,7 @@ class LocationAwareServer:
             "query_move", self.receive_range_query_move, (qid, region, t)
         ):
             return
-        self.stats.record_uplink(QueryRegionMessage(qid, region, t))
+        self.stats.record_uplink(QueryRegionMessage)
         self.recorder.record("uplink_move", qid=qid, query="range", t=t)
         self.engine.move_range_query(qid, region, t)
         self._commit_on_uplink(qid)
@@ -373,7 +378,7 @@ class LocationAwareServer:
             "query_move", self.receive_knn_query_move, (qid, center, t)
         ):
             return
-        self.stats.record_uplink(KnnMoveMessage(qid, center, t))
+        self.stats.record_uplink(KnnMoveMessage)
         self.recorder.record("uplink_move", qid=qid, query="knn", t=t)
         self.engine.move_knn_query(qid, center, t)
         self._commit_on_uplink(qid)
@@ -385,7 +390,7 @@ class LocationAwareServer:
             "query_move", self.receive_predictive_query_move, (qid, region, t)
         ):
             return
-        self.stats.record_uplink(QueryRegionMessage(qid, region, t))
+        self.stats.record_uplink(QueryRegionMessage)
         self.recorder.record("uplink_move", qid=qid, query="predictive", t=t)
         self.engine.move_predictive_query(qid, region, t)
         self._commit_on_uplink(qid)
@@ -402,7 +407,7 @@ class LocationAwareServer:
         """
         if not self._gate("commit", self.receive_commit, (qid,)):
             return
-        self.stats.record_uplink(CommitMessage(qid))
+        self.stats.record_uplink(CommitMessage)
         self._require_binding(qid)
         self.commits.commit(qid, frozenset(self._delivered_answers[qid]))
         self.freshness.observe_committed(qid)
@@ -446,7 +451,7 @@ class LocationAwareServer:
         Returns the updates delivered (an
         :class:`~repro.core.updates.UpdateBatch`), for observability.
         """
-        self.stats.record_uplink(WakeupMessage(client_id))
+        self.stats.record_uplink(WakeupMessage)
         self._m_wakeups.inc()
         self.recorder.record("wakeup_begin", client=client_id)
         link = self._links[client_id]
@@ -455,30 +460,24 @@ class LocationAwareServer:
             # The recovery response gets a fresh cycle's worth of budget.
             link.new_cycle()
         self._notify("on_wakeup_begin", client_id)
-        freshness = self.freshness
         sent = UpdateBatch()
         with self.tracer.span("recovery"):
             for qid in sorted(self._queries_of_client[client_id]):
-                current = self.engine.answer_of(qid)
                 # The client rolled back to the committed answer; every
-                # delivered update moves this base toward `current`.
-                reached = set(self.commits.committed_answer(qid))
-                delta = self.commits.recovery_updates(
-                    qid, current, into=UpdateBatch()
+                # delivered update moves this base toward the live one.
+                self._delivered_answers[qid] = set(
+                    self.commits.committed_answer(qid)
                 )
-                for uqid, uoid, usign in delta.tuples():
-                    if link.deliver(UpdateMessage(uqid, uoid, usign)):
-                        if usign == 1:
-                            reached.add(uoid)
-                        else:
-                            reached.discard(uoid)
-                        sent.push(uqid, uoid, usign)
-                        freshness.observe_delivered(uqid, uoid, usign)
-                    else:
-                        freshness.observe_undelivered(uqid, uoid, usign)
-                self._delivered_answers[qid] = reached
-                self.commits.commit(qid, frozenset(reached))
-                freshness.observe_committed(qid)
+                delta = self.commits.recovery_updates(
+                    qid, self.engine.answer_of(qid), into=UpdateBatch()
+                )
+                sent.extend(
+                    self._ship([(link, delta.qids, delta.oids, delta.signs)])[1]
+                )
+                self.commits.commit(
+                    qid, frozenset(self._delivered_answers[qid])
+                )
+                self.freshness.observe_committed(qid)
                 self.recorder.record("commit", qid=qid, via="wakeup")
         self._notify("on_wakeup_end", client_id)
         self._m_recovery_updates.inc(len(sent))
@@ -500,7 +499,7 @@ class LocationAwareServer:
         full answer the link rejects leaves the query uncommitted; the
         next recovery attempt retries it.
         """
-        self.stats.record_uplink(WakeupMessage(client_id))
+        self.stats.record_uplink(WakeupMessage)
         self._m_wakeups.inc()
         self.recorder.record("wakeup_begin", client=client_id, via="naive")
         link = self._links[client_id]
@@ -520,8 +519,9 @@ class LocationAwareServer:
                 # A delivered full answer lands every member at once;
                 # attribute each one exactly as the incremental path
                 # attributes its recovery updates.
-                for oid in answer:
-                    freshness.observe_delivered(qid, oid, 1)
+                freshness.observe_delivered_many(
+                    repeat(qid), answer, repeat(1)
+                )
                 self._delivered_answers[qid] = set(answer)
                 self.commits.commit(qid, answer)
                 freshness.observe_committed(qid)
@@ -552,42 +552,18 @@ class LocationAwareServer:
                 if isinstance(link, ThrottledLink):
                     link.new_cycle()
             updates = self.engine.evaluate(now)
-            result = CycleResult(
-                now=now,
-                updates=updates,
-                incremental_bytes=0,
-                complete_bytes=self.complete_answer_bytes(),
-                answer_objects=sum(
-                    len(q.answer) for q in self.engine.queries.values()
-                ),
-            )
-            freshness = self.freshness
-            recorder = self.recorder
+            complete_bytes, answer_objects = self._answer_totals()
             with self.tracer.span("downlink"):
-                np = numpy_or_none()
-                if (
-                    np is not None
-                    and getattr(updates, "qids", None) is not None
-                    and len(updates) > 1
-                ):
-                    self._ship_grouped(
-                        np, updates, result, freshness, recorder
-                    )
-                else:
-                    for uqid, uoid, usign in self._stream_tuples(updates):
-                        binding = self._bindings.get(uqid)
-                        if binding is None:
-                            # Query was unregistered in this same batch.
-                            continue
-                        self._ship_one(
-                            self._links[binding.client_id],
-                            uqid,
-                            uoid,
-                            usign,
-                            result,
-                            freshness,
-                            recorder,
-                        )
+                attempted, delivered = self._ship(self._client_slices(updates))
+        result = CycleResult(
+            now=now,
+            updates=updates,
+            incremental_bytes=attempted * UpdateMessage.size_bytes,
+            complete_bytes=complete_bytes,
+            delivered_updates=len(delivered),
+            dropped_updates=attempted - len(delivered),
+            answer_objects=answer_objects,
+        )
         self._m_updates_delivered.inc(result.delivered_updates)
         self._m_updates_dropped.inc(result.dropped_updates)
         self._m_incremental_bytes.inc(result.incremental_bytes)
@@ -595,93 +571,92 @@ class LocationAwareServer:
         self._m_savings_ratio.set(result.savings_ratio)
         return result
 
-    @staticmethod
-    def _stream_tuples(updates):
-        """``(qid, oid, sign)`` triples of any stream shape."""
-        tuples = getattr(updates, "tuples", None)
-        if tuples is not None:
-            return tuples()
-        return ((u.qid, u.oid, u.sign) for u in updates)
+    def _client_slices(self, updates):
+        """Split an update stream into one column slice per owning
+        client: ``(link, qids, oids, signs)``, stream order kept within
+        each slice.
 
-    def _ship_one(
-        self, link, qid: int, oid: int, sign: int, result, freshness, recorder
-    ) -> None:
-        """Deliver one update over ``link`` with full accounting."""
-        message = UpdateMessage(qid, oid, sign)
-        result.incremental_bytes += message.size_bytes
-        if link.deliver(message):
-            result.delivered_updates += 1
-            # Advance the proven-delivered view so the next
-            # uplink-triggered commit records what the client
-            # actually holds.
-            delivered = self._delivered_answers[qid]
-            if sign == 1:
-                delivered.add(oid)
-            else:
-                delivered.discard(oid)
-            freshness.observe_delivered(qid, oid, sign)
-            recorder.record(
-                "downlink", qid=qid, oid=oid, sign=sign, ok=True
-            )
-        else:
-            result.dropped_updates += 1
-            freshness.observe_undelivered(qid, oid, sign)
-            recorder.record(
-                "downlink", qid=qid, oid=oid, sign=sign, ok=False
-            )
-
-    def _ship_grouped(self, np, updates, result, freshness, recorder) -> None:
-        """Downlink shipping grouped by owning client (numpy path).
-
-        One ``np.unique`` resolves each distinct qid's binding once and
-        one **stable** argsort groups the batch by client, so the
-        per-update Python work drops to the delivery itself with the
-        link lookup hoisted per group.  Stability preserves stream
-        order within each client group — links are independent FIFO
-        channels with per-link cycle budgets, so per-link delivery
-        outcomes (and the freshness/commit bookkeeping derived from
-        them) are identical to the scalar loop's.
+        One **stable** sort by owning client groups the whole batch —
+        links are independent FIFO channels with per-link cycle
+        budgets, so per-link delivery outcomes (and the commit and
+        freshness bookkeeping derived from them) do not depend on how
+        the clients' slices interleave.  Updates of queries
+        unregistered in this same batch have no owner and are skipped.
         """
-        qid_arr = np.asarray(updates.qids, dtype=np.int64)
-        uniq, inverse = np.unique(qid_arr, return_inverse=True)
+        if not isinstance(updates, UpdateBatch):
+            updates = UpdateBatch.from_updates(updates)
+        qids, oids, signs = updates.qids, updates.oids, updates.signs
         bindings = self._bindings
-        client_of_uniq = np.fromiter(
-            (
-                -1 if (b := bindings.get(qid)) is None else b.client_id
-                for qid in uniq.tolist()
-            ),
-            dtype=np.int64,
-            count=len(uniq),
-        )
-        clients = client_of_uniq[inverse]
-        order = np.argsort(clients, kind="stable")
-        sorted_clients = clients[order]
-        cuts = (
-            np.flatnonzero(sorted_clients[1:] != sorted_clients[:-1]) + 1
-        ).tolist()
-        starts = [0, *cuts]
-        stops = [*cuts, len(order)]
-        group_clients = sorted_clients[starts].tolist()
-        order_list = order.tolist()
-        qids = updates.qids
-        oids = updates.oids
-        signs = updates.signs
+        owner_of = {
+            qid: bindings[qid].client_id if qid in bindings else _NO_OWNER
+            for qid in set(qids)
+        }
+        owners = [owner_of[qid] for qid in qids]
+        order = sorted(range(len(owners)), key=owners.__getitem__)
+        qids = [qids[i] for i in order]
+        oids = [oids[i] for i in order]
+        signs = [signs[i] for i in order]
         links = self._links
-        ship_one = self._ship_one
-        for cid, s, e in zip(group_clients, starts, stops):
-            if cid < 0:
-                continue  # queries unregistered in this same batch
-            link = links[cid]
-            for idx in order_list[s:e]:
-                ship_one(
-                    link,
-                    qids[idx],
-                    oids[idx],
-                    signs[idx],
-                    result,
-                    freshness,
-                    recorder,
+        stop = 0
+        for client_id, count in sorted(Counter(owners).items()):
+            start, stop = stop, stop + count
+            if client_id in links:
+                yield (
+                    links[client_id],
+                    qids[start:stop],
+                    oids[start:stop],
+                    signs[start:stop],
                 )
+
+    def _ship(self, slices) -> tuple[int, UpdateBatch]:
+        """Deliver ``(link, qids, oids, signs)`` column slices and do
+        the bookkeeping every delivery owes; returns the number of
+        updates attempted and the batch of those delivered.
+
+        The one ship routine: evaluation cycles and wakeup recovery
+        both come through here, so the delivered-answer view, the
+        freshness attribution and the flight recorder cannot disagree
+        about what a link accepted.
+        """
+        attempted = 0
+        delivered = UpdateBatch()
+        recorder = self.recorder
+        for link, qids, oids, signs in slices:
+            if not qids:
+                continue
+            attempted += len(qids)
+            verdicts = link.deliver_updates(qids, oids, signs)
+            if recorder.enabled:
+                for qid, oid, sign, ok in zip(
+                    qids, oids, signs, verdicts or repeat(True)
+                ):
+                    recorder.record(
+                        "downlink", qid=qid, oid=oid, sign=sign, ok=ok
+                    )
+            if verdicts is not None:
+                for qid, oid, sign, ok in zip(qids, oids, signs, verdicts):
+                    if not ok:
+                        self.freshness.observe_undelivered(qid, oid, sign)
+                qids = compress(qids, verdicts)
+                oids = compress(oids, verdicts)
+                signs = compress(signs, verdicts)
+            delivered.extend_columns(qids, oids, signs)
+        # Advance the proven-delivered view so the next uplink-triggered
+        # commit records what the client actually holds.
+        answers = self._delivered_answers
+        run_qid = None
+        for qid, oid, sign in delivered.tuples():
+            if qid != run_qid:
+                run_qid = qid
+                answer = answers[qid]
+            if sign == 1:
+                answer.add(oid)
+            else:
+                answer.discard(oid)
+        self.freshness.observe_delivered_many(
+            delivered.qids, delivered.oids, delivered.signs
+        )
+        return attempted, delivered
 
     def savings_ratio(self) -> float:
         """Cumulative incremental bytes as a fraction of the complete
@@ -714,10 +689,12 @@ class LocationAwareServer:
 
     def complete_answer_bytes(self) -> int:
         """Bytes a snapshot server would ship: every full answer, every cycle."""
-        return sum(
-            FullAnswerMessage(qid, frozenset(query.answer)).size_bytes
-            for qid, query in self.engine.queries.items()
-        )
+        return self._answer_totals()[0]
+
+    def _answer_totals(self) -> tuple[int, int]:
+        """``(complete-answer bytes, answer members)`` over all queries."""
+        sizes = [len(query.answer) for query in self.engine.queries.values()]
+        return sum(map(full_answer_bytes, sizes)), sum(sizes)
 
     # ------------------------------------------------------------------
     # Internals

@@ -23,6 +23,7 @@ from repro.net.messages import (
     QueryRegionMessage,
     UpdateMessage,
     WakeupMessage,
+    full_answer_bytes,
 )
 from repro.net.link import (
     DELIVER,
@@ -45,6 +46,7 @@ __all__ = [
     "KnnMoveMessage",
     "WakeupMessage",
     "CommitMessage",
+    "full_answer_bytes",
     "ClientLink",
     "NetworkStats",
     "ThrottledLink",

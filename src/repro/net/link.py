@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter as TallyCounter
 
-from repro.net.messages import Message
+from repro.net.messages import Message, UpdateMessage
 from repro.obs import MetricsRegistry
 
 #: Fault-hook verdicts for one delivery attempt (see
@@ -48,6 +48,7 @@ class NetworkStats:
         "_dropped_messages",
         "_uplink_bytes",
         "_uplink_messages",
+        "_by_kind",
     )
 
     def __init__(self, registry: MetricsRegistry | None = None):
@@ -59,28 +60,44 @@ class NetworkStats:
         self._dropped_messages = counter("net_dropped_messages_total")
         self._uplink_bytes = counter("net_uplink_bytes_total")
         self._uplink_messages = counter("net_uplink_messages_total")
+        # (prefix, message class) -> its net_messages_total{type} handle,
+        # resolved on first use: the series exist only for kinds seen.
+        self._by_kind: dict[tuple[str, type], object] = {}
 
     # -- recording -----------------------------------------------------
 
     def record(self, message: Message, delivered: bool) -> None:
-        kind = type(message).__name__
         if delivered:
             self._delivered_bytes.inc(message.size_bytes)
             self._delivered_messages.inc()
-            self._tally(kind)
+            self._tally("", type(message))
         else:
             self._dropped_bytes.inc(message.size_bytes)
             self._dropped_messages.inc()
-            self._tally(f"dropped:{kind}")
+            self._tally("dropped:", type(message))
 
-    def record_uplink(self, message: Message) -> None:
-        """Account one client-to-server message (reports, moves, commits)."""
-        self._uplink_bytes.inc(message.size_bytes)
+    def record_delivered_updates(self, count: int) -> None:
+        """Account ``count`` delivered :class:`UpdateMessage`\\ s at once."""
+        self._delivered_bytes.inc(count * UpdateMessage.size_bytes)
+        self._delivered_messages.inc(count)
+        self._tally("", UpdateMessage, count)
+
+    def record_uplink(self, kind: type[Message]) -> None:
+        """Account one client-to-server message (reports, moves,
+        commits) by its class — every uplink kind is fixed-width, so
+        the hot uplink path builds no message object."""
+        self._uplink_bytes.inc(kind.size_bytes)
         self._uplink_messages.inc()
-        self._tally(f"uplink:{type(message).__name__}")
+        self._tally("uplink:", kind)
 
-    def _tally(self, kind: str) -> None:
-        self.registry.counter("net_messages_total", labels={"type": kind}).inc()
+    def _tally(self, prefix: str, kind: type, count: int = 1) -> None:
+        handle = self._by_kind.get((prefix, kind))
+        if handle is None:
+            handle = self._by_kind[prefix, kind] = self.registry.counter(
+                "net_messages_total",
+                labels={"type": prefix + kind.__name__},
+            )
+        handle.inc(count)
 
     # -- the legacy read surface (snapshot views over the counters) ----
 
@@ -139,6 +156,10 @@ class ClientLink:
       without draining the inbox.
     """
 
+    #: Downstream bytes per evaluation cycle; ``None`` is unmetered
+    #: (:class:`~repro.net.ThrottledLink` sets a budget).
+    budget_bytes_per_cycle: int | None = None
+
     def __init__(self, client_id: int, stats: NetworkStats | None = None):
         self.client_id = client_id
         self.connected = True
@@ -192,6 +213,34 @@ class ClientLink:
             self._accept(message, reorder=False)
         self._m_queued.set(len(self._inbox))
         return True
+
+    def deliver_updates(self, qids, oids, signs) -> list[bool] | None:
+        """Send one cycle's slice of the update stream — aligned
+        ``qid``/``oid``/``sign`` columns, in stream order.
+
+        Returns ``None`` when the client received every update, else
+        the per-update :meth:`deliver` verdicts.  A connected, unhooked,
+        unmetered link has nothing to decide per message, so it takes
+        the whole slice in one inbox extend with the accounting done
+        arithmetically; any other link goes through :meth:`deliver`
+        one message at a time, so fault hooks, delivery observers and
+        byte budgets see exactly the calls they always saw.
+        """
+        messages = map(UpdateMessage, qids, oids, signs)
+        if (
+            self.connected
+            and self.fault_hook is None
+            and self.delivery_observer is None
+            and self.budget_bytes_per_cycle is None
+        ):
+            count = len(qids)
+            self._inbox.extend(messages)
+            self.stats.record_delivered_updates(count)
+            self._m_delivered.inc(count)
+            self._m_delivered_bytes.inc(count * UpdateMessage.size_bytes)
+            self._m_queued.set(len(self._inbox))
+            return None
+        return list(map(self.deliver, messages))
 
     def _accept(self, message: Message, reorder: bool) -> None:
         """Put one delivered copy in the inbox, with full accounting."""

@@ -10,6 +10,7 @@ per member object — the quantities behind Figure 5's KB axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.geometry import Point, Rect, Velocity
 
@@ -19,11 +20,21 @@ _SIGN_BYTES = 1
 
 
 class Message:
-    """Base class so links can treat all traffic uniformly."""
+    """Base class so links can treat all traffic uniformly.
+
+    Fixed-width kinds carry ``size_bytes`` as a class constant, so bulk
+    accounting (``n × UpdateMessage.size_bytes``, one uplink per kind)
+    needs no instance.
+    """
 
     @property
     def size_bytes(self) -> int:
         raise NotImplementedError
+
+
+def full_answer_bytes(members: int) -> int:
+    """Wire size of a complete answer of ``members`` objects."""
+    return 2 * _ID_BYTES + members * _ID_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,13 +45,11 @@ class UpdateMessage(Message):
     oid: int
     sign: int
 
+    size_bytes: ClassVar[int] = 2 * _ID_BYTES + _SIGN_BYTES
+
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-    @property
-    def size_bytes(self) -> int:
-        return 2 * _ID_BYTES + _SIGN_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,7 +61,7 @@ class FullAnswerMessage(Message):
 
     @property
     def size_bytes(self) -> int:
-        return 2 * _ID_BYTES + len(self.oids) * _ID_BYTES
+        return full_answer_bytes(len(self.oids))
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,9 +73,7 @@ class ObjectReportMessage(Message):
     velocity: Velocity
     t: float
 
-    @property
-    def size_bytes(self) -> int:
-        return _ID_BYTES + 5 * _FLOAT_BYTES
+    size_bytes: ClassVar[int] = _ID_BYTES + 5 * _FLOAT_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,9 +84,7 @@ class QueryRegionMessage(Message):
     region: Rect
     t: float
 
-    @property
-    def size_bytes(self) -> int:
-        return _ID_BYTES + 5 * _FLOAT_BYTES
+    size_bytes: ClassVar[int] = _ID_BYTES + 5 * _FLOAT_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,9 +101,7 @@ class KnnMoveMessage(Message):
     center: Point
     t: float
 
-    @property
-    def size_bytes(self) -> int:
-        return _ID_BYTES + 3 * _FLOAT_BYTES
+    size_bytes: ClassVar[int] = _ID_BYTES + 3 * _FLOAT_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,9 +110,7 @@ class ObjectRemovalMessage(Message):
 
     oid: int
 
-    @property
-    def size_bytes(self) -> int:
-        return _ID_BYTES
+    size_bytes: ClassVar[int] = _ID_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,9 +119,7 @@ class WakeupMessage(Message):
 
     client_id: int
 
-    @property
-    def size_bytes(self) -> int:
-        return _ID_BYTES
+    size_bytes: ClassVar[int] = _ID_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,6 +128,4 @@ class CommitMessage(Message):
 
     qid: int
 
-    @property
-    def size_bytes(self) -> int:
-        return _ID_BYTES
+    size_bytes: ClassVar[int] = _ID_BYTES

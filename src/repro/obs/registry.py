@@ -119,6 +119,12 @@ class Histogram:
         self.sum += value
         self.count += 1
 
+    def observe_n(self, value: float, n: int) -> None:
+        """``n`` observations of the same ``value`` in one bisect."""
+        self.bucket_counts[bisect_left(self.bounds, value)] += n
+        self.sum += value * n
+        self.count += n
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -196,6 +202,9 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_n(self, value: float, n: int) -> None:
         pass
 
     def snapshot(self) -> dict[str, object]:

@@ -28,7 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--pipeline",
         default="cell-batched",
-        help="engine pipeline (per-report, cell-batched, columnar, parallel)",
+        help="engine pipeline (per-object, cell-batched, parallel, columnar)",
     )
     parser.add_argument("--max-sessions", type=int, default=1024)
     parser.add_argument("--max-clients", type=int, default=200_000)

@@ -161,6 +161,25 @@ def downlink_op(message: Message) -> dict:
     )
 
 
+_UPDATE_LINE = b'{"op":"update","qid":%d,"oid":%d,"sign":%d}\n'
+
+
+def encode_downlink(messages) -> bytes:
+    """The wire lines of link-delivered messages, concatenated.
+
+    Byte-identical to ``b"".join(encode(downlink_op(m)) for m in
+    messages)``; ``update`` lines — nearly all downlink traffic — are
+    formatted straight to bytes instead of through a dict and the JSON
+    encoder.
+    """
+    return b"".join(
+        _UPDATE_LINE % (message.qid, message.oid, message.sign)
+        if type(message) is UpdateMessage
+        else encode(downlink_op(message))
+        for message in messages
+    )
+
+
 def error_op(code: str, detail: str) -> dict:
     return {"op": "error", "code": code, "detail": detail}
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.service.protocol import downlink_op, encode
+from repro.service.protocol import encode, encode_downlink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import asyncio
@@ -63,25 +63,28 @@ class ClientSession:
     def send(self, obj: dict) -> None:
         """Queue one encoded line on the transport (no await: asyncio
         buffers; the runtime drains writers at cycle boundaries)."""
-        if self.closed:
-            return
-        try:
-            self.writer.write(encode(obj))
-            self.lines_out += 1
-        except (ConnectionError, RuntimeError):
-            self.closed = True
+        self._write(encode(obj), 1)
 
     def flush_link(self, link: "ClientLink") -> int:
-        """Drain one client link's inbox onto the wire, in inbox order.
+        """Drain one client link's inbox onto the wire, in inbox order,
+        as one transport write.
 
         The link layer already decided delivery (budget, faults,
         connectivity); whatever reached the inbox is what the wire
         client receives.  Returns the number of messages flushed.
         """
         messages = link.drain()
-        for message in messages:
-            self.send(downlink_op(message))
+        self._write(encode_downlink(messages), len(messages))
         return len(messages)
+
+    def _write(self, data: bytes, lines: int) -> None:
+        if self.closed:
+            return
+        try:
+            self.writer.write(data)
+            self.lines_out += lines
+        except (ConnectionError, RuntimeError):
+            self.closed = True
 
     def mark_closed(self) -> None:
         self.closed = True

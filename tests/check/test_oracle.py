@@ -124,7 +124,7 @@ def buggy_receive_wakeup(server, client_id):
     """The pre-fix recovery path: ``link.deliver``'s verdict is ignored
     and the full live answer is committed regardless of what fit down
     the throttled link."""
-    server.stats.record_uplink(WakeupMessage(client_id))
+    server.stats.record_uplink(WakeupMessage)
     link = server.link_of(client_id)
     link.reconnect()
     from repro.net import ThrottledLink

@@ -1,6 +1,6 @@
 """Client links: delivery, loss during disconnection, accounting."""
 
-from repro.net import ClientLink, NetworkStats, UpdateMessage
+from repro.net import DROP, ClientLink, NetworkStats, ThrottledLink, UpdateMessage
 
 
 def update(i: int = 1) -> UpdateMessage:
@@ -31,6 +31,54 @@ class TestDelivery:
         for i in range(5):
             link.deliver(update(i))
         assert [m.qid for m in link.drain()] == [0, 1, 2, 3, 4]
+
+
+class TestSliceDelivery:
+    """``deliver_updates``: whole slice at once on a plain link,
+    ``deliver`` verdicts on any other."""
+
+    SLICE = ([1, 2, 1], [7, 8, 7], [1, 1, -1])
+
+    def test_plain_link_accepts_the_slice_arithmetically(self):
+        stats = NetworkStats()
+        link = ClientLink(1, stats)
+        assert link.deliver_updates(*self.SLICE) is None
+        assert stats.delivered_messages == 3
+        assert stats.delivered_bytes == 3 * 17
+        assert stats.by_type == {"UpdateMessage": 3}
+        labels = {"client": "1"}
+        value_of = stats.registry.value_of
+        assert value_of("link_delivered_messages_total", labels) == 3
+        assert value_of("link_delivered_bytes_total", labels) == 3 * 17
+        assert value_of("link_queued_messages", labels) == 3
+        assert link.drain() == [
+            UpdateMessage(1, 7, 1),
+            UpdateMessage(2, 8, 1),
+            UpdateMessage(1, 7, -1),
+        ]
+
+    def test_hooked_link_decides_per_message(self):
+        link = ClientLink(1)
+        seen = []
+        link.fault_hook = lambda _link, message: (
+            seen.append(message) or (DROP if message.qid == 2 else "deliver")
+        )
+        assert link.deliver_updates(*self.SLICE) == [True, False, True]
+        assert len(seen) == 3
+        assert [m.qid for m in link.drain()] == [1, 1]
+
+    def test_observed_dark_and_metered_links_decide_per_message(self):
+        observed = ClientLink(1)
+        calls = []
+        observed.delivery_observer = lambda *call: calls.append(call)
+        assert observed.deliver_updates(*self.SLICE) == [True, True, True]
+        assert len(calls) == 3
+        dark = ClientLink(2)
+        dark.disconnect()
+        assert dark.deliver_updates(*self.SLICE) == [False, False, False]
+        metered = ThrottledLink(3, budget_bytes_per_cycle=40)
+        assert metered.deliver_updates(*self.SLICE) == [True, True, False]
+        assert metered.throttled_messages == 1
 
 
 class TestAccounting:

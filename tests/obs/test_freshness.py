@@ -166,18 +166,31 @@ class TestCommitStaleness:
         assert c.count == 1
 
     def test_pending_commit_is_bounded(self):
+        """Pending stamps aggregate per (stamp, polarity): the bound is
+        on distinct report stamps, and evicting one counts every update
+        it stood for."""
         tracker, registry, clock = make_tracker()
         tracker.stamp_report(7)
         tracker.end_cycle()
+        # Any number of same-stamp deliveries share one pending entry.
         for _ in range(_MAX_PENDING_PER_QUERY + 10):
             tracker.observe_delivered(qid=1, oid=7, sign=1)
-        assert (
-            registry.counter("freshness_pending_commit_dropped_total").value
-            == 10
-        )
+        dropped = registry.counter("freshness_pending_commit_dropped_total")
+        assert len(tracker._pending_commit[1]) == 1
+        assert dropped.value == 0
+        # A client that never commits: one new stamp per cycle, two
+        # updates each, until the oldest entries must go.
+        for _ in range(_MAX_PENDING_PER_QUERY + 9):
+            clock.advance(1.0)
+            tracker.stamp_report(7)
+            tracker.end_cycle()
+            tracker.observe_delivered_many((1, 1), (7, 7), (1, 1))
+        assert len(tracker._pending_commit[1]) == _MAX_PENDING_PER_QUERY
+        # Evicted: the first entry with all its updates, then nine pairs.
+        assert dropped.value == (_MAX_PENDING_PER_QUERY + 10) + 9 * 2
         tracker.observe_committed(1)
         c = hist(registry, "freshness_staleness_cycles", "commit", "positive")
-        assert c.count == _MAX_PENDING_PER_QUERY
+        assert c.count == _MAX_PENDING_PER_QUERY * 2
 
     def test_forget_query_drops_pending(self):
         tracker, registry, clock = make_tracker()
