@@ -55,6 +55,15 @@ def _by_oid(state) -> int:
     return state.oid
 
 
+def _in_sorted(np, sorted_keys, wanted):
+    """Membership of each ``wanted`` key in an ascending key array."""
+    if not len(sorted_keys):
+        return np.zeros(len(wanted), dtype=bool)
+    at = np.searchsorted(sorted_keys, wanted)
+    at[at == len(sorted_keys)] = 0
+    return sorted_keys[at] == wanted
+
+
 class _CellEntries:
     """One cell's cached candidate rows (query-store row indices).
 
@@ -176,91 +185,109 @@ class ColumnarEvaluator:
     # ------------------------------------------------------------------
 
     def run(self, cohorts, updates, knn_dirty) -> None:
-        """Evaluate one batch of transition cohorts (engine phase 5b)."""
-        span = self.tracer.span
-        phase_counters = self._phase_counters
-        with span("columnar_plan", phase_counters["plan"]):
+        """Evaluate one batch of transition cohorts (engine phase 5b),
+        given as the engine's ``(cells, states, stay_put, point_pair)``
+        tuples — the python backend's entry point."""
+        with self.tracer.span("columnar_plan", self._phase_counters["plan"]):
             plan, metas = self._build_plan(cohorts, knn_dirty)
+        qids, oids, signs, ends, arrays = self._join(plan)
+        with self.tracer.span("columnar_emit", self._emit_span_counter):
+            special = self._sweep_candidates()
+            if self._np is None:
+                self._emit(
+                    metas, ends, qids, oids, signs, special, updates, knn_dirty
+                )
+                return
+            sweeps = ()
+            if special:
+                sweeps = [
+                    (states, seen, end)
+                    for (states, seen), end in zip(metas, ends)
+                ]
+            self._emit_bulk(
+                sweeps, qids, oids, signs, arrays, special, updates, knn_dirty
+            )
+
+    def run_columns(self, columns, updates, knn_dirty) -> None:
+        """Evaluate one batch handed over as
+        :class:`~repro.columnar.ingest.CohortColumns` (numpy backend):
+        the plan is built from the columns with no per-cohort Python,
+        and the answered sweep only ever looks at cohorts holding a
+        member it could act on."""
+        with self.tracer.span("columnar_plan", self._phase_counters["plan"]):
+            plan = self._plan_columns(columns, knn_dirty)
+        qids, oids, signs, ends, arrays = self._join(plan)
+        with self.tracer.span("columnar_emit", self._emit_span_counter):
+            special = self._sweep_candidates()
+            self._emit_bulk(
+                self._special_sweeps(columns, special, ends),
+                qids,
+                oids,
+                signs,
+                arrays,
+                special,
+                updates,
+                knn_dirty,
+            )
+
+    def _join(self, plan):
         self._m_batches.inc()
         self._m_pairs.inc(plan.total_pairs)
         self._h_batch_size.observe(plan.total_pairs)
-        bulk = self._np is not None
-        with span("columnar_join", phase_counters["join"]):
-            qids, oids, signs, ends, arrays = classify_transitions(
+        with self.tracer.span("columnar_join", self._phase_counters["join"]):
+            joined = classify_transitions(
                 plan,
                 self.ostore,
                 self.qstore,
                 self.backend,
                 want_arrays=True,
             )
-        self._m_changes.inc(len(qids))
-        with span("columnar_emit", self._emit_span_counter):
-            special = self._sweep_candidates()
-            if bulk:
-                self._emit_bulk(
-                    metas,
-                    ends,
-                    qids,
-                    oids,
-                    signs,
-                    arrays,
-                    special,
-                    updates,
-                    knn_dirty,
-                )
-            else:
-                self._emit(
-                    metas, ends, qids, oids, signs, special, updates, knn_dirty
-                )
+        self._m_changes.inc(len(joined[0]))
+        return joined
 
     # ------------------------------------------------------------------
     # Plan construction
     # ------------------------------------------------------------------
 
-    def _build_plan(self, cohorts, knn_dirty):
-        qstore = self.qstore
-        if self._cache_version != qstore.version:
+    def _begin_plan(self) -> None:
+        """Drop cached candidate layouts the query store has outdated."""
+        if self._cache_version != self.qstore.version:
             self._cell_cache.clear()
             self._cohort_cache.clear()
-            self._cache_version = qstore.version
+            self._cache_version = self.qstore.version
         self._knn_memo.clear()
+
+    def _build_plan(self, cohorts, knn_dirty):
+        """The per-cohort planner: the python backend's, and the oracle
+        the column planner is property-tested against."""
+        self._begin_plan()
         cohort_cache = self._cohort_cache
         plan = PairPlan()
         ent_parts = plan.ent_parts
         metas = []
         row_of = self.ostore._row_of
         obj_rows = plan.obj_rows
-        for cells, states, stay_put, point_pair in cohorts:
+        for cells, states, stay_put, _ in cohorts:
             if len(states) > 1:
                 states.sort(key=_by_oid)
-            parts = 0
-            if len(cells) == 1:
-                cell = cells[0]
-                entries = self._cell_entries(cell)
+            for cell in cells:
                 self._mark_knn(cell, knn_dirty)
+            if len(cells) == 1:
+                entries = self._cell_entries(cells[0])
                 part = entries.partial if stay_put else entries.full
-                total_entries = len(part)
-                if total_entries:
-                    ent_parts.append(part)
-                    parts = 1
+                parts_seq = (part,) if len(part) else ()
                 seen = entries.static_qids
             else:
-                # The deduped multi-cell entry layout depends only on
-                # the cells (and the point-pair cover skip), so recur-
-                # ring transitions reuse it across evaluations.
-                key = (cells, point_pair)
-                cached = cohort_cache.get(key)
+                # The deduped two-cell layout depends only on the cell
+                # pair, so recurring transitions reuse it until the
+                # query store changes.
+                cached = cohort_cache.get(cells)
                 if cached is None:
-                    cached = self._plan_multi(cells, point_pair)
-                    cohort_cache[key] = cached
-                for cell in cells:
-                    self._mark_knn(cell, knn_dirty)
-                parts_seq, total_entries, seen = cached
-                if total_entries:
-                    ent_parts.extend(parts_seq)
-                    parts = len(parts_seq)
-            plan.parts_per_cohort.append(parts)
-            plan.ent_counts.append(total_entries)
+                    cached = cohort_cache[cells] = self._plan_pair(*cells)
+                parts_seq, seen = cached
+            ent_parts.extend(parts_seq)
+            plan.parts_per_cohort.append(len(parts_seq))
+            plan.ent_counts.append(sum(map(len, parts_seq)))
             for state in states:
                 obj_rows.append(row_of[state.oid])
             plan.obj_counts.append(len(states))
@@ -268,49 +295,155 @@ class ColumnarEvaluator:
         plan.seal()
         return plan, metas
 
-    def _plan_multi(self, cells, point_pair: bool):
-        """Deduped candidate layout for one multi-cell transition.
+    def _plan_pair(self, old_cell: int, new_cell: int):
+        """Deduped candidate layout for one home-cell change.
 
-        A row already joined for an earlier cell is dropped (first-
-        occurrence order — the mirror of the serial seen-qid skip).
-        For point-pair transitions, queries covering *both* cells are
-        dropped outright: the member's old location lies in the old
-        cell and its new location in the new cell, so ``in_old`` and
-        ``in_new`` are both true and no update can result.  (Only
-        point pairs guarantee real old locations inside the cohort's
-        cells — new objects with NaN old coordinates always land in
-        single-cell cohorts.)
+        Old-cell entries come first, minus queries covering *both*
+        cells: the member's old location lies in the old cell and its
+        new location in the new cell, so ``in_old`` and ``in_new`` are
+        both true and no update can result.  New-cell entries follow,
+        minus every row the old cell already listed (first-occurrence
+        order — the mirror of the serial seen-qid skip).
         """
-        entry_list = [self._cell_entries(cell) for cell in cells]
-        joined: set[int] = set()
-        if point_pair:
-            a, b = entry_list
-            if a.cover_set and b.cover_set:
-                joined |= a.cover_set & b.cover_set
+        old = self._cell_entries(old_cell)
+        new = self._cell_entries(new_cell)
+        both = old.cover_set & new.cover_set
+        listed = set(old.full_rows)
+        parts = []
+        for entries, keep in (
+            (old, [row for row in old.full_rows if row not in both]),
+            (new, [row for row in new.full_rows if row not in listed]),
+        ):
+            if not keep:
+                continue
+            if len(keep) == len(entries.full_rows):
+                parts.append(entries.full)
+            elif self._np is not None:
+                parts.append(self._np.asarray(keep, dtype=self._np.int32))
+            else:
+                parts.append(keep)
+        return tuple(parts), old.static_qids | new.static_qids
+
+    def _plan_columns(self, columns, knn_dirty) -> PairPlan:
+        """The :class:`PairPlan` of a batch of cohort columns, built
+        with array passes only (the per-touched-*cell* work is two dict
+        hits).  Produces exactly what :meth:`_build_plan` produces for
+        the same cohorts:
+
+        * a CSR over the batch's touched cells is cut from the cached
+          :class:`_CellEntries` (``partial`` is a prefix of ``full``);
+        * each cohort gathers two ragged segments from it — its old
+          cell's ``full`` rows if it changed home cell, then its new
+          cell's ``partial`` rows if it stayed put, ``full`` otherwise;
+        * :meth:`_plan_pair`'s first-occurrence dedup becomes two
+          sorted-key membership tests on ``(cell, row)`` keys: drop an
+          old-cell entry that covers its cell and is a covering entry of
+          the new cell; drop a new-cell entry the old cell lists.
+        """
         np = self._np
-        parts: list = []
-        total = 0
-        seen: set[int] = set()
-        for entries in entry_list:
-            full_rows = entries.full_rows
-            if full_rows:
-                if joined:
-                    keep = [r for r in full_rows if r not in joined]
-                else:
-                    keep = full_rows
-                if keep:
-                    joined.update(keep)
-                    if len(keep) == len(full_rows):
-                        part = entries.full
-                    elif np is not None:
-                        part = np.asarray(keep, dtype=np.int32)
-                    else:
-                        part = keep
-                    parts.append(part)
-                    total += len(part)
-            if entries.static_qids:
-                seen |= entries.static_qids
-        return tuple(parts), total, frozenset(seen)
+        self._begin_plan()
+        old = columns.old
+        new = columns.new
+        n_cohorts = len(new)
+        changed = (old >= 0) & (old != new)
+        touched = np.unique(np.concatenate((old[changed], new)))
+        cells = touched.tolist()
+        mark_knn = self._mark_knn
+        for cell in cells:
+            mark_knn(cell, knn_dirty)
+        entries = list(map(self._cell_entries, cells))
+        fulls = [e.full for e in entries]
+        n_full = np.fromiter(map(len, fulls), np.int64, count=len(cells))
+        n_partial = np.fromiter(
+            (len(e.partial) for e in entries), np.int64, count=len(cells)
+        )
+        cell_start = np.cumsum(n_full) - n_full
+        all_rows = np.concatenate(fulls)
+
+        # Two segments per cohort, interleaved [old, new, old, new, ...].
+        new_at = np.searchsorted(touched, new)
+        old_at = np.searchsorted(touched, np.where(changed, old, new))
+        seg_start = np.empty(2 * n_cohorts, dtype=np.int64)
+        seg_len = np.empty(2 * n_cohorts, dtype=np.int64)
+        seg_start[0::2] = cell_start[old_at]
+        seg_start[1::2] = cell_start[new_at]
+        seg_len[0::2] = np.where(changed, n_full[old_at], 0)
+        seg_len[1::2] = np.where(old == new, n_partial[new_at], n_full[new_at])
+        seg_end = np.cumsum(seg_len)
+        total = int(seg_end[-1])
+        # Position of every planned entry inside its cell's row list.
+        within = np.arange(total) - np.repeat(seg_end - seg_len, seg_len)
+        ent = all_rows[within + np.repeat(seg_start, seg_len)]
+        ent_counts = seg_len[0::2] + seg_len[1::2]
+
+        if total and changed.any():
+            segment = np.repeat(np.arange(2 * n_cohorts), seg_len)
+            cohort = segment >> 1
+            probe = np.flatnonzero(changed[cohort])
+            cohort_p = cohort[probe]
+            from_old = (segment[probe] & 1) == 0
+            # Key every entry by (touched-cell position, row); an entry
+            # is looked up under the cohort's *other* cell.
+            stride = len(self.qstore) + 1
+            cell_of_row = np.repeat(np.arange(len(cells)), n_full)
+            keys = cell_of_row * stride + all_rows
+            covering = (np.arange(len(all_rows)) - cell_start[cell_of_row]) >= (
+                n_partial[cell_of_row]
+            )
+            other = np.where(from_old, new_at[cohort_p], old_at[cohort_p])
+            wanted = other * stride + ent[probe]
+            drop = np.where(
+                from_old,
+                (within[probe] >= n_partial[old_at[cohort_p]])
+                & _in_sorted(np, np.sort(keys[covering]), wanted),
+                _in_sorted(np, np.sort(keys), wanted),
+            )
+            if drop.any():
+                keep = np.ones(total, dtype=bool)
+                keep[probe[drop]] = False
+                ent = ent[keep]
+                ent_counts = np.bincount(cohort[keep], minlength=n_cohorts)
+
+        # Member rows, cohort-major: a ragged arange over each cohort's
+        # slice of the (transition, oid)-sorted order.
+        count = columns.count
+        members = np.arange(len(columns.oids)) + np.repeat(
+            columns.start - (np.cumsum(count) - count), count
+        )
+        obj_rows = columns.rows[columns.order[members]].astype(np.int32)
+        return PairPlan.from_arrays(ent, ent_counts, obj_rows, count)
+
+    def _special_sweeps(self, columns, special, ends):
+        """``(states, seen, end)`` for exactly the cohorts holding a
+        member the answered sweep can act on (see
+        :meth:`_sweep_candidates`), in emission order."""
+        if not special:
+            return ()
+        np = self._np
+        order = columns.order
+        candidates = np.fromiter(special, np.int64, count=len(special))
+        # Cohorts tile the sorted order: candidate members per cohort
+        # fall out of one running count.
+        running = np.concatenate(
+            ([0], np.cumsum(np.isin(columns.oids[order], candidates)))
+        )
+        start = columns.start
+        owners = np.flatnonzero(running[start + columns.count] > running[start])
+        states = columns.states
+        sweeps = []
+        for cohort, old, new, first, count in zip(
+            owners.tolist(),
+            columns.old[owners].tolist(),
+            columns.new[owners].tolist(),
+            start[owners].tolist(),
+            columns.count[owners].tolist(),
+        ):
+            seen = self._cell_entries(new).static_qids
+            if old >= 0 and old != new:
+                seen = seen | self._cell_entries(old).static_qids
+            members = [states[i] for i in order[first : first + count].tolist()]
+            sweeps.append((members, seen, ends[cohort]))
+        return sweeps
 
     def _mark_knn(self, cell: int, knn_dirty) -> None:
         """Serial-equivalent per-cell k-NN dirty marking, memoised."""
@@ -535,12 +668,7 @@ class ColumnarEvaluator:
         # The store's length check doubles as the defensive rebuild for
         # any missed invalidation hook (counted as a miss).
         stored = self.answers.get(qid, answer)
-        if len(stored):
-            pos = np.searchsorted(stored, candidates)
-            pos[pos == len(stored)] = len(stored) - 1
-            was = stored[pos] == candidates
-        else:
-            was = np.zeros(len(candidates), dtype=bool)
+        was = _in_sorted(np, stored, candidates)
         changed = np.flatnonzero(inside != was)
         if len(changed):
             objects = self.objects
@@ -681,7 +809,7 @@ class ColumnarEvaluator:
     # ------------------------------------------------------------------
 
     def _emit_bulk(
-        self, metas, ends, qids, oids, signs, arrays, special, updates, knn_dirty
+        self, sweeps, qids, oids, signs, arrays, special, updates, knn_dirty
     ) -> None:
         """numpy fast path: bulk set maintenance + spliced emission.
 
@@ -733,138 +861,90 @@ class ColumnarEvaluator:
                         objects[k].answered.symmetric_difference_update(
                             payload[s:e]
                         )
-        qstore = self.qstore
-        qrow_of = qstore._row_of
-        kinds = qstore.kinds
-        min_xs = qstore.min_xs
-        min_ys = qstore.min_ys
-        max_xs = qstore.max_xs
-        max_ys = qstore.max_ys
-        splices: list[tuple[int, list, list, list]] = []
-        if not special:
-            # No k-NN answer members and no off-world objects: every
-            # sweep body would be a no-op (see _sweep_candidates).
-            metas = ()
-        for (states, seen), end in zip(metas, ends):
-            chunk = None
-            for state in states:
-                answered = state.answered
-                if not answered or state.oid not in special:
-                    continue
-                if answered <= seen:
-                    continue
-                location = state.location
-                x = location.x
-                y = location.y
-                oid = state.oid
-                for qid in sorted(answered - seen):
-                    qrow = qrow_of[qid]
-                    kind = kinds[qrow]
-                    if kind == KIND_RANGE:
-                        query = queries[qid]
-                        inside = (
-                            min_xs[qrow] <= x <= max_xs[qrow]
-                            and min_ys[qrow] <= y <= max_ys[qrow]
-                        )
-                        if inside:
-                            if oid not in query.answer:
-                                query.answer.add(oid)
-                                answered.add(qid)
-                                if chunk is None:
-                                    chunk = ([], [], [])
-                                chunk[0].append(qid)
-                                chunk[1].append(oid)
-                                chunk[2].append(1)
-                        elif oid in query.answer:
-                            query.answer.discard(oid)
-                            answered.discard(qid)
-                            if chunk is None:
-                                chunk = ([], [], [])
-                            chunk[0].append(qid)
-                            chunk[1].append(oid)
-                            chunk[2].append(-1)
-                    elif kind != KIND_PREDICTIVE:
-                        knn_dirty.add(qid)
+        # ``sweeps`` is empty when there are no k-NN answer members and
+        # no off-world objects: every sweep body would be a no-op (see
+        # _sweep_candidates).
+        extend_columns = updates.extend_columns
+        prev = 0
+        for states, seen, end in sweeps:
+            chunk = self._sweep(states, seen, special, knn_dirty)
             if chunk is not None:
-                splices.append((end, *chunk))
-        if splices:
-            extend_columns = updates.extend_columns
-            prev = 0
-            for end_pos, c_qids, c_oids, c_signs in splices:
-                if end_pos > prev:
-                    extend_columns(
-                        qids[prev:end_pos],
-                        oids[prev:end_pos],
-                        signs[prev:end_pos],
-                    )
-                    prev = end_pos
-                extend_columns(c_qids, c_oids, c_signs)
-            if prev < len(qids):
-                extend_columns(qids[prev:], oids[prev:], signs[prev:])
+                extend_columns(qids[prev:end], oids[prev:end], signs[prev:end])
+                extend_columns(*chunk)
+                prev = end
+        if prev:
+            extend_columns(qids[prev:], oids[prev:], signs[prev:])
         else:
-            updates.extend_columns(qids, oids, signs)
+            extend_columns(qids, oids, signs)
 
     def _emit(
         self, metas, ends, qids, oids, signs, special, updates, knn_dirty
     ) -> None:
         queries = self.queries
         objects = self.objects
-        qstore = self.qstore
-        qrow_of = qstore._row_of
-        kinds = qstore.kinds
-        min_xs = qstore.min_xs
-        min_ys = qstore.min_ys
-        max_xs = qstore.max_xs
-        max_ys = qstore.max_ys
         push = updates.push
         pos = 0
         for (states, seen), end in zip(metas, ends):
-            if pos < end:
-                # Plan-level dedup guarantees every changed pair is
-                # unique within its cohort: emit them all, in order.
-                for qid, oid, sign in zip(
-                    qids[pos:end], oids[pos:end], signs[pos:end]
-                ):
-                    query = queries[qid]
-                    state = objects[oid]
-                    if sign > 0:
-                        query.answer.add(oid)
-                        state.answered.add(qid)
-                    else:
-                        query.answer.discard(oid)
-                        state.answered.discard(qid)
-                    push(qid, oid, sign)
-                pos = end
-            # Answered sweep: queries the member left entirely behind.
-            if not special:
+            # Plan-level dedup guarantees every changed pair is unique
+            # within its cohort: emit them all, in order.
+            for qid, oid, sign in zip(
+                qids[pos:end], oids[pos:end], signs[pos:end]
+            ):
+                query = queries[qid]
+                state = objects[oid]
+                if sign > 0:
+                    query.answer.add(oid)
+                    state.answered.add(qid)
+                else:
+                    query.answer.discard(oid)
+                    state.answered.discard(qid)
+                push(qid, oid, sign)
+            pos = end
+            chunk = special and self._sweep(states, seen, special, knn_dirty)
+            if chunk:
+                for update in zip(*chunk):
+                    push(*update)
+
+    def _sweep(self, states, seen, special, knn_dirty):
+        """The answered sweep of one cohort: queries a member left
+        entirely behind (none of them lists the cohort's cells) still
+        owe a check.  Applies the range corrections to the live sets
+        and returns them as ``(qids, oids, signs)`` columns — ``None``
+        when there are none — and marks left-behind k-NN queries
+        dirty."""
+        qstore = self.qstore
+        qrow_of = qstore._row_of
+        kinds = qstore.kinds
+        queries = self.queries
+        chunk = None
+        for state in states:
+            answered = state.answered
+            if not answered or state.oid not in special or answered <= seen:
                 continue
-            for state in states:
-                answered = state.answered
-                if not answered or state.oid not in special:
-                    continue
-                if answered <= seen:
-                    continue
-                location = state.location
-                x = location.x
-                y = location.y
-                oid = state.oid
-                for qid in sorted(answered - seen):
-                    qrow = qrow_of[qid]
-                    kind = kinds[qrow]
-                    if kind == KIND_RANGE:
-                        query = queries[qid]
-                        inside = (
-                            min_xs[qrow] <= x <= max_xs[qrow]
-                            and min_ys[qrow] <= y <= max_ys[qrow]
-                        )
-                        if inside:
-                            if oid not in query.answer:
-                                query.answer.add(oid)
-                                answered.add(qid)
-                                push(qid, oid, 1)
-                        elif oid in query.answer:
-                            query.answer.discard(oid)
-                            answered.discard(qid)
-                            push(qid, oid, -1)
-                    elif kind != KIND_PREDICTIVE:
-                        knn_dirty.add(qid)
+            location = state.location
+            oid = state.oid
+            for qid in sorted(answered - seen):
+                qrow = qrow_of[qid]
+                kind = kinds[qrow]
+                if kind == KIND_RANGE:
+                    answer = queries[qid].answer
+                    inside = (
+                        qstore.min_xs[qrow] <= location.x <= qstore.max_xs[qrow]
+                        and qstore.min_ys[qrow] <= location.y <= qstore.max_ys[qrow]
+                    )
+                    if inside == (oid in answer):
+                        continue
+                    if inside:
+                        answer.add(oid)
+                        answered.add(qid)
+                    else:
+                        answer.discard(oid)
+                        answered.discard(qid)
+                    if chunk is None:
+                        chunk = ([], [], [])
+                    chunk[0].append(qid)
+                    chunk[1].append(oid)
+                    chunk[2].append(1 if inside else -1)
+                elif kind != KIND_PREDICTIVE:
+                    knn_dirty.add(qid)
+        return chunk

@@ -2,54 +2,65 @@
 
 The serial ``IncrementalEngine._group_reports`` walks the report buffer
 one object at a time: home-cell arithmetic, old-cell lookup through the
-grid's auxiliary hash index, a per-object columnar-store write, a
-per-object grid bucket move, and a dict append into its transition
-cohort.  At 100K reports that loop is the last major serial phase of
-the columnar pipeline.  :class:`BatchIngest` replaces it with a few
-array passes:
+grid's auxiliary hash index, a per-object grid bucket move, and a dict
+append into its transition cohort.  :class:`BatchIngest` replaces it
+with a few array passes over the *whole* buffer — there is no
+"minority" any more, because **every report is one home-cell
+transition**:
 
-* **home cells** for the entire buffer via the shared batch kernel
-  (:func:`repro.grid.cellmath.point_cells_batch` — bit-identical to the
-  scalar ``Grid.cell_of`` clamp arithmetic);
-* **old cells** gathered from a dense ``oid -> cell`` int64 column kept
-  in lockstep with the grid index (sentinels for "not indexed" and
-  "multi-cell footprint"), replacing 100K dict lookups with one fancy
-  index;
-* **transition cohorts** recovered by one ``lexsort`` over
-  ``(key, oid)`` with group-boundary detection, where ``key`` encodes
-  ``(old_cell, new_cell)``; cohorts are emitted in first-occurrence
-  order (``minimum.reduceat`` over the original positions), which is
-  exactly the serial dicts' insertion order;
-* **grid reassignment** in one pass per touched *cell* via
-  :meth:`~repro.grid.index.GridIndex.bulk_drain_points` /
-  ``bulk_fill_points`` — every old cell is drained of its departing
-  members and every new cell filled with its arrivals in a single set
-  operation each, instead of two set operations per object (or even
-  per transition);
-* **columnar store writes** for the whole batch through
+* a report's cohort key is ``(old home cell, new home cell)`` whatever
+  the object's velocity.  Range membership is a function of the point,
+  a k-NN circle containing the point has the point's home cell in its
+  footprint, and predictive membership is settled by the engine's
+  refresh phase — so a predictive object's *swept footprint* is index
+  placement and cell churn only, never a join key;
+* **new home cells** for the entire buffer come from the shared batch
+  kernel (:func:`repro.grid.cellmath.point_cells_batch`, bit-identical
+  to the scalar ``Grid.cell_of``);
+* **old home cells** are gathered from a dense ``oid -> cell`` int64
+  column kept in lockstep with the grid index.  The column holds the
+  home cell while the object's index footprint is exactly ``{home}``;
+  :data:`MULTI_CELL` marks an object whose footprint is wider, and its
+  old home is then ``cell_of`` its stored location, read before the
+  state loop overwrites it;
+* **transition cohorts** are recovered by one ``lexsort`` over
+  ``(key, oid)`` with group-boundary detection; cohorts are emitted in
+  first-occurrence order (``minimum.reduceat`` over the original
+  positions), which is exactly the serial dict's insertion order.
+  They leave as :class:`CohortColumns` — per-cohort ``old``/``new``
+  cells and member ``start``/``count`` into the sorted order — so the
+  columnar evaluator plans the join without ever materialising a dict
+  of member lists (the parallel pipeline asks for that dict through
+  :meth:`CohortColumns.groups`);
+* **swept footprints** of every velocity-carrying row are computed in
+  one pass (:func:`repro.grid.cellmath.rect_cell_ranges_batch`,
+  operation for operation what ``_object_footprint`` does); the only
+  per-object work left is a ``frozenset`` and a ``place_object`` for
+  rows whose footprint actually changed.  An object's footprint is
+  always a rectangle of cells, so "unchanged" is decided from the new
+  rectangle's size and two corner probes, without building it;
+* **grid reassignment** of the single-cell rows runs one pass per
+  touched *cell* via :meth:`~repro.grid.index.GridIndex.bulk_drain_points`
+  / ``bulk_fill_points``;
+* **columnar store writes** for the whole batch go through one
   :meth:`~repro.columnar.store.ColumnarObjectStore.batch_apply`.
 
-The predictive **minority** — reports carrying velocity while
-prediction is enabled, and objects currently holding a multi-cell
-footprint — falls out to a scalar loop that replicates the serial
-branch body verbatim.  This split is exact, not approximate: minority
-reports are precisely the ones the serial loop routes into
-``set_groups``, and majority reports precisely the ones routed into
-``point_groups``, so batching one while looping the other preserves
-both dicts' first-occurrence orders.
+A hostile identifier cannot turn any of this off.  An oid that cannot
+live in the dense column (negative, or beyond the sparsity limit) is an
+*out-of-column* row: its old home comes from the object's stored
+location, its index placement takes the per-object step, and the column
+write is skipped — inside the same call, with the rest of the batch on
+arrays.  The kernel is off only when numpy is missing.
 
-Cohort member lists come out oid-sorted rather than in report order.
-That is safe because every consumer sorts members by oid before any
-emission (``_evaluate_cohort``, the columnar plan builder, and the
-parallel worker all do) — and it lets the parallel planner reuse the
-already-sorted per-cohort oid/coordinate slices as payload columns.
-
-Sorted-order equivalence is pinned by the golden ingest tests
-(``tests/columnar/test_ingest_golden.py``) across all four pipelines
-and both backends.
+Cohort members come out oid-sorted rather than in report order.  That
+is safe because every consumer sorts members by oid before any emission
+(``_evaluate_cohort``, the plan builders, and the parallel worker all
+do).  Equivalence with the serial loop is pinned by the golden ingest
+tests (``tests/columnar/test_ingest_golden.py``) across all four
+pipelines and both backends.
 
 Like the rest of this package, the module imports nothing from
-``repro.core`` — the engine injects its state class and sentinels.
+``repro.core`` — the engine injects its state class.
 """
 
 from __future__ import annotations
@@ -57,7 +68,7 @@ from __future__ import annotations
 from operator import attrgetter, itemgetter
 
 from repro.columnar.backend import numpy_or_none
-from repro.grid.cellmath import point_cells_batch
+from repro.grid.cellmath import point_cells_batch, rect_cell_ranges_batch
 
 #: C-level column extractors for the report buffer's (location,
 #: velocity, t) tuples.
@@ -69,14 +80,15 @@ _GET_T = itemgetter(2)
 
 #: Dense-column sentinel: oid currently has no grid placement.
 NOT_INDEXED = -1
-#: Dense-column sentinel: oid occupies a multi-cell (predictive)
-#: footprint; its exact cells live in the grid index's hash index.
+#: Dense-column sentinel: oid's index footprint is wider than its home
+#: cell (a swept predictive footprint); the exact cells live in the
+#: grid index's hash index.
 MULTI_CELL = -2
 
 #: The dense column is worth its memory only while oids are reasonably
-#: dense.  If the largest oid exceeds this multiple of the live
-#: population (plus slack for small worlds), batch ingest disables
-#: itself for the engine's lifetime and the serial path takes over.
+#: dense.  An oid beyond this multiple of the live population (plus
+#: slack for small worlds) stays out of the column and takes the
+#: per-object placement step instead.
 _MAX_SPARSITY = 8
 _SPARSITY_SLACK = 65_536
 
@@ -93,22 +105,62 @@ def _cell_runs(cells_sorted, np):
     return cells_sorted[starts].tolist(), starts.tolist(), stops.tolist()
 
 
+class CohortColumns:
+    """One batch's transition cohorts as columns.
+
+    ``old``/``new``/``start``/``count`` hold one entry per cohort, in
+    emission (first-occurrence) order: the cohort's old home cell
+    (:data:`NOT_INDEXED` for new objects), its new home cell, and its
+    members as the slice ``order[start : start + count]`` — positions
+    into the report-order columns ``oids``/``states``/``rows``
+    (``rows``: object-store rows, ``None`` without a store), ascending
+    by oid within a cohort.  ``scalar_rows`` counts the rows
+    that needed a per-object index placement.
+    """
+
+    __slots__ = (
+        "np",
+        "old",
+        "new",
+        "start",
+        "count",
+        "order",
+        "oids",
+        "states",
+        "rows",
+        "scalar_rows",
+    )
+
+    def __len__(self) -> int:
+        return len(self.old)
+
+    def groups(self) -> dict:
+        """The serial ``{(old, new): [state, ...]}`` cohort dict."""
+        states = self.np.empty(len(self.states), dtype=object)
+        states[:] = self.states
+        states_sorted = states[self.order].tolist()
+        start = self.start
+        slices = map(slice, start.tolist(), (start + self.count).tolist())
+        return dict(
+            zip(
+                zip(self.old.tolist(), self.new.tolist()),
+                map(states_sorted.__getitem__, slices),
+            )
+        )
+
+
 class BatchIngest:
     """Batch phase 5a for one engine: owns the dense ``oid -> cell``
-    column and turns a report buffer into the serial pipelines' cohort
-    structures in a few array passes."""
+    column and turns a report buffer into :class:`CohortColumns`."""
 
-    __slots__ = ("engine", "state_cls", "no_cells", "np", "enabled", "_cell_by_oid")
+    __slots__ = ("engine", "state_cls", "np", "enabled", "_cell_by_oid")
 
-    def __init__(self, engine, state_cls, no_cells) -> None:
+    def __init__(self, engine, state_cls) -> None:
         self.engine = engine
         self.state_cls = state_cls
-        self.no_cells = no_cells
         self.np = numpy_or_none()
-        # Once disabled (no numpy, or a pathologically sparse oid
-        # space), batch ingest stays off for the engine's lifetime:
-        # the serial path does not maintain the dense column, so there
-        # is no consistent state to re-enable from.
+        #: False only without numpy (the engine then counts a
+        #: ``no_numpy`` fallback per evaluation).  No input can clear it.
         self.enabled = self.np is not None
         self._cell_by_oid = None
 
@@ -123,66 +175,87 @@ class BatchIngest:
             column[oid] = NOT_INDEXED
 
     def cell_hint(self, oid: int) -> int | None:
-        """The dense column's view of ``oid`` (tests/invariants only)."""
+        """The dense column's view of ``oid`` — ``None`` for an
+        out-of-column oid (tests/invariants only)."""
         column = self._cell_by_oid
         if column is None or not 0 <= oid < len(column):
             return None
         return int(column[oid])
 
-    def _ensure_capacity(self, max_oid: int, population: int) -> bool:
-        """Grow the dense column to cover ``max_oid``; False = too sparse."""
-        needed = max_oid + 1
-        column = self._cell_by_oid
-        if column is not None and needed <= len(column):
-            return True
-        if needed > _MAX_SPARSITY * max(population, 1) + _SPARSITY_SLACK:
-            return False
+    def _cover(self, oid_arr, population: int):
+        """Grow the dense column over this batch's in-limit oids and
+        return the batch's in-column mask."""
         np = self.np
-        grown = max(needed, 1024)
-        if column is not None:
-            grown = max(grown, (len(column) * 3) // 2)
-        fresh = np.full(grown, NOT_INDEXED, dtype=np.int64)
-        if column is not None:
-            fresh[: len(column)] = column
-        self._cell_by_oid = fresh
-        return True
+        column = self._cell_by_oid
+        have = 0 if column is None else len(column)
+        limit = max(have, _MAX_SPARSITY * max(population, 1) + _SPARSITY_SLACK)
+        inside = (oid_arr >= 0) & (oid_arr < limit)
+        needed = int(oid_arr[inside].max()) + 1 if inside.any() else 0
+        if column is None or needed > have:
+            fresh = np.full(
+                max(needed, 1024, (have * 3) // 2), NOT_INDEXED, dtype=np.int64
+            )
+            if column is not None:
+                fresh[:have] = column
+            # An object can only be indexed above the old bound if it was
+            # out-of-column so far (the limit moves with the population).
+            for oid, cells in self.engine.index.iter_object_cells():
+                if have <= oid < len(fresh):
+                    fresh[oid] = (
+                        next(iter(cells)) if len(cells) == 1 else MULTI_CELL
+                    )
+            self._cell_by_oid = fresh
+        return inside
 
     # ------------------------------------------------------------------
     # The batch kernel
     # ------------------------------------------------------------------
 
-    def group(self, reports, want_columns: bool):
-        """Apply and group one report buffer.
-
-        Returns ``(point_groups, set_groups, point_columns)`` — the
-        exact structures ``_group_reports`` builds (cohort members
-        oid-sorted), plus per-cohort ``(oids, xs, ys)`` column lists
-        keyed like ``point_groups`` when ``want_columns`` — or ``None``
-        when the kernel cannot run (caller falls back to the serial
-        loop).  Clears the buffer on success, mutates nothing on
-        ``None``.
-        """
-        if not self.enabled or not reports:
-            return None
+    def group(self, reports, churned_cells: set) -> CohortColumns:
+        """Apply one (non-empty) report buffer to object state, the
+        grid index and the object store; add every cell whose
+        population or residents' motion changed to ``churned_cells``;
+        return the batch's cohorts.  Clears the buffer."""
         np = self.np
         engine = self.engine
         objects = engine.objects
+        grid = engine.grid
+        index = engine.index
         oid_list = list(reports.keys())
+        count = len(oid_list)
         oid_arr = np.asarray(oid_list, dtype=np.int64)
-        # Capacity/sparsity guard runs before any state mutation so a
-        # fallback round leaves the engine untouched for the serial loop.
-        if int(oid_arr.min()) < 0 or not self._ensure_capacity(
-            int(oid_arr.max()), len(objects) + len(oid_list)
-        ):
-            self.enabled = False
-            return None
+
+        # --- old home cells, before the state loop overwrites the
+        # stored locations they may have to be read from.
+        in_column = self._cover(oid_arr, len(objects) + count)
+        column = self._cell_by_oid
+        old_cells = np.where(
+            in_column, column[np.where(in_column, oid_arr, 0)], NOT_INDEXED
+        )
+        # Rows placed per object: multi-cell holders and out-of-column
+        # oids now, velocity-carrying rows below.  The first two read
+        # their old home from the stored location.
+        scalar = (old_cells == MULTI_CELL) | ~in_column
+        stored_idx = np.asarray(
+            [i for i in np.flatnonzero(scalar).tolist() if oid_list[i] in objects],
+            dtype=np.int64,
+        )
+        if len(stored_idx):
+            stored = [
+                objects[oid_list[i]].location for i in stored_idx.tolist()
+            ]
+            old_cells[stored_idx] = point_cells_batch(
+                np.fromiter(map(_GET_X, stored), np.float64, count=len(stored)),
+                np.fromiter(map(_GET_Y, stored), np.float64, count=len(stored)),
+                grid,
+                np,
+            )
 
         # --- extraction.  Coordinate columns come straight out of the
         # buffer via C-level passes (list comprehensions + fromiter over
         # attrgetter maps — no per-report Python frame); the one
         # remaining per-report Python loop applies each report to its
         # ObjectState, exactly as the serial loop does.
-        count = len(oid_list)
         vals = reports.values()
         locs = [v[0] for v in vals]
         vels = [v[1] for v in vals]
@@ -208,203 +281,165 @@ class BatchIngest:
             add_state(state)
         reports.clear()
 
-        grid = engine.grid
         new_cells = point_cells_batch(x_arr, y_arr, grid, np)
-        column = self._cell_by_oid
-        old_cells = column[oid_arr]
+        horizon = engine.prediction_horizon
+        if horizon > 0:
+            scalar |= (vx_arr != 0.0) | (vy_arr != 0.0)
 
-        # --- majority/minority split.  Minority == exactly the reports
-        # the serial loop routes into set_groups: moving objects while
-        # prediction is enabled, plus anything currently multi-cell.
-        if engine.prediction_horizon > 0:
-            minority = (vx_arr != 0.0) | (vy_arr != 0.0)
-            minority |= old_cells == MULTI_CELL
-        else:
-            minority = old_cells == MULTI_CELL
-        minority_idx = np.flatnonzero(minority)
-        if len(minority_idx):
-            majority_idx = np.flatnonzero(~minority)
-            m_oid = oid_arr[majority_idx]
-            m_old = old_cells[majority_idx]
-            m_new = new_cells[majority_idx]
-        else:
-            majority_idx = None
-            m_oid = oid_arr
-            m_old = old_cells
-            m_new = new_cells
-
+        cols = CohortColumns()
+        cols.np = np
+        cols.oids = oid_arr
+        cols.states = states_buf
         ostore = engine._ostore
-        if ostore is not None and len(m_oid):
-            if majority_idx is None:
-                ostore.batch_apply(
-                    m_oid, x_arr, y_arr, vx_arr, vy_arr, t_arr, m_new, np
-                )
-            else:
-                ostore.batch_apply(
-                    m_oid,
-                    x_arr[majority_idx],
-                    y_arr[majority_idx],
-                    vx_arr[majority_idx],
-                    vy_arr[majority_idx],
-                    t_arr[majority_idx],
-                    m_new,
-                    np,
-                )
+        cols.rows = (
+            None
+            if ostore is None
+            else ostore.batch_apply(
+                oid_arr, x_arr, y_arr, vx_arr, vy_arr, t_arr, new_cells, np
+            )
+        )
 
         # --- cohort grouping: sort by (transition key, oid), find the
         # group boundaries, emit groups by first occurrence in report
         # order (== the serial dict's insertion order).
-        point_groups: dict = {}
-        set_groups: dict = {}
-        point_columns: dict | None = {} if want_columns else None
-        index = engine.index
-        if len(m_oid):
-            n_cells = grid.n * grid.n
-            key = (m_old + np.int64(1)) * np.int64(n_cells) + m_new
-            order = np.lexsort((m_oid, key))
-            sorted_key = key[order]
-            boundary = np.empty(len(sorted_key), dtype=bool)
-            boundary[0] = True
-            np.not_equal(sorted_key[1:], sorted_key[:-1], out=boundary[1:])
-            starts = np.flatnonzero(boundary)
-            stops = np.append(starts[1:], len(sorted_key))
-            # `order` holds original majority positions, so the minimum
-            # per group is its first occurrence in report order.
-            first_seen = np.minimum.reduceat(order, starts)
-            group_keys = sorted_key[starts]
-            # Permute the per-group columns into emission order once, so
-            # the loop below zips plain lists instead of re-indexing.
-            perm = np.argsort(first_seen, kind="stable")
-            old_of_group = ((group_keys // n_cells) - 1)[perm].tolist()
-            new_of_group = (group_keys % n_cells)[perm].tolist()
-            starts_list = starts[perm].tolist()
-            stops_list = stops[perm].tolist()
-            # Materialise the member states in sorted order with one
-            # object-array gather: per-group members are then plain list
-            # slices instead of 100K individual indexed lookups.
-            states_arr = np.empty(len(states_buf), dtype=object)
-            states_arr[:] = states_buf
-            if majority_idx is None:
-                states_sorted = states_arr[order].tolist()
-            else:
-                states_sorted = states_arr[majority_idx][order].tolist()
-            oid_sorted = m_oid[order].tolist()
-            # The whole cohort dict is assembled in C: transition keys
-            # zipped with member slices, in first-occurrence order.
-            slices = list(map(slice, starts_list, stops_list))
-            point_groups = dict(
-                zip(
-                    zip(old_of_group, new_of_group),
-                    map(states_sorted.__getitem__, slices),
-                )
-            )
-            if want_columns:
-                if majority_idx is None:
-                    x_sorted = x_arr[order].tolist()
-                    y_sorted = y_arr[order].tolist()
-                else:
-                    x_sorted = x_arr[majority_idx][order].tolist()
-                    y_sorted = y_arr[majority_idx][order].tolist()
-                point_columns = dict(
-                    zip(
-                        point_groups.keys(),
-                        zip(
-                            map(oid_sorted.__getitem__, slices),
-                            map(x_sorted.__getitem__, slices),
-                            map(y_sorted.__getitem__, slices),
-                        ),
-                    )
-                )
+        n_cells = grid.n * grid.n
+        key = (old_cells + np.int64(1)) * np.int64(n_cells) + new_cells
+        order = np.lexsort((oid_arr, key))
+        sorted_key = key[order]
+        boundary = np.empty(count, dtype=bool)
+        boundary[0] = True
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=boundary[1:])
+        starts = np.flatnonzero(boundary)
+        # `order` holds report positions, so the minimum per group is
+        # its first occurrence in report order.
+        perm = np.argsort(np.minimum.reduceat(order, starts), kind="stable")
+        group_keys = sorted_key[starts][perm]
+        cols.order = order
+        cols.old = group_keys // n_cells - 1
+        cols.new = group_keys % n_cells
+        cols.start = starts[perm]
+        cols.count = np.diff(np.append(starts, count))[perm]
+        churned_cells.update(np.unique(cols.new).tolist())
+        churned_cells.update(np.unique(cols.old[cols.old >= 0]).tolist())
 
-            # --- grid reassignment, one pass per *cell* rather than per
-            # transition: drain every old cell of its departing members,
-            # then fill every new cell with its arrivals (new objects
-            # and movers alike).  Net bucket/footprint state is
-            # identical to per-transition moves — set operations
-            # commute and stay-put members never leave their bucket —
-            # but the number of Python-level set operations drops from
-            # two per transition to one per touched cell.
-            sorted_old = m_old[order]
-            sorted_new = m_new[order]
-            moved = sorted_old != sorted_new
-            if moved.any():
-                oid_sorted_arr = m_oid[order]
+        # --- grid reassignment of the single-cell rows, one pass per
+        # *cell* rather than per transition: drain every old cell of
+        # its departing members, then fill every new cell with its
+        # arrivals (new objects and movers alike).  Net bucket/footprint
+        # state is identical to per-transition moves — set operations
+        # commute and stay-put members never leave their bucket.
+        sorted_old = old_cells[order]
+        sorted_new = new_cells[order]
+        moved = sorted_old != sorted_new
+        scalar_idx = np.flatnonzero(scalar)
+        if len(scalar_idx):
+            moved &= ~scalar[order]
+        if moved.any():
+            oid_sorted = oid_arr[order]
+            dep_mask = moved & (sorted_old != np.int64(NOT_INDEXED))
+            if dep_mask.any():
+                # Already sorted by (old, new), so departures are
+                # contiguous runs of old cell.
+                dep_oids = oid_sorted[dep_mask].tolist()
                 drain = index.bulk_drain_points
-                fill = index.bulk_fill_points
-                dep_mask = moved & (sorted_old != np.int64(NOT_INDEXED))
-                if dep_mask.any():
-                    # Already sorted by (old, new), so departures are
-                    # contiguous runs of old cell.
-                    dep_old = sorted_old[dep_mask]
-                    dep_oids = oid_sorted_arr[dep_mask].tolist()
-                    for cell, lo, hi in zip(*_cell_runs(dep_old, np)):
-                        drain(cell, dep_oids[lo:hi])
-                arr_new = sorted_new[moved]
-                arr_order = np.argsort(arr_new, kind="stable")
-                arr_new = arr_new[arr_order]
-                arr_oids = oid_sorted_arr[moved][arr_order].tolist()
-                for cell, lo, hi in zip(*_cell_runs(arr_new, np)):
-                    fill(cell, arr_oids[lo:hi])
-            column[m_oid] = m_new
+                for cell, lo, hi in zip(*_cell_runs(sorted_old[dep_mask], np)):
+                    drain(cell, dep_oids[lo:hi])
+            arr_new = sorted_new[moved]
+            arr_order = np.argsort(arr_new, kind="stable")
+            arr_oids = oid_sorted[moved][arr_order].tolist()
+            fill = index.bulk_fill_points
+            for cell, lo, hi in zip(*_cell_runs(arr_new[arr_order], np)):
+                fill(cell, arr_oids[lo:hi])
+        column[oid_arr[in_column]] = new_cells[in_column]
 
-        # --- minority fallback: the serial branch bodies verbatim, in
-        # report order (minority_idx is ascending), so set_groups gets
-        # the exact serial insertion and member order.
-        if len(minority_idx):
-            no_cells = self.no_cells
-            group_into = engine._group_into
-            object_cells = index.object_cells
-            predictive_possible = engine.prediction_horizon > 0
-            new_cell_list = new_cells.tolist()
-            for i in minority_idx.tolist():
-                oid = oid_list[i]
-                state = states_buf[i]
-                location = state.location
-                velocity = state.velocity
-                known = old_cells[i] != NOT_INDEXED
-                if predictive_possible and (
-                    velocity.vx != 0.0 or velocity.vy != 0.0
-                ):
-                    old_fs = object_cells(oid) if known else None
-                    new_fs = engine._object_footprint(state)
-                    if old_fs != new_fs:
-                        index.place_object(oid, new_fs)
-                    if ostore is not None:
-                        ostore.apply_report(
-                            oid,
-                            location.x,
-                            location.y,
-                            velocity.vx,
-                            velocity.vy,
-                            state.t,
-                            grid.cell_of(location),
-                        )
-                    group_into(
-                        set_groups,
-                        no_cells if old_fs is None else old_fs,
-                        new_fs,
-                        state,
-                    )
-                    column[oid] = (
-                        MULTI_CELL if len(new_fs) > 1 else next(iter(new_fs))
-                    )
-                else:
-                    # Was predictive (multi-cell), now stationary.
-                    new_cell = new_cell_list[i]
-                    old_fs = object_cells(oid)
-                    if ostore is not None:
-                        ostore.apply_report(
-                            oid,
-                            location.x,
-                            location.y,
-                            velocity.vx,
-                            velocity.vy,
-                            state.t,
-                            new_cell,
-                        )
-                    new_fs = frozenset((new_cell,))
-                    index.place_object(oid, new_fs)
-                    group_into(set_groups, old_fs, new_fs, state)
-                    column[oid] = new_cell
+        cols.scalar_rows = 0
+        if len(scalar_idx):
+            cols.scalar_rows = self._place_scalar_rows(
+                scalar_idx,
+                oid_arr[scalar_idx],
+                in_column[scalar_idx],
+                old_cells[scalar_idx] != NOT_INDEXED,
+                new_cells[scalar_idx],
+                (x_arr, y_arr, vx_arr, vy_arr, t_arr),
+                churned_cells,
+            )
+        return cols
 
-        return point_groups, set_groups, point_columns
+    def _place_scalar_rows(
+        self, idx, oids, in_column, known, home, motion, churned_cells
+    ) -> int:
+        """Index placement for the rows that may hold (or leave) a
+        multi-cell footprint, plus out-of-column oids.  Footprints are
+        computed for all of them in one pass — ``_object_footprint``
+        operation for operation — and only a row whose footprint
+        changed pays for a ``frozenset`` and a ``place_object``.
+        Returns how many rows took that per-object step (out-of-column
+        rows always count)."""
+        np = self.np
+        engine = self.engine
+        grid = engine.grid
+        n = grid.n
+        col_lo = col_hi = home % n
+        row_lo = row_hi = home // n
+        horizon = engine.prediction_horizon
+        if horizon > 0:
+            x, y, vx, vy, t = (column[idx] for column in motion)
+            dt = (t + horizon) - t
+            end_x = x + vx * dt
+            end_y = y + vy * dt
+            c_lo, c_hi, r_lo, r_hi, hit = rect_cell_ranges_batch(
+                np.minimum(x, end_x),
+                np.minimum(y, end_y),
+                np.maximum(x, end_x),
+                np.maximum(y, end_y),
+                grid,
+                np,
+            )
+            # A trajectory that misses the world entirely keeps the
+            # clamped home cell (a stationary row's degenerate rectangle
+            # *is* its home cell).
+            col_lo = np.where(hit, c_lo, col_lo)
+            col_hi = np.where(hit, c_hi, col_hi)
+            row_lo = np.where(hit, r_lo, row_lo)
+            row_hi = np.where(hit, r_hi, row_hi)
+        width = col_hi - col_lo + 1
+        area = width * (row_hi - row_lo + 1)
+        self._cell_by_oid[oids[in_column]] = np.where(area > 1, MULTI_CELL, home)[
+            in_column
+        ]
+        index = engine.index
+        object_cells = index.object_cells
+        place_object = index.place_object
+        churn = churned_cells.update
+        placed = 0
+        for oid, known, first, last, size, wide, out in zip(
+            oids.tolist(),
+            known.tolist(),
+            (row_lo * n + col_lo).tolist(),
+            (row_hi * n + col_hi).tolist(),
+            area.tolist(),
+            width.tolist(),
+            (~in_column).tolist(),
+        ):
+            old_fs = object_cells(oid) if known else None
+            if old_fs is not None:
+                churn(old_fs)
+                # Footprints are cell rectangles: same size and both
+                # corners inside means the same rectangle.
+                if len(old_fs) == size and first in old_fs and last in old_fs:
+                    placed += out
+                    continue
+            if size == wide:
+                new_fs = frozenset(range(first, last + 1))
+            else:
+                new_fs = frozenset(
+                    [
+                        base + col
+                        for base in range(first, last - wide + 2, n)
+                        for col in range(wide)
+                    ]
+                )
+            place_object(oid, new_fs)
+            churn(new_fs)
+            placed += 1
+        return placed

@@ -64,6 +64,13 @@ class PairPlan:
     * ``obj_rows`` — object-store rows of every cohort member, flat,
       cohort-major, sorted by oid within a cohort.
     * ``obj_counts[i]`` — member count of cohort ``i``.
+
+    The list form above is what the per-cohort planner appends to.  The
+    numpy column planner hands over the same plan as arrays through
+    :meth:`from_arrays` — one already-concatenated entry part, ndarray
+    counts and rows — which :func:`classify_transitions`' numpy path
+    consumes as is (``parts_per_cohort`` is a python-backend field and
+    stays empty).
     """
 
     __slots__ = (
@@ -82,6 +89,17 @@ class PairPlan:
         self.obj_rows: list[int] = []
         self.obj_counts: list[int] = []
         self.total_pairs = 0
+
+    @classmethod
+    def from_arrays(cls, ent, ent_counts, obj_rows, obj_counts) -> "PairPlan":
+        """A sealed plan over ndarray columns (numpy backend only)."""
+        plan = cls()
+        plan.ent_parts = [ent]
+        plan.ent_counts = ent_counts
+        plan.obj_rows = obj_rows
+        plan.obj_counts = obj_counts
+        plan.total_pairs = int((ent_counts * obj_counts).sum())
+        return plan
 
     @property
     def cohort_count(self) -> int:

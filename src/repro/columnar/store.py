@@ -161,7 +161,7 @@ class ColumnarObjectStore:
             self.cells[row] = cell
         return row
 
-    def batch_apply(self, oids, xs, ys, vxs, vys, ts, cells, np=None) -> None:
+    def batch_apply(self, oids, xs, ys, vxs, vys, ts, cells, np=None):
         """Apply one whole report buffer in a few array passes.
 
         Equivalent to ``apply_report`` once per element — the oids must
@@ -172,13 +172,15 @@ class ColumnarObjectStore:
         int64 cells): new rows are bulk-appended via ``frombytes`` and
         existing rows updated by gather/scatter through zero-copy
         ``frombuffer`` views (``array.array`` buffers are writable, so
-        scatters write through).
+        scatters write through).  Under numpy the batch's store rows
+        come back as an int64 ndarray aligned with ``oids`` (the
+        column planner's member rows); ``None`` otherwise.
         """
         if np is None:
             apply = self.apply_report
             for i in range(len(oids)):
                 apply(oids[i], xs[i], ys[i], vxs[i], vys[i], ts[i], cells[i])
-            return
+            return None
         row_of = self._row_of
         get = row_of.get
         count = len(oids)
@@ -188,12 +190,15 @@ class ColumnarObjectStore:
             map(get, oids.tolist(), repeat(-1)), dtype=np.int64, count=count
         )
         fresh = np.flatnonzero(rows < 0)
+        # slice(None) keeps the no-new-rows case free of column copies.
+        known = np.flatnonzero(rows >= 0) if len(fresh) else slice(None)
         if len(fresh):
             # Bulk-append new rows first so the scatter views below are
             # taken after the last reallocation.
             base = len(self.oids)
             for offset, oid in enumerate(oids[fresh].tolist()):
                 row_of[oid] = base + offset
+            rows[fresh] = np.arange(base, base + len(fresh))
             self.oids.frombytes(oids[fresh].tobytes())
             self.xs.frombytes(xs[fresh].tobytes())
             self.ys.frombytes(ys[fresh].tobytes())
@@ -204,10 +209,7 @@ class ColumnarObjectStore:
             self.vys.frombytes(vys[fresh].tobytes())
             self.ts.frombytes(ts[fresh].tobytes())
             self.cells.frombytes(cells[fresh].tobytes())
-        known = (
-            np.flatnonzero(rows >= 0) if len(fresh) else np.arange(count)
-        )
-        if len(known):
+        if len(fresh) < count:
             target = rows[known]
             xs_v = np.frombuffer(self.xs, dtype=np.float64)
             ys_v = np.frombuffer(self.ys, dtype=np.float64)
@@ -221,6 +223,7 @@ class ColumnarObjectStore:
             np.frombuffer(self.vys, dtype=np.float64)[target] = vys[known]
             np.frombuffer(self.ts, dtype=np.float64)[target] = ts[known]
             np.frombuffer(self.cells, dtype=np.int64)[target] = cells[known]
+        return rows
 
     def remove(self, oid: int) -> None:
         """Swap-remove ``oid``'s row; unknown oids raise ``KeyError``."""

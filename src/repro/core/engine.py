@@ -31,7 +31,9 @@ Incrementality per query kind:
 Bulk evaluation itself runs as a **cell-batched pipeline** (the paper's
 Section 3 point: buffered updates are evaluated as a grid-partition
 spatial join, not one at a time).  The batch's object reports are
-grouped by their (old cell set → new cell set) transition; each affected
+grouped by their (old home cell → new home cell) transition — one per
+report, whatever its velocity; a predictive object's swept footprint is
+index placement and cell churn only; each affected
 cell's candidate query set is resolved exactly once per evaluation;
 range membership checks run over per-cell object cohorts with one sort
 per cohort; k-NN dirty-marking and predictive refresh are driven off the
@@ -104,8 +106,7 @@ from repro.parallel.worker import evaluate_shard
 
 DEFAULT_WORLD = Rect(0.0, 0.0, 1.0, 1.0)
 
-#: Shared "object is new, no previous cells" sentinel for the batched
-#: pipeline's transition grouping.
+#: Shared empty id set (no candidate queries / nothing seen yet).
 _NO_CELLS: frozenset[int] = frozenset()
 
 
@@ -424,8 +425,21 @@ class IncrementalEngine:
         if pipeline == "parallel" or (
             pipeline == "columnar" and self.columnar_backend == "numpy"
         ):
-            self._batch_ingest = BatchIngest(self, ObjectState, _NO_CELLS)
+            self._batch_ingest = BatchIngest(self, ObjectState)
         self._m_ingest_seconds = counter("engine_ingest_seconds_total")
+        # Which path phase 5a's rows took: "batch" = array passes only,
+        # "scalar" = a per-object index placement (the serial loop's
+        # rows, and under batch ingest the footprint-changed predictive
+        # rows plus out-of-column oids).  Per evaluation, not per row.
+        self._m_ingest_rows = {
+            path: counter("engine_ingest_rows_total", labels={"path": path})
+            for path in ("batch", "scalar")
+        }
+        # Evaluations where a configured batch ingest could not run at
+        # all and the serial loop took the whole buffer.
+        self._m_ingest_fallback_no_numpy = counter(
+            "engine_batch_ingest_fallback_total", labels={"reason": "no_numpy"}
+        )
 
     # ------------------------------------------------------------------
     # Ingestion (buffered)
@@ -956,11 +970,9 @@ class IncrementalEngine:
         """Cell-batched pipeline: evaluate the whole batch as per-cell cohorts.
 
         5a. Apply every report to object state and the grid, grouping
-            objects by their (old cells → new cells) transition.  The
-            overwhelmingly common case — a non-predictive object whose
-            footprint is one cell — is keyed by an int pair instead of
-            frozensets, and an object whose footprint did not change
-            skips the grid write entirely.
+            objects by their (old home cell → new home cell)
+            transition; an object whose footprint did not change skips
+            the grid write entirely.
         5b. For each distinct transition, resolve the candidate query
             set **once** (zero-copy cell views, no per-object set
             copies, no per-object sort) and evaluate each candidate
@@ -979,11 +991,9 @@ class IncrementalEngine:
         if not self._pending_reports:
             return
         with self.tracer.span("report_ingest", self._m_ingest_seconds):
-            point_groups, set_groups = self._group_reports()
+            groups = self._group_reports(churned_cells)
         cell_cache: dict[int, _CellCandidates] = {}
-        for cells, states, stay_put, point_pair in self._iter_cohorts(
-            point_groups, set_groups, churned_cells
-        ):
+        for cells, states, stay_put, point_pair in self._iter_cohorts(groups):
             self._evaluate_cohort(
                 cells,
                 states,
@@ -995,18 +1005,21 @@ class IncrementalEngine:
             )
 
     def _group_reports(
-        self,
-    ) -> tuple[
-        dict[tuple[int, int], list[ObjectState]],
-        dict[tuple[frozenset[int], frozenset[int]], list[ObjectState]],
-    ]:
+        self, churned_cells: set[int]
+    ) -> dict[tuple[int, int], list[ObjectState]]:
         """Phase 5a, serial reference: apply every buffered report to
-        object state and the grid index, grouping objects by their cell
-        transition.  Runs for the cell-batched pipeline (the
-        equivalence baseline) and as the fallback when
-        :class:`~repro.columnar.ingest.BatchIngest` is unavailable;
-        clears the report buffer.  Columnar-store writes are collected
-        per batch and flushed through
+        object state and the grid index, and group the objects by their
+        **home-cell transition** ``(old home, new home)`` (``-1`` = new
+        object) — every report is exactly one such transition, whatever
+        its velocity.  A predictive object's swept footprint is index
+        placement only: it is re-placed when it changed, and its old
+        and new cells join ``churned_cells`` (every cohort's home cells
+        do too) so the predictive refresh sees the candidate change.
+
+        Runs for the cell-batched pipeline (the equivalence baseline)
+        and wherever :class:`~repro.columnar.ingest.BatchIngest` is not
+        in use; clears the report buffer.  Columnar-store writes are
+        collected per batch and flushed through
         :meth:`~repro.columnar.store.ColumnarObjectStore.batch_apply`
         — the scalar ``apply_report`` stays reserved for per-report
         callers."""
@@ -1033,130 +1046,108 @@ class IncrementalEngine:
         wmin_x = grid.world.min_x
         wmin_y = grid.world.min_y
         predictive_possible = self.prediction_horizon > 0
+        self._m_ingest_rows["scalar"].inc(len(reports))
 
-        # --- 5a: state + index updates, grouped by cell transition.
-        # point_groups: (old_cell, new_cell) int pairs, -1 = new object.
-        # set_groups: frozenset pairs for multi-cell (predictive) footprints.
-        point_groups: dict[tuple[int, int], list[ObjectState]] = {}
-        set_groups: dict[
-            tuple[frozenset[int], frozenset[int]], list[ObjectState]
-        ] = {}
+        groups: dict[tuple[int, int], list[ObjectState]] = {}
         for oid, (location, velocity, t) in reports.items():
             state = objects.get(oid)
             if state is None:
                 state = ObjectState(oid, location, velocity, t)
                 objects[oid] = state
                 old_cells = None
+                old_cell = -1
             else:
                 old_cells = index.object_cells(oid)
+                # A single-cell footprint is the home cell; a swept one
+                # is wider, and the home is where the object was.
+                if len(old_cells) == 1:
+                    old_cell = next(iter(old_cells))
+                else:
+                    old_cell = grid.cell_of(state.location)
                 state.location = location
                 state.velocity = velocity
                 state.t = t
-            # Inlined `not state.is_predictive` (Velocity.is_zero).
-            if not predictive_possible or (
-                velocity.vx == 0.0 and velocity.vy == 0.0
+            col = int((location.x - wmin_x) / cell_w)
+            if col < 0:
+                col = 0
+            elif col > n1:
+                col = n1
+            row = int((location.y - wmin_y) / cell_h)
+            if row < 0:
+                row = 0
+            elif row > n1:
+                row = n1
+            new_cell = row * n + col
+            if ostore is not None:
+                o_oids.append(oid)
+                o_xs.append(location.x)
+                o_ys.append(location.y)
+                o_vxs.append(velocity.vx)
+                o_vys.append(velocity.vy)
+                o_ts.append(t)
+                o_cells.append(new_cell)
+            # Inlined `state.is_predictive` (Velocity.is_zero).
+            if predictive_possible and (
+                velocity.vx != 0.0 or velocity.vy != 0.0
             ):
-                col = int((location.x - wmin_x) / cell_w)
-                if col < 0:
-                    col = 0
-                elif col > n1:
-                    col = n1
-                row = int((location.y - wmin_y) / cell_h)
-                if row < 0:
-                    row = 0
-                elif row > n1:
-                    row = n1
-                new_cell = row * n + col
-                if ostore is not None:
-                    o_oids.append(oid)
-                    o_xs.append(location.x)
-                    o_ys.append(location.y)
-                    o_vxs.append(velocity.vx)
-                    o_vys.append(velocity.vy)
-                    o_ts.append(t)
-                    o_cells.append(new_cell)
-                if old_cells is None:
-                    index.place_object(oid, frozenset((new_cell,)))
-                    key = (-1, new_cell)
-                elif len(old_cells) == 1:
-                    old_cell = next(iter(old_cells))
-                    index.move_point_object(oid, old_cell, new_cell)
-                    key = (old_cell, new_cell)
-                else:
-                    # Was predictive (multi-cell), now stationary.
-                    new_cells = frozenset((new_cell,))
-                    index.place_object(oid, new_cells)
-                    self._group_into(set_groups, old_cells, new_cells, state)
-                    continue
-                cohort = point_groups.get(key)
-                if cohort is None:
-                    point_groups[key] = [state]
-                else:
-                    cohort.append(state)
-            else:
                 new_cells = self._object_footprint(state)
+            elif old_cells is not None and len(old_cells) == 1:
+                new_cells = None
+                index.move_point_object(oid, old_cell, new_cell)
+            else:
+                # New, or was predictive (multi-cell) and now stationary.
+                new_cells = frozenset((new_cell,))
+            if new_cells is not None:
                 if old_cells != new_cells:
                     index.place_object(oid, new_cells)
-                if ostore is not None:
-                    o_oids.append(oid)
-                    o_xs.append(location.x)
-                    o_ys.append(location.y)
-                    o_vxs.append(velocity.vx)
-                    o_vys.append(velocity.vy)
-                    o_ts.append(t)
-                    o_cells.append(grid.cell_of(location))
-                self._group_into(
-                    set_groups,
-                    _NO_CELLS if old_cells is None else old_cells,
-                    new_cells,
-                    state,
-                )
+                if old_cells is not None:
+                    churned_cells.update(old_cells)
+                churned_cells.update(new_cells)
+            key = (old_cell, new_cell)
+            cohort = groups.get(key)
+            if cohort is None:
+                groups[key] = [state]
+            else:
+                cohort.append(state)
         if ostore is not None and o_oids:
             ostore.batch_apply(o_oids, o_xs, o_ys, o_vxs, o_vys, o_ts, o_cells)
         reports.clear()
-        return point_groups, set_groups
+        for old_cell, new_cell in groups:
+            churned_cells.add(new_cell)
+            if old_cell >= 0:
+                churned_cells.add(old_cell)
+        return groups
 
-    def _group_reports_batched(self, want_columns: bool = False):
-        """Phase 5a via :class:`~repro.columnar.ingest.BatchIngest` when
-        it can run, the serial loop otherwise.  Returns ``(point_groups,
-        set_groups, point_columns)``; ``point_columns`` is ``None``
-        unless the batch kernel ran with ``want_columns`` (the parallel
-        planner's payload columns)."""
+    def _ingest_reports(self, churned_cells: set[int]):
+        """Phase 5a via :class:`~repro.columnar.ingest.BatchIngest`
+        (returns its :class:`~repro.columnar.ingest.CohortColumns`)
+        when the kernel can run, the serial loop's cohort dict
+        otherwise.  Counts which path the batch's rows took."""
         ingest = self._batch_ingest
-        if ingest is not None and ingest.enabled:
-            grouped = ingest.group(self._pending_reports, want_columns)
-            if grouped is not None:
-                return grouped
-        point_groups, set_groups = self._group_reports()
-        return point_groups, set_groups, None
+        if ingest is not None:
+            if ingest.enabled:
+                columns = ingest.group(self._pending_reports, churned_cells)
+                rows = self._m_ingest_rows
+                rows["scalar"].inc(columns.scalar_rows)
+                rows["batch"].inc(len(columns.oids) - columns.scalar_rows)
+                return columns
+            self._m_ingest_fallback_no_numpy.inc()
+        return self._group_reports(churned_cells)
 
-    def _iter_cohorts(self, point_groups, set_groups, churned_cells: set[int]):
+    @staticmethod
+    def _iter_cohorts(groups):
         """Phase 5b's work list: yield ``(cells, states, stay_put,
         point_pair)`` per transition cohort, in the exact order the
         cell-batched pipeline evaluates (and therefore emits) them —
         the parallel pipeline's sequence numbers come from this order.
-        Accumulates cell churn for the predictive refresh as a side
-        effect.  ``cells`` is always an ordered tuple: the parallel
-        planner ships it to workers verbatim, and tuple-izing a
-        frozenset here preserves the iteration order the serial pass
-        would have used.
+        ``cells`` is ``(old, new)`` for a cohort that changed home
+        cell and ``(new,)`` otherwise (new objects included).
         """
-        for (old_cell, new_cell), states in point_groups.items():
-            churned_cells.add(new_cell)
+        for (old_cell, new_cell), states in groups.items():
             if old_cell >= 0 and old_cell != new_cell:
-                churned_cells.add(old_cell)
                 yield (old_cell, new_cell), states, False, True
             else:
                 yield (new_cell,), states, old_cell == new_cell, False
-        for (old_cells, new_cells), states in set_groups.items():
-            churned_cells.update(new_cells)
-            if old_cells is not _NO_CELLS and old_cells != new_cells:
-                churned_cells.update(old_cells)
-            if old_cells is _NO_CELLS or old_cells == new_cells:
-                cells = new_cells
-            else:
-                cells = old_cells | new_cells
-            yield tuple(cells), states, False, False
 
     def _apply_object_reports_columnar(
         self, updates, knn_dirty: set[int], churned_cells: set[int]
@@ -1174,18 +1165,19 @@ class IncrementalEngine:
         if not self._pending_reports:
             return
         with self.tracer.span("report_ingest", self._m_ingest_seconds):
-            point_groups, set_groups, __ = self._group_reports_batched()
-        cohorts = list(
-            self._iter_cohorts(point_groups, set_groups, churned_cells)
+            grouped = self._ingest_reports(churned_cells)
+        evaluator = self._columnar_evaluator
+        emitted_before = len(updates)
+        if isinstance(grouped, dict):
+            cohorts = list(self._iter_cohorts(grouped))
+            evaluator.run(cohorts, updates, knn_dirty)
+        else:
+            evaluator.run_columns(grouped, updates, knn_dirty)
+        self.recorder.record(
+            "columnar_batch",
+            cohorts=len(grouped),
+            emitted=len(updates) - emitted_before,
         )
-        if cohorts:
-            emitted_before = len(updates)
-            self._columnar_evaluator.run(cohorts, updates, knn_dirty)
-            self.recorder.record(
-                "columnar_batch",
-                cohorts=len(cohorts),
-                emitted=len(updates) - emitted_before,
-            )
 
     def _apply_object_reports_parallel(
         self, updates, knn_dirty: set[int], churned_cells: set[int]
@@ -1212,12 +1204,10 @@ class IncrementalEngine:
         if not n_reports:
             return
         with self.tracer.span("report_ingest", self._m_ingest_seconds):
-            point_groups, set_groups, point_columns = (
-                self._group_reports_batched(want_columns=True)
-            )
-        cohorts = list(
-            self._iter_cohorts(point_groups, set_groups, churned_cells)
-        )
+            grouped = self._ingest_reports(churned_cells)
+            if not isinstance(grouped, dict):
+                grouped = grouped.groups()
+        cohorts = list(self._iter_cohorts(grouped))
         config = self.parallel_config
         cell_cache: dict[int, _CellCandidates] = {}
         if (
@@ -1246,15 +1236,6 @@ class IncrementalEngine:
         parent_span_id = tracer.current_span_id
         with tracer.span("shard_plan"):
             plan = plan_shards(cohorts, self.grid, config.workers)
-            # Batch-ingested point cohorts ship their payload rows from
-            # the kernel's already-sorted column slices; set cohorts
-            # (and serial-fallback rounds) walk member states as before.
-            cohort_columns = None
-            if point_columns is not None:
-                cohort_columns = [
-                    point_columns[key] for key in point_groups
-                ]
-                cohort_columns.extend([None] * len(set_groups))
             payloads = build_shard_payloads(
                 plan,
                 self.grid,
@@ -1262,7 +1243,6 @@ class IncrementalEngine:
                 self.queries,
                 self._qstore,
                 trace_ctx=(parent_span_id,),
-                cohort_columns=cohort_columns,
             )
         self._m_sharded_cohorts.inc(plan.dispatched)
         self._m_boundary_cohorts.inc(len(plan.boundary))
@@ -1352,15 +1332,6 @@ class IncrementalEngine:
             boundary_emitted=boundary_emitted,
             shard_emitted=shard_emitted,
         )
-
-    @staticmethod
-    def _group_into(groups, old_cells, new_cells, state):
-        key = (old_cells, new_cells)
-        cohort = groups.get(key)
-        if cohort is None:
-            groups[key] = [state]
-        else:
-            cohort.append(state)
 
     def _cell_candidates(self, cell: int) -> "_CellCandidates":
         """Resolve one cell's candidate queries for the batched phase 5.
@@ -1862,25 +1833,26 @@ class IncrementalEngine:
         ostore = self._ostore
         if ostore is not None:
             assert len(ostore) == len(self.objects)
+            cell_of = self.grid.cell_of
             for oid, state in self.objects.items():
                 row = ostore.row_of(oid)
                 location = state.location
                 assert ostore.xs[row] == location.x, oid
                 assert ostore.ys[row] == location.y, oid
-        # The batch-ingest dense oid→cell column mirrors the grid
-        # index's object placements exactly (while enabled; a disabled
-        # kernel's column is dead state and never read again).
+                assert ostore.cells[row] == cell_of(location), oid
+        # The batch-ingest dense oid→cell column mirrors the grid index:
+        # the home cell while the object's footprint is exactly {home},
+        # MULTI_CELL while it is wider.  Out-of-column oids (negative,
+        # or beyond the sparsity limit) have no entry.
         ingest = self._batch_ingest
-        if (
-            ingest is not None
-            and ingest.enabled
-            and ingest._cell_by_oid is not None
-        ):
-            for oid in self.objects:
+        if ingest is not None and ingest._cell_by_oid is not None:
+            for oid, state in self.objects.items():
                 hint = ingest.cell_hint(oid)
-                assert hint is not None, oid
+                if hint is None:
+                    continue
                 cells = self.index.object_cells(oid)
                 if hint == MULTI_CELL:
                     assert len(cells) > 1, (oid, cells)
+                    assert self.grid.cell_of(state.location) in cells, oid
                 else:
                     assert cells == frozenset((hint,)), (oid, hint, cells)

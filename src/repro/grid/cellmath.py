@@ -16,7 +16,12 @@ boundary coordinates.
 
 from __future__ import annotations
 
-__all__ = ["clamp_axis_index", "point_cell", "point_cells_batch"]
+__all__ = [
+    "clamp_axis_index",
+    "point_cell",
+    "point_cells_batch",
+    "rect_cell_ranges_batch",
+]
 
 
 def clamp_axis_index(value: float, origin: float, step: float, n: int) -> int:
@@ -49,6 +54,13 @@ def point_cell(
     )
 
 
+def _axis_indices_batch(values, origin: float, step: float, n: int, np):
+    """:func:`clamp_axis_index` over a float64 ndarray (int64 result)."""
+    indices = ((values - origin) / step).astype(np.int64)
+    np.clip(indices, 0, n - 1, out=indices)
+    return indices
+
+
 def point_cells_batch(xs, ys, grid, np):
     """Home cells of a whole coordinate batch, bit-identical to
     :func:`point_cell` element for element.
@@ -60,10 +72,45 @@ def point_cells_batch(xs, ys, grid, np):
     """
     world = grid.world
     n = grid.n
-    cols = ((xs - world.min_x) / grid.cell_width).astype(np.int64)
-    np.clip(cols, 0, n - 1, out=cols)
-    rows = ((ys - world.min_y) / grid.cell_height).astype(np.int64)
-    np.clip(rows, 0, n - 1, out=rows)
+    rows = _axis_indices_batch(ys, world.min_y, grid.cell_height, n, np)
     rows *= n
-    rows += cols
+    rows += _axis_indices_batch(xs, world.min_x, grid.cell_width, n, np)
     return rows
+
+
+def rect_cell_ranges_batch(min_xs, min_ys, max_xs, max_ys, grid, np):
+    """The cell ranges of a whole batch of rectangles — the vectorised
+    twin of ``Grid.cells_overlapping``'s clip-then-truncate arithmetic,
+    exactly as :func:`point_cells_batch` is the twin of ``cell_of``.
+
+    Returns ``(col_lo, col_hi, row_lo, row_hi, hit)``: inclusive int64
+    index ranges per rectangle plus a bool mask of the rectangles that
+    share at least a boundary point with the world.  Rectangle ``i``
+    overlaps exactly the cells ``row * n + col`` for ``row`` in
+    ``row_lo[i]..row_hi[i]`` and ``col`` in ``col_lo[i]..col_hi[i]``
+    when ``hit[i]``, and no cell otherwise (its ranges are then the
+    clamped border indices and carry no meaning).
+    """
+    world = grid.world
+    n = grid.n
+    hit = (
+        (min_xs <= world.max_x)
+        & (world.min_x <= max_xs)
+        & (min_ys <= world.max_y)
+        & (world.min_y <= max_ys)
+    )
+    cell_w = grid.cell_width
+    cell_h = grid.cell_height
+    col_lo = _axis_indices_batch(
+        np.maximum(min_xs, world.min_x), world.min_x, cell_w, n, np
+    )
+    col_hi = _axis_indices_batch(
+        np.minimum(max_xs, world.max_x), world.min_x, cell_w, n, np
+    )
+    row_lo = _axis_indices_batch(
+        np.maximum(min_ys, world.min_y), world.min_y, cell_h, n, np
+    )
+    row_hi = _axis_indices_batch(
+        np.minimum(max_ys, world.max_y), world.min_y, cell_h, n, np
+    )
+    return col_lo, col_hi, row_lo, row_hi, hit

@@ -93,6 +93,10 @@ class GridIndex:
         """The cells currently holding object ``oid``."""
         return self._object_cells[oid]
 
+    def iter_object_cells(self):
+        """``(oid, cells)`` for every indexed object (a live view)."""
+        return self._object_cells.items()
+
     def query_cells(self, qid: int) -> frozenset[int]:
         """The cells currently overlapped by query ``qid``."""
         return self._query_cells[qid]

@@ -102,7 +102,6 @@ def build_shard_payloads(
     queries,
     qstore=None,
     trace_ctx=(0,),
-    cohort_columns=None,
 ) -> list[tuple]:
     """Serialise each shard's work into the flat SoA payload the worker
     consumes: grid geometry as five numbers, touched cells as qid
@@ -120,13 +119,6 @@ def build_shard_payloads(
     ``trace_ctx`` is the coordinator's trace context — ``(parent_span_id,)``
     — riding along so the worker can echo it back with its phase spans
     (distributed-tracing propagation in one tuple element).
-
-    ``cohort_columns``, when given, is indexed by cohort sequence
-    number and holds ``(oids, xs, ys)`` lists for point cohorts whose
-    members came out of the batch ingest kernel already oid-sorted and
-    column-shaped (``None`` for set cohorts).  Those rows skip the
-    per-state location attribute walk — only the ``answered``
-    snapshot still reads the state object.
     """
     world = grid.world
     grid_params = (
@@ -145,23 +137,11 @@ def build_shard_payloads(
         for seq, cells, states, stay_put, point_pair in items:
             touched.update(cells)
             rows = []
-            columns = (
-                cohort_columns[seq] if cohort_columns is not None else None
-            )
-            if columns is not None:
-                # Column slices are aligned with `states` (both sorted
-                # by oid by the ingest kernel).
-                c_oids, c_xs, c_ys = columns
-                for oid, x, y, state in zip(c_oids, c_xs, c_ys, states):
-                    answered = tuple(state.answered)
-                    needed_qids.update(answered)
-                    rows.append((oid, x, y, answered))
-            else:
-                for state in states:
-                    answered = tuple(state.answered)
-                    needed_qids.update(answered)
-                    location = state.location
-                    rows.append((state.oid, location.x, location.y, answered))
+            for state in states:
+                answered = tuple(state.answered)
+                needed_qids.update(answered)
+                location = state.location
+                rows.append((state.oid, location.x, location.y, answered))
             cohort_descs.append((seq, tuple(cells), rows, stay_put, point_pair))
         cell_qids = index.snapshot_cell_queries(touched)
         for qids in cell_qids.values():

@@ -123,3 +123,58 @@ class TestValidation:
             engine.register_predictive_query(100, REGION, horizon=1000.0)
         with pytest.raises(ValueError):
             engine.register_predictive_query(101, REGION, horizon=0.0)
+
+
+def _every_pipeline():
+    from repro.columnar import numpy_available
+
+    yield {"pipeline": "per-object"}
+    yield {"pipeline": "cell-batched"}
+    yield {"pipeline": "parallel", "parallelism": 1}
+    yield {"pipeline": "columnar", "columnar_backend": "python"}
+    if numpy_available():
+        yield {"pipeline": "columnar", "columnar_backend": "numpy"}
+
+
+@pytest.mark.parametrize(
+    "kwargs", list(_every_pipeline()), ids=lambda k: "-".join(map(str, k.values()))
+)
+class TestFootprintIsPlacementOnly:
+    """A report is one *home-cell* transition under every pipeline; a
+    predictive object's swept footprint only places it in the index and
+    churns cells.  Neither may cost a predictive or a range update."""
+
+    def test_footprint_entering_a_query_cell_refreshes_that_query(self, kwargs):
+        engine = IncrementalEngine(
+            grid_size=8, prediction_horizon=100.0, **kwargs
+        )
+        # Query cells: columns 4-5 of row 1.  The object sits (and
+        # stays) in column 0 of that row, five cells away.
+        engine.register_predictive_query(100, Rect(0.6, 0.15, 0.7, 0.2), 50.0)
+        engine.report_object(1, Point(0.1, 0.18), 0.0)
+        assert engine.evaluate(0.0) == []
+        # Same home cell, but now moving: reaches x=0.6 at t=26, so the
+        # swept footprint — not the home cell — enters the query's cells.
+        engine.report_object(1, Point(0.1, 0.18), 1.0, Velocity(0.02, 0.0))
+        assert engine.evaluate(1.0) == [Update.positive(100, 1)]
+        home = engine.grid.cell_of(Point(0.1, 0.18))
+        assert home not in engine.index.query_cells(100)
+        assert engine.index.object_cells(1) > {home}
+        engine.check_invariants()
+
+    def test_crossing_a_range_edge_inside_the_home_cell_emits_one_negative(
+        self, kwargs
+    ):
+        engine = IncrementalEngine(
+            grid_size=8, prediction_horizon=100.0, **kwargs
+        )
+        engine.register_range_query(7, Rect(0.0, 0.0, 0.05, 0.05))
+        # A second query over the swept cells that never holds the point.
+        engine.register_range_query(8, Rect(0.3, 0.0, 0.6, 0.1))
+        engine.report_object(1, Point(0.04, 0.04), 0.0, Velocity(0.004, 0.0))
+        assert engine.evaluate(0.0) == [Update.positive(7, 1)]
+        assert len(engine.index.object_cells(1)) > 1
+        # Still in cell 0 (cells are 0.125 wide), now past the edge.
+        engine.report_object(1, Point(0.06, 0.04), 1.0, Velocity(0.004, 0.0))
+        assert engine.evaluate(1.0) == [Update.negative(7, 1)]
+        engine.check_invariants()

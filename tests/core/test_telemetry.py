@@ -79,6 +79,33 @@ class TestEngineRegistry:
         assert "engine_evaluations_total 1.0" in text
         assert 'engine_phase_seconds_total{phase="object_reports"}' in text
 
+    def test_ingest_path_counters_say_which_path_ran(self):
+        """`engine_ingest_rows_total{path}` per evaluation: a plain
+        batch under batch ingest has no scalar row; a row that needs a
+        per-object index placement (a footprint change) is one; the
+        serial loop's rows all are."""
+        from repro.columnar import numpy_available
+        from repro.geometry import Velocity
+
+        def rows(engine, path):
+            return engine.registry.value_of(
+                "engine_ingest_rows_total", {"path": path}
+            )
+
+        serial = busy_engine()
+        assert (rows(serial, "batch"), rows(serial, "scalar")) == (0.0, 2.0)
+        fallback = 'engine_batch_ingest_fallback_total{reason="no_numpy"} 0'
+        assert fallback in prometheus_text(serial.registry)
+        if not numpy_available():
+            return
+        engine = busy_engine(pipeline="columnar", columnar_backend="numpy")
+        assert (rows(engine, "batch"), rows(engine, "scalar")) == (2.0, 0.0)
+        engine.report_object(1, Point(0.5, 0.5), 1.0, Velocity(0.01, 0.0))
+        engine.report_object(2, Point(0.3, 0.8), 1.0)
+        engine.evaluate(1.0)
+        assert (rows(engine, "batch"), rows(engine, "scalar")) == (3.0, 1.0)
+        assert fallback in prometheus_text(engine.registry)
+
 
 class TestEngineTracer:
     def test_every_phase_emits_a_span(self):
