@@ -187,25 +187,22 @@ class ColumnarEvaluator:
     def run(self, cohorts, updates, knn_dirty) -> None:
         """Evaluate one batch of transition cohorts (engine phase 5b),
         given as the engine's ``(cells, states, stay_put, point_pair)``
-        tuples — the python backend's entry point."""
+        tuples.  The python backend's entry point only: under numpy the
+        engine always hands over columns (:meth:`run_columns`)."""
+        assert self._np is None
         with self.tracer.span("columnar_plan", self._phase_counters["plan"]):
             plan, metas = self._build_plan(cohorts, knn_dirty)
-        qids, oids, signs, ends, arrays = self._join(plan)
+        qids, oids, signs, ends, _ = self._join(plan)
         with self.tracer.span("columnar_emit", self._emit_span_counter):
-            special = self._sweep_candidates()
-            if self._np is None:
-                self._emit(
-                    metas, ends, qids, oids, signs, special, updates, knn_dirty
-                )
-                return
-            sweeps = ()
-            if special:
-                sweeps = [
-                    (states, seen, end)
-                    for (states, seen), end in zip(metas, ends)
-                ]
-            self._emit_bulk(
-                sweeps, qids, oids, signs, arrays, special, updates, knn_dirty
+            self._emit(
+                metas,
+                ends,
+                qids,
+                oids,
+                signs,
+                self._sweep_candidates(),
+                updates,
+                knn_dirty,
             )
 
     def run_columns(self, columns, updates, knn_dirty) -> None:

@@ -45,12 +45,13 @@ transition**:
 * **columnar store writes** for the whole batch go through one
   :meth:`~repro.columnar.store.ColumnarObjectStore.batch_apply`.
 
-A hostile identifier cannot turn any of this off.  An oid that cannot
-live in the dense column (negative, or beyond the sparsity limit) is an
-*out-of-column* row: its old home comes from the object's stored
-location, its index placement takes the per-object step, and the column
-write is skipped — inside the same call, with the rest of the batch on
-arrays.  The kernel is off only when numpy is missing.
+A hostile identifier cannot turn any of this off.  An oid the dense
+column has no slot for (negative, or beyond the sparsity limit the
+column grows up to) is an *out-of-column* row: its old home comes from
+the object's stored location, its index placement takes the per-object
+step, and the column write is skipped — inside the same call, with the
+rest of the batch on arrays.  The kernel is off only when numpy is
+missing.
 
 Cohort members come out oid-sorted rather than in report order.  That
 is safe because every consumer sorts members by oid before any emission
@@ -184,7 +185,8 @@ class BatchIngest:
 
     def _cover(self, oid_arr, population: int):
         """Grow the dense column over this batch's in-limit oids and
-        return the batch's in-column mask."""
+        return the batch's in-column mask: exactly the oids the column
+        has a slot for, so no slot is ever left unwritten."""
         np = self.np
         column = self._cell_by_oid
         have = 0 if column is None else len(column)
@@ -205,6 +207,8 @@ class BatchIngest:
                         next(iter(cells)) if len(cells) == 1 else MULTI_CELL
                     )
             self._cell_by_oid = fresh
+            # Growth has headroom, so the column may end beyond `limit`.
+            inside = (oid_arr >= 0) & (oid_arr < len(fresh))
         return inside
 
     # ------------------------------------------------------------------

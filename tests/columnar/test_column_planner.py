@@ -238,6 +238,44 @@ def test_an_oid_entering_the_column_late_keeps_its_cell():
     engine.check_invariants()
 
 
+@needs_numpy
+def test_an_oid_between_the_limit_and_the_column_end_is_in_column():
+    """The column grows with headroom, so it can end beyond the sparsity
+    limit of the batch that grew it.  An oid in that window must be
+    written like any other in-column row, or the next batch (whose
+    limit is the column's length) trusts a stale entry and strands a
+    ghost member in the old bucket."""
+    engines = [
+        columnar(),
+        IncrementalEngine(
+            grid_size=GRID, prediction_horizon=30.0, pipeline="per-object"
+        ),
+    ]
+    for engine in engines:
+        engine.register_range_query(1, Rect(0.0, 0.0, 0.5, 0.5))
+    batches = [
+        {0: (0.1, 0.1), 60_000: (0.2, 0.2)},
+        # Grows the column to 90_001 rows under a limit of ~65.5k.
+        {65_000: (0.3, 0.3), 80_000: (0.15, 0.15)},
+        {80_000: (0.8, 0.8)},
+        {80_000: (0.3, 0.1)},
+    ]
+    for now, batch in enumerate(batches):
+        for oid, (x, y) in batch.items():
+            for engine in engines:
+                engine.report_object(oid, Point(x, y), float(now))
+        streams = [
+            sorted((u.qid, u.oid, u.sign) for u in engine.evaluate(float(now)))
+            for engine in engines
+        ]
+        assert streams[0] == streams[1]
+        engines[0].check_invariants()
+        ingest = engines[0]._batch_ingest
+        for oid in engines[0].objects:
+            hint = ingest.cell_hint(oid)
+            assert hint is None or {hint} == set(engines[0].index.object_cells(oid))
+
+
 @pytest.mark.parametrize(
     "backend", ["python", pytest.param("numpy", marks=needs_numpy)]
 )
