@@ -458,10 +458,22 @@ class IncrementalEngine:
 
         Locations are clamped into the service area (the grid's world):
         the engine guarantees completeness only for in-world geometry,
-        so out-of-world drift is pulled back to the boundary.
+        so out-of-world drift is pulled back to the boundary — and a
+        non-finite coordinate, which no boundary is near, is refused.
+        An in-world report keeps the caller's (immutable) ``Point``.
         """
+        world = self.grid.world
+        if not (
+            world.min_x <= location.x <= world.max_x
+            and world.min_y <= location.y <= world.max_y
+        ):
+            # NaN fails every comparison, so it lands here too.
+            if not (math.isfinite(location.x) and math.isfinite(location.y)):
+                raise ValueError(
+                    f"object {oid} reported a non-finite location {location}"
+                )
+            location = world.clamp_point(location)
         self._pending_removals.discard(oid)
-        location = self.grid.world.clamp_point(location)
         self._pending_reports[oid] = (location, velocity, t)
         self.freshness.stamp_report(oid)
 

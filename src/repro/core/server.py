@@ -18,6 +18,12 @@ protocol exists.  Commits happen only on uplink evidence: any message
 from a moving query, an explicit commit message from a stationary one,
 or the completion of a wakeup resynchronisation.
 
+Nor does the server walk its clients: a cycle costs what was reported
+and what changed.  The links with a byte budget to reset are listed at
+registration, and the clients whose link accepted mail are noted as it
+ships (:meth:`LocationAwareServer.take_mailed`) — the only links a
+transport has to flush.
+
 **Commit invariant (committed ⊆ delivered).**  The committed-answer
 repository must never get *ahead* of what a client actually received:
 a committed answer the client does not hold poisons every future
@@ -164,6 +170,10 @@ class LocationAwareServer:
         self.stats = NetworkStats(self.registry)
         self.history = history
         self._links: dict[int, ClientLink] = {}
+        # The links whose byte budget resets every cycle.
+        self._throttled: list[ThrottledLink] = []
+        # Clients whose link accepted mail since the last take_mailed().
+        self._mailed: set[int] = set()
         self._bindings: dict[int, _QueryBinding] = {}
         self._queries_of_client: dict[int, set[int]] = {}
         # Per-query answer state proven delivered to the owning client:
@@ -235,8 +245,10 @@ class LocationAwareServer:
             getattr(observer, event)(ident)
 
     def _gate(self, kind: str, method, args: tuple) -> bool:
-        """Apply the uplink fault gate; True means "process now"."""
-        if self.uplink_gate is None or self.uplink_gate(kind):
+        """Apply the installed uplink fault gate; True means "process
+        now".  The ``receive_*`` methods test ``uplink_gate is not
+        None`` inline first, so an ungated uplink never pays this call."""
+        if self.uplink_gate(kind):
             return True
         self._delayed_uplinks.append((method, args))
         return False
@@ -273,6 +285,7 @@ class LocationAwareServer:
             link: ClientLink = ClientLink(client_id, self.stats)
         else:
             link = ThrottledLink(client_id, downlink_budget, self.stats)
+            self._throttled.append(link)
         self._links[client_id] = link
         self._queries_of_client[client_id] = set()
         return link
@@ -291,6 +304,12 @@ class LocationAwareServer:
         self._require_binding(qid)
         return self._bindings[qid].client_id
 
+    def take_mailed(self) -> set[int]:
+        """The clients whose link accepted mail since the last call —
+        what a transport has to flush; the note is then cleared."""
+        mailed, self._mailed = self._mailed, set()
+        return mailed
+
     # ------------------------------------------------------------------
     # Uplink: object reports
     # ------------------------------------------------------------------
@@ -303,14 +322,15 @@ class LocationAwareServer:
         velocity: Velocity = Velocity.ZERO,
     ) -> None:
         """Ingest a location report, persisting the superseded location."""
-        if not self._gate(
+        if self.uplink_gate is not None and not self._gate(
             "object_report",
             self.receive_object_report,
             (oid, location, t, velocity),
         ):
             return
         self.stats.record_uplink(ObjectReportMessage)
-        self.recorder.record("uplink_report", oid=oid, t=t)
+        if self.recorder.enabled:
+            self.recorder.record("uplink_report", oid=oid, t=t)
         if self.history is not None:
             previous = self.engine.objects.get(oid)
             if previous is not None:
@@ -324,10 +344,13 @@ class LocationAwareServer:
     def remove_object(self, oid: int) -> None:
         """An object leaves the system — an uplink message like any
         report, and accounted as one (8 identifier bytes)."""
-        if not self._gate("object_removal", self.remove_object, (oid,)):
+        if self.uplink_gate is not None and not self._gate(
+            "object_removal", self.remove_object, (oid,)
+        ):
             return
         self.stats.record_uplink(ObjectRemovalMessage)
-        self.recorder.record("uplink_removal", oid=oid)
+        if self.recorder.enabled:
+            self.recorder.record("uplink_removal", oid=oid)
         self.engine.remove_object(oid)
 
     # ------------------------------------------------------------------
@@ -360,12 +383,13 @@ class LocationAwareServer:
         everything sent so far (clients always wake up before resuming
         uplink after an outage).
         """
-        if not self._gate(
+        if self.uplink_gate is not None and not self._gate(
             "query_move", self.receive_range_query_move, (qid, region, t)
         ):
             return
         self.stats.record_uplink(QueryRegionMessage)
-        self.recorder.record("uplink_move", qid=qid, query="range", t=t)
+        if self.recorder.enabled:
+            self.recorder.record("uplink_move", qid=qid, query="range", t=t)
         self.engine.move_range_query(qid, region, t)
         self._commit_on_uplink(qid)
 
@@ -374,24 +398,28 @@ class LocationAwareServer:
         :class:`~repro.net.KnnMoveMessage` — 32 bytes on the wire, not
         a degenerate zero-area rectangle shoehorned into the 48-byte
         range-move encoding)."""
-        if not self._gate(
+        if self.uplink_gate is not None and not self._gate(
             "query_move", self.receive_knn_query_move, (qid, center, t)
         ):
             return
         self.stats.record_uplink(KnnMoveMessage)
-        self.recorder.record("uplink_move", qid=qid, query="knn", t=t)
+        if self.recorder.enabled:
+            self.recorder.record("uplink_move", qid=qid, query="knn", t=t)
         self.engine.move_knn_query(qid, center, t)
         self._commit_on_uplink(qid)
 
     def receive_predictive_query_move(
         self, qid: int, region: Rect, t: float
     ) -> None:
-        if not self._gate(
+        if self.uplink_gate is not None and not self._gate(
             "query_move", self.receive_predictive_query_move, (qid, region, t)
         ):
             return
         self.stats.record_uplink(QueryRegionMessage)
-        self.recorder.record("uplink_move", qid=qid, query="predictive", t=t)
+        if self.recorder.enabled:
+            self.recorder.record(
+                "uplink_move", qid=qid, query="predictive", t=t
+            )
         self.engine.move_predictive_query(qid, region, t)
         self._commit_on_uplink(qid)
 
@@ -405,7 +433,9 @@ class LocationAwareServer:
         unnoticed outage) — precisely when committing the live answer
         would violate the commit invariant.
         """
-        if not self._gate("commit", self.receive_commit, (qid,)):
+        if self.uplink_gate is not None and not self._gate(
+            "commit", self.receive_commit, (qid,)
+        ):
             return
         self.stats.record_uplink(CommitMessage)
         self._require_binding(qid)
@@ -514,6 +544,7 @@ class LocationAwareServer:
             answer = self.engine.answer_of(qid)
             message = FullAnswerMessage(qid, answer)
             if link.deliver(message):
+                self._mailed.add(client_id)
                 total += message.size_bytes
                 recovered += 1
                 # A delivered full answer lands every member at once;
@@ -548,9 +579,8 @@ class LocationAwareServer:
         """
         self._replay_delayed_uplinks()
         with self.tracer.span("cycle", histogram=self._m_cycle_seconds):
-            for link in self._links.values():
-                if isinstance(link, ThrottledLink):
-                    link.new_cycle()
+            for link in self._throttled:
+                link.new_cycle()
             updates = self.engine.evaluate(now)
             complete_bytes, answer_objects = self._answer_totals()
             with self.tracer.span("downlink"):
@@ -626,6 +656,8 @@ class LocationAwareServer:
                 continue
             attempted += len(qids)
             verdicts = link.deliver_updates(qids, oids, signs)
+            if verdicts is None or True in verdicts:
+                self._mailed.add(link.client_id)
             if recorder.enabled:
                 for qid, oid, sign, ok in zip(
                     qids, oids, signs, verdicts or repeat(True)

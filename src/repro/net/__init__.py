@@ -32,6 +32,7 @@ from repro.net.link import (
     FAULT_ACTIONS,
     REORDER,
     ClientLink,
+    Inbox,
     NetworkStats,
 )
 from repro.net.throttle import ThrottledLink
@@ -48,6 +49,7 @@ __all__ = [
     "CommitMessage",
     "full_answer_bytes",
     "ClientLink",
+    "Inbox",
     "NetworkStats",
     "ThrottledLink",
     "DELIVER",

@@ -7,6 +7,11 @@ queries."  A :class:`ThrottledLink` models the constrained downlink: a
 per-cycle byte budget, messages beyond it dropped (the satellite slot is
 gone — there is no queueing for stale location data).  The congestion
 benchmark measures how much of each server's output actually fits.
+
+What a link lost to its budget is counted on the link
+(``throttled_messages`` / ``throttled_bytes``, plain ints like the base
+link's counters) and, fleet-wide, in ``net_throttled_messages_total`` /
+``net_throttled_bytes_total``; no series is kept per client.
 """
 
 from __future__ import annotations
@@ -17,6 +22,13 @@ from repro.net.messages import Message
 
 class ThrottledLink(ClientLink):
     """A client link with a per-cycle downstream byte budget."""
+
+    __slots__ = (
+        "budget_bytes_per_cycle",
+        "_spent_this_cycle",
+        "throttled_messages",
+        "throttled_bytes",
+    )
 
     def __init__(
         self,
@@ -33,13 +45,6 @@ class ThrottledLink(ClientLink):
         self._spent_this_cycle = 0
         self.throttled_messages = 0
         self.throttled_bytes = 0
-        # Per-link throttle series next to the base link counters.
-        self._m_throttled = self.stats.registry.counter(
-            "link_throttled_messages_total", labels={"client": str(client_id)}
-        )
-        self._m_throttled_bytes = self.stats.registry.counter(
-            "link_throttled_bytes_total", labels={"client": str(client_id)}
-        )
 
     @property
     def remaining_budget(self) -> int:
@@ -62,9 +67,7 @@ class ThrottledLink(ClientLink):
         if message.size_bytes > self.remaining_budget:
             self.throttled_messages += 1
             self.throttled_bytes += message.size_bytes
-            self._m_throttled.inc()
-            self._m_throttled_bytes.inc(message.size_bytes)
-            self.stats.record(message, delivered=False)
+            self.stats.record_throttled(message)
             self._notify(message, False)
             return False
         delivered = super().deliver(message)

@@ -164,19 +164,22 @@ def downlink_op(message: Message) -> dict:
 _UPDATE_LINE = b'{"op":"update","qid":%d,"oid":%d,"sign":%d}\n'
 
 
-def encode_downlink(messages) -> bytes:
-    """The wire lines of link-delivered messages, concatenated.
+def encode_downlink(inbox) -> bytes:
+    """The wire lines of one link's :class:`~repro.net.Inbox`,
+    concatenated.
 
     Byte-identical to ``b"".join(encode(downlink_op(m)) for m in
-    messages)``; ``update`` lines — nearly all downlink traffic — are
-    formatted straight to bytes instead of through a dict and the JSON
-    encoder.
+    inbox)``; ``update`` lines — nearly all downlink traffic — are
+    formatted straight from the zipped columns, with no message, dict
+    or JSON encoder in between.
     """
+    rows = zip(inbox.qids, inbox.oids, inbox.signs)
+    others = inbox.others
+    if not others:
+        return b"".join(map(_UPDATE_LINE.__mod__, rows))
     return b"".join(
-        _UPDATE_LINE % (message.qid, message.oid, message.sign)
-        if type(message) is UpdateMessage
-        else encode(downlink_op(message))
-        for message in messages
+        _UPDATE_LINE % row if row[2] else encode(downlink_op(others[at]))
+        for at, row in enumerate(rows)
     )
 
 

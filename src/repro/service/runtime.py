@@ -3,10 +3,11 @@
 Wraps one :class:`~repro.core.server.LocationAwareServer` behind a real
 socket transport: an asyncio TCP listener speaking the line-delimited
 JSON protocol of :mod:`repro.service.protocol`, a cycle loop that
-drains queued uplinks, runs one bulk evaluation, and flushes every
-session's links to the wire, plus a minimal HTTP plane (``/state``,
-``/metrics``, ``/healthz``) fed by the stack's own
-:class:`~repro.obs.MetricsRegistry`.
+drains queued uplinks, runs one bulk evaluation, and flushes the links
+that hold mail to the wire, plus a minimal HTTP plane (``/state``,
+``/state?client=N``, ``/metrics``, ``/healthz``) fed by the stack's own
+:class:`~repro.obs.MetricsRegistry` and, for one client's detail, by
+that client's link.
 
 Design points:
 
@@ -41,6 +42,8 @@ import asyncio
 import json
 import threading
 from dataclasses import dataclass, field
+from math import isfinite
+from urllib.parse import parse_qs
 
 from repro.check import ConsistencyOracle
 from repro.core.server import LocationAwareServer
@@ -60,6 +63,9 @@ from repro.service.protocol import (
     reject_op,
 )
 from repro.service.session import ClientSession
+
+#: Object ids live in int64 columns: ``-_INT64_BOUND <= oid < _INT64_BOUND``.
+_INT64_BOUND = 1 << 63
 
 #: readline limit: uplink lines are small, but recovery ``answer``
 #: downlinks (and symmetric test traffic) can carry large oid lists.
@@ -125,6 +131,8 @@ class ServiceRuntime:
         self._client_session: dict[int, ClientSession] = {}
         #: Global FIFO of (session, op) drained at each cycle boundary.
         self._pending: list[tuple[ClientSession, dict]] = []
+        #: Clients holding mail that no live session could take yet.
+        self._unflushed: set[int] = set()
 
         self._m_cycles = self.registry.counter("service_cycles_total")
         self._m_uplink_errors = self.registry.counter(
@@ -452,7 +460,10 @@ class ServiceRuntime:
             try:
                 self._apply_op(op)
                 applied += 1
-            except (KeyError, ValueError, ProtocolError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError) as exc:
+                # ProtocolError is a ValueError; int(inf) overflows and
+                # int(None) is a TypeError — no field value one client
+                # sends may cost the others the cycle.
                 errors += 1
                 self._m_uplink_errors.inc()
                 session.send(error_op("bad_op", f"{op.get('op')}: {exc}"))
@@ -463,11 +474,20 @@ class ServiceRuntime:
         server = self.server
         name = op["op"]
         if name == "report":
+            # Refused here, one op at a time: a value the batch kernels
+            # cannot hold would otherwise fail the shared cycle.
+            oid = int(op["oid"])
+            t = float(op["t"])
+            vx, vy = float(op.get("vx", 0.0)), float(op.get("vy", 0.0))
+            if not -_INT64_BOUND <= oid < _INT64_BOUND:
+                raise ProtocolError("bad_value", f"oid {oid} is outside int64")
+            if not (isfinite(t) and isfinite(vx) and isfinite(vy)):
+                raise ProtocolError("bad_value", "t, vx and vy must be finite")
             server.receive_object_report(
-                int(op["oid"]),
+                oid,
                 Point(float(op["x"]), float(op["y"])),
-                float(op["t"]),
-                Velocity(float(op.get("vx", 0.0)), float(op.get("vy", 0.0))),
+                t,
+                Velocity(vx, vy) if vx or vy else Velocity.ZERO,
             )
         elif name == "move":
             qid = int(op["qid"])
@@ -539,20 +559,34 @@ class ServiceRuntime:
     # -- downlink flushing ---------------------------------------------
 
     def _flush_sessions(self, cycle: int, now: float) -> int:
+        """Write out the links that accepted mail, then mark the cycle.
+
+        Only the mailed set is visited — a quiet client costs nothing
+        here.  Mail for a client with no live session (registered
+        in-process, or between connections) stays in its link and its
+        id stays pending until a session binds it.  ``cycle_end`` goes
+        out last, so on every sync session it follows that session's
+        share of the flush.
+        """
         flushed = 0
-        server = self.server
+        link_of = self.server.link_of
+        sessions = self._client_session
+        mailed = self.server.take_mailed()
+        mailed |= self._unflushed
+        self._unflushed = unflushed = set()
+        for client_id in mailed:
+            link = link_of(client_id)
+            if not link.queued_messages:
+                continue  # a protocol marker already flushed it early
+            session = sessions.get(client_id)
+            if session is None or session.closed:
+                unflushed.add(client_id)
+            else:
+                flushed += session.flush_link(link)
+        marker = {"op": "cycle_end", "cycle": cycle, "now": now}
         for session in list(self._sessions.values()):
-            if session.closed:
-                continue
-            for client_id in session.client_ids:
-                try:
-                    link = server.link_of(client_id)
-                except KeyError:
-                    continue
-                if link._inbox:
-                    flushed += session.flush_link(link)
-            if session.sync:
-                session.send({"op": "cycle_end", "cycle": cycle, "now": now})
+            if session.sync and not session.closed:
+                session.send(marker)
         if flushed:
             self._m_flushed.inc(flushed)
         return flushed
@@ -585,7 +619,7 @@ class ServiceRuntime:
             link = self.server.link_of(client_id)
         except KeyError:
             return
-        if link._inbox:
+        if link.queued_messages:
             self._m_flushed.inc(session.flush_link(link))
         session.send(marker)
 
@@ -619,7 +653,7 @@ class ServiceRuntime:
                     break
             parts = request.decode("latin-1").split()
             method = parts[0] if parts else ""
-            path = parts[1] if len(parts) > 1 else "/"
+            path, _, query = (parts[1] if len(parts) > 1 else "/").partition("?")
             if method != "GET":
                 self._http_reply(writer, 405, "text/plain", b"method not allowed")
             elif path == "/metrics":
@@ -628,8 +662,18 @@ class ServiceRuntime:
                     writer, 200, "text/plain; version=0.0.4", body
                 )
             elif path == "/state":
-                body = json.dumps(self.state(), sort_keys=True).encode()
-                self._http_reply(writer, 200, "application/json", body)
+                client = parse_qs(query).get("client")
+                try:
+                    document = (
+                        self.state()
+                        if client is None
+                        else self.client_state(int(client[-1]))
+                    )
+                except (KeyError, ValueError):
+                    self._http_reply(writer, 404, "text/plain", b"no such client")
+                else:
+                    body = json.dumps(document, sort_keys=True).encode()
+                    self._http_reply(writer, 200, "application/json", body)
             elif path == "/healthz":
                 self._http_reply(writer, 200, "text/plain", b"ok")
             else:
@@ -680,6 +724,28 @@ class ServiceRuntime:
             "chaos_active": self.injector is not None,
             "savings_ratio": self.server.savings_ratio(),
             "last_cycle": self.last_cycle,
+        }
+
+    def client_state(self, client_id: int) -> dict:
+        """The ``/state?client=N`` document: one client's detail, read
+        off its link on demand (``KeyError`` for an unknown client) —
+        what a per-client metric series would have held, at no
+        standing cost."""
+        link = self.server.link_of(client_id)
+        session = self._client_session.get(client_id)
+        return {
+            "client": client_id,
+            "connected": link.connected,
+            "session": session.session_id if session is not None else None,
+            "queued_messages": link.queued_messages,
+            "delivered_messages": link.delivered_messages,
+            "delivered_bytes": link.delivered_bytes,
+            "dropped_messages": link.dropped_messages,
+            "dropped_bytes": link.dropped_bytes,
+            "throttled_messages": getattr(link, "throttled_messages", 0),
+            "throttled_bytes": getattr(link, "throttled_bytes", 0),
+            "budget_bytes_per_cycle": link.budget_bytes_per_cycle,
+            "queries": sorted(self.server.queries_of(client_id)),
         }
 
     # -- small helpers -------------------------------------------------

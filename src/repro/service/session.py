@@ -8,9 +8,9 @@ the session only knows how to put encoded lines on the wire and how to
 drain its clients' links into the socket.
 
 One session may multiplex many logical clients — the load driver runs
-tens of thousands of simulated clients over a handful of sessions —
-which is why downlink flushing walks ``client_ids`` rather than
-assuming one link per connection.
+tens of thousands of simulated clients over a handful of sessions — so
+the runtime flushes link by link (only the links that hold mail), not
+connection by connection.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ class ClientSession:
         connectivity); whatever reached the inbox is what the wire
         client receives.  Returns the number of messages flushed.
         """
-        messages = link.drain()
-        self._write(encode_downlink(messages), len(messages))
-        return len(messages)
+        inbox = link.drain()
+        self._write(encode_downlink(inbox), len(inbox))
+        return len(inbox)
 
     def _write(self, data: bytes, lines: int) -> None:
         if self.closed:

@@ -75,17 +75,12 @@ def test_same_cycle_throttle_and_outage_keeps_oracle_clean(seed):
     # Both fault families actually happened, and their counters are
     # disjoint: every rejected delivery is either throttled or dropped
     # (outage), never both.
-    registry = server.registry
-    throttled = registry.value_of(
-        "link_throttled_messages_total", {"client": "1"}
-    )
-    dropped = registry.value_of(
-        "link_dropped_messages_total", {"client": "1"}
-    )
+    throttled = link.throttled_messages
+    dropped = link.dropped_messages
     assert throttled > 0
     assert dropped > 0
     assert throttled + dropped == server.stats.dropped_messages
-    assert link.throttled_messages == throttled
+    assert server.registry.value_of("net_throttled_messages_total") == throttled
 
 
 def test_throttled_rejections_never_charge_budget_during_outage():

@@ -143,3 +143,72 @@ class TestHistoryPersistence:
         client.disconnect()
         naive_bytes = server.recover_naive(1)
         assert naive_bytes == 16 + 20 * 8
+
+
+class TestHostileReports:
+    """Satellite: a hostile value is refused at the call that carried
+    it and never reaches the shared cycle."""
+
+    def test_a_non_finite_coordinate_is_refused_not_indexed(self):
+        import random
+
+        from repro.geometry import Velocity
+
+        rng = random.Random(20)
+        reports = [(oid, Point(rng.random(), rng.random())) for oid in range(1000)]
+        streams = []
+        for pipeline in ("per-object", "columnar"):
+            server = LocationAwareServer(grid_size=8, pipeline=pipeline)
+            server.register_client(1)
+            server.register_range_query(1, 100, REGION)
+            for oid, point in reports:
+                if oid == 500 and pipeline == "columnar":
+                    for bad in (float("nan"), float("inf"), float("-inf")):
+                        with pytest.raises(ValueError):
+                            server.receive_object_report(5000, Point(bad, 0.5), 1.0)
+                        with pytest.raises(ValueError):
+                            server.receive_object_report(5000, Point(0.5, bad), 1.0)
+                server.receive_object_report(oid, point, 1.0, Velocity.ZERO)
+            result = server.evaluate_cycle(1.0)
+            server.engine.check_invariants()
+            assert 5000 not in server.engine.objects
+            streams.append({(u.qid, u.oid, u.sign) for u in result.updates})
+        assert streams[0] == streams[1] and streams[0]
+
+    def test_in_world_reports_keep_the_point_and_drift_is_clamped(self):
+        server = LocationAwareServer(grid_size=8)
+        inside, outside = Point(0.25, 1.0), Point(1.5, -0.25)
+        server.receive_object_report(1, inside, 0.0)
+        server.receive_object_report(2, outside, 0.0)
+        server.evaluate_cycle(0.0)
+        assert server.engine.objects[1].location is inside
+        assert server.engine.objects[2].location == Point(1.0, 0.0)
+
+    def test_the_service_edge_refuses_what_the_columns_cannot_hold(self):
+        from repro.geometry import Velocity
+        from repro.service.protocol import ProtocolError
+        from repro.service.runtime import ServiceRuntime
+
+        runtime = ServiceRuntime(
+            server=LocationAwareServer(grid_size=8, pipeline="columnar")
+        )
+        report = dict(op="report", client=1, oid=1, x=0.5, y=0.5, t=1.0)
+        for bad in (
+            dict(oid=2**63),
+            dict(oid=-(2**63) - 1),
+            dict(t=float("nan")),
+            dict(vx=float("inf")),
+            dict(vy=float("nan")),
+        ):
+            with pytest.raises(ProtocolError):
+                runtime._apply_op({**report, **bad})
+        with pytest.raises(ValueError):
+            runtime._apply_op({**report, "x": float("nan")})
+        runtime._apply_op({**report, "oid": 2**63 - 1, "vx": 0.0})
+        runtime._apply_op({**report, "oid": -(2**63), "vy": 0.5})
+        runtime.run_cycle(1.0)
+        objects = runtime.server.engine.objects
+        assert set(objects) == {2**63 - 1, -(2**63)}
+        assert objects[2**63 - 1].velocity is Velocity.ZERO
+        assert objects[-(2**63)].velocity == Velocity(0.0, 0.5)
+        runtime.server.engine.check_invariants()

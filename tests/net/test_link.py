@@ -1,5 +1,7 @@
 """Client links: delivery, loss during disconnection, accounting."""
 
+import pytest
+
 from repro.net import DROP, ClientLink, NetworkStats, ThrottledLink, UpdateMessage
 
 
@@ -46,11 +48,10 @@ class TestSliceDelivery:
         assert stats.delivered_messages == 3
         assert stats.delivered_bytes == 3 * 17
         assert stats.by_type == {"UpdateMessage": 3}
-        labels = {"client": "1"}
-        value_of = stats.registry.value_of
-        assert value_of("link_delivered_messages_total", labels) == 3
-        assert value_of("link_delivered_bytes_total", labels) == 3 * 17
-        assert value_of("link_queued_messages", labels) == 3
+        assert link.delivered_messages == 3
+        assert link.delivered_bytes == 3 * 17
+        assert link.queued_messages == 3
+        assert stats.registry.value_of("links_queued_messages") == 3
         assert link.drain() == [
             UpdateMessage(1, 7, 1),
             UpdateMessage(2, 8, 1),
@@ -79,6 +80,18 @@ class TestSliceDelivery:
         metered = ThrottledLink(3, budget_bytes_per_cycle=40)
         assert metered.deliver_updates(*self.SLICE) == [True, True, False]
         assert metered.throttled_messages == 1
+
+
+    def test_a_bad_sign_refuses_the_slice_whole(self):
+        stats = NetworkStats()
+        plain, hooked = ClientLink(1, stats), ClientLink(2, stats)
+        hooked.fault_hook = lambda _link, _message: "deliver"
+        for link in (plain, hooked):
+            with pytest.raises(ValueError):
+                link.deliver_updates([1, 2, 3], [7, 8, 9], [1, 0, -1])
+            assert link.drain() == []
+            assert link.delivered_messages == link.dropped_messages == 0
+        assert stats.delivered_messages == 0
 
 
 class TestAccounting:
@@ -110,10 +123,8 @@ class TestAccounting:
 
 
 class TestPerLinkTelemetry:
-    """Satellite: per-link counters labelled by client id."""
-
-    def link_value(self, stats, name, client):
-        return stats.registry.value_of(name, {"client": str(client)})
+    """Per-link accounting: plain counters on the link itself; the
+    registry holds the fleet-wide view only."""
 
     def test_delivered_counters_are_per_link(self):
         stats = NetworkStats()
@@ -121,9 +132,9 @@ class TestPerLinkTelemetry:
         a.deliver(update())
         a.deliver(update())
         b.deliver(update())
-        assert self.link_value(stats, "link_delivered_messages_total", 1) == 2.0
-        assert self.link_value(stats, "link_delivered_messages_total", 2) == 1.0
-        assert self.link_value(stats, "link_delivered_bytes_total", 1) == 34.0
+        assert a.delivered_messages == 2
+        assert b.delivered_messages == 1
+        assert a.delivered_bytes == 34
         assert stats.delivered_messages == 3  # aggregate view unchanged
 
     def test_dropped_while_disconnected_counted_per_link(self):
@@ -132,27 +143,33 @@ class TestPerLinkTelemetry:
         link.disconnect()
         link.deliver(update())
         link.deliver(update())
-        assert self.link_value(stats, "link_dropped_messages_total", 7) == 2.0
-        assert self.link_value(stats, "link_dropped_bytes_total", 7) == 34.0
-        assert self.link_value(stats, "link_delivered_messages_total", 7) == 0.0
+        assert link.dropped_messages == 2
+        assert link.dropped_bytes == 34
+        assert link.delivered_messages == 0
 
     def test_connected_gauge_follows_link_state(self):
         stats = NetworkStats()
         link = ClientLink(3, stats)
-        assert self.link_value(stats, "link_connected", 3) == 1.0
+        value_of = stats.registry.value_of
+        assert link.connected and value_of("links_connected") == 1.0
         link.disconnect()
-        assert self.link_value(stats, "link_connected", 3) == 0.0
+        link.disconnect()  # idempotent: the gauge moves on a change only
+        assert not link.connected and value_of("links_connected") == 0.0
         link.reconnect()
-        assert self.link_value(stats, "link_connected", 3) == 1.0
+        link.reconnect()
+        assert link.connected and value_of("links_connected") == 1.0
+        assert value_of("links_registered") == 1.0
 
     def test_queued_gauge_tracks_inbox_depth(self):
         stats = NetworkStats()
         link = ClientLink(4, stats)
         for i in range(3):
             link.deliver(update(i))
-        assert self.link_value(stats, "link_queued_messages", 4) == 3.0
+        assert link.queued_messages == 3
+        assert stats.registry.value_of("links_queued_messages") == 3.0
         link.drain()
-        assert self.link_value(stats, "link_queued_messages", 4) == 0.0
+        assert link.queued_messages == 0
+        assert stats.registry.value_of("links_queued_messages") == 0.0
 
     def test_reconnect_resumes_queueing_after_losses(self):
         """Disconnect/reconnect: messages during the outage are lost
@@ -165,14 +182,15 @@ class TestPerLinkTelemetry:
         link.reconnect()
         link.deliver(update(2))
         assert [m.qid for m in link.drain()] == [0, 2]
-        assert self.link_value(stats, "link_dropped_messages_total", 5) == 1.0
-        assert self.link_value(stats, "link_delivered_messages_total", 5) == 2.0
-        assert self.link_value(stats, "link_queued_messages", 5) == 0.0
+        assert link.dropped_messages == 1
+        assert link.delivered_messages == 2
+        assert link.queued_messages == 0
 
 
 class TestDropPathAccounting:
-    """Regression: the drop path must account bytes and refresh the
-    queue-depth gauge on every outcome, not only on accepted delivery."""
+    """Regression: the drop path must account bytes, and the queue
+    depth must stay true on every outcome, not only on accepted
+    delivery."""
 
     def test_drop_updates_bytes_and_gauge(self):
         stats = NetworkStats()
@@ -181,11 +199,11 @@ class TestDropPathAccounting:
         link.deliver(update())
         link.disconnect()
         assert not link.deliver(update())
-        labels = {"client": "1"}
         registry = stats.registry
-        assert registry.value_of("link_dropped_messages_total", labels) == 1
-        assert registry.value_of("link_dropped_bytes_total", labels) == 17
-        # Gauge reflects true inbox depth right after the drop outcome.
-        assert registry.value_of("link_queued_messages", labels) == 2
+        assert link.dropped_messages == 1
+        assert link.dropped_bytes == 17
+        # Depth reflects the true inbox right after the drop outcome.
+        assert link.queued_messages == 2
+        assert registry.value_of("links_queued_messages") == 2
         link.drain()
-        assert registry.value_of("link_queued_messages", labels) == 0
+        assert registry.value_of("links_queued_messages") == 0

@@ -1,5 +1,6 @@
-"""Property tests: link gauges track true link state under any
-interleaving of deliveries, outages, faults and drains."""
+"""Property tests: the link's own counters and the fleet gauges track
+true link state under any interleaving of deliveries, outages, faults
+and drains — and the registry never grows a series per client."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from repro.net import (
     ThrottledLink,
     UpdateMessage,
 )
+from repro.net.link import WORST_LINKS
 
 #: One step of link usage: an operation name, plus a payload qid for
 #: deliveries (distinct qids make REORDER actually reorder).
@@ -45,8 +47,8 @@ def run_ops(link: ClientLink, ops) -> list:
     return inbox_copy
 
 
-def gauge(stats: NetworkStats, name: str, client: int) -> float:
-    return stats.registry.value_of(name, {"client": str(client)})
+def queued(stats: NetworkStats) -> float:
+    return stats.registry.value_of("links_queued_messages")
 
 
 class TestQueuedGaugeProperty:
@@ -56,7 +58,7 @@ class TestQueuedGaugeProperty:
         stats = NetworkStats()
         link = ClientLink(1, stats)
         run_ops(link, ops)
-        assert gauge(stats, "link_queued_messages", 1) == len(link._inbox)
+        assert queued(stats) == link.queued_messages == len(link._inbox)
 
     @given(ops=OPS, actions=ACTIONS)
     @settings(max_examples=60, deadline=None)
@@ -66,7 +68,7 @@ class TestQueuedGaugeProperty:
         cursor = iter(actions * 100)
         link.fault_hook = lambda _link, _msg: next(cursor)
         run_ops(link, ops)
-        assert gauge(stats, "link_queued_messages", 1) == len(link._inbox)
+        assert queued(stats) == link.queued_messages == len(link._inbox)
 
     @given(ops=OPS)
     @settings(max_examples=60, deadline=None)
@@ -75,7 +77,7 @@ class TestQueuedGaugeProperty:
         link = ClientLink(1, stats)
         run_ops(link, ops)
         link.drain()
-        assert gauge(stats, "link_queued_messages", 1) == 0.0
+        assert queued(stats) == link.queued_messages == 0
 
 
 class TestConnectedGaugeProperty:
@@ -85,7 +87,7 @@ class TestConnectedGaugeProperty:
         stats = NetworkStats()
         link = ClientLink(1, stats)
         run_ops(link, ops)
-        assert gauge(stats, "link_connected", 1) == (
+        assert stats.registry.value_of("links_connected") == (
             1.0 if link.connected else 0.0
         )
 
@@ -102,11 +104,9 @@ class TestFaultActionProperties:
         link.fault_hook = lambda _link, _msg: next(cursor)
         drained = run_ops(link, ops)
         total_in = len(drained) + len(link._inbox)
-        assert gauge(stats, "link_delivered_messages_total", 1) == total_in
+        assert link.delivered_messages == total_in
         attempts = sum(1 for op, _ in ops if op == "deliver")
-        duplicates = total_in - (
-            attempts - int(gauge(stats, "link_dropped_messages_total", 1))
-        )
+        duplicates = total_in - (attempts - link.dropped_messages)
         assert duplicates >= 0
 
     @given(actions=ACTIONS)
@@ -142,7 +142,7 @@ class TestFaultActionProperties:
         link = ClientLink(1, stats)
         link.fault_hook = lambda _link, _msg: DROP
         assert not link.deliver(UpdateMessage(1, 1, 1))
-        assert gauge(stats, "link_dropped_messages_total", 1) == 1.0
+        assert link.dropped_messages == 1
 
 
 #: Model-based steps for a mixed fleet: a plain link and a throttled
@@ -200,41 +200,34 @@ class TestFleetAccountingInvariants:
             else:
                 link.new_cycle()
 
-        value = stats.registry.value_of
-        for name, aggregate in (
-            ("link_delivered_messages_total", stats.delivered_messages),
-            ("link_delivered_bytes_total", stats.delivered_bytes),
-        ):
-            per_link = sum(
-                value(name, {"client": str(cid)}) for cid in links
-            )
-            assert per_link == aggregate, name
-
+        fleet = links.values()
+        assert stats.delivered_messages == sum(
+            link.delivered_messages for link in fleet
+        )
+        assert stats.delivered_bytes == sum(
+            link.delivered_bytes for link in fleet
+        )
         # Aggregate drops decompose into per-link drops + throttles:
         # a throttled message is not a wire drop, but it is lost.
-        for dropped, throttled, aggregate in (
-            (
-                "link_dropped_messages_total",
-                "link_throttled_messages_total",
-                stats.dropped_messages,
-            ),
-            (
-                "link_dropped_bytes_total",
-                "link_throttled_bytes_total",
-                stats.dropped_bytes,
-            ),
-        ):
-            decomposed = sum(
-                value(dropped, {"client": str(cid)}) for cid in links
-            ) + value(throttled, {"client": "2"})
-            assert decomposed == aggregate, dropped
+        assert stats.dropped_messages == (
+            sum(link.dropped_messages for link in fleet)
+            + links[2].throttled_messages
+        )
+        assert stats.dropped_bytes == (
+            sum(link.dropped_bytes for link in fleet)
+            + links[2].throttled_bytes
+        )
 
-        # Queued gauges mirror true inbox depth on both link types, and
-        # the throttle never spends past its budget.
-        for cid, link in links.items():
-            assert gauge(stats, "link_queued_messages", cid) == len(
-                link._inbox
-            )
+        # The fleet gauges, kept incrementally, equal what a walk over
+        # the links would count; the throttle never spends past budget.
+        value = stats.registry.value_of
+        assert value("links_registered") == len(links)
+        assert value("links_connected") == sum(
+            link.connected for link in fleet
+        )
+        assert value("links_queued_messages") == sum(
+            len(link._inbox) for link in fleet
+        )
         assert 0 <= links[2]._spent_this_cycle <= budget
 
     @given(ops=FLEET_OPS, actions=ACTIONS)
@@ -242,8 +235,8 @@ class TestFleetAccountingInvariants:
     def test_throttled_link_mirror_counters_match_registry(
         self, ops, actions
     ):
-        """The legacy ``throttled_messages``/``throttled_bytes``
-        attributes and the registry series move in lockstep."""
+        """The link's ``throttled_messages``/``throttled_bytes`` and
+        the fleet-wide throttle totals move in lockstep."""
         stats = NetworkStats()
         link = ThrottledLink(2, 40, stats)
         cursor = iter(actions * 200)
@@ -260,11 +253,63 @@ class TestFleetAccountingInvariants:
             else:
                 link.new_cycle()
         value = stats.registry.value_of
-        assert (
-            value("link_throttled_messages_total", {"client": "2"})
-            == link.throttled_messages
-        )
-        assert (
-            value("link_throttled_bytes_total", {"client": "2"})
-            == link.throttled_bytes
+        assert value("net_throttled_messages_total") == link.throttled_messages
+        assert value("net_throttled_bytes_total") == link.throttled_bytes
+
+
+class TestWorstLinks:
+    """The ``WORST_LINKS`` links that dropped the most, by rank — the
+    only place a client id reaches the registry."""
+
+    @staticmethod
+    def ranking(stats: NetworkStats) -> list[tuple[int, int]]:
+        value = stats.registry.value_of
+        return [
+            (
+                int(value("link_worst_client_id", {"rank": str(rank)})),
+                int(value("link_worst_dropped_messages", {"rank": str(rank)})),
+            )
+            for rank in range(WORST_LINKS)
+        ]
+
+    @staticmethod
+    def dark_fleet(stats: NetworkStats) -> dict[int, ClientLink]:
+        """Six dark links; client ``n`` has dropped ``n`` messages."""
+        links = {cid: ClientLink(cid, stats) for cid in range(1, 7)}
+        for cid, link in links.items():
+            link.disconnect()
+            for _ in range(cid):
+                link.deliver(UpdateMessage(1, 1, 1))
+        return links
+
+    def test_six_links_rank_the_five_worst(self):
+        stats = NetworkStats()
+        self.dark_fleet(stats)
+        assert self.ranking(stats) == [(6, 6), (5, 5), (4, 4), (3, 3), (2, 2)]
+        ranks = {
+            instrument.labels["rank"]
+            for name in ("link_worst_client_id", "link_worst_dropped_messages")
+            for instrument in stats.registry.families()[name]
+        }
+        assert ranks == {str(rank) for rank in range(WORST_LINKS)}
+
+    def test_a_link_overtaking_another_re_ranks(self):
+        stats = NetworkStats()
+        links = self.dark_fleet(stats)
+        for _ in range(6):  # client 1: 1 -> 7 drops, unranked -> worst
+            links[1].deliver(UpdateMessage(1, 1, 1))
+        assert self.ranking(stats) == [(1, 7), (6, 6), (5, 5), (4, 4), (3, 3)]
+        links[5].deliver(UpdateMessage(1, 1, 1))  # ties 6: lower id first
+        links[5].deliver(UpdateMessage(1, 1, 1))
+        assert self.ranking(stats)[:3] == [(1, 7), (5, 7), (6, 6)]
+
+    def test_no_drop_no_series_and_no_client_label_ever(self):
+        stats = NetworkStats()
+        link = ClientLink(1, stats)
+        link.deliver(UpdateMessage(1, 1, 1))
+        assert "link_worst_client_id" not in stats.registry.families()
+        link.disconnect()
+        link.deliver(UpdateMessage(1, 1, 1))
+        assert not any(
+            "client" in instrument.labels for instrument in stats.registry
         )

@@ -57,14 +57,12 @@ class TestThrottledLink:
         link.deliver(update())
         link.deliver(update())
         link.deliver(update())
-        labels = {"client": "9"}
-        assert stats.registry.value_of(
-            "link_throttled_messages_total", labels
-        ) == 2.0
-        assert stats.registry.value_of(
-            "link_throttled_bytes_total", labels
-        ) == 34.0
-        assert link.throttled_messages == 2  # legacy ints agree
+        assert link.throttled_messages == 2
+        assert link.throttled_bytes == 34
+        # Fleet-wide totals agree; a throttle is not a wire drop.
+        assert stats.registry.value_of("net_throttled_messages_total") == 2.0
+        assert stats.registry.value_of("net_throttled_bytes_total") == 34.0
+        assert link.dropped_messages == 0
 
 
 class TestServerUnderCongestion:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.net import ClientLink
 from repro.net.messages import (
     FullAnswerMessage,
     UpdateMessage,
@@ -17,6 +18,7 @@ from repro.service.protocol import (
     decode_line,
     downlink_op,
     encode,
+    encode_downlink,
     error_op,
     reject_op,
 )
@@ -81,6 +83,43 @@ class TestDownlink:
     def test_unencodable_message_raises(self):
         with pytest.raises(ProtocolError):
             downlink_op(WakeupMessage(1))
+
+
+class TestEncodeDownlink:
+    """An inbox goes to the wire straight from its columns."""
+
+    def test_golden_bytes_with_an_answer_between_updates(self):
+        messages = [
+            UpdateMessage(3, 7, 1),
+            FullAnswerMessage(5, frozenset({9, 2})),
+            UpdateMessage(3, -(2**63), -1),
+        ]
+        link = ClientLink(1)
+        for message in messages:
+            link.deliver(message)
+        wire = encode_downlink(link._inbox)
+        assert wire == b"".join(encode(downlink_op(m)) for m in messages)
+        assert wire == (
+            b'{"op":"update","qid":3,"oid":7,"sign":1}\n'
+            b'{"op":"answer","qid":5,"oids":[2,9]}\n'
+            b'{"op":"update","qid":3,"oid":-9223372036854775808,"sign":-1}\n'
+        )
+
+    def test_an_all_update_inbox_builds_no_message(self, monkeypatch):
+        link = ClientLink(1)
+        link.deliver_updates([1, 2], [7, 8], [1, -1])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an UpdateMessage was built")
+
+        monkeypatch.setattr(UpdateMessage, "__post_init__", forbidden)
+        link.deliver_updates([1], [9], [1])
+        assert encode_downlink(link.drain()) == (
+            b'{"op":"update","qid":1,"oid":7,"sign":1}\n'
+            b'{"op":"update","qid":2,"oid":8,"sign":-1}\n'
+            b'{"op":"update","qid":1,"oid":9,"sign":1}\n'
+        )
+        assert encode_downlink(link.drain()) == b""
 
 
 class TestHelpers:

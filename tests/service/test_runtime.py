@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from repro.geometry import Point
 from repro.service.loadgen import http_get
+from tests.service.test_session import FakeWriter
 
 
 def wait_for(predicate, timeout: float = 10.0, interval: float = 0.02):
@@ -194,6 +196,142 @@ class TestProtectionPaths:
         assert {"op": "update", "qid": 5, "oid": 9, "sign": 1} in flushed
 
 
+    def test_hostile_values_do_not_fail_the_shared_cycle(
+        self, make_runtime, make_wire
+    ):
+        """A NaN coordinate, an oid outside int64 (or not a number at
+        all) and non-finite ``t``/``vx`` among 1k normal reports: each
+        is refused with an ``error`` line, the cycle runs, everyone
+        else's stream is the per-object reference's."""
+        import random
+
+        from repro.core import LocationAwareServer
+        from repro.geometry import Point, Rect
+
+        rng = random.Random(20)
+        reports = [(oid, rng.random(), rng.random()) for oid in range(1000)]
+        reference = LocationAwareServer(grid_size=8, pipeline="per-object")
+        reference.register_client(1)
+        reference.register_range_query(1, 5, Rect(*REGION.values()))
+        for oid, x, y in reports:
+            reference.receive_object_report(oid, Point(x, y), 1.0)
+        want = {
+            (u.qid, u.oid, u.sign) for u in reference.evaluate_cycle(1.0).updates
+        }
+
+        runtime = make_runtime(grid_size=8, pipeline="columnar")
+        wire = make_wire(runtime)
+        wire.request("hello", client=1, sync=True)
+        wire.send("register", client=1, qid=5, kind="range", **REGION)
+        hostile = {
+            300: dict(oid=5000, x=float("nan"), y=0.5, t=1.0),
+            500: dict(oid=2**63, x=0.5, y=0.5, t=1.0),
+            700: dict(oid=5001, x=0.5, y=0.5, t=float("inf")),
+            900: dict(oid=5002, x=0.5, y=0.5, t=1.0, vx=float("nan")),
+            950: dict(oid=float("inf"), x=0.5, y=0.5, t=1.0),
+            990: dict(oid=None, x=0.5, y=0.5, t=1.0),
+        }
+        for at, (oid, x, y) in enumerate(reports):
+            if at in hostile:
+                wire.send("report", client=1, **hostile[at])
+            wire.send("report", client=1, oid=oid, x=x, y=y, t=1.0)
+        wire.send("tick", now=1.0)
+        flushed, summary = wire.recv_until("cycle")
+        assert summary["uplink_errors"] == len(hostile)
+        assert summary["uplinks_applied"] == 1 + len(reports)
+        assert sum(op["op"] == "error" for op in flushed) == len(hostile)
+        got = {
+            (op["qid"], op["oid"], op["sign"])
+            for op in flushed
+            if op["op"] == "update"
+        }
+        assert got == want and want
+        runtime.server.engine.check_invariants()
+        # The next cycle is a normal one.
+        wire.send("tick", now=2.0)
+        _, summary = wire.recv_until("cycle")
+        assert summary["uplink_errors"] == 0
+
+
+class TestMailedSetFlush:
+    """``_flush_sessions`` visits the links that accepted mail, not the
+    fleet (driven in-process: no socket, a recording writer)."""
+
+    @staticmethod
+    def stack():
+        from repro.core import LocationAwareServer
+        from repro.geometry import Point, Rect
+        from repro.service.runtime import ServiceRuntime
+
+        server = LocationAwareServer(grid_size=8)
+        for client_id in (1, 2):
+            server.register_client(client_id)
+            server.register_range_query(
+                client_id, 10 * client_id, Rect(*REGION.values())
+            )
+        server.receive_object_report(7, Point(0.5, 0.5), 0.0)
+        return ServiceRuntime(server=server)
+
+    @staticmethod
+    def bind(runtime, client_id: int):
+        from repro.service.session import ClientSession
+
+        session = ClientSession(client_id, FakeWriter())
+        runtime._sessions[session.session_id] = session
+        runtime._handle_hello(session, {"op": "hello", "client": client_id})
+        session.writer.writes.clear()  # the welcome
+        return session
+
+    def test_mail_waits_in_the_link_until_a_session_binds(self):
+        runtime = self.stack()
+        bound = self.bind(runtime, 1)
+        assert runtime.run_cycle(1.0)["flushed_messages"] == 1
+        assert bound.writer.writes == [
+            b'{"op":"update","qid":10,"oid":7,"sign":1}\n'
+        ]
+        # Client 2 is connected but nobody is listening: its mail stays
+        # in the link, across quiet cycles, until a session binds it.
+        link = runtime.server.link_of(2)
+        assert runtime.run_cycle(2.0)["flushed_messages"] == 0
+        assert link.queued_messages == 1
+        late = self.bind(runtime, 2)
+        assert runtime.run_cycle(3.0)["flushed_messages"] == 1
+        assert late.writer.writes == [
+            b'{"op":"update","qid":20,"oid":7,"sign":1}\n'
+        ]
+        assert link.queued_messages == 0 and not runtime._unflushed
+        assert runtime.registry.value_of("links_queued_messages") == 0
+        assert runtime.run_cycle(4.0)["flushed_messages"] == 0
+        assert len(late.writer.writes) == 1
+
+    def test_a_quiet_cycle_mails_nobody(self):
+        runtime = self.stack()
+        server = runtime.server
+        server.evaluate_cycle(1.0)
+        assert server.take_mailed() == {1, 2}
+        assert server.take_mailed() == set()
+        server.evaluate_cycle(2.0)
+        assert server.take_mailed() == set()
+        server.link_of(1).disconnect()
+        server.receive_object_report(7, Point(0.9, 0.9), 3.0)
+        server.evaluate_cycle(3.0)
+        assert server.take_mailed() == {2}  # a dark link accepts nothing
+
+    def test_a_link_flushed_early_by_a_marker_is_not_written_twice(self):
+        runtime = self.stack()
+        session = self.bind(runtime, 1)
+        session.sync = True
+        runtime.server.evaluate_cycle(1.0)
+        runtime.server.receive_commit(10)  # flush, then the marker
+        assert runtime._flush_sessions(0, 1.0) == 0
+        assert session.writer.writes == [
+            b'{"op":"update","qid":10,"oid":7,"sign":1}\n',
+            b'{"op":"committed","qid":10}\n',
+            b'{"op":"cycle_end","cycle":0,"now":1.0}\n',
+        ]
+        assert runtime.registry.value_of("service_downlink_flushed_total") == 1
+
+
 class TestCycleLoop:
     def test_interval_paced_cycles(self, make_runtime, make_wire):
         runtime = make_runtime(cycle_interval=0.05)
@@ -231,6 +369,27 @@ class TestHttpPlane:
         assert "service_cycles_total 1.0" in body
         assert 'service_admission_rejections_total{reason="sessions"} 0.0' in body
         assert "server_cycle_seconds" in body  # existing repro.obs series
+
+        # One client's detail comes off its link, on demand.
+        status, body = http_get(runtime.http_address, "/state?client=1")
+        assert status == 200
+        assert json.loads(body) == {
+            "client": 1,
+            "connected": True,
+            "session": 1,
+            "queued_messages": 0,
+            "delivered_messages": 0,
+            "delivered_bytes": 0,
+            "dropped_messages": 0,
+            "dropped_bytes": 0,
+            "throttled_messages": 0,
+            "throttled_bytes": 0,
+            "budget_bytes_per_cycle": None,
+            "queries": [],
+        }
+        for missing in ("/state?client=2", "/state?client=x"):
+            assert http_get(runtime.http_address, missing)[0] == 404
+        assert 'client="' not in http_get(runtime.http_address, "/metrics")[1]
 
         status, _ = http_get(runtime.http_address, "/nope")
         assert status == 404

@@ -39,10 +39,10 @@ def golden(messages) -> bytes:
 @given(messages=MESSAGES)
 @settings(max_examples=100, deadline=None)
 def test_flush_bytes_equal_per_message_encoding(messages):
-    assert encode_downlink(messages) == golden(messages)
     link = ClientLink(1)
     for message in messages:
         link.deliver(message)
+    assert encode_downlink(link._inbox) == golden(messages)
     writer = FakeWriter()
     session = ClientSession(1, writer)
     assert session.flush_link(link) == len(messages)
