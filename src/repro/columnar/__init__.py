@@ -3,9 +3,10 @@
 The ``pipeline="columnar"`` evaluation core: object and query state
 mirrored into parallel arrays (:mod:`repro.columnar.store`), batch
 kernels for the cell-range join and cohort membership classification
-(:mod:`repro.columnar.kernels`) and k-NN candidate distance filtering
-(:mod:`repro.columnar.knn`), orchestrated per evaluation by
-:class:`~repro.columnar.evaluate.ColumnarEvaluator`.  Kernels run on
+(:mod:`repro.columnar.kernels`), orchestrated per evaluation by
+:class:`~repro.columnar.evaluate.ColumnarEvaluator` — which also runs
+the query-side phases (range moves, k-NN repair, predictive refresh) as
+array passes over one home-cell CSR of the object store.  Kernels run on
 numpy when available and on pure-Python ``array`` columns otherwise
 (:mod:`repro.columnar.backend` — the stdlib-only guarantee holds).
 """
@@ -20,7 +21,6 @@ from repro.columnar.backend import (
 from repro.columnar.evaluate import ColumnarEvaluator
 from repro.columnar.ingest import MULTI_CELL, NOT_INDEXED, BatchIngest
 from repro.columnar.kernels import PairPlan, classify_transitions
-from repro.columnar.knn import knn_search_columnar
 from repro.columnar.store import (
     KIND_KNN,
     KIND_PREDICTIVE,
@@ -45,7 +45,6 @@ __all__ = [
     "KIND_RANGE",
     "PairPlan",
     "classify_transitions",
-    "knn_search_columnar",
     "numpy_available",
     "numpy_or_none",
     "resolve_backend",

@@ -23,18 +23,44 @@ the serial pass is preserved structurally:
 * each cohort's answered sweep runs right after its own emissions,
   interleaved exactly like the serial pass.
 
-Candidate entries are cached **across evaluations**: a cell's entry
-arrays depend only on registered range/predictive queries, so the
-cache is keyed on :attr:`ColumnarQueryStore.version` and survives
-arbitrarily many object-report batches untouched.  k-NN queries are
-deliberately left out of the cached entries (their grid footprints are
-re-placed every repair, which would otherwise thrash the cache);
-cohort k-NN dirty-marking instead intersects live cell buckets with
-the engine's registered-knn set, memoised per evaluation.
+Candidate entries are cached **across evaluations**, keyed on
+:attr:`ColumnarQueryStore.version`: they depend only on registered
+range queries, so they survive arbitrarily many object-report batches
+untouched.  Under numpy the cache is one grid-wide CSR cut from the
+query store's bound columns (:meth:`ColumnarEvaluator._range_csr`);
+the per-cohort planner (:meth:`_build_plan` — the python backend's, and
+the column planner's test oracle) keeps per-cell entry lists.  k-NN
+queries are deliberately left out of both (their grid footprints are
+re-placed every repair, which would otherwise thrash the cache); cohort
+k-NN dirty-marking instead intersects live cell buckets with the
+engine's registered-knn set, memoised per evaluation.
+
+Under numpy the evaluator also runs the **query side** of a cycle —
+engine phases 4, 6 and 7 — as array passes over the object store's
+home-cell CSR (:class:`~repro.columnar.store.HomeCells`: a sort-by-cell
+permutation of the ``cells`` column, a run of cells being one slice of
+it, cut at most once per store state — before the query moves, after
+ingest) and its one ragged gather ``(cell rects) -> (rect position,
+store row)``:
+
+* :meth:`~ColumnarEvaluator.move_ranges` — every moved range query:
+  ``A_old - A_new`` and ``A_new - A_old`` from the objects homed under
+  the two rectangles, ordered as ``Rect.difference``'s pieces;
+* :meth:`~ColumnarEvaluator.knn_ranked` — every dirty k-NN query with
+  a full answer: the members bound the search square;
+* :meth:`~ColumnarEvaluator.predictive_refresh_many` — every
+  churn-driven predictive query: one slab test over per-pair bounds.
+
+Each reproduces its scalar routine's stream exactly; none reads a
+``GridIndex`` object bucket.
 """
 
 from __future__ import annotations
 
+import math
+
+from repro.columnar.backend import numpy_or_none
+from repro.columnar.ingest import swept_cell_ranges
 from repro.columnar.kernels import PairPlan, classify_transitions
 from repro.columnar.store import (
     KIND_KNN,
@@ -42,7 +68,13 @@ from repro.columnar.store import (
     KIND_RANGE,
     ColumnarAnswerStore,
 )
-from repro.columnar.backend import numpy_or_none
+from repro.grid.cellmath import (
+    cell_rect_set,
+    point_cells_batch,
+    ragged_arange,
+    rect_cell_ranges_batch,
+    rect_cell_strips_batch,
+)
 
 #: ``engine_columnar_batch_size`` histogram bounds: powers of four from
 #: a single pair up to 16M pairs per batch.
@@ -65,26 +97,26 @@ def _in_sorted(np, sorted_keys, wanted):
 
 
 class _CellEntries:
-    """One cell's cached candidate rows (query-store row indices).
+    """One cell's cached candidate rows (query-store row indices), for
+    the per-cohort planner.
 
-    ``partial``/``full`` are int32 ndarrays under the numpy backend and
-    plain lists under the python backend; ``full_rows`` is always the
-    plain-list form of ``full`` (multi-cell cohorts filter it against
-    rows already joined in an earlier cell); ``cover_set`` holds the
-    covering rows as a frozenset (point-pair cohorts intersect the two
-    cells' sets to skip queries that provably cannot change);
-    ``static_qids`` snapshots the cell's range + predictive qids for
-    the answered sweep (k-NN qids are intentionally absent — see the
-    module docstring)."""
+    ``partial``/``full`` are plain lists (``partial`` a prefix of
+    ``full``); ``cover_set`` holds the covering rows as a frozenset
+    (point-pair cohorts intersect the two cells' sets to skip queries
+    that provably cannot change); ``static_qids`` snapshots the cell's
+    range + predictive qids for the answered sweep (k-NN qids are
+    intentionally absent — see the module docstring)."""
 
-    __slots__ = ("partial", "full", "full_rows", "cover_set", "static_qids")
+    __slots__ = ("partial", "full", "cover_set", "static_qids")
 
-    def __init__(self, partial, full, full_rows, cover_set, static_qids):
+    def __init__(self, partial, full, cover_set, static_qids):
         self.partial = partial
         self.full = full
-        self.full_rows = full_rows
         self.cover_set = cover_set
         self.static_qids = static_qids
+
+
+_NO_ENTRIES = _CellEntries((), (), frozenset(), _EMPTY_QIDS)
 
 
 class _DualCounter:
@@ -138,15 +170,7 @@ class ColumnarEvaluator:
         self._cohort_cache: dict[tuple, tuple] = {}
         self._cache_version = -1
         self._knn_memo: dict[int, tuple] = {}
-        if self._np is not None:
-            empty = self._np.empty(0, dtype=self._np.int32)
-            self._empty_entries = _CellEntries(
-                empty, empty, (), frozenset(), _EMPTY_QIDS
-            )
-        else:
-            self._empty_entries = _CellEntries(
-                (), (), (), frozenset(), _EMPTY_QIDS
-            )
+        self._csr: tuple | None = None
         self._h_batch_size = registry.histogram(
             "engine_columnar_batch_size", buckets=BATCH_SIZE_BUCKETS
         )
@@ -154,6 +178,7 @@ class ColumnarEvaluator:
         self._m_batches = counter("engine_columnar_batches_total")
         self._m_pairs = counter("engine_columnar_pairs_total")
         self._m_changes = counter("engine_columnar_changes_total")
+        self._m_csr_rebuilds = counter("engine_range_csr_rebuilds_total")
         # Per-phase wall time of the batch pass (plan/join/emit) — the
         # benchmark reads the deltas to attribute a round's cost.
         self._phase_counters = {
@@ -305,110 +330,168 @@ class ColumnarEvaluator:
         old = self._cell_entries(old_cell)
         new = self._cell_entries(new_cell)
         both = old.cover_set & new.cover_set
-        listed = set(old.full_rows)
-        parts = []
-        for entries, keep in (
-            (old, [row for row in old.full_rows if row not in both]),
-            (new, [row for row in new.full_rows if row not in listed]),
-        ):
-            if not keep:
-                continue
-            if len(keep) == len(entries.full_rows):
-                parts.append(entries.full)
-            elif self._np is not None:
-                parts.append(self._np.asarray(keep, dtype=self._np.int32))
-            else:
-                parts.append(keep)
-        return tuple(parts), old.static_qids | new.static_qids
+        listed = set(old.full)
+        parts = (
+            [row for row in old.full if row not in both],
+            [row for row in new.full if row not in listed],
+        )
+        return tuple(filter(None, parts)), old.static_qids | new.static_qids
 
     def _plan_columns(self, columns, knn_dirty) -> PairPlan:
         """The :class:`PairPlan` of a batch of cohort columns, built
-        with array passes only (the per-touched-*cell* work is two dict
-        hits).  Produces exactly what :meth:`_build_plan` produces for
-        the same cohorts:
+        with array passes only (the per-touched-*cell* work is the k-NN
+        marking).  Produces exactly what :meth:`_build_plan` produces
+        for the same cohorts:
 
-        * a CSR over the batch's touched cells is cut from the cached
-          :class:`_CellEntries` (``partial`` is a prefix of ``full``);
+        * candidate entries come from the grid-wide :meth:`_range_csr`
+          (per cell: partial rows, then covering rows);
         * each cohort gathers two ragged segments from it — its old
-          cell's ``full`` rows if it changed home cell, then its new
-          cell's ``partial`` rows if it stayed put, ``full`` otherwise;
-        * :meth:`_plan_pair`'s first-occurrence dedup becomes two
-          sorted-key membership tests on ``(cell, row)`` keys: drop an
-          old-cell entry that covers its cell and is a covering entry of
-          the new cell; drop a new-cell entry the old cell lists.
+          cell's full list if it changed home cell, then its new cell's
+          partial rows if it stayed put, the full list otherwise;
+        * :meth:`_plan_pair`'s first-occurrence dedup becomes membership
+          tests on the CSR's sorted ``(cell, covering, qid rank)`` keys:
+          drop an old-cell entry that covers its cell and is a covering
+          entry of the new cell; drop a new-cell entry the old cell
+          lists.
         """
         np = self._np
-        self._begin_plan()
+        self._knn_memo.clear()
+        csr_rows, keys, offsets, stride = self._range_csr()
         old = columns.old
         new = columns.new
         n_cohorts = len(new)
         changed = (old >= 0) & (old != new)
-        touched = np.unique(np.concatenate((old[changed], new)))
-        cells = touched.tolist()
         mark_knn = self._mark_knn
-        for cell in cells:
+        for cell in np.unique(np.concatenate((old[changed], new))).tolist():
             mark_knn(cell, knn_dirty)
-        entries = list(map(self._cell_entries, cells))
-        fulls = [e.full for e in entries]
-        n_full = np.fromiter(map(len, fulls), np.int64, count=len(cells))
-        n_partial = np.fromiter(
-            (len(e.partial) for e in entries), np.int64, count=len(cells)
-        )
-        cell_start = np.cumsum(n_full) - n_full
-        all_rows = np.concatenate(fulls)
 
-        # Two segments per cohort, interleaved [old, new, old, new, ...].
-        new_at = np.searchsorted(touched, new)
-        old_at = np.searchsorted(touched, np.where(changed, old, new))
+        # Two segments per cohort, interleaved [old, new, old, new, ...];
+        # cell c's partial rows start at offsets[2c], its covering rows
+        # at offsets[2c + 1].
+        old2 = np.where(changed, old, new) * 2
+        new2 = new * 2
         seg_start = np.empty(2 * n_cohorts, dtype=np.int64)
         seg_len = np.empty(2 * n_cohorts, dtype=np.int64)
-        seg_start[0::2] = cell_start[old_at]
-        seg_start[1::2] = cell_start[new_at]
-        seg_len[0::2] = np.where(changed, n_full[old_at], 0)
-        seg_len[1::2] = np.where(old == new, n_partial[new_at], n_full[new_at])
-        seg_end = np.cumsum(seg_len)
-        total = int(seg_end[-1])
-        # Position of every planned entry inside its cell's row list.
-        within = np.arange(total) - np.repeat(seg_end - seg_len, seg_len)
-        ent = all_rows[within + np.repeat(seg_start, seg_len)]
+        seg_start[0::2] = offsets[old2]
+        seg_start[1::2] = offsets[new2]
+        seg_len[0::2] = np.where(changed, offsets[old2 + 2] - offsets[old2], 0)
+        seg_len[1::2] = (
+            offsets[np.where(old == new, new2 + 1, new2 + 2)] - offsets[new2]
+        )
+        segment, at = ragged_arange(seg_start, seg_len, np)
+        ent = csr_rows[at]
         ent_counts = seg_len[0::2] + seg_len[1::2]
 
-        if total and changed.any():
-            segment = np.repeat(np.arange(2 * n_cohorts), seg_len)
+        if len(at) and changed.any():
             cohort = segment >> 1
             probe = np.flatnonzero(changed[cohort])
             cohort_p = cohort[probe]
             from_old = (segment[probe] & 1) == 0
-            # Key every entry by (touched-cell position, row); an entry
-            # is looked up under the cohort's *other* cell.
-            stride = len(self.qstore) + 1
-            cell_of_row = np.repeat(np.arange(len(cells)), n_full)
-            keys = cell_of_row * stride + all_rows
-            covering = (np.arange(len(all_rows)) - cell_start[cell_of_row]) >= (
-                n_partial[cell_of_row]
-            )
-            other = np.where(from_old, new_at[cohort_p], old_at[cohort_p])
-            wanted = other * stride + ent[probe]
+            at_p = at[probe]
+            rank = keys[at_p] % stride
+            # An entry is looked up under the cohort's *other* cell.
+            other2 = np.where(from_old, new2[cohort_p], old2[cohort_p])
+            as_covering = _in_sorted(np, keys, (other2 + 1) * stride + rank)
             drop = np.where(
                 from_old,
-                (within[probe] >= n_partial[old_at[cohort_p]])
-                & _in_sorted(np, np.sort(keys[covering]), wanted),
-                _in_sorted(np, np.sort(keys), wanted),
+                (at_p >= offsets[old2[cohort_p] + 1]) & as_covering,
+                as_covering | _in_sorted(np, keys, other2 * stride + rank),
             )
             if drop.any():
-                keep = np.ones(total, dtype=bool)
+                keep = np.ones(len(at), dtype=bool)
                 keep[probe[drop]] = False
                 ent = ent[keep]
                 ent_counts = np.bincount(cohort[keep], minlength=n_cohorts)
 
-        # Member rows, cohort-major: a ragged arange over each cohort's
-        # slice of the (transition, oid)-sorted order.
-        count = columns.count
-        members = np.arange(len(columns.oids)) + np.repeat(
-            columns.start - (np.cumsum(count) - count), count
-        )
+        # Member rows, cohort-major: each cohort's slice of the
+        # (transition, oid)-sorted order.
+        _, members = ragged_arange(columns.start, columns.count, np)
         obj_rows = columns.rows[columns.order[members]].astype(np.int32)
-        return PairPlan.from_arrays(ent, ent_counts, obj_rows, count)
+        return PairPlan.from_arrays(ent, ent_counts, obj_rows, columns.count)
+
+    def _footprint_ranges(self, min_xs, min_ys, max_xs, max_ys):
+        """The grid footprints of a batch of query regions as a
+        ``(4, m)`` array of inclusive cell ranges ``col_lo, col_hi,
+        row_lo, row_hi`` — what ``GridIndex.place_query_region`` places:
+        the cells under the region, or the cell nearest its centre when
+        it lies wholly outside the world."""
+        np = self._np
+        grid = self.grid
+        *ranges, hit = rect_cell_ranges_batch(
+            min_xs, min_ys, max_xs, max_ys, grid, np
+        )
+        ranges = np.stack(ranges)
+        if not hit.all():
+            centre = point_cells_batch(
+                (min_xs + max_xs) / 2.0, (min_ys + max_ys) / 2.0, grid, np
+            )
+            col, row = centre % grid.n, centre // grid.n
+            ranges = np.where(hit, ranges, np.stack((col, col, row, row)))
+        return ranges
+
+    def _range_csr(self):
+        """The grid-wide CSR of range candidates ``(rows, keys, offsets,
+        stride)``, cut from the query store's bound columns whenever its
+        version changed.
+
+        ``rows[offsets[2c] : offsets[2c + 1]]`` are the store rows of
+        the range queries partially overlapping cell ``c`` and
+        ``rows[offsets[2c + 1] : offsets[2c + 2]]`` of those covering
+        it (``Grid.cell_rect``'s arithmetic), each ascending by qid —
+        the serial candidate order.  ``keys`` runs parallel to ``rows``:
+        ``(2c + covering) * stride + qid rank``, ascending, so "does
+        cell ``c`` list this query (as covering)?" is one binary search.
+        """
+        qstore = self.qstore
+        cached = self._csr
+        if cached is not None and cached[0] == qstore.version:
+            return cached[1]
+        self._m_csr_rebuilds.inc()
+        np = self._np
+        grid = self.grid
+        n = grid.n
+        kinds = np.frombuffer(qstore.kinds, dtype=np.int8)
+        rows = np.flatnonzero(kinds == KIND_RANGE)
+        rows = rows[np.argsort(np.frombuffer(qstore.qids, dtype=np.int64)[rows])]
+        min_xs, min_ys, max_xs, max_ys = (
+            view[rows] for view in qstore.bounds_views()
+        )
+        owner, first, width = rect_cell_strips_batch(
+            *self._footprint_ranges(min_xs, min_ys, max_xs, max_ys), n, np
+        )
+        strip, cell = ragged_arange(first, width, np)
+        rank = owner[strip]
+        world = grid.world
+        cell_w = grid.cell_width
+        cell_h = grid.cell_height
+        col = cell % n
+        row = cell // n
+        covering = (
+            (min_xs[rank] <= world.min_x + col * cell_w)
+            & (min_ys[rank] <= world.min_y + row * cell_h)
+            & (max_xs[rank] >= world.min_x + (col + 1) * cell_w)
+            & (max_ys[rank] >= world.min_y + (row + 1) * cell_h)
+        )
+        # Pairs are generated rank-major, so one stable sort leaves each
+        # (cell, covering) group ascending by qid; 16-bit keys take the
+        # radix path.
+        group = cell * 2 + covering
+        order = np.argsort(
+            group.astype(np.uint16) if 2 * n * n <= 1 << 16 else group,
+            kind="stable",
+        )
+        rank = rank[order]
+        stride = len(rows) + 1
+        offsets = np.zeros(2 * n * n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(group, minlength=2 * n * n), out=offsets[1:])
+        csr = (
+            rows[rank].astype(np.int32),
+            group[order] * stride + rank,
+            offsets,
+            stride,
+        )
+        self._csr = (qstore.version, csr)
+        return csr
 
     def _special_sweeps(self, columns, special, ends):
         """``(states, seen, end)`` for exactly the cohorts holding a
@@ -427,6 +510,8 @@ class ColumnarEvaluator:
         start = columns.start
         owners = np.flatnonzero(running[start + columns.count] > running[start])
         states = columns.states
+        cell_qids = self.index.cell_query_tuple
+        knn_qids = self.knn_qids
         sweeps = []
         for cohort, old, new, first, count in zip(
             owners.tolist(),
@@ -435,9 +520,12 @@ class ColumnarEvaluator:
             start[owners].tolist(),
             columns.count[owners].tolist(),
         ):
-            seen = self._cell_entries(new).static_qids
+            # The cohort's range + predictive qids (k-NN qids are never
+            # "seen" — see the module docstring).
+            seen = set(cell_qids(new))
             if old >= 0 and old != new:
-                seen = seen | self._cell_entries(old).static_qids
+                seen.update(cell_qids(old))
+            seen -= knn_qids
             members = [states[i] for i in order[first : first + count].tolist()]
             sweeps.append((members, seen, ends[cohort]))
         return sweeps
@@ -463,9 +551,8 @@ class ColumnarEvaluator:
             return cached
         qids = self.index.cell_query_tuple(cell)
         if not qids:
-            cached = self._empty_entries
-            self._cell_cache[cell] = cached
-            return cached
+            self._cell_cache[cell] = _NO_ENTRIES
+            return _NO_ENTRIES
         qstore = self.qstore
         qrow_of = qstore._row_of
         kinds = qstore.kinds
@@ -506,24 +593,9 @@ class ColumnarEvaluator:
                     partial.append(qrow)
             elif kind == KIND_PREDICTIVE:
                 static.append(qid)
-        full = partial + covering
-        if not full and not static:
-            cached = self._empty_entries
-        else:
-            np = self._np
-            if np is not None:
-                cached = _CellEntries(
-                    np.asarray(partial, dtype=np.int32),
-                    np.asarray(full, dtype=np.int32),
-                    full,
-                    frozenset(covering),
-                    frozenset(static),
-                )
-            else:
-                cached = _CellEntries(
-                    partial, full, full, frozenset(covering), frozenset(static)
-                )
-        self._cell_cache[cell] = cached
+        cached = self._cell_cache[cell] = _CellEntries(
+            partial, partial + covering, frozenset(covering), frozenset(static)
+        )
         return cached
 
     def predicted_inside(
@@ -547,27 +619,30 @@ class ColumnarEvaluator:
         makes every slab test degenerate to the closed containment
         check the scalar path uses.
         """
-        ok = self._predicted_inside_arr(oids, region, now, horizon, trust_horizon)
-        return None if ok is None else ok.tolist()
-
-    def _predicted_inside_arr(
-        self,
-        oids,
-        region,
-        now: float,
-        horizon: float,
-        trust_horizon: float,
-    ):
-        """:meth:`predicted_inside` as a bool ndarray (numpy only)."""
         np = self._np
         if np is None or not oids:
             return None
-        ostore = self.ostore
-        row_of = ostore._row_of
+        row_of = self.ostore._row_of
         rows = np.fromiter(
             (row_of[oid] for oid in oids), count=len(oids), dtype=np.int64
         )
-        xs, ys, _, _ = ostore.coord_views()
+        return self._inside_rows(
+            rows,
+            (region.min_x, region.min_y, region.max_x, region.max_y),
+            now,
+            horizon,
+            trust_horizon,
+        ).tolist()
+
+    def _inside_rows(self, rows, bounds, now: float, horizon, trust_horizon: float):
+        """The slab test over object-store ``rows``.  ``bounds`` =
+        ``(min_x, min_y, max_x, max_y)`` and ``horizon`` are scalars
+        (one region) or arrays aligned with ``rows`` (one region per
+        pair) — the arithmetic per lane is the same either way."""
+        np = self._np
+        ostore = self.ostore
+        min_x, min_y, max_x, max_y = bounds
+        xs, ys = ostore.xy_views()
         t = np.frombuffer(ostore.ts, dtype=np.float64)[rows]
         x = xs[rows]
         y = ys[rows]
@@ -589,10 +664,10 @@ class ColumnarEvaluator:
         t1 = np.ones(len(rows))
         with np.errstate(divide="ignore", invalid="ignore"):
             for p, q in (
-                (-dx, sx - region.min_x),
-                (dx, region.max_x - sx),
-                (-dy, sy - region.min_y),
-                (dy, region.max_y - sy),
+                (-dx, sx - min_x),
+                (dx, max_x - sx),
+                (-dy, sy - min_y),
+                (dy, max_y - sy),
             ):
                 pz = p == 0.0
                 ok &= ~(pz & (q < 0.0))
@@ -631,58 +706,271 @@ class ColumnarEvaluator:
             return frozenset(arr.tolist())
         return frozenset(arr)
 
-    def refresh_predictive(
-        self,
-        qid: int,
-        query,
-        ordered,
-        now: float,
-        horizon: float,
-        trust_horizon: float,
-        updates,
-    ) -> bool:
-        """Vectorized predictive refresh for one query (no flip
-        schedule).  ``ordered`` is the ascending candidate list and is
-        always a superset of the current answer (the engine seeds
-        candidates with the answer itself), so the new answer is
-        exactly ``ordered[inside]``.
+    # ------------------------------------------------------------------
+    # The query-side batch passes (numpy backend)
+    # ------------------------------------------------------------------
 
-        Membership deltas come from one ``searchsorted`` of the
-        candidates against the stored sorted answer array; changed
-        memberships are applied to the live ``answer``/``answered``
-        sets and emitted ascending by oid — precisely the serial
-        loop's order.  Returns ``False`` (engine falls back to the
-        scalar loop) under the python backend.
+    def _gather(self, ranges):
+        """``(position, store row)`` of every object homed under each
+        of a batch of cell-range rectangles — the one ragged gather the
+        three query-side passes share."""
+        n = self.grid.n
+        return self.ostore.home_cells(n * n).gather(*ranges, n, self._np)
+
+    def _inside(self, bounds, pos, rows):
+        """Closed containment of object ``rows`` in the rectangles
+        ``bounds[:, pos]`` (``bounds`` = min_x, min_y, max_x, max_y)."""
+        xs, ys = self.ostore.xy_views()
+        x = xs[rows]
+        y = ys[rows]
+        min_x, min_y, max_x, max_y = bounds[:, pos]
+        return (min_x <= x) & (x <= max_x) & (min_y <= y) & (y <= max_y)
+
+    def move_ranges(self, moves, updates) -> None:
+        """Engine phase 4 for every moved range query at once.
+        ``moves`` holds ``(query state, new region)`` in arrival order;
+        the stream is the scalar ``_move_range``'s: per query, negatives
+        (``A_old - A_new``) ascending by oid, then positives by
+        ``Rect.difference`` piece (bottom, top, left, right; a point on
+        a shared edge belongs to the first piece holding it; a disjoint
+        move is one piece) and oid.
+
+        Prior membership is recomputed geometrically — a range answer
+        is exactly the set of objects inside the region, and every
+        object inside a rectangle is homed in a cell under it — so the
+        pass reads only the home-cell CSR and the coordinate columns
+        (pre-ingest: phase 4 precedes the reports).
         """
         np = self._np
-        inside = self._predicted_inside_arr(
-            ordered, query.region, now, horizon, trust_horizon
+        qstore = self.qstore
+        m = len(moves)
+        row_of = qstore._row_of
+        qrows = np.fromiter(
+            (row_of[query.qid] for query, _ in moves), np.int64, count=m
         )
-        if inside is None:
-            return False
-        answer = query.answer
-        candidates = np.asarray(ordered, dtype=np.int64)
-        # The store's length check doubles as the defensive rebuild for
-        # any missed invalidation hook (counted as a miss).
-        stored = self.answers.get(qid, answer)
-        was = _in_sorted(np, stored, candidates)
-        changed = np.flatnonzero(inside != was)
+        old = np.stack([view[qrows] for view in qstore.bounds_views()])
+        new = np.array(
+            [(r.min_x, r.min_y, r.max_x, r.max_y) for _, r in moves],
+            dtype=np.float64,
+        ).T
+        old_cells = self._footprint_ranges(*old)
+        new_cells = self._footprint_ranges(*new)
+        # One gather over both rectangles of every move: positions
+        # below m are old regions (negatives), the rest new (positives).
+        pos, rows = self._gather(np.concatenate((old_cells, new_cells), axis=1))
+        entering = pos >= m
+        pos[entering] -= m
+        in_new = self._inside(new, pos, rows)
+        keep = np.flatnonzero(
+            (self._inside(old, pos, rows) != in_new) & (in_new == entering)
+        )
+        if len(keep):
+            pos = pos[keep]
+            rows = rows[keep]
+            xs, ys = self.ostore.xy_views()
+            x = xs[rows]
+            y = ys[rows]
+            # Rect.difference's pieces, from the intersection's bounds
+            # (min_x, min_y and max_y; a disjoint move has one piece).
+            disjoint = (
+                (new[0] > old[2]) | (old[0] > new[2])
+                | (new[1] > old[3]) | (old[1] > new[3])
+            )[pos]  # fmt: skip
+            inter_min_x, inter_min_y = np.maximum(new[:2], old[:2])[:, pos]
+            inter_max_y = np.minimum(new[3], old[3])[pos]
+            bottom = (new[1][pos] < inter_min_y) & (y <= inter_min_y)
+            top = (inter_max_y < new[3][pos]) & (y >= inter_max_y)
+            piece = np.where(
+                disjoint | bottom, 0, np.where(top, 1, np.where(x < inter_min_x, 2, 3))
+            )
+            piece[~entering[keep]] = -1
+            oids = np.frombuffer(self.ostore.oids, dtype=np.int64)[rows]
+            order = np.lexsort((oids, piece, pos))
+            qid_arr = np.frombuffer(qstore.qids, dtype=np.int64)[qrows[pos[order]]]
+            oid_arr = oids[order]
+            self._toggle_memberships(qid_arr, oid_arr)
+            updates.extend_columns(
+                qid_arr.tolist(),
+                oid_arr.tolist(),
+                np.where(piece[order] < 0, -1, 1).tolist(),
+            )
+        qstore.move_bounds(qrows, *new)
+        # Re-place only the footprints that changed cells.
+        moved = np.flatnonzero((old_cells != new_cells).any(axis=0))
+        c_lo, c_hi, r_lo, r_hi = new_cells[:, moved]
+        n = self.grid.n
+        place = self.index.place_query
+        for i, first, last, width in zip(
+            moved.tolist(),
+            (r_lo * n + c_lo).tolist(),
+            (r_hi * n + c_hi).tolist(),
+            (c_hi - c_lo + 1).tolist(),
+        ):
+            place(moves[i][0].qid, cell_rect_set(first, last, width, n))
+        for query, region in moves:
+            query.region = region
+
+    def knn_ranked(self, queries) -> list[list[tuple[float, int]]]:
+        """The ranked ``(distance, oid)`` answer of every given k-NN
+        query — each holding a **full** answer — searched together;
+        equal to :func:`repro.core.knn.knn_search` list for list.
+
+        The members' own squared distances at their current coordinates
+        bound the k-th distance (k objects lie within it), so the true
+        k nearest are homed in the cells under that square: one gather,
+        one squared-distance filter with a relative margin for the
+        few-ulp disagreement between the squared form and the exact
+        distance, then exact ``math.hypot`` (what ``Point.distance_to``
+        uses) and a ``(distance, oid)`` sort on the survivors only — so
+        the radius stays bit-identical to the scalar search.
+        """
+        np = self._np
+        m = len(queries)
+        ostore = self.ostore
+        row_of = ostore._row_of
+        xs, ys = ostore.xy_views()
+        cx, cy, ks = np.array(
+            [(q.center.x, q.center.y, q.k) for q in queries], dtype=np.float64
+        ).T
+        ks = ks.astype(np.int64)
+        members = np.fromiter(
+            (row_of[oid] for q in queries for oid in q.answer),
+            np.int64,
+            count=int(ks.sum()),
+        )
+        owner = np.repeat(np.arange(m), ks)
+        dx = xs[members] - cx[owner]
+        dy = ys[members] - cy[owner]
+        bound = np.maximum.reduceat(dx * dx + dy * dy, np.cumsum(ks) - ks)
+        bound *= 1.0 + 1e-9
+        half = np.sqrt(bound)
+        pos, rows = self._gather(
+            rect_cell_ranges_batch(
+                cx - half, cy - half, cx + half, cy + half, self.grid, np
+            )[:4]
+        )
+        dx = xs[rows] - cx[pos]
+        dy = ys[rows] - cy[pos]
+        keep = np.flatnonzero(dx * dx + dy * dy <= bound[pos])
+        distances = list(map(math.hypot, dx[keep].tolist(), dy[keep].tolist()))
+        oids = np.frombuffer(ostore.oids, dtype=np.int64)[rows[keep]].tolist()
+        cuts = np.searchsorted(pos[keep], np.arange(m + 1)).tolist()
+        return [
+            sorted(zip(distances[lo:hi], oids[lo:hi]))[:k]
+            for k, lo, hi in zip(ks.tolist(), cuts, cuts[1:])
+        ]
+
+    def predictive_refresh_many(self, queries, now: float, trust_horizon: float):
+        """The churn-driven refresh of every given predictive query in
+        one pass (no flip schedule).  Per query, in order: ``(oids,
+        signs)`` of the changed memberships ascending by oid — the
+        scalar loop's order — already applied to the live ``answer`` /
+        ``answered`` sets and the answer store.
+
+        Candidates are the scalar path's — the objects whose index
+        footprint meets the query's — recomputed from the columns:
+        objects homed in the query's footprint, moving objects whose
+        swept footprint (:func:`~repro.columnar.ingest.swept_cell_ranges`)
+        meets it, and the standing answer.
+        """
+        np = self._np
+        m = len(queries)
+        ostore = self.ostore
+        *bounds, horizons = np.array(
+            [
+                (q.region.min_x, q.region.min_y, q.region.max_x, q.region.max_y, q.horizon)
+                for q in queries
+            ],
+            dtype=np.float64,
+        ).T  # fmt: skip
+        bounds = np.stack(bounds)
+        footprints = self._footprint_ranges(*bounds)
+        homed_pos, homed_rows = self._gather(footprints)
+        c_lo, c_hi, r_lo, r_hi = footprints[:, :, None]
+        motion = [
+            np.frombuffer(column, dtype=np.float64)
+            for column in (ostore.xs, ostore.ys, ostore.vxs, ostore.vys, ostore.ts)
+        ]
+        moving = np.flatnonzero((motion[2] != 0.0) | (motion[3] != 0.0))
+        s_clo, s_chi, s_rlo, s_rhi = swept_cell_ranges(
+            *(column[moving] for column in motion),
+            np.frombuffer(ostore.cells, dtype=np.int64)[moving],
+            trust_horizon,
+            self.grid,
+            np,
+        )
+        swept_pos, at = np.nonzero(
+            (s_clo <= c_hi) & (c_lo <= s_chi) & (s_rlo <= r_hi) & (r_lo <= s_rhi)
+        )
+        standing = [self.answers.get(q.qid, q.answer) for q in queries]
+        sizes = np.fromiter(map(len, standing), np.int64, count=m)
+        standing_rows = np.fromiter(
+            map(ostore._row_of.__getitem__, np.concatenate(standing).tolist()),
+            np.int64,
+            count=int(sizes.sum()),
+        )
+        pos = np.concatenate((np.repeat(np.arange(m), sizes), homed_pos, swept_pos))
+        rows = np.concatenate((standing_rows, homed_rows, moving[at]))
+        oids = np.frombuffer(ostore.oids, dtype=np.int64)[rows]
+        fresh = np.arange(len(rows)) >= len(standing_rows)
+        # Duplicates sort adjacent, the standing-answer copy first.
+        order = np.lexsort((fresh, oids, pos))
+        pos = pos[order]
+        oids = oids[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (pos[1:] != pos[:-1]) | (oids[1:] != oids[:-1])
+        order = order[first]
+        pos = pos[first]
+        oids = oids[first]
+        inside = self._inside_rows(
+            rows[order], bounds[:, pos], now, horizons[pos], trust_horizon
+        )
+        changed = np.flatnonzero(inside == fresh[order])
         if len(changed):
-            objects = self.objects
-            push = updates.push
-            entering = inside[changed].tolist()
-            for i, entered in zip(changed.tolist(), entering):
-                oid = ordered[i]
-                if entered:
-                    answer.add(oid)
-                    objects[oid].answered.add(qid)
-                    push(qid, oid, 1)
-                else:
-                    answer.discard(oid)
-                    objects[oid].answered.discard(qid)
-                    push(qid, oid, -1)
-        self.answers.put(qid, candidates[inside])
-        return True
+            qid_arr = np.fromiter((q.qid for q in queries), np.int64, count=m)
+            self._toggle_memberships(qid_arr[pos[changed]], oids[changed])
+        edges = np.arange(m + 1)
+        kept = oids[inside]
+        kept_cuts = np.searchsorted(pos[inside], edges).tolist()
+        cuts = np.searchsorted(pos[changed], edges).tolist()
+        oid_list = oids[changed].tolist()
+        sign_list = np.where(inside[changed], 1, -1).tolist()
+        out = []
+        for i, query in enumerate(queries):
+            self.answers.put(query.qid, kept[kept_cuts[i] : kept_cuts[i + 1]])
+            out.append((oid_list[cuts[i] : cuts[i + 1]], sign_list[cuts[i] : cuts[i + 1]]))
+        return out
+
+    def check_invariants(self) -> None:
+        """The two CSRs against what they are cut from (tests only):
+        per cell, the range CSR lists exactly the range queries the grid
+        index holds there — partial before covering, each ascending by
+        qid — and the home-cell CSR exactly the rows homed there."""
+        grid = self.grid
+        qstore = self.qstore
+        rows, _, offsets, _ = self._range_csr()
+        home = self.ostore.home_cells(grid.n * grid.n)
+        assert sorted(home.order.tolist()) == list(range(len(self.ostore)))
+        assert home.cells.tolist() == sorted(self.ostore.cells)
+        assert home.cells.tolist() == [
+            self.ostore.cells[row] for row in home.order.tolist()
+        ]
+        for cell in range(grid.n * grid.n):
+            cell_rect = grid.cell_rect(cell)
+            listed = []
+            for covering in (0, 1):
+                lo, hi = offsets[2 * cell + covering : 2 * cell + covering + 2]
+                part = [qstore.qids[row] for row in rows[lo:hi].tolist()]
+                assert part == sorted(part), (cell, part)
+                for qid in part:
+                    covers = self.queries[qid].region.contains_rect(cell_rect)
+                    assert covers == bool(covering), (cell, qid)
+                listed += part
+            assert sorted(listed) == [
+                qid
+                for qid in self.index.cell_query_tuple(cell)
+                if qstore.kinds[qstore.row_of(qid)] == KIND_RANGE
+            ], cell
 
     def _sweep_candidates(self) -> frozenset[int] | set[int]:
         """Oids that can possibly fail the sweep's ``answered <= seen``
@@ -823,41 +1111,8 @@ class ColumnarEvaluator:
         ``extend_columns`` (zero per-pair allocation), with each
         cohort's sweep output spliced in right after its pair span.
         """
-        np = self._np
-        queries = self.queries
         if arrays is not None:
-            qid_arr, oid_arr, _ = arrays
-            # One argsort per side yields contiguous per-id groups; each
-            # group applies as a single C-speed symmetric difference.
-            # Signs are not needed: a positive pair's object is provably
-            # absent from the answer and a negative pair's present (the
-            # very invariant that lets the kernel recompute ``in_old``
-            # geometrically), so toggling is exactly add-the-positives /
-            # remove-the-negatives, and a batch's atoms are distinct.
-            for id_arr, payload_arr, is_answer in (
-                (qid_arr, oid_arr, True),
-                (oid_arr, qid_arr, False),
-            ):
-                order = np.argsort(id_arr)
-                k_sorted = id_arr[order]
-                cuts = (
-                    np.flatnonzero(k_sorted[1:] != k_sorted[:-1]) + 1
-                ).tolist()
-                payload = payload_arr[order].tolist()
-                starts = [0, *cuts]
-                stops = [*cuts, len(payload)]
-                group_keys = k_sorted[starts].tolist()
-                if is_answer:
-                    for k, s, e in zip(group_keys, starts, stops):
-                        queries[k].answer.symmetric_difference_update(
-                            payload[s:e]
-                        )
-                else:
-                    objects = self.objects
-                    for k, s, e in zip(group_keys, starts, stops):
-                        objects[k].answered.symmetric_difference_update(
-                            payload[s:e]
-                        )
+            self._toggle_memberships(arrays[0], arrays[1])
         # ``sweeps`` is empty when there are no k-NN answer members and
         # no off-world objects: every sweep body would be a no-op (see
         # _sweep_candidates).
@@ -873,6 +1128,41 @@ class ColumnarEvaluator:
             extend_columns(qids[prev:], oids[prev:], signs[prev:])
         else:
             extend_columns(qids, oids, signs)
+
+    def _toggle_memberships(self, qid_arr, oid_arr) -> None:
+        """Apply a batch of changed ``(query, object)`` atoms (distinct,
+        non-empty) to the live ``answer`` / ``answered`` sets.
+
+        Signs are not needed: a positive pair's object is provably
+        absent from the answer and a negative pair's present (the very
+        invariant that lets the kernels recompute prior membership
+        geometrically), so toggling is exactly add-the-positives /
+        remove-the-negatives.  Answers change a run of oids at a time —
+        one argsort yields contiguous per-query groups, each applied as
+        a single C-speed symmetric difference; an object changes in one
+        or two queries, so its side goes pair by pair, in oid order
+        (object states were allocated in roughly that order — the
+        memory walk is what this loop costs).
+        """
+        np = self._np
+        queries = self.queries
+        order = np.argsort(qid_arr)
+        k_sorted = qid_arr[order]
+        cuts = (np.flatnonzero(k_sorted[1:] != k_sorted[:-1]) + 1).tolist()
+        payload = oid_arr[order].tolist()
+        starts = [0, *cuts]
+        for qid, s, e in zip(
+            k_sorted[starts].tolist(), starts, [*cuts, len(payload)]
+        ):
+            queries[qid].answer.symmetric_difference_update(payload[s:e])
+        objects = self.objects
+        order = np.argsort(oid_arr)
+        for oid, qid in zip(oid_arr[order].tolist(), qid_arr[order].tolist()):
+            answered = objects[oid].answered
+            if qid in answered:
+                answered.remove(qid)
+            else:
+                answered.add(qid)
 
     def _emit(
         self, metas, ends, qids, oids, signs, special, updates, knn_dirty

@@ -69,7 +69,11 @@ from __future__ import annotations
 from operator import attrgetter, itemgetter
 
 from repro.columnar.backend import numpy_or_none
-from repro.grid.cellmath import point_cells_batch, rect_cell_ranges_batch
+from repro.grid.cellmath import (
+    cell_rect_set,
+    point_cells_batch,
+    rect_cell_ranges_batch,
+)
 
 #: C-level column extractors for the report buffer's (location,
 #: velocity, t) tuples.
@@ -104,6 +108,35 @@ def _cell_runs(cells_sorted, np):
     starts = np.flatnonzero(boundary)
     stops = np.append(starts[1:], n)
     return cells_sorted[starts].tolist(), starts.tolist(), stops.tolist()
+
+
+def swept_cell_ranges(x, y, vx, vy, t, home, horizon: float, grid, np):
+    """The index footprint of every row as inclusive cell ranges
+    ``(col_lo, col_hi, row_lo, row_hi)`` — ``_object_footprint``
+    operation for operation: the cells under the bounding rectangle of
+    the trajectory over ``[t, t + horizon]``, or the clamped ``home``
+    cell when that rectangle misses the world entirely (a stationary
+    row's degenerate rectangle *is* its home cell)."""
+    n = grid.n
+    col_lo = col_hi = home % n
+    row_lo = row_hi = home // n
+    if horizon > 0:
+        dt = (t + horizon) - t
+        end_x = x + vx * dt
+        end_y = y + vy * dt
+        c_lo, c_hi, r_lo, r_hi, hit = rect_cell_ranges_batch(
+            np.minimum(x, end_x),
+            np.minimum(y, end_y),
+            np.maximum(x, end_x),
+            np.maximum(y, end_y),
+            grid,
+            np,
+        )
+        col_lo = np.where(hit, c_lo, col_lo)
+        col_hi = np.where(hit, c_hi, col_hi)
+        row_lo = np.where(hit, r_lo, row_lo)
+        row_hi = np.where(hit, r_hi, row_hi)
+    return col_lo, col_hi, row_lo, row_hi
 
 
 class CohortColumns:
@@ -383,29 +416,13 @@ class BatchIngest:
         engine = self.engine
         grid = engine.grid
         n = grid.n
-        col_lo = col_hi = home % n
-        row_lo = row_hi = home // n
-        horizon = engine.prediction_horizon
-        if horizon > 0:
-            x, y, vx, vy, t = (column[idx] for column in motion)
-            dt = (t + horizon) - t
-            end_x = x + vx * dt
-            end_y = y + vy * dt
-            c_lo, c_hi, r_lo, r_hi, hit = rect_cell_ranges_batch(
-                np.minimum(x, end_x),
-                np.minimum(y, end_y),
-                np.maximum(x, end_x),
-                np.maximum(y, end_y),
-                grid,
-                np,
-            )
-            # A trajectory that misses the world entirely keeps the
-            # clamped home cell (a stationary row's degenerate rectangle
-            # *is* its home cell).
-            col_lo = np.where(hit, c_lo, col_lo)
-            col_hi = np.where(hit, c_hi, col_hi)
-            row_lo = np.where(hit, r_lo, row_lo)
-            row_hi = np.where(hit, r_hi, row_hi)
+        col_lo, col_hi, row_lo, row_hi = swept_cell_ranges(
+            *(column[idx] for column in motion),
+            home,
+            engine.prediction_horizon,
+            grid,
+            np,
+        )
         width = col_hi - col_lo + 1
         area = width * (row_hi - row_lo + 1)
         self._cell_by_oid[oids[in_column]] = np.where(area > 1, MULTI_CELL, home)[
@@ -433,16 +450,7 @@ class BatchIngest:
                 if len(old_fs) == size and first in old_fs and last in old_fs:
                     placed += out
                     continue
-            if size == wide:
-                new_fs = frozenset(range(first, last + 1))
-            else:
-                new_fs = frozenset(
-                    [
-                        base + col
-                        for base in range(first, last - wide + 2, n)
-                        for col in range(wide)
-                    ]
-                )
+            new_fs = cell_rect_set(first, last, wide, n)
             place_object(oid, new_fs)
             churn(new_fs)
             placed += 1

@@ -31,6 +31,12 @@ the kernel run without any per-pair membership lookup.  New objects get
 NaN old coordinates — every containment test on NaN is False, exactly
 the "was not a member of anything" a fresh object needs.
 
+Cell membership is not stored twice: :class:`HomeCells` is the ``cells``
+column sorted by cell (a permutation; offsets are binary searches), cut by
+:meth:`ColumnarObjectStore.home_cells` at most once per store
+``version``, and its :meth:`~HomeCells.gather` is the one ragged gather
+the query-side array passes share.
+
 Query rows mirror :mod:`repro.parallel.worker`'s wire descriptors:
 ``(kind, min_x, min_y, max_x, max_y)`` with zeroed bounds for k-NN and
 predictive kinds, so the parallel planner can serve descriptor payloads
@@ -53,6 +59,7 @@ from array import array
 from itertools import repeat
 
 from repro.columnar.backend import numpy_or_none
+from repro.grid.cellmath import ragged_arange, rect_cell_strips_batch
 
 #: Query-kind codes.  MUST match the wire constants in
 #: :mod:`repro.parallel.worker` (which re-declares them because worker
@@ -75,6 +82,36 @@ def _f64_view(np, column: array):
     return np.frombuffer(column, dtype=np.float64)
 
 
+class HomeCells:
+    """The objects of one store state bucketed by home cell: ``order``
+    is the store's rows sorted by cell and ``cells`` their (ascending)
+    cells, so the rows homed in cells ``a..b`` are one slice of
+    ``order``, found by binary search.  The columns are the truth — this
+    is a sort-by-cell permutation of ``cells``, cut in one array pass,
+    and nothing in it is sized by the grid."""
+
+    __slots__ = ("order", "cells")
+
+    def __init__(self, cells, n_cells: int, np) -> None:
+        # 16-bit keys take numpy's radix sort (~10x the int64 sort).
+        keys = cells.astype(np.uint16) if n_cells <= 1 << 16 else cells
+        self.order = np.argsort(keys, kind="stable")
+        self.cells = cells[self.order]
+
+    def gather(self, col_lo, col_hi, row_lo, row_hi, n: int, np):
+        """The ragged gather ``(cell rects) -> (rect position, store
+        row)``: every object homed in a cell of rectangle ``i`` (cell
+        ranges as :func:`~repro.grid.cellmath.rect_cell_ranges_batch`
+        returns them) as one pair ``(i, row)``, rectangle-major."""
+        owner, first, width = rect_cell_strips_batch(
+            col_lo, col_hi, row_lo, row_hi, n, np
+        )
+        start = np.searchsorted(self.cells, first)
+        stop = np.searchsorted(self.cells, first + width)
+        strip, at = ragged_arange(start, stop - start, np)
+        return owner[strip], self.order[at]
+
+
 class ColumnarObjectStore:
     """Parallel arrays of object state: oid, x, y, old x/y, velocity,
     report time, and home cell.
@@ -82,6 +119,8 @@ class ColumnarObjectStore:
     ``apply_report`` is the single write path for position state (the
     engine calls it from its report-grouping phase), ``remove`` the
     single delete path.  ``row_of`` maps an oid to its current row.
+    ``version`` counts mutations; :meth:`home_cells` is cut at most
+    once per version.
     """
 
     __slots__ = (
@@ -95,9 +134,13 @@ class ColumnarObjectStore:
         "ts",
         "cells",
         "_row_of",
+        "version",
+        "_home",
     )
 
     def __init__(self) -> None:
+        self.version = 0
+        self._home: tuple[int, HomeCells] | None = None
         self.oids = array("q")
         self.xs = array("d")
         self.ys = array("d")
@@ -135,6 +178,7 @@ class ColumnarObjectStore:
         coordinates; a new object gets NaN old coordinates (member of
         nothing under every containment test).
         """
+        self.version += 1
         row = self._row_of.get(oid)
         if row is None:
             row = len(self.oids)
@@ -181,6 +225,7 @@ class ColumnarObjectStore:
             for i in range(len(oids)):
                 apply(oids[i], xs[i], ys[i], vxs[i], vys[i], ts[i], cells[i])
             return None
+        self.version += 1
         row_of = self._row_of
         get = row_of.get
         count = len(oids)
@@ -228,6 +273,7 @@ class ColumnarObjectStore:
     def remove(self, oid: int) -> None:
         """Swap-remove ``oid``'s row; unknown oids raise ``KeyError``."""
         row = self._row_of.pop(oid)
+        self.version += 1
         last = len(self.oids) - 1
         if row != last:
             moved = self.oids[last]
@@ -268,6 +314,16 @@ class ColumnarObjectStore:
         """Fresh zero-copy numpy views ``(x, y)`` (numpy backend only)."""
         np = numpy_or_none()
         return _f64_view(np, self.xs), _f64_view(np, self.ys)
+
+    def home_cells(self, n_cells: int) -> HomeCells:
+        """The :class:`HomeCells` of the current state (numpy backend
+        only), cut on first use after a mutation."""
+        cached = self._home
+        if cached is None or cached[0] != self.version:
+            np = numpy_or_none()
+            cells = np.frombuffer(self.cells, dtype=np.int64)
+            cached = self._home = (self.version, HomeCells(cells, n_cells, np))
+        return cached[1]
 
 
 class ColumnarQueryStore:
@@ -341,6 +397,17 @@ class ColumnarQueryStore:
             self.max_xs[row] = max_x
             self.max_ys[row] = max_y
         return row
+
+    def move_bounds(self, rows, min_xs, min_ys, max_xs, max_ys) -> None:
+        """New bounds for the existing ``rows`` (distinct), as one
+        scatter per column — ``put`` once per row (numpy backend only)."""
+        np = numpy_or_none()
+        self.version += len(rows)
+        for column, values in zip(
+            (self.min_xs, self.min_ys, self.max_xs, self.max_ys),
+            (min_xs, min_ys, max_xs, max_ys),
+        ):
+            np.frombuffer(column, dtype=np.float64)[rows] = values
 
     def remove(self, qid: int) -> None:
         """Swap-remove ``qid``'s row; unknown qids raise ``KeyError``."""

@@ -48,6 +48,18 @@ keeps the same cohort grouping but replaces the per-pair Python loop
 with batch array kernels over struct-of-arrays mirrors of object and
 query state (:mod:`repro.columnar`) — numpy when available, stdlib
 ``array`` columns otherwise — again emitting a byte-identical stream.
+Under numpy the *query* side of a cycle is columnar too: all of a
+batch's range-query moves, every dirty k-NN query that holds a full
+answer and every churn-driven predictive refresh run as one array pass
+each over a home-cell CSR of the object store
+(:meth:`ColumnarEvaluator.move_ranges`, ``knn_ranked``,
+``predictive_refresh_many``).  The scalar ``_move_range`` / ring-search
+``_solve_knn`` / ``_refresh_one_predictive`` below stay what every other
+pipeline runs — the reference those passes are tested against — and what
+a k-NN query without a full answer (its first solve) and a flip-due
+predictive refresh still take; ``engine_query_moves_total{path}``,
+``engine_knn_repairs_total{path}`` and
+``engine_predictive_refreshes_total{path}`` say which ran.
 
 Every phase of ``evaluate()`` is wall-clock timed: each phase runs
 inside a :class:`repro.obs.Tracer` span (exported to Chrome trace JSON)
@@ -76,7 +88,6 @@ from repro.columnar import (
     ColumnarEvaluator,
     ColumnarObjectStore,
     ColumnarQueryStore,
-    knn_search_columnar,
     resolve_backend,
 )
 from repro.core.knn import knn_search
@@ -108,6 +119,22 @@ DEFAULT_WORLD = Rect(0.0, 0.0, 1.0, 1.0)
 
 #: Shared empty id set (no candidate queries / nothing seen yet).
 _NO_CELLS: frozenset[int] = frozenset()
+
+#: Identifiers live in int64 columns.
+_INT64_BOUND = 1 << 63
+
+
+def _check_query_input(qid: int, *values: float) -> None:
+    """Refuse, at buffer time, a query id, time or coordinate the batch
+    kernels cannot hold: one such value in the buffer would otherwise
+    fail the whole evaluation for every client."""
+    if not -_INT64_BOUND <= qid < _INT64_BOUND:
+        raise ValueError(f"query id {qid} is outside int64")
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(
+                f"query {qid} has a non-finite time or coordinate: {values}"
+            )
 
 
 def _by_oid(state: ObjectState) -> int:
@@ -350,7 +377,10 @@ class IncrementalEngine:
         self._knn_qids: set[int] = set()
         self._ostore: ColumnarObjectStore | None = None
         self._columnar_evaluator: ColumnarEvaluator | None = None
-        self._use_columnar_knn = False
+        # True on the production path (columnar/numpy): the query-side
+        # phases — range moves, k-NN repair, predictive refresh — run as
+        # the evaluator's array passes over the home-cell CSR.
+        self._array_passes = False
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         # Freshness follows the registry's on/off state unless injected:
@@ -410,10 +440,7 @@ class IncrementalEngine:
                 self.registry,
                 self.tracer,
             )
-            # The vectorized ring search needs the coordinate columns as
-            # ndarrays; the python backend's scalar search *is* the core
-            # knn_search, so dispatch stays on the reference path there.
-            self._use_columnar_knn = self.columnar_backend == "numpy"
+            self._array_passes = self.columnar_backend == "numpy"
         # Batch report ingest (phase 5a in array passes) serves the two
         # pipelines whose grouping cost is not the measurement baseline:
         # cell-batched stays on the serial loop as the equivalence (and
@@ -435,6 +462,16 @@ class IncrementalEngine:
             path: counter("engine_ingest_rows_total", labels={"path": path})
             for path in ("batch", "scalar")
         }
+        # Which path the query-side phases took, partitioning the
+        # unlabelled totals: "batch" = an evaluator array pass (a k-NN
+        # or predictive *move* only marks its query for one), "scalar" =
+        # the per-query reference routine — every pipeline but
+        # columnar/numpy; there, a k-NN query without a full answer and
+        # a predictive query whose flip time came due.
+        self._m_query_move_paths, self._m_knn_repair_paths, self._m_refresh_paths = (
+            {p: counter(f"engine_{name}_total", labels={"path": p}) for p in ("batch", "scalar")}
+            for name in ("query_moves", "knn_repairs", "predictive_refreshes")
+        )  # fmt: skip
         # Evaluations where a configured batch ingest could not run at
         # all and the serial loop took the whole buffer.
         self._m_ingest_fallback_no_numpy = counter(
@@ -502,6 +539,9 @@ class IncrementalEngine:
         hanging off the map can never hold an answer object.
         """
         self._check_fresh_qid(qid)
+        _check_query_input(
+            qid, t, region.min_x, region.min_y, region.max_x, region.max_y
+        )
         region = self.grid.world.clip_or_pin(region)
         self._pending_registrations[qid] = RangeQueryState(qid, region, t)
 
@@ -510,6 +550,7 @@ class IncrementalEngine:
     ) -> None:
         """Register a continuous k-NN query anchored at ``center``."""
         self._check_fresh_qid(qid)
+        _check_query_input(qid, t, center.x, center.y)
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         self._pending_registrations[qid] = KnnQueryState(qid, center, k, t)
@@ -519,6 +560,9 @@ class IncrementalEngine:
     ) -> None:
         """Register a predictive range query looking ``horizon`` s ahead."""
         self._check_fresh_qid(qid)
+        _check_query_input(
+            qid, t, region.min_x, region.min_y, region.max_x, region.max_y
+        )
         if not 0 < horizon <= self.prediction_horizon:
             raise ValueError(
                 f"query horizon {horizon} must be in "
@@ -531,14 +575,21 @@ class IncrementalEngine:
 
     def move_range_query(self, qid: int, region: Rect, t: float) -> None:
         """Buffer a moving range query's new region (service-area clipped)."""
+        _check_query_input(
+            qid, t, region.min_x, region.min_y, region.max_x, region.max_y
+        )
         self._pending_moves[qid] = (self.grid.world.clip_or_pin(region), t)
 
     def move_knn_query(self, qid: int, center: Point, t: float) -> None:
         """Buffer a moving k-NN query's new focal point."""
+        _check_query_input(qid, t, center.x, center.y)
         self._pending_moves[qid] = (center, t)
 
     def move_predictive_query(self, qid: int, region: Rect, t: float) -> None:
         """Buffer a moving predictive query's new region (clipped)."""
+        _check_query_input(
+            qid, t, region.min_x, region.min_y, region.max_x, region.max_y
+        )
         self._pending_moves[qid] = (self.grid.world.clip_or_pin(region), t)
 
     def unregister_query(self, qid: int) -> None:
@@ -878,6 +929,11 @@ class IncrementalEngine:
         knn_dirty: set[int],
         dirty_predictive: set[int],
     ) -> None:
+        # Only range moves emit in this phase, so taking them together
+        # after the loop keeps the stream in arrival order.
+        range_moves: list[tuple[RangeQueryState, Rect]] = []
+        path = "batch" if self._array_passes else "scalar"
+        self._m_query_move_paths[path].inc(len(self._pending_moves))
         for qid, (payload, t) in self._pending_moves.items():
             query = self.queries.get(qid)
             if query is None:
@@ -886,7 +942,10 @@ class IncrementalEngine:
                 raise KeyError(f"cannot move unknown query {qid}")
             query.t = t
             if query.kind is QueryKind.RANGE:
-                self._move_range(query, payload, updates)  # type: ignore[arg-type]
+                if self._array_passes:
+                    range_moves.append((query, payload))  # type: ignore[arg-type]
+                else:
+                    self._move_range(query, payload, updates)  # type: ignore[arg-type]
             elif query.kind is QueryKind.KNN:
                 query.center = payload  # type: ignore[assignment]
                 knn_dirty.add(qid)
@@ -902,6 +961,8 @@ class IncrementalEngine:
                 if self._columnar_evaluator is not None:
                     self._columnar_evaluator.invalidate_answer(qid)
                 dirty_predictive.add(qid)
+        if range_moves:
+            self._columnar_evaluator.move_ranges(range_moves, updates)
         self._pending_moves.clear()
 
     def _move_range(
@@ -1549,27 +1610,49 @@ class IncrementalEngine:
     # ------------------------------------------------------------------
 
     def _repair_knn(self, knn_dirty: set[int], updates) -> None:
-        for qid in sorted(knn_dirty):
-            query = self.queries.get(qid)
-            if query is None or query.kind is not QueryKind.KNN:
-                continue
-            self._m_knn_repairs.inc()
-            self._solve_knn(query, updates)
+        queries = self.queries
+        dirty = [
+            query
+            for query in map(queries.get, sorted(knn_dirty))
+            if query is not None and query.kind is QueryKind.KNN
+        ]
+        if not dirty:
+            return
+        self._m_knn_repairs.inc(len(dirty))
+        # Queries holding a full answer are searched together (their
+        # members bound the search); first-time and underfull ones take
+        # the reference ring search.  Emission stays in qid order.
+        ranked_of: dict[int, list[tuple[float, int]]] = {}
+        if self._array_passes:
+            full = [query for query in dirty if len(query.answer) == query.k]
+            if full:
+                ranked_of = dict(
+                    zip(
+                        (query.qid for query in full),
+                        self._columnar_evaluator.knn_ranked(full),
+                    )
+                )
+        self._m_knn_repair_paths["batch"].inc(len(ranked_of))
+        self._m_knn_repair_paths["scalar"].inc(len(dirty) - len(ranked_of))
+        for query in dirty:
+            self._solve_knn(query, updates, ranked_of.get(query.qid))
 
-    def _solve_knn(self, query: KnnQueryState, updates) -> None:
+    def _solve_knn(
+        self,
+        query: KnnQueryState,
+        updates,
+        ranked: list[tuple[float, int]] | None = None,
+    ) -> None:
         """Re-solve a dirty k-NN query and emit the answer difference.
 
-        The ring search starts from the query's center and is bounded by
-        the k-th distance, so the work stays local to the circle — the
+        Without a ``ranked`` answer from the batch search, the ring
+        search starts from the query's center and is bounded by the
+        k-th distance, so the work stays local to the circle — the
         shared-grid analogue of the paper's "evict the furthest / admit
         the entrant" circle maintenance, with the search doubling as the
         replacement lookup when members depart.
         """
-        if self._use_columnar_knn:
-            ranked = knn_search_columnar(
-                self.index, self._ostore, query.center, query.k
-            )
-        else:
+        if ranked is None:
             ranked = knn_search(self.index, self.objects, query.center, query.k)
         new_answer = {oid for __, oid in ranked}
 
@@ -1634,24 +1717,44 @@ class IncrementalEngine:
             return
         need = dirty_predictive
         if churned_cells:
-            index = self.index
-            for cell in churned_cells:
-                for qid in index.queries_in_cell(cell):
-                    if qid in predictive_qids:
-                        need.add(qid)
+            footprint_of = self.index.query_cells
+            need.update(
+                qid
+                for qid in predictive_qids
+                if not churned_cells.isdisjoint(footprint_of(qid))
+            )
         now = self.now
         queries = self.queries
-        for qid in sorted(predictive_qids):
+        ordered = sorted(predictive_qids)
+        # Churn-driven refreshes: under sustained churn a flip schedule
+        # would be recomputed every cycle and never consulted, so don't
+        # pay for one — the first quiet evaluation refreshes once more
+        # (next_flip == -inf) and computes the schedule then.  On the
+        # array path they all run as one pass; emission stays in qid
+        # order, interleaved with the flip-due queries.
+        churned = [queries[qid] for qid in ordered if qid in need]
+        refreshed = None
+        if self._array_passes and churned:
+            refreshed = iter(
+                self._columnar_evaluator.predictive_refresh_many(
+                    churned, now, self.prediction_horizon
+                )
+            )
+        paths = self._m_refresh_paths
+        for qid in ordered:
             query = queries[qid]
-            if qid in need:
-                # Churn-driven refresh: under sustained churn a flip
-                # schedule would be recomputed every cycle and never
-                # consulted, so don't pay for one — the first quiet
-                # evaluation refreshes once more (next_flip == -inf)
-                # and computes the schedule then.
+            if qid not in need:
+                if query.next_flip <= now:
+                    paths["scalar"].inc()
+                    self._refresh_one_predictive(qid, query, updates, True)
+            elif refreshed is None:
+                paths["scalar"].inc()
                 self._refresh_one_predictive(qid, query, updates, False)
-            elif query.next_flip <= now:
-                self._refresh_one_predictive(qid, query, updates, True)
+            else:
+                paths["batch"].inc()
+                oids, signs = next(refreshed)
+                updates.extend_columns([qid] * len(oids), oids, signs)
+                query.next_flip = float("-inf")
 
     def _refresh_one_predictive(
         self,
@@ -1669,25 +1772,6 @@ class IncrementalEngine:
         next_flip = math.inf
         ordered = sorted(candidates)
         evaluator = self._columnar_evaluator
-        if (
-            not compute_flip
-            and evaluator is not None
-            and ordered
-            and evaluator.refresh_predictive(
-                qid,
-                query,
-                ordered,
-                self.now,
-                query.horizon,
-                self.prediction_horizon,
-                updates,
-            )
-        ):
-            # Columnar delta path: membership and emission are handled
-            # entirely from the sorted answer array (candidates ⊇
-            # answer, so ordered[inside] is the complete new answer).
-            query.next_flip = float("-inf")
-            return
         flags = None
         if evaluator is not None:
             # The scalar loop below mutates the answer without updating
@@ -1852,6 +1936,8 @@ class IncrementalEngine:
                 assert ostore.xs[row] == location.x, oid
                 assert ostore.ys[row] == location.y, oid
                 assert ostore.cells[row] == cell_of(location), oid
+        if self._array_passes:
+            evaluator.check_invariants()
         # The batch-ingest dense oid→cell column mirrors the grid index:
         # the home cell while the object's footprint is exactly {home},
         # MULTI_CELL while it is wider.  Out-of-column oids (negative,

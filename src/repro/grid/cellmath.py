@@ -17,10 +17,13 @@ boundary coordinates.
 from __future__ import annotations
 
 __all__ = [
+    "cell_rect_set",
     "clamp_axis_index",
     "point_cell",
     "point_cells_batch",
+    "ragged_arange",
     "rect_cell_ranges_batch",
+    "rect_cell_strips_batch",
 ]
 
 
@@ -51,6 +54,21 @@ def point_cell(
     return (
         clamp_axis_index(y, min_y, cell_h, n) * n
         + clamp_axis_index(x, min_x, cell_w, n)
+    )
+
+
+def cell_rect_set(first: int, last: int, width: int, n: int) -> frozenset[int]:
+    """The cells of one rectangle of cells — ``width`` columns wide, from
+    its lowest cell id ``first`` to its highest ``last`` — as the
+    ``frozenset`` the grid index stores for a footprint."""
+    if last - first < width:  # one grid row
+        return frozenset(range(first, last + 1))
+    return frozenset(
+        [
+            base + col
+            for base in range(first, last - width + 2, n)
+            for col in range(width)
+        ]
     )
 
 
@@ -114,3 +132,29 @@ def rect_cell_ranges_batch(min_xs, min_ys, max_xs, max_ys, grid, np):
         np.minimum(max_ys, world.max_y), world.min_y, cell_h, n, np
     )
     return col_lo, col_hi, row_lo, row_hi, hit
+
+
+def ragged_arange(starts, counts, np):
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``
+    without the loop, plus — per element — the index of the segment it
+    came from.  Returns ``(owner, values)``, both int64, segment-major.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    owner = np.repeat(np.arange(len(counts)), counts)
+    values = np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    return owner, values
+
+
+def rect_cell_strips_batch(col_lo, col_hi, row_lo, row_hi, n: int, np):
+    """Cut every rectangle of cell ranges into one *strip* per grid row:
+    a run of consecutive cell ids ``first .. first + width - 1``.
+
+    Returns ``(owner, first, width)`` — the rectangle each strip came
+    from, rectangle-major and bottom row first.  A rectangle with
+    ``row_hi < row_lo`` yields no strip.  Everything ragged over cells —
+    a query's footprint, the objects homed under a rectangle — is one
+    :func:`ragged_arange` over these strips.
+    """
+    owner, rows = ragged_arange(row_lo, row_hi - row_lo + 1, np)
+    return owner, rows * n + col_lo[owner], (col_hi - col_lo + 1)[owner]

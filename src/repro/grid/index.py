@@ -13,6 +13,7 @@ table).
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass, field
 
@@ -189,10 +190,14 @@ class GridIndex:
             raise ValueError(f"query {qid} must overlap at least one cell")
         old = self._query_cells.get(qid, frozenset())
         tuples = self._cell_query_tuples
+        buckets = self._cells
         for cell in old - cells:
             self._remove_member(cell, qid, is_query=True)
         for cell in cells - old:
-            self._cells.setdefault(cell, CellBucket()).queries.add(qid)
+            bucket = buckets.get(cell)
+            if bucket is None:
+                bucket = buckets[cell] = CellBucket()
+            bucket.queries.add(qid)
             tuples.pop(cell, None)
         self._query_cells[qid] = cells
 
@@ -335,27 +340,28 @@ class GridIndex:
         matching ``grid_hot_cell_id{rank=...}`` — the operator's view of
         skew (a mis-sized grid shows up as a few enormous cells).
 
-        One pass over populated cells, no allocation beyond the top-k
-        heap; skipped entirely under a disabled (null) registry.
+        Bucket sizes are read in one pass and the histogram takes one
+        observation per *distinct* size; skipped entirely under a
+        disabled (null) registry.
         """
         if not registry.enabled:
             return
         histogram = registry.histogram(
             "grid_cell_occupancy", buckets=OCCUPANCY_BUCKETS
         )
-        observe = histogram.observe
+        sizes = [len(bucket.objects) for bucket in self._cells.values()]
+        for n, cells in Counter(sizes).items():
+            if n:
+                histogram.observe_n(n, cells)
         hottest: list[tuple[int, int]] = []  # min-heap of (count, cell)
         heap_push = heapq.heappush
         heap_replace = heapq.heapreplace
-        for cell, bucket in self._cells.items():
-            n = len(bucket.objects)
-            if not n:
-                continue
-            observe(n)
+        for entry in zip(sizes, self._cells):
             if len(hottest) < top_k:
-                heap_push(hottest, (n, cell))
-            elif n > hottest[0][0]:
-                heap_replace(hottest, (n, cell))
+                if entry[0]:
+                    heap_push(hottest, entry)
+            elif entry[0] > hottest[0][0]:
+                heap_replace(hottest, entry)
         registry.gauge("grid_populated_cells").set(len(self._cells))
         registry.gauge("grid_indexed_objects").set(len(self._object_cells))
         registry.gauge("grid_indexed_queries").set(len(self._query_cells))

@@ -53,10 +53,12 @@ FRESHNESS_CYCLE_BUCKETS: tuple[float, ...] = (
 STAGES = ("delivery", "commit")
 POLARITIES = ("positive", "negative")
 
-#: Distinct pending-commit stamps kept per query between
-#: acknowledgements; a client that never commits must not grow memory
-#: without bound.
-_MAX_PENDING_PER_QUERY = 4096
+#: Distinct pending-commit stamps (one per cycle) kept per query between
+#: acknowledgements: a client that never commits must not grow memory
+#: without bound, and a commit has no use for finer attribution of
+#: updates this old — beyond the cap the oldest stamp's counts fold into
+#: the next oldest, so every update is still attributed exactly once.
+_MAX_PENDING_PER_QUERY = 64
 
 
 class _QuerySummary:
@@ -146,12 +148,11 @@ class FreshnessTracker:
         # cycle so stamping a report is a single dict store.
         self._stamp: tuple[int, float] = (1, clock())
         self._stamps: dict[int, tuple[int, float]] = {}
-        # qid -> {(stamp_cycle, stamp_ts, polarity): updates} delivered
-        # but not yet acknowledged; drained by observe_committed.  Sized
-        # by distinct report stamps (one per cycle), not by updates.
-        self._pending_commit: dict[
-            int, dict[tuple[int, float, str], int]
-        ] = {}
+        # qid -> {stamp_cycle: [stamp_ts, positive, negative]} delivered
+        # but not yet acknowledged; drained by observe_committed.  One
+        # entry per distinct report stamp (one per cycle) whatever the
+        # number of updates, at most _MAX_PENDING_PER_QUERY of them.
+        self._pending_commit: dict[int, dict[int, list]] = {}
         self._per_query: dict[int, _QuerySummary] = {}
         self._hists: dict[tuple[str, str], tuple[Histogram, Histogram]] = {}
         for stage in STAGES:
@@ -179,8 +180,8 @@ class FreshnessTracker:
             "freshness_untracked_queries_total"
         )
         self._m_tracked_objects = registry.gauge("freshness_tracked_objects")
-        self._m_pending_dropped = registry.counter(
-            "freshness_pending_commit_dropped_total"
+        self._m_pending_folded = registry.counter(
+            "freshness_pending_commit_folded_total"
         )
 
     # -- write side (engine) -------------------------------------------
@@ -215,28 +216,64 @@ class FreshnessTracker:
         delivery staleness and queue the stamps for commit-stage
         attribution.
 
-        The whole slice is delivered "now": updates sharing a query, a
-        report stamp and a sign share their lag too, so they are
-        attributed as one group — one clock read per call, one
-        histogram bisect per group.
+        The whole slice is delivered "now" — one clock read — so lag is
+        a function of the report stamp alone: the registry histograms
+        take one observation per ``(stamp, sign)``, and only the
+        per-query summary and the pending-commit entry are kept per
+        ``(query, stamp, sign)`` group.
         """
         groups = Counter(zip(qids, map(self._stamps.get, oids), signs))
         now_ts = self._clock()
+        cycle = self.cycle
+        per_stamp: dict[tuple[tuple[int, float], int], int] = {}
+        pending_commit = self._pending_commit
         for (qid, stamp, sign), n in groups.items():
             if stamp is None:
                 self._m_unattributed.inc(n)
                 continue
+            key = (stamp, sign)
+            per_stamp[key] = per_stamp.get(key, 0) + n
             stamp_cycle, stamp_ts = stamp
-            polarity = "positive" if sign == 1 else "negative"
-            self._observe(
-                qid, "delivery", polarity, stamp_cycle, now_ts - stamp_ts, n
-            )
-            pending = self._pending_commit.setdefault(qid, {})
-            key = (stamp_cycle, stamp_ts, polarity)
-            if key not in pending and len(pending) >= _MAX_PENDING_PER_QUERY:
-                oldest = next(iter(pending))
-                self._m_pending_dropped.inc(pending.pop(oldest))
-            pending[key] = pending.get(key, 0) + n
+            summary = self._summary_of(qid)
+            if summary is None:
+                self._m_untracked.inc(n)
+            else:
+                summary.observe(
+                    "delivery", max(0, cycle - stamp_cycle), now_ts - stamp_ts, n
+                )
+            pending = pending_commit.get(qid)
+            if pending is None:
+                pending = pending_commit[qid] = {}
+            entry = pending.get(stamp_cycle)
+            if entry is None:
+                if len(pending) >= _MAX_PENDING_PER_QUERY:
+                    self._fold_oldest(pending)
+                entry = pending[stamp_cycle] = [stamp_ts, 0, 0]
+            entry[1 if sign == 1 else 2] += n
+        for ((stamp_cycle, stamp_ts), sign), n in per_stamp.items():
+            cycles_hist, seconds_hist = self._hists[
+                ("delivery", "positive" if sign == 1 else "negative")
+            ]
+            cycles_hist.observe_n(max(0, cycle - stamp_cycle), n)
+            seconds_hist.observe_n(now_ts - stamp_ts, n)
+
+    def _summary_of(self, qid: int) -> "_QuerySummary | None":
+        """``qid``'s summary, created while the tracked set has room."""
+        summary = self._per_query.get(qid)
+        if summary is None and len(self._per_query) < self.max_tracked_queries:
+            summary = self._per_query[qid] = _QuerySummary()
+        return summary
+
+    def _fold_oldest(self, pending: dict[int, list]) -> None:
+        """Make room in a full pending map: the oldest stamp's counts
+        move to the next oldest (which under-reads their commit lag by
+        the cycles between the two, and loses none of them)."""
+        oldest, second = sorted(pending)[:2]
+        _, positive, negative = pending.pop(oldest)
+        kept = pending[second]
+        kept[1] += positive
+        kept[2] += negative
+        self._m_pending_folded.inc(positive + negative)
 
     def observe_undelivered(self, qid: int, oid: int, sign: int) -> None:
         """One update the link rejected (throttled, disconnected, or
@@ -251,37 +288,30 @@ class FreshnessTracker:
         if not pending:
             return
         now_ts = self._clock()
-        for (stamp_cycle, stamp_ts, polarity), n in pending.items():
-            self._observe(
-                qid, "commit", polarity, stamp_cycle, now_ts - stamp_ts, n
-            )
+        cycle = self.cycle
+        positive_hists = self._hists[("commit", "positive")]
+        negative_hists = self._hists[("commit", "negative")]
+        summary = self._summary_of(qid)
+        for stamp_cycle, (stamp_ts, positive, negative) in pending.items():
+            lag_cycles = max(0, cycle - stamp_cycle)
+            lag_seconds = now_ts - stamp_ts
+            if positive:
+                positive_hists[0].observe_n(lag_cycles, positive)
+                positive_hists[1].observe_n(lag_seconds, positive)
+            if negative:
+                negative_hists[0].observe_n(lag_cycles, negative)
+                negative_hists[1].observe_n(lag_seconds, negative)
+            if summary is None:
+                self._m_untracked.inc(positive + negative)
+            else:
+                summary.observe(
+                    "commit", lag_cycles, lag_seconds, positive + negative
+                )
 
     def forget_query(self, qid: int) -> None:
         """Drop ``qid``'s pending and summary state (unregistered)."""
         self._pending_commit.pop(qid, None)
         self._per_query.pop(qid, None)
-
-    def _observe(
-        self,
-        qid: int,
-        stage: str,
-        polarity: str,
-        stamp_cycle: int,
-        lag_seconds: float,
-        n: int,
-    ) -> None:
-        """``n`` updates of one query reaching ``stage`` with one lag."""
-        lag_cycles = max(0, self.cycle - stamp_cycle)
-        cycles_hist, seconds_hist = self._hists[(stage, polarity)]
-        cycles_hist.observe_n(lag_cycles, n)
-        seconds_hist.observe_n(lag_seconds, n)
-        summary = self._per_query.get(qid)
-        if summary is None:
-            if len(self._per_query) >= self.max_tracked_queries:
-                self._m_untracked.inc(n)
-                return
-            summary = self._per_query[qid] = _QuerySummary()
-        summary.observe(stage, lag_cycles, lag_seconds, n)
 
     # -- snapshots ------------------------------------------------------
 

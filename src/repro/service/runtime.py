@@ -64,8 +64,29 @@ from repro.service.protocol import (
 )
 from repro.service.session import ClientSession
 
-#: Object ids live in int64 columns: ``-_INT64_BOUND <= oid < _INT64_BOUND``.
+#: Ids live in int64 columns: ``-_INT64_BOUND <= id < _INT64_BOUND``.
 _INT64_BOUND = 1 << 63
+
+
+def _id_of(op: dict, field: str) -> int:
+    """An object, query or client id, refused when no int64 column
+    could hold it."""
+    ident = int(op[field])
+    if not -_INT64_BOUND <= ident < _INT64_BOUND:
+        raise ProtocolError("bad_value", f"{field} {ident} is outside int64")
+    return ident
+
+
+def _finite(op: dict, *fields: str, default: float | None = None) -> list[float]:
+    """Float fields of one op, refused when any is NaN or infinite —
+    ``json.loads`` accepts both, the array kernels neither."""
+    values = [
+        float(op[field] if default is None else op.get(field, default))
+        for field in fields
+    ]
+    if not all(map(isfinite, values)):
+        raise ProtocolError("bad_value", f"{', '.join(fields)} must be finite")
+    return values
 
 #: readline limit: uplink lines are small, but recovery ``answer``
 #: downlinks (and symmetric test traffic) can carry large oid lists.
@@ -490,71 +511,71 @@ class ServiceRuntime:
                 Velocity(vx, vy) if vx or vy else Velocity.ZERO,
             )
         elif name == "move":
-            qid = int(op["qid"])
+            qid = _id_of(op, "qid")
             # Validate up front: a buffered move for an unknown query
             # would fail the whole evaluation batch, not just this op.
             server.client_of(qid)
             kind = op["kind"]
-            t = float(op["t"])
+            (t,) = _finite(op, "t")
             if kind == "range":
                 server.receive_range_query_move(qid, self._rect_of(op), t)
             elif kind == "knn":
                 server.receive_knn_query_move(
-                    qid, Point(float(op["cx"]), float(op["cy"])), t
+                    qid, Point(*_finite(op, "cx", "cy")), t
                 )
             else:
                 server.receive_predictive_query_move(
                     qid, self._rect_of(op), t
                 )
         elif name == "register":
-            client_id = int(op["client"])
-            qid = int(op["qid"])
+            client_id = _id_of(op, "client")
+            qid = _id_of(op, "qid")
             kind = op["kind"]
-            t = float(op.get("t", 0.0))
+            (t,) = _finite(op, "t", default=0.0)
             if kind == "range":
                 server.register_range_query(
                     client_id, qid, self._rect_of(op), t
                 )
             elif kind == "knn":
+                k = int(op.get("k", 1))
+                if not 1 <= k < _INT64_BOUND:
+                    raise ProtocolError("bad_value", f"k must be >= 1, got {k}")
                 server.register_knn_query(
-                    client_id,
-                    qid,
-                    Point(float(op["cx"]), float(op["cy"])),
-                    int(op.get("k", 1)),
-                    t,
+                    client_id, qid, Point(*_finite(op, "cx", "cy")), k, t
                 )
             else:
+                (horizon,) = _finite(op, "horizon", default=0.0)
+                if horizon < 0:
+                    raise ProtocolError(
+                        "bad_value", f"horizon must be >= 0, got {horizon}"
+                    )
                 server.register_predictive_query(
-                    client_id,
-                    qid,
-                    self._rect_of(op),
-                    float(op.get("horizon", 0.0)),
-                    t,
+                    client_id, qid, self._rect_of(op), horizon, t
                 )
         elif name == "commit":
-            server.receive_commit(int(op["qid"]))
+            server.receive_commit(_id_of(op, "qid"))
         elif name == "wakeup":
-            server.receive_wakeup(int(op["client"]))
+            server.receive_wakeup(_id_of(op, "client"))
         elif name == "remove":
-            server.remove_object(int(op["oid"]))
+            server.remove_object(_id_of(op, "oid"))
         elif name == "unregister":
-            server.unregister_query(int(op["qid"]))
+            server.unregister_query(_id_of(op, "qid"))
         else:  # pragma: no cover - decode_line already rejects these
             raise ProtocolError("bad_op", f"unroutable op {name!r}")
 
     @staticmethod
     def _rect_of(op: dict) -> Rect:
         try:
-            return Rect(
-                float(op["minx"]),
-                float(op["miny"]),
-                float(op["maxx"]),
-                float(op["maxy"]),
-            )
+            minx, miny, maxx, maxy = _finite(op, "minx", "miny", "maxx", "maxy")
         except KeyError as exc:
             raise ProtocolError(
                 "missing_field", f"rect op missing {exc.args[0]!r}"
             ) from exc
+        if minx > maxx or miny > maxy:
+            raise ProtocolError(
+                "bad_value", f"inverted rectangle ({minx}, {miny}, {maxx}, {maxy})"
+            )
+        return Rect(minx, miny, maxx, maxy)
 
     # -- downlink flushing ---------------------------------------------
 

@@ -9,6 +9,9 @@ area authoritative for every engine: locations clamp into the world,
 regions clip to it.
 """
 
+import random
+
+import pytest
 
 from repro.baselines import (
     PerQueryEngine,
@@ -17,7 +20,7 @@ from repro.baselines import (
     TprPredictiveEngine,
     VCIEngine,
 )
-from repro.core import IncrementalEngine
+from repro.core import IncrementalEngine, LocationAwareServer
 from repro.geometry import Point, Rect, Velocity
 
 
@@ -105,3 +108,71 @@ class TestCrossEngineAgreementAtTheEdge:
         engine.evaluate(0.0)
         assert engine.answer_of(100) == frozenset({1, 2})
         assert engine.answer_of(200) == frozenset({3})
+
+
+class TestHostileQueryValues:
+    """A NaN, infinite or out-of-int64 value in a query registration or
+    move is refused at buffer time: it must never reach a batch, where
+    one bad value would fail the evaluation for every client."""
+
+    NAN = float("nan")
+    INF = float("inf")
+
+    @staticmethod
+    def bad_calls(server, nan, inf):
+        good = Rect(0.1, 0.1, 0.3, 0.3)
+        return [
+            (server.receive_range_query_move, (1, Rect(nan, 0.1, 0.3, 0.3), 1.0)),
+            (server.receive_range_query_move, (1, Rect(0.1, 0.1, inf, 0.3), 1.0)),
+            (server.receive_range_query_move, (1, good, nan)),
+            (server.receive_knn_query_move, (2, Point(nan, 0.5), 1.0)),
+            (server.receive_knn_query_move, (2, Point(0.5, -inf), 1.0)),
+            (server.receive_predictive_query_move, (3, Rect(0.1, nan, 0.3, 0.3), 1.0)),
+            (server.register_range_query, (9, 10, Rect(0.1, 0.1, 0.3, nan))),
+            (server.register_range_query, (9, 2**63, good)),
+            (server.register_knn_query, (9, 10, Point(inf, 0.5), 2)),
+            (server.register_knn_query, (9, 10, Point(0.5, 0.5), 0)),
+            (server.register_predictive_query, (9, 10, good, nan)),
+            (server.register_predictive_query, (9, 10, good, -1.0)),
+            (server.register_predictive_query, (9, 10, Rect(nan, 0.1, 0.3, 0.3), 5.0)),
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize("pipeline", ["columnar", "cell-batched"])
+    def test_each_bad_op_among_1k_normal_ones(self, pipeline):
+        rng = random.Random(6)
+        servers = [
+            LocationAwareServer(grid_size=8, pipeline=name)
+            for name in (pipeline, "per-object")
+        ]
+        for server in servers:
+            server.register_client(9)
+            server.register_range_query(9, 1, Rect(0.2, 0.2, 0.6, 0.6))
+            server.register_knn_query(9, 2, Point(0.5, 0.5), 3)
+            server.register_predictive_query(9, 3, Rect(0.5, 0.5, 0.9, 0.9), 5.0)
+        reports = [(oid % 100, rng.random(), rng.random()) for oid in range(1000)]
+        for server in servers:
+            for oid, x, y in reports[:100]:
+                server.receive_object_report(oid, Point(x, y), 0.0)
+            server.evaluate_cycle(0.0)
+        subject, reference = servers
+        hostile = self.bad_calls(subject, self.NAN, self.INF)
+        for at, (oid, x, y) in enumerate(reports):
+            if at % 70 == 0 and hostile:
+                method, args = hostile.pop()
+                with pytest.raises(ValueError):
+                    method(*args)
+            for server in servers:
+                server.receive_object_report(oid, Point(x, y), 1.0)
+        assert not hostile
+        for server in servers:
+            server.receive_range_query_move(1, Rect(0.3, 0.3, 0.7, 0.7), 1.0)
+            server.receive_knn_query_move(2, Point(0.4, 0.6), 1.0)
+        got = subject.evaluate_cycle(1.0).updates
+        want = reference.evaluate_cycle(1.0).updates
+        assert sorted((u.qid, u.oid, u.sign) for u in got) == sorted(
+            (u.qid, u.oid, u.sign) for u in want
+        )
+        assert len(got) > 0
+        assert subject.engine.complete_answers() == reference.engine.complete_answers()
+        subject.engine.check_invariants()
+        assert 10 not in subject.engine.queries

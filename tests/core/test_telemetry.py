@@ -107,6 +107,50 @@ class TestEngineRegistry:
         assert fallback in prometheus_text(engine.registry)
 
 
+    def test_query_side_path_counters_say_which_path_ran(self):
+        """`engine_query_moves_total{path}`, `engine_knn_repairs_total
+        {path}` and `engine_predictive_refreshes_total{path}` partition
+        the unlabelled totals: all `scalar` off the production path; on
+        it only a k-NN query without a full answer (its first solve)
+        and a flip-due predictive refresh are; and the range CSR is
+        rebuilt at most once per evaluation."""
+        from repro.columnar import numpy_available
+
+        def drive(**kwargs):
+            engine = busy_engine(**kwargs)
+            engine.register_predictive_query(300, Rect(0.1, 0.1, 0.6, 0.6), 5.0)
+            engine.evaluate(1.0)
+            engine.move_range_query(100, Rect(0.1, 0.7, 0.4, 0.9), 2.0)
+            engine.move_knn_query(200, Point(0.2, 0.8), 2.0)
+            engine.report_object(1, Point(0.45, 0.5), 2.0)
+            engine.evaluate(2.0)
+            value_of = engine.registry.value_of
+            return engine, {
+                (name, path): value_of(f"engine_{name}_total", {"path": path})
+                for name in ("query_moves", "knn_repairs", "predictive_refreshes")
+                for path in ("batch", "scalar")
+            }
+
+        serial, paths = drive()
+        assert paths["query_moves", "scalar"] == serial.stats.query_moves == 2
+        assert paths["knn_repairs", "scalar"] == serial.stats.knn_repairs == 2
+        assert paths["predictive_refreshes", "scalar"] == 2
+        assert not any(n for (_, path), n in paths.items() if path == "batch")
+        assert serial.registry.value_of("engine_range_csr_rebuilds_total") == 0
+        if not numpy_available():
+            return
+        engine, paths = drive(pipeline="columnar", columnar_backend="numpy")
+        assert (paths["query_moves", "batch"], paths["query_moves", "scalar"]) == (2, 0)
+        assert (paths["knn_repairs", "batch"], paths["knn_repairs", "scalar"]) == (1, 1)
+        assert paths["predictive_refreshes", "batch"] == 2
+        assert paths["predictive_refreshes", "scalar"] == 0
+        rebuilds = engine.registry.value_of("engine_range_csr_rebuilds_total")
+        assert 1 <= rebuilds <= engine.stats.evaluations
+        assert 'engine_knn_repairs_total{path="batch"} 1' in prometheus_text(
+            engine.registry
+        )
+
+
 class TestEngineTracer:
     def test_every_phase_emits_a_span(self):
         engine = busy_engine()

@@ -166,31 +166,65 @@ class TestCommitStaleness:
         assert c.count == 1
 
     def test_pending_commit_is_bounded(self):
-        """Pending stamps aggregate per (stamp, polarity): the bound is
-        on distinct report stamps, and evicting one counts every update
-        it stood for."""
+        """Pending entries aggregate per report stamp: the bound is on
+        distinct stamps, and a stamp pushed out folds its updates into
+        the oldest one kept — none is lost."""
         tracker, registry, clock = make_tracker()
         tracker.stamp_report(7)
         tracker.end_cycle()
         # Any number of same-stamp deliveries share one pending entry.
         for _ in range(_MAX_PENDING_PER_QUERY + 10):
             tracker.observe_delivered(qid=1, oid=7, sign=1)
-        dropped = registry.counter("freshness_pending_commit_dropped_total")
+        folded = registry.counter("freshness_pending_commit_folded_total")
         assert len(tracker._pending_commit[1]) == 1
-        assert dropped.value == 0
+        assert folded.value == 0
         # A client that never commits: one new stamp per cycle, two
-        # updates each, until the oldest entries must go.
+        # updates each, until the oldest entries must make room.
         for _ in range(_MAX_PENDING_PER_QUERY + 9):
             clock.advance(1.0)
             tracker.stamp_report(7)
             tracker.end_cycle()
-            tracker.observe_delivered_many((1, 1), (7, 7), (1, 1))
+            tracker.observe_delivered_many((1, 1), (7, 7), (1, -1))
         assert len(tracker._pending_commit[1]) == _MAX_PENDING_PER_QUERY
-        # Evicted: the first entry with all its updates, then nine pairs.
-        assert dropped.value == (_MAX_PENDING_PER_QUERY + 10) + 9 * 2
+        assert folded.value > 0
         tracker.observe_committed(1)
+        delivered = (_MAX_PENDING_PER_QUERY + 10) + (_MAX_PENDING_PER_QUERY + 9)
         c = hist(registry, "freshness_staleness_cycles", "commit", "positive")
-        assert c.count == _MAX_PENDING_PER_QUERY * 2
+        assert c.count == delivered
+        c = hist(registry, "freshness_staleness_cycles", "commit", "negative")
+        assert c.count == _MAX_PENDING_PER_QUERY + 9
+
+    def test_a_client_that_never_commits_costs_a_bounded_map(self):
+        """10k delivery cycles without a commit: at most the cap's
+        entries per query, and the commit after them attributes every
+        update exactly once, per polarity."""
+        tracker, registry, clock = make_tracker()
+        cycles = 10_000
+        for cycle in range(cycles):
+            clock.advance(1.0)
+            tracker.stamp_report(7)
+            tracker.stamp_report(8)
+            tracker.end_cycle()
+            tracker.observe_delivered_many(
+                (1, 1, 2, 2), (7, 8, 7, 8), (1, -1, 1, 1)
+            )
+            if cycle % 1000 == 0:
+                for pending in tracker._pending_commit.values():
+                    assert len(pending) <= _MAX_PENDING_PER_QUERY
+        for pending in tracker._pending_commit.values():
+            assert len(pending) <= _MAX_PENDING_PER_QUERY
+        tracker.observe_committed(1)
+        tracker.observe_committed(2)
+        assert not tracker._pending_commit
+        positive = hist(registry, "freshness_staleness_cycles", "commit", "positive")
+        negative = hist(registry, "freshness_staleness_cycles", "commit", "negative")
+        assert positive.count == 3 * cycles
+        assert negative.count == cycles
+        # Folding moves an update to a newer stamp, never an older one:
+        # no commit lag exceeds the run's length.
+        assert positive.sum <= 3 * cycles * cycles
+        summary = tracker.query_summary(1)["commit"]
+        assert summary["count"] == 2 * cycles
 
     def test_forget_query_drops_pending(self):
         tracker, registry, clock = make_tracker()

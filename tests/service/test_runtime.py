@@ -253,6 +253,93 @@ class TestProtectionPaths:
         assert summary["uplink_errors"] == 0
 
 
+    def test_hostile_query_values_do_not_fail_the_shared_cycle(
+        self, make_runtime, make_wire
+    ):
+        """NaN / infinite / inverted rectangles, NaN centres, non-finite
+        ``t`` and ``horizon``, ``k < 1`` and ids outside int64 in
+        ``register`` and ``move`` ops among 1k normal ops: each is
+        refused with an ``error`` line, the cycle runs, and the stream
+        is the per-object reference's (which never saw them)."""
+        import random
+
+        from repro.core import LocationAwareServer
+        from repro.geometry import Point, Rect
+
+        rng = random.Random(21)
+        reports = [(oid, rng.random(), rng.random()) for oid in range(1000)]
+        moved = dict(minx=0.1, miny=0.2, maxx=0.6, maxy=0.7)
+        reference = LocationAwareServer(grid_size=8, pipeline="per-object")
+        reference.register_client(1)
+        reference.register_range_query(1, 5, Rect(*REGION.values()))
+        reference.register_knn_query(1, 6, Point(0.5, 0.5), 3)
+        reference.register_predictive_query(1, 7, Rect(*REGION.values()), 5.0)
+        for oid, x, y in reports:
+            reference.receive_object_report(oid, Point(x, y), 1.0)
+        reference.evaluate_cycle(1.0)
+        reference.receive_range_query_move(5, Rect(*moved.values()), 2.0)
+        reference.receive_knn_query_move(6, Point(0.25, 0.75), 2.0)
+        for oid, x, y in reports[:500]:
+            reference.receive_object_report(oid, Point(y, x), 2.0)
+        want = [
+            (u.qid, u.oid, u.sign) for u in reference.evaluate_cycle(2.0).updates
+        ]
+
+        runtime = make_runtime(grid_size=8, pipeline="columnar")
+        wire = make_wire(runtime)
+        wire.request("hello", client=1, sync=True)
+        wire.send("register", client=1, qid=5, kind="range", **REGION)
+        wire.send("register", client=1, qid=6, kind="knn", cx=0.5, cy=0.5, k=3)
+        wire.send(
+            "register", client=1, qid=7, kind="predictive", horizon=5.0, **REGION
+        )
+        for oid, x, y in reports:
+            wire.send("report", client=1, oid=oid, x=x, y=y, t=1.0)
+        wire.send("tick", now=1.0)
+        wire.recv_until("cycle")
+
+        nan, inf = float("nan"), float("inf")
+        hostile = {
+            50: ("move", dict(qid=5, kind="range", t=2.0, **{**moved, "minx": nan})),
+            100: ("move", dict(qid=5, kind="range", t=2.0, **{**moved, "maxy": inf})),
+            150: ("move", dict(qid=5, kind="range", t=2.0, **{**moved, "minx": 0.9})),
+            200: ("move", dict(qid=6, kind="knn", cx=nan, cy=0.5, t=2.0)),
+            250: ("move", dict(qid=6, kind="knn", cx=0.5, cy=0.5, t=-inf)),
+            300: ("move", dict(qid=7, kind="predictive", t=2.0, **{**moved, "miny": nan})),
+            320: ("move", dict(qid=2**63, kind="range", t=2.0, **moved)),
+            340: ("register", dict(client=1, qid=2**63, kind="range", **moved)),
+            360: ("register", dict(client=-(2**63) - 1, qid=8, kind="range", **moved)),
+            380: ("register", dict(client=1, qid=8, kind="range", **{**moved, "maxx": nan})),
+            400: ("register", dict(client=1, qid=8, kind="knn", cx=inf, cy=0.5, k=2)),
+            420: ("register", dict(client=1, qid=8, kind="knn", cx=0.5, cy=0.5, k=0)),
+            440: ("register", dict(client=1, qid=8, kind="predictive", horizon=nan, **moved)),
+            460: ("register", dict(client=1, qid=8, kind="predictive", horizon=-1.0, **moved)),
+            480: ("register", dict(client=1, qid=8, kind="range", t=inf, **moved)),
+        }  # fmt: skip
+        wire.send("move", qid=5, kind="range", t=2.0, **moved)
+        wire.send("move", qid=6, kind="knn", cx=0.25, cy=0.75, t=2.0)
+        for at, (oid, x, y) in enumerate(reports[:500]):
+            if at in hostile:
+                wire.send(hostile[at][0], **hostile[at][1])
+            wire.send("report", client=1, oid=oid, x=y, y=x, t=2.0)
+        wire.send("tick", now=2.0)
+        flushed, summary = wire.recv_until("cycle")
+        assert summary["uplink_errors"] == len(hostile)
+        assert summary["uplinks_applied"] == 2 + 500
+        assert sum(op["op"] == "error" for op in flushed) == len(hostile)
+        got = [
+            (op["qid"], op["oid"], op["sign"])
+            for op in flushed
+            if op["op"] == "update"
+        ]
+        assert sorted(got) == sorted(want) and want
+        runtime.server.engine.check_invariants()
+        assert 8 not in runtime.server.engine.queries
+        wire.send("tick", now=3.0)
+        _, summary = wire.recv_until("cycle")
+        assert summary["uplink_errors"] == 0
+
+
 class TestMailedSetFlush:
     """``_flush_sessions`` visits the links that accepted mail, not the
     fleet (driven in-process: no socket, a recording writer)."""
