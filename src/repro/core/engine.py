@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.columnar import (
     KIND_KNN,
@@ -513,6 +514,50 @@ class IncrementalEngine:
         self._pending_removals.discard(oid)
         self._pending_reports[oid] = (location, velocity, t)
         self.freshness.stamp_report(oid)
+
+    def report_objects(self, oids, xs, ys, vxs, vys, ts) -> None:
+        """Buffer a run of reports given as aligned lists (ints for
+        ``oids``, floats for the rest): what a loop of
+        :meth:`report_object` over the rows would buffer, into the same
+        dict — last report wins, an oid keeps the place of its first
+        report, a buffered removal is cancelled.
+
+        The whole call is refused, with nothing buffered, when any
+        coordinate is non-finite; rows are clamped only when a bound
+        says one lies outside the world.
+        """
+        if not oids:
+            return
+        # A NaN or an infinity always survives a sum, so a finite sum
+        # clears the whole column in one pass; a finite column can only
+        # fail it by overflowing, which the exact pass then settles.
+        if not (math.isfinite(sum(xs)) and math.isfinite(sum(ys))):
+            for oid, x, y in zip(oids, xs, ys):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(
+                        f"object {oid} reported a non-finite location "
+                        f"{Point(x, y)}"
+                    )
+        world = self.grid.world
+        locations = map(Point, xs, ys)
+        if not (
+            world.min_x <= min(xs)
+            and max(xs) <= world.max_x
+            and world.min_y <= min(ys)
+            and max(ys) <= world.max_y
+        ):
+            locations = map(world.clamp_point, locations)
+        if any(vxs) or any(vys):
+            velocities = [
+                Velocity(vx, vy) if vx or vy else Velocity.ZERO
+                for vx, vy in zip(vxs, vys)
+            ]
+        else:
+            velocities = repeat(Velocity.ZERO)
+        if self._pending_removals:
+            self._pending_removals.difference_update(oids)
+        self._pending_reports.update(zip(oids, zip(locations, velocities, ts)))
+        self.freshness.stamp_reports(oids)
 
     def remove_object(self, oid: int) -> None:
         """Buffer an object's departure from the system.

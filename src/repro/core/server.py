@@ -341,6 +341,35 @@ class LocationAwareServer:
                 )
         self.engine.report_object(oid, location, t, velocity)
 
+    def receive_object_reports(self, oids, xs, ys, vxs, vys, ts) -> bool:
+        """Ingest a run of location reports given as aligned lists —
+        what :meth:`receive_object_report` row by row would leave
+        behind, accounted once.  True when the run went to the engine
+        as columns (then a non-finite coordinate refuses the whole
+        call, nothing accounted).
+
+        An uplink gate, an armed flight recorder and a history
+        repository are per message by contract — each may defer, record
+        or persist one report — so with any of them installed the rows
+        go through :meth:`receive_object_report` one by one.
+        """
+        if (
+            self.uplink_gate is not None
+            or self.recorder.enabled
+            or self.history is not None
+        ):
+            for oid, x, y, vx, vy, t in zip(oids, xs, ys, vxs, vys, ts):
+                self.receive_object_report(
+                    oid,
+                    Point(x, y),
+                    t,
+                    Velocity(vx, vy) if vx or vy else Velocity.ZERO,
+                )
+            return False
+        self.engine.report_objects(oids, xs, ys, vxs, vys, ts)
+        self.stats.record_uplinks(ObjectReportMessage, len(oids))
+        return True
+
     def remove_object(self, oid: int) -> None:
         """An object leaves the system — an uplink message like any
         report, and accounted as one (8 identifier bytes)."""

@@ -115,6 +115,12 @@ class NetworkStats:
         self._uplink_messages.inc()
         self._kind(self._uplink_kinds, "uplink:", kind).inc()
 
+    def record_uplinks(self, kind: type[Message], n: int) -> None:
+        """:meth:`record_uplink` for ``n`` messages of one kind."""
+        self._uplink_bytes.inc(n * kind.size_bytes)
+        self._uplink_messages.inc(n)
+        self._kind(self._uplink_kinds, "uplink:", kind).inc(n)
+
     def _kind(self, handles: dict, prefix: str, kind: type):
         handle = handles.get(kind)
         if handle is None:

@@ -194,6 +194,10 @@ class FreshnessTracker:
         """
         self._stamps[oid] = self._stamp
 
+    def stamp_reports(self, oids) -> None:
+        """:meth:`stamp_report` for a run of reports: one dict merge."""
+        self._stamps.update(dict.fromkeys(oids, self._stamp))
+
     def forget(self, oid: int) -> None:
         """Drop ``oid``'s stamp (the object left the system)."""
         self._stamps.pop(oid, None)
@@ -368,6 +372,9 @@ class NullFreshnessTracker:
     __slots__ = ()
 
     def stamp_report(self, oid: int) -> None:
+        pass
+
+    def stamp_reports(self, oids) -> None:
         pass
 
     def forget(self, oid: int) -> None:

@@ -27,8 +27,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--grid", type=int, default=64)
     parser.add_argument(
         "--pipeline",
-        default="cell-batched",
-        help="engine pipeline (per-object, cell-batched, parallel, columnar)",
+        default="columnar",
+        help="engine pipeline (columnar, cell-batched, per-object, parallel)",
     )
     parser.add_argument("--max-sessions", type=int, default=1024)
     parser.add_argument("--max-clients", type=int, default=200_000)

@@ -14,7 +14,8 @@ report without bound falls over exactly when it is most loaded.  The
 * **backlog** — at most ``max_backlog`` uplink ops queued per session
   between evaluation cycles; beyond it the op is dropped and the client
   told ``busy`` + ``retry_after`` (bounded queue, reject-with-retry —
-  never silent unbounded buffering).
+  never silent unbounded buffering).  A run of reports is admitted row
+  by row: the rows that fit queue, each of the rest gets its ``busy``.
 
 Every verdict is exported: ``service_sessions_active`` /
 ``service_clients_active`` gauges and the
@@ -93,17 +94,19 @@ class AdmissionController:
 
     # -- uplink backlog ------------------------------------------------
 
-    def admit_uplink(self, session_backlog: int) -> bool:
-        """One more op for a session already holding ``session_backlog``."""
-        if session_backlog >= self.config.max_backlog:
-            self.reject(REASON_BACKPRESSURE)
-            return False
-        return True
+    def admit_uplinks(self, session_backlog: int, n: int = 1) -> int:
+        """``n`` more ops, in order, for a session already holding
+        ``session_backlog``: how many of them fit.  Admission is per
+        op — the rest are each rejected (and counted) on their own."""
+        admitted = min(n, max(0, self.config.max_backlog - session_backlog))
+        if admitted < n:
+            self.reject(REASON_BACKPRESSURE, n - admitted)
+        return admitted
 
     # -- accounting ----------------------------------------------------
 
-    def reject(self, reason: str) -> None:
-        self._rejections[reason].inc()
+    def reject(self, reason: str, n: int = 1) -> None:
+        self._rejections[reason].inc(n)
 
     def rejection_counts(self) -> dict[str, int]:
         return {

@@ -5,6 +5,19 @@ the shape a ``socket.makefile()`` / ``asyncio.StreamReader`` pair reads
 and writes without framing code.  Every object carries an ``"op"`` key;
 everything else is op-specific.
 
+Two decoders share one validator (:func:`check_op`), so they cannot
+disagree on a line: :func:`decode_line` is the reference — one line in,
+one op or one :class:`ProtocolError` out — and :func:`decode_lines` is
+what the runtime runs on the complete lines of one socket read.  It
+decodes **each line on its own** with the C scanner and takes its word
+only when the scanner consumed the whole line; a line it cannot vouch
+for (CRLF, blanks, empty, not JSON) goes alone through
+:func:`decode_line` and scanning resumes after it.  Parsing a read as
+one JSON array would be faster still and is wrong: it accepts pairs of
+individually invalid lines (``{"z":[1`` / ``2]},{"op":"ping"}``).
+Consecutive ``report`` ops come back grouped as one *run* — the unit
+the runtime queues and the engine buffers.
+
 Uplink (client → server)
 ------------------------
 
@@ -94,7 +107,13 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "query_answer": ("qid",),
 }
 
+_REQUIRED_KEYS = {op: frozenset(fields) for op, fields in _REQUIRED_FIELDS.items()}
+
 QUERY_KINDS = ("range", "knn", "predictive")
+
+#: The C scanner behind ``json.loads``, without its whitespace handling:
+#: ``(value, end)`` for the JSON value starting at an index.
+_scan_once = json.JSONDecoder().scan_once
 
 
 class ProtocolError(ValueError):
@@ -120,17 +139,25 @@ def decode_line(line: bytes | str) -> dict:
         raise ProtocolError("empty", "empty line")
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Not only JSONDecodeError: an integer literal past the digit
+        # limit is a plain ValueError, a mile of ``[`` a RecursionError.
         raise ProtocolError("bad_json", f"not JSON: {exc}") from exc
+    return check_op(obj)
+
+
+def check_op(obj: object) -> dict:
+    """Validate one decoded JSON value as an uplink op (the half of
+    :func:`decode_line` after the parse)."""
     if not isinstance(obj, dict):
         raise ProtocolError("bad_json", "line must be a JSON object")
     op = obj.get("op")
-    if op not in UPLINK_OPS:
+    # An unhashable ``op`` (a list, an object) is unknown, not a crash.
+    if not isinstance(op, str) or op not in UPLINK_OPS:
         raise ProtocolError("bad_op", f"unknown op {op!r}")
-    missing = [
-        field for field in _REQUIRED_FIELDS.get(op, ()) if field not in obj
-    ]
-    if missing:
+    required = _REQUIRED_KEYS.get(op)
+    if required is not None and not required <= obj.keys():
+        missing = [field for field in _REQUIRED_FIELDS[op] if field not in obj]
         raise ProtocolError(
             "missing_field", f"op {op!r} missing fields {missing}"
         )
@@ -139,6 +166,49 @@ def decode_line(line: bytes | str) -> dict:
             "bad_kind", f"kind must be one of {QUERY_KINDS}, got {obj['kind']!r}"
         )
     return obj
+
+
+def decode_lines(
+    lines: list[str],
+) -> tuple[list["dict | list[dict] | ProtocolError"], int]:
+    """Decode the complete lines of one read, each on its own.
+
+    Returns the decoded sequence in line order plus how many lines the
+    scanner could not vouch for (they took :func:`decode_line`).  An
+    item is an op dict, the :class:`ProtocolError` a bad line earned,
+    or — for consecutive ``report`` ops — one list holding the run.
+    ``lines`` are already text, split on ``\\n`` only: UTF-8 decoding
+    with ``errors="replace"`` never moves a newline, so decoding a
+    read whole and splitting gives each line the text
+    :func:`decode_line` would have made of its bytes.
+    """
+    items: list = []
+    run: list[dict] | None = None
+    fallbacks = 0
+    for line in lines:
+        try:
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1  # decode_line words the verdict
+        try:
+            if end == len(line):
+                op = check_op(obj)
+            else:
+                fallbacks += 1
+                op = decode_line(line)
+        except ProtocolError as exc:
+            items.append(exc)
+            run = None
+            continue
+        if op["op"] != "report":
+            items.append(op)
+            run = None
+        elif run is None:
+            run = [op]
+            items.append(run)
+        else:
+            run.append(op)
+    return items, fallbacks
 
 
 def downlink_op(message: Message) -> dict:

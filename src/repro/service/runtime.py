@@ -24,6 +24,19 @@ Design points:
   sees a consistent batch and the engine is never mutated mid-cycle.
   ``evaluate_cycle`` runs synchronously on the event loop — the cycle
   *is* the server's work; there is nothing to overlap it with.
+* **Reads and runs, not lines and dicts.**  A connection is read in
+  chunks; the complete lines of a read are decoded each on its own
+  (:func:`~repro.service.protocol.decode_lines`) and consecutive
+  ``report`` ops become one FIFO entry of six column lists.  Any other
+  line closes the run first — it is queued before that line is handled
+  — so a ``tick`` or ``ping`` mid-read sees what a line-at-a-time loop
+  would have queued.  At the drain a run is judged by whole-column
+  passes and handed to the server's batch door
+  (:meth:`~repro.core.server.LocationAwareServer.receive_object_reports`);
+  a run holding any refusable value is replayed row by row through
+  :meth:`ServiceRuntime._apply_op`, the one per-row door, so exactly
+  the bad rows are refused.  Admission, backlog and every counter count
+  rows.  Output is queued per session and written once per flush.
 * **Protocol completeness on the wire.**  The runtime subscribes to the
   server's observer hooks and emits ``wakeup_begin`` / ``wakeup_end`` /
   ``committed`` markers, each preceded by a flush of the affected
@@ -42,7 +55,9 @@ import asyncio
 import json
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from math import isfinite
+from operator import itemgetter
 from urllib.parse import parse_qs
 
 from repro.check import ConsistencyOracle
@@ -58,7 +73,7 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     busy_op,
-    decode_line,
+    decode_lines,
     error_op,
     reject_op,
 )
@@ -88,9 +103,21 @@ def _finite(op: dict, *fields: str, default: float | None = None) -> list[float]
         raise ProtocolError("bad_value", f"{', '.join(fields)} must be finite")
     return values
 
-#: readline limit: uplink lines are small, but recovery ``answer``
+#: Longest line accepted: uplink lines are small, but recovery ``answer``
 #: downlinks (and symmetric test traffic) can carry large oid lists.
 _LINE_LIMIT = 1 << 20
+
+#: Bytes asked of the socket per read.  What was measured; a larger
+#: read only keeps more decoded op dicts alive at once.
+_READ_SIZE = 1 << 16
+
+#: The required fields of a ``report`` op that become columns.
+_REPORT_FIELDS = itemgetter("oid", "x", "y", "t")
+
+#: What a refused value raises: ProtocolError is a ValueError, int(inf)
+#: overflows and int(None) is a TypeError — no field value one client
+#: sends may cost the others the cycle, or itself the connection.
+_BAD_VALUE = (KeyError, ValueError, TypeError, OverflowError)
 
 
 @dataclass(slots=True)
@@ -105,7 +132,7 @@ class ServiceConfig:
     #: (the load driver's lock-step mode).
     cycle_interval: float = 0.0
     grid_size: int = 64
-    pipeline: str = "cell-batched"
+    pipeline: str = "columnar"
     parallelism: object = None
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: Attach a differential consistency oracle to every session.
@@ -150,8 +177,16 @@ class ServiceRuntime:
         self._next_session_id = 1
         #: client_id -> owning session (wire routing).
         self._client_session: dict[int, ClientSession] = {}
-        #: Global FIFO of (session, op) drained at each cycle boundary.
-        self._pending: list[tuple[ClientSession, dict]] = []
+        #: Global FIFO drained at each cycle boundary: ``(session, op)``
+        #: for one queued op, ``(session, columns)`` for a run of
+        #: reports — six aligned lists (oid, x, y, vx, vy, t) of the
+        #: values as decoded, judged at the drain.
+        self._pending: list[tuple[ClientSession, dict | tuple]] = []
+        #: Ops and report rows on ``_pending``.
+        self._pending_rows = 0
+        #: True while :meth:`run_cycle` runs: its flush ends with one
+        #: write per session, so markers need not write on their own.
+        self._cycling = False
         #: Clients holding mail that no live session could take yet.
         self._unflushed: set[int] = set()
 
@@ -164,6 +199,25 @@ class ServiceRuntime:
             "service_downlink_flushed_total"
         )
         self._m_ops: dict[str, object] = {}
+        counter = self.registry.counter
+        # Which path a report row took at the drain: "batch" = the
+        # column doors, "scalar" = one ``_apply_op`` / one
+        # ``receive_object_report`` per row (a refusable value in the
+        # run, or a per-message hook installed on the server).
+        self._m_rows = {
+            path: counter("service_uplink_rows_total", labels={"path": path})
+            for path in ("batch", "scalar")
+        }
+        # Which decoder vouched for a line: the scanner or decode_line.
+        self._m_lines = {
+            how: counter("service_uplink_lines_total", labels={"decode": how})
+            for how in ("scan", "line")
+        }
+        self._m_writes = counter("service_transport_writes_total")
+        self._m_decode_seconds, self._m_apply_seconds = (
+            counter("service_uplink_seconds_total", labels={"stage": stage})
+            for stage in ("decode", "apply")
+        )
 
         self.tcp_address: tuple[str, int] | None = None
         self.http_address: tuple[str, int] | None = None
@@ -270,49 +324,120 @@ class ServiceRuntime:
         )
         self._next_session_id += 1
         self._sessions[session.session_id] = session
+        tail = b""
         try:
             while not session.closed:
                 try:
-                    line = await reader.readline()
+                    chunk = await reader.read(_READ_SIZE)
                 except (
                     ConnectionError,
-                    asyncio.LimitOverrunError,
                     # Loop teardown cancels reader tasks; exit quietly
                     # through the normal cleanup path.
                     asyncio.CancelledError,
                 ):
                     break
-                if not line:
-                    break
-                session.lines_in += 1
-                try:
-                    op = decode_line(line)
-                except ProtocolError as exc:
-                    session.send(error_op(exc.code, exc.detail))
+                data = tail + chunk
+                # Only the line the tail began can be over the limit: a
+                # read is shorter than it.
+                first = data.find(b"\n", len(tail))
+                if (first if first >= 0 else len(data)) > _LINE_LIMIT:
                     self._m_uplink_errors.inc()
-                    continue
-                name = op["op"]
-                self._count_op(name)
-                if name == "bye":
-                    break
-                if name in IMMEDIATE_OPS:
-                    await self._handle_immediate(session, op)
-                else:
-                    if not self.admission.admit_uplink(session.backlog):
-                        session.send(
-                            busy_op(self.config.admission.retry_after)
+                    session.send(
+                        error_op(
+                            "line_too_long",
+                            f"a line may hold {_LINE_LIMIT} bytes",
                         )
-                        continue
-                    session.backlog += 1
-                    self._pending.append((session, op))
-                    self._m_backlog.set(len(self._pending))
+                    )
+                    break
+                # At EOF an unterminated tail is the last line.
+                cut = data.rfind(b"\n") + 1 if chunk else len(data)
+                tail = data[cut:]
+                if cut and not await self._handle_lines(session, data[:cut]):
+                    break
+                self._write_out(session)
+                if not chunk:
+                    break
         finally:
             self._close_session(session)
             self.admission.release_session()
 
+    async def _handle_lines(self, session: ClientSession, block: bytes) -> bool:
+        """Everything one read completed, in line order; False on
+        ``bye``.
+
+        Consecutive reports queue as one run of columns.  Anything else
+        closes the run *first* — it is on ``_pending`` before that line
+        is answered or handled — so a ``tick``, ``ping`` or bad line in
+        the middle of a read sees exactly what a line-at-a-time loop
+        would have queued, and replies leave in line order.
+        """
+        with self.server.tracer.span("uplink_decode", self._m_decode_seconds):
+            lines = block.decode("utf-8", errors="replace").split("\n")
+            if not lines[-1]:
+                lines.pop()  # the block ended on its last newline
+            items, fallbacks = decode_lines(lines)
+        self._m_lines["scan"].inc(len(lines) - fallbacks)
+        if fallbacks:
+            self._m_lines["line"].inc(fallbacks)
+        handled = 0
+        try:
+            for item in items:
+                kind = item.__class__
+                if kind is list:
+                    handled += len(item)
+                    self._queue_run(session, item)
+                    continue
+                handled += 1
+                if kind is not dict:
+                    self._m_uplink_errors.inc()
+                    session.send(error_op(item.code, item.detail))
+                    continue
+                name = item["op"]
+                self._count_op(name)
+                if name == "bye":
+                    return False  # what follows it was never received
+                if name in IMMEDIATE_OPS:
+                    await self._handle_immediate(session, item)
+                elif self.admission.admit_uplinks(session.backlog):
+                    self._enqueue(session, item, 1)
+                else:
+                    session.send(busy_op(self.config.admission.retry_after))
+        finally:
+            session.lines_in += handled
+        return True
+
+    def _queue_run(self, session: ClientSession, run: list[dict]) -> None:
+        """Admit a run of reports row by row and queue what fits as six
+        column lists; each row beyond the session's allowance is told
+        ``busy``."""
+        self._count_op("report", len(run))
+        admitted = self.admission.admit_uplinks(session.backlog, len(run))
+        if admitted < len(run):
+            busy = busy_op(self.config.admission.retry_after)
+            for _ in range(len(run) - admitted):
+                session.send(busy)
+            del run[admitted:]
+        if run:
+            oids, xs, ys, ts = zip(*map(_REPORT_FIELDS, run))
+            vxs = [op.get("vx", 0.0) for op in run]
+            vys = [op.get("vy", 0.0) for op in run]
+            self._enqueue(session, (oids, xs, ys, vxs, vys, ts), admitted)
+
+    def _enqueue(self, session: ClientSession, entry, rows: int) -> None:
+        session.backlog += rows
+        self._pending.append((session, entry))
+        self._pending_rows += rows
+        self._m_backlog.set(self._pending_rows)
+
+    def _write_out(self, session: ClientSession) -> None:
+        """One transport write of whatever the session has queued."""
+        if session.flush():
+            self._m_writes.inc()
+
     def _close_session(self, session: ClientSession) -> None:
         if session.session_id in self._sessions:
             del self._sessions[session.session_id]
+        self._write_out(session)
         session.mark_closed()
         # The connection is the client's physical channel: losing it is
         # an outage — the links go dark (messages lost, not queued)
@@ -335,22 +460,25 @@ class ServiceRuntime:
         self, session: ClientSession, op: dict
     ) -> None:
         name = op["op"]
+        try:
+            args = self._immediate_args(op)
+        except _BAD_VALUE as exc:
+            self._m_uplink_errors.inc()
+            session.send(error_op("bad_value", f"{name}: {exc}"))
+            return
         if name == "hello":
-            self._handle_hello(session, op)
+            self._handle_hello(session, op, *args)
         elif name == "ping":
             session.send({"op": "pong", "protocol": PROTOCOL_VERSION})
         elif name == "tick":
-            now = op.get("now")
-            summary = self.run_cycle(
-                float(now) if now is not None else None
-            )
+            summary = self.run_cycle(*args)
             # Reply before draining peers: a peer session that is not
             # reading yet (the load driver's lock-step workers) must not
             # hold the control session's cycle acknowledgement hostage.
             session.send({"op": "cycle", **summary})
             await self._drain_writers()
         elif name == "query_answer":
-            qid = int(op["qid"])
+            (qid,) = args
             if qid not in self.server.engine.queries:
                 session.send(error_op("unknown_query", f"no query {qid}"))
                 return
@@ -368,8 +496,40 @@ class ServiceRuntime:
             session.send({"op": "chaos", "active": False})
             await self._drain_writers()
 
-    def _handle_hello(self, session: ClientSession, op: dict) -> None:
-        client_id = int(op["client"])
+    def _immediate_args(self, op: dict) -> tuple:
+        """The field values an immediate op acts on, validated like a
+        queued op's — and before anything is drained or registered."""
+        name = op["op"]
+        if name == "hello":
+            budget = op.get("budget")
+            if budget is not None:
+                budget = int(budget)
+                if budget < 0:
+                    raise ProtocolError(
+                        "bad_value", f"budget must be >= 0, got {budget}"
+                    )
+            return _id_of(op, "client"), budget
+        if name == "tick":
+            now = op.get("now")
+            now = float(self.cycle_count + 1 if now is None else now)
+            if not isfinite(now) or now < self.server.engine.now:
+                raise ProtocolError(
+                    "bad_value",
+                    f"now must be finite and not before "
+                    f"{self.server.engine.now}, got {now}",
+                )
+            return (now,)
+        if name == "query_answer":
+            return (_id_of(op, "qid"),)
+        return ()
+
+    def _handle_hello(
+        self,
+        session: ClientSession,
+        op: dict,
+        client_id: int,
+        budget: int | None = None,
+    ) -> None:
         if "sync" in op:
             session.sync = bool(op["sync"])
         owner = self._client_session.get(client_id)
@@ -397,11 +557,7 @@ class ServiceRuntime:
                     reject_op("clients", self.config.admission.retry_after)
                 )
                 return
-            budget = op.get("budget")
-            self.server.register_client(
-                client_id,
-                downlink_budget=int(budget) if budget is not None else None,
-            )
+            self.server.register_client(client_id, downlink_budget=budget)
             if self.oracle is not None:
                 self.oracle.watch_client(client_id)
             if self.injector is not None:
@@ -441,16 +597,22 @@ class ServiceRuntime:
         cycle = self.cycle_count
         if now is None:
             now = float(cycle + 1)
-        if self.injector is not None:
-            self.injector.begin_cycle(cycle)
-        applied, errors = self._drain_uplinks()
-        if self.oracle is not None:
-            self.oracle.begin_cycle()
-        result = self.server.evaluate_cycle(now)
-        divergences_now = 0
-        if self.oracle is not None:
-            divergences_now = len(self.oracle.end_cycle(cycle, result.updates))
-        flushed = self._flush_sessions(cycle, now)
+        self._cycling = True
+        try:
+            if self.injector is not None:
+                self.injector.begin_cycle(cycle)
+            applied, errors = self._drain_uplinks()
+            if self.oracle is not None:
+                self.oracle.begin_cycle()
+            result = self.server.evaluate_cycle(now)
+            divergences_now = 0
+            if self.oracle is not None:
+                divergences_now = len(
+                    self.oracle.end_cycle(cycle, result.updates)
+                )
+            flushed = self._flush_sessions(cycle, now)
+        finally:
+            self._cycling = False
         self.cycle_count += 1
         self._m_cycles.inc()
         self.last_cycle = {
@@ -470,33 +632,84 @@ class ServiceRuntime:
         return self.last_cycle
 
     def _drain_uplinks(self) -> tuple[int, int]:
-        """Apply every queued op in global arrival order."""
+        """Apply everything queued, in global arrival order; returns
+        ``(rows applied, rows refused)``."""
         pending, self._pending = self._pending, []
+        self._pending_rows = 0
         applied = 0
-        errors = 0
-        for session, op in pending:
-            session.backlog = max(0, session.backlog - 1)
-            if session.closed:
-                continue
-            try:
-                self._apply_op(op)
-                applied += 1
-            except (KeyError, ValueError, TypeError, OverflowError) as exc:
-                # ProtocolError is a ValueError; int(inf) overflows and
-                # int(None) is a TypeError — no field value one client
-                # sends may cost the others the cycle.
-                errors += 1
-                self._m_uplink_errors.inc()
-                session.send(error_op("bad_op", f"{op.get('op')}: {exc}"))
+        refused = 0
+        with self.server.tracer.span("uplink_apply", self._m_apply_seconds):
+            for session, entry in pending:
+                single = entry.__class__ is dict
+                rows = 1 if single else len(entry[0])
+                session.backlog = max(0, session.backlog - rows)
+                if session.closed:
+                    continue
+                ok = (
+                    self._apply_row(session, entry)
+                    if single
+                    else self._apply_run(session, entry)
+                )
+                applied += ok
+                refused += rows - ok
         self._m_backlog.set(0)
-        return applied, errors
+        return applied, refused
+
+    def _apply_row(self, session: ClientSession, op: dict) -> bool:
+        """One op through :meth:`_apply_op`; a refused one is answered
+        and counted, never raised into the cycle."""
+        try:
+            self._apply_op(op)
+        except _BAD_VALUE as exc:
+            self._m_uplink_errors.inc()
+            session.send(error_op("bad_op", f"{op.get('op')}: {exc}"))
+            return False
+        return True
+
+    def _apply_run(self, session: ClientSession, columns: tuple) -> int:
+        """A run of reports through the batch door; returns the rows
+        applied.
+
+        The columns are judged whole, by the constructors and bounds
+        :meth:`_apply_op` applies to one report.  A run holding any
+        value it would refuse is replayed row by row through
+        ``_apply_op`` instead, so exactly the bad rows are refused,
+        answered and counted, and the rest are applied in order.
+        """
+        rows = len(columns[0])
+        try:
+            oids = list(map(int, columns[0]))
+            xs, ys, vxs, vys, ts = (list(map(float, c)) for c in columns[1:])
+            if not (
+                -_INT64_BOUND <= min(oids)
+                and max(oids) < _INT64_BOUND
+                and all(map(isfinite, chain(vxs, vys, ts)))
+            ):
+                raise ProtocolError("bad_value", "a row is out of range")
+            batched = self.server.receive_object_reports(
+                oids, xs, ys, vxs, vys, ts
+            )
+        except _BAD_VALUE:
+            applied = sum(
+                self._apply_row(
+                    session,
+                    {"op": "report", "oid": oid, "x": x, "y": y,
+                     "vx": vx, "vy": vy, "t": t},
+                )
+                for oid, x, y, vx, vy, t in zip(*columns)
+            )  # fmt: skip
+            self._m_rows["scalar"].inc(rows)
+            return applied
+        self._m_rows["batch" if batched else "scalar"].inc(rows)
+        return rows
 
     def _apply_op(self, op: dict) -> None:
         server = self.server
         name = op["op"]
         if name == "report":
-            # Refused here, one op at a time: a value the batch kernels
-            # cannot hold would otherwise fail the shared cycle.
+            # The one per-row door (a lone bad report, and the replay
+            # of a run that held one).  Refused here: a value the batch
+            # kernels cannot hold would otherwise fail the shared cycle.
             oid = int(op["oid"])
             t = float(op["t"])
             vx, vy = float(op.get("vx", 0.0)), float(op.get("vy", 0.0))
@@ -608,12 +821,18 @@ class ServiceRuntime:
         for session in list(self._sessions.values()):
             if session.sync and not session.closed:
                 session.send(marker)
+            # The cycle's one write: error replies from the drain, then
+            # markers and link mail in the order queued, cycle_end last.
+            self._write_out(session)
         if flushed:
             self._m_flushed.inc(flushed)
         return flushed
 
     async def _drain_writers(self) -> None:
-        for session in list(self._sessions.values()):
+        sessions = list(self._sessions.values())
+        for session in sessions:
+            self._write_out(session)
+        for session in sessions:
             if session.closed:
                 continue
             try:
@@ -643,6 +862,10 @@ class ServiceRuntime:
         if link.queued_messages:
             self._m_flushed.inc(session.flush_link(link))
         session.send(marker)
+        if not self._cycling:
+            # An in-process caller's commit or wakeup: no cycle flush is
+            # coming to carry the marker.
+            self._write_out(session)
 
     def on_wakeup_begin(self, client_id: int) -> None:
         self._flush_then(
@@ -732,7 +955,7 @@ class ServiceRuntime:
             "clients": self.admission.clients_active,
             "queries": len(engine.queries),
             "objects": len(engine.objects),
-            "pending_uplinks": len(self._pending),
+            "pending_uplinks": self._pending_rows,
             "admission_rejections": self.admission.rejection_counts(),
             "oracle": (
                 {
@@ -771,10 +994,10 @@ class ServiceRuntime:
 
     # -- small helpers -------------------------------------------------
 
-    def _count_op(self, name: str) -> None:
+    def _count_op(self, name: str, n: int = 1) -> None:
         counter = self._m_ops.get(name)
         if counter is None:
             counter = self._m_ops[name] = self.registry.counter(
                 "service_uplink_ops_total", labels={"o": name}
             )
-        counter.inc()
+        counter.inc(n)

@@ -60,10 +60,15 @@ class TestClients:
 class TestBacklog:
     def test_per_session_bound(self):
         admission, _ = make(max_backlog=2)
-        assert admission.admit_uplink(0)
-        assert admission.admit_uplink(1)
-        assert not admission.admit_uplink(2)
+        assert admission.admit_uplinks(0) == 1
+        assert admission.admit_uplinks(1) == 1
+        assert admission.admit_uplinks(2) == 0
         assert admission.rejection_counts()[REASON_BACKPRESSURE] == 1
+        # A run is admitted row by row: what fits, and a count of the rest.
+        assert admission.admit_uplinks(0, 5) == 2
+        assert admission.admit_uplinks(1, 5) == 1
+        assert admission.admit_uplinks(7, 5) == 0
+        assert admission.rejection_counts()[REASON_BACKPRESSURE] == 1 + 3 + 4 + 5
 
 
 class TestConfig:

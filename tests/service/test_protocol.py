@@ -63,6 +63,22 @@ class TestDecode:
             decode_line(line)
         assert excinfo.value.code == code
 
+    @pytest.mark.parametrize(
+        "line,code",
+        [
+            (b'{"op": ["ping"]}\n', "bad_op"),  # unhashable op
+            (b'{"op": "ping", "n": ' + b"7" * 5000 + b"}\n", "bad_json"),
+            (b"[" * 100_000 + b"\n", "bad_json"),
+        ],
+        ids=["unhashable-op", "integer-past-the-digit-limit", "nesting-past-recursion"],
+    )
+    def test_what_json_raises_besides_decode_errors_is_a_rejection(
+        self, line, code
+    ):
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_line(line)
+        assert excinfo.value.code == code
+
     def test_immediate_ops_are_uplink_ops(self):
         assert IMMEDIATE_OPS <= UPLINK_OPS
 

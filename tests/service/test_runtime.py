@@ -365,7 +365,10 @@ class TestMailedSetFlush:
 
         session = ClientSession(client_id, FakeWriter())
         runtime._sessions[session.session_id] = session
-        runtime._handle_hello(session, {"op": "hello", "client": client_id})
+        runtime._handle_hello(
+            session, {"op": "hello", "client": client_id}, client_id
+        )
+        session.flush()
         session.writer.writes.clear()  # the welcome
         return session
 
@@ -373,6 +376,7 @@ class TestMailedSetFlush:
         runtime = self.stack()
         bound = self.bind(runtime, 1)
         assert runtime.run_cycle(1.0)["flushed_messages"] == 1
+        # The cycle's flush ends with the session's one transport write.
         assert bound.writer.writes == [
             b'{"op":"update","qid":10,"oid":7,"sign":1}\n'
         ]
@@ -410,13 +414,42 @@ class TestMailedSetFlush:
         session.sync = True
         runtime.server.evaluate_cycle(1.0)
         runtime.server.receive_commit(10)  # flush, then the marker
-        assert runtime._flush_sessions(0, 1.0) == 0
+        # A marker raised outside a cycle does not wait for one.
         assert session.writer.writes == [
-            b'{"op":"update","qid":10,"oid":7,"sign":1}\n',
-            b'{"op":"committed","qid":10}\n',
-            b'{"op":"cycle_end","cycle":0,"now":1.0}\n',
+            b'{"op":"update","qid":10,"oid":7,"sign":1}\n'
+            b'{"op":"committed","qid":10}\n'
         ]
+        assert runtime._flush_sessions(0, 1.0) == 0
+        assert b"".join(session.writer.writes) == (
+            b'{"op":"update","qid":10,"oid":7,"sign":1}\n'
+            b'{"op":"committed","qid":10}\n'
+            b'{"op":"cycle_end","cycle":0,"now":1.0}\n'
+        )
         assert runtime.registry.value_of("service_downlink_flushed_total") == 1
+
+    def test_a_cycle_is_one_write_per_session_ending_in_cycle_end(self):
+        """Error replies from the drain, a commit marker behind the
+        mail it acknowledges, two links' mail, ``cycle_end``: one
+        transport write, in that order."""
+        runtime = self.stack()
+        session = self.bind(runtime, 1)
+        runtime._handle_hello(session, {"op": "hello", "client": 2}, 2)
+        session.flush()
+        session.writer.writes.clear()
+        session.sync = True
+        runtime._enqueue(session, {"op": "commit", "qid": 404}, 1)
+        summary = runtime.run_cycle(1.0)
+        assert summary["uplink_errors"] == 1 and summary["flushed_messages"] == 2
+        (written,) = session.writer.writes
+        lines = written.splitlines()
+        assert json.loads(lines[0])["op"] == "error"
+        assert sorted(lines[1:3]) == [
+            b'{"op":"update","qid":10,"oid":7,"sign":1}',
+            b'{"op":"update","qid":20,"oid":7,"sign":1}',
+        ]
+        assert lines[3:] == [b'{"op":"cycle_end","cycle":0,"now":1.0}']
+        assert session.lines_out == 2 + 4  # the welcomes, then the cycle
+        assert runtime.registry.value_of("service_transport_writes_total") == 1
 
 
 class TestCycleLoop:

@@ -1,5 +1,6 @@
-"""ClientSession.flush_link: one transport write per link, bytes
-identical to the per-message JSON encoding."""
+"""ClientSession output: lines and link mail queue in wire order and
+leave as one transport write per flush, bytes identical to the
+per-message JSON encoding."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,10 +47,14 @@ def test_flush_bytes_equal_per_message_encoding(messages):
     writer = FakeWriter()
     session = ClientSession(1, writer)
     assert session.flush_link(link) == len(messages)
-    assert len(writer.writes) == 1  # one write per link, however long
-    assert writer.writes[0] == golden(messages)
-    assert session.lines_out == len(messages)
+    assert writer.writes == [] and session.lines_out == 0  # queued
+    session.send({"op": "cycle_end"})
+    assert session.flush()
+    # One write per flush, however many links and lines it carries.
+    assert writer.writes == [golden(messages) + encode({"op": "cycle_end"})]
+    assert session.lines_out == len(messages) + 1
     assert link.drain() == []
+    assert not session.flush() and len(writer.writes) == 1  # nothing queued
 
 
 def test_writer_error_mid_flush_marks_the_session_closed():
@@ -60,12 +65,14 @@ def test_writer_error_mid_flush_marks_the_session_closed():
     second.deliver(UpdateMessage(3, 4, -1))
     second.deliver(FullAnswerMessage(3, frozenset({4})))
     assert session.flush_link(first) == 1
-    assert not session.closed
-    # The transport dies under the second link's write.
+    assert session.flush() and not session.closed
+    # The transport dies under the second flush's write.
     assert session.flush_link(second) == 2
+    assert not session.flush()
     assert session.closed
     assert session.lines_out == 1
     assert writer.writes == [golden([UpdateMessage(1, 2, 1)])]
     # A closed session swallows further output without touching the writer.
     session.send({"op": "cycle_end"})
+    assert not session.flush()
     assert session.lines_out == 1
