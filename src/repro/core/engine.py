@@ -637,6 +637,15 @@ class IncrementalEngine:
         )
         self._pending_moves[qid] = (self.grid.world.clip_or_pin(region), t)
 
+    def kind_of(self, qid: int) -> QueryKind | None:
+        """The kind of a query that is registered or, in this batch,
+        about to be; ``None`` for an unknown qid.  The ``move_*`` doors
+        trust their caller to match it — a region buffered for a k-NN
+        query fails the next evaluation — so an edge taking moves from
+        outside checks here first."""
+        query = self._pending_registrations.get(qid) or self.queries.get(qid)
+        return None if query is None else query.kind
+
     def unregister_query(self, qid: int) -> None:
         """Buffer a query's removal; no further updates will be emitted.
 

@@ -729,6 +729,13 @@ class ServiceRuntime:
             # would fail the whole evaluation batch, not just this op.
             server.client_of(qid)
             kind = op["kind"]
+            # Likewise a move of the wrong kind for its query — and it
+            # must not reach an uplink gate that would replay it later.
+            known = server.engine.kind_of(qid)
+            if known is not None and known.value != kind:
+                raise ProtocolError(
+                    "bad_kind", f"query {qid} is a {known.value} query"
+                )
             (t,) = _finite(op, "t")
             if kind == "range":
                 server.receive_range_query_move(qid, self._rect_of(op), t)

@@ -481,6 +481,31 @@ def test_a_tick_inside_a_read_sees_only_the_run_before_it():
     ]  # fmt: skip
 
 
+def test_a_move_of_the_wrong_kind_is_an_error_line_not_a_dead_cycle():
+    """Found by the property above: ``kind: "range"`` for a k-NN query
+    buffered a rectangle where the engine expected a point."""
+    runtime = Runtime()
+    writer = runtime.feed(
+        encode({"op": "hello", "client": 1})
+        + encode({"op": "register", "client": 1, "qid": 2, "kind": "knn", "cx": 0.5, "cy": 0.5, "k": 2})
+        + report_line(1)
+        + encode({"op": "move", "qid": 2, "kind": "range", "t": 1.0, **REGION})
+        + encode({"op": "tick", "now": 1.0})
+        + encode({"op": "move", "qid": 2, "kind": "predictive", "t": 2.0, **REGION})
+        + encode({"op": "move", "qid": 2, "kind": "knn", "cx": 0.4, "cy": 0.4, "t": 2.0})
+        + encode({"op": "tick", "now": 2.0})
+    )  # fmt: skip
+    replies = [json.loads(line) for line in writer.sent.splitlines()]
+    assert [op["op"] for op in replies if op["op"] in ("error", "cycle")] == [
+        "error", "cycle", "error", "cycle",
+    ]  # fmt: skip
+    assert {op["detail"] for op in replies if op["op"] == "error"} == {
+        "move: query 2 is a knn query"
+    }
+    assert [op["uplink_errors"] for op in replies if op["op"] == "cycle"] == [1, 1]
+    assert runtime.server.engine.answer_of(2) == {1}
+
+
 def test_a_welcome_reaches_the_wire_without_a_cycle():
     runtime = Runtime()
     writer = runtime.feed(encode({"op": "hello", "client": 1}))
