@@ -1,10 +1,10 @@
 """Chaos engineering for the continuous-query stack.
 
 Runs a seeded fault plan — link drops, duplicate and reordered
-deliveries, client outages with scheduled wakeups, delayed uplinks,
-simulated worker crashes — against each engine pipeline while the
-differential consistency oracle cross-checks four independent answer
-derivations every cycle (replay, snapshot, commit invariant, desync).
+deliveries, client outages with scheduled wakeups, delayed uplinks —
+against both engine pipelines while the differential consistency
+oracle cross-checks four independent answer derivations every cycle
+(replay, snapshot, commit invariant, desync).
 A healthy stack survives all of it with zero divergences and every
 client converging back to the live answer.
 

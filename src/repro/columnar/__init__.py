@@ -5,19 +5,11 @@ mirrored into parallel arrays (:mod:`repro.columnar.store`), batch
 kernels for the cell-range join and cohort membership classification
 (:mod:`repro.columnar.kernels`), orchestrated per evaluation by
 :class:`~repro.columnar.evaluate.ColumnarEvaluator` — which also runs
-the query-side phases (range moves, k-NN repair, predictive refresh) as
-array passes over one home-cell CSR of the object store.  Kernels run on
-numpy when available and on pure-Python ``array`` columns otherwise
-(:mod:`repro.columnar.backend` — the stdlib-only guarantee holds).
+the query side of a cycle (range moves, k-NN repair, predictive refresh)
+as array passes over one home-cell CSR of the object store.  Kernels
+run on numpy.
 """
 
-from repro.columnar.backend import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    numpy_available,
-    numpy_or_none,
-    resolve_backend,
-)
 from repro.columnar.evaluate import ColumnarEvaluator
 from repro.columnar.ingest import MULTI_CELL, NOT_INDEXED, BatchIngest
 from repro.columnar.kernels import PairPlan, classify_transitions
@@ -31,8 +23,6 @@ from repro.columnar.store import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "BACKENDS",
     "BatchIngest",
     "MULTI_CELL",
     "NOT_INDEXED",
@@ -45,7 +35,4 @@ __all__ = [
     "KIND_RANGE",
     "PairPlan",
     "classify_transitions",
-    "numpy_available",
-    "numpy_or_none",
-    "resolve_backend",
 ]

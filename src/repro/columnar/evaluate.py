@@ -1,47 +1,40 @@
 """The columnar cohort evaluator: plan → kernel → ordered emission.
 
-This is the ``pipeline="columnar"`` replacement for the engine's
-per-cohort Python membership loop
-(:meth:`repro.core.engine.IncrementalEngine._evaluate_cohort`).  It
-reuses the cell-batched pipeline's transition grouping verbatim and
-must emit a **byte-identical update stream**, so every ordering rule of
-the serial pass is preserved structurally:
+Engine phase 5b for ``pipeline="columnar"``.  Batch ingest hands over
+the report buffer as :class:`~repro.columnar.ingest.CohortColumns` —
+one cohort per home-cell transition ``(old home, new home)``, members
+ascending by oid — and the evaluator joins them against the range
+queries listed in their cells, classifies every pair's membership
+transition in one kernel pass, and emits the changed pairs:
 
-* pairs are laid out cohort-major, then cell, then partial-before-
-  covering entries sorted by qid, then members sorted by oid — the
-  kernel's changed-pair positions are therefore already in serial
-  emission order;
-* a query candidate appearing in several cells of one multi-cell
-  cohort joins on first occurrence only — plan construction drops late
-  duplicates (the order-preserving mirror of the serial seen-qid skip;
-  duplicate pairs would compute identical change bits, so they are
-  dead weight for the kernel and the emitter alike);
-* ``stay_put`` cohorts join against partial entries only, and
-  point-pair cohorts drop queries covering both cells at plan time —
-  in either case a covering query provably yields ``in_old == in_new``
-  for every member, so the skipped pairs could never emit;
-* each cohort's answered sweep runs right after its own emissions,
-  interleaved exactly like the serial pass.
+* pairs are laid out cohort-major, then old-cell entries before
+  new-cell entries, each partial-before-covering and sorted by qid, then
+  members sorted by oid — so the kernel's changed-pair positions are
+  already in emission order;
+* a query listed in both cells of a cohort that changed home cell joins
+  once, from the old cell;
+* stay-put cohorts join against partial entries only, and cohorts that
+  changed home cell drop queries covering both cells — in either case a
+  covering query provably yields ``in_old == in_new`` for every member,
+  so the skipped pairs could never emit;
+* each cohort's answered sweep runs right after its own emissions.
 
 Candidate entries are cached **across evaluations**, keyed on
 :attr:`ColumnarQueryStore.version`: they depend only on registered
 range queries, so they survive arbitrarily many object-report batches
-untouched.  Under numpy the cache is one grid-wide CSR cut from the
-query store's bound columns (:meth:`ColumnarEvaluator._range_csr`);
-the per-cohort planner (:meth:`_build_plan` — the python backend's, and
-the column planner's test oracle) keeps per-cell entry lists.  k-NN
-queries are deliberately left out of both (their grid footprints are
-re-placed every repair, which would otherwise thrash the cache); cohort
-k-NN dirty-marking instead intersects live cell buckets with the
-engine's registered-knn set, memoised per evaluation.
+untouched.  The cache is one grid-wide CSR cut from the query store's
+bound columns (:meth:`ColumnarEvaluator._range_csr`).  k-NN queries are
+deliberately left out of it (their grid footprints are re-placed every
+repair, which would otherwise thrash the cache); cohort k-NN
+dirty-marking instead intersects live cell buckets with the engine's
+registered-knn set, memoised per evaluation.
 
-Under numpy the evaluator also runs the **query side** of a cycle —
-engine phases 4, 6 and 7 — as array passes over the object store's
-home-cell CSR (:class:`~repro.columnar.store.HomeCells`: a sort-by-cell
-permutation of the ``cells`` column, a run of cells being one slice of
-it, cut at most once per store state — before the query moves, after
-ingest) and its one ragged gather ``(cell rects) -> (rect position,
-store row)``:
+The evaluator also runs the **query side** of a cycle — engine phases
+4, 6 and 7 — as array passes over the object store's home-cell CSR
+(:class:`~repro.columnar.store.HomeCells`: a sort-by-cell permutation of
+the ``cells`` column, a run of cells being one slice of it, cut at most
+once per store state — before the query moves, after ingest) and its
+one ragged gather ``(cell rects) -> (rect position, store row)``:
 
 * :meth:`~ColumnarEvaluator.move_ranges` — every moved range query:
   ``A_old - A_new`` and ``A_new - A_old`` from the objects homed under
@@ -59,7 +52,8 @@ from __future__ import annotations
 
 import math
 
-from repro.columnar.backend import numpy_or_none
+import numpy as np
+
 from repro.columnar.ingest import swept_cell_ranges
 from repro.columnar.kernels import PairPlan, classify_transitions
 from repro.columnar.store import (
@@ -80,43 +74,14 @@ from repro.grid.cellmath import (
 #: a single pair up to 16M pairs per batch.
 BATCH_SIZE_BUCKETS: tuple[float, ...] = tuple(4.0**e for e in range(13))
 
-_EMPTY_QIDS: frozenset[int] = frozenset()
 
-
-def _by_oid(state) -> int:
-    return state.oid
-
-
-def _in_sorted(np, sorted_keys, wanted):
+def _in_sorted(sorted_keys, wanted):
     """Membership of each ``wanted`` key in an ascending key array."""
     if not len(sorted_keys):
         return np.zeros(len(wanted), dtype=bool)
     at = np.searchsorted(sorted_keys, wanted)
     at[at == len(sorted_keys)] = 0
     return sorted_keys[at] == wanted
-
-
-class _CellEntries:
-    """One cell's cached candidate rows (query-store row indices), for
-    the per-cohort planner.
-
-    ``partial``/``full`` are plain lists (``partial`` a prefix of
-    ``full``); ``cover_set`` holds the covering rows as a frozenset
-    (point-pair cohorts intersect the two cells' sets to skip queries
-    that provably cannot change); ``static_qids`` snapshots the cell's
-    range + predictive qids for the answered sweep (k-NN qids are
-    intentionally absent — see the module docstring)."""
-
-    __slots__ = ("partial", "full", "cover_set", "static_qids")
-
-    def __init__(self, partial, full, cover_set, static_qids):
-        self.partial = partial
-        self.full = full
-        self.cover_set = cover_set
-        self.static_qids = static_qids
-
-
-_NO_ENTRIES = _CellEntries((), (), frozenset(), _EMPTY_QIDS)
 
 
 class _DualCounter:
@@ -152,7 +117,6 @@ class ColumnarEvaluator:
         objects,
         queries,
         knn_qids,
-        backend: str,
         registry,
         tracer,
     ):
@@ -163,12 +127,7 @@ class ColumnarEvaluator:
         self.objects = objects
         self.queries = queries
         self.knn_qids = knn_qids
-        self.backend = backend
         self.tracer = tracer
-        self._np = numpy_or_none() if backend == "numpy" else None
-        self._cell_cache: dict[int, _CellEntries] = {}
-        self._cohort_cache: dict[tuple, tuple] = {}
-        self._cache_version = -1
         self._knn_memo: dict[int, tuple] = {}
         self._csr: tuple | None = None
         self._h_batch_size = registry.histogram(
@@ -200,7 +159,7 @@ class ColumnarEvaluator:
         # answered sweep's k-NN member union is assembled from (and
         # cached against) the same arrays.  The engine invalidates an
         # entry whenever it mutates an answer outside these paths.
-        self.answers = ColumnarAnswerStore(registry, backend)
+        self.answers = ColumnarAnswerStore(registry)
         self._knn_union_cache: tuple[tuple[int, int], frozenset[int]] | None = (
             None
         )
@@ -209,33 +168,12 @@ class ColumnarEvaluator:
     # Entry point
     # ------------------------------------------------------------------
 
-    def run(self, cohorts, updates, knn_dirty) -> None:
-        """Evaluate one batch of transition cohorts (engine phase 5b),
-        given as the engine's ``(cells, states, stay_put, point_pair)``
-        tuples.  The python backend's entry point only: under numpy the
-        engine always hands over columns (:meth:`run_columns`)."""
-        assert self._np is None
-        with self.tracer.span("columnar_plan", self._phase_counters["plan"]):
-            plan, metas = self._build_plan(cohorts, knn_dirty)
-        qids, oids, signs, ends, _ = self._join(plan)
-        with self.tracer.span("columnar_emit", self._emit_span_counter):
-            self._emit(
-                metas,
-                ends,
-                qids,
-                oids,
-                signs,
-                self._sweep_candidates(),
-                updates,
-                knn_dirty,
-            )
-
     def run_columns(self, columns, updates, knn_dirty) -> None:
         """Evaluate one batch handed over as
-        :class:`~repro.columnar.ingest.CohortColumns` (numpy backend):
-        the plan is built from the columns with no per-cohort Python,
-        and the answered sweep only ever looks at cohorts holding a
-        member it could act on."""
+        :class:`~repro.columnar.ingest.CohortColumns`: the plan is built
+        from the columns with no per-cohort Python, and the answered
+        sweep only ever looks at cohorts holding a member it could act
+        on."""
         with self.tracer.span("columnar_plan", self._phase_counters["plan"]):
             plan = self._plan_columns(columns, knn_dirty)
         qids, oids, signs, ends, arrays = self._join(plan)
@@ -257,13 +195,7 @@ class ColumnarEvaluator:
         self._m_pairs.inc(plan.total_pairs)
         self._h_batch_size.observe(plan.total_pairs)
         with self.tracer.span("columnar_join", self._phase_counters["join"]):
-            joined = classify_transitions(
-                plan,
-                self.ostore,
-                self.qstore,
-                self.backend,
-                want_arrays=True,
-            )
+            joined = classify_transitions(plan, self.ostore, self.qstore)
         self._m_changes.inc(len(joined[0]))
         return joined
 
@@ -271,90 +203,22 @@ class ColumnarEvaluator:
     # Plan construction
     # ------------------------------------------------------------------
 
-    def _begin_plan(self) -> None:
-        """Drop cached candidate layouts the query store has outdated."""
-        if self._cache_version != self.qstore.version:
-            self._cell_cache.clear()
-            self._cohort_cache.clear()
-            self._cache_version = self.qstore.version
-        self._knn_memo.clear()
-
-    def _build_plan(self, cohorts, knn_dirty):
-        """The per-cohort planner: the python backend's, and the oracle
-        the column planner is property-tested against."""
-        self._begin_plan()
-        cohort_cache = self._cohort_cache
-        plan = PairPlan()
-        ent_parts = plan.ent_parts
-        metas = []
-        row_of = self.ostore._row_of
-        obj_rows = plan.obj_rows
-        for cells, states, stay_put, _ in cohorts:
-            if len(states) > 1:
-                states.sort(key=_by_oid)
-            for cell in cells:
-                self._mark_knn(cell, knn_dirty)
-            if len(cells) == 1:
-                entries = self._cell_entries(cells[0])
-                part = entries.partial if stay_put else entries.full
-                parts_seq = (part,) if len(part) else ()
-                seen = entries.static_qids
-            else:
-                # The deduped two-cell layout depends only on the cell
-                # pair, so recurring transitions reuse it until the
-                # query store changes.
-                cached = cohort_cache.get(cells)
-                if cached is None:
-                    cached = cohort_cache[cells] = self._plan_pair(*cells)
-                parts_seq, seen = cached
-            ent_parts.extend(parts_seq)
-            plan.parts_per_cohort.append(len(parts_seq))
-            plan.ent_counts.append(sum(map(len, parts_seq)))
-            for state in states:
-                obj_rows.append(row_of[state.oid])
-            plan.obj_counts.append(len(states))
-            metas.append((states, seen))
-        plan.seal()
-        return plan, metas
-
-    def _plan_pair(self, old_cell: int, new_cell: int):
-        """Deduped candidate layout for one home-cell change.
-
-        Old-cell entries come first, minus queries covering *both*
-        cells: the member's old location lies in the old cell and its
-        new location in the new cell, so ``in_old`` and ``in_new`` are
-        both true and no update can result.  New-cell entries follow,
-        minus every row the old cell already listed (first-occurrence
-        order — the mirror of the serial seen-qid skip).
-        """
-        old = self._cell_entries(old_cell)
-        new = self._cell_entries(new_cell)
-        both = old.cover_set & new.cover_set
-        listed = set(old.full)
-        parts = (
-            [row for row in old.full if row not in both],
-            [row for row in new.full if row not in listed],
-        )
-        return tuple(filter(None, parts)), old.static_qids | new.static_qids
-
     def _plan_columns(self, columns, knn_dirty) -> PairPlan:
         """The :class:`PairPlan` of a batch of cohort columns, built
         with array passes only (the per-touched-*cell* work is the k-NN
-        marking).  Produces exactly what :meth:`_build_plan` produces
-        for the same cohorts:
+        marking):
 
         * candidate entries come from the grid-wide :meth:`_range_csr`
           (per cell: partial rows, then covering rows);
         * each cohort gathers two ragged segments from it — its old
           cell's full list if it changed home cell, then its new cell's
           partial rows if it stayed put, the full list otherwise;
-        * :meth:`_plan_pair`'s first-occurrence dedup becomes membership
-          tests on the CSR's sorted ``(cell, covering, qid rank)`` keys:
-          drop an old-cell entry that covers its cell and is a covering
-          entry of the new cell; drop a new-cell entry the old cell
-          lists.
+        * the dedup is membership tests on the CSR's sorted ``(cell,
+          covering, qid rank)`` keys: drop an old-cell entry that covers
+          its cell and is a covering entry of the new cell (old and new
+          location are both inside it); drop a new-cell entry the old
+          cell lists (first occurrence wins).
         """
-        np = self._np
         self._knn_memo.clear()
         csr_rows, keys, offsets, stride = self._range_csr()
         old = columns.old
@@ -391,11 +255,11 @@ class ColumnarEvaluator:
             rank = keys[at_p] % stride
             # An entry is looked up under the cohort's *other* cell.
             other2 = np.where(from_old, new2[cohort_p], old2[cohort_p])
-            as_covering = _in_sorted(np, keys, (other2 + 1) * stride + rank)
+            as_covering = _in_sorted(keys, (other2 + 1) * stride + rank)
             drop = np.where(
                 from_old,
                 (at_p >= offsets[old2[cohort_p] + 1]) & as_covering,
-                as_covering | _in_sorted(np, keys, other2 * stride + rank),
+                as_covering | _in_sorted(keys, other2 * stride + rank),
             )
             if drop.any():
                 keep = np.ones(len(at), dtype=bool)
@@ -407,7 +271,7 @@ class ColumnarEvaluator:
         # (transition, oid)-sorted order.
         _, members = ragged_arange(columns.start, columns.count, np)
         obj_rows = columns.rows[columns.order[members]].astype(np.int32)
-        return PairPlan.from_arrays(ent, ent_counts, obj_rows, columns.count)
+        return PairPlan(ent, ent_counts, obj_rows, columns.count)
 
     def _footprint_ranges(self, min_xs, min_ys, max_xs, max_ys):
         """The grid footprints of a batch of query regions as a
@@ -415,7 +279,6 @@ class ColumnarEvaluator:
         row_lo, row_hi`` — what ``GridIndex.place_query_region`` places:
         the cells under the region, or the cell nearest its centre when
         it lies wholly outside the world."""
-        np = self._np
         grid = self.grid
         *ranges, hit = rect_cell_ranges_batch(
             min_xs, min_ys, max_xs, max_ys, grid, np
@@ -438,7 +301,7 @@ class ColumnarEvaluator:
         the range queries partially overlapping cell ``c`` and
         ``rows[offsets[2c + 1] : offsets[2c + 2]]`` of those covering
         it (``Grid.cell_rect``'s arithmetic), each ascending by qid —
-        the serial candidate order.  ``keys`` runs parallel to ``rows``:
+        the candidate order.  ``keys`` runs parallel to ``rows``:
         ``(2c + covering) * stride + qid rank``, ascending, so "does
         cell ``c`` list this query (as covering)?" is one binary search.
         """
@@ -447,7 +310,6 @@ class ColumnarEvaluator:
         if cached is not None and cached[0] == qstore.version:
             return cached[1]
         self._m_csr_rebuilds.inc()
-        np = self._np
         grid = self.grid
         n = grid.n
         kinds = np.frombuffer(qstore.kinds, dtype=np.int8)
@@ -499,7 +361,6 @@ class ColumnarEvaluator:
         :meth:`_sweep_candidates`), in emission order."""
         if not special:
             return ()
-        np = self._np
         order = columns.order
         candidates = np.fromiter(special, np.int64, count=len(special))
         # Cohorts tile the sorted order: candidate members per cohort
@@ -545,59 +406,6 @@ class ColumnarEvaluator:
         if hit:
             knn_dirty.update(hit)
 
-    def _cell_entries(self, cell: int) -> _CellEntries:
-        cached = self._cell_cache.get(cell)
-        if cached is not None:
-            return cached
-        qids = self.index.cell_query_tuple(cell)
-        if not qids:
-            self._cell_cache[cell] = _NO_ENTRIES
-            return _NO_ENTRIES
-        qstore = self.qstore
-        qrow_of = qstore._row_of
-        kinds = qstore.kinds
-        min_xs = qstore.min_xs
-        min_ys = qstore.min_ys
-        max_xs = qstore.max_xs
-        max_ys = qstore.max_ys
-        # Inline Grid.cell_rect — the same arithmetic as the serial
-        # pipeline's candidate resolution, so the partial/covering split
-        # is bit-identical on boundary regions.
-        grid = self.grid
-        world = grid.world
-        cell_w = grid.cell_width
-        cell_h = grid.cell_height
-        row, col = divmod(cell, grid.n)
-        c_min_x = world.min_x + col * cell_w
-        c_min_y = world.min_y + row * cell_h
-        c_max_x = world.min_x + (col + 1) * cell_w
-        c_max_y = world.min_y + (row + 1) * cell_h
-        partial: list[int] = []
-        covering: list[int] = []
-        static: list[int] = []
-        # ``qids`` is sorted ascending, so partial/covering (and their
-        # concatenation order below) match the serial entry sort.
-        for qid in qids:
-            qrow = qrow_of[qid]
-            kind = kinds[qrow]
-            if kind == KIND_RANGE:
-                static.append(qid)
-                if (
-                    min_xs[qrow] <= c_min_x
-                    and min_ys[qrow] <= c_min_y
-                    and max_xs[qrow] >= c_max_x
-                    and max_ys[qrow] >= c_max_y
-                ):
-                    covering.append(qrow)
-                else:
-                    partial.append(qrow)
-            elif kind == KIND_PREDICTIVE:
-                static.append(qid)
-        cached = self._cell_cache[cell] = _CellEntries(
-            partial, partial + covering, frozenset(covering), frozenset(static)
-        )
-        return cached
-
     def predicted_inside(
         self,
         oids,
@@ -608,10 +416,9 @@ class ColumnarEvaluator:
     ):
         """Vectorized ``_predicted_in_region`` over candidate ``oids``.
 
-        Returns one bool per oid (same order), or ``None`` under the
-        python backend (callers fall back to the scalar path).  The
-        arithmetic replicates the scalar sequence operation-for-
-        operation — ``position_at`` displacement, then Liang–Barsky
+        Returns one bool per oid (same order).  The arithmetic
+        replicates the scalar sequence operation-for-operation —
+        ``position_at`` displacement, then Liang–Barsky
         slab clipping in the same edge order with the same running
         ``t0``/``t1`` comparisons — so each lane's IEEE result is
         bit-identical to ``LinearMotion.time_in_rect``'s verdict.
@@ -619,9 +426,6 @@ class ColumnarEvaluator:
         makes every slab test degenerate to the closed containment
         check the scalar path uses.
         """
-        np = self._np
-        if np is None or not oids:
-            return None
         row_of = self.ostore._row_of
         rows = np.fromiter(
             (row_of[oid] for oid in oids), count=len(oids), dtype=np.int64
@@ -639,7 +443,6 @@ class ColumnarEvaluator:
         ``(min_x, min_y, max_x, max_y)`` and ``horizon`` are scalars
         (one region) or arrays aligned with ``rows`` (one region per
         pair) — the arithmetic per lane is the same either way."""
-        np = self._np
         ostore = self.ostore
         min_x, min_y, max_x, max_y = bounds
         xs, ys = ostore.xy_views()
@@ -656,13 +459,15 @@ class ColumnarEvaluator:
         ok = end >= start
         ds = start - t
         de = end - t
-        sx = x + vx * ds
-        sy = y + vy * ds
-        dx = (x + vx * de) - sx
-        dy = (y + vy * de) - sy
         t0 = np.zeros(len(rows))
         t1 = np.ones(len(rows))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # A finite but absurd velocity overflows to inf (and inf - inf
+        # to NaN) silently, as the scalar path's Python floats do.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            sx = x + vx * ds
+            sy = y + vy * ds
+            dx = (x + vx * de) - sx
+            dy = (y + vy * de) - sy
             for p, q in (
                 (-dx, sx - min_x),
                 (dx, max_x - sx),
@@ -702,12 +507,10 @@ class ColumnarEvaluator:
         arr = self.answers.peek(qid)
         if arr is None or len(arr) != len(live):
             return None
-        if self._np is not None:
-            return frozenset(arr.tolist())
-        return frozenset(arr)
+        return frozenset(arr.tolist())
 
     # ------------------------------------------------------------------
-    # The query-side batch passes (numpy backend)
+    # The query-side batch passes
     # ------------------------------------------------------------------
 
     def _gather(self, ranges):
@@ -715,7 +518,7 @@ class ColumnarEvaluator:
         of a batch of cell-range rectangles — the one ragged gather the
         three query-side passes share."""
         n = self.grid.n
-        return self.ostore.home_cells(n * n).gather(*ranges, n, self._np)
+        return self.ostore.home_cells(n * n).gather(*ranges, n, np)
 
     def _inside(self, bounds, pos, rows):
         """Closed containment of object ``rows`` in the rectangles
@@ -741,7 +544,6 @@ class ColumnarEvaluator:
         pass reads only the home-cell CSR and the coordinate columns
         (pre-ingest: phase 4 precedes the reports).
         """
-        np = self._np
         qstore = self.qstore
         m = len(moves)
         row_of = qstore._row_of
@@ -824,7 +626,6 @@ class ColumnarEvaluator:
         uses) and a ``(distance, oid)`` sort on the survivors only — so
         the radius stays bit-identical to the scalar search.
         """
-        np = self._np
         m = len(queries)
         ostore = self.ostore
         row_of = ostore._row_of
@@ -873,7 +674,6 @@ class ColumnarEvaluator:
         swept footprint (:func:`~repro.columnar.ingest.swept_cell_ranges`)
         meets it, and the standing answer.
         """
-        np = self._np
         m = len(queries)
         ostore = self.ostore
         *bounds, horizons = np.array(
@@ -985,7 +785,7 @@ class ColumnarEvaluator:
         entry in that point's cell — so for members whose current *and*
         previous coordinates lie inside the world, every range qid in
         ``answered`` appears in the cohort's ``seen`` set, as does every
-        predictive qid (``static_qids`` carries both kinds).  The only
+        predictive qid (``seen`` carries both kinds).  The only
         states on which the sweep body can *act* are therefore members
         of some k-NN answer (k-NN qids are never in ``seen``) and
         objects whose old or new coordinates fall outside the world
@@ -994,55 +794,32 @@ class ColumnarEvaluator:
         need not cover its members' cells — but the sweep body skips
         ``KIND_PREDICTIVE`` qids outright, so running it on a state
         whose only escaped qids are predictive is a provable no-op and
-        those members are deliberately left out.  The golden-
-        equivalence suites drive all of these paths — off-world
-        reports, query moves, every query kind — against the serial
-        stream byte-for-byte.
+        those members are deliberately left out.  The lock-step state
+        machine drives all of these paths — off-world reports, query
+        moves, every query kind — against the per-object reference.
         """
         ostore = self.ostore
         world = self.grid.world
-        np = self._np
         knn_members = self._knn_member_union()
         special: set[int] = set()
-        if np is not None:
-            xs, ys, old_xs, old_ys = ostore.coord_views()
-            # NaN old coordinates (new objects) compare False on every
-            # bound: a fresh object is never off-world-stale.
-            with np.errstate(invalid="ignore"):
-                off = (
-                    (xs < world.min_x)
-                    | (xs > world.max_x)
-                    | (ys < world.min_y)
-                    | (ys > world.max_y)
-                    | (old_xs < world.min_x)
-                    | (old_xs > world.max_x)
-                    | (old_ys < world.min_y)
-                    | (old_ys > world.max_y)
-                )
-            off_rows = np.flatnonzero(off)
-            if len(off_rows):
-                oid_col = np.frombuffer(ostore.oids, dtype=np.int64)
-                special.update(oid_col[off_rows].tolist())
-        else:
-            xs = ostore.xs
-            ys = ostore.ys
-            old_xs = ostore.old_xs
-            old_ys = ostore.old_ys
-            oid_col = ostore.oids
-            min_x, min_y = world.min_x, world.min_y
-            max_x, max_y = world.max_x, world.max_y
-            for row in range(len(oid_col)):
-                if (
-                    xs[row] < min_x
-                    or xs[row] > max_x
-                    or ys[row] < min_y
-                    or ys[row] > max_y
-                    or old_xs[row] < min_x
-                    or old_xs[row] > max_x
-                    or old_ys[row] < min_y
-                    or old_ys[row] > max_y
-                ):
-                    special.add(oid_col[row])
+        xs, ys, old_xs, old_ys = ostore.coord_views()
+        # NaN old coordinates (new objects) compare False on every
+        # bound: a fresh object is never off-world-stale.
+        with np.errstate(invalid="ignore"):
+            off = (
+                (xs < world.min_x)
+                | (xs > world.max_x)
+                | (ys < world.min_y)
+                | (ys > world.max_y)
+                | (old_xs < world.min_x)
+                | (old_xs > world.max_x)
+                | (old_ys < world.min_y)
+                | (old_ys > world.max_y)
+            )
+        off_rows = np.flatnonzero(off)
+        if len(off_rows):
+            oid_col = np.frombuffer(ostore.oids, dtype=np.int64)
+            special.update(oid_col[off_rows].tolist())
         if not special:
             return knn_members
         special.update(knn_members)
@@ -1062,28 +839,16 @@ class ColumnarEvaluator:
             return cached[1]
         queries = self.queries
         answers = self.answers
-        np = self._np
-        if np is not None:
-            kind_col = np.frombuffer(qstore.kinds, dtype=np.int8)
-            rows = np.flatnonzero(kind_col == KIND_KNN)
-            if len(rows):
-                qid_col = np.frombuffer(qstore.qids, dtype=np.int64)
-                parts = [
-                    answers.get(qid, queries[qid].answer)
-                    for qid in qid_col[rows].tolist()
-                ]
-                union = frozenset(
-                    np.unique(np.concatenate(parts)).tolist()
-                )
-            else:
-                union = frozenset()
-        else:
-            members: set[int] = set()
-            for row, kind in enumerate(qstore.kinds):
-                if kind == KIND_KNN:
-                    qid = qstore.qids[row]
-                    members.update(answers.get(qid, queries[qid].answer))
-            union = frozenset(members)
+        kind_col = np.frombuffer(qstore.kinds, dtype=np.int8)
+        rows = np.flatnonzero(kind_col == KIND_KNN)
+        union: frozenset[int] = frozenset()
+        if len(rows):
+            qid_col = np.frombuffer(qstore.qids, dtype=np.int64)
+            parts = [
+                answers.get(qid, queries[qid].answer)
+                for qid in qid_col[rows].tolist()
+            ]
+            union = frozenset(np.unique(np.concatenate(parts)).tolist())
         # Key re-read after the build: the gets above may have bumped
         # the answer-store version while rebuilding missing rows.
         self._knn_union_cache = ((qstore.version, self.answers.version), union)
@@ -1096,7 +861,7 @@ class ColumnarEvaluator:
     def _emit_bulk(
         self, sweeps, qids, oids, signs, arrays, special, updates, knn_dirty
     ) -> None:
-        """numpy fast path: bulk set maintenance + spliced emission.
+        """Bulk set maintenance + spliced emission.
 
         Every object belongs to exactly one transition cohort per
         batch, so cohort *i*'s pair emissions touch membership atoms —
@@ -1105,8 +870,8 @@ class ColumnarEvaluator:
         answered changes up front (grouped by query and by object,
         C-speed bulk set operations) therefore leaves each cohort's
         answered sweep reading exactly the state it would have seen
-        under strict serial interleaving.  The update stream itself is
-        reassembled in serial order **as columns**: the kernel's
+        under strict cohort-by-cohort interleaving.  The update stream
+        itself is assembled in cohort order **as columns**: the kernel's
         qid/oid/sign lists splice straight into the batch via
         ``extend_columns`` (zero per-pair allocation), with each
         cohort's sweep output spliced in right after its pair span.
@@ -1144,7 +909,6 @@ class ColumnarEvaluator:
         (object states were allocated in roughly that order — the
         memory walk is what this loop costs).
         """
-        np = self._np
         queries = self.queries
         order = np.argsort(qid_arr)
         k_sorted = qid_arr[order]
@@ -1163,34 +927,6 @@ class ColumnarEvaluator:
                 answered.remove(qid)
             else:
                 answered.add(qid)
-
-    def _emit(
-        self, metas, ends, qids, oids, signs, special, updates, knn_dirty
-    ) -> None:
-        queries = self.queries
-        objects = self.objects
-        push = updates.push
-        pos = 0
-        for (states, seen), end in zip(metas, ends):
-            # Plan-level dedup guarantees every changed pair is unique
-            # within its cohort: emit them all, in order.
-            for qid, oid, sign in zip(
-                qids[pos:end], oids[pos:end], signs[pos:end]
-            ):
-                query = queries[qid]
-                state = objects[oid]
-                if sign > 0:
-                    query.answer.add(oid)
-                    state.answered.add(qid)
-                else:
-                    query.answer.discard(oid)
-                    state.answered.discard(qid)
-                push(qid, oid, sign)
-            pos = end
-            chunk = special and self._sweep(states, seen, special, knn_dirty)
-            if chunk:
-                for update in zip(*chunk):
-                    push(*update)
 
     def _sweep(self, states, seen, special, knn_dirty):
         """The answered sweep of one cohort: queries a member left

@@ -1,11 +1,9 @@
 """Vectorized report-buffer ingest (the engine's phase 5a).
 
-The serial ``IncrementalEngine._group_reports`` walks the report buffer
-one object at a time: home-cell arithmetic, old-cell lookup through the
-grid's auxiliary hash index, a per-object grid bucket move, and a dict
-append into its transition cohort.  :class:`BatchIngest` replaces it
-with a few array passes over the *whole* buffer — there is no
-"minority" any more, because **every report is one home-cell
+:class:`BatchIngest` applies the whole report buffer to object state,
+the grid index and the object store, and groups it into transition
+cohorts, with a few array passes over the *whole* buffer — there is no
+"minority" path, because **every report is one home-cell
 transition**:
 
 * a report's cohort key is ``(old home cell, new home cell)`` whatever
@@ -26,12 +24,10 @@ transition**:
 * **transition cohorts** are recovered by one ``lexsort`` over
   ``(key, oid)`` with group-boundary detection; cohorts are emitted in
   first-occurrence order (``minimum.reduceat`` over the original
-  positions), which is exactly the serial dict's insertion order.
-  They leave as :class:`CohortColumns` — per-cohort ``old``/``new``
-  cells and member ``start``/``count`` into the sorted order — so the
-  columnar evaluator plans the join without ever materialising a dict
-  of member lists (the parallel pipeline asks for that dict through
-  :meth:`CohortColumns.groups`);
+  positions).  They leave as :class:`CohortColumns` — per-cohort
+  ``old``/``new`` cells and member ``start``/``count`` into the sorted
+  order — so the columnar evaluator plans the join without ever
+  materialising a dict of member lists;
 * **swept footprints** of every velocity-carrying row are computed in
   one pass (:func:`repro.grid.cellmath.rect_cell_ranges_batch`,
   operation for operation what ``_object_footprint`` does); the only
@@ -50,15 +46,12 @@ column has no slot for (negative, or beyond the sparsity limit the
 column grows up to) is an *out-of-column* row: its old home comes from
 the object's stored location, its index placement takes the per-object
 step, and the column write is skipped — inside the same call, with the
-rest of the batch on arrays.  The kernel is off only when numpy is
-missing.
+rest of the batch on arrays.
 
-Cohort members come out oid-sorted rather than in report order.  That
-is safe because every consumer sorts members by oid before any emission
-(``_evaluate_cohort``, the plan builders, and the parallel worker all
-do).  Equivalence with the serial loop is pinned by the golden ingest
-tests (``tests/columnar/test_ingest_golden.py``) across all four
-pipelines and both backends.
+Cohort members come out oid-sorted, which is the order the evaluator
+joins and emits them in.  Agreement with the per-object reference is
+pinned by the ingest scenarios (``tests/columnar/test_ingest_golden.py``)
+and the lock-step state machine.
 
 Like the rest of this package, the module imports nothing from
 ``repro.core`` — the engine injects its state class.
@@ -68,7 +61,8 @@ from __future__ import annotations
 
 from operator import attrgetter, itemgetter
 
-from repro.columnar.backend import numpy_or_none
+import numpy as np
+
 from repro.grid.cellmath import (
     cell_rect_set,
     point_cells_batch,
@@ -98,7 +92,7 @@ _MAX_SPARSITY = 8
 _SPARSITY_SLACK = 65_536
 
 
-def _cell_runs(cells_sorted, np):
+def _cell_runs(cells_sorted):
     """Group boundaries of a sorted cell array: parallel lists of
     (cell id, run start, run stop) for zipping."""
     n = len(cells_sorted)
@@ -122,8 +116,11 @@ def swept_cell_ranges(x, y, vx, vy, t, home, horizon: float, grid, np):
     row_lo = row_hi = home // n
     if horizon > 0:
         dt = (t + horizon) - t
-        end_x = x + vx * dt
-        end_y = y + vy * dt
+        # A finite but absurd velocity overflows to inf silently, as the
+        # scalar footprint's Python floats do.
+        with np.errstate(over="ignore"):
+            end_x = x + vx * dt
+            end_y = y + vy * dt
         c_lo, c_hi, r_lo, r_hi, hit = rect_cell_ranges_batch(
             np.minimum(x, end_x),
             np.minimum(y, end_y),
@@ -147,13 +144,12 @@ class CohortColumns:
     (:data:`NOT_INDEXED` for new objects), its new home cell, and its
     members as the slice ``order[start : start + count]`` — positions
     into the report-order columns ``oids``/``states``/``rows``
-    (``rows``: object-store rows, ``None`` without a store), ascending
-    by oid within a cohort.  ``scalar_rows`` counts the rows
-    that needed a per-object index placement.
+    (``rows``: object-store rows), ascending by oid within a cohort.
+    ``scalar_rows`` counts the rows that needed a per-object index
+    placement.
     """
 
     __slots__ = (
-        "np",
         "old",
         "new",
         "start",
@@ -168,34 +164,16 @@ class CohortColumns:
     def __len__(self) -> int:
         return len(self.old)
 
-    def groups(self) -> dict:
-        """The serial ``{(old, new): [state, ...]}`` cohort dict."""
-        states = self.np.empty(len(self.states), dtype=object)
-        states[:] = self.states
-        states_sorted = states[self.order].tolist()
-        start = self.start
-        slices = map(slice, start.tolist(), (start + self.count).tolist())
-        return dict(
-            zip(
-                zip(self.old.tolist(), self.new.tolist()),
-                map(states_sorted.__getitem__, slices),
-            )
-        )
-
 
 class BatchIngest:
     """Batch phase 5a for one engine: owns the dense ``oid -> cell``
     column and turns a report buffer into :class:`CohortColumns`."""
 
-    __slots__ = ("engine", "state_cls", "np", "enabled", "_cell_by_oid")
+    __slots__ = ("engine", "state_cls", "_cell_by_oid")
 
     def __init__(self, engine, state_cls) -> None:
         self.engine = engine
         self.state_cls = state_cls
-        self.np = numpy_or_none()
-        #: False only without numpy (the engine then counts a
-        #: ``no_numpy`` fallback per evaluation).  No input can clear it.
-        self.enabled = self.np is not None
         self._cell_by_oid = None
 
     # ------------------------------------------------------------------
@@ -220,7 +198,6 @@ class BatchIngest:
         """Grow the dense column over this batch's in-limit oids and
         return the batch's in-column mask: exactly the oids the column
         has a slot for, so no slot is ever left unwritten."""
-        np = self.np
         column = self._cell_by_oid
         have = 0 if column is None else len(column)
         limit = max(have, _MAX_SPARSITY * max(population, 1) + _SPARSITY_SLACK)
@@ -253,7 +230,6 @@ class BatchIngest:
         grid index and the object store; add every cell whose
         population or residents' motion changed to ``churned_cells``;
         return the batch's cohorts.  Clears the buffer."""
-        np = self.np
         engine = self.engine
         objects = engine.objects
         grid = engine.grid
@@ -292,7 +268,7 @@ class BatchIngest:
         # buffer via C-level passes (list comprehensions + fromiter over
         # attrgetter maps — no per-report Python frame); the one
         # remaining per-report Python loop applies each report to its
-        # ObjectState, exactly as the serial loop does.
+        # ObjectState, exactly as the per-object path does.
         vals = reports.values()
         locs = [v[0] for v in vals]
         vels = [v[1] for v in vals]
@@ -324,21 +300,15 @@ class BatchIngest:
             scalar |= (vx_arr != 0.0) | (vy_arr != 0.0)
 
         cols = CohortColumns()
-        cols.np = np
         cols.oids = oid_arr
         cols.states = states_buf
-        ostore = engine._ostore
-        cols.rows = (
-            None
-            if ostore is None
-            else ostore.batch_apply(
-                oid_arr, x_arr, y_arr, vx_arr, vy_arr, t_arr, new_cells, np
-            )
+        cols.rows = engine._ostore.batch_apply(
+            oid_arr, x_arr, y_arr, vx_arr, vy_arr, t_arr, new_cells
         )
 
         # --- cohort grouping: sort by (transition key, oid), find the
         # group boundaries, emit groups by first occurrence in report
-        # order (== the serial dict's insertion order).
+        # order.
         n_cells = grid.n * grid.n
         key = (old_cells + np.int64(1)) * np.int64(n_cells) + new_cells
         order = np.lexsort((oid_arr, key))
@@ -379,13 +349,13 @@ class BatchIngest:
                 # contiguous runs of old cell.
                 dep_oids = oid_sorted[dep_mask].tolist()
                 drain = index.bulk_drain_points
-                for cell, lo, hi in zip(*_cell_runs(sorted_old[dep_mask], np)):
+                for cell, lo, hi in zip(*_cell_runs(sorted_old[dep_mask])):
                     drain(cell, dep_oids[lo:hi])
             arr_new = sorted_new[moved]
             arr_order = np.argsort(arr_new, kind="stable")
             arr_oids = oid_sorted[moved][arr_order].tolist()
             fill = index.bulk_fill_points
-            for cell, lo, hi in zip(*_cell_runs(arr_new[arr_order], np)):
+            for cell, lo, hi in zip(*_cell_runs(arr_new[arr_order])):
                 fill(cell, arr_oids[lo:hi])
         column[oid_arr[in_column]] = new_cells[in_column]
 
@@ -412,7 +382,6 @@ class BatchIngest:
         changed pays for a ``frozenset`` and a ``place_object``.
         Returns how many rows took that per-object step (out-of-column
         rows always count)."""
-        np = self.np
         engine = self.engine
         grid = engine.grid
         n = grid.n

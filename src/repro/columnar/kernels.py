@@ -1,14 +1,13 @@
 """Batch kernels for the columnar evaluation core.
 
-The cell-batched pipeline's inner loop visits every (candidate query,
-cohort object) pair of every transition cohort in Python.  The columnar
-pipeline replaces that loop with two array passes over the whole batch:
+Report evaluation visits every (candidate query, cohort object) pair of
+every transition cohort.  Instead of looping those pairs in Python, the
+columnar pipeline runs two array passes over the whole batch:
 
 1. **Cell-range join** — expand the batch's ragged (cohort → candidate
    entry rows × member object rows) structure into two flat pair-index
-   arrays, in *exactly* the order the serial loop would visit pairs
-   (cohort → cell → partial-then-covering entries sorted by qid →
-   objects sorted by oid).
+   arrays, cohort-major (cohort → partial-then-covering entries sorted
+   by qid → objects sorted by oid).
 2. **Membership classification** — one vectorized containment test per
    pair against the object's new and old coordinates.  ``enter`` is
    inside-new ∧ ¬inside-old (a positive update), ``leave`` the reverse
@@ -19,31 +18,31 @@ pipeline replaces that loop with two array passes over the whole batch:
    that invariant through every phase), and NaN old coordinates — new
    objects — test False against every bound.
 
-Kernel contract (both backends)::
+Kernel contract::
 
-    classify_transitions(plan, ostore, qstore, backend)
-        -> (qids, oids, signs, cohort_ends)
+    classify_transitions(plan, ostore, qstore)
+        -> (qids, oids, signs, cohort_ends, arrays)
 
 ``qids``/``oids`` are the public query/object identifiers of the
-*changed* pairs only, as plain Python lists in flat pair order (the
-numpy path maps store rows to identifiers with one vectorized gather
-over the id columns — never per pair in Python); ``signs`` holds
-+1/-1; ``cohort_ends[i]`` is the exclusive end of cohort ``i``'s span
-in those lists.  The kernel classifies exactly the pairs the plan
+*changed* pairs only, as plain Python lists in flat pair order (store
+rows map to identifiers with one vectorized gather over the id columns
+— never per pair in Python); ``signs`` holds +1/-1; ``cohort_ends[i]``
+is the exclusive end of cohort ``i``'s span in those lists; ``arrays``
+is the int64 ``(qids, oids, signs)`` ndarray triple (``None`` when no
+pair changed).  The kernel classifies exactly the pairs the plan
 enumerates, in the plan's order — plan construction has already
-deduplicated candidate entries across a multi-cell cohort's cells
-(first-occurrence order, the mirror of the serial pass's seen-qid
-skip), so every changed pair maps one-to-one onto an emitted update.
+deduplicated candidate entries across a cohort's two cells, so every
+changed pair maps one-to-one onto an emitted update.
 
-The numpy path materialises pair-index arrays for the whole batch
-(int32: two 4-byte columns per pair) but runs the float work in
+Pair-index arrays are materialised for the whole batch (int32: two
+4-byte columns per pair) but the float work runs in
 :data:`PAIR_CHUNK`-sized chunks so peak temporary memory stays bounded
 regardless of batch size.
 """
 
 from __future__ import annotations
 
-from repro.columnar.backend import numpy_or_none
+import numpy as np
 
 #: Pairs per float-kernel chunk (eight float64 temporaries per pair in
 #: flight → ~70 MB peak at this setting).
@@ -53,99 +52,36 @@ PAIR_CHUNK = 1 << 20
 class PairPlan:
     """The ragged join structure for one batch, cohort-major.
 
-    * ``ent_parts`` — one sequence of query-store rows per (cohort,
-      cell) with at least one candidate entry, in cohort order; each
-      part is already in the serial candidate order (partial entries
-      then covering entries, each sorted by qid).  numpy backend: int32
-      ndarrays; python backend: lists.
-    * ``parts_per_cohort[i]`` — how many of those parts belong to
-      cohort ``i``.
-    * ``ent_counts[i]`` — total candidate entries of cohort ``i``.
+    * ``ent`` — the query-store rows of every cohort's candidate
+      entries, concatenated; cohort ``i`` owns the next
+      ``ent_counts[i]`` of them.
     * ``obj_rows`` — object-store rows of every cohort member, flat,
-      cohort-major, sorted by oid within a cohort.
-    * ``obj_counts[i]`` — member count of cohort ``i``.
-
-    The list form above is what the per-cohort planner appends to.  The
-    numpy column planner hands over the same plan as arrays through
-    :meth:`from_arrays` — one already-concatenated entry part, ndarray
-    counts and rows — which :func:`classify_transitions`' numpy path
-    consumes as is (``parts_per_cohort`` is a python-backend field and
-    stays empty).
+      cohort-major, sorted by oid within a cohort; cohort ``i`` owns the
+      next ``obj_counts[i]`` of them.
     """
 
-    __slots__ = (
-        "ent_parts",
-        "parts_per_cohort",
-        "ent_counts",
-        "obj_rows",
-        "obj_counts",
-        "total_pairs",
-    )
+    __slots__ = ("ent", "ent_counts", "obj_rows", "obj_counts", "total_pairs")
 
-    def __init__(self) -> None:
-        self.ent_parts: list = []
-        self.parts_per_cohort: list[int] = []
-        self.ent_counts: list[int] = []
-        self.obj_rows: list[int] = []
-        self.obj_counts: list[int] = []
-        self.total_pairs = 0
-
-    @classmethod
-    def from_arrays(cls, ent, ent_counts, obj_rows, obj_counts) -> "PairPlan":
-        """A sealed plan over ndarray columns (numpy backend only)."""
-        plan = cls()
-        plan.ent_parts = [ent]
-        plan.ent_counts = ent_counts
-        plan.obj_rows = obj_rows
-        plan.obj_counts = obj_counts
-        plan.total_pairs = int((ent_counts * obj_counts).sum())
-        return plan
+    def __init__(self, ent, ent_counts, obj_rows, obj_counts) -> None:
+        self.ent = ent
+        self.ent_counts = ent_counts
+        self.obj_rows = obj_rows
+        self.obj_counts = obj_counts
+        self.total_pairs = int((ent_counts * obj_counts).sum())
 
     @property
     def cohort_count(self) -> int:
         return len(self.ent_counts)
 
-    def seal(self) -> None:
-        """Finalize derived totals after the last cohort is added."""
-        self.total_pairs = sum(
-            e * m for e, m in zip(self.ent_counts, self.obj_counts)
-        )
-
 
 def classify_transitions(
-    plan: PairPlan,
-    ostore,
-    qstore,
-    backend: str,
-    chunk_pairs: int = PAIR_CHUNK,
-    want_arrays: bool = False,
+    plan: PairPlan, ostore, qstore, chunk_pairs: int = PAIR_CHUNK
 ):
-    """Run the join + membership classification for one batch.
-
-    Dispatches on ``backend`` (``"numpy"`` or ``"python"``); both
-    implementations honour the contract above and return identical
-    results on identical inputs (tested property).
-
-    With ``want_arrays`` a fifth element is returned: the int64
-    ``(qids, oids, signs)`` ndarray triple under the numpy backend
-    (``None`` when there are no changed pairs or under the python
-    backend) — the bulk emitter groups set maintenance from it without
-    re-materialising arrays from the lists.
-    """
-    if backend == "numpy":
-        return _classify_numpy(plan, ostore, qstore, chunk_pairs, want_arrays)
-    result = _classify_python(plan, ostore, qstore)
-    return (*result, None) if want_arrays else result
-
-
-def _classify_numpy(
-    plan: PairPlan, ostore, qstore, chunk_pairs: int, want_arrays: bool = False
-):
-    np = numpy_or_none()
+    """Run the join + membership classification for one batch (the
+    contract above)."""
     n_cohorts = plan.cohort_count
     if plan.total_pairs == 0:
-        empty = ([], [], [], [0] * n_cohorts)
-        return (*empty, None) if want_arrays else empty
+        return [], [], [], [0] * n_cohorts, None
 
     ent_counts = np.asarray(plan.ent_counts, dtype=np.int64)
     obj_counts = np.asarray(plan.obj_counts, dtype=np.int64)
@@ -158,7 +94,7 @@ def _classify_numpy(
     idx = np.int32 if total < 2**31 else np.int64
 
     # --- the cell-range join: flat (query row, object row) pair arrays.
-    ent = np.concatenate(plan.ent_parts)
+    ent = plan.ent
     obj = np.asarray(plan.obj_rows, dtype=np.int32)
     # Each candidate entry repeats once per cohort member, entry-major.
     qidx = np.repeat(ent, np.repeat(obj_counts, ent_counts))
@@ -205,8 +141,7 @@ def _classify_numpy(
             out_pos.append(pos + lo)
 
     if not out_q:
-        empty = ([], [], [], [0] * n_cohorts)
-        return (*empty, None) if want_arrays else empty
+        return [], [], [], [0] * n_cohorts, None
     # One vectorized gather over the id columns (array('q') buffers are
     # int64 in memory) turns store rows into public identifiers — the
     # emitter never touches a row index per pair.
@@ -222,58 +157,5 @@ def _classify_numpy(
     # per-cohort spans fall out of one searchsorted over the boundaries.
     global_pos = np.concatenate(out_pos)
     cohort_ends = np.searchsorted(global_pos, pair_start[1:], side="left")
-    ends = cohort_ends.tolist()
-    if want_arrays:
-        return qids, oids, signs, ends, (qid_arr, oid_arr, sign_arr)
-    return qids, oids, signs, ends
+    return qids, oids, signs, cohort_ends.tolist(), (qid_arr, oid_arr, sign_arr)
 
-
-def _classify_python(plan: PairPlan, ostore, qstore):
-    """Pure-Python fallback: same flat enumeration, scalar columns."""
-    xs = ostore.xs
-    ys = ostore.ys
-    old_xs = ostore.old_xs
-    old_ys = ostore.old_ys
-    oid_col = ostore.oids
-    min_xs = qstore.min_xs
-    min_ys = qstore.min_ys
-    max_xs = qstore.max_xs
-    max_ys = qstore.max_ys
-    qid_col = qstore.qids
-
-    qids: list[int] = []
-    oids: list[int] = []
-    signs: list[int] = []
-    cohort_ends: list[int] = []
-    ent_parts = plan.ent_parts
-    obj_rows = plan.obj_rows
-    part_index = 0
-    obj_index = 0
-    for cohort, m in enumerate(plan.obj_counts):
-        members = obj_rows[obj_index : obj_index + m]
-        obj_index += m
-        for _ in range(plan.parts_per_cohort[cohort]):
-            part = ent_parts[part_index]
-            part_index += 1
-            for erow in part:
-                lx = min_xs[erow]
-                hx = max_xs[erow]
-                ly = min_ys[erow]
-                hy = max_ys[erow]
-                qid = qid_col[erow]
-                for orow in members:
-                    in_new = (
-                        lx <= xs[orow] <= hx and ly <= ys[orow] <= hy
-                    )
-                    # NaN old coordinates compare False: new objects
-                    # were members of nothing.
-                    in_old = (
-                        lx <= old_xs[orow] <= hx
-                        and ly <= old_ys[orow] <= hy
-                    )
-                    if in_new != in_old:
-                        qids.append(qid)
-                        oids.append(oid_col[orow])
-                        signs.append(1 if in_new else -1)
-        cohort_ends.append(len(qids))
-    return qids, oids, signs, cohort_ends

@@ -11,10 +11,9 @@ phase of :class:`repro.core.engine.IncrementalEngine` writes through to
 them, so building a batch kernel's input is array slicing, never a
 rebuild.  Two design rules:
 
-* Columns are stdlib ``array.array`` buffers.  Scalar writes (one
-  report, one query move) cost an index assignment; when numpy is
-  available the kernels view the very same buffers zero-copy through
-  ``np.frombuffer`` — one store serves both backends.  Views must be
+* Columns are stdlib ``array.array`` buffers.  Scalar writes (one query
+  move, one removal) cost an index assignment; the kernels view the very
+  same buffers zero-copy through ``np.frombuffer``.  Views must be
   re-taken after any append (``array`` reallocates); the kernels take
   them fresh per batch.
 * Rows are dense and unordered, with swap-remove deletion.  An
@@ -37,10 +36,8 @@ column sorted by cell (a permutation; offsets are binary searches), cut by
 ``version``, and its :meth:`~HomeCells.gather` is the one ragged gather
 the query-side array passes share.
 
-Query rows mirror :mod:`repro.parallel.worker`'s wire descriptors:
-``(kind, min_x, min_y, max_x, max_y)`` with zeroed bounds for k-NN and
-predictive kinds, so the parallel planner can serve descriptor payloads
-straight from this store.
+Query rows are ``(kind, min_x, min_y, max_x, max_y)`` descriptors, with
+zeroed bounds for the k-NN and predictive kinds.
 
 :class:`ColumnarAnswerStore` completes the mirror set: answer
 membership as sorted per-query oid arrays, lazily rebuilt from the
@@ -58,12 +55,11 @@ from __future__ import annotations
 from array import array
 from itertools import repeat
 
-from repro.columnar.backend import numpy_or_none
+import numpy as np
+
 from repro.grid.cellmath import ragged_arange, rect_cell_strips_batch
 
-#: Query-kind codes.  MUST match the wire constants in
-#: :mod:`repro.parallel.worker` (which re-declares them because worker
-#: modules deliberately import nothing from the package).
+#: Query-kind codes.
 KIND_RANGE = 0
 KIND_KNN = 1
 KIND_PREDICTIVE = 2
@@ -71,14 +67,10 @@ KIND_PREDICTIVE = 2
 _NAN = float("nan")
 
 
-def _empty_f64_view(np):
-    return np.empty(0, dtype=np.float64)
-
-
-def _f64_view(np, column: array):
+def _f64_view(column: array):
     """Zero-copy float64 numpy view over an ``array('d')`` column."""
     if not column:
-        return _empty_f64_view(np)
+        return np.empty(0, dtype=np.float64)
     return np.frombuffer(column, dtype=np.float64)
 
 
@@ -116,8 +108,8 @@ class ColumnarObjectStore:
     """Parallel arrays of object state: oid, x, y, old x/y, velocity,
     report time, and home cell.
 
-    ``apply_report`` is the single write path for position state (the
-    engine calls it from its report-grouping phase), ``remove`` the
+    ``batch_apply`` is the single write path for position state (the
+    engine's batch ingest calls it once per evaluation), ``remove`` the
     single delete path.  ``row_of`` maps an oid to its current row.
     ``version`` counts mutations; :meth:`home_cells` is cut at most
     once per version.
@@ -162,69 +154,22 @@ class ColumnarObjectStore:
         """The current row of ``oid`` (valid until the next mutation)."""
         return self._row_of[oid]
 
-    def apply_report(
-        self,
-        oid: int,
-        x: float,
-        y: float,
-        vx: float,
-        vy: float,
-        t: float,
-        cell: int,
-    ) -> int:
-        """Write one location report through; returns the object's row.
+    def batch_apply(self, oids, xs, ys, vxs, vys, ts, cells):
+        """Apply one whole report buffer in a few array passes; returns
+        the batch's store rows as an int64 ndarray aligned with ``oids``
+        (the column planner's member rows).
 
+        The oids must be **distinct** within the batch (the engine's
+        report buffer is a dict, so they are) and the columns aligned
+        ndarrays (float64 coordinates/velocities/times, int64 cells).
         An existing object's current coordinates become its old
         coordinates; a new object gets NaN old coordinates (member of
-        nothing under every containment test).
+        nothing under every containment test).  New rows are
+        bulk-appended via ``frombytes`` and existing rows updated by
+        gather/scatter through zero-copy ``frombuffer`` views
+        (``array.array`` buffers are writable, so scatters write
+        through).
         """
-        self.version += 1
-        row = self._row_of.get(oid)
-        if row is None:
-            row = len(self.oids)
-            self._row_of[oid] = row
-            self.oids.append(oid)
-            self.xs.append(x)
-            self.ys.append(y)
-            self.old_xs.append(_NAN)
-            self.old_ys.append(_NAN)
-            self.vxs.append(vx)
-            self.vys.append(vy)
-            self.ts.append(t)
-            self.cells.append(cell)
-        else:
-            xs = self.xs
-            ys = self.ys
-            self.old_xs[row] = xs[row]
-            self.old_ys[row] = ys[row]
-            xs[row] = x
-            ys[row] = y
-            self.vxs[row] = vx
-            self.vys[row] = vy
-            self.ts[row] = t
-            self.cells[row] = cell
-        return row
-
-    def batch_apply(self, oids, xs, ys, vxs, vys, ts, cells, np=None):
-        """Apply one whole report buffer in a few array passes.
-
-        Equivalent to ``apply_report`` once per element — the oids must
-        be **distinct** within the batch (the engine's report buffer is
-        a dict, so they are).  Without numpy (``np=None``) this loops
-        the scalar path over plain sequences; under numpy the columns
-        must be aligned ndarrays (float64 coordinates/velocities/times,
-        int64 cells): new rows are bulk-appended via ``frombytes`` and
-        existing rows updated by gather/scatter through zero-copy
-        ``frombuffer`` views (``array.array`` buffers are writable, so
-        scatters write through).  Under numpy the batch's store rows
-        come back as an int64 ndarray aligned with ``oids`` (the
-        column planner's member rows); ``None`` otherwise.
-        """
-        if np is None:
-            apply = self.apply_report
-            for i in range(len(oids)):
-                apply(oids[i], xs[i], ys[i], vxs[i], vys[i], ts[i], cells[i])
-            return None
         self.version += 1
         row_of = self._row_of
         get = row_of.get
@@ -300,27 +245,24 @@ class ColumnarObjectStore:
     def coord_views(self):
         """Fresh zero-copy numpy views ``(x, y, old_x, old_y)``.
 
-        Only valid until the next append/remove; numpy backend only.
+        Only valid until the next append/remove.
         """
-        np = numpy_or_none()
         return (
-            _f64_view(np, self.xs),
-            _f64_view(np, self.ys),
-            _f64_view(np, self.old_xs),
-            _f64_view(np, self.old_ys),
+            _f64_view(self.xs),
+            _f64_view(self.ys),
+            _f64_view(self.old_xs),
+            _f64_view(self.old_ys),
         )
 
     def xy_views(self):
-        """Fresh zero-copy numpy views ``(x, y)`` (numpy backend only)."""
-        np = numpy_or_none()
-        return _f64_view(np, self.xs), _f64_view(np, self.ys)
+        """Fresh zero-copy numpy views ``(x, y)``."""
+        return _f64_view(self.xs), _f64_view(self.ys)
 
     def home_cells(self, n_cells: int) -> HomeCells:
-        """The :class:`HomeCells` of the current state (numpy backend
-        only), cut on first use after a mutation."""
+        """The :class:`HomeCells` of the current state, cut on first use
+        after a mutation."""
         cached = self._home
         if cached is None or cached[0] != self.version:
-            np = numpy_or_none()
             cells = np.frombuffer(self.cells, dtype=np.int64)
             cached = self._home = (self.version, HomeCells(cells, n_cells, np))
         return cached[1]
@@ -400,8 +342,7 @@ class ColumnarQueryStore:
 
     def move_bounds(self, rows, min_xs, min_ys, max_xs, max_ys) -> None:
         """New bounds for the existing ``rows`` (distinct), as one
-        scatter per column — ``put`` once per row (numpy backend only)."""
-        np = numpy_or_none()
+        scatter per column — ``put`` once per row."""
         self.version += len(rows)
         for column, values in zip(
             (self.min_xs, self.min_ys, self.max_xs, self.max_ys),
@@ -431,8 +372,7 @@ class ColumnarQueryStore:
         self.max_ys.pop()
 
     def descriptor(self, qid: int) -> tuple[int, float, float, float, float]:
-        """``(kind, min_x, min_y, max_x, max_y)`` — the exact wire
-        descriptor format :mod:`repro.parallel.worker` consumes."""
+        """``qid``'s row as ``(kind, min_x, min_y, max_x, max_y)``."""
         row = self._row_of[qid]
         return (
             self.kinds[row],
@@ -442,24 +382,16 @@ class ColumnarQueryStore:
             self.max_ys[row],
         )
 
-    def descriptors(
-        self, qids
-    ) -> dict[int, tuple[int, float, float, float, float]]:
-        """Descriptor rows for ``qids`` as a payload-ready dict."""
-        return {qid: self.descriptor(qid) for qid in qids}
-
     def bounds_views(self):
         """Fresh zero-copy numpy views ``(min_x, min_y, max_x, max_y)``.
 
-        Only valid until the next ``put`` of a new qid or ``remove``;
-        numpy backend only.
+        Only valid until the next ``put`` of a new qid or ``remove``.
         """
-        np = numpy_or_none()
         return (
-            _f64_view(np, self.min_xs),
-            _f64_view(np, self.min_ys),
-            _f64_view(np, self.max_xs),
-            _f64_view(np, self.max_ys),
+            _f64_view(self.min_xs),
+            _f64_view(self.min_ys),
+            _f64_view(self.max_xs),
+            _f64_view(self.max_ys),
         )
 
 
@@ -479,7 +411,7 @@ class ColumnarAnswerStore:
     """Answer membership as sorted per-query oid arrays.
 
     Each entry mirrors one query's live ``answer`` set as an ascending
-    ``int64`` ndarray (numpy backend) or sorted list (python backend).
+    ``int64`` ndarray.
     Entries are built lazily on :meth:`get` and stay valid until the
     engine **invalidates** them: a length check catches most drift
     defensively, but same-length membership swaps (one oid out, one
@@ -498,14 +430,12 @@ class ColumnarAnswerStore:
     __slots__ = (
         "_arrays",
         "version",
-        "_np",
         "_m_hits",
         "_m_misses",
         "_m_invalidations",
     )
 
-    def __init__(self, registry=None, backend: str = "numpy") -> None:
-        self._np = numpy_or_none() if backend == "numpy" else None
+    def __init__(self, registry=None) -> None:
         self._arrays: dict[int, object] = {}
         self.version = 0
         if registry is not None:
@@ -538,12 +468,8 @@ class ColumnarAnswerStore:
             self._m_hits.inc()
             return arr
         self._m_misses.inc()
-        np = self._np
-        if np is not None:
-            arr = np.fromiter(live, dtype=np.int64, count=len(live))
-            arr.sort()
-        else:
-            arr = sorted(live)
+        arr = np.fromiter(live, dtype=np.int64, count=len(live))
+        arr.sort()
         self._arrays[qid] = arr
         self.version += 1
         return arr
@@ -573,27 +499,14 @@ class ColumnarAnswerStore:
 
         ``live_of(qid)`` supplies each query's live answer set; rows
         come from :meth:`get`, so repeated snapshots are cache hits.
-        Under numpy both outputs are ``int64`` ndarrays; under the
-        python backend, plain lists.
+        Both outputs are ``int64`` ndarrays.
         """
-        np = self._np
-        if np is not None:
-            parts = [self.get(qid, live_of(qid)) for qid in qids]
-            offsets = np.zeros(len(parts) + 1, dtype=np.int64)
-            if parts:
-                np.cumsum(
-                    np.fromiter(
-                        map(len, parts), dtype=np.int64, count=len(parts)
-                    ),
-                    out=offsets[1:],
-                )
-                values = np.concatenate(parts)
-            else:
-                values = np.empty(0, dtype=np.int64)
-            return offsets, values
-        offsets = [0]
-        values: list[int] = []
-        for qid in qids:
-            values.extend(self.get(qid, live_of(qid)))
-            offsets.append(len(values))
-        return offsets, values
+        parts = [self.get(qid, live_of(qid)) for qid in qids]
+        offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+        if not parts:
+            return offsets, np.empty(0, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)),
+            out=offsets[1:],
+        )
+        return offsets, np.concatenate(parts)

@@ -17,7 +17,6 @@ Public surface:
 from repro.core.updates import (
     Update,
     UpdateBatch,
-    UpdateList,
     apply_updates,
     diff_answers,
 )
@@ -37,7 +36,6 @@ from repro.core.client import Client
 __all__ = [
     "Update",
     "UpdateBatch",
-    "UpdateList",
     "apply_updates",
     "diff_answers",
     "ObjectState",

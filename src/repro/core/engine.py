@@ -28,38 +28,33 @@ Incrementality per query kind:
   the candidate set changed (report churn in the footprint cells) or
   the sliding window actually reached the next membership flip time.
 
-Bulk evaluation itself runs as a **cell-batched pipeline** (the paper's
+Bulk evaluation runs as the **columnar pipeline** (the paper's
 Section 3 point: buffered updates are evaluated as a grid-partition
 spatial join, not one at a time).  The batch's object reports are
 grouped by their (old home cell → new home cell) transition — one per
 report, whatever its velocity; a predictive object's swept footprint is
-index placement and cell churn only; each affected
-cell's candidate query set is resolved exactly once per evaluation;
-range membership checks run over per-cell object cohorts with one sort
-per cohort; k-NN dirty-marking and predictive refresh are driven off the
-same cohorts.  The seed per-object path is retained as
-``pipeline="per-object"`` — it is the semantic reference the golden
-equivalence tests and ``benchmarks/bench_bulk_pipeline.py`` compare
-against.  ``pipeline="parallel"`` fans the cohort membership pass out
-over row-striped grid shards on a worker pool (:mod:`repro.parallel`)
-and merges per-shard deltas back in serial cohort order, emitting a
-stream byte-identical to ``"cell-batched"``.  ``pipeline="columnar"``
-keeps the same cohort grouping but replaces the per-pair Python loop
-with batch array kernels over struct-of-arrays mirrors of object and
-query state (:mod:`repro.columnar`) — numpy when available, stdlib
-``array`` columns otherwise — again emitting a byte-identical stream.
-Under numpy the *query* side of a cycle is columnar too: all of a
-batch's range-query moves, every dirty k-NN query that holds a full
-answer and every churn-driven predictive refresh run as one array pass
-each over a home-cell CSR of the object store
+index placement and cell churn only — and joined against the range
+queries listed in those cells as batch array kernels over
+struct-of-arrays mirrors of object and query state
+(:mod:`repro.columnar`, on numpy).  The *query* side of a cycle is
+columnar too: all of a batch's range-query moves, every dirty k-NN query
+that holds a full answer and every churn-driven predictive refresh run
+as one array pass each over a home-cell CSR of the object store
 (:meth:`ColumnarEvaluator.move_ranges`, ``knn_ranked``,
-``predictive_refresh_many``).  The scalar ``_move_range`` / ring-search
-``_solve_knn`` / ``_refresh_one_predictive`` below stay what every other
-pipeline runs — the reference those passes are tested against — and what
-a k-NN query without a full answer (its first solve) and a flip-due
-predictive refresh still take; ``engine_query_moves_total{path}``,
-``engine_knn_repairs_total{path}`` and
-``engine_predictive_refreshes_total{path}`` say which ran.
+``predictive_refresh_many``).  A k-NN query without a full answer (its
+first solve) takes the ring search ``_solve_knn`` and a flip-due
+predictive query the scalar ``_refresh_one_predictive``;
+``engine_query_moves_total{path}``, ``engine_knn_repairs_total{path}``
+and ``engine_predictive_refreshes_total{path}`` say which ran.
+
+``pipeline="per-object"`` is the reference: one report at a time, each
+re-deriving its candidate queries from the grid, with the scalar
+``_move_range`` / ring-search ``_solve_knn`` / ``_refresh_one_predictive``
+routines for the query side and every predictive query refreshed every
+cycle.  It is short on purpose; the columnar pipeline must leave every
+query with the same multiset of ``(oid, sign)`` updates per evaluation
+and the same answers (the lock-step state machine in
+``tests/core/test_lockstep.py`` holds it to that).
 
 Every phase of ``evaluate()`` is wall-clock timed: each phase runs
 inside a :class:`repro.obs.Tracer` span (exported to Chrome trace JSON)
@@ -89,7 +84,6 @@ from repro.columnar import (
     ColumnarEvaluator,
     ColumnarObjectStore,
     ColumnarQueryStore,
-    resolve_backend,
 )
 from repro.core.knn import knn_search
 from repro.core.state import (
@@ -100,7 +94,7 @@ from repro.core.state import (
     QueryState,
     RangeQueryState,
 )
-from repro.core.updates import Update, UpdateBatch, UpdateList
+from repro.core.updates import UpdateBatch
 from repro.geometry import Point, Rect, Velocity
 from repro.grid import Grid, GridIndex
 from repro.obs import (
@@ -111,15 +105,8 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
 )
-from repro.parallel.merge import merge_ordered
-from repro.parallel.planner import build_shard_payloads, plan_shards
-from repro.parallel.pool import ParallelConfig, WorkerPool
-from repro.parallel.worker import evaluate_shard
 
 DEFAULT_WORLD = Rect(0.0, 0.0, 1.0, 1.0)
-
-#: Shared empty id set (no candidate queries / nothing seen yet).
-_NO_CELLS: frozenset[int] = frozenset()
 
 #: Identifiers live in int64 columns.
 _INT64_BOUND = 1 << 63
@@ -137,52 +124,6 @@ def _check_query_input(qid: int, *values: float) -> None:
                 f"query {qid} has a non-finite time or coordinate: {values}"
             )
 
-
-def _by_oid(state: ObjectState) -> int:
-    """Sort key for cohort determinism (module-level: no closure rebuild)."""
-    return state.oid
-
-
-class _CellCandidates:
-    """One cell's candidate queries, resolved once per evaluation.
-
-    Range queries are flattened to ``(qid, min_x, min_y, max_x, max_y,
-    answer)`` tuples (answer sets aliased, mutated in place) and split
-    by whether the region fully covers the cell: for a cohort of
-    objects that stayed inside the cell, a covering query's membership
-    provably cannot change (the member set already equals the cell's
-    residents), so ``covering_entries`` is skipped entirely for those
-    cohorts.  ``all_qids`` is a snapshot of every query id overlapping
-    the cell, used for candidate dedup across a transition's cells and
-    for the answered sweep's already-covered test.
-    """
-
-    __slots__ = (
-        "partial_entries",
-        "covering_entries",
-        "covering_qids",
-        "knn_qids",
-        "all_qids",
-    )
-
-    def __init__(
-        self,
-        partial_entries: list[tuple[int, float, float, float, float, set[int]]],
-        covering_entries: list[tuple[int, float, float, float, float, set[int]]],
-        knn_qids: list[int],
-        all_qids: frozenset[int],
-    ):
-        self.partial_entries = partial_entries
-        self.covering_entries = covering_entries
-        self.covering_qids = frozenset(entry[0] for entry in covering_entries)
-        self.knn_qids = knn_qids
-        self.all_qids = all_qids
-
-
-#: Shared instance for cells with no overlapping queries — in a sparse
-#: world most cells are query-free, and building per-cell candidate
-#: state for them would dominate small batches.
-_NO_CANDIDATES = _CellCandidates([], [], [], _NO_CELLS)
 
 #: The evaluation phases, in execution order.  Keys of
 #: ``EngineStats.phase_seconds`` after the first evaluation.
@@ -240,38 +181,14 @@ class IncrementalEngine:
         indexing predictive objects.  Every predictive query's horizon
         must fit inside it.
     pipeline:
-        ``"cell-batched"`` (default) evaluates buffered object reports
-        as per-cell cohorts — candidate queries are resolved once per
-        cell transition and membership runs in bulk.  ``"per-object"``
-        is the reference path that walks one report at a time; it emits
-        the same update *set* per query (order within the object-report
-        and predictive phases may differ) and exists for equivalence
-        testing and benchmarking.  ``"parallel"`` is the cell-batched
-        pipeline with the cohort membership pass fanned out over a
-        worker pool: the grid is split into row-striped shards, each
-        shard's cohorts are shipped as flat snapshots, shard-boundary
-        cohorts run on the coordinator, and the per-shard deltas merge
-        back in serial cohort order — the emitted update stream is
-        byte-identical to ``"cell-batched"``.  ``"columnar"`` keeps the
-        cell-batched cohort grouping but evaluates the membership pass
-        as batch array kernels over struct-of-arrays state mirrors
-        (:mod:`repro.columnar`); the update stream is byte-identical to
-        ``"cell-batched"`` as well.
-    columnar_backend:
-        Only meaningful with ``pipeline="columnar"``: ``"numpy"``
-        (vectorized kernels; raises if numpy is missing), ``"python"``
-        (pure-stdlib ``array`` kernels), or ``"auto"`` (default —
-        numpy when importable, honouring the ``REPRO_COLUMNAR_BACKEND``
-        environment override).
-    parallelism:
-        Only meaningful with ``pipeline="parallel"``: the shard/worker
-        count as an int, or a full :class:`repro.parallel.ParallelConfig`
-        (worker count, process/thread backend, inline-evaluation
-        threshold).  ``None`` means ``ParallelConfig()`` —
-        ``os.cpu_count()`` workers, processes when more than one.
-        Engines running a parallel pipeline own a lazily-started
-        worker pool; call :meth:`close` (or use the engine as a
-        context manager) to release it.
+        ``"columnar"`` (default) is the production path: buffered
+        reports are ingested, joined and emitted as batch array kernels
+        over struct-of-arrays mirrors of object and query state
+        (:mod:`repro.columnar`), and the query side of a cycle runs as
+        array passes too.  ``"per-object"`` is the reference path that
+        walks one report at a time; per evaluation it emits the same
+        multiset of updates per query (the order within a phase may
+        differ) and leaves the same answers.
     registry:
         The :class:`~repro.obs.MetricsRegistry` carrying the engine's
         counters, phase-second series, and grid-occupancy samples.
@@ -285,17 +202,6 @@ class IncrementalEngine:
         server shares it so cycle/downlink spans nest around the
         engine's.  Pass a :class:`repro.obs.NullTracer` to disable
         trace recording (phase-second counters keep working).
-    emit_mode:
-        ``"batch"`` (default) emits the update stream as an
-        :class:`~repro.core.updates.UpdateBatch` — three parallel
-        columns appended without per-change :class:`Update`
-        allocation, materialised lazily on iteration.
-        ``"materialized"`` emits a ``list[Update]`` through the same
-        call sites (an :class:`~repro.core.updates.UpdateList`); it is
-        the measurement baseline ``benchmarks/bench_columnar.py`` holds
-        the batch representation against, and an escape hatch for
-        callers that require eager elements.  Both modes produce the
-        same values in the same order.
     """
 
     def __init__(
@@ -303,50 +209,20 @@ class IncrementalEngine:
         world: Rect = DEFAULT_WORLD,
         grid_size: int = 64,
         prediction_horizon: float = 60.0,
-        pipeline: str = "cell-batched",
-        parallelism: "int | ParallelConfig | None" = None,
-        columnar_backend: str = "auto",
+        pipeline: str = "columnar",
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         freshness: "FreshnessTracker | None" = None,
         recorder: "FlightRecorder | None" = None,
-        emit_mode: str = "batch",
     ):
         if prediction_horizon < 0:
             raise ValueError(
                 f"prediction_horizon must be >= 0, got {prediction_horizon}"
             )
-        if emit_mode not in ("batch", "materialized"):
+        if pipeline not in ("columnar", "per-object"):
             raise ValueError(
-                f"emit_mode must be 'batch' or 'materialized', got {emit_mode!r}"
+                f"pipeline must be 'columnar' or 'per-object', got {pipeline!r}"
             )
-        self.emit_mode = emit_mode
-        if pipeline not in (
-            "cell-batched",
-            "per-object",
-            "parallel",
-            "columnar",
-        ):
-            raise ValueError(
-                "pipeline must be 'cell-batched', 'per-object', 'parallel' "
-                f"or 'columnar', got {pipeline!r}"
-            )
-        # Resolved before any state exists so a bad backend request
-        # fails fast; None for the pipelines that never touch kernels.
-        self.columnar_backend = (
-            resolve_backend(columnar_backend) if pipeline == "columnar" else None
-        )
-        if isinstance(parallelism, ParallelConfig):
-            self.parallel_config = parallelism
-        elif parallelism is None:
-            self.parallel_config = ParallelConfig()
-        else:
-            self.parallel_config = ParallelConfig(workers=int(parallelism))
-        self._worker_pool: WorkerPool | None = None
-        # Fault injection: forwarded to the worker pool on creation
-        # (``hook(payload) -> bool``; True crashes that shard's future).
-        # Exercises the reset-and-rerun-inline recovery path.
-        self.worker_crash_hook = None
         self.grid = Grid(world, grid_size)
         self.index = GridIndex(self.grid)
         self.prediction_horizon = prediction_horizon
@@ -369,19 +245,15 @@ class IncrementalEngine:
         # this instead of scanning every query of every kind.
         self._predictive_qids: set[int] = set()
         # Struct-of-arrays mirrors (repro.columnar).  The query store is
-        # maintained under *every* pipeline: registrations and moves
-        # cost a few array writes, and in exchange the parallel planner
-        # serves its wire descriptors straight from the columns and the
-        # columnar kernels get their bounds arrays with no rebuild.
-        # The object store only exists under pipeline="columnar".
+        # written under both pipelines — registrations and moves cost a
+        # few array writes, and check_invariants holds its rows to the
+        # query states either way.  The object store, batch ingest and
+        # the evaluator exist only under pipeline="columnar".
         self._qstore = ColumnarQueryStore()
         self._knn_qids: set[int] = set()
         self._ostore: ColumnarObjectStore | None = None
         self._columnar_evaluator: ColumnarEvaluator | None = None
-        # True on the production path (columnar/numpy): the query-side
-        # phases — range moves, k-NN repair, predictive refresh — run as
-        # the evaluator's array passes over the home-cell CSR.
-        self._array_passes = False
+        self._batch_ingest: BatchIngest | None = None
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         # Freshness follows the registry's on/off state unless injected:
@@ -393,8 +265,8 @@ class IncrementalEngine:
             self.freshness = FreshnessTracker(self.registry)
         else:
             self.freshness = NULL_FRESHNESS
-        # The flight recorder is armed explicitly (chaos harness, tests,
-        # the overhead benchmark's "on" arm); default is the no-op ring.
+        # The flight recorder is armed explicitly (chaos harness, tests);
+        # default is the no-op ring.
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         counter = self.registry.counter
         self._m_evaluations = counter("engine_evaluations_total")
@@ -413,20 +285,6 @@ class IncrementalEngine:
         }
         self._m_objects = self.registry.gauge("engine_objects")
         self._m_queries = self.registry.gauge("engine_queries")
-        if pipeline == "parallel":
-            # Per-shard wall time as reported by the workers themselves,
-            # plus the operator's skew view: max/mean shard seconds of
-            # the last dispatched batch (1.0 = perfectly balanced).
-            self._m_shard_seconds = self.registry.histogram(
-                "engine_shard_seconds"
-            )
-            self._m_shard_imbalance = self.registry.gauge(
-                "engine_shard_imbalance"
-            )
-            self._m_sharded_cohorts = counter("engine_sharded_cohorts_total")
-            self._m_boundary_cohorts = counter(
-                "engine_boundary_cohorts_total"
-            )
         if pipeline == "columnar":
             self._ostore = ColumnarObjectStore()
             self._columnar_evaluator = ColumnarEvaluator(
@@ -437,28 +295,14 @@ class IncrementalEngine:
                 self.objects,
                 self.queries,
                 self._knn_qids,
-                self.columnar_backend,
                 self.registry,
                 self.tracer,
             )
-            self._array_passes = self.columnar_backend == "numpy"
-        # Batch report ingest (phase 5a in array passes) serves the two
-        # pipelines whose grouping cost is not the measurement baseline:
-        # cell-batched stays on the serial loop as the equivalence (and
-        # benchmark) reference.  Under the forced python columnar
-        # backend the kernel stays off too — the stdlib leg then
-        # exercises the scalar grouping plus the store's batched
-        # python write path.
-        self._batch_ingest: BatchIngest | None = None
-        if pipeline == "parallel" or (
-            pipeline == "columnar" and self.columnar_backend == "numpy"
-        ):
             self._batch_ingest = BatchIngest(self, ObjectState)
         self._m_ingest_seconds = counter("engine_ingest_seconds_total")
         # Which path phase 5a's rows took: "batch" = array passes only,
-        # "scalar" = a per-object index placement (the serial loop's
-        # rows, and under batch ingest the footprint-changed predictive
-        # rows plus out-of-column oids).  Per evaluation, not per row.
+        # "scalar" = a per-object index placement (the footprint-changed
+        # predictive rows plus out-of-column oids).
         self._m_ingest_rows = {
             path: counter("engine_ingest_rows_total", labels={"path": path})
             for path in ("batch", "scalar")
@@ -466,18 +310,13 @@ class IncrementalEngine:
         # Which path the query-side phases took, partitioning the
         # unlabelled totals: "batch" = an evaluator array pass (a k-NN
         # or predictive *move* only marks its query for one), "scalar" =
-        # the per-query reference routine — every pipeline but
-        # columnar/numpy; there, a k-NN query without a full answer and
-        # a predictive query whose flip time came due.
+        # the per-query reference routine — everything under per-object;
+        # under columnar, a k-NN query without a full answer and a
+        # predictive query whose flip time came due.
         self._m_query_move_paths, self._m_knn_repair_paths, self._m_refresh_paths = (
             {p: counter(f"engine_{name}_total", labels={"path": p}) for p in ("batch", "scalar")}
             for name in ("query_moves", "knn_repairs", "predictive_refreshes")
         )  # fmt: skip
-        # Evaluations where a configured batch ingest could not run at
-        # all and the serial loop took the whole buffer.
-        self._m_ingest_fallback_no_numpy = counter(
-            "engine_batch_ingest_fallback_total", labels={"reason": "no_numpy"}
-        )
 
     # ------------------------------------------------------------------
     # Ingestion (buffered)
@@ -620,6 +459,7 @@ class IncrementalEngine:
 
     def move_range_query(self, qid: int, region: Rect, t: float) -> None:
         """Buffer a moving range query's new region (service-area clipped)."""
+        self.check_kind(qid, QueryKind.RANGE)
         _check_query_input(
             qid, t, region.min_x, region.min_y, region.max_x, region.max_y
         )
@@ -627,11 +467,13 @@ class IncrementalEngine:
 
     def move_knn_query(self, qid: int, center: Point, t: float) -> None:
         """Buffer a moving k-NN query's new focal point."""
+        self.check_kind(qid, QueryKind.KNN)
         _check_query_input(qid, t, center.x, center.y)
         self._pending_moves[qid] = (center, t)
 
     def move_predictive_query(self, qid: int, region: Rect, t: float) -> None:
         """Buffer a moving predictive query's new region (clipped)."""
+        self.check_kind(qid, QueryKind.PREDICTIVE_RANGE)
         _check_query_input(
             qid, t, region.min_x, region.min_y, region.max_x, region.max_y
         )
@@ -639,12 +481,21 @@ class IncrementalEngine:
 
     def kind_of(self, qid: int) -> QueryKind | None:
         """The kind of a query that is registered or, in this batch,
-        about to be; ``None`` for an unknown qid.  The ``move_*`` doors
-        trust their caller to match it — a region buffered for a k-NN
-        query fails the next evaluation — so an edge taking moves from
-        outside checks here first."""
+        about to be; ``None`` for an unknown qid."""
         query = self._pending_registrations.get(qid) or self.queries.get(qid)
         return None if query is None else query.kind
+
+    def check_kind(self, qid: int, kind: QueryKind) -> None:
+        """Refuse a ``kind`` move of a query known to be of another kind:
+        ``ValueError`` naming the qid and both kinds, nothing buffered.
+        The ``move_*`` doors run it first; an edge that may defer a move
+        runs it before deferring.  An unknown qid passes — ``evaluate``
+        then refuses the move with its ``KeyError``."""
+        known = self.kind_of(qid)
+        if known is not None and known is not kind:
+            raise ValueError(
+                f"query {qid} is a {known.value} query, not a {kind.value} query"
+            )
 
     def unregister_query(self, qid: int) -> None:
         """Buffer a query's removal; no further updates will be emitted.
@@ -667,28 +518,6 @@ class IncrementalEngine:
             return
         if self._pending_moves.pop(qid, None) is None:
             raise KeyError(f"cannot unregister unknown query {qid}")
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the parallel worker pool, if one was ever started.
-
-        A no-op for serial pipelines and for parallel engines that only
-        ever evaluated inline; safe to call repeatedly.  The engine
-        stays usable afterwards — the next large parallel batch simply
-        starts a fresh pool.
-        """
-        if self._worker_pool is not None:
-            self._worker_pool.close()
-            self._worker_pool = None
-
-    def __enter__(self) -> "IncrementalEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -747,7 +576,7 @@ class IncrementalEngine:
     # Bulk evaluation
     # ------------------------------------------------------------------
 
-    def evaluate(self, now: float | None = None) -> "UpdateBatch | UpdateList":
+    def evaluate(self, now: float | None = None) -> UpdateBatch:
         """Apply all buffered input and return the incremental updates.
 
         Phases: unregistrations, object removals, new-query first-time
@@ -757,9 +586,7 @@ class IncrementalEngine:
         exactly (tested property).
 
         The return value is an :class:`~repro.core.updates.UpdateBatch`
-        (or a ``list[Update]`` under ``emit_mode="materialized"``) —
-        sequence-shaped either way: iterate, index, and compare it like
-        the list it used to be.
+        — sequence-shaped: iterate, index, and compare it like a list.
 
         All buffered input is validated *before* any phase mutates state
         (a buffered move of an unknown query raises ``KeyError`` here,
@@ -790,9 +617,7 @@ class IncrementalEngine:
         self._m_query_moves.inc(len(self._pending_moves))
         self._m_query_unregistrations.inc(len(self._pending_unregistrations))
 
-        updates: UpdateBatch | UpdateList = (
-            UpdateBatch() if self.emit_mode == "batch" else UpdateList()
-        )
+        updates = UpdateBatch()
         knn_dirty: set[int] = set(self._underfull_knn)
         # Cells whose object population (or a resident's motion state)
         # changed this evaluation — drives the predictive refresh.
@@ -800,8 +625,7 @@ class IncrementalEngine:
         # Predictive queries that must refresh regardless of cell churn
         # (registered or moved this batch).
         dirty_predictive: set[int] = set()
-        pipeline = self.pipeline
-        batched = pipeline != "per-object"
+        columnar = self._columnar_evaluator is not None
         tracer = self.tracer
         span = tracer.span
         phase_counters = self._phase_counters
@@ -816,16 +640,8 @@ class IncrementalEngine:
             with span("query_moves", phase_counters["query_moves"]):
                 self._apply_query_moves(updates, knn_dirty, dirty_predictive)
             with span("object_reports", phase_counters["object_reports"]):
-                if pipeline == "parallel":
-                    self._apply_object_reports_parallel(
-                        updates, knn_dirty, churned_cells
-                    )
-                elif pipeline == "columnar":
+                if columnar:
                     self._apply_object_reports_columnar(
-                        updates, knn_dirty, churned_cells
-                    )
-                elif batched:
-                    self._apply_object_reports_batched(
                         updates, knn_dirty, churned_cells
                     )
                 else:
@@ -835,8 +651,8 @@ class IncrementalEngine:
             with span(
                 "predictive_refresh", phase_counters["predictive_refresh"]
             ):
-                if batched:
-                    self._refresh_predictive_batched(
+                if columnar:
+                    self._refresh_predictive_columnar(
                         updates, churned_cells, dirty_predictive
                     )
                 else:
@@ -986,7 +802,8 @@ class IncrementalEngine:
         # Only range moves emit in this phase, so taking them together
         # after the loop keeps the stream in arrival order.
         range_moves: list[tuple[RangeQueryState, Rect]] = []
-        path = "batch" if self._array_passes else "scalar"
+        evaluator = self._columnar_evaluator
+        path = "scalar" if evaluator is None else "batch"
         self._m_query_move_paths[path].inc(len(self._pending_moves))
         for qid, (payload, t) in self._pending_moves.items():
             query = self.queries.get(qid)
@@ -996,27 +813,23 @@ class IncrementalEngine:
                 raise KeyError(f"cannot move unknown query {qid}")
             query.t = t
             if query.kind is QueryKind.RANGE:
-                if self._array_passes:
-                    range_moves.append((query, payload))  # type: ignore[arg-type]
-                else:
+                if evaluator is None:
                     self._move_range(query, payload, updates)  # type: ignore[arg-type]
+                else:
+                    range_moves.append((query, payload))  # type: ignore[arg-type]
             elif query.kind is QueryKind.KNN:
                 query.center = payload  # type: ignore[assignment]
                 knn_dirty.add(qid)
             else:
                 # Predictive regions re-filter in the refresh phase; only
-                # the footprint needs to move now.  The store put keeps
-                # the wire bounds zeroed — it exists for its version
-                # bump, which invalidates the columnar evaluator's
-                # cached cell entries for the footprint change.
+                # the footprint needs to move now.
                 query.region = payload  # type: ignore[assignment]
                 self.index.place_query_region(qid, payload)  # type: ignore[arg-type]
-                self._qstore.put(qid, KIND_PREDICTIVE)
-                if self._columnar_evaluator is not None:
-                    self._columnar_evaluator.invalidate_answer(qid)
+                if evaluator is not None:
+                    evaluator.invalidate_answer(qid)
                 dirty_predictive.add(qid)
         if range_moves:
-            self._columnar_evaluator.move_ranges(range_moves, updates)
+            evaluator.move_ranges(range_moves, updates)
         self._pending_moves.clear()
 
     def _move_range(
@@ -1061,8 +874,8 @@ class IncrementalEngine:
         """Reference path: one report at a time (``pipeline="per-object"``).
 
         Re-derives the colocated candidate query set for every single
-        object; kept verbatim as the semantic baseline the cell-batched
-        pipeline is benchmarked and equivalence-tested against.
+        object — the semantic baseline the columnar pipeline is tested
+        against.
         """
         for oid, (location, velocity, t) in self._pending_reports.items():
             state = self.objects.get(oid)
@@ -1091,546 +904,27 @@ class IncrementalEngine:
                 # Predictive membership is settled by the refresh phase.
         self._pending_reports.clear()
 
-    def _apply_object_reports_batched(
-        self, updates, knn_dirty: set[int], churned_cells: set[int]
-    ) -> None:
-        """Cell-batched pipeline: evaluate the whole batch as per-cell cohorts.
-
-        5a. Apply every report to object state and the grid, grouping
-            objects by their (old home cell → new home cell)
-            transition; an object whose footprint did not change skips
-            the grid write entirely.
-        5b. For each distinct transition, resolve the candidate query
-            set **once** (zero-copy cell views, no per-object set
-            copies, no per-object sort) and evaluate each candidate
-            range query against the whole cohort in one inline pass
-            with the region bounds and answer set hoisted out of the
-            loop.  k-NN queries are dirty-marked per cohort.  A cohort
-            is sorted once (not once per object), so emissions stay
-            deterministically ordered.
-
-        Emits exactly the same update set per query as the per-object
-        path — each (query, object) pair is evaluated at most once per
-        batch because the report buffer is already last-report-wins —
-        but grouped by (transition, query) rather than by reporting
-        object.
-        """
-        if not self._pending_reports:
-            return
-        with self.tracer.span("report_ingest", self._m_ingest_seconds):
-            groups = self._group_reports(churned_cells)
-        cell_cache: dict[int, _CellCandidates] = {}
-        for cells, states, stay_put, point_pair in self._iter_cohorts(groups):
-            self._evaluate_cohort(
-                cells,
-                states,
-                updates,
-                knn_dirty,
-                cell_cache,
-                stay_put,
-                point_pair=point_pair,
-            )
-
-    def _group_reports(
-        self, churned_cells: set[int]
-    ) -> dict[tuple[int, int], list[ObjectState]]:
-        """Phase 5a, serial reference: apply every buffered report to
-        object state and the grid index, and group the objects by their
-        **home-cell transition** ``(old home, new home)`` (``-1`` = new
-        object) — every report is exactly one such transition, whatever
-        its velocity.  A predictive object's swept footprint is index
-        placement only: it is re-placed when it changed, and its old
-        and new cells join ``churned_cells`` (every cohort's home cells
-        do too) so the predictive refresh sees the candidate change.
-
-        Runs for the cell-batched pipeline (the equivalence baseline)
-        and wherever :class:`~repro.columnar.ingest.BatchIngest` is not
-        in use; clears the report buffer.  Columnar-store writes are
-        collected per batch and flushed through
-        :meth:`~repro.columnar.store.ColumnarObjectStore.batch_apply`
-        — the scalar ``apply_report`` stays reserved for per-report
-        callers."""
-        reports = self._pending_reports
-        objects = self.objects
-        index = self.index
-        grid = self.grid
-        ostore = self._ostore
-        if ostore is not None:
-            o_oids: list[int] = []
-            o_xs: list[float] = []
-            o_ys: list[float] = []
-            o_vxs: list[float] = []
-            o_vys: list[float] = []
-            o_ts: list[float] = []
-            o_cells: list[int] = []
-        # Hoisted home-cell arithmetic: same expression as Grid.cell_of
-        # (division by the precomputed cell size), so cell assignment is
-        # bit-identical to the per-object path on boundary coordinates.
-        n = grid.n
-        n1 = n - 1
-        cell_w = grid.cell_width
-        cell_h = grid.cell_height
-        wmin_x = grid.world.min_x
-        wmin_y = grid.world.min_y
-        predictive_possible = self.prediction_horizon > 0
-        self._m_ingest_rows["scalar"].inc(len(reports))
-
-        groups: dict[tuple[int, int], list[ObjectState]] = {}
-        for oid, (location, velocity, t) in reports.items():
-            state = objects.get(oid)
-            if state is None:
-                state = ObjectState(oid, location, velocity, t)
-                objects[oid] = state
-                old_cells = None
-                old_cell = -1
-            else:
-                old_cells = index.object_cells(oid)
-                # A single-cell footprint is the home cell; a swept one
-                # is wider, and the home is where the object was.
-                if len(old_cells) == 1:
-                    old_cell = next(iter(old_cells))
-                else:
-                    old_cell = grid.cell_of(state.location)
-                state.location = location
-                state.velocity = velocity
-                state.t = t
-            col = int((location.x - wmin_x) / cell_w)
-            if col < 0:
-                col = 0
-            elif col > n1:
-                col = n1
-            row = int((location.y - wmin_y) / cell_h)
-            if row < 0:
-                row = 0
-            elif row > n1:
-                row = n1
-            new_cell = row * n + col
-            if ostore is not None:
-                o_oids.append(oid)
-                o_xs.append(location.x)
-                o_ys.append(location.y)
-                o_vxs.append(velocity.vx)
-                o_vys.append(velocity.vy)
-                o_ts.append(t)
-                o_cells.append(new_cell)
-            # Inlined `state.is_predictive` (Velocity.is_zero).
-            if predictive_possible and (
-                velocity.vx != 0.0 or velocity.vy != 0.0
-            ):
-                new_cells = self._object_footprint(state)
-            elif old_cells is not None and len(old_cells) == 1:
-                new_cells = None
-                index.move_point_object(oid, old_cell, new_cell)
-            else:
-                # New, or was predictive (multi-cell) and now stationary.
-                new_cells = frozenset((new_cell,))
-            if new_cells is not None:
-                if old_cells != new_cells:
-                    index.place_object(oid, new_cells)
-                if old_cells is not None:
-                    churned_cells.update(old_cells)
-                churned_cells.update(new_cells)
-            key = (old_cell, new_cell)
-            cohort = groups.get(key)
-            if cohort is None:
-                groups[key] = [state]
-            else:
-                cohort.append(state)
-        if ostore is not None and o_oids:
-            ostore.batch_apply(o_oids, o_xs, o_ys, o_vxs, o_vys, o_ts, o_cells)
-        reports.clear()
-        for old_cell, new_cell in groups:
-            churned_cells.add(new_cell)
-            if old_cell >= 0:
-                churned_cells.add(old_cell)
-        return groups
-
-    def _ingest_reports(self, churned_cells: set[int]):
-        """Phase 5a via :class:`~repro.columnar.ingest.BatchIngest`
-        (returns its :class:`~repro.columnar.ingest.CohortColumns`)
-        when the kernel can run, the serial loop's cohort dict
-        otherwise.  Counts which path the batch's rows took."""
-        ingest = self._batch_ingest
-        if ingest is not None:
-            if ingest.enabled:
-                columns = ingest.group(self._pending_reports, churned_cells)
-                rows = self._m_ingest_rows
-                rows["scalar"].inc(columns.scalar_rows)
-                rows["batch"].inc(len(columns.oids) - columns.scalar_rows)
-                return columns
-            self._m_ingest_fallback_no_numpy.inc()
-        return self._group_reports(churned_cells)
-
-    @staticmethod
-    def _iter_cohorts(groups):
-        """Phase 5b's work list: yield ``(cells, states, stay_put,
-        point_pair)`` per transition cohort, in the exact order the
-        cell-batched pipeline evaluates (and therefore emits) them —
-        the parallel pipeline's sequence numbers come from this order.
-        ``cells`` is ``(old, new)`` for a cohort that changed home
-        cell and ``(new,)`` otherwise (new objects included).
-        """
-        for (old_cell, new_cell), states in groups.items():
-            if old_cell >= 0 and old_cell != new_cell:
-                yield (old_cell, new_cell), states, False, True
-            else:
-                yield (new_cell,), states, old_cell == new_cell, False
-
     def _apply_object_reports_columnar(
         self, updates, knn_dirty: set[int], churned_cells: set[int]
     ) -> None:
-        """Columnar pipeline: phase 5a grouping exactly as in the
-        cell-batched pipeline, then one batch kernel pass over every
-        cohort.
-
-        The evaluator plans the batch's ragged (cohort × candidate
-        entry × member) join from the struct-of-arrays mirrors,
-        classifies every pair's membership transition in bulk, and
-        re-emits the changed pairs in serial cohort order — the update
-        stream is byte-identical to ``pipeline="cell-batched"``.
-        """
+        """Columnar pipeline: batch ingest groups the buffer into
+        home-cell transition cohorts (phase 5a), then the evaluator joins
+        every cohort against its cells' range queries in one kernel pass
+        and emits the changed pairs cohort by cohort (phase 5b)."""
         if not self._pending_reports:
             return
         with self.tracer.span("report_ingest", self._m_ingest_seconds):
-            grouped = self._ingest_reports(churned_cells)
-        evaluator = self._columnar_evaluator
+            columns = self._batch_ingest.group(self._pending_reports, churned_cells)
+            rows = self._m_ingest_rows
+            rows["scalar"].inc(columns.scalar_rows)
+            rows["batch"].inc(len(columns.oids) - columns.scalar_rows)
         emitted_before = len(updates)
-        if isinstance(grouped, dict):
-            cohorts = list(self._iter_cohorts(grouped))
-            evaluator.run(cohorts, updates, knn_dirty)
-        else:
-            evaluator.run_columns(grouped, updates, knn_dirty)
+        self._columnar_evaluator.run_columns(columns, updates, knn_dirty)
         self.recorder.record(
             "columnar_batch",
-            cohorts=len(grouped),
+            cohorts=len(columns),
             emitted=len(updates) - emitted_before,
         )
-
-    def _apply_object_reports_parallel(
-        self, updates, knn_dirty: set[int], churned_cells: set[int]
-    ) -> None:
-        """Parallel pipeline: fan the cohort membership pass out over
-        row-striped grid shards.
-
-        Phase 5a (state + index updates, transition grouping) runs on
-        the coordinator exactly as in the cell-batched pipeline — it
-        mutates shared structures and is cheap relative to the join.
-        The planner then assigns every cohort either to the single
-        shard owning all its cells or to the boundary set; shard work
-        ships to the pool as flat snapshots, boundary cohorts run here
-        while the workers chew, and the merge re-emits everything in
-        serial cohort order so the update stream is byte-identical to
-        ``pipeline="cell-batched"``.
-
-        Small batches (fewer than ``parallel_config.min_batch``
-        buffered reports), single-worker configs, and single-cohort
-        batches skip the dispatch entirely and run the serial cohort
-        loop — same output, none of the snapshot overhead.
-        """
-        n_reports = len(self._pending_reports)
-        if not n_reports:
-            return
-        with self.tracer.span("report_ingest", self._m_ingest_seconds):
-            grouped = self._ingest_reports(churned_cells)
-            if not isinstance(grouped, dict):
-                grouped = grouped.groups()
-        cohorts = list(self._iter_cohorts(grouped))
-        config = self.parallel_config
-        cell_cache: dict[int, _CellCandidates] = {}
-        if (
-            config.workers <= 1
-            or n_reports < config.min_batch
-            or len(cohorts) < 2
-        ):
-            for cells, states, stay_put, point_pair in cohorts:
-                self._evaluate_cohort(
-                    cells,
-                    states,
-                    updates,
-                    knn_dirty,
-                    cell_cache,
-                    stay_put,
-                    point_pair=point_pair,
-                )
-            return
-
-        tracer = self.tracer
-        recorder = self.recorder
-        # Trace context crosses the pool inside the payload: the current
-        # span id (the object_reports span) parents every worker's phase
-        # spans, and the dispatch anchor lets record_remote re-express
-        # worker-relative timings on the coordinator clock.
-        parent_span_id = tracer.current_span_id
-        with tracer.span("shard_plan"):
-            plan = plan_shards(cohorts, self.grid, config.workers)
-            payloads = build_shard_payloads(
-                plan,
-                self.grid,
-                self.index,
-                self.queries,
-                self._qstore,
-                trace_ctx=(parent_span_id,),
-            )
-        self._m_sharded_cohorts.inc(plan.dispatched)
-        self._m_boundary_cohorts.inc(len(plan.boundary))
-        if self._worker_pool is None:
-            self._worker_pool = WorkerPool(config)
-        pool = self._worker_pool
-        pool.crash_hook = self.worker_crash_hook
-        pool.recorder = recorder if recorder.enabled else None
-        dispatch_anchor = tracer.now()
-        futures = pool.submit(evaluate_shard, payloads)
-        recorder.record(
-            "shard_dispatch",
-            shards=len(payloads),
-            cohorts=plan.dispatched,
-            boundary=len(plan.boundary),
-        )
-
-        # Boundary cohorts overlap with the in-flight shard work: they
-        # touch only their own objects, and per-pair outcomes are
-        # independent of the snapshot-isolated workers.
-        boundary_updates: dict[int, object] = {}
-        with tracer.span("boundary_cohorts"):
-            for seq, cells, states, stay_put, point_pair in plan.boundary:
-                cohort_updates = updates.__class__()
-                self._evaluate_cohort(
-                    cells,
-                    states,
-                    cohort_updates,
-                    knn_dirty,
-                    cell_cache,
-                    stay_put,
-                    point_pair=point_pair,
-                )
-                boundary_updates[seq] = cohort_updates
-
-        shard_deltas: dict[int, list[tuple[int, int, int]]] = {}
-        shard_seconds: list[float] = []
-        for payload, future in zip(payloads, futures):
-            with tracer.span(f"shard-{payload[0]}"):
-                try:
-                    __, elapsed, results, remote = future.result()
-                except Exception as exc:
-                    # A dying worker cannot have corrupted anything —
-                    # payloads are pure snapshots — so reset the pool
-                    # and run this shard's snapshot inline.
-                    recorder.trigger(
-                        "worker_crash",
-                        shard=payload[0],
-                        error=type(exc).__name__,
-                    )
-                    pool.reset()
-                    __, elapsed, results, remote = evaluate_shard(payload)
-            # Re-anchor the worker's phase spans under the dispatching
-            # span: worker timings are relative to its own start, which
-            # is never earlier than the dispatch, so [anchor, anchor +
-            # elapsed] nests inside this cycle's object_reports span.
-            span_parent, remote_spans = remote
-            tracer.record_remote(
-                remote_spans,
-                dispatch_anchor,
-                tid=payload[0] + 1,
-                parent_id=span_parent,
-            )
-            shard_seconds.append(elapsed)
-            self._m_shard_seconds.observe(elapsed)
-            for seq, deltas, knn_qids in results:
-                if deltas:
-                    shard_deltas[seq] = deltas
-                if knn_qids:
-                    knn_dirty.update(knn_qids)
-        if shard_seconds:
-            mean = sum(shard_seconds) / len(shard_seconds)
-            self._m_shard_imbalance.set(
-                max(shard_seconds) / mean if mean > 0.0 else 1.0
-            )
-        with tracer.span("shard_merge"):
-            boundary_emitted, shard_emitted = merge_ordered(
-                plan.total,
-                boundary_updates,
-                shard_deltas,
-                self.queries,
-                self.objects,
-                updates,
-            )
-        recorder.record(
-            "shard_merge",
-            boundary_emitted=boundary_emitted,
-            shard_emitted=shard_emitted,
-        )
-
-    def _cell_candidates(self, cell: int) -> "_CellCandidates":
-        """Resolve one cell's candidate queries for the batched phase 5.
-
-        Range queries are flattened to ``(qid, bounds..., answer)``
-        tuples so the cohort loop needs no per-pair attribute chasing;
-        the region bounds are stable for the whole phase (query moves
-        happened in phase 4) and ``answer`` is aliased, so in-place
-        mutations stay visible.
-        """
-        cell_qids = self.index.queries_in_cell(cell)
-        if not cell_qids:
-            return _NO_CANDIDATES
-        queries = self.queries
-        # Inline Grid.cell_rect: same arithmetic, minus a Rect allocation
-        # and the repeated cell_width/cell_height property divisions.
-        grid = self.grid
-        world = grid.world
-        cell_w = grid.cell_width
-        cell_h = grid.cell_height
-        row, col = divmod(cell, grid.n)
-        c_min_x = world.min_x + col * cell_w
-        c_min_y = world.min_y + row * cell_h
-        c_max_x = world.min_x + (col + 1) * cell_w
-        c_max_y = world.min_y + (row + 1) * cell_h
-        partial_entries = []
-        covering_entries = []
-        knn_qids = []
-        for qid in cell_qids:
-            query = queries[qid]
-            kind = query.kind
-            if kind is QueryKind.RANGE:
-                region = query.region
-                entry = (
-                    qid,
-                    region.min_x,
-                    region.min_y,
-                    region.max_x,
-                    region.max_y,
-                    query.answer,
-                )
-                if (
-                    region.min_x <= c_min_x
-                    and region.min_y <= c_min_y
-                    and region.max_x >= c_max_x
-                    and region.max_y >= c_max_y
-                ):
-                    covering_entries.append(entry)
-                else:
-                    partial_entries.append(entry)
-            elif kind is QueryKind.KNN:
-                knn_qids.append(qid)
-        partial_entries.sort()
-        covering_entries.sort()
-        knn_qids.sort()
-        return _CellCandidates(
-            partial_entries,
-            covering_entries,
-            knn_qids,
-            frozenset(cell_qids),
-        )
-
-    def _evaluate_cohort(
-        self,
-        cells,
-        states: list[ObjectState],
-        updates,
-        knn_dirty: set[int],
-        cell_cache: dict[int, "_CellCandidates"],
-        stay_put: bool,
-        point_pair: bool = False,
-    ) -> None:
-        """Check one transition cohort against its candidate queries.
-
-        ``cells`` is the union of the cohort's old and new cells; every
-        query whose membership can have changed for a cohort member
-        either overlaps one of those cells or already holds the member
-        in its answer (covered by the trailing answered sweep, which is
-        provably empty except for off-world clamping corner cases).
-
-        ``stay_put`` marks a single-cell cohort whose members did not
-        change home cell: range queries fully covering that cell are
-        then skipped — the old and new locations are both inside the
-        region, so each member already is (and stays) an answer member.
-        ``point_pair`` marks a two-cell cohort of single-cell objects;
-        for it the same argument skips queries covering *both* cells.
-        """
-        push = updates.push
-        multi = len(cells) > 1
-        cached_cells = []
-        for cell in cells:
-            cached = cell_cache.get(cell)
-            if cached is None:
-                cached = cell_cache[cell] = self._cell_candidates(cell)
-            cached_cells.append(cached)
-            if cached.knn_qids:
-                knn_dirty.update(cached.knn_qids)
-        skip_cover: frozenset[int] = _NO_CELLS
-        if point_pair and len(cached_cells) == 2:
-            skip_cover = (
-                cached_cells[0].covering_qids & cached_cells[1].covering_qids
-            )
-        single = None
-        if len(states) == 1:
-            single = states[0]
-            location = single.location
-            sx = location.x
-            sy = location.y
-            soid = single.oid
-            answered = single.answered
-        else:
-            states.sort(key=_by_oid)
-            # Coordinates unpacked once per cohort, not once per
-            # (query, object) pair.
-            coords = [
-                (state.location.x, state.location.y, state.oid, state)
-                for state in states
-            ]
-        seen_qids: frozenset[int] | set[int] = _NO_CELLS
-        if multi:
-            seen_qids = set()
-        for cached in cached_cells:
-            if stay_put:
-                entry_lists = (cached.partial_entries,)
-            else:
-                entry_lists = (cached.partial_entries, cached.covering_entries)
-            for entries in entry_lists:
-                if single is not None:
-                    for qid, min_x, min_y, max_x, max_y, answer in entries:
-                        if multi and (qid in seen_qids or qid in skip_cover):
-                            continue
-                        if min_x <= sx <= max_x and min_y <= sy <= max_y:
-                            if soid not in answer:
-                                answer.add(soid)
-                                answered.add(qid)
-                                push(qid, soid, 1)
-                        elif soid in answer:
-                            answer.discard(soid)
-                            answered.discard(qid)
-                            push(qid, soid, -1)
-                else:
-                    for qid, min_x, min_y, max_x, max_y, answer in entries:
-                        if multi and (qid in seen_qids or qid in skip_cover):
-                            continue
-                        for x, y, oid, state in coords:
-                            if min_x <= x <= max_x and min_y <= y <= max_y:
-                                if oid not in answer:
-                                    answer.add(oid)
-                                    state.answered.add(qid)
-                                    push(qid, oid, 1)
-                            elif oid in answer:
-                                answer.discard(oid)
-                                state.answered.discard(qid)
-                                push(qid, oid, -1)
-            if multi:
-                seen_qids.update(cached.all_qids)  # type: ignore[union-attr]
-            else:
-                seen_qids = cached.all_qids
-        # Answered sweep: queries the object no longer shares a cell
-        # with (it left their footprint entirely) still owe a check.
-        queries = self.queries
-        for state in states:
-            answered = state.answered
-            if not answered or answered <= seen_qids:
-                continue
-            for qid in sorted(answered - seen_qids):
-                query = queries[qid]
-                kind = query.kind
-                if kind is QueryKind.RANGE:
-                    self._update_range_membership(query, state, updates)
-                elif kind is QueryKind.KNN:
-                    knn_dirty.add(qid)
 
     def _update_range_membership(
         self, query: RangeQueryState, state: ObjectState, updates
@@ -1677,7 +971,7 @@ class IncrementalEngine:
         # members bound the search); first-time and underfull ones take
         # the reference ring search.  Emission stays in qid order.
         ranked_of: dict[int, list[tuple[float, int]]] = {}
-        if self._array_passes:
+        if self._columnar_evaluator is not None:
             full = [query for query in dirty if len(query.answer) == query.k]
             if full:
                 ranked_of = dict(
@@ -1745,9 +1039,10 @@ class IncrementalEngine:
         for qid, query in self.queries.items():
             if query.kind is not QueryKind.PREDICTIVE_RANGE:
                 continue
+            self._m_refresh_paths["scalar"].inc()
             self._refresh_one_predictive(qid, query, updates, False)
 
-    def _refresh_predictive_batched(
+    def _refresh_predictive_columnar(
         self,
         updates,
         churned_cells: set[int],
@@ -1787,28 +1082,24 @@ class IncrementalEngine:
         # array path they all run as one pass; emission stays in qid
         # order, interleaved with the flip-due queries.
         churned = [queries[qid] for qid in ordered if qid in need]
-        refreshed = None
-        if self._array_passes and churned:
-            refreshed = iter(
-                self._columnar_evaluator.predictive_refresh_many(
-                    churned, now, self.prediction_horizon
-                )
+        refreshed = iter(
+            self._columnar_evaluator.predictive_refresh_many(
+                churned, now, self.prediction_horizon
             )
+            if churned
+            else ()
+        )
         paths = self._m_refresh_paths
         for qid in ordered:
             query = queries[qid]
-            if qid not in need:
-                if query.next_flip <= now:
-                    paths["scalar"].inc()
-                    self._refresh_one_predictive(qid, query, updates, True)
-            elif refreshed is None:
-                paths["scalar"].inc()
-                self._refresh_one_predictive(qid, query, updates, False)
-            else:
+            if qid in need:
                 paths["batch"].inc()
                 oids, signs = next(refreshed)
                 updates.extend_columns([qid] * len(oids), oids, signs)
                 query.next_flip = float("-inf")
+            elif query.next_flip <= now:
+                paths["scalar"].inc()
+                self._refresh_one_predictive(qid, query, updates, True)
 
     def _refresh_one_predictive(
         self,
@@ -1834,9 +1125,8 @@ class IncrementalEngine:
             evaluator.invalidate_answer(qid)
         if evaluator is not None and ordered:
             # Columnar pipeline: one vectorized membership pass over the
-            # candidate rows (bit-identical to the scalar check; None
-            # under the pure-Python backend).
-            flags = self._columnar_evaluator.predicted_inside(
+            # candidate rows (bit-identical to the scalar check).
+            flags = evaluator.predicted_inside(
                 ordered,
                 query.region,
                 self.now,
@@ -1990,7 +1280,7 @@ class IncrementalEngine:
                 assert ostore.xs[row] == location.x, oid
                 assert ostore.ys[row] == location.y, oid
                 assert ostore.cells[row] == cell_of(location), oid
-        if self._array_passes:
+        if evaluator is not None:
             evaluator.check_invariants()
         # The batch-ingest dense oid→cell column mirrors the grid index:
         # the home cell while the object's footprint is exactly {home},

@@ -47,7 +47,8 @@ from itertools import compress, repeat
 
 from repro.core.commit import CommittedAnswerStore
 from repro.core.engine import DEFAULT_WORLD, IncrementalEngine
-from repro.core.updates import Update, UpdateBatch
+from repro.core.state import QueryKind
+from repro.core.updates import UpdateBatch
 from repro.geometry import Point, Rect, Velocity
 from repro.net import (
     ClientLink,
@@ -76,14 +77,13 @@ _NO_OWNER = float("-inf")
 class CycleResult:
     """What one evaluation cycle produced and shipped.
 
-    ``updates`` is whatever stream shape the engine emitted — an
-    :class:`~repro.core.updates.UpdateBatch` by default (sequence-
-    shaped, lazily materialised) or a ``list[Update]`` under
-    ``emit_mode="materialized"``.
+    ``updates`` is the engine's stream, an
+    :class:`~repro.core.updates.UpdateBatch` (sequence-shaped, lazily
+    materialised).
     """
 
     now: float
-    updates: "UpdateBatch | list[Update]"
+    updates: UpdateBatch
     incremental_bytes: int
     complete_bytes: int
     delivered_updates: int = 0
@@ -118,20 +118,16 @@ class LocationAwareServer:
         history: HistoryRepository | None = None,
         engine: IncrementalEngine | None = None,
         registry: MetricsRegistry | None = None,
-        pipeline: str = "cell-batched",
-        parallelism: object = None,
+        pipeline: str = "columnar",
         recorder: FlightRecorder | None = None,
     ):
         """``engine`` lets a restarted server adopt a checkpoint-restored
         engine instead of starting empty; bind its queries to clients
         with :meth:`adopt_query`.
 
-        ``pipeline`` / ``parallelism`` configure the constructed
-        engine's bulk-evaluation strategy (ignored when ``engine`` is
-        supplied): ``pipeline="parallel"`` with ``parallelism=K`` (an
-        int, or a :class:`repro.parallel.ParallelConfig`) shards each
-        evaluation cycle across K workers.  A server running a parallel
-        engine should be :meth:`close`\\ d to release the pool.
+        ``pipeline`` picks the constructed engine's evaluation path
+        (ignored when ``engine`` is supplied): ``"columnar"``, the
+        production path, or ``"per-object"``, the reference.
 
         ``registry`` is the telemetry sink for the whole stack; when
         omitted the server shares the engine's registry, so server
@@ -141,7 +137,7 @@ class LocationAwareServer:
         engine's per-phase spans in one Chrome trace.
 
         ``recorder`` arms the black-box flight recorder for the whole
-        stack (engine shard events plus server protocol events).  When
+        stack (engine evaluation events plus server protocol events).  When
         an ``engine`` is supplied, the recorder is installed onto it so
         both layers write into the same ring.
         """
@@ -153,7 +149,6 @@ class LocationAwareServer:
                 grid_size,
                 prediction_horizon,
                 pipeline=pipeline,
-                parallelism=parallelism,  # type: ignore[arg-type]
                 recorder=recorder,
             )
         )
@@ -207,23 +202,6 @@ class LocationAwareServer:
         self._m_recovery_updates = self.registry.counter(
             "server_recovery_updates_total"
         )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release engine-owned resources (the parallel worker pool).
-
-        A no-op for serial pipelines; safe to call repeatedly.
-        """
-        self.engine.close()
-
-    def __enter__(self) -> "LocationAwareServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Protocol observers and fault hooks
@@ -410,8 +388,11 @@ class LocationAwareServer:
         Receiving anything from a moving query commits its latest answer
         — the uplink proves the client is connected and has received
         everything sent so far (clients always wake up before resuming
-        uplink after an outage).
+        uplink after an outage).  A move of the wrong kind for its query
+        is refused (``ValueError``) before any gate could defer it into
+        the next cycle.
         """
+        self.engine.check_kind(qid, QueryKind.RANGE)
         if self.uplink_gate is not None and not self._gate(
             "query_move", self.receive_range_query_move, (qid, region, t)
         ):
@@ -427,6 +408,7 @@ class LocationAwareServer:
         :class:`~repro.net.KnnMoveMessage` — 32 bytes on the wire, not
         a degenerate zero-area rectangle shoehorned into the 48-byte
         range-move encoding)."""
+        self.engine.check_kind(qid, QueryKind.KNN)
         if self.uplink_gate is not None and not self._gate(
             "query_move", self.receive_knn_query_move, (qid, center, t)
         ):
@@ -440,6 +422,7 @@ class LocationAwareServer:
     def receive_predictive_query_move(
         self, qid: int, region: Rect, t: float
     ) -> None:
+        self.engine.check_kind(qid, QueryKind.PREDICTIVE_RANGE)
         if self.uplink_gate is not None and not self._gate(
             "query_move", self.receive_predictive_query_move, (qid, region, t)
         ):
@@ -642,8 +625,6 @@ class LocationAwareServer:
         the clients' slices interleave.  Updates of queries
         unregistered in this same batch have no owner and are skipped.
         """
-        if not isinstance(updates, UpdateBatch):
-            updates = UpdateBatch.from_updates(updates)
         qids, oids, signs = updates.qids, updates.oids, updates.signs
         bindings = self._bindings
         owner_of = {

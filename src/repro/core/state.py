@@ -83,7 +83,7 @@ class PredictiveQueryState:
     seconds of the current evaluation time?
 
     ``next_flip`` is derived scheduling state maintained by the engine's
-    cell-batched pipeline: the earliest evaluation time at which some
+    columnar pipeline: the earliest evaluation time at which some
     candidate object's predicted membership can change *purely because
     the horizon window slid forward* (no report churn).  Until that
     time, a refresh without churn in the query's footprint cells is

@@ -16,11 +16,6 @@ Two representations carry that language:
   elements lazily, so code written against ``list[Update]`` — golden
   tests, the oracle, examples — keeps working unchanged, in the same
   order, with the same values.
-
-:class:`UpdateList` is the legacy materialised representation behind
-the same emission API — ``emit_mode="materialized"`` engines use it, so
-the batch representation's win is measurable against an otherwise
-identical pipeline (``benchmarks/bench_columnar.py``).
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ class Update:
     dataclass because consumers may materialise one per emitted change
     (hundreds of thousands per bulk round), and the frozen-dataclass
     ``object.__setattr__`` path more than triples construction cost on
-    the hottest line of every pipeline.
+    the hottest line of the emitter.
     """
 
     __slots__ = ("qid", "oid", "sign")
@@ -86,7 +81,7 @@ class Update:
 class UpdateBatch:
     """An update stream as three parallel columns (struct of arrays).
 
-    The emission contract every pipeline writes through:
+    The emission contract the engine writes through:
 
     * ``push(qid, oid, sign)`` — append one change, integers only;
     * ``extend_columns(qids, oids, signs)`` — append whole column
@@ -198,25 +193,6 @@ class UpdateBatch:
     def to_list(self) -> list[Update]:
         """Materialise the whole stream as ``list[Update]``."""
         return list(map(Update, self.qids, self.oids, self.signs))
-
-
-class UpdateList(list):
-    """``list[Update]`` behind the :class:`UpdateBatch` emission API.
-
-    The pre-columnar representation, retained as the measurement
-    baseline: an ``emit_mode="materialized"`` engine emits through the
-    exact same ``push``/``extend_columns`` call sites but pays the
-    per-element :class:`Update` construction the batch avoids.
-    """
-
-    def push(self, qid: int, oid: int, sign: int) -> None:
-        self.append(Update(qid, oid, sign))
-
-    def extend_columns(self, qids, oids, signs) -> None:
-        self.extend(map(Update, qids, oids, signs))
-
-    def tuples(self):
-        return ((u.qid, u.oid, u.sign) for u in self)
 
 
 def diff_answers(

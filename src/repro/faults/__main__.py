@@ -27,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
         nargs="+",
         default=list(PIPELINES),
         choices=list(PIPELINES),
-        help="engine pipelines to exercise (default: all three)",
+        help="engine pipelines to exercise (default: both)",
     )
     parser.add_argument(
         "--seeds",

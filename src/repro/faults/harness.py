@@ -24,9 +24,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.geometry import Point, Rect, Velocity
 from repro.obs import DEFAULT_RING_SIZE, FlightRecorder
-from repro.parallel import ParallelConfig
 
-PIPELINES = ("per-object", "cell-batched", "parallel", "columnar")
+PIPELINES = ("per-object", "columnar")
 
 #: A moderately hostile default: every fault dimension exercised.
 DEFAULT_PLAN_RATES = dict(
@@ -36,7 +35,6 @@ DEFAULT_PLAN_RATES = dict(
     duplicate_rate=0.05,
     reorder_rate=0.05,
     uplink_delay_rate=0.10,
-    worker_crash_rate=0.15,
 )
 
 
@@ -79,26 +77,6 @@ class ChaosReport:
         return out
 
 
-def _build_server(
-    pipeline: str, recorder: FlightRecorder | None = None
-) -> LocationAwareServer:
-    if pipeline == "parallel":
-        # Thread backend with a tiny dispatch threshold: deterministic,
-        # works on single-core hosts, still drives the full
-        # plan/worker/merge (and crash-recovery) machinery.
-        parallelism: ParallelConfig | None = ParallelConfig(
-            workers=2, backend="thread", min_batch=1
-        )
-    else:
-        parallelism = None
-    return LocationAwareServer(
-        grid_size=16,
-        pipeline=pipeline,
-        parallelism=parallelism,
-        recorder=recorder,
-    )
-
-
 def run_chaos(
     pipeline: str,
     plan: FaultPlan,
@@ -115,90 +93,90 @@ def run_chaos(
     # Every chaos run flies with the black box armed: a failure report
     # embeds the protocol events that led to it, not just tallies.
     recorder = FlightRecorder(capacity=DEFAULT_RING_SIZE)
-    with _build_server(pipeline, recorder=recorder) as server:
-        # -- deployment: 3 clients, 5 queries, moving objects ----------
-        server.register_client(0)
-        server.register_client(1)
-        server.register_client(2, downlink_budget=60)  # ~3 updates/cycle
-        server.register_range_query(0, qid=1, region=Rect(0.1, 0.1, 0.5, 0.5))
-        server.register_range_query(0, qid=2, region=Rect(0.4, 0.4, 0.9, 0.9))
-        server.register_knn_query(1, qid=3, center=Point(0.5, 0.5), k=5)
-        server.register_predictive_query(
-            2, qid=4, region=Rect(0.2, 0.2, 0.8, 0.8), horizon=5.0
+    server = LocationAwareServer(grid_size=16, pipeline=pipeline, recorder=recorder)
+    # -- deployment: 3 clients, 5 queries, moving objects ----------
+    server.register_client(0)
+    server.register_client(1)
+    server.register_client(2, downlink_budget=60)  # ~3 updates/cycle
+    server.register_range_query(0, qid=1, region=Rect(0.1, 0.1, 0.5, 0.5))
+    server.register_range_query(0, qid=2, region=Rect(0.4, 0.4, 0.9, 0.9))
+    server.register_knn_query(1, qid=3, center=Point(0.5, 0.5), k=5)
+    server.register_predictive_query(
+        2, qid=4, region=Rect(0.2, 0.2, 0.8, 0.8), horizon=5.0
+    )
+    server.register_range_query(2, qid=5, region=Rect(0.0, 0.0, 0.4, 0.9))
+    for oid in range(n_objects):
+        velocity = (
+            Velocity(rng.uniform(-0.02, 0.02), rng.uniform(-0.02, 0.02))
+            if oid % 2
+            else Velocity.ZERO
         )
-        server.register_range_query(2, qid=5, region=Rect(0.0, 0.0, 0.4, 0.9))
-        for oid in range(n_objects):
+        server.receive_object_report(
+            oid, Point(rng.random(), rng.random()), t=0.0, velocity=velocity
+        )
+
+    oracle = ConsistencyOracle(server)
+    injector = FaultInjector(server, plan)
+    injector.install()
+
+    # -- hostile phase --------------------------------------------
+    for cycle in range(cycles):
+        now = float(cycle + 1)
+        injector.begin_cycle(cycle)
+        for oid in rng.sample(range(n_objects), k=max(1, n_objects // 3)):
             velocity = (
                 Velocity(rng.uniform(-0.02, 0.02), rng.uniform(-0.02, 0.02))
                 if oid % 2
                 else Velocity.ZERO
             )
             server.receive_object_report(
-                oid, Point(rng.random(), rng.random()), t=0.0, velocity=velocity
+                oid, Point(rng.random(), rng.random()), now, velocity
             )
-
-        oracle = ConsistencyOracle(server)
-        injector = FaultInjector(server, plan)
-        injector.install()
-
-        # -- hostile phase --------------------------------------------
-        for cycle in range(cycles):
-            now = float(cycle + 1)
-            injector.begin_cycle(cycle)
-            for oid in rng.sample(range(n_objects), k=max(1, n_objects // 3)):
-                velocity = (
-                    Velocity(rng.uniform(-0.02, 0.02), rng.uniform(-0.02, 0.02))
-                    if oid % 2
-                    else Velocity.ZERO
-                )
-                server.receive_object_report(
-                    oid, Point(rng.random(), rng.random()), now, velocity
-                )
-            if cycle % 3 == 1:  # the moving queries report new anchors
-                server.receive_range_query_move(
-                    2, _jittered_rect(rng), now
-                )
-                server.receive_knn_query_move(
-                    3, Point(rng.random(), rng.random()), now
-                )
-            if cycle % 4 == 2:  # a stationary client acknowledges
-                server.receive_commit(1)
-                server.receive_commit(5)
-            oracle.begin_cycle()
-            result = server.evaluate_cycle(now)
-            oracle.end_cycle(cycle, result.updates)
-
-        # -- clean convergence phase ----------------------------------
-        injector.uninstall()
-        rounds = 0
-        while rounds < max_wakeup_rounds and not all(
-            oracle.in_sync(cid) for cid in server.client_ids()
-        ):
-            rounds += 1
-            for client_id in server.client_ids():
-                if not oracle.in_sync(client_id):
-                    server.receive_wakeup(client_id)
-        report.wakeup_rounds = rounds
-        report.converged = all(
-            oracle.in_sync(cid) for cid in server.client_ids()
-        )
-        # One last fault-free cycle: the oracle must stay clean on a
-        # healthy network too.
+        if cycle % 3 == 1:  # the moving queries report new anchors
+            server.receive_range_query_move(
+                2, _jittered_rect(rng), now
+            )
+            server.receive_knn_query_move(
+                3, Point(rng.random(), rng.random()), now
+            )
+        if cycle % 4 == 2:  # a stationary client acknowledges
+            server.receive_commit(1)
+            server.receive_commit(5)
         oracle.begin_cycle()
-        result = server.evaluate_cycle(float(cycles + 1))
-        oracle.end_cycle(cycles, result.updates)
+        result = server.evaluate_cycle(now)
+        oracle.end_cycle(cycle, result.updates)
 
-        report.faults = dict(injector.counts)
-        report.divergences = list(oracle.divergences)
-        if not report.ok:
-            if recorder.triggered is None:
-                recorder.trigger(
-                    "chaos_failure",
-                    converged=report.converged,
-                    divergences=len(report.divergences),
-                )
-            report.flight_events = recorder.events()
-            report.metrics = server.registry.to_dict()
+    # -- clean convergence phase ----------------------------------
+    injector.uninstall()
+    rounds = 0
+    while rounds < max_wakeup_rounds and not all(
+        oracle.in_sync(cid) for cid in server.client_ids()
+    ):
+        rounds += 1
+        for client_id in server.client_ids():
+            if not oracle.in_sync(client_id):
+                server.receive_wakeup(client_id)
+    report.wakeup_rounds = rounds
+    report.converged = all(
+        oracle.in_sync(cid) for cid in server.client_ids()
+    )
+    # One last fault-free cycle: the oracle must stay clean on a
+    # healthy network too.
+    oracle.begin_cycle()
+    result = server.evaluate_cycle(float(cycles + 1))
+    oracle.end_cycle(cycles, result.updates)
+
+    report.faults = dict(injector.counts)
+    report.divergences = list(oracle.divergences)
+    if not report.ok:
+        if recorder.triggered is None:
+            recorder.trigger(
+                "chaos_failure",
+                converged=report.converged,
+                divergences=len(report.divergences),
+            )
+        report.flight_events = recorder.events()
+        report.metrics = server.registry.to_dict()
     return report
 
 

@@ -23,7 +23,6 @@ _RATE_FIELDS = (
     "duplicate_rate",
     "reorder_rate",
     "uplink_delay_rate",
-    "worker_crash_rate",
 )
 
 
@@ -34,9 +33,8 @@ class FaultPlan:
     Rates are per decision point: ``disconnect_rate`` per client per
     cycle, ``drop_rate`` / ``duplicate_rate`` / ``reorder_rate`` per
     downlink delivery attempt (mutually exclusive, in that precedence),
-    ``uplink_delay_rate`` per uplink call, ``worker_crash_rate`` per
-    dispatched shard.  ``reconnect_after`` is how many cycles a
-    disconnected client stays dark before its wakeup.
+    ``uplink_delay_rate`` per uplink call.  ``reconnect_after`` is how
+    many cycles a disconnected client stays dark before its wakeup.
     """
 
     seed: int = 0
@@ -46,7 +44,6 @@ class FaultPlan:
     duplicate_rate: float = 0.0
     reorder_rate: float = 0.0
     uplink_delay_rate: float = 0.0
-    worker_crash_rate: float = 0.0
 
     def __post_init__(self) -> None:
         for name in _RATE_FIELDS:
@@ -78,7 +75,6 @@ class FaultSchedule:
         self._downlink = random.Random(f"{plan.seed}:downlink")
         self._disconnect = random.Random(f"{plan.seed}:disconnect")
         self._uplink = random.Random(f"{plan.seed}:uplink")
-        self._crash = random.Random(f"{plan.seed}:crash")
 
     def downlink_action(self) -> str:
         """The fate of one delivery attempt (a :data:`FAULT_ACTIONS`)."""
@@ -99,6 +95,3 @@ class FaultSchedule:
 
     def should_delay_uplink(self) -> bool:
         return self._uplink.random() < self.plan.uplink_delay_rate
-
-    def should_crash_worker(self) -> bool:
-        return self._crash.random() < self.plan.worker_crash_rate

@@ -62,10 +62,9 @@ class GridIndex:
         # allocation-free but non-reentrant.
         self._scratch_cells: list[int] = []
         # Per-cell sorted qid tuples, built lazily and invalidated only
-        # when that cell's query membership changes.  Backs both
-        # snapshot_cell_queries (parallel payloads) and the columnar
-        # evaluator's candidate resolution, so repeated snapshots of a
-        # stable cell are a dict hit, not a rebuild.
+        # when that cell's query membership changes, so the columnar
+        # evaluator's repeated reads of a stable cell are a dict hit,
+        # not a rebuild.
         self._cell_query_tuples: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -129,17 +128,6 @@ class GridIndex:
     def place_object_at(self, oid: int, location: Point) -> None:
         """Convenience: place a point object at ``location``."""
         self.place_object(oid, frozenset((self.grid.cell_of(location),)))
-
-    def move_point_object(self, oid: int, old_cell: int, new_cell: int) -> None:
-        """Hot-path variant of :meth:`place_object` for the common
-        single-cell move.  The caller guarantees ``oid`` currently
-        occupies exactly ``{old_cell}``; no-op when the cell is unchanged.
-        """
-        if old_cell == new_cell:
-            return
-        self._remove_member(old_cell, oid, is_query=False)
-        self._cells.setdefault(new_cell, CellBucket()).objects.add(oid)
-        self._object_cells[oid] = frozenset((new_cell,))
 
     def bulk_drain_points(self, cell: int, oids: "list[int]") -> None:
         """Remove a batch of departing point objects from ``cell``'s
@@ -234,7 +222,7 @@ class GridIndex:
         and must be snapshotted (``set(...)``) before being retained
         across any ``place_*`` / ``remove_*`` call.  The bulk-evaluation
         hot path reads millions of these per batch; copying defensively
-        here is what the cell-batched pipeline removed.
+        here would dominate it.
         """
         bucket = self._cells.get(cell)
         return bucket.objects if bucket else _EMPTY
@@ -291,8 +279,7 @@ class GridIndex:
         Built on first access and invalidated per cell only when a
         query is placed into or removed from that cell, so a stable
         cell costs one dict hit per access no matter how many batches
-        read it.  The tuple is immutable and safe to retain or ship
-        across process boundaries.
+        read it.  The tuple is immutable and safe to retain.
         """
         cached = self._cell_query_tuples.get(cell)
         if cached is None:
@@ -304,23 +291,6 @@ class GridIndex:
             )
             self._cell_query_tuples[cell] = cached
         return cached
-
-    def snapshot_cell_queries(
-        self, cells: "list[int] | tuple[int, ...] | Set[int]"
-    ) -> dict[int, tuple[int, ...]]:
-        """Flat, picklable ``{cell: (qid, ...)}`` snapshot of ``cells``.
-
-        The struct-of-arrays export the parallel pipeline ships to
-        worker processes: plain ints in plain tuples, no live bucket
-        aliases crossing a process boundary, no object graphs to
-        pickle.  Empty cells map to an empty tuple so workers can
-        distinguish "no queries here" from "cell not shipped".  Each
-        tuple is a slice of the per-cell tuple cache
-        (:meth:`cell_query_tuple`) — sorted ascending, rebuilt only for
-        cells whose query membership changed since the last snapshot.
-        """
-        tuple_of = self.cell_query_tuple
-        return {cell: tuple_of(cell) for cell in cells}
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -25,13 +25,10 @@ import time
 class SpanRecord:
     """One finished (or in-flight) span.
 
-    ``span_id`` / ``parent_id`` form the causal chain (0 = no parent);
-    ``tid`` is the logical track the Chrome exporter renders the span
-    on — 0 for the coordinator, ``shard + 1`` for spans echoed back
-    from pool workers via :meth:`Tracer.record_remote`.
+    ``span_id`` / ``parent_id`` form the causal chain (0 = no parent).
     """
 
-    __slots__ = ("name", "start", "duration", "depth", "error", "span_id", "parent_id", "tid")
+    __slots__ = ("name", "start", "duration", "depth", "error", "span_id", "parent_id")
 
     def __init__(
         self,
@@ -42,7 +39,6 @@ class SpanRecord:
         error: bool,
         span_id: int = 0,
         parent_id: int = 0,
-        tid: int = 0,
     ):
         self.name = name
         self.start = start
@@ -51,7 +47,6 @@ class SpanRecord:
         self.error = error
         self.span_id = span_id
         self.parent_id = parent_id
-        self.tid = tid
 
 
 class _Span:
@@ -181,58 +176,6 @@ class Tracer:
         """
         return _Span(self, name, counter, histogram)
 
-    @property
-    def current_span_id(self) -> int:
-        """The innermost open span's id (0 when no span is open).
-
-        This is the trace context a coordinator threads into work it
-        ships elsewhere — e.g. onto the parallel pipeline's shard
-        payloads — so remote timings can be parented correctly.
-        """
-        stack = self._stack
-        return stack[-1] if stack else 0
-
-    def now(self) -> float:
-        """The current origin-relative time, for anchoring remote spans."""
-        return self._clock() - self._origin
-
-    def record_remote(
-        self,
-        spans,
-        anchor: float,
-        tid: int = 0,
-        parent_id: int = 0,
-    ) -> None:
-        """Record spans measured elsewhere (a pool worker's phase laps).
-
-        ``spans`` is an iterable of ``(name, rel_start, duration)``
-        triples whose times are relative to the remote clock's own
-        start; ``anchor`` is the origin-relative instant (from
-        :meth:`now`) the work was dispatched, so every remote span
-        lands inside the dispatch window even though the two clocks
-        are not otherwise comparable.  ``parent_id`` nests the spans
-        under a local span; ``tid`` gives them their own track in the
-        Chrome export.
-        """
-        for name, rel_start, duration in spans:
-            if len(self.events) >= self.max_events:
-                self.dropped += 1
-                continue
-            span_id = self._next_id
-            self._next_id += 1
-            self.events.append(
-                SpanRecord(
-                    name,
-                    anchor + rel_start,
-                    duration,
-                    self._depth + 1,
-                    False,
-                    span_id,
-                    parent_id,
-                    tid,
-                )
-            )
-
     def _record(self, span: _Span) -> None:
         if len(self.events) >= self.max_events:
             self.dropped += 1
@@ -246,7 +189,6 @@ class Tracer:
                 span.error,
                 span.span_id,
                 span.parent_id,
-                0,
             )
         )
 
@@ -270,7 +212,7 @@ class Tracer:
                 "ts": record.start * 1e6,
                 "dur": record.duration * 1e6,
                 "pid": 0,
-                "tid": record.tid,
+                "tid": 0,
                 "cat": "repro",
             }
             if args:
@@ -291,12 +233,6 @@ class NullTracer(Tracer):
         if counter is None and histogram is None:
             return _NULL_SPAN
         return _MetricOnlySpan(counter, histogram)
-
-    def now(self) -> float:  # type: ignore[override]
-        return 0.0
-
-    def record_remote(self, spans, anchor, tid=0, parent_id=0) -> None:  # type: ignore[override]
-        pass
 
 
 NULL_TRACER = NullTracer()

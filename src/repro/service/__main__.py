@@ -28,7 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--pipeline",
         default="columnar",
-        help="engine pipeline (columnar, cell-batched, per-object, parallel)",
+        help="engine pipeline: columnar (production) or per-object (reference)",
     )
     parser.add_argument("--max-sessions", type=int, default=1024)
     parser.add_argument("--max-clients", type=int, default=200_000)

@@ -133,7 +133,6 @@ class ServiceConfig:
     cycle_interval: float = 0.0
     grid_size: int = 64
     pipeline: str = "columnar"
-    parallelism: object = None
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: Attach a differential consistency oracle to every session.
     oracle: bool = False
@@ -155,7 +154,6 @@ class ServiceRuntime:
         self.server = server or LocationAwareServer(
             grid_size=self.config.grid_size,
             pipeline=self.config.pipeline,
-            parallelism=self.config.parallelism,
             recorder=self.config.recorder,
         )
         self.registry = self.server.registry
@@ -262,7 +260,6 @@ class ServiceRuntime:
             await self._http_server.wait_closed()
             for session in list(self._sessions.values()):
                 self._close_session(session)
-            self.server.close()
 
     def request_stop(self) -> None:
         """Ask the serve loop to wind down (thread-safe)."""
@@ -729,24 +726,25 @@ class ServiceRuntime:
             # would fail the whole evaluation batch, not just this op.
             server.client_of(qid)
             kind = op["kind"]
-            # Likewise a move of the wrong kind for its query — and it
-            # must not reach an uplink gate that would replay it later.
-            known = server.engine.kind_of(qid)
-            if known is not None and known.value != kind:
-                raise ProtocolError(
-                    "bad_kind", f"query {qid} is a {known.value} query"
-                )
             (t,) = _finite(op, "t")
             if kind == "range":
-                server.receive_range_query_move(qid, self._rect_of(op), t)
+                move = server.receive_range_query_move
+                target = self._rect_of(op)
             elif kind == "knn":
-                server.receive_knn_query_move(
-                    qid, Point(*_finite(op, "cx", "cy")), t
-                )
+                move = server.receive_knn_query_move
+                target = Point(*_finite(op, "cx", "cy"))
             else:
-                server.receive_predictive_query_move(
-                    qid, self._rect_of(op), t
-                )
+                move = server.receive_predictive_query_move
+                target = self._rect_of(op)
+            try:
+                move(qid, target, t)
+            except ValueError:
+                # Every value is vouched for above, so this is the
+                # engine refusing a move of the wrong kind for its query.
+                known = server.engine.kind_of(qid)
+                raise ProtocolError(
+                    "bad_kind", f"query {qid} is a {known.value} query"
+                ) from None
         elif name == "register":
             client_id = _id_of(op, "client")
             qid = _id_of(op, "qid")

@@ -77,7 +77,7 @@ def test_failed_chaos_run_embeds_flight_events_and_metrics():
     """A run that cannot converge (zero wakeup rounds allowed) must
     carry the ring and a metrics snapshot in its report."""
     report = run_chaos(
-        "cell-batched",
+        "columnar",
         default_plan(1),
         cycles=10,
         n_objects=30,
@@ -95,7 +95,7 @@ def test_failed_chaos_run_embeds_flight_events_and_metrics():
 
 def test_clean_chaos_run_ships_no_flight_events():
     report = run_chaos(
-        "cell-batched", default_plan(1), cycles=10, n_objects=20
+        "columnar", default_plan(1), cycles=10, n_objects=20
     )
     assert report.ok
     assert report.flight_events == []
@@ -107,7 +107,7 @@ def test_cli_writes_flight_dump_per_failure(tmp_path, capsys):
     rc = chaos_cli.main(
         [
             "--pipelines",
-            "cell-batched",
+            "columnar",
             "--seeds",
             "1",
             "--cycles",
@@ -127,7 +127,7 @@ def test_cli_writes_flight_dump_per_failure(tmp_path, capsys):
 def test_cli_flight_dump_on_failure(tmp_path, monkeypatch):
     from repro.faults.harness import ChaosReport
 
-    failing = ChaosReport(pipeline="cell-batched", seed=9, cycles=1)
+    failing = ChaosReport(pipeline="columnar", seed=9, cycles=1)
     failing.flight_events = [
         {"seq": 1, "t": 0.0, "cycle": 0, "kind": "fault", "fault": "drop"}
     ]
@@ -137,7 +137,7 @@ def test_cli_flight_dump_on_failure(tmp_path, monkeypatch):
     rc = chaos_cli.main(
         [
             "--pipelines",
-            "cell-batched",
+            "columnar",
             "--seeds",
             "9",
             "--flight-dir",
@@ -145,7 +145,7 @@ def test_cli_flight_dump_on_failure(tmp_path, monkeypatch):
         ]
     )
     assert rc == 1
-    dump = tmp_path / "flight" / "CHAOS_FLIGHT_cell-batched_9.jsonl"
+    dump = tmp_path / "flight" / "CHAOS_FLIGHT_columnar_9.jsonl"
     assert dump.exists()
     (line,) = dump.read_text().splitlines()
     assert json.loads(line)["kind"] == "fault"

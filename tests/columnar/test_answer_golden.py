@@ -1,111 +1,24 @@
-"""Golden equivalence of the columnar answer plane's delta emission.
+"""The columnar answer plane's delta emission against the reference.
 
-The batch ingest golden tests pin report-buffer shapes; these pin the
-*emission* side introduced with the SoA answer plane: the
-:class:`~repro.core.updates.UpdateBatch` stream spliced together from
-classification column slices, the :class:`ColumnarAnswerStore` views
-legacy callers read through, and the ``emit_mode="materialized"``
-baseline that must stay byte-identical to batch emission.
+The batch ingest scenarios pin report-buffer shapes; these pin the
+*emission* side: the :class:`~repro.core.updates.UpdateBatch` stream
+spliced together from classification column slices, and the
+:class:`ColumnarAnswerStore` views legacy callers read through.
 
 Workloads interleave the operations most likely to desynchronise the
 store from the authoritative live sets: object removals between
 evaluation rounds (negative updates + answered-sweep), and query moves
 (range, k-NN, and predictive reshapes that rewrite whole answers).
-The three batched pipelines and both materialized twins must emit
-**byte-identical** ordered streams; the per-object reference must
-agree per query as a set.  ``check_invariants`` runs after every round
-and asserts every cached answer view equals the live set.
+Every round holds the columnar engine to the per-object reference
+(:mod:`tests.lockstep`); ``check_invariants`` asserts every cached
+answer view equals the live set.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.columnar import numpy_available
-from repro.core import IncrementalEngine, UpdateBatch, UpdateList
+from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
-
-GRID = 8
-HORIZON = 30.0
-
-
-def ordered(updates):
-    return [(u.qid, u.oid, u.sign) for u in updates]
-
-
-def per_query(stream):
-    out: dict[int, set] = {}
-    for qid, oid, sign in stream:
-        out.setdefault(qid, set()).add((oid, sign))
-    return out
-
-
-def _engine(pipeline, **kwargs):
-    return IncrementalEngine(
-        grid_size=GRID,
-        prediction_horizon=HORIZON,
-        pipeline=pipeline,
-        **kwargs,
-    )
-
-
-class Fleet:
-    """One engine per pipeline/backend/emit-mode combination."""
-
-    def __init__(self):
-        best_backend = "numpy" if numpy_available() else "python"
-        self.engines: dict[str, IncrementalEngine] = {
-            "cell-batched": _engine("cell-batched"),
-            "parallel": _engine("parallel"),
-            "columnar-python": _engine("columnar", columnar_backend="python"),
-            # The materialized twins run the same pipelines with eager
-            # Update construction; their streams gate the batch path.
-            "cell-batched-materialized": _engine(
-                "cell-batched", emit_mode="materialized"
-            ),
-            "columnar-materialized": _engine(
-                "columnar",
-                columnar_backend=best_backend,
-                emit_mode="materialized",
-            ),
-            "per-object": _engine("per-object"),
-        }
-        if numpy_available():
-            self.engines["columnar-numpy"] = _engine(
-                "columnar", columnar_backend="numpy"
-            )
-
-    def all(self, method: str, *args) -> None:
-        for engine in self.engines.values():
-            getattr(engine, method)(*args)
-
-    def evaluate_and_compare(self, now: float) -> list[tuple[int, int, int]]:
-        streams = {}
-        for name, engine in self.engines.items():
-            raw = engine.evaluate(now)
-            expected = (
-                UpdateList if engine.emit_mode == "materialized" else UpdateBatch
-            )
-            assert type(raw) is expected, (name, type(raw))
-            streams[name] = ordered(raw)
-        want = streams.pop("cell-batched")
-        reference = streams.pop("per-object")
-        for name, got in streams.items():
-            assert got == want, f"{name} stream diverged from cell-batched"
-        assert per_query(reference) == per_query(want), (
-            "per-object update set diverged"
-        )
-        for engine in self.engines.values():
-            engine.check_invariants()
-        return want
-
-    def register_standard_queries(self) -> None:
-        self.all("register_range_query", 1, Rect(0.10, 0.10, 0.45, 0.45))
-        self.all("register_range_query", 2, Rect(0.40, 0.40, 0.90, 0.90))
-        self.all("register_range_query", 3, Rect(0.0, 0.0, 0.125, 0.125))
-        self.all("register_knn_query", 4, Point(0.5, 0.5), 3)
-        self.all("register_predictive_query", 5, Rect(0.2, 0.2, 0.6, 0.6), 10.0)
-        self.all("register_predictive_query", 6, Rect(0.7, 0.1, 0.95, 0.5), 10.0)
+from tests.columnar.test_ingest_golden import GRID, HORIZON, Fleet
 
 
 def test_removal_interleaved_emission():
@@ -187,13 +100,9 @@ def test_query_move_interleaved_emission():
     fleet.evaluate_and_compare(3.0)
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["python"] + (["numpy"] if numpy_available() else []),
-)
-def test_answer_store_views_and_csr(backend):
+def test_answer_store_views_and_csr():
     """The store's cached views and CSR snapshot mirror live answers."""
-    engine = _engine("columnar", columnar_backend=backend)
+    engine = IncrementalEngine(grid_size=GRID, prediction_horizon=HORIZON)
     engine.register_range_query(1, Rect(0.1, 0.1, 0.9, 0.9))
     engine.register_range_query(2, Rect(0.0, 0.0, 0.3, 0.3))
     engine.register_knn_query(3, Point(0.5, 0.5), 2)

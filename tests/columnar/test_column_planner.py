@@ -1,41 +1,25 @@
 """The column hand-off: ``BatchIngest`` cohorts as columns, the column
-planner against its per-cohort oracle, and the inputs that must not
-knock a batch off the array path.
+planner's dedup, and the inputs that must not knock a batch off the
+array path.
 
-Every report is one home-cell transition ``(old home, new home)``; under
-numpy the cohorts leave ingest as :class:`CohortColumns` and
+Every report is one home-cell transition ``(old home, new home)``; the
+cohorts leave ingest as :class:`CohortColumns` and
 ``ColumnarEvaluator._plan_columns`` builds the :class:`PairPlan` with
-array passes only.  ``_build_plan`` — the python backend's per-cohort
-planner — is the oracle: same cohorts in, same plan out.
+array passes only.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.columnar import numpy_available
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not installed"
-)
-
 GRID = 8
-CELL = 1.0 / GRID
 
 
-def columnar(backend: str = "numpy", **kwargs) -> IncrementalEngine:
-    return IncrementalEngine(
-        grid_size=GRID,
-        prediction_horizon=30.0,
-        pipeline="columnar",
-        columnar_backend=backend,
-        **kwargs,
-    )
+def columnar() -> IncrementalEngine:
+    return IncrementalEngine(grid_size=GRID, prediction_horizon=30.0)
 
 
 def random_velocity(rng: random.Random) -> Velocity:
@@ -44,96 +28,6 @@ def random_velocity(rng: random.Random) -> Velocity:
     return Velocity.ZERO
 
 
-def settled_engine(rng: random.Random) -> tuple[IncrementalEngine, dict]:
-    """An engine with every query kind registered — small partial
-    queries, big ones covering whole (and neighbouring) cells — and a
-    population placed, all evaluated once."""
-    engine = columnar()
-    qid = 100
-    for _ in range(rng.randint(4, 14)):
-        x, y = rng.random(), rng.random()
-        side = rng.choice((0.05, 0.2, 0.45, 0.8))
-        engine.register_range_query(qid, Rect(x - side, y - side, x + side, y + side))
-        qid += 1
-    for _ in range(rng.randint(0, 3)):
-        engine.register_knn_query(qid, Point(rng.random(), rng.random()), 2)
-        qid += 1
-    for _ in range(rng.randint(0, 3)):
-        x, y = rng.random() * 0.8, rng.random() * 0.8
-        engine.register_predictive_query(qid, Rect(x, y, x + 0.2, y + 0.2), 10.0)
-        qid += 1
-    positions = {}
-    for oid in range(rng.randint(5, 60)):
-        positions[oid] = (rng.random(), rng.random())
-        engine.report_object(oid, Point(*positions[oid]), 0.0, random_velocity(rng))
-    engine.evaluate(0.0)
-    return engine, positions
-
-
-def buffer_random_batch(engine, positions, rng: random.Random) -> None:
-    """Stay-put jitters, hops into a neighbouring cell, long jumps,
-    brand-new objects — with and without a velocity."""
-    next_oid = len(positions)
-    for oid, (x, y) in positions.items():
-        move = rng.random()
-        if move < 0.25:
-            continue
-        if move < 0.55:  # stays inside its cell, most of the time
-            x += rng.uniform(-0.2, 0.2) * CELL
-            y += rng.uniform(-0.2, 0.2) * CELL
-        elif move < 0.85:  # one cell over
-            x += rng.choice((-CELL, 0.0, CELL))
-            y += rng.choice((-CELL, 0.0, CELL))
-        else:
-            x, y = rng.random(), rng.random()
-        engine.report_object(oid, Point(x, y), 1.0, random_velocity(rng))
-    for extra in range(rng.randint(0, 8)):
-        engine.report_object(
-            next_oid + extra,
-            Point(rng.random(), rng.random()),
-            1.0,
-            random_velocity(rng),
-        )
-
-
-def both_plans(engine):
-    """Ingest the buffered batch once, then plan it both ways."""
-    evaluator = engine._columnar_evaluator
-    columns = engine._batch_ingest.group(engine._pending_reports, set())
-    knn_columns: set[int] = set()
-    plan = evaluator._plan_columns(columns, knn_columns)
-    cohorts = list(engine._iter_cohorts(columns.groups()))
-    knn_oracle: set[int] = set()
-    oracle, _ = evaluator._build_plan(cohorts, knn_oracle)
-    assert knn_columns == knn_oracle
-    return plan, oracle, cohorts
-
-
-def plan_columns(plan) -> tuple[list, list, list, list]:
-    ent = [int(row) for part in plan.ent_parts for row in part]
-    return (
-        ent,
-        [int(c) for c in plan.ent_counts],
-        [int(r) for r in plan.obj_rows],
-        [int(c) for c in plan.obj_counts],
-    )
-
-
-@needs_numpy
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32))
-def test_column_planner_equals_the_per_cohort_oracle(seed):
-    rng = random.Random(seed)
-    engine, positions = settled_engine(rng)
-    buffer_random_batch(engine, positions, rng)
-    if not engine._pending_reports:
-        return
-    plan, oracle, _ = both_plans(engine)
-    assert plan_columns(plan) == plan_columns(oracle)
-    assert plan.total_pairs == oracle.total_pairs
-
-
-@needs_numpy
 def test_column_planner_on_every_cohort_shape():
     """One batch holding each shape the dedup must get right: a
     stay-put cohort under a covering query (skipped), a neighbour
@@ -152,15 +46,21 @@ def test_column_planner_on_every_cohort_shape():
     engine.report_object(11, Point(0.15, 0.06), 1.0)
     engine.report_object(12, Point(0.16, 0.07), 1.0, Velocity(0.01, 0.0))
     engine.report_object(13, Point(0.3, 0.3), 1.0)
-    plan, oracle, cohorts = both_plans(engine)
-    assert plan_columns(plan) == plan_columns(oracle)
-    assert [(cells, [s.oid for s in states]) for cells, states, _, _ in cohorts] == [
-        ((0,), [10]),
-        ((0, 1), [11, 12]),
-        ((18,), [13]),
+    columns = engine._batch_ingest.group(engine._pending_reports, set())
+    plan = engine._columnar_evaluator._plan_columns(columns, set())
+    members = [
+        columns.oids[columns.order[start : start + count]].tolist()
+        for start, count in zip(columns.start, columns.count)
+    ]
+    assert list(zip(columns.old.tolist(), columns.new.tolist(), members)) == [
+        (0, 0, [10]),
+        (0, 1, [11, 12]),
+        (-1, 18, [13]),
     ]
     row_of = engine._qstore.row_of
-    ent, ent_counts, _, obj_counts = plan_columns(plan)
+    ent = plan.ent.tolist()
+    ent_counts = plan.ent_counts.tolist()
+    obj_counts = plan.obj_counts.tolist()
     # stay-put: only the partial query 3; pair: query 3 once (it is in
     # both cells' lists) and query 2 (covers the old cell only) — never
     # query 1, which covers both; new object: query 1.
@@ -169,7 +69,6 @@ def test_column_planner_on_every_cohort_shape():
     assert obj_counts == [1, 2, 1]
 
 
-@needs_numpy
 def test_hostile_oids_stay_inside_the_batch_call():
     """A negative and an absurdly sparse oid ride along as out-of-column
     rows: the kernel stays on, everyone else stays on arrays, and the
@@ -200,12 +99,10 @@ def test_hostile_oids_stay_inside_the_batch_call():
         assert streams[0] == streams[1]
     batch, reference = engines
     ingest = batch._batch_ingest
-    assert ingest.enabled
     assert ingest.cell_hint(-7) is None and ingest.cell_hint(10**12) is None
     assert ingest.cell_hint(999) == next(iter(batch.index.object_cells(999)))
     batch.check_invariants()
     value_of = batch.registry.value_of
-    assert value_of("engine_batch_ingest_fallback_total", {"reason": "no_numpy"}) == 0
     # Two out-of-column rows per round; the thousand plain rows never
     # left the array path.
     assert value_of("engine_ingest_rows_total", {"path": "scalar"}) == 6
@@ -216,7 +113,6 @@ def test_hostile_oids_stay_inside_the_batch_call():
     batch.check_invariants()
 
 
-@needs_numpy
 def test_an_oid_entering_the_column_late_keeps_its_cell():
     """The sparsity limit moves with the population, so an oid can be
     out-of-column in one batch and inside the next; the column must
@@ -238,7 +134,6 @@ def test_an_oid_entering_the_column_late_keeps_its_cell():
     engine.check_invariants()
 
 
-@needs_numpy
 def test_an_oid_between_the_limit_and_the_column_end_is_in_column():
     """The column grows with headroom, so it can end beyond the sparsity
     limit of the batch that grew it.  An oid in that window must be
@@ -274,42 +169,3 @@ def test_an_oid_between_the_limit_and_the_column_end_is_in_column():
         for oid in engines[0].objects:
             hint = ingest.cell_hint(oid)
             assert hint is None or {hint} == set(engines[0].index.object_cells(oid))
-
-
-@pytest.mark.parametrize(
-    "backend", ["python", pytest.param("numpy", marks=needs_numpy)]
-)
-def test_bulk_rounds_never_key_the_cohort_cache_on_footprints(backend):
-    """2k objects, a tenth of them predictive, five all-report rounds:
-    the per-cohort planner's cache holds home-cell pairs only, and the
-    column planner leaves it empty."""
-    rng = random.Random(17)
-    engine = IncrementalEngine(
-        grid_size=16,
-        prediction_horizon=30.0,
-        pipeline="columnar",
-        columnar_backend=backend,
-    )
-    for qid in range(60):
-        x, y = rng.random() * 0.9, rng.random() * 0.9
-        engine.register_range_query(qid, Rect(x, y, x + 0.1, y + 0.1))
-    positions = {oid: (rng.random(), rng.random()) for oid in range(2000)}
-    for now in range(5):
-        for oid, (x, y) in positions.items():
-            x = min(max(x + rng.uniform(-0.05, 0.05), 0.0), 1.0)
-            y = min(max(y + rng.uniform(-0.05, 0.05), 0.0), 1.0)
-            positions[oid] = (x, y)
-            velocity = (
-                Velocity(rng.uniform(-0.01, 0.01), rng.uniform(-0.01, 0.01))
-                if oid % 10 == 0
-                else Velocity.ZERO
-            )
-            engine.report_object(oid, Point(x, y), float(now), velocity)
-        engine.evaluate(float(now))
-        cache = engine._columnar_evaluator._cohort_cache
-        for key in cache:
-            assert len(key) == 2 and all(type(cell) is int for cell in key), key
-        assert not cache or backend == "python"
-    assert cache or backend == "numpy"
-    engine.check_invariants()
-    assert any(len(engine.index.object_cells(oid)) > 1 for oid in range(0, 2000, 10))

@@ -1,97 +1,34 @@
-"""Golden equivalence of the batch ingest kernel, scenario by scenario.
+"""The batch ingest kernel, scenario by scenario.
 
-The randomized trio tests (``test_golden_equivalence.py``) sweep broad
-workloads; these tests pin the specific report-buffer shapes the batch
-ingest kernel (:mod:`repro.columnar.ingest`) special-cases — brand-new
-objects, stay-put batches, predictive/stationary transitions in both
-directions, boundary-clamped coordinates, and removal-interleaved
-batches — across all four pipelines and both columnar backends.
-
-The three batched pipelines (cell-batched, parallel, columnar) must
-emit **byte-identical** ordered update streams; the per-object
-reference must agree per query as a set (its intra-batch emission
-order legitimately differs).  Every engine's invariants are checked
-after every round, which includes the dense ``oid -> cell`` column the
-batch kernel maintains.
+The lock-step state machine (``tests/core/test_lockstep.py``) sweeps
+broad workloads; these tests pin the specific report-buffer shapes the
+batch ingest kernel (:mod:`repro.columnar.ingest`) special-cases —
+brand-new objects, stay-put batches, predictive/stationary transitions
+in both directions, boundary-clamped coordinates, and
+removal-interleaved batches — against the per-object reference.
+Every round holds the pair to the contract in :mod:`tests.lockstep`,
+which includes both engines' invariants and with them the dense
+``oid -> cell`` column the batch kernel maintains.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.columnar import numpy_available
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
+from tests.lockstep import EnginePair
 
 GRID = 8
 HORIZON = 30.0
 
 
-def ordered(updates):
-    return [(u.qid, u.oid, u.sign) for u in updates]
-
-
-def per_query(stream):
-    out: dict[int, set] = {}
-    for qid, oid, sign in stream:
-        out.setdefault(qid, set()).add((oid, sign))
-    return out
-
-
-class Fleet:
-    """One engine per pipeline/backend combination, driven in lockstep."""
+class Fleet(EnginePair):
+    """The production engine and its reference, driven in lockstep."""
 
     def __init__(self):
-        self.engines: dict[str, IncrementalEngine] = {
-            "cell-batched": IncrementalEngine(
-                grid_size=GRID,
-                prediction_horizon=HORIZON,
-                pipeline="cell-batched",
-            ),
-            "parallel": IncrementalEngine(
-                grid_size=GRID,
-                prediction_horizon=HORIZON,
-                pipeline="parallel",
-            ),
-            "columnar-python": IncrementalEngine(
-                grid_size=GRID,
-                prediction_horizon=HORIZON,
-                pipeline="columnar",
-                columnar_backend="python",
-            ),
-            "per-object": IncrementalEngine(
-                grid_size=GRID,
-                prediction_horizon=HORIZON,
-                pipeline="per-object",
-            ),
-        }
-        if numpy_available():
-            self.engines["columnar-numpy"] = IncrementalEngine(
-                grid_size=GRID,
-                prediction_horizon=HORIZON,
-                pipeline="columnar",
-                columnar_backend="numpy",
-            )
-
-    def all(self, method: str, *args) -> None:
-        for engine in self.engines.values():
-            getattr(engine, method)(*args)
+        super().__init__(grid_size=GRID, prediction_horizon=HORIZON)
 
     def evaluate_and_compare(self, now: float) -> list[tuple[int, int, int]]:
-        streams = {
-            name: ordered(engine.evaluate(now))
-            for name, engine in self.engines.items()
-        }
-        want = streams.pop("cell-batched")
-        reference = streams.pop("per-object")
-        for name, got in streams.items():
-            assert got == want, f"{name} stream diverged from cell-batched"
-        assert per_query(reference) == per_query(want), (
-            "per-object update set diverged"
-        )
-        for engine in self.engines.values():
-            engine.check_invariants()
-        return want
+        return list(self.evaluate(now).tuples())
 
     def register_standard_queries(self) -> None:
         # Ranges tiling the middle, a knn probe, and predictive windows.
@@ -239,25 +176,19 @@ def test_removal_interleaved_batches():
     fleet.evaluate_and_compare(2.0)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_dense_column_mirrors_index():
     """The batch kernel's oid -> cell column stays in lockstep with the
     grid index across mixed rounds (spot check beyond check_invariants)."""
     from repro.columnar.ingest import MULTI_CELL
 
-    engine = IncrementalEngine(
-        grid_size=GRID,
-        prediction_horizon=HORIZON,
-        pipeline="columnar",
-        columnar_backend="numpy",
-    )
+    engine = IncrementalEngine(grid_size=GRID, prediction_horizon=HORIZON)
     engine.register_range_query(1, Rect(0.1, 0.1, 0.9, 0.9))
     for oid in range(10):
         engine.report_object(oid, Point(oid / 10.0, 0.5), 0.0)
     engine.report_object(10, Point(0.5, 0.5), 0.0, Velocity(0.03, 0.0))
     engine.evaluate(0.0)
     ingest = engine._batch_ingest
-    assert ingest is not None and ingest.enabled
+    assert ingest is not None
     for oid in range(10):
         cells = engine.index.object_cells(oid)
         assert ingest.cell_hint(oid) == next(iter(cells))
@@ -270,3 +201,17 @@ def test_dense_column_mirrors_index():
     engine.remove_object(4)
     engine.evaluate(1.0)
     assert ingest.cell_hint(4) == -1  # NOT_INDEXED after removal
+
+
+def test_leaving_a_predictive_footprint_after_a_quiet_round():
+    """A stationary member moves to a cell outside its predictive
+    query's footprint after a quiet round scheduled the query's next
+    refresh far ahead: only the churn of the cell it left can refresh
+    the query in time."""
+    fleet = Fleet()
+    fleet.all("register_predictive_query", 1, Rect(0.1, 0.1, 0.2, 0.2), 10.0)
+    fleet.all("report_object", 7, Point(0.15, 0.15), 0.0)
+    assert fleet.evaluate_and_compare(0.0) == [(1, 7, 1)]
+    assert fleet.evaluate_and_compare(1.0) == []
+    fleet.all("report_object", 7, Point(0.9, 0.9), 2.0)
+    assert fleet.evaluate_and_compare(2.0) == [(1, 7, -1)]

@@ -1,4 +1,5 @@
-"""Kernel contract tests: numpy and python backends must agree exactly.
+"""Kernel contract tests: the classifier against a straight-line
+reimplementation of its contract.
 
 Plans here are built by hand from randomized stores (no engine in the
 loop), so the tests pin the kernel contract itself: changed pairs only
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.columnar import (
@@ -21,10 +23,18 @@ from repro.columnar import (
     KIND_RANGE,
     PairPlan,
     classify_transitions,
-    numpy_available,
 )
+from tests.columnar.test_store import report
 
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+
+def plan_of(cohorts) -> PairPlan:
+    """A plan from ``(entry rows, member rows)`` per cohort."""
+    return PairPlan(
+        np.array([row for ents, _ in cohorts for row in ents], dtype=np.int32),
+        np.array([len(ents) for ents, _ in cohorts], dtype=np.int64),
+        np.array([row for _, rows in cohorts for row in rows], dtype=np.int32),
+        np.array([len(rows) for _, rows in cohorts], dtype=np.int64),
+    )
 
 
 def build_random_batch(seed: int, cohorts: int = 12):
@@ -36,149 +46,96 @@ def build_random_batch(seed: int, cohorts: int = 12):
     n_queries = rng.randint(3, 30)
     for i in range(n_objects):
         oid = 1000 + 3 * i  # row i, but a distinct public id
-        x, y = rng.random(), rng.random()
-        ostore.apply_report(oid, x, y, 0.0, 0.0, 0.0, 0)
+        report(ostore, oid, rng.random(), rng.random())
         if rng.random() < 0.8:
             # Second report: old coords become the first location.
-            ostore.apply_report(oid, rng.random(), rng.random(), 0.0, 0.0, 1.0, 0)
+            report(ostore, oid, rng.random(), rng.random(), t=1.0)
     for i in range(n_queries):
         qid = 500 + 7 * i
         x, y = rng.random() * 0.8, rng.random() * 0.8
         qstore.put(
             qid, KIND_RANGE, x, y, x + rng.random() * 0.4, y + rng.random() * 0.4
         )
-    plan = PairPlan()
+    layout = []
     for _ in range(cohorts):
-        parts = rng.randint(0, 3)
-        total_entries = 0
-        for _ in range(parts):
-            size = rng.randint(1, n_queries)
-            part = sorted(rng.sample(range(n_queries), size))
-            plan.ent_parts.append(part)
-            total_entries += len(part)
-        plan.parts_per_cohort.append(parts)
-        plan.ent_counts.append(total_entries)
-        members = rng.randint(1, min(8, n_objects))
-        rows = sorted(rng.sample(range(n_objects), members))
-        plan.obj_rows.extend(rows)
-        plan.obj_counts.append(members)
-    plan.seal()
-    return plan, ostore, qstore
+        # A cohort's entries are up to two cells' sorted lists, joined.
+        ents = []
+        for _ in range(rng.randint(0, 2)):
+            ents += sorted(rng.sample(range(n_queries), rng.randint(1, n_queries)))
+        members = sorted(rng.sample(range(n_objects), rng.randint(1, min(8, n_objects))))
+        layout.append((ents, members))
+    return layout, ostore, qstore
 
 
-def reference_classify(plan, ostore, qstore):
+def reference_classify(layout, ostore, qstore):
     """Straight-line reimplementation of the contract, independent of
-    both production kernels."""
+    the production kernel."""
     qids, oids, signs, ends = [], [], [], []
-    part_index = 0
-    obj_index = 0
-    for cohort, members in enumerate(plan.obj_counts):
-        rows = plan.obj_rows[obj_index : obj_index + members]
-        obj_index += members
-        for _ in range(plan.parts_per_cohort[cohort]):
-            for erow in plan.ent_parts[part_index]:
-                lx, hx = qstore.min_xs[erow], qstore.max_xs[erow]
-                ly, hy = qstore.min_ys[erow], qstore.max_ys[erow]
-                for orow in rows:
-                    in_new = lx <= ostore.xs[orow] <= hx and ly <= ostore.ys[orow] <= hy
-                    in_old = (
-                        lx <= ostore.old_xs[orow] <= hx
-                        and ly <= ostore.old_ys[orow] <= hy
-                    )
-                    if in_new != in_old:
-                        qids.append(qstore.qids[erow])
-                        oids.append(ostore.oids[orow])
-                        signs.append(1 if in_new else -1)
-            part_index += 1
+    for ents, rows in layout:
+        for erow in ents:
+            lx, hx = qstore.min_xs[erow], qstore.max_xs[erow]
+            ly, hy = qstore.min_ys[erow], qstore.max_ys[erow]
+            for orow in rows:
+                in_new = lx <= ostore.xs[orow] <= hx and ly <= ostore.ys[orow] <= hy
+                in_old = (
+                    lx <= ostore.old_xs[orow] <= hx
+                    and ly <= ostore.old_ys[orow] <= hy
+                )
+                if in_new != in_old:
+                    qids.append(qstore.qids[erow])
+                    oids.append(ostore.oids[orow])
+                    signs.append(1 if in_new else -1)
         ends.append(len(qids))
     return qids, oids, signs, ends
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_python_backend_matches_reference(seed):
-    plan, ostore, qstore = build_random_batch(seed)
-    got = classify_transitions(plan, ostore, qstore, "python")
-    assert tuple(got) == tuple(reference_classify(plan, ostore, qstore))
-
-
-@needs_numpy
-@pytest.mark.parametrize("seed", range(20))
 def test_numpy_backend_matches_reference(seed):
-    plan, ostore, qstore = build_random_batch(seed)
-    got = classify_transitions(plan, ostore, qstore, "numpy")
-    ref = reference_classify(plan, ostore, qstore)
-    assert [list(part) for part in got] == [list(part) for part in ref]
+    layout, ostore, qstore = build_random_batch(seed)
+    got = classify_transitions(plan_of(layout), ostore, qstore)
+    assert list(got[:4]) == list(reference_classify(layout, ostore, qstore))
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", range(8))
 def test_numpy_chunking_is_invisible(seed):
-    plan, ostore, qstore = build_random_batch(seed, cohorts=20)
-    whole = classify_transitions(plan, ostore, qstore, "numpy")
-    tiny = classify_transitions(plan, ostore, qstore, "numpy", chunk_pairs=7)
-    assert tuple(map(list, whole)) == tuple(map(list, tiny))
+    layout, ostore, qstore = build_random_batch(seed, cohorts=20)
+    whole = classify_transitions(plan_of(layout), ostore, qstore)
+    tiny = classify_transitions(plan_of(layout), ostore, qstore, chunk_pairs=7)
+    assert whole[:4] == tiny[:4]
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["python", pytest.param("numpy", marks=needs_numpy)],
-)
-def test_nan_old_coords_mean_member_of_nothing(backend):
+def test_nan_old_coords_mean_member_of_nothing():
     ostore = ColumnarObjectStore()
     qstore = ColumnarQueryStore()
     # Fresh object inside the query: NaN old coords -> pure enter.
-    ostore.apply_report(1, 0.5, 0.5, 0.0, 0.0, 0.0, 0)
+    report(ostore, 1, 0.5, 0.5)
     assert math.isnan(ostore.old_xs[0])
     qstore.put(9, KIND_RANGE, 0.0, 0.0, 1.0, 1.0)
-    plan = PairPlan()
-    plan.ent_parts.append([0])
-    plan.parts_per_cohort.append(1)
-    plan.ent_counts.append(1)
-    plan.obj_rows.append(0)
-    plan.obj_counts.append(1)
-    plan.seal()
-    qids, oids, signs, ends = classify_transitions(plan, ostore, qstore, backend)
-    assert (list(qids), list(oids), list(signs)) == ([9], [1], [1])
-    assert list(ends) == [1]
+    qids, oids, signs, ends, _ = classify_transitions(
+        plan_of([([0], [0])]), ostore, qstore
+    )
+    assert (qids, oids, signs, ends) == ([9], [1], [1], [1])
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["python", pytest.param("numpy", marks=needs_numpy)],
-)
-def test_empty_plan(backend):
-    plan = PairPlan()
-    plan.parts_per_cohort.extend([0, 0])
-    plan.ent_counts.extend([0, 0])
-    plan.obj_rows.extend([0, 0])
-    plan.obj_counts.extend([1, 1])
-    plan.seal()
+def test_empty_plan():
     ostore = ColumnarObjectStore()
-    ostore.apply_report(1, 0.5, 0.5, 0.0, 0.0, 0.0, 0)
+    report(ostore, 1, 0.5, 0.5)
     qstore = ColumnarQueryStore()
-    qids, oids, signs, ends = classify_transitions(plan, ostore, qstore, backend)
-    assert list(qids) == [] and list(oids) == [] and list(signs) == []
-    assert list(ends) == [0, 0]
+    qids, oids, signs, ends, arrays = classify_transitions(
+        plan_of([([], [0]), ([], [0])]), ostore, qstore
+    )
+    assert (qids, oids, signs, ends, arrays) == ([], [], [], [0, 0], None)
 
 
 def test_boundary_containment_is_closed():
-    # Objects sitting exactly on a bound enter/stay: closed comparisons
-    # on both backends, matching Rect.contains_point.
+    # Objects sitting exactly on a bound enter/stay: closed comparisons,
+    # matching Rect.contains_point.
     ostore = ColumnarObjectStore()
     qstore = ColumnarQueryStore()
-    ostore.apply_report(1, 0.2, 0.2, 0.0, 0.0, 0.0, 0)  # old NaN
-    ostore.apply_report(1, 0.4, 0.6, 0.0, 0.0, 1.0, 0)  # old = (0.2, 0.2)
+    report(ostore, 1, 0.2, 0.2)  # old NaN
+    report(ostore, 1, 0.4, 0.6, t=1.0)  # old = (0.2, 0.2)
     qstore.put(5, KIND_RANGE, 0.2, 0.2, 0.4, 0.6)
-    plan = PairPlan()
-    plan.ent_parts.append([0])
-    plan.parts_per_cohort.append(1)
-    plan.ent_counts.append(1)
-    plan.obj_rows.append(0)
-    plan.obj_counts.append(1)
-    plan.seal()
     # Old (0.2,0.2) on the min corner and new (0.4,0.6) on the max
     # corner are both inside: no transition.
-    for backend in ["python"] + (["numpy"] if numpy_available() else []):
-        qids, _, _, ends = classify_transitions(plan, ostore, qstore, backend)
-        assert list(qids) == [], backend
-        assert list(ends) == [0], backend
+    qids, _, _, ends, _ = classify_transitions(plan_of([([0], [0])]), ostore, qstore)
+    assert (qids, ends) == ([], [0])

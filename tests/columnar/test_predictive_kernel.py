@@ -10,27 +10,18 @@ grazes, and trajectories that are parallel to a slab.
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
-from repro.columnar import numpy_available
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+from tests.lockstep import EnginePair
 
 
 def build_engine(seed: int, n_objects: int = 120):
     rng = random.Random(seed)
-    # Pin the numpy backend: these tests target the vectorized kernel,
-    # so they must not silently downgrade when REPRO_COLUMNAR_BACKEND
-    # forces the fallback for the rest of the suite.
-    engine = IncrementalEngine(
-        grid_size=8,
-        prediction_horizon=30.0,
-        pipeline="columnar",
-        columnar_backend="numpy",
-    )
+    engine = IncrementalEngine(grid_size=8, prediction_horizon=30.0)
     for oid in range(n_objects):
         velocity = Velocity.ZERO
         roll = rng.random()
@@ -49,7 +40,6 @@ def build_engine(seed: int, n_objects: int = 120):
     return engine, rng
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", range(10))
 def test_matches_scalar_on_random_motions(seed):
     engine, rng = build_engine(seed)
@@ -75,14 +65,8 @@ def test_matches_scalar_on_random_motions(seed):
             assert got == want, (oid, engine.objects[oid], region, horizon)
 
 
-@needs_numpy
 def test_boundary_grazing_lanes_match_scalar():
-    engine = IncrementalEngine(
-        grid_size=8,
-        prediction_horizon=30.0,
-        pipeline="columnar",
-        columnar_backend="numpy",
-    )
+    engine = IncrementalEngine(grid_size=8, prediction_horizon=30.0)
     region = Rect(0.25, 0.25, 0.75, 0.75)
     cases = [
         # Stationary on the boundary corner: closed containment.
@@ -119,14 +103,18 @@ def test_boundary_grazing_lanes_match_scalar():
             assert got == want, (oid, horizon)
 
 
-def test_python_backend_returns_none_and_scalar_path_runs():
-    engine = IncrementalEngine(
-        grid_size=8, pipeline="columnar", columnar_backend="python"
-    )
-    engine.register_predictive_query(1, Rect(0.2, 0.2, 0.8, 0.8), 10.0)
-    engine.report_object(0, Point(0.1, 0.5), 0.0, Velocity(0.05, 0.0))
-    updates = engine.evaluate(0.0)
-    assert engine._columnar_evaluator.predicted_inside(
-        [0], Rect(0.2, 0.2, 0.8, 0.8), 0.0, 10.0, 30.0
-    ) is None
-    assert [(u.qid, u.oid, u.sign) for u in updates] == [(1, 0, 1)]
+def test_an_absurd_finite_velocity_is_silent_and_matches_the_reference():
+    """``vx = 1e308`` overflows the swept rectangle and the slab test to
+    inf.  Python floats do that silently on the reference path; the
+    array passes must too, with the same updates."""
+    pair = EnginePair(grid_size=8, prediction_horizon=30.0)
+    pair.all("register_predictive_query", 1, Rect(0.2, 0.2, 0.8, 0.8), 10.0)
+    pair.all("register_range_query", 2, Rect(0.0, 0.0, 0.6, 0.6))
+    pair.all("register_knn_query", 3, Point(0.5, 0.5), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair.all("report_object", 1, Point(0.5, 0.5), 0.0, Velocity(1e308, 0.0))
+        pair.all("report_object", 2, Point(0.4, 0.1), -5.0, Velocity(-1e308, 1e308))
+        # Inside the region at the window's start, gone at 1e308 after.
+        assert (1, 1, 1) in pair.evaluate(0.0).tuples()
+        pair.evaluate(3.0)

@@ -1,31 +1,26 @@
 """The query side of a cycle as array passes: batched range moves,
 batched k-NN repair, batched predictive refresh.
 
-Under ``pipeline="columnar"``/numpy these three phases read one
-home-cell CSR of the object store instead of walking ``GridIndex``
-object buckets one query at a time.  The scalar routines stay what
-every other pipeline runs, so the contract is the usual one: the ordered
-update stream equals ``cell-batched``'s byte for byte, the per-object
-reference agrees per query, answers agree, and ``check_invariants()``
-(which now also checks both CSRs against the grid index and the cell
-column) is clean — on generated workloads aimed at each pass's edges.
+Under ``pipeline="columnar"`` these three phases read one home-cell CSR
+of the object store instead of walking ``GridIndex`` object buckets one
+query at a time.  The scalar routines stay what the per-object
+reference runs, so the contract is the usual one (:mod:`tests.lockstep`):
+per query the same update multiset as the reference, the same answers,
+and a clean ``check_invariants()`` (which also checks both CSRs against
+the grid index and the cell column) — on generated workloads aimed at
+each pass's edges.
 """
 
 from __future__ import annotations
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.columnar import numpy_available
 from repro.core import IncrementalEngine
 from repro.core.knn import knn_search
 from repro.geometry import Point, Rect, Velocity
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the array passes need numpy"
-)
+from tests.lockstep import EnginePair
 
 GRID = 8
 HORIZON = 30.0
@@ -58,53 +53,17 @@ def rects(draw, coords=anywhere):
 points = st.builds(Point, anywhere, anywhere)
 
 
-def stream(updates) -> list[tuple[int, int, int]]:
-    return [(u.qid, u.oid, u.sign) for u in updates]
-
-
-def per_query(updates) -> dict[int, list[tuple[int, int]]]:
-    out: dict[int, list[tuple[int, int]]] = {}
-    for qid, oid, sign in updates:
-        out.setdefault(qid, []).append((oid, sign))
-    return {qid: sorted(pairs) for qid, pairs in out.items()}
-
-
-class Trio:
-    """The production path, its byte-identity reference and the
-    per-object reference, fed the same calls."""
+class Trio(EnginePair):
+    """The production path and the per-object reference, fed the same
+    calls on a shared clock."""
 
     def __init__(self):
-        def engine(pipeline, **kwargs):
-            return IncrementalEngine(
-                grid_size=GRID,
-                prediction_horizon=HORIZON,
-                pipeline=pipeline,
-                **kwargs,
-            )
-
-        self.columnar = engine("columnar", columnar_backend="numpy")
-        self.serial = engine("cell-batched")
-        self.reference = engine("per-object")
-        self.engines = (self.columnar, self.serial, self.reference)
+        super().__init__(grid_size=GRID, prediction_horizon=HORIZON)
         self.now = 0.0
-
-    def all(self, method: str, *args) -> None:
-        for engine in self.engines:
-            getattr(engine, method)(*args)
 
     def evaluate(self, dt: float = 1.0) -> list[tuple[int, int, int]]:
         self.now += dt
-        got = stream(self.columnar.evaluate(self.now))
-        assert got == stream(self.serial.evaluate(self.now))
-        assert per_query(got) == per_query(
-            stream(self.reference.evaluate(self.now))
-        )
-        answers = self.columnar.complete_answers()
-        assert answers == self.serial.complete_answers()
-        assert answers == self.reference.complete_answers()
-        for engine in self.engines:
-            engine.check_invariants()
-        return got
+        return list(super().evaluate(self.now).tuples())
 
     def path_count(self, name: str, path: str) -> float:
         return self.columnar.registry.value_of(name, {"path": path})
@@ -277,7 +236,7 @@ def test_knn_repair_in_one_pass_matches_the_ring_search(objects, queries, rounds
     ) + trio.path_count("engine_knn_repairs_total", "scalar")
     for qid in range(200, 200 + len(queries)):
         assert (
-            trio.columnar.queries[qid].radius == trio.serial.queries[qid].radius
+            trio.columnar.queries[qid].radius == trio.reference.queries[qid].radius
         )
 
 
@@ -292,9 +251,7 @@ def test_batch_knn_search_equals_knn_search(objects, probes, shift):
     at their own centre and after the centre jumps — the ranked
     ``(distance, oid)`` lists equal the ring search's, distances bit for
     bit (so the maintained radius is, too)."""
-    engine = IncrementalEngine(
-        grid_size=GRID, pipeline="columnar", columnar_backend="numpy"
-    )
+    engine = IncrementalEngine(grid_size=GRID)
     for oid, (x, y) in enumerate(objects):
         engine.report_object(oid, Point(x, y), 0.0)
     for i, (center, k) in enumerate(probes):
@@ -405,8 +362,7 @@ def test_a_query_both_churned_and_flip_due_refreshes_once_by_churn():
     trio.all("register_predictive_query", 1, Rect(0.25, 0.25, 0.75, 0.75), 1.0)
     trio.evaluate(0.0)
     trio.evaluate(1.0)  # a quiet round computes the flip schedule
-    flip = trio.columnar.queries[1].next_flip
-    assert flip == trio.serial.queries[1].next_flip and math.isfinite(flip)
+    assert math.isfinite(trio.columnar.queries[1].next_flip)
     scalar = trio.path_count("engine_predictive_refreshes_total", "scalar")
     batch = trio.path_count("engine_predictive_refreshes_total", "batch")
     # Past the flip time *and* churned by a report in its footprint.

@@ -1,27 +1,33 @@
-"""Unit tests for the columnar object/query stores and backend resolve."""
+"""Unit tests for the columnar object/query stores."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.columnar import (
-    BACKEND_ENV_VAR,
     KIND_KNN,
     KIND_PREDICTIVE,
     KIND_RANGE,
     ColumnarObjectStore,
     ColumnarQueryStore,
-    numpy_available,
-    resolve_backend,
 )
+
+
+def report(store, oid, x, y, vx=0.0, vy=0.0, t=0.0, cell=0) -> int:
+    """One report written through the store's batch door; its row."""
+    (row,) = store.batch_apply(
+        *(np.array([value]) for value in (oid, x, y, vx, vy, t, cell))
+    )
+    return int(row)
 
 
 class TestObjectStore:
     def test_new_object_gets_nan_old_coords(self):
         store = ColumnarObjectStore()
-        row = store.apply_report(7, 0.25, 0.75, 0.0, 0.0, 1.0, 12)
+        row = report(store, 7, 0.25, 0.75, t=1.0, cell=12)
         assert row == 0
         assert store.xs[0] == 0.25 and store.ys[0] == 0.75
         assert math.isnan(store.old_xs[0]) and math.isnan(store.old_ys[0])
@@ -30,8 +36,8 @@ class TestObjectStore:
 
     def test_rereport_shifts_current_to_old(self):
         store = ColumnarObjectStore()
-        store.apply_report(7, 0.25, 0.75, 0.0, 0.0, 1.0, 12)
-        row = store.apply_report(7, 0.5, 0.5, 0.1, -0.1, 2.0, 13)
+        report(store, 7, 0.25, 0.75, t=1.0, cell=12)
+        row = report(store, 7, 0.5, 0.5, 0.1, -0.1, 2.0, 13)
         assert row == 0
         assert (store.xs[0], store.ys[0]) == (0.5, 0.5)
         assert (store.old_xs[0], store.old_ys[0]) == (0.25, 0.75)
@@ -41,7 +47,7 @@ class TestObjectStore:
     def test_swap_remove_moves_last_row(self):
         store = ColumnarObjectStore()
         for oid in range(4):
-            store.apply_report(oid, float(oid), float(oid), 0.0, 0.0, 0.0, oid)
+            report(store, oid, float(oid), float(oid), cell=oid)
         store.remove(1)
         assert len(store) == 3
         assert 1 not in store
@@ -53,7 +59,7 @@ class TestObjectStore:
 
     def test_remove_last_row(self):
         store = ColumnarObjectStore()
-        store.apply_report(5, 1.0, 2.0, 0.0, 0.0, 0.0, 0)
+        report(store, 5, 1.0, 2.0)
         store.remove(5)
         assert len(store) == 0 and 5 not in store
 
@@ -75,10 +81,6 @@ class TestQueryStore:
         store.put(2, KIND_PREDICTIVE)
         assert store.descriptor(1) == (KIND_KNN, 0.0, 0.0, 0.0, 0.0)
         assert store.descriptor(2) == (KIND_PREDICTIVE, 0.0, 0.0, 0.0, 0.0)
-        assert store.descriptors([1, 2]) == {
-            1: (KIND_KNN, 0.0, 0.0, 0.0, 0.0),
-            2: (KIND_PREDICTIVE, 0.0, 0.0, 0.0, 0.0),
-        }
 
     def test_every_mutation_bumps_version(self):
         store = ColumnarQueryStore()
@@ -104,13 +106,10 @@ class TestQueryStore:
             store.descriptor(10)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 class TestNumpyViews:
     def test_object_views_are_zero_copy(self):
-        import numpy as np
-
         store = ColumnarObjectStore()
-        store.apply_report(1, 0.5, 0.25, 0.0, 0.0, 0.0, 3)
+        report(store, 1, 0.5, 0.25, cell=3)
         xs, ys, old_xs, old_ys = store.coord_views()
         assert xs.dtype == np.float64
         assert xs[0] == 0.5 and ys[0] == 0.25
@@ -124,29 +123,3 @@ class TestNumpyViews:
         assert len(xs) == 0 and len(ys) == 0
         views = ColumnarQueryStore().bounds_views()
         assert all(len(v) == 0 for v in views)
-
-
-class TestResolveBackend:
-    def test_explicit_python(self):
-        assert resolve_backend("python") == "python"
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_auto_prefers_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend("auto") == "numpy"
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_env_override_applies_to_auto_only(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        assert resolve_backend("auto") == "python"
-        if numpy_available():
-            assert resolve_backend("numpy") == "numpy"
-
-    def test_env_override_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ValueError):
-            resolve_backend("auto")

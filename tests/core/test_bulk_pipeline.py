@@ -1,14 +1,15 @@
-"""Golden equivalence of the cell-batched pipeline vs the per-object path.
+"""The columnar pipeline vs the per-object path on random workloads.
 
-The cell-batched pipeline is a pure performance restructuring of
+The columnar pipeline is a pure performance restructuring of
 ``evaluate()``'s hot path: for any buffered input it must emit, per
 query, exactly the same set of incremental updates as the per-object
 reference path, and leave both engines with identical answers.  These
 tests drive both pipelines through randomized mixed workloads and
 scripted corner cases and compare them round for round.
 
-Also covered here: the up-front validation of buffered query moves
-(an unknown qid must fail the whole batch *before* any state mutates).
+Also covered here: the up-front validation of buffered query moves (an
+unknown qid must fail the whole batch *before* any state mutates, a
+move of the wrong kind is refused before it is buffered).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def make_engines(grid_size: int = 16, horizon: float = 30.0):
         IncrementalEngine(
             grid_size=grid_size,
             prediction_horizon=horizon,
-            pipeline="cell-batched",
+            pipeline="columnar",
         ),
         IncrementalEngine(
             grid_size=grid_size,
@@ -259,3 +260,36 @@ def test_move_targeting_same_batch_registration_is_valid():
 def test_pipeline_argument_is_validated():
     with pytest.raises(ValueError, match="pipeline"):
         IncrementalEngine(pipeline="vectorized")
+
+
+MOVES = {
+    "range": ("move_range_query", Rect(0.1, 0.1, 0.3, 0.3)),
+    "knn": ("move_knn_query", Point(0.2, 0.2)),
+    "predictive": ("move_predictive_query", Rect(0.1, 0.1, 0.3, 0.3)),
+}
+
+
+@pytest.mark.parametrize("pipeline", ["columnar", "per-object"])
+@pytest.mark.parametrize(
+    "kind, wrong",
+    [(kind, wrong) for kind in MOVES for wrong in MOVES if wrong != kind],
+)
+def test_a_move_of_the_wrong_kind_is_refused_at_the_door(pipeline, kind, wrong):
+    engine = IncrementalEngine(grid_size=8, pipeline=pipeline)
+    engine.report_object(1, Point(0.5, 0.5), 0.0)
+    if kind == "range":
+        engine.register_range_query(7, Rect(0.4, 0.4, 0.6, 0.6))
+    elif kind == "knn":
+        engine.register_knn_query(7, Point(0.5, 0.5), 1)
+    else:
+        engine.register_predictive_query(7, Rect(0.4, 0.4, 0.6, 0.6), 10.0)
+    engine.evaluate(0.0)
+    engine.report_object(1, Point(0.45, 0.45), 1.0)
+    buffers = (dict(engine._pending_reports), dict(engine._pending_moves))
+    method, target = MOVES[wrong]
+    with pytest.raises(ValueError, match=f"query 7 is a {kind} query, not a {wrong} query"):
+        getattr(engine, method)(7, target, 1.0)
+    assert (dict(engine._pending_reports), dict(engine._pending_moves)) == buffers
+    engine.evaluate(1.0)
+    assert engine.answer_of(7) == {1}
+    engine.check_invariants()

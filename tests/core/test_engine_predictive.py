@@ -125,28 +125,15 @@ class TestValidation:
             engine.register_predictive_query(101, REGION, horizon=0.0)
 
 
-def _every_pipeline():
-    from repro.columnar import numpy_available
-
-    yield {"pipeline": "per-object"}
-    yield {"pipeline": "cell-batched"}
-    yield {"pipeline": "parallel", "parallelism": 1}
-    yield {"pipeline": "columnar", "columnar_backend": "python"}
-    if numpy_available():
-        yield {"pipeline": "columnar", "columnar_backend": "numpy"}
-
-
-@pytest.mark.parametrize(
-    "kwargs", list(_every_pipeline()), ids=lambda k: "-".join(map(str, k.values()))
-)
+@pytest.mark.parametrize("pipeline", ["per-object", "columnar"])
 class TestFootprintIsPlacementOnly:
-    """A report is one *home-cell* transition under every pipeline; a
+    """A report is one *home-cell* transition under both pipelines; a
     predictive object's swept footprint only places it in the index and
     churns cells.  Neither may cost a predictive or a range update."""
 
-    def test_footprint_entering_a_query_cell_refreshes_that_query(self, kwargs):
+    def test_footprint_entering_a_query_cell_refreshes_that_query(self, pipeline):
         engine = IncrementalEngine(
-            grid_size=8, prediction_horizon=100.0, **kwargs
+            grid_size=8, prediction_horizon=100.0, pipeline=pipeline
         )
         # Query cells: columns 4-5 of row 1.  The object sits (and
         # stays) in column 0 of that row, five cells away.
@@ -163,10 +150,10 @@ class TestFootprintIsPlacementOnly:
         engine.check_invariants()
 
     def test_crossing_a_range_edge_inside_the_home_cell_emits_one_negative(
-        self, kwargs
+        self, pipeline
     ):
         engine = IncrementalEngine(
-            grid_size=8, prediction_horizon=100.0, **kwargs
+            grid_size=8, prediction_horizon=100.0, pipeline=pipeline
         )
         engine.register_range_query(7, Rect(0.0, 0.0, 0.05, 0.05))
         # A second query over the swept cells that never holds the point.

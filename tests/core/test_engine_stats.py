@@ -53,7 +53,7 @@ def test_quiet_evaluations_only_bump_the_evaluation_count():
 
 def test_scripted_multi_batch_scenario_counts_everything():
     """Counters across a scripted three-batch life cycle, both pipelines."""
-    for pipeline in ("cell-batched", "per-object"):
+    for pipeline in ("columnar", "per-object"):
         engine = IncrementalEngine(grid_size=8, pipeline=pipeline)
         # Batch 1: population + a query of each kind.
         for oid in range(6):

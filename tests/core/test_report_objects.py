@@ -2,7 +2,7 @@
 
 ``IncrementalEngine.report_objects`` and
 ``LocationAwareServer.receive_object_reports`` write the same dict
-buffer ``report_object`` writes; on every pipeline a run of rows must
+buffer ``report_object`` writes; on both pipelines a run of rows must
 leave behind exactly what the rows one by one would have.
 """
 
@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from repro.core import IncrementalEngine, LocationAwareServer
 from repro.geometry import Point, Rect, Velocity
 from repro.obs import FlightRecorder
-from repro.parallel.pool import ParallelConfig
 from repro.storage import BufferPool, HistoryRepository, InMemoryDiskManager
 
-PIPELINES = ("per-object", "cell-batched", "parallel", "columnar")
+PIPELINES = ("per-object", "columnar")
 
 COORDS = st.floats(-0.5, 1.5).map(lambda v: round(v, 2))
 SPEEDS = st.sampled_from([0.0, 0.0, 0.0, 0.1, -0.05])
@@ -40,13 +39,7 @@ def velocity_of(vx: float, vy: float) -> Velocity:
 
 
 def make_engine(pipeline: str) -> IncrementalEngine:
-    engine = IncrementalEngine(
-        grid_size=8,
-        pipeline=pipeline,
-        # Threads, and batches small enough to shard: no process pool
-        # per hypothesis example.
-        parallelism=ParallelConfig(workers=2, backend="thread", min_batch=1),
-    )
+    engine = IncrementalEngine(grid_size=8, pipeline=pipeline)
     engine.register_range_query(100, Rect(0.2, 0.2, 0.8, 0.8))
     engine.register_knn_query(101, Point(0.5, 0.5), 2)
     engine.register_predictive_query(102, Rect(0.4, 0.4, 0.9, 0.9), 3.0)
@@ -70,36 +63,32 @@ def test_a_run_equals_a_loop_of_report_object(pipeline, actions):
     out-of-world rows: same buffer (order included), same removals,
     same stamps, same update stream at the next evaluation."""
     batch, scalar = make_engine(pipeline), make_engine(pipeline)
-    try:
-        now = 0.0
-        for kind, arg in actions:
-            if kind == "run":
-                batch.report_objects(*columns(arg))
-                for oid, x, y, vx, vy, t in arg:
-                    scalar.report_object(oid, Point(x, y), t, velocity_of(vx, vy))
-            elif kind == "remove":
-                outcomes = []
-                for engine in (batch, scalar):
-                    try:
-                        outcomes.append(engine.remove_object(arg))
-                    except KeyError as exc:
-                        outcomes.append(str(exc))
-                assert outcomes[0] == outcomes[1]
-            else:
-                now += 1.0
-                got = [(u.qid, u.oid, u.sign) for u in batch.evaluate(now)]
-                want = [(u.qid, u.oid, u.sign) for u in scalar.evaluate(now)]
-                assert got == want
-            assert buffers(batch) == buffers(scalar)
-        batch.evaluate(now + 1.0)
-        scalar.evaluate(now + 1.0)
-        assert {o: (s.location, s.velocity, s.t) for o, s in batch.objects.items()} == {
-            o: (s.location, s.velocity, s.t) for o, s in scalar.objects.items()
-        }
-        batch.check_invariants()
-    finally:
-        batch.close()
-        scalar.close()
+    now = 0.0
+    for kind, arg in actions:
+        if kind == "run":
+            batch.report_objects(*columns(arg))
+            for oid, x, y, vx, vy, t in arg:
+                scalar.report_object(oid, Point(x, y), t, velocity_of(vx, vy))
+        elif kind == "remove":
+            outcomes = []
+            for engine in (batch, scalar):
+                try:
+                    outcomes.append(engine.remove_object(arg))
+                except KeyError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        else:
+            now += 1.0
+            got = [(u.qid, u.oid, u.sign) for u in batch.evaluate(now)]
+            want = [(u.qid, u.oid, u.sign) for u in scalar.evaluate(now)]
+            assert got == want
+        assert buffers(batch) == buffers(scalar)
+    batch.evaluate(now + 1.0)
+    scalar.evaluate(now + 1.0)
+    assert {o: (s.location, s.velocity, s.t) for o, s in batch.objects.items()} == {
+        o: (s.location, s.velocity, s.t) for o, s in scalar.objects.items()
+    }
+    batch.check_invariants()
 
 
 @pytest.mark.parametrize("pipeline", PIPELINES)
@@ -112,7 +101,6 @@ def test_out_of_world_rows_are_clamped_and_in_world_rows_kept(pipeline):
         3: (Point(-0.0, 1.0), Velocity(0.5, 0), 1.0),
     }
     assert engine._pending_reports[1][1] is Velocity.ZERO
-    engine.close()
 
 
 @pytest.mark.parametrize("pipeline", PIPELINES)
@@ -133,7 +121,6 @@ def test_a_non_finite_row_refuses_the_whole_call(pipeline, bad):
     engine.report_objects([6, 7], [1e308, 1e308], [0.5, 0.5], [0, 0], [0, 0], [2.0, 2.0])
     assert engine._pending_reports[7][0] == Point(1.0, 0.5)
     engine.report_objects([], [], [], [], [], [])
-    engine.close()
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import IncrementalEngine
 from repro.core.server import CycleResult, LocationAwareServer
-from repro.core.updates import UpdateBatch, UpdateList
+from repro.core.updates import UpdateBatch
 from repro.geometry import Rect
 from repro.net import FAULT_ACTIONS, ThrottledLink, UpdateMessage
 from repro.obs import FlightRecorder, FreshnessTracker, MetricsRegistry
@@ -88,13 +88,13 @@ class Stack:
     def _observe(self, client_id, message, delivered):
         self.observed.setdefault(client_id, []).append((message, delivered))
 
-    def begin(self, stamped, stream, materialized):
+    def begin(self, stamped, stream):
         """Stamp this cycle's reports and stub the engine to emit
-        ``stream`` (as the batch or the materialized list shape)."""
+        ``stream``."""
         freshness = self.server.freshness
         for oid in stamped:
             freshness.stamp_report(oid)
-        updates = UpdateList() if materialized else UpdateBatch()
+        updates = UpdateBatch()
         for qid, oid, sign in stream:
             updates.push(qid, oid, sign)
 
@@ -164,18 +164,15 @@ def reference_cycle(server: LocationAwareServer, now: float) -> CycleResult:
     link_kinds=st.lists(LINK_KINDS, min_size=1, max_size=5),
     owner_seed=st.integers(min_value=0, max_value=10**6),
     cycles=CYCLES,
-    materialized=st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_slice_shipping_equals_per_message_reference(
-    link_kinds, owner_seed, cycles, materialized
-):
+def test_slice_shipping_equals_per_message_reference(link_kinds, owner_seed, cycles):
     rng = random.Random(owner_seed)
     owners = {qid: rng.randrange(len(link_kinds)) for qid in range(1, 9)}
     sliced, reference = Stack(link_kinds, owners), Stack(link_kinds, owners)
     for now, (stamped, stream) in enumerate(cycles, start=1):
-        sliced.begin(stamped, stream, materialized)
-        reference.begin(stamped, stream, materialized)
+        sliced.begin(stamped, stream)
+        reference.begin(stamped, stream)
         got = sliced.server.evaluate_cycle(float(now))
         want = reference_cycle(reference.server, float(now))
         assert (

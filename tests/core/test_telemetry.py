@@ -81,10 +81,8 @@ class TestEngineRegistry:
 
     def test_ingest_path_counters_say_which_path_ran(self):
         """`engine_ingest_rows_total{path}` per evaluation: a plain
-        batch under batch ingest has no scalar row; a row that needs a
-        per-object index placement (a footprint change) is one; the
-        serial loop's rows all are."""
-        from repro.columnar import numpy_available
+        batch has no scalar row; a row that needs a per-object index
+        placement (a footprint change) is one."""
         from repro.geometry import Velocity
 
         def rows(engine, path):
@@ -92,20 +90,12 @@ class TestEngineRegistry:
                 "engine_ingest_rows_total", {"path": path}
             )
 
-        serial = busy_engine()
-        assert (rows(serial, "batch"), rows(serial, "scalar")) == (0.0, 2.0)
-        fallback = 'engine_batch_ingest_fallback_total{reason="no_numpy"} 0'
-        assert fallback in prometheus_text(serial.registry)
-        if not numpy_available():
-            return
-        engine = busy_engine(pipeline="columnar", columnar_backend="numpy")
+        engine = busy_engine()
         assert (rows(engine, "batch"), rows(engine, "scalar")) == (2.0, 0.0)
         engine.report_object(1, Point(0.5, 0.5), 1.0, Velocity(0.01, 0.0))
         engine.report_object(2, Point(0.3, 0.8), 1.0)
         engine.evaluate(1.0)
         assert (rows(engine, "batch"), rows(engine, "scalar")) == (3.0, 1.0)
-        assert fallback in prometheus_text(engine.registry)
-
 
     def test_query_side_path_counters_say_which_path_ran(self):
         """`engine_query_moves_total{path}`, `engine_knn_repairs_total
@@ -114,7 +104,6 @@ class TestEngineRegistry:
         it only a k-NN query without a full answer (its first solve)
         and a flip-due predictive refresh are; and the range CSR is
         rebuilt at most once per evaluation."""
-        from repro.columnar import numpy_available
 
         def drive(**kwargs):
             engine = busy_engine(**kwargs)
@@ -131,15 +120,13 @@ class TestEngineRegistry:
                 for path in ("batch", "scalar")
             }
 
-        serial, paths = drive()
-        assert paths["query_moves", "scalar"] == serial.stats.query_moves == 2
-        assert paths["knn_repairs", "scalar"] == serial.stats.knn_repairs == 2
+        reference, paths = drive(pipeline="per-object")
+        assert paths["query_moves", "scalar"] == reference.stats.query_moves == 2
+        assert paths["knn_repairs", "scalar"] == reference.stats.knn_repairs == 2
         assert paths["predictive_refreshes", "scalar"] == 2
         assert not any(n for (_, path), n in paths.items() if path == "batch")
-        assert serial.registry.value_of("engine_range_csr_rebuilds_total") == 0
-        if not numpy_available():
-            return
-        engine, paths = drive(pipeline="columnar", columnar_backend="numpy")
+        assert reference.registry.value_of("engine_range_csr_rebuilds_total") == 0
+        engine, paths = drive()
         assert (paths["query_moves", "batch"], paths["query_moves", "scalar"]) == (2, 0)
         assert (paths["knn_repairs", "batch"], paths["knn_repairs", "scalar"]) == (1, 1)
         assert paths["predictive_refreshes", "batch"] == 2

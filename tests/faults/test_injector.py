@@ -3,7 +3,6 @@
 from repro.core.server import LocationAwareServer
 from repro.faults import FaultInjector, FaultPlan
 from repro.geometry import Point, Rect
-from repro.parallel import ParallelConfig
 
 REGION = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -107,40 +106,6 @@ class TestDisconnects:
         assert not server.link_of(1).connected
         injector.uninstall()
         assert server.link_of(1).connected
-
-
-class TestWorkerCrash:
-    def test_crashed_shards_recover_inline(self):
-        """With every shard crashing, the parallel engine must still
-        produce the same updates as a serial one (reset + inline rerun)."""
-        parallel = make_server(
-            pipeline="parallel",
-            parallelism=ParallelConfig(workers=2, backend="thread", min_batch=1),
-        )
-        serial = make_server()
-        injector = install(parallel, worker_crash_rate=1.0)
-        for server in (parallel, serial):
-            for oid in range(8):
-                server.receive_object_report(
-                    oid, Point(0.1 + 0.1 * oid, 0.5), 1.0
-                )
-        with parallel, serial:
-            got = parallel.evaluate_cycle(1.0).updates
-            want = serial.evaluate_cycle(1.0).updates
-        assert got == want
-        assert injector.counts["worker_crash"] > 0
-
-    def test_no_crashes_when_rate_zero(self):
-        server = make_server(
-            pipeline="parallel",
-            parallelism=ParallelConfig(workers=2, backend="thread", min_batch=1),
-        )
-        injector = install(server, worker_crash_rate=0.0)
-        for oid in range(8):
-            server.receive_object_report(oid, Point(0.1 + 0.1 * oid, 0.5), 1.0)
-        with server:
-            server.evaluate_cycle(1.0)
-        assert injector.counts["worker_crash"] == 0
 
 
 class TestTotals:

@@ -26,7 +26,7 @@ class TestDeterminism:
     def test_same_seed_same_decisions(self):
         plan = FaultPlan(
             seed=42, drop_rate=0.2, duplicate_rate=0.1, reorder_rate=0.1,
-            disconnect_rate=0.3, uplink_delay_rate=0.2, worker_crash_rate=0.2,
+            disconnect_rate=0.3, uplink_delay_rate=0.2,
         )
         a, b = plan.schedule(), plan.schedule()
         assert [a.downlink_action() for _ in range(200)] == [

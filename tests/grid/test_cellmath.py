@@ -3,17 +3,17 @@
 ``Grid.cell_of`` and the batch kernel ``point_cells_batch`` must agree
 bit for bit on every coordinate — including cell-boundary points, the
 world edge, and out-of-world coordinates that clamp — because the batch
-ingest path substitutes one for the other and the equivalence contract
-is byte-identical update streams.  Hypothesis hunts the boundary cases;
-a deterministic sweep pins exact cell-edge multiples.
+ingest path substitutes one for the other, and the two pipelines must
+agree on every object's home cell.  Hypothesis hunts the boundary
+cases; a deterministic sweep pins exact cell-edge multiples.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.columnar.backend import numpy_or_none
 from repro.geometry import Point, Rect
 from repro.grid import Grid
 from repro.grid.cellmath import (
@@ -24,9 +24,6 @@ from repro.grid.cellmath import (
 )
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
-
-np = numpy_or_none()
-needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")
 
 # Coordinates straddling the world: in-world, clamped, and boundary.
 coords = st.floats(
@@ -46,7 +43,6 @@ def test_scalar_kernel_matches_grid_cell_of(n, x, y):
 
 
 @given(grid_sizes, st.lists(st.tuples(coords, coords), min_size=1, max_size=64))
-@needs_numpy
 def test_batch_kernel_matches_scalar_on_arbitrary_points(n, points):
     grid = Grid(UNIT, n)
     xs = np.asarray([x for x, _ in points])
@@ -59,7 +55,6 @@ def test_batch_kernel_matches_scalar_on_arbitrary_points(n, points):
     assert got == want
 
 
-@needs_numpy
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64])
 def test_batch_kernel_bit_identical_on_cell_boundaries(n):
     """Exact cell-edge multiples: k/n for every k, plus the nearest
@@ -132,7 +127,6 @@ rects = st.tuples(rect_coords, rect_coords, rect_coords, rect_coords).map(
 )
 
 
-@needs_numpy
 @given(grid_sizes, st.lists(rects, min_size=1, max_size=32))
 def test_rect_ranges_enumerate_exactly_cells_overlapping(n, batch):
     grid = Grid(UNIT, n)
@@ -140,7 +134,6 @@ def test_rect_ranges_enumerate_exactly_cells_overlapping(n, batch):
     assert enumerate_ranges(batch, grid) == want
 
 
-@needs_numpy
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64])
 def test_rect_ranges_bit_identical_on_cell_edges(n):
     """Corners on exact cell-edge multiples and the floats either side

@@ -50,23 +50,6 @@ class TestObjects:
         with pytest.raises(ValueError):
             index.place_object(1, frozenset())
 
-    def test_move_point_object_relocates(self, index):
-        index.place_object_at(1, Point(0.05, 0.05))
-        old_cell = index.grid.cell_of(Point(0.05, 0.05))
-        new_cell = index.grid.cell_of(Point(0.95, 0.95))
-        index.move_point_object(1, old_cell, new_cell)
-        assert index.object_cells(1) == frozenset({new_cell})
-        assert 1 not in index.objects_in_cell(old_cell)
-        assert 1 in index.objects_in_cell(new_cell)
-
-    def test_move_point_object_same_cell_is_noop(self, index):
-        index.place_object_at(1, Point(0.5, 0.5))
-        cell = index.grid.cell_of(Point(0.5, 0.5))
-        before = index.objects_in_cell(cell)
-        index.move_point_object(1, cell, cell)
-        assert index.object_cells(1) == frozenset({cell})
-        assert index.objects_in_cell(cell) is before  # bucket untouched
-
 
 class TestQueries:
     def test_place_query_region(self, index):

@@ -1,6 +1,5 @@
-"""The observability plane end-to-end: freshness through the server,
-flight-recorder protocol capture, and trace-context propagation across
-the parallel pool."""
+"""The observability plane end-to-end: freshness through the server and
+flight-recorder protocol capture."""
 
 from __future__ import annotations
 
@@ -9,13 +8,7 @@ import json
 from repro.core import IncrementalEngine
 from repro.core.server import LocationAwareServer
 from repro.geometry import Point, Rect
-from repro.obs import (
-    DEFAULT_RING_SIZE,
-    FlightRecorder,
-    MetricsRegistry,
-    write_chrome_trace,
-)
-from repro.parallel import ParallelConfig
+from repro.obs import DEFAULT_RING_SIZE, FlightRecorder
 
 
 def make_server(**kwargs):
@@ -126,90 +119,3 @@ class TestServerRecorder:
     def test_default_recorder_is_null(self):
         server = make_server()
         assert not server.recorder.enabled
-
-
-class TestParallelTracePropagation:
-    def make_parallel_server(self, registry=None, recorder=None):
-        engine = IncrementalEngine(
-            grid_size=8,
-            pipeline="parallel",
-            parallelism=ParallelConfig(
-                workers=2, backend="thread", min_batch=0
-            ),
-            registry=registry,
-            recorder=recorder,
-        )
-        server = LocationAwareServer(engine=engine)
-        server.register_client(1)
-        server.register_range_query(1, 100, Rect(0.0, 0.0, 1.0, 1.0))
-        return server
-
-    def drive(self, server):
-        # Objects spread across grid rows so both shards get cohorts.
-        for oid in range(24):
-            server.receive_object_report(
-                oid, Point((oid % 8) / 8.0 + 0.01, (oid // 8) / 3.0 + 0.01), 0.0
-            )
-        server.evaluate_cycle(1.0)
-
-    def test_worker_spans_nest_under_cycle_span(self, tmp_path):
-        server = self.make_parallel_server()
-        try:
-            self.drive(server)
-        finally:
-            server.close()
-        path = write_chrome_trace(server.tracer, tmp_path / "trace.json")
-        events = json.loads(path.read_text())["traceEvents"]
-        by_name = {}
-        for event in events:
-            by_name.setdefault(event["name"], []).append(event)
-        assert "shard_resolve_cells" in by_name
-        assert "shard_evaluate_cohorts" in by_name
-        (cycle,) = by_name["cycle"]
-        (object_reports,) = by_name["object_reports"]
-        worker_events = (
-            by_name["shard_resolve_cells"] + by_name["shard_evaluate_cohorts"]
-        )
-        assert len(worker_events) == 4  # two phases x two shards
-        for event in worker_events:
-            # Temporal containment in the owning cycle span...
-            assert event["ts"] >= cycle["ts"]
-            assert event["ts"] + event["dur"] <= cycle["ts"] + cycle["dur"]
-            # ...explicit parent link to the dispatching span...
-            assert event["args"]["parent"] == object_reports["args"]["id"]
-            # ...and a per-shard lane distinct from the coordinator's.
-            assert event["tid"] in (1, 2)
-
-    def test_shard_events_in_flight_recorder(self):
-        recorder = FlightRecorder(capacity=256)
-        server = self.make_parallel_server(recorder=recorder)
-        try:
-            self.drive(server)
-        finally:
-            server.close()
-        kinds = [e["kind"] for e in recorder.events()]
-        assert "shard_dispatch" in kinds
-        assert "shard_merge" in kinds
-        dispatch = next(
-            e for e in recorder.events() if e["kind"] == "shard_dispatch"
-        )
-        assert dispatch["shards"] == 2
-        merge = next(
-            e for e in recorder.events() if e["kind"] == "shard_merge"
-        )
-        assert merge["shard_emitted"] + merge["boundary_emitted"] > 0
-
-    def test_worker_crash_triggers_recorder(self):
-        recorder = FlightRecorder(capacity=256)
-        server = self.make_parallel_server(recorder=recorder)
-        try:
-            server.engine.worker_crash_hook = lambda payload: payload[0] == 0
-            self.drive(server)
-        finally:
-            server.close()
-        assert recorder.triggered == "worker_crash"
-        crash = next(
-            e for e in recorder.events() if e["kind"] == "trigger"
-        )
-        assert crash["reason"] == "worker_crash"
-        assert crash["shard"] == 0

@@ -69,7 +69,7 @@ class TestTrigger:
     def test_first_trigger_wins(self):
         recorder = FlightRecorder(capacity=8)
         recorder.trigger("oracle_divergence", qid=3)
-        recorder.trigger("worker_crash", shard=1)
+        recorder.trigger("chaos_failure", divergences=1)
         assert recorder.triggered == "oracle_divergence"
         # Both triggers are still in the ring as events.
         kinds = [e["kind"] for e in recorder.events()]
