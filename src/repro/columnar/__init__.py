@@ -11,7 +11,7 @@ run on numpy.
 """
 
 from repro.columnar.evaluate import ColumnarEvaluator
-from repro.columnar.ingest import MULTI_CELL, NOT_INDEXED, BatchIngest
+from repro.columnar.ingest import BatchIngest
 from repro.columnar.kernels import PairPlan, classify_transitions
 from repro.columnar.store import (
     KIND_KNN,
@@ -24,8 +24,6 @@ from repro.columnar.store import (
 
 __all__ = [
     "BatchIngest",
-    "MULTI_CELL",
-    "NOT_INDEXED",
     "ColumnarAnswerStore",
     "ColumnarEvaluator",
     "ColumnarObjectStore",

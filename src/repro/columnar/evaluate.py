@@ -30,22 +30,26 @@ dirty-marking instead intersects live cell buckets with the engine's
 registered-knn set, memoised per evaluation.
 
 The evaluator also runs the **query side** of a cycle — engine phases
-4, 6 and 7 — as array passes over the object store's home-cell CSR
+3, 4, 6 and 7 — as array passes over the object store's home-cell CSR
 (:class:`~repro.columnar.store.HomeCells`: a sort-by-cell permutation of
 the ``cells`` column, a run of cells being one slice of it, cut at most
-once per store state — before the query moves, after ingest) and its
-one ragged gather ``(cell rects) -> (rect position, store row)``:
+once per store state) and its one ragged gather ``(cell rects) ->
+(rect position, store row)``:
 
+* :meth:`~ColumnarEvaluator.fill_ranges` — every newly registered range
+  query: the objects homed under its region and inside it;
 * :meth:`~ColumnarEvaluator.move_ranges` — every moved range query:
   ``A_old - A_new`` and ``A_new - A_old`` from the objects homed under
   the two rectangles, ordered as ``Rect.difference``'s pieces;
-* :meth:`~ColumnarEvaluator.knn_ranked` — every dirty k-NN query with
-  a full answer: the members bound the search square;
-* :meth:`~ColumnarEvaluator.predictive_refresh_many` — every
-  churn-driven predictive query: one slab test over per-pair bounds.
+* :meth:`~ColumnarEvaluator.knn_ranked` — every dirty k-NN query: its
+  full answer, or a seed search of doubling cell squares, bounds the
+  search square;
+* :meth:`~ColumnarEvaluator.predictive_refresh` — every churn-driven
+  and flip-due predictive query: one candidate pass, one slab test over
+  per-pair bounds.
 
-Each reproduces its scalar routine's stream exactly; none reads a
-``GridIndex`` object bucket.
+Each reproduces its scalar routine's stream exactly; the grid index
+holds no object on this path, and nothing here asks it for one.
 """
 
 from __future__ import annotations
@@ -406,38 +410,6 @@ class ColumnarEvaluator:
         if hit:
             knn_dirty.update(hit)
 
-    def predicted_inside(
-        self,
-        oids,
-        region,
-        now: float,
-        horizon: float,
-        trust_horizon: float,
-    ):
-        """Vectorized ``_predicted_in_region`` over candidate ``oids``.
-
-        Returns one bool per oid (same order).  The arithmetic
-        replicates the scalar sequence operation-for-operation —
-        ``position_at`` displacement, then Liang–Barsky
-        slab clipping in the same edge order with the same running
-        ``t0``/``t1`` comparisons — so each lane's IEEE result is
-        bit-identical to ``LinearMotion.time_in_rect``'s verdict.
-        Stationary objects need no special branch: a zero velocity
-        makes every slab test degenerate to the closed containment
-        check the scalar path uses.
-        """
-        row_of = self.ostore._row_of
-        rows = np.fromiter(
-            (row_of[oid] for oid in oids), count=len(oids), dtype=np.int64
-        )
-        return self._inside_rows(
-            rows,
-            (region.min_x, region.min_y, region.max_x, region.max_y),
-            now,
-            horizon,
-            trust_horizon,
-        ).tolist()
-
     def _inside_rows(self, rows, bounds, now: float, horizon, trust_horizon: float):
         """The slab test over object-store ``rows``.  ``bounds`` =
         ``(min_x, min_y, max_x, max_y)`` and ``horizon`` are scalars
@@ -529,6 +501,28 @@ class ColumnarEvaluator:
         min_x, min_y, max_x, max_y = bounds[:, pos]
         return (min_x <= x) & (x <= max_x) & (min_y <= y) & (y <= max_y)
 
+    def fill_ranges(self, queries, updates) -> None:
+        """Engine phase 3 for every newly registered range query at
+        once — the positive half of :meth:`move_ranges`: the objects
+        inside each region, emitted per query in the given order, oids
+        ascending (the scalar ``_fill_range_answer``'s stream)."""
+        bounds = np.array(
+            [(q.region.min_x, q.region.min_y, q.region.max_x, q.region.max_y) for q in queries],
+            dtype=np.float64,
+        ).T  # fmt: skip
+        pos, rows = self._gather(self._footprint_ranges(*bounds))
+        keep = np.flatnonzero(self._inside(bounds, pos, rows))
+        if not len(keep):
+            return
+        pos = pos[keep]
+        oids = np.frombuffer(self.ostore.oids, dtype=np.int64)[rows[keep]]
+        order = np.lexsort((oids, pos))
+        qids = np.fromiter((q.qid for q in queries), np.int64, count=len(queries))
+        qid_arr = qids[pos[order]]
+        oid_arr = oids[order]
+        self._toggle_memberships(qid_arr, oid_arr)
+        updates.extend_columns(qid_arr.tolist(), oid_arr.tolist(), [1] * len(keep))
+
     def move_ranges(self, moves, updates) -> None:
         """Engine phase 4 for every moved range query at once.
         ``moves`` holds ``(query state, new region)`` in arrival order;
@@ -614,17 +608,20 @@ class ColumnarEvaluator:
 
     def knn_ranked(self, queries) -> list[list[tuple[float, int]]]:
         """The ranked ``(distance, oid)`` answer of every given k-NN
-        query — each holding a **full** answer — searched together;
-        equal to :func:`repro.core.knn.knn_search` list for list.
+        query, searched together; equal to
+        :func:`repro.core.knn.knn_search` list for list.
 
-        The members' own squared distances at their current coordinates
-        bound the k-th distance (k objects lie within it), so the true
-        k nearest are homed in the cells under that square: one gather,
-        one squared-distance filter with a relative margin for the
-        few-ulp disagreement between the squared form and the exact
-        distance, then exact ``math.hypot`` (what ``Point.distance_to``
-        uses) and a ``(distance, oid)`` sort on the survivors only — so
-        the radius stays bit-identical to the scalar search.
+        Each search is bounded by a squared distance k objects lie
+        within: a query holding a full answer takes its members' own
+        squared distances at their current coordinates, any other (a
+        first or underfull solve) a seed from :meth:`_seed_bounds`.  The
+        true k nearest are then homed in the cells under that square:
+        one gather, one squared-distance filter with a relative margin
+        for the few-ulp disagreement between the squared form and the
+        exact distance, then exact ``math.hypot`` (what
+        ``Point.distance_to`` uses) and a ``(distance, oid)`` sort on
+        the survivors only — so the radius stays bit-identical to the
+        scalar search.
         """
         m = len(queries)
         ostore = self.ostore
@@ -634,15 +631,22 @@ class ColumnarEvaluator:
             [(q.center.x, q.center.y, q.k) for q in queries], dtype=np.float64
         ).T
         ks = ks.astype(np.int64)
-        members = np.fromiter(
-            (row_of[oid] for q in queries for oid in q.answer),
-            np.int64,
-            count=int(ks.sum()),
-        )
-        owner = np.repeat(np.arange(m), ks)
-        dx = xs[members] - cx[owner]
-        dy = ys[members] - cy[owner]
-        bound = np.maximum.reduceat(dx * dx + dy * dy, np.cumsum(ks) - ks)
+        full = np.fromiter((len(q.answer) == q.k for q in queries), bool, count=m)
+        bound = np.empty(m)
+        if full.any():
+            sizes = ks[full]
+            members = np.fromiter(
+                (row_of[oid] for q, f in zip(queries, full.tolist()) if f for oid in q.answer),
+                np.int64,
+                count=int(sizes.sum()),
+            )  # fmt: skip
+            owner = np.repeat(np.flatnonzero(full), sizes)
+            dx = xs[members] - cx[owner]
+            dy = ys[members] - cy[owner]
+            bound[full] = np.maximum.reduceat(dx * dx + dy * dy, np.cumsum(sizes) - sizes)
+        short = np.flatnonzero(~full)
+        if len(short):
+            bound[short] = self._seed_bounds(cx[short], cy[short], ks[short])
         bound *= 1.0 + 1e-9
         half = np.sqrt(bound)
         pos, rows = self._gather(
@@ -661,18 +665,56 @@ class ColumnarEvaluator:
             for k, lo, hi in zip(ks.tolist(), cuts, cuts[1:])
         ]
 
-    def predictive_refresh_many(self, queries, now: float, trust_horizon: float):
-        """The churn-driven refresh of every given predictive query in
-        one pass (no flip schedule).  Per query, in order: ``(oids,
-        signs)`` of the changed memberships ascending by oid — the
-        scalar loop's order — already applied to the live ``answer`` /
-        ``answered`` sets and the answer store.
+    def _seed_bounds(self, cx, cy, ks):
+        """Squared-distance bounds for k-NN queries with no full answer
+        to take one from.  Around each centre's home cell, gather the
+        objects homed in squares of cells of doubling radius until the
+        square holds k of them — the k-th smallest squared distance
+        among those bounds the k nearest — or covers the whole grid with
+        fewer (``inf``: every object is in the answer)."""
+        n = self.grid.n
+        xs, ys = self.ostore.xy_views()
+        home = point_cells_batch(cx, cy, self.grid, np)
+        col, row = home % n, home // n
+        bound = np.full(len(ks), np.inf)
+        todo = np.arange(len(ks))
+        radius = 0
+        while len(todo):
+            c, r, k = col[todo], row[todo], ks[todo]
+            pos, rows = self._gather(
+                (
+                    np.maximum(c - radius, 0),
+                    np.minimum(c + radius, n - 1),
+                    np.maximum(r - radius, 0),
+                    np.minimum(r + radius, n - 1),
+                )
+            )
+            counts = np.bincount(pos, minlength=len(todo))
+            enough = counts >= k
+            if enough.any():
+                dx = xs[rows] - cx[todo][pos]
+                dy = ys[rows] - cy[todo][pos]
+                d2 = dx * dx + dy * dy
+                d2 = d2[np.lexsort((d2, pos))]
+                kth = np.cumsum(counts) - counts + k - 1
+                bound[todo[enough]] = d2[kth[enough]]
+            if radius >= n - 1:
+                break
+            todo = todo[~enough]
+            radius = 2 * radius + 1
+        return bound
+
+    def _predictive_pairs(self, queries, now: float, trust_horizon: float):
+        """Every given predictive query's candidates and their windowed
+        membership at ``now``, as ``(pos, oids, standing, inside)``: one
+        entry per distinct (query position, object), ascending by
+        position then oid.
 
         Candidates are the scalar path's — the objects whose index
-        footprint meets the query's — recomputed from the columns:
-        objects homed in the query's footprint, moving objects whose
-        swept footprint (:func:`~repro.columnar.ingest.swept_cell_ranges`)
-        meets it, and the standing answer.
+        footprint meets the query's, plus the standing answer
+        (``standing``) — recomputed from the columns: objects homed in
+        the query's footprint and moving objects whose swept footprint
+        (:func:`~repro.columnar.ingest.swept_cell_ranges`) meets it.
         """
         m = len(queries)
         ostore = self.ostore
@@ -721,13 +763,35 @@ class ColumnarEvaluator:
         first[1:] = (pos[1:] != pos[:-1]) | (oids[1:] != oids[:-1])
         order = order[first]
         pos = pos[first]
-        oids = oids[first]
         inside = self._inside_rows(
             rows[order], bounds[:, pos], now, horizons[pos], trust_horizon
         )
-        changed = np.flatnonzero(inside == fresh[order])
+        return pos, oids[first], ~fresh[order], inside
+
+    def predictive_refresh(self, churned, due, now: float, trust_horizon: float):
+        """Both kinds of predictive refresh over one candidate pass.
+
+        Returns ``(refreshed, verdicts)``.  The ``churned`` queries (no
+        flip schedule) are refreshed here: per query, in order, ``(oids,
+        signs)`` of the changed memberships ascending by oid — the scalar
+        loop's order — already applied to the live ``answer`` /
+        ``answered`` sets and the answer store.  The flip-due ``due``
+        queries are only judged: per query, in order, ``(oids, flags)``
+        of its candidates ascending by oid and their windowed membership
+        at ``now`` — what the engine's flip-scheduling refresh walks."""
+        m = len(churned)
+        pos, oids, standing, inside = self._predictive_pairs(
+            churned + due, now, trust_horizon
+        )
+        split = int(np.searchsorted(pos, m))
+        cuts = np.searchsorted(pos[split:], np.arange(m, m + len(due) + 1)).tolist()
+        due_oids = oids[split:].tolist()
+        due_flags = inside[split:].tolist()
+        verdicts = [(due_oids[lo:hi], due_flags[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        pos, oids, inside = pos[:split], oids[:split], inside[:split]
+        changed = np.flatnonzero(inside != standing[:split])
         if len(changed):
-            qid_arr = np.fromiter((q.qid for q in queries), np.int64, count=m)
+            qid_arr = np.fromiter((q.qid for q in churned), np.int64, count=m)
             self._toggle_memberships(qid_arr[pos[changed]], oids[changed])
         edges = np.arange(m + 1)
         kept = oids[inside]
@@ -735,11 +799,11 @@ class ColumnarEvaluator:
         cuts = np.searchsorted(pos[changed], edges).tolist()
         oid_list = oids[changed].tolist()
         sign_list = np.where(inside[changed], 1, -1).tolist()
-        out = []
-        for i, query in enumerate(queries):
+        refreshed = []
+        for i, query in enumerate(churned):
             self.answers.put(query.qid, kept[kept_cuts[i] : kept_cuts[i + 1]])
-            out.append((oid_list[cuts[i] : cuts[i + 1]], sign_list[cuts[i] : cuts[i + 1]]))
-        return out
+            refreshed.append((oid_list[cuts[i] : cuts[i + 1]], sign_list[cuts[i] : cuts[i + 1]]))
+        return refreshed, verdicts
 
     def check_invariants(self) -> None:
         """The two CSRs against what they are cut from (tests only):

@@ -30,11 +30,15 @@ the kernel run without any per-pair membership lookup.  New objects get
 NaN old coordinates — every containment test on NaN is False, exactly
 the "was not a member of anything" a fresh object needs.
 
-Cell membership is not stored twice: :class:`HomeCells` is the ``cells``
-column sorted by cell (a permutation; offsets are binary searches), cut by
-:meth:`ColumnarObjectStore.home_cells` at most once per store
-``version``, and its :meth:`~HomeCells.gather` is the one ragged gather
-the query-side array passes share.
+The ``cells`` column is the only record of where an object is on the
+production path: the grid index holds queries only.  :class:`HomeCells`
+is that column sorted by cell (a permutation; offsets are binary
+searches), cut by :meth:`ColumnarObjectStore.home_cells` at most once
+per store ``version``, and its :meth:`~HomeCells.gather` is the one
+ragged gather every array pass that needs "the objects under these
+cells" shares.  An object's swept footprint is not stored at all: it is
+a function of its ``x, y, vx, vy, t, cell`` row
+(:meth:`ColumnarObjectStore.motion_at`), recomputed where it is needed.
 
 Query rows are ``(kind, min_x, min_y, max_x, max_y)`` descriptors, with
 zeroed bounds for the k-NN and predictive kinds.
@@ -156,8 +160,11 @@ class ColumnarObjectStore:
 
     def batch_apply(self, oids, xs, ys, vxs, vys, ts, cells):
         """Apply one whole report buffer in a few array passes; returns
-        the batch's store rows as an int64 ndarray aligned with ``oids``
-        (the column planner's member rows).
+        ``(rows, known, prior)``: the batch's store rows as an int64
+        ndarray aligned with ``oids`` (the column planner's member rows),
+        the batch positions of the oids that already had a row, and
+        those rows' :meth:`motion_at` columns as they were before this
+        call overwrote them (their old home cells and footprints).
 
         The oids must be **distinct** within the batch (the engine's
         report buffer is a dict, so they are) and the columns aligned
@@ -180,8 +187,8 @@ class ColumnarObjectStore:
             map(get, oids.tolist(), repeat(-1)), dtype=np.int64, count=count
         )
         fresh = np.flatnonzero(rows < 0)
-        # slice(None) keeps the no-new-rows case free of column copies.
-        known = np.flatnonzero(rows >= 0) if len(fresh) else slice(None)
+        known = np.flatnonzero(rows >= 0)
+        prior = self.motion_at(rows[known])
         if len(fresh):
             # Bulk-append new rows first so the scatter views below are
             # taken after the last reallocation.
@@ -213,7 +220,7 @@ class ColumnarObjectStore:
             np.frombuffer(self.vys, dtype=np.float64)[target] = vys[known]
             np.frombuffer(self.ts, dtype=np.float64)[target] = ts[known]
             np.frombuffer(self.cells, dtype=np.int64)[target] = cells[known]
-        return rows
+        return rows, known, prior
 
     def remove(self, oid: int) -> None:
         """Swap-remove ``oid``'s row; unknown oids raise ``KeyError``."""
@@ -241,6 +248,28 @@ class ColumnarObjectStore:
         self.vys.pop()
         self.ts.pop()
         self.cells.pop()
+
+    def motion_at(self, rows):
+        """``(x, y, vx, vy, t, cell)`` of object-store ``rows`` as
+        arrays: everything an object's home cell and swept footprint are
+        a function of."""
+        f64 = np.float64
+        return tuple(
+            np.frombuffer(column, dtype=dtype)[rows]
+            for column, dtype in (
+                (self.xs, f64),
+                (self.ys, f64),
+                (self.vxs, f64),
+                (self.vys, f64),
+                (self.ts, f64),
+                (self.cells, np.int64),
+            )
+        )
+
+    def cell_counts(self, n_cells: int):
+        """Objects per home cell, one int64 count per cell."""
+        cells = np.frombuffer(self.cells, dtype=np.int64)
+        return np.bincount(cells, minlength=n_cells)
 
     def coord_views(self):
         """Fresh zero-copy numpy views ``(x, y, old_x, old_y)``.

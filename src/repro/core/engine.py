@@ -19,8 +19,8 @@ Incrementality per query kind:
   touches the circle's grid footprint (or the object was an answer
   member); dirty queries are re-solved with an expanding ring search
   around their center and the *answer difference* is emitted.
-* **Predictive range** — objects carrying velocity vectors are indexed
-  by the grid footprint of their predicted trajectory; a predictive
+* **Predictive range** — objects carrying velocity vectors occupy the
+  grid footprint of their predicted trajectory; a predictive
   query's answer is the set of objects whose extrapolated motion enters
   its region within the query's horizon.  Because the horizon window
   slides with evaluation time, predictive answers must be re-filtered
@@ -33,27 +33,27 @@ Section 3 point: buffered updates are evaluated as a grid-partition
 spatial join, not one at a time).  The batch's object reports are
 grouped by their (old home cell → new home cell) transition — one per
 report, whatever its velocity; a predictive object's swept footprint is
-index placement and cell churn only — and joined against the range
-queries listed in those cells as batch array kernels over
-struct-of-arrays mirrors of object and query state
-(:mod:`repro.columnar`, on numpy).  The *query* side of a cycle is
-columnar too: all of a batch's range-query moves, every dirty k-NN query
-that holds a full answer and every churn-driven predictive refresh run
-as one array pass each over a home-cell CSR of the object store
-(:meth:`ColumnarEvaluator.move_ranges`, ``knn_ranked``,
-``predictive_refresh_many``).  A k-NN query without a full answer (its
-first solve) takes the ring search ``_solve_knn`` and a flip-due
-predictive query the scalar ``_refresh_one_predictive``;
+cell churn only — and joined against the range queries listed in those
+cells as batch array kernels over struct-of-arrays mirrors of object and
+query state (:mod:`repro.columnar`, on numpy).  The object store's
+``cells`` column is the only record of where an object is: the grid
+index holds queries only on this path.  The *query* side of a cycle is
+columnar too: a batch's range-query registrations and moves, every dirty
+k-NN query and every predictive refresh run as array passes over a
+home-cell CSR of the object store (:meth:`ColumnarEvaluator.fill_ranges`,
+``move_ranges``, ``knn_ranked``, ``predictive_refresh``); only a
+flip-due predictive query walks its verdicts in Python, to schedule its
+next flip.
 ``engine_query_moves_total{path}``, ``engine_knn_repairs_total{path}``
 and ``engine_predictive_refreshes_total{path}`` say which ran.
 
 ``pipeline="per-object"`` is the reference: one report at a time, each
-re-deriving its candidate queries from the grid, with the scalar
-``_move_range`` / ring-search ``_solve_knn`` / ``_refresh_one_predictive``
-routines for the query side and every predictive query refreshed every
-cycle.  It is short on purpose; the columnar pipeline must leave every
-query with the same multiset of ``(oid, sign)`` updates per evaluation
-and the same answers (the lock-step state machine in
+placed in the grid index's object buckets and re-deriving its candidate
+queries from the grid, with the scalar ``_move_range`` / ring-search
+``knn_search`` / ``_refresh_one_predictive`` routines for the query side
+and every predictive query refreshed every cycle.  It is short on
+purpose; the columnar pipeline must leave every query with the same
+multiset of ``(oid, sign)`` updates per evaluation and the same answers (the lock-step state machine in
 ``tests/core/test_lockstep.py`` holds it to that).
 
 Every phase of ``evaluate()`` is wall-clock timed: each phase runs
@@ -79,7 +79,6 @@ from repro.columnar import (
     KIND_KNN,
     KIND_PREDICTIVE,
     KIND_RANGE,
-    MULTI_CELL,
     BatchIngest,
     ColumnarEvaluator,
     ColumnarObjectStore,
@@ -123,6 +122,16 @@ def _check_query_input(qid: int, *values: float) -> None:
             raise ValueError(
                 f"query {qid} has a non-finite time or coordinate: {values}"
             )
+
+
+def _check_motion(oid: int, t: float, vx: float, vy: float) -> None:
+    """Refuse, at buffer time, a report time or velocity no trajectory
+    can be extrapolated from (a finite but absurd one is accepted)."""
+    if not (math.isfinite(t) and math.isfinite(vx) and math.isfinite(vy)):
+        raise ValueError(
+            f"object {oid} reported a non-finite time or velocity: "
+            f"t={t}, v=({vx}, {vy})"
+        )
 
 
 #: The evaluation phases, in execution order.  Keys of
@@ -300,19 +309,13 @@ class IncrementalEngine:
             )
             self._batch_ingest = BatchIngest(self, ObjectState)
         self._m_ingest_seconds = counter("engine_ingest_seconds_total")
-        # Which path phase 5a's rows took: "batch" = array passes only,
-        # "scalar" = a per-object index placement (the footprint-changed
-        # predictive rows plus out-of-column oids).
-        self._m_ingest_rows = {
-            path: counter("engine_ingest_rows_total", labels={"path": path})
-            for path in ("batch", "scalar")
-        }
         # Which path the query-side phases took, partitioning the
         # unlabelled totals: "batch" = an evaluator array pass (a k-NN
         # or predictive *move* only marks its query for one), "scalar" =
         # the per-query reference routine — everything under per-object;
-        # under columnar, a k-NN query without a full answer and a
-        # predictive query whose flip time came due.
+        # under columnar, only a predictive query whose flip time came
+        # due (its verdicts come from an array pass; scheduling its next
+        # flip is scalar).
         self._m_query_move_paths, self._m_knn_repair_paths, self._m_refresh_paths = (
             {p: counter(f"engine_{name}_total", labels={"path": p}) for p in ("batch", "scalar")}
             for name in ("query_moves", "knn_repairs", "predictive_refreshes")
@@ -336,8 +339,10 @@ class IncrementalEngine:
         Locations are clamped into the service area (the grid's world):
         the engine guarantees completeness only for in-world geometry,
         so out-of-world drift is pulled back to the boundary — and a
-        non-finite coordinate, which no boundary is near, is refused.
-        An in-world report keeps the caller's (immutable) ``Point``.
+        non-finite coordinate, which no boundary is near, is refused, as
+        is a non-finite time or velocity (``ValueError`` naming the
+        oid, nothing buffered).  An in-world report keeps the caller's
+        (immutable) ``Point``.
         """
         world = self.grid.world
         if not (
@@ -350,6 +355,10 @@ class IncrementalEngine:
                     f"object {oid} reported a non-finite location {location}"
                 )
             location = world.clamp_point(location)
+        # One sum settles the common case; NaN and inf survive it, and
+        # a finite sum that overflows is settled exactly.
+        if not math.isfinite(t + velocity.vx + velocity.vy):
+            _check_motion(oid, t, velocity.vx, velocity.vy)
         self._pending_removals.discard(oid)
         self._pending_reports[oid] = (location, velocity, t)
         self.freshness.stamp_report(oid)
@@ -362,8 +371,8 @@ class IncrementalEngine:
         report, a buffered removal is cancelled.
 
         The whole call is refused, with nothing buffered, when any
-        coordinate is non-finite; rows are clamped only when a bound
-        says one lies outside the world.
+        coordinate, time or velocity is non-finite; rows are clamped
+        only when a bound says one lies outside the world.
         """
         if not oids:
             return
@@ -377,6 +386,9 @@ class IncrementalEngine:
                         f"object {oid} reported a non-finite location "
                         f"{Point(x, y)}"
                     )
+        if not math.isfinite(sum(ts) + sum(vxs) + sum(vys)):
+            for oid, t, vx, vy in zip(oids, ts, vxs, vys):
+                _check_motion(oid, t, vx, vy)
         world = self.grid.world
         locations = map(Point, xs, ys)
         if not (
@@ -658,7 +670,7 @@ class IncrementalEngine:
                 else:
                     self._refresh_predictive(updates)
             with span("occupancy_sample"):
-                self.index.sample_occupancy(self.registry)
+                self._sample_occupancy()
         self._m_updates_emitted.inc(len(updates))
         self._m_objects.set(len(self.objects))
         self._m_queries.set(len(self.queries))
@@ -715,19 +727,15 @@ class IncrementalEngine:
     def _apply_removals(
         self, updates, knn_dirty: set[int], churned_cells: set[int]
     ) -> None:
-        ostore = self._ostore
         ingest = self._batch_ingest
         evaluator = self._columnar_evaluator
-        for oid in sorted(self._pending_removals):
-            state = self.objects.pop(oid, None)
-            if state is None:
-                continue
-            churned_cells.update(self.index.object_cells(oid))
-            self.index.remove_object(oid)
-            if ingest is not None:
-                ingest.forget(oid)
-            if ostore is not None:
-                ostore.remove(oid)
+        removed = [oid for oid in sorted(self._pending_removals) if oid in self.objects]
+        if ingest is not None and removed:
+            ingest.remove(removed, churned_cells)
+        for oid in removed:
+            state = self.objects.pop(oid)
+            if ingest is None:
+                self.index.remove_object(oid)
             for qid in sorted(state.answered):
                 query = self.queries[qid]
                 query.answer.discard(oid)
@@ -749,6 +757,8 @@ class IncrementalEngine:
         dirty_predictive: set[int],
     ) -> None:
         qstore = self._qstore
+        evaluator = self._columnar_evaluator
+        range_fills: list[RangeQueryState] = []
         for query in self._pending_registrations.values():
             self.queries[query.qid] = query
             if query.kind is QueryKind.RANGE:
@@ -762,7 +772,10 @@ class IncrementalEngine:
                     region.max_y,
                 )
                 self.index.place_query_region(query.qid, region)
-                self._fill_range_answer(query, updates)
+                if evaluator is None:
+                    self._fill_range_answer(query, updates)
+                else:
+                    range_fills.append(query)
             elif query.kind is QueryKind.KNN:
                 qstore.put(query.qid, KIND_KNN)
                 self._knn_qids.add(query.qid)
@@ -779,6 +792,10 @@ class IncrementalEngine:
                 self.index.place_query_region(query.qid, query.region)
                 self._predictive_qids.add(query.qid)
                 dirty_predictive.add(query.qid)
+        # Only range registrations emit in this phase, so filling them
+        # together after the loop keeps the stream in arrival order.
+        if range_fills:
+            evaluator.fill_ranges(range_fills, updates)
         self._pending_registrations.clear()
 
     def _fill_range_answer(self, query: RangeQueryState, updates) -> None:
@@ -915,9 +932,6 @@ class IncrementalEngine:
             return
         with self.tracer.span("report_ingest", self._m_ingest_seconds):
             columns = self._batch_ingest.group(self._pending_reports, churned_cells)
-            rows = self._m_ingest_rows
-            rows["scalar"].inc(columns.scalar_rows)
-            rows["batch"].inc(len(columns.oids) - columns.scalar_rows)
         emitted_before = len(updates)
         self._columnar_evaluator.run_columns(columns, updates, knn_dirty)
         self.recorder.record(
@@ -967,41 +981,32 @@ class IncrementalEngine:
         if not dirty:
             return
         self._m_knn_repairs.inc(len(dirty))
-        # Queries holding a full answer are searched together (their
-        # members bound the search); first-time and underfull ones take
-        # the reference ring search.  Emission stays in qid order.
-        ranked_of: dict[int, list[tuple[float, int]]] = {}
-        if self._columnar_evaluator is not None:
-            full = [query for query in dirty if len(query.answer) == query.k]
-            if full:
-                ranked_of = dict(
-                    zip(
-                        (query.qid for query in full),
-                        self._columnar_evaluator.knn_ranked(full),
-                    )
-                )
-        self._m_knn_repair_paths["batch"].inc(len(ranked_of))
-        self._m_knn_repair_paths["scalar"].inc(len(dirty) - len(ranked_of))
-        for query in dirty:
-            self._solve_knn(query, updates, ranked_of.get(query.qid))
+        # The columnar path searches every dirty query together; the
+        # reference runs the ring search per query.  Emission stays in
+        # qid order.
+        evaluator = self._columnar_evaluator
+        if evaluator is None:
+            self._m_knn_repair_paths["scalar"].inc(len(dirty))
+            for query in dirty:
+                ranked = knn_search(self.index, self.objects, query.center, query.k)
+                self._solve_knn(query, updates, ranked)
+        else:
+            self._m_knn_repair_paths["batch"].inc(len(dirty))
+            for query, ranked in zip(dirty, evaluator.knn_ranked(dirty)):
+                self._solve_knn(query, updates, ranked)
 
     def _solve_knn(
-        self,
-        query: KnnQueryState,
-        updates,
-        ranked: list[tuple[float, int]] | None = None,
+        self, query: KnnQueryState, updates, ranked: list[tuple[float, int]]
     ) -> None:
-        """Re-solve a dirty k-NN query and emit the answer difference.
+        """Install a dirty k-NN query's re-solved ``ranked`` answer and
+        emit the answer difference.
 
-        Without a ``ranked`` answer from the batch search, the ring
-        search starts from the query's center and is bounded by the
-        k-th distance, so the work stays local to the circle — the
-        shared-grid analogue of the paper's "evict the furthest / admit
-        the entrant" circle maintenance, with the search doubling as the
-        replacement lookup when members depart.
+        The search is bounded by the k-th distance, so the work stays
+        local to the circle — the shared-grid analogue of the paper's
+        "evict the furthest / admit the entrant" circle maintenance,
+        with the search doubling as the replacement lookup when members
+        depart.
         """
-        if ranked is None:
-            ranked = knn_search(self.index, self.objects, query.center, query.k)
         new_answer = {oid for __, oid in ranked}
 
         for oid in sorted(query.answer - new_answer):
@@ -1035,12 +1040,20 @@ class IncrementalEngine:
     # ------------------------------------------------------------------
 
     def _refresh_predictive(self, updates) -> None:
-        """Reference path: re-filter every predictive query, every cycle."""
+        """Reference path: re-filter every predictive query, every cycle,
+        over the objects its grid-index footprint holds."""
+        index = self.index
+        objects = self.objects
         for qid, query in self.queries.items():
             if query.kind is not QueryKind.PREDICTIVE_RANGE:
                 continue
             self._m_refresh_paths["scalar"].inc()
-            self._refresh_one_predictive(qid, query, updates, False)
+            candidates = set(query.answer)
+            for cell in index.query_cells(qid):
+                candidates.update(index.objects_in_cell(cell))
+            ordered = sorted(candidates)
+            flags = [self._predicted_in_region(query, objects[oid]) for oid in ordered]
+            self._refresh_one_predictive(query, updates, ordered, flags)
 
     def _refresh_predictive_columnar(
         self,
@@ -1082,12 +1095,20 @@ class IncrementalEngine:
         # array path they all run as one pass; emission stays in qid
         # order, interleaved with the flip-due queries.
         churned = [queries[qid] for qid in ordered if qid in need]
-        refreshed = iter(
-            self._columnar_evaluator.predictive_refresh_many(
-                churned, now, self.prediction_horizon
-            )
-            if churned
-            else ()
+        due = [
+            queries[qid]
+            for qid in ordered
+            if qid not in need and queries[qid].next_flip <= now
+        ]
+        # The two kinds touch disjoint queries, so one pass serves both
+        # before the qid-ordered emission below.
+        if not churned and not due:
+            return
+        refreshed, verdicts = map(
+            iter,
+            self._columnar_evaluator.predictive_refresh(
+                churned, due, now, self.prediction_horizon
+            ),
         )
         paths = self._m_refresh_paths
         for qid in ordered:
@@ -1099,47 +1120,25 @@ class IncrementalEngine:
                 query.next_flip = float("-inf")
             elif query.next_flip <= now:
                 paths["scalar"].inc()
-                self._refresh_one_predictive(qid, query, updates, True)
+                self._refresh_one_predictive(query, updates, *next(verdicts))
 
     def _refresh_one_predictive(
-        self,
-        qid: int,
-        query: PredictiveQueryState,
-        updates,
-        compute_flip: bool,
+        self, query: PredictiveQueryState, updates, ordered, flags
     ) -> None:
-        candidates = set(query.answer)
-        index = self.index
-        for cell in index.query_cells(qid):
-            candidates.update(index.objects_in_cell(cell))
+        """Apply one predictive query's membership ``flags`` over its
+        candidates ``ordered`` (ascending oids) and emit the changes.
+        On the columnar path this also schedules the query's next flip:
+        it mutates the answer outside the array passes, so it drops the
+        answer store's array too."""
+        qid = query.qid
         objects = self.objects
         answer = query.answer
         next_flip = math.inf
-        ordered = sorted(candidates)
-        evaluator = self._columnar_evaluator
-        flags = None
-        if evaluator is not None:
-            # The scalar loop below mutates the answer without updating
-            # the evaluator's sorted array; drop it so the next
-            # vectorized refresh rebuilds from the live set.
-            evaluator.invalidate_answer(qid)
-        if evaluator is not None and ordered:
-            # Columnar pipeline: one vectorized membership pass over the
-            # candidate rows (bit-identical to the scalar check).
-            flags = evaluator.predicted_inside(
-                ordered,
-                query.region,
-                self.now,
-                query.horizon,
-                self.prediction_horizon,
-            )
-        for pos, oid in enumerate(ordered):
+        compute_flip = self._columnar_evaluator is not None
+        if compute_flip:
+            self._columnar_evaluator.invalidate_answer(qid)
+        for oid, inside in zip(ordered, flags):
             state = objects[oid]
-            inside = (
-                flags[pos]
-                if flags is not None
-                else self._predicted_in_region(query, state)
-            )
             was_member = oid in answer
             if inside and not was_member:
                 answer.add(oid)
@@ -1186,9 +1185,14 @@ class IncrementalEngine:
             # The trusted extrapolation span is entirely in the past:
             # membership is False and stays False until a new report.
             return math.inf
-        interval = state.motion().time_in_rect(
-            query.region, span_start, span_end
-        )
+        motion = state.motion()
+        reach = motion.position_at(span_end)
+        if not (math.isfinite(reach.x) and math.isfinite(reach.y)):
+            # A finite but absurd velocity overflows: the windowed check
+            # works on inf arithmetic no flip time can predict, so
+            # refresh every evaluation.
+            return -math.inf
+        interval = motion.time_in_rect(query.region, span_start, span_end)
         if interval is None:
             # Never in the region within the trusted span.  If the
             # windowed check nevertheless said "inside" (conceivable
@@ -1220,6 +1224,23 @@ class IncrementalEngine:
     # Helpers
     # ------------------------------------------------------------------
 
+    def _sample_occupancy(self) -> None:
+        """Grid occupancy: the production path counts its store's
+        ``cells`` column (objects per home cell), the reference its index
+        buckets (a moving object in every cell of its swept footprint)."""
+        ostore = self._ostore
+        if not self.registry.enabled:
+            return
+        self.index.sample_occupancy(
+            self.registry,
+            (
+                self.index.object_counts()
+                if ostore is None
+                else ostore.cell_counts(self.grid.cell_count)
+            ),
+            len(self.objects),
+        )
+
     def _check_fresh_qid(self, qid: int) -> None:
         if qid in self.queries or qid in self._pending_registrations:
             raise KeyError(f"query {qid} is already registered")
@@ -1233,8 +1254,13 @@ class IncrementalEngine:
             for oid in query.answer:
                 assert qid in self.objects[oid].answered, (qid, oid)
             assert self.index.contains_query(qid)
-        for oid in self.objects:
-            assert self.index.contains_object(oid)
+        if self._ostore is None:
+            for oid in self.objects:
+                assert self.index.contains_object(oid)
+        else:
+            # The store's columns are the only record of an object's
+            # place on the production path.
+            assert self.index.object_count == 0
         for qid in self._predictive_qids:
             assert self.queries[qid].kind is QueryKind.PREDICTIVE_RANGE
         # Any live answer-store view must agree with the set it mirrors.
@@ -1280,21 +1306,11 @@ class IncrementalEngine:
                 assert ostore.xs[row] == location.x, oid
                 assert ostore.ys[row] == location.y, oid
                 assert ostore.cells[row] == cell_of(location), oid
+                velocity = state.velocity
+                assert (ostore.vxs[row], ostore.vys[row], ostore.ts[row]) == (
+                    velocity.vx,
+                    velocity.vy,
+                    state.t,
+                ), oid
         if evaluator is not None:
             evaluator.check_invariants()
-        # The batch-ingest dense oid→cell column mirrors the grid index:
-        # the home cell while the object's footprint is exactly {home},
-        # MULTI_CELL while it is wider.  Out-of-column oids (negative,
-        # or beyond the sparsity limit) have no entry.
-        ingest = self._batch_ingest
-        if ingest is not None and ingest._cell_by_oid is not None:
-            for oid, state in self.objects.items():
-                hint = ingest.cell_hint(oid)
-                if hint is None:
-                    continue
-                cells = self.index.object_cells(oid)
-                if hint == MULTI_CELL:
-                    assert len(cells) > 1, (oid, cells)
-                    assert self.grid.cell_of(state.location) in cells, oid
-                else:
-                    assert cells == frozenset((hint,)), (oid, hint, cells)

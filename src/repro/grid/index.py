@@ -1,21 +1,25 @@
 """Mutable grid index over objects and queries.
 
 One :class:`GridIndex` instance is the heart of the location-aware
-server: it holds, per cell, the identifiers of the objects located in the
-cell and of the queries whose region overlaps the cell.  Auxiliary hash
-indexes map each identifier back to its current cell set, which is what
-lets an update locate (and clear) the *old* position without a spatial
-search — the role the paper assigns to its "object index" and "query
-index" (compare the LUR-tree's linked list and the FUR-tree's hash
-table).
+server: it holds, per cell, the identifiers of the queries whose region
+overlaps the cell and — for the per-object reference engine — of the
+objects located in the cell.  Auxiliary hash indexes map each identifier
+back to its current cell set, which is what lets an update locate (and
+clear) the *old* position without a spatial search — the role the paper
+assigns to its "object index" and "query index" (compare the LUR-tree's
+linked list and the FUR-tree's hash table).
+
+The production (columnar) engine uses the query side only: there an
+object's cell lives in the object store's ``cells`` column, and the
+object side stays empty.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.geometry import Point, Rect
 from repro.grid.partition import Grid
@@ -93,10 +97,6 @@ class GridIndex:
         """The cells currently holding object ``oid``."""
         return self._object_cells[oid]
 
-    def iter_object_cells(self):
-        """``(oid, cells)`` for every indexed object (a live view)."""
-        return self._object_cells.items()
-
     def query_cells(self, qid: int) -> frozenset[int]:
         """The cells currently overlapped by query ``qid``."""
         return self._query_cells[qid]
@@ -128,37 +128,6 @@ class GridIndex:
     def place_object_at(self, oid: int, location: Point) -> None:
         """Convenience: place a point object at ``location``."""
         self.place_object(oid, frozenset((self.grid.cell_of(location),)))
-
-    def bulk_drain_points(self, cell: int, oids: "list[int]") -> None:
-        """Remove a batch of departing point objects from ``cell``'s
-        bucket (batch ingest's per-old-cell pass).
-
-        The caller guarantees every member currently occupies exactly
-        ``{cell}`` and re-homes each one through a matching
-        :meth:`bulk_fill_points` call in the same round; footprints are
-        left to that call.  The bucket is reclaimed if emptied, exactly
-        like :meth:`_remove_member`.
-        """
-        cells = self._cells
-        bucket = cells[cell]
-        bucket.objects.difference_update(oids)
-        if bucket.is_empty():
-            del cells[cell]
-
-    def bulk_fill_points(self, cell: int, oids: "list[int]") -> None:
-        """Insert a batch of arriving point objects into ``cell``'s
-        bucket (batch ingest's per-new-cell pass: brand-new objects and
-        drained movers alike).
-
-        One bucket lookup and one set union for the whole batch, and
-        every member shares a single ``frozenset`` footprint —
-        ``dict.fromkeys`` keeps the assignment loop in C.
-        """
-        bucket = self._cells.get(cell)
-        if bucket is None:
-            bucket = self._cells[cell] = CellBucket()
-        bucket.objects.update(oids)
-        self._object_cells.update(dict.fromkeys(oids, frozenset((cell,))))
 
     def remove_object(self, oid: int) -> None:
         """Remove object ``oid`` entirely; unknown ids raise ``KeyError``."""
@@ -296,56 +265,62 @@ class GridIndex:
     # Telemetry
     # ------------------------------------------------------------------
 
+    def object_counts(self) -> np.ndarray:
+        """Objects per cell of this index's object buckets, one int64
+        count per cell; a moving object counts in every cell of its swept
+        footprint."""
+        counts = np.zeros(self.grid.cell_count, dtype=np.int64)
+        for cell, bucket in self._cells.items():
+            counts[cell] = len(bucket.objects)
+        return counts
+
     def sample_occupancy(
-        self, registry: MetricsRegistry, top_k: int = 5
+        self, registry: MetricsRegistry, counts: np.ndarray, objects: int, top_k: int = 5
     ) -> None:
         """Record the grid's occupancy shape into ``registry``.
 
-        Observes every populated cell's object count into the
+        ``counts`` holds one object count per cell: on the production
+        engine the ``np.bincount`` of its store's ``cells`` column
+        (objects per *home* cell), on the per-object reference
+        :meth:`object_counts`.  ``objects`` is the population
+        (``grid_indexed_objects``).
+
+        Observes every occupied cell's object count into the
         ``grid_cell_occupancy`` histogram (cumulative across samples —
         the engine samples once per evaluation), refreshes the
-        ``grid_populated_cells`` / ``grid_indexed_objects`` /
-        ``grid_indexed_queries`` gauges, and publishes the ``top_k``
-        hottest cells as ``grid_hot_cell_occupancy{rank=...}`` plus the
-        matching ``grid_hot_cell_id{rank=...}`` — the operator's view of
-        skew (a mis-sized grid shows up as a few enormous cells).
-
-        Bucket sizes are read in one pass and the histogram takes one
-        observation per *distinct* size; skipped entirely under a
-        disabled (null) registry.
+        ``grid_populated_cells`` (cells holding an object or a query) /
+        ``grid_indexed_objects`` / ``grid_indexed_queries`` gauges, and
+        publishes the ``top_k`` hottest cells as
+        ``grid_hot_cell_occupancy{rank=...}`` plus the matching
+        ``grid_hot_cell_id{rank=...}`` (ties go to the lower cell id) —
+        the operator's view of skew (a mis-sized grid shows up as a few
+        enormous cells).  Skipped entirely under a disabled (null)
+        registry.
         """
         if not registry.enabled:
             return
+        buckets = self._cells
+        listed = np.fromiter(buckets, np.int64, count=len(buckets))
+        cells = np.flatnonzero(counts)
+        sizes = counts[cells]
+        populated = len(buckets) + int((~np.isin(cells, listed)).sum())
         histogram = registry.histogram(
             "grid_cell_occupancy", buckets=OCCUPANCY_BUCKETS
         )
-        sizes = [len(bucket.objects) for bucket in self._cells.values()]
-        for n, cells in Counter(sizes).items():
-            if n:
-                histogram.observe_n(n, cells)
-        hottest: list[tuple[int, int]] = []  # min-heap of (count, cell)
-        heap_push = heapq.heappush
-        heap_replace = heapq.heapreplace
-        for entry in zip(sizes, self._cells):
-            if len(hottest) < top_k:
-                if entry[0]:
-                    heap_push(hottest, entry)
-            elif entry[0] > hottest[0][0]:
-                heap_replace(hottest, entry)
-        registry.gauge("grid_populated_cells").set(len(self._cells))
-        registry.gauge("grid_indexed_objects").set(len(self._object_cells))
+        for n, times in zip(*np.unique(sizes, return_counts=True)):
+            histogram.observe_n(int(n), int(times))
+        hottest = np.lexsort((cells, -sizes))[:top_k]
+        registry.gauge("grid_populated_cells").set(populated)
+        registry.gauge("grid_indexed_objects").set(objects)
         registry.gauge("grid_indexed_queries").set(len(self._query_cells))
-        for rank, (n, cell) in enumerate(
-            sorted(hottest, key=lambda item: (-item[0], item[1]))
-        ):
+        for rank in range(top_k):
             labels = {"rank": str(rank)}
+            if rank < len(hottest):
+                n, cell = int(sizes[hottest[rank]]), int(cells[hottest[rank]])
+            else:  # ranks beyond today's occupied count show no stale cell
+                n, cell = 0, -1
             registry.gauge("grid_hot_cell_occupancy", labels=labels).set(n)
             registry.gauge("grid_hot_cell_id", labels=labels).set(cell)
-        # Ranks beyond today's populated count must not show stale cells.
-        for rank in range(len(hottest), top_k):
-            labels = {"rank": str(rank)}
-            registry.gauge("grid_hot_cell_occupancy", labels=labels).set(0.0)
-            registry.gauge("grid_hot_cell_id", labels=labels).set(-1.0)
 
     # ------------------------------------------------------------------
     # Internals

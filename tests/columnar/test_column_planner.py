@@ -1,6 +1,6 @@
 """The column hand-off: ``BatchIngest`` cohorts as columns, the column
-planner's dedup, and the inputs that must not knock a batch off the
-array path.
+planner's dedup, and hostile or sparse oids, which the object store's
+``oid -> row`` dict takes like any other.
 
 Every report is one home-cell transition ``(old home, new home)``; the
 cohorts leave ingest as :class:`CohortColumns` and
@@ -69,17 +69,26 @@ def test_column_planner_on_every_cohort_shape():
     assert obj_counts == [1, 2, 1]
 
 
-def test_hostile_oids_stay_inside_the_batch_call():
-    """A negative and an absurdly sparse oid ride along as out-of-column
-    rows: the kernel stays on, everyone else stays on arrays, and the
-    answers match the per-object reference."""
-    rng = random.Random(5)
-    engines = [
-        columnar(),
-        IncrementalEngine(
-            grid_size=GRID, prediction_horizon=30.0, pipeline="per-object"
-        ),
+def reference() -> IncrementalEngine:
+    return IncrementalEngine(
+        grid_size=GRID, prediction_horizon=30.0, pipeline="per-object"
+    )
+
+
+def streams_of(engines, now: float):
+    return [
+        sorted((u.qid, u.oid, u.sign) for u in engine.evaluate(now))
+        for engine in engines
     ]
+
+
+def test_hostile_oids_stay_inside_the_batch_call():
+    """A negative and an absurdly sparse oid, moving, ride along in the
+    batch call with a thousand plain rows: streams and answers match the
+    per-object reference, and nothing lands in the grid index's object
+    side."""
+    rng = random.Random(5)
+    engines = [columnar(), reference()]
     for engine in engines:
         engine.register_range_query(1, Rect(0.1, 0.1, 0.6, 0.6))
         engine.register_range_query(2, Rect(0.5, 0.5, 0.9, 0.9))
@@ -92,65 +101,51 @@ def test_hostile_oids_stay_inside_the_batch_call():
             velocity = random_velocity(rng) if oid in (-7, 10**12) else Velocity.ZERO
             for engine in engines:
                 engine.report_object(oid, location, now, velocity)
-        streams = [
-            sorted((u.qid, u.oid, u.sign) for u in engine.evaluate(now))
-            for engine in engines
-        ]
+        streams = streams_of(engines, now)
         assert streams[0] == streams[1]
-    batch, reference = engines
-    ingest = batch._batch_ingest
-    assert ingest.cell_hint(-7) is None and ingest.cell_hint(10**12) is None
-    assert ingest.cell_hint(999) == next(iter(batch.index.object_cells(999)))
-    batch.check_invariants()
-    value_of = batch.registry.value_of
-    # Two out-of-column rows per round; the thousand plain rows never
-    # left the array path.
-    assert value_of("engine_ingest_rows_total", {"path": "scalar"}) == 6
-    assert value_of("engine_ingest_rows_total", {"path": "batch"}) == 3000
-    batch.remove_object(-7)
-    batch.remove_object(10**12)
-    batch.evaluate(3.0)
-    batch.check_invariants()
+    batch, ref = engines
+    assert batch.complete_answers() == ref.complete_answers()
+    assert batch.index.object_count == 0
+    for engine in engines:
+        engine.remove_object(-7)
+        engine.remove_object(10**12)
+    streams = streams_of(engines, 3.0)
+    assert streams[0] == streams[1]
+    assert batch.complete_answers() == ref.complete_answers()
+    for engine in engines:
+        engine.check_invariants()
 
 
-def test_an_oid_entering_the_column_late_keeps_its_cell():
-    """The sparsity limit moves with the population, so an oid can be
-    out-of-column in one batch and inside the next; the column must
-    pick its placement up from the index when it grows over it."""
-    engine = columnar()
-    engine.register_range_query(1, Rect(0.0, 0.0, 0.5, 0.5))
-    far = 70_000  # beyond 8 * 2 + 65_536
-    engine.report_object(0, Point(0.1, 0.1), 0.0)
-    engine.report_object(far, Point(0.2, 0.2), 0.0)
-    engine.evaluate(0.0)
-    ingest = engine._batch_ingest
-    assert ingest.cell_hint(far) is None
-    for oid in range(1, 2000):
-        engine.report_object(oid, Point(0.9, 0.9), 1.0)
-    engine.report_object(far, Point(0.8, 0.8), 1.0)
-    updates = engine.evaluate(1.0)
-    assert [(u.qid, u.oid, u.sign) for u in updates] == [(1, far, -1)]
-    assert ingest.cell_hint(far) == engine.grid.cell_of(Point(0.8, 0.8))
-    engine.check_invariants()
+def test_a_sparse_oid_keeps_its_cell_as_the_population_grows():
+    """An oid far beyond the population (70_000 with two objects
+    tracked) reports, the population grows past two thousand, and the
+    oid moves out of a range query: one negative, as on the reference."""
+    engines = [columnar(), reference()]
+    far = 70_000
+    for engine in engines:
+        engine.register_range_query(1, Rect(0.0, 0.0, 0.5, 0.5))
+        engine.report_object(0, Point(0.1, 0.1), 0.0)
+        engine.report_object(far, Point(0.2, 0.2), 0.0)
+    streams = streams_of(engines, 0.0)
+    assert streams[0] == streams[1]
+    for engine in engines:
+        for oid in range(1, 2000):
+            engine.report_object(oid, Point(0.9, 0.9), 1.0)
+        engine.report_object(far, Point(0.8, 0.8), 1.0)
+    streams = streams_of(engines, 1.0)
+    assert streams[0] == streams[1] == [(1, far, -1)]
+    for engine in engines:
+        engine.check_invariants()
 
 
-def test_an_oid_between_the_limit_and_the_column_end_is_in_column():
-    """The column grows with headroom, so it can end beyond the sparsity
-    limit of the batch that grew it.  An oid in that window must be
-    written like any other in-column row, or the next batch (whose
-    limit is the column's length) trusts a stale entry and strands a
-    ghost member in the old bucket."""
-    engines = [
-        columnar(),
-        IncrementalEngine(
-            grid_size=GRID, prediction_horizon=30.0, pipeline="per-object"
-        ),
-    ]
+def test_sparse_oids_across_batches_match_the_reference():
+    """Sparse oids first reported in different batches, then moved in
+    and out of a range query, stream exactly as on the reference."""
+    engines = [columnar(), reference()]
     for engine in engines:
         engine.register_range_query(1, Rect(0.0, 0.0, 0.5, 0.5))
     batches = [
         {0: (0.1, 0.1), 60_000: (0.2, 0.2)},
-        # Grows the column to 90_001 rows under a limit of ~65.5k.
         {65_000: (0.3, 0.3), 80_000: (0.15, 0.15)},
         {80_000: (0.8, 0.8)},
         {80_000: (0.3, 0.1)},
@@ -159,13 +154,7 @@ def test_an_oid_between_the_limit_and_the_column_end_is_in_column():
         for oid, (x, y) in batch.items():
             for engine in engines:
                 engine.report_object(oid, Point(x, y), float(now))
-        streams = [
-            sorted((u.qid, u.oid, u.sign) for u in engine.evaluate(float(now)))
-            for engine in engines
-        ]
+        streams = streams_of(engines, float(now))
         assert streams[0] == streams[1]
-        engines[0].check_invariants()
-        ingest = engines[0]._batch_ingest
-        for oid in engines[0].objects:
-            hint = ingest.cell_hint(oid)
-            assert hint is None or {hint} == set(engines[0].index.object_cells(oid))
+        for engine in engines:
+            engine.check_invariants()

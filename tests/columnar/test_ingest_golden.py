@@ -7,13 +7,13 @@ brand-new objects, stay-put batches, predictive/stationary transitions
 in both directions, boundary-clamped coordinates, and
 removal-interleaved batches — against the per-object reference.
 Every round holds the pair to the contract in :mod:`tests.lockstep`,
-which includes both engines' invariants and with them the dense
-``oid -> cell`` column the batch kernel maintains.
+which includes both engines' invariants — the production engine's
+store columns against its object states, and its grid index holding no
+object.
 """
 
 from __future__ import annotations
 
-from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
 from tests.lockstep import EnginePair
 
@@ -95,8 +95,8 @@ def test_predictive_to_stationary():
 
 
 def test_stationary_to_predictive():
-    """Stationary objects acquiring velocity: majority rows leaving the
-    dense point column for multi-cell footprints."""
+    """Stationary objects acquiring velocity: most rows' footprints
+    widen from their home cell to a swept rectangle."""
     fleet = Fleet()
     fleet.register_standard_queries()
     for oid in range(20):
@@ -155,8 +155,8 @@ def test_boundary_clamped_batch():
 
 
 def test_removal_interleaved_batches():
-    """Removals between batches: the dense column must forget removed
-    oids, and a re-reported oid is a brand-new (-1, cell) transition."""
+    """Removals between batches: a removed oid leaves the store, and a
+    re-reported one is a brand-new (-1, cell) transition."""
     fleet = Fleet()
     fleet.register_standard_queries()
     for oid in range(24):
@@ -174,33 +174,6 @@ def test_removal_interleaved_batches():
         if oid not in (3, 11):
             fleet.all("report_object", oid, Point(oid / 24.0, 0.18), 2.0)
     fleet.evaluate_and_compare(2.0)
-
-
-def test_dense_column_mirrors_index():
-    """The batch kernel's oid -> cell column stays in lockstep with the
-    grid index across mixed rounds (spot check beyond check_invariants)."""
-    from repro.columnar.ingest import MULTI_CELL
-
-    engine = IncrementalEngine(grid_size=GRID, prediction_horizon=HORIZON)
-    engine.register_range_query(1, Rect(0.1, 0.1, 0.9, 0.9))
-    for oid in range(10):
-        engine.report_object(oid, Point(oid / 10.0, 0.5), 0.0)
-    engine.report_object(10, Point(0.5, 0.5), 0.0, Velocity(0.03, 0.0))
-    engine.evaluate(0.0)
-    ingest = engine._batch_ingest
-    assert ingest is not None
-    for oid in range(10):
-        cells = engine.index.object_cells(oid)
-        assert ingest.cell_hint(oid) == next(iter(cells))
-    predictive_cells = engine.index.object_cells(10)
-    hint = ingest.cell_hint(10)
-    if len(predictive_cells) > 1:
-        assert hint == MULTI_CELL
-    else:
-        assert hint == next(iter(predictive_cells))
-    engine.remove_object(4)
-    engine.evaluate(1.0)
-    assert ingest.cell_hint(4) == -1  # NOT_INDEXED after removal
 
 
 def test_leaving_a_predictive_footprint_after_a_quiet_round():

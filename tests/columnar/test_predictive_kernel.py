@@ -12,11 +12,21 @@ from __future__ import annotations
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
 from tests.lockstep import EnginePair
+
+
+def predicted_inside(engine, oids, region, horizon):
+    """The array slab test over ``oids``' store rows, one verdict each."""
+    rows = np.array([engine._ostore.row_of(oid) for oid in oids])
+    bounds = (region.min_x, region.min_y, region.max_x, region.max_y)
+    return engine._columnar_evaluator._inside_rows(
+        rows, bounds, engine.now, horizon, engine.prediction_horizon
+    ).tolist()
 
 
 def build_engine(seed: int, n_objects: int = 120):
@@ -43,7 +53,6 @@ def build_engine(seed: int, n_objects: int = 120):
 @pytest.mark.parametrize("seed", range(10))
 def test_matches_scalar_on_random_motions(seed):
     engine, rng = build_engine(seed)
-    evaluator = engine._columnar_evaluator
     oids = sorted(engine.objects)
     for _ in range(8):
         x, y = rng.random(), rng.random()
@@ -56,9 +65,7 @@ def test_matches_scalar_on_random_motions(seed):
         query = _Q()
         query.region = region
         query.horizon = horizon
-        flags = evaluator.predicted_inside(
-            oids, region, engine.now, horizon, engine.prediction_horizon
-        )
+        flags = predicted_inside(engine, oids, region, horizon)
         assert flags is not None and len(flags) == len(oids)
         for oid, got in zip(oids, flags):
             want = engine._predicted_in_region(query, engine.objects[oid])
@@ -85,7 +92,6 @@ def test_boundary_grazing_lanes_match_scalar():
     for oid, (location, velocity) in enumerate(cases):
         engine.report_object(oid, location, 0.0, velocity)
     engine.evaluate(0.0)
-    evaluator = engine._columnar_evaluator
     oids = sorted(engine.objects)
     for horizon in (0.0, 5.0, 20.0, 100.0):
 
@@ -95,9 +101,7 @@ def test_boundary_grazing_lanes_match_scalar():
         query = _Q()
         query.region = region
         query.horizon = horizon
-        flags = evaluator.predicted_inside(
-            oids, region, engine.now, horizon, engine.prediction_horizon
-        )
+        flags = predicted_inside(engine, oids, region, horizon)
         for oid, got in zip(oids, flags):
             want = engine._predicted_in_region(query, engine.objects[oid])
             assert got == want, (oid, horizon)
@@ -118,3 +122,16 @@ def test_an_absurd_finite_velocity_is_silent_and_matches_the_reference():
         # Inside the region at the window's start, gone at 1e308 after.
         assert (1, 1, 1) in pair.evaluate(0.0).tuples()
         pair.evaluate(3.0)
+
+
+def test_an_absurd_velocity_never_waits_for_a_flip():
+    """A quiet round schedules the next refresh from the flip time; a
+    trajectory that overflows over the trusted span has none to offer
+    (the windowed verdict runs on inf arithmetic), so its query must
+    refresh every evaluation, as the reference does."""
+    pair = EnginePair(grid_size=4, prediction_horizon=30.0)
+    pair.all("register_predictive_query", 1, Rect(0.0, 0.0, 0.96875, 0.0), 10.0)
+    pair.all("report_object", 0, Point(1.0, 0.0), 0.0, Velocity(-0.0625, 1e308))
+    assert not pair.evaluate(0.0)
+    assert not pair.evaluate(0.0)
+    assert list(pair.evaluate(0.5).tuples()) == [(1, 0, 1)]

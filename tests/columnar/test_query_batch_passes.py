@@ -7,8 +7,8 @@ query at a time.  The scalar routines stay what the per-object
 reference runs, so the contract is the usual one (:mod:`tests.lockstep`):
 per query the same update multiset as the reference, the same answers,
 and a clean ``check_invariants()`` (which also checks both CSRs against
-the grid index and the cell column) — on generated workloads aimed at
-each pass's edges.
+the grid index's query side and the cells column) — on generated
+workloads aimed at each pass's edges.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import IncrementalEngine
 from repro.core.knn import knn_search
+from repro.core.state import KnnQueryState
 from repro.geometry import Point, Rect, Velocity
 from tests.lockstep import EnginePair
 
@@ -247,30 +247,38 @@ def test_knn_repair_in_one_pass_matches_the_ring_search(objects, queries, rounds
     shift=st.tuples(anywhere, anywhere),
 )
 def test_batch_knn_search_equals_knn_search(objects, probes, shift):
-    """The batch search directly: for queries holding a full answer —
-    at their own centre and after the centre jumps — the ranked
-    ``(distance, oid)`` lists equal the ring search's, distances bit for
-    bit (so the maintained radius is, too)."""
-    engine = IncrementalEngine(grid_size=GRID)
-    for oid, (x, y) in enumerate(objects):
-        engine.report_object(oid, Point(x, y), 0.0)
+    """The batch search directly, against the ring search over the
+    reference's grid index: for queries holding a full answer — at
+    their own centre and after the centre jumps — and for the same
+    queries searched with no answer to bound them (a first solve), the
+    ranked ``(distance, oid)`` lists are equal, distances bit for bit
+    (so the maintained radius is, too)."""
+    trio = Trio()
+    populate(trio, [(x, y, 0.0, 0.0) for x, y in objects])
     for i, (center, k) in enumerate(probes):
-        engine.register_knn_query(i, center, k)
-    engine.evaluate(0.0)
+        trio.all("register_knn_query", i, center, k)
+    trio.evaluate(0.0)
+    engine, reference = trio.columnar, trio.reference
     evaluator = engine._columnar_evaluator
     full = [q for q in engine.queries.values() if len(q.answer) == q.k]
+    unbounded = [
+        KnnQueryState(q.qid, q.center, q.k, q.t) for q in engine.queries.values()
+    ]
     for moved in (False, True):
         if moved:
-            for query in full:
+            for query in full + unbounded:
                 query.center = Point(*shift)
-        if full:
-            got = evaluator.knn_ranked(full)
+        for queries in (full, unbounded):
+            if not queries:
+                continue
+            got = evaluator.knn_ranked(queries)
             want = [
-                knn_search(engine.index, engine.objects, q.center, q.k) for q in full
+                knn_search(reference.index, reference.objects, q.center, q.k)
+                for q in queries
             ]
             assert got == want
-            for ranked, query in zip(got, full):
-                assert len(ranked) == query.k
+            for ranked, query in zip(got, queries):
+                assert len(ranked) == min(query.k, len(objects))
                 assert all(
                     d == math.hypot(
                         engine.objects[oid].location.x - query.center.x,
@@ -280,19 +288,22 @@ def test_batch_knn_search_equals_knn_search(objects, probes, shift):
                 )
 
 
-def test_first_time_and_underfull_queries_take_the_ring_search():
+def test_first_time_and_underfull_queries_take_the_array_pass():
     trio = Trio()
     populate(trio, [(0.1, 0.1, 0.0, 0.0), (0.9, 0.9, 0.0, 0.0)])
     trio.all("register_knn_query", 1, Point(0.5, 0.5), 2)
     trio.all("register_knn_query", 2, Point(0.5, 0.5), 5)  # k above the population
+    trio.all("register_knn_query", 3, Point(3.0, -2.0), 1)  # centre off the map
     trio.evaluate()
-    assert trio.path_count("engine_knn_repairs_total", "scalar") == 2
-    assert trio.path_count("engine_knn_repairs_total", "batch") == 0
+    assert trio.path_count("engine_knn_repairs_total", "batch") == 3
     trio.all("report_object", 0, Point(0.2, 0.2), trio.now)
+    trio.all("report_object", 2, Point(0.6, 0.6), trio.now)
     trio.evaluate()
-    # Query 1 holds a full answer now; query 2 never will.
-    assert trio.path_count("engine_knn_repairs_total", "batch") == 1
-    assert trio.path_count("engine_knn_repairs_total", "scalar") == 3
+    # Query 2 is underfull, so it is dirty on every growth.
+    assert trio.path_count("engine_knn_repairs_total", "batch") == 6
+    assert trio.path_count("engine_knn_repairs_total", "scalar") == 0
+    assert trio.columnar.answer_of(2) == {0, 1, 2}
+    assert trio.columnar.index.object_count == 0
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.columnar import (
 
 def report(store, oid, x, y, vx=0.0, vy=0.0, t=0.0, cell=0) -> int:
     """One report written through the store's batch door; its row."""
-    (row,) = store.batch_apply(
+    (row,), _, _ = store.batch_apply(
         *(np.array([value]) for value in (oid, x, y, vx, vy, t, cell))
     )
     return int(row)
@@ -43,6 +43,21 @@ class TestObjectStore:
         assert (store.old_xs[0], store.old_ys[0]) == (0.25, 0.75)
         assert (store.vxs[0], store.vys[0]) == (0.1, -0.1)
         assert store.ts[0] == 2.0 and store.cells[0] == 13
+
+    def test_batch_apply_returns_what_it_overwrote(self):
+        store = ColumnarObjectStore()
+        report(store, 7, 0.25, 0.75, 0.1, 0.0, 1.0, 12)
+        rows, known, prior = store.batch_apply(
+            *(np.array(column) for column in (
+                [8, 7], [0.1, 0.5], [0.1, 0.5], [0.0, 0.0], [0.0, 0.0],
+                [2.0, 2.0], [0, 13],
+            ))
+        )
+        assert rows.tolist() == [1, 0] and known.tolist() == [1]
+        assert [column.tolist() for column in prior] == [
+            [0.25], [0.75], [0.1], [0.0], [1.0], [12]
+        ]
+        assert store.cell_counts(16).tolist() == [1] + [0] * 12 + [1, 0, 0]
 
     def test_swap_remove_moves_last_row(self):
         store = ColumnarObjectStore()

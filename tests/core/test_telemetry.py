@@ -79,30 +79,41 @@ class TestEngineRegistry:
         assert "engine_evaluations_total 1.0" in text
         assert 'engine_phase_seconds_total{phase="object_reports"}' in text
 
-    def test_ingest_path_counters_say_which_path_ran(self):
-        """`engine_ingest_rows_total{path}` per evaluation: a plain
-        batch has no scalar row; a row that needs a per-object index
-        placement (a footprint change) is one."""
+    def test_occupancy_counts_objects_per_home_cell(self):
+        """Both pipelines sample the same occupancy from their own
+        source — the store's ``cells`` column on the production path,
+        the index's object buckets on the reference — and a moving
+        object counts in its home cell only on the production path,
+        whose index holds no object at all."""
         from repro.geometry import Velocity
 
-        def rows(engine, path):
-            return engine.registry.value_of(
-                "engine_ingest_rows_total", {"path": path}
+        def occupancy(engine):
+            value_of = engine.registry.value_of
+            return (
+                value_of("grid_indexed_objects"),
+                value_of("grid_populated_cells"),
+                value_of("grid_hot_cell_occupancy", {"rank": "0"}),
+                value_of("grid_hot_cell_id", {"rank": "0"}),
             )
 
-        engine = busy_engine()
-        assert (rows(engine, "batch"), rows(engine, "scalar")) == (2.0, 0.0)
-        engine.report_object(1, Point(0.5, 0.5), 1.0, Velocity(0.01, 0.0))
-        engine.report_object(2, Point(0.3, 0.8), 1.0)
-        engine.evaluate(1.0)
-        assert (rows(engine, "batch"), rows(engine, "scalar")) == (3.0, 1.0)
+        engines = [busy_engine(), busy_engine(pipeline="per-object")]
+        for engine in engines:
+            engine.report_object(3, Point(0.51, 0.52), 1.0)
+            engine.evaluate(1.0)
+        home = float(engines[0].grid.cell_of(Point(0.5, 0.5)))
+        assert occupancy(engines[0]) == occupancy(engines[1]) == (3, 10, 2, home)
+        columnar = engines[0]
+        columnar.report_object(2, Point(0.2, 0.8), 2.0, Velocity(0.01, 0.0))
+        columnar.evaluate(2.0)
+        hist = columnar.registry.histogram("grid_cell_occupancy")
+        assert (hist.count, hist.sum) == (6, 8.0)  # two cells per sample
+        assert columnar.index.object_count == 0
 
     def test_query_side_path_counters_say_which_path_ran(self):
         """`engine_query_moves_total{path}`, `engine_knn_repairs_total
         {path}` and `engine_predictive_refreshes_total{path}` partition
         the unlabelled totals: all `scalar` off the production path; on
-        it only a k-NN query without a full answer (its first solve)
-        and a flip-due predictive refresh are; and the range CSR is
+        it only a flip-due predictive refresh is; and the range CSR is
         rebuilt at most once per evaluation."""
 
         def drive(**kwargs):
@@ -128,12 +139,12 @@ class TestEngineRegistry:
         assert reference.registry.value_of("engine_range_csr_rebuilds_total") == 0
         engine, paths = drive()
         assert (paths["query_moves", "batch"], paths["query_moves", "scalar"]) == (2, 0)
-        assert (paths["knn_repairs", "batch"], paths["knn_repairs", "scalar"]) == (1, 1)
+        assert (paths["knn_repairs", "batch"], paths["knn_repairs", "scalar"]) == (2, 0)
         assert paths["predictive_refreshes", "batch"] == 2
         assert paths["predictive_refreshes", "scalar"] == 0
         rebuilds = engine.registry.value_of("engine_range_csr_rebuilds_total")
         assert 1 <= rebuilds <= engine.stats.evaluations
-        assert 'engine_knn_repairs_total{path="batch"} 1' in prometheus_text(
+        assert 'engine_knn_repairs_total{path="batch"} 2' in prometheus_text(
             engine.registry
         )
 

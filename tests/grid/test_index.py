@@ -166,7 +166,7 @@ class TestOccupancySampling:
         from repro.obs import MetricsRegistry
 
         index, registry = self.populated_index(), MetricsRegistry()
-        index.sample_occupancy(registry)
+        index.sample_occupancy(registry, index.object_counts(), 5)
         assert registry.value_of("grid_indexed_objects") == 5.0
         assert registry.value_of("grid_indexed_queries") == 1.0
         # Object cells {3} plus the query's clipped cells (query-only
@@ -178,7 +178,7 @@ class TestOccupancySampling:
         from repro.obs import MetricsRegistry
 
         index, registry = self.populated_index(), MetricsRegistry()
-        index.sample_occupancy(registry)
+        index.sample_occupancy(registry, index.object_counts(), 5)
         hist = registry.histogram("grid_cell_occupancy")
         assert hist.count == 3           # one observation per populated cell
         assert hist.sum == 5.0           # total objects across cells
@@ -187,7 +187,7 @@ class TestOccupancySampling:
         from repro.obs import MetricsRegistry
 
         index, registry = self.populated_index(), MetricsRegistry()
-        index.sample_occupancy(registry, top_k=2)
+        index.sample_occupancy(registry, index.object_counts(), 5, top_k=2)
         top = registry.value_of("grid_hot_cell_occupancy", {"rank": "0"})
         second = registry.value_of("grid_hot_cell_occupancy", {"rank": "1"})
         assert top == 3.0 and second == 1.0
@@ -198,10 +198,10 @@ class TestOccupancySampling:
         from repro.obs import MetricsRegistry
 
         index, registry = self.populated_index(), MetricsRegistry()
-        index.sample_occupancy(registry, top_k=5)
+        index.sample_occupancy(registry, index.object_counts(), 5, top_k=5)
         for oid in range(1, 5):
             index.remove_object(oid)
-        index.sample_occupancy(registry, top_k=5)
+        index.sample_occupancy(registry, index.object_counts(), 1, top_k=5)
         assert registry.value_of("grid_hot_cell_occupancy", {"rank": "0"}) == 1.0
         for rank in ("1", "2", "3", "4"):
             assert (
@@ -209,9 +209,32 @@ class TestOccupancySampling:
             )
             assert registry.value_of("grid_hot_cell_id", {"rank": rank}) == -1.0
 
+    def test_home_cell_counts_replace_the_buckets(self):
+        """Fed per-cell counts (the production engine's store column),
+        occupancy ignores the empty object side: populated cells are the
+        occupied ones plus the query-only ones, ties rank by cell id."""
+        import numpy as np
+
+        from repro.obs import MetricsRegistry
+
+        index, registry = GridIndex(Grid(UNIT, 4)), MetricsRegistry()
+        index.place_query_region(100, Rect(0.0, 0.0, 0.3, 0.3))  # cells 0, 1, 4, 5
+        counts = np.zeros(16, dtype=np.int64)
+        counts[[0, 9, 3]] = [3, 1, 1]
+        index.sample_occupancy(registry, counts, 5, top_k=3)
+        assert registry.value_of("grid_indexed_objects") == 5.0
+        assert registry.value_of("grid_populated_cells") == 6.0
+        hist = registry.histogram("grid_cell_occupancy")
+        assert (hist.count, hist.sum) == (3, 5.0)
+        assert [
+            registry.value_of("grid_hot_cell_id", {"rank": str(rank)})
+            for rank in range(3)
+        ] == [0.0, 3.0, 9.0]
+
     def test_null_registry_short_circuits(self):
         from repro.obs import NULL_REGISTRY
 
         index = self.populated_index()
-        index.sample_occupancy(NULL_REGISTRY)  # must not raise or record
+        # Must not raise or record.
+        index.sample_occupancy(NULL_REGISTRY, index.object_counts(), 5)
         assert NULL_REGISTRY.to_dict() == {}

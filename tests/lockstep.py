@@ -6,7 +6,9 @@ its reference.  Fed the same calls, after every evaluation:
 * each query's *multiset* of ``(oid, sign)`` updates is the same on
   both (the order within a phase may differ);
 * every query's answer is the same on both;
-* ``check_invariants()`` is clean on both.
+* ``check_invariants()`` is clean on both;
+* the columnar engine's grid index holds no object, and none of its
+  k-NN solves left the array pass.
 
 :class:`EnginePair` drives the two engines and asserts exactly that.
 """
@@ -49,4 +51,8 @@ class EnginePair:
         assert self.columnar.complete_answers() == self.reference.complete_answers()
         for engine in self.engines:
             engine.check_invariants()
+        assert self.columnar.index.object_count == 0
+        assert not self.columnar.registry.value_of(
+            "engine_knn_repairs_total", {"path": "scalar"}
+        )
         return got
