@@ -17,14 +17,12 @@ from repro.columnar.store import (
     KIND_KNN,
     KIND_PREDICTIVE,
     KIND_RANGE,
-    ColumnarAnswerStore,
     ColumnarObjectStore,
     ColumnarQueryStore,
 )
 
 __all__ = [
     "BatchIngest",
-    "ColumnarAnswerStore",
     "ColumnarEvaluator",
     "ColumnarObjectStore",
     "ColumnarQueryStore",

@@ -16,8 +16,7 @@ transition in one kernel pass, and emits the changed pairs:
 * stay-put cohorts join against partial entries only, and cohorts that
   changed home cell drop queries covering both cells — in either case a
   covering query provably yields ``in_old == in_new`` for every member,
-  so the skipped pairs could never emit;
-* each cohort's answered sweep runs right after its own emissions.
+  so the skipped pairs could never emit.
 
 Candidate entries are cached **across evaluations**, keyed on
 :attr:`ColumnarQueryStore.version`: they depend only on registered
@@ -27,7 +26,15 @@ bound columns (:meth:`ColumnarEvaluator._range_csr`).  k-NN queries are
 deliberately left out of it (their grid footprints are re-placed every
 repair, which would otherwise thrash the cache); cohort k-NN
 dirty-marking instead intersects live cell buckets with the engine's
-registered-knn set, memoised per evaluation.
+registered-knn set, memoised per evaluation.  One more rule marks a
+k-NN query dirty: it holds a reported object (one ``np.isin`` of the
+k-NN answers against the batch's oids) — a member can leave a circle's
+footprint from a cell edge, a few ulps outside the circle's rounded
+bounding rectangle, and then neither of its cells lists the query.
+
+Nothing here mirrors object or answer state: the object store's row is
+the only record of an object, and ``query.answer`` the only record of
+an answer, which the batch passes update in place.
 
 The evaluator also runs the **query side** of a cycle — engine phases
 3, 4, 6 and 7 — as array passes over the object store's home-cell CSR
@@ -55,17 +62,13 @@ holds no object on this path, and nothing here asks it for one.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
 from repro.columnar.ingest import swept_cell_ranges
 from repro.columnar.kernels import PairPlan, classify_transitions
-from repro.columnar.store import (
-    KIND_KNN,
-    KIND_PREDICTIVE,
-    KIND_RANGE,
-    ColumnarAnswerStore,
-)
+from repro.columnar.store import KIND_RANGE
 from repro.grid.cellmath import (
     cell_rect_set,
     point_cells_batch,
@@ -105,8 +108,8 @@ class _DualCounter:
 class ColumnarEvaluator:
     """Batch evaluator bound to one engine's live structures.
 
-    All references (``queries``, ``objects``, ``knn_qids``) alias the
-    engine's own dicts/sets; the evaluator never rebinds them.
+    All references (``queries``, ``knn_qids``) alias the engine's own
+    dict/set; the evaluator never rebinds them.
     Emission goes through the update stream's ``push`` /
     ``extend_columns`` contract, which keeps this package import-free
     of :mod:`repro.core` (the engine imports us).
@@ -118,7 +121,6 @@ class ColumnarEvaluator:
         index,
         ostore,
         qstore,
-        objects,
         queries,
         knn_qids,
         registry,
@@ -128,7 +130,6 @@ class ColumnarEvaluator:
         self.index = index
         self.ostore = ostore
         self.qstore = qstore
-        self.objects = objects
         self.queries = queries
         self.knn_qids = knn_qids
         self.tracer = tracer
@@ -157,16 +158,6 @@ class ColumnarEvaluator:
             self._phase_counters["emit"],
             counter("engine_emit_seconds_total"),
         )
-        # Answer membership as sorted oid arrays: the predictive
-        # refresh's membership delta becomes one vectorized
-        # searchsorted instead of per-candidate set probes, and the
-        # answered sweep's k-NN member union is assembled from (and
-        # cached against) the same arrays.  The engine invalidates an
-        # entry whenever it mutates an answer outside these paths.
-        self.answers = ColumnarAnswerStore(registry)
-        self._knn_union_cache: tuple[tuple[int, int], frozenset[int]] | None = (
-            None
-        )
 
     # ------------------------------------------------------------------
     # Entry point
@@ -175,24 +166,16 @@ class ColumnarEvaluator:
     def run_columns(self, columns, updates, knn_dirty) -> None:
         """Evaluate one batch handed over as
         :class:`~repro.columnar.ingest.CohortColumns`: the plan is built
-        from the columns with no per-cohort Python, and the answered
-        sweep only ever looks at cohorts holding a member it could act
-        on."""
+        from the columns with no per-cohort Python, the changed pairs
+        are applied to the answers grouped by query, and the stream is
+        spliced in as columns, in the kernel's (emission) order."""
         with self.tracer.span("columnar_plan", self._phase_counters["plan"]):
             plan = self._plan_columns(columns, knn_dirty)
-        qids, oids, signs, ends, arrays = self._join(plan)
+        qids, oids, signs, arrays = self._join(plan)
         with self.tracer.span("columnar_emit", self._emit_span_counter):
-            special = self._sweep_candidates()
-            self._emit_bulk(
-                self._special_sweeps(columns, special, ends),
-                qids,
-                oids,
-                signs,
-                arrays,
-                special,
-                updates,
-                knn_dirty,
-            )
+            if arrays is not None:
+                self._toggle_memberships(arrays[0], arrays[1])
+            updates.extend_columns(qids, oids, signs)
 
     def _join(self, plan):
         self._m_batches.inc()
@@ -203,6 +186,28 @@ class ColumnarEvaluator:
         self._m_changes.inc(len(joined[0]))
         return joined
 
+    def _toggle_memberships(self, qid_arr, oid_arr) -> None:
+        """Apply a batch of changed ``(query, object)`` atoms (distinct,
+        non-empty) to the live ``answer`` sets.
+
+        Signs are not needed: a positive pair's object is provably
+        absent from the answer and a negative pair's present (the very
+        invariant that lets the kernels recompute prior membership
+        geometrically), so toggling is exactly add-the-positives /
+        remove-the-negatives.  One argsort yields contiguous per-query
+        groups, each applied as a single C-speed symmetric difference.
+        """
+        queries = self.queries
+        order = np.argsort(qid_arr)
+        k_sorted = qid_arr[order]
+        cuts = (np.flatnonzero(k_sorted[1:] != k_sorted[:-1]) + 1).tolist()
+        payload = oid_arr[order].tolist()
+        starts = [0, *cuts]
+        for qid, s, e in zip(
+            k_sorted[starts].tolist(), starts, [*cuts, len(payload)]
+        ):
+            queries[qid].answer.symmetric_difference_update(payload[s:e])
+
     # ------------------------------------------------------------------
     # Plan construction
     # ------------------------------------------------------------------
@@ -210,7 +215,7 @@ class ColumnarEvaluator:
     def _plan_columns(self, columns, knn_dirty) -> PairPlan:
         """The :class:`PairPlan` of a batch of cohort columns, built
         with array passes only (the per-touched-*cell* work is the k-NN
-        marking):
+        marking; a k-NN query holding a reported member is marked too):
 
         * candidate entries come from the grid-wide :meth:`_range_csr`
           (per cell: partial rows, then covering rows);
@@ -232,6 +237,17 @@ class ColumnarEvaluator:
         mark_knn = self._mark_knn
         for cell in np.unique(np.concatenate((old[changed], new))).tolist():
             mark_knn(cell, knn_dirty)
+        if self.knn_qids:
+            knn = list(self.knn_qids)
+            answers = [self.queries[qid].answer for qid in knn]
+            sizes = np.fromiter(map(len, answers), np.int64, count=len(knn))
+            members = np.fromiter(
+                chain.from_iterable(answers), np.int64, count=int(sizes.sum())
+            )
+            held = np.repeat(np.arange(len(knn)), sizes)[
+                np.isin(members, columns.oids)
+            ]
+            knn_dirty.update(knn[i] for i in np.unique(held).tolist())
 
         # Two segments per cohort, interleaved [old, new, old, new, ...];
         # cell c's partial rows start at offsets[2c], its covering rows
@@ -359,42 +375,6 @@ class ColumnarEvaluator:
         self._csr = (qstore.version, csr)
         return csr
 
-    def _special_sweeps(self, columns, special, ends):
-        """``(states, seen, end)`` for exactly the cohorts holding a
-        member the answered sweep can act on (see
-        :meth:`_sweep_candidates`), in emission order."""
-        if not special:
-            return ()
-        order = columns.order
-        candidates = np.fromiter(special, np.int64, count=len(special))
-        # Cohorts tile the sorted order: candidate members per cohort
-        # fall out of one running count.
-        running = np.concatenate(
-            ([0], np.cumsum(np.isin(columns.oids[order], candidates)))
-        )
-        start = columns.start
-        owners = np.flatnonzero(running[start + columns.count] > running[start])
-        states = columns.states
-        cell_qids = self.index.cell_query_tuple
-        knn_qids = self.knn_qids
-        sweeps = []
-        for cohort, old, new, first, count in zip(
-            owners.tolist(),
-            columns.old[owners].tolist(),
-            columns.new[owners].tolist(),
-            start[owners].tolist(),
-            columns.count[owners].tolist(),
-        ):
-            # The cohort's range + predictive qids (k-NN qids are never
-            # "seen" — see the module docstring).
-            seen = set(cell_qids(new))
-            if old >= 0 and old != new:
-                seen.update(cell_qids(old))
-            seen -= knn_qids
-            members = [states[i] for i in order[first : first + count].tolist()]
-            sweeps.append((members, seen, ends[cohort]))
-        return sweeps
-
     def _mark_knn(self, cell: int, knn_dirty) -> None:
         """Serial-equivalent per-cell k-NN dirty marking, memoised."""
         memo = self._knn_memo
@@ -456,30 +436,6 @@ class ColumnarEvaluator:
                 np.copyto(t0, r, where=neg & (r > t0))
                 np.copyto(t1, r, where=pos & (r < t1))
         return ok
-
-    # ------------------------------------------------------------------
-    # Columnar predictive answers
-    # ------------------------------------------------------------------
-
-    def invalidate_answer(self, qid: int) -> None:
-        """Drop ``qid``'s sorted answer array.  Called by the engine
-        whenever it mutates an answer outside the array paths (object
-        removals, query unregistration/moves, scalar predictive
-        refreshes, k-NN re-solves) — the next reader rebuilds the
-        array from the live set."""
-        self.answers.invalidate(qid)
-
-    def answer_view(self, qid: int, live) -> frozenset[int] | None:
-        """``qid``'s answer served from the cached sorted array, or
-        ``None`` when no coherent array is cached (caller falls back
-        to the live set).  This is the read path external consumers
-        (oracle, recovery, ``answer_of``) exercise, so a stale array —
-        a missed invalidation — surfaces as a visible divergence
-        instead of silent drift."""
-        arr = self.answers.peek(qid)
-        if arr is None or len(arr) != len(live):
-            return None
-        return frozenset(arr.tolist())
 
     # ------------------------------------------------------------------
     # The query-side batch passes
@@ -744,13 +700,12 @@ class ColumnarEvaluator:
         swept_pos, at = np.nonzero(
             (s_clo <= c_hi) & (c_lo <= s_chi) & (s_rlo <= r_hi) & (r_lo <= s_rhi)
         )
-        standing = [self.answers.get(q.qid, q.answer) for q in queries]
-        sizes = np.fromiter(map(len, standing), np.int64, count=m)
+        sizes = np.fromiter((len(q.answer) for q in queries), np.int64, count=m)
         standing_rows = np.fromiter(
-            map(ostore._row_of.__getitem__, np.concatenate(standing).tolist()),
+            map(ostore._row_of.__getitem__, chain.from_iterable(q.answer for q in queries)),
             np.int64,
             count=int(sizes.sum()),
-        )
+        )  # fmt: skip
         pos = np.concatenate((np.repeat(np.arange(m), sizes), homed_pos, swept_pos))
         rows = np.concatenate((standing_rows, homed_rows, moving[at]))
         oids = np.frombuffer(ostore.oids, dtype=np.int64)[rows]
@@ -774,8 +729,8 @@ class ColumnarEvaluator:
         Returns ``(refreshed, verdicts)``.  The ``churned`` queries (no
         flip schedule) are refreshed here: per query, in order, ``(oids,
         signs)`` of the changed memberships ascending by oid — the scalar
-        loop's order — already applied to the live ``answer`` /
-        ``answered`` sets and the answer store.  The flip-due ``due``
+        loop's order — already applied to the live ``answer`` sets.  The
+        flip-due ``due``
         queries are only judged: per query, in order, ``(oids, flags)``
         of its candidates ascending by oid and their windowed membership
         at ``now`` — what the engine's flip-scheduling refresh walks."""
@@ -793,16 +748,12 @@ class ColumnarEvaluator:
         if len(changed):
             qid_arr = np.fromiter((q.qid for q in churned), np.int64, count=m)
             self._toggle_memberships(qid_arr[pos[changed]], oids[changed])
-        edges = np.arange(m + 1)
-        kept = oids[inside]
-        kept_cuts = np.searchsorted(pos[inside], edges).tolist()
-        cuts = np.searchsorted(pos[changed], edges).tolist()
+        cuts = np.searchsorted(pos[changed], np.arange(m + 1)).tolist()
         oid_list = oids[changed].tolist()
         sign_list = np.where(inside[changed], 1, -1).tolist()
-        refreshed = []
-        for i, query in enumerate(churned):
-            self.answers.put(query.qid, kept[kept_cuts[i] : kept_cuts[i + 1]])
-            refreshed.append((oid_list[cuts[i] : cuts[i + 1]], sign_list[cuts[i] : cuts[i + 1]]))
+        refreshed = [
+            (oid_list[lo:hi], sign_list[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
+        ]
         return refreshed, verdicts
 
     def check_invariants(self) -> None:
@@ -832,206 +783,6 @@ class ColumnarEvaluator:
                 listed += part
             assert sorted(listed) == [
                 qid
-                for qid in self.index.cell_query_tuple(cell)
+                for qid in sorted(self.index.queries_in_cell(cell))
                 if qstore.kinds[qstore.row_of(qid)] == KIND_RANGE
             ], cell
-
-    def _sweep_candidates(self) -> frozenset[int] | set[int]:
-        """Oids that can possibly fail the sweep's ``answered <= seen``
-        guard — everything else provably passes and is skipped unchecked.
-
-        A member's ``answered`` set holds, at sweep time, (a) range
-        memberships, (b) predictive memberships, (c) k-NN memberships.
-        Range memberships are correct as of the member's last evaluated
-        position (query moves update answers immediately; this batch's
-        pair corrections are applied before any sweep runs), and a range
-        query containing an **in-world** point always has a candidate
-        entry in that point's cell — so for members whose current *and*
-        previous coordinates lie inside the world, every range qid in
-        ``answered`` appears in the cohort's ``seen`` set, as does every
-        predictive qid (``seen`` carries both kinds).  The only
-        states on which the sweep body can *act* are therefore members
-        of some k-NN answer (k-NN qids are never in ``seen``) and
-        objects whose old or new coordinates fall outside the world
-        (grid clamping breaks the cell-coverage argument for them).
-        Predictive memberships may also escape ``seen`` — a footprint
-        need not cover its members' cells — but the sweep body skips
-        ``KIND_PREDICTIVE`` qids outright, so running it on a state
-        whose only escaped qids are predictive is a provable no-op and
-        those members are deliberately left out.  The lock-step state
-        machine drives all of these paths — off-world reports, query
-        moves, every query kind — against the per-object reference.
-        """
-        ostore = self.ostore
-        world = self.grid.world
-        knn_members = self._knn_member_union()
-        special: set[int] = set()
-        xs, ys, old_xs, old_ys = ostore.coord_views()
-        # NaN old coordinates (new objects) compare False on every
-        # bound: a fresh object is never off-world-stale.
-        with np.errstate(invalid="ignore"):
-            off = (
-                (xs < world.min_x)
-                | (xs > world.max_x)
-                | (ys < world.min_y)
-                | (ys > world.max_y)
-                | (old_xs < world.min_x)
-                | (old_xs > world.max_x)
-                | (old_ys < world.min_y)
-                | (old_ys > world.max_y)
-            )
-        off_rows = np.flatnonzero(off)
-        if len(off_rows):
-            oid_col = np.frombuffer(ostore.oids, dtype=np.int64)
-            special.update(oid_col[off_rows].tolist())
-        if not special:
-            return knn_members
-        special.update(knn_members)
-        return special
-
-    def _knn_member_union(self) -> frozenset[int]:
-        """Every oid in some k-NN answer, via the answer store's sorted
-        arrays — one concatenate + unique over cached rows instead of
-        per-qid set unions every batch.  The union itself is cached
-        against the (query store, answer store) version pair; k-NN
-        answer mutations always run an ``invalidate_answer`` hook, so
-        any membership change bumps the answer-store version."""
-        qstore = self.qstore
-        cached = self._knn_union_cache
-        key = (qstore.version, self.answers.version)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        queries = self.queries
-        answers = self.answers
-        kind_col = np.frombuffer(qstore.kinds, dtype=np.int8)
-        rows = np.flatnonzero(kind_col == KIND_KNN)
-        union: frozenset[int] = frozenset()
-        if len(rows):
-            qid_col = np.frombuffer(qstore.qids, dtype=np.int64)
-            parts = [
-                answers.get(qid, queries[qid].answer)
-                for qid in qid_col[rows].tolist()
-            ]
-            union = frozenset(np.unique(np.concatenate(parts)).tolist())
-        # Key re-read after the build: the gets above may have bumped
-        # the answer-store version while rebuilding missing rows.
-        self._knn_union_cache = ((qstore.version, self.answers.version), union)
-        return union
-
-    # ------------------------------------------------------------------
-    # Ordered emission + answered sweep
-    # ------------------------------------------------------------------
-
-    def _emit_bulk(
-        self, sweeps, qids, oids, signs, arrays, special, updates, knn_dirty
-    ) -> None:
-        """Bulk set maintenance + spliced emission.
-
-        Every object belongs to exactly one transition cohort per
-        batch, so cohort *i*'s pair emissions touch membership atoms —
-        (query, member) pairs — disjoint from every other cohort's
-        emissions and sweeps.  Applying the whole batch's answer /
-        answered changes up front (grouped by query and by object,
-        C-speed bulk set operations) therefore leaves each cohort's
-        answered sweep reading exactly the state it would have seen
-        under strict cohort-by-cohort interleaving.  The update stream
-        itself is assembled in cohort order **as columns**: the kernel's
-        qid/oid/sign lists splice straight into the batch via
-        ``extend_columns`` (zero per-pair allocation), with each
-        cohort's sweep output spliced in right after its pair span.
-        """
-        if arrays is not None:
-            self._toggle_memberships(arrays[0], arrays[1])
-        # ``sweeps`` is empty when there are no k-NN answer members and
-        # no off-world objects: every sweep body would be a no-op (see
-        # _sweep_candidates).
-        extend_columns = updates.extend_columns
-        prev = 0
-        for states, seen, end in sweeps:
-            chunk = self._sweep(states, seen, special, knn_dirty)
-            if chunk is not None:
-                extend_columns(qids[prev:end], oids[prev:end], signs[prev:end])
-                extend_columns(*chunk)
-                prev = end
-        if prev:
-            extend_columns(qids[prev:], oids[prev:], signs[prev:])
-        else:
-            extend_columns(qids, oids, signs)
-
-    def _toggle_memberships(self, qid_arr, oid_arr) -> None:
-        """Apply a batch of changed ``(query, object)`` atoms (distinct,
-        non-empty) to the live ``answer`` / ``answered`` sets.
-
-        Signs are not needed: a positive pair's object is provably
-        absent from the answer and a negative pair's present (the very
-        invariant that lets the kernels recompute prior membership
-        geometrically), so toggling is exactly add-the-positives /
-        remove-the-negatives.  Answers change a run of oids at a time —
-        one argsort yields contiguous per-query groups, each applied as
-        a single C-speed symmetric difference; an object changes in one
-        or two queries, so its side goes pair by pair, in oid order
-        (object states were allocated in roughly that order — the
-        memory walk is what this loop costs).
-        """
-        queries = self.queries
-        order = np.argsort(qid_arr)
-        k_sorted = qid_arr[order]
-        cuts = (np.flatnonzero(k_sorted[1:] != k_sorted[:-1]) + 1).tolist()
-        payload = oid_arr[order].tolist()
-        starts = [0, *cuts]
-        for qid, s, e in zip(
-            k_sorted[starts].tolist(), starts, [*cuts, len(payload)]
-        ):
-            queries[qid].answer.symmetric_difference_update(payload[s:e])
-        objects = self.objects
-        order = np.argsort(oid_arr)
-        for oid, qid in zip(oid_arr[order].tolist(), qid_arr[order].tolist()):
-            answered = objects[oid].answered
-            if qid in answered:
-                answered.remove(qid)
-            else:
-                answered.add(qid)
-
-    def _sweep(self, states, seen, special, knn_dirty):
-        """The answered sweep of one cohort: queries a member left
-        entirely behind (none of them lists the cohort's cells) still
-        owe a check.  Applies the range corrections to the live sets
-        and returns them as ``(qids, oids, signs)`` columns — ``None``
-        when there are none — and marks left-behind k-NN queries
-        dirty."""
-        qstore = self.qstore
-        qrow_of = qstore._row_of
-        kinds = qstore.kinds
-        queries = self.queries
-        chunk = None
-        for state in states:
-            answered = state.answered
-            if not answered or state.oid not in special or answered <= seen:
-                continue
-            location = state.location
-            oid = state.oid
-            for qid in sorted(answered - seen):
-                qrow = qrow_of[qid]
-                kind = kinds[qrow]
-                if kind == KIND_RANGE:
-                    answer = queries[qid].answer
-                    inside = (
-                        qstore.min_xs[qrow] <= location.x <= qstore.max_xs[qrow]
-                        and qstore.min_ys[qrow] <= location.y <= qstore.max_ys[qrow]
-                    )
-                    if inside == (oid in answer):
-                        continue
-                    if inside:
-                        answer.add(oid)
-                        answered.add(qid)
-                    else:
-                        answer.discard(oid)
-                        answered.discard(qid)
-                    if chunk is None:
-                        chunk = ([], [], [])
-                    chunk[0].append(qid)
-                    chunk[1].append(oid)
-                    chunk[2].append(1 if inside else -1)
-                elif kind != KIND_PREDICTIVE:
-                    knn_dirty.add(qid)
-        return chunk

@@ -1,9 +1,12 @@
 """Vectorized report-buffer ingest (the engine's phase 5a).
 
-:class:`BatchIngest` applies the whole report buffer to object state
-and the object store, and groups it into transition cohorts, with a few
-array passes over the *whole* buffer — there is no "minority" path,
-because **every report is one home-cell transition**:
+:class:`BatchIngest` writes the whole report buffer — ``oid -> (x, y,
+vx, vy, t)`` floats — into the object store, whose row is the only
+record of an object, and groups it into transition cohorts, with a few
+array passes over the *whole* buffer.  No per-report object is built:
+the five columns come out of the buffer in one ``np.fromiter``.  There
+is no "minority" path either, because **every report is one home-cell
+transition**:
 
 * a report's cohort key is ``(old home cell, new home cell)`` whatever
   the object's velocity.  Range membership is a function of the point,
@@ -36,14 +39,11 @@ Cohort members come out oid-sorted, which is the order the evaluator
 joins and emits them in.  Agreement with the per-object reference is
 pinned by the ingest scenarios (``tests/columnar/test_ingest_golden.py``)
 and the lock-step state machine.
-
-Like the rest of this package, the module imports nothing from
-``repro.core`` — the engine injects its state class.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from itertools import chain
 
 import numpy as np
 
@@ -53,14 +53,6 @@ from repro.grid.cellmath import (
     rect_cell_ranges_batch,
     rect_cell_strips_batch,
 )
-
-#: C-level column extractors for the report buffer's (location,
-#: velocity, t) tuples.
-_GET_X = attrgetter("x")
-_GET_Y = attrgetter("y")
-_GET_VX = attrgetter("vx")
-_GET_VY = attrgetter("vy")
-_GET_T = itemgetter(2)
 
 
 def swept_cell_ranges(x, y, vx, vy, t, home, horizon: float, grid, np):
@@ -121,11 +113,11 @@ class CohortColumns:
     emission (first-occurrence) order: the cohort's old home cell (-1
     for new objects), its new home cell, and its members as the slice
     ``order[start : start + count]`` — positions into the report-order
-    columns ``oids``/``states``/``rows`` (``rows``: object-store rows),
-    ascending by oid within a cohort.
+    columns ``oids``/``rows`` (``rows``: object-store rows), ascending by
+    oid within a cohort.
     """
 
-    __slots__ = ("old", "new", "start", "count", "order", "oids", "states", "rows")
+    __slots__ = ("old", "new", "start", "count", "order", "oids", "rows")
 
     def __len__(self) -> int:
         return len(self.old)
@@ -136,57 +128,29 @@ class BatchIngest:
     :class:`CohortColumns`, and drops departing objects, through the
     object store's two write paths."""
 
-    __slots__ = ("engine", "state_cls")
+    __slots__ = ("engine",)
 
-    def __init__(self, engine, state_cls) -> None:
+    def __init__(self, engine) -> None:
         self.engine = engine
-        self.state_cls = state_cls
 
     def group(self, reports, churned_cells: set) -> CohortColumns:
-        """Apply one (non-empty) report buffer to object state and the
-        object store; add every cell whose population or residents'
-        motion changed to ``churned_cells``; return the batch's cohorts.
-        Clears the buffer."""
+        """Write one (non-empty) report buffer into the object store;
+        add every cell whose population or residents' motion changed to
+        ``churned_cells``; return the batch's cohorts.  Clears the
+        buffer."""
         engine = self.engine
-        objects = engine.objects
         grid = engine.grid
         count = len(reports)
         oid_arr = np.asarray(list(reports.keys()), dtype=np.int64)
-
-        # --- extraction.  Coordinate columns come straight out of the
-        # buffer via C-level passes (list comprehensions + fromiter over
-        # attrgetter maps — no per-report Python frame); the one
-        # remaining per-report Python loop applies each report to its
-        # ObjectState, exactly as the per-object path does.
-        vals = reports.values()
-        locs = [v[0] for v in vals]
-        vels = [v[1] for v in vals]
-        f64 = np.float64
-        x_arr = np.fromiter(map(_GET_X, locs), f64, count=count)
-        y_arr = np.fromiter(map(_GET_Y, locs), f64, count=count)
-        vx_arr = np.fromiter(map(_GET_VX, vels), f64, count=count)
-        vy_arr = np.fromiter(map(_GET_VY, vels), f64, count=count)
-        t_arr = np.fromiter(map(_GET_T, vals), f64, count=count)
-        state_cls = self.state_cls
-        states_buf: list = []
-        add_state = states_buf.append
-        get_state = objects.get
-        for oid, (location, velocity, t) in reports.items():
-            state = get_state(oid)
-            if state is None:
-                state = state_cls(oid, location, velocity, t)
-                objects[oid] = state
-            else:
-                state.location = location
-                state.velocity = velocity
-                state.t = t
-            add_state(state)
+        # The buffer's (x, y, vx, vy, t) tuples, row-major, in one pass.
+        x_arr, y_arr, vx_arr, vy_arr, t_arr = np.fromiter(
+            chain.from_iterable(reports.values()), np.float64, 5 * count
+        ).reshape(count, 5).T
         reports.clear()
 
         new_cells = point_cells_batch(x_arr, y_arr, grid, np)
         cols = CohortColumns()
         cols.oids = oid_arr
-        cols.states = states_buf
         motion = (x_arr, y_arr, vx_arr, vy_arr, t_arr, new_cells)
         cols.rows, known, prior = engine._ostore.batch_apply(oid_arr, *motion)
         old_cells = np.full(count, -1, dtype=np.int64)

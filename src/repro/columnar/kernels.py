@@ -21,15 +21,14 @@ columnar pipeline runs two array passes over the whole batch:
 Kernel contract::
 
     classify_transitions(plan, ostore, qstore)
-        -> (qids, oids, signs, cohort_ends, arrays)
+        -> (qids, oids, signs, arrays)
 
 ``qids``/``oids`` are the public query/object identifiers of the
 *changed* pairs only, as plain Python lists in flat pair order (store
 rows map to identifiers with one vectorized gather over the id columns
-— never per pair in Python); ``signs`` holds +1/-1; ``cohort_ends[i]``
-is the exclusive end of cohort ``i``'s span in those lists; ``arrays``
-is the int64 ``(qids, oids, signs)`` ndarray triple (``None`` when no
-pair changed).  The kernel classifies exactly the pairs the plan
+— never per pair in Python); ``signs`` holds +1/-1; ``arrays`` is the
+int64 ``(qids, oids, signs)`` ndarray triple (``None`` when no pair
+changed).  The kernel classifies exactly the pairs the plan
 enumerates, in the plan's order — plan construction has already
 deduplicated candidate entries across a cohort's two cells, so every
 changed pair maps one-to-one onto an emitted update.
@@ -81,7 +80,7 @@ def classify_transitions(
     contract above)."""
     n_cohorts = plan.cohort_count
     if plan.total_pairs == 0:
-        return [], [], [], [0] * n_cohorts, None
+        return [], [], [], None
 
     ent_counts = np.asarray(plan.ent_counts, dtype=np.int64)
     obj_counts = np.asarray(plan.obj_counts, dtype=np.int64)
@@ -114,7 +113,6 @@ def classify_transitions(
     out_q: list = []
     out_o: list = []
     out_s: list = []
-    out_pos: list = []
     # NaN old coordinates (new objects) must compare False silently.
     with np.errstate(invalid="ignore"):
         for lo in range(0, total, chunk_pairs):
@@ -138,10 +136,9 @@ def classify_transitions(
             out_q.append(q[pos])
             out_o.append(o[pos])
             out_s.append(np.where(in_new[pos], 1, -1))
-            out_pos.append(pos + lo)
 
     if not out_q:
-        return [], [], [], [0] * n_cohorts, None
+        return [], [], [], None
     # One vectorized gather over the id columns (array('q') buffers are
     # int64 in memory) turns store rows into public identifiers — the
     # emitter never touches a row index per pair.
@@ -150,12 +147,9 @@ def classify_transitions(
     qid_arr = qid_col[np.concatenate(out_q)]
     oid_arr = oid_col[np.concatenate(out_o)]
     sign_arr = np.concatenate(out_s).astype(np.int64, copy=False)
-    qids = qid_arr.tolist()
-    oids = oid_arr.tolist()
-    signs = sign_arr.tolist()
-    # Chunks were processed in order, so global positions are sorted;
-    # per-cohort spans fall out of one searchsorted over the boundaries.
-    global_pos = np.concatenate(out_pos)
-    cohort_ends = np.searchsorted(global_pos, pair_start[1:], side="left")
-    return qids, oids, signs, cohort_ends.tolist(), (qid_arr, oid_arr, sign_arr)
-
+    return (
+        qid_arr.tolist(),
+        oid_arr.tolist(),
+        sign_arr.tolist(),
+        (qid_arr, oid_arr, sign_arr),
+    )

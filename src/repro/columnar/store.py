@@ -1,15 +1,13 @@
 """Columnar (struct-of-arrays) stores for objects and queries.
 
-The engine's per-object dataclasses are the right shape for scalar
-incremental maintenance but the wrong shape for batch kernels: a
-containment test over a million (query, object) pairs wants the four
+A containment test over a million (query, object) pairs wants the four
 query bounds and the four object coordinates as flat ``float64``
-columns, not attribute chases through ``ObjectState.location.x``.
-
-These stores keep that flat mirror **incrementally** — every ingestion
-phase of :class:`repro.core.engine.IncrementalEngine` writes through to
-them, so building a batch kernel's input is array slicing, never a
-rebuild.  Two design rules:
+columns.  Under ``pipeline="columnar"`` the object store is not a
+mirror of anything: an object's row — ``oid, x, y, old x/y, vx, vy, t,
+cell`` — is the only record of it, and ``engine.objects`` is a
+read-only mapping that materialises an ``ObjectState`` from a row on
+access.  An answer is its query's ``answer`` set; nothing here copies
+it.  Two design rules:
 
 * Columns are stdlib ``array.array`` buffers.  Scalar writes (one query
   move, one removal) cost an index assignment; the kernels view the very
@@ -28,7 +26,8 @@ answer is exactly the set of objects inside the region, so "was a
 member" == "old location inside current bounds"), which is what lets
 the kernel run without any per-pair membership lookup.  New objects get
 NaN old coordinates — every containment test on NaN is False, exactly
-the "was not a member of anything" a fresh object needs.
+the "was not a member of anything" a fresh object needs.  Both report
+doors clamp into the world, so every stored coordinate lies in it.
 
 The ``cells`` column is the only record of where an object is on the
 production path: the grid index holds queries only.  :class:`HomeCells`
@@ -42,16 +41,6 @@ a function of its ``x, y, vx, vy, t, cell`` row
 
 Query rows are ``(kind, min_x, min_y, max_x, max_y)`` descriptors, with
 zeroed bounds for the k-NN and predictive kinds.
-
-:class:`ColumnarAnswerStore` completes the mirror set: answer
-membership as sorted per-query oid arrays, lazily rebuilt from the
-live ``set`` objects and explicitly invalidated by the engine whenever
-it mutates an answer outside the array paths.  The evaluator's
-predictive refresh reads and writes these arrays directly (one
-``searchsorted`` delta instead of per-candidate set probes), the
-answered sweep derives its k-NN member union from them, and
-:meth:`ColumnarAnswerStore.csr` snapshots any qid subset as CSR
-offsets + values for batch consumers.
 """
 
 from __future__ import annotations
@@ -422,120 +411,3 @@ class ColumnarQueryStore:
             _f64_view(self.max_xs),
             _f64_view(self.max_ys),
         )
-
-
-class _NoopCounter:
-    """Stands in for registry counters when no registry is wired."""
-
-    __slots__ = ()
-
-    def inc(self, value: float = 1.0) -> None:
-        pass
-
-
-_NOOP_COUNTER = _NoopCounter()
-
-
-class ColumnarAnswerStore:
-    """Answer membership as sorted per-query oid arrays.
-
-    Each entry mirrors one query's live ``answer`` set as an ascending
-    ``int64`` ndarray.
-    Entries are built lazily on :meth:`get` and stay valid until the
-    engine **invalidates** them: a length check catches most drift
-    defensively, but same-length membership swaps (one oid out, one
-    in) are invisible to it, so every code path that mutates a
-    mirrored answer outside the array paths must call
-    :meth:`invalidate` — the engine does this for removals,
-    unregistrations, query moves, scalar predictive refreshes, and
-    k-NN re-solves.
-
-    ``version`` increments on every write (put, rebuild, invalidate);
-    derived snapshots — the evaluator's k-NN member union, CSR views —
-    key their validity on it.  Hit/miss/invalidation counters surface
-    the cache's churn (``engine_answer_cache_*_total``).
-    """
-
-    __slots__ = (
-        "_arrays",
-        "version",
-        "_m_hits",
-        "_m_misses",
-        "_m_invalidations",
-    )
-
-    def __init__(self, registry=None) -> None:
-        self._arrays: dict[int, object] = {}
-        self.version = 0
-        if registry is not None:
-            counter = registry.counter
-            self._m_hits = counter("engine_answer_cache_hits_total")
-            self._m_misses = counter("engine_answer_cache_misses_total")
-            self._m_invalidations = counter(
-                "engine_answer_cache_invalidations_total"
-            )
-        else:
-            self._m_hits = _NOOP_COUNTER
-            self._m_misses = _NOOP_COUNTER
-            self._m_invalidations = _NOOP_COUNTER
-
-    def __len__(self) -> int:
-        return len(self._arrays)
-
-    def __contains__(self, qid: int) -> bool:
-        return qid in self._arrays
-
-    def get(self, qid: int, live) -> object:
-        """``qid``'s sorted oid array, coherent with the ``live`` set.
-
-        A cached array whose length matches the live set is served as a
-        hit; anything else (absent, or a missed invalidation caught by
-        the length check) rebuilds from ``live`` and counts a miss.
-        """
-        arr = self._arrays.get(qid)
-        if arr is not None and len(arr) == len(live):
-            self._m_hits.inc()
-            return arr
-        self._m_misses.inc()
-        arr = np.fromiter(live, dtype=np.int64, count=len(live))
-        arr.sort()
-        self._arrays[qid] = arr
-        self.version += 1
-        return arr
-
-    def peek(self, qid: int):
-        """The cached array, or ``None`` — never rebuilds."""
-        return self._arrays.get(qid)
-
-    def put(self, qid: int, arr) -> None:
-        """Install a known-sorted answer array (the predictive refresh
-        writes ``candidates[inside]`` back directly)."""
-        self._arrays[qid] = arr
-        self.version += 1
-
-    def invalidate(self, qid: int) -> None:
-        """Drop ``qid``'s array after an out-of-band answer mutation.
-
-        Always bumps ``version`` — derived snapshots may depend on the
-        *live* set even when no array was cached for ``qid``.
-        """
-        self.version += 1
-        self._m_invalidations.inc()
-        self._arrays.pop(qid, None)
-
-    def csr(self, qids, live_of):
-        """CSR snapshot ``(offsets, values)`` over ``qids`` (in order).
-
-        ``live_of(qid)`` supplies each query's live answer set; rows
-        come from :meth:`get`, so repeated snapshots are cache hits.
-        Both outputs are ``int64`` ndarrays.
-        """
-        parts = [self.get(qid, live_of(qid)) for qid in qids]
-        offsets = np.zeros(len(parts) + 1, dtype=np.int64)
-        if not parts:
-            return offsets, np.empty(0, dtype=np.int64)
-        np.cumsum(
-            np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)),
-            out=offsets[1:],
-        )
-        return offsets, np.concatenate(parts)

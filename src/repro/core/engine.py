@@ -34,10 +34,12 @@ spatial join, not one at a time).  The batch's object reports are
 grouped by their (old home cell → new home cell) transition — one per
 report, whatever its velocity; a predictive object's swept footprint is
 cell churn only — and joined against the range queries listed in those
-cells as batch array kernels over struct-of-arrays mirrors of object and
-query state (:mod:`repro.columnar`, on numpy).  The object store's
-``cells`` column is the only record of where an object is: the grid
-index holds queries only on this path.  The *query* side of a cycle is
+cells as batch array kernels over struct-of-arrays object and query
+state (:mod:`repro.columnar`, on numpy).  An object's store row is the
+only record of it — ``engine.objects`` is a read-only mapping that
+materialises an :class:`ObjectState` per access, and the grid index
+holds queries only on this path — and a query's ``answer`` set is the
+only record of its answer.  The *query* side of a cycle is
 columnar too: a batch's range-query registrations and moves, every dirty
 k-NN query and every predictive refresh run as array passes over a
 home-cell CSR of the object store (:meth:`ColumnarEvaluator.fill_ranges`,
@@ -48,8 +50,10 @@ next flip.
 and ``engine_predictive_refreshes_total{path}`` say which ran.
 
 ``pipeline="per-object"`` is the reference: one report at a time, each
-placed in the grid index's object buckets and re-deriving its candidate
-queries from the grid, with the scalar ``_move_range`` / ring-search
+applied to its :class:`ObjectState` — the paper's object entry ``(OID,
+loc, t, QList)``, whose ``answered`` set only this path keeps — placed in
+the grid index's object buckets and re-deriving its candidate queries
+from the grid, with the scalar ``_move_range`` / ring-search
 ``knn_search`` / ``_refresh_one_predictive`` routines for the query side
 and every predictive query refreshed every cycle.  It is short on
 purpose; the columnar pipeline must leave every query with the same
@@ -72,8 +76,8 @@ storage package, and transport by :mod:`repro.net`.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from repro.columnar import (
     KIND_KNN,
@@ -94,7 +98,7 @@ from repro.core.state import (
     RangeQueryState,
 )
 from repro.core.updates import UpdateBatch
-from repro.geometry import Point, Rect, Velocity
+from repro.geometry import LinearMotion, Point, Rect, Velocity
 from repro.grid import Grid, GridIndex
 from repro.obs import (
     NULL_FRESHNESS,
@@ -176,6 +180,41 @@ class EngineStats:
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
+class StoreObjects(Mapping):
+    """``engine.objects`` under ``pipeline="columnar"``: a read-only
+    ``oid -> ObjectState`` mapping over the object store, whose row is
+    the only record of an object.  Each access materialises a fresh
+    state (its QList empty: the production path keeps answers only) for
+    the readers that want one — the oracle's brute force, checkpoints,
+    the server's history door and tests; the engine itself reads rows."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: ColumnarObjectStore) -> None:
+        self._store = store
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def __contains__(self, oid) -> bool:
+        return oid in self._store
+
+    def __iter__(self):
+        return iter(self._store.oids.tolist())
+
+    def __getitem__(self, oid: int) -> ObjectState:
+        store = self._store
+        row = store.row_of(oid)
+        vx = store.vxs[row]
+        vy = store.vys[row]
+        return ObjectState(
+            oid,
+            Point(store.xs[row], store.ys[row]),
+            Velocity(vx, vy) if vx or vy else Velocity.ZERO,
+            store.ts[row],
+        )
+
+
 class IncrementalEngine:
     """Shared execution + incremental evaluation over one grid.
 
@@ -237,10 +276,12 @@ class IncrementalEngine:
         self.prediction_horizon = prediction_horizon
         self.pipeline = pipeline
         self.now = 0.0
-        self.objects: dict[int, ObjectState] = {}
         self.queries: dict[int, QueryState] = {}
-        # Buffered inputs, applied in bulk by evaluate().
-        self._pending_reports: dict[int, tuple[Point, Velocity, float]] = {}
+        # Buffered inputs, applied in bulk by evaluate().  A report is
+        # kept as its floats (x, y, vx, vy, t).
+        self._pending_reports: dict[
+            int, tuple[float, float, float, float, float]
+        ] = {}
         self._pending_removals: set[int] = set()
         # Keyed by qid (arrival order kept): every registration checks
         # the buffer for a duplicate, so a list scan would be O(Q²).
@@ -253,14 +294,16 @@ class IncrementalEngine:
         # Registered predictive query ids — the refresh phase consults
         # this instead of scanning every query of every kind.
         self._predictive_qids: set[int] = set()
-        # Struct-of-arrays mirrors (repro.columnar).  The query store is
+        # Struct-of-arrays state (repro.columnar).  The query store is
         # written under both pipelines — registrations and moves cost a
         # few array writes, and check_invariants holds its rows to the
         # query states either way.  The object store, batch ingest and
-        # the evaluator exist only under pipeline="columnar".
+        # the evaluator exist only under pipeline="columnar", where the
+        # store is the objects' only home.
         self._qstore = ColumnarQueryStore()
         self._knn_qids: set[int] = set()
         self._ostore: ColumnarObjectStore | None = None
+        self.objects: dict[int, ObjectState] | StoreObjects = {}
         self._columnar_evaluator: ColumnarEvaluator | None = None
         self._batch_ingest: BatchIngest | None = None
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -296,18 +339,18 @@ class IncrementalEngine:
         self._m_queries = self.registry.gauge("engine_queries")
         if pipeline == "columnar":
             self._ostore = ColumnarObjectStore()
+            self.objects = StoreObjects(self._ostore)
             self._columnar_evaluator = ColumnarEvaluator(
                 self.grid,
                 self.index,
                 self._ostore,
                 self._qstore,
-                self.objects,
                 self.queries,
                 self._knn_qids,
                 self.registry,
                 self.tracer,
             )
-            self._batch_ingest = BatchIngest(self, ObjectState)
+            self._batch_ingest = BatchIngest(self)
         self._m_ingest_seconds = counter("engine_ingest_seconds_total")
         # Which path the query-side phases took, partitioning the
         # unlabelled totals: "batch" = an evaluator array pass (a k-NN
@@ -341,26 +384,28 @@ class IncrementalEngine:
         so out-of-world drift is pulled back to the boundary — and a
         non-finite coordinate, which no boundary is near, is refused, as
         is a non-finite time or velocity (``ValueError`` naming the
-        oid, nothing buffered).  An in-world report keeps the caller's
-        (immutable) ``Point``.
+        oid, nothing buffered).  The buffer keeps the report's
+        coordinates, not the caller's objects.
         """
+        x = location.x
+        y = location.y
         world = self.grid.world
-        if not (
-            world.min_x <= location.x <= world.max_x
-            and world.min_y <= location.y <= world.max_y
-        ):
+        if not (world.min_x <= x <= world.max_x and world.min_y <= y <= world.max_y):
             # NaN fails every comparison, so it lands here too.
-            if not (math.isfinite(location.x) and math.isfinite(location.y)):
+            if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(
                     f"object {oid} reported a non-finite location {location}"
                 )
-            location = world.clamp_point(location)
+            x = min(max(x, world.min_x), world.max_x)
+            y = min(max(y, world.min_y), world.max_y)
+        vx = velocity.vx
+        vy = velocity.vy
         # One sum settles the common case; NaN and inf survive it, and
         # a finite sum that overflows is settled exactly.
-        if not math.isfinite(t + velocity.vx + velocity.vy):
-            _check_motion(oid, t, velocity.vx, velocity.vy)
+        if not math.isfinite(t + vx + vy):
+            _check_motion(oid, t, vx, vy)
         self._pending_removals.discard(oid)
-        self._pending_reports[oid] = (location, velocity, t)
+        self._pending_reports[oid] = (x, y, vx, vy, t)
         self.freshness.stamp_report(oid)
 
     def report_objects(self, oids, xs, ys, vxs, vys, ts) -> None:
@@ -390,24 +435,17 @@ class IncrementalEngine:
             for oid, t, vx, vy in zip(oids, ts, vxs, vys):
                 _check_motion(oid, t, vx, vy)
         world = self.grid.world
-        locations = map(Point, xs, ys)
         if not (
             world.min_x <= min(xs)
             and max(xs) <= world.max_x
             and world.min_y <= min(ys)
             and max(ys) <= world.max_y
         ):
-            locations = map(world.clamp_point, locations)
-        if any(vxs) or any(vys):
-            velocities = [
-                Velocity(vx, vy) if vx or vy else Velocity.ZERO
-                for vx, vy in zip(vxs, vys)
-            ]
-        else:
-            velocities = repeat(Velocity.ZERO)
+            xs = [min(max(x, world.min_x), world.max_x) for x in xs]
+            ys = [min(max(y, world.min_y), world.max_y) for y in ys]
         if self._pending_removals:
             self._pending_removals.difference_update(oids)
-        self._pending_reports.update(zip(oids, zip(locations, velocities, ts)))
+        self._pending_reports.update(zip(oids, zip(xs, ys, vxs, vys, ts)))
         self.freshness.stamp_reports(oids)
 
     def remove_object(self, oid: int) -> None:
@@ -566,18 +604,7 @@ class IncrementalEngine:
         return len(self.queries)
 
     def answer_of(self, qid: int) -> frozenset[int]:
-        """The current (last evaluated) answer set of ``qid``.
-
-        Under the columnar pipeline this serves through the answer
-        store's cached sorted array when one is live — so external
-        readers (oracle, recovery) exercise store coherence — and
-        falls back to the per-query ``set`` otherwise.
-        """
-        evaluator = self._columnar_evaluator
-        if evaluator is not None:
-            view = evaluator.answer_view(qid, self.queries[qid].answer)
-            if view is not None:
-                return view
+        """The current (last evaluated) answer set of ``qid``."""
         return frozenset(self.queries[qid].answer)
 
     def complete_answers(self) -> dict[int, frozenset[int]]:
@@ -672,14 +699,14 @@ class IncrementalEngine:
             with span("occupancy_sample"):
                 self._sample_occupancy()
         self._m_updates_emitted.inc(len(updates))
-        self._m_objects.set(len(self.objects))
+        self._m_objects.set(self.object_count)
         self._m_queries.set(len(self.queries))
         self.freshness.end_cycle()
         recorder.record(
             "evaluate_end",
             now=now,
             updates=len(updates),
-            objects=len(self.objects),
+            objects=self.object_count,
             queries=len(self.queries),
         )
         return updates
@@ -716,35 +743,44 @@ class IncrementalEngine:
             self._knn_qids.discard(qid)
             self._underfull_knn.discard(qid)
             self._predictive_qids.discard(qid)
-            if self._columnar_evaluator is not None:
-                self._columnar_evaluator.invalidate_answer(qid)
             knn_dirty.discard(qid)
-            for oid in query.answer:
-                self.objects[oid].answered.discard(qid)
+            if self._ostore is None:  # the reference's QLists
+                for oid in query.answer:
+                    self.objects[oid].answered.discard(qid)
             self.freshness.forget_query(qid)
         self._pending_unregistrations.clear()
 
     def _apply_removals(
         self, updates, knn_dirty: set[int], churned_cells: set[int]
     ) -> None:
-        ingest = self._batch_ingest
-        evaluator = self._columnar_evaluator
+        """Drop the departing objects; each answer holding one emits a
+        negative, per removed oid ascending, then qid ascending.  The
+        reference reads the holders off each object's QList; the
+        production path, which keeps answers only, intersects every
+        registered answer with the removed oids — paid only in a cycle
+        with removals."""
         removed = [oid for oid in sorted(self._pending_removals) if oid in self.objects]
-        if ingest is not None and removed:
-            ingest.remove(removed, churned_cells)
-        for oid in removed:
-            state = self.objects.pop(oid)
-            if ingest is None:
+        self._pending_removals.clear()
+        if not removed:
+            return
+        if self._batch_ingest is None:
+            holders = {oid: sorted(self.objects.pop(oid).answered) for oid in removed}
+            for oid in removed:
                 self.index.remove_object(oid)
-            for qid in sorted(state.answered):
+        else:
+            gone = set(removed)
+            holders = {oid: [] for oid in removed}
+            for qid in sorted(self.queries):
+                for oid in self.queries[qid].answer & gone:
+                    holders[oid].append(qid)
+            self._batch_ingest.remove(removed, churned_cells)
+        for oid in removed:
+            for qid in holders[oid]:
                 query = self.queries[qid]
                 query.answer.discard(oid)
-                if evaluator is not None:
-                    evaluator.invalidate_answer(qid)
                 updates.push(qid, oid, -1)
                 if query.kind is QueryKind.KNN:
                     knn_dirty.add(qid)
-        self._pending_removals.clear()
 
     # ------------------------------------------------------------------
     # Phase 3: first-time answers for new queries
@@ -842,8 +878,6 @@ class IncrementalEngine:
                 # the footprint needs to move now.
                 query.region = payload  # type: ignore[assignment]
                 self.index.place_query_region(qid, payload)  # type: ignore[arg-type]
-                if evaluator is not None:
-                    evaluator.invalidate_answer(qid)
                 dirty_predictive.add(qid)
         if range_moves:
             evaluator.move_ranges(range_moves, updates)
@@ -894,7 +928,9 @@ class IncrementalEngine:
         object — the semantic baseline the columnar pipeline is tested
         against.
         """
-        for oid, (location, velocity, t) in self._pending_reports.items():
+        for oid, (x, y, vx, vy, t) in self._pending_reports.items():
+            location = Point(x, y)
+            velocity = Velocity(vx, vy) if vx or vy else Velocity.ZERO
             state = self.objects.get(oid)
             if state is None:
                 state = ObjectState(oid, location, velocity, t)
@@ -1007,20 +1043,21 @@ class IncrementalEngine:
         with the search doubling as the replacement lookup when members
         depart.
         """
+        qid = query.qid
         new_answer = {oid for __, oid in ranked}
-
-        for oid in sorted(query.answer - new_answer):
+        left = sorted(query.answer - new_answer)
+        joined = sorted(new_answer - query.answer)
+        for oid in left:
             query.answer.discard(oid)
-            self.objects[oid].answered.discard(query.qid)
-            updates.push(query.qid, oid, -1)
-        for oid in sorted(new_answer - query.answer):
+            updates.push(qid, oid, -1)
+        for oid in joined:
             query.answer.add(oid)
-            self.objects[oid].answered.add(query.qid)
-            updates.push(query.qid, oid, 1)
-        if self._columnar_evaluator is not None:
-            # Membership can change without changing length (one out,
-            # one in), so the store's len-check alone cannot detect it.
-            self._columnar_evaluator.invalidate_answer(query.qid)
+            updates.push(qid, oid, 1)
+        if self._ostore is None:  # the reference's QLists
+            for oid in left:
+                self.objects[oid].answered.discard(qid)
+            for oid in joined:
+                self.objects[oid].answered.add(qid)
 
         query.radius = ranked[-1][0] if ranked else 0.0
         footprint = self.grid.cells_overlapping_set(
@@ -1120,57 +1157,60 @@ class IncrementalEngine:
                 query.next_flip = float("-inf")
             elif query.next_flip <= now:
                 paths["scalar"].inc()
-                self._refresh_one_predictive(query, updates, *next(verdicts))
+                ordered, flags = next(verdicts)
+                self._refresh_one_predictive(query, updates, ordered, flags)
+                query.next_flip = self._next_flip(query, ordered, flags)
 
     def _refresh_one_predictive(
         self, query: PredictiveQueryState, updates, ordered, flags
     ) -> None:
         """Apply one predictive query's membership ``flags`` over its
-        candidates ``ordered`` (ascending oids) and emit the changes.
-        On the columnar path this also schedules the query's next flip:
-        it mutates the answer outside the array passes, so it drops the
-        answer store's array too."""
+        candidates ``ordered`` (ascending oids) and emit the changes."""
         qid = query.qid
-        objects = self.objects
         answer = query.answer
-        next_flip = math.inf
-        compute_flip = self._columnar_evaluator is not None
-        if compute_flip:
-            self._columnar_evaluator.invalidate_answer(qid)
         for oid, inside in zip(ordered, flags):
-            state = objects[oid]
-            was_member = oid in answer
-            if inside and not was_member:
+            if inside == (oid in answer):
+                continue
+            if inside:
                 answer.add(oid)
-                state.answered.add(qid)
                 updates.push(qid, oid, 1)
-            elif not inside and was_member:
+            else:
                 answer.discard(oid)
-                state.answered.discard(qid)
                 updates.push(qid, oid, -1)
-            if compute_flip:
-                flip = self._membership_flip_time(query, state, inside)
-                if flip < next_flip:
-                    next_flip = flip
-        if not compute_flip:
-            query.next_flip = float("-inf")
-        elif math.isinf(next_flip):
-            query.next_flip = next_flip
-        else:
-            # Small relative safety margin: the flip time is derived
-            # from one trajectory clipping over the full trusted span,
-            # while membership itself is recomputed per-window; the
-            # margin absorbs any floating-point disagreement between
-            # the two so a refresh can only ever fire early, never
-            # late.
-            query.next_flip = next_flip - 1e-9 * (1.0 + abs(next_flip))
+            if self._ostore is None:  # the reference's QLists
+                if inside:
+                    self.objects[oid].answered.add(qid)
+                else:
+                    self.objects[oid].answered.discard(qid)
+
+    def _next_flip(self, query: PredictiveQueryState, ordered, flags) -> float:
+        """The columnar path's flip schedule for a just-refreshed
+        predictive query: the earliest :meth:`_membership_flip_time` of
+        its candidates, read from their store rows."""
+        ostore = self._ostore
+        rows = [ostore.row_of(oid) for oid in ordered]
+        next_flip = math.inf
+        for x, y, vx, vy, t, inside in zip(
+            *(column.tolist() for column in ostore.motion_at(rows)[:5]), flags
+        ):
+            motion = LinearMotion(Point(x, y), Velocity(vx, vy), t)
+            next_flip = min(next_flip, self._membership_flip_time(query, motion, inside))
+        if math.isinf(next_flip):
+            return next_flip
+        # Small relative safety margin: the flip time is derived from
+        # one trajectory clipping over the full trusted span, while
+        # membership itself is recomputed per-window; the margin absorbs
+        # any floating-point disagreement between the two so a refresh
+        # can only ever fire early, never late.
+        return next_flip - 1e-9 * (1.0 + abs(next_flip))
 
     def _membership_flip_time(
-        self, query: PredictiveQueryState, state: ObjectState, inside: bool
+        self, query: PredictiveQueryState, motion: LinearMotion, inside: bool
     ) -> float:
-        """The earliest evaluation time at which ``state``'s membership in
-        ``query`` can change with *no further reports* — i.e. purely
-        because the horizon window ``[now, now + horizon]`` slides.
+        """The earliest evaluation time at which the membership in
+        ``query`` of an object reported as ``motion`` can change with
+        *no further reports* — i.e. purely because the horizon window
+        ``[now, now + horizon]`` slides.
 
         For linear motion inside a convex region the in-region times
         form one interval ``[enters, leaves]`` (within the object's
@@ -1179,13 +1219,12 @@ class IncrementalEngine:
         one when the window end reaches ``enters``.  ``inf`` means the
         membership can never change without churn.
         """
-        span_start = max(self.now, state.t)
-        span_end = state.t + self.prediction_horizon
+        span_start = max(self.now, motion.t0)
+        span_end = motion.t0 + self.prediction_horizon
         if span_end < span_start:
             # The trusted extrapolation span is entirely in the past:
             # membership is False and stays False until a new report.
             return math.inf
-        motion = state.motion()
         reach = motion.position_at(span_end)
         if not (math.isfinite(reach.x) and math.isfinite(reach.y)):
             # A finite but absurd velocity overflows: the windowed check
@@ -1247,46 +1286,50 @@ class IncrementalEngine:
 
     def check_invariants(self) -> None:
         """Verify the object/query membership bookkeeping (tests only)."""
-        for oid, state in self.objects.items():
-            for qid in state.answered:
-                assert oid in self.queries[qid].answer, (oid, qid)
-        for qid, query in self.queries.items():
-            for oid in query.answer:
-                assert qid in self.objects[oid].answered, (qid, oid)
+        queries = self.queries
+        ostore = self._ostore
+        for qid in queries:
             assert self.index.contains_query(qid)
-        if self._ostore is None:
-            for oid in self.objects:
+        if ostore is None:
+            # The reference keeps both directions: QList <-> answer.
+            for oid, state in self.objects.items():
                 assert self.index.contains_object(oid)
+                for qid in state.answered:
+                    assert oid in queries[qid].answer, (oid, qid)
+            for qid, query in queries.items():
+                for oid in query.answer:
+                    assert qid in self.objects[oid].answered, (qid, oid)
         else:
-            # The store's columns are the only record of an object's
-            # place on the production path.
+            # A store row is the only record of an object: every answer
+            # member is one, the grid index holds queries only, and both
+            # report doors clamped every stored location into the world
+            # (so the cells listing a range query find all its members).
+            for qid, query in queries.items():
+                for oid in query.answer:
+                    assert oid in ostore, (qid, oid)
             assert self.index.object_count == 0
+            xs, ys = ostore.xy_views()
+            world = self.grid.world
+            assert (
+                (world.min_x <= xs) & (xs <= world.max_x)
+                & (world.min_y <= ys) & (ys <= world.max_y)
+            ).all()  # fmt: skip
+            assert list(ostore.cells) == [
+                self.grid.cell_of(Point(x, y)) for x, y in zip(ostore.xs, ostore.ys)
+            ]
         for qid in self._predictive_qids:
-            assert self.queries[qid].kind is QueryKind.PREDICTIVE_RANGE
-        # Any live answer-store view must agree with the set it mirrors.
-        evaluator = self._columnar_evaluator
-        if evaluator is not None:
-            for qid, query in self.queries.items():
-                view = evaluator.answer_view(qid, query.answer)
-                assert view is None or view == query.answer, qid
-        # Struct-of-arrays mirrors stay coherent with the dataclass state.
+            assert queries[qid].kind is QueryKind.PREDICTIVE_RANGE
+        # The query store's rows stay coherent with the query states.
         qstore = self._qstore
-        assert len(qstore) == len(self.queries)
+        assert len(qstore) == len(queries)
         assert self._knn_qids == {
-            qid
-            for qid, query in self.queries.items()
-            if query.kind is QueryKind.KNN
+            qid for qid, query in queries.items() if query.kind is QueryKind.KNN
         }
-        for qid, query in self.queries.items():
+        for qid, query in queries.items():
             kind, min_x, min_y, max_x, max_y = qstore.descriptor(qid)
             if query.kind is QueryKind.RANGE:
                 region = query.region
-                assert kind == KIND_RANGE and (
-                    min_x,
-                    min_y,
-                    max_x,
-                    max_y,
-                ) == (
+                assert kind == KIND_RANGE and (min_x, min_y, max_x, max_y) == (
                     region.min_x,
                     region.min_y,
                     region.max_x,
@@ -1296,21 +1339,5 @@ class IncrementalEngine:
                 assert kind == KIND_KNN, qid
             else:
                 assert kind == KIND_PREDICTIVE, qid
-        ostore = self._ostore
-        if ostore is not None:
-            assert len(ostore) == len(self.objects)
-            cell_of = self.grid.cell_of
-            for oid, state in self.objects.items():
-                row = ostore.row_of(oid)
-                location = state.location
-                assert ostore.xs[row] == location.x, oid
-                assert ostore.ys[row] == location.y, oid
-                assert ostore.cells[row] == cell_of(location), oid
-                velocity = state.velocity
-                assert (ostore.vxs[row], ostore.vys[row], ostore.ts[row]) == (
-                    velocity.vx,
-                    velocity.vy,
-                    state.t,
-                ), oid
-        if evaluator is not None:
-            evaluator.check_invariants()
+        if self._columnar_evaluator is not None:
+            self._columnar_evaluator.check_invariants()

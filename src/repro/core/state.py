@@ -3,9 +3,13 @@
 These mirror the paper's entry layouts: an object entry ``(OID, loc, t,
 QList)`` where ``QList`` is "the list of the queries that O is
 satisfying", and a query entry ``(QID, region, t, OList)`` where
-``OList`` is the answer set.  Keeping both directions of the
-object/query membership relation makes removals and candidate pruning
-O(degree) instead of O(population).
+``OList`` is the answer set.  Both directions of the object/query
+membership relation are the per-object reference's: it keeps an
+``ObjectState`` per object, with its ``answered`` QList, and prunes
+candidates and removals by degree.  The production (columnar) path keeps
+answers only — an object is its row in the object store, and
+``ObjectState`` is materialised from that row on access for readers
+that want one.
 """
 
 from __future__ import annotations

@@ -65,11 +65,6 @@ class GridIndex:
         # methods (see Grid.cells_overlapping_into); makes them
         # allocation-free but non-reentrant.
         self._scratch_cells: list[int] = []
-        # Per-cell sorted qid tuples, built lazily and invalidated only
-        # when that cell's query membership changes, so the columnar
-        # evaluator's repeated reads of a stable cell are a dict hit,
-        # not a rebuild.
-        self._cell_query_tuples: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -146,7 +141,6 @@ class GridIndex:
         if not cells:
             raise ValueError(f"query {qid} must overlap at least one cell")
         old = self._query_cells.get(qid, frozenset())
-        tuples = self._cell_query_tuples
         buckets = self._cells
         for cell in old - cells:
             self._remove_member(cell, qid, is_query=True)
@@ -155,7 +149,6 @@ class GridIndex:
             if bucket is None:
                 bucket = buckets[cell] = CellBucket()
             bucket.queries.add(qid)
-            tuples.pop(cell, None)
         self._query_cells[qid] = cells
 
     def place_query_region(self, qid: int, region: Rect) -> None:
@@ -242,25 +235,6 @@ class GridIndex:
                 found.update(bucket.queries)
         return found
 
-    def cell_query_tuple(self, cell: int) -> tuple[int, ...]:
-        """The qids overlapping ``cell`` as a sorted, cached tuple.
-
-        Built on first access and invalidated per cell only when a
-        query is placed into or removed from that cell, so a stable
-        cell costs one dict hit per access no matter how many batches
-        read it.  The tuple is immutable and safe to retain.
-        """
-        cached = self._cell_query_tuples.get(cell)
-        if cached is None:
-            bucket = self._cells.get(cell)
-            cached = (
-                tuple(sorted(bucket.queries))
-                if bucket is not None and bucket.queries
-                else ()
-            )
-            self._cell_query_tuples[cell] = cached
-        return cached
-
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
@@ -330,7 +304,6 @@ class GridIndex:
         bucket = self._cells[cell]
         if is_query:
             bucket.queries.discard(ident)
-            self._cell_query_tuples.pop(cell, None)
         else:
             bucket.objects.discard(ident)
         if bucket.is_empty():

@@ -2,28 +2,25 @@
 
 The batch ingest scenarios pin report-buffer shapes; these pin the
 *emission* side: the :class:`~repro.core.updates.UpdateBatch` stream
-spliced together from classification column slices, and the
-:class:`ColumnarAnswerStore` views legacy callers read through.
+spliced together from classification column slices.
 
-Workloads interleave the operations most likely to desynchronise the
-store from the authoritative live sets: object removals between
-evaluation rounds (negative updates + answered-sweep), and query moves
-(range, k-NN, and predictive reshapes that rewrite whole answers).
-Every round holds the columnar engine to the per-object reference
-(:mod:`tests.lockstep`); ``check_invariants`` asserts every cached
-answer view equals the live set.
+Workloads interleave the operations that rewrite answers outside the
+report join: object removals between evaluation rounds (negatives found
+from the answers themselves), and query moves (range, k-NN, and
+predictive reshapes that rewrite whole answers).  Every round holds the
+columnar engine to the per-object reference (:mod:`tests.lockstep`);
+``check_invariants`` asserts every answer member is a store row.
 """
 
 from __future__ import annotations
 
-from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
-from tests.columnar.test_ingest_golden import GRID, HORIZON, Fleet
+from tests.columnar.test_ingest_golden import Fleet
 
 
 def test_removal_interleaved_emission():
-    """Removals between rounds: negative deltas, answered-sweep, and a
-    re-reported oid must thread identically through every stream."""
+    """Removals between rounds: negative deltas and a re-reported oid
+    must thread identically through every stream."""
     fleet = Fleet()
     fleet.register_standard_queries()
     for oid in range(32):
@@ -48,7 +45,7 @@ def test_removal_interleaved_emission():
     )
 
     # Unregister a populated query, re-report a removed oid, and keep
-    # churning: the store must forget qid 2 and treat oid 9 as new.
+    # churning: the engine must forget qid 2 and treat oid 9 as new.
     fleet.all("unregister_query", 2)
     fleet.all("report_object", 9, Point(0.3, 0.3), 2.0)
     for oid in range(1, 32, 4):
@@ -62,7 +59,7 @@ def test_removal_interleaved_emission():
 
 def test_query_move_interleaved_emission():
     """Query moves rewrite whole answers; interleaved with object
-    reports they exercise every invalidation hook in one stream."""
+    reports they rewrite answers from every side in one stream."""
     fleet = Fleet()
     fleet.register_standard_queries()
     for oid in range(28):
@@ -96,50 +93,6 @@ def test_query_move_interleaved_emission():
             fleet.all("report_object", oid, Point(oid / 28.0, 0.72), 2.0)
     fleet.evaluate_and_compare(2.0)
 
-    # Round 3: a quiet settle round flushes any stale cached views.
+    # Round 3: a quiet settle round.
     fleet.evaluate_and_compare(3.0)
 
-
-def test_answer_store_views_and_csr():
-    """The store's cached views and CSR snapshot mirror live answers."""
-    engine = IncrementalEngine(grid_size=GRID, prediction_horizon=HORIZON)
-    engine.register_range_query(1, Rect(0.1, 0.1, 0.9, 0.9))
-    engine.register_range_query(2, Rect(0.0, 0.0, 0.3, 0.3))
-    engine.register_knn_query(3, Point(0.5, 0.5), 2)
-    for oid in range(12):
-        engine.report_object(oid, Point(oid / 12.0, oid / 12.0), 0.0)
-    engine.evaluate(0.0)
-
-    evaluator = engine._columnar_evaluator
-    assert evaluator is not None
-    store = evaluator.answers
-    for qid in (1, 2, 3):
-        live = engine.queries[qid].answer
-        assert engine.answer_of(qid) == frozenset(live)
-        view = evaluator.answer_view(qid, live)
-        if view is not None:
-            assert view == live
-
-    qids = [1, 2, 3]
-    offsets, values = store.csr(
-        qids, lambda qid: engine.queries[qid].answer
-    )
-    assert len(offsets) == len(qids) + 1
-    assert int(offsets[0]) == 0
-    for pos, qid in enumerate(qids):
-        row = [int(v) for v in values[int(offsets[pos]):int(offsets[pos + 1])]]
-        assert row == sorted(engine.queries[qid].answer), qid
-
-    # Mutate and re-snapshot: rows must track the new answers and the
-    # version counter must move so derived caches can notice.
-    before = store.version
-    engine.remove_object(5)
-    engine.report_object(20, Point(0.2, 0.2), 1.0)
-    engine.evaluate(1.0)
-    assert store.version != before
-    offsets, values = store.csr(
-        qids, lambda qid: engine.queries[qid].answer
-    )
-    for pos, qid in enumerate(qids):
-        row = [int(v) for v in values[int(offsets[pos]):int(offsets[pos + 1])]]
-        assert row == sorted(engine.queries[qid].answer), qid

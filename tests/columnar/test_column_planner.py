@@ -158,3 +158,28 @@ def test_sparse_oids_across_batches_match_the_reference():
         assert streams[0] == streams[1]
         for engine in engines:
             engine.check_invariants()
+
+
+def test_a_knn_query_holding_a_reported_member_is_marked_dirty():
+    """The member rule, pinned where per-cell marking cannot stand in
+    for it: a member on a cell edge a few ulps outside its circle's
+    rounded bounding rectangle leaves the footprint, so neither of its
+    cells lists the query.  Here the footprint is re-placed by hand to
+    cover neither the member's old cell nor its new one; reporting the
+    member must still mark its query, and only its query."""
+    engine = columnar()
+    engine.register_knn_query(7, Point(0.1, 0.1), 1)
+    engine.register_knn_query(8, Point(0.9, 0.9), 1)
+    engine.report_object(1, Point(0.12, 0.12), 0.0)  # cell 0, query 7's
+    engine.report_object(2, Point(0.88, 0.88), 0.0)  # cell 63, query 8's
+    engine.evaluate(0.0)
+    assert engine.answer_of(7) == {1} and engine.answer_of(8) == {2}
+    far = frozenset({GRID * GRID // 2})
+    for qid in (7, 8):
+        engine.index.place_query(qid, far)
+    engine.report_object(1, Point(0.2, 0.12), 1.0)  # cell 0 -> cell 1
+    columns = engine._batch_ingest.group(engine._pending_reports, set())
+    assert (columns.old.tolist(), columns.new.tolist()) == ([0], [1])
+    knn_dirty: set[int] = set()
+    engine._columnar_evaluator._plan_columns(columns, knn_dirty)
+    assert knn_dirty == {7}

@@ -8,8 +8,8 @@ in both directions, boundary-clamped coordinates, and
 removal-interleaved batches — against the per-object reference.
 Every round holds the pair to the contract in :mod:`tests.lockstep`,
 which includes both engines' invariants — the production engine's
-store columns against its object states, and its grid index holding no
-object.
+answers holding only store rows, its stored locations inside the world,
+and its grid index holding no object.
 """
 
 from __future__ import annotations

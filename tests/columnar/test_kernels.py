@@ -4,9 +4,8 @@ reimplementation of its contract.
 Plans here are built by hand from randomized stores (no engine in the
 loop), so the tests pin the kernel contract itself: changed pairs only
 as public qid/oid lists (stores use non-identity ids so the row→id
-mapping is genuinely exercised), flat serial pair order, per-cohort
-end offsets, NaN old coordinates classified as "was a member of
-nothing".
+mapping is genuinely exercised), flat serial pair order, NaN old
+coordinates classified as "was a member of nothing".
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ def build_random_batch(seed: int, cohorts: int = 12):
 def reference_classify(layout, ostore, qstore):
     """Straight-line reimplementation of the contract, independent of
     the production kernel."""
-    qids, oids, signs, ends = [], [], [], []
+    qids, oids, signs = [], [], []
     for ents, rows in layout:
         for erow in ents:
             lx, hx = qstore.min_xs[erow], qstore.max_xs[erow]
@@ -85,15 +84,14 @@ def reference_classify(layout, ostore, qstore):
                     qids.append(qstore.qids[erow])
                     oids.append(ostore.oids[orow])
                     signs.append(1 if in_new else -1)
-        ends.append(len(qids))
-    return qids, oids, signs, ends
+    return qids, oids, signs
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_numpy_backend_matches_reference(seed):
     layout, ostore, qstore = build_random_batch(seed)
     got = classify_transitions(plan_of(layout), ostore, qstore)
-    assert list(got[:4]) == list(reference_classify(layout, ostore, qstore))
+    assert list(got[:3]) == list(reference_classify(layout, ostore, qstore))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -101,7 +99,7 @@ def test_numpy_chunking_is_invisible(seed):
     layout, ostore, qstore = build_random_batch(seed, cohorts=20)
     whole = classify_transitions(plan_of(layout), ostore, qstore)
     tiny = classify_transitions(plan_of(layout), ostore, qstore, chunk_pairs=7)
-    assert whole[:4] == tiny[:4]
+    assert whole[:3] == tiny[:3]
 
 
 def test_nan_old_coords_mean_member_of_nothing():
@@ -111,20 +109,20 @@ def test_nan_old_coords_mean_member_of_nothing():
     report(ostore, 1, 0.5, 0.5)
     assert math.isnan(ostore.old_xs[0])
     qstore.put(9, KIND_RANGE, 0.0, 0.0, 1.0, 1.0)
-    qids, oids, signs, ends, _ = classify_transitions(
+    qids, oids, signs, _ = classify_transitions(
         plan_of([([0], [0])]), ostore, qstore
     )
-    assert (qids, oids, signs, ends) == ([9], [1], [1], [1])
+    assert (qids, oids, signs) == ([9], [1], [1])
 
 
 def test_empty_plan():
     ostore = ColumnarObjectStore()
     report(ostore, 1, 0.5, 0.5)
     qstore = ColumnarQueryStore()
-    qids, oids, signs, ends, arrays = classify_transitions(
+    qids, oids, signs, arrays = classify_transitions(
         plan_of([([], [0]), ([], [0])]), ostore, qstore
     )
-    assert (qids, oids, signs, ends, arrays) == ([], [], [], [0, 0], None)
+    assert (qids, oids, signs, arrays) == ([], [], [], None)
 
 
 def test_boundary_containment_is_closed():
@@ -137,5 +135,5 @@ def test_boundary_containment_is_closed():
     qstore.put(5, KIND_RANGE, 0.2, 0.2, 0.4, 0.6)
     # Old (0.2,0.2) on the min corner and new (0.4,0.6) on the max
     # corner are both inside: no transition.
-    qids, _, _, ends, _ = classify_transitions(plan_of([([0], [0])]), ostore, qstore)
-    assert (qids, ends) == ([], [0])
+    qids, _, _, arrays = classify_transitions(plan_of([([0], [0])]), ostore, qstore)
+    assert (qids, arrays) == ([], None)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from repro.columnar import (
     ColumnarObjectStore,
     ColumnarQueryStore,
 )
+from repro.core import IncrementalEngine, ObjectState
+from repro.geometry import Point, Rect
 
 
 def report(store, oid, x, y, vx=0.0, vy=0.0, t=0.0, cell=0) -> int:
@@ -138,3 +142,41 @@ class TestNumpyViews:
         assert len(xs) == 0 and len(ys) == 0
         views = ColumnarQueryStore().bounds_views()
         assert all(len(v) == 0 for v in views)
+
+
+def _object_states_alive() -> int:
+    gc.collect()
+    return sum(isinstance(o, ObjectState) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("pipeline", ["columnar", "per-object"])
+def test_only_the_reference_keeps_object_states(pipeline):
+    """The production engine's store row is the only record of an
+    object: bulk rounds with removals and every query kind leave no
+    ``ObjectState`` alive.  The reference keeps one per object (which
+    also shows the collector tracks them)."""
+    rng = random.Random(3)
+    before = _object_states_alive()
+    engine = IncrementalEngine(grid_size=8, pipeline=pipeline)
+    engine.register_range_query(1, Rect(0.1, 0.1, 0.6, 0.6))
+    engine.register_knn_query(2, Point(0.5, 0.5), 4)
+    engine.register_knn_query(3, Point(0.2, 0.8), 2)
+    engine.register_predictive_query(4, Rect(0.3, 0.3, 0.7, 0.7), 10.0)
+    for now in range(5):
+        oids = list(range(200))
+        engine.report_objects(
+            oids,
+            [rng.uniform(-0.1, 1.1) for _ in oids],
+            [rng.random() for _ in oids],
+            [rng.choice((0.0, 0.01)) for _ in oids],
+            [0.0] * len(oids),
+            [float(now)] * len(oids),
+        )
+        engine.report_object(500 + now, Point(0.5, 0.5), float(now))
+        if now:
+            for oid in range(now, 200, 17):
+                engine.remove_object(oid)
+        engine.evaluate(float(now))
+    engine.check_invariants()
+    alive = _object_states_alive() - before
+    assert alive == (0 if pipeline == "columnar" else engine.object_count)

@@ -5,11 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
+
+# ``--hypothesis-profile=soak`` runs every property and state machine
+# that does not pin its own example count on ten times the default.
+settings.register_profile("soak", max_examples=1000)
 
 
 @pytest.fixture

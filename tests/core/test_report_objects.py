@@ -95,12 +95,12 @@ def test_a_run_equals_a_loop_of_report_object(pipeline, actions):
 def test_out_of_world_rows_are_clamped_and_in_world_rows_kept(pipeline):
     engine = make_engine(pipeline)
     engine.report_objects([1, 2, 3], [0.5, 7.0, -0.0], [0.5, -3.0, 1.0], [0, 0, 0.5], [0, 0, 0], [1.0] * 3)
+    # The buffer holds each report's floats (x, y, vx, vy, t).
     assert engine._pending_reports == {
-        1: (Point(0.5, 0.5), Velocity.ZERO, 1.0),
-        2: (Point(1.0, 0.0), Velocity.ZERO, 1.0),
-        3: (Point(-0.0, 1.0), Velocity(0.5, 0), 1.0),
+        1: (0.5, 0.5, 0.0, 0.0, 1.0),
+        2: (1.0, 0.0, 0.0, 0.0, 1.0),
+        3: (-0.0, 1.0, 0.5, 0.0, 1.0),
     }
-    assert engine._pending_reports[1][1] is Velocity.ZERO
 
 
 @pytest.mark.parametrize("pipeline", PIPELINES)
@@ -119,7 +119,7 @@ def test_a_non_finite_row_refuses_the_whole_call(pipeline, bad):
         assert buffers(engine) == before  # the removal of 2 still stands
     # Finite values whose sum overflows are not mistaken for one.
     engine.report_objects([6, 7], [1e308, 1e308], [0.5, 0.5], [0, 0], [0, 0], [2.0, 2.0])
-    assert engine._pending_reports[7][0] == Point(1.0, 0.5)
+    assert engine._pending_reports[7][:2] == (1.0, 0.5)
     engine.report_objects([], [], [], [], [], [])
 
 

@@ -181,7 +181,7 @@ class TestHostileReports:
         server.receive_object_report(1, inside, 0.0)
         server.receive_object_report(2, outside, 0.0)
         server.evaluate_cycle(0.0)
-        assert server.engine.objects[1].location is inside
+        assert server.engine.objects[1].location == inside
         assert server.engine.objects[2].location == Point(1.0, 0.0)
 
     def test_the_service_edge_refuses_what_the_columns_cannot_hold(self):
