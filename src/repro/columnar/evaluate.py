@@ -5,12 +5,12 @@ the report buffer as :class:`~repro.columnar.ingest.CohortColumns` —
 one cohort per home-cell transition ``(old home, new home)``, members
 ascending by oid — and the evaluator joins them against the range
 queries listed in their cells, classifies every pair's membership
-transition in one kernel pass, and emits the changed pairs:
+transition in one kernel pass, and emits the changed pairs grouped by
+query, negatives first (the kernel's one sort):
 
 * pairs are laid out cohort-major, then old-cell entries before
   new-cell entries, each partial-before-covering and sorted by qid, then
-  members sorted by oid — so the kernel's changed-pair positions are
-  already in emission order;
+  members sorted by oid;
 * a query listed in both cells of a cohort that changed home cell joins
   once, from the old cell;
 * stay-put cohorts join against partial entries only, and cohorts that
@@ -166,16 +166,19 @@ class ColumnarEvaluator:
     def run_columns(self, columns, updates, knn_dirty) -> None:
         """Evaluate one batch handed over as
         :class:`~repro.columnar.ingest.CohortColumns`: the plan is built
-        from the columns with no per-cohort Python, the changed pairs
-        are applied to the answers grouped by query, and the stream is
-        spliced in as columns, in the kernel's (emission) order."""
+        from the columns with no per-cohort Python, and the kernel's
+        changed pairs — already grouped by query, negatives first — are
+        applied to the answers and spliced into the stream as columns."""
         with self.tracer.span("columnar_plan", self._phase_counters["plan"]):
             plan = self._plan_columns(columns, knn_dirty)
-        qids, oids, signs, arrays = self._join(plan)
+        joined = self._join(plan)
+        if joined is None:
+            return
         with self.tracer.span("columnar_emit", self._emit_span_counter):
-            if arrays is not None:
-                self._toggle_memberships(arrays[0], arrays[1])
-            updates.extend_columns(qids, oids, signs)
+            qid_arr, oid_arr, sign_arr = joined
+            oids = oid_arr.tolist()
+            self._toggle_memberships(qid_arr, oids)
+            updates.extend_columns(qid_arr.tolist(), oids, sign_arr.tolist())
 
     def _join(self, plan):
         self._m_batches.inc()
@@ -183,30 +186,28 @@ class ColumnarEvaluator:
         self._h_batch_size.observe(plan.total_pairs)
         with self.tracer.span("columnar_join", self._phase_counters["join"]):
             joined = classify_transitions(plan, self.ostore, self.qstore)
-        self._m_changes.inc(len(joined[0]))
+        if joined is not None:
+            self._m_changes.inc(len(joined[0]))
         return joined
 
-    def _toggle_memberships(self, qid_arr, oid_arr) -> None:
+    def _toggle_memberships(self, qid_arr, oids) -> None:
         """Apply a batch of changed ``(query, object)`` atoms (distinct,
-        non-empty) to the live ``answer`` sets.
+        non-empty, **grouped by query**: ``qid_arr`` an array, ``oids``
+        the aligned list) to the live ``answer`` sets.
 
         Signs are not needed: a positive pair's object is provably
         absent from the answer and a negative pair's present (the very
         invariant that lets the kernels recompute prior membership
         geometrically), so toggling is exactly add-the-positives /
-        remove-the-negatives.  One argsort yields contiguous per-query
-        groups, each applied as a single C-speed symmetric difference.
+        remove-the-negatives — one C-speed symmetric difference per
+        query.  Every caller emits per query, so the grouping is the
+        emission order's and costs no sort here.
         """
         queries = self.queries
-        order = np.argsort(qid_arr)
-        k_sorted = qid_arr[order]
-        cuts = (np.flatnonzero(k_sorted[1:] != k_sorted[:-1]) + 1).tolist()
-        payload = oid_arr[order].tolist()
+        cuts = (np.flatnonzero(qid_arr[1:] != qid_arr[:-1]) + 1).tolist()
         starts = [0, *cuts]
-        for qid, s, e in zip(
-            k_sorted[starts].tolist(), starts, [*cuts, len(payload)]
-        ):
-            queries[qid].answer.symmetric_difference_update(payload[s:e])
+        for qid, s, e in zip(qid_arr[starts].tolist(), starts, [*cuts, len(oids)]):
+            queries[qid].answer.symmetric_difference_update(oids[s:e])
 
     # ------------------------------------------------------------------
     # Plan construction
@@ -475,9 +476,9 @@ class ColumnarEvaluator:
         order = np.lexsort((oids, pos))
         qids = np.fromiter((q.qid for q in queries), np.int64, count=len(queries))
         qid_arr = qids[pos[order]]
-        oid_arr = oids[order]
-        self._toggle_memberships(qid_arr, oid_arr)
-        updates.extend_columns(qid_arr.tolist(), oid_arr.tolist(), [1] * len(keep))
+        oid_list = oids[order].tolist()
+        self._toggle_memberships(qid_arr, oid_list)
+        updates.extend_columns(qid_arr.tolist(), oid_list, [1] * len(keep))
 
     def move_ranges(self, moves, updates) -> None:
         """Engine phase 4 for every moved range query at once.
@@ -539,11 +540,11 @@ class ColumnarEvaluator:
             oids = np.frombuffer(self.ostore.oids, dtype=np.int64)[rows]
             order = np.lexsort((oids, piece, pos))
             qid_arr = np.frombuffer(qstore.qids, dtype=np.int64)[qrows[pos[order]]]
-            oid_arr = oids[order]
-            self._toggle_memberships(qid_arr, oid_arr)
+            oid_list = oids[order].tolist()
+            self._toggle_memberships(qid_arr, oid_list)
             updates.extend_columns(
                 qid_arr.tolist(),
-                oid_arr.tolist(),
+                oid_list,
                 np.where(piece[order] < 0, -1, 1).tolist(),
             )
         qstore.move_bounds(qrows, *new)
@@ -745,11 +746,11 @@ class ColumnarEvaluator:
         verdicts = [(due_oids[lo:hi], due_flags[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         pos, oids, inside = pos[:split], oids[:split], inside[:split]
         changed = np.flatnonzero(inside != standing[:split])
+        oid_list = oids[changed].tolist()
         if len(changed):
             qid_arr = np.fromiter((q.qid for q in churned), np.int64, count=m)
-            self._toggle_memberships(qid_arr[pos[changed]], oids[changed])
+            self._toggle_memberships(qid_arr[pos[changed]], oid_list)
         cuts = np.searchsorted(pos[changed], np.arange(m + 1)).tolist()
-        oid_list = oids[changed].tolist()
         sign_list = np.where(inside[changed], 1, -1).tolist()
         refreshed = [
             (oid_list[lo:hi], sign_list[lo:hi]) for lo, hi in zip(cuts, cuts[1:])

@@ -20,18 +20,19 @@ columnar pipeline runs two array passes over the whole batch:
 
 Kernel contract::
 
-    classify_transitions(plan, ostore, qstore)
-        -> (qids, oids, signs, arrays)
+    classify_transitions(plan, ostore, qstore) -> (qids, oids, signs) | None
 
-``qids``/``oids`` are the public query/object identifiers of the
-*changed* pairs only, as plain Python lists in flat pair order (store
-rows map to identifiers with one vectorized gather over the id columns
-— never per pair in Python); ``signs`` holds +1/-1; ``arrays`` is the
-int64 ``(qids, oids, signs)`` ndarray triple (``None`` when no pair
-changed).  The kernel classifies exactly the pairs the plan
-enumerates, in the plan's order — plan construction has already
-deduplicated candidate entries across a cohort's two cells, so every
-changed pair maps one-to-one onto an emitted update.
+three int64 arrays over the *changed* pairs only (``None`` when no pair
+changed): the public query/object identifiers (store rows map to
+identifiers with one vectorized gather over the id columns — never per
+pair in Python) and +1/-1.  The pairs come **grouped by query**, each
+query's negatives before its positives, each half ascending by object
+row: one sort of packed ``(query row, sign, object row)`` keys, which
+is the order the emitter streams and the grouping the answer toggle
+applies.  The kernel classifies exactly the pairs the plan enumerates
+— plan construction has already deduplicated candidate entries across
+a cohort's two cells, so every changed pair maps one-to-one onto an
+emitted update.
 
 Pair-index arrays are materialised for the whole batch (int32: two
 4-byte columns per pair) but the float work runs in
@@ -80,7 +81,7 @@ def classify_transitions(
     contract above)."""
     n_cohorts = plan.cohort_count
     if plan.total_pairs == 0:
-        return [], [], [], None
+        return None
 
     ent_counts = np.asarray(plan.ent_counts, dtype=np.int64)
     obj_counts = np.asarray(plan.obj_counts, dtype=np.int64)
@@ -110,9 +111,9 @@ def classify_transitions(
     xs, ys, old_xs, old_ys = ostore.coord_views()
     min_xs, min_ys, max_xs, max_ys = qstore.bounds_views()
 
-    out_q: list = []
-    out_o: list = []
-    out_s: list = []
+    # Changed pairs as packed (query row, enters, object row) keys; rows
+    # are below 2**31, so a key fits an int64.
+    keys: list = []
     # NaN old coordinates (new objects) must compare False silently.
     with np.errstate(invalid="ignore"):
         for lo in range(0, total, chunk_pairs):
@@ -133,23 +134,21 @@ def classify_transitions(
             pos = np.nonzero(changed)[0]
             if not len(pos):
                 continue
-            out_q.append(q[pos])
-            out_o.append(o[pos])
-            out_s.append(np.where(in_new[pos], 1, -1))
+            key = q[pos].astype(np.int64) << 32
+            key |= in_new[pos].astype(np.int64) << 31
+            key |= o[pos]
+            keys.append(key)
 
-    if not out_q:
-        return [], [], [], None
+    if not keys:
+        return None
+    keys = np.sort(np.concatenate(keys))
     # One vectorized gather over the id columns (array('q') buffers are
     # int64 in memory) turns store rows into public identifiers — the
     # emitter never touches a row index per pair.
     qid_col = np.frombuffer(qstore.qids, dtype=np.int64)
     oid_col = np.frombuffer(ostore.oids, dtype=np.int64)
-    qid_arr = qid_col[np.concatenate(out_q)]
-    oid_arr = oid_col[np.concatenate(out_o)]
-    sign_arr = np.concatenate(out_s).astype(np.int64, copy=False)
     return (
-        qid_arr.tolist(),
-        oid_arr.tolist(),
-        sign_arr.tolist(),
-        (qid_arr, oid_arr, sign_arr),
+        qid_col[keys >> 32],
+        oid_col[keys & 0x7FFFFFFF],
+        ((keys >> 30) & 2) - 1,
     )

@@ -754,33 +754,36 @@ class IncrementalEngine:
         self, updates, knn_dirty: set[int], churned_cells: set[int]
     ) -> None:
         """Drop the departing objects; each answer holding one emits a
-        negative, per removed oid ascending, then qid ascending.  The
-        reference reads the holders off each object's QList; the
-        production path, which keeps answers only, intersects every
+        negative.  The reference reads the holders off each object's
+        QList and emits per removed oid ascending, then qid ascending;
+        the production path, which keeps answers only, intersects every
         registered answer with the removed oids — paid only in a cycle
-        with removals."""
+        with removals — and emits per query: qid ascending, then oid."""
         removed = [oid for oid in sorted(self._pending_removals) if oid in self.objects]
         self._pending_removals.clear()
         if not removed:
             return
-        if self._batch_ingest is None:
-            holders = {oid: sorted(self.objects.pop(oid).answered) for oid in removed}
-            for oid in removed:
-                self.index.remove_object(oid)
-        else:
+        queries = self.queries
+        if self._batch_ingest is not None:
             gone = set(removed)
-            holders = {oid: [] for oid in removed}
-            for qid in sorted(self.queries):
-                for oid in self.queries[qid].answer & gone:
-                    holders[oid].append(qid)
             self._batch_ingest.remove(removed, churned_cells)
+            for qid in sorted(queries):
+                query = queries[qid]
+                held = sorted(query.answer & gone)
+                if held:
+                    query.answer.difference_update(held)
+                    updates.extend_columns([qid] * len(held), held, [-1] * len(held))
+                    if query.kind is QueryKind.KNN:
+                        knn_dirty.add(qid)
+            return
         for oid in removed:
-            for qid in holders[oid]:
-                query = self.queries[qid]
+            for qid in sorted(self.objects.pop(oid).answered):
+                query = queries[qid]
                 query.answer.discard(oid)
                 updates.push(qid, oid, -1)
                 if query.kind is QueryKind.KNN:
                     knn_dirty.add(qid)
+            self.index.remove_object(oid)
 
     # ------------------------------------------------------------------
     # Phase 3: first-time answers for new queries

@@ -41,9 +41,10 @@ the :mod:`repro.faults` chaos schedules.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
+
+import numpy as np
 
 from repro.core.commit import CommittedAnswerStore
 from repro.core.engine import DEFAULT_WORLD, IncrementalEngine
@@ -68,9 +69,15 @@ from repro.obs import FlightRecorder, MetricsRegistry
 from repro.storage import HistoryRepository, LocationRecord
 
 
-#: Owner of an update whose query has no binding (unregistered in the
-#: same batch); sorts before every client id.
-_NO_OWNER = float("-inf")
+def _query_runs(qids: list[int]) -> list[tuple[int, int, int]]:
+    """``(qid, start, stop)`` of every maximal run of one qid in a
+    stream's qid column, in order — one numpy pass over the column."""
+    if not qids:
+        return []
+    column = np.fromiter(qids, np.int64, len(qids))
+    cuts = (np.flatnonzero(column[1:] != column[:-1]) + 1).tolist()
+    starts = [0, *cuts]
+    return list(zip(column[starts].tolist(), starts, [*cuts, len(qids)]))
 
 
 @dataclass(slots=True)
@@ -514,7 +521,9 @@ class LocationAwareServer:
                     qid, self.engine.answer_of(qid), into=UpdateBatch()
                 )
                 sent.extend(
-                    self._ship([(link, delta.qids, delta.oids, delta.signs)])[1]
+                    self._ship(
+                        [(link, delta.qids, delta.oids, delta.signs, [(qid, 0, len(delta))])]
+                    )[1]
                 )
                 self.commits.commit(
                     qid, frozenset(self._delivered_answers[qid])
@@ -562,8 +571,9 @@ class LocationAwareServer:
                 # A delivered full answer lands every member at once;
                 # attribute each one exactly as the incremental path
                 # attributes its recovery updates.
+                members = list(answer)
                 freshness.observe_delivered_many(
-                    repeat(qid), answer, repeat(1)
+                    [qid] * len(members), members, [1] * len(members)
                 )
                 self._delivered_answers[qid] = set(answer)
                 self.commits.commit(qid, answer)
@@ -614,54 +624,60 @@ class LocationAwareServer:
         return result
 
     def _client_slices(self, updates):
-        """Split an update stream into one column slice per owning
-        client: ``(link, qids, oids, signs)``, stream order kept within
-        each slice.
+        """One column slice per owning client, ``(link, qids, oids,
+        signs, runs)``, clients ascending, ``runs`` the slice's query
+        runs as ``(qid, start, stop)``.
 
-        One **stable** sort by owning client groups the whole batch —
-        links are independent FIFO channels with per-link cycle
-        budgets, so per-link delivery outcomes (and the commit and
-        freshness bookkeeping derived from them) do not depend on how
-        the clients' slices interleave.  Updates of queries
-        unregistered in this same batch have no owner and are skipped.
+        Every engine phase emits per query, so the stream is a sequence
+        of query runs: each run's owner is resolved once, and a slice is
+        its client's runs in stream order.  Links are independent FIFO
+        channels with per-link cycle budgets, so how the slices
+        interleave is unobservable.  Runs of queries unregistered in
+        this same batch have no owner and are skipped.
         """
         qids, oids, signs = updates.qids, updates.oids, updates.signs
         bindings = self._bindings
-        owner_of = {
-            qid: bindings[qid].client_id if qid in bindings else _NO_OWNER
-            for qid in set(qids)
-        }
-        owners = [owner_of[qid] for qid in qids]
-        order = sorted(range(len(owners)), key=owners.__getitem__)
-        qids = [qids[i] for i in order]
-        oids = [oids[i] for i in order]
-        signs = [signs[i] for i in order]
-        links = self._links
-        stop = 0
-        for client_id, count in sorted(Counter(owners).items()):
-            start, stop = stop, stop + count
-            if client_id in links:
-                yield (
-                    links[client_id],
-                    qids[start:stop],
-                    oids[start:stop],
-                    signs[start:stop],
-                )
+        runs_of: dict[int, list[tuple[int, int, int]]] = {}
+        for run in _query_runs(qids):
+            binding = bindings.get(run[0])
+            if binding is not None:
+                runs_of.setdefault(binding.client_id, []).append(run)
+        for client_id in sorted(runs_of):
+            link, runs = self._links[client_id], runs_of[client_id]
+            if len(runs) == 1:  # the usual client: one query, one run
+                ((qid, start, stop),) = runs
+                cut = slice(start, stop)
+                yield link, qids[cut], oids[cut], signs[cut], [(qid, 0, stop - start)]
+                continue
+            slice_qids, slice_oids, slice_signs, slice_runs = [], [], [], []
+            for qid, start, stop in runs:
+                at = len(slice_qids)
+                slice_runs.append((qid, at, at + stop - start))
+                slice_qids += qids[start:stop]
+                slice_oids += oids[start:stop]
+                slice_signs += signs[start:stop]
+            yield link, slice_qids, slice_oids, slice_signs, slice_runs
 
     def _ship(self, slices) -> tuple[int, UpdateBatch]:
-        """Deliver ``(link, qids, oids, signs)`` column slices and do
+        """Deliver ``(link, qids, oids, signs, runs)`` column slices
+        (``runs`` the slice's query runs, ``(qid, start, stop)``) and do
         the bookkeeping every delivery owes; returns the number of
         updates attempted and the batch of those delivered.
 
         The one ship routine: evaluation cycles and wakeup recovery
         both come through here, so the delivered-answer view, the
         freshness attribution and the flight recorder cannot disagree
-        about what a link accepted.
+        about what a link accepted.  The bookkeeping runs once per
+        query run: a run whose signs are negatives-then-positives folds
+        into the delivered answer as one set difference and one union
+        (stream order and set order agree in that shape), any other run
+        update by update.
         """
         attempted = 0
         delivered = UpdateBatch()
+        delivered_runs: list[tuple[int, int, int]] = []
         recorder = self.recorder
-        for link, qids, oids, signs in slices:
+        for link, qids, oids, signs, runs in slices:
             if not qids:
                 continue
             attempted += len(qids)
@@ -679,25 +695,32 @@ class LocationAwareServer:
                 for qid, oid, sign, ok in zip(qids, oids, signs, verdicts):
                     if not ok:
                         self.freshness.observe_undelivered(qid, oid, sign)
-                qids = compress(qids, verdicts)
-                oids = compress(oids, verdicts)
-                signs = compress(signs, verdicts)
+                qids = list(compress(qids, verdicts))
+                oids = list(compress(oids, verdicts))
+                signs = list(compress(signs, verdicts))
+                runs = _query_runs(qids)
+            base = len(delivered.qids)
             delivered.extend_columns(qids, oids, signs)
+            for qid, start, stop in runs:
+                delivered_runs.append((qid, base + start, base + stop))
         # Advance the proven-delivered view so the next uplink-triggered
         # commit records what the client actually holds.
         answers = self._delivered_answers
-        run_qid = None
-        for qid, oid, sign in delivered.tuples():
-            if qid != run_qid:
-                run_qid = qid
-                answer = answers[qid]
-            if sign == 1:
-                answer.add(oid)
-            else:
-                answer.discard(oid)
-        self.freshness.observe_delivered_many(
-            delivered.qids, delivered.oids, delivered.signs
-        )
+        oids, signs = delivered.oids, delivered.signs
+        for qid, start, stop in delivered_runs:
+            answer = answers[qid]
+            run_signs = signs[start:stop]
+            split = run_signs.count(-1)
+            if 1 not in run_signs[:split]:
+                answer.difference_update(oids[start : start + split])
+                answer.update(oids[start + split : stop])
+                continue
+            for oid, sign in zip(oids[start:stop], run_signs):
+                if sign == 1:
+                    answer.add(oid)
+                else:
+                    answer.discard(oid)
+        self.freshness.observe_delivered_runs(delivered_runs, oids, signs)
         return attempted, delivered
 
     def savings_ratio(self) -> float:

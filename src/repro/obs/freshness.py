@@ -34,7 +34,6 @@ no-ops every call, which is what the overhead benchmark gates against.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from math import ceil
 
 from repro.obs.registry import (
@@ -125,7 +124,7 @@ class FreshnessTracker:
 
     The engine owns the write side (:meth:`stamp_report` per buffered
     report, :meth:`end_cycle` per evaluation); the server owns the read
-    side (:meth:`observe_delivered_many` per accepted downlink slice,
+    side (:meth:`observe_delivered_runs` per accepted downlink batch,
     :meth:`observe_committed` per acknowledged query).  Staleness of an
     update is measured against the *latest* report of its object — the
     definition of answer currency the paper's client cares about.
@@ -216,50 +215,81 @@ class FreshnessTracker:
         self.observe_delivered_many((qid,), (oid,), (sign,))
 
     def observe_delivered_many(self, qids, oids, signs) -> None:
-        """Updates the link accepted, as aligned columns; attribute
-        delivery staleness and queue the stamps for commit-stage
-        attribution.
+        """Updates the link accepted, as aligned finite sequences (lists
+        or tuples: they are measured and sliced, never iterators), each
+        its own run of :meth:`observe_delivered_runs`."""
+        n = len(qids)
+        self.observe_delivered_runs(list(zip(qids, range(n), range(1, n + 1))), oids, signs)
 
-        The whole slice is delivered "now" — one clock read — so lag is
+    def observe_delivered_runs(self, runs, oids, signs) -> None:
+        """Updates the link accepted: aligned ``oids``/``signs`` lists
+        cut into ``runs`` of one query each, ``(qid, start, stop)`` in
+        delivery order.  Attribute delivery staleness and queue the
+        stamps for commit-stage attribution.
+
+        The whole batch is delivered "now" — one clock read — so lag is
         a function of the report stamp alone: the registry histograms
-        take one observation per ``(stamp, sign)``, and only the
-        per-query summary and the pending-commit entry are kept per
-        ``(query, stamp, sign)`` group.
+        take one observation per ``(stamp, sign)``.  A run is grouped by
+        stamp — one group, hashing nothing per update, when the whole
+        run carries one stamp (the usual case) — and each group lands
+        in one per-query summary observation and one pending-commit
+        entry update, positives and negatives together.
         """
-        groups = Counter(zip(qids, map(self._stamps.get, oids), signs))
+        stamps = list(map(self._stamps.get, oids))
         now_ts = self._clock()
         cycle = self.cycle
-        per_stamp: dict[tuple[tuple[int, float], int], int] = {}
+        per_stamp: dict[tuple[int, float], list[int]] = {}
         pending_commit = self._pending_commit
-        for (qid, stamp, sign), n in groups.items():
-            if stamp is None:
-                self._m_unattributed.inc(n)
-                continue
-            key = (stamp, sign)
-            per_stamp[key] = per_stamp.get(key, 0) + n
-            stamp_cycle, stamp_ts = stamp
-            summary = self._summary_of(qid)
-            if summary is None:
-                self._m_untracked.inc(n)
-            else:
-                summary.observe(
-                    "delivery", max(0, cycle - stamp_cycle), now_ts - stamp_ts, n
-                )
-            pending = pending_commit.get(qid)
-            if pending is None:
-                pending = pending_commit[qid] = {}
-            entry = pending.get(stamp_cycle)
-            if entry is None:
-                if len(pending) >= _MAX_PENDING_PER_QUERY:
-                    self._fold_oldest(pending)
-                entry = pending[stamp_cycle] = [stamp_ts, 0, 0]
-            entry[1 if sign == 1 else 2] += n
-        for ((stamp_cycle, stamp_ts), sign), n in per_stamp.items():
-            cycles_hist, seconds_hist = self._hists[
-                ("delivery", "positive" if sign == 1 else "negative")
-            ]
-            cycles_hist.observe_n(max(0, cycle - stamp_cycle), n)
-            seconds_hist.observe_n(now_ts - stamp_ts, n)
+        unattributed = untracked = 0
+        for qid, start, stop in runs:
+            run = stamps[start:stop]
+            first = run[0]
+            if run.count(first) == stop - start:
+                negative = signs[start:stop].count(-1)
+                groups = ((first, stop - start - negative, negative),)
+            else:  # (stamp, positives, negatives), in first-appearance order
+                counts: dict = {}
+                for stamp, sign in zip(run, signs[start:stop]):
+                    counts.setdefault(stamp, [0, 0])[sign == -1] += 1
+                groups = [(stamp, *pair) for stamp, pair in counts.items()]
+            summary = pending = None
+            for stamp, positive, negative in groups:
+                n = positive + negative
+                if stamp is None:
+                    unattributed += n
+                    continue
+                if pending is None:
+                    summary = self._summary_of(qid)
+                    pending = pending_commit.setdefault(qid, {})
+                totals = per_stamp.setdefault(stamp, [0, 0])
+                totals[0] += positive
+                totals[1] += negative
+                stamp_cycle, stamp_ts = stamp
+                if summary is None:
+                    untracked += n
+                else:
+                    summary.observe(
+                        "delivery", max(0, cycle - stamp_cycle), now_ts - stamp_ts, n
+                    )
+                entry = pending.get(stamp_cycle)
+                if entry is None:
+                    if len(pending) >= _MAX_PENDING_PER_QUERY:
+                        self._fold_oldest(pending)
+                    entry = pending[stamp_cycle] = [stamp_ts, 0, 0]
+                entry[1] += positive
+                entry[2] += negative
+        if unattributed:
+            self._m_unattributed.inc(unattributed)
+        if untracked:
+            self._m_untracked.inc(untracked)
+        hists = self._hists[("delivery", "positive")], self._hists[("delivery", "negative")]
+        for (stamp_cycle, stamp_ts), totals in per_stamp.items():
+            lag_cycles = max(0, cycle - stamp_cycle)
+            lag_seconds = now_ts - stamp_ts
+            for (cycles_hist, seconds_hist), n in zip(hists, totals):
+                if n:
+                    cycles_hist.observe_n(lag_cycles, n)
+                    seconds_hist.observe_n(lag_seconds, n)
 
     def _summary_of(self, qid: int) -> "_QuerySummary | None":
         """``qid``'s summary, created while the tracked set has room."""
@@ -387,6 +417,9 @@ class NullFreshnessTracker:
         pass
 
     def observe_delivered_many(self, qids, oids, signs) -> None:
+        pass
+
+    def observe_delivered_runs(self, runs, oids, signs) -> None:
         pass
 
     def observe_undelivered(self, qid: int, oid: int, sign: int) -> None:

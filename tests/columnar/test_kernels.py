@@ -3,9 +3,9 @@ reimplementation of its contract.
 
 Plans here are built by hand from randomized stores (no engine in the
 loop), so the tests pin the kernel contract itself: changed pairs only
-as public qid/oid lists (stores use non-identity ids so the row→id
-mapping is genuinely exercised), flat serial pair order, NaN old
-coordinates classified as "was a member of nothing".
+as public qid/oid arrays (stores use non-identity ids so the row→id
+mapping is genuinely exercised), grouped by query with negatives first,
+NaN old coordinates classified as "was a member of nothing".
 """
 
 from __future__ import annotations
@@ -66,9 +66,18 @@ def build_random_batch(seed: int, cohorts: int = 12):
     return layout, ostore, qstore
 
 
+def columns(joined):
+    """The kernel's ``(qids, oids, signs)`` arrays as lists."""
+    if joined is None:
+        return [], [], []
+    return tuple(column.tolist() for column in joined)
+
+
 def reference_classify(layout, ostore, qstore):
     """Straight-line reimplementation of the contract, independent of
-    the production kernel."""
+    the production kernel: every changed pair, then one sort into query
+    order, negatives first, object rows ascending (here ids grow with
+    rows, so the ids sort the same way)."""
     qids, oids, signs = [], [], []
     for ents, rows in layout:
         for erow in ents:
@@ -84,14 +93,19 @@ def reference_classify(layout, ostore, qstore):
                     qids.append(qstore.qids[erow])
                     oids.append(ostore.oids[orow])
                     signs.append(1 if in_new else -1)
-    return qids, oids, signs
+    ordered = sorted(zip(qids, signs, oids))
+    return (
+        [qid for qid, _, _ in ordered],
+        [oid for _, _, oid in ordered],
+        [sign for _, sign, _ in ordered],
+    )
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_numpy_backend_matches_reference(seed):
     layout, ostore, qstore = build_random_batch(seed)
     got = classify_transitions(plan_of(layout), ostore, qstore)
-    assert list(got[:3]) == list(reference_classify(layout, ostore, qstore))
+    assert columns(got) == reference_classify(layout, ostore, qstore)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -99,7 +113,7 @@ def test_numpy_chunking_is_invisible(seed):
     layout, ostore, qstore = build_random_batch(seed, cohorts=20)
     whole = classify_transitions(plan_of(layout), ostore, qstore)
     tiny = classify_transitions(plan_of(layout), ostore, qstore, chunk_pairs=7)
-    assert whole[:3] == tiny[:3]
+    assert columns(whole) == columns(tiny)
 
 
 def test_nan_old_coords_mean_member_of_nothing():
@@ -109,20 +123,15 @@ def test_nan_old_coords_mean_member_of_nothing():
     report(ostore, 1, 0.5, 0.5)
     assert math.isnan(ostore.old_xs[0])
     qstore.put(9, KIND_RANGE, 0.0, 0.0, 1.0, 1.0)
-    qids, oids, signs, _ = classify_transitions(
-        plan_of([([0], [0])]), ostore, qstore
-    )
-    assert (qids, oids, signs) == ([9], [1], [1])
+    joined = classify_transitions(plan_of([([0], [0])]), ostore, qstore)
+    assert columns(joined) == ([9], [1], [1])
 
 
 def test_empty_plan():
     ostore = ColumnarObjectStore()
     report(ostore, 1, 0.5, 0.5)
     qstore = ColumnarQueryStore()
-    qids, oids, signs, arrays = classify_transitions(
-        plan_of([([], [0]), ([], [0])]), ostore, qstore
-    )
-    assert (qids, oids, signs, arrays) == ([], [], [], None)
+    assert classify_transitions(plan_of([([], [0]), ([], [0])]), ostore, qstore) is None
 
 
 def test_boundary_containment_is_closed():
@@ -135,5 +144,4 @@ def test_boundary_containment_is_closed():
     qstore.put(5, KIND_RANGE, 0.2, 0.2, 0.4, 0.6)
     # Old (0.2,0.2) on the min corner and new (0.4,0.6) on the max
     # corner are both inside: no transition.
-    qids, _, _, arrays = classify_transitions(plan_of([([0], [0])]), ostore, qstore)
-    assert (qids, arrays) == ([], None)
+    assert classify_transitions(plan_of([([0], [0])]), ostore, qstore) is None

@@ -70,6 +70,26 @@ class TestFreshnessParity:
         # All four answer members attributed by the full-answer delivery.
         assert delivered_after == delivered_before + 4
 
+    def test_tracker_is_handed_finite_aligned_sequences(self):
+        """The tracker cuts its columns into query runs by length and
+        slicing: an iterator such as ``repeat(qid)`` must never reach
+        it (one that is infinite would never be exhausted)."""
+        server = make_server()
+        observe = server.freshness.observe_delivered_many
+        handed = []
+
+        def spy(qids, oids, signs):
+            for column in (qids, oids, signs):
+                assert isinstance(column, (list, tuple)), type(column)
+            assert len(qids) == len(oids) == len(signs)
+            handed.append(len(qids))
+            observe(qids, oids, signs)
+
+        server.freshness.observe_delivered_many = spy
+        server.link_of(1).disconnect()
+        server.recover_naive(1)
+        assert handed == [4]
+
     def test_rejected_answer_counts_undelivered(self):
         server = make_server(budget=16)
         server.link_of(1).disconnect()
