@@ -29,12 +29,15 @@ repository must never get *ahead* of what a client actually received:
 a committed answer the client does not hold poisons every future
 recovery diff (the server diffs against a base the client never
 reached, so stale members are never retracted).  The server therefore
-tracks, per query, the answer state proven delivered — the committed
-base plus every update ``link.deliver`` accepted since — and commits
-only that.  A throttled or re-dropped recovery update simply leaves
-the query behind the live answer; the next wakeup re-sends the missing
-delta, and repeated wakeups converge because each one advances the
-committed base by whatever did fit.  The
+commits only :meth:`~LocationAwareServer.delivered_answer`: the live
+answer XOR the query's *lag*, the oids the client holds otherwise, kept
+only while non-empty.  A delivered update discards its oid from the
+lag and a refused one toggles it — sound because the engine's stream
+is, per query, a sequence of flips (``+o`` only when ``o`` is not in
+the answer, ``-o`` only when it is).  A throttled or re-dropped
+recovery update simply leaves the query behind the live answer; the
+next wakeup re-sends the missing delta, and repeated wakeups converge
+because each one advances the committed base by whatever did fit.  The
 :class:`repro.check.ConsistencyOracle` enforces this invariant under
 the :mod:`repro.faults` chaos schedules.
 """
@@ -105,15 +108,6 @@ class CycleResult:
         return self.incremental_bytes / self.complete_bytes
 
 
-@dataclass(slots=True)
-class _QueryBinding:
-    """Server-side metadata for one registered query."""
-
-    qid: int
-    client_id: int
-    moving: bool = False
-
-
 class LocationAwareServer:
     """Continuous-query service over one incremental engine."""
 
@@ -176,12 +170,12 @@ class LocationAwareServer:
         self._throttled: list[ThrottledLink] = []
         # Clients whose link accepted mail since the last take_mailed().
         self._mailed: set[int] = set()
-        self._bindings: dict[int, _QueryBinding] = {}
+        # qid -> the client that owns it.
+        self._owner: dict[int, int] = {}
         self._queries_of_client: dict[int, set[int]] = {}
-        # Per-query answer state proven delivered to the owning client:
-        # the committed base plus every update deliver() accepted since.
-        # This — never the live engine answer — is what commits record.
-        self._delivered_answers: dict[int, set[int]] = {}
+        # qid -> the oids its client holds otherwise than the live
+        # answer, only non-empty sets (see delivered_answer()).
+        self._lag: dict[int, set[int]] = {}
         # Fault-injection gate for uplink traffic: ``gate(kind) -> bool``
         # where False defers the uplink call to the start of the next
         # evaluation cycle (a slow/congested uplink path).  ``None``
@@ -287,7 +281,14 @@ class LocationAwareServer:
     def client_of(self, qid: int) -> int:
         """The client that owns query ``qid``."""
         self._require_binding(qid)
-        return self._bindings[qid].client_id
+        return self._owner[qid]
+
+    def delivered_answer(self, qid: int) -> frozenset[int]:
+        """The answer ``qid``'s client provably holds — the live answer
+        XOR its lag (∅ as the live answer before the query's first
+        evaluation).  This, never the live answer, is what commits
+        record."""
+        return self._live_answer(qid).symmetric_difference(self._lag.get(qid, ()))
 
     def take_mailed(self) -> set[int]:
         """The clients whose link accepted mail since the last call —
@@ -458,7 +459,7 @@ class LocationAwareServer:
             return
         self.stats.record_uplink(CommitMessage)
         self._require_binding(qid)
-        self.commits.commit(qid, frozenset(self._delivered_answers[qid]))
+        self.commits.commit(qid, self.delivered_answer(qid))
         self.freshness.observe_committed(qid)
         self.recorder.record("commit", qid=qid, via="explicit")
         self._notify("on_commit", qid)
@@ -471,11 +472,11 @@ class LocationAwareServer:
         self._bind(qid, client_id)
 
     def unregister_query(self, qid: int) -> None:
-        binding = self._bindings.pop(qid, None)
-        if binding is None:
+        client_id = self._owner.pop(qid, None)
+        if client_id is None:
             raise KeyError(f"unknown query {qid}")
-        self._queries_of_client[binding.client_id].discard(qid)
-        self._delivered_answers.pop(qid, None)
+        self._queries_of_client[client_id].discard(qid)
+        self._lag.pop(qid, None)
         self.commits.forget(qid)
         self.engine.unregister_query(qid)
 
@@ -512,22 +513,18 @@ class LocationAwareServer:
         sent = UpdateBatch()
         with self.tracer.span("recovery"):
             for qid in sorted(self._queries_of_client[client_id]):
-                # The client rolled back to the committed answer; every
-                # delivered update moves this base toward the live one.
-                self._delivered_answers[qid] = set(
-                    self.commits.committed_answer(qid)
-                )
+                # The delta flips the client's committed answer to the live
+                # one like a cycle: once shipped, the lag is its refused part.
+                self._lag.pop(qid, None)
                 delta = self.commits.recovery_updates(
-                    qid, self.engine.answer_of(qid), into=UpdateBatch()
+                    qid, self._live_answer(qid), into=UpdateBatch()
                 )
                 sent.extend(
                     self._ship(
                         [(link, delta.qids, delta.oids, delta.signs, [(qid, 0, len(delta))])]
                     )[1]
                 )
-                self.commits.commit(
-                    qid, frozenset(self._delivered_answers[qid])
-                )
+                self.commits.commit(qid, self.delivered_answer(qid))
                 self.freshness.observe_committed(qid)
                 self.recorder.record("commit", qid=qid, via="wakeup")
         self._notify("on_wakeup_end", client_id)
@@ -547,8 +544,9 @@ class LocationAwareServer:
         ``wakeup_begin``/``wakeup_end``, and every full-answer member
         is attributed in the freshness tracker — so the ablation
         compares recovery strategies, not bookkeeping asymmetries.  A
-        full answer the link rejects leaves the query uncommitted; the
-        next recovery attempt retries it.
+        full answer the link rejects leaves the query uncommitted and
+        its client at the committed answer it rolled back to; the next
+        recovery attempt retries it.
         """
         self.stats.record_uplink(WakeupMessage)
         self._m_wakeups.inc()
@@ -562,26 +560,26 @@ class LocationAwareServer:
         total = 0
         recovered = 0
         for qid in sorted(self._queries_of_client[client_id]):
-            answer = self.engine.answer_of(qid)
+            answer = self._live_answer(qid)
             message = FullAnswerMessage(qid, answer)
             if link.deliver(message):
                 self._mailed.add(client_id)
                 total += message.size_bytes
                 recovered += 1
-                # A delivered full answer lands every member at once;
-                # attribute each one exactly as the incremental path
-                # attributes its recovery updates.
-                members = list(answer)
-                freshness.observe_delivered_many(
-                    [qid] * len(members), members, [1] * len(members)
-                )
-                self._delivered_answers[qid] = set(answer)
+                # A delivered full answer lands every member at once, as
+                # one query run — the shape of a wakeup delta.
+                if answer:
+                    members = list(answer)
+                    freshness.observe_delivered_runs(
+                        [(qid, 0, len(members))], members, [1] * len(members)
+                    )
                 self.commits.commit(qid, answer)
                 freshness.observe_committed(qid)
                 self.recorder.record("commit", qid=qid, via="naive_recovery")
             else:
                 for oid in answer:
                     freshness.observe_undelivered(qid, oid, 1)
+            self._seed_lag(qid)
         self._notify("on_wakeup_end", client_id)
         self.recorder.record(
             "wakeup_end", client=client_id, via="naive", recovered=recovered
@@ -636,12 +634,12 @@ class LocationAwareServer:
         this same batch have no owner and are skipped.
         """
         qids, oids, signs = updates.qids, updates.oids, updates.signs
-        bindings = self._bindings
+        owner = self._owner
         runs_of: dict[int, list[tuple[int, int, int]]] = {}
         for run in _query_runs(qids):
-            binding = bindings.get(run[0])
-            if binding is not None:
-                runs_of.setdefault(binding.client_id, []).append(run)
+            client_id = owner.get(run[0])
+            if client_id is not None:
+                runs_of.setdefault(client_id, []).append(run)
         for client_id in sorted(runs_of):
             link, runs = self._links[client_id], runs_of[client_id]
             if len(runs) == 1:  # the usual client: one query, one run
@@ -665,18 +663,18 @@ class LocationAwareServer:
         updates attempted and the batch of those delivered.
 
         The one ship routine: evaluation cycles and wakeup recovery
-        both come through here, so the delivered-answer view, the
-        freshness attribution and the flight recorder cannot disagree
-        about what a link accepted.  The bookkeeping runs once per
-        query run: a run whose signs are negatives-then-positives folds
-        into the delivered answer as one set difference and one union
-        (stream order and set order agree in that shape), any other run
-        update by update.
+        both come through here, so the lag behind
+        :meth:`delivered_answer`, the freshness attribution and the
+        flight recorder cannot disagree about what a link accepted.  A
+        delivered update discards its oid from its query's lag and a
+        refused one toggles it; a link that refused nothing costs the
+        lag one test when no query lags.
         """
         attempted = 0
         delivered = UpdateBatch()
         delivered_runs: list[tuple[int, int, int]] = []
         recorder = self.recorder
+        lag = self._lag
         for link, qids, oids, signs, runs in slices:
             if not qids:
                 continue
@@ -693,34 +691,34 @@ class LocationAwareServer:
                     )
             if verdicts is not None:
                 for qid, oid, sign, ok in zip(qids, oids, signs, verdicts):
-                    if not ok:
+                    held = lag.get(qid, set())
+                    if ok:
+                        held.discard(oid)
+                    else:
                         self.freshness.observe_undelivered(qid, oid, sign)
+                        held ^= {oid}
+                    if held:
+                        lag[qid] = held
+                    else:
+                        lag.pop(qid, None)
                 qids = list(compress(qids, verdicts))
                 oids = list(compress(oids, verdicts))
                 signs = list(compress(signs, verdicts))
                 runs = _query_runs(qids)
+            elif lag:
+                for qid, start, stop in runs:
+                    held = lag.get(qid)
+                    if held is not None:
+                        held.difference_update(oids[start:stop])
+                        if not held:
+                            del lag[qid]
             base = len(delivered.qids)
             delivered.extend_columns(qids, oids, signs)
             for qid, start, stop in runs:
                 delivered_runs.append((qid, base + start, base + stop))
-        # Advance the proven-delivered view so the next uplink-triggered
-        # commit records what the client actually holds.
-        answers = self._delivered_answers
-        oids, signs = delivered.oids, delivered.signs
-        for qid, start, stop in delivered_runs:
-            answer = answers[qid]
-            run_signs = signs[start:stop]
-            split = run_signs.count(-1)
-            if 1 not in run_signs[:split]:
-                answer.difference_update(oids[start : start + split])
-                answer.update(oids[start + split : stop])
-                continue
-            for oid, sign in zip(oids[start:stop], run_signs):
-                if sign == 1:
-                    answer.add(oid)
-                else:
-                    answer.discard(oid)
-        self.freshness.observe_delivered_runs(delivered_runs, oids, signs)
+        self.freshness.observe_delivered_runs(
+            delivered_runs, delivered.oids, delivered.signs
+        )
         return attempted, delivered
 
     def savings_ratio(self) -> float:
@@ -768,20 +766,32 @@ class LocationAwareServer:
     def _bind(self, qid: int, client_id: int) -> None:
         if client_id not in self._links:
             raise KeyError(f"unknown client {client_id}")
-        self._bindings[qid] = _QueryBinding(qid, client_id)
+        self._owner[qid] = client_id
         self._queries_of_client[client_id].add(qid)
         # A checkpoint-adopted query starts from its committed answer
         # (the client held it before the restart); a fresh one from ∅.
-        self._delivered_answers[qid] = set(self.commits.committed_answer(qid))
+        self._seed_lag(qid)
+
+    def _live_answer(self, qid: int) -> frozenset[int]:
+        """``qid``'s live answer; ∅ before its first evaluation."""
+        query = self.engine.queries.get(qid)
+        return frozenset() if query is None else frozenset(query.answer)
+
+    def _seed_lag(self, qid: int) -> None:
+        """Lag ``qid`` for a client that holds its committed answer."""
+        held = set(self._live_answer(qid) ^ self.commits.committed_answer(qid))
+        if held:
+            self._lag[qid] = held
+        else:
+            self._lag.pop(qid, None)
 
     def _commit_on_uplink(self, qid: int) -> None:
         self._require_binding(qid)
-        self._bindings[qid].moving = True
-        self.commits.commit(qid, frozenset(self._delivered_answers[qid]))
+        self.commits.commit(qid, self.delivered_answer(qid))
         self.freshness.observe_committed(qid)
         self.recorder.record("commit", qid=qid, via="uplink")
         self._notify("on_commit", qid)
 
     def _require_binding(self, qid: int) -> None:
-        if qid not in self._bindings:
+        if qid not in self._owner:
             raise KeyError(f"unknown query {qid}")

@@ -210,16 +210,8 @@ class FreshnessTracker:
     # -- read side (server) --------------------------------------------
 
     def observe_delivered(self, qid: int, oid: int, sign: int) -> None:
-        """One update the link accepted (see
-        :meth:`observe_delivered_many`)."""
-        self.observe_delivered_many((qid,), (oid,), (sign,))
-
-    def observe_delivered_many(self, qids, oids, signs) -> None:
-        """Updates the link accepted, as aligned finite sequences (lists
-        or tuples: they are measured and sliced, never iterators), each
-        its own run of :meth:`observe_delivered_runs`."""
-        n = len(qids)
-        self.observe_delivered_runs(list(zip(qids, range(n), range(1, n + 1))), oids, signs)
+        """One update the link accepted, as a run of its own."""
+        self.observe_delivered_runs([(qid, 0, 1)], [oid], [sign])
 
     def observe_delivered_runs(self, runs, oids, signs) -> None:
         """Updates the link accepted: aligned ``oids``/``signs`` lists
@@ -414,9 +406,6 @@ class NullFreshnessTracker:
         pass
 
     def observe_delivered(self, qid: int, oid: int, sign: int) -> None:
-        pass
-
-    def observe_delivered_many(self, qids, oids, signs) -> None:
         pass
 
     def observe_delivered_runs(self, runs, oids, signs) -> None:

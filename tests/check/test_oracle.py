@@ -138,7 +138,7 @@ def buggy_receive_wakeup(server, client_id):
         for update in server.commits.recovery_updates(qid, current):
             link.deliver(UpdateMessage(update.qid, update.oid, update.sign))
             sent.append(update)
-        server._delivered_answers[qid] = set(current)
+        server._lag.pop(qid, None)  # delivered := live, regardless
         server.commits.commit(qid, current)
     server._notify("on_wakeup_end", client_id)
     return sent

@@ -73,22 +73,23 @@ class TestFreshnessParity:
     def test_tracker_is_handed_finite_aligned_sequences(self):
         """The tracker cuts its columns into query runs by length and
         slicing: an iterator such as ``repeat(qid)`` must never reach
-        it (one that is infinite would never be exhausted)."""
+        it (one that is infinite would never be exhausted).  A full
+        answer is one query run, the shape of a wakeup delta."""
         server = make_server()
-        observe = server.freshness.observe_delivered_many
+        observe = server.freshness.observe_delivered_runs
         handed = []
 
-        def spy(qids, oids, signs):
-            for column in (qids, oids, signs):
+        def spy(runs, oids, signs):
+            for column in (runs, oids, signs):
                 assert isinstance(column, (list, tuple)), type(column)
-            assert len(qids) == len(oids) == len(signs)
-            handed.append(len(qids))
-            observe(qids, oids, signs)
+            assert len(oids) == len(signs)
+            handed.append(runs)
+            observe(runs, oids, signs)
 
-        server.freshness.observe_delivered_many = spy
+        server.freshness.observe_delivered_runs = spy
         server.link_of(1).disconnect()
         server.recover_naive(1)
-        assert handed == [4]
+        assert handed == [[(10, 0, 4)]]
 
     def test_rejected_answer_counts_undelivered(self):
         server = make_server(budget=16)

@@ -5,18 +5,21 @@ delivering one message per update.
 Two identical server stacks get the same random update streams over the
 same random mix of links.  One ships through ``evaluate_cycle`` and
 ``receive_wakeup`` (owners resolved per query run,
-``ClientLink.deliver_updates`` per slice, the delivered-answer fold and
-the freshness attribution per run); the other through
-:func:`reference_ship`, the per-message loop the server used before
-slices, kept here as the reference.  Everything observable must match:
+``ClientLink.deliver_updates`` per slice, the lag behind
+``delivered_answer`` kept from the verdicts, the freshness attribution
+per run); the other through :func:`reference_ship`, the per-message
+loop the server used before slices, which folds every accepted update
+into its own delivered dict.  Everything observable must match:
 inboxes, traffic counters, per-link series, the cycle result, the
-delivered-answer view, pending commits, freshness histograms and
+delivered answers, pending commits, freshness histograms and
 flight-recorder events.
 
-The streams come in the shapes the per-run fast paths rely on and the
-ones they must fall back on: scattered updates (runs of about one),
-long per-query runs, sign-sorted runs, and one query split across runs
-— over enough cycles for the pending-commit cap to fold.
+The streams flip, as the engine's do (``+o`` only when ``o`` is out of
+the answer, ``-o`` only when it is in), and come in the shapes the
+per-run paths see: scattered updates (runs of about one), long
+per-query runs (a member flipped back and forth), sign-sorted runs, and
+one query split across runs — over enough cycles for the pending-commit
+cap to fold.
 """
 
 import random
@@ -45,31 +48,28 @@ LINK_KINDS = st.one_of(
 )
 
 OIDS = st.integers(min_value=0, max_value=N_OIDS - 1)
-SIGNS = st.sampled_from((1, -1))
 
-#: Updates in any order: small id ranges make ``-``/``+`` of one
-#: (qid, oid) in one cycle common; qid 0 is never bound (a query
-#: unregistered in the same batch).
+#: A stream is a list of ``(qid, oids, sign_sorted)`` runs; each oid
+#: flips its membership in the query's live answer when the stub emits
+#: it, and ``sign_sorted`` puts the run's negatives first (its oids are
+#: then distinct).  Small id ranges make ``+``/``-`` of one (qid, oid)
+#: in one cycle common; qid 0 is never bound (a query unregistered in
+#: the same batch).
+QIDS_DRAWN = st.integers(min_value=0, max_value=8)
 SCATTERED = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=8), OIDS, SIGNS), max_size=60
+    st.tuples(QIDS_DRAWN, st.lists(OIDS, min_size=1, max_size=1), st.just(False)),
+    max_size=60,
 )
-
-
-@st.composite
-def run_streams(draw, sign_sorted: bool, max_runs: int = 6):
-    """A stream of per-query runs (what the engine emits), a query
-    possibly in several of them; ``sign_sorted`` puts each run's
-    negatives first."""
-    stream = []
-    for qid in draw(st.lists(st.integers(min_value=0, max_value=8), max_size=max_runs)):
-        body = draw(st.lists(st.tuples(OIDS, SIGNS), min_size=1, max_size=25))
-        if sign_sorted:
-            body.sort(key=lambda update: update[1])
-        stream += [(qid, oid, sign) for oid, sign in body]
-    return stream
-
-
-STREAMS = st.one_of(SCATTERED, run_streams(False), run_streams(True))
+RUNS = st.lists(
+    st.one_of(
+        st.tuples(QIDS_DRAWN, st.lists(OIDS, min_size=1, max_size=25), st.just(False)),
+        st.tuples(
+            QIDS_DRAWN, st.lists(OIDS, min_size=1, max_size=N_OIDS, unique=True), st.just(True)
+        ),
+    ),
+    max_size=6,
+)
+STREAMS = st.one_of(SCATTERED, RUNS)
 
 #: One cycle: the oids whose reports are stamped for it, the update
 #: stream, then the qids whose clients commit and the client indices
@@ -123,18 +123,23 @@ class Stack:
 
     def begin(self, stamped, stream):
         """Stamp this cycle's reports and stub the engine to emit
-        ``stream``."""
+        ``stream``'s flips, folding them into the live answers."""
         freshness = self.server.freshness
         queries = self.server.engine.queries
         for oid in stamped:
             freshness.stamp_report(oid)
         updates = UpdateBatch()
-        for qid, oid, sign in stream:
-            updates.push(qid, oid, sign)
-            if qid in queries and sign == 1:
-                queries[qid].answer.add(oid)
-            elif qid in queries:
-                queries[qid].answer.discard(oid)
+        unbound: dict[int, set[int]] = {}
+        for qid, oids, sign_sorted in stream:
+            answer = queries[qid].answer if qid in queries else unbound.setdefault(qid, set())
+            run = []
+            for oid in oids:
+                run.append((oid, -1 if oid in answer else 1))
+                answer ^= {oid}
+            if sign_sorted:
+                run.sort(key=lambda update: update[1])
+            for oid, sign in run:
+                updates.push(qid, oid, sign)
 
         def evaluate(now):
             freshness.end_cycle()
@@ -169,7 +174,7 @@ class Stack:
             "inboxes": {c: server.link_of(c)._inbox for c in server.client_ids()},
             "by_type": server.stats.by_type,
             "metrics": metrics,
-            "delivered_answers": server._delivered_answers,
+            "delivered_answers": {qid: server.delivered_answer(qid) for qid in server._owner},
             "committed": {qid: server.commits.committed_answer(qid) for qid in QIDS},
             "pending_commit": server.freshness._pending_commit,
             "observed": self.observed,
@@ -177,10 +182,32 @@ class Stack:
         }
 
 
-def reference_ship(server: LocationAwareServer, slices) -> tuple[int, UpdateBatch]:
+class ReferenceStack(Stack):
+    """A stack whose server ships per message (:func:`reference_ship`)
+    and answers ``delivered_answer`` from its own dict: the committed
+    base on every wakeup, plus each update a link accepted since."""
+
+    def __init__(self, link_kinds, owners):
+        super().__init__(link_kinds, owners)
+        server = self.server
+        self.delivered: dict[int, set[int]] = {qid: set() for qid in owners}
+        server._ship = lambda slices: reference_ship(self, slices)
+        server.delivered_answer = lambda qid: frozenset(self.delivered[qid])
+        wakeup = server.receive_wakeup
+
+        def receive_wakeup(client_id):
+            for qid in server.queries_of(client_id):  # the client rolls back
+                self.delivered[qid] = set(server.commits.committed_answer(qid))
+            return wakeup(client_id)
+
+        server.receive_wakeup = receive_wakeup
+
+
+def reference_ship(stack: ReferenceStack, slices) -> tuple[int, UpdateBatch]:
     """``LocationAwareServer._ship`` as it was before slices: one
     ``deliver`` per update, in stream order, full bookkeeping per
     update."""
+    server = stack.server
     attempted = 0
     delivered = UpdateBatch()
     for link, qids, oids, signs, _ in slices:
@@ -190,9 +217,9 @@ def reference_ship(server: LocationAwareServer, slices) -> tuple[int, UpdateBatc
             if ok:
                 delivered.push(qid, oid, sign)
                 if sign == 1:
-                    server._delivered_answers[qid].add(oid)
+                    stack.delivered[qid].add(oid)
                 else:
-                    server._delivered_answers[qid].discard(oid)
+                    stack.delivered[qid].discard(oid)
                 server.freshness.observe_delivered(qid, oid, sign)
             else:
                 server.freshness.observe_undelivered(qid, oid, sign)
@@ -209,10 +236,10 @@ def reference_cycle(server: LocationAwareServer, now: float) -> CycleResult:
     updates = server.engine.evaluate(now)
     result = CycleResult(now, updates, 0, server.complete_answer_bytes())
     for qid, oid, sign in updates.tuples():
-        if qid not in server._bindings:
+        if qid not in server._owner:
             continue
-        link = server.link_of(server.client_of(qid))
-        attempted, delivered = reference_ship(server, [(link, [qid], [oid], [sign], None)])
+        link = server.link_of(server._owner[qid])
+        attempted, delivered = server._ship([(link, [qid], [oid], [sign], None)])
         result.incremental_bytes += attempted * UpdateMessage.size_bytes
         result.delivered_updates += len(delivered)
         result.dropped_updates += attempted - len(delivered)
@@ -222,9 +249,7 @@ def reference_cycle(server: LocationAwareServer, now: float) -> CycleResult:
 def run_both(link_kinds, owners, cycles, check_every: int = 1):
     """Drive a sliced and a reference stack through ``cycles`` and
     compare them; returns the sliced stack."""
-    sliced, reference = Stack(link_kinds, owners), Stack(link_kinds, owners)
-    # Recovery ships through _ship: the reference's is the per-message loop.
-    reference.server._ship = lambda slices: reference_ship(reference.server, slices)
+    sliced, reference = Stack(link_kinds, owners), ReferenceStack(link_kinds, owners)
     for now, (stamped, stream, commits, wakeups) in enumerate(cycles, start=1):
         sliced.begin(stamped, stream)
         reference.begin(stamped, stream)
@@ -271,10 +296,7 @@ def long_cycles(seed: int, count: int) -> list[tuple]:
     for _ in range(count):
         order = list(QIDS)
         rng.shuffle(order)
-        stream = []
-        for qid in order:
-            body = [(rng.randrange(N_OIDS), rng.choice((1, -1))) for _ in range(rng.randint(1, 3))]
-            stream += [(qid, oid, sign) for oid, sign in sorted(body, key=lambda u: u[1])]
+        stream = [(qid, rng.sample(range(N_OIDS), rng.randint(1, 3)), True) for qid in order]
         commits = {rng.choice(QIDS[4:])} if rng.random() < 0.3 else set()
         wakeups = {rng.randint(1, 4)} if rng.random() < 0.1 else set()
         cycles.append((range(N_OIDS), stream, commits, wakeups))
@@ -302,13 +324,36 @@ def test_pending_commit_cap_folds_alike(link_kinds, owner_seed, extra):
 
 def test_one_qid_split_across_two_runs_of_one_slice():
     """``+o`` then ``-o`` of one query with another client's run
-    between: the query's two runs meet in one client slice and fold in
-    stream order; then ``+o, -o`` inside one run, which is not
-    negatives-first and folds update by update."""
+    between: the query's two runs meet in one client slice and settle
+    in stream order; then ``+o, -o`` inside one run."""
     cycles = [
-        ({5}, [(1, 5, 1), (2, 5, 1), (1, 5, -1), (1, 6, 1)], set(), set()),
-        ({7}, [(1, 7, 1), (1, 7, -1)], set(), set()),
+        ({5}, [(1, [5], False), (2, [5], False), (1, [5, 6], False)], set(), set()),
+        ({7}, [(1, [7, 7], False)], set(), set()),
     ]
     sliced = run_both([("plain", None), ("plain", None)], {1: 0, 2: 1}, cycles)
-    assert sliced.server._delivered_answers[1] == {6}
-    assert sliced.server._delivered_answers[2] == {5}
+    assert sliced.server.delivered_answer(1) == {6}
+    assert sliced.server.delivered_answer(2) == {5}
+
+
+def test_a_lag_is_held_only_while_a_refusal_is_unsettled():
+    """Plain links store no lag whatever they carry.  A refused update
+    lags its query until a delivered reversal settles it."""
+    owners = {qid: qid % 2 for qid in QIDS}
+    sliced = run_both([("plain", None), ("plain", None)], owners, long_cycles(7, 8))
+    assert sliced.server._lag == {}
+    stack = Stack([("plain", None)], {1: 0})
+    server, link = stack.server, stack.server.link_of(0)
+    link.disconnect()
+    stack.begin((), [(1, [5, 6], False)])
+    server.evaluate_cycle(1.0)
+    assert server._lag == {1: {5, 6}}
+    assert server.delivered_answer(1) == frozenset()
+    link.reconnect()
+    stack.begin((), [(1, [5], False)])
+    server.evaluate_cycle(2.0)
+    assert server._lag == {1: {6}}
+    assert server.delivered_answer(1) == frozenset()
+    stack.begin((), [(1, [6], False)])
+    server.evaluate_cycle(3.0)
+    assert server._lag == {}
+    assert server.delivered_answer(1) == frozenset()

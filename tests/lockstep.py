@@ -5,6 +5,10 @@ its reference.  Fed the same calls, after every evaluation:
 
 * each query's *multiset* of ``(oid, sign)`` updates is the same on
   both (the order within a phase may differ);
+* on each, every update flips its query's membership — ``+o`` only
+  when ``o`` is out of the answer, ``-o`` only when it is in — folded in
+  stream order from the answers before the evaluation (the server's
+  delivered-answer lag relies on it);
 * every query's answer is the same on both;
 * ``check_invariants()`` is clean on both;
 * the columnar engine's grid index holds no object, and none of its
@@ -18,6 +22,16 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.core import IncrementalEngine
+
+
+def assert_flips(before: dict[int, frozenset[int]], updates) -> None:
+    """Every update flips its query's membership, folded in stream order
+    from ``before`` (a query missing from it starts at ∅)."""
+    answers = {qid: set(answer) for qid, answer in before.items()}
+    for qid, oid, sign in updates.tuples():
+        answer = answers.setdefault(qid, set())
+        assert (oid in answer) == (sign == -1), f"query {qid}: {sign:+d} of {oid}"
+        answer ^= {oid}
 
 
 def per_query(updates) -> dict[int, Counter]:
@@ -43,8 +57,11 @@ class EnginePair:
     def evaluate(self, now: float):
         """Evaluate both, hold them to the contract, and return the
         columnar stream."""
+        before = [engine.complete_answers() for engine in self.engines]
         got = self.columnar.evaluate(now)
         want = self.reference.evaluate(now)
+        assert_flips(before[0], got)
+        assert_flips(before[1], want)
         assert per_query(got) == per_query(want), f"update multisets at {now}"
         for qid in self.reference.queries:
             assert self.columnar.answer_of(qid) == self.reference.answer_of(qid), qid

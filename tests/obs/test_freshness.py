@@ -184,7 +184,7 @@ class TestCommitStaleness:
             clock.advance(1.0)
             tracker.stamp_report(7)
             tracker.end_cycle()
-            tracker.observe_delivered_many((1, 1), (7, 7), (1, -1))
+            tracker.observe_delivered_runs([(1, 0, 2)], [7, 7], [1, -1])
         assert len(tracker._pending_commit[1]) == _MAX_PENDING_PER_QUERY
         assert folded.value > 0
         tracker.observe_committed(1)
@@ -205,8 +205,8 @@ class TestCommitStaleness:
             tracker.stamp_report(7)
             tracker.stamp_report(8)
             tracker.end_cycle()
-            tracker.observe_delivered_many(
-                (1, 1, 2, 2), (7, 8, 7, 8), (1, -1, 1, 1)
+            tracker.observe_delivered_runs(
+                [(1, 0, 2), (2, 2, 4)], [7, 8, 7, 8], [1, -1, 1, 1]
             )
             if cycle % 1000 == 0:
                 for pending in tracker._pending_commit.values():
