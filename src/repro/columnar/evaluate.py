@@ -11,12 +11,13 @@ query, negatives first (the kernel's one sort):
 * pairs are laid out cohort-major, then old-cell entries before
   new-cell entries, each partial-before-covering and sorted by qid, then
   members sorted by oid;
-* a query listed in both cells of a cohort that changed home cell joins
-  once, from the old cell;
-* stay-put cohorts join against partial entries only, and cohorts that
-  changed home cell drop queries covering both cells — in either case a
-  covering query provably yields ``in_old == in_new`` for every member,
-  so the skipped pairs could never emit.
+* a cohort that changed home cell joins its old cell's full list as
+  minus-only and its new cell's full list as plus-only (the kernel's
+  roles), so a query listed in both cells emits at most once with no
+  dedup here;
+* a stay-put cohort joins its cell's partial entries only — a covering
+  query provably yields ``in_old == in_new`` for every member — and a
+  new object its cell's full list, both free to emit either sign.
 
 Candidate entries are cached **across evaluations**, keyed on
 :attr:`ColumnarQueryStore.version`: they depend only on registered
@@ -25,12 +26,13 @@ untouched.  The cache is one grid-wide CSR cut from the query store's
 bound columns (:meth:`ColumnarEvaluator._range_csr`).  k-NN queries are
 deliberately left out of it (their grid footprints are re-placed every
 repair, which would otherwise thrash the cache); cohort k-NN
-dirty-marking instead intersects live cell buckets with the engine's
-registered-knn set, memoised per evaluation.  One more rule marks a
-k-NN query dirty: it holds a reported object (one ``np.isin`` of the
-k-NN answers against the batch's oids) — a member can leave a circle's
-footprint from a cell edge, a few ulps outside the circle's rounded
-bounding rectangle, and then neither of its cells lists the query.
+dirty-marking instead tests the k-NN queries' grid-index footprints,
+concatenated, against one mask of the batch's touched cells.  One more
+rule marks a k-NN query dirty: it holds a reported object (one
+``np.isin`` of the k-NN answers against the batch's oids) — a member
+can leave a circle's footprint from a cell edge, a few ulps outside the
+circle's rounded bounding rectangle, and then neither of its cells
+lists the query.
 
 Nothing here mirrors object or answer state: the object store's row is
 the only record of an object, and ``query.answer`` the only record of
@@ -82,13 +84,12 @@ from repro.grid.cellmath import (
 BATCH_SIZE_BUCKETS: tuple[float, ...] = tuple(4.0**e for e in range(13))
 
 
-def _in_sorted(sorted_keys, wanted):
-    """Membership of each ``wanted`` key in an ascending key array."""
-    if not len(sorted_keys):
-        return np.zeros(len(wanted), dtype=bool)
-    at = np.searchsorted(sorted_keys, wanted)
-    at[at == len(sorted_keys)] = 0
-    return sorted_keys[at] == wanted
+def _flatten(sets):
+    """The members of a list of int sets, flat, and per member the index
+    of the set it came from: ``(owner, members)``."""
+    sizes = np.fromiter(map(len, sets), np.int64, count=len(sets))
+    members = np.fromiter(chain.from_iterable(sets), np.int64, count=int(sizes.sum()))
+    return np.repeat(np.arange(len(sets)), sizes), members
 
 
 class _DualCounter:
@@ -133,7 +134,6 @@ class ColumnarEvaluator:
         self.queries = queries
         self.knn_qids = knn_qids
         self.tracer = tracer
-        self._knn_memo: dict[int, tuple] = {}
         self._csr: tuple | None = None
         self._h_batch_size = registry.histogram(
             "engine_columnar_batch_size", buckets=BATCH_SIZE_BUCKETS
@@ -215,40 +215,35 @@ class ColumnarEvaluator:
 
     def _plan_columns(self, columns, knn_dirty) -> PairPlan:
         """The :class:`PairPlan` of a batch of cohort columns, built
-        with array passes only (the per-touched-*cell* work is the k-NN
-        marking; a k-NN query holding a reported member is marked too):
+        with array passes only, and the k-NN queries it marks dirty:
 
         * candidate entries come from the grid-wide :meth:`_range_csr`
           (per cell: partial rows, then covering rows);
         * each cohort gathers two ragged segments from it — its old
-          cell's full list if it changed home cell, then its new cell's
-          partial rows if it stayed put, the full list otherwise;
-        * the dedup is membership tests on the CSR's sorted ``(cell,
-          covering, qid rank)`` keys: drop an old-cell entry that covers
-          its cell and is a covering entry of the new cell (old and new
-          location are both inside it); drop a new-cell entry the old
-          cell lists (first occurrence wins).
+          cell's full list, minus-only, if it changed home cell; then its
+          new cell's partial rows if it stayed put, its full list
+          otherwise — plus-only if it changed cell, either sign if it
+          stayed put or is a new object;
+        * a k-NN query is marked if its footprint meets a touched cell
+          (any cohort's new cell, or old cell if it changed) or its
+          answer holds a reported object.
         """
-        self._knn_memo.clear()
-        csr_rows, keys, offsets, stride = self._range_csr()
+        csr_rows, offsets = self._range_csr()
         old = columns.old
         new = columns.new
         n_cohorts = len(new)
         changed = (old >= 0) & (old != new)
-        mark_knn = self._mark_knn
-        for cell in np.unique(np.concatenate((old[changed], new))).tolist():
-            mark_knn(cell, knn_dirty)
         if self.knn_qids:
             knn = list(self.knn_qids)
-            answers = [self.queries[qid].answer for qid in knn]
-            sizes = np.fromiter(map(len, answers), np.int64, count=len(knn))
-            members = np.fromiter(
-                chain.from_iterable(answers), np.int64, count=int(sizes.sum())
+            touched = np.zeros(self.grid.n * self.grid.n, dtype=bool)
+            touched[old[changed]] = True
+            touched[new] = True
+            owner, cells = _flatten(list(map(self.index.query_cells, knn)))
+            held_by, members = _flatten([self.queries[qid].answer for qid in knn])
+            hit = np.concatenate(
+                (owner[touched[cells]], held_by[np.isin(members, columns.oids)])
             )
-            held = np.repeat(np.arange(len(knn)), sizes)[
-                np.isin(members, columns.oids)
-            ]
-            knn_dirty.update(knn[i] for i in np.unique(held).tolist())
+            knn_dirty.update(knn[i] for i in np.unique(hit).tolist())
 
         # Two segments per cohort, interleaved [old, new, old, new, ...];
         # cell c's partial rows start at offsets[2c], its covering rows
@@ -257,42 +252,29 @@ class ColumnarEvaluator:
         new2 = new * 2
         seg_start = np.empty(2 * n_cohorts, dtype=np.int64)
         seg_len = np.empty(2 * n_cohorts, dtype=np.int64)
+        seg_role = np.empty(2 * n_cohorts, dtype=np.int8)
         seg_start[0::2] = offsets[old2]
         seg_start[1::2] = offsets[new2]
         seg_len[0::2] = np.where(changed, offsets[old2 + 2] - offsets[old2], 0)
         seg_len[1::2] = (
             offsets[np.where(old == new, new2 + 1, new2 + 2)] - offsets[new2]
         )
-        segment, at = ragged_arange(seg_start, seg_len, np)
-        ent = csr_rows[at]
-        ent_counts = seg_len[0::2] + seg_len[1::2]
-
-        if len(at) and changed.any():
-            cohort = segment >> 1
-            probe = np.flatnonzero(changed[cohort])
-            cohort_p = cohort[probe]
-            from_old = (segment[probe] & 1) == 0
-            at_p = at[probe]
-            rank = keys[at_p] % stride
-            # An entry is looked up under the cohort's *other* cell.
-            other2 = np.where(from_old, new2[cohort_p], old2[cohort_p])
-            as_covering = _in_sorted(keys, (other2 + 1) * stride + rank)
-            drop = np.where(
-                from_old,
-                (at_p >= offsets[old2[cohort_p] + 1]) & as_covering,
-                as_covering | _in_sorted(keys, other2 * stride + rank),
-            )
-            if drop.any():
-                keep = np.ones(len(at), dtype=bool)
-                keep[probe[drop]] = False
-                ent = ent[keep]
-                ent_counts = np.bincount(cohort[keep], minlength=n_cohorts)
+        # Old-cell entries may only emit a negative, a changed cohort's
+        # new-cell entries only a positive, any other entry either sign.
+        seg_role[0::2] = -1
+        seg_role[1::2] = changed
+        _, at = ragged_arange(seg_start, seg_len, np)
 
         # Member rows, cohort-major: each cohort's slice of the
         # (transition, oid)-sorted order.
         _, members = ragged_arange(columns.start, columns.count, np)
-        obj_rows = columns.rows[columns.order[members]].astype(np.int32)
-        return PairPlan(ent, ent_counts, obj_rows, columns.count)
+        return PairPlan(
+            csr_rows[at],
+            np.repeat(seg_role, seg_len),
+            seg_len[0::2] + seg_len[1::2],
+            columns.rows[columns.order[members]].astype(np.int32),
+            columns.count,
+        )
 
     def _footprint_ranges(self, min_xs, min_ys, max_xs, max_ys):
         """The grid footprints of a batch of query regions as a
@@ -314,17 +296,15 @@ class ColumnarEvaluator:
         return ranges
 
     def _range_csr(self):
-        """The grid-wide CSR of range candidates ``(rows, keys, offsets,
-        stride)``, cut from the query store's bound columns whenever its
-        version changed.
+        """The grid-wide CSR of range candidates ``(rows, offsets)``,
+        cut from the query store's bound columns whenever its version
+        changed.
 
         ``rows[offsets[2c] : offsets[2c + 1]]`` are the store rows of
         the range queries partially overlapping cell ``c`` and
         ``rows[offsets[2c + 1] : offsets[2c + 2]]`` of those covering
         it (``Grid.cell_rect``'s arithmetic), each ascending by qid —
-        the candidate order.  ``keys`` runs parallel to ``rows``:
-        ``(2c + covering) * stride + qid rank``, ascending, so "does
-        cell ``c`` list this query (as covering)?" is one binary search.
+        the candidate order.
         """
         qstore = self.qstore
         cached = self._csr
@@ -363,33 +343,11 @@ class ColumnarEvaluator:
             group.astype(np.uint16) if 2 * n * n <= 1 << 16 else group,
             kind="stable",
         )
-        rank = rank[order]
-        stride = len(rows) + 1
         offsets = np.zeros(2 * n * n + 1, dtype=np.int64)
         np.cumsum(np.bincount(group, minlength=2 * n * n), out=offsets[1:])
-        csr = (
-            rows[rank].astype(np.int32),
-            group[order] * stride + rank,
-            offsets,
-            stride,
-        )
+        csr = (rows[rank[order]].astype(np.int32), offsets)
         self._csr = (qstore.version, csr)
         return csr
-
-    def _mark_knn(self, cell: int, knn_dirty) -> None:
-        """Serial-equivalent per-cell k-NN dirty marking, memoised."""
-        memo = self._knn_memo
-        hit = memo.get(cell)
-        if hit is None:
-            resident = self.index.queries_in_cell(cell)
-            hit = (
-                tuple(self.knn_qids.intersection(resident))
-                if resident
-                else ()
-            )
-            memo[cell] = hit
-        if hit:
-            knn_dirty.update(hit)
 
     def _inside_rows(self, rows, bounds, now: float, horizon, trust_horizon: float):
         """The slab test over object-store ``rows``.  ``bounds`` =
@@ -764,7 +722,7 @@ class ColumnarEvaluator:
         qid — and the home-cell CSR exactly the rows homed there."""
         grid = self.grid
         qstore = self.qstore
-        rows, _, offsets, _ = self._range_csr()
+        rows, offsets = self._range_csr()
         home = self.ostore.home_cells(grid.n * grid.n)
         assert sorted(home.order.tolist()) == list(range(len(self.ostore)))
         assert home.cells.tolist() == sorted(self.ostore.cells)

@@ -6,8 +6,8 @@ columnar pipeline runs two array passes over the whole batch:
 
 1. **Cell-range join** — expand the batch's ragged (cohort → candidate
    entry rows × member object rows) structure into two flat pair-index
-   arrays, cohort-major (cohort → partial-then-covering entries sorted
-   by qid → objects sorted by oid).
+   arrays, cohort-major (cohort → candidate entries in plan order →
+   objects sorted by oid).
 2. **Membership classification** — one vectorized containment test per
    pair against the object's new and old coordinates.  ``enter`` is
    inside-new ∧ ¬inside-old (a positive update), ``leave`` the reverse
@@ -22,21 +22,27 @@ Kernel contract::
 
     classify_transitions(plan, ostore, qstore) -> (qids, oids, signs) | None
 
-three int64 arrays over the *changed* pairs only (``None`` when no pair
-changed): the public query/object identifiers (store rows map to
-identifiers with one vectorized gather over the id columns — never per
-pair in Python) and +1/-1.  The pairs come **grouped by query**, each
-query's negatives before its positives, each half ascending by object
-row: one sort of packed ``(query row, sign, object row)`` keys, which
-is the order the emitter streams and the grouping the answer toggle
-applies.  The kernel classifies exactly the pairs the plan enumerates
-— plan construction has already deduplicated candidate entries across
-a cohort's two cells, so every changed pair maps one-to-one onto an
-emitted update.
+three int64 arrays over the *changed* pairs whose role allows their
+sign (``None`` when there is none): the public query/object
+identifiers (store rows map to identifiers with one vectorized gather
+over the id columns — never per pair in Python) and +1/-1.  The pairs
+come **grouped by query**, each query's negatives before its positives,
+each half ascending by object row: one sort of packed ``(query row,
+sign, object row)`` keys, which is the order the emitter streams and
+the grouping the answer toggle applies.
+
+Every plan entry carries a *role*, the one sign it may emit (0:
+either).  A cohort that changed home cell joins its old cell's list as
+minus-only and its new cell's as plus-only: an object inside a closed
+region is homed in a cell of the region's footprint, so a positive can
+only come from the new cell's list and a negative only from the old
+cell's.  A changed pair whose role forbids its sign is dropped, which
+makes a query listed in both cells emit at most once — the plan needs
+no dedup, and every kept pair maps one-to-one onto an emitted update.
 
 Pair-index arrays are materialised for the whole batch (int32: two
-4-byte columns per pair) but the float work runs in
-:data:`PAIR_CHUNK`-sized chunks so peak temporary memory stays bounded
+4-byte columns per pair, plus an int8 role) but the float work runs in
+:data:`PAIR_CHUNK`-sized chunks so its temporaries stay cache-sized
 regardless of batch size.
 """
 
@@ -45,8 +51,8 @@ from __future__ import annotations
 import numpy as np
 
 #: Pairs per float-kernel chunk (eight float64 temporaries per pair in
-#: flight → ~70 MB peak at this setting).
-PAIR_CHUNK = 1 << 20
+#: flight → ~4 MB at this setting, small enough to stay in cache).
+PAIR_CHUNK = 1 << 16
 
 
 class PairPlan:
@@ -55,15 +61,18 @@ class PairPlan:
     * ``ent`` — the query-store rows of every cohort's candidate
       entries, concatenated; cohort ``i`` owns the next
       ``ent_counts[i]`` of them.
+    * ``roles`` — int8, aligned with ``ent``: the one sign each entry
+      may emit, ``-1`` or ``+1``, or ``0`` for either.
     * ``obj_rows`` — object-store rows of every cohort member, flat,
       cohort-major, sorted by oid within a cohort; cohort ``i`` owns the
       next ``obj_counts[i]`` of them.
     """
 
-    __slots__ = ("ent", "ent_counts", "obj_rows", "obj_counts", "total_pairs")
+    __slots__ = ("ent", "roles", "ent_counts", "obj_rows", "obj_counts", "total_pairs")
 
-    def __init__(self, ent, ent_counts, obj_rows, obj_counts) -> None:
+    def __init__(self, ent, roles, ent_counts, obj_rows, obj_counts) -> None:
         self.ent = ent
+        self.roles = roles
         self.ent_counts = ent_counts
         self.obj_rows = obj_rows
         self.obj_counts = obj_counts
@@ -94,10 +103,12 @@ def classify_transitions(
     idx = np.int32 if total < 2**31 else np.int64
 
     # --- the cell-range join: flat (query row, object row) pair arrays.
-    ent = plan.ent
     obj = np.asarray(plan.obj_rows, dtype=np.int32)
-    # Each candidate entry repeats once per cohort member, entry-major.
-    qidx = np.repeat(ent, np.repeat(obj_counts, ent_counts))
+    # Each candidate entry, and its role, repeats once per cohort
+    # member, entry-major.
+    reps = np.repeat(obj_counts, ent_counts)
+    qidx = np.repeat(plan.ent, reps)
+    ridx = np.repeat(plan.roles, reps)
     # Pair p of cohort c addresses member (p - pair_start[c]) % m[c].
     obj_start = np.zeros(n_cohorts, dtype=idx)
     np.cumsum(obj_counts[:-1].astype(idx), out=obj_start[1:])
@@ -130,8 +141,9 @@ def classify_transitions(
             px = old_xs[o]
             py = old_ys[o]
             in_old = (lx <= px) & (px <= hx) & (ly <= py) & (py <= hy)
-            changed = in_new != in_old
-            pos = np.nonzero(changed)[0]
+            pos = np.flatnonzero(in_new != in_old)
+            role = ridx[lo:hi][pos]
+            pos = pos[(role == 0) | ((role > 0) == in_new[pos])]
             if not len(pos):
                 continue
             key = q[pos].astype(np.int64) << 32

@@ -1,17 +1,19 @@
 """The column hand-off: ``BatchIngest`` cohorts as columns, the column
-planner's dedup, and hostile or sparse oids, which the object store's
-``oid -> row`` dict takes like any other.
+planner's signed entries, and hostile or sparse oids, which the object
+store's ``oid -> row`` dict takes like any other.
 
 Every report is one home-cell transition ``(old home, new home)``; the
 cohorts leave ingest as :class:`CohortColumns` and
 ``ColumnarEvaluator._plan_columns`` builds the :class:`PairPlan` with
-array passes only.
+array passes only: each entry carries the one sign it may emit.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
+from repro.columnar import classify_transitions
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
 
@@ -29,23 +31,27 @@ def random_velocity(rng: random.Random) -> Velocity:
 
 
 def test_column_planner_on_every_cohort_shape():
-    """One batch holding each shape the dedup must get right: a
-    stay-put cohort under a covering query (skipped), a neighbour
-    transition under a query covering both cells (skipped) and under
-    one covering only the old cell (joined once), a new object, and a
-    velocity-carrying row."""
-    engine = columnar()
-    engine.register_range_query(1, Rect(0.0, 0.0, 0.5, 0.5))  # covers cells 0, 1, 9
-    engine.register_range_query(2, Rect(0.0, 0.0, 0.125, 0.125))  # covers cell 0 only
-    engine.register_range_query(3, Rect(0.05, 0.05, 0.2, 0.1))  # partial in 0 and 1
-    engine.report_object(10, Point(0.05, 0.05), 0.0)  # cell 0, stays
-    engine.report_object(11, Point(0.06, 0.06), 0.0)  # cell 0 -> 1
-    engine.report_object(12, Point(0.07, 0.07), 0.0, Velocity(0.01, 0.0))
-    engine.evaluate(0.0)
-    engine.report_object(10, Point(0.055, 0.05), 1.0)
-    engine.report_object(11, Point(0.15, 0.06), 1.0)
-    engine.report_object(12, Point(0.16, 0.07), 1.0, Velocity(0.01, 0.0))
-    engine.report_object(13, Point(0.3, 0.3), 1.0)
+    """One batch holding each shape the roles must get right: a stay-put
+    cohort (its cell's partial list, either sign), a neighbour
+    transition (the old cell's full list minus-only, then the new
+    cell's plus-only) whose queries are listed in both cells, a new
+    object (its cell's full list, either sign), and a velocity-carrying
+    row.  The plan's stream is the reference's, each pair at most once.
+    """
+    engines = [columnar(), reference()]
+    for engine in engines:
+        engine.register_range_query(1, Rect(0.0, 0.0, 0.5, 0.5))  # covers cells 0, 1, 9
+        engine.register_range_query(2, Rect(0.0, 0.0, 0.125, 0.125))  # covers cell 0 only
+        engine.register_range_query(3, Rect(0.05, 0.05, 0.2, 0.1))  # partial in 0 and 1
+        engine.report_object(10, Point(0.05, 0.05), 0.0)  # cell 0, stays
+        engine.report_object(11, Point(0.06, 0.02), 0.0)  # cell 0 -> 1
+        engine.report_object(12, Point(0.07, 0.07), 0.0, Velocity(0.01, 0.0))
+        engine.evaluate(0.0)
+        engine.report_object(10, Point(0.055, 0.05), 1.0)
+        engine.report_object(11, Point(0.15, 0.06), 1.0)  # enters 3, leaves 2
+        engine.report_object(12, Point(0.16, 0.07), 1.0, Velocity(0.01, 0.0))  # leaves 2
+        engine.report_object(13, Point(0.3, 0.3), 1.0)
+    engine, ref = engines
     columns = engine._batch_ingest.group(engine._pending_reports, set())
     plan = engine._columnar_evaluator._plan_columns(columns, set())
     members = [
@@ -58,15 +64,21 @@ def test_column_planner_on_every_cohort_shape():
         (-1, 18, [13]),
     ]
     row_of = engine._qstore.row_of
-    ent = plan.ent.tolist()
-    ent_counts = plan.ent_counts.tolist()
-    obj_counts = plan.obj_counts.tolist()
-    # stay-put: only the partial query 3; pair: query 3 once (it is in
-    # both cells' lists) and query 2 (covers the old cell only) — never
-    # query 1, which covers both; new object: query 1.
-    assert ent_counts == [1, 2, 1]
-    assert ent == [row_of(3), row_of(3), row_of(2), row_of(1)]
-    assert obj_counts == [1, 2, 1]
+    # stay-put: cell 0's partial query 3; pair: cell 0's partial 3 and
+    # covering 1, 2 minus-only, then cell 1's partial 2, 3 and covering
+    # 1 plus-only; new object: cell 18's covering 1.
+    assert plan.ent_counts.tolist() == [1, 6, 1]
+    assert plan.ent.tolist() == [row_of(q) for q in (3, 3, 1, 2, 2, 3, 1, 1)]
+    assert plan.roles.tolist() == [0, -1, -1, -1, 1, 1, 1, 0]
+    assert plan.obj_counts.tolist() == [1, 2, 1]
+    qids, oids, signs = (
+        column.tolist()
+        for column in classify_transitions(plan, engine._ostore, engine._qstore)
+    )
+    stream = list(zip(qids, oids, signs))
+    assert stream == [(1, 13, 1), (2, 11, -1), (2, 12, -1), (3, 11, 1)]
+    assert sorted(stream) == streams_of([ref], 1.0)[0]
+    assert max(Counter(zip(qids, oids)).values()) == 1
 
 
 def reference() -> IncrementalEngine:

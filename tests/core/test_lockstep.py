@@ -13,9 +13,18 @@ production engine's grid index and no k-NN query off its array pass.
 A move of the wrong kind for its query, and a report with a non-finite
 time or velocity, are refused by both at the door, with nothing
 buffered.
+
+The geometry is drawn too: grids of 3 to 16 cells a side over the unit
+world or an off-origin, non-square one, where ``(x - min) / w`` rounds;
+coordinates and region edges fall on cell edges and centres and one ulp
+either side of them.  That is where rounding could break the premise
+the columnar plan's roles rest on — an object inside a region is homed
+in a cell the region's footprint lists.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -37,10 +46,16 @@ MOVE = {
     "predictive": "move_predictive_query",
 }
 
-#: Cell edges and centres of a 16 x 16 grid (points on region, piece and
-#: cell boundaries; equal k-NN distances), and anywhere a little off the map.
+#: The unit world, and an off-origin, non-square one.
+WORLDS = (Rect(0.0, 0.0, 1.0, 1.0), Rect(-3.7, 12.1, 5.3, 19.6))
+
+#: A coordinate token, mapped onto the machine's world by
+#: :meth:`Lockstep.coord`: ``(mark, ulps)`` is a half-cell line — a cell
+#: edge or centre (points on region, piece and cell boundaries; equal
+#: k-NN distances) — nudged ``ulps`` steps by ``math.nextafter``; a
+#: float is a fraction of the world's extent, a little off the map too.
 coords = st.one_of(
-    st.sampled_from([i / 32 for i in range(33)]),
+    st.tuples(st.integers(0, 32), st.sampled_from([-1, 0, 0, 1])),
     st.floats(-0.25, 1.25, allow_nan=False, width=32),
 )
 speeds = st.one_of(
@@ -50,18 +65,14 @@ speeds = st.one_of(
 )
 #: A small pool, so re-reports are common, plus a negative and a sparse id.
 oids = st.one_of(st.integers(0, 11), st.sampled_from([-7, 70_000]))
-points = st.builds(Point, coords, coords)
+points = st.tuples(coords, coords)
 #: Report times relative to the clock: current, stale and ahead.
 lags = st.sampled_from([0.0, 0.0, -5.0, 5.0])
 non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 
-@st.composite
-def rects(draw):
-    """Any rectangle: zero-area, off-world and lattice-aligned included."""
-    x0, x1 = sorted((draw(coords), draw(coords)))
-    y0, y1 = sorted((draw(coords), draw(coords)))
-    return Rect(x0, y0, x1, y1)
+#: Any rectangle: zero-area, off-world and lattice-aligned included.
+rects = st.tuples(coords, coords, coords, coords)
 
 
 def velocity(vx: float, vy: float) -> Velocity:
@@ -69,9 +80,10 @@ def velocity(vx: float, vy: float) -> Velocity:
 
 
 class Lockstep(RuleBasedStateMachine):
-    @initialize(grid=st.sampled_from([4, 8, 16]))
-    def build(self, grid):
-        self.pair = EnginePair(grid_size=grid, prediction_horizon=HORIZON)
+    @initialize(grid=st.sampled_from([3, 4, 8, 10, 16]), world=st.sampled_from(WORLDS))
+    def build(self, grid, world):
+        self.pair = EnginePair(world=world, grid_size=grid, prediction_horizon=HORIZON)
+        self.grid = self.pair.columnar.grid
         self.now = 0.0
         #: Registered, or about to be in this batch.
         self.kinds: dict[int, str] = {}
@@ -79,41 +91,61 @@ class Lockstep(RuleBasedStateMachine):
         self.live: set[int] = set()
         self.next_qid = 100
 
+    def coord(self, token, axis: int) -> float:
+        """A coordinate token on axis 0 (x) or 1 (y) of the world."""
+        grid = self.grid
+        origin = (grid.world.min_x, grid.world.min_y)[axis]
+        if isinstance(token, float):
+            return origin + token * (grid.world.width, grid.world.height)[axis]
+        mark, ulps = token
+        step = (grid.cell_width, grid.cell_height)[axis]
+        value = origin + (mark % (2 * grid.n + 1) / 2) * step
+        return math.nextafter(value, ulps * math.inf) if ulps else value
+
+    def point(self, tokens) -> Point:
+        return Point(self.coord(tokens[0], 0), self.coord(tokens[1], 1))
+
+    def rect(self, tokens) -> Rect:
+        x0, x1 = sorted(self.coord(token, 0) for token in tokens[:2])
+        y0, y1 = sorted(self.coord(token, 1) for token in tokens[2:])
+        return Rect(x0, y0, x1, y1)
+
     def _fresh_qid(self, kind: str) -> int:
         qid = self.next_qid
         self.next_qid += 1
         self.kinds[qid] = kind
         return qid
 
-    @rule(region=rects())
+    @rule(region=rects)
     def register_range(self, region):
         qid = self._fresh_qid("range")
-        self.pair.all("register_range_query", qid, region, self.now)
+        self.pair.all("register_range_query", qid, self.rect(region), self.now)
 
     @rule(center=points, k=st.one_of(st.integers(1, 4), st.integers(5, 16)))
     def register_knn(self, center, k):
         qid = self._fresh_qid("knn")
-        self.pair.all("register_knn_query", qid, center, k, self.now)
+        self.pair.all("register_knn_query", qid, self.point(center), k, self.now)
 
-    @rule(region=rects(), horizon=st.sampled_from([1.0, 10.0, HORIZON]))
+    @rule(region=rects, horizon=st.sampled_from([1.0, 10.0, HORIZON]))
     def register_predictive(self, region, horizon):
         qid = self._fresh_qid("predictive")
+        region = self.rect(region)
         self.pair.all("register_predictive_query", qid, region, horizon, self.now)
 
     @precondition(lambda self: self.kinds)
-    @rule(data=st.data(), region=rects(), center=points)
+    @rule(data=st.data(), region=rects, center=points)
     def move(self, data, region, center):
         qid = data.draw(st.sampled_from(sorted(self.kinds)))
         kind = self.kinds[qid]
-        target = center if kind == "knn" else region
+        target = self.point(center) if kind == "knn" else self.rect(region)
         self.pair.all(MOVE[kind], qid, target, self.now)
 
     @precondition(lambda self: self.kinds)
-    @rule(data=st.data(), region=rects(), center=points)
+    @rule(data=st.data(), region=rects, center=points)
     def move_of_the_wrong_kind(self, data, region, center):
         qid = data.draw(st.sampled_from(sorted(self.kinds)))
         wrong = data.draw(st.sampled_from([k for k in KINDS if k != self.kinds[qid]]))
-        target = center if wrong == "knn" else region
+        target = self.point(center) if wrong == "knn" else self.rect(region)
         for engine in self.pair.engines:
             buffered = dict(engine._pending_moves)
             with pytest.raises(ValueError, match=f"query {qid} is a"):
@@ -123,6 +155,7 @@ class Lockstep(RuleBasedStateMachine):
     @rule(oid=oids, location=points, vx=speeds, vy=speeds, lag=lags)
     def report(self, oid, location, vx, vy, lag):
         t = self.now + lag
+        location = self.point(location)
         self.pair.all("report_object", oid, location, t, velocity(vx, vy))
         self.live.add(oid)
 
@@ -132,9 +165,12 @@ class Lockstep(RuleBasedStateMachine):
         )
     )
     def report_run(self, rows):
-        *columns, lag = [list(column) for column in zip(*rows)]
-        self.pair.all("report_objects", *columns, [self.now + d for d in lag])
-        self.live.update(columns[0])
+        oid, xs, ys, vxs, vys, lag = [list(column) for column in zip(*rows)]
+        xs = [self.coord(x, 0) for x in xs]
+        ys = [self.coord(y, 1) for y in ys]
+        ts = [self.now + d for d in lag]
+        self.pair.all("report_objects", oid, xs, ys, vxs, vys, ts)
+        self.live.update(oid)
 
     @rule(
         oid=oids,
@@ -146,6 +182,7 @@ class Lockstep(RuleBasedStateMachine):
     )
     def report_non_finite(self, oid, location, motion, spoil, bad, as_run):
         t, vx, vy = (bad if i == spoil else value for i, value in enumerate(motion))
+        location = self.point(location)
         for engine in self.pair.engines:
             buffered = dict(engine._pending_reports)
             removals = set(engine._pending_removals)
@@ -163,6 +200,7 @@ class Lockstep(RuleBasedStateMachine):
     @rule(oid=oids, location=points, vx=speeds.filter(bool), vy=speeds)
     def remove_a_mover(self, oid, location, vx, vy):
         """Report with a velocity, evaluate, then buffer the removal."""
+        location = self.point(location)
         self.pair.all("report_object", oid, location, self.now, Velocity(vx, vy))
         self.pair.evaluate(self.now)
         self.pair.all("remove_object", oid)
