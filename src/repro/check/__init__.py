@@ -18,6 +18,11 @@ independent derivations of "what the answer is":
 4. **desync** — a client that lost nothing since its last recovery must
    hold exactly the engine's answer (loss-free delivery is lossless).
 
+The snapshot check's answer functions are the ones
+:class:`~repro.check.reference.ReferenceEngine` — the brute-force
+engine the production engine is tested against in lock-step — is
+built on.
+
 Divergences are reported as :class:`Divergence` records with the query,
 client, cycle and offending oids; counts land in the
 ``oracle_divergence_total{kind=...}`` counter so chaos runs can assert

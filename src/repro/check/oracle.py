@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.check.reference import knn_answer, predictive_answer, range_answer
 from repro.core.server import LocationAwareServer
 from repro.core.state import QueryKind
 from repro.core.updates import Update, apply_updates
@@ -284,25 +285,12 @@ class ConsistencyOracle:
 
     def _recompute(self, qid: int) -> frozenset[int]:
         """Brute-force the answer from raw object state (no index, no
-        incremental bookkeeping), using the same membership predicates
-        the engine defines."""
+        incremental bookkeeping), with the reference's answer functions."""
         engine = self.server.engine
         query = engine.queries[qid]
         objects = engine.objects
         if query.kind is QueryKind.RANGE:
-            return frozenset(
-                oid
-                for oid, state in objects.items()
-                if query.region.contains_point(state.location)
-            )
+            return range_answer(query.region, objects)
         if query.kind is QueryKind.KNN:
-            ranked = sorted(
-                (state.location.distance_to(query.center), oid)
-                for oid, state in objects.items()
-            )
-            return frozenset(oid for _, oid in ranked[: query.k])
-        return frozenset(
-            oid
-            for oid, state in objects.items()
-            if engine._predicted_in_region(query, state)
-        )
+            return frozenset(oid for _, oid in knn_answer(query.center, query.k, objects))
+        return predictive_answer(query, objects, engine.now, engine.prediction_horizon)

@@ -1,8 +1,8 @@
 """Columnar (struct-of-arrays) stores and batch kernels.
 
-The ``pipeline="columnar"`` evaluation core: object and query state
-mirrored into parallel arrays (:mod:`repro.columnar.store`), batch
-kernels for the cell-range join and cohort membership classification
+The engine's evaluation core: object and query state held in parallel
+arrays (:mod:`repro.columnar.store`), batch kernels for the cell-range
+join and cohort membership classification
 (:mod:`repro.columnar.kernels`), orchestrated per evaluation by
 :class:`~repro.columnar.evaluate.ColumnarEvaluator` — which also runs
 the query side of a cycle (range moves, k-NN repair, predictive refresh)

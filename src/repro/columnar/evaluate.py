@@ -1,9 +1,9 @@
 """The columnar cohort evaluator: plan → kernel → ordered emission.
 
-Engine phase 5b for ``pipeline="columnar"``.  Batch ingest hands over
-the report buffer as :class:`~repro.columnar.ingest.CohortColumns` —
-one cohort per home-cell transition ``(old home, new home)``, members
-ascending by oid — and the evaluator joins them against the range
+Engine phase 5b.  Batch ingest hands over the report buffer as
+:class:`~repro.columnar.ingest.CohortColumns` — one cohort per
+home-cell transition ``(old home, new home)``, members ascending by
+oid — and the evaluator joins them against the range
 queries listed in their cells, classifies every pair's membership
 transition in one kernel pass, and emits the changed pairs grouped by
 query, negatives first (the kernel's one sort):
@@ -57,8 +57,9 @@ once per store state) and its one ragged gather ``(cell rects) ->
   and flip-due predictive query: one candidate pass, one slab test over
   per-pair bounds.
 
-Each reproduces its scalar routine's stream exactly; the grid index
-holds no object on this path, and nothing here asks it for one.
+Each leaves the answers the brute-force reference
+(:mod:`repro.check.reference`) derives; the grid index holds no object,
+and nothing here asks it for one.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class ColumnarEvaluator:
             for phase in ("plan", "join", "emit")
         }
         # The emit span feeds both the per-phase breakdown and the
-        # pipeline-neutral total the benchmark/CI gate reads.
+        # unlabelled total the benchmark/CI gate reads.
         self._emit_span_counter = _DualCounter(
             self._phase_counters["emit"],
             counter("engine_emit_seconds_total"),
@@ -372,8 +373,10 @@ class ColumnarEvaluator:
         de = end - t
         t0 = np.zeros(len(rows))
         t1 = np.ones(len(rows))
-        # A finite but absurd velocity overflows to inf (and inf - inf
-        # to NaN) silently, as the scalar path's Python floats do.
+        # A lane whose window is empty (a report far older than, or far
+        # ahead of, ``now``) extrapolates outside ``[t, t + trust]`` and
+        # can still overflow to inf (and inf - inf to NaN); ``ok``
+        # already clears it.  ``q / p`` divides by zero on p == 0 lanes.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             sx = x + vx * ds
             sy = y + vy * ds
@@ -420,7 +423,7 @@ class ColumnarEvaluator:
         """Engine phase 3 for every newly registered range query at
         once — the positive half of :meth:`move_ranges`: the objects
         inside each region, emitted per query in the given order, oids
-        ascending (the scalar ``_fill_range_answer``'s stream)."""
+        ascending."""
         bounds = np.array(
             [(q.region.min_x, q.region.min_y, q.region.max_x, q.region.max_y) for q in queries],
             dtype=np.float64,
@@ -441,8 +444,8 @@ class ColumnarEvaluator:
     def move_ranges(self, moves, updates) -> None:
         """Engine phase 4 for every moved range query at once.
         ``moves`` holds ``(query state, new region)`` in arrival order;
-        the stream is the scalar ``_move_range``'s: per query, negatives
-        (``A_old - A_new``) ascending by oid, then positives by
+        the stream is, per query, negatives (``A_old - A_new``)
+        ascending by oid, then positives by
         ``Rect.difference`` piece (bottom, top, left, right; a point on
         a shared edge belongs to the first piece holding it; a disjoint
         move is one piece) and oid.
@@ -523,8 +526,8 @@ class ColumnarEvaluator:
 
     def knn_ranked(self, queries) -> list[list[tuple[float, int]]]:
         """The ranked ``(distance, oid)`` answer of every given k-NN
-        query, searched together; equal to
-        :func:`repro.core.knn.knn_search` list for list.
+        query, searched together; equal to the brute-force
+        :func:`repro.check.reference.knn_answer` list for list.
 
         Each search is bounded by a squared distance k objects lie
         within: a query holding a full answer takes its members' own
@@ -536,7 +539,7 @@ class ColumnarEvaluator:
         exact distance, then exact ``math.hypot`` (what
         ``Point.distance_to`` uses) and a ``(distance, oid)`` sort on
         the survivors only — so the radius stays bit-identical to the
-        scalar search.
+        brute force's.
         """
         m = len(queries)
         ostore = self.ostore
@@ -625,9 +628,9 @@ class ColumnarEvaluator:
         entry per distinct (query position, object), ascending by
         position then oid.
 
-        Candidates are the scalar path's — the objects whose index
-        footprint meets the query's, plus the standing answer
-        (``standing``) — recomputed from the columns: objects homed in
+        Candidates are the objects whose index footprint meets the
+        query's, plus the standing answer (``standing``) — recomputed
+        from the columns: objects homed in
         the query's footprint and moving objects whose swept footprint
         (:func:`~repro.columnar.ingest.swept_cell_ranges`) meets it.
         """
@@ -687,9 +690,8 @@ class ColumnarEvaluator:
 
         Returns ``(refreshed, verdicts)``.  The ``churned`` queries (no
         flip schedule) are refreshed here: per query, in order, ``(oids,
-        signs)`` of the changed memberships ascending by oid — the scalar
-        loop's order — already applied to the live ``answer`` sets.  The
-        flip-due ``due``
+        signs)`` of the changed memberships ascending by oid, already
+        applied to the live ``answer`` sets.  The flip-due ``due``
         queries are only judged: per query, in order, ``(oids, flags)``
         of its candidates ascending by oid and their windowed membership
         at ``now`` — what the engine's flip-scheduling refresh walks."""

@@ -36,7 +36,7 @@ transition**:
   so nothing stores them.
 
 Cohort members come out oid-sorted, which is the order the evaluator
-joins and emits them in.  Agreement with the per-object reference is
+joins and emits them in.  Agreement with the brute-force reference is
 pinned by the ingest scenarios (``tests/columnar/test_ingest_golden.py``)
 and the lock-step state machine.
 """
@@ -57,21 +57,19 @@ from repro.grid.cellmath import (
 
 def swept_cell_ranges(x, y, vx, vy, t, home, horizon: float, grid, np):
     """The index footprint of every row as inclusive cell ranges
-    ``(col_lo, col_hi, row_lo, row_hi)`` — ``_object_footprint``
-    operation for operation: the cells under the bounding rectangle of
-    the trajectory over ``[t, t + horizon]``, or the clamped ``home``
-    cell when that rectangle misses the world entirely (a stationary
-    row's degenerate rectangle *is* its home cell)."""
+    ``(col_lo, col_hi, row_lo, row_hi)``: the cells under the bounding
+    rectangle of the trajectory over ``[t, t + horizon]``, or the
+    clamped ``home`` cell when that rectangle misses the world entirely
+    (a stationary row's degenerate rectangle *is* its home cell)."""
     n = grid.n
     col_lo = col_hi = home % n
     row_lo = row_hi = home // n
     if horizon > 0:
+        # Finite: both report doors refuse a row whose reach over this
+        # very span overflows.
         dt = (t + horizon) - t
-        # A finite but absurd velocity overflows to inf silently, as the
-        # scalar footprint's Python floats do.
-        with np.errstate(over="ignore"):
-            end_x = x + vx * dt
-            end_y = y + vy * dt
+        end_x = x + vx * dt
+        end_y = y + vy * dt
         c_lo, c_hi, r_lo, r_hi, hit = rect_cell_ranges_batch(
             np.minimum(x, end_x),
             np.minimum(y, end_y),
@@ -88,8 +86,7 @@ def swept_cell_ranges(x, y, vx, vy, t, home, horizon: float, grid, np):
 
 
 def footprint_cells(x, y, vx, vy, t, home, horizon: float, grid):
-    """The distinct cells of a batch of rows' footprints, ascending —
-    the cells the reference's ``_object_footprint`` places each row in:
+    """The distinct cells of a batch of rows' footprints, ascending:
     the home cell, widened for a moving row to its swept rectangle
     (which always holds the home cell of an in-world location)."""
     cells = home

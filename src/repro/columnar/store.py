@@ -2,12 +2,11 @@
 
 A containment test over a million (query, object) pairs wants the four
 query bounds and the four object coordinates as flat ``float64``
-columns.  Under ``pipeline="columnar"`` the object store is not a
-mirror of anything: an object's row — ``oid, x, y, old x/y, vx, vy, t,
-cell`` — is the only record of it, and ``engine.objects`` is a
-read-only mapping that materialises an ``ObjectState`` from a row on
-access.  An answer is its query's ``answer`` set; nothing here copies
-it.  Two design rules:
+columns.  The object store is not a mirror of anything: an object's
+row — ``oid, x, y, old x/y, vx, vy, t, cell`` — is the only record of
+it, and ``engine.objects`` is a read-only mapping that materialises an
+``ObjectState`` from a row on access.  An answer is its query's
+``answer`` set; nothing here copies it.  Two design rules:
 
 * Columns are stdlib ``array.array`` buffers.  Scalar writes (one query
   move, one removal) cost an index assignment; the kernels view the very

@@ -10,8 +10,7 @@ Public surface:
 * :class:`Update` / :class:`UpdateBatch`, :func:`diff_answers`,
   :func:`apply_updates` — the incremental answer algebra
   (``evaluate()`` returns the struct-of-arrays batch form).
-* Query/object state types and the grid k-NN search used for first-time
-  answers and repairs.
+* Query/object state types.
 """
 
 from repro.core.updates import (
@@ -27,7 +26,6 @@ from repro.core.state import (
     QueryKind,
     RangeQueryState,
 )
-from repro.core.knn import knn_search
 from repro.core.engine import DEFAULT_WORLD, IncrementalEngine
 from repro.core.commit import CommittedAnswerStore
 from repro.core.server import CycleResult, LocationAwareServer
@@ -43,7 +41,6 @@ __all__ = [
     "RangeQueryState",
     "KnnQueryState",
     "PredictiveQueryState",
-    "knn_search",
     "IncrementalEngine",
     "DEFAULT_WORLD",
     "CommittedAnswerStore",

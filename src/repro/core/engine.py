@@ -17,8 +17,9 @@ Incrementality per query kind:
 * **k-NN** — maintained as the smallest circle containing the k nearest
   objects.  Object movement marks a k-NN query dirty only when the move
   touches the circle's grid footprint (or the object was an answer
-  member); dirty queries are re-solved with an expanding ring search
-  around their center and the *answer difference* is emitted.
+  member); dirty queries are re-solved together, each search bounded by
+  a distance k objects lie within, and the *answer difference* is
+  emitted.
 * **Predictive range** — objects carrying velocity vectors occupy the
   grid footprint of their predicted trajectory; a predictive
   query's answer is the set of objects whose extrapolated motion enters
@@ -28,7 +29,7 @@ Incrementality per query kind:
   the candidate set changed (report churn in the footprint cells) or
   the sliding window actually reached the next membership flip time.
 
-Bulk evaluation runs as the **columnar pipeline** (the paper's
+Bulk evaluation runs as one **columnar pipeline** (the paper's
 Section 3 point: buffered updates are evaluated as a grid-partition
 spatial join, not one at a time).  The batch's object reports are
 grouped by their (old home cell → new home cell) transition — one per
@@ -38,27 +39,21 @@ cells as batch array kernels over struct-of-arrays object and query
 state (:mod:`repro.columnar`, on numpy).  An object's store row is the
 only record of it — ``engine.objects`` is a read-only mapping that
 materialises an :class:`ObjectState` per access, and the grid index
-holds queries only on this path — and a query's ``answer`` set is the
-only record of its answer.  The *query* side of a cycle is
-columnar too: a batch's range-query registrations and moves, every dirty
-k-NN query and every predictive refresh run as array passes over a
-home-cell CSR of the object store (:meth:`ColumnarEvaluator.fill_ranges`,
+holds queries only — and a query's ``answer`` set is the only record of
+its answer.  The *query* side of a cycle is columnar too: a batch's
+range-query registrations and moves, every dirty k-NN query and every
+predictive refresh run as array passes over a home-cell CSR of the
+object store (:meth:`ColumnarEvaluator.fill_ranges`,
 ``move_ranges``, ``knn_ranked``, ``predictive_refresh``); only a
 flip-due predictive query walks its verdicts in Python, to schedule its
-next flip.
-``engine_query_moves_total{path}``, ``engine_knn_repairs_total{path}``
-and ``engine_predictive_refreshes_total{path}`` say which ran.
+next flip (``engine_predictive_refreshes_total{path}`` says which ran).
 
-``pipeline="per-object"`` is the reference: one report at a time, each
-applied to its :class:`ObjectState` — the paper's object entry ``(OID,
-loc, t, QList)``, whose ``answered`` set only this path keeps — placed in
-the grid index's object buckets and re-deriving its candidate queries
-from the grid, with the scalar ``_move_range`` / ring-search
-``knn_search`` / ``_refresh_one_predictive`` routines for the query side
-and every predictive query refreshed every cycle.  It is short on
-purpose; the columnar pipeline must leave every query with the same
-multiset of ``(oid, sign)`` updates per evaluation and the same answers (the lock-step state machine in
-``tests/core/test_lockstep.py`` holds it to that).
+Its reference is brute force: :class:`repro.check.reference.ReferenceEngine`
+re-derives every answer from scratch, step by step in this engine's
+phase order.  Fed the same calls, the two must leave every query with
+the same multiset of ``(oid, sign)`` updates per evaluation and the same
+answers (the lock-step state machine in ``tests/core/test_lockstep.py``
+holds them to that).
 
 Every phase of ``evaluate()`` is wall-clock timed: each phase runs
 inside a :class:`repro.obs.Tracer` span (exported to Chrome trace JSON)
@@ -88,7 +83,6 @@ from repro.columnar import (
     ColumnarObjectStore,
     ColumnarQueryStore,
 )
-from repro.core.knn import knn_search
 from repro.core.state import (
     KnnQueryState,
     ObjectState,
@@ -128,13 +122,25 @@ def _check_query_input(qid: int, *values: float) -> None:
             )
 
 
-def _check_motion(oid: int, t: float, vx: float, vy: float) -> None:
-    """Refuse, at buffer time, a report time or velocity no trajectory
-    can be extrapolated from (a finite but absurd one is accepted)."""
+def _check_motion(
+    oid: int, x: float, y: float, t: float, vx: float, vy: float, horizon: float
+) -> None:
+    """Refuse, at buffer time, a report no trajectory can be extrapolated
+    from: a non-finite time or velocity, or one that carries the
+    (clamped) location past the largest float within the prediction
+    horizon — measured over ``(t + horizon) - t``, the span the engine's
+    footprint and flip-time arithmetic extrapolate over, so that
+    arithmetic stays finite."""
     if not (math.isfinite(t) and math.isfinite(vx) and math.isfinite(vy)):
         raise ValueError(
             f"object {oid} reported a non-finite time or velocity: "
             f"t={t}, v=({vx}, {vy})"
+        )
+    span = (t + horizon) - t
+    if not (math.isfinite(x + vx * span) and math.isfinite(y + vy * span)):
+        raise ValueError(
+            f"object {oid} reported a trajectory that overflows within the "
+            f"prediction horizon: ({x}, {y}) at v=({vx}, {vy})"
         )
 
 
@@ -181,12 +187,11 @@ class EngineStats:
 
 
 class StoreObjects(Mapping):
-    """``engine.objects`` under ``pipeline="columnar"``: a read-only
-    ``oid -> ObjectState`` mapping over the object store, whose row is
-    the only record of an object.  Each access materialises a fresh
-    state (its QList empty: the production path keeps answers only) for
-    the readers that want one — the oracle's brute force, checkpoints,
-    the server's history door and tests; the engine itself reads rows."""
+    """``engine.objects``: a read-only ``oid -> ObjectState`` mapping
+    over the object store, whose row is the only record of an object.
+    Each access materialises a fresh state for the readers that want one
+    — the oracle's brute force, checkpoints, the server's history door
+    and tests; the engine itself reads rows."""
 
     __slots__ = ("_store",)
 
@@ -228,15 +233,6 @@ class IncrementalEngine:
         How far (seconds) object trajectories are extrapolated when
         indexing predictive objects.  Every predictive query's horizon
         must fit inside it.
-    pipeline:
-        ``"columnar"`` (default) is the production path: buffered
-        reports are ingested, joined and emitted as batch array kernels
-        over struct-of-arrays mirrors of object and query state
-        (:mod:`repro.columnar`), and the query side of a cycle runs as
-        array passes too.  ``"per-object"`` is the reference path that
-        walks one report at a time; per evaluation it emits the same
-        multiset of updates per query (the order within a phase may
-        differ) and leaves the same answers.
     registry:
         The :class:`~repro.obs.MetricsRegistry` carrying the engine's
         counters, phase-second series, and grid-occupancy samples.
@@ -257,7 +253,6 @@ class IncrementalEngine:
         world: Rect = DEFAULT_WORLD,
         grid_size: int = 64,
         prediction_horizon: float = 60.0,
-        pipeline: str = "columnar",
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         freshness: "FreshnessTracker | None" = None,
@@ -267,14 +262,9 @@ class IncrementalEngine:
             raise ValueError(
                 f"prediction_horizon must be >= 0, got {prediction_horizon}"
             )
-        if pipeline not in ("columnar", "per-object"):
-            raise ValueError(
-                f"pipeline must be 'columnar' or 'per-object', got {pipeline!r}"
-            )
         self.grid = Grid(world, grid_size)
         self.index = GridIndex(self.grid)
         self.prediction_horizon = prediction_horizon
-        self.pipeline = pipeline
         self.now = 0.0
         self.queries: dict[int, QueryState] = {}
         # Buffered inputs, applied in bulk by evaluate().  A report is
@@ -294,18 +284,12 @@ class IncrementalEngine:
         # Registered predictive query ids — the refresh phase consults
         # this instead of scanning every query of every kind.
         self._predictive_qids: set[int] = set()
-        # Struct-of-arrays state (repro.columnar).  The query store is
-        # written under both pipelines — registrations and moves cost a
-        # few array writes, and check_invariants holds its rows to the
-        # query states either way.  The object store, batch ingest and
-        # the evaluator exist only under pipeline="columnar", where the
-        # store is the objects' only home.
+        # Struct-of-arrays state (repro.columnar): the object store is
+        # the objects' only home.
         self._qstore = ColumnarQueryStore()
         self._knn_qids: set[int] = set()
-        self._ostore: ColumnarObjectStore | None = None
-        self.objects: dict[int, ObjectState] | StoreObjects = {}
-        self._columnar_evaluator: ColumnarEvaluator | None = None
-        self._batch_ingest: BatchIngest | None = None
+        self._ostore = ColumnarObjectStore()
+        self.objects = StoreObjects(self._ostore)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         # Freshness follows the registry's on/off state unless injected:
@@ -337,32 +321,26 @@ class IncrementalEngine:
         }
         self._m_objects = self.registry.gauge("engine_objects")
         self._m_queries = self.registry.gauge("engine_queries")
-        if pipeline == "columnar":
-            self._ostore = ColumnarObjectStore()
-            self.objects = StoreObjects(self._ostore)
-            self._columnar_evaluator = ColumnarEvaluator(
-                self.grid,
-                self.index,
-                self._ostore,
-                self._qstore,
-                self.queries,
-                self._knn_qids,
-                self.registry,
-                self.tracer,
-            )
-            self._batch_ingest = BatchIngest(self)
+        self._columnar_evaluator = ColumnarEvaluator(
+            self.grid,
+            self.index,
+            self._ostore,
+            self._qstore,
+            self.queries,
+            self._knn_qids,
+            self.registry,
+            self.tracer,
+        )
+        self._batch_ingest = BatchIngest(self)
         self._m_ingest_seconds = counter("engine_ingest_seconds_total")
-        # Which path the query-side phases took, partitioning the
-        # unlabelled totals: "batch" = an evaluator array pass (a k-NN
-        # or predictive *move* only marks its query for one), "scalar" =
-        # the per-query reference routine — everything under per-object;
-        # under columnar, only a predictive query whose flip time came
-        # due (its verdicts come from an array pass; scheduling its next
-        # flip is scalar).
-        self._m_query_move_paths, self._m_knn_repair_paths, self._m_refresh_paths = (
-            {p: counter(f"engine_{name}_total", labels={"path": p}) for p in ("batch", "scalar")}
-            for name in ("query_moves", "knn_repairs", "predictive_refreshes")
-        )  # fmt: skip
+        # Which way each predictive refresh ran: "batch" = a churned or
+        # moved query, settled by the array pass; "scalar" = a query
+        # whose flip time came due (its verdicts come from the array
+        # pass; scheduling its next flip is scalar).
+        self._m_refresh_paths = {
+            path: counter("engine_predictive_refreshes_total", labels={"path": path})
+            for path in ("batch", "scalar")
+        }
 
     # ------------------------------------------------------------------
     # Ingestion (buffered)
@@ -383,9 +361,10 @@ class IncrementalEngine:
         the engine guarantees completeness only for in-world geometry,
         so out-of-world drift is pulled back to the boundary — and a
         non-finite coordinate, which no boundary is near, is refused, as
-        is a non-finite time or velocity (``ValueError`` naming the
-        oid, nothing buffered).  The buffer keeps the report's
-        coordinates, not the caller's objects.
+        is a non-finite time or velocity, or one that carries the
+        clamped location past the largest float within the prediction
+        horizon (``ValueError`` naming the oid, nothing buffered).  The
+        buffer keeps the report's coordinates, not the caller's objects.
         """
         x = location.x
         y = location.y
@@ -400,10 +379,11 @@ class IncrementalEngine:
             y = min(max(y, world.min_y), world.max_y)
         vx = velocity.vx
         vy = velocity.vy
-        # One sum settles the common case; NaN and inf survive it, and
-        # a finite sum that overflows is settled exactly.
-        if not math.isfinite(t + vx + vy):
-            _check_motion(oid, t, vx, vy)
+        # One sum of the reach settles the common case; NaN and inf
+        # survive it, and a finite sum that overflows is settled exactly.
+        span = (t + self.prediction_horizon) - t
+        if not math.isfinite((x + vx * span) + (y + vy * span)):
+            _check_motion(oid, x, y, t, vx, vy, self.prediction_horizon)
         self._pending_removals.discard(oid)
         self._pending_reports[oid] = (x, y, vx, vy, t)
         self.freshness.stamp_report(oid)
@@ -415,8 +395,8 @@ class IncrementalEngine:
         dict — last report wins, an oid keeps the place of its first
         report, a buffered removal is cancelled.
 
-        The whole call is refused, with nothing buffered, when any
-        coordinate, time or velocity is non-finite; rows are clamped
+        The whole call is refused, with nothing buffered, when any row
+        would be refused by :meth:`report_object`; rows are clamped
         only when a bound says one lies outside the world.
         """
         if not oids:
@@ -431,9 +411,6 @@ class IncrementalEngine:
                         f"object {oid} reported a non-finite location "
                         f"{Point(x, y)}"
                     )
-        if not math.isfinite(sum(ts) + sum(vxs) + sum(vys)):
-            for oid, t, vx, vy in zip(oids, ts, vxs, vys):
-                _check_motion(oid, t, vx, vy)
         world = self.grid.world
         if not (
             world.min_x <= min(xs)
@@ -443,6 +420,18 @@ class IncrementalEngine:
         ):
             xs = [min(max(x, world.min_x), world.max_x) for x in xs]
             ys = [min(max(y, world.min_y), world.max_y) for y in ys]
+        # Finite columns bound every row's reach: ``(t + H) - t`` rounds
+        # to at most 2H, and a clamped location lies within the world.
+        horizon = self.prediction_horizon
+        if not (
+            math.isfinite(sum(ts) + sum(vxs) + sum(vys))
+            and math.isfinite(
+                max(map(abs, (world.min_x, world.min_y, world.max_x, world.max_y)))
+                + max(max(vxs), -min(vxs), max(vys), -min(vys)) * (2 * horizon)
+            )
+        ):
+            for oid, x, y, t, vx, vy in zip(oids, xs, ys, ts, vxs, vys):
+                _check_motion(oid, x, y, t, vx, vy, horizon)
         if self._pending_removals:
             self._pending_removals.difference_update(oids)
         self._pending_reports.update(zip(oids, zip(xs, ys, vxs, vys, ts)))
@@ -664,7 +653,6 @@ class IncrementalEngine:
         # Predictive queries that must refresh regardless of cell churn
         # (registered or moved this batch).
         dirty_predictive: set[int] = set()
-        columnar = self._columnar_evaluator is not None
         tracer = self.tracer
         span = tracer.span
         phase_counters = self._phase_counters
@@ -679,23 +667,13 @@ class IncrementalEngine:
             with span("query_moves", phase_counters["query_moves"]):
                 self._apply_query_moves(updates, knn_dirty, dirty_predictive)
             with span("object_reports", phase_counters["object_reports"]):
-                if columnar:
-                    self._apply_object_reports_columnar(
-                        updates, knn_dirty, churned_cells
-                    )
-                else:
-                    self._apply_object_reports(updates, knn_dirty)
+                self._apply_object_reports(updates, knn_dirty, churned_cells)
             with span("knn_repair", phase_counters["knn_repair"]):
                 self._repair_knn(knn_dirty, updates)
             with span(
                 "predictive_refresh", phase_counters["predictive_refresh"]
             ):
-                if columnar:
-                    self._refresh_predictive_columnar(
-                        updates, churned_cells, dirty_predictive
-                    )
-                else:
-                    self._refresh_predictive(updates)
+                self._refresh_predictive(updates, churned_cells, dirty_predictive)
             with span("occupancy_sample"):
                 self._sample_occupancy()
         self._m_updates_emitted.inc(len(updates))
@@ -735,8 +713,7 @@ class IncrementalEngine:
 
     def _apply_unregistrations(self, knn_dirty: set[int]) -> None:
         for qid in sorted(self._pending_unregistrations):
-            query = self.queries.pop(qid, None)
-            if query is None:
+            if self.queries.pop(qid, None) is None:
                 continue
             self.index.remove_query(qid)
             self._qstore.remove(qid)
@@ -744,9 +721,6 @@ class IncrementalEngine:
             self._underfull_knn.discard(qid)
             self._predictive_qids.discard(qid)
             knn_dirty.discard(qid)
-            if self._ostore is None:  # the reference's QLists
-                for oid in query.answer:
-                    self.objects[oid].answered.discard(qid)
             self.freshness.forget_query(qid)
         self._pending_unregistrations.clear()
 
@@ -754,36 +728,26 @@ class IncrementalEngine:
         self, updates, knn_dirty: set[int], churned_cells: set[int]
     ) -> None:
         """Drop the departing objects; each answer holding one emits a
-        negative.  The reference reads the holders off each object's
-        QList and emits per removed oid ascending, then qid ascending;
-        the production path, which keeps answers only, intersects every
-        registered answer with the removed oids — paid only in a cycle
-        with removals — and emits per query: qid ascending, then oid."""
+        negative.  Answers are the only record of membership, so every
+        registered answer is intersected with the removed oids — paid
+        only in a cycle with removals — and the negatives leave per
+        query: qid ascending, then oid."""
         removed = [oid for oid in sorted(self._pending_removals) if oid in self.objects]
         self._pending_removals.clear()
         if not removed:
             return
         queries = self.queries
-        if self._batch_ingest is not None:
-            gone = set(removed)
-            self._batch_ingest.remove(removed, churned_cells)
-            for qid in sorted(queries):
-                query = queries[qid]
-                held = sorted(query.answer & gone)
-                if held:
-                    query.answer.difference_update(held)
-                    updates.extend_columns([qid] * len(held), held, [-1] * len(held))
-                    if query.kind is QueryKind.KNN:
-                        knn_dirty.add(qid)
-            return
-        for oid in removed:
-            for qid in sorted(self.objects.pop(oid).answered):
-                query = queries[qid]
-                query.answer.discard(oid)
-                updates.push(qid, oid, -1)
+        gone = set(removed)
+        self._batch_ingest.remove(removed, churned_cells)
+        self.freshness.forget(removed)
+        for qid in sorted(queries):
+            query = queries[qid]
+            held = sorted(query.answer & gone)
+            if held:
+                query.answer.difference_update(held)
+                updates.extend_columns([qid] * len(held), held, [-1] * len(held))
                 if query.kind is QueryKind.KNN:
                     knn_dirty.add(qid)
-            self.index.remove_object(oid)
 
     # ------------------------------------------------------------------
     # Phase 3: first-time answers for new queries
@@ -796,7 +760,6 @@ class IncrementalEngine:
         dirty_predictive: set[int],
     ) -> None:
         qstore = self._qstore
-        evaluator = self._columnar_evaluator
         range_fills: list[RangeQueryState] = []
         for query in self._pending_registrations.values():
             self.queries[query.qid] = query
@@ -811,10 +774,7 @@ class IncrementalEngine:
                     region.max_y,
                 )
                 self.index.place_query_region(query.qid, region)
-                if evaluator is None:
-                    self._fill_range_answer(query, updates)
-                else:
-                    range_fills.append(query)
+                range_fills.append(query)
             elif query.kind is QueryKind.KNN:
                 qstore.put(query.qid, KIND_KNN)
                 self._knn_qids.add(query.qid)
@@ -834,16 +794,8 @@ class IncrementalEngine:
         # Only range registrations emit in this phase, so filling them
         # together after the loop keeps the stream in arrival order.
         if range_fills:
-            evaluator.fill_ranges(range_fills, updates)
+            self._columnar_evaluator.fill_ranges(range_fills, updates)
         self._pending_registrations.clear()
-
-    def _fill_range_answer(self, query: RangeQueryState, updates) -> None:
-        for oid in sorted(self.index.objects_overlapping(query.region)):
-            state = self.objects[oid]
-            if query.region.contains_point(state.location):
-                query.answer.add(oid)
-                state.answered.add(query.qid)
-                updates.push(query.qid, oid, 1)
 
     # ------------------------------------------------------------------
     # Phase 4: query movement
@@ -858,9 +810,6 @@ class IncrementalEngine:
         # Only range moves emit in this phase, so taking them together
         # after the loop keeps the stream in arrival order.
         range_moves: list[tuple[RangeQueryState, Rect]] = []
-        evaluator = self._columnar_evaluator
-        path = "scalar" if evaluator is None else "batch"
-        self._m_query_move_paths[path].inc(len(self._pending_moves))
         for qid, (payload, t) in self._pending_moves.items():
             query = self.queries.get(qid)
             if query is None:
@@ -869,10 +818,7 @@ class IncrementalEngine:
                 raise KeyError(f"cannot move unknown query {qid}")
             query.t = t
             if query.kind is QueryKind.RANGE:
-                if evaluator is None:
-                    self._move_range(query, payload, updates)  # type: ignore[arg-type]
-                else:
-                    range_moves.append((query, payload))  # type: ignore[arg-type]
+                range_moves.append((query, payload))  # type: ignore[arg-type]
             elif query.kind is QueryKind.KNN:
                 query.center = payload  # type: ignore[assignment]
                 knn_dirty.add(qid)
@@ -883,90 +829,20 @@ class IncrementalEngine:
                 self.index.place_query_region(qid, payload)  # type: ignore[arg-type]
                 dirty_predictive.add(qid)
         if range_moves:
-            evaluator.move_ranges(range_moves, updates)
+            self._columnar_evaluator.move_ranges(range_moves, updates)
         self._pending_moves.clear()
-
-    def _move_range(
-        self, query: RangeQueryState, new_region: Rect, updates
-    ) -> None:
-        old_region = query.region
-        query.region = new_region
-
-        # Negative updates: answer members in A_old - A_new.
-        for oid in sorted(query.answer):
-            if not new_region.contains_point(self.objects[oid].location):
-                query.answer.discard(oid)
-                self.objects[oid].answered.discard(query.qid)
-                updates.push(query.qid, oid, -1)
-
-        # Positive updates: search only A_new - A_old.
-        for piece in new_region.difference(old_region):
-            for oid in sorted(self.index.objects_overlapping(piece)):
-                if oid in query.answer:
-                    continue
-                state = self.objects[oid]
-                if piece.contains_point(state.location):
-                    query.answer.add(oid)
-                    state.answered.add(query.qid)
-                    updates.push(query.qid, oid, 1)
-
-        self.index.place_query_region(query.qid, new_region)
-        self._qstore.put(
-            query.qid,
-            KIND_RANGE,
-            new_region.min_x,
-            new_region.min_y,
-            new_region.max_x,
-            new_region.max_y,
-        )
 
     # ------------------------------------------------------------------
     # Phase 5: object movement
     # ------------------------------------------------------------------
 
-    def _apply_object_reports(self, updates, knn_dirty: set[int]) -> None:
-        """Reference path: one report at a time (``pipeline="per-object"``).
-
-        Re-derives the colocated candidate query set for every single
-        object — the semantic baseline the columnar pipeline is tested
-        against.
-        """
-        for oid, (x, y, vx, vy, t) in self._pending_reports.items():
-            location = Point(x, y)
-            velocity = Velocity(vx, vy) if vx or vy else Velocity.ZERO
-            state = self.objects.get(oid)
-            if state is None:
-                state = ObjectState(oid, location, velocity, t)
-                self.objects[oid] = state
-                old_cells: frozenset[int] = frozenset()
-            else:
-                old_cells = self.index.object_cells(oid)
-                state.location = location
-                state.velocity = velocity
-                state.t = t
-            self.index.place_object(oid, self._object_footprint(state))
-
-            candidates = set(self.index.queries_colocated_with_object(oid))
-            for cell in old_cells:
-                candidates |= self.index.queries_in_cell(cell)
-            candidates |= state.answered
-
-            for qid in sorted(candidates):
-                query = self.queries[qid]
-                if query.kind is QueryKind.RANGE:
-                    self._update_range_membership(query, state, updates)
-                elif query.kind is QueryKind.KNN:
-                    knn_dirty.add(qid)
-                # Predictive membership is settled by the refresh phase.
-        self._pending_reports.clear()
-
-    def _apply_object_reports_columnar(
+    def _apply_object_reports(
         self, updates, knn_dirty: set[int], churned_cells: set[int]
     ) -> None:
-        """Columnar pipeline: batch ingest groups the buffer into
-        home-cell transition cohorts (phase 5a), then the evaluator joins
-        every cohort against its cells' range queries in one kernel pass
-        and emits the changed pairs cohort by cohort (phase 5b)."""
+        """Batch ingest groups the buffer into home-cell transition
+        cohorts (phase 5a), then the evaluator joins every cohort against
+        its cells' range queries in one kernel pass and emits the changed
+        pairs cohort by cohort (phase 5b)."""
         if not self._pending_reports:
             return
         with self.tracer.span("report_ingest", self._m_ingest_seconds):
@@ -978,33 +854,6 @@ class IncrementalEngine:
             cohorts=len(columns),
             emitted=len(updates) - emitted_before,
         )
-
-    def _update_range_membership(
-        self, query: RangeQueryState, state: ObjectState, updates
-    ) -> None:
-        inside = query.region.contains_point(state.location)
-        was_member = state.oid in query.answer
-        if inside and not was_member:
-            query.answer.add(state.oid)
-            state.answered.add(query.qid)
-            updates.push(query.qid, state.oid, 1)
-        elif not inside and was_member:
-            query.answer.discard(state.oid)
-            state.answered.discard(query.qid)
-            updates.push(query.qid, state.oid, -1)
-
-    def _object_footprint(self, state: ObjectState) -> frozenset[int]:
-        if state.is_predictive and self.prediction_horizon > 0:
-            rect = state.motion().bounding_rect_until(
-                state.t + self.prediction_horizon
-            )
-            cells = self.grid.cells_overlapping_set(rect)
-            if cells:
-                return cells
-            # The whole predicted trajectory lies outside the world
-            # (the object drifted off the map): clamp to the nearest
-            # cell so the object keeps a deterministic home.
-        return frozenset((self.grid.cell_of(state.location),))
 
     # ------------------------------------------------------------------
     # Phase 6: k-NN repair
@@ -1020,19 +869,10 @@ class IncrementalEngine:
         if not dirty:
             return
         self._m_knn_repairs.inc(len(dirty))
-        # The columnar path searches every dirty query together; the
-        # reference runs the ring search per query.  Emission stays in
-        # qid order.
-        evaluator = self._columnar_evaluator
-        if evaluator is None:
-            self._m_knn_repair_paths["scalar"].inc(len(dirty))
-            for query in dirty:
-                ranked = knn_search(self.index, self.objects, query.center, query.k)
-                self._solve_knn(query, updates, ranked)
-        else:
-            self._m_knn_repair_paths["batch"].inc(len(dirty))
-            for query, ranked in zip(dirty, evaluator.knn_ranked(dirty)):
-                self._solve_knn(query, updates, ranked)
+        # Every dirty query is searched together; emission stays in qid
+        # order.
+        for query, ranked in zip(dirty, self._columnar_evaluator.knn_ranked(dirty)):
+            self._solve_knn(query, updates, ranked)
 
     def _solve_knn(
         self, query: KnnQueryState, updates, ranked: list[tuple[float, int]]
@@ -1056,11 +896,6 @@ class IncrementalEngine:
         for oid in joined:
             query.answer.add(oid)
             updates.push(qid, oid, 1)
-        if self._ostore is None:  # the reference's QLists
-            for oid in left:
-                self.objects[oid].answered.discard(qid)
-            for oid in joined:
-                self.objects[oid].answered.add(qid)
 
         query.radius = ranked[-1][0] if ranked else 0.0
         footprint = self.grid.cells_overlapping_set(
@@ -1079,23 +914,7 @@ class IncrementalEngine:
     # Phase 7: predictive window refresh
     # ------------------------------------------------------------------
 
-    def _refresh_predictive(self, updates) -> None:
-        """Reference path: re-filter every predictive query, every cycle,
-        over the objects its grid-index footprint holds."""
-        index = self.index
-        objects = self.objects
-        for qid, query in self.queries.items():
-            if query.kind is not QueryKind.PREDICTIVE_RANGE:
-                continue
-            self._m_refresh_paths["scalar"].inc()
-            candidates = set(query.answer)
-            for cell in index.query_cells(qid):
-                candidates.update(index.objects_in_cell(cell))
-            ordered = sorted(candidates)
-            flags = [self._predicted_in_region(query, objects[oid]) for oid in ordered]
-            self._refresh_one_predictive(query, updates, ordered, flags)
-
-    def _refresh_predictive_columnar(
+    def _refresh_predictive(
         self,
         updates,
         churned_cells: set[int],
@@ -1180,16 +999,11 @@ class IncrementalEngine:
             else:
                 answer.discard(oid)
                 updates.push(qid, oid, -1)
-            if self._ostore is None:  # the reference's QLists
-                if inside:
-                    self.objects[oid].answered.add(qid)
-                else:
-                    self.objects[oid].answered.discard(qid)
 
     def _next_flip(self, query: PredictiveQueryState, ordered, flags) -> float:
-        """The columnar path's flip schedule for a just-refreshed
-        predictive query: the earliest :meth:`_membership_flip_time` of
-        its candidates, read from their store rows."""
+        """The flip schedule of a just-refreshed predictive query: the
+        earliest :meth:`_membership_flip_time` of its candidates, read
+        from their store rows."""
         ostore = self._ostore
         rows = [ostore.row_of(oid) for oid in ordered]
         next_flip = math.inf
@@ -1228,12 +1042,6 @@ class IncrementalEngine:
             # The trusted extrapolation span is entirely in the past:
             # membership is False and stays False until a new report.
             return math.inf
-        reach = motion.position_at(span_end)
-        if not (math.isfinite(reach.x) and math.isfinite(reach.y)):
-            # A finite but absurd velocity overflows: the windowed check
-            # works on inf arithmetic no flip time can predict, so
-            # refresh every evaluation.
-            return -math.inf
         interval = motion.time_in_rect(query.region, span_start, span_end)
         if interval is None:
             # Never in the region within the trusted span.  If the
@@ -1246,40 +1054,18 @@ class IncrementalEngine:
             return leaves
         return enters - query.horizon
 
-    def _predicted_in_region(
-        self, query: PredictiveQueryState, state: ObjectState
-    ) -> bool:
-        """Will ``state`` be inside the query region within its horizon?
-
-        The window is ``[now, now + horizon]`` clamped to start no
-        earlier than the object's report time (we cannot extrapolate
-        backwards) and to end no later than the object's trusted
-        extrapolation span.
-        """
-        start = max(self.now, state.t)
-        end = min(self.now + query.horizon, state.t + self.prediction_horizon)
-        if end < start:
-            return False
-        return state.motion().time_in_rect(query.region, start, end) is not None
-
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
 
     def _sample_occupancy(self) -> None:
-        """Grid occupancy: the production path counts its store's
-        ``cells`` column (objects per home cell), the reference its index
-        buckets (a moving object in every cell of its swept footprint)."""
-        ostore = self._ostore
+        """Grid occupancy: the store's ``cells`` column counted (objects
+        per home cell)."""
         if not self.registry.enabled:
             return
         self.index.sample_occupancy(
             self.registry,
-            (
-                self.index.object_counts()
-                if ostore is None
-                else ostore.cell_counts(self.grid.cell_count)
-            ),
+            self._ostore.cell_counts(self.grid.cell_count),
             len(self.objects),
         )
 
@@ -1291,35 +1077,24 @@ class IncrementalEngine:
         """Verify the object/query membership bookkeeping (tests only)."""
         queries = self.queries
         ostore = self._ostore
-        for qid in queries:
+        # A store row is the only record of an object: every answer
+        # member is one, the grid index holds queries only, and both
+        # report doors clamped every stored location into the world (so
+        # the cells listing a range query find all its members).
+        for qid, query in queries.items():
             assert self.index.contains_query(qid)
-        if ostore is None:
-            # The reference keeps both directions: QList <-> answer.
-            for oid, state in self.objects.items():
-                assert self.index.contains_object(oid)
-                for qid in state.answered:
-                    assert oid in queries[qid].answer, (oid, qid)
-            for qid, query in queries.items():
-                for oid in query.answer:
-                    assert qid in self.objects[oid].answered, (qid, oid)
-        else:
-            # A store row is the only record of an object: every answer
-            # member is one, the grid index holds queries only, and both
-            # report doors clamped every stored location into the world
-            # (so the cells listing a range query find all its members).
-            for qid, query in queries.items():
-                for oid in query.answer:
-                    assert oid in ostore, (qid, oid)
-            assert self.index.object_count == 0
-            xs, ys = ostore.xy_views()
-            world = self.grid.world
-            assert (
-                (world.min_x <= xs) & (xs <= world.max_x)
-                & (world.min_y <= ys) & (ys <= world.max_y)
-            ).all()  # fmt: skip
-            assert list(ostore.cells) == [
-                self.grid.cell_of(Point(x, y)) for x, y in zip(ostore.xs, ostore.ys)
-            ]
+            for oid in query.answer:
+                assert oid in ostore, (qid, oid)
+        assert self.index.object_count == 0
+        xs, ys = ostore.xy_views()
+        world = self.grid.world
+        assert (
+            (world.min_x <= xs) & (xs <= world.max_x)
+            & (world.min_y <= ys) & (ys <= world.max_y)
+        ).all()  # fmt: skip
+        assert list(ostore.cells) == [
+            self.grid.cell_of(Point(x, y)) for x, y in zip(ostore.xs, ostore.ys)
+        ]
         for qid in self._predictive_qids:
             assert queries[qid].kind is QueryKind.PREDICTIVE_RANGE
         # The query store's rows stay coherent with the query states.
@@ -1342,5 +1117,4 @@ class IncrementalEngine:
                 assert kind == KIND_KNN, qid
             else:
                 assert kind == KIND_PREDICTIVE, qid
-        if self._columnar_evaluator is not None:
-            self._columnar_evaluator.check_invariants()
+        self._columnar_evaluator.check_invariants()

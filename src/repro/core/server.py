@@ -119,16 +119,11 @@ class LocationAwareServer:
         history: HistoryRepository | None = None,
         engine: IncrementalEngine | None = None,
         registry: MetricsRegistry | None = None,
-        pipeline: str = "columnar",
         recorder: FlightRecorder | None = None,
     ):
         """``engine`` lets a restarted server adopt a checkpoint-restored
         engine instead of starting empty; bind its queries to clients
         with :meth:`adopt_query`.
-
-        ``pipeline`` picks the constructed engine's evaluation path
-        (ignored when ``engine`` is supplied): ``"columnar"``, the
-        production path, or ``"per-object"``, the reference.
 
         ``registry`` is the telemetry sink for the whole stack; when
         omitted the server shares the engine's registry, so server
@@ -149,7 +144,6 @@ class LocationAwareServer:
                 world,
                 grid_size,
                 prediction_horizon,
-                pipeline=pipeline,
                 recorder=recorder,
             )
         )

@@ -1,15 +1,12 @@
 """Server-side state for objects and queries.
 
-These mirror the paper's entry layouts: an object entry ``(OID, loc, t,
-QList)`` where ``QList`` is "the list of the queries that O is
-satisfying", and a query entry ``(QID, region, t, OList)`` where
-``OList`` is the answer set.  Both directions of the object/query
-membership relation are the per-object reference's: it keeps an
-``ObjectState`` per object, with its ``answered`` QList, and prunes
-candidates and removals by degree.  The production (columnar) path keeps
-answers only — an object is its row in the object store, and
-``ObjectState`` is materialised from that row on access for readers
-that want one.
+These follow the paper's entry layouts: a query entry ``(QID, region,
+t, OList)`` where ``OList`` is the answer set, and an object entry
+``(OID, loc, t)`` — without the paper's ``QList``, "the list of the
+queries that O is satisfying": the answers are the only record of
+membership.  The engine keeps an object as its row in the object store
+and materialises an ``ObjectState`` from that row on access, for
+readers that want one; the brute-force reference keeps them outright.
 """
 
 from __future__ import annotations
@@ -30,18 +27,12 @@ class QueryKind(enum.Enum):
 
 @dataclass(slots=True)
 class ObjectState:
-    """One tracked object: current location, motion, reverse answer list."""
+    """One tracked object: its last reported location, velocity and time."""
 
     oid: int
     location: Point
     velocity: Velocity
     t: float
-    answered: set[int] = field(default_factory=set)
-
-    @property
-    def is_predictive(self) -> bool:
-        """Predictive objects reported a non-zero velocity vector."""
-        return not self.velocity.is_zero()
 
     def motion(self) -> LinearMotion:
         return LinearMotion(self.location, self.velocity, self.t)
@@ -86,12 +77,12 @@ class PredictiveQueryState:
     """A predictive range query: who will be in ``region`` within ``horizon``
     seconds of the current evaluation time?
 
-    ``next_flip`` is derived scheduling state maintained by the engine's
-    columnar pipeline: the earliest evaluation time at which some
-    candidate object's predicted membership can change *purely because
-    the horizon window slid forward* (no report churn).  Until that
-    time, a refresh without churn in the query's footprint cells is
-    provably a no-op and is skipped.  ``-inf`` means "not yet computed:
+    ``next_flip`` is derived scheduling state maintained by the engine:
+    the earliest evaluation time at which some candidate object's
+    predicted membership can change *purely because the horizon window
+    slid forward* (no report churn).  Until that time, a refresh
+    without churn in the query's footprint cells is provably a no-op
+    and is skipped.  ``-inf`` means "not yet computed:
     always refresh".
     """
 

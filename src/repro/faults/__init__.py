@@ -15,14 +15,13 @@ Three layers:
   :class:`~repro.check.ConsistencyOracle` checking every cycle, then
   converges every client on a clean network.
 
-``python -m repro.faults`` runs the chaos suite across pipelines and
-seeds and writes a JSON report (non-zero exit on any divergence or
+``python -m repro.faults`` runs the chaos suite across seeds and
+writes a JSON report (non-zero exit on any divergence or
 non-convergence).
 """
 
 from repro.faults.harness import (
     DEFAULT_PLAN_RATES,
-    PIPELINES,
     ChaosReport,
     default_plan,
     run_chaos,
@@ -32,7 +31,6 @@ from repro.faults.plan import FaultPlan, FaultSchedule
 
 __all__ = [
     "DEFAULT_PLAN_RATES",
-    "PIPELINES",
     "ChaosReport",
     "FaultInjector",
     "FaultPlan",

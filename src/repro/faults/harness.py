@@ -9,8 +9,8 @@ the hostile phase the faults are uninstalled and clients are woken
 repeatedly until every mirror matches the engine (a throttled link may
 need several wakeups — each advances the committed base by what fits).
 
-Everything is derived from the plan's seed; a failing
-``(pipeline, seed)`` pair replays exactly.
+Everything is derived from the plan's seed; a failing seed replays
+exactly.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.geometry import Point, Rect, Velocity
 from repro.obs import DEFAULT_RING_SIZE, FlightRecorder
-
-PIPELINES = ("per-object", "columnar")
 
 #: A moderately hostile default: every fault dimension exercised.
 DEFAULT_PLAN_RATES = dict(
@@ -42,7 +40,6 @@ DEFAULT_PLAN_RATES = dict(
 class ChaosReport:
     """What one chaos run did and found."""
 
-    pipeline: str
     seed: int
     cycles: int
     faults: dict[str, int] = field(default_factory=dict)
@@ -60,7 +57,6 @@ class ChaosReport:
 
     def to_dict(self) -> dict:
         out = {
-            "pipeline": self.pipeline,
             "seed": self.seed,
             "cycles": self.cycles,
             "faults": dict(self.faults),
@@ -78,7 +74,6 @@ class ChaosReport:
 
 
 def run_chaos(
-    pipeline: str,
     plan: FaultPlan,
     cycles: int = 30,
     n_objects: int = 40,
@@ -86,14 +81,12 @@ def run_chaos(
 ) -> ChaosReport:
     """One seeded chaos run; returns the report (never raises on
     divergence — the caller decides what failure means)."""
-    if pipeline not in PIPELINES:
-        raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
-    report = ChaosReport(pipeline=pipeline, seed=plan.seed, cycles=cycles)
+    report = ChaosReport(seed=plan.seed, cycles=cycles)
     rng = random.Random(f"{plan.seed}:workload")
     # Every chaos run flies with the black box armed: a failure report
     # embeds the protocol events that led to it, not just tallies.
     recorder = FlightRecorder(capacity=DEFAULT_RING_SIZE)
-    server = LocationAwareServer(grid_size=16, pipeline=pipeline, recorder=recorder)
+    server = LocationAwareServer(grid_size=16, recorder=recorder)
     # -- deployment: 3 clients, 5 queries, moving objects ----------
     server.register_client(0)
     server.register_client(1)

@@ -1,11 +1,11 @@
-"""Home-cell arithmetic shared by both pipelines, scalar and batch.
+"""Home-cell arithmetic, scalar and batch.
 
 The clamped truncate-divide below is the *definition* of a point's home
 cell: ``Grid.cell_of`` uses the scalar form, and the columnar batch
 ingest applies the vectorized form to a whole report buffer.  Both live
 here so the two can never drift — the batch kernel's cohort keys must be
-bit-identical to the reference's cells or the two pipelines' answers
-diverge.
+bit-identical to ``Grid.cell_of``'s cells, or a query's listed cells can
+miss an object inside it.
 
 Truncation parity: Python's ``int()`` on a float and numpy's
 ``.astype(np.int64)`` both truncate toward zero (C cast semantics), so

@@ -2,16 +2,16 @@
 
 One :class:`GridIndex` instance is the heart of the location-aware
 server: it holds, per cell, the identifiers of the queries whose region
-overlaps the cell and — for the per-object reference engine — of the
-objects located in the cell.  Auxiliary hash indexes map each identifier
-back to its current cell set, which is what lets an update locate (and
-clear) the *old* position without a spatial search — the role the paper
-assigns to its "object index" and "query index" (compare the LUR-tree's
-linked list and the FUR-tree's hash table).
+overlaps the cell and of the objects located in the cell.  Auxiliary
+hash indexes map each identifier back to its current cell set, which is
+what lets an update locate (and clear) the *old* position without a
+spatial search — the role the paper assigns to its "object index" and
+"query index" (compare the LUR-tree's linked list and the FUR-tree's
+hash table).
 
-The production (columnar) engine uses the query side only: there an
-object's cell lives in the object store's ``cells`` column, and the
-object side stays empty.
+The engine uses the query side only: there an object's cell lives in
+the object store's ``cells`` column.  The object side serves the
+snapshot baseline (:class:`repro.baselines.snapshot.SnapshotEngine`).
 """
 
 from __future__ import annotations
@@ -82,23 +82,12 @@ class GridIndex:
     def populated_cell_count(self) -> int:
         return len(self._cells)
 
-    def contains_object(self, oid: int) -> bool:
-        return oid in self._object_cells
-
     def contains_query(self, qid: int) -> bool:
         return qid in self._query_cells
-
-    def object_cells(self, oid: int) -> frozenset[int]:
-        """The cells currently holding object ``oid``."""
-        return self._object_cells[oid]
 
     def query_cells(self, qid: int) -> frozenset[int]:
         """The cells currently overlapped by query ``qid``."""
         return self._query_cells[qid]
-
-    def bucket(self, cell: int) -> CellBucket | None:
-        """The bucket for ``cell``, or ``None`` when the cell is empty."""
-        return self._cells.get(cell)
 
     # ------------------------------------------------------------------
     # Object side
@@ -175,24 +164,14 @@ class GridIndex:
     # Retrieval
     # ------------------------------------------------------------------
 
-    def objects_in_cell(self, cell: int) -> Set[int]:
-        """The objects resident in ``cell`` — a zero-copy live view.
+    def queries_in_cell(self, cell: int) -> Set[int]:
+        """The queries overlapping ``cell`` — a zero-copy live view.
 
         Aliasing contract: the returned set is the index's own bucket
         storage (or a shared immutable empty sentinel).  It reflects
         subsequent index mutations, MUST NOT be mutated by the caller,
         and must be snapshotted (``set(...)``) before being retained
-        across any ``place_*`` / ``remove_*`` call.  The bulk-evaluation
-        hot path reads millions of these per batch; copying defensively
-        here would dominate it.
-        """
-        bucket = self._cells.get(cell)
-        return bucket.objects if bucket else _EMPTY
-
-    def queries_in_cell(self, cell: int) -> Set[int]:
-        """The queries overlapping ``cell`` — a zero-copy live view.
-
-        Same aliasing contract as :meth:`objects_in_cell`.
+        across any ``place_*`` / ``remove_*`` call.
         """
         bucket = self._cells.get(cell)
         return bucket.queries if bucket else _EMPTY
@@ -212,51 +191,18 @@ class GridIndex:
                 found.update(bucket.objects)
         return found
 
-    def queries_overlapping(self, rect: Rect) -> set[int]:
-        """Candidate queries whose clipped cells touch ``rect`` (fresh copy)."""
-        found: set[int] = set()
-        cells = self._cells
-        for cell in self.grid.cells_overlapping_into(rect, self._scratch_cells):
-            bucket = cells.get(cell)
-            if bucket:
-                found.update(bucket.queries)
-        return found
-
-    def queries_colocated_with_object(self, oid: int) -> set[int]:
-        """Queries sharing at least one cell with object ``oid``.
-
-        These are exactly the paper's "candidate queries that can
-        intersect with the new location of O".
-        """
-        found: set[int] = set()
-        for cell in self._object_cells[oid]:
-            bucket = self._cells.get(cell)
-            if bucket:
-                found.update(bucket.queries)
-        return found
-
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-
-    def object_counts(self) -> np.ndarray:
-        """Objects per cell of this index's object buckets, one int64
-        count per cell; a moving object counts in every cell of its swept
-        footprint."""
-        counts = np.zeros(self.grid.cell_count, dtype=np.int64)
-        for cell, bucket in self._cells.items():
-            counts[cell] = len(bucket.objects)
-        return counts
 
     def sample_occupancy(
         self, registry: MetricsRegistry, counts: np.ndarray, objects: int, top_k: int = 5
     ) -> None:
         """Record the grid's occupancy shape into ``registry``.
 
-        ``counts`` holds one object count per cell: on the production
-        engine the ``np.bincount`` of its store's ``cells`` column
-        (objects per *home* cell), on the per-object reference
-        :meth:`object_counts`.  ``objects`` is the population
+        ``counts`` holds one object count per cell — the engine passes
+        the ``np.bincount`` of its store's ``cells`` column (objects per
+        *home* cell).  ``objects`` is the population
         (``grid_indexed_objects``).
 
         Observes every occupied cell's object count into the

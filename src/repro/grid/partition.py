@@ -127,43 +127,3 @@ class Grid:
             for col in range(col_lo, col_hi + 1):
                 append(base + col)
         return out
-
-    def neighbors_of(self, cell: int) -> Iterator[int]:
-        """The up-to-8 cells adjacent to ``cell`` (for expanding searches)."""
-        row, col = divmod(cell, self.n)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr == 0 and dc == 0:
-                    continue
-                r, c = row + dr, col + dc
-                if 0 <= r < self.n and 0 <= c < self.n:
-                    yield r * self.n + c
-
-    def ring_around(self, center_cell: int, radius: int) -> Iterator[int]:
-        """Cells forming the square ring at Chebyshev distance ``radius``.
-
-        k-NN initial evaluation expands ring by ring from the query's
-        home cell until k objects are guaranteed found.
-        ``radius == 0`` yields just the center cell.
-        """
-        row, col = divmod(center_cell, self.n)
-        if radius == 0:
-            yield center_cell
-            return
-        for c in range(col - radius, col + radius + 1):
-            if 0 <= c < self.n:
-                if 0 <= row - radius < self.n:
-                    yield (row - radius) * self.n + c
-                if 0 <= row + radius < self.n:
-                    yield (row + radius) * self.n + c
-        for r in range(row - radius + 1, row + radius):
-            if 0 <= r < self.n:
-                if 0 <= col - radius < self.n:
-                    yield r * self.n + col - radius
-                if 0 <= col + radius < self.n:
-                    yield r * self.n + col + radius
-
-    def max_ring_radius(self, center_cell: int) -> int:
-        """The largest ring radius that still touches the world."""
-        row, col = divmod(center_cell, self.n)
-        return max(row, col, self.n - 1 - row, self.n - 1 - col)

@@ -147,6 +147,10 @@ class FreshnessTracker:
         # cycle so stamping a report is a single dict store.
         self._stamp: tuple[int, float] = (1, clock())
         self._stamps: dict[int, tuple[int, float]] = {}
+        # Objects that left the system in the running evaluation, and
+        # in the one before it with that evaluation's stamp: see forget.
+        self._departed: list[int] = []
+        self._leaving: tuple[list[int], tuple[int, float]] = ([], self._stamp)
         # qid -> {stamp_cycle: [stamp_ts, positive, negative]} delivered
         # but not yet acknowledged; drained by observe_committed.  One
         # entry per distinct report stamp (one per cycle) whatever the
@@ -197,12 +201,28 @@ class FreshnessTracker:
         """:meth:`stamp_report` for a run of reports: one dict merge."""
         self._stamps.update(dict.fromkeys(oids, self._stamp))
 
-    def forget(self, oid: int) -> None:
-        """Drop ``oid``'s stamp (the object left the system)."""
-        self._stamps.pop(oid, None)
+    def forget(self, oids) -> None:
+        """The objects ``oids`` left the system in the running evaluation.
+
+        Their stamps outlive it by one evaluation — the removal's
+        negative updates ship in the cycle that produced them and are
+        attributed to the departure — and are dropped at the end of the
+        next one, unless a re-report has stamped the object again.
+        """
+        self._departed.extend(oids)
 
     def end_cycle(self) -> None:
-        """One evaluation completed: advance the cycle stamp."""
+        """One evaluation completed: drop the stamps of the objects that
+        left one evaluation ago, and advance the cycle stamp."""
+        stamps = self._stamps
+        leaving, stamp = self._leaving
+        for oid in leaving:
+            # A departure was stamped with its evaluation's shared
+            # stamp; any later report carries a newer one.
+            if stamps.get(oid) is stamp:
+                del stamps[oid]
+        self._leaving = (self._departed, self._stamp)
+        self._departed = []
         self.cycle += 1
         self._stamp = (self.cycle + 1, self._clock())
         self._m_tracked_objects.set(len(self._stamps))
@@ -399,7 +419,7 @@ class NullFreshnessTracker:
     def stamp_reports(self, oids) -> None:
         pass
 
-    def forget(self, oid: int) -> None:
+    def forget(self, oids) -> None:
         pass
 
     def end_cycle(self) -> None:

@@ -25,11 +25,6 @@ def main(argv: list[str] | None = None) -> int:
         help="seconds between evaluation cycles (0 = tick-driven only)",
     )
     parser.add_argument("--grid", type=int, default=64)
-    parser.add_argument(
-        "--pipeline",
-        default="columnar",
-        help="engine pipeline: columnar (production) or per-object (reference)",
-    )
     parser.add_argument("--max-sessions", type=int, default=1024)
     parser.add_argument("--max-clients", type=int, default=200_000)
     parser.add_argument("--max-backlog", type=int, default=65_536)
@@ -52,7 +47,6 @@ def main(argv: list[str] | None = None) -> int:
         http_port=args.http_port,
         cycle_interval=args.interval,
         grid_size=args.grid,
-        pipeline=args.pipeline,
         admission=AdmissionConfig(
             max_sessions=args.max_sessions,
             max_clients=args.max_clients,

@@ -132,7 +132,6 @@ class ServiceConfig:
     #: (the load driver's lock-step mode).
     cycle_interval: float = 0.0
     grid_size: int = 64
-    pipeline: str = "columnar"
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: Attach a differential consistency oracle to every session.
     oracle: bool = False
@@ -153,7 +152,6 @@ class ServiceRuntime:
         self.config = config or ServiceConfig()
         self.server = server or LocationAwareServer(
             grid_size=self.config.grid_size,
-            pipeline=self.config.pipeline,
             recorder=self.config.recorder,
         )
         self.registry = self.server.registry

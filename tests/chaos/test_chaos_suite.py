@@ -1,5 +1,4 @@
-"""The seeded chaos suite: both pipelines, several seeds, zero
-divergences allowed.
+"""The seeded chaos suite: several seeds, zero divergences allowed.
 
 Each run injects link drops, duplicates, cross-query reorders, client
 outages with scheduled wakeups and delayed uplinks — with the
@@ -9,15 +8,14 @@ derivations every cycle, and a clean convergence phase at the end.
 
 import pytest
 
-from repro.faults import PIPELINES, default_plan, run_chaos
+from repro.faults import default_plan, run_chaos
 
 SEEDS = [1, 2, 3, 4, 5]
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_chaos_run_is_clean(pipeline, seed):
-    report = run_chaos(pipeline, default_plan(seed), cycles=15, n_objects=30)
+def test_chaos_run_is_clean(seed):
+    report = run_chaos(default_plan(seed), cycles=15, n_objects=30)
     assert sum(report.faults.values()) > 0, "plan injected no faults"
     assert report.divergences == [], "\n".join(
         str(d) for d in report.divergences
@@ -28,18 +26,17 @@ def test_chaos_run_is_clean(pipeline, seed):
 
 
 def test_chaos_runs_are_deterministic():
-    """Same (pipeline, seed) -> identical fault counts and outcomes."""
-    a = run_chaos("columnar", default_plan(1), cycles=10, n_objects=20)
-    b = run_chaos("columnar", default_plan(1), cycles=10, n_objects=20)
+    """Same seed -> identical fault counts and outcomes."""
+    a = run_chaos(default_plan(1), cycles=10, n_objects=20)
+    b = run_chaos(default_plan(1), cycles=10, n_objects=20)
     assert a.faults == b.faults
     assert a.wakeup_rounds == b.wakeup_rounds
     assert a.to_dict() == b.to_dict()
 
 
 def test_report_shape():
-    report = run_chaos("per-object", default_plan(3), cycles=5, n_objects=10)
+    report = run_chaos(default_plan(3), cycles=5, n_objects=10)
     payload = report.to_dict()
-    assert payload["pipeline"] == "per-object"
     assert payload["seed"] == 3
     assert payload["ok"] is True
     assert isinstance(payload["faults"], dict)

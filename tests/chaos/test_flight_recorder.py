@@ -77,7 +77,6 @@ def test_failed_chaos_run_embeds_flight_events_and_metrics():
     """A run that cannot converge (zero wakeup rounds allowed) must
     carry the ring and a metrics snapshot in its report."""
     report = run_chaos(
-        "columnar",
         default_plan(1),
         cycles=10,
         n_objects=30,
@@ -94,9 +93,7 @@ def test_failed_chaos_run_embeds_flight_events_and_metrics():
 
 
 def test_clean_chaos_run_ships_no_flight_events():
-    report = run_chaos(
-        "columnar", default_plan(1), cycles=10, n_objects=20
-    )
+    report = run_chaos(default_plan(1), cycles=10, n_objects=20)
     assert report.ok
     assert report.flight_events == []
     assert report.metrics == {}
@@ -106,8 +103,6 @@ def test_clean_chaos_run_ships_no_flight_events():
 def test_cli_writes_flight_dump_per_failure(tmp_path, capsys):
     rc = chaos_cli.main(
         [
-            "--pipelines",
-            "columnar",
             "--seeds",
             "1",
             "--cycles",
@@ -127,7 +122,7 @@ def test_cli_writes_flight_dump_per_failure(tmp_path, capsys):
 def test_cli_flight_dump_on_failure(tmp_path, monkeypatch):
     from repro.faults.harness import ChaosReport
 
-    failing = ChaosReport(pipeline="columnar", seed=9, cycles=1)
+    failing = ChaosReport(seed=9, cycles=1)
     failing.flight_events = [
         {"seq": 1, "t": 0.0, "cycle": 0, "kind": "fault", "fault": "drop"}
     ]
@@ -136,8 +131,6 @@ def test_cli_flight_dump_on_failure(tmp_path, monkeypatch):
     )
     rc = chaos_cli.main(
         [
-            "--pipelines",
-            "columnar",
             "--seeds",
             "9",
             "--flight-dir",
@@ -145,7 +138,7 @@ def test_cli_flight_dump_on_failure(tmp_path, monkeypatch):
         ]
     )
     assert rc == 1
-    dump = tmp_path / "flight" / "CHAOS_FLIGHT_columnar_9.jsonl"
+    dump = tmp_path / "flight" / "CHAOS_FLIGHT_9.jsonl"
     assert dump.exists()
     (line,) = dump.read_text().splitlines()
     assert json.loads(line)["kind"] == "fault"

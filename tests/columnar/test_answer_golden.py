@@ -8,7 +8,7 @@ Workloads interleave the operations that rewrite answers outside the
 report join: object removals between evaluation rounds (negatives found
 from the answers themselves), and query moves (range, k-NN, and
 predictive reshapes that rewrite whole answers).  Every round holds the
-columnar engine to the per-object reference (:mod:`tests.lockstep`);
+engine to the brute-force reference (:mod:`tests.lockstep`);
 ``check_invariants`` asserts every answer member is a store row.
 """
 

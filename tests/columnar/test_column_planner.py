@@ -13,8 +13,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+from repro.check.reference import ReferenceEngine
 from repro.columnar import classify_transitions
-from repro.core import IncrementalEngine
+from repro.core import DEFAULT_WORLD, IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
 
 GRID = 8
@@ -81,10 +82,8 @@ def test_column_planner_on_every_cohort_shape():
     assert max(Counter(zip(qids, oids)).values()) == 1
 
 
-def reference() -> IncrementalEngine:
-    return IncrementalEngine(
-        grid_size=GRID, prediction_horizon=30.0, pipeline="per-object"
-    )
+def reference() -> ReferenceEngine:
+    return ReferenceEngine(DEFAULT_WORLD, 30.0)
 
 
 def streams_of(engines, now: float):
@@ -97,7 +96,7 @@ def streams_of(engines, now: float):
 def test_hostile_oids_stay_inside_the_batch_call():
     """A negative and an absurdly sparse oid, moving, ride along in the
     batch call with a thousand plain rows: streams and answers match the
-    per-object reference, and nothing lands in the grid index's object
+    brute-force reference, and nothing lands in the grid index's object
     side."""
     rng = random.Random(5)
     engines = [columnar(), reference()]
@@ -124,8 +123,7 @@ def test_hostile_oids_stay_inside_the_batch_call():
     streams = streams_of(engines, 3.0)
     assert streams[0] == streams[1]
     assert batch.complete_answers() == ref.complete_answers()
-    for engine in engines:
-        engine.check_invariants()
+    batch.check_invariants()
 
 
 def test_a_sparse_oid_keeps_its_cell_as_the_population_grows():
@@ -146,8 +144,7 @@ def test_a_sparse_oid_keeps_its_cell_as_the_population_grows():
         engine.report_object(far, Point(0.8, 0.8), 1.0)
     streams = streams_of(engines, 1.0)
     assert streams[0] == streams[1] == [(1, far, -1)]
-    for engine in engines:
-        engine.check_invariants()
+    engines[0].check_invariants()
 
 
 def test_sparse_oids_across_batches_match_the_reference():
@@ -168,8 +165,7 @@ def test_sparse_oids_across_batches_match_the_reference():
                 engine.report_object(oid, Point(x, y), float(now))
         streams = streams_of(engines, float(now))
         assert streams[0] == streams[1]
-        for engine in engines:
-            engine.check_invariants()
+        engines[0].check_invariants()
 
 
 def test_a_knn_query_holding_a_reported_member_is_marked_dirty():

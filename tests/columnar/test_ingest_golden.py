@@ -5,11 +5,11 @@ broad workloads; these tests pin the specific report-buffer shapes the
 batch ingest kernel (:mod:`repro.columnar.ingest`) special-cases —
 brand-new objects, stay-put batches, predictive/stationary transitions
 in both directions, boundary-clamped coordinates, and
-removal-interleaved batches — against the per-object reference.
+removal-interleaved batches — against the brute-force reference.
 Every round holds the pair to the contract in :mod:`tests.lockstep`,
-which includes both engines' invariants — the production engine's
-answers holding only store rows, its stored locations inside the world,
-and its grid index holding no object.
+which includes the production engine's invariants — its answers
+holding only store rows, its stored locations inside the world, and its
+grid index holding no object.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """The vectorized predictive-membership pass must be bit-identical to
-the scalar ``_predicted_in_region`` verdict on every lane.
+the scalar :func:`repro.check.reference.predicted_in_region` verdict on
+every lane.
 
 The kernel replicates the scalar float sequence (displacement, then
 Liang–Barsky slab clipping in the same edge order), so agreement must
@@ -9,15 +10,15 @@ grazes, and trajectories that are parallel to a slab.
 
 from __future__ import annotations
 
+import math
 import random
-import warnings
 
 import numpy as np
 import pytest
 
+from repro.check.reference import predicted_in_region
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
-from tests.lockstep import EnginePair
 
 
 def predicted_inside(engine, oids, region, horizon):
@@ -68,8 +69,9 @@ def test_matches_scalar_on_random_motions(seed):
         flags = predicted_inside(engine, oids, region, horizon)
         assert flags is not None and len(flags) == len(oids)
         for oid, got in zip(oids, flags):
-            want = engine._predicted_in_region(query, engine.objects[oid])
-            assert got == want, (oid, engine.objects[oid], region, horizon)
+            state = engine.objects[oid]
+            want = predicted_in_region(query, state, engine.now, engine.prediction_horizon)
+            assert got == want, (oid, state, region, horizon)
 
 
 def test_boundary_grazing_lanes_match_scalar():
@@ -103,35 +105,48 @@ def test_boundary_grazing_lanes_match_scalar():
         query.horizon = horizon
         flags = predicted_inside(engine, oids, region, horizon)
         for oid, got in zip(oids, flags):
-            want = engine._predicted_in_region(query, engine.objects[oid])
+            state = engine.objects[oid]
+            want = predicted_in_region(query, state, engine.now, engine.prediction_horizon)
             assert got == want, (oid, horizon)
 
 
-def test_an_absurd_finite_velocity_is_silent_and_matches_the_reference():
-    """``vx = 1e308`` overflows the swept rectangle and the slab test to
-    inf.  Python floats do that silently on the reference path; the
-    array passes must too, with the same updates."""
-    pair = EnginePair(grid_size=8, prediction_horizon=30.0)
-    pair.all("register_predictive_query", 1, Rect(0.2, 0.2, 0.8, 0.8), 10.0)
-    pair.all("register_range_query", 2, Rect(0.0, 0.0, 0.6, 0.6))
-    pair.all("register_knn_query", 3, Point(0.5, 0.5), 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        pair.all("report_object", 1, Point(0.5, 0.5), 0.0, Velocity(1e308, 0.0))
-        pair.all("report_object", 2, Point(0.4, 0.1), -5.0, Velocity(-1e308, 1e308))
-        # Inside the region at the window's start, gone at 1e308 after.
-        assert (1, 1, 1) in pair.evaluate(0.0).tuples()
-        pair.evaluate(3.0)
+def refused(engine, oid, location, t, vx, vy):
+    """Both report doors refuse the report and buffer nothing."""
+    engine.report_object(9, Point(0.5, 0.5), 0.0)
+    engine.remove_object(9)
+    before = (dict(engine._pending_reports), set(engine._pending_removals))
+    with pytest.raises(ValueError, match=f"object {oid} reported a trajectory"):
+        engine.report_object(oid, location, t, Velocity(vx, vy))
+    with pytest.raises(ValueError, match=f"object {oid} reported a trajectory"):
+        engine.report_objects(
+            [1, oid], [0.5, location.x], [0.5, location.y], [0.0, vx], [0.0, vy], [t, t]
+        )
+    assert (dict(engine._pending_reports), set(engine._pending_removals)) == before
 
 
-def test_an_absurd_velocity_never_waits_for_a_flip():
-    """A quiet round schedules the next refresh from the flip time; a
-    trajectory that overflows over the trusted span has none to offer
-    (the windowed verdict runs on inf arithmetic), so its query must
-    refresh every evaluation, as the reference does."""
-    pair = EnginePair(grid_size=4, prediction_horizon=30.0)
-    pair.all("register_predictive_query", 1, Rect(0.0, 0.0, 0.96875, 0.0), 10.0)
-    pair.all("report_object", 0, Point(1.0, 0.0), 0.0, Velocity(-0.0625, 1e308))
-    assert not pair.evaluate(0.0)
-    assert not pair.evaluate(0.0)
-    assert list(pair.evaluate(0.5).tuples()) == [(1, 0, 1)]
+def test_an_overflowing_trajectory_is_refused_at_both_doors():
+    """At y = 1e308 one second later, an object reported at (0, 0) with
+    ``vy = 1e308`` would make the slab test's ``q / p`` a ``-0.0`` and
+    join a predictive query at the point (0, 0) — so it is refused."""
+    engine = IncrementalEngine(grid_size=8, prediction_horizon=30.0)
+    refused(engine, 100, Point(0.0, 0.0), 0.0, 0.0, 1e308)
+    refused(engine, 101, Point(0.4, 0.1), -5.0, -1e308, 1e308)
+    # The reach is measured from the clamped location: 1e307 past the
+    # world's far edge is inside the floats, so it is accepted.
+    engine.report_object(102, Point(7.0, 0.5), 0.0, Velocity(1e307 / 30.0, 0.0))
+    assert 102 in engine._pending_reports
+
+
+def test_the_refusal_measures_the_span_the_engine_extrapolates():
+    """``(t + H) - t`` rounds above ``H`` late in time; the door measures
+    that span, so a report whose footprint or flip time would overflow
+    is refused even where ``y + vy * H`` alone is finite."""
+    horizon = 30.0
+    t = 1e17  # (t + 30) - t == 32
+    vy = 1.79e308 / 31.0
+    assert math.isfinite(0.5 + vy * horizon)
+    assert (t + horizon) - t == 32.0
+    engine = IncrementalEngine(grid_size=8, prediction_horizon=horizon)
+    refused(engine, 7, Point(0.5, 0.5), t, 0.0, vy)
+    engine.report_object(8, Point(0.5, 0.5), 0.0, Velocity(0.0, vy))
+    assert 8 in engine._pending_reports

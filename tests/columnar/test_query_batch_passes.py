@@ -1,14 +1,15 @@
 """The query side of a cycle as array passes: batched range moves,
 batched k-NN repair, batched predictive refresh.
 
-Under ``pipeline="columnar"`` these three phases read one home-cell CSR
-of the object store instead of walking ``GridIndex`` object buckets one
-query at a time.  The scalar routines stay what the per-object
-reference runs, so the contract is the usual one (:mod:`tests.lockstep`):
-per query the same update multiset as the reference, the same answers,
-and a clean ``check_invariants()`` (which also checks both CSRs against
-the grid index's query side and the cells column) — on generated
-workloads aimed at each pass's edges.
+These three phases read one home-cell CSR of the object store, all
+queries of a phase at once.  The contract is the usual one
+(:mod:`tests.lockstep`): per query the same update multiset as the
+brute-force reference (which answers in scalar Python, query by
+query: the "scalar" moves and refreshes below), the same answers, and a
+clean
+``check_invariants()`` (which also checks both CSRs against the grid
+index's query side and the cells column) — on generated workloads aimed
+at each pass's edges.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.knn import knn_search
+from repro.check.reference import knn_answer
 from repro.core.state import KnnQueryState
 from repro.geometry import Point, Rect, Velocity
 from tests.lockstep import EnginePair
@@ -54,8 +55,8 @@ points = st.builds(Point, anywhere, anywhere)
 
 
 class Trio(EnginePair):
-    """The production path and the per-object reference, fed the same
-    calls on a shared clock."""
+    """The production engine and the brute-force reference, fed the
+    same calls on a shared clock."""
 
     def __init__(self):
         super().__init__(grid_size=GRID, prediction_horizon=HORIZON)
@@ -66,7 +67,7 @@ class Trio(EnginePair):
         return list(super().evaluate(self.now).tuples())
 
     def path_count(self, name: str, path: str) -> float:
-        return self.columnar.registry.value_of(name, {"path": path})
+        return self.production.registry.value_of(name, {"path": path})
 
 
 def populate(trio: Trio, objects) -> None:
@@ -125,10 +126,6 @@ def test_range_moves_in_one_pass_match_the_scalar_moves(objects, regions, rounds
                     "report_object", oid, Point(point.x, point.y), trio.now
                 )
         trio.evaluate()
-    assert trio.path_count("engine_query_moves_total", "scalar") == 0
-    assert trio.path_count("engine_query_moves_total", "batch") == (
-        trio.columnar.stats.query_moves
-    )
 
 
 def test_a_point_on_every_boundary_of_a_move():
@@ -171,10 +168,10 @@ def test_teleports_off_world_moves_and_a_move_of_a_fresh_registration():
     trio.all("register_range_query", 3, Rect(0.0, 0.9, 0.2, 1.0))
     trio.all("move_range_query", 3, Rect(0.1, 0.8, 0.4, 1.0), trio.now)
     trio.evaluate()
-    assert trio.columnar.answer_of(2) == frozenset({50})  # the object on (1, 1)
+    assert trio.production.answer_of(2) == frozenset({50})  # the object on (1, 1)
     trio.all("move_range_query", 2, Rect(-1.0, -1.0, 2.0, 2.0), trio.now)
     trio.evaluate()
-    assert len(trio.columnar.answer_of(2)) == 51
+    assert len(trio.production.answer_of(2)) == 51
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +200,7 @@ def test_teleports_off_world_moves_and_a_move_of_a_fresh_registration():
         max_size=4,
     ),
 )
-def test_knn_repair_in_one_pass_matches_the_ring_search(objects, queries, rounds):
+def test_knn_repair_in_one_pass_matches_the_reference(objects, queries, rounds):
     """Lattice populations make equal distances the rule (ties go to
     the lower oid); centres may sit outside the world; ``k`` may exceed
     the population; members leave in the batch that dirties the query."""
@@ -230,14 +227,11 @@ def test_knn_repair_in_one_pass_matches_the_ring_search(objects, queries, rounds
                     trio.now,
                 )
         trio.evaluate()
-    repairs = trio.columnar.stats.knn_repairs
-    assert repairs == trio.path_count(
-        "engine_knn_repairs_total", "batch"
-    ) + trio.path_count("engine_knn_repairs_total", "scalar")
+    engine = trio.production
     for qid in range(200, 200 + len(queries)):
-        assert (
-            trio.columnar.queries[qid].radius == trio.reference.queries[qid].radius
-        )
+        query = engine.queries[qid]
+        ranked = knn_answer(query.center, query.k, engine.objects)
+        assert query.radius == (ranked[-1][0] if ranked else 0.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -246,9 +240,9 @@ def test_knn_repair_in_one_pass_matches_the_ring_search(objects, queries, rounds
     probes=st.lists(st.tuples(points, st.integers(1, 8)), min_size=1, max_size=6),
     shift=st.tuples(anywhere, anywhere),
 )
-def test_batch_knn_search_equals_knn_search(objects, probes, shift):
-    """The batch search directly, against the ring search over the
-    reference's grid index: for queries holding a full answer — at
+def test_batch_knn_search_equals_the_brute_force_ranking(objects, probes, shift):
+    """The batch search directly, against the reference's ranked
+    ``(distance, oid)`` list: for queries holding a full answer — at
     their own centre and after the centre jumps — and for the same
     queries searched with no answer to bound them (a first solve), the
     ranked ``(distance, oid)`` lists are equal, distances bit for bit
@@ -258,7 +252,7 @@ def test_batch_knn_search_equals_knn_search(objects, probes, shift):
     for i, (center, k) in enumerate(probes):
         trio.all("register_knn_query", i, center, k)
     trio.evaluate(0.0)
-    engine, reference = trio.columnar, trio.reference
+    engine = trio.production
     evaluator = engine._columnar_evaluator
     full = [q for q in engine.queries.values() if len(q.answer) == q.k]
     unbounded = [
@@ -272,10 +266,7 @@ def test_batch_knn_search_equals_knn_search(objects, probes, shift):
             if not queries:
                 continue
             got = evaluator.knn_ranked(queries)
-            want = [
-                knn_search(reference.index, reference.objects, q.center, q.k)
-                for q in queries
-            ]
+            want = [knn_answer(q.center, q.k, trio.reference.objects) for q in queries]
             assert got == want
             for ranked, query in zip(got, queries):
                 assert len(ranked) == min(query.k, len(objects))
@@ -295,15 +286,14 @@ def test_first_time_and_underfull_queries_take_the_array_pass():
     trio.all("register_knn_query", 2, Point(0.5, 0.5), 5)  # k above the population
     trio.all("register_knn_query", 3, Point(3.0, -2.0), 1)  # centre off the map
     trio.evaluate()
-    assert trio.path_count("engine_knn_repairs_total", "batch") == 3
+    assert trio.production.stats.knn_repairs == 3
     trio.all("report_object", 0, Point(0.2, 0.2), trio.now)
     trio.all("report_object", 2, Point(0.6, 0.6), trio.now)
     trio.evaluate()
     # Query 2 is underfull, so it is dirty on every growth.
-    assert trio.path_count("engine_knn_repairs_total", "batch") == 6
-    assert trio.path_count("engine_knn_repairs_total", "scalar") == 0
-    assert trio.columnar.answer_of(2) == {0, 1, 2}
-    assert trio.columnar.index.object_count == 0
+    assert trio.production.stats.knn_repairs == 6
+    assert trio.production.answer_of(2) == {0, 1, 2}
+    assert trio.production.index.object_count == 0
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +363,7 @@ def test_a_query_both_churned_and_flip_due_refreshes_once_by_churn():
     trio.all("register_predictive_query", 1, Rect(0.25, 0.25, 0.75, 0.75), 1.0)
     trio.evaluate(0.0)
     trio.evaluate(1.0)  # a quiet round computes the flip schedule
-    assert math.isfinite(trio.columnar.queries[1].next_flip)
+    assert math.isfinite(trio.production.queries[1].next_flip)
     scalar = trio.path_count("engine_predictive_refreshes_total", "scalar")
     batch = trio.path_count("engine_predictive_refreshes_total", "batch")
     # Past the flip time *and* churned by a report in its footprint.

@@ -149,15 +149,13 @@ def _object_states_alive() -> int:
     return sum(isinstance(o, ObjectState) for o in gc.get_objects())
 
 
-@pytest.mark.parametrize("pipeline", ["columnar", "per-object"])
-def test_only_the_reference_keeps_object_states(pipeline):
-    """The production engine's store row is the only record of an
-    object: bulk rounds with removals and every query kind leave no
-    ``ObjectState`` alive.  The reference keeps one per object (which
-    also shows the collector tracks them)."""
+def test_the_engine_keeps_no_object_states():
+    """The engine's store row is the only record of an object: bulk
+    rounds with removals and every query kind leave no ``ObjectState``
+    alive (while ``engine.objects`` materialises them on access)."""
     rng = random.Random(3)
     before = _object_states_alive()
-    engine = IncrementalEngine(grid_size=8, pipeline=pipeline)
+    engine = IncrementalEngine(grid_size=8)
     engine.register_range_query(1, Rect(0.1, 0.1, 0.6, 0.6))
     engine.register_knn_query(2, Point(0.5, 0.5), 4)
     engine.register_knn_query(3, Point(0.2, 0.8), 2)
@@ -178,5 +176,6 @@ def test_only_the_reference_keeps_object_states(pipeline):
                 engine.remove_object(oid)
         engine.evaluate(float(now))
     engine.check_invariants()
-    alive = _object_states_alive() - before
-    assert alive == (0 if pipeline == "columnar" else engine.object_count)
+    assert _object_states_alive() == before
+    states = list(engine.objects.values())
+    assert _object_states_alive() - before == len(states) == engine.object_count

@@ -1,10 +1,9 @@
-"""The columnar pipeline vs the per-object path on random workloads.
+"""The production engine vs the brute-force reference on random workloads.
 
-The columnar pipeline is a pure performance restructuring of
-``evaluate()``'s hot path: for any buffered input it must emit, per
-query, exactly the same set of incremental updates as the per-object
-reference path, and leave both engines with identical answers.  These
-tests drive both pipelines through randomized mixed workloads and
+For any buffered input the engine must emit, per query, exactly the
+same set of incremental updates as
+:class:`repro.check.reference.ReferenceEngine`, and leave the same
+answers.  These tests drive both through randomized mixed workloads and
 scripted corner cases and compare them round for round.
 
 Also covered here: the up-front validation of buffered query moves (an
@@ -18,6 +17,7 @@ import random
 
 import pytest
 
+from repro.check.reference import ReferenceEngine
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
 
@@ -27,18 +27,8 @@ def update_keys(updates) -> frozenset[tuple[int, int, int]]:
 
 
 def make_engines(grid_size: int = 16, horizon: float = 30.0):
-    return (
-        IncrementalEngine(
-            grid_size=grid_size,
-            prediction_horizon=horizon,
-            pipeline="columnar",
-        ),
-        IncrementalEngine(
-            grid_size=grid_size,
-            prediction_horizon=horizon,
-            pipeline="per-object",
-        ),
-    )
+    engine = IncrementalEngine(grid_size=grid_size, prediction_horizon=horizon)
+    return engine, ReferenceEngine(engine.grid.world, horizon)
 
 
 def assert_equivalent(batched, reference, round_no):
@@ -46,7 +36,6 @@ def assert_equivalent(batched, reference, round_no):
         f"answers diverged after round {round_no}"
     )
     batched.check_invariants()
-    reference.check_invariants()
 
 
 class RandomDriver:
@@ -188,7 +177,7 @@ def test_covering_regions_are_pipeline_equivalent():
 
 
 def test_stationary_batch_emits_no_updates():
-    """Re-reporting unchanged locations is a no-op in both pipelines."""
+    """Re-reporting unchanged locations is a no-op on both engines."""
     batched, reference = make_engines()
     for engine in (batched, reference):
         engine.register_range_query(1, Rect(0.2, 0.2, 0.8, 0.8))
@@ -257,11 +246,6 @@ def test_move_targeting_same_batch_registration_is_valid():
     assert engine.answer_of(100) == frozenset({1})
 
 
-def test_pipeline_argument_is_validated():
-    with pytest.raises(ValueError, match="pipeline"):
-        IncrementalEngine(pipeline="vectorized")
-
-
 MOVES = {
     "range": ("move_range_query", Rect(0.1, 0.1, 0.3, 0.3)),
     "knn": ("move_knn_query", Point(0.2, 0.2)),
@@ -269,13 +253,12 @@ MOVES = {
 }
 
 
-@pytest.mark.parametrize("pipeline", ["columnar", "per-object"])
 @pytest.mark.parametrize(
     "kind, wrong",
     [(kind, wrong) for kind in MOVES for wrong in MOVES if wrong != kind],
 )
-def test_a_move_of_the_wrong_kind_is_refused_at_the_door(pipeline, kind, wrong):
-    engine = IncrementalEngine(grid_size=8, pipeline=pipeline)
+def test_a_move_of_the_wrong_kind_is_refused_at_the_door(kind, wrong):
+    engine = IncrementalEngine(grid_size=8)
     engine.report_object(1, Point(0.5, 0.5), 0.0)
     if kind == "range":
         engine.register_range_query(7, Rect(0.4, 0.4, 0.6, 0.6))

@@ -68,17 +68,6 @@ class TestQueryLifecycle:
         assert engine.evaluate(1.0) == []
         assert engine.query_count == 0
 
-    def test_unregistration_cleans_reverse_lists(self):
-        # Only the per-object reference keeps reverse (QList) lists.
-        engine = IncrementalEngine(grid_size=16, pipeline="per-object")
-        engine.report_object(1, Point(0.55, 0.55), 0.0)
-        engine.register_range_query(100, Rect(0.5, 0.5, 0.6, 0.6))
-        engine.evaluate(0.0)
-        engine.unregister_query(100)
-        engine.evaluate(1.0)
-        assert engine.objects[1].answered == set()
-        engine.check_invariants()
-
     def test_duplicate_qid_rejected(self, engine):
         engine.register_range_query(100, Rect(0, 0, 1, 1))
         with pytest.raises(KeyError):

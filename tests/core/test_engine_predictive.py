@@ -125,17 +125,13 @@ class TestValidation:
             engine.register_predictive_query(101, REGION, horizon=0.0)
 
 
-@pytest.mark.parametrize("pipeline", ["per-object", "columnar"])
 class TestFootprintIsPlacementOnly:
-    """A report is one *home-cell* transition under both pipelines; a
-    predictive object's swept footprint only churns cells (and, on the
-    reference, places it in the index's object buckets).  Neither may
-    cost a predictive or a range update."""
+    """A report is one *home-cell* transition; a predictive object's
+    swept footprint only churns cells.  Neither may cost a predictive
+    or a range update."""
 
-    def test_footprint_entering_a_query_cell_refreshes_that_query(self, pipeline):
-        engine = IncrementalEngine(
-            grid_size=8, prediction_horizon=100.0, pipeline=pipeline
-        )
+    def test_footprint_entering_a_query_cell_refreshes_that_query(self):
+        engine = IncrementalEngine(grid_size=8, prediction_horizon=100.0)
         # Query cells: columns 4-5 of row 1.  The object sits (and
         # stays) in column 0 of that row, five cells away.
         engine.register_predictive_query(100, Rect(0.6, 0.15, 0.7, 0.2), 50.0)
@@ -147,23 +143,15 @@ class TestFootprintIsPlacementOnly:
         assert engine.evaluate(1.0) == [Update.positive(100, 1)]
         home = engine.grid.cell_of(Point(0.1, 0.18))
         assert home not in engine.index.query_cells(100)
-        if pipeline == "per-object":
-            assert engine.index.object_cells(1) > {home}
         engine.check_invariants()
 
-    def test_crossing_a_range_edge_inside_the_home_cell_emits_one_negative(
-        self, pipeline
-    ):
-        engine = IncrementalEngine(
-            grid_size=8, prediction_horizon=100.0, pipeline=pipeline
-        )
+    def test_crossing_a_range_edge_inside_the_home_cell_emits_one_negative(self):
+        engine = IncrementalEngine(grid_size=8, prediction_horizon=100.0)
         engine.register_range_query(7, Rect(0.0, 0.0, 0.05, 0.05))
         # A second query over the swept cells that never holds the point.
         engine.register_range_query(8, Rect(0.3, 0.0, 0.6, 0.1))
         engine.report_object(1, Point(0.04, 0.04), 0.0, Velocity(0.004, 0.0))
         assert engine.evaluate(0.0) == [Update.positive(7, 1)]
-        if pipeline == "per-object":
-            assert len(engine.index.object_cells(1)) > 1
         # Still in cell 0 (cells are 0.125 wide), now past the edge.
         engine.report_object(1, Point(0.06, 0.04), 1.0, Velocity(0.004, 0.0))
         assert engine.evaluate(1.0) == [Update.negative(7, 1)]

@@ -52,33 +52,32 @@ def test_quiet_evaluations_only_bump_the_evaluation_count():
 
 
 def test_scripted_multi_batch_scenario_counts_everything():
-    """Counters across a scripted three-batch life cycle, both pipelines."""
-    for pipeline in ("columnar", "per-object"):
-        engine = IncrementalEngine(grid_size=8, pipeline=pipeline)
-        # Batch 1: population + a query of each kind.
-        for oid in range(6):
-            engine.report_object(oid, Point(0.1 + 0.1 * oid, 0.5), 0.0)
-        engine.register_range_query(100, Rect(0.0, 0.4, 0.35, 0.6))
-        engine.register_knn_query(200, Point(0.2, 0.5), 2)
-        engine.register_predictive_query(300, Rect(0.5, 0.4, 0.9, 0.6), 10.0)
-        engine.evaluate(0.0)
-        # Batch 2: moves on both sides plus a departure.
-        engine.report_object(0, Point(0.9, 0.9), 1.0)
-        engine.move_range_query(100, Rect(0.5, 0.4, 0.95, 0.6), 1.0)
-        engine.remove_object(5)
-        engine.evaluate(1.0)
-        # Batch 3: tear-down.
-        engine.unregister_query(200)
-        engine.evaluate(2.0)
+    """Counters across a scripted three-batch life cycle."""
+    engine = IncrementalEngine(grid_size=8)
+    # Batch 1: population + a query of each kind.
+    for oid in range(6):
+        engine.report_object(oid, Point(0.1 + 0.1 * oid, 0.5), 0.0)
+    engine.register_range_query(100, Rect(0.0, 0.4, 0.35, 0.6))
+    engine.register_knn_query(200, Point(0.2, 0.5), 2)
+    engine.register_predictive_query(300, Rect(0.5, 0.4, 0.9, 0.6), 10.0)
+    engine.evaluate(0.0)
+    # Batch 2: moves on both sides plus a departure.
+    engine.report_object(0, Point(0.9, 0.9), 1.0)
+    engine.move_range_query(100, Rect(0.5, 0.4, 0.95, 0.6), 1.0)
+    engine.remove_object(5)
+    engine.evaluate(1.0)
+    # Batch 3: tear-down.
+    engine.unregister_query(200)
+    engine.evaluate(2.0)
 
-        stats = engine.stats
-        assert stats.evaluations == 3
-        assert stats.object_reports == 7
-        assert stats.object_removals == 1
-        assert stats.query_registrations == 3
-        assert stats.query_moves == 1
-        assert stats.query_unregistrations == 1
-        assert stats.knn_repairs >= 1
+    stats = engine.stats
+    assert stats.evaluations == 3
+    assert stats.object_reports == 7
+    assert stats.object_removals == 1
+    assert stats.query_registrations == 3
+    assert stats.query_moves == 1
+    assert stats.query_unregistrations == 1
+    assert stats.knn_repairs >= 1
 
 
 def test_last_report_wins_within_a_batch():

@@ -1,90 +1,73 @@
-"""Expanding-ring k-NN search over the grid."""
+"""The engine's k-NN search against the brute-force ranking.
+
+``ColumnarEvaluator.knn_ranked`` searches every dirty k-NN query of a
+cycle together; each query's ranked ``(distance, oid)`` list must equal
+:func:`repro.check.reference.knn_answer`'s, distances included.  A
+query searched here holds no answer, so the search is bounded by its
+seed square (a first solve).
+"""
 
 import random
 
 import pytest
 
-from repro.core.knn import knn_search
-from repro.core.state import ObjectState
-from repro.geometry import Point, Rect, Velocity
-from repro.grid import Grid, GridIndex
+from repro.check.reference import knn_answer
+from repro.core import IncrementalEngine
+from repro.core.state import KnnQueryState
+from repro.geometry import Point, Rect
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
 
-def populate(count: int, seed: int, grid_size: int = 12):
+def populate(count: int, seed: int, grid_size: int = 12) -> IncrementalEngine:
     rng = random.Random(seed)
-    index = GridIndex(Grid(UNIT, grid_size))
-    objects: dict[int, ObjectState] = {}
+    engine = IncrementalEngine(UNIT, grid_size)
     for oid in range(count):
-        location = Point(rng.random(), rng.random())
-        objects[oid] = ObjectState(oid, location, Velocity.ZERO, 0.0)
-        index.place_object_at(oid, location)
-    return index, objects
+        engine.report_object(oid, Point(rng.random(), rng.random()), 0.0)
+    engine.evaluate(0.0)
+    return engine
 
 
-def brute(objects, center, k, exclude=None):
-    ranked = sorted(
-        (state.location.distance_to(center), oid)
-        for oid, state in objects.items()
-        if not (exclude and oid in exclude)
-    )
-    return ranked[:k]
+def search(engine: IncrementalEngine, center: Point, k: int) -> list[tuple[float, int]]:
+    query = KnnQueryState(-1, center, k, 0.0)
+    return engine._columnar_evaluator.knn_ranked([query])[0]
 
 
 class TestKnnSearch:
     @pytest.mark.parametrize("k", [1, 3, 10, 50])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_brute_force(self, k, seed):
-        index, objects = populate(120, seed)
+        engine = populate(120, seed)
         for center in (Point(0.5, 0.5), Point(0.02, 0.98), Point(0.9, 0.1)):
-            got = knn_search(index, objects, center, k)
-            want = brute(objects, center, k)
-            assert [oid for __, oid in got] == [oid for __, oid in want]
-            for (gd, __), (wd, __) in zip(got, want):
-                assert gd == pytest.approx(wd)
+            assert search(engine, center, k) == knn_answer(center, k, engine.objects)
 
     def test_population_smaller_than_k(self):
-        index, objects = populate(4, seed=3)
-        got = knn_search(index, objects, Point(0.5, 0.5), 10)
-        assert len(got) == 4
+        engine = populate(4, seed=3)
+        assert len(search(engine, Point(0.5, 0.5), 10)) == 4
 
     def test_empty_population(self):
-        index = GridIndex(Grid(UNIT, 8))
-        assert knn_search(index, {}, Point(0.5, 0.5), 3) == []
-
-    def test_exclusion(self):
-        index, objects = populate(60, seed=4)
-        center = Point(0.4, 0.6)
-        full = knn_search(index, objects, center, 5)
-        excluded = {full[0][1], full[1][1]}
-        got = knn_search(index, objects, center, 5, exclude=excluded)
-        want = brute(objects, center, 5, exclude=excluded)
-        assert [oid for __, oid in got] == [oid for __, oid in want]
+        engine = IncrementalEngine(UNIT, 8)
+        assert search(engine, Point(0.5, 0.5), 3) == []
 
     def test_k_must_be_positive(self):
-        index, objects = populate(5, seed=5)
-        with pytest.raises(ValueError):
-            knn_search(index, objects, Point(0, 0), 0)
+        engine = populate(5, seed=5)
+        with pytest.raises(ValueError, match="k must be positive"):
+            engine.register_knn_query(1, Point(0, 0), 0)
 
     def test_results_sorted_by_distance(self):
-        index, objects = populate(80, seed=6)
-        got = knn_search(index, objects, Point(0.3, 0.3), 12)
-        distances = [d for d, __ in got]
+        engine = populate(80, seed=6)
+        distances = [d for d, __ in search(engine, Point(0.3, 0.3), 12)]
         assert distances == sorted(distances)
 
     def test_center_outside_world(self):
-        index, objects = populate(40, seed=7)
-        got = knn_search(index, objects, Point(2.0, 2.0), 3)
-        want = brute(objects, Point(2.0, 2.0), 3)
-        assert [oid for __, oid in got] == [oid for __, oid in want]
+        engine = populate(40, seed=7)
+        center = Point(2.0, 2.0)
+        assert search(engine, center, 3) == knn_answer(center, 3, engine.objects)
 
     def test_tie_break_by_oid(self):
-        index = GridIndex(Grid(UNIT, 8))
-        objects = {}
+        engine = IncrementalEngine(UNIT, 8)
         # Two objects equidistant from the probe.
-        for oid, location in ((5, Point(0.4, 0.5)), (2, Point(0.6, 0.5))):
-            objects[oid] = ObjectState(oid, location, Velocity.ZERO, 0.0)
-            index.place_object_at(oid, location)
-        got = knn_search(index, objects, Point(0.5, 0.5), 1)
-        assert got[0][1] == 2  # smaller oid wins the tie
+        engine.report_object(5, Point(0.4, 0.5), 0.0)
+        engine.report_object(2, Point(0.6, 0.5), 0.0)
+        engine.evaluate(0.0)
+        assert search(engine, Point(0.5, 0.5), 1)[0][1] == 2  # smaller oid wins the tie

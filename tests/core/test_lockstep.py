@@ -1,18 +1,20 @@
-"""The production engine and the per-object reference, in lock-step.
+"""The production engine and the brute-force reference, in lock-step.
 
-A hypothesis state machine drives a ``columnar`` and a ``per-object``
-engine through the same random program — every query kind registered,
+A hypothesis state machine drives the production engine and
+:class:`repro.check.reference.ReferenceEngine` through the same random
+program — every query kind registered,
 moved and unregistered, k-NN queries asking for more objects than
 exist; reports stationary and moving, off the map, stale and ahead of
 the clock, from hostile ids, re-reported within a batch, one by one and
 as runs; removals, of moving objects too; evaluations with a
 non-decreasing clock — and after every evaluation holds the two to the
 contract in :mod:`tests.lockstep`: per query, the same multiset of
-updates; the same answers; clean invariants; no object in the
-production engine's grid index and no k-NN query off its array pass.
-A move of the wrong kind for its query, and a report with a non-finite
-time or velocity, are refused by both at the door, with nothing
-buffered.
+updates; the same answers; clean invariants and no object in the
+production engine's grid index.  A move of the wrong kind for its
+query, a report with a non-finite time or velocity, and one whose
+trajectory overflows within the prediction horizon are refused by the
+production engine at the door, with nothing buffered (the reference
+does no validation).
 
 The geometry is drawn too: grids of 3 to 16 cells a side over the unit
 world or an off-origin, non-square one, where ``(x - min) / w`` rounds;
@@ -60,7 +62,7 @@ coords = st.one_of(
 )
 speeds = st.one_of(
     st.just(0.0),
-    st.sampled_from([-1 / 16, 1 / 32, 1e308]),
+    st.sampled_from([-1 / 16, 1 / 32, 1e306]),
     st.floats(-0.25, 0.25, allow_nan=False, width=32),
 )
 #: A small pool, so re-reports are common, plus a negative and a sparse id.
@@ -83,7 +85,8 @@ class Lockstep(RuleBasedStateMachine):
     @initialize(grid=st.sampled_from([3, 4, 8, 10, 16]), world=st.sampled_from(WORLDS))
     def build(self, grid, world):
         self.pair = EnginePair(world=world, grid_size=grid, prediction_horizon=HORIZON)
-        self.grid = self.pair.columnar.grid
+        self.engine = self.pair.production
+        self.grid = self.engine.grid
         self.now = 0.0
         #: Registered, or about to be in this batch.
         self.kinds: dict[int, str] = {}
@@ -146,11 +149,11 @@ class Lockstep(RuleBasedStateMachine):
         qid = data.draw(st.sampled_from(sorted(self.kinds)))
         wrong = data.draw(st.sampled_from([k for k in KINDS if k != self.kinds[qid]]))
         target = self.point(center) if wrong == "knn" else self.rect(region)
-        for engine in self.pair.engines:
-            buffered = dict(engine._pending_moves)
-            with pytest.raises(ValueError, match=f"query {qid} is a"):
-                getattr(engine, MOVE[wrong])(qid, target, self.now)
-            assert engine._pending_moves == buffered
+        engine = self.engine
+        buffered = dict(engine._pending_moves)
+        with pytest.raises(ValueError, match=f"query {qid} is a"):
+            getattr(engine, MOVE[wrong])(qid, target, self.now)
+        assert engine._pending_moves == buffered
 
     @rule(oid=oids, location=points, vx=speeds, vy=speeds, lag=lags)
     def report(self, oid, location, vx, vy, lag):
@@ -182,20 +185,39 @@ class Lockstep(RuleBasedStateMachine):
     )
     def report_non_finite(self, oid, location, motion, spoil, bad, as_run):
         t, vx, vy = (bad if i == spoil else value for i, value in enumerate(motion))
-        location = self.point(location)
-        for engine in self.pair.engines:
-            buffered = dict(engine._pending_reports)
-            removals = set(engine._pending_removals)
-            with pytest.raises(ValueError, match=f"object {oid} reported a non-finite"):
-                if as_run:
-                    engine.report_objects(
-                        [0, oid], [0.5, location.x], [0.5, location.y],
-                        [0.0, vx], [0.0, vy], [self.now, t],
-                    )  # fmt: skip
-                else:
-                    engine.report_object(oid, location, t, Velocity(vx, vy))
-            assert engine._pending_reports == buffered
-            assert engine._pending_removals == removals
+        self._refused("a non-finite", oid, self.point(location), t, vx, vy, as_run)
+
+    @rule(
+        oid=oids,
+        location=points,
+        speed=speeds,
+        absurd=st.sampled_from([1e308, -1e308, -1e307]),
+        swap=st.booleans(),
+        lag=lags,
+        as_run=st.booleans(),
+    )
+    def report_overflowing(self, oid, location, speed, absurd, swap, lag, as_run):
+        """A velocity that leaves the floats within the horizon is
+        refused at either door, with nothing buffered."""
+        vx, vy = (absurd, speed) if swap else (speed, absurd)
+        t = self.now + lag
+        self._refused("a trajectory", oid, self.point(location), t, vx, vy, as_run)
+
+    def _refused(self, what, oid, location, t, vx, vy, as_run):
+        """The report is refused at either door, with nothing buffered."""
+        engine = self.engine
+        buffered = dict(engine._pending_reports)
+        removals = set(engine._pending_removals)
+        with pytest.raises(ValueError, match=f"object {oid} reported {what}"):
+            if as_run:
+                engine.report_objects(
+                    [0, oid], [0.5, location.x], [0.5, location.y],
+                    [0.0, vx], [0.0, vy], [self.now, t],
+                )  # fmt: skip
+            else:
+                engine.report_object(oid, location, t, Velocity(vx, vy))
+        assert engine._pending_reports == buffered
+        assert engine._pending_removals == removals
 
     @rule(oid=oids, location=points, vx=speeds.filter(bool), vy=speeds)
     def remove_a_mover(self, oid, location, vx, vy):

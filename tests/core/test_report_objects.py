@@ -2,8 +2,8 @@
 
 ``IncrementalEngine.report_objects`` and
 ``LocationAwareServer.receive_object_reports`` write the same dict
-buffer ``report_object`` writes; on both pipelines a run of rows must
-leave behind exactly what the rows one by one would have.
+buffer ``report_object`` writes; a run of rows must leave behind
+exactly what the rows one by one would have.
 """
 
 import pytest
@@ -14,8 +14,6 @@ from repro.core import IncrementalEngine, LocationAwareServer
 from repro.geometry import Point, Rect, Velocity
 from repro.obs import FlightRecorder
 from repro.storage import BufferPool, HistoryRepository, InMemoryDiskManager
-
-PIPELINES = ("per-object", "columnar")
 
 COORDS = st.floats(-0.5, 1.5).map(lambda v: round(v, 2))
 SPEEDS = st.sampled_from([0.0, 0.0, 0.0, 0.1, -0.05])
@@ -38,8 +36,8 @@ def velocity_of(vx: float, vy: float) -> Velocity:
     return Velocity(vx, vy) if vx or vy else Velocity.ZERO
 
 
-def make_engine(pipeline: str) -> IncrementalEngine:
-    engine = IncrementalEngine(grid_size=8, pipeline=pipeline)
+def make_engine() -> IncrementalEngine:
+    engine = IncrementalEngine(grid_size=8)
     engine.register_range_query(100, Rect(0.2, 0.2, 0.8, 0.8))
     engine.register_knn_query(101, Point(0.5, 0.5), 2)
     engine.register_predictive_query(102, Rect(0.4, 0.4, 0.9, 0.9), 3.0)
@@ -55,14 +53,13 @@ def buffers(engine: IncrementalEngine):
     )
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
 @given(actions=ACTIONS)
 @settings(max_examples=60, deadline=None)
-def test_a_run_equals_a_loop_of_report_object(pipeline, actions):
+def test_a_run_equals_a_loop_of_report_object(actions):
     """Duplicates inside a run, report → remove → report across runs,
     out-of-world rows: same buffer (order included), same removals,
     same stamps, same update stream at the next evaluation."""
-    batch, scalar = make_engine(pipeline), make_engine(pipeline)
+    batch, scalar = make_engine(), make_engine()
     now = 0.0
     for kind, arg in actions:
         if kind == "run":
@@ -91,9 +88,8 @@ def test_a_run_equals_a_loop_of_report_object(pipeline, actions):
     batch.check_invariants()
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
-def test_out_of_world_rows_are_clamped_and_in_world_rows_kept(pipeline):
-    engine = make_engine(pipeline)
+def test_out_of_world_rows_are_clamped_and_in_world_rows_kept():
+    engine = make_engine()
     engine.report_objects([1, 2, 3], [0.5, 7.0, -0.0], [0.5, -3.0, 1.0], [0, 0, 0.5], [0, 0, 0], [1.0] * 3)
     # The buffer holds each report's floats (x, y, vx, vy, t).
     assert engine._pending_reports == {
@@ -103,10 +99,9 @@ def test_out_of_world_rows_are_clamped_and_in_world_rows_kept(pipeline):
     }
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_a_non_finite_row_refuses_the_whole_call(pipeline, bad):
-    engine = make_engine(pipeline)
+def test_a_non_finite_row_refuses_the_whole_call(bad):
+    engine = make_engine()
     engine.report_object(1, Point(0.1, 0.1), 1.0)
     engine.report_object(2, Point(0.2, 0.2), 1.0)
     engine.evaluate(1.0)
@@ -129,7 +124,7 @@ def test_a_non_finite_row_refuses_the_whole_call(pipeline, bad):
 
 
 def make_server(**kwargs) -> LocationAwareServer:
-    server = LocationAwareServer(grid_size=8, pipeline="columnar", **kwargs)
+    server = LocationAwareServer(grid_size=8, **kwargs)
     server.register_client(1)
     server.register_range_query(1, 100, Rect(0.2, 0.2, 0.8, 0.8))
     for oid in range(4):

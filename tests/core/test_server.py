@@ -157,12 +157,12 @@ class TestHostileReports:
         rng = random.Random(20)
         reports = [(oid, Point(rng.random(), rng.random())) for oid in range(1000)]
         streams = []
-        for pipeline in ("per-object", "columnar"):
-            server = LocationAwareServer(grid_size=8, pipeline=pipeline)
+        for hostile in (False, True):
+            server = LocationAwareServer(grid_size=8)
             server.register_client(1)
             server.register_range_query(1, 100, REGION)
             for oid, point in reports:
-                if oid == 500 and pipeline == "columnar":
+                if oid == 500 and hostile:
                     for bad in (float("nan"), float("inf"), float("-inf")):
                         with pytest.raises(ValueError):
                             server.receive_object_report(5000, Point(bad, 0.5), 1.0)
@@ -190,7 +190,7 @@ class TestHostileReports:
         from repro.service.runtime import ServiceRuntime
 
         runtime = ServiceRuntime(
-            server=LocationAwareServer(grid_size=8, pipeline="columnar")
+            server=LocationAwareServer(grid_size=8)
         )
         report = dict(op="report", client=1, oid=1, x=0.5, y=0.5, t=1.0)
         for bad in (

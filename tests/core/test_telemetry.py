@@ -80,73 +80,55 @@ class TestEngineRegistry:
         assert 'engine_phase_seconds_total{phase="object_reports"}' in text
 
     def test_occupancy_counts_objects_per_home_cell(self):
-        """Both pipelines sample the same occupancy from their own
-        source — the store's ``cells`` column on the production path,
-        the index's object buckets on the reference — and a moving
-        object counts in its home cell only on the production path,
-        whose index holds no object at all."""
+        """Occupancy is sampled from the store's ``cells`` column: a
+        moving object counts in its home cell only, and the index holds
+        no object at all."""
         from repro.geometry import Velocity
 
-        def occupancy(engine):
-            value_of = engine.registry.value_of
-            return (
-                value_of("grid_indexed_objects"),
-                value_of("grid_populated_cells"),
-                value_of("grid_hot_cell_occupancy", {"rank": "0"}),
-                value_of("grid_hot_cell_id", {"rank": "0"}),
-            )
-
-        engines = [busy_engine(), busy_engine(pipeline="per-object")]
-        for engine in engines:
-            engine.report_object(3, Point(0.51, 0.52), 1.0)
-            engine.evaluate(1.0)
-        home = float(engines[0].grid.cell_of(Point(0.5, 0.5)))
-        assert occupancy(engines[0]) == occupancy(engines[1]) == (3, 10, 2, home)
-        columnar = engines[0]
-        columnar.report_object(2, Point(0.2, 0.8), 2.0, Velocity(0.01, 0.0))
-        columnar.evaluate(2.0)
-        hist = columnar.registry.histogram("grid_cell_occupancy")
+        engine = busy_engine()
+        engine.report_object(3, Point(0.51, 0.52), 1.0)
+        engine.evaluate(1.0)
+        value_of = engine.registry.value_of
+        home = float(engine.grid.cell_of(Point(0.5, 0.5)))
+        assert (
+            value_of("grid_indexed_objects"),
+            value_of("grid_populated_cells"),
+            value_of("grid_hot_cell_occupancy", {"rank": "0"}),
+            value_of("grid_hot_cell_id", {"rank": "0"}),
+        ) == (3, 10, 2, home)
+        engine.report_object(2, Point(0.2, 0.8), 2.0, Velocity(0.01, 0.0))
+        engine.evaluate(2.0)
+        hist = engine.registry.histogram("grid_cell_occupancy")
         assert (hist.count, hist.sum) == (6, 8.0)  # two cells per sample
-        assert columnar.index.object_count == 0
+        assert engine.index.object_count == 0
 
     def test_query_side_path_counters_say_which_path_ran(self):
-        """`engine_query_moves_total{path}`, `engine_knn_repairs_total
-        {path}` and `engine_predictive_refreshes_total{path}` partition
-        the unlabelled totals: all `scalar` off the production path; on
-        it only a flip-due predictive refresh is; and the range CSR is
-        rebuilt at most once per evaluation."""
-
-        def drive(**kwargs):
-            engine = busy_engine(**kwargs)
-            engine.register_predictive_query(300, Rect(0.1, 0.1, 0.6, 0.6), 5.0)
-            engine.evaluate(1.0)
-            engine.move_range_query(100, Rect(0.1, 0.7, 0.4, 0.9), 2.0)
-            engine.move_knn_query(200, Point(0.2, 0.8), 2.0)
-            engine.report_object(1, Point(0.45, 0.5), 2.0)
-            engine.evaluate(2.0)
-            value_of = engine.registry.value_of
-            return engine, {
-                (name, path): value_of(f"engine_{name}_total", {"path": path})
-                for name in ("query_moves", "knn_repairs", "predictive_refreshes")
-                for path in ("batch", "scalar")
-            }
-
-        reference, paths = drive(pipeline="per-object")
-        assert paths["query_moves", "scalar"] == reference.stats.query_moves == 2
-        assert paths["knn_repairs", "scalar"] == reference.stats.knn_repairs == 2
-        assert paths["predictive_refreshes", "scalar"] == 2
-        assert not any(n for (_, path), n in paths.items() if path == "batch")
-        assert reference.registry.value_of("engine_range_csr_rebuilds_total") == 0
-        engine, paths = drive()
-        assert (paths["query_moves", "batch"], paths["query_moves", "scalar"]) == (2, 0)
-        assert (paths["knn_repairs", "batch"], paths["knn_repairs", "scalar"]) == (2, 0)
-        assert paths["predictive_refreshes", "batch"] == 2
-        assert paths["predictive_refreshes", "scalar"] == 0
-        rebuilds = engine.registry.value_of("engine_range_csr_rebuilds_total")
+        """Query moves and k-NN repairs have one path, so one unlabelled
+        total each; `engine_predictive_refreshes_total{path}` still
+        says which way each refresh ran — only a flip-due one is
+        `scalar` — and the range CSR is rebuilt at most once per
+        evaluation."""
+        engine = busy_engine()
+        engine.register_predictive_query(300, Rect(0.1, 0.1, 0.6, 0.6), 5.0)
+        engine.evaluate(1.0)
+        engine.move_range_query(100, Rect(0.1, 0.7, 0.4, 0.9), 2.0)
+        engine.move_knn_query(200, Point(0.2, 0.8), 2.0)
+        engine.report_object(1, Point(0.45, 0.5), 2.0)
+        engine.evaluate(2.0)
+        value_of = engine.registry.value_of
+        assert engine.stats.query_moves == 2
+        assert engine.stats.knn_repairs == 2
+        refreshes = [
+            value_of("engine_predictive_refreshes_total", {"path": path})
+            for path in ("batch", "scalar")
+        ]
+        assert refreshes == [2, 0]
+        rebuilds = value_of("engine_range_csr_rebuilds_total")
         assert 1 <= rebuilds <= engine.stats.evaluations
-        assert 'engine_knn_repairs_total{path="batch"} 2' in prometheus_text(
-            engine.registry
-        )
+        text = prometheus_text(engine.registry)
+        assert "engine_knn_repairs_total 2" in text
+        assert "engine_query_moves_total{" not in text
+        assert "engine_knn_repairs_total{" not in text
 
 
 class TestEngineTracer:

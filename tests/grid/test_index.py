@@ -1,5 +1,6 @@
 """GridIndex: placement, movement, retrieval, bucket reclamation."""
 
+import numpy as np
 import pytest
 
 from repro.geometry import Point, Rect
@@ -16,33 +17,31 @@ def index() -> GridIndex:
 class TestObjects:
     def test_place_and_lookup(self, index):
         index.place_object_at(1, Point(0.1, 0.1))
-        assert index.contains_object(1)
         assert index.object_count == 1
         cell = index.grid.cell_of(Point(0.1, 0.1))
-        assert index.object_cells(1) == frozenset({cell})
-        assert 1 in index.objects_in_cell(cell)
+        assert index.objects_overlapping(index.grid.cell_rect(cell)) == {1}
 
     def test_move_updates_cells(self, index):
         index.place_object_at(1, Point(0.05, 0.05))
         old_cell = index.grid.cell_of(Point(0.05, 0.05))
         index.place_object_at(1, Point(0.95, 0.95))
         new_cell = index.grid.cell_of(Point(0.95, 0.95))
-        assert index.object_cells(1) == frozenset({new_cell})
-        assert 1 not in index.objects_in_cell(old_cell)
+        assert index.objects_overlapping(index.grid.cell_rect(new_cell)) == {1}
+        assert index.objects_overlapping(index.grid.cell_rect(old_cell)) == set()
         assert index.object_count == 1
 
     def test_multi_cell_footprint(self, index):
         cells = index.grid.cells_overlapping_set(Rect(0.0, 0.0, 0.5, 0.1))
         index.place_object(2, cells)
-        assert index.object_cells(2) == cells
+        assert index.populated_cell_count == len(cells)
         for cell in cells:
-            assert 2 in index.objects_in_cell(cell)
+            assert index.objects_overlapping(index.grid.cell_rect(cell)) == {2}
 
     def test_remove_object(self, index):
         index.place_object_at(1, Point(0.5, 0.5))
         index.remove_object(1)
-        assert not index.contains_object(1)
         assert index.object_count == 0
+        assert index.populated_cell_count == 0
         with pytest.raises(KeyError):
             index.remove_object(1)
 
@@ -89,39 +88,34 @@ class TestRetrieval:
         found = index.objects_overlapping(Rect(0.5, 0.5, 0.505, 0.505))
         assert 1 in found
 
-    def test_queries_colocated_with_object(self, index):
-        index.place_object_at(1, Point(0.5, 0.5))
-        index.place_query_region(7, Rect(0.45, 0.45, 0.55, 0.55))
-        index.place_query_region(8, Rect(0.0, 0.0, 0.05, 0.05))
-        colocated = index.queries_colocated_with_object(1)
-        assert 7 in colocated and 8 not in colocated
-
 
 class TestZeroCopyViews:
-    """The *_in_cell accessors return live bucket storage, not copies."""
+    """``queries_in_cell`` returns live bucket storage, not a copy."""
+
+    SPOT = Rect(0.5, 0.5, 0.51, 0.51)
 
     def test_views_alias_bucket_storage(self, index):
-        index.place_object_at(1, Point(0.5, 0.5))
+        index.place_query_region(1, self.SPOT)
         cell = index.grid.cell_of(Point(0.5, 0.5))
-        view = index.objects_in_cell(cell)
+        view = index.queries_in_cell(cell)
         assert view == {1}
-        index.place_object_at(2, Point(0.5, 0.5))
+        index.place_query_region(2, self.SPOT)
         assert view == {1, 2}  # reflects later mutations
-        index.remove_object(1)
+        index.remove_query(1)
         assert view == {2}
 
     def test_empty_cell_view_is_shared_and_immutable(self, index):
-        view = index.objects_in_cell(3)
+        view = index.queries_in_cell(3)
         assert view == frozenset()
         assert view is index.queries_in_cell(5)  # one shared sentinel
         with pytest.raises(AttributeError):
             view.add(1)  # accidental mutation fails loudly
 
     def test_snapshot_survives_index_mutation(self, index):
-        index.place_object_at(1, Point(0.5, 0.5))
+        index.place_query_region(1, self.SPOT)
         cell = index.grid.cell_of(Point(0.5, 0.5))
-        snapshot = set(index.objects_in_cell(cell))
-        index.remove_object(1)
+        snapshot = set(index.queries_in_cell(cell))
+        index.remove_query(1)
         assert snapshot == {1}  # the copy, unlike the view, is stable
 
 
@@ -136,37 +130,39 @@ class TestBuckets:
         index.place_object_at(1, Point(0.5, 0.5))
         cell = index.grid.cell_of(Point(0.5, 0.5))
         index.place_query(9, frozenset({cell}))
-        bucket = index.bucket(cell)
-        assert bucket is not None
-        assert 1 in bucket.objects and 9 in bucket.queries
+        assert index.populated_cell_count == 1
+        assert index.queries_in_cell(cell) == {9}
         index.remove_object(1)
-        assert index.bucket(cell) is not None  # query keeps it alive
+        assert index.populated_cell_count == 1  # the query keeps it alive
         index.remove_query(9)
-        assert index.bucket(cell) is None
+        assert index.populated_cell_count == 0
 
 
 class TestOccupancySampling:
+    #: Cell of (0.1, 0.1) gets 3 objects, two other cells get 1 each.
+    POINTS = [
+        Point(0.1, 0.1),
+        Point(0.12, 0.12),
+        Point(0.15, 0.1),
+        Point(0.6, 0.6),
+        Point(0.9, 0.1),
+    ]
+
     def populated_index(self):
         index = GridIndex(Grid(UNIT, 4))
-        # Cell of (0.1, 0.1) gets 3 objects, two other cells get 1 each.
-        for oid, point in enumerate(
-            [
-                Point(0.1, 0.1),
-                Point(0.12, 0.12),
-                Point(0.15, 0.1),
-                Point(0.6, 0.6),
-                Point(0.9, 0.1),
-            ]
-        ):
-            index.place_object_at(oid, point)
         index.place_query_region(100, Rect(0.0, 0.0, 0.3, 0.3))
         return index
+
+    def counts(self, index, points=POINTS):
+        """Objects per home cell, as the engine counts its store."""
+        cells = [index.grid.cell_of(point) for point in points]
+        return np.bincount(cells, minlength=index.grid.cell_count)
 
     def test_population_gauges(self):
         from repro.obs import MetricsRegistry
 
         index, registry = self.populated_index(), MetricsRegistry()
-        index.sample_occupancy(registry, index.object_counts(), 5)
+        index.sample_occupancy(registry, self.counts(index), 5)
         assert registry.value_of("grid_indexed_objects") == 5.0
         assert registry.value_of("grid_indexed_queries") == 1.0
         # Object cells {3} plus the query's clipped cells (query-only
@@ -178,7 +174,7 @@ class TestOccupancySampling:
         from repro.obs import MetricsRegistry
 
         index, registry = self.populated_index(), MetricsRegistry()
-        index.sample_occupancy(registry, index.object_counts(), 5)
+        index.sample_occupancy(registry, self.counts(index), 5)
         hist = registry.histogram("grid_cell_occupancy")
         assert hist.count == 3           # one observation per populated cell
         assert hist.sum == 5.0           # total objects across cells
@@ -187,7 +183,7 @@ class TestOccupancySampling:
         from repro.obs import MetricsRegistry
 
         index, registry = self.populated_index(), MetricsRegistry()
-        index.sample_occupancy(registry, index.object_counts(), 5, top_k=2)
+        index.sample_occupancy(registry, self.counts(index), 5, top_k=2)
         top = registry.value_of("grid_hot_cell_occupancy", {"rank": "0"})
         second = registry.value_of("grid_hot_cell_occupancy", {"rank": "1"})
         assert top == 3.0 and second == 1.0
@@ -198,10 +194,9 @@ class TestOccupancySampling:
         from repro.obs import MetricsRegistry
 
         index, registry = self.populated_index(), MetricsRegistry()
-        index.sample_occupancy(registry, index.object_counts(), 5, top_k=5)
-        for oid in range(1, 5):
-            index.remove_object(oid)
-        index.sample_occupancy(registry, index.object_counts(), 1, top_k=5)
+        index.sample_occupancy(registry, self.counts(index), 5, top_k=5)
+        remaining = self.counts(index, self.POINTS[:1])
+        index.sample_occupancy(registry, remaining, 1, top_k=5)
         assert registry.value_of("grid_hot_cell_occupancy", {"rank": "0"}) == 1.0
         for rank in ("1", "2", "3", "4"):
             assert (
@@ -210,11 +205,9 @@ class TestOccupancySampling:
             assert registry.value_of("grid_hot_cell_id", {"rank": rank}) == -1.0
 
     def test_home_cell_counts_replace_the_buckets(self):
-        """Fed per-cell counts (the production engine's store column),
-        occupancy ignores the empty object side: populated cells are the
-        occupied ones plus the query-only ones, ties rank by cell id."""
-        import numpy as np
-
+        """Fed per-cell counts (the engine's store column), occupancy
+        ignores the empty object side: populated cells are the occupied
+        ones plus the query-only ones, ties rank by cell id."""
         from repro.obs import MetricsRegistry
 
         index, registry = GridIndex(Grid(UNIT, 4)), MetricsRegistry()
@@ -236,5 +229,5 @@ class TestOccupancySampling:
 
         index = self.populated_index()
         # Must not raise or record.
-        index.sample_occupancy(NULL_REGISTRY, index.object_counts(), 5)
+        index.sample_occupancy(NULL_REGISTRY, self.counts(index), 5)
         assert NULL_REGISTRY.to_dict() == {}

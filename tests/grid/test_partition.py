@@ -100,35 +100,3 @@ class TestClipping:
         scratch = [99, 98, 97]
         assert g.cells_overlapping_into(Rect(2, 2, 3, 3), scratch) == []
         assert scratch == []  # off-world region leaves an emptied buffer
-
-
-class TestRings:
-    def test_ring_zero_is_center(self):
-        g = Grid(UNIT, 5)
-        assert list(g.ring_around(12, 0)) == [12]
-
-    def test_ring_one_is_neighbors(self):
-        g = Grid(UNIT, 5)
-        assert set(g.ring_around(12, 1)) == set(g.neighbors_of(12))
-
-    def test_rings_partition_the_grid(self):
-        g = Grid(UNIT, 7)
-        center = g.cell_of(Point(0.1, 0.9))
-        seen: set[int] = set()
-        for radius in range(g.max_ring_radius(center) + 1):
-            ring = set(g.ring_around(center, radius))
-            assert not ring & seen, "rings overlap"
-            seen |= ring
-        assert seen == set(range(g.cell_count))
-
-    def test_ring_clamps_at_world_edge(self):
-        g = Grid(UNIT, 4)
-        corner = g.cell_of(Point(0.0, 0.0))
-        ring = set(g.ring_around(corner, 1))
-        assert ring == {1, 4, 5}
-
-    def test_max_ring_radius_corner(self):
-        g = Grid(UNIT, 8)
-        assert g.max_ring_radius(0) == 7
-        center = g.cell_of(Point(0.5, 0.5))
-        assert g.max_ring_radius(center) == 4

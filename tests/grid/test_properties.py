@@ -83,9 +83,12 @@ class TestIndexProperties:
         )
     )
     def test_repeated_placement_keeps_one_home(self, moves):
-        """However an object moves, it occupies exactly one cell."""
+        """However an object moves, it occupies exactly one cell: only
+        the latest home cells stay populated."""
         index = GridIndex(Grid(UNIT, 7))
+        homes = {}
         for oid, x, y in moves:
             index.place_object_at(oid, Point(x, y))
-        for oid in {oid for oid, __, __ in moves}:
-            assert len(index.object_cells(oid)) == 1
+            homes[oid] = index.grid.cell_of(Point(x, y))
+        assert index.object_count == len(homes)
+        assert index.populated_cell_count == len(set(homes.values()))

@@ -126,12 +126,29 @@ class TestDeliveryStaleness:
         assert cycles.sum == 1.0  # the recovery shows the real lag
 
     def test_forget_drops_stamp(self):
+        """A departed object's stamp outlives the evaluation that
+        removed it — its negatives ship and are attributed in that
+        cycle — and is dropped at the end of the next one."""
         tracker, registry, clock = make_tracker()
         tracker.stamp_report(7)
-        tracker.forget(7)
+        tracker.forget([7])
+        tracker.end_cycle()
+        tracker.observe_delivered(qid=1, oid=7, sign=-1)
+        assert registry.counter("freshness_unattributed_updates_total").value == 0
         tracker.end_cycle()
         tracker.observe_delivered(qid=1, oid=7, sign=-1)
         assert registry.counter("freshness_unattributed_updates_total").value == 1
+
+    def test_a_report_after_the_departure_keeps_its_new_stamp(self):
+        tracker, registry, clock = make_tracker()
+        tracker.stamp_reports([7, 8])
+        tracker.forget([7, 8])
+        tracker.end_cycle()
+        tracker.stamp_report(8)  # back before the drop
+        tracker.end_cycle()
+        tracker.observe_delivered(qid=1, oid=8, sign=1)
+        assert registry.counter("freshness_unattributed_updates_total").value == 0
+        assert tracker.snapshot()["tracked_objects"] == 1
 
 
 class TestCommitStaleness:

@@ -80,6 +80,34 @@ class TestServerFreshness:
         server.evaluate_cycle(2.0)
         assert server.freshness.query_summary(100) == {}
 
+    def test_departed_objects_leave_the_tracker(self):
+        """A thousand objects report and leave: the removal's negatives
+        are attributed in the cycle they ship, the stamps go one
+        evaluation later, and a re-report in between keeps its new one."""
+        server = make_server()
+        registry = server.registry
+        for oid in range(1000):
+            server.receive_object_report(oid, Point(oid / 1000, oid / 1000), 0.0)
+        members = len(server.evaluate_cycle(1.0).updates)
+        assert registry.value_of("freshness_tracked_objects") == 1000
+        for oid in range(1000):
+            server.remove_object(oid)
+        assert len(server.evaluate_cycle(2.0).updates) == members
+        stages = server.freshness.stage_summary()
+        assert stages["delivery"]["negative"]["count"] == members
+        assert registry.value_of("freshness_unattributed_updates_total") == 0
+        server.receive_object_report(7, Point(0.1, 0.1), 2.0)  # back before the drop
+        server.evaluate_cycle(3.0)
+        assert registry.value_of("freshness_tracked_objects") == 1
+        assert server.freshness.stage_summary()["delivery"]["positive"]["count"] == (
+            members + 1
+        )
+        assert registry.value_of("freshness_unattributed_updates_total") == 0
+        server.remove_object(7)
+        server.evaluate_cycle(4.0)
+        server.evaluate_cycle(5.0)
+        assert registry.value_of("freshness_tracked_objects") == 0
+
 
 class TestServerRecorder:
     def test_protocol_chain_is_recorded(self):

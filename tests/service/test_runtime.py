@@ -200,9 +200,11 @@ class TestProtectionPaths:
         self, make_runtime, make_wire
     ):
         """A NaN coordinate, an oid outside int64 (or not a number at
-        all) and non-finite ``t``/``vx`` among 1k normal reports: each
-        is refused with an ``error`` line, the cycle runs, everyone
-        else's stream is the per-object reference's."""
+        all), non-finite ``t``/``vx`` and a ``vx`` whose trajectory
+        overflows within the prediction horizon, among 1k normal
+        reports: each is refused with an ``error`` line, the cycle runs,
+        everyone else's stream is an in-process server's that never saw
+        them."""
         import random
 
         from repro.core import LocationAwareServer
@@ -210,7 +212,7 @@ class TestProtectionPaths:
 
         rng = random.Random(20)
         reports = [(oid, rng.random(), rng.random()) for oid in range(1000)]
-        reference = LocationAwareServer(grid_size=8, pipeline="per-object")
+        reference = LocationAwareServer(grid_size=8)
         reference.register_client(1)
         reference.register_range_query(1, 5, Rect(*REGION.values()))
         for oid, x, y in reports:
@@ -219,7 +221,7 @@ class TestProtectionPaths:
             (u.qid, u.oid, u.sign) for u in reference.evaluate_cycle(1.0).updates
         }
 
-        runtime = make_runtime(grid_size=8, pipeline="columnar")
+        runtime = make_runtime(grid_size=8)
         wire = make_wire(runtime)
         wire.request("hello", client=1, sync=True)
         wire.send("register", client=1, qid=5, kind="range", **REGION)
@@ -228,6 +230,7 @@ class TestProtectionPaths:
             500: dict(oid=2**63, x=0.5, y=0.5, t=1.0),
             700: dict(oid=5001, x=0.5, y=0.5, t=float("inf")),
             900: dict(oid=5002, x=0.5, y=0.5, t=1.0, vx=float("nan")),
+            920: dict(oid=5003, x=0.5, y=0.5, t=1.0, vx=1e308),
             950: dict(oid=float("inf"), x=0.5, y=0.5, t=1.0),
             990: dict(oid=None, x=0.5, y=0.5, t=1.0),
         }
@@ -260,7 +263,7 @@ class TestProtectionPaths:
         ``t`` and ``horizon``, ``k < 1`` and ids outside int64 in
         ``register`` and ``move`` ops among 1k normal ops: each is
         refused with an ``error`` line, the cycle runs, and the stream
-        is the per-object reference's (which never saw them)."""
+        is an in-process server's (which never saw them)."""
         import random
 
         from repro.core import LocationAwareServer
@@ -269,7 +272,7 @@ class TestProtectionPaths:
         rng = random.Random(21)
         reports = [(oid, rng.random(), rng.random()) for oid in range(1000)]
         moved = dict(minx=0.1, miny=0.2, maxx=0.6, maxy=0.7)
-        reference = LocationAwareServer(grid_size=8, pipeline="per-object")
+        reference = LocationAwareServer(grid_size=8)
         reference.register_client(1)
         reference.register_range_query(1, 5, Rect(*REGION.values()))
         reference.register_knn_query(1, 6, Point(0.5, 0.5), 3)
@@ -285,7 +288,7 @@ class TestProtectionPaths:
             (u.qid, u.oid, u.sign) for u in reference.evaluate_cycle(2.0).updates
         ]
 
-        runtime = make_runtime(grid_size=8, pipeline="columnar")
+        runtime = make_runtime(grid_size=8)
         wire = make_wire(runtime)
         wire.request("hello", client=1, sync=True)
         wire.send("register", client=1, qid=5, kind="range", **REGION)
