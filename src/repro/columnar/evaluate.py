@@ -24,15 +24,15 @@ Candidate entries are cached **across evaluations**, keyed on
 range queries, so they survive arbitrarily many object-report batches
 untouched.  The cache is one grid-wide CSR cut from the query store's
 bound columns (:meth:`ColumnarEvaluator._range_csr`).  k-NN queries are
-deliberately left out of it (their grid footprints are re-placed every
-repair, which would otherwise thrash the cache); cohort k-NN
-dirty-marking instead tests the k-NN queries' grid-index footprints,
-concatenated, against one mask of the batch's touched cells.  One more
-rule marks a k-NN query dirty: it holds a reported object (one
-``np.isin`` of the k-NN answers against the batch's oids) — a member
-can leave a circle's footprint from a cell edge, a few ulps outside the
-circle's rounded bounding rectangle, and then neither of its cells
-lists the query.
+deliberately left out of it (their circles change every repair, which
+would otherwise thrash the cache); cohort k-NN dirty-marking instead
+tests each k-NN footprint — :meth:`~ColumnarEvaluator._footprint_ranges`
+of its centre and radius, computed per batch — against one mask of the
+batch's touched cells.  One more rule marks a k-NN query dirty: it
+holds a reported object (one ``np.isin`` of the k-NN answers against
+the batch's oids) — a member can leave a circle's footprint from a cell
+edge, a few ulps outside the circle's rounded bounding rectangle, and
+then neither of its cells meets the footprint.
 
 Nothing here mirrors object or answer state: the object store's row is
 the only record of an object, and ``query.answer`` the only record of
@@ -58,26 +58,29 @@ once per store state) and its one ragged gather ``(cell rects) ->
   per-pair bounds.
 
 Each leaves the answers the brute-force reference
-(:mod:`repro.check.reference`) derives; the grid index holds no object,
-and nothing here asks it for one.
+(:mod:`repro.check.reference`) derives.  There is no grid index: every
+query footprint is :meth:`~ColumnarEvaluator._footprint_ranges` of the
+query's geometry, computed where it is read, as an object's swept
+footprint is.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
 from repro.columnar.ingest import swept_cell_ranges
 from repro.columnar.kernels import PairPlan, classify_transitions
-from repro.columnar.store import KIND_RANGE
+from repro.columnar.store import KIND_KNN, KIND_PREDICTIVE, KIND_RANGE
 from repro.grid.cellmath import (
-    cell_rect_set,
     point_cells_batch,
     ragged_arange,
     rect_cell_ranges_batch,
     rect_cell_strips_batch,
+    rect_cells_cover,
+    rect_cells_meet,
 )
 
 #: ``engine_columnar_batch_size`` histogram bounds: powers of four from
@@ -110,8 +113,8 @@ class _DualCounter:
 class ColumnarEvaluator:
     """Batch evaluator bound to one engine's live structures.
 
-    All references (``queries``, ``knn_qids``) alias the engine's own
-    dict/set; the evaluator never rebinds them.
+    ``queries`` aliases the engine's own dict; the evaluator never
+    rebinds it.
     Emission goes through the update stream's ``push`` /
     ``extend_columns`` contract, which keeps this package import-free
     of :mod:`repro.core` (the engine imports us).
@@ -120,20 +123,16 @@ class ColumnarEvaluator:
     def __init__(
         self,
         grid,
-        index,
         ostore,
         qstore,
         queries,
-        knn_qids,
         registry,
         tracer,
     ):
         self.grid = grid
-        self.index = index
         self.ostore = ostore
         self.qstore = qstore
         self.queries = queries
-        self.knn_qids = knn_qids
         self.tracer = tracer
         self._csr: tuple | None = None
         self._h_batch_size = registry.histogram(
@@ -234,17 +233,16 @@ class ColumnarEvaluator:
         new = columns.new
         n_cohorts = len(new)
         changed = (old >= 0) & (old != new)
-        if self.knn_qids:
-            knn = list(self.knn_qids)
-            touched = np.zeros(self.grid.n * self.grid.n, dtype=bool)
+        knn = self.states_of(KIND_KNN)
+        if knn:
+            n = self.grid.n
+            touched = np.zeros(n * n, dtype=bool)
             touched[old[changed]] = True
             touched[new] = True
-            owner, cells = _flatten(list(map(self.index.query_cells, knn)))
-            held_by, members = _flatten([self.queries[qid].answer for qid in knn])
-            hit = np.concatenate(
-                (owner[touched[cells]], held_by[np.isin(members, columns.oids)])
-            )
-            knn_dirty.update(knn[i] for i in np.unique(hit).tolist())
+            hit = rect_cells_meet(touched, *self.knn_footprints(knn), n, np)
+            held_by, members = _flatten([query.answer for query in knn])
+            hit[held_by[np.isin(members, columns.oids)]] = True
+            knn_dirty.update(query.qid for query in compress(knn, hit.tolist()))
 
         # Two segments per cohort, interleaved [old, new, old, new, ...];
         # cell c's partial rows start at offsets[2c], its covering rows
@@ -277,24 +275,59 @@ class ColumnarEvaluator:
             columns.count,
         )
 
-    def _footprint_ranges(self, min_xs, min_ys, max_xs, max_ys):
-        """The grid footprints of a batch of query regions as a
+    def _footprint_ranges(self, min_xs, min_ys, max_xs, max_ys, cxs=None, cys=None):
+        """The grid footprints of a batch of query rectangles as a
         ``(4, m)`` array of inclusive cell ranges ``col_lo, col_hi,
-        row_lo, row_hi`` — what ``GridIndex.place_query_region`` places:
-        the cells under the region, or the cell nearest its centre when
-        it lies wholly outside the world."""
+        row_lo, row_hi``: the cells under the rectangle
+        (``Grid.cells_overlapping``), or when it lies wholly outside the
+        world the home cell (``Grid.cell_of``) of its centre — ``cxs``,
+        ``cys`` when given, else its midpoint."""
         grid = self.grid
         *ranges, hit = rect_cell_ranges_batch(
             min_xs, min_ys, max_xs, max_ys, grid, np
         )
         ranges = np.stack(ranges)
         if not hit.all():
-            centre = point_cells_batch(
-                (min_xs + max_xs) / 2.0, (min_ys + max_ys) / 2.0, grid, np
-            )
+            if cxs is None:
+                cxs, cys = (min_xs + max_xs) / 2.0, (min_ys + max_ys) / 2.0
+            centre = point_cells_batch(cxs, cys, grid, np)
             col, row = centre % grid.n, centre // grid.n
             ranges = np.where(hit, ranges, np.stack((col, col, row, row)))
         return ranges
+
+    def knn_footprints(self, queries):
+        """The footprints of k-NN query states: their circles' bounding
+        rectangles, falling back to the centre's home cell."""
+        cx, cy, r = np.array(
+            [(q.center.x, q.center.y, q.radius) for q in queries], dtype=np.float64
+        ).reshape(-1, 3).T
+        return self._footprint_ranges(cx - r, cy - r, cx + r, cy + r, cx, cy)
+
+    def region_footprints(self, queries):
+        """The footprints of range or predictive query states' regions."""
+        return self._footprint_ranges(
+            *np.array(
+                [(q.region.min_x, q.region.min_y, q.region.max_x, q.region.max_y) for q in queries],
+                dtype=np.float64,
+            ).reshape(-1, 4).T
+        )  # fmt: skip
+
+    def states_of(self, kind: int):
+        """The states of every ``kind`` query, ascending by qid."""
+        return list(map(self.queries.__getitem__, self.qstore.qids_of(kind).tolist()))
+
+    def footprint_cover(self):
+        """How many query footprints lie over each cell (int64 per
+        cell): the range queries' from the store's bound columns, the
+        k-NN and predictive ones from their states."""
+        qstore = self.qstore
+        is_range = np.frombuffer(qstore.kinds, dtype=np.int8) == KIND_RANGE
+        ranges = (
+            self._footprint_ranges(*(view[is_range] for view in qstore.bounds_views())),
+            self.knn_footprints(self.states_of(KIND_KNN)),
+            self.region_footprints(self.states_of(KIND_PREDICTIVE)),
+        )
+        return rect_cells_cover(*np.concatenate(ranges, axis=1), self.grid.n, np)
 
     def _range_csr(self):
         """The grid-wide CSR of range candidates ``(rows, offsets)``,
@@ -509,18 +542,6 @@ class ColumnarEvaluator:
                 np.where(piece[order] < 0, -1, 1).tolist(),
             )
         qstore.move_bounds(qrows, *new)
-        # Re-place only the footprints that changed cells.
-        moved = np.flatnonzero((old_cells != new_cells).any(axis=0))
-        c_lo, c_hi, r_lo, r_hi = new_cells[:, moved]
-        n = self.grid.n
-        place = self.index.place_query
-        for i, first, last, width in zip(
-            moved.tolist(),
-            (r_lo * n + c_lo).tolist(),
-            (r_hi * n + c_hi).tolist(),
-            (c_hi - c_lo + 1).tolist(),
-        ):
-            place(moves[i][0].qid, cell_rect_set(first, last, width, n))
         for query, region in moves:
             query.region = region
 
@@ -719,9 +740,10 @@ class ColumnarEvaluator:
 
     def check_invariants(self) -> None:
         """The two CSRs against what they are cut from (tests only):
-        per cell, the range CSR lists exactly the range queries the grid
-        index holds there — partial before covering, each ascending by
-        qid — and the home-cell CSR exactly the rows homed there."""
+        per cell, the range CSR lists exactly the range queries whose
+        region overlaps it by the scalar ``Grid.cells_overlapping_set``
+        — partial before covering, each ascending by qid — and the
+        home-cell CSR exactly the rows homed there."""
         grid = self.grid
         qstore = self.qstore
         rows, offsets = self._range_csr()
@@ -731,6 +753,10 @@ class ColumnarEvaluator:
         assert home.cells.tolist() == [
             self.ostore.cells[row] for row in home.order.tolist()
         ]
+        overlapping: dict[int, list[int]] = {}
+        for query in self.states_of(KIND_RANGE):
+            for cell in grid.cells_overlapping_set(query.region):
+                overlapping.setdefault(cell, []).append(query.qid)
         for cell in range(grid.n * grid.n):
             cell_rect = grid.cell_rect(cell)
             listed = []
@@ -742,8 +768,4 @@ class ColumnarEvaluator:
                     covers = self.queries[qid].region.contains_rect(cell_rect)
                     assert covers == bool(covering), (cell, qid)
                 listed += part
-            assert sorted(listed) == [
-                qid
-                for qid in sorted(self.index.queries_in_cell(cell))
-                if qstore.kinds[qstore.row_of(qid)] == KIND_RANGE
-            ], cell
+            assert sorted(listed) == overlapping.get(cell, []), cell

@@ -20,7 +20,7 @@ transition**:
 * **old home cells** are the store's ``cells`` column at the batch's
   rows, as :meth:`~repro.columnar.store.ColumnarObjectStore.batch_apply`
   hands them back before overwriting them — the store's columns are the
-  only record of where an object is; the grid index holds queries only;
+  only record of where an object is;
 * **transition cohorts** are recovered by one ``lexsort`` over
   ``(key, oid)`` with group-boundary detection; cohorts are emitted in
   first-occurrence order (``minimum.reduceat`` over the original
@@ -29,11 +29,12 @@ transition**:
   order — so the columnar evaluator plans the join without ever
   materialising a dict of member lists;
 * **churned cells** — every cell whose population or residents' motion
-  changed — are the union of every row's old and new footprint, both
-  computed from columns (:func:`footprint_cells`: the home cell of a
-  stationary row, :func:`swept_cell_ranges` of a moving one).  The
-  predictive refresh reads the same footprints back from the columns,
-  so nothing stores them.
+  changed — are set in the evaluation's one bool mask over the grid
+  from every row's old and new footprint, both computed from columns
+  (:func:`footprint_cells`: the home cell of a stationary row,
+  :func:`swept_cell_ranges` of a moving one).  The predictive refresh
+  reads the same footprints back from the columns, so nothing stores
+  them.
 
 Cohort members come out oid-sorted, which is the order the evaluator
 joins and emits them in.  Agreement with the brute-force reference is
@@ -86,21 +87,20 @@ def swept_cell_ranges(x, y, vx, vy, t, home, horizon: float, grid, np):
 
 
 def footprint_cells(x, y, vx, vy, t, home, horizon: float, grid):
-    """The distinct cells of a batch of rows' footprints, ascending:
-    the home cell, widened for a moving row to its swept rectangle
-    (which always holds the home cell of an in-world location)."""
-    cells = home
+    """The cells of a batch of rows' footprints, repeats included: the
+    home cell, widened for a moving row to its swept rectangle (which
+    always holds the home cell of an in-world location)."""
     moving = np.flatnonzero((vx != 0.0) | (vy != 0.0)) if horizon > 0 else ()
-    if len(moving):
-        ranges = swept_cell_ranges(
-            *(column[moving] for column in (x, y, vx, vy, t, home)),
-            horizon,
-            grid,
-            np,
-        )
-        _, first, width = rect_cell_strips_batch(*ranges, grid.n, np)
-        cells = np.concatenate((home, ragged_arange(first, width, np)[1]))
-    return np.flatnonzero(np.bincount(cells))
+    if not len(moving):
+        return home
+    ranges = swept_cell_ranges(
+        *(column[moving] for column in (x, y, vx, vy, t, home)),
+        horizon,
+        grid,
+        np,
+    )
+    _, first, width = rect_cell_strips_batch(*ranges, grid.n, np)
+    return np.concatenate((home, ragged_arange(first, width, np)[1]))
 
 
 class CohortColumns:
@@ -130,11 +130,11 @@ class BatchIngest:
     def __init__(self, engine) -> None:
         self.engine = engine
 
-    def group(self, reports, churned_cells: set) -> CohortColumns:
+    def group(self, reports, churned) -> CohortColumns:
         """Write one (non-empty) report buffer into the object store;
-        add every cell whose population or residents' motion changed to
-        ``churned_cells``; return the batch's cohorts.  Clears the
-        buffer."""
+        set every cell whose population or residents' motion changed in
+        the bool mask ``churned``; return the batch's cohorts.  Clears
+        the buffer."""
         engine = self.engine
         grid = engine.grid
         count = len(reports)
@@ -176,25 +176,25 @@ class BatchIngest:
 
         # --- churn: the old footprint of every known row (a new object
         # has none) and the new footprint of every row.
-        churned_cells.update(
+        churned[
             footprint_cells(
                 *map(np.concatenate, zip(prior, motion)),
                 engine.prediction_horizon,
                 grid,
-            ).tolist()
-        )
+            )
+        ] = True
         return cols
 
-    def remove(self, oids, churned_cells: set) -> None:
-        """Drop the tracked ``oids`` from the object store, adding the
-        cells of their footprints to ``churned_cells``."""
+    def remove(self, oids, churned) -> None:
+        """Drop the tracked ``oids`` from the object store, setting the
+        cells of their footprints in the bool mask ``churned``."""
         engine = self.engine
         ostore = engine._ostore
         rows = np.fromiter(map(ostore.row_of, oids), np.int64, count=len(oids))
-        churned_cells.update(
+        churned[
             footprint_cells(
                 *ostore.motion_at(rows), engine.prediction_horizon, engine.grid
-            ).tolist()
-        )
+            )
+        ] = True
         for oid in oids:
             ostore.remove(oid)

@@ -28,8 +28,8 @@ NaN old coordinates — every containment test on NaN is False, exactly
 the "was not a member of anything" a fresh object needs.  Both report
 doors clamp into the world, so every stored coordinate lies in it.
 
-The ``cells`` column is the only record of where an object is on the
-production path: the grid index holds queries only.  :class:`HomeCells`
+The ``cells`` column is the only record of where an object is: the
+engine keeps no grid index.  :class:`HomeCells`
 is that column sorted by cell (a permutation; offsets are binary
 searches), cut by :meth:`ColumnarObjectStore.home_cells` at most once
 per store ``version``, and its :meth:`~HomeCells.gather` is the one
@@ -291,10 +291,11 @@ class ColumnarQueryStore:
 
     ``version`` increments on **every** mutation; downstream caches
     (the evaluator's per-cell candidate entries, whose contents embed
-    store rows and range bounds) key their validity on it.  k-NN
-    footprint re-placements in the grid index do *not* touch this store
-    — deliberately, since they happen every evaluation and never affect
-    a cached range/predictive entry.
+    store rows and range bounds) key their validity on it.  The
+    ``kinds`` column is the only record of which queries are k-NN or
+    predictive (:meth:`qids_of`).  A k-NN query's footprint follows its
+    centre and radius, which live on its state, not here — a re-solve
+    every evaluation never bumps the version.
     """
 
     __slots__ = (
@@ -387,6 +388,11 @@ class ColumnarQueryStore:
         self.min_ys.pop()
         self.max_xs.pop()
         self.max_ys.pop()
+
+    def qids_of(self, kind: int):
+        """The qids of every ``kind`` query, ascending (int64 array)."""
+        qids = np.frombuffer(self.qids, dtype=np.int64)
+        return np.sort(qids[np.frombuffer(self.kinds, dtype=np.int8) == kind])
 
     def descriptor(self, qid: int) -> tuple[int, float, float, float, float]:
         """``qid``'s row as ``(kind, min_x, min_y, max_x, max_y)``."""

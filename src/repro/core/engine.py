@@ -4,7 +4,11 @@ This is the paper's contribution (Section 3): one uniform grid holds
 both objects and queries ("queries are indexed in the same way as data");
 location reports and query movements are *buffered* and evaluated in
 bulk; each evaluation emits only positive/negative updates relative to
-the previously reported answers.
+the previously reported answers.  The grid is arithmetic on both sides,
+not a structure: an object's cell is its store row's ``cells`` column,
+and a query's cells — its *footprint* — are a pure function of its
+geometry (the region; a k-NN query's centre and radius), computed where
+they are read.
 
 Incrementality per query kind:
 
@@ -13,12 +17,13 @@ Incrementality per query kind:
   the difference area ``A_new - A_old`` is searched for positives ("the
   area A_new ∩ A_old does not need to be reevaluated where the query
   result of this area is already reported").  Object moves touch only
-  the queries sharing a grid cell with the object's old or new position.
+  the queries whose footprint holds the object's old or new cell.
 * **k-NN** — maintained as the smallest circle containing the k nearest
   objects.  Object movement marks a k-NN query dirty only when the move
   touches the circle's grid footprint (or the object was an answer
-  member); dirty queries are re-solved together, each search bounded by
-  a distance k objects lie within, and the *answer difference* is
+  member), and a query holding fewer than k objects is dirty every
+  evaluation; dirty queries are re-solved together, each search bounded
+  by a distance k objects lie within, and the *answer difference* is
   emitted.
 * **Predictive range** — objects carrying velocity vectors occupy the
   grid footprint of their predicted trajectory; a predictive
@@ -26,8 +31,9 @@ Incrementality per query kind:
   its region within the query's horizon.  Because the horizon window
   slides with evaluation time, predictive answers must be re-filtered
   from the query's (small) candidate cell set — but only when either
-  the candidate set changed (report churn in the footprint cells) or
-  the sliding window actually reached the next membership flip time.
+  the candidate set changed (report churn in the footprint cells: one
+  bool mask over the grid, met by each footprint's rectangle) or the
+  sliding window actually reached the next membership flip time.
 
 Bulk evaluation runs as one **columnar pipeline** (the paper's
 Section 3 point: buffered updates are evaluated as a grid-partition
@@ -38,9 +44,9 @@ cell churn only — and joined against the range queries listed in those
 cells as batch array kernels over struct-of-arrays object and query
 state (:mod:`repro.columnar`, on numpy).  An object's store row is the
 only record of it — ``engine.objects`` is a read-only mapping that
-materialises an :class:`ObjectState` per access, and the grid index
-holds queries only — and a query's ``answer`` set is the only record of
-its answer.  The *query* side of a cycle is columnar too: a batch's
+materialises an :class:`ObjectState` per access — a query's kind is its
+query-store row's ``kinds`` code, and a query's ``answer`` set is the
+only record of its answer.  The *query* side of a cycle is columnar too: a batch's
 range-query registrations and moves, every dirty k-NN query and every
 predictive refresh run as array passes over a home-cell CSR of the
 object store (:meth:`ColumnarEvaluator.fill_ranges`,
@@ -73,6 +79,9 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import compress
+
+import numpy as np
 
 from repro.columnar import (
     KIND_KNN,
@@ -93,7 +102,8 @@ from repro.core.state import (
 )
 from repro.core.updates import UpdateBatch
 from repro.geometry import LinearMotion, Point, Rect, Velocity
-from repro.grid import Grid, GridIndex
+from repro.grid import Grid
+from repro.grid.cellmath import rect_cells_meet
 from repro.obs import (
     NULL_FRESHNESS,
     NULL_RECORDER,
@@ -104,6 +114,14 @@ from repro.obs import (
 )
 
 DEFAULT_WORLD = Rect(0.0, 0.0, 1.0, 1.0)
+
+#: Upper bounds for the cell-occupancy histogram (objects per cell).
+OCCUPANCY_BUCKETS: tuple[float, ...] = (
+    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0
+)
+
+#: How many of the hottest cells the occupancy gauges rank.
+HOT_CELLS = 5
 
 #: Identifiers live in int64 columns.
 _INT64_BOUND = 1 << 63
@@ -263,7 +281,6 @@ class IncrementalEngine:
                 f"prediction_horizon must be >= 0, got {prediction_horizon}"
             )
         self.grid = Grid(world, grid_size)
-        self.index = GridIndex(self.grid)
         self.prediction_horizon = prediction_horizon
         self.now = 0.0
         self.queries: dict[int, QueryState] = {}
@@ -278,16 +295,10 @@ class IncrementalEngine:
         self._pending_registrations: dict[int, QueryState] = {}
         self._pending_moves: dict[int, tuple[object, float]] = {}
         self._pending_unregistrations: set[int] = set()
-        # k-NN queries holding fewer than k objects must watch for any
-        # population growth, not just movement near their circle.
-        self._underfull_knn: set[int] = set()
-        # Registered predictive query ids — the refresh phase consults
-        # this instead of scanning every query of every kind.
-        self._predictive_qids: set[int] = set()
         # Struct-of-arrays state (repro.columnar): the object store is
-        # the objects' only home.
+        # the objects' only home, the query store's ``kinds`` column the
+        # only record of which queries are k-NN or predictive.
         self._qstore = ColumnarQueryStore()
-        self._knn_qids: set[int] = set()
         self._ostore = ColumnarObjectStore()
         self.objects = StoreObjects(self._ostore)
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -323,11 +334,9 @@ class IncrementalEngine:
         self._m_queries = self.registry.gauge("engine_queries")
         self._columnar_evaluator = ColumnarEvaluator(
             self.grid,
-            self.index,
             self._ostore,
             self._qstore,
             self.queries,
-            self._knn_qids,
             self.registry,
             self.tracer,
         )
@@ -646,10 +655,19 @@ class IncrementalEngine:
         self._m_query_unregistrations.inc(len(self._pending_unregistrations))
 
         updates = UpdateBatch()
-        knn_dirty: set[int] = set(self._underfull_knn)
+        # k-NN queries holding fewer than k objects must watch for any
+        # population growth, not just movement near their circle.
+        # Answers change only inside evaluate(), so this is what the
+        # previous evaluation left.
+        knn_dirty: set[int] = {
+            query.qid
+            for query in self._columnar_evaluator.states_of(KIND_KNN)
+            if len(query.answer) < query.k
+        }
         # Cells whose object population (or a resident's motion state)
-        # changed this evaluation — drives the predictive refresh.
-        churned_cells: set[int] = set()
+        # changed this evaluation, one bool per cell — drives the
+        # predictive refresh.
+        churned = np.zeros(self.grid.cell_count, dtype=bool)
         # Predictive queries that must refresh regardless of cell churn
         # (registered or moved this batch).
         dirty_predictive: set[int] = set()
@@ -661,19 +679,19 @@ class IncrementalEngine:
             with span("unregistrations", phase_counters["unregistrations"]):
                 self._apply_unregistrations(knn_dirty)
             with span("removals", phase_counters["removals"]):
-                self._apply_removals(updates, knn_dirty, churned_cells)
+                self._apply_removals(updates, knn_dirty, churned)
             with span("registrations", phase_counters["registrations"]):
                 self._apply_registrations(updates, knn_dirty, dirty_predictive)
             with span("query_moves", phase_counters["query_moves"]):
                 self._apply_query_moves(updates, knn_dirty, dirty_predictive)
             with span("object_reports", phase_counters["object_reports"]):
-                self._apply_object_reports(updates, knn_dirty, churned_cells)
+                self._apply_object_reports(updates, knn_dirty, churned)
             with span("knn_repair", phase_counters["knn_repair"]):
                 self._repair_knn(knn_dirty, updates)
             with span(
                 "predictive_refresh", phase_counters["predictive_refresh"]
             ):
-                self._refresh_predictive(updates, churned_cells, dirty_predictive)
+                self._refresh_predictive(updates, churned, dirty_predictive)
             with span("occupancy_sample"):
                 self._sample_occupancy()
         self._m_updates_emitted.inc(len(updates))
@@ -715,18 +733,12 @@ class IncrementalEngine:
         for qid in sorted(self._pending_unregistrations):
             if self.queries.pop(qid, None) is None:
                 continue
-            self.index.remove_query(qid)
             self._qstore.remove(qid)
-            self._knn_qids.discard(qid)
-            self._underfull_knn.discard(qid)
-            self._predictive_qids.discard(qid)
             knn_dirty.discard(qid)
             self.freshness.forget_query(qid)
         self._pending_unregistrations.clear()
 
-    def _apply_removals(
-        self, updates, knn_dirty: set[int], churned_cells: set[int]
-    ) -> None:
+    def _apply_removals(self, updates, knn_dirty: set[int], churned) -> None:
         """Drop the departing objects; each answer holding one emits a
         negative.  Answers are the only record of membership, so every
         registered answer is intersected with the removed oids — paid
@@ -738,7 +750,7 @@ class IncrementalEngine:
             return
         queries = self.queries
         gone = set(removed)
-        self._batch_ingest.remove(removed, churned_cells)
+        self._batch_ingest.remove(removed, churned)
         self.freshness.forget(removed)
         for qid in sorted(queries):
             query = queries[qid]
@@ -773,23 +785,15 @@ class IncrementalEngine:
                     region.max_x,
                     region.max_y,
                 )
-                self.index.place_query_region(query.qid, region)
                 range_fills.append(query)
             elif query.kind is QueryKind.KNN:
+                # Radius 0 until _repair_knn computes the first-time
+                # answer and widens the circle.
                 qstore.put(query.qid, KIND_KNN)
-                self._knn_qids.add(query.qid)
-                # Placed at its center first; _repair_knn computes the
-                # first-time answer and widens the footprint to the circle.
-                self.index.place_query(
-                    query.qid,
-                    frozenset((self.grid.cell_of(query.center),)),
-                )
                 knn_dirty.add(query.qid)
             else:
-                # Predictive: footprint now, answer in the refresh phase.
+                # Predictive: answer in the refresh phase.
                 qstore.put(query.qid, KIND_PREDICTIVE)
-                self.index.place_query_region(query.qid, query.region)
-                self._predictive_qids.add(query.qid)
                 dirty_predictive.add(query.qid)
         # Only range registrations emit in this phase, so filling them
         # together after the loop keeps the stream in arrival order.
@@ -823,10 +827,8 @@ class IncrementalEngine:
                 query.center = payload  # type: ignore[assignment]
                 knn_dirty.add(qid)
             else:
-                # Predictive regions re-filter in the refresh phase; only
-                # the footprint needs to move now.
+                # Predictive regions re-filter in the refresh phase.
                 query.region = payload  # type: ignore[assignment]
-                self.index.place_query_region(qid, payload)  # type: ignore[arg-type]
                 dirty_predictive.add(qid)
         if range_moves:
             self._columnar_evaluator.move_ranges(range_moves, updates)
@@ -836,9 +838,7 @@ class IncrementalEngine:
     # Phase 5: object movement
     # ------------------------------------------------------------------
 
-    def _apply_object_reports(
-        self, updates, knn_dirty: set[int], churned_cells: set[int]
-    ) -> None:
+    def _apply_object_reports(self, updates, knn_dirty: set[int], churned) -> None:
         """Batch ingest groups the buffer into home-cell transition
         cohorts (phase 5a), then the evaluator joins every cohort against
         its cells' range queries in one kernel pass and emits the changed
@@ -846,7 +846,7 @@ class IncrementalEngine:
         if not self._pending_reports:
             return
         with self.tracer.span("report_ingest", self._m_ingest_seconds):
-            columns = self._batch_ingest.group(self._pending_reports, churned_cells)
+            columns = self._batch_ingest.group(self._pending_reports, churned)
         emitted_before = len(updates)
         self._columnar_evaluator.run_columns(columns, updates, knn_dirty)
         self.recorder.record(
@@ -898,27 +898,13 @@ class IncrementalEngine:
             updates.push(qid, oid, 1)
 
         query.radius = ranked[-1][0] if ranked else 0.0
-        footprint = self.grid.cells_overlapping_set(
-            query.circle().bounding_rect()
-        )
-        if not footprint:  # center outside the world: clamp to home cell
-            footprint = frozenset((self.grid.cell_of(query.center),))
-        self.index.place_query(query.qid, footprint)
-
-        if len(query.answer) < query.k:
-            self._underfull_knn.add(query.qid)
-        else:
-            self._underfull_knn.discard(query.qid)
 
     # ------------------------------------------------------------------
     # Phase 7: predictive window refresh
     # ------------------------------------------------------------------
 
     def _refresh_predictive(
-        self,
-        updates,
-        churned_cells: set[int],
-        dirty_predictive: set[int],
+        self, updates, churned, dirty_predictive: set[int]
     ) -> None:
         """Refresh only predictive queries that can actually change.
 
@@ -927,26 +913,26 @@ class IncrementalEngine:
         time (the horizon window slides).  (a) is covered by
         ``dirty_predictive`` (registered/moved this batch), (b) by cell
         churn — every candidate's footprint intersects the query's
-        footprint, so any candidate change churns a footprint cell —
+        footprint, so any candidate change sets a footprint cell in the
+        ``churned`` mask —
         and (c) by the ``next_flip`` event time computed during the
         previous refresh: the earliest time the sliding window can flip
         some candidate's membership.  Anything else is provably a
         no-op and is skipped.
         """
-        predictive_qids = self._predictive_qids
-        if not predictive_qids:
+        evaluator = self._columnar_evaluator
+        predictive = evaluator.states_of(KIND_PREDICTIVE)
+        if not predictive:
             return
         need = dirty_predictive
-        if churned_cells:
-            footprint_of = self.index.query_cells
-            need.update(
-                qid
-                for qid in predictive_qids
-                if not churned_cells.isdisjoint(footprint_of(qid))
+        if churned.any():
+            hit = rect_cells_meet(
+                churned, *evaluator.region_footprints(predictive), self.grid.n, np
             )
+            need.update(query.qid for query in compress(predictive, hit.tolist()))
         now = self.now
         queries = self.queries
-        ordered = sorted(predictive_qids)
+        ordered = [query.qid for query in predictive]
         # Churn-driven refreshes: under sustained churn a flip schedule
         # would be recomputed every cycle and never consulted, so don't
         # pay for one — the first quiet evaluation refreshes once more
@@ -965,7 +951,7 @@ class IncrementalEngine:
             return
         refreshed, verdicts = map(
             iter,
-            self._columnar_evaluator.predictive_refresh(
+            evaluator.predictive_refresh(
                 churned, due, now, self.prediction_horizon
             ),
         )
@@ -1059,15 +1045,47 @@ class IncrementalEngine:
     # ------------------------------------------------------------------
 
     def _sample_occupancy(self) -> None:
-        """Grid occupancy: the store's ``cells`` column counted (objects
-        per home cell)."""
-        if not self.registry.enabled:
+        """Record the grid's occupancy shape into the registry.
+
+        Observes every occupied home cell's object count (the store's
+        ``cells`` column counted) into the ``grid_cell_occupancy``
+        histogram (cumulative across samples — one per evaluation),
+        refreshes the ``grid_populated_cells`` (cells holding an object
+        or under a query's footprint) / ``grid_indexed_objects`` /
+        ``grid_indexed_queries`` gauges, and publishes the
+        :data:`HOT_CELLS` hottest cells as
+        ``grid_hot_cell_occupancy{rank=...}`` plus the matching
+        ``grid_hot_cell_id{rank=...}`` (ties go to the lower cell id) —
+        the operator's view of skew (a mis-sized grid shows up as a few
+        enormous cells).  Skipped entirely under a disabled (null)
+        registry.
+        """
+        registry = self.registry
+        if not registry.enabled:
             return
-        self.index.sample_occupancy(
-            self.registry,
-            self._ostore.cell_counts(self.grid.cell_count),
-            len(self.objects),
+        counts = self._ostore.cell_counts(self.grid.cell_count)
+        cells = np.flatnonzero(counts)
+        sizes = counts[cells]
+        histogram = registry.histogram(
+            "grid_cell_occupancy", buckets=OCCUPANCY_BUCKETS
         )
+        for n, times in zip(*np.unique(sizes, return_counts=True)):
+            histogram.observe_n(int(n), int(times))
+        hottest = np.lexsort((cells, -sizes))[:HOT_CELLS]
+        covered = self._columnar_evaluator.footprint_cover()
+        registry.gauge("grid_populated_cells").set(
+            int(np.count_nonzero(counts + covered))
+        )
+        registry.gauge("grid_indexed_objects").set(len(self.objects))
+        registry.gauge("grid_indexed_queries").set(len(self.queries))
+        for rank in range(HOT_CELLS):
+            labels = {"rank": str(rank)}
+            if rank < len(hottest):
+                n, cell = int(sizes[hottest[rank]]), int(cells[hottest[rank]])
+            else:  # ranks beyond today's occupied count show no stale cell
+                n, cell = 0, -1
+            registry.gauge("grid_hot_cell_occupancy", labels=labels).set(n)
+            registry.gauge("grid_hot_cell_id", labels=labels).set(cell)
 
     def _check_fresh_qid(self, qid: int) -> None:
         if qid in self.queries or qid in self._pending_registrations:
@@ -1078,14 +1096,12 @@ class IncrementalEngine:
         queries = self.queries
         ostore = self._ostore
         # A store row is the only record of an object: every answer
-        # member is one, the grid index holds queries only, and both
-        # report doors clamped every stored location into the world (so
-        # the cells listing a range query find all its members).
+        # member is one, and both report doors clamped every stored
+        # location into the world (so the cells listing a range query
+        # find all its members).
         for qid, query in queries.items():
-            assert self.index.contains_query(qid)
             for oid in query.answer:
                 assert oid in ostore, (qid, oid)
-        assert self.index.object_count == 0
         xs, ys = ostore.xy_views()
         world = self.grid.world
         assert (
@@ -1095,14 +1111,9 @@ class IncrementalEngine:
         assert list(ostore.cells) == [
             self.grid.cell_of(Point(x, y)) for x, y in zip(ostore.xs, ostore.ys)
         ]
-        for qid in self._predictive_qids:
-            assert queries[qid].kind is QueryKind.PREDICTIVE_RANGE
         # The query store's rows stay coherent with the query states.
         qstore = self._qstore
         assert len(qstore) == len(queries)
-        assert self._knn_qids == {
-            qid for qid, query in queries.items() if query.kind is QueryKind.KNN
-        }
         for qid, query in queries.items():
             kind, min_x, min_y, max_x, max_y = qstore.descriptor(qid)
             if query.kind is QueryKind.RANGE:

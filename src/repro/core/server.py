@@ -44,6 +44,7 @@ the :mod:`repro.faults` chaos schedules.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, repeat
 
@@ -170,6 +171,9 @@ class LocationAwareServer:
         # qid -> the oids its client holds otherwise than the live
         # answer, only non-empty sets (see delivered_answer()).
         self._lag: dict[int, set[int]] = {}
+        # client -> the last query a wakeup delivered to, kept only
+        # while the client's latest wakeup left some delta behind.
+        self._resume_after: dict[int, int] = {}
         # Fault-injection gate for uplink traffic: ``gate(kind) -> bool``
         # where False defers the uplink call to the start of the next
         # evaluation cycle (a slow/congested uplink path).  ``None``
@@ -492,6 +496,11 @@ class LocationAwareServer:
         congested client forever: the server would diff future
         recoveries against a base the client never reached.)
 
+        A wakeup whose delta did not fit walks the client's queries
+        from past the last one its predecessor delivered to, so a
+        budget smaller than one wakeup's delta rotates over every
+        lagging query instead of starving all but the lowest qids.
+
         Returns the updates delivered (an
         :class:`~repro.core.updates.UpdateBatch`), for observability.
         """
@@ -505,22 +514,35 @@ class LocationAwareServer:
             link.new_cycle()
         self._notify("on_wakeup_begin", client_id)
         sent = UpdateBatch()
+        owned = sorted(self._queries_of_client[client_id])
+        resume = self._resume_after.get(client_id)
+        if resume is not None:
+            cut = bisect_right(owned, resume)
+            owned = owned[cut:] + owned[:cut]
+        last_served = None
+        behind = False
         with self.tracer.span("recovery"):
-            for qid in sorted(self._queries_of_client[client_id]):
+            for qid in owned:
                 # The delta flips the client's committed answer to the live
                 # one like a cycle: once shipped, the lag is its refused part.
                 self._lag.pop(qid, None)
                 delta = self.commits.recovery_updates(
                     qid, self._live_answer(qid), into=UpdateBatch()
                 )
-                sent.extend(
-                    self._ship(
-                        [(link, delta.qids, delta.oids, delta.signs, [(qid, 0, len(delta))])]
-                    )[1]
-                )
+                shipped = self._ship(
+                    [(link, delta.qids, delta.oids, delta.signs, [(qid, 0, len(delta))])]
+                )[1]
+                if shipped:
+                    last_served = qid
+                    sent.extend(shipped)
+                behind |= len(shipped) < len(delta)
                 self.commits.commit(qid, self.delivered_answer(qid))
                 self.freshness.observe_committed(qid)
                 self.recorder.record("commit", qid=qid, via="wakeup")
+        if not behind:
+            self._resume_after.pop(client_id, None)
+        elif last_served is not None:
+            self._resume_after[client_id] = last_served
         self._notify("on_wakeup_end", client_id)
         self._m_recovery_updates.inc(len(sent))
         self.recorder.record(

@@ -13,18 +13,23 @@ a marginally out-of-world coordinate like ``x = min_x - 0.3`` yields
 ``-0`` either way before clamping pins it to the border cell.  The
 hypothesis suite (``tests/grid/test_cellmath.py``) pins this on
 boundary coordinates.
+
+A query's footprint is a rectangle of cells, never stored:
+:func:`rect_cells_meet` tests a batch of them against a cell mask and
+:func:`rect_cells_cover` counts them per cell, each in ``O(m + n²)``.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "cell_rect_set",
     "clamp_axis_index",
     "point_cell",
     "point_cells_batch",
     "ragged_arange",
     "rect_cell_ranges_batch",
     "rect_cell_strips_batch",
+    "rect_cells_cover",
+    "rect_cells_meet",
 ]
 
 
@@ -55,21 +60,6 @@ def point_cell(
     return (
         clamp_axis_index(y, min_y, cell_h, n) * n
         + clamp_axis_index(x, min_x, cell_w, n)
-    )
-
-
-def cell_rect_set(first: int, last: int, width: int, n: int) -> frozenset[int]:
-    """The cells of one rectangle of cells — ``width`` columns wide, from
-    its lowest cell id ``first`` to its highest ``last`` — as the
-    ``frozenset`` the grid index stores for a footprint."""
-    if last - first < width:  # one grid row
-        return frozenset(range(first, last + 1))
-    return frozenset(
-        [
-            base + col
-            for base in range(first, last - width + 2, n)
-            for col in range(width)
-        ]
     )
 
 
@@ -159,3 +149,29 @@ def rect_cell_strips_batch(col_lo, col_hi, row_lo, row_hi, n: int, np):
     """
     owner, rows = ragged_arange(row_lo, row_hi - row_lo + 1, np)
     return owner, rows * n + col_lo[owner], (col_hi - col_lo + 1)[owner]
+
+
+def rect_cells_meet(mask, col_lo, col_hi, row_lo, row_hi, n: int, np):
+    """Whether each rectangle of cell ranges holds a cell set in
+    ``mask`` (one bool per cell id, ``n * n``): one 2-D prefix sum over
+    the mask, then four lookups per rectangle."""
+    sums = np.zeros((n + 1, n + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(mask.reshape(n, n), axis=0), axis=1, out=sums[1:, 1:])
+    row_hi = row_hi + 1
+    col_hi = col_hi + 1
+    return (
+        sums[row_hi, col_hi] - sums[row_lo, col_hi]
+        - sums[row_hi, col_lo] + sums[row_lo, col_lo]
+    ) > 0  # fmt: skip
+
+
+def rect_cells_cover(col_lo, col_hi, row_lo, row_hi, n: int, np):
+    """How many of a batch of rectangles of cell ranges lie over each
+    cell id (int64, ``n * n``): a 2-D difference array, one scatter per
+    corner, summed back in two passes."""
+    diff = np.zeros((n + 1, n + 1), dtype=np.int64)
+    np.add.at(diff, (row_lo, col_lo), 1)
+    np.add.at(diff, (row_lo, col_hi + 1), -1)
+    np.add.at(diff, (row_hi + 1, col_lo), -1)
+    np.add.at(diff, (row_hi + 1, col_hi + 1), 1)
+    return np.cumsum(np.cumsum(diff, axis=0), axis=1)[:n, :n].ravel()

@@ -9,8 +9,8 @@ loop.  Three implementations are provided:
   used as the oracle in tests.
 * :func:`grid_join` — hash objects into uniform grid cells, clip query
   rectangles to cells, test each (object, query) pair at most once.  This
-  mirrors what the incremental engine does in place over its resident
-  grid index.
+  mirrors what the incremental engine does over its object store's home
+  cells and its queries' cell footprints.
 * :func:`pbsm_join` — Partition Based Spatial-Merge join (Patel & DeWitt,
   SIGMOD 1996, the algorithm the paper cites for its bulk processing):
   partition both inputs into tiles, run a plane sweep within each tile,

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
+
 from repro.check.reference import ReferenceEngine
 from repro.columnar import classify_transitions
 from repro.core import DEFAULT_WORLD, IncrementalEngine
@@ -53,7 +55,9 @@ def test_column_planner_on_every_cohort_shape():
         engine.report_object(12, Point(0.16, 0.07), 1.0, Velocity(0.01, 0.0))  # leaves 2
         engine.report_object(13, Point(0.3, 0.3), 1.0)
     engine, ref = engines
-    columns = engine._batch_ingest.group(engine._pending_reports, set())
+    columns = engine._batch_ingest.group(
+        engine._pending_reports, np.zeros(GRID * GRID, dtype=bool)
+    )
     plan = engine._columnar_evaluator._plan_columns(columns, set())
     members = [
         columns.oids[columns.order[start : start + count]].tolist()
@@ -116,7 +120,6 @@ def test_hostile_oids_stay_inside_the_batch_call():
         assert streams[0] == streams[1]
     batch, ref = engines
     assert batch.complete_answers() == ref.complete_answers()
-    assert batch.index.object_count == 0
     for engine in engines:
         engine.remove_object(-7)
         engine.remove_object(10**12)
@@ -172,9 +175,10 @@ def test_a_knn_query_holding_a_reported_member_is_marked_dirty():
     """The member rule, pinned where per-cell marking cannot stand in
     for it: a member on a cell edge a few ulps outside its circle's
     rounded bounding rectangle leaves the footprint, so neither of its
-    cells lists the query.  Here the footprint is re-placed by hand to
-    cover neither the member's old cell nor its new one; reporting the
-    member must still mark its query, and only its query."""
+    cells meets it.  Here each query's centre is moved by hand, radius
+    0, to a far cell, so its computed footprint covers neither the
+    member's old cell nor its new one; reporting the member must still
+    mark its query, and only its query."""
     engine = columnar()
     engine.register_knn_query(7, Point(0.1, 0.1), 1)
     engine.register_knn_query(8, Point(0.9, 0.9), 1)
@@ -182,11 +186,14 @@ def test_a_knn_query_holding_a_reported_member_is_marked_dirty():
     engine.report_object(2, Point(0.88, 0.88), 0.0)  # cell 63, query 8's
     engine.evaluate(0.0)
     assert engine.answer_of(7) == {1} and engine.answer_of(8) == {2}
-    far = frozenset({GRID * GRID // 2})
+    far = engine.grid.cell_rect(GRID * GRID // 2).center
     for qid in (7, 8):
-        engine.index.place_query(qid, far)
+        engine.queries[qid].center = far
+        engine.queries[qid].radius = 0.0
     engine.report_object(1, Point(0.2, 0.12), 1.0)  # cell 0 -> cell 1
-    columns = engine._batch_ingest.group(engine._pending_reports, set())
+    columns = engine._batch_ingest.group(
+        engine._pending_reports, np.zeros(GRID * GRID, dtype=bool)
+    )
     assert (columns.old.tolist(), columns.new.tolist()) == ([0], [1])
     knn_dirty: set[int] = set()
     engine._columnar_evaluator._plan_columns(columns, knn_dirty)

@@ -293,7 +293,6 @@ def test_first_time_and_underfull_queries_take_the_array_pass():
     # Query 2 is underfull, so it is dirty on every growth.
     assert trio.production.stats.knn_repairs == 6
     assert trio.production.answer_of(2) == {0, 1, 2}
-    assert trio.production.index.object_count == 0
 
 
 # ----------------------------------------------------------------------

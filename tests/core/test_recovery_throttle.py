@@ -99,6 +99,40 @@ class TestRecoveryUnderThrottle:
         assert server.commits.committed_answer(10) == client.answer_of(10)
 
 
+    def test_no_query_starves_behind_lower_qids(self):
+        """A budget smaller than one wakeup's delta is spent where the
+        previous wakeup stopped, not on the lowest qids every time:
+        within as many wakeups as the client has queries, every query
+        with a non-empty delta receives an update — and repeated
+        wakeups still converge."""
+        server = LocationAwareServer(grid_size=8)
+        client = Client(1, server, downlink_budget=BUDGET)
+        qids = [10, 11, 12, 13, 14]
+        for qid in qids:
+            server.register_range_query(1, qid=qid, region=REGION)
+            client.track_query(qid)
+        client.disconnect()
+        for oid in range(8):
+            server.receive_object_report(oid, Point(0.5, 0.5), 1.0)
+        server.evaluate_cycle(1.0)  # 40 updates, all lost in the outage
+        lagging = {
+            qid for qid in qids
+            if server.delivered_answer(qid) != server.engine.answer_of(qid)
+        }  # fmt: skip
+        assert lagging == set(qids)
+        served: set[int] = set()
+        for _ in qids:
+            served.update(server.receive_wakeup(1).qids)
+        assert served == lagging
+        for _ in range(100):
+            if all(client.answer_of(q) == server.engine.answer_of(q) for q in qids):
+                break
+            client.reconnect()
+        for qid in qids:
+            assert client.answer_of(qid) == server.engine.answer_of(qid)
+            assert server.commits.committed_answer(qid) == client.answer_of(qid)
+
+
 class TestNaiveRecoveryAccounting:
     def test_wakeup_uplink_is_recorded(self):
         """`recover_naive` now records the wakeup uplink it responds to,

@@ -100,7 +100,6 @@ class TestEngineRegistry:
         engine.evaluate(2.0)
         hist = engine.registry.histogram("grid_cell_occupancy")
         assert (hist.count, hist.sum) == (6, 8.0)  # two cells per sample
-        assert engine.index.object_count == 0
 
     def test_query_side_path_counters_say_which_path_ran(self):
         """Query moves and k-NN repairs have one path, so one unlabelled

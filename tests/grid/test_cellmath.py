@@ -5,7 +5,9 @@ bit for bit on every coordinate — including cell-boundary points, the
 world edge, and out-of-world coordinates that clamp — because the batch
 ingest path substitutes one for the other, and the two pipelines must
 agree on every object's home cell.  Hypothesis hunts the boundary
-cases; a deterministic sweep pins exact cell-edge multiples.
+cases; a deterministic sweep pins exact cell-edge multiples.  The
+engine's query footprints, computed from geometry, are held to the
+scalar ``Grid.cells_overlapping_set`` the same way.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import IncrementalEngine
+from repro.core.state import KnnQueryState, RangeQueryState
 from repro.geometry import Point, Rect
 from repro.grid import Grid
 from repro.grid.cellmath import (
@@ -161,3 +165,60 @@ def test_rect_ranges_bit_identical_on_cell_edges(n):
     assert got == want
     assert any(not cells for cells in want)
     assert n == 1 or any(len(cells) > 1 for cells in want)
+
+
+# ----------------------------------------------------------------------
+# The engine's query footprints: arithmetic twins of the scalar cells
+# ----------------------------------------------------------------------
+
+
+def edge_coords(n):
+    """Off-world and in-world coordinates, cell edges ``k / n`` and the
+    floats one ulp either side of them."""
+    edges = st.integers(0, n).map(lambda k: k / n)
+    nudged = st.tuples(edges, st.sampled_from((-np.inf, 0.0, np.inf))).map(
+        lambda v: float(np.nextafter(v[0], v[1])) if v[1] else v[0]
+    )
+    return st.one_of(rect_coords, st.floats(-1e3, 1e3), nudged)
+
+
+def expand(ranges, n):
+    """Per footprint, its cells as a frozenset."""
+    return [
+        frozenset(
+            row * n + col
+            for row in range(row_lo, row_hi + 1)
+            for col in range(col_lo, col_hi + 1)
+        )
+        for col_lo, col_hi, row_lo, row_hi in ranges.T.tolist()
+    ]
+
+
+@given(grid_sizes, st.data())
+def test_engine_footprints_match_scalar_cells(n, data):
+    """A rectangle's footprint is ``Grid.cells_overlapping_set`` of it,
+    a circle's that of its bounding rectangle, each falling back to the
+    home cell of its centre when it misses the world — off-world
+    centres, radius 0 and edges nudged one ulp included.  Circles reach
+    to a drawn coordinate, so their bounds land on and beside edges."""
+    engine = IncrementalEngine(world=UNIT, grid_size=n)
+    grid = engine.grid
+    evaluator = engine._columnar_evaluator
+    coord = edge_coords(n)
+    points = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=16))
+    circles = []
+    for x, y in points:
+        base = data.draw(st.sampled_from((x, y)))
+        reach = data.draw(st.one_of(st.just(base), coord))
+        circles.append(KnnQueryState(0, Point(x, y), 1, 0.0, radius=abs(reach - base)))
+    rects = [
+        Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+        for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1])
+    ]
+    for got, circle in zip(expand(evaluator.knn_footprints(circles), n), circles):
+        want = grid.cells_overlapping_set(circle.circle().bounding_rect())
+        assert got == (want or {grid.cell_of(circle.center)})
+    regions = [RangeQueryState(0, rect, 0.0) for rect in rects]
+    for got, rect in zip(expand(evaluator.region_footprints(regions), n), rects):
+        want = grid.cells_overlapping_set(rect)
+        assert got == (want or {grid.cell_of(rect.center)})

@@ -1,10 +1,13 @@
-"""GridIndex: placement, movement, retrieval, bucket reclamation."""
+"""GridIndex (the snapshot baseline's object index): placement,
+movement, retrieval, bucket reclamation — and the grid-occupancy
+gauges the engine samples without one."""
 
-import numpy as np
 import pytest
 
+from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect
 from repro.grid import Grid, GridIndex
+from repro.obs import NULL_REGISTRY, MetricsRegistry
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -50,30 +53,6 @@ class TestObjects:
             index.place_object(1, frozenset())
 
 
-class TestQueries:
-    def test_place_query_region(self, index):
-        region = Rect(0.2, 0.2, 0.45, 0.3)
-        index.place_query_region(7, region)
-        assert index.query_cells(7) == index.grid.cells_overlapping_set(region)
-
-    def test_region_outside_world_clamps(self, index):
-        index.place_query_region(7, Rect(2, 2, 3, 3))
-        assert len(index.query_cells(7)) == 1
-
-    def test_move_query(self, index):
-        index.place_query_region(7, Rect(0.0, 0.0, 0.1, 0.1))
-        index.place_query_region(7, Rect(0.9, 0.9, 1.0, 1.0))
-        assert index.query_count == 1
-        old_cell = index.grid.cell_of(Point(0.05, 0.05))
-        assert 7 not in index.queries_in_cell(old_cell)
-
-    def test_remove_query(self, index):
-        index.place_query_region(7, Rect(0, 0, 1, 1))
-        index.remove_query(7)
-        assert not index.contains_query(7)
-        assert index.populated_cell_count == 0
-
-
 class TestRetrieval:
     def test_objects_overlapping_returns_candidates(self, index):
         index.place_object_at(1, Point(0.51, 0.51))
@@ -89,36 +68,6 @@ class TestRetrieval:
         assert 1 in found
 
 
-class TestZeroCopyViews:
-    """``queries_in_cell`` returns live bucket storage, not a copy."""
-
-    SPOT = Rect(0.5, 0.5, 0.51, 0.51)
-
-    def test_views_alias_bucket_storage(self, index):
-        index.place_query_region(1, self.SPOT)
-        cell = index.grid.cell_of(Point(0.5, 0.5))
-        view = index.queries_in_cell(cell)
-        assert view == {1}
-        index.place_query_region(2, self.SPOT)
-        assert view == {1, 2}  # reflects later mutations
-        index.remove_query(1)
-        assert view == {2}
-
-    def test_empty_cell_view_is_shared_and_immutable(self, index):
-        view = index.queries_in_cell(3)
-        assert view == frozenset()
-        assert view is index.queries_in_cell(5)  # one shared sentinel
-        with pytest.raises(AttributeError):
-            view.add(1)  # accidental mutation fails loudly
-
-    def test_snapshot_survives_index_mutation(self, index):
-        index.place_query_region(1, self.SPOT)
-        cell = index.grid.cell_of(Point(0.5, 0.5))
-        snapshot = set(index.queries_in_cell(cell))
-        index.remove_query(1)
-        assert snapshot == {1}  # the copy, unlike the view, is stable
-
-
 class TestBuckets:
     def test_empty_buckets_are_reclaimed(self, index):
         index.place_object_at(1, Point(0.5, 0.5))
@@ -126,19 +75,12 @@ class TestBuckets:
         index.remove_object(1)
         assert index.populated_cell_count == 0
 
-    def test_bucket_shared_by_object_and_query(self, index):
-        index.place_object_at(1, Point(0.5, 0.5))
-        cell = index.grid.cell_of(Point(0.5, 0.5))
-        index.place_query(9, frozenset({cell}))
-        assert index.populated_cell_count == 1
-        assert index.queries_in_cell(cell) == {9}
-        index.remove_object(1)
-        assert index.populated_cell_count == 1  # the query keeps it alive
-        index.remove_query(9)
-        assert index.populated_cell_count == 0
-
 
 class TestOccupancySampling:
+    """The engine's grid-occupancy gauges, sampled once per evaluation:
+    objects counted per home cell from its store, query footprints
+    counted as populated cells."""
+
     #: Cell of (0.1, 0.1) gets 3 objects, two other cells get 1 each.
     POINTS = [
         Point(0.1, 0.1),
@@ -148,55 +90,45 @@ class TestOccupancySampling:
         Point(0.9, 0.1),
     ]
 
-    def populated_index(self):
-        index = GridIndex(Grid(UNIT, 4))
-        index.place_query_region(100, Rect(0.0, 0.0, 0.3, 0.3))
-        return index
-
-    def counts(self, index, points=POINTS):
-        """Objects per home cell, as the engine counts its store."""
-        cells = [index.grid.cell_of(point) for point in points]
-        return np.bincount(cells, minlength=index.grid.cell_count)
+    def sampled(self, points=POINTS, registry=None):
+        """A 4x4 engine holding ``points`` and one range query over
+        cells 0, 1, 4 and 5, evaluated once."""
+        registry = MetricsRegistry() if registry is None else registry
+        engine = IncrementalEngine(grid_size=4, registry=registry)
+        engine.register_range_query(100, Rect(0.0, 0.0, 0.3, 0.3))
+        for oid, point in enumerate(points):
+            engine.report_object(oid, point, 0.0)
+        engine.evaluate(0.0)
+        return engine, registry
 
     def test_population_gauges(self):
-        from repro.obs import MetricsRegistry
-
-        index, registry = self.populated_index(), MetricsRegistry()
-        index.sample_occupancy(registry, self.counts(index), 5)
+        _, registry = self.sampled()
         assert registry.value_of("grid_indexed_objects") == 5.0
         assert registry.value_of("grid_indexed_queries") == 1.0
-        # Object cells {3} plus the query's clipped cells (query-only
-        # cells are populated too): 4x4 grid, region (0,0)-(0.3,0.3)
-        # covers a 2x2 block.
+        # Object cells {0, 3, 10} plus the query's clipped cells
+        # (query-only cells are populated too): 4x4 grid, region
+        # (0,0)-(0.3,0.3) covers a 2x2 block.
         assert registry.value_of("grid_populated_cells") == 6.0
 
     def test_occupancy_histogram_counts_populated_cells(self):
-        from repro.obs import MetricsRegistry
-
-        index, registry = self.populated_index(), MetricsRegistry()
-        index.sample_occupancy(registry, self.counts(index), 5)
+        _, registry = self.sampled()
         hist = registry.histogram("grid_cell_occupancy")
-        assert hist.count == 3           # one observation per populated cell
+        assert hist.count == 3           # one observation per occupied cell
         assert hist.sum == 5.0           # total objects across cells
 
     def test_hot_cells_ranked_by_occupancy(self):
-        from repro.obs import MetricsRegistry
-
-        index, registry = self.populated_index(), MetricsRegistry()
-        index.sample_occupancy(registry, self.counts(index), 5, top_k=2)
+        engine, registry = self.sampled()
         top = registry.value_of("grid_hot_cell_occupancy", {"rank": "0"})
         second = registry.value_of("grid_hot_cell_occupancy", {"rank": "1"})
         assert top == 3.0 and second == 1.0
         hot_id = registry.value_of("grid_hot_cell_id", {"rank": "0"})
-        assert hot_id == float(index.grid.cell_of(Point(0.1, 0.1)))
+        assert hot_id == float(engine.grid.cell_of(Point(0.1, 0.1)))
 
     def test_stale_ranks_zeroed_when_world_shrinks(self):
-        from repro.obs import MetricsRegistry
-
-        index, registry = self.populated_index(), MetricsRegistry()
-        index.sample_occupancy(registry, self.counts(index), 5, top_k=5)
-        remaining = self.counts(index, self.POINTS[:1])
-        index.sample_occupancy(registry, remaining, 1, top_k=5)
+        engine, registry = self.sampled()
+        for oid in range(1, len(self.POINTS)):
+            engine.remove_object(oid)
+        engine.evaluate(1.0)
         assert registry.value_of("grid_hot_cell_occupancy", {"rank": "0"}) == 1.0
         for rank in ("1", "2", "3", "4"):
             assert (
@@ -205,16 +137,13 @@ class TestOccupancySampling:
             assert registry.value_of("grid_hot_cell_id", {"rank": rank}) == -1.0
 
     def test_home_cell_counts_replace_the_buckets(self):
-        """Fed per-cell counts (the engine's store column), occupancy
-        ignores the empty object side: populated cells are the occupied
-        ones plus the query-only ones, ties rank by cell id."""
-        from repro.obs import MetricsRegistry
-
-        index, registry = GridIndex(Grid(UNIT, 4)), MetricsRegistry()
-        index.place_query_region(100, Rect(0.0, 0.0, 0.3, 0.3))  # cells 0, 1, 4, 5
-        counts = np.zeros(16, dtype=np.int64)
-        counts[[0, 9, 3]] = [3, 1, 1]
-        index.sample_occupancy(registry, counts, 5, top_k=3)
+        """Occupancy counts the store's home cells: populated cells are
+        the occupied ones plus the query-only ones, ties rank by cell
+        id."""
+        # Three objects in cell 0, one each in cells 9 and 3.
+        points = [Point(0.1, 0.1)] * 3 + [Point(0.3, 0.6), Point(0.9, 0.1)]
+        engine, registry = self.sampled(points)
+        assert [engine.grid.cell_of(p) for p in points] == [0, 0, 0, 9, 3]
         assert registry.value_of("grid_indexed_objects") == 5.0
         assert registry.value_of("grid_populated_cells") == 6.0
         hist = registry.histogram("grid_cell_occupancy")
@@ -224,10 +153,26 @@ class TestOccupancySampling:
             for rank in range(3)
         ] == [0.0, 3.0, 9.0]
 
-    def test_null_registry_short_circuits(self):
-        from repro.obs import NULL_REGISTRY
+    def test_knn_and_predictive_footprints_are_populated_cells(self):
+        """A k-NN query's footprint is its circle's cells — its centre's
+        home cell when the circle misses the world — and a predictive
+        query's its region's."""
+        registry = MetricsRegistry()
+        engine = IncrementalEngine(grid_size=4, registry=registry)
+        # No objects, so both circles keep radius 0.
+        engine.register_knn_query(200, Point(0.1, 0.1), 1)  # cell 0
+        engine.register_knn_query(201, Point(5.0, 0.9), 1)  # off-world: cell 15
+        engine.register_predictive_query(300, Rect(0.3, 0.3, 0.6, 0.4), 5.0)
+        engine.evaluate(0.0)  # query 300: cells 5, 6
+        assert registry.value_of("grid_populated_cells") == 4.0
+        assert registry.value_of("grid_indexed_queries") == 3.0
+        engine.report_object(1, Point(0.9, 0.1), 1.0)  # cell 3
+        engine.evaluate(1.0)
+        # Both circles widen to reach (0.9, 0.1); query 200's, of
+        # radius 0.8 around (0.1, 0.1), alone covers the whole grid.
+        assert registry.value_of("grid_populated_cells") == 16.0
 
-        index = self.populated_index()
+    def test_null_registry_short_circuits(self):
         # Must not raise or record.
-        index.sample_occupancy(NULL_REGISTRY, self.counts(index), 5)
+        self.sampled(registry=NULL_REGISTRY)
         assert NULL_REGISTRY.to_dict() == {}

@@ -68,5 +68,4 @@ class EnginePair:
         assert per_query(got) == per_query(want), f"update multisets at {now}"
         assert self.production.complete_answers() == self.reference.complete_answers()
         self.production.check_invariants()
-        assert self.production.index.object_count == 0
         return got
