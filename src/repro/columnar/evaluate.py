@@ -34,9 +34,11 @@ the batch's oids) — a member can leave a circle's footprint from a cell
 edge, a few ulps outside the circle's rounded bounding rectangle, and
 then neither of its cells meets the footprint.
 
-Nothing here mirrors object or answer state: the object store's row is
-the only record of an object, and ``query.answer`` the only record of
-an answer, which the batch passes update in place.
+Nothing here mirrors object or query state: the object store's row is
+the only record of an object and the query store's row of a query —
+its geometry columns and its answer set, which the batch passes update
+in place.  Every pass takes query-store rows and gathers its inputs
+from the columns.
 
 The evaluator also runs the **query side** of a cycle — engine phases
 3, 4, 6 and 7 — as array passes over the object store's home-cell CSR
@@ -73,7 +75,7 @@ import numpy as np
 
 from repro.columnar.ingest import swept_cell_ranges
 from repro.columnar.kernels import PairPlan, classify_transitions
-from repro.columnar.store import KIND_KNN, KIND_PREDICTIVE, KIND_RANGE
+from repro.columnar.store import KIND_KNN, KIND_RANGE
 from repro.grid.cellmath import (
     point_cells_batch,
     ragged_arange,
@@ -113,8 +115,6 @@ class _DualCounter:
 class ColumnarEvaluator:
     """Batch evaluator bound to one engine's live structures.
 
-    ``queries`` aliases the engine's own dict; the evaluator never
-    rebinds it.
     Emission goes through the update stream's ``push`` /
     ``extend_columns`` contract, which keeps this package import-free
     of :mod:`repro.core` (the engine imports us).
@@ -125,14 +125,12 @@ class ColumnarEvaluator:
         grid,
         ostore,
         qstore,
-        queries,
         registry,
         tracer,
     ):
         self.grid = grid
         self.ostore = ostore
         self.qstore = qstore
-        self.queries = queries
         self.tracer = tracer
         self._csr: tuple | None = None
         self._h_batch_size = registry.histogram(
@@ -193,7 +191,7 @@ class ColumnarEvaluator:
     def _toggle_memberships(self, qid_arr, oids) -> None:
         """Apply a batch of changed ``(query, object)`` atoms (distinct,
         non-empty, **grouped by query**: ``qid_arr`` an array, ``oids``
-        the aligned list) to the live ``answer`` sets.
+        the aligned list) to the query store's answer sets.
 
         Signs are not needed: a positive pair's object is provably
         absent from the answer and a negative pair's present (the very
@@ -203,11 +201,12 @@ class ColumnarEvaluator:
         query.  Every caller emits per query, so the grouping is the
         emission order's and costs no sort here.
         """
-        queries = self.queries
+        answers = self.qstore.answers
+        row_of = self.qstore._row_of
         cuts = (np.flatnonzero(qid_arr[1:] != qid_arr[:-1]) + 1).tolist()
         starts = [0, *cuts]
         for qid, s, e in zip(qid_arr[starts].tolist(), starts, [*cuts, len(oids)]):
-            queries[qid].answer.symmetric_difference_update(oids[s:e])
+            answers[row_of[qid]].symmetric_difference_update(oids[s:e])
 
     # ------------------------------------------------------------------
     # Plan construction
@@ -233,16 +232,18 @@ class ColumnarEvaluator:
         new = columns.new
         n_cohorts = len(new)
         changed = (old >= 0) & (old != new)
-        knn = self.states_of(KIND_KNN)
-        if knn:
+        qstore = self.qstore
+        knn = qstore.rows_of(KIND_KNN)
+        if len(knn):
             n = self.grid.n
             touched = np.zeros(n * n, dtype=bool)
             touched[old[changed]] = True
             touched[new] = True
-            hit = rect_cells_meet(touched, *self.knn_footprints(knn), n, np)
-            held_by, members = _flatten([query.answer for query in knn])
+            hit = rect_cells_meet(touched, *self.footprints(knn), n, np)
+            answers = list(map(qstore.answers.__getitem__, knn.tolist()))
+            held_by, members = _flatten(answers)
             hit[held_by[np.isin(members, columns.oids)]] = True
-            knn_dirty.update(query.qid for query in compress(knn, hit.tolist()))
+            knn_dirty.update(np.frombuffer(qstore.qids, dtype=np.int64)[knn[hit]].tolist())
 
         # Two segments per cohort, interleaved [old, new, old, new, ...];
         # cell c's partial rows start at offsets[2c], its covering rows
@@ -295,39 +296,35 @@ class ColumnarEvaluator:
             ranges = np.where(hit, ranges, np.stack((col, col, row, row)))
         return ranges
 
-    def knn_footprints(self, queries):
-        """The footprints of k-NN query states: their circles' bounding
-        rectangles, falling back to the centre's home cell."""
-        cx, cy, r = np.array(
-            [(q.center.x, q.center.y, q.radius) for q in queries], dtype=np.float64
-        ).reshape(-1, 3).T
-        return self._footprint_ranges(cx - r, cy - r, cx + r, cy + r, cx, cy)
+    def _regions(self, rows):
+        """The region bounds of query-store ``rows`` as a ``(4, m)``
+        array ``min_x, min_y, max_x, max_y``."""
+        return np.stack([view[rows] for view in self.qstore.bounds_views()])
 
-    def region_footprints(self, queries):
-        """The footprints of range or predictive query states' regions."""
+    def footprints(self, rows):
+        """The footprints of query-store ``rows``: a k-NN query's
+        circle's bounding rectangle, any other query's region, each
+        falling back to its centre's home cell."""
+        qstore = self.qstore
+        min_x, min_y, max_x, max_y = self._regions(rows)
+        knn = np.frombuffer(qstore.kinds, dtype=np.int8)[rows] == KIND_KNN
+        cx, cy, r = (
+            np.frombuffer(column, dtype=np.float64)[rows]
+            for column in (qstore.cxs, qstore.cys, qstore.radii)
+        )
         return self._footprint_ranges(
-            *np.array(
-                [(q.region.min_x, q.region.min_y, q.region.max_x, q.region.max_y) for q in queries],
-                dtype=np.float64,
-            ).reshape(-1, 4).T
-        )  # fmt: skip
-
-    def states_of(self, kind: int):
-        """The states of every ``kind`` query, ascending by qid."""
-        return list(map(self.queries.__getitem__, self.qstore.qids_of(kind).tolist()))
+            np.where(knn, cx - r, min_x),
+            np.where(knn, cy - r, min_y),
+            np.where(knn, cx + r, max_x),
+            np.where(knn, cy + r, max_y),
+            np.where(knn, cx, (min_x + max_x) / 2.0),
+            np.where(knn, cy, (min_y + max_y) / 2.0),
+        )
 
     def footprint_cover(self):
         """How many query footprints lie over each cell (int64 per
-        cell): the range queries' from the store's bound columns, the
-        k-NN and predictive ones from their states."""
-        qstore = self.qstore
-        is_range = np.frombuffer(qstore.kinds, dtype=np.int8) == KIND_RANGE
-        ranges = (
-            self._footprint_ranges(*(view[is_range] for view in qstore.bounds_views())),
-            self.knn_footprints(self.states_of(KIND_KNN)),
-            self.region_footprints(self.states_of(KIND_PREDICTIVE)),
-        )
-        return rect_cells_cover(*np.concatenate(ranges, axis=1), self.grid.n, np)
+        cell)."""
+        return rect_cells_cover(*self.footprints(np.arange(len(self.qstore))), self.grid.n, np)
 
     def _range_csr(self):
         """The grid-wide CSR of range candidates ``(rows, offsets)``,
@@ -347,12 +344,8 @@ class ColumnarEvaluator:
         self._m_csr_rebuilds.inc()
         grid = self.grid
         n = grid.n
-        kinds = np.frombuffer(qstore.kinds, dtype=np.int8)
-        rows = np.flatnonzero(kinds == KIND_RANGE)
-        rows = rows[np.argsort(np.frombuffer(qstore.qids, dtype=np.int64)[rows])]
-        min_xs, min_ys, max_xs, max_ys = (
-            view[rows] for view in qstore.bounds_views()
-        )
+        rows = qstore.rows_of(KIND_RANGE)
+        min_xs, min_ys, max_xs, max_ys = self._regions(rows)
         owner, first, width = rect_cell_strips_batch(
             *self._footprint_ranges(min_xs, min_ys, max_xs, max_ys), n, np
         )
@@ -452,15 +445,12 @@ class ColumnarEvaluator:
         min_x, min_y, max_x, max_y = bounds[:, pos]
         return (min_x <= x) & (x <= max_x) & (min_y <= y) & (y <= max_y)
 
-    def fill_ranges(self, queries, updates) -> None:
-        """Engine phase 3 for every newly registered range query at
-        once — the positive half of :meth:`move_ranges`: the objects
-        inside each region, emitted per query in the given order, oids
-        ascending."""
-        bounds = np.array(
-            [(q.region.min_x, q.region.min_y, q.region.max_x, q.region.max_y) for q in queries],
-            dtype=np.float64,
-        ).T  # fmt: skip
+    def fill_ranges(self, qrows, updates) -> None:
+        """Engine phase 3 for every newly registered range query (their
+        store rows ``qrows``) at once — the positive half of
+        :meth:`move_ranges`: the objects inside each region, emitted per
+        query in the given order, oids ascending."""
+        bounds = self._regions(qrows)
         pos, rows = self._gather(self._footprint_ranges(*bounds))
         keep = np.flatnonzero(self._inside(bounds, pos, rows))
         if not len(keep):
@@ -468,17 +458,17 @@ class ColumnarEvaluator:
         pos = pos[keep]
         oids = np.frombuffer(self.ostore.oids, dtype=np.int64)[rows[keep]]
         order = np.lexsort((oids, pos))
-        qids = np.fromiter((q.qid for q in queries), np.int64, count=len(queries))
-        qid_arr = qids[pos[order]]
+        qid_arr = np.frombuffer(self.qstore.qids, dtype=np.int64)[qrows[pos[order]]]
         oid_list = oids[order].tolist()
         self._toggle_memberships(qid_arr, oid_list)
         updates.extend_columns(qid_arr.tolist(), oid_list, [1] * len(keep))
 
-    def move_ranges(self, moves, updates) -> None:
-        """Engine phase 4 for every moved range query at once.
-        ``moves`` holds ``(query state, new region)`` in arrival order;
-        the stream is, per query, negatives (``A_old - A_new``)
-        ascending by oid, then positives by
+    def move_ranges(self, qrows, regions, updates) -> None:
+        """Engine phase 4 for every moved range query at once: store
+        rows ``qrows`` and their new ``regions``, in arrival order; the
+        new bounds are written to the store after the pass.  The stream
+        is, per query, negatives (``A_old - A_new``) ascending by oid,
+        then positives by
         ``Rect.difference`` piece (bottom, top, left, right; a point on
         a shared edge belongs to the first piece holding it; a disjoint
         move is one piece) and oid.
@@ -490,14 +480,10 @@ class ColumnarEvaluator:
         (pre-ingest: phase 4 precedes the reports).
         """
         qstore = self.qstore
-        m = len(moves)
-        row_of = qstore._row_of
-        qrows = np.fromiter(
-            (row_of[query.qid] for query, _ in moves), np.int64, count=m
-        )
-        old = np.stack([view[qrows] for view in qstore.bounds_views()])
+        m = len(qrows)
+        old = self._regions(qrows)
         new = np.array(
-            [(r.min_x, r.min_y, r.max_x, r.max_y) for _, r in moves],
+            [(r.min_x, r.min_y, r.max_x, r.max_y) for r in regions],
             dtype=np.float64,
         ).T
         old_cells = self._footprint_ranges(*old)
@@ -542,13 +528,12 @@ class ColumnarEvaluator:
                 np.where(piece[order] < 0, -1, 1).tolist(),
             )
         qstore.move_bounds(qrows, *new)
-        for query, region in moves:
-            query.region = region
 
-    def knn_ranked(self, queries) -> list[list[tuple[float, int]]]:
-        """The ranked ``(distance, oid)`` answer of every given k-NN
-        query, searched together; equal to the brute-force
-        :func:`repro.check.reference.knn_answer` list for list.
+    def knn_ranked(self, qrows) -> list[list[tuple[float, int]]]:
+        """The ranked ``(distance, oid)`` answer of the k-NN query in
+        every given store row, searched together from its centre; equal
+        to the brute-force :func:`repro.check.reference.knn_answer` list
+        for list.
 
         Each search is bounded by a squared distance k objects lie
         within: a query holding a full answer takes its members' own
@@ -562,26 +547,25 @@ class ColumnarEvaluator:
         the survivors only — so the radius stays bit-identical to the
         brute force's.
         """
-        m = len(queries)
+        m = len(qrows)
         ostore = self.ostore
-        row_of = ostore._row_of
+        qstore = self.qstore
         xs, ys = ostore.xy_views()
-        cx, cy, ks = np.array(
-            [(q.center.x, q.center.y, q.k) for q in queries], dtype=np.float64
-        ).T
-        ks = ks.astype(np.int64)
-        full = np.fromiter((len(q.answer) == q.k for q in queries), bool, count=m)
+        cx, cy = (
+            np.frombuffer(column, dtype=np.float64)[qrows]
+            for column in (qstore.cxs, qstore.cys)
+        )
+        ks = np.frombuffer(qstore.ks, dtype=np.int64)[qrows]
+        answers = list(map(qstore.answers.__getitem__, qrows.tolist()))
+        full = np.fromiter(map(len, answers), np.int64, count=m) == ks
         bound = np.empty(m)
         if full.any():
-            sizes = ks[full]
-            members = np.fromiter(
-                (row_of[oid] for q, f in zip(queries, full.tolist()) if f for oid in q.answer),
-                np.int64,
-                count=int(sizes.sum()),
-            )  # fmt: skip
-            owner = np.repeat(np.flatnonzero(full), sizes)
+            held_by, members = _flatten(list(compress(answers, full.tolist())))
+            owner = np.flatnonzero(full)[held_by]
+            members = np.fromiter(map(ostore._row_of.__getitem__, members.tolist()), np.int64)
             dx = xs[members] - cx[owner]
             dy = ys[members] - cy[owner]
+            sizes = ks[full]
             bound[full] = np.maximum.reduceat(dx * dx + dy * dy, np.cumsum(sizes) - sizes)
         short = np.flatnonzero(~full)
         if len(short):
@@ -643,11 +627,11 @@ class ColumnarEvaluator:
             radius = 2 * radius + 1
         return bound
 
-    def _predictive_pairs(self, queries, now: float, trust_horizon: float):
-        """Every given predictive query's candidates and their windowed
-        membership at ``now``, as ``(pos, oids, standing, inside)``: one
-        entry per distinct (query position, object), ascending by
-        position then oid.
+    def _predictive_pairs(self, qrows, now: float, trust_horizon: float):
+        """The candidates of the predictive query in every given store
+        row and their windowed membership at ``now``, as ``(pos, oids,
+        standing, inside)``: one entry per distinct (query position,
+        object), ascending by position then oid.
 
         Candidates are the objects whose index footprint meets the
         query's, plus the standing answer (``standing``) — recomputed
@@ -655,16 +639,11 @@ class ColumnarEvaluator:
         the query's footprint and moving objects whose swept footprint
         (:func:`~repro.columnar.ingest.swept_cell_ranges`) meets it.
         """
-        m = len(queries)
+        m = len(qrows)
         ostore = self.ostore
-        *bounds, horizons = np.array(
-            [
-                (q.region.min_x, q.region.min_y, q.region.max_x, q.region.max_y, q.horizon)
-                for q in queries
-            ],
-            dtype=np.float64,
-        ).T  # fmt: skip
-        bounds = np.stack(bounds)
+        qstore = self.qstore
+        bounds = self._regions(qrows)
+        horizons = np.frombuffer(qstore.horizons, dtype=np.float64)[qrows]
         footprints = self._footprint_ranges(*bounds)
         homed_pos, homed_rows = self._gather(footprints)
         c_lo, c_hi, r_lo, r_hi = footprints[:, :, None]
@@ -683,13 +662,14 @@ class ColumnarEvaluator:
         swept_pos, at = np.nonzero(
             (s_clo <= c_hi) & (c_lo <= s_chi) & (s_rlo <= r_hi) & (r_lo <= s_rhi)
         )
-        sizes = np.fromiter((len(q.answer) for q in queries), np.int64, count=m)
+        answers = list(map(qstore.answers.__getitem__, qrows.tolist()))
+        owner, standing_oids = _flatten(answers)
         standing_rows = np.fromiter(
-            map(ostore._row_of.__getitem__, chain.from_iterable(q.answer for q in queries)),
+            map(ostore._row_of.__getitem__, standing_oids.tolist()),
             np.int64,
-            count=int(sizes.sum()),
-        )  # fmt: skip
-        pos = np.concatenate((np.repeat(np.arange(m), sizes), homed_pos, swept_pos))
+            count=len(standing_oids),
+        )
+        pos = np.concatenate((owner, homed_pos, swept_pos))
         rows = np.concatenate((standing_rows, homed_rows, moving[at]))
         oids = np.frombuffer(ostore.oids, dtype=np.int64)[rows]
         fresh = np.arange(len(rows)) >= len(standing_rows)
@@ -709,16 +689,17 @@ class ColumnarEvaluator:
     def predictive_refresh(self, churned, due, now: float, trust_horizon: float):
         """Both kinds of predictive refresh over one candidate pass.
 
-        Returns ``(refreshed, verdicts)``.  The ``churned`` queries (no
-        flip schedule) are refreshed here: per query, in order, ``(oids,
-        signs)`` of the changed memberships ascending by oid, already
-        applied to the live ``answer`` sets.  The flip-due ``due``
-        queries are only judged: per query, in order, ``(oids, flags)``
-        of its candidates ascending by oid and their windowed membership
-        at ``now`` — what the engine's flip-scheduling refresh walks."""
+        Returns ``(refreshed, verdicts)``.  The ``churned`` queries'
+        store rows (no flip schedule) are refreshed here: per query, in
+        order, ``(oids, signs)`` of the changed memberships ascending by
+        oid, already applied to the answer sets.  The flip-due ``due``
+        queries' rows are only judged: per query, in order, ``(oids,
+        flags)`` of its candidates ascending by oid and their windowed
+        membership at ``now`` — what the engine's flip-scheduling
+        refresh walks."""
         m = len(churned)
         pos, oids, standing, inside = self._predictive_pairs(
-            churned + due, now, trust_horizon
+            np.concatenate((churned, due)), now, trust_horizon
         )
         split = int(np.searchsorted(pos, m))
         cuts = np.searchsorted(pos[split:], np.arange(m, m + len(due) + 1)).tolist()
@@ -729,7 +710,7 @@ class ColumnarEvaluator:
         changed = np.flatnonzero(inside != standing[:split])
         oid_list = oids[changed].tolist()
         if len(changed):
-            qid_arr = np.fromiter((q.qid for q in churned), np.int64, count=m)
+            qid_arr = np.frombuffer(self.qstore.qids, dtype=np.int64)[churned]
             self._toggle_memberships(qid_arr[pos[changed]], oid_list)
         cuts = np.searchsorted(pos[changed], np.arange(m + 1)).tolist()
         sign_list = np.where(inside[changed], 1, -1).tolist()
@@ -753,10 +734,14 @@ class ColumnarEvaluator:
         assert home.cells.tolist() == [
             self.ostore.cells[row] for row in home.order.tolist()
         ]
+        regions = {
+            qstore.qids[row]: qstore.region_at(row)
+            for row in qstore.rows_of(KIND_RANGE).tolist()
+        }
         overlapping: dict[int, list[int]] = {}
-        for query in self.states_of(KIND_RANGE):
-            for cell in grid.cells_overlapping_set(query.region):
-                overlapping.setdefault(cell, []).append(query.qid)
+        for qid, region in regions.items():
+            for cell in grid.cells_overlapping_set(region):
+                overlapping.setdefault(cell, []).append(qid)
         for cell in range(grid.n * grid.n):
             cell_rect = grid.cell_rect(cell)
             listed = []
@@ -765,7 +750,7 @@ class ColumnarEvaluator:
                 part = [qstore.qids[row] for row in rows[lo:hi].tolist()]
                 assert part == sorted(part), (cell, part)
                 for qid in part:
-                    covers = self.queries[qid].region.contains_rect(cell_rect)
+                    covers = regions[qid].contains_rect(cell_rect)
                     assert covers == bool(covering), (cell, qid)
                 listed += part
             assert sorted(listed) == overlapping.get(cell, []), cell

@@ -5,8 +5,7 @@ query bounds and the four object coordinates as flat ``float64``
 columns.  The object store is not a mirror of anything: an object's
 row — ``oid, x, y, old x/y, vx, vy, t, cell`` — is the only record of
 it, and ``engine.objects`` is a read-only mapping that materialises an
-``ObjectState`` from a row on access.  An answer is its query's
-``answer`` set; nothing here copies it.  Two design rules:
+``ObjectState`` from a row on access.  Two design rules:
 
 * Columns are stdlib ``array.array`` buffers.  Scalar writes (one query
   move, one removal) cost an index assignment; the kernels view the very
@@ -38,17 +37,22 @@ cells" shares.  An object's swept footprint is not stored at all: it is
 a function of its ``x, y, vx, vy, t, cell`` row
 (:meth:`ColumnarObjectStore.motion_at`), recomputed where it is needed.
 
-Query rows are ``(kind, min_x, min_y, max_x, max_y)`` descriptors, with
-zeroed bounds for the k-NN and predictive kinds.
+The query store is the same for queries: a query's row — its kind,
+region bounds, k-NN centre, radius and ``k``, predictive horizon and
+flip time, ``t``, and its answer set — is the only record of it, and
+``engine.queries`` is a read-only mapping that materialises a query
+state from a row on access.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from itertools import repeat
 
 import numpy as np
 
+from repro.geometry import Rect
 from repro.grid.cellmath import ragged_arange, rect_cell_strips_batch
 
 #: Query-kind codes.
@@ -285,37 +289,40 @@ class ColumnarObjectStore:
         return cached[1]
 
 
-class ColumnarQueryStore:
-    """Parallel arrays of query descriptors: qid, kind code, and range
-    bounds (zeroed for k-NN and predictive kinds).
+#: The query store's ``array`` columns and their typecodes, in the order
+#: :meth:`ColumnarQueryStore.add` takes a row's values.
+_QUERY_COLUMNS = (
+    ("qids", "q"), ("kinds", "b"),
+    ("min_xs", "d"), ("min_ys", "d"), ("max_xs", "d"), ("max_ys", "d"),
+    ("cxs", "d"), ("cys", "d"), ("radii", "d"), ("ks", "q"),
+    ("horizons", "d"), ("ts", "d"), ("next_flips", "d"),
+)  # fmt: skip
 
-    ``version`` increments on **every** mutation; downstream caches
-    (the evaluator's per-cell candidate entries, whose contents embed
-    store rows and range bounds) key their validity on it.  The
-    ``kinds`` column is the only record of which queries are k-NN or
-    predictive (:meth:`qids_of`).  A k-NN query's footprint follows its
-    centre and radius, which live on its state, not here — a re-solve
-    every evaluation never bumps the version.
+
+class ColumnarQueryStore:
+    """Parallel arrays of query state, one row per query and the only
+    record of it: qid, kind code, the region bounds (a range or
+    predictive query's), a k-NN query's centre, radius and ``k``, a
+    predictive query's horizon and ``next_flip``, the time of its last
+    registration or move, and its ``answers`` set (a list aligned with
+    the rows, swap-removed with them).  A column a kind does not use
+    holds zero (``next_flip``: ``-inf``).
+
+    ``version`` says "the range CSR must be re-cut": it bumps when a row
+    is added or removed, or when a range query's bounds change — not
+    when a k-NN centre or radius, a predictive region or flip time, or a
+    ``t`` is written, so a re-solve every evaluation never invalidates
+    the evaluator's cache.  The ``kinds`` column is the only record of
+    which queries are k-NN or predictive (:meth:`rows_of`).
     """
 
-    __slots__ = (
-        "qids",
-        "kinds",
-        "min_xs",
-        "min_ys",
-        "max_xs",
-        "max_ys",
-        "_row_of",
-        "version",
-    )
+    __slots__ = (*(name for name, _ in _QUERY_COLUMNS), "_arrays", "answers", "_row_of", "version")
 
     def __init__(self) -> None:
-        self.qids = array("q")
-        self.kinds = array("b")
-        self.min_xs = array("d")
-        self.min_ys = array("d")
-        self.max_xs = array("d")
-        self.max_ys = array("d")
+        for name, typecode in _QUERY_COLUMNS:
+            setattr(self, name, array(typecode))
+        self._arrays = tuple(getattr(self, name) for name, _ in _QUERY_COLUMNS)
+        self.answers: list[set[int]] = []
         self._row_of: dict[int, int] = {}
         self.version = 0
 
@@ -326,10 +333,10 @@ class ColumnarQueryStore:
         return qid in self._row_of
 
     def row_of(self, qid: int) -> int:
-        """The current row of ``qid`` (valid until the next mutation)."""
+        """The current row of ``qid`` (valid until the next add or remove)."""
         return self._row_of[qid]
 
-    def put(
+    def add(
         self,
         qid: int,
         kind: int,
@@ -337,31 +344,29 @@ class ColumnarQueryStore:
         min_y: float = 0.0,
         max_x: float = 0.0,
         max_y: float = 0.0,
+        *,
+        cx: float = 0.0,
+        cy: float = 0.0,
+        k: int = 0,
+        horizon: float = 0.0,
+        t: float = 0.0,
     ) -> int:
-        """Insert or update one query's descriptor row; returns the row."""
+        """Append a new query's row, its answer empty and its radius 0;
+        returns the row."""
         self.version += 1
-        row = self._row_of.get(qid)
-        if row is None:
-            row = len(self.qids)
-            self._row_of[qid] = row
-            self.qids.append(qid)
-            self.kinds.append(kind)
-            self.min_xs.append(min_x)
-            self.min_ys.append(min_y)
-            self.max_xs.append(max_x)
-            self.max_ys.append(max_y)
-        else:
-            self.kinds[row] = kind
-            self.min_xs[row] = min_x
-            self.min_ys[row] = min_y
-            self.max_xs[row] = max_x
-            self.max_ys[row] = max_y
+        row = len(self.qids)
+        self._row_of[qid] = row
+        values = (qid, kind, min_x, min_y, max_x, max_y, cx, cy, 0.0, k, horizon, t, -math.inf)
+        for column, value in zip(self._arrays, values):
+            column.append(value)
+        self.answers.append(set())
         return row
 
     def move_bounds(self, rows, min_xs, min_ys, max_xs, max_ys) -> None:
-        """New bounds for the existing ``rows`` (distinct), as one
-        scatter per column — ``put`` once per row."""
-        self.version += len(rows)
+        """New region bounds for the existing ``rows`` (distinct), as one
+        scatter per column; ``version`` bumps if a range row is among
+        them."""
+        self.version += bool((np.frombuffer(self.kinds, np.int8)[rows] == KIND_RANGE).any())
         for column, values in zip(
             (self.min_xs, self.min_ys, self.max_xs, self.max_ys),
             (min_xs, min_ys, max_xs, max_ys),
@@ -370,45 +375,29 @@ class ColumnarQueryStore:
 
     def remove(self, qid: int) -> None:
         """Swap-remove ``qid``'s row; unknown qids raise ``KeyError``."""
-        self.version += 1
         row = self._row_of.pop(qid)
+        self.version += 1
         last = len(self.qids) - 1
         if row != last:
-            moved = self.qids[last]
-            self.qids[row] = moved
-            self.kinds[row] = self.kinds[last]
-            self.min_xs[row] = self.min_xs[last]
-            self.min_ys[row] = self.min_ys[last]
-            self.max_xs[row] = self.max_xs[last]
-            self.max_ys[row] = self.max_ys[last]
-            self._row_of[moved] = row
-        self.qids.pop()
-        self.kinds.pop()
-        self.min_xs.pop()
-        self.min_ys.pop()
-        self.max_xs.pop()
-        self.max_ys.pop()
+            self._row_of[self.qids[last]] = row
+            for column in (*self._arrays, self.answers):
+                column[row] = column[last]
+        for column in (*self._arrays, self.answers):
+            column.pop()
 
-    def qids_of(self, kind: int):
-        """The qids of every ``kind`` query, ascending (int64 array)."""
-        qids = np.frombuffer(self.qids, dtype=np.int64)
-        return np.sort(qids[np.frombuffer(self.kinds, dtype=np.int8) == kind])
+    def region_at(self, row: int) -> Rect:
+        """The region of the range or predictive query in ``row``."""
+        return Rect(self.min_xs[row], self.min_ys[row], self.max_xs[row], self.max_ys[row])
 
-    def descriptor(self, qid: int) -> tuple[int, float, float, float, float]:
-        """``qid``'s row as ``(kind, min_x, min_y, max_x, max_y)``."""
-        row = self._row_of[qid]
-        return (
-            self.kinds[row],
-            self.min_xs[row],
-            self.min_ys[row],
-            self.max_xs[row],
-            self.max_ys[row],
-        )
+    def rows_of(self, kind: int):
+        """The rows of every ``kind`` query, ascending by qid (int64)."""
+        rows = np.flatnonzero(np.frombuffer(self.kinds, dtype=np.int8) == kind)
+        return rows[np.argsort(np.frombuffer(self.qids, dtype=np.int64)[rows])]
 
     def bounds_views(self):
         """Fresh zero-copy numpy views ``(min_x, min_y, max_x, max_y)``.
 
-        Only valid until the next ``put`` of a new qid or ``remove``.
+        Only valid until the next ``add`` or ``remove``.
         """
         return (
             _f64_view(self.min_xs),

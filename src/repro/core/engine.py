@@ -43,12 +43,13 @@ report, whatever its velocity; a predictive object's swept footprint is
 cell churn only — and joined against the range queries listed in those
 cells as batch array kernels over struct-of-arrays object and query
 state (:mod:`repro.columnar`, on numpy).  An object's store row is the
-only record of it — ``engine.objects`` is a read-only mapping that
-materialises an :class:`ObjectState` per access — a query's kind is its
-query-store row's ``kinds`` code, and a query's ``answer`` set is the
-only record of its answer.  The *query* side of a cycle is columnar too: a batch's
-range-query registrations and moves, every dirty k-NN query and every
-predictive refresh run as array passes over a home-cell CSR of the
+only record of it, and a query's query-store row — kind, geometry,
+``t``, flip time and answer set — the only record of it:
+``engine.objects`` and ``engine.queries`` are read-only mappings that
+materialise an :class:`ObjectState` or a query state per access, and
+the engine itself reads and writes rows.  The *query* side of a cycle
+is columnar too: a batch's range-query registrations and moves, every
+dirty k-NN query and every predictive refresh run as array passes over a home-cell CSR of the
 object store (:meth:`ColumnarEvaluator.fill_ranges`,
 ``move_ranges``, ``knn_ranked``, ``predictive_refresh``); only a
 flip-due predictive query walks its verdicts in Python, to schedule its
@@ -79,7 +80,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -125,6 +125,10 @@ HOT_CELLS = 5
 
 #: Identifiers live in int64 columns.
 _INT64_BOUND = 1 << 63
+
+#: The query kind of each query-store ``kinds`` code.
+_KIND_OF_CODE = {KIND_RANGE: QueryKind.RANGE, KIND_KNN: QueryKind.KNN,
+                 KIND_PREDICTIVE: QueryKind.PREDICTIVE_RANGE}  # fmt: skip
 
 
 def _check_query_input(qid: int, *values: float) -> None:
@@ -204,23 +208,28 @@ class EngineStats:
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
-class StoreObjects(Mapping):
-    """``engine.objects``: a read-only ``oid -> ObjectState`` mapping
-    over the object store, whose row is the only record of an object.
-    Each access materialises a fresh state for the readers that want one
-    — the oracle's brute force, checkpoints, the server's history door
-    and tests; the engine itself reads rows."""
+class _StoreView(Mapping):
+    """A read-only ``id -> state`` mapping over a columnar store, whose
+    row is the only record of what it maps.  Each access materialises a
+    fresh state for the readers that want one — the oracle, checkpoints,
+    the server's history door and tests; the engine itself reads rows."""
 
     __slots__ = ("_store",)
 
-    def __init__(self, store: ColumnarObjectStore) -> None:
+    def __init__(self, store) -> None:
         self._store = store
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def __contains__(self, oid) -> bool:
-        return oid in self._store
+    def __contains__(self, ident) -> bool:
+        return ident in self._store
+
+
+class StoreObjects(_StoreView):
+    """``engine.objects``: ``oid -> ObjectState`` over the object store."""
+
+    __slots__ = ()
 
     def __iter__(self):
         return iter(self._store.oids.tolist())
@@ -235,6 +244,32 @@ class StoreObjects(Mapping):
             Point(store.xs[row], store.ys[row]),
             Velocity(vx, vy) if vx or vy else Velocity.ZERO,
             store.ts[row],
+        )
+
+
+class StoreQueries(_StoreView):
+    """``engine.queries``: ``qid -> QueryState`` over the query store; a
+    state's ``answer`` is the row's live answer set."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._store.qids.tolist())
+
+    def __getitem__(self, qid: int) -> QueryState:
+        store = self._store
+        row = store.row_of(qid)
+        kind = store.kinds[row]
+        t = store.ts[row]
+        answer = store.answers[row]
+        if kind == KIND_KNN:
+            center = Point(store.cxs[row], store.cys[row])
+            return KnnQueryState(qid, center, store.ks[row], t, store.radii[row], answer)
+        region = store.region_at(row)
+        if kind == KIND_RANGE:
+            return RangeQueryState(qid, region, t, answer)
+        return PredictiveQueryState(
+            qid, region, store.horizons[row], t, answer, store.next_flips[row]
         )
 
 
@@ -283,7 +318,6 @@ class IncrementalEngine:
         self.grid = Grid(world, grid_size)
         self.prediction_horizon = prediction_horizon
         self.now = 0.0
-        self.queries: dict[int, QueryState] = {}
         # Buffered inputs, applied in bulk by evaluate().  A report is
         # kept as its floats (x, y, vx, vy, t).
         self._pending_reports: dict[
@@ -296,11 +330,11 @@ class IncrementalEngine:
         self._pending_moves: dict[int, tuple[object, float]] = {}
         self._pending_unregistrations: set[int] = set()
         # Struct-of-arrays state (repro.columnar): the object store is
-        # the objects' only home, the query store's ``kinds`` column the
-        # only record of which queries are k-NN or predictive.
+        # the objects' only home, the query store the queries'.
         self._qstore = ColumnarQueryStore()
         self._ostore = ColumnarObjectStore()
         self.objects = StoreObjects(self._ostore)
+        self.queries = StoreQueries(self._qstore)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         # Freshness follows the registry's on/off state unless injected:
@@ -336,7 +370,6 @@ class IncrementalEngine:
             self.grid,
             self._ostore,
             self._qstore,
-            self.queries,
             self.registry,
             self.tracer,
         )
@@ -530,15 +563,18 @@ class IncrementalEngine:
     def kind_of(self, qid: int) -> QueryKind | None:
         """The kind of a query that is registered or, in this batch,
         about to be; ``None`` for an unknown qid."""
-        query = self._pending_registrations.get(qid) or self.queries.get(qid)
-        return None if query is None else query.kind
+        if qid in self._pending_registrations:
+            return self._pending_registrations[qid].kind
+        qstore = self._qstore
+        return _KIND_OF_CODE[qstore.kinds[qstore.row_of(qid)]] if qid in qstore else None
 
     def check_kind(self, qid: int, kind: QueryKind) -> None:
         """Refuse a ``kind`` move of a query known to be of another kind:
         ``ValueError`` naming the qid and both kinds, nothing buffered.
         The ``move_*`` doors run it first; an edge that may defer a move
         runs it before deferring.  An unknown qid passes — ``evaluate``
-        then refuses the move with its ``KeyError``."""
+        then refuses the move with its ``KeyError`` (the server refuses
+        it first: it checks the query's binding too)."""
         known = self.kind_of(qid)
         if known is not None and known is not kind:
             raise ValueError(
@@ -560,7 +596,7 @@ class IncrementalEngine:
         if self._pending_registrations.pop(qid, None) is not None:
             self._pending_moves.pop(qid, None)
             return
-        if qid in self.queries:
+        if qid in self._qstore:
             self._pending_moves.pop(qid, None)
             self._pending_unregistrations.add(qid)
             return
@@ -599,15 +635,21 @@ class IncrementalEngine:
 
     @property
     def query_count(self) -> int:
-        return len(self.queries)
+        return len(self._qstore)
 
     def answer_of(self, qid: int) -> frozenset[int]:
         """The current (last evaluated) answer set of ``qid``."""
-        return frozenset(self.queries[qid].answer)
+        qstore = self._qstore
+        return frozenset(qstore.answers[qstore.row_of(qid)])
+
+    def answer_sizes(self) -> list[int]:
+        """Every query's answer size, in no particular order."""
+        return list(map(len, self._qstore.answers))
 
     def complete_answers(self) -> dict[int, frozenset[int]]:
         """Every query's full answer — what a snapshot server retransmits."""
-        return {qid: frozenset(q.answer) for qid, q in self.queries.items()}
+        qstore = self._qstore
+        return dict(zip(qstore.qids.tolist(), map(frozenset, qstore.answers)))
 
     # ------------------------------------------------------------------
     # Bulk evaluation
@@ -659,10 +701,11 @@ class IncrementalEngine:
         # population growth, not just movement near their circle.
         # Answers change only inside evaluate(), so this is what the
         # previous evaluation left.
+        qstore = self._qstore
         knn_dirty: set[int] = {
-            query.qid
-            for query in self._columnar_evaluator.states_of(KIND_KNN)
-            if len(query.answer) < query.k
+            qstore.qids[row]
+            for row in qstore.rows_of(KIND_KNN).tolist()
+            if len(qstore.answers[row]) < qstore.ks[row]
         }
         # Cells whose object population (or a resident's motion state)
         # changed this evaluation, one bool per cell — drives the
@@ -696,14 +739,14 @@ class IncrementalEngine:
                 self._sample_occupancy()
         self._m_updates_emitted.inc(len(updates))
         self._m_objects.set(self.object_count)
-        self._m_queries.set(len(self.queries))
+        self._m_queries.set(self.query_count)
         self.freshness.end_cycle()
         recorder.record(
             "evaluate_end",
             now=now,
             updates=len(updates),
             objects=self.object_count,
-            queries=len(self.queries),
+            queries=self.query_count,
         )
         return updates
 
@@ -717,10 +760,8 @@ class IncrementalEngine:
         caller can drop the bad move (``unregister_query``) and
         re-evaluate.
         """
-        if not self._pending_moves:
-            return
         for qid in self._pending_moves:
-            if qid in self.queries and qid not in self._pending_unregistrations:
+            if qid in self._qstore and qid not in self._pending_unregistrations:
                 continue
             if qid not in self._pending_registrations:
                 raise KeyError(f"cannot move unknown query {qid}")
@@ -730,9 +771,8 @@ class IncrementalEngine:
     # ------------------------------------------------------------------
 
     def _apply_unregistrations(self, knn_dirty: set[int]) -> None:
+        # unregister_query buffers registered qids only.
         for qid in sorted(self._pending_unregistrations):
-            if self.queries.pop(qid, None) is None:
-                continue
             self._qstore.remove(qid)
             knn_dirty.discard(qid)
             self.freshness.forget_query(qid)
@@ -744,21 +784,25 @@ class IncrementalEngine:
         registered answer is intersected with the removed oids — paid
         only in a cycle with removals — and the negatives leave per
         query: qid ascending, then oid."""
-        removed = [oid for oid in sorted(self._pending_removals) if oid in self.objects]
+        departing = sorted(self._pending_removals)
         self._pending_removals.clear()
+        # A removal whose report never reached the store (reported and
+        # removed in one batch) leaves its stamp here too.
+        self.freshness.forget(departing)
+        removed = [oid for oid in departing if oid in self._ostore]
         if not removed:
             return
-        queries = self.queries
         gone = set(removed)
         self._batch_ingest.remove(removed, churned)
-        self.freshness.forget(removed)
-        for qid in sorted(queries):
-            query = queries[qid]
-            held = sorted(query.answer & gone)
+        qstore = self._qstore
+        for row in np.argsort(np.frombuffer(qstore.qids, dtype=np.int64)).tolist():
+            answer = qstore.answers[row]
+            held = sorted(answer & gone)
             if held:
-                query.answer.difference_update(held)
+                qid = qstore.qids[row]
+                answer.difference_update(held)
                 updates.extend_columns([qid] * len(held), held, [-1] * len(held))
-                if query.kind is QueryKind.KNN:
+                if qstore.kinds[row] == KIND_KNN:
                     knn_dirty.add(qid)
 
     # ------------------------------------------------------------------
@@ -772,33 +816,32 @@ class IncrementalEngine:
         dirty_predictive: set[int],
     ) -> None:
         qstore = self._qstore
-        range_fills: list[RangeQueryState] = []
+        range_fills: list[int] = []
         for query in self._pending_registrations.values():
-            self.queries[query.qid] = query
-            if query.kind is QueryKind.RANGE:
-                region = query.region
-                qstore.put(
-                    query.qid,
-                    KIND_RANGE,
-                    region.min_x,
-                    region.min_y,
-                    region.max_x,
-                    region.max_y,
-                )
-                range_fills.append(query)
-            elif query.kind is QueryKind.KNN:
+            qid = query.qid
+            if query.kind is QueryKind.KNN:
                 # Radius 0 until _repair_knn computes the first-time
                 # answer and widens the circle.
-                qstore.put(query.qid, KIND_KNN)
-                knn_dirty.add(query.qid)
+                center = query.center
+                qstore.add(
+                    qid, KIND_KNN, cx=center.x, cy=center.y, k=query.k, t=query.t
+                )
+                knn_dirty.add(qid)
+                continue
+            region = query.region
+            bounds = (region.min_x, region.min_y, region.max_x, region.max_y)
+            if query.kind is QueryKind.RANGE:
+                range_fills.append(qstore.add(qid, KIND_RANGE, *bounds, t=query.t))
             else:
                 # Predictive: answer in the refresh phase.
-                qstore.put(query.qid, KIND_PREDICTIVE)
-                dirty_predictive.add(query.qid)
+                qstore.add(
+                    qid, KIND_PREDICTIVE, *bounds, horizon=query.horizon, t=query.t
+                )
+                dirty_predictive.add(qid)
         # Only range registrations emit in this phase, so filling them
         # together after the loop keeps the stream in arrival order.
         if range_fills:
-            self._columnar_evaluator.fill_ranges(range_fills, updates)
+            self._columnar_evaluator.fill_ranges(np.array(range_fills), updates)
         self._pending_registrations.clear()
 
     # ------------------------------------------------------------------
@@ -813,25 +856,30 @@ class IncrementalEngine:
     ) -> None:
         # Only range moves emit in this phase, so taking them together
         # after the loop keeps the stream in arrival order.
-        range_moves: list[tuple[RangeQueryState, Rect]] = []
+        qstore = self._qstore
+        range_rows: list[int] = []
+        range_regions: list[Rect] = []
         for qid, (payload, t) in self._pending_moves.items():
-            query = self.queries.get(qid)
-            if query is None:
-                # Unreachable after _validate_pending_moves; kept as a
-                # defensive invariant.
-                raise KeyError(f"cannot move unknown query {qid}")
-            query.t = t
-            if query.kind is QueryKind.RANGE:
-                range_moves.append((query, payload))  # type: ignore[arg-type]
-            elif query.kind is QueryKind.KNN:
-                query.center = payload  # type: ignore[assignment]
+            # _validate_pending_moves vouched for every qid.
+            row = qstore.row_of(qid)
+            qstore.ts[row] = t
+            kind = qstore.kinds[row]
+            if kind == KIND_RANGE:
+                range_rows.append(row)
+                range_regions.append(payload)  # type: ignore[arg-type]
+            elif kind == KIND_KNN:
+                qstore.cxs[row] = payload.x  # type: ignore[union-attr]
+                qstore.cys[row] = payload.y  # type: ignore[union-attr]
                 knn_dirty.add(qid)
             else:
                 # Predictive regions re-filter in the refresh phase.
-                query.region = payload  # type: ignore[assignment]
+                region: Rect = payload  # type: ignore[assignment]
+                qstore.move_bounds([row], region.min_x, region.min_y, region.max_x, region.max_y)
                 dirty_predictive.add(qid)
-        if range_moves:
-            self._columnar_evaluator.move_ranges(range_moves, updates)
+        if range_rows:
+            self._columnar_evaluator.move_ranges(
+                np.array(range_rows), range_regions, updates
+            )
         self._pending_moves.clear()
 
     # ------------------------------------------------------------------
@@ -860,23 +908,19 @@ class IncrementalEngine:
     # ------------------------------------------------------------------
 
     def _repair_knn(self, knn_dirty: set[int], updates) -> None:
-        queries = self.queries
-        dirty = [
-            query
-            for query in map(queries.get, sorted(knn_dirty))
-            if query is not None and query.kind is QueryKind.KNN
-        ]
+        # Every qid in it is a registered k-NN query's: unregistrations
+        # discard theirs.
+        dirty = list(map(self._qstore.row_of, sorted(knn_dirty)))
         if not dirty:
             return
         self._m_knn_repairs.inc(len(dirty))
         # Every dirty query is searched together; emission stays in qid
         # order.
-        for query, ranked in zip(dirty, self._columnar_evaluator.knn_ranked(dirty)):
-            self._solve_knn(query, updates, ranked)
+        ranked_all = self._columnar_evaluator.knn_ranked(np.array(dirty))
+        for row, ranked in zip(dirty, ranked_all):
+            self._solve_knn(row, updates, ranked)
 
-    def _solve_knn(
-        self, query: KnnQueryState, updates, ranked: list[tuple[float, int]]
-    ) -> None:
+    def _solve_knn(self, row: int, updates, ranked: list[tuple[float, int]]) -> None:
         """Install a dirty k-NN query's re-solved ``ranked`` answer and
         emit the answer difference.
 
@@ -886,18 +930,20 @@ class IncrementalEngine:
         with the search doubling as the replacement lookup when members
         depart.
         """
-        qid = query.qid
+        qstore = self._qstore
+        qid = qstore.qids[row]
+        answer = qstore.answers[row]
         new_answer = {oid for __, oid in ranked}
-        left = sorted(query.answer - new_answer)
-        joined = sorted(new_answer - query.answer)
+        left = sorted(answer - new_answer)
+        joined = sorted(new_answer - answer)
         for oid in left:
-            query.answer.discard(oid)
+            answer.discard(oid)
             updates.push(qid, oid, -1)
         for oid in joined:
-            query.answer.add(oid)
+            answer.add(oid)
             updates.push(qid, oid, 1)
 
-        query.radius = ranked[-1][0] if ranked else 0.0
+        qstore.radii[row] = ranked[-1][0] if ranked else 0.0
 
     # ------------------------------------------------------------------
     # Phase 7: predictive window refresh
@@ -915,103 +961,90 @@ class IncrementalEngine:
         churn — every candidate's footprint intersects the query's
         footprint, so any candidate change sets a footprint cell in the
         ``churned`` mask —
-        and (c) by the ``next_flip`` event time computed during the
+        and (c) by the row's ``next_flips`` time, computed at its
         previous refresh: the earliest time the sliding window can flip
-        some candidate's membership.  Anything else is provably a
-        no-op and is skipped.
+        some candidate's membership (``-inf``: not yet computed).
+        Anything else is provably a no-op and is skipped.
         """
         evaluator = self._columnar_evaluator
-        predictive = evaluator.states_of(KIND_PREDICTIVE)
-        if not predictive:
+        qstore = self._qstore
+        rows = qstore.rows_of(KIND_PREDICTIVE)
+        if not len(rows):
             return
-        need = dirty_predictive
+        qids = np.frombuffer(qstore.qids, dtype=np.int64)[rows]
+        need = np.isin(qids, list(dirty_predictive))
         if churned.any():
-            hit = rect_cells_meet(
-                churned, *evaluator.region_footprints(predictive), self.grid.n, np
+            need |= rect_cells_meet(
+                churned, *evaluator.footprints(rows), self.grid.n, np
             )
-            need.update(query.qid for query in compress(predictive, hit.tolist()))
         now = self.now
-        queries = self.queries
-        ordered = [query.qid for query in predictive]
         # Churn-driven refreshes: under sustained churn a flip schedule
         # would be recomputed every cycle and never consulted, so don't
         # pay for one — the first quiet evaluation refreshes once more
         # (next_flip == -inf) and computes the schedule then.  On the
         # array path they all run as one pass; emission stays in qid
-        # order, interleaved with the flip-due queries.
-        churned = [queries[qid] for qid in ordered if qid in need]
-        due = [
-            queries[qid]
-            for qid in ordered
-            if qid not in need and queries[qid].next_flip <= now
-        ]
-        # The two kinds touch disjoint queries, so one pass serves both
-        # before the qid-ordered emission below.
-        if not churned and not due:
+        # order, interleaved with the flip-due queries.  The two kinds
+        # touch disjoint queries, so one pass serves both.
+        due = ~need & (np.frombuffer(qstore.next_flips, dtype=np.float64)[rows] <= now)
+        if not need.any() and not due.any():
             return
         refreshed, verdicts = map(
             iter,
             evaluator.predictive_refresh(
-                churned, due, now, self.prediction_horizon
+                rows[need], rows[due], now, self.prediction_horizon
             ),
         )
         paths = self._m_refresh_paths
-        for qid in ordered:
-            query = queries[qid]
-            if qid in need:
+        for row, qid, batch, scalar in zip(
+            rows.tolist(), qids.tolist(), need.tolist(), due.tolist()
+        ):
+            if batch:
                 paths["batch"].inc()
                 oids, signs = next(refreshed)
                 updates.extend_columns([qid] * len(oids), oids, signs)
-                query.next_flip = float("-inf")
-            elif query.next_flip <= now:
+                qstore.next_flips[row] = -math.inf
+            elif scalar:
                 paths["scalar"].inc()
-                ordered, flags = next(verdicts)
-                self._refresh_one_predictive(query, updates, ordered, flags)
-                query.next_flip = self._next_flip(query, ordered, flags)
+                self._refresh_flip_due(row, updates, *next(verdicts))
 
-    def _refresh_one_predictive(
-        self, query: PredictiveQueryState, updates, ordered, flags
-    ) -> None:
-        """Apply one predictive query's membership ``flags`` over its
-        candidates ``ordered`` (ascending oids) and emit the changes."""
-        qid = query.qid
-        answer = query.answer
-        for oid, inside in zip(ordered, flags):
-            if inside == (oid in answer):
-                continue
-            if inside:
-                answer.add(oid)
-                updates.push(qid, oid, 1)
-            else:
-                answer.discard(oid)
-                updates.push(qid, oid, -1)
-
-    def _next_flip(self, query: PredictiveQueryState, ordered, flags) -> float:
-        """The flip schedule of a just-refreshed predictive query: the
-        earliest :meth:`_membership_flip_time` of its candidates, read
-        from their store rows."""
+    def _refresh_flip_due(self, row: int, updates, ordered, flags) -> None:
+        """Apply the membership ``flags`` of the flip-due predictive query
+        in store ``row`` over its candidates ``ordered`` (ascending oids),
+        emit the changes, and schedule its next flip: the earliest
+        :meth:`_membership_flip_time` of its candidates, read from their
+        object-store rows."""
+        qstore = self._qstore
+        qid = qstore.qids[row]
+        answer = qstore.answers[row]
+        region = qstore.region_at(row)
+        horizon = qstore.horizons[row]
         ostore = self._ostore
-        rows = [ostore.row_of(oid) for oid in ordered]
+        motion = ostore.motion_at([ostore.row_of(oid) for oid in ordered])[:5]
         next_flip = math.inf
-        for x, y, vx, vy, t, inside in zip(
-            *(column.tolist() for column in ostore.motion_at(rows)[:5]), flags
+        for oid, inside, x, y, vx, vy, t in zip(
+            ordered, flags, *(column.tolist() for column in motion)
         ):
-            motion = LinearMotion(Point(x, y), Velocity(vx, vy), t)
-            next_flip = min(next_flip, self._membership_flip_time(query, motion, inside))
-        if math.isinf(next_flip):
-            return next_flip
-        # Small relative safety margin: the flip time is derived from
-        # one trajectory clipping over the full trusted span, while
-        # membership itself is recomputed per-window; the margin absorbs
-        # any floating-point disagreement between the two so a refresh
-        # can only ever fire early, never late.
-        return next_flip - 1e-9 * (1.0 + abs(next_flip))
+            if inside != (oid in answer):
+                answer ^= {oid}
+                updates.push(qid, oid, 1 if inside else -1)
+            trajectory = LinearMotion(Point(x, y), Velocity(vx, vy), t)
+            flip = self._membership_flip_time(region, horizon, trajectory, inside)
+            next_flip = min(next_flip, flip)
+        if not math.isinf(next_flip):
+            # Small relative safety margin: the flip time is derived from
+            # one trajectory clipping over the full trusted span, while
+            # membership itself is recomputed per-window; the margin
+            # absorbs any floating-point disagreement between the two so
+            # a refresh can only ever fire early, never late.
+            next_flip -= 1e-9 * (1.0 + abs(next_flip))
+        qstore.next_flips[row] = next_flip
 
     def _membership_flip_time(
-        self, query: PredictiveQueryState, motion: LinearMotion, inside: bool
+        self, region: Rect, horizon: float, motion: LinearMotion, inside: bool
     ) -> float:
-        """The earliest evaluation time at which the membership in
-        ``query`` of an object reported as ``motion`` can change with
+        """The earliest evaluation time at which the membership of an
+        object reported as ``motion`` in a predictive query over
+        ``region`` looking ``horizon`` ahead can change with
         *no further reports* — i.e. purely because the horizon window
         ``[now, now + horizon]`` slides.
 
@@ -1028,7 +1061,7 @@ class IncrementalEngine:
             # The trusted extrapolation span is entirely in the past:
             # membership is False and stays False until a new report.
             return math.inf
-        interval = motion.time_in_rect(query.region, span_start, span_end)
+        interval = motion.time_in_rect(region, span_start, span_end)
         if interval is None:
             # Never in the region within the trusted span.  If the
             # windowed check nevertheless said "inside" (conceivable
@@ -1038,7 +1071,7 @@ class IncrementalEngine:
         enters, leaves = interval
         if inside:
             return leaves
-        return enters - query.horizon
+        return enters - horizon
 
     # ------------------------------------------------------------------
     # Helpers
@@ -1077,7 +1110,7 @@ class IncrementalEngine:
             int(np.count_nonzero(counts + covered))
         )
         registry.gauge("grid_indexed_objects").set(len(self.objects))
-        registry.gauge("grid_indexed_queries").set(len(self.queries))
+        registry.gauge("grid_indexed_queries").set(self.query_count)
         for rank in range(HOT_CELLS):
             labels = {"rank": str(rank)}
             if rank < len(hottest):
@@ -1088,19 +1121,18 @@ class IncrementalEngine:
             registry.gauge("grid_hot_cell_id", labels=labels).set(cell)
 
     def _check_fresh_qid(self, qid: int) -> None:
-        if qid in self.queries or qid in self._pending_registrations:
+        if qid in self._qstore or qid in self._pending_registrations:
             raise KeyError(f"query {qid} is already registered")
 
     def check_invariants(self) -> None:
         """Verify the object/query membership bookkeeping (tests only)."""
-        queries = self.queries
         ostore = self._ostore
         # A store row is the only record of an object: every answer
         # member is one, and both report doors clamped every stored
         # location into the world (so the cells listing a range query
         # find all its members).
-        for qid, query in queries.items():
-            for oid in query.answer:
+        for qid, answer in zip(self._qstore.qids, self._qstore.answers):
+            for oid in answer:
                 assert oid in ostore, (qid, oid)
         xs, ys = ostore.xy_views()
         world = self.grid.world
@@ -1111,21 +1143,4 @@ class IncrementalEngine:
         assert list(ostore.cells) == [
             self.grid.cell_of(Point(x, y)) for x, y in zip(ostore.xs, ostore.ys)
         ]
-        # The query store's rows stay coherent with the query states.
-        qstore = self._qstore
-        assert len(qstore) == len(queries)
-        for qid, query in queries.items():
-            kind, min_x, min_y, max_x, max_y = qstore.descriptor(qid)
-            if query.kind is QueryKind.RANGE:
-                region = query.region
-                assert kind == KIND_RANGE and (min_x, min_y, max_x, max_y) == (
-                    region.min_x,
-                    region.min_y,
-                    region.max_x,
-                    region.max_y,
-                ), qid
-            elif query.kind is QueryKind.KNN:
-                assert kind == KIND_KNN, qid
-            else:
-                assert kind == KIND_PREDICTIVE, qid
         self._columnar_evaluator.check_invariants()

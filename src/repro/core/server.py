@@ -234,7 +234,9 @@ class LocationAwareServer:
         """Deliver uplinks a fault schedule delayed into this cycle.
 
         Replays bypass the gate — a delayed message arrives at the next
-        cycle boundary, it is not re-rolled into oblivion.
+        cycle boundary, it is not re-rolled into oblivion.  One the
+        server now refuses (its query was unregistered meanwhile) is
+        dropped and recorded, as it would have been refused on time.
         """
         if not self._delayed_uplinks:
             return
@@ -242,7 +244,12 @@ class LocationAwareServer:
         gate, self.uplink_gate = self.uplink_gate, None
         try:
             for method, args in pending:
-                method(*args)
+                try:
+                    method(*args)
+                except (KeyError, ValueError) as refused:
+                    self.recorder.record(
+                        "uplink_refused", uplink=method.__name__, error=str(refused)
+                    )
         finally:
             self.uplink_gate = gate
 
@@ -394,10 +401,12 @@ class LocationAwareServer:
         Receiving anything from a moving query commits its latest answer
         — the uplink proves the client is connected and has received
         everything sent so far (clients always wake up before resuming
-        uplink after an outage).  A move of the wrong kind for its query
-        is refused (``ValueError``) before any gate could defer it into
-        the next cycle.
+        uplink after an outage).  A move of an unbound query
+        (``KeyError``) or of the wrong kind for its query (``ValueError``)
+        is refused before any gate could defer it into the next cycle
+        and before the engine buffers it.
         """
+        self._require_binding(qid)
         self.engine.check_kind(qid, QueryKind.RANGE)
         if self.uplink_gate is not None and not self._gate(
             "query_move", self.receive_range_query_move, (qid, region, t)
@@ -414,6 +423,7 @@ class LocationAwareServer:
         :class:`~repro.net.KnnMoveMessage` — 32 bytes on the wire, not
         a degenerate zero-area rectangle shoehorned into the 48-byte
         range-move encoding)."""
+        self._require_binding(qid)
         self.engine.check_kind(qid, QueryKind.KNN)
         if self.uplink_gate is not None and not self._gate(
             "query_move", self.receive_knn_query_move, (qid, center, t)
@@ -428,6 +438,7 @@ class LocationAwareServer:
     def receive_predictive_query_move(
         self, qid: int, region: Rect, t: float
     ) -> None:
+        self._require_binding(qid)
         self.engine.check_kind(qid, QueryKind.PREDICTIVE_RANGE)
         if self.uplink_gate is not None and not self._gate(
             "query_move", self.receive_predictive_query_move, (qid, region, t)
@@ -772,7 +783,7 @@ class LocationAwareServer:
 
     def _answer_totals(self) -> tuple[int, int]:
         """``(complete-answer bytes, answer members)`` over all queries."""
-        sizes = [len(query.answer) for query in self.engine.queries.values()]
+        sizes = self.engine.answer_sizes()
         return sum(map(full_answer_bytes, sizes)), sum(sizes)
 
     # ------------------------------------------------------------------
@@ -790,8 +801,8 @@ class LocationAwareServer:
 
     def _live_answer(self, qid: int) -> frozenset[int]:
         """``qid``'s live answer; ∅ before its first evaluation."""
-        query = self.engine.queries.get(qid)
-        return frozenset() if query is None else frozenset(query.answer)
+        engine = self.engine
+        return engine.answer_of(qid) if qid in engine.queries else frozenset()
 
     def _seed_lag(self, qid: int) -> None:
         """Lag ``qid`` for a client that holds its committed answer."""
@@ -802,7 +813,6 @@ class LocationAwareServer:
             self._lag.pop(qid, None)
 
     def _commit_on_uplink(self, qid: int) -> None:
-        self._require_binding(qid)
         self.commits.commit(qid, self.delivered_answer(qid))
         self.freshness.observe_committed(qid)
         self.recorder.record("commit", qid=qid, via="uplink")

@@ -4,9 +4,11 @@ These follow the paper's entry layouts: a query entry ``(QID, region,
 t, OList)`` where ``OList`` is the answer set, and an object entry
 ``(OID, loc, t)`` — without the paper's ``QList``, "the list of the
 queries that O is satisfying": the answers are the only record of
-membership.  The engine keeps an object as its row in the object store
-and materialises an ``ObjectState`` from that row on access, for
-readers that want one; the brute-force reference keeps them outright.
+membership.  The engine keeps each object and each query as its row in
+a columnar store (a query's answer set included) and materialises these
+states from the rows on access, for readers that want one; the
+brute-force reference keeps them outright, and the engine buffers a
+registration as one until it writes the row.
 """
 
 from __future__ import annotations
@@ -77,13 +79,9 @@ class PredictiveQueryState:
     """A predictive range query: who will be in ``region`` within ``horizon``
     seconds of the current evaluation time?
 
-    ``next_flip`` is derived scheduling state maintained by the engine:
-    the earliest evaluation time at which some candidate object's
-    predicted membership can change *purely because the horizon window
-    slid forward* (no report churn).  Until that time, a refresh
-    without churn in the query's footprint cells is provably a no-op
-    and is skipped.  ``-inf`` means "not yet computed:
-    always refresh".
+    ``next_flip`` is the engine's refresh schedule (see
+    ``IncrementalEngine._refresh_predictive``); ``-inf`` means "refresh
+    at the next evaluation".
     """
 
     qid: int

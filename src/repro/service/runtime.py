@@ -720,9 +720,6 @@ class ServiceRuntime:
             )
         elif name == "move":
             qid = _id_of(op, "qid")
-            # Validate up front: a buffered move for an unknown query
-            # would fail the whole evaluation batch, not just this op.
-            server.client_of(qid)
             kind = op["kind"]
             (t,) = _finite(op, "t")
             if kind == "range":

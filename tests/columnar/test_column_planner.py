@@ -187,9 +187,11 @@ def test_a_knn_query_holding_a_reported_member_is_marked_dirty():
     engine.evaluate(0.0)
     assert engine.answer_of(7) == {1} and engine.answer_of(8) == {2}
     far = engine.grid.cell_rect(GRID * GRID // 2).center
+    qstore = engine._qstore
     for qid in (7, 8):
-        engine.queries[qid].center = far
-        engine.queries[qid].radius = 0.0
+        row = qstore.row_of(qid)
+        qstore.cxs[row], qstore.cys[row] = far.x, far.y
+        qstore.radii[row] = 0.0
     engine.report_object(1, Point(0.2, 0.12), 1.0)  # cell 0 -> cell 1
     columns = engine._batch_ingest.group(
         engine._pending_reports, np.zeros(GRID * GRID, dtype=bool)

@@ -56,7 +56,7 @@ def build_random_batch(seed: int, cohorts: int = 12):
     for i in range(n_queries):
         qid = 500 + 7 * i
         x, y = rng.random() * 0.8, rng.random() * 0.8
-        qstore.put(
+        qstore.add(
             qid, KIND_RANGE, x, y, x + rng.random() * 0.4, y + rng.random() * 0.4
         )
     layout = []
@@ -148,7 +148,7 @@ def batches(draw):
     for i in range(n_queries):
         x0, x1 = sorted((draw(coords), draw(coords)))
         y0, y1 = sorted((draw(coords), draw(coords)))
-        qstore.put(500 + 7 * i, KIND_RANGE, x0, y0, x1, y1)
+        qstore.add(500 + 7 * i, KIND_RANGE, x0, y0, x1, y1)
     entries = st.tuples(st.integers(0, n_queries - 1), st.sampled_from([-1, 0, 1]))
     members = st.lists(
         st.integers(0, n_objects - 1), min_size=1, max_size=6, unique=True
@@ -174,7 +174,7 @@ def test_a_pair_listed_under_both_roles_emits_once():
     report(ostore, 1, 0.9, 0.9, t=1.0)  # leaves
     report(ostore, 2, 0.9, 0.9)
     report(ostore, 2, 0.1, 0.1, t=1.0)  # enters
-    qstore.put(9, KIND_RANGE, 0.0, 0.0, 0.5, 0.5)
+    qstore.add(9, KIND_RANGE, 0.0, 0.0, 0.5, 0.5)
     plan = plan_of([([(0, -1), (0, 1)], [0, 1])])
     joined = classify_transitions(plan, ostore, qstore)
     assert columns(joined) == ([9, 9], [1, 2], [-1, 1])
@@ -186,7 +186,7 @@ def test_nan_old_coords_mean_member_of_nothing():
     # Fresh object inside the query: NaN old coords -> pure enter.
     report(ostore, 1, 0.5, 0.5)
     assert math.isnan(ostore.old_xs[0])
-    qstore.put(9, KIND_RANGE, 0.0, 0.0, 1.0, 1.0)
+    qstore.add(9, KIND_RANGE, 0.0, 0.0, 1.0, 1.0)
     joined = classify_transitions(plan_of([([(0, 0)], [0])]), ostore, qstore)
     assert columns(joined) == ([9], [1], [1])
 
@@ -205,7 +205,7 @@ def test_boundary_containment_is_closed():
     qstore = ColumnarQueryStore()
     report(ostore, 1, 0.2, 0.2)  # old NaN
     report(ostore, 1, 0.4, 0.6, t=1.0)  # old = (0.2, 0.2)
-    qstore.put(5, KIND_RANGE, 0.2, 0.2, 0.4, 0.6)
+    qstore.add(5, KIND_RANGE, 0.2, 0.2, 0.4, 0.6)
     # Old (0.2,0.2) on the min corner and new (0.4,0.6) on the max
     # corner are both inside: no transition.
     assert classify_transitions(plan_of([([(0, 0)], [0])]), ostore, qstore) is None

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.check.reference import knn_answer
-from repro.core.state import KnnQueryState
+from repro.columnar import KIND_KNN
 from repro.geometry import Point, Rect, Velocity
 from tests.lockstep import EnginePair
 
@@ -242,11 +243,11 @@ def test_knn_repair_in_one_pass_matches_the_reference(objects, queries, rounds):
 )
 def test_batch_knn_search_equals_the_brute_force_ranking(objects, probes, shift):
     """The batch search directly, against the reference's ranked
-    ``(distance, oid)`` list: for queries holding a full answer — at
-    their own centre and after the centre jumps — and for the same
-    queries searched with no answer to bound them (a first solve), the
-    ranked ``(distance, oid)`` lists are equal, distances bit for bit
-    (so the maintained radius is, too)."""
+    ``(distance, oid)`` list: for the rows of queries holding a full
+    answer — at their own centre and after the centre jumps — and for
+    probe rows of the same queries with no answer to bound them (a
+    first solve), the ranked ``(distance, oid)`` lists are equal,
+    distances bit for bit (so the maintained radius is, too)."""
     trio = Trio()
     populate(trio, [(x, y, 0.0, 0.0) for x, y in objects])
     for i, (center, k) in enumerate(probes):
@@ -254,18 +255,22 @@ def test_batch_knn_search_equals_the_brute_force_ranking(objects, probes, shift)
     trio.evaluate(0.0)
     engine = trio.production
     evaluator = engine._columnar_evaluator
-    full = [q for q in engine.queries.values() if len(q.answer) == q.k]
-    unbounded = [
-        KnnQueryState(q.qid, q.center, q.k, q.t) for q in engine.queries.values()
-    ]
+    qstore = engine._qstore
+    full = [q.qid for q in engine.queries.values() if len(q.answer) == q.k]
+    unbounded = []
+    for i, (center, k) in enumerate(probes):
+        qstore.add(-1 - i, KIND_KNN, cx=center.x, cy=center.y, k=k)
+        unbounded.append(-1 - i)
     for moved in (False, True):
         if moved:
-            for query in full + unbounded:
-                query.center = Point(*shift)
-        for queries in (full, unbounded):
-            if not queries:
+            for qid in full + unbounded:
+                row = qstore.row_of(qid)
+                qstore.cxs[row], qstore.cys[row] = shift
+        for qids in (full, unbounded):
+            if not qids:
                 continue
-            got = evaluator.knn_ranked(queries)
+            got = evaluator.knn_ranked(np.array([qstore.row_of(qid) for qid in qids]))
+            queries = [engine.queries[qid] for qid in qids]
             want = [knn_answer(q.center, q.k, trio.reference.objects) for q in queries]
             assert got == want
             for ranked, query in zip(got, queries):

@@ -17,7 +17,8 @@ from repro.columnar import (
     ColumnarQueryStore,
 )
 from repro.core import IncrementalEngine, ObjectState
-from repro.geometry import Point, Rect
+from repro.core.state import KnnQueryState, PredictiveQueryState, RangeQueryState
+from repro.geometry import Point, Rect, Velocity
 
 
 def report(store, oid, x, y, vx=0.0, vy=0.0, t=0.0, cell=0) -> int:
@@ -83,46 +84,93 @@ class TestObjectStore:
         assert len(store) == 0 and 5 not in store
 
 
+def query_row(store, qid):
+    """Every column of ``qid``'s row, by column name."""
+    row = store.row_of(qid)
+    return {
+        name: getattr(store, name)[row]
+        for name in (
+            "qids", "kinds", "min_xs", "min_ys", "max_xs", "max_ys", "cxs",
+            "cys", "radii", "ks", "horizons", "ts", "next_flips", "answers",
+        )
+    }  # fmt: skip
+
+
 class TestQueryStore:
-    def test_put_update_and_descriptor(self):
+    def test_add_writes_one_row_of_every_column(self):
         store = ColumnarQueryStore()
         v0 = store.version
-        store.put(100, KIND_RANGE, 0.1, 0.2, 0.3, 0.4)
+        assert store.add(100, KIND_RANGE, 0.1, 0.2, 0.3, 0.4, t=2.0) == 0
         assert store.version > v0
-        assert store.descriptor(100) == (KIND_RANGE, 0.1, 0.2, 0.3, 0.4)
-        store.put(100, KIND_RANGE, 0.5, 0.5, 0.9, 0.9)
-        assert store.descriptor(100) == (KIND_RANGE, 0.5, 0.5, 0.9, 0.9)
-        assert len(store) == 1
+        assert query_row(store, 100) == {
+            "qids": 100, "kinds": KIND_RANGE, "min_xs": 0.1, "min_ys": 0.2,
+            "max_xs": 0.3, "max_ys": 0.4, "cxs": 0.0, "cys": 0.0, "radii": 0.0,
+            "ks": 0, "horizons": 0.0, "ts": 2.0, "next_flips": -math.inf,
+            "answers": set(),
+        }  # fmt: skip
+        assert len(store) == 1 and 100 in store
 
     def test_kinds_default_zero_bounds(self):
         store = ColumnarQueryStore()
-        store.put(1, KIND_KNN)
-        store.put(2, KIND_PREDICTIVE)
-        assert store.descriptor(1) == (KIND_KNN, 0.0, 0.0, 0.0, 0.0)
-        assert store.descriptor(2) == (KIND_PREDICTIVE, 0.0, 0.0, 0.0, 0.0)
+        store.add(1, KIND_KNN, cx=0.25, cy=0.75, k=3, t=1.0)
+        store.add(2, KIND_PREDICTIVE, 0.1, 0.1, 0.2, 0.2, horizon=9.0)
+        knn = query_row(store, 1)
+        assert (knn["kinds"], knn["cxs"], knn["cys"], knn["ks"], knn["ts"]) == (
+            KIND_KNN, 0.25, 0.75, 3, 1.0
+        )
+        assert (knn["min_xs"], knn["max_ys"], knn["horizons"]) == (0.0, 0.0, 0.0)
+        predictive = query_row(store, 2)
+        assert (predictive["kinds"], predictive["max_xs"], predictive["horizons"]) == (
+            KIND_PREDICTIVE, 0.2, 9.0
+        )
+        assert predictive["ks"] == 0 and predictive["next_flips"] == -math.inf
+        assert store.rows_of(KIND_KNN).tolist() == [0]
+        assert store.rows_of(KIND_RANGE).tolist() == []
 
-    def test_every_mutation_bumps_version(self):
+    def test_version_bumps_on_rows_and_range_bounds_only(self):
         store = ColumnarQueryStore()
-        seen = {store.version}
-        store.put(1, KIND_RANGE, 0, 0, 1, 1)
-        seen.add(store.version)
-        store.put(1, KIND_RANGE, 0, 0, 0.5, 0.5)  # in-place update too
-        seen.add(store.version)
+        seen = [store.version]
+        store.add(1, KIND_RANGE, 0, 0, 1, 1)
+        seen.append(store.version)
+        store.move_bounds(np.array([0]), 0.0, 0.0, 0.5, 0.5)
+        seen.append(store.version)
         store.remove(1)
-        seen.add(store.version)
-        assert len(seen) == 4
+        seen.append(store.version)
+        assert len(set(seen)) == 4
+        assert 1 not in store
+        row = store.add(2, KIND_KNN, cx=0.5, cy=0.5, k=1)
+        predictive = store.add(3, KIND_PREDICTIVE, 0.0, 0.0, 1.0, 1.0, horizon=1.0)
+        before = store.version
+        store.radii[row] = 0.3
+        store.cxs[row] = 0.1
+        store.ts[row] = 4.0
+        store.move_bounds(np.array([predictive]), 0.1, 0.1, 0.2, 0.2)
+        store.next_flips[predictive] = 9.0
+        assert store.version == before
+        assert query_row(store, 3)["max_xs"] == 0.2
 
     def test_swap_remove(self):
         store = ColumnarQueryStore()
-        store.put(10, KIND_RANGE, 0.0, 0.0, 0.1, 0.1)
-        store.put(20, KIND_KNN)
-        store.put(30, KIND_PREDICTIVE)
+        store.add(10, KIND_RANGE, 0.0, 0.0, 0.1, 0.1)
+        store.add(20, KIND_KNN, cx=0.5, cy=0.6, k=2)
+        # The last row differs from the removed one in every column.
+        store.add(
+            30, KIND_PREDICTIVE, 0.2, 0.3, 0.4, 0.5, cx=0.6, cy=0.7, k=4, horizon=5.0, t=3.0
+        )
+        store.answers[2].update({7, 8})
+        store.radii[2] = 0.9
+        store.next_flips[2] = 12.5
+        want = query_row(store, 30)
+        assert all(value != query_row(store, 10)[name] for name, value in want.items())
         store.remove(10)
-        assert store.row_of(30) == 0
-        assert store.descriptor(30) == (KIND_PREDICTIVE, 0.0, 0.0, 0.0, 0.0)
-        assert store.descriptor(20) == (KIND_KNN, 0.0, 0.0, 0.0, 0.0)
+        assert store.row_of(30) == 0 and len(store) == 2
+        assert query_row(store, 30) == want
+        assert store.answers[0] == {7, 8}
+        assert len(store.answers) == len(store.ks) == 2
         with pytest.raises(KeyError):
-            store.descriptor(10)
+            store.row_of(10)
+        with pytest.raises(KeyError):
+            store.remove(10)
 
 
 class TestNumpyViews:
@@ -144,17 +192,23 @@ class TestNumpyViews:
         assert all(len(v) == 0 for v in views)
 
 
-def _object_states_alive() -> int:
+def _states_alive(kinds=ObjectState) -> int:
     gc.collect()
-    return sum(isinstance(o, ObjectState) for o in gc.get_objects())
+    return sum(isinstance(o, kinds) for o in gc.get_objects())
+
+
+QUERY_STATES = (RangeQueryState, KnnQueryState, PredictiveQueryState)
 
 
 def test_the_engine_keeps_no_object_states():
-    """The engine's store row is the only record of an object: bulk
-    rounds with removals and every query kind leave no ``ObjectState``
-    alive (while ``engine.objects`` materialises them on access)."""
+    """The engine's store rows are the only record of an object and of
+    a query: bulk rounds with removals, query moves and every query kind
+    leave no ``ObjectState`` and no query state alive (while
+    ``engine.objects`` and ``engine.queries`` materialise them on
+    access)."""
     rng = random.Random(3)
-    before = _object_states_alive()
+    before = _states_alive()
+    queries_before = _states_alive(QUERY_STATES)
     engine = IncrementalEngine(grid_size=8)
     engine.register_range_query(1, Rect(0.1, 0.1, 0.6, 0.6))
     engine.register_knn_query(2, Point(0.5, 0.5), 4)
@@ -174,8 +228,64 @@ def test_the_engine_keeps_no_object_states():
         if now:
             for oid in range(now, 200, 17):
                 engine.remove_object(oid)
+            engine.move_range_query(1, Rect(0.1 * now, 0.1, 0.6, 0.6), float(now))
+            engine.move_knn_query(2, Point(0.1 * now, 0.5), float(now))
+            engine.move_predictive_query(4, Rect(0.3, 0.1 * now, 0.7, 0.7), float(now))
         engine.evaluate(float(now))
     engine.check_invariants()
-    assert _object_states_alive() == before
+    assert _states_alive() == before
+    assert _states_alive(QUERY_STATES) == queries_before
     states = list(engine.objects.values())
-    assert _object_states_alive() - before == len(states) == engine.object_count
+    assert _states_alive() - before == len(states) == engine.object_count
+    queries = list(engine.queries.values())
+    assert _states_alive(QUERY_STATES) - queries_before == len(queries) == 4
+    assert queries[1].center == Point(0.4, 0.5) and queries[1].t == 4.0
+
+
+def test_engine_queries_is_a_read_only_view():
+    """``engine.queries`` materialises states from the store; it takes
+    no assignment, and a state's ``answer`` is the live set."""
+    engine = IncrementalEngine(grid_size=8)
+    engine.register_range_query(1, Rect(0.0, 0.0, 0.5, 0.5))
+    engine.report_object(7, Point(0.25, 0.25), 0.0)
+    engine.evaluate(0.0)
+    with pytest.raises(TypeError):
+        engine.queries[1] = engine.queries[1]
+    with pytest.raises(TypeError):
+        del engine.queries[1]
+    assert engine.queries[1] is not engine.queries[1]
+    assert engine.queries[1].answer is engine.queries[1].answer == {7}
+    assert list(engine.queries) == [1] and 2 not in engine.queries
+    with pytest.raises(KeyError):
+        engine.queries[2]
+
+
+def test_query_side_writes_without_range_changes_cut_no_range_csr():
+    """An evaluation whose only query-side writes are k-NN re-solves,
+    k-NN moves and predictive moves and refreshes leaves the range CSR
+    cached: ``engine_range_csr_rebuilds_total`` does not move."""
+    engine = IncrementalEngine(grid_size=8, prediction_horizon=20.0)
+    engine.register_range_query(1, Rect(0.1, 0.1, 0.6, 0.6))
+    engine.register_knn_query(2, Point(0.5, 0.5), 3)
+    engine.register_predictive_query(3, Rect(0.3, 0.3, 0.7, 0.7), 10.0)
+    rng = random.Random(5)
+    for oid in range(60):
+        engine.report_object(oid, Point(rng.random(), rng.random()), 0.0)
+    engine.evaluate(0.0)
+    rebuilds = engine.registry.counter("engine_range_csr_rebuilds_total")
+    repairs = engine.registry.counter("engine_knn_repairs_total")
+    refreshes = engine.registry.counter(
+        "engine_predictive_refreshes_total", labels={"path": "batch"}
+    )
+    before = (rebuilds.value, repairs.value, refreshes.value)
+    for now in (1.0, 2.0, 3.0):
+        engine.move_knn_query(2, Point(0.2 * now, 0.5), now)
+        engine.move_predictive_query(3, Rect(0.1 * now, 0.3, 0.6, 0.7), now)
+        for oid in range(0, 60, 7):  # moving reports re-solve k-NN / refresh
+            engine.report_object(
+                oid, Point(rng.random(), rng.random()), now, Velocity(0.01, 0.0)
+            )
+        engine.evaluate(now)
+    assert rebuilds.value == before[0]
+    assert repairs.value > before[1] and refreshes.value > before[2]
+    engine.check_invariants()

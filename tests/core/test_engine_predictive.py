@@ -142,8 +142,8 @@ class TestFootprintIsPlacementOnly:
         engine.report_object(1, Point(0.1, 0.18), 1.0, Velocity(0.02, 0.0))
         assert engine.evaluate(1.0) == [Update.positive(100, 1)]
         home = engine.grid.cell_of(Point(0.1, 0.18))
-        col_lo, col_hi, row_lo, row_hi = engine._columnar_evaluator.region_footprints(
-            [engine.queries[100]]
+        col_lo, col_hi, row_lo, row_hi = engine._columnar_evaluator.footprints(
+            [engine._qstore.row_of(100)]
         )[:, 0].tolist()
         assert (col_lo, col_hi, row_lo, row_hi) == (4, 5, 1, 1)
         assert not col_lo <= home % 8 <= col_hi

@@ -1,19 +1,21 @@
 """The engine's k-NN search against the brute-force ranking.
 
 ``ColumnarEvaluator.knn_ranked`` searches every dirty k-NN query of a
-cycle together; each query's ranked ``(distance, oid)`` list must equal
+cycle together, given their query-store rows; each query's ranked
+``(distance, oid)`` list must equal
 :func:`repro.check.reference.knn_answer`'s, distances included.  A
-query searched here holds no answer, so the search is bounded by its
-seed square (a first solve).
+probe row searched here holds no answer, so the search is bounded by
+its seed square (a first solve).
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.check.reference import knn_answer
+from repro.columnar import KIND_KNN
 from repro.core import IncrementalEngine
-from repro.core.state import KnnQueryState
 from repro.geometry import Point, Rect
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
@@ -29,8 +31,14 @@ def populate(count: int, seed: int, grid_size: int = 12) -> IncrementalEngine:
 
 
 def search(engine: IncrementalEngine, center: Point, k: int) -> list[tuple[float, int]]:
-    query = KnnQueryState(-1, center, k, 0.0)
-    return engine._columnar_evaluator.knn_ranked([query])[0]
+    """The ranked answer of a probe row added to the query store (and
+    removed again): no answer, radius 0."""
+    qstore = engine._qstore
+    row = qstore.add(-1, KIND_KNN, cx=center.x, cy=center.y, k=k)
+    try:
+        return engine._columnar_evaluator.knn_ranked(np.array([row]))[0]
+    finally:
+        qstore.remove(-1)
 
 
 class TestKnnSearch:

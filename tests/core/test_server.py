@@ -112,6 +112,34 @@ class TestAccounting:
         assert result.savings_ratio == pytest.approx(17 / 24)
 
 
+def test_a_cycle_with_commits_and_a_wakeup_materialises_no_query_state(monkeypatch):
+    """The per-cycle paths — answer totals, commits, delivered answers,
+    wakeup recovery — read the query store's answer sets, never a state
+    materialised through ``engine.queries``."""
+    server = LocationAwareServer(grid_size=8)
+    for client in (1, 2):
+        server.register_client(client)
+    server.register_range_query(1, 100, REGION)
+    server.register_knn_query(2, 200, Point(0.5, 0.5), 2)
+    server.register_predictive_query(2, 300, REGION, 5.0)
+    for oid in range(6):
+        server.receive_object_report(oid, Point(0.42 + 0.03 * oid, 0.5), 0.0)
+    server.evaluate_cycle(0.0)
+    materialised = []
+    monkeypatch.setattr(
+        type(server.engine.queries), "__getitem__", lambda _, qid: materialised.append(qid)
+    )
+    server.receive_commit(100)
+    server.receive_knn_query_move(200, Point(0.45, 0.5), 1.0)
+    server.link_of(1).disconnect()
+    server.receive_object_report(0, Point(0.1, 0.1), 1.0)
+    result = server.evaluate_cycle(1.0)
+    assert result.dropped_updates
+    assert server.receive_wakeup(1)
+    server.receive_commit(300)
+    assert materialised == []
+
+
 class TestHistoryPersistence:
     def test_superseded_locations_are_archived(self):
         history = HistoryRepository(BufferPool(InMemoryDiskManager(), 8))

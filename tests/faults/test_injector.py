@@ -1,8 +1,11 @@
 """Fault injector behaviour against a live server stack."""
 
+import pytest
+
 from repro.core.server import LocationAwareServer
 from repro.faults import FaultInjector, FaultPlan
 from repro.geometry import Point, Rect
+from repro.obs import FlightRecorder
 
 REGION = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -85,6 +88,43 @@ class TestUplinkDelay:
         server.receive_object_report(1, Point(0.5, 0.5), 1.0)
         server.evaluate_cycle(1.0)
         assert 1 in server.engine.objects
+
+
+MOVES = (
+    ("receive_range_query_move", Rect(0.1, 0.1, 0.3, 0.3)),
+    ("receive_knn_query_move", Point(0.2, 0.2)),
+    ("receive_predictive_query_move", Rect(0.1, 0.1, 0.3, 0.3)),
+)
+
+
+class TestRefusedMoves:
+    @pytest.mark.parametrize("door, target", MOVES)
+    def test_a_move_of_an_unbound_query_is_refused_before_it_is_buffered(
+        self, door, target
+    ):
+        """The refusal comes before the engine's buffer: later cycles
+        do not trip over a move of a query nobody owns."""
+        server = make_server()
+        with pytest.raises(KeyError, match="unknown query 99"):
+            getattr(server, door)(99, target, 1.0)
+        assert server.engine._pending_moves == {}
+        for now in (1.0, 2.0):
+            server.evaluate_cycle(now)
+
+    def test_a_delayed_move_of_a_since_unregistered_query_is_dropped(self):
+        """A move the gate deferred whose query is unregistered before
+        the replay is refused at the replay, recorded, and every later
+        cycle runs."""
+        recorder = FlightRecorder(capacity=256)
+        server = make_server(recorder=recorder)
+        install(server, uplink_delay_rate=1.0)
+        server.receive_range_query_move(10, Rect(0.1, 0.1, 0.3, 0.3), 1.0)
+        server.unregister_query(10)
+        for now in (1.0, 2.0, 3.0):
+            server.evaluate_cycle(now)
+        refused = [e for e in recorder.events() if e["kind"] == "uplink_refused"]
+        assert [e["uplink"] for e in refused] == ["receive_range_query_move"]
+        assert 10 not in server.engine.queries
 
 
 class TestDisconnects:

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.columnar import KIND_KNN, KIND_RANGE
 from repro.core import IncrementalEngine
-from repro.core.state import KnnQueryState, RangeQueryState
-from repro.geometry import Point, Rect
+from repro.geometry import Circle, Point, Rect
 from repro.grid import Grid
 from repro.grid.cellmath import (
     clamp_axis_index,
@@ -210,15 +210,23 @@ def test_engine_footprints_match_scalar_cells(n, data):
     for x, y in points:
         base = data.draw(st.sampled_from((x, y)))
         reach = data.draw(st.one_of(st.just(base), coord))
-        circles.append(KnnQueryState(0, Point(x, y), 1, 0.0, radius=abs(reach - base)))
+        circles.append(Circle(Point(x, y), abs(reach - base)))
     rects = [
         Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
         for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1])
     ]
-    for got, circle in zip(expand(evaluator.knn_footprints(circles), n), circles):
-        want = grid.cells_overlapping_set(circle.circle().bounding_rect())
-        assert got == (want or {grid.cell_of(circle.center)})
-    regions = [RangeQueryState(0, rect, 0.0) for rect in rects]
-    for got, rect in zip(expand(evaluator.region_footprints(regions), n), rects):
+    # Query-store rows, circles and rectangles interleaved.
+    qstore = engine._qstore
+    rows = []
+    for circle, rect in zip(circles, rects):
+        center = circle.center
+        rows.append(qstore.add(len(rows), KIND_KNN, cx=center.x, cy=center.y, k=1))
+        qstore.radii[rows[-1]] = circle.radius
+        bounds = (rect.min_x, rect.min_y, rect.max_x, rect.max_y)
+        rows.append(qstore.add(len(rows), KIND_RANGE, *bounds))
+    got = expand(evaluator.footprints(np.array(rows)), n)
+    for got_circle, got_rect, circle, rect in zip(got[0::2], got[1::2], circles, rects):
+        want = grid.cells_overlapping_set(circle.bounding_rect())
+        assert got_circle == (want or {grid.cell_of(circle.center)})
         want = grid.cells_overlapping_set(rect)
-        assert got == (want or {grid.cell_of(rect.center)})
+        assert got_rect == (want or {grid.cell_of(rect.center)})

@@ -10,8 +10,10 @@ sees what the production engine accepted — after every evaluation:
   stream order from the answers before the evaluation (the server's
   delivered-answer lag relies on it);
 * every query's answer is the same on both;
-* the production engine's ``check_invariants()`` is clean and its grid
-  index holds no object.
+* every query's state is the same on both — qid, kind, region or
+  centre, ``k``, horizon and ``t`` — the production engine's read from
+  its query-store row through ``engine.queries``;
+* the production engine's ``check_invariants()`` is clean.
 
 :class:`EnginePair` drives the two engines and asserts exactly that.
 """
@@ -22,6 +24,7 @@ from collections import Counter
 
 from repro.check.reference import ReferenceEngine
 from repro.core import DEFAULT_WORLD, IncrementalEngine
+from repro.core.state import QueryKind
 
 
 def assert_flips(before: dict[int, frozenset[int]], updates) -> None:
@@ -32,6 +35,18 @@ def assert_flips(before: dict[int, frozenset[int]], updates) -> None:
         answer = answers.setdefault(qid, set())
         assert (oid in answer) == (sign == -1), f"query {qid}: {sign:+d} of {oid}"
         answer ^= {oid}
+
+
+def query_geometry(query) -> tuple:
+    """What a query state says besides its answer (and a k-NN query's
+    radius, which the reference does not keep)."""
+    if query.kind is QueryKind.KNN:
+        shape = (query.center, query.k)
+    elif query.kind is QueryKind.RANGE:
+        shape = (query.region,)
+    else:
+        shape = (query.region, query.horizon)
+    return (query.qid, query.kind, *shape, query.t)
 
 
 def per_query(updates) -> dict[int, Counter]:
@@ -67,5 +82,8 @@ class EnginePair:
         assert_flips(before[1], want)
         assert per_query(got) == per_query(want), f"update multisets at {now}"
         assert self.production.complete_answers() == self.reference.complete_answers()
+        assert {qid: query_geometry(q) for qid, q in self.production.queries.items()} == {
+            qid: query_geometry(q) for qid, q in self.reference.queries.items()
+        }, f"query states at {now}"
         self.production.check_invariants()
         return got

@@ -83,7 +83,9 @@ class TestServerFreshness:
     def test_departed_objects_leave_the_tracker(self):
         """A thousand objects report and leave: the removal's negatives
         are attributed in the cycle they ship, the stamps go one
-        evaluation later, and a re-report in between keeps its new one."""
+        evaluation later, and a re-report in between keeps its new one.
+        An object reported and removed in the same batch never reaches
+        the store, and its stamp goes too."""
         server = make_server()
         registry = server.registry
         for oid in range(1000):
@@ -106,6 +108,14 @@ class TestServerFreshness:
         server.remove_object(7)
         server.evaluate_cycle(4.0)
         server.evaluate_cycle(5.0)
+        assert registry.value_of("freshness_tracked_objects") == 0
+        for now in (6.0, 7.0):
+            for oid in range(5000, 5100):
+                server.receive_object_report(oid, Point(0.5, 0.5), now)
+                server.remove_object(oid)
+            assert server.evaluate_cycle(now).updates == []
+        server.evaluate_cycle(8.0)
+        assert server.engine.object_count == 0
         assert registry.value_of("freshness_tracked_objects") == 0
 
 
