@@ -55,8 +55,8 @@ once per store state) and its one ragged gather ``(cell rects) ->
 * :meth:`~ColumnarEvaluator.knn_ranked` — every dirty k-NN query: its
   full answer, or a seed search of doubling cell squares, bounds the
   search square;
-* :meth:`~ColumnarEvaluator.predictive_refresh` — every churn-driven
-  and flip-due predictive query: one candidate pass, one slab test over
+* :meth:`~ColumnarEvaluator.predictive_refresh` — every predictive
+  query, every evaluation: one candidate pass, one slab test over
   per-pair bounds.
 
 Each leaves the answers the brute-force reference
@@ -627,19 +627,20 @@ class ColumnarEvaluator:
             radius = 2 * radius + 1
         return bound
 
-    def _predictive_pairs(self, qrows, now: float, trust_horizon: float):
-        """The candidates of the predictive query in every given store
-        row and their windowed membership at ``now``, as ``(pos, oids,
-        standing, inside)``: one entry per distinct (query position,
-        object), ascending by position then oid.
+    def predictive_refresh(self, qrows, now: float, trust_horizon: float):
+        """Refresh the predictive query in every given store row over one
+        candidate pass: per query, in order, ``(oids, signs)`` of the
+        changed memberships ascending by oid, already applied to the
+        answer sets.
 
-        Candidates are the objects whose index footprint meets the
-        query's, plus the standing answer (``standing``) — recomputed
-        from the columns: objects homed in
-        the query's footprint and moving objects whose swept footprint
+        A query's candidates are its standing answer plus the objects
+        whose index footprint meets the query's — recomputed from the
+        columns: objects homed in the query's footprint and moving
+        objects whose swept footprint
         (:func:`~repro.columnar.ingest.swept_cell_ranges`) meets it.
+        Every distinct (query, candidate) pair's windowed membership at
+        ``now`` is compared with its standing one.
         """
-        m = len(qrows)
         ostore = self.ostore
         qstore = self.qstore
         bounds = self._regions(qrows)
@@ -681,43 +682,19 @@ class ColumnarEvaluator:
         first[1:] = (pos[1:] != pos[:-1]) | (oids[1:] != oids[:-1])
         order = order[first]
         pos = pos[first]
+        oids = oids[first]
         inside = self._inside_rows(
             rows[order], bounds[:, pos], now, horizons[pos], trust_horizon
         )
-        return pos, oids[first], ~fresh[order], inside
-
-    def predictive_refresh(self, churned, due, now: float, trust_horizon: float):
-        """Both kinds of predictive refresh over one candidate pass.
-
-        Returns ``(refreshed, verdicts)``.  The ``churned`` queries'
-        store rows (no flip schedule) are refreshed here: per query, in
-        order, ``(oids, signs)`` of the changed memberships ascending by
-        oid, already applied to the answer sets.  The flip-due ``due``
-        queries' rows are only judged: per query, in order, ``(oids,
-        flags)`` of its candidates ascending by oid and their windowed
-        membership at ``now`` — what the engine's flip-scheduling
-        refresh walks."""
-        m = len(churned)
-        pos, oids, standing, inside = self._predictive_pairs(
-            np.concatenate((churned, due)), now, trust_horizon
-        )
-        split = int(np.searchsorted(pos, m))
-        cuts = np.searchsorted(pos[split:], np.arange(m, m + len(due) + 1)).tolist()
-        due_oids = oids[split:].tolist()
-        due_flags = inside[split:].tolist()
-        verdicts = [(due_oids[lo:hi], due_flags[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-        pos, oids, inside = pos[:split], oids[:split], inside[:split]
-        changed = np.flatnonzero(inside != standing[:split])
+        changed = np.flatnonzero(inside != ~fresh[order])
+        pos = pos[changed]
         oid_list = oids[changed].tolist()
         if len(changed):
-            qid_arr = np.frombuffer(self.qstore.qids, dtype=np.int64)[churned]
-            self._toggle_memberships(qid_arr[pos[changed]], oid_list)
-        cuts = np.searchsorted(pos[changed], np.arange(m + 1)).tolist()
+            qid_arr = np.frombuffer(qstore.qids, dtype=np.int64)[qrows]
+            self._toggle_memberships(qid_arr[pos], oid_list)
+        cuts = np.searchsorted(pos, np.arange(len(qrows) + 1)).tolist()
         sign_list = np.where(inside[changed], 1, -1).tolist()
-        refreshed = [
-            (oid_list[lo:hi], sign_list[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
-        ]
-        return refreshed, verdicts
+        return [(oid_list[lo:hi], sign_list[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
     def check_invariants(self) -> None:
         """The two CSRs against what they are cut from (tests only):

@@ -12,29 +12,23 @@ transition**:
   the object's velocity.  Range membership is a function of the point,
   a k-NN circle containing the point has the point's home cell in its
   footprint, and predictive membership is settled by the engine's
-  refresh phase — so a predictive object's *swept footprint* is cell
-  churn only, never a join key;
+  refresh phase — so a predictive object's *swept footprint*
+  (:func:`swept_cell_ranges`) is read by that refresh only, never a
+  join key;
 * **new home cells** for the entire buffer come from the shared batch
   kernel (:func:`repro.grid.cellmath.point_cells_batch`, bit-identical
   to the scalar ``Grid.cell_of``);
 * **old home cells** are the store's ``cells`` column at the batch's
   rows, as :meth:`~repro.columnar.store.ColumnarObjectStore.batch_apply`
-  hands them back before overwriting them — the store's columns are the
-  only record of where an object is;
+  hands them back before overwriting them (``-1`` for a new object) —
+  the store's columns are the only record of where an object is;
 * **transition cohorts** are recovered by one ``lexsort`` over
   ``(key, oid)`` with group-boundary detection; cohorts are emitted in
   first-occurrence order (``minimum.reduceat`` over the original
   positions).  They leave as :class:`CohortColumns` — per-cohort
   ``old``/``new`` cells and member ``start``/``count`` into the sorted
   order — so the columnar evaluator plans the join without ever
-  materialising a dict of member lists;
-* **churned cells** — every cell whose population or residents' motion
-  changed — are set in the evaluation's one bool mask over the grid
-  from every row's old and new footprint, both computed from columns
-  (:func:`footprint_cells`: the home cell of a stationary row,
-  :func:`swept_cell_ranges` of a moving one).  The predictive refresh
-  reads the same footprints back from the columns, so nothing stores
-  them.
+  materialising a dict of member lists.
 
 Cohort members come out oid-sorted, which is the order the evaluator
 joins and emits them in.  Agreement with the brute-force reference is
@@ -48,12 +42,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.grid.cellmath import (
-    point_cells_batch,
-    ragged_arange,
-    rect_cell_ranges_batch,
-    rect_cell_strips_batch,
-)
+from repro.grid.cellmath import point_cells_batch, rect_cell_ranges_batch
 
 
 def swept_cell_ranges(x, y, vx, vy, t, home, horizon: float, grid, np):
@@ -86,23 +75,6 @@ def swept_cell_ranges(x, y, vx, vy, t, home, horizon: float, grid, np):
     return col_lo, col_hi, row_lo, row_hi
 
 
-def footprint_cells(x, y, vx, vy, t, home, horizon: float, grid):
-    """The cells of a batch of rows' footprints, repeats included: the
-    home cell, widened for a moving row to its swept rectangle (which
-    always holds the home cell of an in-world location)."""
-    moving = np.flatnonzero((vx != 0.0) | (vy != 0.0)) if horizon > 0 else ()
-    if not len(moving):
-        return home
-    ranges = swept_cell_ranges(
-        *(column[moving] for column in (x, y, vx, vy, t, home)),
-        horizon,
-        grid,
-        np,
-    )
-    _, first, width = rect_cell_strips_batch(*ranges, grid.n, np)
-    return np.concatenate((home, ragged_arange(first, width, np)[1]))
-
-
 class CohortColumns:
     """One batch's transition cohorts as columns.
 
@@ -121,20 +93,17 @@ class CohortColumns:
 
 
 class BatchIngest:
-    """Batch phase 5a for one engine: turns a report buffer into
-    :class:`CohortColumns`, and drops departing objects, through the
-    object store's two write paths."""
+    """Batch phase 5a for one engine: writes a report buffer through the
+    object store's batch door and turns it into :class:`CohortColumns`."""
 
     __slots__ = ("engine",)
 
     def __init__(self, engine) -> None:
         self.engine = engine
 
-    def group(self, reports, churned) -> CohortColumns:
-        """Write one (non-empty) report buffer into the object store;
-        set every cell whose population or residents' motion changed in
-        the bool mask ``churned``; return the batch's cohorts.  Clears
-        the buffer."""
+    def group(self, reports) -> CohortColumns:
+        """Write one (non-empty) report buffer into the object store and
+        return the batch's cohorts.  Clears the buffer."""
         engine = self.engine
         grid = engine.grid
         count = len(reports)
@@ -148,10 +117,9 @@ class BatchIngest:
         new_cells = point_cells_batch(x_arr, y_arr, grid, np)
         cols = CohortColumns()
         cols.oids = oid_arr
-        motion = (x_arr, y_arr, vx_arr, vy_arr, t_arr, new_cells)
-        cols.rows, known, prior = engine._ostore.batch_apply(oid_arr, *motion)
-        old_cells = np.full(count, -1, dtype=np.int64)
-        old_cells[known] = prior[-1]
+        cols.rows, old_cells = engine._ostore.batch_apply(
+            oid_arr, x_arr, y_arr, vx_arr, vy_arr, t_arr, new_cells
+        )
 
         # --- cohort grouping: sort by (transition key, oid), find the
         # group boundaries, emit groups by first occurrence in report
@@ -173,28 +141,4 @@ class BatchIngest:
         cols.new = group_keys % n_cells
         cols.start = starts[perm]
         cols.count = np.diff(np.append(starts, count))[perm]
-
-        # --- churn: the old footprint of every known row (a new object
-        # has none) and the new footprint of every row.
-        churned[
-            footprint_cells(
-                *map(np.concatenate, zip(prior, motion)),
-                engine.prediction_horizon,
-                grid,
-            )
-        ] = True
         return cols
-
-    def remove(self, oids, churned) -> None:
-        """Drop the tracked ``oids`` from the object store, setting the
-        cells of their footprints in the bool mask ``churned``."""
-        engine = self.engine
-        ostore = engine._ostore
-        rows = np.fromiter(map(ostore.row_of, oids), np.int64, count=len(oids))
-        churned[
-            footprint_cells(
-                *ostore.motion_at(rows), engine.prediction_horizon, engine.grid
-            )
-        ] = True
-        for oid in oids:
-            ostore.remove(oid)

@@ -34,19 +34,18 @@ searches), cut by :meth:`ColumnarObjectStore.home_cells` at most once
 per store ``version``, and its :meth:`~HomeCells.gather` is the one
 ragged gather every array pass that needs "the objects under these
 cells" shares.  An object's swept footprint is not stored at all: it is
-a function of its ``x, y, vx, vy, t, cell`` row
-(:meth:`ColumnarObjectStore.motion_at`), recomputed where it is needed.
+a function of its ``x, y, vx, vy, t, cell`` row, recomputed where it is
+needed.
 
 The query store is the same for queries: a query's row — its kind,
-region bounds, k-NN centre, radius and ``k``, predictive horizon and
-flip time, ``t``, and its answer set — is the only record of it, and
+region bounds, k-NN centre, radius and ``k``, predictive horizon,
+``t``, and its answer set — is the only record of it, and
 ``engine.queries`` is a read-only mapping that materialises a query
 state from a row on access.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from itertools import repeat
 
@@ -152,11 +151,10 @@ class ColumnarObjectStore:
 
     def batch_apply(self, oids, xs, ys, vxs, vys, ts, cells):
         """Apply one whole report buffer in a few array passes; returns
-        ``(rows, known, prior)``: the batch's store rows as an int64
-        ndarray aligned with ``oids`` (the column planner's member rows),
-        the batch positions of the oids that already had a row, and
-        those rows' :meth:`motion_at` columns as they were before this
-        call overwrote them (their old home cells and footprints).
+        ``(rows, old_cells)``, int64 ndarrays aligned with ``oids``: the
+        batch's store rows (the column planner's member rows) and each
+        row's home cell as it was before this call overwrote it (``-1``
+        for an oid that had no row).
 
         The oids must be **distinct** within the batch (the engine's
         report buffer is a dict, so they are) and the columns aligned
@@ -180,7 +178,8 @@ class ColumnarObjectStore:
         )
         fresh = np.flatnonzero(rows < 0)
         known = np.flatnonzero(rows >= 0)
-        prior = self.motion_at(rows[known])
+        old_cells = np.full(count, -1, dtype=np.int64)
+        old_cells[known] = np.frombuffer(self.cells, dtype=np.int64)[rows[known]]
         if len(fresh):
             # Bulk-append new rows first so the scatter views below are
             # taken after the last reallocation.
@@ -212,7 +211,7 @@ class ColumnarObjectStore:
             np.frombuffer(self.vys, dtype=np.float64)[target] = vys[known]
             np.frombuffer(self.ts, dtype=np.float64)[target] = ts[known]
             np.frombuffer(self.cells, dtype=np.int64)[target] = cells[known]
-        return rows, known, prior
+        return rows, old_cells
 
     def remove(self, oid: int) -> None:
         """Swap-remove ``oid``'s row; unknown oids raise ``KeyError``."""
@@ -240,23 +239,6 @@ class ColumnarObjectStore:
         self.vys.pop()
         self.ts.pop()
         self.cells.pop()
-
-    def motion_at(self, rows):
-        """``(x, y, vx, vy, t, cell)`` of object-store ``rows`` as
-        arrays: everything an object's home cell and swept footprint are
-        a function of."""
-        f64 = np.float64
-        return tuple(
-            np.frombuffer(column, dtype=dtype)[rows]
-            for column, dtype in (
-                (self.xs, f64),
-                (self.ys, f64),
-                (self.vxs, f64),
-                (self.vys, f64),
-                (self.ts, f64),
-                (self.cells, np.int64),
-            )
-        )
 
     def cell_counts(self, n_cells: int):
         """Objects per home cell, one int64 count per cell."""
@@ -295,7 +277,7 @@ _QUERY_COLUMNS = (
     ("qids", "q"), ("kinds", "b"),
     ("min_xs", "d"), ("min_ys", "d"), ("max_xs", "d"), ("max_ys", "d"),
     ("cxs", "d"), ("cys", "d"), ("radii", "d"), ("ks", "q"),
-    ("horizons", "d"), ("ts", "d"), ("next_flips", "d"),
+    ("horizons", "d"), ("ts", "d"),
 )  # fmt: skip
 
 
@@ -303,16 +285,15 @@ class ColumnarQueryStore:
     """Parallel arrays of query state, one row per query and the only
     record of it: qid, kind code, the region bounds (a range or
     predictive query's), a k-NN query's centre, radius and ``k``, a
-    predictive query's horizon and ``next_flip``, the time of its last
-    registration or move, and its ``answers`` set (a list aligned with
-    the rows, swap-removed with them).  A column a kind does not use
-    holds zero (``next_flip``: ``-inf``).
+    predictive query's horizon, the time of its last registration or
+    move, and its ``answers`` set (a list aligned with the rows,
+    swap-removed with them).  A column a kind does not use holds zero.
 
     ``version`` says "the range CSR must be re-cut": it bumps when a row
     is added or removed, or when a range query's bounds change — not
-    when a k-NN centre or radius, a predictive region or flip time, or a
-    ``t`` is written, so a re-solve every evaluation never invalidates
-    the evaluator's cache.  The ``kinds`` column is the only record of
+    when a k-NN centre or radius, a predictive region, or a ``t`` is
+    written, so a re-solve every evaluation never invalidates the
+    evaluator's cache.  The ``kinds`` column is the only record of
     which queries are k-NN or predictive (:meth:`rows_of`).
     """
 
@@ -356,7 +337,7 @@ class ColumnarQueryStore:
         self.version += 1
         row = len(self.qids)
         self._row_of[qid] = row
-        values = (qid, kind, min_x, min_y, max_x, max_y, cx, cy, 0.0, k, horizon, t, -math.inf)
+        values = (qid, kind, min_x, min_y, max_x, max_y, cx, cy, 0.0, k, horizon, t)
         for column, value in zip(self._arrays, values):
             column.append(value)
         self.answers.append(set())

@@ -29,31 +29,29 @@ Incrementality per query kind:
   grid footprint of their predicted trajectory; a predictive
   query's answer is the set of objects whose extrapolated motion enters
   its region within the query's horizon.  Because the horizon window
-  slides with evaluation time, predictive answers must be re-filtered
-  from the query's (small) candidate cell set — but only when either
-  the candidate set changed (report churn in the footprint cells: one
-  bool mask over the grid, met by each footprint's rectangle) or the
-  sliding window actually reached the next membership flip time.
+  slides with evaluation time, every predictive query is re-filtered
+  from its (small) candidate cell set in every evaluation — all of
+  them in one array pass — and only the changed predictions are
+  emitted.
 
 Bulk evaluation runs as one **columnar pipeline** (the paper's
 Section 3 point: buffered updates are evaluated as a grid-partition
 spatial join, not one at a time).  The batch's object reports are
 grouped by their (old home cell → new home cell) transition — one per
 report, whatever its velocity; a predictive object's swept footprint is
-cell churn only — and joined against the range queries listed in those
-cells as batch array kernels over struct-of-arrays object and query
-state (:mod:`repro.columnar`, on numpy).  An object's store row is the
+read by the predictive refresh only, never a join key — and joined
+against the range queries listed in those cells as batch array
+kernels over struct-of-arrays object and query state
+(:mod:`repro.columnar`, on numpy).  An object's store row is the
 only record of it, and a query's query-store row — kind, geometry,
-``t``, flip time and answer set — the only record of it:
+``t`` and answer set — the only record of it:
 ``engine.objects`` and ``engine.queries`` are read-only mappings that
 materialise an :class:`ObjectState` or a query state per access, and
 the engine itself reads and writes rows.  The *query* side of a cycle
 is columnar too: a batch's range-query registrations and moves, every
 dirty k-NN query and every predictive refresh run as array passes over a home-cell CSR of the
 object store (:meth:`ColumnarEvaluator.fill_ranges`,
-``move_ranges``, ``knn_ranked``, ``predictive_refresh``); only a
-flip-due predictive query walks its verdicts in Python, to schedule its
-next flip (``engine_predictive_refreshes_total{path}`` says which ran).
+``move_ranges``, ``knn_ranked``, ``predictive_refresh``).
 
 Its reference is brute force: :class:`repro.check.reference.ReferenceEngine`
 re-derives every answer from scratch, step by step in this engine's
@@ -101,9 +99,8 @@ from repro.core.state import (
     RangeQueryState,
 )
 from repro.core.updates import UpdateBatch
-from repro.geometry import LinearMotion, Point, Rect, Velocity
+from repro.geometry import Point, Rect, Velocity
 from repro.grid import Grid
-from repro.grid.cellmath import rect_cells_meet
 from repro.obs import (
     NULL_FRESHNESS,
     NULL_RECORDER,
@@ -151,7 +148,7 @@ def _check_motion(
     from: a non-finite time or velocity, or one that carries the
     (clamped) location past the largest float within the prediction
     horizon — measured over ``(t + horizon) - t``, the span the engine's
-    footprint and flip-time arithmetic extrapolate over, so that
+    footprint and membership arithmetic extrapolate over, so that
     arithmetic stays finite."""
     if not (math.isfinite(t) and math.isfinite(vx) and math.isfinite(vy)):
         raise ValueError(
@@ -268,9 +265,7 @@ class StoreQueries(_StoreView):
         region = store.region_at(row)
         if kind == KIND_RANGE:
             return RangeQueryState(qid, region, t, answer)
-        return PredictiveQueryState(
-            qid, region, store.horizons[row], t, answer, store.next_flips[row]
-        )
+        return PredictiveQueryState(qid, region, store.horizons[row], t, answer)
 
 
 class IncrementalEngine:
@@ -375,14 +370,7 @@ class IncrementalEngine:
         )
         self._batch_ingest = BatchIngest(self)
         self._m_ingest_seconds = counter("engine_ingest_seconds_total")
-        # Which way each predictive refresh ran: "batch" = a churned or
-        # moved query, settled by the array pass; "scalar" = a query
-        # whose flip time came due (its verdicts come from the array
-        # pass; scheduling its next flip is scalar).
-        self._m_refresh_paths = {
-            path: counter("engine_predictive_refreshes_total", labels={"path": path})
-            for path in ("batch", "scalar")
-        }
+        self._m_predictive_refreshes = counter("engine_predictive_refreshes_total")
 
     # ------------------------------------------------------------------
     # Ingestion (buffered)
@@ -707,13 +695,6 @@ class IncrementalEngine:
             for row in qstore.rows_of(KIND_KNN).tolist()
             if len(qstore.answers[row]) < qstore.ks[row]
         }
-        # Cells whose object population (or a resident's motion state)
-        # changed this evaluation, one bool per cell — drives the
-        # predictive refresh.
-        churned = np.zeros(self.grid.cell_count, dtype=bool)
-        # Predictive queries that must refresh regardless of cell churn
-        # (registered or moved this batch).
-        dirty_predictive: set[int] = set()
         tracer = self.tracer
         span = tracer.span
         phase_counters = self._phase_counters
@@ -722,19 +703,19 @@ class IncrementalEngine:
             with span("unregistrations", phase_counters["unregistrations"]):
                 self._apply_unregistrations(knn_dirty)
             with span("removals", phase_counters["removals"]):
-                self._apply_removals(updates, knn_dirty, churned)
+                self._apply_removals(updates, knn_dirty)
             with span("registrations", phase_counters["registrations"]):
-                self._apply_registrations(updates, knn_dirty, dirty_predictive)
+                self._apply_registrations(updates, knn_dirty)
             with span("query_moves", phase_counters["query_moves"]):
-                self._apply_query_moves(updates, knn_dirty, dirty_predictive)
+                self._apply_query_moves(updates, knn_dirty)
             with span("object_reports", phase_counters["object_reports"]):
-                self._apply_object_reports(updates, knn_dirty, churned)
+                self._apply_object_reports(updates, knn_dirty)
             with span("knn_repair", phase_counters["knn_repair"]):
                 self._repair_knn(knn_dirty, updates)
             with span(
                 "predictive_refresh", phase_counters["predictive_refresh"]
             ):
-                self._refresh_predictive(updates, churned, dirty_predictive)
+                self._refresh_predictive(updates)
             with span("occupancy_sample"):
                 self._sample_occupancy()
         self._m_updates_emitted.inc(len(updates))
@@ -778,7 +759,7 @@ class IncrementalEngine:
             self.freshness.forget_query(qid)
         self._pending_unregistrations.clear()
 
-    def _apply_removals(self, updates, knn_dirty: set[int], churned) -> None:
+    def _apply_removals(self, updates, knn_dirty: set[int]) -> None:
         """Drop the departing objects; each answer holding one emits a
         negative.  Answers are the only record of membership, so every
         registered answer is intersected with the removed oids — paid
@@ -793,7 +774,8 @@ class IncrementalEngine:
         if not removed:
             return
         gone = set(removed)
-        self._batch_ingest.remove(removed, churned)
+        for oid in removed:
+            self._ostore.remove(oid)
         qstore = self._qstore
         for row in np.argsort(np.frombuffer(qstore.qids, dtype=np.int64)).tolist():
             answer = qstore.answers[row]
@@ -809,12 +791,7 @@ class IncrementalEngine:
     # Phase 3: first-time answers for new queries
     # ------------------------------------------------------------------
 
-    def _apply_registrations(
-        self,
-        updates,
-        knn_dirty: set[int],
-        dirty_predictive: set[int],
-    ) -> None:
+    def _apply_registrations(self, updates, knn_dirty: set[int]) -> None:
         qstore = self._qstore
         range_fills: list[int] = []
         for query in self._pending_registrations.values():
@@ -837,7 +814,6 @@ class IncrementalEngine:
                 qstore.add(
                     qid, KIND_PREDICTIVE, *bounds, horizon=query.horizon, t=query.t
                 )
-                dirty_predictive.add(qid)
         # Only range registrations emit in this phase, so filling them
         # together after the loop keeps the stream in arrival order.
         if range_fills:
@@ -848,12 +824,7 @@ class IncrementalEngine:
     # Phase 4: query movement
     # ------------------------------------------------------------------
 
-    def _apply_query_moves(
-        self,
-        updates,
-        knn_dirty: set[int],
-        dirty_predictive: set[int],
-    ) -> None:
+    def _apply_query_moves(self, updates, knn_dirty: set[int]) -> None:
         # Only range moves emit in this phase, so taking them together
         # after the loop keeps the stream in arrival order.
         qstore = self._qstore
@@ -875,7 +846,6 @@ class IncrementalEngine:
                 # Predictive regions re-filter in the refresh phase.
                 region: Rect = payload  # type: ignore[assignment]
                 qstore.move_bounds([row], region.min_x, region.min_y, region.max_x, region.max_y)
-                dirty_predictive.add(qid)
         if range_rows:
             self._columnar_evaluator.move_ranges(
                 np.array(range_rows), range_regions, updates
@@ -886,7 +856,7 @@ class IncrementalEngine:
     # Phase 5: object movement
     # ------------------------------------------------------------------
 
-    def _apply_object_reports(self, updates, knn_dirty: set[int], churned) -> None:
+    def _apply_object_reports(self, updates, knn_dirty: set[int]) -> None:
         """Batch ingest groups the buffer into home-cell transition
         cohorts (phase 5a), then the evaluator joins every cohort against
         its cells' range queries in one kernel pass and emits the changed
@@ -894,7 +864,7 @@ class IncrementalEngine:
         if not self._pending_reports:
             return
         with self.tracer.span("report_ingest", self._m_ingest_seconds):
-            columns = self._batch_ingest.group(self._pending_reports, churned)
+            columns = self._batch_ingest.group(self._pending_reports)
         emitted_before = len(updates)
         self._columnar_evaluator.run_columns(columns, updates, knn_dirty)
         self.recorder.record(
@@ -949,129 +919,26 @@ class IncrementalEngine:
     # Phase 7: predictive window refresh
     # ------------------------------------------------------------------
 
-    def _refresh_predictive(
-        self, updates, churned, dirty_predictive: set[int]
-    ) -> None:
-        """Refresh only predictive queries that can actually change.
+    def _refresh_predictive(self, updates) -> None:
+        """Re-filter every predictive query in one array pass.
 
-        A predictive answer depends on (a) the query's region/horizon,
-        (b) the states of its candidate objects, and (c) the evaluation
-        time (the horizon window slides).  (a) is covered by
-        ``dirty_predictive`` (registered/moved this batch), (b) by cell
-        churn — every candidate's footprint intersects the query's
-        footprint, so any candidate change sets a footprint cell in the
-        ``churned`` mask —
-        and (c) by the row's ``next_flips`` time, computed at its
-        previous refresh: the earliest time the sliding window can flip
-        some candidate's membership (``-inf``: not yet computed).
-        Anything else is provably a no-op and is skipped.
+        A predictive answer depends on the query's region and horizon,
+        its candidates' states and the evaluation time — the horizon
+        window slides — so every registered query is re-answered each
+        evaluation, as the reference does; only the changed memberships
+        are emitted, per query in qid order.
         """
-        evaluator = self._columnar_evaluator
         qstore = self._qstore
         rows = qstore.rows_of(KIND_PREDICTIVE)
         if not len(rows):
             return
-        qids = np.frombuffer(qstore.qids, dtype=np.int64)[rows]
-        need = np.isin(qids, list(dirty_predictive))
-        if churned.any():
-            need |= rect_cells_meet(
-                churned, *evaluator.footprints(rows), self.grid.n, np
-            )
-        now = self.now
-        # Churn-driven refreshes: under sustained churn a flip schedule
-        # would be recomputed every cycle and never consulted, so don't
-        # pay for one — the first quiet evaluation refreshes once more
-        # (next_flip == -inf) and computes the schedule then.  On the
-        # array path they all run as one pass; emission stays in qid
-        # order, interleaved with the flip-due queries.  The two kinds
-        # touch disjoint queries, so one pass serves both.
-        due = ~need & (np.frombuffer(qstore.next_flips, dtype=np.float64)[rows] <= now)
-        if not need.any() and not due.any():
-            return
-        refreshed, verdicts = map(
-            iter,
-            evaluator.predictive_refresh(
-                rows[need], rows[due], now, self.prediction_horizon
-            ),
+        self._m_predictive_refreshes.inc(len(rows))
+        refreshed = self._columnar_evaluator.predictive_refresh(
+            rows, self.now, self.prediction_horizon
         )
-        paths = self._m_refresh_paths
-        for row, qid, batch, scalar in zip(
-            rows.tolist(), qids.tolist(), need.tolist(), due.tolist()
-        ):
-            if batch:
-                paths["batch"].inc()
-                oids, signs = next(refreshed)
-                updates.extend_columns([qid] * len(oids), oids, signs)
-                qstore.next_flips[row] = -math.inf
-            elif scalar:
-                paths["scalar"].inc()
-                self._refresh_flip_due(row, updates, *next(verdicts))
-
-    def _refresh_flip_due(self, row: int, updates, ordered, flags) -> None:
-        """Apply the membership ``flags`` of the flip-due predictive query
-        in store ``row`` over its candidates ``ordered`` (ascending oids),
-        emit the changes, and schedule its next flip: the earliest
-        :meth:`_membership_flip_time` of its candidates, read from their
-        object-store rows."""
-        qstore = self._qstore
-        qid = qstore.qids[row]
-        answer = qstore.answers[row]
-        region = qstore.region_at(row)
-        horizon = qstore.horizons[row]
-        ostore = self._ostore
-        motion = ostore.motion_at([ostore.row_of(oid) for oid in ordered])[:5]
-        next_flip = math.inf
-        for oid, inside, x, y, vx, vy, t in zip(
-            ordered, flags, *(column.tolist() for column in motion)
-        ):
-            if inside != (oid in answer):
-                answer ^= {oid}
-                updates.push(qid, oid, 1 if inside else -1)
-            trajectory = LinearMotion(Point(x, y), Velocity(vx, vy), t)
-            flip = self._membership_flip_time(region, horizon, trajectory, inside)
-            next_flip = min(next_flip, flip)
-        if not math.isinf(next_flip):
-            # Small relative safety margin: the flip time is derived from
-            # one trajectory clipping over the full trusted span, while
-            # membership itself is recomputed per-window; the margin
-            # absorbs any floating-point disagreement between the two so
-            # a refresh can only ever fire early, never late.
-            next_flip -= 1e-9 * (1.0 + abs(next_flip))
-        qstore.next_flips[row] = next_flip
-
-    def _membership_flip_time(
-        self, region: Rect, horizon: float, motion: LinearMotion, inside: bool
-    ) -> float:
-        """The earliest evaluation time at which the membership of an
-        object reported as ``motion`` in a predictive query over
-        ``region`` looking ``horizon`` ahead can change with
-        *no further reports* — i.e. purely because the horizon window
-        ``[now, now + horizon]`` slides.
-
-        For linear motion inside a convex region the in-region times
-        form one interval ``[enters, leaves]`` (within the object's
-        trusted extrapolation span).  A current member stays a member
-        until the window start passes ``leaves``; a non-member becomes
-        one when the window end reaches ``enters``.  ``inf`` means the
-        membership can never change without churn.
-        """
-        span_start = max(self.now, motion.t0)
-        span_end = motion.t0 + self.prediction_horizon
-        if span_end < span_start:
-            # The trusted extrapolation span is entirely in the past:
-            # membership is False and stays False until a new report.
-            return math.inf
-        interval = motion.time_in_rect(region, span_start, span_end)
-        if interval is None:
-            # Never in the region within the trusted span.  If the
-            # windowed check nevertheless said "inside" (conceivable
-            # only through floating-point disagreement), stay safe by
-            # refreshing every evaluation.
-            return -math.inf if inside else math.inf
-        enters, leaves = interval
-        if inside:
-            return leaves
-        return enters - horizon
+        qids = np.frombuffer(qstore.qids, dtype=np.int64)[rows].tolist()
+        for qid, (oids, signs) in zip(qids, refreshed):
+            updates.extend_columns([qid] * len(oids), oids, signs)
 
     # ------------------------------------------------------------------
     # Helpers

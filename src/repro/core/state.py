@@ -77,19 +77,14 @@ class KnnQueryState:
 @dataclass(slots=True)
 class PredictiveQueryState:
     """A predictive range query: who will be in ``region`` within ``horizon``
-    seconds of the current evaluation time?
-
-    ``next_flip`` is the engine's refresh schedule (see
-    ``IncrementalEngine._refresh_predictive``); ``-inf`` means "refresh
-    at the next evaluation".
-    """
+    seconds of the current evaluation time?  Every evaluation re-answers
+    it against the slid window."""
 
     qid: int
     region: Rect
     horizon: float
     t: float
     answer: set[int] = field(default_factory=set)
-    next_flip: float = float("-inf")
 
     kind = QueryKind.PREDICTIVE_RANGE
 

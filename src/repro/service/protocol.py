@@ -24,7 +24,7 @@ Uplink (client → server)
 ========== ============================================================
 op          fields
 ========== ============================================================
-hello       ``client`` (int), optional ``budget`` (bytes/cycle →
+hello       ``client`` (int), optional ``budget`` (bytes/cycle > 0 →
             :class:`~repro.net.ThrottledLink`), optional ``sync``
             (bool: session wants ``cycle_end`` markers)
 report      ``client``, ``oid``, ``x``, ``y``, ``t``, optional

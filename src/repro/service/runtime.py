@@ -499,9 +499,9 @@ class ServiceRuntime:
             budget = op.get("budget")
             if budget is not None:
                 budget = int(budget)
-                if budget < 0:
+                if budget <= 0:
                     raise ProtocolError(
-                        "bad_value", f"budget must be >= 0, got {budget}"
+                        "bad_value", f"budget must be positive, got {budget}"
                     )
             return _id_of(op, "client"), budget
         if name == "tick":

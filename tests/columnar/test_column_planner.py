@@ -13,8 +13,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-import numpy as np
-
 from repro.check.reference import ReferenceEngine
 from repro.columnar import classify_transitions
 from repro.core import DEFAULT_WORLD, IncrementalEngine
@@ -55,9 +53,7 @@ def test_column_planner_on_every_cohort_shape():
         engine.report_object(12, Point(0.16, 0.07), 1.0, Velocity(0.01, 0.0))  # leaves 2
         engine.report_object(13, Point(0.3, 0.3), 1.0)
     engine, ref = engines
-    columns = engine._batch_ingest.group(
-        engine._pending_reports, np.zeros(GRID * GRID, dtype=bool)
-    )
+    columns = engine._batch_ingest.group(engine._pending_reports)
     plan = engine._columnar_evaluator._plan_columns(columns, set())
     members = [
         columns.oids[columns.order[start : start + count]].tolist()
@@ -193,9 +189,7 @@ def test_a_knn_query_holding_a_reported_member_is_marked_dirty():
         qstore.cxs[row], qstore.cys[row] = far.x, far.y
         qstore.radii[row] = 0.0
     engine.report_object(1, Point(0.2, 0.12), 1.0)  # cell 0 -> cell 1
-    columns = engine._batch_ingest.group(
-        engine._pending_reports, np.zeros(GRID * GRID, dtype=bool)
-    )
+    columns = engine._batch_ingest.group(engine._pending_reports)
     assert (columns.old.tolist(), columns.new.tolist()) == ([0], [1])
     knn_dirty: set[int] = set()
     engine._columnar_evaluator._plan_columns(columns, knn_dirty)

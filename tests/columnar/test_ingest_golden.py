@@ -177,10 +177,9 @@ def test_removal_interleaved_batches():
 
 
 def test_leaving_a_predictive_footprint_after_a_quiet_round():
-    """A stationary member moves to a cell outside its predictive
-    query's footprint after a quiet round scheduled the query's next
-    refresh far ahead: only the churn of the cell it left can refresh
-    the query in time."""
+    """A stationary member moves, after a quiet round, to a cell
+    outside its predictive query's footprint: the refresh still meets
+    it through the standing answer and emits its departure."""
     fleet = Fleet()
     fleet.all("register_predictive_query", 1, Rect(0.1, 0.1, 0.2, 0.2), 10.0)
     fleet.all("report_object", 7, Point(0.15, 0.15), 0.0)

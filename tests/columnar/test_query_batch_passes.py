@@ -6,10 +6,9 @@ queries of a phase at once.  The contract is the usual one
 (:mod:`tests.lockstep`): per query the same update multiset as the
 brute-force reference (which answers in scalar Python, query by
 query: the "scalar" moves and refreshes below), the same answers, and a
-clean
-``check_invariants()`` (which also checks both CSRs against the grid
-index's query side and the cells column) — on generated workloads aimed
-at each pass's edges.
+clean ``check_invariants()`` (which also checks the range CSR against
+the scalar ``Grid.cells_overlapping_set`` and the home-cell CSR against
+the cells column) — on generated workloads aimed at each pass's edges.
 """
 
 from __future__ import annotations
@@ -66,9 +65,6 @@ class Trio(EnginePair):
     def evaluate(self, dt: float = 1.0) -> list[tuple[int, int, int]]:
         self.now += dt
         return list(super().evaluate(self.now).tuples())
-
-    def path_count(self, name: str, path: str) -> float:
-        return self.production.registry.value_of(name, {"path": path})
 
 
 def populate(trio: Trio, objects) -> None:
@@ -334,8 +330,8 @@ def test_first_time_and_underfull_queries_take_the_array_pass():
 def test_predictive_refresh_in_one_pass_matches_the_scalar_refresh(
     objects, queries, rounds
 ):
-    """Trajectories that leave the world, stale reports, queries both
-    churned and flip-due, quiet rounds where only the window slides."""
+    """Trajectories that leave the world, stale reports, moved queries,
+    removals, quiet rounds where only the window slides."""
     trio = Trio()
     populate(trio, objects)
     live = set(range(len(objects)))
@@ -360,19 +356,24 @@ def test_predictive_refresh_in_one_pass_matches_the_scalar_refresh(
     trio.evaluate(HORIZON + 1.0)  # every standing report is now stale
 
 
-def test_a_query_both_churned_and_flip_due_refreshes_once_by_churn():
+def test_every_evaluation_refreshes_every_predictive_query():
+    """One refresh path: each evaluation re-answers every registered
+    predictive query — one with no reports, moves or registrations too,
+    where only the window slides — and the unlabelled
+    ``engine_predictive_refreshes_total`` advances by their number."""
     trio = Trio()
-    # Object 0 will enter the region at t = 5; object 1 sits inside.
+    # Object 0 enters the region at t = 5, so a 1 s window sees it from
+    # t = 4; object 1 sits inside.
     populate(trio, [(0.0, 0.5, 0.05, 0.0), (0.5, 0.5, 0.0, 0.0)])
-    trio.all("register_predictive_query", 1, Rect(0.25, 0.25, 0.75, 0.75), 1.0)
-    trio.evaluate(0.0)
-    trio.evaluate(1.0)  # a quiet round computes the flip schedule
-    assert math.isfinite(trio.production.queries[1].next_flip)
-    scalar = trio.path_count("engine_predictive_refreshes_total", "scalar")
-    batch = trio.path_count("engine_predictive_refreshes_total", "batch")
-    # Past the flip time *and* churned by a report in its footprint.
-    trio.all("report_object", 1, Point(0.6, 0.6), trio.now)
-    got = trio.evaluate(5.0)
-    assert (1, 0, 1) in got
-    assert trio.path_count("engine_predictive_refreshes_total", "batch") == batch + 1
-    assert trio.path_count("engine_predictive_refreshes_total", "scalar") == scalar
+    for qid in (1, 2):
+        trio.all("register_predictive_query", qid, Rect(0.25, 0.25, 0.75, 0.75), 1.0)
+    refreshes = trio.production.registry.counter("engine_predictive_refreshes_total")
+    got, seen = [], []
+    for dt in (0.0, 1.0, 1.0, 2.5):
+        got.append(sorted(trio.evaluate(dt)))
+        seen.append(refreshes.value)
+    assert got == [[(1, 1, 1), (2, 1, 1)], [], [], [(1, 0, 1), (2, 0, 1)]]
+    assert seen == [2, 4, 6, 8]
+    trio.all("unregister_query", 1)
+    trio.evaluate()
+    assert refreshes.value == 9

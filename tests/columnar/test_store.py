@@ -23,7 +23,7 @@ from repro.geometry import Point, Rect, Velocity
 
 def report(store, oid, x, y, vx=0.0, vy=0.0, t=0.0, cell=0) -> int:
     """One report written through the store's batch door; its row."""
-    (row,), _, _ = store.batch_apply(
+    (row,), _ = store.batch_apply(
         *(np.array([value]) for value in (oid, x, y, vx, vy, t, cell))
     )
     return int(row)
@@ -52,16 +52,13 @@ class TestObjectStore:
     def test_batch_apply_returns_what_it_overwrote(self):
         store = ColumnarObjectStore()
         report(store, 7, 0.25, 0.75, 0.1, 0.0, 1.0, 12)
-        rows, known, prior = store.batch_apply(
+        rows, old_cells = store.batch_apply(
             *(np.array(column) for column in (
                 [8, 7], [0.1, 0.5], [0.1, 0.5], [0.0, 0.0], [0.0, 0.0],
                 [2.0, 2.0], [0, 13],
             ))
         )
-        assert rows.tolist() == [1, 0] and known.tolist() == [1]
-        assert [column.tolist() for column in prior] == [
-            [0.25], [0.75], [0.1], [0.0], [1.0], [12]
-        ]
+        assert rows.tolist() == [1, 0] and old_cells.tolist() == [-1, 12]
         assert store.cell_counts(16).tolist() == [1] + [0] * 12 + [1, 0, 0]
 
     def test_swap_remove_moves_last_row(self):
@@ -91,7 +88,7 @@ def query_row(store, qid):
         name: getattr(store, name)[row]
         for name in (
             "qids", "kinds", "min_xs", "min_ys", "max_xs", "max_ys", "cxs",
-            "cys", "radii", "ks", "horizons", "ts", "next_flips", "answers",
+            "cys", "radii", "ks", "horizons", "ts", "answers",
         )
     }  # fmt: skip
 
@@ -105,8 +102,7 @@ class TestQueryStore:
         assert query_row(store, 100) == {
             "qids": 100, "kinds": KIND_RANGE, "min_xs": 0.1, "min_ys": 0.2,
             "max_xs": 0.3, "max_ys": 0.4, "cxs": 0.0, "cys": 0.0, "radii": 0.0,
-            "ks": 0, "horizons": 0.0, "ts": 2.0, "next_flips": -math.inf,
-            "answers": set(),
+            "ks": 0, "horizons": 0.0, "ts": 2.0, "answers": set(),
         }  # fmt: skip
         assert len(store) == 1 and 100 in store
 
@@ -123,7 +119,7 @@ class TestQueryStore:
         assert (predictive["kinds"], predictive["max_xs"], predictive["horizons"]) == (
             KIND_PREDICTIVE, 0.2, 9.0
         )
-        assert predictive["ks"] == 0 and predictive["next_flips"] == -math.inf
+        assert predictive["ks"] == 0
         assert store.rows_of(KIND_KNN).tolist() == [0]
         assert store.rows_of(KIND_RANGE).tolist() == []
 
@@ -145,7 +141,6 @@ class TestQueryStore:
         store.cxs[row] = 0.1
         store.ts[row] = 4.0
         store.move_bounds(np.array([predictive]), 0.1, 0.1, 0.2, 0.2)
-        store.next_flips[predictive] = 9.0
         assert store.version == before
         assert query_row(store, 3)["max_xs"] == 0.2
 
@@ -159,7 +154,6 @@ class TestQueryStore:
         )
         store.answers[2].update({7, 8})
         store.radii[2] = 0.9
-        store.next_flips[2] = 12.5
         want = query_row(store, 30)
         assert all(value != query_row(store, 10)[name] for name, value in want.items())
         store.remove(10)
@@ -274,9 +268,7 @@ def test_query_side_writes_without_range_changes_cut_no_range_csr():
     engine.evaluate(0.0)
     rebuilds = engine.registry.counter("engine_range_csr_rebuilds_total")
     repairs = engine.registry.counter("engine_knn_repairs_total")
-    refreshes = engine.registry.counter(
-        "engine_predictive_refreshes_total", labels={"path": "batch"}
-    )
+    refreshes = engine.registry.counter("engine_predictive_refreshes_total")
     before = (rebuilds.value, repairs.value, refreshes.value)
     for now in (1.0, 2.0, 3.0):
         engine.move_knn_query(2, Point(0.2 * now, 0.5), now)

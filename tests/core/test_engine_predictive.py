@@ -127,7 +127,7 @@ class TestValidation:
 
 class TestFootprintIsPlacementOnly:
     """A report is one *home-cell* transition; a predictive object's
-    swept footprint only churns cells.  Neither may cost a predictive
+    swept footprint is never a join key.  Neither may cost a predictive
     or a range update."""
 
     def test_footprint_entering_a_query_cell_refreshes_that_query(self):

@@ -102,11 +102,9 @@ class TestEngineRegistry:
         assert (hist.count, hist.sum) == (6, 8.0)  # two cells per sample
 
     def test_query_side_path_counters_say_which_path_ran(self):
-        """Query moves and k-NN repairs have one path, so one unlabelled
-        total each; `engine_predictive_refreshes_total{path}` still
-        says which way each refresh ran — only a flip-due one is
-        `scalar` — and the range CSR is rebuilt at most once per
-        evaluation."""
+        """Query moves, k-NN repairs and predictive refreshes have one
+        path each, so one unlabelled total each, and the range CSR is
+        rebuilt at most once per evaluation."""
         engine = busy_engine()
         engine.register_predictive_query(300, Rect(0.1, 0.1, 0.6, 0.6), 5.0)
         engine.evaluate(1.0)
@@ -117,17 +115,14 @@ class TestEngineRegistry:
         value_of = engine.registry.value_of
         assert engine.stats.query_moves == 2
         assert engine.stats.knn_repairs == 2
-        refreshes = [
-            value_of("engine_predictive_refreshes_total", {"path": path})
-            for path in ("batch", "scalar")
-        ]
-        assert refreshes == [2, 0]
+        assert value_of("engine_predictive_refreshes_total") == 2
         rebuilds = value_of("engine_range_csr_rebuilds_total")
         assert 1 <= rebuilds <= engine.stats.evaluations
         text = prometheus_text(engine.registry)
         assert "engine_knn_repairs_total 2" in text
         assert "engine_query_moves_total{" not in text
         assert "engine_knn_repairs_total{" not in text
+        assert "engine_predictive_refreshes_total{" not in text
 
 
 class TestEngineTracer:

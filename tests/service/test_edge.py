@@ -214,7 +214,9 @@ IMMEDIATE = st.one_of(
     st.builds(
         lambda client, extra: _json({"op": "hello", "client": client, **extra}),
         IDS,
-        st.sampled_from([{}, {"sync": True}, {"budget": 64}, {"budget": "x"}, {"budget": -1}]),
+        st.sampled_from(
+            [{}, {"sync": True}, {"budget": 64}, {"budget": "x"}, {"budget": -1}, {"budget": 0}]
+        ),
     ),
     st.builds(
         lambda now: _json({"op": "tick"} if now is None else {"op": "tick", "now": now}),
@@ -524,6 +526,7 @@ def test_a_welcome_reaches_the_wire_without_a_cycle():
         {"op": "hello", "client": "abc"},
         {"op": "hello", "client": 5, "budget": "x"},
         {"op": "hello", "client": 5, "budget": -1},
+        {"op": "hello", "client": 5, "budget": 0},
         {"op": "hello", "client": 2**70},
         {"op": "hello", "client": None},
         {"op": "tick", "now": "abc"},
@@ -538,12 +541,14 @@ def test_a_welcome_reaches_the_wire_without_a_cycle():
 def test_an_immediate_op_with_a_bad_value_is_an_error_line(bad, make_runtime, make_wire):
     runtime = make_runtime(grid_size=8)
     wire = make_wire(runtime)
+    active = runtime.admission.clients_active
     reply = wire.request(**bad)
     assert reply["op"] == "error" and reply["code"] == "bad_value"
     assert reply["detail"].startswith(bad["op"] + ": ")
     assert wire.request("ping") == {"op": "pong", "protocol": 1}
     assert runtime.registry.value_of("service_uplink_errors_total") == 1
     assert runtime.cycle_count == 0 and not runtime.server.client_ids()
+    assert runtime.admission.clients_active == active
 
 
 def test_a_tick_behind_the_engine_is_refused_before_anything_is_drained(
