@@ -11,12 +11,12 @@ link.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.check.reference import knn_answer, predictive_answer, range_answer
+from repro.check.reference import true_answer
 from repro.core.server import LocationAwareServer
-from repro.core.state import QueryKind
-from repro.core.updates import Update, apply_updates
+from repro.core.updates import Update, diff_answers
 from repro.net.messages import FullAnswerMessage, Message, UpdateMessage
 
 
@@ -26,8 +26,10 @@ class Divergence:
 
     ``kind`` is the check that failed (``replay`` / ``snapshot`` /
     ``commit`` / ``desync``); ``oids`` is the symmetric difference
-    between the two answer derivations, so the report names exactly the
-    objects the two sides disagree about.
+    between the two answer derivations — for ``replay``, the objects
+    whose updates in the cycle's stream differ from the query's net
+    change — so the report names exactly the objects the two sides
+    disagree about.
     """
 
     kind: str
@@ -204,19 +206,32 @@ class ConsistencyOracle:
     def _check_replay(
         self, cycle: int, updates: list[Update], found: list[Divergence]
     ) -> None:
+        """Each query's cycle stream is exactly its net change: as a
+        multiset, the diff from its answer before the cycle (∅ for a
+        query registered in it) to the engine's answer after — so every
+        update is a flip and no ``(qid, oid)`` pair appears twice.  A
+        query unregistered in the cycle emits nothing."""
         engine = self.server.engine
-        by_qid: dict[int, list[Update]] = {}
+        streams: dict[int, Counter] = {}
         for update in updates:
-            by_qid.setdefault(update.qid, []).append(update)
-        for qid, previous in self._prev_answers.items():
-            if qid not in engine.queries:
-                continue  # unregistered mid-cycle
-            replayed = apply_updates(set(previous), by_qid.get(qid, []))
-            self._compare(
-                "replay", cycle, qid, frozenset(replayed),
-                engine.answer_of(qid),
-                "prev answer + cycle updates vs engine answer", found,
-            )
+            streams.setdefault(update.qid, Counter())[update.oid, update.sign] += 1
+        for qid in sorted(streams.keys() | set(engine.queries)):
+            got = streams.get(qid, Counter())
+            if qid in engine.queries:
+                previous = self._prev_answers.get(qid, frozenset())
+                want = Counter(
+                    (u.oid, u.sign)
+                    for u in diff_answers(qid, previous, engine.answer_of(qid))
+                )
+            else:
+                want = Counter()
+            bad = {key[0] for key in got.keys() | want.keys() if got[key] != want[key]}
+            if bad:
+                self._report(
+                    "replay", cycle, qid, bad,
+                    "cycle updates vs net change of prev answer to engine answer",
+                    found,
+                )
 
     def _check_snapshot(self, cycle: int, found: list[Divergence]) -> None:
         engine = self.server.engine
@@ -266,8 +281,18 @@ class ConsistencyOracle:
         detail: str,
         found: list[Divergence],
     ) -> None:
-        if got == want:
-            return
+        if got != want:
+            self._report(kind, cycle, qid, got ^ want, detail, found)
+
+    def _report(
+        self,
+        kind: str,
+        cycle: int,
+        qid: int,
+        oids,
+        detail: str,
+        found: list[Divergence],
+    ) -> None:
         try:
             client_id = self.server.client_of(qid)
         except KeyError:  # engine-only query, no client binding
@@ -278,7 +303,7 @@ class ConsistencyOracle:
                 cycle=cycle,
                 qid=qid,
                 client_id=client_id,
-                oids=tuple(sorted(got ^ want)),
+                oids=tuple(sorted(oids)),
                 detail=detail,
             )
         )
@@ -287,10 +312,6 @@ class ConsistencyOracle:
         """Brute-force the answer from raw object state (no index, no
         incremental bookkeeping), with the reference's answer functions."""
         engine = self.server.engine
-        query = engine.queries[qid]
-        objects = engine.objects
-        if query.kind is QueryKind.RANGE:
-            return range_answer(query.region, objects)
-        if query.kind is QueryKind.KNN:
-            return frozenset(oid for _, oid in knn_answer(query.center, query.k, objects))
-        return predictive_answer(query, objects, engine.now, engine.prediction_horizon)
+        return true_answer(
+            engine.queries[qid], engine.objects, engine.now, engine.prediction_horizon
+        )

@@ -1,26 +1,19 @@
 """The brute-force reference engine, and "the true answer" written once.
 
 :class:`ReferenceEngine` has the production engine's doors and buffers
-their calls the plain way; ``evaluate(now)`` then re-derives every
-answer from scratch, step by step, in the production engine's phase
-order, and emits per query the diff between its answer before and
-after each step:
-
-1. unregistrations drop queries;
-2. removals drop the departed objects from every answer;
-3. a newly registered range query gets its from-scratch answer (k-NN
-   and predictive queries start empty);
-4. a moved range query is re-answered over the pre-report positions (a
-   k-NN or predictive query only takes its new centre or region);
-5. the reports are applied, then every range query is re-answered;
-6. every k-NN query is re-answered;
-7. every predictive query is re-answered.
+their calls the plain way; ``evaluate(now)`` then applies the whole
+batch — unregistrations, removals, registrations, query moves, reports
+— re-derives every answer from scratch over the result
+(:func:`true_answer`), and emits per query the diff between its answer
+before and after the evaluation (a query registered in the batch
+starts from ∅): each query's net change, every ``(qid, oid)`` pair at
+most once.
 
 There is no index, no incremental bookkeeping and no validation: the
 lock-step tests call the production engine first, so the reference only
-sees calls the production engine accepted.  The three answer functions
-below are module-level so the consistency oracle's snapshot check uses
-the same definitions.
+sees calls the production engine accepted.  The answer functions below
+are module-level so the consistency oracle's snapshot check uses the
+same definitions.
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ from repro.core.state import (
     QueryState,
     RangeQueryState,
 )
-from repro.core.updates import UpdateBatch
+from repro.core.updates import UpdateBatch, diff_answers
 from repro.geometry import Point, Rect, Velocity
 
 Objects = Mapping[int, ObjectState]
@@ -81,6 +74,17 @@ def predictive_answer(
         for oid, state in objects.items()
         if predicted_in_region(query, state, now, prediction_horizon)
     )
+
+
+def true_answer(
+    query: QueryState, objects: Objects, now: float, prediction_horizon: float
+) -> frozenset[int]:
+    """``query``'s answer over ``objects`` at ``now``, from scratch."""
+    if query.kind is QueryKind.RANGE:
+        return range_answer(query.region, objects)
+    if query.kind is QueryKind.KNN:
+        return frozenset(oid for _, oid in knn_answer(query.center, query.k, objects))
+    return predictive_answer(query, objects, now, prediction_horizon)
 
 
 class ReferenceEngine:
@@ -148,28 +152,13 @@ class ReferenceEngine:
         self.now = self.now if now is None else now
         queries = self.queries
         objects = self.objects
-        updates = UpdateBatch()
-
-        def settle(query: QueryState, answer) -> None:
-            for oid in sorted(query.answer - answer):
-                updates.push(query.qid, oid, -1)
-            for oid in sorted(answer - query.answer):
-                updates.push(query.qid, oid, 1)
-            query.answer = set(answer)
-
-        def of_kind(kind: QueryKind) -> list[QueryState]:
-            return [query for query in queries.values() if query.kind is kind]
-
+        before = self.complete_answers()
         for qid in self._unregistrations:
             del queries[qid]
         for oid in self._removals:
             objects.pop(oid, None)
-        for query in queries.values():
-            settle(query, query.answer & objects.keys())
         for query in self._registrations.values():
             queries[query.qid] = query
-            if query.kind is QueryKind.RANGE:
-                settle(query, range_answer(query.region, objects))
         for qid, (payload, t) in self._moves.items():
             query = queries[qid]
             query.t = t
@@ -177,16 +166,13 @@ class ReferenceEngine:
                 query.center = payload
             else:
                 query.region = payload
-            if query.kind is QueryKind.RANGE:
-                settle(query, range_answer(query.region, objects))
         objects.update(self._reports)
-        for query in of_kind(QueryKind.RANGE):
-            settle(query, range_answer(query.region, objects))
-        for query in of_kind(QueryKind.KNN):
-            settle(query, {oid for _, oid in knn_answer(query.center, query.k, objects)})
-        for query in of_kind(QueryKind.PREDICTIVE_RANGE):
-            answer = predictive_answer(query, objects, self.now, self.prediction_horizon)
-            settle(query, answer)
+
+        updates = UpdateBatch()
+        for qid in sorted(queries):
+            query = queries[qid]
+            query.answer = set(true_answer(query, objects, self.now, self.prediction_horizon))
+            diff_answers(qid, before.get(qid, frozenset()), query.answer, updates)
 
         self._reports = {}
         self._removals = set()

@@ -60,7 +60,10 @@ once per store state) and its one ragged gather ``(cell rects) ->
   per-pair bounds.
 
 Each leaves the answers the brute-force reference
-(:mod:`repro.check.reference`) derives.  There is no grid index: every
+(:mod:`repro.check.reference`) derives.  Phases 3 and 4's passes return
+their pairs instead of emitting them: :meth:`~ColumnarEvaluator.emit`
+appends them with phase 5's as each query's net change over the three
+phases.  There is no grid index: every
 query footprint is :meth:`~ColumnarEvaluator._footprint_ranges` of the
 query's geometry, computed where it is read, as an object's swept
 footprint is.
@@ -85,6 +88,9 @@ from repro.grid.cellmath import (
     rect_cells_meet,
 )
 
+#: No changed pairs: three empty columns.
+_NOTHING = (np.empty(0, dtype=np.int64),) * 3
+
 #: ``engine_columnar_batch_size`` histogram bounds: powers of four from
 #: a single pair up to 16M pairs per batch.
 BATCH_SIZE_BUCKETS: tuple[float, ...] = tuple(4.0**e for e in range(13))
@@ -96,6 +102,53 @@ def _flatten(sets):
     sizes = np.fromiter(map(len, sets), np.int64, count=len(sets))
     members = np.fromiter(chain.from_iterable(sets), np.int64, count=int(sizes.sum()))
     return np.repeat(np.arange(len(sets)), sizes), members
+
+
+def _net(head_qids, head_oids, tail_qids, tail_oids):
+    """Net one evaluation's range pairs: which of phases 3–4's pairs
+    (``head_*``) survive, as a mask, and which of phase 5's (``tail_*``,
+    one run per query, no pair twice) go, as positions.
+
+    Every emission flips its pair's membership, so a pair's emissions
+    alternate in sign: an odd count nets to its last emission, an even
+    count to nothing.  A phase-5 pair can only repeat an earlier one of
+    the same query, so only the phase-5 runs of queries phases 3–4 named
+    join the head in the grouping (:func:`_pair_keys`).
+    """
+    tail_at, key = _pair_keys(head_qids, head_oids, tail_qids, tail_oids)
+    order = np.argsort(key)
+    key = key[order]
+    group = np.flatnonzero(np.diff(key, prepend=-1))
+    odd = np.diff(group, append=len(key)) % 2 == 1
+    keep = np.zeros(len(key), dtype=bool)
+    # The head precedes the tail and each keeps stream order, so a
+    # group's last emission is its largest position.
+    keep[np.maximum.reduceat(order, group)[odd]] = True
+    n = len(head_qids)
+    return keep[:n], tail_at[~keep[n:]]
+
+
+def _pair_keys(head_qids, head_oids, tail_qids, tail_oids):
+    """The positions of the tail runs of queries the head names, and
+    one int64 key per head pair and per such tail pair — a dense qid
+    rank packed above the oid — in stream order."""
+    touched, head_rank = np.unique(head_qids, return_inverse=True)
+    first = np.ones(len(tail_qids), dtype=bool)
+    np.not_equal(tail_qids[1:], tail_qids[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    run_qids = tail_qids[starts]
+    run_rank = np.searchsorted(touched, run_qids)
+    named = touched[np.minimum(run_rank, len(touched) - 1)] == run_qids
+    run_lens = np.diff(starts, append=len(tail_qids))
+    tail_at = np.flatnonzero(np.repeat(named, run_lens))
+    key = np.concatenate((head_rank, np.repeat(run_rank[named], run_lens[named])))
+    key <<= 32
+    oids = np.concatenate((head_oids, tail_oids[tail_at]))
+    # Object ids in [0, 2**32) pack as they are; others are ranked first.
+    if oids.min() < 0 or oids.max() >= 1 << 32:
+        oids = np.unique(oids, return_inverse=True)[1]
+    key |= oids
+    return tail_at, key
 
 
 class _DualCounter:
@@ -161,19 +214,51 @@ class ColumnarEvaluator:
     # Entry point
     # ------------------------------------------------------------------
 
-    def run_columns(self, columns, updates, knn_dirty) -> None:
-        """Evaluate one batch handed over as
+    def run_columns(self, columns, knn_dirty):
+        """Join one batch handed over as
         :class:`~repro.columnar.ingest.CohortColumns`: the plan is built
         from the columns with no per-cohort Python, and the kernel's
-        changed pairs — already grouped by query, negatives first — are
-        applied to the answers and spliced into the stream as columns."""
+        changed pairs — ``(qids, oids, signs)`` arrays, grouped by
+        query, negatives first — are returned for :meth:`emit`, or
+        ``None`` when nothing changed."""
         with self.tracer.span("columnar_plan", self._phase_counters["plan"]):
             plan = self._plan_columns(columns, knn_dirty)
-        joined = self._join(plan)
-        if joined is None:
-            return
+        return self._join(plan)
+
+    def emit(self, updates, head, joined) -> None:
+        """Engine phase 5's emit: append phases 3–5's changed pairs to
+        the stream as each query's net change over them, and apply that
+        to the answers.
+
+        ``head`` lists phases 3 and 4's ``(qids, oids, signs)`` arrays
+        in stream order, ``joined`` the kernel's (or ``None``): the
+        range pairs of this batch, none applied yet — every pass
+        recomputes range membership geometrically, so none reads a
+        range answer.  Only a range query registered or moved in the
+        batch can emit a ``(qid, oid)`` pair twice — phase 4 answers
+        over the pre-report positions and phase 5 after the reports —
+        so only their pairs are netted (:func:`_net`), and a batch that
+        registers and moves no range query appends the kernel's pairs
+        as they are.  A pair's net change is one flip, so toggling the
+        surviving pairs leaves each answer where all three phases would.
+        """
         with self.tracer.span("columnar_emit", self._emit_span_counter):
-            qid_arr, oid_arr, sign_arr = joined
+            if joined is None:
+                joined = _NOTHING
+            if head:
+                qids, oids, signs = map(np.concatenate, zip(*head))
+                keep, drop = _net(qids, oids, joined[0], joined[1])
+                self._append(updates, qids[keep], oids[keep], signs[keep])
+                if len(drop):
+                    kept = np.ones(len(joined[0]), dtype=bool)
+                    kept[drop] = False
+                    joined = tuple(column[kept] for column in joined)
+            self._append(updates, *joined)
+
+    def _append(self, updates, qid_arr, oid_arr, sign_arr) -> None:
+        """Apply changed pairs (a run per query; each a flip) to the
+        answers and append them to the stream."""
+        if len(qid_arr):
             oids = oid_arr.tolist()
             self._toggle_memberships(qid_arr, oids)
             updates.extend_columns(qid_arr.tolist(), oids, sign_arr.tolist())
@@ -445,30 +530,31 @@ class ColumnarEvaluator:
         min_x, min_y, max_x, max_y = bounds[:, pos]
         return (min_x <= x) & (x <= max_x) & (min_y <= y) & (y <= max_y)
 
-    def fill_ranges(self, qrows, updates) -> None:
+    def fill_ranges(self, qrows):
         """Engine phase 3 for every newly registered range query (their
         store rows ``qrows``) at once — the positive half of
-        :meth:`move_ranges`: the objects inside each region, emitted per
-        query in the given order, oids ascending."""
+        :meth:`move_ranges`: the objects inside each region, returned
+        for :meth:`emit` as ``(qids, oids, signs)`` arrays per query in
+        the given order, oids ascending (``None`` when no region holds
+        an object)."""
         bounds = self._regions(qrows)
         pos, rows = self._gather(self._footprint_ranges(*bounds))
         keep = np.flatnonzero(self._inside(bounds, pos, rows))
         if not len(keep):
-            return
+            return None
         pos = pos[keep]
         oids = np.frombuffer(self.ostore.oids, dtype=np.int64)[rows[keep]]
         order = np.lexsort((oids, pos))
         qid_arr = np.frombuffer(self.qstore.qids, dtype=np.int64)[qrows[pos[order]]]
-        oid_list = oids[order].tolist()
-        self._toggle_memberships(qid_arr, oid_list)
-        updates.extend_columns(qid_arr.tolist(), oid_list, [1] * len(keep))
+        return qid_arr, oids[order], np.ones(len(keep), dtype=np.int64)
 
-    def move_ranges(self, qrows, regions, updates) -> None:
+    def move_ranges(self, qrows, regions):
         """Engine phase 4 for every moved range query at once: store
         rows ``qrows`` and their new ``regions``, in arrival order; the
-        new bounds are written to the store after the pass.  The stream
-        is, per query, negatives (``A_old - A_new``) ascending by oid,
-        then positives by
+        new bounds are written to the store after the pass.  The changes
+        are returned for :meth:`emit` as ``(qids, oids, signs)`` arrays
+        (``None`` when there is none): per query,
+        negatives (``A_old - A_new``) ascending by oid, then positives by
         ``Rect.difference`` piece (bottom, top, left, right; a point on
         a shared edge belongs to the first piece holding it; a disjoint
         move is one piece) and oid.
@@ -497,6 +583,7 @@ class ColumnarEvaluator:
         keep = np.flatnonzero(
             (self._inside(old, pos, rows) != in_new) & (in_new == entering)
         )
+        changed = None
         if len(keep):
             pos = pos[keep]
             rows = rows[keep]
@@ -520,14 +607,9 @@ class ColumnarEvaluator:
             oids = np.frombuffer(self.ostore.oids, dtype=np.int64)[rows]
             order = np.lexsort((oids, piece, pos))
             qid_arr = np.frombuffer(qstore.qids, dtype=np.int64)[qrows[pos[order]]]
-            oid_list = oids[order].tolist()
-            self._toggle_memberships(qid_arr, oid_list)
-            updates.extend_columns(
-                qid_arr.tolist(),
-                oid_list,
-                np.where(piece[order] < 0, -1, 1).tolist(),
-            )
+            changed = qid_arr, oids[order], np.where(piece[order] < 0, -1, 1)
         qstore.move_bounds(qrows, *new)
+        return changed
 
     def knn_ranked(self, qrows) -> list[list[tuple[float, int]]]:
         """The ranked ``(distance, oid)`` answer of the k-NN query in

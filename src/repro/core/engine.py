@@ -53,12 +53,21 @@ dirty k-NN query and every predictive refresh run as array passes over a home-ce
 object store (:meth:`ColumnarEvaluator.fill_ranges`,
 ``move_ranges``, ``knn_ranked``, ``predictive_refresh``).
 
+An evaluation emits, per query, its *net* change: the diff between its
+answer before and after the evaluation, each ``(qid, oid)`` pair at
+most once (the paper's ``(Q, +A)`` means "A entered the answer of Q").
+Only a range query registered or moved in the batch could emit a pair
+twice — phase 4 answers it over the pre-report positions, phase 5
+after the reports, so a carried query's neighbours would leave and
+come back — and phase 5's emit nets those queries' pairs before they
+reach the stream (:meth:`ColumnarEvaluator.emit`).
+
 Its reference is brute force: :class:`repro.check.reference.ReferenceEngine`
-re-derives every answer from scratch, step by step in this engine's
-phase order.  Fed the same calls, the two must leave every query with
-the same multiset of ``(oid, sign)`` updates per evaluation and the same
-answers (the lock-step state machine in ``tests/core/test_lockstep.py``
-holds them to that).
+re-derives every answer from scratch and emits each query's diff.  Fed
+the same calls, the two must leave every query with the same multiset
+of ``(oid, sign)`` updates per evaluation and the same answers (the
+lock-step state machine in ``tests/core/test_lockstep.py`` holds them
+to that).
 
 Every phase of ``evaluate()`` is wall-clock timed: each phase runs
 inside a :class:`repro.obs.Tracer` span (exported to Chrome trace JSON)
@@ -648,8 +657,11 @@ class IncrementalEngine:
 
         Phases: unregistrations, object removals, new-query first-time
         answers, query moves, object moves, k-NN repair, predictive
-        window refresh.  Applying the returned updates in order to the
-        previously reported answers reproduces the current answers
+        window refresh.  The returned updates are each query's net
+        change over the whole evaluation — the diff between its answer
+        before (∅ for a query registered in the batch) and after, no
+        ``(qid, oid)`` pair twice — so applying them in any order to
+        the previously reported answers reproduces the current answers
         exactly (tested property).
 
         The return value is an :class:`~repro.core.updates.UpdateBatch`
@@ -704,12 +716,14 @@ class IncrementalEngine:
                 self._apply_unregistrations(knn_dirty)
             with span("removals", phase_counters["removals"]):
                 self._apply_removals(updates, knn_dirty)
+            # Phases 3-4's pairs wait for phase 5, which nets them.
+            head: list = []
             with span("registrations", phase_counters["registrations"]):
-                self._apply_registrations(updates, knn_dirty)
+                self._apply_registrations(head, knn_dirty)
             with span("query_moves", phase_counters["query_moves"]):
-                self._apply_query_moves(updates, knn_dirty)
+                self._apply_query_moves(head, knn_dirty)
             with span("object_reports", phase_counters["object_reports"]):
-                self._apply_object_reports(updates, knn_dirty)
+                self._apply_object_reports(updates, head, knn_dirty)
             with span("knn_repair", phase_counters["knn_repair"]):
                 self._repair_knn(knn_dirty, updates)
             with span(
@@ -791,7 +805,7 @@ class IncrementalEngine:
     # Phase 3: first-time answers for new queries
     # ------------------------------------------------------------------
 
-    def _apply_registrations(self, updates, knn_dirty: set[int]) -> None:
+    def _apply_registrations(self, head: list, knn_dirty: set[int]) -> None:
         qstore = self._qstore
         range_fills: list[int] = []
         for query in self._pending_registrations.values():
@@ -817,14 +831,16 @@ class IncrementalEngine:
         # Only range registrations emit in this phase, so filling them
         # together after the loop keeps the stream in arrival order.
         if range_fills:
-            self._columnar_evaluator.fill_ranges(np.array(range_fills), updates)
+            filled = self._columnar_evaluator.fill_ranges(np.array(range_fills))
+            if filled is not None:
+                head.append(filled)
         self._pending_registrations.clear()
 
     # ------------------------------------------------------------------
     # Phase 4: query movement
     # ------------------------------------------------------------------
 
-    def _apply_query_moves(self, updates, knn_dirty: set[int]) -> None:
+    def _apply_query_moves(self, head: list, knn_dirty: set[int]) -> None:
         # Only range moves emit in this phase, so taking them together
         # after the loop keeps the stream in arrival order.
         qstore = self._qstore
@@ -847,31 +863,41 @@ class IncrementalEngine:
                 region: Rect = payload  # type: ignore[assignment]
                 qstore.move_bounds([row], region.min_x, region.min_y, region.max_x, region.max_y)
         if range_rows:
-            self._columnar_evaluator.move_ranges(
-                np.array(range_rows), range_regions, updates
+            moved = self._columnar_evaluator.move_ranges(
+                np.array(range_rows), range_regions
             )
+            if moved is not None:
+                head.append(moved)
         self._pending_moves.clear()
 
     # ------------------------------------------------------------------
     # Phase 5: object movement
     # ------------------------------------------------------------------
 
-    def _apply_object_reports(self, updates, knn_dirty: set[int]) -> None:
+    def _apply_object_reports(self, updates, head: list, knn_dirty: set[int]) -> None:
         """Batch ingest groups the buffer into home-cell transition
-        cohorts (phase 5a), then the evaluator joins every cohort against
-        its cells' range queries in one kernel pass and emits the changed
-        pairs cohort by cohort (phase 5b)."""
+        cohorts (phase 5a), the evaluator joins every cohort against its
+        cells' range queries in one kernel pass (phase 5b), and the emit
+        appends phases 3–5's pairs as each query's net change: a
+        ``(qid, oid)`` pair that phase 4 retracted and phase 5 restored
+        — a carried query and its neighbours moving together — reports
+        no change and leaves the stream."""
+        evaluator = self._columnar_evaluator
         if not self._pending_reports:
-            return
-        with self.tracer.span("report_ingest", self._m_ingest_seconds):
-            columns = self._batch_ingest.group(self._pending_reports)
-        emitted_before = len(updates)
-        self._columnar_evaluator.run_columns(columns, updates, knn_dirty)
-        self.recorder.record(
-            "columnar_batch",
-            cohorts=len(columns),
-            emitted=len(updates) - emitted_before,
-        )
+            evaluator.emit(updates, head, None)
+        else:
+            with self.tracer.span("report_ingest", self._m_ingest_seconds):
+                columns = self._batch_ingest.group(self._pending_reports)
+            emitted_before = len(updates)
+            evaluator.emit(updates, head, evaluator.run_columns(columns, knn_dirty))
+            self.recorder.record(
+                "columnar_batch",
+                cohorts=len(columns),
+                emitted=len(updates) - emitted_before,
+            )
+        # The pairs are in the stream: free their arrays before phases
+        # 6 and 7 allocate theirs.
+        head.clear()
 
     # ------------------------------------------------------------------
     # Phase 6: k-NN repair

@@ -33,8 +33,9 @@ commits only :meth:`~LocationAwareServer.delivered_answer`: the live
 answer XOR the query's *lag*, the oids the client holds otherwise, kept
 only while non-empty.  A delivered update discards its oid from the
 lag and a refused one toggles it — sound because the engine's stream
-is, per query, a sequence of flips (``+o`` only when ``o`` is not in
-the answer, ``-o`` only when it is).  A throttled or re-dropped
+is, per query, the evaluation's net change: each oid at most once, a
+flip (``+o`` only when ``o`` is not in the answer, ``-o`` only when it
+is).  A throttled or re-dropped
 recovery update simply leaves the query behind the live answer; the
 next wakeup re-sends the missing delta, and repeated wakeups converge
 because each one advances the committed base by whatever did fit.  The
@@ -653,9 +654,11 @@ class LocationAwareServer:
         signs, runs)``, clients ascending, ``runs`` the slice's query
         runs as ``(qid, start, stop)``.
 
-        Every engine phase emits per query, so the stream is a sequence
-        of query runs: each run's owner is resolved once, and a slice is
-        its client's runs in stream order.  Links are independent FIFO
+        Every engine phase emits per query, and phase 5's emit nets
+        phases 3–5 by dropping pairs, so the stream is a sequence of
+        query runs (a query may have one per phase; each pair appears
+        once): each run's owner is resolved once, and a slice is its
+        client's runs in stream order.  Links are independent FIFO
         channels with per-link cycle budgets, so how the slices
         interleave is unobservable.  Runs of queries unregistered in
         this same batch have no owner and are skipped.

@@ -12,6 +12,7 @@ import random
 from repro.check import ConsistencyOracle
 from repro.core.client import Client
 from repro.core.server import LocationAwareServer
+from repro.core.updates import UpdateBatch
 from repro.geometry import Point, Rect, Velocity
 from repro.net.messages import UpdateMessage, WakeupMessage
 
@@ -104,6 +105,49 @@ class TestDetection:
             )
             >= 1.0
         )
+
+    def test_cancelling_pair_is_flagged(self):
+        """A ``-o`` and ``+o`` of one query in one cycle fold to the
+        right answer but are not its net change: the replay check
+        names the object."""
+        server, oracle = make_stack()
+        server.receive_object_report(1, Point(0.5, 0.5), 1.0)
+        run_cycle(server, oracle, 0, 1.0)
+        oracle.begin_cycle()
+        updates = UpdateBatch.from_updates(server.evaluate_cycle(2.0).updates)
+        updates.push(10, 1, -1)
+        updates.push(10, 1, 1)
+        found = oracle.end_cycle(1, updates)
+        assert [(d.kind, d.qid, d.oids) for d in found] == [("replay", 10, (1,))]
+
+    def test_query_registered_mid_cycle_is_replayed_from_empty(self):
+        """A query registered in the cycle has no answer before it: its
+        stream must be its whole first answer, each member once."""
+        server, oracle = make_stack()
+        for oid in range(3):
+            server.receive_object_report(oid, Point(0.5, 0.5), 1.0)
+        run_cycle(server, oracle, 0, 1.0)
+        server.register_range_query(1, qid=11, region=REGION)
+        oracle.begin_cycle()
+        stream = server.evaluate_cycle(2.0).updates
+        assert sorted(stream.oids) == [0, 1, 2]
+        short = UpdateBatch.from_updates(u for u in stream if u.oid != 2)
+        found = oracle.end_cycle(1, short)
+        assert [(d.kind, d.qid, d.oids) for d in found] == [("replay", 11, (2,))]
+
+    def test_carried_query_ships_nothing(self):
+        """A query moving with the object it holds keeps its answer: the
+        cycle ships nothing for it, and the oracle stays clean."""
+        server, oracle = make_stack()
+        server.receive_object_report(1, Point(0.25, 0.5), 1.0)
+        run_cycle(server, oracle, 0, 1.0)
+        server.receive_range_query_move(10, Rect(0.3, 0.2, 0.9, 0.8), 2.0)
+        server.receive_object_report(1, Point(0.35, 0.5), 2.0)
+        oracle.begin_cycle()
+        result = server.evaluate_cycle(2.0)
+        assert result.updates == []
+        assert oracle.end_cycle(1, result.updates) == []
+        assert server.engine.answer_of(10) == frozenset({1})
 
     def test_overcommit_is_flagged(self):
         """Committing state the client never received violates

@@ -1,7 +1,7 @@
 """The production engine vs the brute-force reference on random workloads.
 
 For any buffered input the engine must emit, per query, exactly the
-same set of incremental updates as
+same multiset of incremental updates as
 :class:`repro.check.reference.ReferenceEngine`, and leave the same
 answers.  These tests drive both through randomized mixed workloads and
 scripted corner cases and compare them round for round.
@@ -20,10 +20,7 @@ import pytest
 from repro.check.reference import ReferenceEngine
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
-
-
-def update_keys(updates) -> frozenset[tuple[int, int, int]]:
-    return frozenset((u.qid, u.oid, u.sign) for u in updates)
+from tests.lockstep import assert_no_repeats, per_query
 
 
 def make_engines(grid_size: int = 16, horizon: float = 30.0):
@@ -132,8 +129,10 @@ class RandomDriver:
             self.both("remove_object", oid)
 
     def evaluate_and_compare(self, now: float, round_no: int) -> None:
-        got = update_keys(self.batched.evaluate(now))
-        want = update_keys(self.reference.evaluate(now))
+        stream = self.batched.evaluate(now)
+        assert_no_repeats(stream)
+        got = per_query(stream)
+        want = per_query(self.reference.evaluate(now))
         assert got == want, f"update streams diverged in round {round_no}"
         assert_equivalent(self.batched, self.reference, round_no)
 
@@ -170,8 +169,8 @@ def test_covering_regions_are_pipeline_equivalent():
             positions[oid] = (x, y)
             batched.report_object(oid, Point(x, y), now)
             reference.report_object(oid, Point(x, y), now)
-        got = update_keys(batched.evaluate(now))
-        want = update_keys(reference.evaluate(now))
+        got = per_query(batched.evaluate(now))
+        want = per_query(reference.evaluate(now))
         assert got == want, f"update streams diverged in round {round_no}"
         assert_equivalent(batched, reference, round_no)
 

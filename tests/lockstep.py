@@ -5,6 +5,8 @@ sees what the production engine accepted — after every evaluation:
 
 * each query's *multiset* of ``(oid, sign)`` updates is the same on
   both (the order within a phase may differ);
+* on each, no ``(qid, oid)`` pair appears twice in one evaluation's
+  stream: a query's updates are its net change over the evaluation;
 * on each, every update flips its query's membership — ``+o`` only
   when ``o`` is out of the answer, ``-o`` only when it is in — folded in
   stream order from the answers before the evaluation (the server's
@@ -35,6 +37,13 @@ def assert_flips(before: dict[int, frozenset[int]], updates) -> None:
         answer = answers.setdefault(qid, set())
         assert (oid in answer) == (sign == -1), f"query {qid}: {sign:+d} of {oid}"
         answer ^= {oid}
+
+
+def assert_no_repeats(updates) -> None:
+    """No ``(qid, oid)`` pair appears twice in one evaluation's stream."""
+    pairs = Counter(zip(updates.qids, updates.oids))
+    repeated = [pair for pair, n in pairs.items() if n > 1]
+    assert not repeated, f"pairs emitted twice: {repeated[:5]}"
 
 
 def query_geometry(query) -> tuple:
@@ -78,8 +87,9 @@ class EnginePair:
         before = [engine.complete_answers() for engine in self.engines]
         got = self.production.evaluate(now)
         want = self.reference.evaluate(now)
-        assert_flips(before[0], got)
-        assert_flips(before[1], want)
+        for engine_before, stream in zip(before, (got, want)):
+            assert_no_repeats(stream)
+            assert_flips(engine_before, stream)
         assert per_query(got) == per_query(want), f"update multisets at {now}"
         assert self.production.complete_answers() == self.reference.complete_answers()
         assert {qid: query_geometry(q) for qid, q in self.production.queries.items()} == {
