@@ -1,18 +1,20 @@
 """Columnar (struct-of-arrays) stores and batch kernels.
 
 The engine's evaluation core: object and query state held in parallel
-arrays (:mod:`repro.columnar.store`), batch kernels for the cell-range
-join and cohort membership classification
-(:mod:`repro.columnar.kernels`), orchestrated per evaluation by
-:class:`~repro.columnar.evaluate.ColumnarEvaluator` — which also runs
-the query side of a cycle (range moves, k-NN repair, predictive refresh)
-as array passes over one home-cell CSR of the object store.  Kernels
-run on numpy.
+arrays (:mod:`repro.columnar.store`), the report buffer ingested in a
+few array passes (:mod:`repro.columnar.ingest`), and the per-report
+join — each reported object against the range queries listed in its
+old and new home cells, classified in one kernel pass
+(:mod:`repro.columnar.kernels`).  :class:`~repro.columnar.evaluate.ColumnarEvaluator`
+runs them as the engine's one range pass per evaluation, and the rest
+of the query side (range fills, k-NN repair, predictive refresh) as
+array passes over one home-cell CSR of the object store.  Kernels run
+on numpy.
 """
 
 from repro.columnar.evaluate import ColumnarEvaluator
-from repro.columnar.ingest import BatchIngest
-from repro.columnar.kernels import PairPlan, classify_transitions
+from repro.columnar.ingest import ingest_reports
+from repro.columnar.kernels import classify_pairs, join_reports
 from repro.columnar.store import (
     KIND_KNN,
     KIND_PREDICTIVE,
@@ -22,13 +24,13 @@ from repro.columnar.store import (
 )
 
 __all__ = [
-    "BatchIngest",
     "ColumnarEvaluator",
     "ColumnarObjectStore",
     "ColumnarQueryStore",
     "KIND_KNN",
     "KIND_PREDICTIVE",
     "KIND_RANGE",
-    "PairPlan",
-    "classify_transitions",
+    "classify_pairs",
+    "ingest_reports",
+    "join_reports",
 ]

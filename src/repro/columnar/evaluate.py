@@ -1,57 +1,54 @@
-"""The columnar cohort evaluator: plan → kernel → ordered emission.
+"""The columnar evaluator: the engine's range pass and query-side passes.
 
-Engine phase 5b.  Batch ingest hands over the report buffer as
-:class:`~repro.columnar.ingest.CohortColumns` — one cohort per
-home-cell transition ``(old home, new home)``, members ascending by
-oid — and the evaluator joins them against the range
-queries listed in their cells, classifies every pair's membership
-transition in one kernel pass, and emits the changed pairs grouped by
-query, negatives first (the kernel's one sort):
+Engine phase 5 is **one range pass** per evaluation
+(:meth:`ColumnarEvaluator.evaluate_ranges`), run after ingest against
+the batch's final query bounds and final object positions:
 
-* pairs are laid out cohort-major, then old-cell entries before
-  new-cell entries, each partial-before-covering and sorted by qid, then
-  members sorted by oid;
-* a cohort that changed home cell joins its old cell's full list as
-  minus-only and its new cell's full list as plus-only (the kernel's
-  roles), so a query listed in both cells emits at most once with no
-  dedup here;
-* a stay-put cohort joins its cell's partial entries only — a covering
-  query provably yields ``in_old == in_new`` for every member — and a
-  new object its cell's full list, both free to emit either sign.
+* a *touched* range query — one registered or moved in this batch, its
+  store row written by phases 3 and 4 — is re-answered: one gather
+  (:meth:`~ColumnarEvaluator.fill_ranges`) finds the objects inside its
+  final region, and :meth:`~ColumnarEvaluator.install` emits the diff
+  against its standing answer (∅ for a new query) — the same
+  install-and-diff a re-solved k-NN query takes;
+* every other range query meets the batch's reports in the per-report
+  join (:mod:`repro.columnar.kernels`): each report takes one or two
+  segments of the grid-wide range CSR, the pairs are classified from
+  the report's old and new coordinates in one kernel pass, and pairs
+  whose query is touched are dropped.  The changed pairs come grouped
+  by query, negatives first (the kernel's one sort).
 
-Candidate entries are cached **across evaluations**, keyed on
-:attr:`ColumnarQueryStore.version`: they depend only on registered
-range queries, so they survive arbitrarily many object-report batches
-untouched.  The cache is one grid-wide CSR cut from the query store's
-bound columns (:meth:`ColumnarEvaluator._range_csr`).  k-NN queries are
+Touched and untouched pairs cover disjoint sets of queries and every
+pair is classified once, at the end state, so no ``(qid, oid)`` pair
+can repeat: the stream is each query's net change with nothing to net.
+
+The range CSR is cached **across evaluations**, keyed on
+:attr:`ColumnarQueryStore.version`: it depends only on registered range
+queries, so it survives arbitrarily many object-report batches
+untouched (:meth:`ColumnarEvaluator._range_csr`).  k-NN queries are
 deliberately left out of it (their circles change every repair, which
-would otherwise thrash the cache); cohort k-NN dirty-marking instead
-tests each k-NN footprint — :meth:`~ColumnarEvaluator._footprint_ranges`
-of its centre and radius, computed per batch — against one mask of the
-batch's touched cells.  One more rule marks a k-NN query dirty: it
-holds a reported object (one ``np.isin`` of the k-NN answers against
-the batch's oids) — a member can leave a circle's footprint from a cell
-edge, a few ulps outside the circle's rounded bounding rectangle, and
-then neither of its cells meets the footprint.
+would otherwise thrash the cache); the pass marks a k-NN query dirty
+when its footprint — :meth:`~ColumnarEvaluator._footprint_ranges` of
+its centre and radius, computed per batch — meets a cell a report left
+or entered, or when it holds a reported object (one ``np.isin`` of the
+k-NN answers against the batch's oids): a member can leave a circle's
+footprint from a cell edge, a few ulps outside the circle's rounded
+bounding rectangle, and then neither of its cells meets the footprint.
 
 Nothing here mirrors object or query state: the object store's row is
 the only record of an object and the query store's row of a query —
-its geometry columns and its answer set, which the batch passes update
-in place.  Every pass takes query-store rows and gathers its inputs
-from the columns.
+its geometry columns and its answer set, which the passes update in
+place.  Every pass takes query-store rows and gathers its inputs from
+the columns.
 
-The evaluator also runs the **query side** of a cycle — engine phases
-3, 4, 6 and 7 — as array passes over the object store's home-cell CSR
+The query-side passes — range fills, engine phases 6 and 7 — are array
+passes over the object store's home-cell CSR
 (:class:`~repro.columnar.store.HomeCells`: a sort-by-cell permutation of
 the ``cells`` column, a run of cells being one slice of it, cut at most
 once per store state) and its one ragged gather ``(cell rects) ->
 (rect position, store row)``:
 
-* :meth:`~ColumnarEvaluator.fill_ranges` — every newly registered range
-  query: the objects homed under its region and inside it;
-* :meth:`~ColumnarEvaluator.move_ranges` — every moved range query:
-  ``A_old - A_new`` and ``A_new - A_old`` from the objects homed under
-  the two rectangles, ordered as ``Rect.difference``'s pieces;
+* :meth:`~ColumnarEvaluator.fill_ranges` — every touched range query:
+  the objects homed under its region and inside it;
 * :meth:`~ColumnarEvaluator.knn_ranked` — every dirty k-NN query: its
   full answer, or a seed search of doubling cell squares, bounds the
   search square;
@@ -60,10 +57,7 @@ once per store state) and its one ragged gather ``(cell rects) ->
   per-pair bounds.
 
 Each leaves the answers the brute-force reference
-(:mod:`repro.check.reference`) derives.  Phases 3 and 4's passes return
-their pairs instead of emitting them: :meth:`~ColumnarEvaluator.emit`
-appends them with phase 5's as each query's net change over the three
-phases.  There is no grid index: every
+(:mod:`repro.check.reference`) derives.  There is no grid index: every
 query footprint is :meth:`~ColumnarEvaluator._footprint_ranges` of the
 query's geometry, computed where it is read, as an object's swept
 footprint is.
@@ -77,7 +71,7 @@ from itertools import chain, compress
 import numpy as np
 
 from repro.columnar.ingest import swept_cell_ranges
-from repro.columnar.kernels import PairPlan, classify_transitions
+from repro.columnar.kernels import classify_pairs, join_reports
 from repro.columnar.store import KIND_KNN, KIND_RANGE
 from repro.grid.cellmath import (
     point_cells_batch,
@@ -87,9 +81,6 @@ from repro.grid.cellmath import (
     rect_cells_cover,
     rect_cells_meet,
 )
-
-#: No changed pairs: three empty columns.
-_NOTHING = (np.empty(0, dtype=np.int64),) * 3
 
 #: ``engine_columnar_batch_size`` histogram bounds: powers of four from
 #: a single pair up to 16M pairs per batch.
@@ -102,67 +93,6 @@ def _flatten(sets):
     sizes = np.fromiter(map(len, sets), np.int64, count=len(sets))
     members = np.fromiter(chain.from_iterable(sets), np.int64, count=int(sizes.sum()))
     return np.repeat(np.arange(len(sets)), sizes), members
-
-
-def _net(head_qids, head_oids, tail_qids, tail_oids):
-    """Net one evaluation's range pairs: which of phases 3–4's pairs
-    (``head_*``) survive, as a mask, and which of phase 5's (``tail_*``,
-    one run per query, no pair twice) go, as positions.
-
-    Every emission flips its pair's membership, so a pair's emissions
-    alternate in sign: an odd count nets to its last emission, an even
-    count to nothing.  A phase-5 pair can only repeat an earlier one of
-    the same query, so only the phase-5 runs of queries phases 3–4 named
-    join the head in the grouping (:func:`_pair_keys`).
-    """
-    tail_at, key = _pair_keys(head_qids, head_oids, tail_qids, tail_oids)
-    order = np.argsort(key)
-    key = key[order]
-    group = np.flatnonzero(np.diff(key, prepend=-1))
-    odd = np.diff(group, append=len(key)) % 2 == 1
-    keep = np.zeros(len(key), dtype=bool)
-    # The head precedes the tail and each keeps stream order, so a
-    # group's last emission is its largest position.
-    keep[np.maximum.reduceat(order, group)[odd]] = True
-    n = len(head_qids)
-    return keep[:n], tail_at[~keep[n:]]
-
-
-def _pair_keys(head_qids, head_oids, tail_qids, tail_oids):
-    """The positions of the tail runs of queries the head names, and
-    one int64 key per head pair and per such tail pair — a dense qid
-    rank packed above the oid — in stream order."""
-    touched, head_rank = np.unique(head_qids, return_inverse=True)
-    first = np.ones(len(tail_qids), dtype=bool)
-    np.not_equal(tail_qids[1:], tail_qids[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    run_qids = tail_qids[starts]
-    run_rank = np.searchsorted(touched, run_qids)
-    named = touched[np.minimum(run_rank, len(touched) - 1)] == run_qids
-    run_lens = np.diff(starts, append=len(tail_qids))
-    tail_at = np.flatnonzero(np.repeat(named, run_lens))
-    key = np.concatenate((head_rank, np.repeat(run_rank[named], run_lens[named])))
-    key <<= 32
-    oids = np.concatenate((head_oids, tail_oids[tail_at]))
-    # Object ids in [0, 2**32) pack as they are; others are ranked first.
-    if oids.min() < 0 or oids.max() >= 1 << 32:
-        oids = np.unique(oids, return_inverse=True)[1]
-    key |= oids
-    return tail_at, key
-
-
-class _DualCounter:
-    """Feeds one span duration into two counters (phase + total)."""
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-
-    def inc(self, value: float = 1.0) -> None:
-        self.first.inc(value)
-        self.second.inc(value)
 
 
 class ColumnarEvaluator:
@@ -194,7 +124,7 @@ class ColumnarEvaluator:
         self._m_pairs = counter("engine_columnar_pairs_total")
         self._m_changes = counter("engine_columnar_changes_total")
         self._m_csr_rebuilds = counter("engine_range_csr_rebuilds_total")
-        # Per-phase wall time of the batch pass (plan/join/emit) — the
+        # Per-phase wall time of the range pass (plan/join/emit) — the
         # benchmark reads the deltas to attribute a round's cost.
         self._phase_counters = {
             phase: counter(
@@ -203,75 +133,65 @@ class ColumnarEvaluator:
             )
             for phase in ("plan", "join", "emit")
         }
-        # The emit span feeds both the per-phase breakdown and the
-        # unlabelled total the benchmark/CI gate reads.
-        self._emit_span_counter = _DualCounter(
-            self._phase_counters["emit"],
-            counter("engine_emit_seconds_total"),
-        )
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
 
-    def run_columns(self, columns, knn_dirty):
-        """Join one batch handed over as
-        :class:`~repro.columnar.ingest.CohortColumns`: the plan is built
-        from the columns with no per-cohort Python, and the kernel's
-        changed pairs — ``(qids, oids, signs)`` arrays, grouped by
-        query, negatives first — are returned for :meth:`emit`, or
-        ``None`` when nothing changed."""
-        with self.tracer.span("columnar_plan", self._phase_counters["plan"]):
-            plan = self._plan_columns(columns, knn_dirty)
-        return self._join(plan)
+    def evaluate_ranges(self, updates, touched, reports, knn_dirty) -> None:
+        """Engine phase 5: the one range pass, at the batch's end state.
 
-    def emit(self, updates, head, joined) -> None:
-        """Engine phase 5's emit: append phases 3–5's changed pairs to
-        the stream as each query's net change over them, and apply that
-        to the answers.
-
-        ``head`` lists phases 3 and 4's ``(qids, oids, signs)`` arrays
-        in stream order, ``joined`` the kernel's (or ``None``): the
-        range pairs of this batch, none applied yet — every pass
-        recomputes range membership geometrically, so none reads a
-        range answer.  Only a range query registered or moved in the
-        batch can emit a ``(qid, oid)`` pair twice — phase 4 answers
-        over the pre-report positions and phase 5 after the reports —
-        so only their pairs are netted (:func:`_net`), and a batch that
-        registers and moves no range query appends the kernel's pairs
-        as they are.  A pair's net change is one flip, so toggling the
-        surviving pairs leaves each answer where all three phases would.
+        ``touched`` lists the store rows of the range queries registered
+        or moved in this batch (a row may repeat), ``reports`` is the batch's
+        :class:`~repro.columnar.ingest.Reports` (``None`` when nothing
+        reported).  Touched queries are re-answered and installed, every
+        other range query takes the report join's changed pairs, and
+        k-NN queries the reports reach are added to ``knn_dirty``.
         """
-        with self.tracer.span("columnar_emit", self._emit_span_counter):
-            if joined is None:
-                joined = _NOTHING
-            if head:
-                qids, oids, signs = map(np.concatenate, zip(*head))
-                keep, drop = _net(qids, oids, joined[0], joined[1])
-                self._append(updates, qids[keep], oids[keep], signs[keep])
-                if len(drop):
-                    kept = np.ones(len(joined[0]), dtype=bool)
-                    kept[drop] = False
-                    joined = tuple(column[kept] for column in joined)
-            self._append(updates, *joined)
+        qstore = self.qstore
+        span = self.tracer.span
+        phases = self._phase_counters
+        pairs = joined = None
+        with span("columnar_plan", phases["plan"]):
+            skip = np.zeros(len(qstore), dtype=bool)
+            skip[touched] = True
+            if reports is not None:
+                self._mark_knn(reports, knn_dirty)
+                pairs = join_reports(reports.prev_cells, reports.cells, *self._range_csr(), skip)
+        with span("columnar_join", phases["join"]):
+            rows = np.flatnonzero(skip)
+            answers = self.fill_ranges(rows) if len(rows) else []
+            if pairs is not None:
+                self._m_batches.inc()
+                self._m_pairs.inc(len(pairs[0]))
+                self._h_batch_size.observe(len(pairs[0]))
+                joined = classify_pairs(pairs, reports, qstore)
+                if joined is not None:
+                    self._m_changes.inc(len(joined[0]))
+        with span("columnar_emit", phases["emit"]):
+            if joined is not None:
+                qid_arr, oid_arr, sign_arr = joined
+                oids = oid_arr.tolist()
+                self._toggle_memberships(qid_arr, oids)
+                updates.extend_columns(qid_arr.tolist(), oids, sign_arr.tolist())
+            for row, answer in zip(rows.tolist(), answers):
+                self.install(updates, row, answer)
 
-    def _append(self, updates, qid_arr, oid_arr, sign_arr) -> None:
-        """Apply changed pairs (a run per query; each a flip) to the
-        answers and append them to the stream."""
-        if len(qid_arr):
-            oids = oid_arr.tolist()
-            self._toggle_memberships(qid_arr, oids)
-            updates.extend_columns(qid_arr.tolist(), oids, sign_arr.tolist())
-
-    def _join(self, plan):
-        self._m_batches.inc()
-        self._m_pairs.inc(plan.total_pairs)
-        self._h_batch_size.observe(plan.total_pairs)
-        with self.tracer.span("columnar_join", self._phase_counters["join"]):
-            joined = classify_transitions(plan, self.ostore, self.qstore)
-        if joined is not None:
-            self._m_changes.inc(len(joined[0]))
-        return joined
+    def install(self, updates, row: int, oids: list[int]) -> None:
+        """Make ``oids`` (distinct) the answer of the query in store
+        ``row`` and emit its difference from the standing one as one
+        run: leavers, then entrants in the order of ``oids``."""
+        standing = self.qstore.answers[row]
+        joined = [oid for oid in oids if oid not in standing]
+        left = list(standing.difference(oids))
+        if left or joined:
+            standing.difference_update(left)
+            standing.update(joined)
+            updates.extend_columns(
+                [self.qstore.qids[row]] * (len(left) + len(joined)),
+                left + joined,
+                [-1] * len(left) + [1] * len(joined),
+            )
 
     def _toggle_memberships(self, qid_arr, oids) -> None:
         """Apply a batch of changed ``(query, object)`` atoms (distinct,
@@ -293,73 +213,22 @@ class ColumnarEvaluator:
         for qid, s, e in zip(qid_arr[starts].tolist(), starts, [*cuts, len(oids)]):
             answers[row_of[qid]].symmetric_difference_update(oids[s:e])
 
-    # ------------------------------------------------------------------
-    # Plan construction
-    # ------------------------------------------------------------------
-
-    def _plan_columns(self, columns, knn_dirty) -> PairPlan:
-        """The :class:`PairPlan` of a batch of cohort columns, built
-        with array passes only, and the k-NN queries it marks dirty:
-
-        * candidate entries come from the grid-wide :meth:`_range_csr`
-          (per cell: partial rows, then covering rows);
-        * each cohort gathers two ragged segments from it — its old
-          cell's full list, minus-only, if it changed home cell; then its
-          new cell's partial rows if it stayed put, its full list
-          otherwise — plus-only if it changed cell, either sign if it
-          stayed put or is a new object;
-        * a k-NN query is marked if its footprint meets a touched cell
-          (any cohort's new cell, or old cell if it changed) or its
-          answer holds a reported object.
-        """
-        csr_rows, offsets = self._range_csr()
-        old = columns.old
-        new = columns.new
-        n_cohorts = len(new)
-        changed = (old >= 0) & (old != new)
+    def _mark_knn(self, reports, knn_dirty) -> None:
+        """Add to ``knn_dirty`` every k-NN query whose footprint meets a
+        cell a report left or entered, or whose answer holds a reported
+        object."""
         qstore = self.qstore
         knn = qstore.rows_of(KIND_KNN)
-        if len(knn):
-            n = self.grid.n
-            touched = np.zeros(n * n, dtype=bool)
-            touched[old[changed]] = True
-            touched[new] = True
-            hit = rect_cells_meet(touched, *self.footprints(knn), n, np)
-            answers = list(map(qstore.answers.__getitem__, knn.tolist()))
-            held_by, members = _flatten(answers)
-            hit[held_by[np.isin(members, columns.oids)]] = True
-            knn_dirty.update(np.frombuffer(qstore.qids, dtype=np.int64)[knn[hit]].tolist())
-
-        # Two segments per cohort, interleaved [old, new, old, new, ...];
-        # cell c's partial rows start at offsets[2c], its covering rows
-        # at offsets[2c + 1].
-        old2 = np.where(changed, old, new) * 2
-        new2 = new * 2
-        seg_start = np.empty(2 * n_cohorts, dtype=np.int64)
-        seg_len = np.empty(2 * n_cohorts, dtype=np.int64)
-        seg_role = np.empty(2 * n_cohorts, dtype=np.int8)
-        seg_start[0::2] = offsets[old2]
-        seg_start[1::2] = offsets[new2]
-        seg_len[0::2] = np.where(changed, offsets[old2 + 2] - offsets[old2], 0)
-        seg_len[1::2] = (
-            offsets[np.where(old == new, new2 + 1, new2 + 2)] - offsets[new2]
-        )
-        # Old-cell entries may only emit a negative, a changed cohort's
-        # new-cell entries only a positive, any other entry either sign.
-        seg_role[0::2] = -1
-        seg_role[1::2] = changed
-        _, at = ragged_arange(seg_start, seg_len, np)
-
-        # Member rows, cohort-major: each cohort's slice of the
-        # (transition, oid)-sorted order.
-        _, members = ragged_arange(columns.start, columns.count, np)
-        return PairPlan(
-            csr_rows[at],
-            np.repeat(seg_role, seg_len),
-            seg_len[0::2] + seg_len[1::2],
-            columns.rows[columns.order[members]].astype(np.int32),
-            columns.count,
-        )
+        if not len(knn):
+            return
+        n = self.grid.n
+        cells = np.zeros(n * n, dtype=bool)
+        cells[reports.prev_cells[reports.prev_cells >= 0]] = True
+        cells[reports.cells] = True
+        hit = rect_cells_meet(cells, *self.footprints(knn), n, np)
+        held_by, members = _flatten(list(map(qstore.answers.__getitem__, knn.tolist())))
+        hit[held_by[np.isin(members, reports.oids)]] = True
+        knn_dirty.update(np.frombuffer(qstore.qids, dtype=np.int64)[knn[hit]].tolist())
 
     def _footprint_ranges(self, min_xs, min_ys, max_xs, max_ys, cxs=None, cys=None):
         """The grid footprints of a batch of query rectangles as a
@@ -530,86 +399,17 @@ class ColumnarEvaluator:
         min_x, min_y, max_x, max_y = bounds[:, pos]
         return (min_x <= x) & (x <= max_x) & (min_y <= y) & (y <= max_y)
 
-    def fill_ranges(self, qrows):
-        """Engine phase 3 for every newly registered range query (their
-        store rows ``qrows``) at once — the positive half of
-        :meth:`move_ranges`: the objects inside each region, returned
-        for :meth:`emit` as ``(qids, oids, signs)`` arrays per query in
-        the given order, oids ascending (``None`` when no region holds
-        an object)."""
+    def fill_ranges(self, qrows) -> list[list[int]]:
+        """The answer of the range query in every given store row, from
+        one gather: per query, in order, the objects homed under its
+        region and inside it."""
         bounds = self._regions(qrows)
         pos, rows = self._gather(self._footprint_ranges(*bounds))
-        keep = np.flatnonzero(self._inside(bounds, pos, rows))
-        if not len(keep):
-            return None
-        pos = pos[keep]
-        oids = np.frombuffer(self.ostore.oids, dtype=np.int64)[rows[keep]]
-        order = np.lexsort((oids, pos))
-        qid_arr = np.frombuffer(self.qstore.qids, dtype=np.int64)[qrows[pos[order]]]
-        return qid_arr, oids[order], np.ones(len(keep), dtype=np.int64)
-
-    def move_ranges(self, qrows, regions):
-        """Engine phase 4 for every moved range query at once: store
-        rows ``qrows`` and their new ``regions``, in arrival order; the
-        new bounds are written to the store after the pass.  The changes
-        are returned for :meth:`emit` as ``(qids, oids, signs)`` arrays
-        (``None`` when there is none): per query,
-        negatives (``A_old - A_new``) ascending by oid, then positives by
-        ``Rect.difference`` piece (bottom, top, left, right; a point on
-        a shared edge belongs to the first piece holding it; a disjoint
-        move is one piece) and oid.
-
-        Prior membership is recomputed geometrically — a range answer
-        is exactly the set of objects inside the region, and every
-        object inside a rectangle is homed in a cell under it — so the
-        pass reads only the home-cell CSR and the coordinate columns
-        (pre-ingest: phase 4 precedes the reports).
-        """
-        qstore = self.qstore
-        m = len(qrows)
-        old = self._regions(qrows)
-        new = np.array(
-            [(r.min_x, r.min_y, r.max_x, r.max_y) for r in regions],
-            dtype=np.float64,
-        ).T
-        old_cells = self._footprint_ranges(*old)
-        new_cells = self._footprint_ranges(*new)
-        # One gather over both rectangles of every move: positions
-        # below m are old regions (negatives), the rest new (positives).
-        pos, rows = self._gather(np.concatenate((old_cells, new_cells), axis=1))
-        entering = pos >= m
-        pos[entering] -= m
-        in_new = self._inside(new, pos, rows)
-        keep = np.flatnonzero(
-            (self._inside(old, pos, rows) != in_new) & (in_new == entering)
-        )
-        changed = None
-        if len(keep):
-            pos = pos[keep]
-            rows = rows[keep]
-            xs, ys = self.ostore.xy_views()
-            x = xs[rows]
-            y = ys[rows]
-            # Rect.difference's pieces, from the intersection's bounds
-            # (min_x, min_y and max_y; a disjoint move has one piece).
-            disjoint = (
-                (new[0] > old[2]) | (old[0] > new[2])
-                | (new[1] > old[3]) | (old[1] > new[3])
-            )[pos]  # fmt: skip
-            inter_min_x, inter_min_y = np.maximum(new[:2], old[:2])[:, pos]
-            inter_max_y = np.minimum(new[3], old[3])[pos]
-            bottom = (new[1][pos] < inter_min_y) & (y <= inter_min_y)
-            top = (inter_max_y < new[3][pos]) & (y >= inter_max_y)
-            piece = np.where(
-                disjoint | bottom, 0, np.where(top, 1, np.where(x < inter_min_x, 2, 3))
-            )
-            piece[~entering[keep]] = -1
-            oids = np.frombuffer(self.ostore.oids, dtype=np.int64)[rows]
-            order = np.lexsort((oids, piece, pos))
-            qid_arr = np.frombuffer(qstore.qids, dtype=np.int64)[qrows[pos[order]]]
-            changed = qid_arr, oids[order], np.where(piece[order] < 0, -1, 1)
-        qstore.move_bounds(qrows, *new)
-        return changed
+        keep = self._inside(bounds, pos, rows)
+        oids = np.frombuffer(self.ostore.oids, dtype=np.int64)[rows[keep]].tolist()
+        # The gather is rectangle-major, so each query's objects are one slice.
+        cuts = np.searchsorted(pos[keep], np.arange(len(qrows) + 1)).tolist()
+        return [oids[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
     def knn_ranked(self, qrows) -> list[list[tuple[float, int]]]:
         """The ranked ``(distance, oid)`` answer of the k-NN query in

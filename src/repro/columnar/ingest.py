@@ -1,44 +1,36 @@
 """Vectorized report-buffer ingest (the engine's phase 5a).
 
-:class:`BatchIngest` writes the whole report buffer — ``oid -> (x, y,
+:func:`ingest_reports` writes the whole report buffer — ``oid -> (x, y,
 vx, vy, t)`` floats — into the object store, whose row is the only
-record of an object, and groups it into transition cohorts, with a few
-array passes over the *whole* buffer.  No per-report object is built:
-the five columns come out of the buffer in one ``np.fromiter``.  There
-is no "minority" path either, because **every report is one home-cell
-transition**:
+record of an object, with a few array passes over the *whole* buffer,
+and hands the batch to the report join as :class:`Reports` columns
+aligned by report.  No per-report object is built: the five columns
+come out of the buffer in one ``np.fromiter``.
 
-* a report's cohort key is ``(old home cell, new home cell)`` whatever
-  the object's velocity.  Range membership is a function of the point,
-  a k-NN circle containing the point has the point's home cell in its
-  footprint, and predictive membership is settled by the engine's
-  refresh phase — so a predictive object's *swept footprint*
-  (:func:`swept_cell_ranges`) is read by that refresh only, never a
-  join key;
 * **new home cells** for the entire buffer come from the shared batch
   kernel (:func:`repro.grid.cellmath.point_cells_batch`, bit-identical
   to the scalar ``Grid.cell_of``);
-* **old home cells** are the store's ``cells`` column at the batch's
-  rows, as :meth:`~repro.columnar.store.ColumnarObjectStore.batch_apply`
-  hands them back before overwriting them (``-1`` for a new object) —
-  the store's columns are the only record of where an object is;
-* **transition cohorts** are recovered by one ``lexsort`` over
-  ``(key, oid)`` with group-boundary detection; cohorts are emitted in
-  first-occurrence order (``minimum.reduceat`` over the original
-  positions).  They leave as :class:`CohortColumns` — per-cohort
-  ``old``/``new`` cells and member ``start``/``count`` into the sorted
-  order — so the columnar evaluator plans the join without ever
-  materialising a dict of member lists.
+* **old home cells and old coordinates** are what
+  :meth:`~repro.columnar.store.ColumnarObjectStore.batch_apply` hands
+  back as it overwrites them (``-1`` and NaN for a new object) — the
+  store keeps no previous location.
 
-Cohort members come out oid-sorted, which is the order the evaluator
-joins and emits them in.  Agreement with the brute-force reference is
-pinned by the ingest scenarios (``tests/columnar/test_ingest_golden.py``)
-and the lock-step state machine.
+Every report is one home-cell transition whatever the object's
+velocity: range membership is a function of the point, a k-NN circle
+containing the point has the point's home cell in its footprint, and
+predictive membership is settled by the engine's refresh phase — so a
+predictive object's *swept footprint* (:func:`swept_cell_ranges`) is
+read by that refresh only, never by the join.
+
+Agreement with the brute-force reference is pinned by the ingest
+scenarios (``tests/columnar/test_ingest_golden.py``) and the lock-step
+state machine.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,70 +67,30 @@ def swept_cell_ranges(x, y, vx, vy, t, home, horizon: float, grid, np):
     return col_lo, col_hi, row_lo, row_hi
 
 
-class CohortColumns:
-    """One batch's transition cohorts as columns.
+class Reports(NamedTuple):
+    """One report buffer as columns aligned by report: the oids, the new
+    coordinates and home cells, and the old coordinates and home cells
+    (NaN and ``-1`` for a new object)."""
 
-    ``old``/``new``/``start``/``count`` hold one entry per cohort, in
-    emission (first-occurrence) order: the cohort's old home cell (-1
-    for new objects), its new home cell, and its members as the slice
-    ``order[start : start + count]`` — positions into the report-order
-    columns ``oids``/``rows`` (``rows``: object-store rows), ascending by
-    oid within a cohort.
-    """
-
-    __slots__ = ("old", "new", "start", "count", "order", "oids", "rows")
-
-    def __len__(self) -> int:
-        return len(self.old)
+    oids: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    cells: np.ndarray
+    prev_xs: np.ndarray
+    prev_ys: np.ndarray
+    prev_cells: np.ndarray
 
 
-class BatchIngest:
-    """Batch phase 5a for one engine: writes a report buffer through the
-    object store's batch door and turns it into :class:`CohortColumns`."""
-
-    __slots__ = ("engine",)
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-
-    def group(self, reports) -> CohortColumns:
-        """Write one (non-empty) report buffer into the object store and
-        return the batch's cohorts.  Clears the buffer."""
-        engine = self.engine
-        grid = engine.grid
-        count = len(reports)
-        oid_arr = np.asarray(list(reports.keys()), dtype=np.int64)
-        # The buffer's (x, y, vx, vy, t) tuples, row-major, in one pass.
-        x_arr, y_arr, vx_arr, vy_arr, t_arr = np.fromiter(
-            chain.from_iterable(reports.values()), np.float64, 5 * count
-        ).reshape(count, 5).T
-        reports.clear()
-
-        new_cells = point_cells_batch(x_arr, y_arr, grid, np)
-        cols = CohortColumns()
-        cols.oids = oid_arr
-        cols.rows, old_cells = engine._ostore.batch_apply(
-            oid_arr, x_arr, y_arr, vx_arr, vy_arr, t_arr, new_cells
-        )
-
-        # --- cohort grouping: sort by (transition key, oid), find the
-        # group boundaries, emit groups by first occurrence in report
-        # order.
-        n_cells = grid.n * grid.n
-        key = (old_cells + np.int64(1)) * np.int64(n_cells) + new_cells
-        order = np.lexsort((oid_arr, key))
-        sorted_key = key[order]
-        boundary = np.empty(count, dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        # `order` holds report positions, so the minimum per group is
-        # its first occurrence in report order.
-        perm = np.argsort(np.minimum.reduceat(order, starts), kind="stable")
-        group_keys = sorted_key[starts][perm]
-        cols.order = order
-        cols.old = group_keys // n_cells - 1
-        cols.new = group_keys % n_cells
-        cols.start = starts[perm]
-        cols.count = np.diff(np.append(starts, count))[perm]
-        return cols
+def ingest_reports(reports, grid, ostore) -> Reports:
+    """Write one (non-empty) report buffer into the object store and
+    return it as :class:`Reports`.  Clears the buffer."""
+    count = len(reports)
+    oids = np.asarray(list(reports.keys()), dtype=np.int64)
+    # The buffer's (x, y, vx, vy, t) tuples, row-major, in one pass.
+    xs, ys, vxs, vys, ts = np.fromiter(
+        chain.from_iterable(reports.values()), np.float64, 5 * count
+    ).reshape(count, 5).T
+    reports.clear()
+    cells = point_cells_batch(xs, ys, grid, np)
+    prev_cells, prev_xs, prev_ys = ostore.batch_apply(oids, xs, ys, vxs, vys, ts, cells)
+    return Reports(oids, xs, ys, cells, prev_xs, prev_ys, prev_cells)

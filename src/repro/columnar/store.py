@@ -3,8 +3,8 @@
 A containment test over a million (query, object) pairs wants the four
 query bounds and the four object coordinates as flat ``float64``
 columns.  The object store is not a mirror of anything: an object's
-row — ``oid, x, y, old x/y, vx, vy, t, cell`` — is the only record of
-it, and ``engine.objects`` is a read-only mapping that materialises an
+row — ``oid, x, y, vx, vy, t, cell`` — is the only record of it, and
+``engine.objects`` is a read-only mapping that materialises an
 ``ObjectState`` from a row on access.  Two design rules:
 
 * Columns are stdlib ``array.array`` buffers.  Scalar writes (one query
@@ -17,15 +17,15 @@ it, and ``engine.objects`` is a read-only mapping that materialises an
   valid between store mutations — the evaluator resolves rows per
   evaluation and caches them keyed on :attr:`ColumnarQueryStore.version`.
 
-Object rows also carry the **previous** coordinates (``old_xs`` /
-``old_ys``): the batch membership kernel classifies enter/leave/still
-transitions by recomputing prior membership *geometrically* (a range
-answer is exactly the set of objects inside the region, so "was a
-member" == "old location inside current bounds"), which is what lets
-the kernel run without any per-pair membership lookup.  New objects get
-NaN old coordinates — every containment test on NaN is False, exactly
-the "was not a member of anything" a fresh object needs.  Both report
-doors clamp into the world, so every stored coordinate lies in it.
+An object keeps no previous location: :meth:`ColumnarObjectStore.batch_apply`
+hands back what it overwrote — each reported row's old home cell and old
+coordinates, NaN for a new object — and the report join classifies each
+reported object's transition from those, recomputing prior membership
+*geometrically* (a range answer is exactly the set of objects inside the
+region, so "was a member" == "old location inside current bounds").
+Every containment test on NaN is False, exactly the "was not a member of
+anything" a fresh object needs.  Both report doors clamp into the world,
+so every stored coordinate lies in it.
 
 The ``cells`` column is the only record of where an object is: the
 engine keeps no grid index.  :class:`HomeCells`
@@ -100,8 +100,8 @@ class HomeCells:
 
 
 class ColumnarObjectStore:
-    """Parallel arrays of object state: oid, x, y, old x/y, velocity,
-    report time, and home cell.
+    """Parallel arrays of object state: oid, x, y, velocity, report
+    time, and home cell.
 
     ``batch_apply`` is the single write path for position state (the
     engine's batch ingest calls it once per evaluation), ``remove`` the
@@ -114,12 +114,11 @@ class ColumnarObjectStore:
         "oids",
         "xs",
         "ys",
-        "old_xs",
-        "old_ys",
         "vxs",
         "vys",
         "ts",
         "cells",
+        "_arrays",
         "_row_of",
         "version",
         "_home",
@@ -131,12 +130,11 @@ class ColumnarObjectStore:
         self.oids = array("q")
         self.xs = array("d")
         self.ys = array("d")
-        self.old_xs = array("d")
-        self.old_ys = array("d")
         self.vxs = array("d")
         self.vys = array("d")
         self.ts = array("d")
         self.cells = array("q")
+        self._arrays = (self.oids, self.xs, self.ys, self.vxs, self.vys, self.ts, self.cells)
         self._row_of: dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -151,19 +149,17 @@ class ColumnarObjectStore:
 
     def batch_apply(self, oids, xs, ys, vxs, vys, ts, cells):
         """Apply one whole report buffer in a few array passes; returns
-        ``(rows, old_cells)``, int64 ndarrays aligned with ``oids``: the
-        batch's store rows (the column planner's member rows) and each
-        row's home cell as it was before this call overwrote it (``-1``
-        for an oid that had no row).
+        what it overwrote, ndarrays aligned with ``oids``:
+        ``(prev_cells, prev_xs, prev_ys)`` — each row's home cell (int64,
+        ``-1`` for an oid that had no row) and coordinates (float64, NaN
+        for an oid that had no row: a member of nothing under every
+        containment test).
 
         The oids must be **distinct** within the batch (the engine's
         report buffer is a dict, so they are) and the columns aligned
         ndarrays (float64 coordinates/velocities/times, int64 cells).
-        An existing object's current coordinates become its old
-        coordinates; a new object gets NaN old coordinates (member of
-        nothing under every containment test).  New rows are
-        bulk-appended via ``frombytes`` and existing rows updated by
-        gather/scatter through zero-copy ``frombuffer`` views
+        New rows are bulk-appended via ``frombytes`` and existing rows
+        updated by gather/scatter through zero-copy ``frombuffer`` views
         (``array.array`` buffers are writable, so scatters write
         through).
         """
@@ -178,40 +174,32 @@ class ColumnarObjectStore:
         )
         fresh = np.flatnonzero(rows < 0)
         known = np.flatnonzero(rows >= 0)
-        old_cells = np.full(count, -1, dtype=np.int64)
-        old_cells[known] = np.frombuffer(self.cells, dtype=np.int64)[rows[known]]
         if len(fresh):
-            # Bulk-append new rows first so the scatter views below are
-            # taken after the last reallocation.
+            # Bulk-append new rows first: an array with numpy views
+            # over it refuses to grow.
             base = len(self.oids)
             for offset, oid in enumerate(oids[fresh].tolist()):
                 row_of[oid] = base + offset
-            rows[fresh] = np.arange(base, base + len(fresh))
-            self.oids.frombytes(oids[fresh].tobytes())
-            self.xs.frombytes(xs[fresh].tobytes())
-            self.ys.frombytes(ys[fresh].tobytes())
-            nan_block = np.full(len(fresh), _NAN).tobytes()
-            self.old_xs.frombytes(nan_block)
-            self.old_ys.frombytes(nan_block)
-            self.vxs.frombytes(vxs[fresh].tobytes())
-            self.vys.frombytes(vys[fresh].tobytes())
-            self.ts.frombytes(ts[fresh].tobytes())
-            self.cells.frombytes(cells[fresh].tobytes())
-        if len(fresh) < count:
+            for column, values in zip(self._arrays, (oids, xs, ys, vxs, vys, ts, cells)):
+                column.frombytes(values[fresh].tobytes())
+        prev_cells = np.full(count, -1, dtype=np.int64)
+        prev_xs = np.full(count, _NAN)
+        prev_ys = np.full(count, _NAN)
+        if len(known):
             target = rows[known]
+            cells_v = np.frombuffer(self.cells, dtype=np.int64)
             xs_v = np.frombuffer(self.xs, dtype=np.float64)
             ys_v = np.frombuffer(self.ys, dtype=np.float64)
-            old_xs_v = np.frombuffer(self.old_xs, dtype=np.float64)
-            old_ys_v = np.frombuffer(self.old_ys, dtype=np.float64)
-            old_xs_v[target] = xs_v[target]
-            old_ys_v[target] = ys_v[target]
+            prev_cells[known] = cells_v[target]
+            prev_xs[known] = xs_v[target]
+            prev_ys[known] = ys_v[target]
+            cells_v[target] = cells[known]
             xs_v[target] = xs[known]
             ys_v[target] = ys[known]
             np.frombuffer(self.vxs, dtype=np.float64)[target] = vxs[known]
             np.frombuffer(self.vys, dtype=np.float64)[target] = vys[known]
             np.frombuffer(self.ts, dtype=np.float64)[target] = ts[known]
-            np.frombuffer(self.cells, dtype=np.int64)[target] = cells[known]
-        return rows, old_cells
+        return prev_cells, prev_xs, prev_ys
 
     def remove(self, oid: int) -> None:
         """Swap-remove ``oid``'s row; unknown oids raise ``KeyError``."""
@@ -219,43 +207,16 @@ class ColumnarObjectStore:
         self.version += 1
         last = len(self.oids) - 1
         if row != last:
-            moved = self.oids[last]
-            self.oids[row] = moved
-            self.xs[row] = self.xs[last]
-            self.ys[row] = self.ys[last]
-            self.old_xs[row] = self.old_xs[last]
-            self.old_ys[row] = self.old_ys[last]
-            self.vxs[row] = self.vxs[last]
-            self.vys[row] = self.vys[last]
-            self.ts[row] = self.ts[last]
-            self.cells[row] = self.cells[last]
-            self._row_of[moved] = row
-        self.oids.pop()
-        self.xs.pop()
-        self.ys.pop()
-        self.old_xs.pop()
-        self.old_ys.pop()
-        self.vxs.pop()
-        self.vys.pop()
-        self.ts.pop()
-        self.cells.pop()
+            self._row_of[self.oids[last]] = row
+            for column in self._arrays:
+                column[row] = column[last]
+        for column in self._arrays:
+            column.pop()
 
     def cell_counts(self, n_cells: int):
         """Objects per home cell, one int64 count per cell."""
         cells = np.frombuffer(self.cells, dtype=np.int64)
         return np.bincount(cells, minlength=n_cells)
-
-    def coord_views(self):
-        """Fresh zero-copy numpy views ``(x, y, old_x, old_y)``.
-
-        Only valid until the next append/remove.
-        """
-        return (
-            _f64_view(self.xs),
-            _f64_view(self.ys),
-            _f64_view(self.old_xs),
-            _f64_view(self.old_ys),
-        )
 
     def xy_views(self):
         """Fresh zero-copy numpy views ``(x, y)``."""

@@ -12,12 +12,11 @@ they are read.
 
 Incrementality per query kind:
 
-* **Range** — when a query's region moves from ``A_old`` to ``A_new``,
-  answer members outside ``A_new`` produce negative updates, and only
-  the difference area ``A_new - A_old`` is searched for positives ("the
-  area A_new ∩ A_old does not need to be reevaluated where the query
-  result of this area is already reported").  Object moves touch only
-  the queries whose footprint holds the object's old or new cell.
+* **Range** — object moves touch only the queries whose footprint
+  holds the object's old or new cell, and of those only the ones whose
+  membership flipped emit.  A query registered or moved in a batch is
+  re-answered from the objects under its new footprint, and the diff
+  against its standing answer is emitted.
 * **k-NN** — maintained as the smallest circle containing the k nearest
   objects.  Object movement marks a k-NN query dirty only when the move
   touches the circle's grid footprint (or the object was an answer
@@ -36,31 +35,29 @@ Incrementality per query kind:
 
 Bulk evaluation runs as one **columnar pipeline** (the paper's
 Section 3 point: buffered updates are evaluated as a grid-partition
-spatial join, not one at a time).  The batch's object reports are
-grouped by their (old home cell → new home cell) transition — one per
-report, whatever its velocity; a predictive object's swept footprint is
-read by the predictive refresh only, never a join key — and joined
-against the range queries listed in those cells as batch array
-kernels over struct-of-arrays object and query state
-(:mod:`repro.columnar`, on numpy).  An object's store row is the
+spatial join, not one at a time) over struct-of-arrays object and query
+state (:mod:`repro.columnar`, on numpy).  An object's store row is the
 only record of it, and a query's query-store row — kind, geometry,
-``t`` and answer set — the only record of it:
-``engine.objects`` and ``engine.queries`` are read-only mappings that
-materialise an :class:`ObjectState` or a query state per access, and
-the engine itself reads and writes rows.  The *query* side of a cycle
-is columnar too: a batch's range-query registrations and moves, every
-dirty k-NN query and every predictive refresh run as array passes over a home-cell CSR of the
-object store (:meth:`ColumnarEvaluator.fill_ranges`,
-``move_ranges``, ``knn_ranked``, ``predictive_refresh``).
+``t`` and answer set — the only record of it: ``engine.objects`` and
+``engine.queries`` are read-only mappings that materialise an
+:class:`ObjectState` or a query state per access, and the engine itself
+reads and writes rows.
 
-An evaluation emits, per query, its *net* change: the diff between its
+Phases 3 and 4 only write query rows.  Phase 5 is **one range pass**
+after ingest, against the batch's final query bounds and final object
+positions (:meth:`ColumnarEvaluator.evaluate_ranges`): a range query
+registered or moved in the batch is re-answered with one gather and
+emits the diff against its standing answer (∅ for a new query), and
+every other range query meets the batch's reports in the per-report
+join — each reported object against the range queries listed in its
+old and new home cells, one kernel pass.  The two cover disjoint
+queries and classify every pair once, at the end state, so an
+evaluation emits, per query, its *net* change: the diff between its
 answer before and after the evaluation, each ``(qid, oid)`` pair at
-most once (the paper's ``(Q, +A)`` means "A entered the answer of Q").
-Only a range query registered or moved in the batch could emit a pair
-twice — phase 4 answers it over the pre-report positions, phase 5
-after the reports, so a carried query's neighbours would leave and
-come back — and phase 5's emit nets those queries' pairs before they
-reach the stream (:meth:`ColumnarEvaluator.emit`).
+most once (the paper's ``(Q, +A)`` means "A entered the answer of Q"),
+with nothing to net.  Dirty k-NN queries and every predictive query are
+array passes over a home-cell CSR of the object store too
+(``knn_ranked``, ``predictive_refresh``).
 
 Its reference is brute force: :class:`repro.check.reference.ReferenceEngine`
 re-derives every answer from scratch and emits each query's diff.  Fed
@@ -94,10 +91,10 @@ from repro.columnar import (
     KIND_KNN,
     KIND_PREDICTIVE,
     KIND_RANGE,
-    BatchIngest,
     ColumnarEvaluator,
     ColumnarObjectStore,
     ColumnarQueryStore,
+    ingest_reports,
 )
 from repro.core.state import (
     KnnQueryState,
@@ -182,6 +179,7 @@ EVALUATION_PHASES = (
     "object_reports",
     "knn_repair",
     "predictive_refresh",
+    "occupancy_sample",
 )
 
 
@@ -377,7 +375,6 @@ class IncrementalEngine:
             self.registry,
             self.tracer,
         )
-        self._batch_ingest = BatchIngest(self)
         self._m_ingest_seconds = counter("engine_ingest_seconds_total")
         self._m_predictive_refreshes = counter("engine_predictive_refreshes_total")
 
@@ -655,14 +652,14 @@ class IncrementalEngine:
     def evaluate(self, now: float | None = None) -> UpdateBatch:
         """Apply all buffered input and return the incremental updates.
 
-        Phases: unregistrations, object removals, new-query first-time
-        answers, query moves, object moves, k-NN repair, predictive
-        window refresh.  The returned updates are each query's net
-        change over the whole evaluation — the diff between its answer
-        before (∅ for a query registered in the batch) and after, no
-        ``(qid, oid)`` pair twice — so applying them in any order to
-        the previously reported answers reproduces the current answers
-        exactly (tested property).
+        Phases: unregistrations, object removals, query registrations,
+        query moves, object reports and the range pass, k-NN repair,
+        predictive window refresh, occupancy sample.  The returned
+        updates are each query's net change over the whole evaluation
+        — the diff between its answer before (∅ for a query registered
+        in the batch) and after, no ``(qid, oid)`` pair twice — so
+        applying them in any order to the previously reported answers
+        reproduces the current answers exactly (tested property).
 
         The return value is an :class:`~repro.core.updates.UpdateBatch`
         — sequence-shaped: iterate, index, and compare it like a list.
@@ -716,21 +713,22 @@ class IncrementalEngine:
                 self._apply_unregistrations(knn_dirty)
             with span("removals", phase_counters["removals"]):
                 self._apply_removals(updates, knn_dirty)
-            # Phases 3-4's pairs wait for phase 5, which nets them.
-            head: list = []
+            # Phases 3-4 write the store rows of the range queries they
+            # touch; phase 5 re-answers those at the batch's end state.
+            touched: list[int] = []
             with span("registrations", phase_counters["registrations"]):
-                self._apply_registrations(head, knn_dirty)
+                self._apply_registrations(touched, knn_dirty)
             with span("query_moves", phase_counters["query_moves"]):
-                self._apply_query_moves(head, knn_dirty)
+                self._apply_query_moves(touched, knn_dirty)
             with span("object_reports", phase_counters["object_reports"]):
-                self._apply_object_reports(updates, head, knn_dirty)
+                self._apply_object_reports(updates, touched, knn_dirty)
             with span("knn_repair", phase_counters["knn_repair"]):
                 self._repair_knn(knn_dirty, updates)
             with span(
                 "predictive_refresh", phase_counters["predictive_refresh"]
             ):
                 self._refresh_predictive(updates)
-            with span("occupancy_sample"):
+            with span("occupancy_sample", phase_counters["occupancy_sample"]):
                 self._sample_occupancy()
         self._m_updates_emitted.inc(len(updates))
         self._m_objects.set(self.object_count)
@@ -802,12 +800,11 @@ class IncrementalEngine:
                     knn_dirty.add(qid)
 
     # ------------------------------------------------------------------
-    # Phase 3: first-time answers for new queries
+    # Phase 3: registrations
     # ------------------------------------------------------------------
 
-    def _apply_registrations(self, head: list, knn_dirty: set[int]) -> None:
+    def _apply_registrations(self, touched: list[int], knn_dirty: set[int]) -> None:
         qstore = self._qstore
-        range_fills: list[int] = []
         for query in self._pending_registrations.values():
             qid = query.qid
             if query.kind is QueryKind.KNN:
@@ -822,82 +819,67 @@ class IncrementalEngine:
             region = query.region
             bounds = (region.min_x, region.min_y, region.max_x, region.max_y)
             if query.kind is QueryKind.RANGE:
-                range_fills.append(qstore.add(qid, KIND_RANGE, *bounds, t=query.t))
+                touched.append(qstore.add(qid, KIND_RANGE, *bounds, t=query.t))
             else:
                 # Predictive: answer in the refresh phase.
                 qstore.add(
                     qid, KIND_PREDICTIVE, *bounds, horizon=query.horizon, t=query.t
                 )
-        # Only range registrations emit in this phase, so filling them
-        # together after the loop keeps the stream in arrival order.
-        if range_fills:
-            filled = self._columnar_evaluator.fill_ranges(np.array(range_fills))
-            if filled is not None:
-                head.append(filled)
         self._pending_registrations.clear()
 
     # ------------------------------------------------------------------
     # Phase 4: query movement
     # ------------------------------------------------------------------
 
-    def _apply_query_moves(self, head: list, knn_dirty: set[int]) -> None:
-        # Only range moves emit in this phase, so taking them together
-        # after the loop keeps the stream in arrival order.
+    def _apply_query_moves(self, touched: list[int], knn_dirty: set[int]) -> None:
+        """Write every buffered move into its query's store row: a k-NN
+        centre, or a region — in one scatter for all of them.  A k-NN
+        query is re-solved in phase 6, a predictive one re-filtered in
+        phase 7, and a range query re-answered in phase 5."""
         qstore = self._qstore
-        range_rows: list[int] = []
-        range_regions: list[Rect] = []
+        rows: list[int] = []
+        regions: list[Rect] = []
         for qid, (payload, t) in self._pending_moves.items():
             # _validate_pending_moves vouched for every qid.
             row = qstore.row_of(qid)
             qstore.ts[row] = t
             kind = qstore.kinds[row]
-            if kind == KIND_RANGE:
-                range_rows.append(row)
-                range_regions.append(payload)  # type: ignore[arg-type]
-            elif kind == KIND_KNN:
+            if kind == KIND_KNN:
                 qstore.cxs[row] = payload.x  # type: ignore[union-attr]
                 qstore.cys[row] = payload.y  # type: ignore[union-attr]
                 knn_dirty.add(qid)
-            else:
-                # Predictive regions re-filter in the refresh phase.
-                region: Rect = payload  # type: ignore[assignment]
-                qstore.move_bounds([row], region.min_x, region.min_y, region.max_x, region.max_y)
-        if range_rows:
-            moved = self._columnar_evaluator.move_ranges(
-                np.array(range_rows), range_regions
-            )
-            if moved is not None:
-                head.append(moved)
+                continue
+            rows.append(row)
+            regions.append(payload)  # type: ignore[arg-type]
+            if kind == KIND_RANGE:
+                touched.append(row)
+        if rows:
+            bounds = [(r.min_x, r.min_y, r.max_x, r.max_y) for r in regions]
+            qstore.move_bounds(np.array(rows), *np.array(bounds).T)
         self._pending_moves.clear()
 
     # ------------------------------------------------------------------
-    # Phase 5: object movement
+    # Phase 5: the range pass
     # ------------------------------------------------------------------
 
-    def _apply_object_reports(self, updates, head: list, knn_dirty: set[int]) -> None:
-        """Batch ingest groups the buffer into home-cell transition
-        cohorts (phase 5a), the evaluator joins every cohort against its
-        cells' range queries in one kernel pass (phase 5b), and the emit
-        appends phases 3–5's pairs as each query's net change: a
-        ``(qid, oid)`` pair that phase 4 retracted and phase 5 restored
-        — a carried query and its neighbours moving together — reports
-        no change and leaves the stream."""
-        evaluator = self._columnar_evaluator
-        if not self._pending_reports:
-            evaluator.emit(updates, head, None)
-        else:
+    def _apply_object_reports(self, updates, touched: list[int], knn_dirty: set[int]) -> None:
+        """Batch ingest writes the report buffer into the object store
+        (phase 5a); then one range pass at the batch's end state
+        re-answers the ``touched`` range queries and joins the reports
+        against every other one (phase 5b)."""
+        reports = None
+        if self._pending_reports:
             with self.tracer.span("report_ingest", self._m_ingest_seconds):
-                columns = self._batch_ingest.group(self._pending_reports)
-            emitted_before = len(updates)
-            evaluator.emit(updates, head, evaluator.run_columns(columns, knn_dirty))
-            self.recorder.record(
-                "columnar_batch",
-                cohorts=len(columns),
-                emitted=len(updates) - emitted_before,
-            )
-        # The pairs are in the stream: free their arrays before phases
-        # 6 and 7 allocate theirs.
-        head.clear()
+                reports = ingest_reports(self._pending_reports, self.grid, self._ostore)
+        elif not touched:
+            return
+        emitted_before = len(updates)
+        self._columnar_evaluator.evaluate_ranges(updates, touched, reports, knn_dirty)
+        self.recorder.record(
+            "columnar_batch",
+            reports=0 if reports is None else len(reports.oids),
+            emitted=len(updates) - emitted_before,
+        )
 
     # ------------------------------------------------------------------
     # Phase 6: k-NN repair
@@ -910,36 +892,16 @@ class IncrementalEngine:
         if not dirty:
             return
         self._m_knn_repairs.inc(len(dirty))
-        # Every dirty query is searched together; emission stays in qid
-        # order.
-        ranked_all = self._columnar_evaluator.knn_ranked(np.array(dirty))
-        for row, ranked in zip(dirty, ranked_all):
-            self._solve_knn(row, updates, ranked)
-
-    def _solve_knn(self, row: int, updates, ranked: list[tuple[float, int]]) -> None:
-        """Install a dirty k-NN query's re-solved ``ranked`` answer and
-        emit the answer difference.
-
-        The search is bounded by the k-th distance, so the work stays
-        local to the circle — the shared-grid analogue of the paper's
-        "evict the furthest / admit the entrant" circle maintenance,
-        with the search doubling as the replacement lookup when members
-        depart.
-        """
-        qstore = self._qstore
-        qid = qstore.qids[row]
-        answer = qstore.answers[row]
-        new_answer = {oid for __, oid in ranked}
-        left = sorted(answer - new_answer)
-        joined = sorted(new_answer - answer)
-        for oid in left:
-            answer.discard(oid)
-            updates.push(qid, oid, -1)
-        for oid in joined:
-            answer.add(oid)
-            updates.push(qid, oid, 1)
-
-        qstore.radii[row] = ranked[-1][0] if ranked else 0.0
+        # Every dirty query is searched together, each bounded by a
+        # distance k objects lie within — the shared-grid analogue of
+        # the paper's "evict the furthest / admit the entrant" circle
+        # maintenance — and its answer difference installed and emitted
+        # in qid order.
+        evaluator = self._columnar_evaluator
+        radii = self._qstore.radii
+        for row, ranked in zip(dirty, evaluator.knn_ranked(np.array(dirty))):
+            evaluator.install(updates, row, [oid for __, oid in ranked])
+            radii[row] = ranked[-1][0] if ranked else 0.0
 
     # ------------------------------------------------------------------
     # Phase 7: predictive window refresh

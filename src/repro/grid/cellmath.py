@@ -3,7 +3,7 @@
 The clamped truncate-divide below is the *definition* of a point's home
 cell: ``Grid.cell_of`` uses the scalar form, and the columnar batch
 ingest applies the vectorized form to a whole report buffer.  Both live
-here so the two can never drift — the batch kernel's cohort keys must be
+here so the two can never drift — the batch ingest's home cells must be
 bit-identical to ``Grid.cell_of``'s cells, or a query's listed cells can
 miss an object inside it.
 
@@ -125,15 +125,18 @@ def rect_cell_ranges_batch(min_xs, min_ys, max_xs, max_ys, grid, np):
     return col_lo, col_hi, row_lo, row_hi, hit
 
 
-def ragged_arange(starts, counts, np):
+def ragged_arange(starts, counts, np, dtype=None):
     """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``
     without the loop, plus — per element — the index of the segment it
-    came from.  Returns ``(owner, values)``, both int64, segment-major.
+    came from.  Returns ``(owner, values)``, both ``dtype`` (int64 by
+    default), segment-major.
     """
+    dtype = dtype or np.int64
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
-    owner = np.repeat(np.arange(len(counts)), counts)
-    values = np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    owner = np.repeat(np.arange(len(counts), dtype=dtype), counts)
+    values = np.arange(total, dtype=dtype)
+    values += np.repeat((starts - (ends - counts)).astype(dtype), counts)
     return owner, values
 
 

@@ -1,11 +1,10 @@
-"""The column hand-off: ``BatchIngest`` cohorts as columns, the column
-planner's signed entries, and hostile or sparse oids, which the object
-store's ``oid -> row`` dict takes like any other.
+"""The per-report join end to end, and hostile or sparse oids, which the
+object store's ``oid -> row`` dict takes like any other.
 
-Every report is one home-cell transition ``(old home, new home)``; the
-cohorts leave ingest as :class:`CohortColumns` and
-``ColumnarEvaluator._plan_columns`` builds the :class:`PairPlan` with
-array passes only: each entry carries the one sign it may emit.
+Each reported object takes one or two segments of the range CSR — its
+old cell's full list minus-only and its new cell's plus-only if it
+changed home cell, its cell's partial list with either sign if it stayed
+put — and every changed pair is emitted once, grouped by query.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import random
 from collections import Counter
 
 from repro.check.reference import ReferenceEngine
-from repro.columnar import classify_transitions
+from repro.columnar import ingest_reports
 from repro.core import DEFAULT_WORLD, IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
 
@@ -31,14 +30,14 @@ def random_velocity(rng: random.Random) -> Velocity:
     return Velocity.ZERO
 
 
-def test_column_planner_on_every_cohort_shape():
-    """One batch holding each shape the roles must get right: a stay-put
-    cohort (its cell's partial list, either sign), a neighbour
-    transition (the old cell's full list minus-only, then the new
-    cell's plus-only) whose queries are listed in both cells, a new
-    object (its cell's full list, either sign), and a velocity-carrying
-    row.  The plan's stream is the reference's, each pair at most once.
-    """
+def test_report_join_on_every_report_shape():
+    """One batch holding each shape the roles must get right: a report
+    that stays put (its cell's partial list, either sign), two that
+    change cell to a neighbour (the old cell's full list minus-only,
+    then the new cell's plus-only) whose queries are listed in both
+    cells — one carrying a velocity — and a new object (its cell's full
+    list).  The stream is the reference's, each pair once, grouped by
+    query with negatives first."""
     engines = [columnar(), reference()]
     for engine in engines:
         engine.register_range_query(1, Rect(0.0, 0.0, 0.5, 0.5))  # covers cells 0, 1, 9
@@ -51,35 +50,17 @@ def test_column_planner_on_every_cohort_shape():
         engine.report_object(10, Point(0.055, 0.05), 1.0)
         engine.report_object(11, Point(0.15, 0.06), 1.0)  # enters 3, leaves 2
         engine.report_object(12, Point(0.16, 0.07), 1.0, Velocity(0.01, 0.0))  # leaves 2
-        engine.report_object(13, Point(0.3, 0.3), 1.0)
+        engine.report_object(13, Point(0.3, 0.3), 1.0)  # new, in cell 18
     engine, ref = engines
-    columns = engine._batch_ingest.group(engine._pending_reports)
-    plan = engine._columnar_evaluator._plan_columns(columns, set())
-    members = [
-        columns.oids[columns.order[start : start + count]].tolist()
-        for start, count in zip(columns.start, columns.count)
-    ]
-    assert list(zip(columns.old.tolist(), columns.new.tolist(), members)) == [
-        (0, 0, [10]),
-        (0, 1, [11, 12]),
-        (-1, 18, [13]),
-    ]
-    row_of = engine._qstore.row_of
-    # stay-put: cell 0's partial query 3; pair: cell 0's partial 3 and
-    # covering 1, 2 minus-only, then cell 1's partial 2, 3 and covering
-    # 1 plus-only; new object: cell 18's covering 1.
-    assert plan.ent_counts.tolist() == [1, 6, 1]
-    assert plan.ent.tolist() == [row_of(q) for q in (3, 3, 1, 2, 2, 3, 1, 1)]
-    assert plan.roles.tolist() == [0, -1, -1, -1, 1, 1, 1, 0]
-    assert plan.obj_counts.tolist() == [1, 2, 1]
-    qids, oids, signs = (
-        column.tolist()
-        for column in classify_transitions(plan, engine._ostore, engine._qstore)
-    )
-    stream = list(zip(qids, oids, signs))
+    pairs_before = engine.registry.value_of("engine_columnar_pairs_total")
+    stream = list(engine.evaluate(1.0).tuples())
     assert stream == [(1, 13, 1), (2, 11, -1), (2, 12, -1), (3, 11, 1)]
     assert sorted(stream) == streams_of([ref], 1.0)[0]
-    assert max(Counter(zip(qids, oids)).values()) == 1
+    assert max(Counter((qid, oid) for qid, oid, _ in stream).values()) == 1
+    # Pairs: 10 meets cell 0's partial query 3; 11 and 12 each meet
+    # cell 0's 3, 1, 2 and cell 1's 2, 3, 1; 13 meets cell 18's 1.
+    pairs = engine.registry.value_of("engine_columnar_pairs_total") - pairs_before
+    assert pairs == 1 + 6 + 6 + 1
 
 
 def reference() -> ReferenceEngine:
@@ -189,8 +170,8 @@ def test_a_knn_query_holding_a_reported_member_is_marked_dirty():
         qstore.cxs[row], qstore.cys[row] = far.x, far.y
         qstore.radii[row] = 0.0
     engine.report_object(1, Point(0.2, 0.12), 1.0)  # cell 0 -> cell 1
-    columns = engine._batch_ingest.group(engine._pending_reports)
-    assert (columns.old.tolist(), columns.new.tolist()) == ([0], [1])
+    reports = ingest_reports(engine._pending_reports, engine.grid, engine._ostore)
+    assert (reports.prev_cells.tolist(), reports.cells.tolist()) == ([0], [1])
     knn_dirty: set[int] = set()
-    engine._columnar_evaluator._plan_columns(columns, knn_dirty)
+    engine._columnar_evaluator._mark_knn(reports, knn_dirty)
     assert knn_dirty == {7}

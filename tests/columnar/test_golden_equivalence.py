@@ -12,7 +12,10 @@ from repro.geometry import Point, Rect
 
 def test_columnar_emits_batch_metrics():
     engine = IncrementalEngine(grid_size=8)
+    # Registered in an earlier batch, so the reports meet it in the join
+    # (a query registered in the reports' batch is re-answered instead).
     engine.register_range_query(100, Rect(0.25, 0.25, 0.75, 0.75))
+    engine.evaluate(0.0)
     for oid in range(20):
         engine.report_object(oid, Point(oid / 20.0, 0.5), 0.0)
     engine.evaluate(0.0)

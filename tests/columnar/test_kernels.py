@@ -1,12 +1,13 @@
-"""Kernel contract tests: the classifier against a straight-line
-reimplementation of its contract.
+"""Kernel contract tests: the per-report join against a brute-force pair
+classification.
 
-Plans here are built by hand from randomized stores (no engine in the
-loop), so the tests pin the kernel contract itself: changed pairs only
-as public qid/oid arrays (stores use non-identity ids so the row→id
-mapping is genuinely exercised), grouped by query with negatives first,
-each entry emitting only the sign its role allows, NaN old coordinates
-classified as "was a member of nothing".
+Batches here run through the production ingest, range CSR and kernels
+but not through an evaluation, so the tests pin the kernel contract
+itself: every (range query, reported object) pair whose membership
+changed, once, as public qid/oid arrays (queries and objects use
+non-identity ids so the row→id mapping is genuinely exercised), grouped
+by query with negatives first and each half in report order; a query
+``skip`` names emits nothing; a new object was a member of nothing.
 """
 
 from __future__ import annotations
@@ -18,194 +19,201 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.columnar import (
-    ColumnarObjectStore,
-    ColumnarQueryStore,
-    KIND_RANGE,
-    PairPlan,
-    classify_transitions,
-)
-from tests.columnar.test_store import report
+from repro.columnar import classify_pairs, ingest_reports, join_reports
+from repro.columnar.kernels import PAIR_CHUNK
+from repro.core import IncrementalEngine
+from repro.geometry import Point, Rect
+
+GRID = 8
 
 
-def plan_of(cohorts) -> PairPlan:
-    """A plan from ``(entries, member rows)`` per cohort, an entry being
-    ``(query row, role)``."""
-    return PairPlan(
-        np.array([row for ents, _ in cohorts for row, _ in ents], dtype=np.int32),
-        np.array([role for ents, _ in cohorts for _, role in ents], dtype=np.int8),
-        np.array([len(ents) for ents, _ in cohorts], dtype=np.int64),
-        np.array([row for _, rows in cohorts for row in rows], dtype=np.int32),
-        np.array([len(rows) for _, rows in cohorts], dtype=np.int64),
+def join(engine, skip, chunk_pairs=PAIR_CHUNK):
+    """Ingest the engine's buffered reports and run the report join over
+    them: the batch's ``Reports`` and the changed pairs as lists."""
+    reports = ingest_reports(engine._pending_reports, engine.grid, engine._ostore)
+    pairs = join_reports(
+        reports.prev_cells, reports.cells, *engine._columnar_evaluator._range_csr(), skip
     )
-
-
-def build_random_batch(seed: int, cohorts: int = 12):
-    """Random stores plus a random ragged plan over them."""
-    rng = random.Random(seed)
-    ostore = ColumnarObjectStore()
-    qstore = ColumnarQueryStore()
-    n_objects = rng.randint(5, 60)
-    n_queries = rng.randint(3, 30)
-    for i in range(n_objects):
-        oid = 1000 + 3 * i  # row i, but a distinct public id
-        report(ostore, oid, rng.random(), rng.random())
-        if rng.random() < 0.8:
-            # Second report: old coords become the first location.
-            report(ostore, oid, rng.random(), rng.random(), t=1.0)
-    for i in range(n_queries):
-        qid = 500 + 7 * i
-        x, y = rng.random() * 0.8, rng.random() * 0.8
-        qstore.add(
-            qid, KIND_RANGE, x, y, x + rng.random() * 0.4, y + rng.random() * 0.4
-        )
-    layout = []
-    for _ in range(cohorts):
-        # A cohort's entries are one cell's sorted list, either sign, or
-        # two cells' lists joined, the first minus-only, the second
-        # plus-only.
-        ents = []
-        for role in ((), (0,), (-1, 1))[rng.randint(0, 2)]:
-            rows = sorted(rng.sample(range(n_queries), rng.randint(1, n_queries)))
-            ents += [(row, role) for row in rows]
-        members = sorted(rng.sample(range(n_objects), rng.randint(1, min(8, n_objects))))
-        layout.append((ents, members))
-    return layout, ostore, qstore
-
-
-def columns(joined):
-    """The kernel's ``(qids, oids, signs)`` arrays as lists."""
+    joined = classify_pairs(pairs, reports, engine._qstore, chunk_pairs)
     if joined is None:
-        return [], [], []
-    return tuple(column.tolist() for column in joined)
+        return reports, ([], [], [])
+    return reports, tuple(column.tolist() for column in joined)
 
 
-def reference_classify(layout, ostore, qstore):
-    """Straight-line reimplementation of the contract, independent of
-    the production kernel: every changed pair its entry's role allows,
-    then one sort into query order, negatives first, object rows
-    ascending (here ids grow with rows, so the ids sort the same way)."""
-    qids, oids, signs = [], [], []
-    for ents, rows in layout:
-        for erow, role in ents:
-            lx, hx = qstore.min_xs[erow], qstore.max_xs[erow]
-            ly, hy = qstore.min_ys[erow], qstore.max_ys[erow]
-            for orow in rows:
-                in_new = lx <= ostore.xs[orow] <= hx and ly <= ostore.ys[orow] <= hy
-                in_old = (
-                    lx <= ostore.old_xs[orow] <= hx
-                    and ly <= ostore.old_ys[orow] <= hy
-                )
-                sign = 1 if in_new else -1
-                if in_new != in_old and role in (0, sign):
-                    qids.append(qstore.qids[erow])
-                    oids.append(ostore.oids[orow])
-                    signs.append(sign)
-    ordered = sorted(zip(qids, signs, oids))
+def brute_force(engine, before, skip):
+    """Straight-line classification of every (range query, buffered
+    report) pair, independent of the kernels: ``before`` holds each
+    known object's location ahead of the batch; then one sort into query
+    row order, negatives first, reports in buffer order."""
+    qstore = engine._qstore
+    changed = []
+    for row in range(len(qstore)):
+        if skip[row]:
+            continue
+        region = qstore.region_at(row)
+        for i, (oid, (x, y, *_)) in enumerate(engine._pending_reports.items()):
+            was = oid in before and region.contains_point(before[oid])
+            now = region.contains_point(Point(x, y))
+            if was != now:
+                changed.append((row, now, i, qstore.qids[row], oid))
+    changed.sort()
     return (
-        [qid for qid, _, _ in ordered],
-        [oid for _, _, oid in ordered],
-        [sign for _, sign, _ in ordered],
+        [qid for *_, qid, _ in changed],
+        [oid for *_, oid in changed],
+        [1 if now else -1 for _, now, *_ in changed],
     )
+
+
+def check(engine, skip, chunk_pairs=PAIR_CHUNK):
+    """The join of the buffered batch equals the brute force."""
+    before = {oid: engine.objects[oid].location for oid in engine.objects}
+    want = brute_force(engine, before, skip)
+    _, got = join(engine, skip, chunk_pairs)
+    assert got == want
+    return got
+
+
+def no_skip(engine):
+    return np.zeros(len(engine._qstore), dtype=bool)
+
+
+def build_random_batch(seed: int):
+    """A populated, evaluated engine with a buffered report batch —
+    objects staying in their cell, changing cell, and new — plus a
+    random ``skip`` mask over its queries."""
+    rng = random.Random(seed)
+    engine = IncrementalEngine(grid_size=GRID)
+    n_objects = rng.randint(5, 60)
+    for i in range(rng.randint(3, 30)):
+        x, y = rng.random() * 0.8, rng.random() * 0.8
+        engine.register_range_query(
+            500 + 7 * i, Rect(x, y, x + rng.random() * 0.4, y + rng.random() * 0.4)
+        )
+    for i in range(n_objects):
+        engine.report_object(1000 + 3 * i, Point(rng.random(), rng.random()), 0.0)
+    engine.evaluate(0.0)
+    for i in range(n_objects + rng.randint(0, 5)):
+        oid = 1000 + 3 * i
+        if oid in engine.objects and rng.random() < 0.5:
+            here = engine.objects[oid].location
+            step = rng.choice((0.01, 0.2))
+            to = Point(here.x + rng.uniform(-step, step), here.y + rng.uniform(-step, step))
+        else:
+            to = Point(rng.random(), rng.random())
+        if rng.random() < 0.8:
+            engine.report_object(oid, to, 1.0)
+    skip = np.array([rng.random() < 0.2 for _ in range(len(engine._qstore))], dtype=bool)
+    return engine, skip
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_numpy_backend_matches_reference(seed):
-    layout, ostore, qstore = build_random_batch(seed)
-    got = classify_transitions(plan_of(layout), ostore, qstore)
-    assert columns(got) == reference_classify(layout, ostore, qstore)
+    engine, skip = build_random_batch(seed)
+    check(engine, skip)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_numpy_chunking_is_invisible(seed):
-    """Chunks of 7 pairs cut through a leading cohort's minus-only and
-    plus-only segments (3 entries x 3 members: pairs 0-8 and 9-17)."""
-    layout, ostore, qstore = build_random_batch(seed, cohorts=20)
-    split = [(row, role) for role in (-1, 1) for row in range(3)], [0, 1, 2]
-    layout = [split, *layout]
-    whole = classify_transitions(plan_of(layout), ostore, qstore)
-    tiny = classify_transitions(plan_of(layout), ostore, qstore, chunk_pairs=7)
-    assert columns(whole) == columns(tiny)
-    assert columns(tiny) == reference_classify(layout, ostore, qstore)
+    """Chunks of 7 pairs cut through reports' minus-only and plus-only
+    segments alike."""
+    engine, skip = build_random_batch(seed)
+    whole = check(engine, skip)
+    engine, skip = build_random_batch(seed)
+    assert check(engine, skip, chunk_pairs=7) == whole
 
 
-#: Coordinates on an eighths lattice (closed bounds hit exactly) or anywhere.
-coords = st.one_of(st.sampled_from([i / 8 for i in range(9)]), st.floats(0.0, 1.0))
+#: Coordinates on a sixteenths lattice (cell edges and closed bounds hit
+#: exactly) or anywhere, some off the world (the report door clamps).
+coords = st.one_of(
+    st.sampled_from([i / 16 for i in range(17)]), st.floats(-0.25, 1.25)
+)
 
 
 @st.composite
 def batches(draw):
-    """Random stores and a random plan over them, every entry's role
-    drawn on its own."""
-    ostore = ColumnarObjectStore()
-    qstore = ColumnarQueryStore()
-    n_objects = draw(st.integers(1, 12))
-    for i in range(n_objects):
-        report(ostore, 1000 + 3 * i, draw(coords), draw(coords))
-        if draw(st.booleans()):
-            report(ostore, 1000 + 3 * i, draw(coords), draw(coords), t=1.0)
+    """An evaluated engine over drawn objects and range queries, a drawn
+    report batch over known and new oids, and a drawn ``skip`` mask."""
+    engine = IncrementalEngine(grid_size=GRID)
     n_queries = draw(st.integers(1, 8))
     for i in range(n_queries):
         x0, x1 = sorted((draw(coords), draw(coords)))
         y0, y1 = sorted((draw(coords), draw(coords)))
-        qstore.add(500 + 7 * i, KIND_RANGE, x0, y0, x1, y1)
-    entries = st.tuples(st.integers(0, n_queries - 1), st.sampled_from([-1, 0, 1]))
-    members = st.lists(
-        st.integers(0, n_objects - 1), min_size=1, max_size=6, unique=True
-    ).map(sorted)
-    layout = draw(st.lists(st.tuples(st.lists(entries, max_size=10), members), max_size=8))
-    return layout, ostore, qstore
+        engine.register_range_query(500 + 7 * i, Rect(x0, y0, x1, y1))
+    n_objects = draw(st.integers(0, 12))
+    for i in range(n_objects):
+        engine.report_object(1000 + 3 * i, Point(draw(coords), draw(coords)), 0.0)
+    engine.evaluate(0.0)
+    oids = draw(
+        st.lists(st.integers(0, n_objects + 3), min_size=1, max_size=12, unique=True)
+    )
+    for i in oids:
+        engine.report_object(1000 + 3 * i, Point(draw(coords), draw(coords)), 1.0)
+    skip = np.array(draw(st.lists(st.booleans(), min_size=n_queries, max_size=n_queries)))
+    return engine, skip
 
 
 @given(batch=batches(), chunk_pairs=st.integers(1, 64))
-def test_kernel_matches_reference_on_any_plan(batch, chunk_pairs):
-    layout, ostore, qstore = batch
-    got = classify_transitions(plan_of(layout), ostore, qstore, chunk_pairs=chunk_pairs)
-    assert columns(got) == reference_classify(layout, ostore, qstore)
+def test_join_matches_brute_force_on_any_batch(batch, chunk_pairs):
+    engine, skip = batch
+    check(engine, skip, chunk_pairs)
 
 
 def test_a_pair_listed_under_both_roles_emits_once():
-    """A cohort that changed cell lists a query in both cells' lists:
-    the old cell's copy may only emit the leaver, the new cell's only
-    the entrant."""
-    ostore = ColumnarObjectStore()
-    qstore = ColumnarQueryStore()
-    report(ostore, 1, 0.1, 0.1)
-    report(ostore, 1, 0.9, 0.9, t=1.0)  # leaves
-    report(ostore, 2, 0.9, 0.9)
-    report(ostore, 2, 0.1, 0.1, t=1.0)  # enters
-    qstore.add(9, KIND_RANGE, 0.0, 0.0, 0.5, 0.5)
-    plan = plan_of([([(0, -1), (0, 1)], [0, 1])])
-    joined = classify_transitions(plan, ostore, qstore)
-    assert columns(joined) == ([9, 9], [1, 2], [-1, 1])
+    """A report that changed cell joins a query listed in both cells
+    twice: the old cell's copy may only emit the leaver, the new cell's
+    only the entrant."""
+    engine = IncrementalEngine(grid_size=GRID)
+    engine.register_range_query(9, Rect(0.1, 0.0, 0.2, 0.1))  # partial in cells 0, 1
+    engine.report_object(1, Point(0.05, 0.05), 0.0)  # cell 0, outside
+    engine.report_object(2, Point(0.15, 0.05), 0.0)  # cell 1, inside
+    engine.evaluate(0.0)
+    engine.report_object(1, Point(0.15, 0.06), 1.0)  # cell 0 -> 1: enters
+    engine.report_object(2, Point(0.05, 0.06), 1.0)  # cell 1 -> 0: leaves
+    reports, got = join(engine, no_skip(engine))
+    assert (reports.prev_cells.tolist(), reports.cells.tolist()) == ([0, 1], [1, 0])
+    assert got == ([9, 9], [2, 1], [-1, 1])
 
 
 def test_nan_old_coords_mean_member_of_nothing():
-    ostore = ColumnarObjectStore()
-    qstore = ColumnarQueryStore()
-    # Fresh object inside the query: NaN old coords -> pure enter.
-    report(ostore, 1, 0.5, 0.5)
-    assert math.isnan(ostore.old_xs[0])
-    qstore.add(9, KIND_RANGE, 0.0, 0.0, 1.0, 1.0)
-    joined = classify_transitions(plan_of([([(0, 0)], [0])]), ostore, qstore)
-    assert columns(joined) == ([9], [1], [1])
+    engine = IncrementalEngine(grid_size=GRID)
+    engine.register_range_query(9, Rect(0.0, 0.0, 1.0, 1.0))
+    engine.evaluate(0.0)
+    # A new object inside the query: NaN old coordinates -> a pure enter.
+    engine.report_object(1, Point(0.5, 0.5), 1.0)
+    reports, got = join(engine, no_skip(engine))
+    assert math.isnan(reports.prev_xs[0]) and math.isnan(reports.prev_ys[0])
+    assert reports.prev_cells.tolist() == [-1]
+    assert got == ([9], [1], [1])
 
 
 def test_empty_plan():
-    ostore = ColumnarObjectStore()
-    report(ostore, 1, 0.5, 0.5)
-    qstore = ColumnarQueryStore()
-    assert classify_transitions(plan_of([([], [0]), ([], [0])]), ostore, qstore) is None
+    """A batch whose cells list no range query joins no pair and emits
+    nothing; nor does a query ``skip`` names."""
+    engine = IncrementalEngine(grid_size=GRID)
+    engine.register_range_query(9, Rect(0.0, 0.0, 0.1, 0.1))
+    engine.report_object(1, Point(0.9, 0.9), 0.0)
+    engine.evaluate(0.0)
+    engine.report_object(1, Point(0.95, 0.9), 1.0)
+    reports = ingest_reports(engine._pending_reports, engine.grid, engine._ostore)
+    pairs = join_reports(
+        reports.prev_cells, reports.cells, *engine._columnar_evaluator._range_csr(),
+        no_skip(engine),
+    )
+    assert all(len(column) == 0 for column in pairs)
+    assert classify_pairs(pairs, reports, engine._qstore) is None
+    engine.report_object(1, Point(0.05, 0.05), 2.0)
+    assert join(engine, np.ones(1, dtype=bool))[1] == ([], [], [])
 
 
 def test_boundary_containment_is_closed():
-    # Objects sitting exactly on a bound enter/stay: closed comparisons,
-    # matching Rect.contains_point.
-    ostore = ColumnarObjectStore()
-    qstore = ColumnarQueryStore()
-    report(ostore, 1, 0.2, 0.2)  # old NaN
-    report(ostore, 1, 0.4, 0.6, t=1.0)  # old = (0.2, 0.2)
-    qstore.add(5, KIND_RANGE, 0.2, 0.2, 0.4, 0.6)
-    # Old (0.2,0.2) on the min corner and new (0.4,0.6) on the max
+    # Objects sitting exactly on a bound stay inside: closed
+    # comparisons, matching Rect.contains_point.
+    engine = IncrementalEngine(grid_size=GRID)
+    engine.register_range_query(5, Rect(0.2, 0.2, 0.4, 0.6))
+    engine.report_object(1, Point(0.2, 0.2), 0.0)
+    engine.evaluate(0.0)
+    assert engine.answer_of(5) == {1}
+    # Old (0.2, 0.2) on the min corner and new (0.4, 0.6) on the max
     # corner are both inside: no transition.
-    assert classify_transitions(plan_of([([(0, 0)], [0])]), ostore, qstore) is None
+    engine.report_object(1, Point(0.4, 0.6), 1.0)
+    assert join(engine, no_skip(engine))[1] == ([], [], [])

@@ -21,44 +21,45 @@ from repro.core.state import KnnQueryState, PredictiveQueryState, RangeQueryStat
 from repro.geometry import Point, Rect, Velocity
 
 
-def report(store, oid, x, y, vx=0.0, vy=0.0, t=0.0, cell=0) -> int:
-    """One report written through the store's batch door; its row."""
-    (row,), _ = store.batch_apply(
-        *(np.array([value]) for value in (oid, x, y, vx, vy, t, cell))
-    )
-    return int(row)
+def report(store, oid, x, y, vx=0.0, vy=0.0, t=0.0, cell=0):
+    """One report written through the store's batch door; what it
+    overwrote: ``(old cell, old x, old y)``."""
+    old = store.batch_apply(*(np.array([value]) for value in (oid, x, y, vx, vy, t, cell)))
+    return tuple(column[0] for column in old)
 
 
 class TestObjectStore:
     def test_new_object_gets_nan_old_coords(self):
         store = ColumnarObjectStore()
-        row = report(store, 7, 0.25, 0.75, t=1.0, cell=12)
-        assert row == 0
+        old_cell, old_x, old_y = report(store, 7, 0.25, 0.75, t=1.0, cell=12)
+        assert store.row_of(7) == 0
         assert store.xs[0] == 0.25 and store.ys[0] == 0.75
-        assert math.isnan(store.old_xs[0]) and math.isnan(store.old_ys[0])
+        assert old_cell == -1 and math.isnan(old_x) and math.isnan(old_y)
         assert store.cells[0] == 12
         assert 7 in store and len(store) == 1
 
     def test_rereport_shifts_current_to_old(self):
         store = ColumnarObjectStore()
         report(store, 7, 0.25, 0.75, t=1.0, cell=12)
-        row = report(store, 7, 0.5, 0.5, 0.1, -0.1, 2.0, 13)
-        assert row == 0
+        assert report(store, 7, 0.5, 0.5, 0.1, -0.1, 2.0, 13) == (12, 0.25, 0.75)
+        assert store.row_of(7) == 0
         assert (store.xs[0], store.ys[0]) == (0.5, 0.5)
-        assert (store.old_xs[0], store.old_ys[0]) == (0.25, 0.75)
         assert (store.vxs[0], store.vys[0]) == (0.1, -0.1)
         assert store.ts[0] == 2.0 and store.cells[0] == 13
 
     def test_batch_apply_returns_what_it_overwrote(self):
         store = ColumnarObjectStore()
         report(store, 7, 0.25, 0.75, 0.1, 0.0, 1.0, 12)
-        rows, old_cells = store.batch_apply(
+        prev_cells, prev_xs, prev_ys = store.batch_apply(
             *(np.array(column) for column in (
                 [8, 7], [0.1, 0.5], [0.1, 0.5], [0.0, 0.0], [0.0, 0.0],
                 [2.0, 2.0], [0, 13],
             ))
         )
-        assert rows.tolist() == [1, 0] and old_cells.tolist() == [-1, 12]
+        assert (store.row_of(7), store.row_of(8)) == (0, 1)
+        assert prev_cells.tolist() == [-1, 12]
+        assert math.isnan(prev_xs[0]) and math.isnan(prev_ys[0])
+        assert (prev_xs[1], prev_ys[1]) == (0.25, 0.75)
         assert store.cell_counts(16).tolist() == [1] + [0] * 12 + [1, 0, 0]
 
     def test_swap_remove_moves_last_row(self):
@@ -171,10 +172,9 @@ class TestNumpyViews:
     def test_object_views_are_zero_copy(self):
         store = ColumnarObjectStore()
         report(store, 1, 0.5, 0.25, cell=3)
-        xs, ys, old_xs, old_ys = store.coord_views()
+        xs, ys = store.xy_views()
         assert xs.dtype == np.float64
         assert xs[0] == 0.5 and ys[0] == 0.25
-        assert np.isnan(old_xs[0]) and np.isnan(old_ys[0])
         # Scalar writes are visible through a live view (zero copy).
         store.xs[0] = 0.75
         assert xs[0] == 0.75
