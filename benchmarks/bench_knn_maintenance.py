@@ -91,8 +91,7 @@ def test_knn_maintenance(benchmark, record_series):
 
             qstore = engine._qstore
             unbounded = qstore.rows_of(KIND_KNN)
-            for row in unbounded.tolist():
-                qstore.answers[row] = set()
+            qstore.toggle(qstore.run_keys(unbounded)[1], qstore.keys[:0])
             started = time.perf_counter()
             engine._columnar_evaluator.knn_ranked(unbounded)
             scratch_ms = (time.perf_counter() - started) * 1e3

@@ -158,10 +158,7 @@ class ConsistencyOracle:
 
     def begin_cycle(self) -> None:
         """Capture the pre-cycle engine answers for the replay check."""
-        engine = self.server.engine
-        self._prev_answers = {
-            qid: engine.answer_of(qid) for qid in engine.queries
-        }
+        self._prev_answers = self.server.engine.complete_answers()
 
     def end_cycle(self, cycle: int, updates: list[Update]) -> list[Divergence]:
         """Run all four checks; returns (and accumulates) divergences.

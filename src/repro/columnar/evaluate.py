@@ -12,10 +12,10 @@ the batch's final query bounds and final object positions:
   install-and-diff a re-solved k-NN query takes;
 * every other range query meets the batch's reports in the per-report
   join (:mod:`repro.columnar.kernels`): each report takes one or two
-  segments of the grid-wide range CSR, the pairs are classified from
-  the report's old and new coordinates in one kernel pass, and pairs
-  whose query is touched are dropped.  The changed pairs come grouped
-  by query, negatives first (the kernel's one sort).
+  segments of the grid-wide range CSR, touched queries left out of it,
+  and the pairs are classified from the report's old and new
+  coordinates in one kernel pass.  The changed pairs come grouped by
+  query, negatives first (the kernel's one sort).
 
 Touched and untouched pairs cover disjoint sets of queries and every
 pair is classified once, at the end state, so no ``(qid, oid)`` pair
@@ -29,16 +29,20 @@ deliberately left out of it (their circles change every repair, which
 would otherwise thrash the cache); the pass marks a k-NN query dirty
 when its footprint — :meth:`~ColumnarEvaluator._footprint_ranges` of
 its centre and radius, computed per batch — meets a cell a report left
-or entered, or when it holds a reported object (one ``np.isin`` of the
-k-NN answers against the batch's oids): a member can leave a circle's
-footprint from a cell edge, a few ulps outside the circle's rounded
-bounding rectangle, and then neither of its cells meets the footprint.
+or entered, or when it holds a reported object (the k-NN answers'
+object rows looked up in a mask of the batch's): a member can leave a
+circle's footprint from a cell edge, a few ulps outside the circle's
+rounded bounding rectangle, and then neither of its cells meets the
+footprint.
 
 Nothing here mirrors object or query state: the object store's row is
-the only record of an object and the query store's row of a query —
-its geometry columns and its answer set, which the passes update in
-place.  Every pass takes query-store rows and gathers its inputs from
-the columns.
+the only record of an object and the query store's row of a query, and
+every answer is one run of the query store's sorted answer keys
+(``query row << 32 | object row``).  Every pass takes query-store rows,
+gathers its inputs from the columns and reads standing answers as
+object rows; each applies its changes to the keys with one
+:meth:`~repro.columnar.store.ColumnarQueryStore.toggle` — one delete
+and one merge-insert — and emits them with one ``extend_columns``.
 
 The query-side passes — range fills, engine phases 6 and 7 — are array
 passes over the object store's home-cell CSR
@@ -49,7 +53,7 @@ once per store state) and its one ragged gather ``(cell rects) ->
 
 * :meth:`~ColumnarEvaluator.fill_ranges` — every touched range query:
   the objects homed under its region and inside it;
-* :meth:`~ColumnarEvaluator.knn_ranked` — every dirty k-NN query: its
+* :meth:`~ColumnarEvaluator.knn_search` — every dirty k-NN query: its
   full answer, or a seed search of doubling cell squares, bounds the
   search square;
 * :meth:`~ColumnarEvaluator.predictive_refresh` — every predictive
@@ -66,13 +70,12 @@ footprint is.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress
 
 import numpy as np
 
 from repro.columnar.ingest import swept_cell_ranges
 from repro.columnar.kernels import classify_pairs, join_reports
-from repro.columnar.store import KIND_KNN, KIND_RANGE
+from repro.columnar.store import KIND_KNN, KIND_RANGE, answer_keys, holds, key_rows
 from repro.grid.cellmath import (
     point_cells_batch,
     ragged_arange,
@@ -85,14 +88,6 @@ from repro.grid.cellmath import (
 #: ``engine_columnar_batch_size`` histogram bounds: powers of four from
 #: a single pair up to 16M pairs per batch.
 BATCH_SIZE_BUCKETS: tuple[float, ...] = tuple(4.0**e for e in range(13))
-
-
-def _flatten(sets):
-    """The members of a list of int sets, flat, and per member the index
-    of the set it came from: ``(owner, members)``."""
-    sizes = np.fromiter(map(len, sets), np.int64, count=len(sets))
-    members = np.fromiter(chain.from_iterable(sets), np.int64, count=int(sizes.sum()))
-    return np.repeat(np.arange(len(sets)), sizes), members
 
 
 class ColumnarEvaluator:
@@ -160,7 +155,7 @@ class ColumnarEvaluator:
                 pairs = join_reports(reports.prev_cells, reports.cells, *self._range_csr(), skip)
         with span("columnar_join", phases["join"]):
             rows = np.flatnonzero(skip)
-            answers = self.fill_ranges(rows) if len(rows) else []
+            filled = self.fill_ranges(rows) if len(rows) else None
             if pairs is not None:
                 self._m_batches.inc()
                 self._m_pairs.inc(len(pairs[0]))
@@ -170,48 +165,33 @@ class ColumnarEvaluator:
                     self._m_changes.inc(len(joined[0]))
         with span("columnar_emit", phases["emit"]):
             if joined is not None:
-                qid_arr, oid_arr, sign_arr = joined
-                oids = oid_arr.tolist()
-                self._toggle_memberships(qid_arr, oids)
-                updates.extend_columns(qid_arr.tolist(), oids, sign_arr.tolist())
-            for row, answer in zip(rows.tolist(), answers):
-                self.install(updates, row, answer)
+                qid_arr, oid_arr, sign_arr, keys = joined
+                enters = sign_arr > 0
+                qstore.toggle(keys[~enters], keys[enters])
+                updates.extend_columns(qid_arr.tolist(), oid_arr.tolist(), sign_arr.tolist())
+            if filled is not None:
+                self.install(updates, rows, *filled)
 
-    def install(self, updates, row: int, oids: list[int]) -> None:
-        """Make ``oids`` (distinct) the answer of the query in store
-        ``row`` and emit its difference from the standing one as one
-        run: leavers, then entrants in the order of ``oids``."""
-        standing = self.qstore.answers[row]
-        joined = [oid for oid in oids if oid not in standing]
-        left = list(standing.difference(oids))
-        if left or joined:
-            standing.difference_update(left)
-            standing.update(joined)
-            updates.extend_columns(
-                [self.qstore.qids[row]] * (len(left) + len(joined)),
-                left + joined,
-                [-1] * len(left) + [1] * len(joined),
-            )
-
-    def _toggle_memberships(self, qid_arr, oids) -> None:
-        """Apply a batch of changed ``(query, object)`` atoms (distinct,
-        non-empty, **grouped by query**: ``qid_arr`` an array, ``oids``
-        the aligned list) to the query store's answer sets.
-
-        Signs are not needed: a positive pair's object is provably
-        absent from the answer and a negative pair's present (the very
-        invariant that lets the kernels recompute prior membership
-        geometrically), so toggling is exactly add-the-positives /
-        remove-the-negatives — one C-speed symmetric difference per
-        query.  Every caller emits per query, so the grouping is the
-        emission order's and costs no sort here.
-        """
-        answers = self.qstore.answers
-        row_of = self.qstore._row_of
-        cuts = (np.flatnonzero(qid_arr[1:] != qid_arr[:-1]) + 1).tolist()
-        starts = [0, *cuts]
-        for qid, s, e in zip(qid_arr[starts].tolist(), starts, [*cuts, len(oids)]):
-            answers[row_of[qid]].symmetric_difference_update(oids[s:e])
+    def install(self, updates, qrows, pos, orows) -> None:
+        """Make the object rows ``orows[pos == i]`` the answer of the
+        query in store row ``qrows[i]`` (rows distinct) and emit each
+        query's difference from its standing answer as one run: leavers,
+        then entrants in the order given."""
+        qstore = self.qstore
+        new = answer_keys(qrows[pos], orows)
+        old = qstore.run_keys(np.sort(qrows))[1]
+        left = old[~holds(np.sort(new), old)]
+        joined = new[~holds(old, new)]
+        if not (len(left) or len(joined)):
+            return
+        qstore.toggle(left, joined)
+        qrows, orows = key_rows(np.concatenate((left, joined)))
+        order = np.argsort(qrows, kind="stable")
+        updates.extend_columns(
+            np.frombuffer(qstore.qids, dtype=np.int64)[qrows[order]].tolist(),
+            np.frombuffer(self.ostore.oids, dtype=np.int64)[orows[order]].tolist(),
+            np.where(order < len(left), -1, 1).tolist(),
+        )
 
     def _mark_knn(self, reports, knn_dirty) -> None:
         """Add to ``knn_dirty`` every k-NN query whose footprint meets a
@@ -226,8 +206,10 @@ class ColumnarEvaluator:
         cells[reports.prev_cells[reports.prev_cells >= 0]] = True
         cells[reports.cells] = True
         hit = rect_cells_meet(cells, *self.footprints(knn), n, np)
-        held_by, members = _flatten(list(map(qstore.answers.__getitem__, knn.tolist())))
-        hit[held_by[np.isin(members, reports.oids)]] = True
+        reported = np.zeros(len(self.ostore), dtype=bool)
+        reported[reports.rows] = True
+        held_by, members = qstore.members(knn)
+        hit[held_by[reported[members]]] = True
         knn_dirty.update(np.frombuffer(qstore.qids, dtype=np.int64)[knn[hit]].tolist())
 
     def _footprint_ranges(self, min_xs, min_ys, max_xs, max_ys, cxs=None, cys=None):
@@ -399,23 +381,31 @@ class ColumnarEvaluator:
         min_x, min_y, max_x, max_y = bounds[:, pos]
         return (min_x <= x) & (x <= max_x) & (min_y <= y) & (y <= max_y)
 
-    def fill_ranges(self, qrows) -> list[list[int]]:
+    def fill_ranges(self, qrows):
         """The answer of the range query in every given store row, from
-        one gather: per query, in order, the objects homed under its
-        region and inside it."""
+        one gather: ``(pos, object rows)``, per query (``pos`` its
+        position in ``qrows``) the objects homed under its region and
+        inside it."""
         bounds = self._regions(qrows)
         pos, rows = self._gather(self._footprint_ranges(*bounds))
         keep = self._inside(bounds, pos, rows)
-        oids = np.frombuffer(self.ostore.oids, dtype=np.int64)[rows[keep]].tolist()
-        # The gather is rectangle-major, so each query's objects are one slice.
-        cuts = np.searchsorted(pos[keep], np.arange(len(qrows) + 1)).tolist()
-        return [oids[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        return pos[keep], rows[keep]
 
     def knn_ranked(self, qrows) -> list[list[tuple[float, int]]]:
-        """The ranked ``(distance, oid)`` answer of the k-NN query in
-        every given store row, searched together from its centre; equal
-        to the brute-force :func:`repro.check.reference.knn_answer` list
-        for list.
+        """:meth:`knn_search` as one ranked ``(distance, oid)`` list per
+        query, equal to the brute-force
+        :func:`repro.check.reference.knn_answer` list for list."""
+        pos, rows, distances = self.knn_search(qrows)
+        oids = np.frombuffer(self.ostore.oids, dtype=np.int64)[rows].tolist()
+        distances = distances.tolist()
+        cuts = np.searchsorted(pos, np.arange(len(qrows) + 1)).tolist()
+        return [list(zip(distances[lo:hi], oids[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
+
+    def knn_search(self, qrows):
+        """The answer of the k-NN query in every given store row,
+        searched together from its centre: ``(pos, object rows,
+        distances)``, per query (``pos`` its position in ``qrows``) its
+        k nearest ranked by ``(distance, oid)``.
 
         Each search is bounded by a squared distance k objects lie
         within: a query holding a full answer takes its members' own
@@ -425,9 +415,9 @@ class ColumnarEvaluator:
         one gather, one squared-distance filter with a relative margin
         for the few-ulp disagreement between the squared form and the
         exact distance, then exact ``math.hypot`` (what
-        ``Point.distance_to`` uses) and a ``(distance, oid)`` sort on
-        the survivors only — so the radius stays bit-identical to the
-        brute force's.
+        ``Point.distance_to`` uses) and one ``(query, distance, oid)``
+        sort on the survivors only — so the radius stays bit-identical
+        to the brute force's.
         """
         m = len(qrows)
         ostore = self.ostore
@@ -438,13 +428,13 @@ class ColumnarEvaluator:
             for column in (qstore.cxs, qstore.cys)
         )
         ks = np.frombuffer(qstore.ks, dtype=np.int64)[qrows]
-        answers = list(map(qstore.answers.__getitem__, qrows.tolist()))
-        full = np.fromiter(map(len, answers), np.int64, count=m) == ks
+        owner, members = qstore.members(qrows)
+        full = np.bincount(owner, minlength=m) == ks
         bound = np.empty(m)
         if full.any():
-            held_by, members = _flatten(list(compress(answers, full.tolist())))
-            owner = np.flatnonzero(full)[held_by]
-            members = np.fromiter(map(ostore._row_of.__getitem__, members.tolist()), np.int64)
+            held = full[owner]
+            owner = owner[held]
+            members = members[held]
             dx = xs[members] - cx[owner]
             dy = ys[members] - cy[owner]
             sizes = ks[full]
@@ -462,13 +452,15 @@ class ColumnarEvaluator:
         dx = xs[rows] - cx[pos]
         dy = ys[rows] - cy[pos]
         keep = np.flatnonzero(dx * dx + dy * dy <= bound[pos])
-        distances = list(map(math.hypot, dx[keep].tolist(), dy[keep].tolist()))
-        oids = np.frombuffer(ostore.oids, dtype=np.int64)[rows[keep]].tolist()
-        cuts = np.searchsorted(pos[keep], np.arange(m + 1)).tolist()
-        return [
-            sorted(zip(distances[lo:hi], oids[lo:hi]))[:k]
-            for k, lo, hi in zip(ks.tolist(), cuts, cuts[1:])
-        ]
+        distances = np.fromiter(
+            map(math.hypot, dx[keep].tolist(), dy[keep].tolist()), np.float64, len(keep)
+        )
+        pos = pos[keep]
+        rows = rows[keep]
+        order = np.lexsort((np.frombuffer(ostore.oids, dtype=np.int64)[rows], distances, pos))
+        pos = pos[order]
+        top = np.arange(len(pos)) - np.searchsorted(pos, pos) < ks[pos]
+        return pos[top], rows[order][top], distances[order][top]
 
     def _seed_bounds(self, cx, cy, ks):
         """Squared-distance bounds for k-NN queries with no full answer
@@ -511,9 +503,9 @@ class ColumnarEvaluator:
 
     def predictive_refresh(self, qrows, now: float, trust_horizon: float):
         """Refresh the predictive query in every given store row over one
-        candidate pass: per query, in order, ``(oids, signs)`` of the
-        changed memberships ascending by oid, already applied to the
-        answer sets.
+        candidate pass: ``(qids, oids, signs)`` of the changed
+        memberships, query by query in the order of ``qrows``, each
+        ascending by oid, already applied to the answers.
 
         A query's candidates are its standing answer plus the objects
         whose index footprint meets the query's — recomputed from the
@@ -545,13 +537,7 @@ class ColumnarEvaluator:
         swept_pos, at = np.nonzero(
             (s_clo <= c_hi) & (c_lo <= s_chi) & (s_rlo <= r_hi) & (r_lo <= s_rhi)
         )
-        answers = list(map(qstore.answers.__getitem__, qrows.tolist()))
-        owner, standing_oids = _flatten(answers)
-        standing_rows = np.fromiter(
-            map(ostore._row_of.__getitem__, standing_oids.tolist()),
-            np.int64,
-            count=len(standing_oids),
-        )
+        owner, standing_rows = qstore.members(qrows)
         pos = np.concatenate((owner, homed_pos, swept_pos))
         rows = np.concatenate((standing_rows, homed_rows, moving[at]))
         oids = np.frombuffer(ostore.oids, dtype=np.int64)[rows]
@@ -564,19 +550,16 @@ class ColumnarEvaluator:
         first[1:] = (pos[1:] != pos[:-1]) | (oids[1:] != oids[:-1])
         order = order[first]
         pos = pos[first]
-        oids = oids[first]
         inside = self._inside_rows(
             rows[order], bounds[:, pos], now, horizons[pos], trust_horizon
         )
         changed = np.flatnonzero(inside != ~fresh[order])
         pos = pos[changed]
-        oid_list = oids[changed].tolist()
-        if len(changed):
-            qid_arr = np.frombuffer(qstore.qids, dtype=np.int64)[qrows]
-            self._toggle_memberships(qid_arr[pos], oid_list)
-        cuts = np.searchsorted(pos, np.arange(len(qrows) + 1)).tolist()
-        sign_list = np.where(inside[changed], 1, -1).tolist()
-        return [(oid_list[lo:hi], sign_list[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        enters = inside[changed]
+        keys = answer_keys(qrows[pos], rows[order[changed]])
+        qstore.toggle(keys[~enters], keys[enters])
+        qids = np.frombuffer(qstore.qids, dtype=np.int64)[qrows[pos]]
+        return qids, oids[first][changed], np.where(enters, 1, -1)
 
     def check_invariants(self) -> None:
         """The two CSRs against what they are cut from (tests only):

@@ -68,11 +68,12 @@ def swept_cell_ranges(x, y, vx, vy, t, home, horizon: float, grid, np):
 
 
 class Reports(NamedTuple):
-    """One report buffer as columns aligned by report: the oids, the new
-    coordinates and home cells, and the old coordinates and home cells
-    (NaN and ``-1`` for a new object)."""
+    """One report buffer as columns aligned by report: the oids and
+    their object-store rows, the new coordinates and home cells, and the
+    old coordinates and home cells (NaN and ``-1`` for a new object)."""
 
     oids: np.ndarray
+    rows: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     cells: np.ndarray
@@ -92,5 +93,5 @@ def ingest_reports(reports, grid, ostore) -> Reports:
     ).reshape(count, 5).T
     reports.clear()
     cells = point_cells_batch(xs, ys, grid, np)
-    prev_cells, prev_xs, prev_ys = ostore.batch_apply(oids, xs, ys, vxs, vys, ts, cells)
-    return Reports(oids, xs, ys, cells, prev_xs, prev_ys, prev_cells)
+    rows, prev_cells, prev_xs, prev_ys = ostore.batch_apply(oids, xs, ys, vxs, vys, ts, cells)
+    return Reports(oids, rows, xs, ys, cells, prev_xs, prev_ys, prev_cells)

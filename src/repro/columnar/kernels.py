@@ -34,11 +34,12 @@ emitted update.
 
 Kernel contract::
 
-    classify_pairs(pairs, reports, qstore) -> (qids, oids, signs) | None
+    classify_pairs(pairs, reports, qstore) -> (qids, oids, signs, keys) | None
 
-three int64 arrays over the *changed* pairs whose role allows their
+four int64 arrays over the *changed* pairs whose role allows their
 sign (``None`` when there is none): the public query/object
-identifiers and +1/-1.  The pairs come
+identifiers, +1/-1, and the pairs' answer keys (``query row << 32 |
+object row``, what the query store holds).  The pairs come
 **grouped by query**, each query's negatives before its positives, each
 half in report order: one sort of packed ``(query row, sign, report)``
 keys, which is the order the emitter streams and the grouping the
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.columnar.store import answer_keys
 from repro.grid.cellmath import ragged_arange
 
 #: Pairs per float-kernel chunk (eight float64 temporaries per pair in
@@ -72,8 +74,13 @@ def join_reports(prev_cells, cells, csr_rows, offsets, skip):
     Report ``i`` owns segments ``2i`` (its old cell's full list,
     minus-only; empty unless it changed cell) and ``2i + 1`` (its new
     cell's partial list, either sign, if it stayed put; else the full
-    list, plus-only).
+    list, plus-only).  Skipped rows leave the CSR before the expansion,
+    so no pair of theirs is ever made.
     """
+    if skip.any():
+        keep = ~skip[csr_rows]
+        offsets = np.concatenate(([0], np.cumsum(keep)))[offsets]
+        csr_rows = csr_rows[keep]
     count = len(cells)
     stayed = prev_cells == cells
     moved = ~stayed & (prev_cells >= 0)
@@ -93,11 +100,7 @@ def join_reports(prev_cells, cells, csr_rows, offsets, skip):
     idx = np.int32 if int(seg_len.sum()) < 2**31 else np.int64
     seg, at = ragged_arange(seg_start, seg_len, np, idx)
     seg >>= 1
-    pairs = csr_rows[at], seg, np.repeat(seg_role, seg_len)
-    if skip.any():
-        keep = ~skip[pairs[0]]
-        pairs = tuple(column[keep] for column in pairs)
-    return pairs
+    return csr_rows[at], seg, np.repeat(seg_role, seg_len)
 
 
 def classify_pairs(pairs, reports, qstore, chunk_pairs: int = PAIR_CHUNK):
@@ -144,9 +147,11 @@ def classify_pairs(pairs, reports, qstore, chunk_pairs: int = PAIR_CHUNK):
     # One vectorized gather over the qid column (an array('q') buffer is
     # int64 in memory) and the batch's oids turns keys into public
     # identifiers — the emitter never touches a row index per pair.
-    qid_col = np.frombuffer(qstore.qids, dtype=np.int64)
+    qrows = keys >> 32
+    report = keys & 0x7FFFFFFF
     return (
-        qid_col[keys >> 32],
-        reports.oids[keys & 0x7FFFFFFF],
+        np.frombuffer(qstore.qids, dtype=np.int64)[qrows],
+        reports.oids[report],
         ((keys >> 30) & 2) - 1,
+        answer_keys(qrows, reports.rows[report]),
     )

@@ -38,10 +38,16 @@ a function of its ``x, y, vx, vy, t, cell`` row, recomputed where it is
 needed.
 
 The query store is the same for queries: a query's row — its kind,
-region bounds, k-NN centre, radius and ``k``, predictive horizon,
-``t``, and its answer set — is the only record of it, and
-``engine.queries`` is a read-only mapping that materialises a query
-state from a row on access.
+region bounds, k-NN centre, radius and ``k``, predictive horizon and
+``t`` — is the only record of it, and ``engine.queries`` is a read-only
+mapping that materialises a query state from a row on access.
+
+Every answer is one run of :attr:`ColumnarQueryStore.keys`, the sorted
+int64 *answer keys* ``query row << 32 | object row`` (rows, not ids: an
+id may be any int64).  A pass merges its changes in O(answers +
+changed) (:meth:`~ColumnarQueryStore.toggle`); a swap-remove on either
+side rewrites the moved row's keys, an O(answers) pass paid only in a
+cycle with removals.
 """
 
 from __future__ import annotations
@@ -60,6 +66,29 @@ KIND_KNN = 1
 KIND_PREDICTIVE = 2
 
 _NAN = float("nan")
+
+#: An answer key is ``query row << ROW_BITS | object row``.
+ROW_BITS = 32
+ROW_MASK = (1 << ROW_BITS) - 1
+
+
+def answer_keys(qrows, orows):
+    """The answer keys of aligned query and object rows (int64)."""
+    return qrows << ROW_BITS | orows
+
+
+def key_rows(keys):
+    """``(query rows, object rows)`` of answer keys."""
+    return keys >> ROW_BITS, keys & ROW_MASK
+
+
+def holds(sorted_keys, keys):
+    """Per key of ``keys``, whether the ascending ``sorted_keys`` holds
+    it: one binary search each (a bool array)."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    at = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
 
 
 def _f64_view(column: array):
@@ -149,11 +178,12 @@ class ColumnarObjectStore:
 
     def batch_apply(self, oids, xs, ys, vxs, vys, ts, cells):
         """Apply one whole report buffer in a few array passes; returns
-        what it overwrote, ndarrays aligned with ``oids``:
-        ``(prev_cells, prev_xs, prev_ys)`` — each row's home cell (int64,
-        ``-1`` for an oid that had no row) and coordinates (float64, NaN
-        for an oid that had no row: a member of nothing under every
-        containment test).
+        each report's row and what it overwrote, ndarrays aligned with
+        ``oids``: ``(rows, prev_cells, prev_xs, prev_ys)`` — the row now
+        holding the report (int64), and its home cell (int64, ``-1`` for
+        an oid that had no row) and coordinates (float64, NaN for an oid
+        that had no row: a member of nothing under every containment
+        test).
 
         The oids must be **distinct** within the batch (the engine's
         report buffer is a dict, so they are) and the columns aligned
@@ -180,6 +210,7 @@ class ColumnarObjectStore:
             base = len(self.oids)
             for offset, oid in enumerate(oids[fresh].tolist()):
                 row_of[oid] = base + offset
+            rows[fresh] = np.arange(base, base + len(fresh))
             for column, values in zip(self._arrays, (oids, xs, ys, vxs, vys, ts, cells)):
                 column.frombytes(values[fresh].tobytes())
         prev_cells = np.full(count, -1, dtype=np.int64)
@@ -199,10 +230,11 @@ class ColumnarObjectStore:
             np.frombuffer(self.vxs, dtype=np.float64)[target] = vxs[known]
             np.frombuffer(self.vys, dtype=np.float64)[target] = vys[known]
             np.frombuffer(self.ts, dtype=np.float64)[target] = ts[known]
-        return prev_cells, prev_xs, prev_ys
+        return rows, prev_cells, prev_xs, prev_ys
 
-    def remove(self, oid: int) -> None:
-        """Swap-remove ``oid``'s row; unknown oids raise ``KeyError``."""
+    def remove(self, oid: int) -> int:
+        """Swap-remove ``oid``'s row, into which the last row moves;
+        returns that row.  Unknown oids raise ``KeyError``."""
         row = self._row_of.pop(oid)
         self.version += 1
         last = len(self.oids) - 1
@@ -212,6 +244,20 @@ class ColumnarObjectStore:
                 column[row] = column[last]
         for column in self._arrays:
             column.pop()
+        return row
+
+    def remove_many(self, oids):
+        """Swap-remove every row of ``oids`` (distinct, each stored);
+        returns where each row went: an int64 array over the old rows,
+        the new row or ``-1`` for a removed one."""
+        count = len(self.oids)
+        origin = np.arange(count)
+        for oid in oids:
+            row = self.remove(oid)
+            origin[row] = origin[len(self.oids)]
+        remap = np.full(count, -1, dtype=np.int64)
+        remap[origin[: len(self.oids)]] = np.arange(len(self.oids))
+        return remap
 
     def cell_counts(self, n_cells: int):
         """Objects per home cell, one int64 count per cell."""
@@ -246,9 +292,10 @@ class ColumnarQueryStore:
     """Parallel arrays of query state, one row per query and the only
     record of it: qid, kind code, the region bounds (a range or
     predictive query's), a k-NN query's centre, radius and ``k``, a
-    predictive query's horizon, the time of its last registration or
-    move, and its ``answers`` set (a list aligned with the rows,
-    swap-removed with them).  A column a kind does not use holds zero.
+    predictive query's horizon, and the time of its last registration
+    or move.  A column a kind does not use holds zero.  Every answer is
+    one run of :attr:`keys`, the sorted int64 answer keys ``query row <<
+    ROW_BITS | object row``.
 
     ``version`` says "the range CSR must be re-cut": it bumps when a row
     is added or removed, or when a range query's bounds change — not
@@ -258,13 +305,15 @@ class ColumnarQueryStore:
     which queries are k-NN or predictive (:meth:`rows_of`).
     """
 
-    __slots__ = (*(name for name, _ in _QUERY_COLUMNS), "_arrays", "answers", "_row_of", "version")
+    __slots__ = (
+        *(name for name, _ in _QUERY_COLUMNS), "_arrays", "_keys", "_starts", "_row_of", "version"
+    )
 
     def __init__(self) -> None:
         for name, typecode in _QUERY_COLUMNS:
             setattr(self, name, array(typecode))
         self._arrays = tuple(getattr(self, name) for name, _ in _QUERY_COLUMNS)
-        self.answers: list[set[int]] = []
+        self.keys = np.empty(0, dtype=np.int64)
         self._row_of: dict[int, int] = {}
         self.version = 0
 
@@ -301,7 +350,6 @@ class ColumnarQueryStore:
         values = (qid, kind, min_x, min_y, max_x, max_y, cx, cy, 0.0, k, horizon, t)
         for column, value in zip(self._arrays, values):
             column.append(value)
-        self.answers.append(set())
         return row
 
     def move_bounds(self, rows, min_xs, min_ys, max_xs, max_ys) -> None:
@@ -316,16 +364,100 @@ class ColumnarQueryStore:
             np.frombuffer(column, dtype=np.float64)[rows] = values
 
     def remove(self, qid: int) -> None:
-        """Swap-remove ``qid``'s row; unknown qids raise ``KeyError``."""
+        """Swap-remove ``qid``'s row and its answer; the last row and
+        its answer keys move into the hole.  Unknown qids raise
+        ``KeyError``."""
         row = self._row_of.pop(qid)
         self.version += 1
         last = len(self.qids) - 1
+        keys = self.keys
+        lo, hi, tail = np.searchsorted(keys, np.array((row, row + 1, last)) << ROW_BITS)
+        moved = keys[tail:] - ((last - row) << ROW_BITS) if row != last else keys[:0]
+        self.keys = np.concatenate((keys[:lo], moved, keys[hi:tail]))
         if row != last:
             self._row_of[self.qids[last]] = row
-            for column in (*self._arrays, self.answers):
+            for column in self._arrays:
                 column[row] = column[last]
-        for column in (*self._arrays, self.answers):
+        for column in self._arrays:
             column.pop()
+
+    # ------------------------------------------------------------------
+    # Answers: runs of the sorted key array
+    # ------------------------------------------------------------------
+
+    @property
+    def keys(self):
+        """The sorted int64 answer keys ``query row << ROW_BITS | object
+        row``; every write replaces the array."""
+        return self._keys
+
+    @keys.setter
+    def keys(self, keys) -> None:
+        self._keys = keys
+        self._starts = None
+
+    def run_starts(self):
+        """Where each row's run starts in :attr:`keys`, plus the end:
+        cut once per key array and row count, so the commits between
+        two evaluations share one cut."""
+        starts = self._starts
+        if starts is None or len(starts) != len(self.qids) + 1:
+            first = np.arange(len(self.qids) + 1) << ROW_BITS
+            starts = self._starts = np.searchsorted(self._keys, first)
+        return starts
+
+    def answer_rows(self, row: int):
+        """The object rows of query ``row``'s answer (int64, ascending)."""
+        starts = self.run_starts()
+        return self._keys[starts[row] : starts[row + 1]] & ROW_MASK
+
+    def run_keys(self, rows):
+        """The answer keys of query ``rows`` (int64), flat: ``(owner,
+        keys)`` — per key, the position in ``rows`` of the query holding
+        it — query by query, each run ascending."""
+        first = rows << ROW_BITS
+        starts = np.searchsorted(self._keys, first)
+        owner, at = ragged_arange(starts, np.searchsorted(self._keys, first + 1 + ROW_MASK) - starts, np)
+        return owner, self._keys[at]
+
+    def members(self, rows):
+        """:meth:`run_keys` as ``(owner, object rows)``."""
+        owner, keys = self.run_keys(rows)
+        return owner, keys & ROW_MASK
+
+    def answer_sizes(self):
+        """Every query's answer size, by row (int64)."""
+        return np.diff(self.run_starts())
+
+    def toggle(self, leave, enter) -> None:
+        """Apply changed memberships as answer keys: drop ``leave``
+        (each held) and add ``enter`` (each absent, distinct) — one
+        delete and one merge-insert, never a re-sort of the whole."""
+        if not (len(leave) or len(enter)):
+            return  # keep the array, and with it its run starts
+        keys = self.keys
+        if len(leave):
+            keys = np.delete(keys, np.searchsorted(keys, leave))
+        if len(enter):
+            enter = np.sort(enter)
+            keys = np.insert(keys, np.searchsorted(keys, enter), enter)
+        self.keys = keys
+
+    def relabel_objects(self, remap):
+        """Follow the object store's swap-removes (``remap``: old object
+        row -> new row, ``-1`` for a removed one): drop the removed
+        objects' keys and rewrite the moved ones'.  Returns the dropped
+        keys, ascending."""
+        keys = self.keys
+        rows = keys & ROW_MASK
+        new = remap[rows]
+        stay = new == rows
+        gone = new < 0
+        moved = ~(stay | gone)
+        rewritten = np.sort(keys[moved] - rows[moved] + new[moved])
+        kept = keys[stay]
+        self.keys = np.insert(kept, np.searchsorted(kept, rewritten), rewritten)
+        return keys[gone]
 
     def region_at(self, row: int) -> Rect:
         """The region of the range or predictive query in ``row``."""

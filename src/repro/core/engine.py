@@ -96,6 +96,7 @@ from repro.columnar import (
     ColumnarQueryStore,
     ingest_reports,
 )
+from repro.columnar.store import key_rows
 from repro.core.state import (
     KnnQueryState,
     ObjectState,
@@ -253,9 +254,14 @@ class StoreObjects(_StoreView):
 
 class StoreQueries(_StoreView):
     """``engine.queries``: ``qid -> QueryState`` over the query store; a
-    state's ``answer`` is the row's live answer set."""
+    state's ``answer`` is a frozenset of the row's answer, materialised
+    per access."""
 
-    __slots__ = ()
+    __slots__ = ("_oids",)
+
+    def __init__(self, store, ostore) -> None:
+        super().__init__(store)
+        self._oids = ostore.oids
 
     def __iter__(self):
         return iter(self._store.qids.tolist())
@@ -265,7 +271,9 @@ class StoreQueries(_StoreView):
         row = store.row_of(qid)
         kind = store.kinds[row]
         t = store.ts[row]
-        answer = store.answers[row]
+        answer = frozenset(
+            np.frombuffer(self._oids, dtype=np.int64)[store.answer_rows(row)].tolist()
+        )
         if kind == KIND_KNN:
             center = Point(store.cxs[row], store.cys[row])
             return KnnQueryState(qid, center, store.ks[row], t, store.radii[row], answer)
@@ -336,7 +344,7 @@ class IncrementalEngine:
         self._qstore = ColumnarQueryStore()
         self._ostore = ColumnarObjectStore()
         self.objects = StoreObjects(self._ostore)
-        self.queries = StoreQueries(self._qstore)
+        self.queries = StoreQueries(self._qstore, self._ostore)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         # Freshness follows the registry's on/off state unless injected:
@@ -633,17 +641,31 @@ class IncrementalEngine:
 
     def answer_of(self, qid: int) -> frozenset[int]:
         """The current (last evaluated) answer set of ``qid``."""
-        qstore = self._qstore
-        return frozenset(qstore.answers[qstore.row_of(qid)])
+        return frozenset(self._answer(qid).tolist())
+
+    def answer_array(self, qid: int):
+        """``qid``'s current answer as a sorted int64 array of oids."""
+        oids = self._answer(qid)
+        oids.sort()
+        return oids
+
+    def _answer(self, qid: int):
+        rows = self._qstore.answer_rows(self._qstore.row_of(qid))
+        return np.frombuffer(self._ostore.oids, dtype=np.int64)[rows]
 
     def answer_sizes(self) -> list[int]:
         """Every query's answer size, in no particular order."""
-        return list(map(len, self._qstore.answers))
+        return self._qstore.answer_sizes().tolist()
 
     def complete_answers(self) -> dict[int, frozenset[int]]:
         """Every query's full answer — what a snapshot server retransmits."""
         qstore = self._qstore
-        return dict(zip(qstore.qids.tolist(), map(frozenset, qstore.answers)))
+        oids = np.frombuffer(self._ostore.oids, dtype=np.int64)[key_rows(qstore.keys)[1]].tolist()
+        starts = qstore.run_starts().tolist()
+        return {
+            qid: frozenset(oids[lo:hi])
+            for qid, lo, hi in zip(qstore.qids.tolist(), starts, starts[1:])
+        }
 
     # ------------------------------------------------------------------
     # Bulk evaluation
@@ -699,11 +721,9 @@ class IncrementalEngine:
         # Answers change only inside evaluate(), so this is what the
         # previous evaluation left.
         qstore = self._qstore
-        knn_dirty: set[int] = {
-            qstore.qids[row]
-            for row in qstore.rows_of(KIND_KNN).tolist()
-            if len(qstore.answers[row]) < qstore.ks[row]
-        }
+        knn = qstore.rows_of(KIND_KNN)
+        underfull = knn[qstore.answer_sizes()[knn] < np.frombuffer(qstore.ks, dtype=np.int64)[knn]]
+        knn_dirty: set[int] = set(np.frombuffer(qstore.qids, dtype=np.int64)[underfull].tolist())
         tracer = self.tracer
         span = tracer.span
         phase_counters = self._phase_counters
@@ -773,31 +793,28 @@ class IncrementalEngine:
 
     def _apply_removals(self, updates, knn_dirty: set[int]) -> None:
         """Drop the departing objects; each answer holding one emits a
-        negative.  Answers are the only record of membership, so every
-        registered answer is intersected with the removed oids — paid
-        only in a cycle with removals — and the negatives leave per
-        query: qid ascending, then oid."""
+        negative.  The swap-removes move object rows, so the answer keys
+        follow them in one pass over all of them — paid only in a cycle
+        with removals — and the negatives leave per query: qid
+        ascending, then oid."""
         departing = sorted(self._pending_removals)
         self._pending_removals.clear()
         # A removal whose report never reached the store (reported and
         # removed in one batch) leaves its stamp here too.
         self.freshness.forget(departing)
-        removed = [oid for oid in departing if oid in self._ostore]
+        ostore = self._ostore
+        removed = [oid for oid in departing if oid in ostore]
         if not removed:
             return
-        gone = set(removed)
-        for oid in removed:
-            self._ostore.remove(oid)
+        oids = np.frombuffer(ostore.oids, dtype=np.int64).copy()
         qstore = self._qstore
-        for row in np.argsort(np.frombuffer(qstore.qids, dtype=np.int64)).tolist():
-            answer = qstore.answers[row]
-            held = sorted(answer & gone)
-            if held:
-                qid = qstore.qids[row]
-                answer.difference_update(held)
-                updates.extend_columns([qid] * len(held), held, [-1] * len(held))
-                if qstore.kinds[row] == KIND_KNN:
-                    knn_dirty.add(qid)
+        dropped = qstore.relabel_objects(ostore.remove_many(removed))
+        qrows, orows = key_rows(dropped)
+        qids = np.frombuffer(qstore.qids, dtype=np.int64)[qrows]
+        held = oids[orows]
+        order = np.lexsort((held, qids))
+        updates.extend_columns(qids[order].tolist(), held[order].tolist(), [-1] * len(held))
+        knn_dirty.update(qids[np.frombuffer(qstore.kinds, dtype=np.int8)[qrows] == KIND_KNN].tolist())
 
     # ------------------------------------------------------------------
     # Phase 3: registrations
@@ -898,10 +915,14 @@ class IncrementalEngine:
         # maintenance — and its answer difference installed and emitted
         # in qid order.
         evaluator = self._columnar_evaluator
-        radii = self._qstore.radii
-        for row, ranked in zip(dirty, evaluator.knn_ranked(np.array(dirty))):
-            evaluator.install(updates, row, [oid for __, oid in ranked])
-            radii[row] = ranked[-1][0] if ranked else 0.0
+        dirty = np.array(dirty)
+        pos, rows, distances = evaluator.knn_search(dirty)
+        evaluator.install(updates, dirty, pos, rows)
+        # The radius is the k-th (or last) ranked distance, 0 for none.
+        counts = np.bincount(pos, minlength=len(dirty))
+        radii = np.zeros(len(dirty))
+        radii[counts > 0] = distances[np.cumsum(counts)[counts > 0] - 1]
+        np.frombuffer(self._qstore.radii, dtype=np.float64)[dirty] = radii
 
     # ------------------------------------------------------------------
     # Phase 7: predictive window refresh
@@ -921,12 +942,10 @@ class IncrementalEngine:
         if not len(rows):
             return
         self._m_predictive_refreshes.inc(len(rows))
-        refreshed = self._columnar_evaluator.predictive_refresh(
+        qids, oids, signs = self._columnar_evaluator.predictive_refresh(
             rows, self.now, self.prediction_horizon
         )
-        qids = np.frombuffer(qstore.qids, dtype=np.int64)[rows].tolist()
-        for qid, (oids, signs) in zip(qids, refreshed):
-            updates.extend_columns([qid] * len(oids), oids, signs)
+        updates.extend_columns(qids.tolist(), oids.tolist(), signs.tolist())
 
     # ------------------------------------------------------------------
     # Helpers
@@ -982,13 +1001,15 @@ class IncrementalEngine:
     def check_invariants(self) -> None:
         """Verify the object/query membership bookkeeping (tests only)."""
         ostore = self._ostore
-        # A store row is the only record of an object: every answer
-        # member is one, and both report doors clamped every stored
-        # location into the world (so the cells listing a range query
-        # find all its members).
-        for qid, answer in zip(self._qstore.qids, self._qstore.answers):
-            for oid in answer:
-                assert oid in ostore, (qid, oid)
+        # Answer keys are strictly ascending (a sorted set) and name live
+        # rows: every answer member is a store row, and both report
+        # doors clamped every stored location into the world (so the
+        # cells listing a range query find all its members).
+        keys = self._qstore.keys
+        qrows, orows = key_rows(keys)
+        assert keys.dtype == np.int64 and bool((keys[1:] > keys[:-1]).all())
+        assert bool((qrows >= 0).all() and (qrows < len(self._qstore)).all())
+        assert bool((orows < len(ostore)).all())
         xs, ys = ostore.xy_views()
         world = self.grid.world
         assert (

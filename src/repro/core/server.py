@@ -29,9 +29,11 @@ repository must never get *ahead* of what a client actually received:
 a committed answer the client does not hold poisons every future
 recovery diff (the server diffs against a base the client never
 reached, so stale members are never retracted).  The server therefore
-commits only :meth:`~LocationAwareServer.delivered_answer`: the live
+commits only :meth:`~LocationAwareServer.delivered_oids`: the live
 answer XOR the query's *lag*, the oids the client holds otherwise, kept
-only while non-empty.  A delivered update discards its oid from the
+only while non-empty.  Live and committed answers alike are sorted
+int64 arrays of oids: the engine's answer run, and the repository's
+record of it.  A delivered update discards its oid from the
 lag and a refused one toggles it — sound because the engine's stream
 is, per query, the evaluation's net change: each oid at most once, a
 flip (``+o`` only when ``o`` is not in the answer, ``-o`` only when it
@@ -51,7 +53,7 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from repro.core.commit import CommittedAnswerStore
+from repro.core.commit import NO_OIDS, CommittedAnswerStore
 from repro.core.engine import DEFAULT_WORLD, IncrementalEngine
 from repro.core.state import QueryKind
 from repro.core.updates import UpdateBatch
@@ -290,11 +292,19 @@ class LocationAwareServer:
         return self._owner[qid]
 
     def delivered_answer(self, qid: int) -> frozenset[int]:
-        """The answer ``qid``'s client provably holds — the live answer
-        XOR its lag (∅ as the live answer before the query's first
-        evaluation).  This, never the live answer, is what commits
-        record."""
-        return self._live_answer(qid).symmetric_difference(self._lag.get(qid, ()))
+        """The answer ``qid``'s client provably holds, as a set."""
+        return frozenset(self.delivered_oids(qid).tolist())
+
+    def delivered_oids(self, qid: int):
+        """The answer ``qid``'s client provably holds, a sorted int64
+        array — the live answer XOR its lag (∅ as the live answer before
+        the query's first evaluation).  This, never the live answer, is
+        what commits record."""
+        live = self._live_answer(qid)
+        held = self._lag.get(qid)
+        if not held:
+            return live
+        return np.setxor1d(live, np.fromiter(held, np.int64, len(held)), assume_unique=True)
 
     def take_mailed(self) -> set[int]:
         """The clients whose link accepted mail since the last call —
@@ -469,7 +479,7 @@ class LocationAwareServer:
             return
         self.stats.record_uplink(CommitMessage)
         self._require_binding(qid)
-        self.commits.commit(qid, self.delivered_answer(qid))
+        self.commits.commit(qid, self.delivered_oids(qid))
         self.freshness.observe_committed(qid)
         self.recorder.record("commit", qid=qid, via="explicit")
         self._notify("on_commit", qid)
@@ -548,7 +558,7 @@ class LocationAwareServer:
                     last_served = qid
                     sent.extend(shipped)
                 behind |= len(shipped) < len(delta)
-                self.commits.commit(qid, self.delivered_answer(qid))
+                self.commits.commit(qid, self.delivered_oids(qid))
                 self.freshness.observe_committed(qid)
                 self.recorder.record("commit", qid=qid, via="wakeup")
         if not behind:
@@ -588,7 +598,8 @@ class LocationAwareServer:
         total = 0
         recovered = 0
         for qid in sorted(self._queries_of_client[client_id]):
-            answer = self._live_answer(qid)
+            live = self._live_answer(qid)
+            answer = frozenset(live.tolist())
             message = FullAnswerMessage(qid, answer)
             if link.deliver(message):
                 self._mailed.add(client_id)
@@ -601,7 +612,7 @@ class LocationAwareServer:
                     freshness.observe_delivered_runs(
                         [(qid, 0, len(members))], members, [1] * len(members)
                     )
-                self.commits.commit(qid, answer)
+                self.commits.commit(qid, live)
                 freshness.observe_committed(qid)
                 self.recorder.record("commit", qid=qid, via="naive_recovery")
             else:
@@ -654,11 +665,11 @@ class LocationAwareServer:
         signs, runs)``, clients ascending, ``runs`` the slice's query
         runs as ``(qid, start, stop)``.
 
-        Every engine phase emits per query, and phase 5's emit nets
-        phases 3–5 by dropping pairs, so the stream is a sequence of
-        query runs (a query may have one per phase; each pair appears
-        once): each run's owner is resolved once, and a slice is its
-        client's runs in stream order.  Links are independent FIFO
+        Every engine phase emits per query, and a query's pairs are
+        its net change over the evaluation, so the stream is a
+        sequence of query runs (a query may have one per phase; each
+        pair appears once): each run's owner is resolved once, and a
+        slice is its client's runs in stream order.  Links are independent FIFO
         channels with per-link cycle budgets, so how the slices
         interleave is unobservable.  Runs of queries unregistered in
         this same batch have no owner and are skipped.
@@ -802,21 +813,24 @@ class LocationAwareServer:
         # (the client held it before the restart); a fresh one from ∅.
         self._seed_lag(qid)
 
-    def _live_answer(self, qid: int) -> frozenset[int]:
-        """``qid``'s live answer; ∅ before its first evaluation."""
+    def _live_answer(self, qid: int):
+        """``qid``'s live answer, a sorted int64 array of oids; ∅ before
+        its first evaluation."""
         engine = self.engine
-        return engine.answer_of(qid) if qid in engine.queries else frozenset()
+        return engine.answer_array(qid) if qid in engine.queries else NO_OIDS
 
     def _seed_lag(self, qid: int) -> None:
         """Lag ``qid`` for a client that holds its committed answer."""
-        held = set(self._live_answer(qid) ^ self.commits.committed_answer(qid))
-        if held:
-            self._lag[qid] = held
+        held = np.setxor1d(
+            self._live_answer(qid), self.commits.committed_oids(qid), assume_unique=True
+        )
+        if len(held):
+            self._lag[qid] = set(held.tolist())
         else:
             self._lag.pop(qid, None)
 
     def _commit_on_uplink(self, qid: int) -> None:
-        self.commits.commit(qid, self.delivered_answer(qid))
+        self.commits.commit(qid, self.delivered_oids(qid))
         self.freshness.observe_committed(qid)
         self.recorder.record("commit", qid=qid, via="uplink")
         self._notify("on_commit", qid)

@@ -5,8 +5,9 @@ t, OList)`` where ``OList`` is the answer set, and an object entry
 ``(OID, loc, t)`` — without the paper's ``QList``, "the list of the
 queries that O is satisfying": the answers are the only record of
 membership.  The engine keeps each object and each query as its row in
-a columnar store (a query's answer set included) and materialises these
-states from the rows on access, for readers that want one; the
+a columnar store (a query's answer as a run of the store's sorted answer
+keys) and materialises these states from the rows on access, the answer
+as a frozenset, for readers that want one; the
 brute-force reference keeps them outright, and the engine buffers a
 registration as one until it writes the row.
 """

@@ -34,6 +34,8 @@ no-ops every call, which is what the overhead benchmark gates against.
 from __future__ import annotations
 
 import time
+from array import array
+from bisect import bisect_left
 from math import ceil
 
 from repro.obs.registry import (
@@ -58,6 +60,69 @@ POLARITIES = ("positive", "negative")
 #: updates this old — beyond the cap the oldest stamp's counts fold into
 #: the next oldest, so every update is still attributed exactly once.
 _MAX_PENDING_PER_QUERY = 64
+
+
+class _Pending:
+    """One query's delivered but unacknowledged updates, per distinct
+    report stamp: ``stamps``, the shared per-cycle ``(cycle, ts)``
+    tuples in ascending cycle order (a pointer each — the tuple is the
+    one every report of that cycle carries), and ``counts``, their
+    positive and negative update counts interleaved in one
+    ``array('q')``.  About 24 bytes per stamp."""
+
+    __slots__ = ("stamps", "counts")
+
+    def __init__(self) -> None:
+        self.stamps: list[tuple[int, float]] = []
+        self.counts = array("q")
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Pending):
+            return NotImplemented
+        return self.stamps == other.stamps and self.counts == other.counts
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def add(self, stamp: tuple[int, float], positive: int, negative: int) -> int:
+        """Count updates under ``stamp``.  A new stamp past the cap
+        first folds the oldest; returns how many updates that moved."""
+        stamps = self.stamps
+        counts = self.counts
+        folded = 0
+        if not stamps or stamps[-1][0] < stamp[0]:  # the usual case: a new cycle's
+            if len(stamps) >= _MAX_PENDING_PER_QUERY:
+                folded = self._fold_oldest()
+            stamps.append(stamp)
+            counts.append(positive)
+            counts.append(negative)
+            return folded
+        at = len(stamps) - 1
+        if stamps[at] is not stamp:  # an older stamp: a recovery delivery
+            at = bisect_left(stamps, stamp)
+            if stamps[at][0] != stamp[0]:
+                if len(stamps) >= _MAX_PENDING_PER_QUERY:
+                    folded = self._fold_oldest()
+                    at = bisect_left(stamps, stamp)
+                stamps.insert(at, stamp)
+                counts[2 * at : 2 * at] = array("q", (0, 0))
+        counts[2 * at] += positive
+        counts[2 * at + 1] += negative
+        return folded
+
+    def _fold_oldest(self) -> int:
+        """Move the oldest stamp's counts to the next oldest (which
+        under-reads their commit lag by the cycles between the two, and
+        loses none of them); returns how many moved."""
+        counts = self.counts
+        del self.stamps[0]
+        positive, negative = counts[0], counts[1]
+        del counts[:2]
+        counts[0] += positive
+        counts[1] += negative
+        return positive + negative
 
 
 class _QuerySummary:
@@ -151,11 +216,11 @@ class FreshnessTracker:
         # in the one before it with that evaluation's stamp: see forget.
         self._departed: list[int] = []
         self._leaving: tuple[list[int], tuple[int, float]] = ([], self._stamp)
-        # qid -> {stamp_cycle: [stamp_ts, positive, negative]} delivered
-        # but not yet acknowledged; drained by observe_committed.  One
-        # entry per distinct report stamp (one per cycle) whatever the
-        # number of updates, at most _MAX_PENDING_PER_QUERY of them.
-        self._pending_commit: dict[int, dict[int, list]] = {}
+        # qid -> the updates delivered but not yet acknowledged, per
+        # report stamp; drained by observe_committed.  One entry per
+        # distinct report stamp (one per cycle) whatever the number of
+        # updates, at most _MAX_PENDING_PER_QUERY of them.
+        self._pending_commit: dict[int, _Pending] = {}
         self._per_query: dict[int, _QuerySummary] = {}
         self._hists: dict[tuple[str, str], tuple[Histogram, Histogram]] = {}
         for stage in STAGES:
@@ -272,7 +337,9 @@ class FreshnessTracker:
                     continue
                 if pending is None:
                     summary = self._summary_of(qid)
-                    pending = pending_commit.setdefault(qid, {})
+                    pending = pending_commit.get(qid)
+                    if pending is None:
+                        pending = pending_commit[qid] = _Pending()
                 totals = per_stamp.setdefault(stamp, [0, 0])
                 totals[0] += positive
                 totals[1] += negative
@@ -283,13 +350,9 @@ class FreshnessTracker:
                     summary.observe(
                         "delivery", max(0, cycle - stamp_cycle), now_ts - stamp_ts, n
                     )
-                entry = pending.get(stamp_cycle)
-                if entry is None:
-                    if len(pending) >= _MAX_PENDING_PER_QUERY:
-                        self._fold_oldest(pending)
-                    entry = pending[stamp_cycle] = [stamp_ts, 0, 0]
-                entry[1] += positive
-                entry[2] += negative
+                folded = pending.add(stamp, positive, negative)
+                if folded:
+                    self._m_pending_folded.inc(folded)
         if unattributed:
             self._m_unattributed.inc(unattributed)
         if untracked:
@@ -310,17 +373,6 @@ class FreshnessTracker:
             summary = self._per_query[qid] = _QuerySummary()
         return summary
 
-    def _fold_oldest(self, pending: dict[int, list]) -> None:
-        """Make room in a full pending map: the oldest stamp's counts
-        move to the next oldest (which under-reads their commit lag by
-        the cycles between the two, and loses none of them)."""
-        oldest, second = sorted(pending)[:2]
-        _, positive, negative = pending.pop(oldest)
-        kept = pending[second]
-        kept[1] += positive
-        kept[2] += negative
-        self._m_pending_folded.inc(positive + negative)
-
     def observe_undelivered(self, qid: int, oid: int, sign: int) -> None:
         """One update the link rejected (throttled, disconnected, or
         faulted away).  The stamp stays put: the recovery delivery that
@@ -338,7 +390,10 @@ class FreshnessTracker:
         positive_hists = self._hists[("commit", "positive")]
         negative_hists = self._hists[("commit", "negative")]
         summary = self._summary_of(qid)
-        for stamp_cycle, (stamp_ts, positive, negative) in pending.items():
+        counts = pending.counts
+        for (stamp_cycle, stamp_ts), positive, negative in zip(
+            pending.stamps, counts[0::2], counts[1::2]
+        ):
             lag_cycles = max(0, cycle - stamp_cycle)
             lag_seconds = now_ts - stamp_ts
             if positive:

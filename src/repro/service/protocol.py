@@ -232,6 +232,24 @@ def downlink_op(message: Message) -> dict:
 
 
 _UPDATE_LINE = b'{"op":"update","qid":%d,"oid":%d,"sign":%d}\n'
+_WELCOME_LINE = (
+    b'{"op":"welcome","client":%d,"session":%d,"cycle":%d,"resumed":%s,"protocol":%d}\n'
+)
+_COMMITTED_LINE = b'{"op":"committed","qid":%d}\n'
+
+
+def welcome_line(client: int, session: int, cycle: int, resumed: bool) -> bytes:
+    """The ``welcome`` op's wire line, byte-identical to :func:`encode`
+    of its dict, formatted from a template."""
+    return _WELCOME_LINE % (
+        client, session, cycle, b"true" if resumed else b"false", PROTOCOL_VERSION
+    )
+
+
+def committed_line(qid: int) -> bytes:
+    """The ``committed`` op's wire line, byte-identical to
+    :func:`encode` of its dict, formatted from a template."""
+    return _COMMITTED_LINE % qid
 
 
 def encode_downlink(inbox) -> bytes:

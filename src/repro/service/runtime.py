@@ -73,9 +73,12 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     busy_op,
+    committed_line,
     decode_lines,
+    encode,
     error_op,
     reject_op,
+    welcome_line,
 )
 from repro.service.session import ClientSession
 
@@ -560,15 +563,8 @@ class ServiceRuntime:
             resumed = False
         session.client_ids.add(client_id)
         self._client_session[client_id] = session
-        session.send(
-            {
-                "op": "welcome",
-                "client": client_id,
-                "session": session.session_id,
-                "cycle": self.cycle_count,
-                "resumed": resumed,
-                "protocol": PROTOCOL_VERSION,
-            }
+        session.send_line(
+            welcome_line(client_id, session.session_id, self.cycle_count, resumed)
         )
 
     # ------------------------------------------------------------------
@@ -844,8 +840,9 @@ class ServiceRuntime:
 
     # -- server protocol observers (wire markers) ----------------------
 
-    def _flush_then(self, client_id: int, marker: dict) -> None:
-        """Flush a client's pending inbox, then emit ``marker``.
+    def _flush_then(self, client_id: int, marker: bytes) -> None:
+        """Flush a client's pending inbox, then queue ``marker``, one
+        encoded line.
 
         The flush preserves wire order: everything the link accepted
         before the protocol event precedes the event's marker, so the
@@ -861,26 +858,24 @@ class ServiceRuntime:
             return
         if link.queued_messages:
             self._m_flushed.inc(session.flush_link(link))
-        session.send(marker)
+        session.send_line(marker)
         if not self._cycling:
             # An in-process caller's commit or wakeup: no cycle flush is
             # coming to carry the marker.
             self._write_out(session)
 
     def on_wakeup_begin(self, client_id: int) -> None:
-        self._flush_then(
-            client_id, {"op": "wakeup_begin", "client": client_id}
-        )
+        self._flush_then(client_id, encode({"op": "wakeup_begin", "client": client_id}))
 
     def on_wakeup_end(self, client_id: int) -> None:
-        self._flush_then(client_id, {"op": "wakeup_end", "client": client_id})
+        self._flush_then(client_id, encode({"op": "wakeup_end", "client": client_id}))
 
     def on_commit(self, qid: int) -> None:
         try:
             client_id = self.server.client_of(qid)
         except KeyError:
             return
-        self._flush_then(client_id, {"op": "committed", "qid": qid})
+        self._flush_then(client_id, committed_line(qid))
 
     # ------------------------------------------------------------------
     # HTTP plane

@@ -76,6 +76,10 @@ class ClientSession:
         """Queue one encoded line behind everything queued so far."""
         self._queue(encode(obj), 1)
 
+    def send_line(self, line: bytes) -> None:
+        """Queue one already-encoded line behind everything queued."""
+        self._queue(line, 1)
+
     def flush_link(self, link: "ClientLink") -> int:
         """Drain one client link's inbox into the output queue, in
         inbox order.

@@ -9,6 +9,8 @@ server path stays clean and actually converges.
 
 import random
 
+import numpy as np
+
 from repro.check import ConsistencyOracle
 from repro.core.client import Client
 from repro.core.server import LocationAwareServer
@@ -88,9 +90,12 @@ class TestDetection:
         replay and snapshot derivations."""
         server, oracle = make_stack()
         server.receive_object_report(1, Point(0.5, 0.5), 1.0)
+        server.receive_object_report(999, Point(0.9, 0.9), 1.0)  # outside REGION
         run_cycle(server, oracle, 0, 1.0)
         oracle.begin_cycle()  # baseline captured *before* the tamper
-        server.engine.queries[10].answer.add(999)  # phantom member
+        qstore = server.engine._qstore  # phantom member: 999's answer key
+        phantom = qstore.row_of(10) << 32 | server.engine._ostore.row_of(999)
+        qstore.toggle(qstore.keys[:0], np.array([phantom]))
         result = server.evaluate_cycle(2.0)
         found = oracle.end_cycle(1, result.updates)
         kinds = {d.kind for d in found}

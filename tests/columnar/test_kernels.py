@@ -29,7 +29,8 @@ GRID = 8
 
 def join(engine, skip, chunk_pairs=PAIR_CHUNK):
     """Ingest the engine's buffered reports and run the report join over
-    them: the batch's ``Reports`` and the changed pairs as lists."""
+    them: the batch's ``Reports`` and the changed pairs as lists, once
+    their answer keys are checked to name the pairs' store rows."""
     reports = ingest_reports(engine._pending_reports, engine.grid, engine._ostore)
     pairs = join_reports(
         reports.prev_cells, reports.cells, *engine._columnar_evaluator._range_csr(), skip
@@ -37,7 +38,12 @@ def join(engine, skip, chunk_pairs=PAIR_CHUNK):
     joined = classify_pairs(pairs, reports, engine._qstore, chunk_pairs)
     if joined is None:
         return reports, ([], [], [])
-    return reports, tuple(column.tolist() for column in joined)
+    qids, oids, signs, keys = (column.tolist() for column in joined)
+    assert keys == [
+        engine._qstore.row_of(qid) << 32 | engine._ostore.row_of(oid)
+        for qid, oid in zip(qids, oids)
+    ]
+    return reports, (qids, oids, signs)
 
 
 def brute_force(engine, before, skip):

@@ -24,7 +24,10 @@ from repro.geometry import Point, Rect, Velocity
 def report(store, oid, x, y, vx=0.0, vy=0.0, t=0.0, cell=0):
     """One report written through the store's batch door; what it
     overwrote: ``(old cell, old x, old y)``."""
-    old = store.batch_apply(*(np.array([value]) for value in (oid, x, y, vx, vy, t, cell)))
+    rows, *old = store.batch_apply(
+        *(np.array([value]) for value in (oid, x, y, vx, vy, t, cell))
+    )
+    assert rows.tolist() == [store.row_of(oid)]
     return tuple(column[0] for column in old)
 
 
@@ -50,13 +53,14 @@ class TestObjectStore:
     def test_batch_apply_returns_what_it_overwrote(self):
         store = ColumnarObjectStore()
         report(store, 7, 0.25, 0.75, 0.1, 0.0, 1.0, 12)
-        prev_cells, prev_xs, prev_ys = store.batch_apply(
+        rows, prev_cells, prev_xs, prev_ys = store.batch_apply(
             *(np.array(column) for column in (
                 [8, 7], [0.1, 0.5], [0.1, 0.5], [0.0, 0.0], [0.0, 0.0],
                 [2.0, 2.0], [0, 13],
             ))
         )
         assert (store.row_of(7), store.row_of(8)) == (0, 1)
+        assert rows.tolist() == [1, 0]
         assert prev_cells.tolist() == [-1, 12]
         assert math.isnan(prev_xs[0]) and math.isnan(prev_ys[0])
         assert (prev_xs[1], prev_ys[1]) == (0.25, 0.75)
@@ -89,9 +93,9 @@ def query_row(store, qid):
         name: getattr(store, name)[row]
         for name in (
             "qids", "kinds", "min_xs", "min_ys", "max_xs", "max_ys", "cxs",
-            "cys", "radii", "ks", "horizons", "ts", "answers",
+            "cys", "radii", "ks", "horizons", "ts",
         )
-    }  # fmt: skip
+    } | {"answer": store.answer_rows(row).tolist()}  # fmt: skip
 
 
 class TestQueryStore:
@@ -103,7 +107,7 @@ class TestQueryStore:
         assert query_row(store, 100) == {
             "qids": 100, "kinds": KIND_RANGE, "min_xs": 0.1, "min_ys": 0.2,
             "max_xs": 0.3, "max_ys": 0.4, "cxs": 0.0, "cys": 0.0, "radii": 0.0,
-            "ks": 0, "horizons": 0.0, "ts": 2.0, "answers": set(),
+            "ks": 0, "horizons": 0.0, "ts": 2.0, "answer": [],
         }  # fmt: skip
         assert len(store) == 1 and 100 in store
 
@@ -153,15 +157,16 @@ class TestQueryStore:
         store.add(
             30, KIND_PREDICTIVE, 0.2, 0.3, 0.4, 0.5, cx=0.6, cy=0.7, k=4, horizon=5.0, t=3.0
         )
-        store.answers[2].update({7, 8})
+        store.toggle(np.empty(0, np.int64), np.array([2 << 32 | 8, 2 << 32 | 7, 1 << 32 | 5]))
         store.radii[2] = 0.9
         want = query_row(store, 30)
         assert all(value != query_row(store, 10)[name] for name, value in want.items())
         store.remove(10)
         assert store.row_of(30) == 0 and len(store) == 2
         assert query_row(store, 30) == want
-        assert store.answers[0] == {7, 8}
-        assert len(store.answers) == len(store.ks) == 2
+        # The moved row's keys follow it into the hole, still sorted.
+        assert store.keys.tolist() == [7, 8, 1 << 32 | 5]
+        assert store.answer_sizes().tolist() == [2, 1]
         with pytest.raises(KeyError):
             store.row_of(10)
         with pytest.raises(KeyError):
@@ -238,7 +243,8 @@ def test_the_engine_keeps_no_object_states():
 
 def test_engine_queries_is_a_read_only_view():
     """``engine.queries`` materialises states from the store; it takes
-    no assignment, and a state's ``answer`` is the live set."""
+    no assignment, and a state's ``answer`` is a frozenset snapshot of
+    the row's answer, taken per access."""
     engine = IncrementalEngine(grid_size=8)
     engine.register_range_query(1, Rect(0.0, 0.0, 0.5, 0.5))
     engine.report_object(7, Point(0.25, 0.25), 0.0)
@@ -248,7 +254,11 @@ def test_engine_queries_is_a_read_only_view():
     with pytest.raises(TypeError):
         del engine.queries[1]
     assert engine.queries[1] is not engine.queries[1]
-    assert engine.queries[1].answer is engine.queries[1].answer == {7}
+    snapshot = engine.queries[1].answer
+    assert snapshot == engine.queries[1].answer == frozenset({7})
+    engine.report_object(7, Point(0.75, 0.75), 1.0)
+    engine.evaluate(1.0)
+    assert snapshot == {7} and engine.queries[1].answer == frozenset()
     assert list(engine.queries) == [1] and 2 not in engine.queries
     with pytest.raises(KeyError):
         engine.queries[2]

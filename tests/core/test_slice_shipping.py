@@ -24,6 +24,7 @@ cap to fold.
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,7 +89,8 @@ CYCLES = st.lists(
 
 class Stack:
     """One server over a stubbed engine that emits the given streams
-    (and holds, as its live answers, their fold)."""
+    and answers, as its live answers, their fold (kept here: the
+    engine's answers hold store rows, and these oids report nothing)."""
 
     def __init__(self, link_kinds, owners):
         registry = MetricsRegistry()
@@ -117,6 +119,10 @@ class Stack:
         for qid, client_id in owners.items():
             server.register_range_query(client_id, qid, REGION)
         server.evaluate_cycle(0.0)  # installs the queries (no objects: no updates)
+        self.live: dict[int, set[int]] = {}
+        engine.answer_array = lambda qid: np.array(
+            sorted(self.live.get(qid, ())), dtype=np.int64
+        )
 
     def _observe(self, client_id, message, delivered):
         self.observed.setdefault(client_id, []).append((message, delivered))
@@ -131,7 +137,7 @@ class Stack:
         updates = UpdateBatch()
         unbound: dict[int, set[int]] = {}
         for qid, oids, sign_sorted in stream:
-            answer = queries[qid].answer if qid in queries else unbound.setdefault(qid, set())
+            answer = (self.live if qid in queries else unbound).setdefault(qid, set())
             run = []
             for oid in oids:
                 run.append((oid, -1 if oid in answer else 1))
@@ -184,7 +190,7 @@ class Stack:
 
 class ReferenceStack(Stack):
     """A stack whose server ships per message (:func:`reference_ship`)
-    and answers ``delivered_answer`` from its own dict: the committed
+    and answers ``delivered_oids`` from its own dict: the committed
     base on every wakeup, plus each update a link accepted since."""
 
     def __init__(self, link_kinds, owners):
@@ -192,7 +198,7 @@ class ReferenceStack(Stack):
         server = self.server
         self.delivered: dict[int, set[int]] = {qid: set() for qid in owners}
         server._ship = lambda slices: reference_ship(self, slices)
-        server.delivered_answer = lambda qid: frozenset(self.delivered[qid])
+        server.delivered_oids = lambda qid: np.array(sorted(self.delivered[qid]), dtype=np.int64)
         wakeup = server.receive_wakeup
 
         def receive_wakeup(client_id):

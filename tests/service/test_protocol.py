@@ -12,16 +12,21 @@ from repro.net.messages import (
 )
 from repro.service.protocol import (
     IMMEDIATE_OPS,
+    PROTOCOL_VERSION,
     UPLINK_OPS,
     ProtocolError,
     busy_op,
+    committed_line,
     decode_line,
     downlink_op,
     encode,
     encode_downlink,
     error_op,
     reject_op,
+    welcome_line,
 )
+
+INT64_EXTREMES = (-(2**63), -1, 0, 2**63 - 1)
 
 
 class TestEncode:
@@ -34,6 +39,30 @@ class TestEncode:
     def test_roundtrip(self):
         op = {"op": "report", "client": 1, "oid": 2, "x": 0.5, "y": 0.5, "t": 1.0}
         assert decode_line(encode(op)) == op
+
+
+class TestTemplateLines:
+    """The ``welcome`` and ``committed`` lines come from byte templates;
+    they must be the very bytes ``encode`` makes of the op's dict."""
+
+    @pytest.mark.parametrize("resumed", [True, False])
+    @pytest.mark.parametrize("ident", INT64_EXTREMES)
+    def test_welcome_is_encode_of_its_dict(self, resumed, ident):
+        for session, cycle in ((1, 0), (ident, 2**40), (7, ident)):
+            assert welcome_line(ident, session, cycle, resumed) == encode(
+                {
+                    "op": "welcome",
+                    "client": ident,
+                    "session": session,
+                    "cycle": cycle,
+                    "resumed": resumed,
+                    "protocol": PROTOCOL_VERSION,
+                }
+            )
+
+    @pytest.mark.parametrize("qid", INT64_EXTREMES)
+    def test_committed_is_encode_of_its_dict(self, qid):
+        assert committed_line(qid) == encode({"op": "committed", "qid": qid})
 
 
 class TestDecode:
