@@ -397,19 +397,28 @@ class ColumnarQueryStore:
         self._starts = None
 
     def run_starts(self):
-        """Where each row's run starts in :attr:`keys`, plus the end:
-        cut once per key array and row count, so the commits between
-        two evaluations share one cut."""
+        """Where each row's run starts in :attr:`keys`, plus the end
+        (int64): cut once per key array and row count, so the commits
+        between two evaluations share one cut."""
+        return np.frombuffer(self._cut(), dtype=np.int64)
+
+    def run_span(self, row: int) -> tuple[int, int]:
+        """``(start, stop)`` of query ``row``'s run in :attr:`keys`, as
+        Python ints off the cut: one answer read pays no numpy call."""
+        starts = self._cut()
+        return starts[row], starts[row + 1]
+
+    def _cut(self) -> array:
         starts = self._starts
         if starts is None or len(starts) != len(self.qids) + 1:
             first = np.arange(len(self.qids) + 1) << ROW_BITS
-            starts = self._starts = np.searchsorted(self._keys, first)
+            starts = self._starts = array("q", np.searchsorted(self._keys, first).tobytes())
         return starts
 
     def answer_rows(self, row: int):
         """The object rows of query ``row``'s answer (int64, ascending)."""
-        starts = self.run_starts()
-        return self._keys[starts[row] : starts[row + 1]] & ROW_MASK
+        start, stop = self.run_span(row)
+        return self._keys[start:stop] & ROW_MASK
 
     def run_keys(self, rows):
         """The answer keys of query ``rows`` (int64), flat: ``(owner,
@@ -432,16 +441,16 @@ class ColumnarQueryStore:
     def toggle(self, leave, enter) -> None:
         """Apply changed memberships as answer keys: drop ``leave``
         (each held) and add ``enter`` (each absent, distinct) — one
-        delete and one merge-insert, never a re-sort of the whole."""
+        delete and one merge-insert, never a re-sort of the whole.  The
+        delete's array replaces the store's before the insert allocates,
+        so no more than two key arrays are ever alive at once."""
         if not (len(leave) or len(enter)):
             return  # keep the array, and with it its run starts
-        keys = self.keys
         if len(leave):
-            keys = np.delete(keys, np.searchsorted(keys, leave))
+            self.keys = np.delete(self._keys, np.searchsorted(self._keys, leave))
         if len(enter):
             enter = np.sort(enter)
-            keys = np.insert(keys, np.searchsorted(keys, enter), enter)
-        self.keys = keys
+            self.keys = np.insert(self._keys, np.searchsorted(self._keys, enter), enter)
 
     def relabel_objects(self, remap):
         """Follow the object store's swap-removes (``remap``: old object

@@ -48,6 +48,7 @@ the :mod:`repro.faults` chaos schedules.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 
@@ -535,7 +536,6 @@ class LocationAwareServer:
             # The recovery response gets a fresh cycle's worth of budget.
             link.new_cycle()
         self._notify("on_wakeup_begin", client_id)
-        sent = UpdateBatch()
         owned = sorted(self._queries_of_client[client_id])
         resume = self._resume_after.get(client_id)
         if resume is not None:
@@ -544,20 +544,27 @@ class LocationAwareServer:
         last_served = None
         behind = False
         with self.tracer.span("recovery"):
+            # Each delta flips the client's committed answer to the live
+            # one like a cycle: once shipped, the lag is its refused part.
+            # The deltas ship in one call, one slice a query in order, so
+            # the freshness tracker takes the wakeup as one delivery.
+            deltas = []
             for qid in owned:
-                # The delta flips the client's committed answer to the live
-                # one like a cycle: once shipped, the lag is its refused part.
                 self._lag.pop(qid, None)
-                delta = self.commits.recovery_updates(
-                    qid, self._live_answer(qid), into=UpdateBatch()
+                deltas.append(
+                    self.commits.recovery_updates(qid, self._live_answer(qid), into=UpdateBatch())
                 )
-                shipped = self._ship(
-                    [(link, delta.qids, delta.oids, delta.signs, [(qid, 0, len(delta))])]
-                )[1]
-                if shipped:
+            sent = self._ship(
+                [
+                    (link, delta.qids, delta.oids, delta.signs, [(qid, 0, len(delta))])
+                    for qid, delta in zip(owned, deltas)
+                ]
+            )[1]
+            shipped = Counter(sent.qids)
+            for qid, delta in zip(owned, deltas):
+                if shipped[qid]:
                     last_served = qid
-                    sent.extend(shipped)
-                behind |= len(shipped) < len(delta)
+                behind |= shipped[qid] < len(delta)
                 self.commits.commit(qid, self.delivered_oids(qid))
                 self.freshness.observe_committed(qid)
                 self.recorder.record("commit", qid=qid, via="wakeup")
@@ -596,7 +603,12 @@ class LocationAwareServer:
         self._notify("on_wakeup_begin", client_id)
         freshness = self.freshness
         total = 0
-        recovered = 0
+        committed = []
+        # A delivered full answer lands every member at once, as one query
+        # run — the shape of a wakeup delta; the runs of all of them are
+        # attributed as one delivery before the commits.
+        runs: list[tuple[int, int, int]] = []
+        members: list[int] = []
         for qid in sorted(self._queries_of_client[client_id]):
             live = self._live_answer(qid)
             answer = frozenset(live.tolist())
@@ -604,21 +616,20 @@ class LocationAwareServer:
             if link.deliver(message):
                 self._mailed.add(client_id)
                 total += message.size_bytes
-                recovered += 1
-                # A delivered full answer lands every member at once, as
-                # one query run — the shape of a wakeup delta.
+                committed.append(qid)
                 if answer:
-                    members = list(answer)
-                    freshness.observe_delivered_runs(
-                        [(qid, 0, len(members))], members, [1] * len(members)
-                    )
+                    runs.append((qid, len(members), len(members) + len(answer)))
+                    members += answer
                 self.commits.commit(qid, live)
-                freshness.observe_committed(qid)
                 self.recorder.record("commit", qid=qid, via="naive_recovery")
             else:
                 for oid in answer:
                     freshness.observe_undelivered(qid, oid, 1)
             self._seed_lag(qid)
+        freshness.observe_delivered_runs(runs, members, [1] * len(members))
+        for qid in committed:
+            freshness.observe_committed(qid)
+        recovered = len(committed)
         self._notify("on_wakeup_end", client_id)
         self.recorder.record(
             "wakeup_end", client=client_id, via="naive", recovered=recovered

@@ -11,9 +11,8 @@ The :class:`FreshnessTracker` closes that gap without touching the
 update stream:
 
 * the engine stamps every ingested motion report with the evaluation
-  cycle it targets plus a monotonic timestamp (one shared tuple per
-  cycle — a single dict store per report, cheap enough for the <5%
-  telemetry budget);
+  cycle it targets (one list append per report; the wall clock of each
+  cycle boundary is kept once, beside);
 * the server attributes each shipped update back to its object's last
   stamp at **delivery** time (``link.deliver`` accepted it) and again
   at **commit** time (the client acknowledged it on an uplink), so the
@@ -25,10 +24,22 @@ update stream:
   counts and wall-clock seconds, plus bounded per-query summaries with
   exact cycle percentiles.
 
+A delivery batch is attributed in array passes (one search of the
+stamp table, one sort-and-count of the batch, one merge into the
+pending-commit table); a commit walks its query's pending stamps, at
+most 64.  What that costs a cycle is measured, not promised:
+``benchmarks/bench_telemetry_overhead.py`` runs the end-to-end
+benchmark's ``sparse_mixed`` and ``bulk_churn`` rounds with the tracker
+on and off.  On a 2-core box the tracker cost +26 % of a ``sparse_mixed`` cycle
+(42.7 against 34.0 ms; +51 % with the per-run tracker this replaced, in
+the same hour) and +10 % of a ``bulk_churn`` one (+19 % before).  The
+rest is Python per pending stamp at a commit and per summarised group.
+
 Updates with no report provenance (query registration fills, query
 moves, recovery retractions of departed objects) are counted, not
 guessed at.  Telemetry-off mode is a type: :data:`NULL_FRESHNESS`
-no-ops every call, which is what the overhead benchmark gates against.
+no-ops every call, which is what the overhead benchmark compares
+against.
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ import time
 from array import array
 from bisect import bisect_left
 from math import ceil
+
+import numpy as np
 
 from repro.obs.registry import (
     DEFAULT_SECONDS_BUCKETS,
@@ -61,68 +74,41 @@ POLARITIES = ("positive", "negative")
 #: the next oldest, so every update is still attributed exactly once.
 _MAX_PENDING_PER_QUERY = 64
 
+#: A pending-commit key is ``slot << _CYCLE_BITS | stamp cycle``: one
+#: int64 orders the table by query, then by stamp.  Cycles stay below
+#: 2**32 (136 years of one evaluation a second).
+_CYCLE_BITS = 32
+_CYCLE_MASK = (1 << _CYCLE_BITS) - 1
 
-class _Pending:
-    """One query's delivered but unacknowledged updates, per distinct
-    report stamp: ``stamps``, the shared per-cycle ``(cycle, ts)``
-    tuples in ascending cycle order (a pointer each — the tuple is the
-    one every report of that cycle carries), and ``counts``, their
-    positive and negative update counts interleaved in one
-    ``array('q')``.  About 24 bytes per stamp."""
 
-    __slots__ = ("stamps", "counts")
+def _tally(values):
+    """``(distinct values ascending, how many times each occurs)`` of an
+    int64 array, which is sorted in place: one boundary pass."""
+    values.sort()
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[starts], np.diff(np.append(starts, len(values)))
 
-    def __init__(self) -> None:
-        self.stamps: list[tuple[int, float]] = []
-        self.counts = array("q")
 
-    def __len__(self) -> int:
-        return len(self.stamps)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, _Pending):
-            return NotImplemented
-        return self.stamps == other.stamps and self.counts == other.counts
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def add(self, stamp: tuple[int, float], positive: int, negative: int) -> int:
-        """Count updates under ``stamp``.  A new stamp past the cap
-        first folds the oldest; returns how many updates that moved."""
-        stamps = self.stamps
-        counts = self.counts
-        folded = 0
-        if not stamps or stamps[-1][0] < stamp[0]:  # the usual case: a new cycle's
-            if len(stamps) >= _MAX_PENDING_PER_QUERY:
-                folded = self._fold_oldest()
-            stamps.append(stamp)
-            counts.append(positive)
-            counts.append(negative)
-            return folded
-        at = len(stamps) - 1
-        if stamps[at] is not stamp:  # an older stamp: a recovery delivery
-            at = bisect_left(stamps, stamp)
-            if stamps[at][0] != stamp[0]:
-                if len(stamps) >= _MAX_PENDING_PER_QUERY:
-                    folded = self._fold_oldest()
-                    at = bisect_left(stamps, stamp)
-                stamps.insert(at, stamp)
-                counts[2 * at : 2 * at] = array("q", (0, 0))
-        counts[2 * at] += positive
-        counts[2 * at + 1] += negative
-        return folded
-
-    def _fold_oldest(self) -> int:
-        """Move the oldest stamp's counts to the next oldest (which
-        under-reads their commit lag by the cycles between the two, and
-        loses none of them); returns how many moved."""
-        counts = self.counts
-        del self.stamps[0]
-        positive, negative = counts[0], counts[1]
-        del counts[:2]
-        counts[0] += positive
-        counts[1] += negative
-        return positive + negative
+def _add_exact(entries: list[list[int]], cycle: int, positive: int, negative: int) -> int:
+    """Count updates of stamp ``cycle`` into one query's ascending
+    ``[cycle, positive, negative]`` entries by the cap's sequential rule:
+    a stamp not yet pending, with the cap full, first folds the oldest
+    entry into the next oldest (which under-reads their commit lag by the
+    cycles between the two, and loses none of them).  Returns how many
+    updates the fold moved."""
+    folded = 0
+    at = bisect_left(entries, [cycle])
+    if at == len(entries) or entries[at][0] != cycle:
+        if len(entries) >= _MAX_PENDING_PER_QUERY:
+            _, moved_positive, moved_negative = entries.pop(0)
+            entries[0][1] += moved_positive
+            entries[0][2] += moved_negative
+            folded = moved_positive + moved_negative
+            at = max(at - 1, 0)
+        entries.insert(at, [cycle, 0, 0])
+    entries[at][1] += positive
+    entries[at][2] += negative
+    return folded
 
 
 class _QuerySummary:
@@ -193,6 +179,18 @@ class FreshnessTracker:
     :meth:`observe_committed` per acknowledged query).  Staleness of an
     update is measured against the *latest* report of its object — the
     definition of answer currency the paper's client cares about.
+
+    A stamp is the number of the evaluation a report targets; the wall
+    clock of each stamp's cycle boundary is kept once, beside.  Stamps
+    live in a table of oids ascending; a report appends its oid to a
+    buffer that joins the table before the next read.  The updates
+    delivered but not yet acknowledged live in one pending-commit table
+    for all queries: ``(query slot, stamp)`` keys ascending with
+    positive and negative count columns, a slot being a dense
+    per-tracker index of a query.  A delivery batch merges into it in
+    array passes; a commit reads its query's block and drops it, and a
+    dropped block leaves at the next merge — so every query's block is
+    either wholly pending or wholly dropped.
     """
 
     enabled = True
@@ -207,21 +205,39 @@ class FreshnessTracker:
         self.max_tracked_queries = max_tracked_queries
         #: Completed evaluation cycles.
         self.cycle = 0
-        # The shared per-cycle stamp: (cycle the next evaluation will
-        # be, wall-clock at the cycle boundary).  Refreshed once per
-        # cycle so stamping a report is a single dict store.
-        self._stamp: tuple[int, float] = (1, clock())
-        self._stamps: dict[int, tuple[int, float]] = {}
+        # The stamp of a report buffered now: the cycle the next
+        # evaluation will be.
+        self._stamp = 1
+        # The stamp table (oids ascending, the stamp of each one's latest
+        # report) and the oids stamped _stamp since it was last merged.
+        self._oids = np.empty(0, np.int64)
+        self._oid_stamps = np.empty(0, np.int64)
+        self._fresh: list[int] = []
+        # stamp -> wall clock at the cycle boundary that opened it, for
+        # the stamps an object or a pending entry may still hold; swept
+        # each time it doubles (see end_cycle).
+        self._ts: dict[int, float] = {1: clock()}
+        self._ts_sweep_at = 64
         # Objects that left the system in the running evaluation, and
         # in the one before it with that evaluation's stamp: see forget.
         self._departed: list[int] = []
-        self._leaving: tuple[list[int], tuple[int, float]] = ([], self._stamp)
-        # qid -> the updates delivered but not yet acknowledged, per
-        # report stamp; drained by observe_committed.  One entry per
-        # distinct report stamp (one per cycle) whatever the number of
-        # updates, at most _MAX_PENDING_PER_QUERY of them.
-        self._pending_commit: dict[int, _Pending] = {}
+        self._leaving: tuple[list[int], int] = ([], self._stamp)
+        self._slot_of: dict[int, int] = {}
+        self._qid_of: list[int | None] = []
+        self._free_slots: list[int] = []
+        # The pending-commit table (see the class docstring), at most
+        # _MAX_PENDING_PER_QUERY entries a query; _starts[slot] is the
+        # first row of a slot's block as of the last merge, and the
+        # blocks of the _dropped slots (committed or unregistered since)
+        # leave at the next merge.
+        self._keys = np.empty(0, np.int64)
+        self._pos = np.empty(0, np.int64)
+        self._neg = np.empty(0, np.int64)
+        self._starts = array("q", [0])
+        self._dropped: set[int] = set()
         self._per_query: dict[int, _QuerySummary] = {}
+        # By slot: whether the query has a summary in _per_query.
+        self._tracked = np.zeros(64, bool)
         self._hists: dict[tuple[str, str], tuple[Histogram, Histogram]] = {}
         for stage in STAGES:
             for polarity in POLARITIES:
@@ -238,6 +254,10 @@ class FreshnessTracker:
                         labels=labels,
                     ),
                 )
+        self._delivery_hists, self._commit_hists = (
+            (self._hists[(stage, "positive")], self._hists[(stage, "negative")])
+            for stage in STAGES
+        )
         self._m_unattributed = registry.counter(
             "freshness_unattributed_updates_total"
         )
@@ -257,14 +277,14 @@ class FreshnessTracker:
     def stamp_report(self, oid: int) -> None:
         """Stamp ``oid``'s latest report with the current cycle stamp.
 
-        Hot path: one dict store.  Last report wins, mirroring the
+        Hot path: one list append.  Last report wins, mirroring the
         engine's own last-report-wins buffering.
         """
-        self._stamps[oid] = self._stamp
+        self._fresh.append(oid)
 
     def stamp_reports(self, oids) -> None:
-        """:meth:`stamp_report` for a run of reports: one dict merge."""
-        self._stamps.update(dict.fromkeys(oids, self._stamp))
+        """:meth:`stamp_report` for a run of reports: one list extend."""
+        self._fresh += oids
 
     def forget(self, oids) -> None:
         """The objects ``oids`` left the system in the running evaluation.
@@ -279,18 +299,70 @@ class FreshnessTracker:
     def end_cycle(self) -> None:
         """One evaluation completed: drop the stamps of the objects that
         left one evaluation ago, and advance the cycle stamp."""
-        stamps = self._stamps
+        self._merge_fresh()
         leaving, stamp = self._leaving
-        for oid in leaving:
-            # A departure was stamped with its evaluation's shared
-            # stamp; any later report carries a newer one.
-            if stamps.get(oid) is stamp:
-                del stamps[oid]
+        if leaving:
+            # A departure was stamped with its evaluation's stamp; any
+            # later report carries a newer one.
+            rows = self._rows_of(np.array(leaving, np.int64))
+            rows = rows[rows >= 0]
+            rows = rows[self._oid_stamps[rows] == stamp]
+            self._oids = np.delete(self._oids, rows)
+            self._oid_stamps = np.delete(self._oid_stamps, rows)
         self._leaving = (self._departed, self._stamp)
         self._departed = []
         self.cycle += 1
-        self._stamp = (self.cycle + 1, self._clock())
-        self._m_tracked_objects.set(len(self._stamps))
+        self._stamp = self.cycle + 1
+        self._ts[self._stamp] = self._clock()
+        if len(self._ts) > self._ts_sweep_at:
+            held = set(self._oid_stamps.tolist())
+            held.update((self._keys & _CYCLE_MASK).tolist())
+            held.add(self._stamp)
+            self._ts = {s: ts for s, ts in self._ts.items() if s in held}
+            self._ts_sweep_at = 2 * len(self._ts) + 64
+        self._m_tracked_objects.set(len(self._oids))
+
+    def _merge_fresh(self) -> None:
+        """Join the buffered reports to the stamp table under _stamp."""
+        if not self._fresh:
+            return
+        fresh = np.sort(np.fromiter(self._fresh, np.int64, len(self._fresh)))
+        self._fresh = []
+        fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
+        rows = self._rows_of(fresh)
+        self._oid_stamps[rows[rows >= 0]] = self._stamp
+        new = fresh[rows < 0]
+        if len(new):
+            at = np.searchsorted(self._oids, new)
+            self._oids = np.insert(self._oids, at, new)
+            self._oid_stamps = np.insert(self._oid_stamps, at, self._stamp)
+
+    def _rows_of(self, oids):
+        """Each oid's row in the stamp table, -1 for none."""
+        table = self._oids
+        if not len(table):
+            return np.full(len(oids), -1, np.int64)
+        rows = np.minimum(np.searchsorted(table, oids), len(table) - 1)
+        rows[table[rows] != oids] = -1
+        return rows
+
+    def _stamps_of(self, oids):
+        """The stamp of each oid's latest report, 0 for none (int64): the
+        oids sorted, then one search of the stamp table."""
+        self._merge_fresh()
+        table = self._oids
+        oids = np.fromiter(oids, np.int64, len(oids))
+        if not len(table):
+            return np.zeros(len(oids), np.int64)
+        order = np.argsort(oids)
+        oids = oids[order]
+        rows = np.searchsorted(table, oids)
+        np.minimum(rows, len(table) - 1, out=rows)
+        found = self._oid_stamps[rows]
+        found[table[rows] != oids] = 0
+        stamps = np.empty(len(oids), np.int64)
+        stamps[order] = found
+        return stamps
 
     # -- read side (server) --------------------------------------------
 
@@ -301,76 +373,277 @@ class FreshnessTracker:
     def observe_delivered_runs(self, runs, oids, signs) -> None:
         """Updates the link accepted: aligned ``oids``/``signs`` lists
         cut into ``runs`` of one query each, ``(qid, start, stop)`` in
-        delivery order.  Attribute delivery staleness and queue the
-        stamps for commit-stage attribution.
+        delivery order, covering the lists.  Attribute delivery
+        staleness and queue the stamps for commit-stage attribution.
 
         The whole batch is delivered "now" — one clock read — so lag is
-        a function of the report stamp alone: the registry histograms
-        take one observation per ``(stamp, sign)``.  A run is grouped by
-        stamp — one group, hashing nothing per update, when the whole
-        run carries one stamp (the usual case) — and each group lands
-        in one per-query summary observation and one pending-commit
-        entry update, positives and negatives together.
+        a function of the report stamp alone.  One sort of the batch's
+        ``(query slot, stamp, polarity)`` codes counts every ``(query,
+        stamp)`` group's positives and negatives; from the groups the
+        registry histograms take one observation per ``(stamp,
+        polarity)``, a tracked query's summary one per stamp, and the
+        pending-commit table one merge.
         """
-        stamps = list(map(self._stamps.get, oids))
         now_ts = self._clock()
-        cycle = self.cycle
-        per_stamp: dict[tuple[int, float], list[int]] = {}
-        pending_commit = self._pending_commit
-        unattributed = untracked = 0
-        for qid, start, stop in runs:
-            run = stamps[start:stop]
-            first = run[0]
-            if run.count(first) == stop - start:
-                negative = signs[start:stop].count(-1)
-                groups = ((first, stop - start - negative, negative),)
-            else:  # (stamp, positives, negatives), in first-appearance order
-                counts: dict = {}
-                for stamp, sign in zip(run, signs[start:stop]):
-                    counts.setdefault(stamp, [0, 0])[sign == -1] += 1
-                groups = [(stamp, *pair) for stamp, pair in counts.items()]
-            summary = pending = None
-            for stamp, positive, negative in groups:
-                n = positive + negative
-                if stamp is None:
-                    unattributed += n
-                    continue
-                if pending is None:
-                    summary = self._summary_of(qid)
-                    pending = pending_commit.get(qid)
-                    if pending is None:
-                        pending = pending_commit[qid] = _Pending()
-                totals = per_stamp.setdefault(stamp, [0, 0])
-                totals[0] += positive
-                totals[1] += negative
-                stamp_cycle, stamp_ts = stamp
-                if summary is None:
-                    untracked += n
-                else:
-                    summary.observe(
-                        "delivery", max(0, cycle - stamp_cycle), now_ts - stamp_ts, n
-                    )
-                folded = pending.add(stamp, positive, negative)
-                if folded:
-                    self._m_pending_folded.inc(folded)
-        if unattributed:
-            self._m_unattributed.inc(unattributed)
-        if untracked:
-            self._m_untracked.inc(untracked)
-        hists = self._hists[("delivery", "positive")], self._hists[("delivery", "negative")]
-        for (stamp_cycle, stamp_ts), totals in per_stamp.items():
-            lag_cycles = max(0, cycle - stamp_cycle)
-            lag_seconds = now_ts - stamp_ts
-            for (cycles_hist, seconds_hist), n in zip(hists, totals):
+        count = len(oids)
+        if not count:
+            return
+        stamps = self._stamps_of(oids)
+        attributed = int(np.count_nonzero(stamps))
+        if attributed < count:
+            self._m_unattributed.inc(count - attributed)
+            if not attributed:
+                return
+        run_qids, starts, stops = zip(*runs)
+        codes = np.repeat(np.array(self._slots_of(run_qids), np.int64), np.subtract(stops, starts))
+        if len(self._per_query) < self.max_tracked_queries:
+            # Summaries go to the first queries seen with a stamp.
+            stamped = np.logical_or.reduceat(stamps != 0, starts).tolist()
+            for qid, any_stamp in zip(run_qids, stamped):
+                if any_stamp and self._summary_of(qid) is None:
+                    break
+        codes <<= _CYCLE_BITS
+        codes |= stamps
+        codes <<= 1
+        codes |= np.fromiter(signs, np.int64, count) < 0
+        values, counts = _tally(codes)
+        del codes
+        if attributed < count:  # an unstamped update's code holds stamp 0
+            stamped = (values >> 1 & _CYCLE_MASK) != 0
+            values, counts = values[stamped], counts[stamped]
+        keys = values >> 1
+        first = np.concatenate(([True], keys[1:] != keys[:-1]))
+        keys = keys[first]
+        both = np.zeros(2 * len(keys), np.int64)
+        both[2 * (np.cumsum(first) - 1) + (values & 1)] = counts
+        positives, negatives = both[0::2], both[1::2]
+        self._observe_delivery(keys, positives, negatives, now_ts)
+        self._merge(keys, positives, negatives, runs, stamps, signs)
+
+    def _observe_delivery(self, keys, positives, negatives, now_ts: float) -> None:
+        """Delivery-stage observations of a batch's ``(query, stamp)``
+        groups: per ``(stamp, polarity)`` on the registry histograms, per
+        group on a tracked query's summary."""
+        cycle, ts = self.cycle, self._ts
+        group_stamps = keys & _CYCLE_MASK
+        order = np.argsort(group_stamps, kind="stable")
+        group_stamps = group_stamps[order]
+        first = np.flatnonzero(np.concatenate(([True], group_stamps[1:] != group_stamps[:-1])))
+        lags = {}
+        for stamp, *totals in zip(
+            group_stamps[first].tolist(),
+            np.add.reduceat(positives[order], first).tolist(),
+            np.add.reduceat(negatives[order], first).tolist(),
+        ):
+            lag_cycles, lag_seconds = lags[stamp] = max(0, cycle - stamp), now_ts - ts[stamp]
+            for (cycles_hist, seconds_hist), n in zip(self._delivery_hists, totals):
                 if n:
                     cycles_hist.observe_n(lag_cycles, n)
                     seconds_hist.observe_n(lag_seconds, n)
+        totals = positives + negatives
+        tracked = self._tracked[keys >> _CYCLE_BITS]
+        untracked = int(totals[~tracked].sum())
+        if untracked:
+            self._m_untracked.inc(untracked)
+        if tracked.any():
+            per_query, qid_of = self._per_query, self._qid_of
+            for key, n in zip(keys[tracked].tolist(), totals[tracked].tolist()):
+                per_query[qid_of[key >> _CYCLE_BITS]].observe(
+                    "delivery", *lags[key & _CYCLE_MASK], n
+                )
+
+    def _slots_of(self, qids) -> list[int]:
+        """The slot of each qid, allocating one to a query new here."""
+        slot_of = self._slot_of
+        slots = list(map(slot_of.get, qids))
+        if None not in slots:
+            return slots
+        for qid in qids:
+            if qid not in slot_of:
+                if self._free_slots:
+                    slot = self._free_slots.pop()
+                    self._qid_of[slot] = qid
+                else:
+                    slot = len(self._qid_of)
+                    self._qid_of.append(qid)
+                    if slot == len(self._tracked):
+                        self._tracked = np.concatenate((self._tracked, np.zeros(slot, bool)))
+                slot_of[qid] = slot
+        return list(map(slot_of.__getitem__, qids))
+
+    def _merge(self, keys, positives, negatives, runs, stamps, signs) -> None:
+        """Count a delivery's ``(query, stamp)`` groups (``keys``
+        ascending) into the pending-commit table.
+
+        A stamp already pending is incremented in place; a new one is
+        inserted, and a query past the cap folds its oldest entry into
+        the next oldest — in one array pass in the usual case, where the
+        query's only stamp in the delivery is new (see :meth:`_fold`).
+        A query that passes the cap with several stamps replays the
+        delivery's ``runs`` through the exact sequential rule
+        (:func:`_add_exact`), stamp by stamp in delivery order
+        (``stamps`` are the batch's, 0 for none, aligned with
+        ``signs``).  Dropped blocks leave here.
+        """
+        table, pos, neg = self._keys, self._pos, self._neg
+        live = self._live_rows()
+        at = np.searchsorted(table, keys)
+        if len(table):
+            found = np.minimum(at, len(table) - 1)
+            hit = table[found] == keys
+            if live is not None:
+                hit &= live[found]
+        else:
+            hit = np.zeros(len(keys), bool)
+        new = ~hit
+        replayed: list[tuple[int, int, int]] = []
+        if new.any():
+            slots, arriving = _tally(keys[new] >> _CYCLE_BITS)
+            lo = np.searchsorted(table, slots << _CYCLE_BITS)
+            hi = np.searchsorted(table, (slots + 1) << _CYCLE_BITS)
+            held = hi - lo
+            if live is not None and len(table):
+                held[~live[np.minimum(lo, len(table) - 1)]] = 0
+            over = held + arriving > _MAX_PENDING_PER_QUERY
+            if over.any():
+                if live is None:
+                    live = np.ones(len(table), bool)
+                replay = self._fold(keys, live, slots[over], lo[over], hi[over])
+                if replay:
+                    group_slots = keys >> _CYCLE_BITS
+                    skip = np.zeros(len(keys), bool)
+                    for slot, block_lo, block_hi in replay:
+                        skip |= group_slots == slot
+                        block = slice(block_lo, block_hi)
+                        entries = [
+                            [key & _CYCLE_MASK, positive, negative]
+                            for key, positive, negative, kept in zip(
+                                table[block].tolist(),
+                                pos[block].tolist(),
+                                neg[block].tolist(),
+                                live[block].tolist(),
+                            )
+                            if kept
+                        ]
+                        folded = self._replay(entries, self._qid_of[slot], runs, stamps, signs)
+                        if folded:
+                            self._m_pending_folded.inc(folded)
+                        live[block] = False
+                        replayed += [(slot << _CYCLE_BITS | stamp, p, n) for stamp, p, n in entries]
+                    hit &= ~skip
+                    new &= ~skip
+        if hit.any():
+            rows = at[hit]
+            pos[rows] += positives[hit]
+            neg[rows] += negatives[hit]
+        if live is None and not new.any():
+            return
+        del table, pos, neg
+        keys, positives, negatives = keys[new], positives[new], negatives[new]
+        if replayed:
+            extra = np.array(replayed, np.int64)
+            keys = np.concatenate((keys, extra[:, 0]))
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            positives = np.concatenate((positives, extra[:, 1]))[order]
+            negatives = np.concatenate((negatives, extra[:, 2]))[order]
+        self._rebuild(live, keys, positives, negatives)
+
+    def _rebuild(self, live, keys, positives, negatives) -> None:
+        """Write the table anew: its ``live`` rows (every row when
+        ``None``) and the new ``keys`` with their counts, in key order.
+        One column at a time, each replacing its predecessor as soon as
+        it is written, so a merge never holds two copies of the table.
+        A column's buffer is a power of two: successive merges then ask
+        the allocator for the same size, and reuse what the last one
+        freed instead of growing the heap."""
+        at = np.searchsorted(self._keys, keys)
+        if live is not None:
+            # Rows dropped before an insertion point do not count.
+            at -= np.searchsorted(np.flatnonzero(~live), at)
+        at += np.arange(len(keys))
+        size = len(keys) + (len(self._keys) if live is None else int(np.count_nonzero(live)))
+        old = np.ones(size, bool)
+        old[at] = False
+        capacity = 1 << max(6, (size - 1).bit_length())
+        for name, new_column in (("_keys", keys), ("_pos", positives), ("_neg", negatives)):
+            column = np.empty(capacity, np.int64)[:size]
+            column[at] = new_column
+            column[old] = getattr(self, name) if live is None else getattr(self, name)[live]
+            setattr(self, name, column)
+        self._starts = array(
+            "q",
+            np.searchsorted(
+                self._keys, np.arange(len(self._qid_of) + 1, dtype=np.int64) << _CYCLE_BITS
+            ).tobytes(),
+        )
+
+    def _live_rows(self):
+        """The table rows outside the dropped blocks (``None`` when no
+        block was dropped since the last merge); clears the drops."""
+        if not self._dropped:
+            return None
+        starts = self._starts
+        blocks = [
+            (starts[slot], starts[slot + 1])
+            for slot in self._dropped
+            if slot + 1 < len(starts) and starts[slot] < starts[slot + 1]
+        ]
+        self._dropped.clear()
+        edges = np.zeros(len(self._keys) + 1, np.int64)
+        if blocks:
+            lo, hi = zip(*blocks)
+            edges[list(lo)] += 1
+            edges[list(hi)] -= 1
+        return np.cumsum(edges[:-1]) == 0
+
+    def _fold(self, keys, live, slots, lo, hi) -> list[tuple[int, int, int]]:
+        """The cap for ``slots`` (their blocks ``[lo, hi)``), which a
+        merge would take past it.  A slot with one group in the delivery
+        — one new stamp, wherever it falls — folds its oldest entry into
+        the next oldest, in one pass for all of them (the entry leaves
+        ``live``), as the sequential rule would before inserting it.
+        Returns the ``(slot, lo, hi)`` of the rest, which need that
+        rule."""
+        pos, neg = self._pos, self._neg
+        group_slots = keys >> _CYCLE_BITS
+        single = (
+            np.searchsorted(group_slots, slots, "right") - np.searchsorted(group_slots, slots)
+            == 1
+        )
+        oldest = lo[single]
+        folded = int(pos[oldest].sum() + neg[oldest].sum())
+        pos[oldest + 1] += pos[oldest]
+        neg[oldest + 1] += neg[oldest]
+        live[oldest] = False
+        if folded:
+            self._m_pending_folded.inc(folded)
+        rest = ~single
+        return list(zip(slots[rest].tolist(), lo[rest].tolist(), hi[rest].tolist()))
+
+    def _replay(self, entries, qid: int, runs, stamps, signs) -> int:
+        """Count ``qid``'s updates of a delivery into its pending
+        ``entries`` by the exact sequential rule: its runs in delivery
+        order, each run's stamps in order of first appearance.  Returns
+        how many updates the cap folded."""
+        folded = 0
+        for run_qid, start, stop in runs:
+            if run_qid != qid:
+                continue
+            groups: dict[int, list[int]] = {}
+            for stamp, sign in zip(stamps[start:stop].tolist(), signs[start:stop]):
+                if stamp:
+                    groups.setdefault(stamp, [0, 0])[sign == -1] += 1
+            for stamp, (positive, negative) in groups.items():
+                folded += _add_exact(entries, stamp, positive, negative)
+        return folded
 
     def _summary_of(self, qid: int) -> "_QuerySummary | None":
         """``qid``'s summary, created while the tracked set has room."""
         summary = self._per_query.get(qid)
         if summary is None and len(self._per_query) < self.max_tracked_queries:
             summary = self._per_query[qid] = _QuerySummary()
+            self._tracked[self._slot_of[qid]] = True
         return summary
 
     def observe_undelivered(self, qid: int, oid: int, sign: int) -> None:
@@ -381,40 +654,100 @@ class FreshnessTracker:
 
     def observe_committed(self, qid: int) -> None:
         """The client acknowledged ``qid``; attribute commit staleness
-        for every update delivered since the previous acknowledgement."""
-        pending = self._pending_commit.pop(qid, None)
-        if not pending:
+        for every update delivered since the previous acknowledgement —
+        ``n`` observations per pending ``(stamp, polarity)``, bucketed in
+        one pass over the query's block and summed into each commit
+        histogram once — and drop the block."""
+        slot = self._slot_of.get(qid)
+        starts = self._starts
+        if slot is None or slot + 1 >= len(starts) or slot in self._dropped:
             return
+        lo, hi = starts[slot], starts[slot + 1]
+        if lo == hi:
+            return
+        self._dropped.add(slot)
         now_ts = self._clock()
         cycle = self.cycle
-        positive_hists = self._hists[("commit", "positive")]
-        negative_hists = self._hists[("commit", "negative")]
+        ts = self._ts
+        (positive_cycles, positive_seconds), (negative_cycles, negative_seconds) = (
+            self._commit_hists
+        )
+        cycle_bounds, second_bounds = positive_cycles.bounds, positive_seconds.bounds
+        positive_by_cycles = positive_cycles.bucket_counts
+        positive_by_seconds = positive_seconds.bucket_counts
+        negative_by_cycles = negative_cycles.bucket_counts
+        negative_by_seconds = negative_seconds.bucket_counts
+        positive_cycle_sum = negative_cycle_sum = positive_count = negative_count = 0
+        positive_second_sum = negative_second_sum = 0.0
         summary = self._summary_of(qid)
-        counts = pending.counts
-        for (stamp_cycle, stamp_ts), positive, negative in zip(
-            pending.stamps, counts[0::2], counts[1::2]
+        for key, positive, negative in zip(
+            self._keys[lo:hi].tolist(), self._pos[lo:hi].tolist(), self._neg[lo:hi].tolist()
         ):
-            lag_cycles = max(0, cycle - stamp_cycle)
-            lag_seconds = now_ts - stamp_ts
+            stamp = key & _CYCLE_MASK
+            lag_cycles = cycle - stamp if cycle > stamp else 0
+            lag_seconds = now_ts - ts[stamp]
+            cycle_bucket = bisect_left(cycle_bounds, lag_cycles)
+            second_bucket = bisect_left(second_bounds, lag_seconds)
             if positive:
-                positive_hists[0].observe_n(lag_cycles, positive)
-                positive_hists[1].observe_n(lag_seconds, positive)
+                positive_by_cycles[cycle_bucket] += positive
+                positive_by_seconds[second_bucket] += positive
+                positive_cycle_sum += lag_cycles * positive
+                positive_second_sum += lag_seconds * positive
+                positive_count += positive
             if negative:
-                negative_hists[0].observe_n(lag_cycles, negative)
-                negative_hists[1].observe_n(lag_seconds, negative)
-            if summary is None:
-                self._m_untracked.inc(positive + negative)
-            else:
-                summary.observe(
-                    "commit", lag_cycles, lag_seconds, positive + negative
-                )
+                negative_by_cycles[cycle_bucket] += negative
+                negative_by_seconds[second_bucket] += negative
+                negative_cycle_sum += lag_cycles * negative
+                negative_second_sum += lag_seconds * negative
+                negative_count += negative
+            if summary is not None:
+                summary.observe("commit", lag_cycles, lag_seconds, positive + negative)
+        if positive_count:
+            positive_cycles.add_counted(positive_cycle_sum, positive_count)
+            positive_seconds.add_counted(positive_second_sum, positive_count)
+        if negative_count:
+            negative_cycles.add_counted(negative_cycle_sum, negative_count)
+            negative_seconds.add_counted(negative_second_sum, negative_count)
+        if summary is None:
+            self._m_untracked.inc(positive_count + negative_count)
 
     def forget_query(self, qid: int) -> None:
-        """Drop ``qid``'s pending and summary state (unregistered)."""
-        self._pending_commit.pop(qid, None)
+        """Drop ``qid``'s pending and summary state (unregistered) and
+        free its slot."""
         self._per_query.pop(qid, None)
+        slot = self._slot_of.pop(qid, None)
+        if slot is None:
+            return
+        self._dropped.add(slot)
+        self._tracked[slot] = False
+        self._qid_of[slot] = None
+        self._free_slots.append(slot)
 
     # -- snapshots ------------------------------------------------------
+
+    def pending_commit(self) -> dict[int, list[tuple[int, int, int]]]:
+        """qid -> its delivered but unacknowledged updates, as
+        ``(stamp cycle, positives, negatives)`` per stamp ascending;
+        queries with nothing pending are absent."""
+        out: dict[int, list[tuple[int, int, int]]] = {}
+        for key, positive, negative in zip(
+            self._keys.tolist(), self._pos.tolist(), self._neg.tolist()
+        ):
+            slot = key >> _CYCLE_BITS
+            if slot not in self._dropped:
+                out.setdefault(self._qid_of[slot], []).append(
+                    (key & _CYCLE_MASK, positive, negative)
+                )
+        return out
+
+    def report_stamps(self) -> dict[int, int]:
+        """oid -> the stamp cycle of its latest report."""
+        self._merge_fresh()
+        return dict(zip(self._oids.tolist(), self._oid_stamps.tolist()))
+
+    def _tracked_objects(self) -> int:
+        self._merge_fresh()
+        return len(self._oids)
 
     def query_summary(self, qid: int) -> dict[str, object]:
         """Per-stage staleness percentiles for one query ({} if untracked)."""
@@ -449,7 +782,7 @@ class FreshnessTracker:
         """The whole staleness picture, JSON-ready."""
         return {
             "cycle": self.cycle,
-            "tracked_objects": len(self._stamps),
+            "tracked_objects": self._tracked_objects(),
             "unattributed_updates": int(self._m_unattributed.value),
             "undelivered_updates": int(self._m_undelivered.value),
             "stages": self.stage_summary(),
@@ -494,6 +827,12 @@ class NullFreshnessTracker:
 
     def forget_query(self, qid: int) -> None:
         pass
+
+    def pending_commit(self) -> dict[int, list[tuple[int, int, int]]]:
+        return {}
+
+    def report_stamps(self) -> dict[int, int]:
+        return {}
 
     def query_summary(self, qid: int) -> dict[str, object]:
         return {}

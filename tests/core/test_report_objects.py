@@ -49,7 +49,7 @@ def buffers(engine: IncrementalEngine):
     return (
         list(engine._pending_reports.items()),  # order is part of the contract
         set(engine._pending_removals),
-        {oid: stamp[0] for oid, stamp in engine.freshness._stamps.items()},
+        engine.freshness.report_stamps(),
     )
 
 

@@ -182,7 +182,7 @@ class Stack:
             "metrics": metrics,
             "delivered_answers": {qid: server.delivered_answer(qid) for qid in server._owner},
             "committed": {qid: server.commits.committed_answer(qid) for qid in QIDS},
-            "pending_commit": server.freshness._pending_commit,
+            "pending_commit": server.freshness.pending_commit(),
             "observed": self.observed,
             "downlink_events": downlink_events,
         }

@@ -193,7 +193,7 @@ class TestCommitStaleness:
         for _ in range(_MAX_PENDING_PER_QUERY + 10):
             tracker.observe_delivered(qid=1, oid=7, sign=1)
         folded = registry.counter("freshness_pending_commit_folded_total")
-        assert len(tracker._pending_commit[1]) == 1
+        assert len(tracker.pending_commit()[1]) == 1
         assert folded.value == 0
         # A client that never commits: one new stamp per cycle, two
         # updates each, until the oldest entries must make room.
@@ -202,7 +202,7 @@ class TestCommitStaleness:
             tracker.stamp_report(7)
             tracker.end_cycle()
             tracker.observe_delivered_runs([(1, 0, 2)], [7, 7], [1, -1])
-        assert len(tracker._pending_commit[1]) == _MAX_PENDING_PER_QUERY
+        assert len(tracker.pending_commit()[1]) == _MAX_PENDING_PER_QUERY
         assert folded.value > 0
         tracker.observe_committed(1)
         delivered = (_MAX_PENDING_PER_QUERY + 10) + (_MAX_PENDING_PER_QUERY + 9)
@@ -226,13 +226,13 @@ class TestCommitStaleness:
                 [(1, 0, 2), (2, 2, 4)], [7, 8, 7, 8], [1, -1, 1, 1]
             )
             if cycle % 1000 == 0:
-                for pending in tracker._pending_commit.values():
+                for pending in tracker.pending_commit().values():
                     assert len(pending) <= _MAX_PENDING_PER_QUERY
-        for pending in tracker._pending_commit.values():
+        for pending in tracker.pending_commit().values():
             assert len(pending) <= _MAX_PENDING_PER_QUERY
         tracker.observe_committed(1)
         tracker.observe_committed(2)
-        assert not tracker._pending_commit
+        assert not tracker.pending_commit()
         positive = hist(registry, "freshness_staleness_cycles", "commit", "positive")
         negative = hist(registry, "freshness_staleness_cycles", "commit", "negative")
         assert positive.count == 3 * cycles
@@ -362,3 +362,17 @@ class TestNullTracker:
         assert NULL_FRESHNESS.snapshot() == {}
         assert NULL_FRESHNESS.stage_summary() == {}
         assert NULL_FRESHNESS.query_summary(1) == {}
+
+    def test_a_tracker_on_the_null_registry_records_nothing(self):
+        """A real tracker handed the no-op registry runs every path —
+        commits count into histograms that drop what they are given."""
+        from repro.obs import NULL_REGISTRY
+
+        tracker = FreshnessTracker(NULL_REGISTRY, clock=ManualClock())
+        tracker.stamp_report(7)
+        tracker.end_cycle()
+        tracker.observe_delivered_runs([(1, 0, 2)], [7, 8], [1, -1])
+        tracker.end_cycle()
+        tracker.observe_committed(1)
+        assert tracker.pending_commit() == {}
+        assert NULL_REGISTRY.to_dict() == {}
