@@ -745,10 +745,6 @@ class FreshnessTracker:
         self._merge_fresh()
         return dict(zip(self._oids.tolist(), self._oid_stamps.tolist()))
 
-    def _tracked_objects(self) -> int:
-        self._merge_fresh()
-        return len(self._oids)
-
     def query_summary(self, qid: int) -> dict[str, object]:
         """Per-stage staleness percentiles for one query ({} if untracked)."""
         summary = self._per_query.get(qid)
@@ -780,9 +776,10 @@ class FreshnessTracker:
 
     def snapshot(self) -> dict[str, object]:
         """The whole staleness picture, JSON-ready."""
+        self._merge_fresh()
         return {
             "cycle": self.cycle,
-            "tracked_objects": self._tracked_objects(),
+            "tracked_objects": len(self._oids),
             "unattributed_updates": int(self._m_unattributed.value),
             "undelivered_updates": int(self._m_undelivered.value),
             "stages": self.stage_summary(),
