@@ -40,6 +40,11 @@ from repro.geometry import Point, Rect, Velocity
 from repro.obs import NULL_FRESHNESS, NULL_REGISTRY
 
 SHAPES = ("sparse_mixed", "bulk_churn")
+SEED = config.DEFAULT_SEED
+#: Timed cycles per run (after the shape's warm-up rounds), full and quick.
+ROUNDS, QUICK_ROUNDS = 40, 10
+#: Alternating runs per mode; the table reports the median of their medians.
+RUNS = 3
 #: name -> the engine keywords that select the mode.
 MODES = {
     "default": {},
@@ -76,9 +81,9 @@ def _apply(server: LocationAwareServer, ops: list[tuple]) -> None:
             server.register_predictive_query(op[1], op[2], Rect(*op[4:8]), op[8])
 
 
-def run_mode(shape: config.Shape, mode: str, seed: int, rounds: int) -> float:
+def run_mode(shape: config.Shape, mode: str, rounds: int) -> float:
     """Median seconds of ``rounds`` timed cycles of a fresh server."""
-    workload = Workload(shape, seed)
+    workload = Workload(shape, SEED)
     server = LocationAwareServer(
         engine=IncrementalEngine(grid_size=config.GRID_SIZE, **MODES[mode])
     )
@@ -111,28 +116,23 @@ def run_mode(shape: config.Shape, mode: str, seed: int, rounds: int) -> float:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true", help="1/10 populations, fewer rounds")
-    parser.add_argument("--seed", type=int, default=config.DEFAULT_SEED)
-    parser.add_argument("--rounds", type=int, help="timed cycles per run")
-    parser.add_argument("--runs", type=int, help="alternating runs per mode")
-    parser.add_argument("--shape", choices=SHAPES, action="append", help="default: both")
     args = parser.parse_args(argv)
-    rounds = args.rounds or (10 if args.quick else 40)
-    runs = args.runs or 3
+    rounds = QUICK_ROUNDS if args.quick else ROUNDS
     print(
-        f"Telemetry overhead: median cycle per mode, seed {args.seed}, "
-        f"{runs} alternating runs x {rounds} cycles{' (quick)' if args.quick else ''}\n"
+        f"Telemetry overhead: median cycle per mode, seed {SEED}, "
+        f"{RUNS} alternating runs x {rounds} cycles{' (quick)' if args.quick else ''}\n"
     )
     print(
         "| shape | default ms | no_freshness ms | no_registry ms "
         "| default over no_freshness | default over no_registry |"
     )
     print("|---|---|---|---|---|---|")
-    for name in args.shape or SHAPES:
+    for name in SHAPES:
         shape = config.shape_for(name, quick=args.quick)
         medians: dict[str, list[float]] = {mode: [] for mode in MODES}
-        for _ in range(runs):
+        for _ in range(RUNS):
             for mode in MODES:
-                medians[mode].append(run_mode(shape, mode, args.seed, rounds))
+                medians[mode].append(run_mode(shape, mode, rounds))
         cycle = {mode: statistics.median(values) for mode, values in medians.items()}
         base = cycle["default"]
         print(

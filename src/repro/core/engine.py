@@ -96,7 +96,7 @@ from repro.columnar import (
     ColumnarQueryStore,
     ingest_reports,
 )
-from repro.columnar.store import ROW_MASK, key_rows
+from repro.columnar.store import key_rows
 from repro.core.state import (
     KnnQueryState,
     ObjectState,
@@ -126,11 +126,6 @@ OCCUPANCY_BUCKETS: tuple[float, ...] = (
 
 #: How many of the hottest cells the occupancy gauges rank.
 HOT_CELLS = 5
-
-#: Answers up to this size are read member by member: a handful of
-#: ``array('q')`` reads costs less than numpy's gather (a commit reads
-#: one answer, most of them of one or two members).
-SMALL_ANSWER = 8
 
 #: Identifiers live in int64 columns.
 _INT64_BOUND = 1 << 63
@@ -649,20 +644,9 @@ class IncrementalEngine:
         return frozenset(self.answer_array(qid).tolist())
 
     def answer_array(self, qid: int):
-        """``qid``'s current answer as a sorted int64 array of oids.
-
-        A run of at most :data:`SMALL_ANSWER` keys is gathered through
-        the object store's ``array('q')``; longer ones in one numpy
-        gather."""
-        qstore = self._qstore
-        start, stop = qstore.run_span(qstore.row_of(qid))
-        keys = qstore.keys[start:stop]
-        if stop - start <= SMALL_ANSWER:
-            column = self._ostore.oids
-            oids = [column[key & ROW_MASK] for key in keys.tolist()]
-            oids.sort()
-            return np.array(oids, dtype=np.int64)
-        oids = np.frombuffer(self._ostore.oids, dtype=np.int64)[keys & ROW_MASK]
+        """``qid``'s current answer as a sorted int64 array of oids."""
+        rows = self._qstore.answer_rows(self._qstore.row_of(qid))
+        oids = np.frombuffer(self._ostore.oids, dtype=np.int64)[rows]
         oids.sort()
         return oids
 

@@ -26,14 +26,16 @@ update stream:
 
 A delivery batch is attributed in array passes (one search of the
 stamp table, one sort-and-count of the batch, one merge into the
-pending-commit table); a commit walks its query's pending stamps, at
-most 64.  What that costs a cycle is measured, not promised:
-``benchmarks/bench_telemetry_overhead.py`` runs the end-to-end
-benchmark's ``sparse_mixed`` and ``bulk_churn`` rounds with the tracker
-on and off.  On a 2-core box the tracker cost +26 % of a ``sparse_mixed`` cycle
-(42.7 against 34.0 ms; +51 % with the per-run tracker this replaced, in
-the same hour) and +10 % of a ``bulk_churn`` one (+19 % before).  The
-rest is Python per pending stamp at a commit and per summarised group.
+blocks of the pending-commit table it touches); a commit walks its
+query's pending stamps, at most 64.  What that costs a cycle is
+measured, not promised: ``benchmarks/bench_telemetry_overhead.py`` runs
+the end-to-end benchmark's ``sparse_mixed`` and ``bulk_churn`` rounds
+with the tracker on and off.  On a 2-core box the tracker cost +29 % of
+a ``sparse_mixed`` cycle (40.1 against 31.1 ms; +51 % with the per-run
+tracker this replaced) and +6 % of a ``bulk_churn`` one (+19 % before).
+Timed per method, that is ~7 ms a ``sparse_mixed`` cycle: 3.4 ms of
+delivery attribution and 3.1 ms of ~200 commits, Python per pending
+stamp and per summarised group.
 
 Updates with no report provenance (query registration fills, query
 moves, recovery retractions of departed objects) are counted, not
@@ -45,7 +47,6 @@ against.
 from __future__ import annotations
 
 import time
-from array import array
 from bisect import bisect_left
 from math import ceil
 
@@ -74,11 +75,36 @@ POLARITIES = ("positive", "negative")
 #: the next oldest, so every update is still attributed exactly once.
 _MAX_PENDING_PER_QUERY = 64
 
-#: A pending-commit key is ``slot << _CYCLE_BITS | stamp cycle``: one
-#: int64 orders the table by query, then by stamp.  Cycles stay below
-#: 2**32 (136 years of one evaluation a second).
+#: A delivery groups its updates by ``slot << _CYCLE_BITS | stamp
+#: cycle``: one int64 orders them by query, then by stamp.  Cycles stay
+#: below 2**32 (136 years of one evaluation a second).
 _CYCLE_BITS = 32
 _CYCLE_MASK = (1 << _CYCLE_BITS) - 1
+
+def _rooms() -> np.ndarray:
+    """The room a query's pending block takes for ``n`` entries, by
+    ``n``: nothing for an empty block, then steps of half again (2, 3,
+    5, 8, ...) up to the cap, so a growing block moves O(1) times per
+    entry written and wastes at most a third of its room.  A full block
+    gets a quarter more: a fold at the cap slides the block one row
+    forward (:meth:`FreshnessTracker._fold_oldest`), so it moves once
+    every sixteen folds."""
+    rooms, room = [0], 2
+    for n in range(1, _MAX_PENDING_PER_QUERY):
+        while room < n:
+            room += (room + 1) // 2
+        rooms.append(min(room, _MAX_PENDING_PER_QUERY))
+    rooms.append(_MAX_PENDING_PER_QUERY + _MAX_PENDING_PER_QUERY // 4)
+    return np.array(rooms, np.int64)
+
+
+_ROOM = _rooms()
+
+
+def _spans(bases, lengths):
+    """The rows of blocks ``[base, base + length)``, block after block."""
+    ends = np.cumsum(lengths)
+    return np.repeat(bases - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def _tally(values):
@@ -185,12 +211,12 @@ class FreshnessTracker:
     live in a table of oids ascending; a report appends its oid to a
     buffer that joins the table before the next read.  The updates
     delivered but not yet acknowledged live in one pending-commit table
-    for all queries: ``(query slot, stamp)`` keys ascending with
-    positive and negative count columns, a slot being a dense
-    per-tracker index of a query.  A delivery batch merges into it in
-    array passes; a commit reads its query's block and drops it, and a
-    dropped block leaves at the next merge — so every query's block is
-    either wholly pending or wholly dropped.
+    for all queries: ``(stamp, positives, negatives)`` rows, one block
+    of rows a query, stamps ascending within it.  A query's slot (a
+    dense per-tracker index: qids span int64) holds its block's base
+    row, its room and its length.  A delivery batch merges into the
+    blocks it touches in array passes; a commit reads its query's block
+    and empties it.
     """
 
     enabled = True
@@ -226,17 +252,17 @@ class FreshnessTracker:
         self._qid_of: list[int | None] = []
         self._free_slots: list[int] = []
         # The pending-commit table (see the class docstring), at most
-        # _MAX_PENDING_PER_QUERY entries a query; _starts[slot] is the
-        # first row of a slot's block as of the last merge, and the
-        # blocks of the _dropped slots (committed or unregistered since)
-        # leave at the next merge.
-        self._keys = np.empty(0, np.int64)
-        self._pos = np.empty(0, np.int64)
-        self._neg = np.empty(0, np.int64)
-        self._starts = array("q", [0])
-        self._dropped: set[int] = set()
+        # _MAX_PENDING_PER_QUERY entries a query.  A block that outgrows
+        # its room moves to _end, past the last block; the table is
+        # packed in place when that runs out (see _pack).
+        self._rows = np.empty((0, 3), np.int64)
+        self._end = 0
         self._per_query: dict[int, _QuerySummary] = {}
-        # By slot: whether the query has a summary in _per_query.
+        # By slot: its block's base row, room and length, and whether
+        # the query has a summary in _per_query.
+        self._base = np.zeros(64, np.int64)
+        self._room = np.zeros(64, np.int64)
+        self._len = np.zeros(64, np.int64)
         self._tracked = np.zeros(64, bool)
         self._hists: dict[tuple[str, str], tuple[Histogram, Histogram]] = {}
         for stage in STAGES:
@@ -316,7 +342,8 @@ class FreshnessTracker:
         self._ts[self._stamp] = self._clock()
         if len(self._ts) > self._ts_sweep_at:
             held = set(self._oid_stamps.tolist())
-            held.update((self._keys & _CYCLE_MASK).tolist())
+            pending = self._len > 0
+            held.update(self._rows[_spans(self._base[pending], self._len[pending]), 0].tolist())
             held.add(self._stamp)
             self._ts = {s: ts for s, ts in self._ts.items() if s in held}
             self._ts_sweep_at = 2 * len(self._ts) + 64
@@ -467,165 +494,189 @@ class FreshnessTracker:
                     slot = len(self._qid_of)
                     self._qid_of.append(qid)
                     if slot == len(self._tracked):
-                        self._tracked = np.concatenate((self._tracked, np.zeros(slot, bool)))
+                        self._base, self._room, self._len, self._tracked = (
+                            np.concatenate((column, np.zeros_like(column)))
+                            for column in (self._base, self._room, self._len, self._tracked)
+                        )
                 slot_of[qid] = slot
         return list(map(slot_of.__getitem__, qids))
 
     def _merge(self, keys, positives, negatives, runs, stamps, signs) -> None:
         """Count a delivery's ``(query, stamp)`` groups (``keys``
-        ascending) into the pending-commit table.
+        ascending) into the pending-commit table, touching only the
+        blocks of the queries in it.
 
-        A stamp already pending is incremented in place; a new one is
-        inserted, and a query past the cap folds its oldest entry into
-        the next oldest — in one array pass in the usual case, where the
-        query's only stamp in the delivery is new (see :meth:`_fold`).
-        A query that passes the cap with several stamps replays the
-        delivery's ``runs`` through the exact sequential rule
-        (:func:`_add_exact`), stamp by stamp in delivery order
-        (``stamps`` are the batch's, 0 for none, aligned with
-        ``signs``).  Dropped blocks leave here.
+        A group past its query's newest pending stamp is new; the
+        others are looked up in their blocks, and a stamp already
+        pending is incremented in place.  A query whose new stamps are
+        all past its newest appends them (:meth:`_append`); one with a
+        new stamp among the old ones has its block rewritten with them
+        merged in (:meth:`_rewrite`).  Either way a query that reaches
+        the cap with one group in the delivery first folds its oldest
+        entry into the next oldest, as the sequential rule would.  A
+        query that passes the cap with several groups replays the
+        delivery's ``runs`` through that rule (:meth:`_replay`).
         """
-        table, pos, neg = self._keys, self._pos, self._neg
-        live = self._live_rows()
-        at = np.searchsorted(table, keys)
-        if len(table):
-            found = np.minimum(at, len(table) - 1)
-            hit = table[found] == keys
-            if live is not None:
-                hit &= live[found]
-        else:
-            hit = np.zeros(len(keys), bool)
-        new = ~hit
-        replayed: list[tuple[int, int, int]] = []
-        if new.any():
-            slots, arriving = _tally(keys[new] >> _CYCLE_BITS)
-            lo = np.searchsorted(table, slots << _CYCLE_BITS)
-            hi = np.searchsorted(table, (slots + 1) << _CYCLE_BITS)
-            held = hi - lo
-            if live is not None and len(table):
-                held[~live[np.minimum(lo, len(table) - 1)]] = 0
-            over = held + arriving > _MAX_PENDING_PER_QUERY
-            if over.any():
-                if live is None:
-                    live = np.ones(len(table), bool)
-                replay = self._fold(keys, live, slots[over], lo[over], hi[over])
-                if replay:
-                    group_slots = keys >> _CYCLE_BITS
-                    skip = np.zeros(len(keys), bool)
-                    for slot, block_lo, block_hi in replay:
-                        skip |= group_slots == slot
-                        block = slice(block_lo, block_hi)
-                        entries = [
-                            [key & _CYCLE_MASK, positive, negative]
-                            for key, positive, negative, kept in zip(
-                                table[block].tolist(),
-                                pos[block].tolist(),
-                                neg[block].tolist(),
-                                live[block].tolist(),
-                            )
-                            if kept
-                        ]
-                        folded = self._replay(entries, self._qid_of[slot], runs, stamps, signs)
-                        if folded:
-                            self._m_pending_folded.inc(folded)
-                        live[block] = False
-                        replayed += [(slot << _CYCLE_BITS | stamp, p, n) for stamp, p, n in entries]
-                    hit &= ~skip
-                    new &= ~skip
-        if hit.any():
-            rows = at[hit]
-            pos[rows] += positives[hit]
-            neg[rows] += negatives[hit]
-        if live is None and not new.any():
-            return
-        del table, pos, neg
-        keys, positives, negatives = keys[new], positives[new], negatives[new]
-        if replayed:
-            extra = np.array(replayed, np.int64)
-            keys = np.concatenate((keys, extra[:, 0]))
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            positives = np.concatenate((positives, extra[:, 1]))[order]
-            negatives = np.concatenate((negatives, extra[:, 2]))[order]
-        self._rebuild(live, keys, positives, negatives)
-
-    def _rebuild(self, live, keys, positives, negatives) -> None:
-        """Write the table anew: its ``live`` rows (every row when
-        ``None``) and the new ``keys`` with their counts, in key order.
-        One column at a time, each replacing its predecessor as soon as
-        it is written, so a merge never holds two copies of the table.
-        A column's buffer is a power of two: successive merges then ask
-        the allocator for the same size, and reuse what the last one
-        freed instead of growing the heap."""
-        at = np.searchsorted(self._keys, keys)
-        if live is not None:
-            # Rows dropped before an insertion point do not count.
-            at -= np.searchsorted(np.flatnonzero(~live), at)
-        at += np.arange(len(keys))
-        size = len(keys) + (len(self._keys) if live is None else int(np.count_nonzero(live)))
-        old = np.ones(size, bool)
-        old[at] = False
-        capacity = 1 << max(6, (size - 1).bit_length())
-        for name, new_column in (("_keys", keys), ("_pos", positives), ("_neg", negatives)):
-            column = np.empty(capacity, np.int64)[:size]
-            column[at] = new_column
-            column[old] = getattr(self, name) if live is None else getattr(self, name)[live]
-            setattr(self, name, column)
-        self._starts = array(
-            "q",
-            np.searchsorted(
-                self._keys, np.arange(len(self._qid_of) + 1, dtype=np.int64) << _CYCLE_BITS
-            ).tobytes(),
-        )
-
-    def _live_rows(self):
-        """The table rows outside the dropped blocks (``None`` when no
-        block was dropped since the last merge); clears the drops."""
-        if not self._dropped:
-            return None
-        starts = self._starts
-        blocks = [
-            (starts[slot], starts[slot + 1])
-            for slot in self._dropped
-            if slot + 1 < len(starts) and starts[slot] < starts[slot + 1]
-        ]
-        self._dropped.clear()
-        edges = np.zeros(len(self._keys) + 1, np.int64)
-        if blocks:
-            lo, hi = zip(*blocks)
-            edges[list(lo)] += 1
-            edges[list(hi)] -= 1
-        return np.cumsum(edges[:-1]) == 0
-
-    def _fold(self, keys, live, slots, lo, hi) -> list[tuple[int, int, int]]:
-        """The cap for ``slots`` (their blocks ``[lo, hi)``), which a
-        merge would take past it.  A slot with one group in the delivery
-        — one new stamp, wherever it falls — folds its oldest entry into
-        the next oldest, in one pass for all of them (the entry leaves
-        ``live``), as the sequential rule would before inserting it.
-        Returns the ``(slot, lo, hi)`` of the rest, which need that
-        rule."""
-        pos, neg = self._pos, self._neg
+        table = self._rows
         group_slots = keys >> _CYCLE_BITS
-        single = (
-            np.searchsorted(group_slots, slots, "right") - np.searchsorted(group_slots, slots)
-            == 1
-        )
-        oldest = lo[single]
-        folded = int(pos[oldest].sum() + neg[oldest].sum())
-        pos[oldest + 1] += pos[oldest]
-        neg[oldest + 1] += neg[oldest]
-        live[oldest] = False
+        first = np.flatnonzero(np.concatenate(([True], group_slots[1:] != group_slots[:-1])))
+        slots = group_slots[first]
+        groups = np.diff(np.append(first, len(keys)))
+        lengths = self._len[slots]
+        newest = np.zeros(len(slots), np.int64)
+        held = lengths > 0
+        newest[held] = table[(self._base[slots] + lengths - 1)[held], 0]
+        late = (keys & _CYCLE_MASK) > np.repeat(newest, groups)
+        hit = np.zeros(len(keys), bool)
+        found = np.empty(0, np.int64)
+        if not late.all():
+            # One binary search per early group inside its block, all
+            # groups a round at a time: a block holds at most 64 stamps.
+            early = np.flatnonzero(~late)
+            block = np.repeat(np.arange(len(slots)), groups)[early]
+            lo = self._base[slots][block]
+            end = hi = lo + lengths[block]
+            wanted = keys[early] & _CYCLE_MASK
+            stamps_column = table[:, 0]
+            while (searching := lo < hi).any():
+                mid = (lo + hi) >> 1
+                below = stamps_column[np.where(searching, mid, 0)] < wanted
+                lo = np.where(searching & below, mid + 1, lo)
+                hi = np.where(searching & ~below, mid, hi)
+            match = lo < end
+            match[match] = stamps_column[lo[match]] == wanted[match]
+            hit[early[match]] = True
+            found = lo[match]
+        arriving = np.add.reduceat(~hit, first, dtype=np.int64)
+        in_order = np.logical_and.reduceat(late | hit, first)
+        over = lengths + arriving > _MAX_PENDING_PER_QUERY
+        replay = over & (groups > 1)
+        if replay.any():
+            replayed = np.repeat(replay, groups)
+            found = found[~replayed[hit]]
+            hit &= ~replayed
+        table[found, 1] += positives[hit]
+        table[found, 2] += negatives[hit]
+        grow = (arriving > 0) & ~replay
+        for path, chosen in ((self._append, grow & in_order), (self._rewrite, grow & ~in_order)):
+            if chosen.any():
+                entering = ~hit & np.repeat(chosen, groups)
+                path(
+                    slots[chosen],
+                    lengths[chosen],
+                    arriving[chosen],
+                    over[chosen],
+                    keys[entering],
+                    positives[entering],
+                    negatives[entering],
+                )
+        for slot in slots[replay].tolist():
+            self._replay(slot, runs, stamps, signs)
+
+    def _fold_oldest(self, slots) -> None:
+        """Fold each full block's oldest entry into the next oldest and
+        drop it, by sliding the block one row forward."""
+        oldest = self._base[slots]
+        table = self._rows
+        folded = int(table[oldest, 1:].sum())
         if folded:
             self._m_pending_folded.inc(folded)
-        rest = ~single
-        return list(zip(slots[rest].tolist(), lo[rest].tolist(), hi[rest].tolist()))
+        table[oldest + 1, 1:] += table[oldest, 1:]
+        self._base[slots] += 1
+        self._room[slots] -= 1
+        self._len[slots] -= 1
 
-    def _replay(self, entries, qid: int, runs, stamps, signs) -> int:
-        """Count ``qid``'s updates of a delivery into its pending
-        ``entries`` by the exact sequential rule: its runs in delivery
-        order, each run's stamps in order of first appearance.  Returns
-        how many updates the cap folded."""
+    def _append(self, slots, lengths, arriving, fold, keys, positives, negatives) -> None:
+        """Write new stamps, each past its block's newest, at the blocks'
+        ends."""
+        if fold.any():
+            self._fold_oldest(slots[fold])
+            lengths = lengths - fold
+        self._reserve(slots, lengths + arriving)
+        rows = self._rows
+        ends = _spans(self._base[slots] + lengths, arriving)
+        rows[ends, 0] = keys & _CYCLE_MASK
+        rows[ends, 1] = positives
+        rows[ends, 2] = negatives
+        self._len[slots] = lengths + arriving
+
+    def _rewrite(self, slots, lengths, arriving, fold, keys, positives, negatives) -> None:
+        """Merge new stamps into their blocks wherever they fall: each
+        block is read, merged by key and written back."""
+        if fold.any():
+            self._fold_oldest(slots[fold])
+            lengths = lengths - fold
+        old = self._rows[_spans(self._base[slots], lengths)]
+        old_keys = np.repeat(slots << _CYCLE_BITS, lengths) | old[:, 0]
+        at = np.searchsorted(old_keys, keys) + np.arange(len(keys))
+        merged = np.empty((len(old) + len(keys), 3), np.int64)
+        merged[at, 0] = keys & _CYCLE_MASK
+        merged[at, 1] = positives
+        merged[at, 2] = negatives
+        kept = np.ones(len(merged), bool)
+        kept[at] = False
+        merged[kept] = old
+        lengths = lengths + arriving
+        self._reserve(slots, lengths)
+        self._rows[_spans(self._base[slots], lengths)] = merged
+        self._len[slots] = lengths
+
+    def _reserve(self, slots, lengths) -> None:
+        """Room for ``lengths`` entries in each of ``slots``' blocks.  A
+        block too small moves, rows and all, past the last one with the
+        room :data:`_ROOM` gives (the table is packed first when it has
+        no rows left there: see :meth:`_pack`)."""
+        moving = lengths > self._room[slots]
+        if not moving.any():
+            return
+        moved = slots[moving]
+        rooms = _ROOM[lengths[moving]]
+        need = int(rooms.sum())
+        if self._end + need > len(self._rows):
+            wanted = self._len.copy()
+            wanted[slots[~moving]] = lengths[~moving]
+            self._pack(wanted, need)
+        held = self._len[moved]
+        source = _spans(self._base[moved], held)
+        self._base[moved] = self._end + np.cumsum(rooms) - rooms
+        self._rows[_spans(self._base[moved], held)] = self._rows[source]
+        self._room[moved] = rooms
+        self._end += need
+
+    def _pack(self, wanted, need: int) -> None:
+        """Close the gaps blocks left behind when they moved, emptied or
+        slid, so at least ``need`` rows are free past the last block.
+        Each block keeps the room for the entries it is to hold
+        (``wanted``, by slot), never more than it had, and moves towards
+        the front, in address order, a chunk of blocks at a time — in
+        place, so packing holds no second table.  A table still too
+        small is replaced by one a quarter larger than the packed blocks
+        and ``need``.  Moves and packing cost O(1) rows per row written."""
+        self._room = np.minimum(_ROOM[wanted], self._room)
+        held = np.flatnonzero(wanted)
+        held = held[np.argsort(self._base[held])]
+        rooms = self._room[held]
+        base = np.cumsum(rooms) - rooms
+        self._end = int(rooms.sum())
+        table = self._rows
+        if self._end + need > len(table):
+            table = np.empty(((self._end + need) * 5 // 4 + 64, 3), np.int64)
+        for chunk in range(0, len(held), 256):
+            part = held[chunk : chunk + 256]
+            lengths = self._len[part]
+            table[_spans(base[chunk : chunk + 256], lengths)] = self._rows[
+                _spans(self._base[part], lengths)
+            ]
+        self._base[held] = base
+        self._rows = table
+
+    def _replay(self, slot: int, runs, stamps, signs) -> None:
+        """Count ``slot``'s updates of a delivery into its block by the
+        exact sequential rule: its runs in delivery order, each run's
+        stamps in order of first appearance."""
+        qid = self._qid_of[slot]
+        base, length = self._base[slot], self._len[slot]
+        entries = self._rows[base : base + length].tolist()
         folded = 0
         for run_qid, start, stop in runs:
             if run_qid != qid:
@@ -636,7 +687,13 @@ class FreshnessTracker:
                     groups.setdefault(stamp, [0, 0])[sign == -1] += 1
             for stamp, (positive, negative) in groups.items():
                 folded += _add_exact(entries, stamp, positive, negative)
-        return folded
+        if folded:
+            self._m_pending_folded.inc(folded)
+        length = np.array([len(entries)])
+        self._reserve(np.array([slot]), length)
+        base = self._base[slot]
+        self._rows[base : base + len(entries)] = entries
+        self._len[slot] = len(entries)
 
     def _summary_of(self, qid: int) -> "_QuerySummary | None":
         """``qid``'s summary, created while the tracked set has room."""
@@ -655,70 +712,43 @@ class FreshnessTracker:
     def observe_committed(self, qid: int) -> None:
         """The client acknowledged ``qid``; attribute commit staleness
         for every update delivered since the previous acknowledgement —
-        ``n`` observations per pending ``(stamp, polarity)``, bucketed in
-        one pass over the query's block and summed into each commit
-        histogram once — and drop the block."""
+        one observation per pending ``(stamp, polarity)`` — and empty
+        its block."""
         slot = self._slot_of.get(qid)
-        starts = self._starts
-        if slot is None or slot + 1 >= len(starts) or slot in self._dropped:
+        if slot is None or not self._len[slot]:
             return
-        lo, hi = starts[slot], starts[slot + 1]
-        if lo == hi:
-            return
-        self._dropped.add(slot)
+        base = self._base[slot]
+        entries = self._rows[base : base + self._len[slot]].tolist()
+        self._len[slot] = 0
         now_ts = self._clock()
         cycle = self.cycle
         ts = self._ts
         (positive_cycles, positive_seconds), (negative_cycles, negative_seconds) = (
             self._commit_hists
         )
-        cycle_bounds, second_bounds = positive_cycles.bounds, positive_seconds.bounds
-        positive_by_cycles = positive_cycles.bucket_counts
-        positive_by_seconds = positive_seconds.bucket_counts
-        negative_by_cycles = negative_cycles.bucket_counts
-        negative_by_seconds = negative_seconds.bucket_counts
-        positive_cycle_sum = negative_cycle_sum = positive_count = negative_count = 0
-        positive_second_sum = negative_second_sum = 0.0
         summary = self._summary_of(qid)
-        for key, positive, negative in zip(
-            self._keys[lo:hi].tolist(), self._pos[lo:hi].tolist(), self._neg[lo:hi].tolist()
-        ):
-            stamp = key & _CYCLE_MASK
+        for stamp, positive, negative in entries:
             lag_cycles = cycle - stamp if cycle > stamp else 0
             lag_seconds = now_ts - ts[stamp]
-            cycle_bucket = bisect_left(cycle_bounds, lag_cycles)
-            second_bucket = bisect_left(second_bounds, lag_seconds)
             if positive:
-                positive_by_cycles[cycle_bucket] += positive
-                positive_by_seconds[second_bucket] += positive
-                positive_cycle_sum += lag_cycles * positive
-                positive_second_sum += lag_seconds * positive
-                positive_count += positive
+                positive_cycles.observe_n(lag_cycles, positive)
+                positive_seconds.observe_n(lag_seconds, positive)
             if negative:
-                negative_by_cycles[cycle_bucket] += negative
-                negative_by_seconds[second_bucket] += negative
-                negative_cycle_sum += lag_cycles * negative
-                negative_second_sum += lag_seconds * negative
-                negative_count += negative
+                negative_cycles.observe_n(lag_cycles, negative)
+                negative_seconds.observe_n(lag_seconds, negative)
             if summary is not None:
                 summary.observe("commit", lag_cycles, lag_seconds, positive + negative)
-        if positive_count:
-            positive_cycles.add_counted(positive_cycle_sum, positive_count)
-            positive_seconds.add_counted(positive_second_sum, positive_count)
-        if negative_count:
-            negative_cycles.add_counted(negative_cycle_sum, negative_count)
-            negative_seconds.add_counted(negative_second_sum, negative_count)
         if summary is None:
-            self._m_untracked.inc(positive_count + negative_count)
+            self._m_untracked.inc(sum(positive + negative for _, positive, negative in entries))
 
     def forget_query(self, qid: int) -> None:
         """Drop ``qid``'s pending and summary state (unregistered) and
-        free its slot."""
+        free its slot (the block's room stays with the slot)."""
         self._per_query.pop(qid, None)
         slot = self._slot_of.pop(qid, None)
         if slot is None:
             return
-        self._dropped.add(slot)
+        self._len[slot] = 0
         self._tracked[slot] = False
         self._qid_of[slot] = None
         self._free_slots.append(slot)
@@ -729,15 +759,11 @@ class FreshnessTracker:
         """qid -> its delivered but unacknowledged updates, as
         ``(stamp cycle, positives, negatives)`` per stamp ascending;
         queries with nothing pending are absent."""
-        out: dict[int, list[tuple[int, int, int]]] = {}
-        for key, positive, negative in zip(
-            self._keys.tolist(), self._pos.tolist(), self._neg.tolist()
-        ):
-            slot = key >> _CYCLE_BITS
-            if slot not in self._dropped:
-                out.setdefault(self._qid_of[slot], []).append(
-                    (key & _CYCLE_MASK, positive, negative)
-                )
+        out = {}
+        for slot in np.flatnonzero(self._len).tolist():
+            base = self._base[slot]
+            rows = self._rows[base : base + self._len[slot]].tolist()
+            out[self._qid_of[slot]] = [tuple(row) for row in rows]
         return out
 
     def report_stamps(self) -> dict[int, int]:

@@ -125,13 +125,6 @@ class Histogram:
         self.sum += value * n
         self.count += n
 
-    def add_counted(self, total: float, n: int) -> None:
-        """Account ``n`` observations summing to ``total`` that the
-        caller has already counted into :attr:`bucket_counts` (one
-        bisect of :attr:`bounds` each): a batch of them costs one call."""
-        self.sum += total
-        self.count += n
-
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -199,10 +192,6 @@ class _NullInstrument:
     mean = 0.0
     bounds: tuple[float, ...] = ()
 
-    @property
-    def bucket_counts(self) -> list[int]:
-        return [0]  # a fresh list each read: what is counted into it is dropped
-
     def inc(self, amount: float = 1.0) -> None:
         pass
 
@@ -216,9 +205,6 @@ class _NullInstrument:
         pass
 
     def observe_n(self, value: float, n: int) -> None:
-        pass
-
-    def add_counted(self, total: float, n: int) -> None:
         pass
 
     def snapshot(self) -> dict[str, object]:

@@ -18,6 +18,7 @@ pending stamps and counts.
 from __future__ import annotations
 
 import math
+import random
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -55,6 +56,28 @@ def close(a, b) -> bool:
     if isinstance(a, float) or isinstance(b, float):
         return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
     return a == b
+
+
+def assert_same(registries, trackers, qids) -> None:
+    """Both trackers' telemetry and state agree (see the module docstring)."""
+    new, model = registries
+    for stage in STAGES:
+        for polarity in POLARITIES:
+            labels = {"stage": stage, "polarity": polarity}
+            for name in ("freshness_staleness_cycles", "freshness_staleness_seconds"):
+                got, want = new.histogram(name, labels=labels), model.histogram(name, labels=labels)
+                assert got.bucket_counts == want.bucket_counts, (name, labels)
+                assert got.count == want.count, (name, labels)
+                assert close(got.sum, want.sum), (name, labels, got.sum, want.sum)
+    for name in COUNTERS:
+        assert new.value_of(name) == model.value_of(name), name
+    tracker, reference = trackers
+    assert tracker.cycle == reference.cycle
+    for qid in qids:
+        assert close(tracker.query_summary(qid), reference.query_summary(qid)), qid
+    assert tracker.pending_commit() == reference.pending_commit()
+    assert tracker.report_stamps() == reference.report_stamps()
+    assert tracker.snapshot()["tracked_objects"] == len(reference.report_stamps())
 
 
 def columns(batch):
@@ -159,27 +182,41 @@ class FreshnessEquivalence(RuleBasedStateMachine):
 
     @invariant()
     def same_telemetry(self):
-        if not hasattr(self, "trackers"):
-            return
-        new, model = self.registries
-        for stage in STAGES:
-            for polarity in POLARITIES:
-                labels = {"stage": stage, "polarity": polarity}
-                for name in ("freshness_staleness_cycles", "freshness_staleness_seconds"):
-                    got, want = new.histogram(name, labels=labels), model.histogram(name, labels=labels)
-                    assert got.bucket_counts == want.bucket_counts, (name, labels)
-                    assert got.count == want.count, (name, labels)
-                    assert close(got.sum, want.sum), (name, labels, got.sum, want.sum)
-        for name in COUNTERS:
-            assert new.value_of(name) == model.value_of(name), name
-        tracker, reference = self.trackers
-        assert tracker.cycle == reference.cycle
-        for qid in self.qids:
-            assert close(tracker.query_summary(qid), reference.query_summary(qid)), qid
-        assert tracker.pending_commit() == reference.pending_commit()
-        assert tracker.report_stamps() == reference.report_stamps()
-        assert tracker.snapshot()["tracked_objects"] == len(reference.report_stamps())
+        if hasattr(self, "trackers"):
+            assert_same(self.registries, self.trackers, self.qids)
 
 
 TestFreshnessEquivalence = FreshnessEquivalence.TestCase
 TestFreshnessEquivalence.settings = settings(deadline=None)
+
+
+def test_many_queries_pack_their_blocks_in_place():
+    """Hundreds of queries growing, committing and taking stale stamps
+    — half of them never committing, so their blocks fill and fold —
+    make the pending table move blocks and pack itself many times, over
+    more blocks than one packing chunk holds."""
+    rng = random.Random(7)
+    clock = ManualClock()
+    registries = MetricsRegistry(), MetricsRegistry()
+    trackers = (
+        FreshnessTracker(registries[0], clock=clock),
+        ReferenceFreshnessTracker(registries[1], clock=clock),
+    )
+    qids = range(600)
+    for cycle in range(90):
+        clock.advance(0.5)
+        reported = rng.sample(range(2000), 150)
+        for tracker in trackers:
+            tracker.stamp_reports(reported)
+            tracker.end_cycle()
+        batch = [
+            (qid, [(rng.randrange(2000), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))])
+            for qid in [*range(300), *rng.sample(range(300, 600), 150)]
+        ]
+        committed = rng.sample(range(300, 600), 40)
+        for tracker in trackers:
+            tracker.observe_delivered_runs(*columns(batch))
+            for qid in committed:
+                tracker.observe_committed(qid)
+    assert_same(registries, trackers, qids)
+    assert registries[0].value_of("freshness_pending_commit_folded_total") > 0

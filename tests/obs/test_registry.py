@@ -1,7 +1,5 @@
 """Metric instruments and registry semantics."""
 
-from bisect import bisect_left
-
 import pytest
 
 from repro.obs import (
@@ -63,18 +61,6 @@ class TestHistogram:
 
     def test_empty_histogram_mean_is_zero(self):
         assert Histogram("empty").mean == 0.0
-
-    def test_counted_observations_land_like_observe_n(self):
-        """Observations bucketed by the caller, then ``add_counted`` once,
-        leave the histogram where one ``observe_n`` per value would."""
-        counted, observed = Histogram("a", bounds=(1.0, 2.0)), Histogram("b", bounds=(1.0, 2.0))
-        pairs = ((0.5, 3), (2.0, 1), (7.0, 2))
-        for value, n in pairs:
-            observed.observe_n(value, n)
-            counted.bucket_counts[bisect_left(counted.bounds, value)] += n
-        counted.add_counted(sum(value * n for value, n in pairs), 6)
-        assert counted.bucket_counts == observed.bucket_counts == [3, 1, 2]
-        assert (counted.count, counted.sum) == (observed.count, observed.sum) == (6, 17.5)
 
 
 class TestRegistry:
