@@ -71,6 +71,10 @@ _NAN = float("nan")
 ROW_BITS = 32
 ROW_MASK = (1 << ROW_BITS) - 1
 
+#: Kept answer keys :meth:`ColumnarQueryStore.toggle` copies at a time
+#: (256 KiB of int64): the bound on its temporaries.
+_TOGGLE_BLOCK = 1 << 15
+
 
 def answer_keys(qrows, orows):
     """The answer keys of aligned query and object rows (int64)."""
@@ -440,17 +444,36 @@ class ColumnarQueryStore:
 
     def toggle(self, leave, enter) -> None:
         """Apply changed memberships as answer keys: drop ``leave``
-        (each held) and add ``enter`` (each absent, distinct) — one
-        delete and one merge-insert, never a re-sort of the whole.  The
-        delete's array replaces the store's before the insert allocates,
-        so no more than two key arrays are ever alive at once."""
+        (each held, distinct) and add ``enter`` (each absent, distinct)
+        — one merge into one new array, never a re-sort of the whole.
+        The kept keys are copied a block at a time, so beside the old
+        and the new array only block-sized temporaries are alive."""
         if not (len(leave) or len(enter)):
             return  # keep the array, and with it its run starts
-        if len(leave):
-            self.keys = np.delete(self._keys, np.searchsorted(self._keys, leave))
-        if len(enter):
-            enter = np.sort(enter)
-            self.keys = np.insert(self._keys, np.searchsorted(self._keys, enter), enter)
+        keys = self._keys
+        leave, enter = np.sort(leave), np.sort(enter)
+        kept = np.ones(len(keys), dtype=bool)
+        kept[np.searchsorted(keys, leave)] = False
+        # Each entering key's rank among the kept keys, and its slot.
+        ranks = np.searchsorted(keys, enter) - np.searchsorted(leave, enter)
+        slots = ranks + np.arange(len(enter))
+        out = np.empty(len(keys) - len(leave) + len(enter), dtype=np.int64)
+        out[slots] = enter
+        old = np.ones(len(out), dtype=bool)
+        old[slots] = False
+        done = 0  # kept keys copied so far; kept key j lands in slot
+        # j + (entering keys of rank <= j)
+        for start in range(0, len(keys), _TOGGLE_BLOCK):
+            stop = start + _TOGGLE_BLOCK
+            block = keys[start:stop][kept[start:stop]]
+            if len(block):
+                window = slice(
+                    done + np.searchsorted(ranks, done, "right"),
+                    done + len(block) + np.searchsorted(ranks, done + len(block) - 1, "right"),
+                )
+                out[window][old[window]] = block
+                done += len(block)
+        self.keys = out
 
     def relabel_objects(self, remap):
         """Follow the object store's swap-removes (``remap``: old object

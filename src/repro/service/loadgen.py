@@ -34,7 +34,7 @@ import json
 import socket
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.generator import (
     MovingObjectSimulator,
@@ -301,16 +301,21 @@ class LoadDriver:
 
     @staticmethod
     def _report_op(report) -> dict:
-        return {
+        """A report in the canonical key order (``vx``/``vy`` last, and
+        only when the object moves): the line the service's report
+        pattern types without the JSON scanner."""
+        op = {
             "op": "report",
             "client": report.oid,
             "oid": report.oid,
             "x": report.location.x,
             "y": report.location.y,
-            "vx": report.velocity.vx,
-            "vy": report.velocity.vy,
             "t": report.t,
         }
+        velocity = report.velocity
+        if velocity.vx or velocity.vy:
+            op["vx"], op["vy"] = velocity.vx, velocity.vy
+        return op
 
     # -- the run --------------------------------------------------------
 

@@ -9,14 +9,21 @@ Two decoders share one validator (:func:`check_op`), so they cannot
 disagree on a line: :func:`decode_line` is the reference — one line in,
 one op or one :class:`ProtocolError` out — and :func:`decode_lines` is
 what the runtime runs on the complete lines of one socket read.  It
-decodes **each line on its own** with the C scanner and takes its word
-only when the scanner consumed the whole line; a line it cannot vouch
-for (CRLF, blanks, empty, not JSON) goes alone through
-:func:`decode_line` and scanning resumes after it.  Parsing a read as
-one JSON array would be faster still and is wrong: it accepts pairs of
-individually invalid lines (``{"z":[1`` / ``2]},{"op":"ping"}``).
-Consecutive ``report`` ops come back grouped as one *run* — the unit
-the runtime queues and the engine buffers.
+runs one compiled bytes pattern over the read, one match a line.  A
+*canonical report line* — compact JSON, keys in the order ``op,
+client, oid, x, y, t`` then optionally ``vx, vy``, ids of at most 18
+digits, the other numbers JSON numbers with a fraction or an exponent —
+has its literals captured and handed to ``int`` / ``float``, the calls
+the JSON scanner makes on them, so the line's values reach the run
+with no dict in between.  Every other line is decoded **on its own**
+with the C scanner, whose word is taken only when it consumed the whole
+line; a line it cannot vouch for (CRLF, blanks, empty, not JSON) goes
+alone through :func:`decode_line`.  Parsing a read as one JSON array
+beats the per-line scanner and is wrong: it accepts pairs of
+individually invalid lines (``{"z":[1`` / ``2]},{"op":"ping"}``).  Consecutive
+``report`` ops, whichever route decoded them, come back grouped as one
+*run* of six columns — the unit the runtime queues and the engine
+buffers.
 
 Uplink (client → server)
 ------------------------
@@ -60,6 +67,8 @@ op without closing the session.
 from __future__ import annotations
 
 import json
+import re
+from itertools import repeat
 
 from repro.net.messages import (
     FullAnswerMessage,
@@ -116,6 +125,23 @@ QUERY_KINDS = ("range", "knn", "predictive")
 _scan_once = json.JSONDecoder().scan_once
 
 
+#: One line of a read: a canonical report line, its literals captured
+#: as ``(oid, x, y, t, vx, vy, b"")`` — ids are JSON integers of at most
+#: 18 digits, so int64 holds every one; the other numbers carry a
+#: fraction or an exponent, so the scanner would hand them to ``float``
+#: — or any other line, captured whole as ``(b"", ..., line)``.
+_ID = rb"-?(?:0|[1-9][0-9]{0,17})"
+_REAL = rb"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+|)|[eE][-+]?[0-9]+))"
+_LINE = re.compile(
+    rb'\{"op":"report","client":' + _ID + rb',"oid":(' + _ID + rb'),"x":' + _REAL
+    + rb',"y":' + _REAL + rb',"t":' + _REAL
+    + rb'(?:\}\n|,"vx":' + _REAL + rb',"vy":' + _REAL + rb'\}\n)'
+    + rb"|([^\n]*)\n"
+)  # fmt: skip
+#: Every canonical report line holds it.
+_REPORT_HEAD = b'{"op":"report",'
+
+
 class ProtocolError(ValueError):
     """A malformed line or op; ``code`` travels on the error response."""
 
@@ -168,47 +194,69 @@ def check_op(obj: object) -> dict:
     return obj
 
 
-def decode_lines(
-    lines: list[str],
-) -> tuple[list["dict | list[dict] | ProtocolError"], int]:
-    """Decode the complete lines of one read, each on its own.
+def decode_lines(block: bytes) -> tuple[list, int, int]:
+    """Decode the complete lines of one read (``\\n``-separated bytes;
+    at EOF the last line may be unterminated).
 
-    Returns the decoded sequence in line order plus how many lines the
-    scanner could not vouch for (they took :func:`decode_line`).  An
-    item is an op dict, the :class:`ProtocolError` a bad line earned,
-    or — for consecutive ``report`` ops — one list holding the run.
-    ``lines`` are already text, split on ``\\n`` only: UTF-8 decoding
-    with ``errors="replace"`` never moves a newline, so decoding a
-    read whole and splitting gives each line the text
-    :func:`decode_line` would have made of its bytes.
+    Returns the decoded items in line order, how many lines the report
+    pattern typed, and how many the scanner could not vouch for (they
+    took :func:`decode_line`).  An item is an op dict, the
+    :class:`ProtocolError` a bad line earned, or — for consecutive
+    ``report`` ops — one run: a tuple of six lists ``(oids, xs, ys,
+    vxs, vys, ts)``, the values as decoded (``vx``/``vy`` default to
+    0.0).  A line that is not a canonical report is decoded to text
+    on its own with ``errors="replace"``, which gives it the text
+    :func:`decode_line` would make of its bytes.
     """
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    if _REPORT_HEAD in block:
+        found = _LINE.findall(block)
+    else:  # no line can match: skip the pattern's tuple a line
+        found = zip(repeat(b""), block.split(b"\n")[:-1])
     items: list = []
-    run: list[dict] | None = None
-    fallbacks = 0
-    for line in lines:
-        try:
-            obj, end = _scan_once(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1  # decode_line words the verdict
-        try:
-            if end == len(line):
-                op = check_op(obj)
-            else:
-                fallbacks += 1
-                op = decode_line(line)
-        except ProtocolError as exc:
-            items.append(exc)
-            run = None
-            continue
-        if op["op"] != "report":
-            items.append(op)
-            run = None
-        elif run is None:
-            run = [op]
-            items.append(run)
+    run: tuple | None = None
+    typed = fallbacks = 0
+    for row in found:
+        if row[0]:
+            oid, x, y, t, vx, vy, _ = row
+            typed += 1
+            oid, x, y, t = int(oid), float(x), float(y), float(t)
+            vx = float(vx) if vx else 0.0
+            vy = float(vy) if vy else 0.0
         else:
-            run.append(op)
-    return items, fallbacks
+            line = row[-1].decode("utf-8", errors="replace")
+            try:
+                obj, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1  # decode_line words the verdict
+            try:
+                if end == len(line):
+                    op = check_op(obj)
+                else:
+                    fallbacks += 1
+                    op = decode_line(line)
+            except ProtocolError as exc:
+                items.append(exc)
+                run = None
+                continue
+            if op["op"] != "report":
+                items.append(op)
+                run = None
+                continue
+            oid, x, y, t = op["oid"], op["x"], op["y"], op["t"]
+            vx, vy = op.get("vx", 0.0), op.get("vy", 0.0)
+        if run is None:
+            run = ([], [], [], [], [], [])
+            items.append(run)
+            add_oid, add_x, add_y, add_vx, add_vy, add_t = (c.append for c in run)
+        add_oid(oid)
+        add_x(x)
+        add_y(y)
+        add_vx(vx)
+        add_vy(vy)
+        add_t(t)
+    return items, typed, fallbacks
 
 
 def downlink_op(message: Message) -> dict:

@@ -25,12 +25,13 @@ Design points:
   ``evaluate_cycle`` runs synchronously on the event loop — the cycle
   *is* the server's work; there is nothing to overlap it with.
 * **Reads and runs, not lines and dicts.**  A connection is read in
-  chunks; the complete lines of a read are decoded each on its own
-  (:func:`~repro.service.protocol.decode_lines`) and consecutive
-  ``report`` ops become one FIFO entry of six column lists.  Any other
-  line closes the run first — it is queued before that line is handled
-  — so a ``tick`` or ``ping`` mid-read sees what a line-at-a-time loop
-  would have queued.  At the drain a run is judged by whole-column
+  chunks and the complete lines of a read go to
+  :func:`~repro.service.protocol.decode_lines` as bytes: one pattern
+  pass types canonical report lines straight to columns, every other
+  line is decoded on its own, and consecutive ``report`` ops become one
+  FIFO entry of six columns.  Any other line closes the run first — it
+  is queued before that line is handled — so a ``tick`` or ``ping``
+  mid-read sees what a line-at-a-time loop would have queued.  At the drain a run is judged by whole-column
   passes and handed to the server's batch door
   (:meth:`~repro.core.server.LocationAwareServer.receive_object_reports`);
   a run holding any refusable value is replayed row by row through
@@ -57,7 +58,6 @@ import threading
 from dataclasses import dataclass, field
 from itertools import chain
 from math import isfinite
-from operator import itemgetter
 from urllib.parse import parse_qs
 
 from repro.check import ConsistencyOracle
@@ -111,11 +111,8 @@ def _finite(op: dict, *fields: str, default: float | None = None) -> list[float]
 _LINE_LIMIT = 1 << 20
 
 #: Bytes asked of the socket per read.  What was measured; a larger
-#: read only keeps more decoded op dicts alive at once.
+#: read only keeps more of a read's decoded rows alive at once.
 _READ_SIZE = 1 << 16
-
-#: The required fields of a ``report`` op that become columns.
-_REPORT_FIELDS = itemgetter("oid", "x", "y", "t")
 
 #: What a refused value raises: ProtocolError is a ValueError, int(inf)
 #: overflows and int(None) is a TypeError — no field value one client
@@ -207,10 +204,13 @@ class ServiceRuntime:
             path: counter("service_uplink_rows_total", labels={"path": path})
             for path in ("batch", "scalar")
         }
-        # Which decoder vouched for a line: the scanner or decode_line.
+        # How a line was decoded: "scan" = in the read's own pass, "line"
+        # = alone through decode_line (scan + line = lines read), and
+        # "report" = the scan lines the report pattern typed straight to
+        # columns, with no JSON scanner.
         self._m_lines = {
             how: counter("service_uplink_lines_total", labels={"decode": how})
-            for how in ("scan", "line")
+            for how in ("scan", "line", "report")
         }
         self._m_writes = counter("service_transport_writes_total")
         self._m_decode_seconds, self._m_apply_seconds = (
@@ -370,19 +370,19 @@ class ServiceRuntime:
         would have queued, and replies leave in line order.
         """
         with self.server.tracer.span("uplink_decode", self._m_decode_seconds):
-            lines = block.decode("utf-8", errors="replace").split("\n")
-            if not lines[-1]:
-                lines.pop()  # the block ended on its last newline
-            items, fallbacks = decode_lines(lines)
-        self._m_lines["scan"].inc(len(lines) - fallbacks)
+            items, typed, fallbacks = decode_lines(block)
+        lines = block.count(b"\n") + (block[-1:] != b"\n")
+        self._m_lines["scan"].inc(lines - fallbacks)
+        if typed:
+            self._m_lines["report"].inc(typed)
         if fallbacks:
             self._m_lines["line"].inc(fallbacks)
         handled = 0
         try:
             for item in items:
                 kind = item.__class__
-                if kind is list:
-                    handled += len(item)
+                if kind is tuple:
+                    handled += len(item[0])
                     self._queue_run(session, item)
                     continue
                 handled += 1
@@ -404,22 +404,20 @@ class ServiceRuntime:
             session.lines_in += handled
         return True
 
-    def _queue_run(self, session: ClientSession, run: list[dict]) -> None:
-        """Admit a run of reports row by row and queue what fits as six
-        column lists; each row beyond the session's allowance is told
+    def _queue_run(self, session: ClientSession, columns: tuple) -> None:
+        """Admit a run of reports row by row and queue what fits as its
+        six columns; each row beyond the session's allowance is told
         ``busy``."""
-        self._count_op("report", len(run))
-        admitted = self.admission.admit_uplinks(session.backlog, len(run))
-        if admitted < len(run):
+        rows = len(columns[0])
+        self._count_op("report", rows)
+        admitted = self.admission.admit_uplinks(session.backlog, rows)
+        if admitted < rows:
             busy = busy_op(self.config.admission.retry_after)
-            for _ in range(len(run) - admitted):
+            for _ in range(rows - admitted):
                 session.send(busy)
-            del run[admitted:]
-        if run:
-            oids, xs, ys, ts = zip(*map(_REPORT_FIELDS, run))
-            vxs = [op.get("vx", 0.0) for op in run]
-            vys = [op.get("vy", 0.0) for op in run]
-            self._enqueue(session, (oids, xs, ys, vxs, vys, ts), admitted)
+            columns = tuple(column[:admitted] for column in columns)
+        if admitted:
+            self._enqueue(session, columns, admitted)
 
     def _enqueue(self, session: ClientSession, entry, rows: int) -> None:
         session.backlog += rows

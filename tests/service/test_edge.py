@@ -10,6 +10,7 @@ chunking, the replies, the counters and the engine must be what one
 
 import asyncio
 import json
+from math import isfinite
 
 import pytest
 from hypothesis import given, settings
@@ -238,6 +239,65 @@ MALFORMED = st.one_of(
     ),
     st.binary(max_size=12).filter(lambda raw: b"\n" not in raw),
 )  # fmt: skip
+_CANONICAL = b'{"op":"report","client":1,"oid":7,"x":0.5,"y":0.25,"t":1.0'
+#: Report lines one step away from the canonical shape the report
+#: pattern types: each must take the per-line route, or be typed to
+#: exactly the values decode_line gives it.
+NEAR_MISS = st.sampled_from(
+    [
+        _CANONICAL + b"}",
+        _CANONICAL + b',"vx":-0.001,"vy":2.5e-05}',
+        _CANONICAL + b',"vx":1E+2,"vy":-0.0}',
+        b'{"op":"report","client":-0,"oid":-0,"x":-0.0,"y":0e0,"t":1e400}',
+        b'{"op":"report","client":1,"oid":7,"x":0.5,"y":0.25,"t":-1e-400}',
+        b'{"op":"report","client":1,"oid":999999999999999999,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":-999999999999999999,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":7,"x":0.5,"y":0.25,"t":1.0,"vx":0.1}',  # vx, no vy
+        b'{"op":"report","client":1,"oid":7,"x":0.5,"y":0.25,"t":1.0,"vy":0.1,"vx":0.1}',
+        b'{"op":"report","client":1,"oid":7,"x":0.5,"y":0.25,"vx":0.1,"vy":0.1,"t":1.0}',
+        b'{"op":"report","oid":7,"client":1,"x":0.5,"y":0.25,"t":1.0}',  # reordered
+        b'{"client":1,"op":"report","oid":7,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op": "report","client":1,"oid":7,"x":0.5,"y":0.25,"t":1.0}',  # a space
+        b'{"op":"report","client":1,"oid":7,"x":0.5,"y":0.25,"t":1.0 }',
+        b'{"op":"report","client":1,"oid":7,"x":NaN,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":7,"x":0.5,"y":Infinity,"t":1.0}',
+        b'{"op":"report","client":1,"oid":7,"x":0.5,"y":0.25,"t":-Infinity}',
+        b'{"op":"report","client":1,"oid":07,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":01,"oid":7,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":7,"x":1.,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":7,"x":.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":7,"x":+1.0,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":+7,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":7,"x":1e,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":7,"x":1,"y":0.25,"t":1.0}',  # integer x
+        b'{"op":"report","client":1,"oid":7,"x":0.5,"y":0.25,"t":0}',
+        b'{"op":"report","client":1,"oid":7.0,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":7e0,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":1234567890123456789,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":-1234567890123456789,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":' + b"9" * 5000 + b',"oid":7,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":7,"x":' + b"9" * 5000 + b',"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":7,"x":' + b"9" * 400 + b'.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":"1","oid":7,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":true,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"report","client":1,"oid":7,"x":0.5,"y":0.25,"t":1.0,"t":2.0}',  # duplicate
+        b'{"op":"report","client":1,"oid":7,"oid":8,"x":0.5,"y":0.25,"t":1.0}',
+        _CANONICAL + b',"vx":0.1,"vy":0.1,"vx":0.3}',
+        _CANONICAL + b"}x",  # bytes after the object
+        _CANONICAL + b"}}",
+        _CANONICAL + b'}{"op":"ping"}',
+        _CANONICAL + b"}\r",
+        _CANONICAL + b"} \t",
+        _CANONICAL + b"}\xff",
+        b"\r" + _CANONICAL + b"}",
+        b" " + _CANONICAL + b"}",
+        _CANONICAL,  # cut short
+        _CANONICAL[:-5],
+        b'{"op":"report","client":1,"oid":7,"x":0.5,"y":0.25}',
+        b'{"op":"\\u0072eport","client":1,"oid":7,"x":0.5,"y":0.25,"t":1.0}',
+        b'{"op":"reports","client":1,"oid":7,"x":0.5,"y":0.25,"t":1.0}',
+    ]
+)  # fmt: skip
 #: Individually invalid, one valid JSON array element sequence when joined.
 JOINABLE = st.sampled_from(
     [
@@ -320,23 +380,60 @@ def test_any_chunking_equals_the_per_line_edge(stream, max_backlog):
     assert decoded == session.lines_in or b'{"op":"bye"}' in data
 
 
-@given(lines=st.lists(st.one_of(GOOD_REPORTS, REPORTS, QUEUED, IMMEDIATE, MALFORMED), max_size=20))
+def _report_row(op: dict) -> tuple:
+    """What a run holds of one report op: its columns' values."""
+    return (op["oid"], op["x"], op["y"], op.get("vx", 0.0), op.get("vy", 0.0), op["t"])
+
+
+def _round_trips(raw: bytes) -> bool:
+    """A report line ``encode`` writes back byte for byte, with int ids
+    of at most 18 digits and finite float coordinates: the pattern must
+    type it."""
+    try:
+        op = json.loads(raw)
+    except (ValueError, RecursionError):
+        return False
+    keys = ["op", "client", "oid", "x", "y", "t"]
+    return (
+        isinstance(op, dict)
+        and list(op) in (keys, keys + ["vx", "vy"])
+        and op["op"] == "report"
+        and all(type(op[key]) is int and abs(op[key]) < 10**18 for key in keys[1:3])
+        and all(type(op[key]) is float and isfinite(op[key]) for key in list(op)[3:])
+        and encode(op) == raw + b"\n"
+    )
+
+
+@given(
+    lines=st.lists(
+        st.one_of(GOOD_REPORTS, REPORTS, NEAR_MISS, QUEUED, IMMEDIATE, MALFORMED),
+        min_size=1,
+        max_size=20,
+    ),
+    terminated=st.booleans(),
+)
 @settings(max_examples=150, deadline=None)
-def test_decode_lines_gives_each_line_decode_line_s_verdict(lines):
-    """Line by line: the same op, or the same error code and text;
-    reports grouped into runs, everything else closing one."""
-    text = b"\n".join(lines).decode("utf-8", errors="replace").split("\n") if lines else []
-    items, fallbacks = decode_lines(text)
+def test_decode_lines_gives_each_line_decode_line_s_verdict(lines, terminated):
+    """Line by line: the same op, or the same error code and text, and
+    for a report the values decode_line gives it, whichever route
+    decoded it; reports grouped into runs, everything else closing one."""
+    # An empty last line is only a line when its newline arrived.
+    block = b"\n".join(lines) + (b"\n" if terminated or not lines[-1] else b"")
+    items, typed, fallbacks = decode_lines(block)
     flat = []
     for item in items:
-        if isinstance(item, list):
-            assert item and all(op["op"] == "report" for op in item)
-            flat += item
+        if isinstance(item, tuple):
+            assert len(item) == 6 and len(set(map(len, item))) == 1 and item[0]
+            flat += [("report", row) for row in zip(*item)]
         else:
             assert not (isinstance(item, dict) and item["op"] == "report")
             flat.append(item)
     assert len(flat) == len(lines)
-    assert 0 <= fallbacks <= len(lines)
+    assert 0 <= fallbacks and typed + fallbacks <= len(lines)
+    # Every line encode writes back exactly is typed, and nothing else
+    # but valid reports is.
+    assert sum(map(_round_trips, lines)) <= typed
+    assert typed <= sum(item[0] == "report" for item in flat if isinstance(item, tuple))
     for raw, item in zip(lines, flat):
         try:
             want = decode_line(raw)
@@ -344,11 +441,31 @@ def test_decode_lines_gives_each_line_decode_line_s_verdict(lines):
             assert isinstance(item, ProtocolError)
             assert (item.code, item.detail) == (exc.code, exc.detail)
         else:
-            assert repr(item) == repr(want)  # repr: NaN fields compare
+            if want["op"] == "report":
+                # repr: NaN fields compare, -0.0 is not 0, 1 is not 1.0
+                assert repr(item) == repr(("report", _report_row(want)))
+            else:
+                assert repr(item) == repr(want)
     # Two adjacent runs never stay split.
     assert not any(
-        isinstance(a, list) and isinstance(b, list) for a, b in zip(items, items[1:])
+        isinstance(a, tuple) and isinstance(b, tuple) for a, b in zip(items, items[1:])
     )
+
+
+def test_a_canonical_and_a_reordered_report_form_one_run():
+    """The pattern's row and the per-line route's row queue as one run,
+    in line order, with the values decode_line gives each."""
+    canonical = report_line(1)
+    reordered = b'{"op":"report","oid":2,"client":1,"t":1.0,"x":0.25,"y":0.75}\n'
+    items, typed, fallbacks = decode_lines(canonical + reordered + canonical)
+    assert (typed, fallbacks) == (2, 0)
+    assert items == [([1, 2, 1], [0.5, 0.25, 0.5], [0.5, 0.75, 0.5], [0.0] * 3, [0.0] * 3, [1.0] * 3)]
+    runtime = Runtime()
+    runtime.feed(canonical + reordered + b'{"op":"tick","now":1.0}\n')
+    assert len(runtime.server.engine.objects) == 2
+    value_of = runtime.registry.value_of
+    assert value_of("service_uplink_rows_total", {"path": "batch"}) == 2
+    assert value_of("service_uplink_lines_total", {"decode": "report"}) == 1
 
 
 def test_replacement_decoding_never_moves_a_newline():
@@ -415,7 +532,9 @@ def test_a_clean_read_takes_the_batch_doors_and_the_scanner():
     value_of = runtime.registry.value_of
     assert value_of("service_uplink_rows_total", {"path": "batch"}) == 50
     assert value_of("service_uplink_rows_total", {"path": "scalar"}) == 0
+    # Every line in the read's own pass, the 50 reports by the pattern.
     assert value_of("service_uplink_lines_total", {"decode": "scan"}) == 51
+    assert value_of("service_uplink_lines_total", {"decode": "report"}) == 50
     assert value_of("service_uplink_lines_total", {"decode": "line"}) == 0
     assert value_of("service_uplink_ops_total", {"o": "report"}) == 50
     assert value_of("net_uplink_messages_total") == 50
