@@ -96,7 +96,8 @@ from repro.columnar import (
     ColumnarQueryStore,
     ingest_reports,
 )
-from repro.columnar.store import key_rows
+from repro.columnar.store import ROW_MASK, key_rows
+from repro.core.commit import NO_OIDS
 from repro.core.state import (
     KnnQueryState,
     ObjectState,
@@ -133,6 +134,12 @@ _INT64_BOUND = 1 << 63
 #: The query kind of each query-store ``kinds`` code.
 _KIND_OF_CODE = {KIND_RANGE: QueryKind.RANGE, KIND_KNN: QueryKind.KNN,
                  KIND_PREDICTIVE: QueryKind.PREDICTIVE_RANGE}  # fmt: skip
+
+
+#: The largest answer :meth:`IncrementalEngine.answer_arrays` gathers in
+#: Python rather than numpy: timed one answer at a time, the two cost
+#: the same at three to four members, numpy's fixed cost losing below.
+_SMALL_ANSWER = 4
 
 
 def _check_query_input(qid: int, *values: float) -> None:
@@ -440,11 +447,22 @@ class IncrementalEngine:
         report, a buffered removal is cancelled.
 
         The whole call is refused, with nothing buffered, when any row
-        would be refused by :meth:`report_object`; rows are clamped
-        only when a bound says one lies outside the world.
+        would be refused by :meth:`report_object` (see
+        :meth:`checked_reports`).
         """
         if not oids:
             return
+        xs, ys = self.checked_reports(oids, xs, ys, vxs, vys, ts)
+        if self._pending_removals:
+            self._pending_removals.difference_update(oids)
+        self._pending_reports.update(zip(oids, zip(xs, ys, vxs, vys, ts)))
+        self.freshness.stamp_reports(oids)
+
+    def checked_reports(self, oids, xs, ys, vxs, vys, ts) -> tuple:
+        """The ``(xs, ys)`` :meth:`report_objects` buffers for a non-empty
+        run (clamped only when a bound says a row lies outside the
+        world); ``ValueError`` naming a row :meth:`report_object` would
+        refuse."""
         # A NaN or an infinity always survives a sum, so a finite sum
         # clears the whole column in one pass; a finite column can only
         # fail it by overflowing, which the exact pass then settles.
@@ -476,10 +494,7 @@ class IncrementalEngine:
         ):
             for oid, x, y, t, vx, vy in zip(oids, xs, ys, ts, vxs, vys):
                 _check_motion(oid, x, y, t, vx, vy, horizon)
-        if self._pending_removals:
-            self._pending_removals.difference_update(oids)
-        self._pending_reports.update(zip(oids, zip(xs, ys, vxs, vys, ts)))
-        self.freshness.stamp_reports(oids)
+        return xs, ys
 
     def remove_object(self, oid: int) -> None:
         """Buffer an object's departure from the system.
@@ -649,6 +664,26 @@ class IncrementalEngine:
         oids = np.frombuffer(self._ostore.oids, dtype=np.int64)[rows]
         oids.sort()
         return oids
+
+    def answer_arrays(self, qids) -> list:
+        """:meth:`answer_array` for a run of queries (empty for a query
+        not evaluated yet), read off the key array's cut.  An answer of
+        at most :data:`_SMALL_ANSWER` members is gathered in Python,
+        which costs it less than a numpy pass's fixed overhead."""
+        qstore, oids = self._qstore, self._ostore.oids
+        keys, out = qstore.keys, []
+        for qid in qids:
+            start, stop = qstore.run_span(qstore.row_of(qid)) if qid in qstore else (0, 0)
+            if stop - start > _SMALL_ANSWER:
+                answer = np.frombuffer(oids, dtype=np.int64)[keys[start:stop] & ROW_MASK]
+                answer.sort()
+            elif stop > start:
+                members = [oids[key & ROW_MASK] for key in keys[start:stop].tolist()]
+                answer = np.array(sorted(members), np.int64)
+            else:
+                answer = NO_OIDS
+            out.append(answer)
+        return out
 
     def answer_sizes(self) -> list[int]:
         """Every query's answer size, in no particular order."""

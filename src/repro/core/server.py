@@ -54,7 +54,7 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from repro.core.commit import NO_OIDS, CommittedAnswerStore
+from repro.core.commit import CommittedAnswerStore
 from repro.core.engine import DEFAULT_WORLD, IncrementalEngine
 from repro.core.state import QueryKind
 from repro.core.updates import UpdateBatch
@@ -301,11 +301,21 @@ class LocationAwareServer:
         array — the live answer XOR its lag (∅ as the live answer before
         the query's first evaluation).  This, never the live answer, is
         what commits record."""
-        live = self._live_answer(qid)
-        held = self._lag.get(qid)
-        if not held:
-            return live
-        return np.setxor1d(live, np.fromiter(held, np.int64, len(held)), assume_unique=True)
+        return self.delivered_answers((qid,))[0]
+
+    def delivered_answers(self, qids) -> list:
+        """:meth:`delivered_oids` for a run of queries, in order: the
+        live answers read off the key array's cut in one pass
+        (:meth:`~repro.core.engine.IncrementalEngine.answer_arrays`),
+        each XORed with its lag in Python."""
+        lag = self._lag
+        out = []
+        for qid, live in zip(qids, self.engine.answer_arrays(qids)):
+            held = lag.get(qid)
+            if held:
+                live = np.array(sorted(held.symmetric_difference(live.tolist())), np.int64)
+            out.append(live)
+        return out
 
     def take_mailed(self) -> set[int]:
         """The clients whose link accepted mail since the last call —
@@ -354,13 +364,13 @@ class LocationAwareServer:
         An uplink gate, an armed flight recorder and a history
         repository are per message by contract — each may defer, record
         or persist one report — so with any of them installed the rows
-        go through :meth:`receive_object_report` one by one.
+        go through :meth:`receive_object_report` one by one, once the
+        engine has judged the run whole: a row it would refuse refuses
+        the call with nothing applied, as on the column path.
         """
-        if (
-            self.uplink_gate is not None
-            or self.recorder.enabled
-            or self.history is not None
-        ):
+        if self._per_message():
+            if oids:
+                self.engine.checked_reports(oids, xs, ys, vxs, vys, ts)
             for oid, x, y, vx, vy, t in zip(oids, xs, ys, vxs, vys, ts):
                 self.receive_object_report(
                     oid,
@@ -408,64 +418,54 @@ class LocationAwareServer:
         self._bind(qid, client_id)
 
     def receive_range_query_move(self, qid: int, region: Rect, t: float) -> None:
-        """A moving range query reports its new region.
-
-        Receiving anything from a moving query commits its latest answer
-        — the uplink proves the client is connected and has received
-        everything sent so far (clients always wake up before resuming
-        uplink after an outage).  A move of an unbound query
-        (``KeyError``) or of the wrong kind for its query (``ValueError``)
-        is refused before any gate could defer it into the next cycle
-        and before the engine buffers it.
-        """
-        self._require_binding(qid)
-        self.engine.check_kind(qid, QueryKind.RANGE)
-        if self.uplink_gate is not None and not self._gate(
-            "query_move", self.receive_range_query_move, (qid, region, t)
-        ):
-            return
-        self.stats.record_uplink(QueryRegionMessage)
-        if self.recorder.enabled:
-            self.recorder.record("uplink_move", qid=qid, query="range", t=t)
-        self.engine.move_range_query(qid, region, t)
-        self._commit_on_uplink(qid)
+        """A moving range query reports its new region: a one-row
+        :meth:`receive_query_moves`."""
+        self.receive_query_moves((qid,), (QueryKind.RANGE,), (region,), (t,))
 
     def receive_knn_query_move(self, qid: int, center: Point, t: float) -> None:
         """A moving k-NN query reports its new center (a
         :class:`~repro.net.KnnMoveMessage` — 32 bytes on the wire, not
         a degenerate zero-area rectangle shoehorned into the 48-byte
-        range-move encoding)."""
-        self._require_binding(qid)
-        self.engine.check_kind(qid, QueryKind.KNN)
-        if self.uplink_gate is not None and not self._gate(
-            "query_move", self.receive_knn_query_move, (qid, center, t)
-        ):
-            return
-        self.stats.record_uplink(KnnMoveMessage)
-        if self.recorder.enabled:
-            self.recorder.record("uplink_move", qid=qid, query="knn", t=t)
-        self.engine.move_knn_query(qid, center, t)
-        self._commit_on_uplink(qid)
+        range-move encoding): a one-row :meth:`receive_query_moves`."""
+        self.receive_query_moves((qid,), (QueryKind.KNN,), (center,), (t,))
 
     def receive_predictive_query_move(
         self, qid: int, region: Rect, t: float
     ) -> None:
-        self._require_binding(qid)
-        self.engine.check_kind(qid, QueryKind.PREDICTIVE_RANGE)
-        if self.uplink_gate is not None and not self._gate(
-            "query_move", self.receive_predictive_query_move, (qid, region, t)
-        ):
-            return
-        self.stats.record_uplink(QueryRegionMessage)
-        if self.recorder.enabled:
-            self.recorder.record(
-                "uplink_move", qid=qid, query="predictive", t=t
-            )
-        self.engine.move_predictive_query(qid, region, t)
-        self._commit_on_uplink(qid)
+        """A moving predictive query reports its new region: a one-row
+        :meth:`receive_query_moves`."""
+        self.receive_query_moves(
+            (qid,), (QueryKind.PREDICTIVE_RANGE,), (region,), (t,)
+        )
+
+    def receive_query_moves(self, qids, kinds, targets, ts) -> bool:
+        """A run of query moves as aligned sequences — qid, its
+        :class:`~repro.core.state.QueryKind`, its new region or center,
+        time — buffered in order; True when the run went as one.
+
+        Receiving anything from a moving query commits its latest answer
+        — the uplink proves the client is connected and has received
+        everything sent so far (clients always wake up before resuming
+        uplink after an outage) — so the moved queries then commit as
+        one run.  An unbound qid (``KeyError``) or a wrong kind
+        (``ValueError``) refuses the whole run before any gate could
+        defer a row of it or the engine buffer one.
+        """
+        for qid, kind in zip(qids, kinds):
+            self._require_binding(qid)
+            self.engine.check_kind(qid, kind)
+        if not self._per_message():
+            self._move(qids, kinds, targets, ts)
+            return True
+        for qid, kind, target, t in zip(qids, kinds, targets, ts):
+            door = getattr(self, f"receive_{kind.value}_query_move")
+            if self.uplink_gate is None or self._gate("query_move", door, (qid, target, t)):
+                self._move([qid], [kind], [target], [t])
+        return False
 
     def receive_commit(self, qid: int) -> None:
-        """Explicit commit from a stationary query's client.
+        """Explicit commit from a stationary query's client: a one-row
+        :meth:`receive_commits`.
 
         Commits the *delivered* answer state, not the live engine
         answer: the client is acknowledging what it holds, and what it
@@ -474,16 +474,24 @@ class LocationAwareServer:
         unnoticed outage) — precisely when committing the live answer
         would violate the commit invariant.
         """
-        if self.uplink_gate is not None and not self._gate(
-            "commit", self.receive_commit, (qid,)
-        ):
-            return
-        self.stats.record_uplink(CommitMessage)
-        self._require_binding(qid)
-        self.commits.commit(qid, self.delivered_oids(qid))
-        self.freshness.observe_committed(qid)
-        self.recorder.record("commit", qid=qid, via="explicit")
-        self._notify("on_commit", qid)
+        self.receive_commits((qid,))
+
+    def receive_commits(self, qids) -> bool:
+        """Explicit commits, a run of qids in arrival order: what
+        :meth:`receive_commit` row by row would leave, accounted once;
+        True when the run went as one.  An unbound qid (``KeyError``)
+        refuses the whole run before any gate could defer a row of it."""
+        for qid in qids:
+            self._require_binding(qid)
+        if not self._per_message():
+            self.stats.record_uplinks(CommitMessage, len(qids))
+            self._commit(qids, "explicit", True)
+            return True
+        for qid in qids:
+            if self.uplink_gate is None or self._gate("commit", self.receive_commit, (qid,)):
+                self.stats.record_uplink(CommitMessage)
+                self._commit([qid], "explicit", True)
+        return False
 
     def adopt_query(self, qid: int, client_id: int) -> None:
         """Bind an engine query that already exists (restored from a
@@ -549,11 +557,9 @@ class LocationAwareServer:
             # The deltas ship in one call, one slice a query in order, so
             # the freshness tracker takes the wakeup as one delivery.
             deltas = []
-            for qid in owned:
+            for qid, live in zip(owned, self.engine.answer_arrays(owned)):
                 self._lag.pop(qid, None)
-                deltas.append(
-                    self.commits.recovery_updates(qid, self._live_answer(qid), into=UpdateBatch())
-                )
+                deltas.append(self.commits.recovery_updates(qid, live, into=UpdateBatch()))
             sent = self._ship(
                 [
                     (link, delta.qids, delta.oids, delta.signs, [(qid, 0, len(delta))])
@@ -565,9 +571,7 @@ class LocationAwareServer:
                 if shipped[qid]:
                     last_served = qid
                 behind |= shipped[qid] < len(delta)
-                self.commits.commit(qid, self.delivered_oids(qid))
-                self.freshness.observe_committed(qid)
-                self.recorder.record("commit", qid=qid, via="wakeup")
+            self._commit(owned, "wakeup")
         if not behind:
             self._resume_after.pop(client_id, None)
         elif last_served is not None:
@@ -609,8 +613,8 @@ class LocationAwareServer:
         # attributed as one delivery before the commits.
         runs: list[tuple[int, int, int]] = []
         members: list[int] = []
-        for qid in sorted(self._queries_of_client[client_id]):
-            live = self._live_answer(qid)
+        owned = sorted(self._queries_of_client[client_id])
+        for qid, live in zip(owned, self.engine.answer_arrays(owned)):
             answer = frozenset(live.tolist())
             message = FullAnswerMessage(qid, answer)
             if link.deliver(message):
@@ -627,8 +631,7 @@ class LocationAwareServer:
                     freshness.observe_undelivered(qid, oid, 1)
             self._seed_lag(qid)
         freshness.observe_delivered_runs(runs, members, [1] * len(members))
-        for qid in committed:
-            freshness.observe_committed(qid)
+        freshness.observe_committed(committed)
         recovered = len(committed)
         self._notify("on_wakeup_end", client_id)
         self.recorder.record(
@@ -824,27 +827,61 @@ class LocationAwareServer:
         # (the client held it before the restart); a fresh one from ∅.
         self._seed_lag(qid)
 
-    def _live_answer(self, qid: int):
-        """``qid``'s live answer, a sorted int64 array of oids; ∅ before
-        its first evaluation."""
-        engine = self.engine
-        return engine.answer_array(qid) if qid in engine.queries else NO_OIDS
-
     def _seed_lag(self, qid: int) -> None:
         """Lag ``qid`` for a client that holds its committed answer."""
         held = np.setxor1d(
-            self._live_answer(qid), self.commits.committed_oids(qid), assume_unique=True
+            self.engine.answer_arrays((qid,))[0],
+            self.commits.committed_oids(qid),
+            assume_unique=True,
         )
         if len(held):
             self._lag[qid] = set(held.tolist())
         else:
             self._lag.pop(qid, None)
 
-    def _commit_on_uplink(self, qid: int) -> None:
-        self.commits.commit(qid, self.delivered_oids(qid))
-        self.freshness.observe_committed(qid)
-        self.recorder.record("commit", qid=qid, via="uplink")
-        self._notify("on_commit", qid)
+    def _per_message(self) -> bool:
+        """True when an uplink gate, an armed flight recorder or a
+        history repository is installed: each acts per message by
+        contract (defers, records or persists one), so uplink runs then
+        go row by row."""
+        return (
+            self.uplink_gate is not None
+            or self.recorder.enabled
+            or self.history is not None
+        )
+
+    def _move(self, qids, kinds, targets, ts) -> None:
+        """Buffer checked moves in order, then commit the moved queries
+        as one run."""
+        engine = self.engine
+        for qid, kind, target, t in zip(qids, kinds, targets, ts):
+            knn = kind is QueryKind.KNN
+            self.stats.record_uplink(KnnMoveMessage if knn else QueryRegionMessage)
+            if self.recorder.enabled:
+                self.recorder.record("uplink_move", qid=qid, query=kind.value, t=t)
+            if knn:
+                engine.move_knn_query(qid, target, t)
+            elif kind is QueryKind.RANGE:
+                engine.move_range_query(qid, target, t)
+            else:
+                engine.move_predictive_query(qid, target, t)
+        self._commit(qids, "uplink", True)
+
+    def _commit(self, qids, via: str, notify: bool = False) -> None:
+        """Commit each of ``qids``' delivered answer, in order — one read
+        of the delivered answers and one freshness attribution for the
+        run — then, with ``notify``, tell the observers qid by qid."""
+        commit = self.commits.commit
+        for qid, held in zip(qids, self.delivered_answers(qids)):
+            commit(qid, held)
+        self.freshness.observe_committed(qids)
+        if self.recorder.enabled:
+            for qid in qids:
+                self.recorder.record("commit", qid=qid, via=via)
+        if notify and self._observers:
+            for qid in qids:
+                for observer in self._observers:
+                    observer.on_commit(qid)
 
     def _require_binding(self, qid: int) -> None:
         if qid not in self._owner:

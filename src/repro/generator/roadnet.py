@@ -18,7 +18,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 
-from repro.geometry import Point, Rect, Segment
+from repro.geometry import Point, Rect
 
 
 class RoadClass(enum.Enum):
@@ -100,9 +100,6 @@ class RoadNetwork:
 
     def degree(self, node: int) -> int:
         return len(self._adjacency[node])
-
-    def edge_segment(self, edge: RoadEdge) -> Segment:
-        return Segment(self.nodes[edge.u], self.nodes[edge.v])
 
     @property
     def node_count(self) -> int:

@@ -151,10 +151,6 @@ class Rect:
             self.max_y + margin,
         )
 
-    def clipped_to(self, bounds: "Rect") -> "Rect | None":
-        """This rectangle clipped to ``bounds`` (alias of intersection)."""
-        return self.intersection(bounds)
-
     def difference(self, other: "Rect") -> list["Rect"]:
         """This rectangle minus ``other`` as up to four disjoint rectangles.
 

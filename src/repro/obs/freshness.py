@@ -26,16 +26,21 @@ update stream:
 
 A delivery batch is attributed in array passes (one search of the
 stamp table, one sort-and-count of the batch, one merge into the
-blocks of the pending-commit table it touches); a commit walks its
-query's pending stamps, at most 64.  What that costs a cycle is
-measured, not promised: ``benchmarks/bench_telemetry_overhead.py`` runs
-the end-to-end benchmark's ``sparse_mixed`` and ``bulk_churn`` rounds
-with the tracker on and off.  On a 2-core box the tracker cost +29 % of
-a ``sparse_mixed`` cycle (40.1 against 31.1 ms; +51 % with the per-run
-tracker this replaced) and +6 % of a ``bulk_churn`` one (+19 % before).
-Timed per method, that is ~7 ms a ``sparse_mixed`` cycle: 3.4 ms of
-delivery attribution and 3.1 ms of ~200 commits, Python per pending
-stamp and per summarised group.
+blocks of the pending-commit table it touches); a commit run walks its
+queries' pending stamps, at most 64 each, and sums a run of several
+queries per distinct stamp before it observes.  What that costs a cycle
+is measured, not promised: ``benchmarks/bench_telemetry_overhead.py``
+runs the end-to-end benchmark's ``sparse_mixed`` and ``bulk_churn``
+rounds with the tracker on and off.  On a 2-core box shared with other
+load one full run read the tracker at +17 % of a ``sparse_mixed`` cycle
+(37.3 against 31.9 ms) and +1 % of a ``bulk_churn`` one; single runs
+spread widely there (another read +54 % and +10 %, ``--quick`` +14 % and
++17 %).  Timed per method instead — ``perf_counter`` wrappers on the
+tracker's read side over 40 of those ``sparse_mixed`` rounds in-process,
+GC off in each — the tracker is ~6–8 ms of a 29–45 ms
+cycle: 3.1–4.3 ms of delivery attribution and 2.9–4.3 ms of ~200
+one-row commits (each query move commits alone in-process), Python per
+pending stamp and per summarised query.
 
 Updates with no report provenance (query registration fills, query
 moves, recovery retractions of departed objects) are counted, not
@@ -202,9 +207,10 @@ class FreshnessTracker:
     The engine owns the write side (:meth:`stamp_report` per buffered
     report, :meth:`end_cycle` per evaluation); the server owns the read
     side (:meth:`observe_delivered_runs` per accepted downlink batch,
-    :meth:`observe_committed` per acknowledged query).  Staleness of an
-    update is measured against the *latest* report of its object — the
-    definition of answer currency the paper's client cares about.
+    :meth:`observe_committed` per run of acknowledged queries).
+    Staleness of an update is measured against the *latest* report of
+    its object — the definition of answer currency the paper's client
+    cares about.
 
     A stamp is the number of the evaluation a report targets; the wall
     clock of each stamp's cycle boundary is kept once, beside.  Stamps
@@ -215,8 +221,8 @@ class FreshnessTracker:
     of rows a query, stamps ascending within it.  A query's slot (a
     dense per-tracker index: qids span int64) holds its block's base
     row, its room and its length.  A delivery batch merges into the
-    blocks it touches in array passes; a commit reads its query's block
-    and empties it.
+    blocks it touches in array passes; a commit run reads its queries'
+    blocks and empties them.
     """
 
     enabled = True
@@ -709,24 +715,51 @@ class FreshnessTracker:
         eventually lands it will be attributed with the full lag."""
         self._m_undelivered.inc()
 
-    def observe_committed(self, qid: int) -> None:
-        """The client acknowledged ``qid``; attribute commit staleness
-        for every update delivered since the previous acknowledgement —
-        one observation per pending ``(stamp, polarity)`` — and empty
-        its block."""
-        slot = self._slot_of.get(qid)
-        if slot is None or not self._len[slot]:
+    def observe_committed(self, qids) -> None:
+        """The clients acknowledged ``qids``, a run in order, at one clock
+        read: attribute commit staleness for every update each query was
+        delivered since its previous acknowledgement, and empty its
+        block.  A run's blocks are summed per distinct stamp first, so
+        the registry histograms take one observation per ``(stamp,
+        polarity)`` for the run; summaries and the untracked count stay
+        per query.  A qid repeated in the run finds its block empty, as
+        a second commit would."""
+        blocks = []
+        untracked = 0
+        for qid in qids:
+            slot = self._slot_of.get(qid)
+            if slot is None or not self._len[slot]:
+                continue
+            base = self._base[slot]
+            entries = self._rows[base : base + self._len[slot]].tolist()
+            self._len[slot] = 0
+            summary = self._summary_of(qid)
+            if summary is None:
+                untracked += sum(positive + negative for _, positive, negative in entries)
+            blocks.append((summary, entries))
+        if not blocks:
             return
-        base = self._base[slot]
-        entries = self._rows[base : base + self._len[slot]].tolist()
-        self._len[slot] = 0
-        now_ts = self._clock()
-        cycle = self.cycle
-        ts = self._ts
+        if untracked:
+            self._m_untracked.inc(untracked)
+        now_ts, cycle, ts = self._clock(), self.cycle, self._ts
+        summary, entries = blocks[0]
+        if len(blocks) > 1:
+            # Summaries per query, then the registry histograms once per
+            # distinct stamp of the run.
+            totals: dict[int, list[int]] = {}
+            for summary, block in blocks:
+                for stamp, positive, negative in block:
+                    if summary is not None:
+                        lag_cycles = cycle - stamp if cycle > stamp else 0
+                        lag_seconds = now_ts - ts[stamp]
+                        summary.observe("commit", lag_cycles, lag_seconds, positive + negative)
+                    total = totals.setdefault(stamp, [0, 0])
+                    total[0] += positive
+                    total[1] += negative
+            summary, entries = None, [(stamp, *total) for stamp, total in totals.items()]
         (positive_cycles, positive_seconds), (negative_cycles, negative_seconds) = (
             self._commit_hists
         )
-        summary = self._summary_of(qid)
         for stamp, positive, negative in entries:
             lag_cycles = cycle - stamp if cycle > stamp else 0
             lag_seconds = now_ts - ts[stamp]
@@ -738,8 +771,6 @@ class FreshnessTracker:
                 negative_seconds.observe_n(lag_seconds, negative)
             if summary is not None:
                 summary.observe("commit", lag_cycles, lag_seconds, positive + negative)
-        if summary is None:
-            self._m_untracked.inc(sum(positive + negative for _, positive, negative in entries))
 
     def forget_query(self, qid: int) -> None:
         """Drop ``qid``'s pending and summary state (unregistered) and
@@ -845,7 +876,7 @@ class NullFreshnessTracker:
     def observe_undelivered(self, qid: int, oid: int, sign: int) -> None:
         pass
 
-    def observe_committed(self, qid: int) -> None:
+    def observe_committed(self, qids) -> None:
         pass
 
     def forget_query(self, qid: int) -> None:

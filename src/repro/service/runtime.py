@@ -31,13 +31,18 @@ Design points:
   line is decoded on its own, and consecutive ``report`` ops become one
   FIFO entry of six columns.  Any other line closes the run first — it
   is queued before that line is handled — so a ``tick`` or ``ping``
-  mid-read sees what a line-at-a-time loop would have queued.  At the drain a run is judged by whole-column
-  passes and handed to the server's batch door
-  (:meth:`~repro.core.server.LocationAwareServer.receive_object_reports`);
-  a run holding any refusable value is replayed row by row through
-  :meth:`ServiceRuntime._apply_op`, the one per-row door, so exactly
-  the bad rows are refused.  Admission, backlog and every counter count
-  rows.  Output is queued per session and written once per flush.
+  mid-read sees what a line-at-a-time loop would have queued.  At the
+  drain, consecutive report runs, moves and commits form a group that
+  reaches the server as three runs — one merged report run
+  (:meth:`~repro.core.server.LocationAwareServer.receive_object_reports`),
+  one move run and one commit run — because within a drain they
+  commute; any other op closes the group.  A run holding any refusable
+  value is replayed, with the runs after it, entry by entry through the
+  per-op doors (:meth:`ServiceRuntime._replay`) — a report run that
+  holds one row by row through :meth:`ServiceRuntime._apply_op`, the
+  one per-row door — so exactly the bad rows are refused.  Admission,
+  backlog and every counter count rows.  Output is queued per session
+  and written once per flush.
 * **Protocol completeness on the wire.**  The runtime subscribes to the
   server's observer hooks and emits ``wakeup_begin`` / ``wakeup_end`` /
   ``committed`` markers, each preceded by a flush of the affected
@@ -62,6 +67,7 @@ from urllib.parse import parse_qs
 
 from repro.check import ConsistencyOracle
 from repro.core.server import LocationAwareServer
+from repro.core.state import QueryKind
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.geometry import Point, Rect, Velocity
@@ -105,6 +111,10 @@ def _finite(op: dict, *fields: str, default: float | None = None) -> list[float]
     if not all(map(isfinite, values)):
         raise ProtocolError("bad_value", f"{', '.join(fields)} must be finite")
     return values
+
+#: What a drain gathers into groups: report runs and the queued ops
+#: named (see ServiceRuntime._drain_uplinks).
+_GROUPED = frozenset(("run", "move", "commit"))
 
 #: Longest line accepted: uplink lines are small, but recovery ``answer``
 #: downlinks (and symmetric test traffic) can carry large oid lists.
@@ -173,11 +183,12 @@ class ServiceRuntime:
         self._next_session_id = 1
         #: client_id -> owning session (wire routing).
         self._client_session: dict[int, ClientSession] = {}
-        #: Global FIFO drained at each cycle boundary: ``(session, op)``
-        #: for one queued op, ``(session, columns)`` for a run of
-        #: reports — six aligned lists (oid, x, y, vx, vy, t) of the
-        #: values as decoded, judged at the drain.
-        self._pending: list[tuple[ClientSession, dict | tuple]] = []
+        #: Global FIFO drained at each cycle boundary: ``(session, op,
+        #: False)`` for one queued op, ``(session, columns, loose)`` for
+        #: a run of reports — six aligned lists (oid, x, y, vx, vy, t)
+        #: of the values as decoded, judged at the drain; ``loose`` when
+        #: a report of its read took the per-line route (any JSON type).
+        self._pending: list[tuple[ClientSession, dict | tuple, bool]] = []
         #: Ops and report rows on ``_pending``.
         self._pending_rows = 0
         #: True while :meth:`run_cycle` runs: its flush ends with one
@@ -196,10 +207,10 @@ class ServiceRuntime:
         )
         self._m_ops: dict[str, object] = {}
         counter = self.registry.counter
-        # Which path a report row took at the drain: "batch" = the
-        # column doors, "scalar" = one ``_apply_op`` / one
-        # ``receive_object_report`` per row (a refusable value in the
-        # run, or a per-message hook installed on the server).
+        # Which path a report, move or commit row took at the drain:
+        # "batch" = the run doors, "scalar" = one ``_apply_op`` or one
+        # server call per row (a refusable value in the run, or a
+        # per-message hook installed on the server).
         self._m_rows = {
             path: counter("service_uplink_rows_total", labels={"path": path})
             for path in ("batch", "scalar")
@@ -377,13 +388,15 @@ class ServiceRuntime:
             self._m_lines["report"].inc(typed)
         if fallbacks:
             self._m_lines["line"].inc(fallbacks)
+        # Runs of a read the pattern typed whole need no conversion.
+        loose = typed < sum(len(item[0]) for item in items if item.__class__ is tuple)
         handled = 0
         try:
             for item in items:
                 kind = item.__class__
                 if kind is tuple:
                     handled += len(item[0])
-                    self._queue_run(session, item)
+                    self._queue_run(session, item, loose)
                     continue
                 handled += 1
                 if kind is not dict:
@@ -404,7 +417,7 @@ class ServiceRuntime:
             session.lines_in += handled
         return True
 
-    def _queue_run(self, session: ClientSession, columns: tuple) -> None:
+    def _queue_run(self, session: ClientSession, columns: tuple, loose: bool) -> None:
         """Admit a run of reports row by row and queue what fits as its
         six columns; each row beyond the session's allowance is told
         ``busy``."""
@@ -417,11 +430,11 @@ class ServiceRuntime:
                 session.send(busy)
             columns = tuple(column[:admitted] for column in columns)
         if admitted:
-            self._enqueue(session, columns, admitted)
+            self._enqueue(session, columns, admitted, loose)
 
-    def _enqueue(self, session: ClientSession, entry, rows: int) -> None:
+    def _enqueue(self, session: ClientSession, entry, rows: int, loose=False) -> None:
         session.backlog += rows
-        self._pending.append((session, entry))
+        self._pending.append((session, entry, loose))
         self._pending_rows += rows
         self._m_backlog.set(self._pending_rows)
 
@@ -622,27 +635,129 @@ class ServiceRuntime:
 
     def _drain_uplinks(self) -> tuple[int, int]:
         """Apply everything queued, in global arrival order; returns
-        ``(rows applied, rows refused)``."""
+        ``(rows applied, rows refused)``.
+
+        Consecutive report runs, moves and commits form a group
+        (:meth:`_apply_group`).  Any other op closes the group first,
+        and so does a move after a commit, so that a group's commits —
+        a move's own and explicit ones — keep their arrival order.
+        """
         pending, self._pending = self._pending, []
         self._pending_rows = 0
-        applied = 0
-        refused = 0
+        queued = applied = 0
+        group: list[int] = []
+        committing = False
         with self.server.tracer.span("uplink_apply", self._m_apply_seconds):
-            for session, entry in pending:
+            for at, (session, entry, _) in enumerate(pending):
                 single = entry.__class__ is dict
                 rows = 1 if single else len(entry[0])
                 session.backlog = max(0, session.backlog - rows)
                 if session.closed:
                     continue
-                ok = (
-                    self._apply_row(session, entry)
-                    if single
-                    else self._apply_run(session, entry)
-                )
-                applied += ok
-                refused += rows - ok
+                queued += rows
+                name = entry["op"] if single else "run"
+                if group and (name not in _GROUPED or committing and name == "move"):
+                    applied += self._apply_group(pending, group)
+                    group, committing = [], False
+                if name in _GROUPED:
+                    group.append(at)
+                    committing |= name == "commit"
+                else:
+                    applied += self._apply_row(session, entry)
+            if group:
+                applied += self._apply_group(pending, group)
         self._m_backlog.set(0)
-        return applied, refused
+        return applied, queued - applied
+
+    def _apply_group(self, pending: list, group: list[int]) -> int:
+        """``pending``'s entries at ``group`` as three runs — the report
+        runs merged, then the moves, then the commits, which commute
+        within a drain (DESIGN.md §10); returns the rows applied.  Each
+        run is judged whole and its door refuses it whole; a refused
+        run's entries and those of the runs after it are replayed in
+        arrival order through the per-op doors (:meth:`_replay`)."""
+        stages: tuple[list[int], ...] = ([], [], [])
+        for at in group:
+            entry = pending[at][1]
+            stages[0 if entry.__class__ is tuple else 1 if entry["op"] == "move" else 2].append(at)
+        applied = 0
+        for stage, ats in enumerate(stages):
+            if ats:
+                try:
+                    applied += (self._report_run, self._move_run, self._commit_run)[stage](
+                        pending, ats
+                    )
+                except _BAD_VALUE:
+                    return applied + sum(
+                        self._replay(pending, at) for at in sorted(chain(*stages[stage:]))
+                    )
+        return applied
+
+    def _replay(self, pending: list, at: int) -> int:
+        """``pending[at]`` through its per-op door — a run whole, or row
+        by row through :meth:`_apply_row` when it holds a value that
+        would be refused, so exactly the bad rows are refused, answered
+        and counted; returns the rows applied."""
+        session, entry, _ = pending[at]
+        if entry.__class__ is dict:
+            self._m_rows["scalar"].inc()
+            return self._apply_row(session, entry)
+        try:
+            return self._report_run(pending, [at])
+        except _BAD_VALUE:
+            entry = pending[at][1]
+            self._m_rows["scalar"].inc(len(entry[0]))
+            return sum(
+                self._apply_row(
+                    session,
+                    {"op": "report", "oid": oid, "x": x, "y": y,
+                     "vx": vx, "vy": vy, "t": t},
+                )
+                for oid, x, y, vx, vy, t in zip(*entry)
+            )  # fmt: skip
+
+    def _report_run(self, pending: list, ats: list[int]) -> int:
+        """Report runs merged into one and judged whole — by the bounds
+        :meth:`_apply_op` applies to one report, after its conversions
+        for a loose run — through the batch door.  Each run is released
+        as it is merged, so no second copy of the columns outlives the
+        merge; a refused merge puts each back as its merged slice."""
+        merged = oids, xs, ys, vxs, vys, ts = ([], [], [], [], [], [])
+        cuts = []
+        try:
+            for at in ats:
+                session, columns, loose = pending[at]
+                if loose:
+                    oid_column, *reals = columns
+                    columns = (list(map(int, oid_column)), *(list(map(float, c)) for c in reals))
+                cuts.append((at, session, len(oids)))
+                for column, values in zip(merged, columns):
+                    column += values
+                pending[at] = None
+            if not (
+                -_INT64_BOUND <= min(oids)
+                and max(oids) < _INT64_BOUND
+                and all(map(isfinite, chain(vxs, vys, ts)))
+            ):
+                raise ProtocolError("bad_value", "a row is out of range")
+            batched = self.server.receive_object_reports(oids, xs, ys, vxs, vys, ts)
+        except _BAD_VALUE:
+            for (at, session, start), (*_, stop) in zip(cuts, [*cuts[1:], (len(oids),)]):
+                pending[at] = (session, tuple(column[start:stop] for column in merged), False)
+            raise
+        self._m_rows["batch" if batched else "scalar"].inc(len(oids))
+        return len(oids)
+
+    def _move_run(self, pending: list, ats: list[int]) -> int:
+        qids, kinds, targets, ts = zip(*(self._move_of(pending[at][1]) for at in ats))
+        batched = self.server.receive_query_moves(qids, kinds, targets, ts)
+        self._m_rows["batch" if batched else "scalar"].inc(len(ats))
+        return len(ats)
+
+    def _commit_run(self, pending: list, ats: list[int]) -> int:
+        batched = self.server.receive_commits([_id_of(pending[at][1], "qid") for at in ats])
+        self._m_rows["batch" if batched else "scalar"].inc(len(ats))
+        return len(ats)
 
     def _apply_row(self, session: ClientSession, op: dict) -> bool:
         """One op through :meth:`_apply_op`; a refused one is answered
@@ -655,42 +770,16 @@ class ServiceRuntime:
             return False
         return True
 
-    def _apply_run(self, session: ClientSession, columns: tuple) -> int:
-        """A run of reports through the batch door; returns the rows
-        applied.
-
-        The columns are judged whole, by the constructors and bounds
-        :meth:`_apply_op` applies to one report.  A run holding any
-        value it would refuse is replayed row by row through
-        ``_apply_op`` instead, so exactly the bad rows are refused,
-        answered and counted, and the rest are applied in order.
-        """
-        rows = len(columns[0])
-        try:
-            oids = list(map(int, columns[0]))
-            xs, ys, vxs, vys, ts = (list(map(float, c)) for c in columns[1:])
-            if not (
-                -_INT64_BOUND <= min(oids)
-                and max(oids) < _INT64_BOUND
-                and all(map(isfinite, chain(vxs, vys, ts)))
-            ):
-                raise ProtocolError("bad_value", "a row is out of range")
-            batched = self.server.receive_object_reports(
-                oids, xs, ys, vxs, vys, ts
-            )
-        except _BAD_VALUE:
-            applied = sum(
-                self._apply_row(
-                    session,
-                    {"op": "report", "oid": oid, "x": x, "y": y,
-                     "vx": vx, "vy": vy, "t": t},
-                )
-                for oid, x, y, vx, vy, t in zip(*columns)
-            )  # fmt: skip
-            self._m_rows["scalar"].inc(rows)
-            return applied
-        self._m_rows["batch" if batched else "scalar"].inc(rows)
-        return rows
+    def _move_of(self, op: dict) -> tuple:
+        """A move op's ``(qid, kind, target, t)``, its values refused as
+        :meth:`_apply_op` refuses them."""
+        qid = _id_of(op, "qid")
+        kind = op["kind"]
+        (t,) = _finite(op, "t")
+        if kind == "knn":
+            return qid, QueryKind.KNN, Point(*_finite(op, "cx", "cy")), t
+        kind = QueryKind.RANGE if kind == "range" else QueryKind.PREDICTIVE_RANGE
+        return qid, kind, self._rect_of(op), t
 
     def _apply_op(self, op: dict) -> None:
         server = self.server
@@ -713,20 +802,9 @@ class ServiceRuntime:
                 Velocity(vx, vy) if vx or vy else Velocity.ZERO,
             )
         elif name == "move":
-            qid = _id_of(op, "qid")
-            kind = op["kind"]
-            (t,) = _finite(op, "t")
-            if kind == "range":
-                move = server.receive_range_query_move
-                target = self._rect_of(op)
-            elif kind == "knn":
-                move = server.receive_knn_query_move
-                target = Point(*_finite(op, "cx", "cy"))
-            else:
-                move = server.receive_predictive_query_move
-                target = self._rect_of(op)
+            qid, kind, target, t = self._move_of(op)
             try:
-                move(qid, target, t)
+                server.receive_query_moves((qid,), (kind,), (target,), (t,))
             except ValueError:
                 # Every value is vouched for above, so this is the
                 # engine refusing a move of the wrong kind for its query.

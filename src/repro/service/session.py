@@ -119,14 +119,3 @@ class ClientSession:
 
     def mark_closed(self) -> None:
         self.closed = True
-
-    def describe(self) -> dict:
-        return {
-            "session": self.session_id,
-            "peer": self.peer,
-            "sync": self.sync,
-            "clients": len(self.client_ids),
-            "backlog": self.backlog,
-            "lines_in": self.lines_in,
-            "lines_out": self.lines_out,
-        }

@@ -119,6 +119,3 @@ class TimeParameterizedRect:
     def contains_tpbr_at(self, other: "TimeParameterizedRect", t: float) -> bool:
         """Whether this TPBR covers ``other`` at time ``t`` (for checks)."""
         return self.rect_at(t).expanded(1e-9).contains_rect(other.rect_at(t))
-
-    def area_at(self, t: float) -> float:
-        return self.rect_at(t).area

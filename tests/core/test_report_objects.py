@@ -200,3 +200,22 @@ def test_a_refused_run_is_not_accounted():
         server.receive_object_reports([1, 2], [0.5, float("nan")], [0.5, 0.5], [0, 0], [0, 0], [1.0, 1.0])
     assert server.registry.value_of("net_uplink_messages_total") == before
     assert not server.engine._pending_reports
+
+
+@pytest.mark.parametrize("hook", [hook for hook in HOOKS if hook != "none"])
+def test_a_refused_run_applies_nothing_under_a_per_message_hook(hook):
+    """Row by row too, a run with a row the engine refuses is refused
+    whole before any row of it is gated, recorded, persisted or
+    buffered: a caller's per-row replay then applies each row once."""
+    installed = HOOKS[hook]()
+    server = make_server(**{k: v for k, v in installed.items() if k != "gate"})
+    server.uplink_gate = installed.get("gate")
+    before = server.registry.value_of("net_uplink_messages_total")
+    events = len(server.recorder.events()) if server.recorder.enabled else 0
+    with pytest.raises(ValueError):
+        server.receive_object_reports(
+            [1, 2], [0.5, float("nan")], [0.5, 0.5], [0, 0], [0, 0], [1.0, 1.0]
+        )
+    assert server.registry.value_of("net_uplink_messages_total") == before
+    assert not server.engine._pending_reports and not server._delayed_uplinks
+    assert (len(server.recorder.events()) if server.recorder.enabled else 0) == events

@@ -123,6 +123,7 @@ class Stack:
         engine.answer_array = lambda qid: np.array(
             sorted(self.live.get(qid, ())), dtype=np.int64
         )
+        engine.answer_arrays = lambda qids: [engine.answer_array(qid) for qid in qids]
 
     def _observe(self, client_id, message, delivered):
         self.observed.setdefault(client_id, []).append((message, delivered))
@@ -190,7 +191,7 @@ class Stack:
 
 class ReferenceStack(Stack):
     """A stack whose server ships per message (:func:`reference_ship`)
-    and answers ``delivered_oids`` from its own dict: the committed
+    and answers ``delivered_answers`` from its own dict: the committed
     base on every wakeup, plus each update a link accepted since."""
 
     def __init__(self, link_kinds, owners):
@@ -198,7 +199,9 @@ class ReferenceStack(Stack):
         server = self.server
         self.delivered: dict[int, set[int]] = {qid: set() for qid in owners}
         server._ship = lambda slices: reference_ship(self, slices)
-        server.delivered_oids = lambda qid: np.array(sorted(self.delivered[qid]), dtype=np.int64)
+        server.delivered_answers = lambda qids: [
+            np.array(sorted(self.delivered[qid]), dtype=np.int64) for qid in qids
+        ]
         wakeup = server.receive_wakeup
 
         def receive_wakeup(client_id):

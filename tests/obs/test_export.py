@@ -149,7 +149,7 @@ class TestFreshnessSeriesRoundTrip:
         tracker.end_cycle()
         tracker.end_cycle()  # one cycle of lag
         tracker.observe_delivered(qid=7, oid=1, sign=1)
-        tracker.observe_committed(7)
+        tracker.observe_committed([7])
         return reg, tracker
 
     def test_freshness_histograms_in_prometheus_text(self):

@@ -162,7 +162,7 @@ class TestCommitStaleness:
         tracker.end_cycle()
         tracker.end_cycle()
         clock.advance(4.0)
-        tracker.observe_committed(1)  # commit lag 2 cycles, 4 seconds
+        tracker.observe_committed([1])  # commit lag 2 cycles, 4 seconds
         d = hist(registry, "freshness_staleness_cycles", "delivery", "positive")
         c = hist(registry, "freshness_staleness_cycles", "commit", "positive")
         assert d.sum == 0.0
@@ -177,8 +177,8 @@ class TestCommitStaleness:
         tracker.stamp_report(7)
         tracker.end_cycle()
         tracker.observe_delivered(qid=1, oid=7, sign=1)
-        tracker.observe_committed(1)
-        tracker.observe_committed(1)  # nothing pending; must be a no-op
+        tracker.observe_committed([1])
+        tracker.observe_committed([1])  # nothing pending; must be a no-op
         c = hist(registry, "freshness_staleness_cycles", "commit", "positive")
         assert c.count == 1
 
@@ -204,7 +204,7 @@ class TestCommitStaleness:
             tracker.observe_delivered_runs([(1, 0, 2)], [7, 7], [1, -1])
         assert len(tracker.pending_commit()[1]) == _MAX_PENDING_PER_QUERY
         assert folded.value > 0
-        tracker.observe_committed(1)
+        tracker.observe_committed([1])
         delivered = (_MAX_PENDING_PER_QUERY + 10) + (_MAX_PENDING_PER_QUERY + 9)
         c = hist(registry, "freshness_staleness_cycles", "commit", "positive")
         assert c.count == delivered
@@ -230,8 +230,8 @@ class TestCommitStaleness:
                     assert len(pending) <= _MAX_PENDING_PER_QUERY
         for pending in tracker.pending_commit().values():
             assert len(pending) <= _MAX_PENDING_PER_QUERY
-        tracker.observe_committed(1)
-        tracker.observe_committed(2)
+        tracker.observe_committed([1])
+        tracker.observe_committed([2])
         assert not tracker.pending_commit()
         positive = hist(registry, "freshness_staleness_cycles", "commit", "positive")
         negative = hist(registry, "freshness_staleness_cycles", "commit", "negative")
@@ -249,7 +249,7 @@ class TestCommitStaleness:
         tracker.end_cycle()
         tracker.observe_delivered(qid=1, oid=7, sign=1)
         tracker.forget_query(1)
-        tracker.observe_committed(1)
+        tracker.observe_committed([1])
         c = hist(registry, "freshness_staleness_cycles", "commit", "positive")
         assert c.count == 0
 
@@ -298,7 +298,7 @@ class TestSummaries:
         tracker.stamp_report(7)
         tracker.end_cycle()
         tracker.observe_delivered(qid=1, oid=7, sign=1)
-        tracker.observe_committed(1)
+        tracker.observe_committed([1])
         stages = tracker.stage_summary()
         assert set(stages) == {"delivery", "commit"}
         assert stages["delivery"]["positive"]["count"] == 1
@@ -314,7 +314,7 @@ class TestSummaries:
         tracker.stamp_report(7)
         tracker.end_cycle()
         tracker.observe_delivered(qid=1, oid=7, sign=1)
-        tracker.observe_committed(1)
+        tracker.observe_committed([1])
         json.dumps(tracker.snapshot())
 
 
@@ -355,7 +355,7 @@ class TestNullTracker:
         NULL_FRESHNESS.end_cycle()
         NULL_FRESHNESS.observe_delivered(1, 2, 1)
         NULL_FRESHNESS.observe_undelivered(1, 2, 1)
-        NULL_FRESHNESS.observe_committed(1)
+        NULL_FRESHNESS.observe_committed([1])
         NULL_FRESHNESS.forget_query(1)
         assert NULL_FRESHNESS.enabled is False
         assert NULL_FRESHNESS.cycle == 0
@@ -373,6 +373,6 @@ class TestNullTracker:
         tracker.end_cycle()
         tracker.observe_delivered_runs([(1, 0, 2)], [7, 8], [1, -1])
         tracker.end_cycle()
-        tracker.observe_committed(1)
+        tracker.observe_committed([1])
         assert tracker.pending_commit() == {}
         assert NULL_REGISTRY.to_dict() == {}

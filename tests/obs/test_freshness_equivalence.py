@@ -9,7 +9,8 @@ stamps, reports never stamped, the stale stamps of objects that stopped
 reporting, one query split over several runs), commits, unregistrations
 and long stretches without a commit that take queries past the 64-stamp
 pending cap, with a stale stamp or several new ones arriving at the
-cap.  After every step both sides must agree on every bucket count and
+cap.  The tracker commits a run of qids in one call; the reference
+commits them one by one.  After every step both sides must agree on every bucket count and
 count of all eight staleness histograms, their sums to 1e-9 relative,
 every counter and gauge, every query's summary, and every query's
 pending stamps and counts.
@@ -139,7 +140,21 @@ class FreshnessEquivalence(RuleBasedStateMachine):
 
     @rule(qid=QIDS)
     def observe_committed(self, qid):
-        self.both("observe_committed", qid)
+        self.commit_run([qid])
+
+    @rule(qids=st.lists(QIDS, max_size=6))
+    def observe_committed_run(self, qids):
+        """A run of commits, duplicates, qids never delivered to and
+        queries whose block is already empty among them."""
+        self.commit_run(qids)
+
+    def commit_run(self, qids) -> None:
+        """The tracker takes the run in one call; the reference commits
+        each qid in turn, every one at the same clock reading."""
+        tracker, reference = self.trackers
+        tracker.observe_committed(list(qids))
+        for qid in qids:
+            reference.observe_committed(qid)
 
     @rule(qid=QIDS)
     def forget_query(self, qid):
@@ -216,7 +231,8 @@ def test_many_queries_pack_their_blocks_in_place():
         committed = rng.sample(range(300, 600), 40)
         for tracker in trackers:
             tracker.observe_delivered_runs(*columns(batch))
-            for qid in committed:
-                tracker.observe_committed(qid)
+        trackers[0].observe_committed(committed)
+        for qid in committed:
+            trackers[1].observe_committed(qid)
     assert_same(registries, trackers, qids)
     assert registries[0].value_of("freshness_pending_commit_folded_total") > 0

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry import Point, Rect
 from repro.service.admission import AdmissionConfig
 from repro.service.protocol import (
     IMMEDIATE_OPS,
@@ -632,6 +633,211 @@ def test_a_welcome_reaches_the_wire_without_a_cycle():
     writer = runtime.feed(encode({"op": "hello", "client": 1}))
     assert [json.loads(line)["op"] for line in writer.sent.splitlines()] == ["welcome"]
     assert runtime.cycle_count == 0
+
+
+# ----------------------------------------------------------------------
+# (f) a drain's groups of runs ≡ per-op application
+# ----------------------------------------------------------------------
+
+
+class PerOpRuntime(Runtime):
+    """The drain before groups, kept as the reference: every queued
+    entry through its own per-op door, in arrival order."""
+
+    def _drain_uplinks(self):
+        pending, self._pending = self._pending, []
+        self._pending_rows = 0
+        applied = refused = 0
+        for at, (session, entry, _) in enumerate(pending):
+            rows = 1 if isinstance(entry, dict) else len(entry[0])
+            session.backlog = max(0, session.backlog - rows)
+            ok = self._replay(pending, at)
+            applied += ok
+            refused += rows - ok
+        return applied, refused
+
+
+#: Query kinds by qid (clients 1 and 2 on session 0, client 3 on
+#: session 1; client 2's link is throttled, so its queries lag).
+GROUP_QUERIES = {10: "range", 11: "knn", 12: "predictive", 13: "range", 14: "range"}
+GROUP_OWNER = {10: 1, 11: 1, 12: 2, 13: 2, 14: 3}
+#: Mostly bound qids and clean values, so that most groups go whole.
+GROUP_QIDS = st.sampled_from([*GROUP_QUERIES] * 4 + [10, 99, "x"])
+GROUP_COORDS = st.one_of(
+    *[st.floats(0, 1).map(lambda v: round(v, 2))] * 8,
+    st.sampled_from([float("nan"), "0.5", None]),
+)
+
+
+def _group_runtime(cls, clock):
+    from repro.core.engine import IncrementalEngine
+    from repro.core.server import LocationAwareServer
+    from repro.obs import FreshnessTracker, MetricsRegistry
+
+    registry = MetricsRegistry()
+    engine = IncrementalEngine(
+        grid_size=8,
+        registry=registry,
+        freshness=FreshnessTracker(registry, clock=clock),
+    )
+    runtime = cls.__new__(cls)
+    ServiceRuntime.__init__(
+        runtime, ServiceConfig(grid_size=8, oracle=True), LocationAwareServer(engine=engine)
+    )
+    runtime.closed = []
+    sessions = [ClientSession(n, ConnWriter()) for n in (1, 2)]
+    for session in sessions:
+        runtime._sessions[session.session_id] = session
+    for client, session, budget in ((1, 0, None), (2, 0, 60), (3, 1, None)):
+        runtime._handle_hello(sessions[session], {"op": "hello"}, client, budget)
+    server = runtime.server
+    for qid, kind in GROUP_QUERIES.items():
+        client = GROUP_OWNER[qid]
+        if kind == "knn":
+            server.register_knn_query(client, qid, Point(0.5, 0.5), 2)
+        elif kind == "range":
+            server.register_range_query(client, qid, Rect(0.1 * (qid - 9), 0.1, 0.9, 0.8))
+        else:
+            server.register_predictive_query(client, qid, Rect(0.2, 0.2, 0.7, 0.7), 5.0)
+    for now in (1.0, 2.0, 3.0):
+        clock.advance(0.5)
+        for oid in range(8):
+            location = Point((oid * 0.13 * now) % 1, (oid * 0.29 + now / 7) % 1)
+            server.receive_object_report(oid, location, now)
+        runtime.run_cycle(now)
+    for session in sessions:
+        session.writer.writes.clear()
+    return runtime, sessions
+
+
+@st.composite
+def group_drains(draw):
+    """One drain's queue: report runs (clean, loose or hostile), moves
+    of every kind (wrong kinds, unbound qids and bad values among
+    them), commits (repeated, unbound, untyped) and now and then an op
+    that closes a group — on two sessions."""
+    entries = []
+    for _ in range(draw(st.integers(1, 14))):
+        session = draw(st.sampled_from([0, 0, 1]))
+        what = draw(st.sampled_from(["run"] * 3 + ["move"] * 4 + ["commit"] * 4 + ["other"]))
+        if what == "run":
+            rows = draw(st.lists(
+                st.tuples(st.sampled_from([0, 1, 2, 5, 7] * 3 + [2**63, "3"]), GROUP_COORDS,
+                          st.floats(0, 1).map(lambda v: round(v, 2)), st.sampled_from([0.0, 0.25])),
+                min_size=1, max_size=3,
+            ))  # fmt: skip
+            columns = (
+                [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
+                [r[3] for r in rows], [0.0] * len(rows), [4.0] * len(rows),
+            )
+            typed = all(type(v) is int for v in columns[0]) and all(
+                type(v) is float for column in columns[1:] for v in column
+            )
+            entries.append((session, columns, not typed or draw(st.booleans())))
+            continue
+        if what == "move":
+            qid = draw(GROUP_QIDS)
+            kinds = [GROUP_QUERIES.get(qid, "range")] * 6 + ["range", "knn", "predictive"]
+            x, y = draw(GROUP_COORDS), draw(st.floats(0, 0.5).map(lambda v: round(v, 2)))
+            op = {"op": "move", "qid": qid, "t": draw(st.sampled_from([4.0] * 6 + [float("nan")])),
+                  "kind": draw(st.sampled_from(kinds)),
+                  "cx": x, "cy": y, "minx": x, "miny": y, "maxx": 1.0, "maxy": 0.6}  # fmt: skip
+        elif what == "commit":
+            op = {"op": "commit", "qid": draw(GROUP_QIDS)}
+        else:
+            op = draw(st.sampled_from([
+                {"op": "wakeup", "client": 2},
+                {"op": "remove", "oid": 5},
+                {"op": "unregister", "qid": 13},
+                {"op": "register", "client": 3, "qid": 20, "kind": "range", **REGION},
+            ]))  # fmt: skip
+        entries.append((session, op, False))
+    return entries
+
+
+def _group_state(runtime, sessions, drained) -> dict:
+    server = runtime.server
+    for session in sessions:
+        runtime._write_out(session)
+    return {
+        "drained": drained,
+        "replies": [b"".join(session.writer.writes) for session in sessions],
+        "committed": {q: a.tolist() for q, a in server.commits._committed.items()},
+        "lag": server._lag,
+        "pending_commit": server.freshness.pending_commit(),
+        "answers": {q: sorted(server.engine.answer_of(q)) for q in server.engine.queries},
+        "buffered": (dict(server.engine._pending_reports), dict(server.engine._pending_moves)),
+        "metrics": {
+            (i.name, tuple(sorted(i.labels.items()))): (
+                (i.bucket_counts, i.count, round(i.sum, 9)) if i.kind == "histogram" else i.value
+            )
+            for i in runtime.registry
+            if i.name.startswith(("freshness_", "net_", "link"))
+            or i.name in ("service_uplink_errors_total", "server_updates_delivered_total")
+        },
+        "divergences": len(runtime.oracle.divergences),
+    }
+
+
+@given(drain=group_drains())
+@settings(max_examples=150, deadline=None)
+def test_a_drain_s_groups_equal_per_op_application(drain):
+    """Report runs, moves and commits applied as one run of each leave
+    what applying every queued entry on its own leaves: the committed
+    answers, the lags, the pending commits and every staleness
+    histogram, the uplink accounting, the refusals and the replies in
+    order — right after the drain and after the cycle it feeds."""
+    from tests.obs.test_freshness import ManualClock
+
+    states = []
+    for cls in (Runtime, PerOpRuntime):
+        clock = ManualClock()
+        runtime, sessions = _group_runtime(cls, clock)
+        for session, entry, loose in drain:
+            rows = 1 if isinstance(entry, dict) else len(entry[0])
+            runtime._enqueue(sessions[session], entry, rows, loose)
+        clock.advance(0.25)
+        drained = runtime._drain_uplinks()
+        after_drain = _group_state(runtime, sessions, drained)
+        clock.advance(0.25)
+        runtime.run_cycle(5.0)
+        states.append((after_drain, _group_state(runtime, sessions, None)))
+    assert states[0] == states[1]
+    assert states[0][1]["divergences"] == 0
+
+
+def test_a_clean_group_takes_the_run_doors():
+    """A clean wire round — reports, carried-query moves, then commits —
+    is one group: every row on a run door, a committed marker per
+    move and commit in arrival order."""
+    from tests.obs.test_freshness import ManualClock
+
+    runtime, sessions = _group_runtime(Runtime, ManualClock())
+    queue = [
+        (0, ([1, 2], [0.5, 0.25], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0]), False),
+        (0, {"op": "move", "qid": 11, "kind": "knn", "cx": 0.4, "cy": 0.4, "t": 4.0}, False),
+        (0, ([3], [0.75], [0.5], [0.0], [0.0], [4.0]), False),
+        (1, {"op": "move", "qid": 14, "kind": "range", "t": 4.0, **REGION}, False),
+        (0, {"op": "commit", "qid": 13}, False),
+        (0, {"op": "commit", "qid": 10}, False),
+        (0, {"op": "commit", "qid": 10}, False),
+    ]
+    for session, entry, loose in queue:
+        rows = 1 if isinstance(entry, dict) else len(entry[0])
+        runtime._enqueue(sessions[session], entry, rows, loose)
+    assert runtime._drain_uplinks() == (8, 0)
+    value_of = runtime.registry.value_of
+    assert value_of("service_uplink_rows_total", {"path": "batch"}) == 8
+    assert value_of("service_uplink_rows_total", {"path": "scalar"}) == 0
+    for session in sessions:
+        runtime._write_out(session)
+    markers = [
+        json.loads(line)["qid"]
+        for session in sessions
+        for line in b"".join(session.writer.writes).splitlines()
+        if json.loads(line)["op"] == "committed"
+    ]
+    assert markers == [11, 13, 10, 10, 14]
 
 
 # ----------------------------------------------------------------------
