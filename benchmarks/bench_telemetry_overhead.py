@@ -6,9 +6,13 @@ ways — the default stack, freshness tracking off
 The rounds are the end-to-end benchmark's ``sparse_mixed`` and
 ``bulk_churn`` op streams (``benchmarks/e2e/workloads.py``), applied
 straight to a ``LocationAwareServer``: reports, query moves, one
-evaluation, every link drained.  The garbage collector is collected
-before and disabled inside each timed cycle.  Modes alternate run by
-run so a drift in the box's load lands on all three alike.
+evaluation, every link drained.  A third shape, ``reconnect``, is built
+here: 400 clients of 5 range queries each over 3,000 objects, 300 of
+which report a cycle; no client commits, and 40 clients are dropped
+each cycle and woken the next, so wakeups carry the freshness tracker's
+commits and its pending blocks run full.  The garbage collector is
+collected before and disabled inside each timed cycle.  Modes alternate
+run by run so a drift in the box's load lands on all three alike.
 
 It reports; it does not gate (shared CI runners are too noisy for a
 few-percent bound)::
@@ -24,8 +28,10 @@ from __future__ import annotations
 
 import argparse
 import gc
+import random
 import statistics
 import sys
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -39,7 +45,7 @@ from repro.core.server import LocationAwareServer
 from repro.geometry import Point, Rect, Velocity
 from repro.obs import NULL_FRESHNESS, NULL_REGISTRY
 
-SHAPES = ("sparse_mixed", "bulk_churn")
+SHAPES = ("sparse_mixed", "bulk_churn", "reconnect")
 SEED = config.DEFAULT_SEED
 #: Timed cycles per run (after the shape's warm-up rounds), full and quick.
 ROUNDS, QUICK_ROUNDS = 40, 10
@@ -51,6 +57,11 @@ MODES = {
     "no_freshness": {"freshness": NULL_FRESHNESS},
     "no_registry": {"registry": NULL_REGISTRY},
 }
+#: The reconnect shape at full size; ``--quick`` divides every count by 10.
+RECONNECT = {"clients": 400, "objects": 3_000, "reports": 300, "wakeups": 40}
+QUERIES_PER_CLIENT = 5
+#: The reconnect shape's side of a range query and largest step of a report.
+QUERY_SIDE, STEP = 0.1, 0.02
 
 
 def _apply(server: LocationAwareServer, ops: list[tuple]) -> None:
@@ -81,8 +92,11 @@ def _apply(server: LocationAwareServer, ops: list[tuple]) -> None:
             server.register_predictive_query(op[1], op[2], Rect(*op[4:8]), op[8])
 
 
-def run_mode(shape: config.Shape, mode: str, rounds: int) -> float:
-    """Median seconds of ``rounds`` timed cycles of a fresh server."""
+def replay_shape(name: str, mode: str, quick: bool):
+    """A server loaded with an end-to-end shape, its warm-up rounds, and
+    ``(prepare, run)``: ``prepare()`` draws a round's ops untimed and
+    ``run(ops)`` applies them, evaluates and drains every link."""
+    shape = config.shape_for(name, quick=quick)
     workload = Workload(shape, SEED)
     server = LocationAwareServer(
         engine=IncrementalEngine(grid_size=config.GRID_SIZE, **MODES[mode])
@@ -94,21 +108,87 @@ def run_mode(shape: config.Shape, mode: str, rounds: int) -> float:
     server.evaluate_cycle(0.0)
     for link in links:
         link.drain()
+
+    def run(ops) -> None:
+        _apply(server, ops)
+        server.evaluate_cycle(workload.now)
+        for link in links:
+            link.drain()
+
+    return server, shape.warmup_rounds, workload.next_round, run
+
+
+def reconnect_shape(mode: str, quick: bool):
+    """:func:`replay_shape` for the reconnect shape (see the module
+    docstring)."""
+    scale = 10 if quick else 1
+    clients, objects, reports, dropping = (count // scale for count in RECONNECT.values())
+    rng = random.Random(SEED)
+    server = LocationAwareServer(
+        engine=IncrementalEngine(grid_size=config.GRID_SIZE, **MODES[mode])
+    )
+    positions = [(rng.random(), rng.random()) for _ in range(objects)]
+    for oid, (x, y) in enumerate(positions):
+        server.receive_object_report(oid, Point(x, y), 0.0)
+    for client in range(clients):
+        server.register_client(client)
+        for number in range(QUERIES_PER_CLIENT):
+            x, y = rng.uniform(0, 1 - QUERY_SIDE), rng.uniform(0, 1 - QUERY_SIDE)
+            server.register_range_query(
+                client, client * QUERIES_PER_CLIENT + number,
+                Rect(x, y, x + QUERY_SIDE, y + QUERY_SIDE),
+            )  # fmt: skip
+    links = [server.link_of(c) for c in range(clients)]
+    server.evaluate_cycle(0.0)
+    for link in links:
+        link.drain()
+    now, dropped = 0.0, []
+
+    def prepare():
+        nonlocal now
+        now += 1.0
+        moved = []
+        for oid in rng.sample(range(objects), reports):
+            x, y = positions[oid]
+            x = min(max(x + rng.uniform(-STEP, STEP), 0.0), 1.0)
+            y = min(max(y + rng.uniform(-STEP, STEP), 0.0), 1.0)
+            positions[oid] = x, y
+            moved.append((oid, Point(x, y)))
+        return now, moved, rng.sample(range(clients), dropping)
+
+    def run(ops) -> None:
+        nonlocal dropped
+        now, moved, dropping = ops
+        for oid, location in moved:
+            server.receive_object_report(oid, location, now)
+        for client in dropped:
+            server.receive_wakeup(client)
+        dropped = dropping
+        for client in dropped:
+            links[client].disconnect()
+        server.evaluate_cycle(now)
+        for link in links:
+            link.drain()
+
+    return server, 2, prepare, run
+
+
+def run_mode(name: str, mode: str, rounds: int, quick: bool) -> float:
+    """Median seconds of ``rounds`` timed cycles of a fresh server."""
+    build = reconnect_shape if name == "reconnect" else partial(replay_shape, name)
+    _, warmup, prepare, run = build(mode, quick)
     seconds = []
-    for number in range(shape.warmup_rounds + rounds):
-        ops = workload.next_round()
+    for number in range(warmup + rounds):
+        ops = prepare()
         gc.collect()
         gc.disable()
         try:
             opened = perf_counter()
-            _apply(server, ops)
-            server.evaluate_cycle(workload.now)
-            for link in links:
-                link.drain()
+            run(ops)
             closed = perf_counter()
         finally:
             gc.enable()
-        if number >= shape.warmup_rounds:
+        if number >= warmup:
             seconds.append(closed - opened)
     return statistics.median(seconds)
 
@@ -128,11 +208,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     print("|---|---|---|---|---|---|")
     for name in SHAPES:
-        shape = config.shape_for(name, quick=args.quick)
         medians: dict[str, list[float]] = {mode: [] for mode in MODES}
         for _ in range(RUNS):
             for mode in MODES:
-                medians[mode].append(run_mode(shape, mode, rounds))
+                medians[mode].append(run_mode(name, mode, rounds, args.quick))
         cycle = {mode: statistics.median(values) for mode, values in medians.items()}
         base = cycle["default"]
         print(

@@ -412,11 +412,14 @@ class IncrementalEngine:
         the engine guarantees completeness only for in-world geometry,
         so out-of-world drift is pulled back to the boundary — and a
         non-finite coordinate, which no boundary is near, is refused, as
-        is a non-finite time or velocity, or one that carries the
-        clamped location past the largest float within the prediction
-        horizon (``ValueError`` naming the oid, nothing buffered).  The
-        buffer keeps the report's coordinates, not the caller's objects.
+        is a non-finite time or velocity, one that carries the clamped
+        location past the largest float within the prediction horizon,
+        or an oid outside int64 (``ValueError`` naming the oid, nothing
+        buffered).  The buffer keeps the report's coordinates, not the
+        caller's objects.
         """
+        if not -(1 << 63) <= oid < 1 << 63:  # _INT64_BOUND, as folded constants
+            raise ValueError(f"object id {oid} is outside int64")
         x = location.x
         y = location.y
         world = self.grid.world
@@ -463,6 +466,10 @@ class IncrementalEngine:
         run (clamped only when a bound says a row lies outside the
         world); ``ValueError`` naming a row :meth:`report_object` would
         refuse."""
+        if not (-_INT64_BOUND <= min(oids) and max(oids) < _INT64_BOUND):
+            for oid in oids:
+                if not -_INT64_BOUND <= oid < _INT64_BOUND:
+                    raise ValueError(f"object id {oid} is outside int64")
         # A NaN or an infinity always survives a sum, so a finite sum
         # clears the whole column in one pass; a finite column can only
         # fail it by overflowing, which the exact pass then settles.

@@ -25,22 +25,25 @@ update stream:
   exact cycle percentiles.
 
 A delivery batch is attributed in array passes (one search of the
-stamp table, one sort-and-count of the batch, one merge into the
-blocks of the pending-commit table it touches); a commit run walks its
-queries' pending stamps, at most 64 each, and sums a run of several
-queries per distinct stamp before it observes.  What that costs a cycle
-is measured, not promised: ``benchmarks/bench_telemetry_overhead.py``
-runs the end-to-end benchmark's ``sparse_mixed`` and ``bulk_churn``
-rounds with the tracker on and off.  On a 2-core box shared with other
-load one full run read the tracker at +17 % of a ``sparse_mixed`` cycle
-(37.3 against 31.9 ms) and +1 % of a ``bulk_churn`` one; single runs
-spread widely there (another read +54 % and +10 %, ``--quick`` +14 % and
-+17 %).  Timed per method instead — ``perf_counter`` wrappers on the
-tracker's read side over 40 of those ``sparse_mixed`` rounds in-process,
-GC off in each — the tracker is ~6–8 ms of a 29–45 ms
-cycle: 3.1–4.3 ms of delivery attribution and 2.9–4.3 ms of ~200
-one-row commits (each query move commits alone in-process), Python per
-pending stamp and per summarised query.
+stamp table, one sort-and-count of the batch); its ``(query, stamp)``
+groups then merge into the pending blocks of the queries it touches,
+one query at a time, by one slice extend in the usual case.  A commit
+run walks its queries' pending stamps, at most 64 each, and sums a run
+of several queries per distinct stamp before it observes.  What that
+costs a cycle is measured, not promised.  Timed per method —
+``perf_counter`` wrappers on :meth:`FreshnessTracker.observe_delivered_runs`
+and :meth:`FreshnessTracker.observe_committed` over 40 in-process rounds
+of the end-to-end benchmark's ``sparse_mixed`` shape, GC off, three runs
+on a 2-core box shared with other load — the tracker is 5.4–6.2 ms of a
+26–29 ms cycle: 2.6–2.9 ms of delivery attribution and 2.8–3.3 ms of
+~200 one-row commits (each query move commits alone in-process), Python
+per pending stamp and per summarised query.
+``benchmarks/bench_telemetry_overhead.py`` runs the same rounds, the
+``bulk_churn`` ones and a wakeup-heavy ``reconnect`` shape with the
+tracker on and off; on that box its single runs spread too widely to
+read a few milliseconds from (three full runs put the tracker at +42 to
++56 % of a ``sparse_mixed`` cycle and −16 to +47 % of a ``bulk_churn``
+one).
 
 Updates with no report provenance (query registration fills, query
 moves, recovery retractions of departed objects) are counted, not
@@ -52,7 +55,9 @@ against.
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_left
+from itertools import chain
 from math import ceil
 
 import numpy as np
@@ -86,32 +91,6 @@ _MAX_PENDING_PER_QUERY = 64
 _CYCLE_BITS = 32
 _CYCLE_MASK = (1 << _CYCLE_BITS) - 1
 
-def _rooms() -> np.ndarray:
-    """The room a query's pending block takes for ``n`` entries, by
-    ``n``: nothing for an empty block, then steps of half again (2, 3,
-    5, 8, ...) up to the cap, so a growing block moves O(1) times per
-    entry written and wastes at most a third of its room.  A full block
-    gets a quarter more: a fold at the cap slides the block one row
-    forward (:meth:`FreshnessTracker._fold_oldest`), so it moves once
-    every sixteen folds."""
-    rooms, room = [0], 2
-    for n in range(1, _MAX_PENDING_PER_QUERY):
-        while room < n:
-            room += (room + 1) // 2
-        rooms.append(min(room, _MAX_PENDING_PER_QUERY))
-    rooms.append(_MAX_PENDING_PER_QUERY + _MAX_PENDING_PER_QUERY // 4)
-    return np.array(rooms, np.int64)
-
-
-_ROOM = _rooms()
-
-
-def _spans(bases, lengths):
-    """The rows of blocks ``[base, base + length)``, block after block."""
-    ends = np.cumsum(lengths)
-    return np.repeat(bases - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
-
-
 def _tally(values):
     """``(distinct values ascending, how many times each occurs)`` of an
     int64 array, which is sorted in place: one boundary pass."""
@@ -120,25 +99,26 @@ def _tally(values):
     return values[starts], np.diff(np.append(starts, len(values)))
 
 
-def _add_exact(entries: list[list[int]], cycle: int, positive: int, negative: int) -> int:
-    """Count updates of stamp ``cycle`` into one query's ascending
-    ``[cycle, positive, negative]`` entries by the cap's sequential rule:
-    a stamp not yet pending, with the cap full, first folds the oldest
-    entry into the next oldest (which under-reads their commit lag by the
-    cycles between the two, and loses none of them).  Returns how many
-    updates the fold moved."""
+def _add_exact(block: array, cycle: int, positive: int, negative: int) -> int:
+    """Count updates of stamp ``cycle`` into one query's pending block
+    (flat ``stamp, positives, negatives`` triples, stamps ascending) by
+    the cap's sequential rule: a stamp not yet pending, with the cap
+    full, first folds the oldest entry into the next oldest (which
+    under-reads their commit lag by the cycles between the two, and
+    loses none of them).  Returns how many updates the fold moved."""
     folded = 0
-    at = bisect_left(entries, [cycle])
-    if at == len(entries) or entries[at][0] != cycle:
-        if len(entries) >= _MAX_PENDING_PER_QUERY:
-            _, moved_positive, moved_negative = entries.pop(0)
-            entries[0][1] += moved_positive
-            entries[0][2] += moved_negative
-            folded = moved_positive + moved_negative
+    column = block[0::3]
+    at = bisect_left(column, cycle)
+    if at == len(column) or column[at] != cycle:
+        if len(column) >= _MAX_PENDING_PER_QUERY:
+            folded = block[1] + block[2]
+            block[4] += block[1]
+            block[5] += block[2]
+            del block[:3]
             at = max(at - 1, 0)
-        entries.insert(at, [cycle, 0, 0])
-    entries[at][1] += positive
-    entries[at][2] += negative
+        block[3 * at : 3 * at] = array("q", (cycle, 0, 0))
+    block[3 * at + 1] += positive
+    block[3 * at + 2] += negative
     return folded
 
 
@@ -216,13 +196,12 @@ class FreshnessTracker:
     clock of each stamp's cycle boundary is kept once, beside.  Stamps
     live in a table of oids ascending; a report appends its oid to a
     buffer that joins the table before the next read.  The updates
-    delivered but not yet acknowledged live in one pending-commit table
-    for all queries: ``(stamp, positives, negatives)`` rows, one block
-    of rows a query, stamps ascending within it.  A query's slot (a
-    dense per-tracker index: qids span int64) holds its block's base
-    row, its room and its length.  A delivery batch merges into the
-    blocks it touches in array passes; a commit run reads its queries'
-    blocks and empties them.
+    delivered but not yet acknowledged live in one pending block per
+    query: an ``array('q')`` of flat ``stamp, positives, negatives``
+    triples, stamps ascending, at most :data:`_MAX_PENDING_PER_QUERY`
+    of them, held by the query's slot (a dense per-tracker index: qids
+    span int64).  A delivery batch merges into the blocks it touches; a
+    commit run reads its queries' blocks and empties them.
     """
 
     enabled = True
@@ -257,18 +236,11 @@ class FreshnessTracker:
         self._slot_of: dict[int, int] = {}
         self._qid_of: list[int | None] = []
         self._free_slots: list[int] = []
-        # The pending-commit table (see the class docstring), at most
-        # _MAX_PENDING_PER_QUERY entries a query.  A block that outgrows
-        # its room moves to _end, past the last block; the table is
-        # packed in place when that runs out (see _pack).
-        self._rows = np.empty((0, 3), np.int64)
-        self._end = 0
+        # By slot: its pending block (see the class docstring), at most
+        # _MAX_PENDING_PER_QUERY entries, and whether the query has a
+        # summary in _per_query.
+        self._blocks: list[array] = []
         self._per_query: dict[int, _QuerySummary] = {}
-        # By slot: its block's base row, room and length, and whether
-        # the query has a summary in _per_query.
-        self._base = np.zeros(64, np.int64)
-        self._room = np.zeros(64, np.int64)
-        self._len = np.zeros(64, np.int64)
         self._tracked = np.zeros(64, bool)
         self._hists: dict[tuple[str, str], tuple[Histogram, Histogram]] = {}
         for stage in STAGES:
@@ -348,8 +320,7 @@ class FreshnessTracker:
         self._ts[self._stamp] = self._clock()
         if len(self._ts) > self._ts_sweep_at:
             held = set(self._oid_stamps.tolist())
-            pending = self._len > 0
-            held.update(self._rows[_spans(self._base[pending], self._len[pending]), 0].tolist())
+            held.update(chain.from_iterable(block[0::3] for block in self._blocks))
             held.add(self._stamp)
             self._ts = {s: ts for s, ts in self._ts.items() if s in held}
             self._ts_sweep_at = 2 * len(self._ts) + 64
@@ -499,190 +470,58 @@ class FreshnessTracker:
                 else:
                     slot = len(self._qid_of)
                     self._qid_of.append(qid)
+                    self._blocks.append(array("q"))
                     if slot == len(self._tracked):
-                        self._base, self._room, self._len, self._tracked = (
-                            np.concatenate((column, np.zeros_like(column)))
-                            for column in (self._base, self._room, self._len, self._tracked)
-                        )
+                        self._tracked = np.concatenate((self._tracked, np.zeros_like(self._tracked)))
                 slot_of[qid] = slot
         return list(map(slot_of.__getitem__, qids))
 
     def _merge(self, keys, positives, negatives, runs, stamps, signs) -> None:
         """Count a delivery's ``(query, stamp)`` groups (``keys``
-        ascending) into the pending-commit table, touching only the
-        blocks of the queries in it.
+        ascending) into the pending blocks of the queries in it, one
+        query at a time.
 
-        A group past its query's newest pending stamp is new; the
-        others are looked up in their blocks, and a stamp already
-        pending is incremented in place.  A query whose new stamps are
-        all past its newest appends them (:meth:`_append`); one with a
-        new stamp among the old ones has its block rewritten with them
-        merged in (:meth:`_rewrite`).  Either way a query that reaches
-        the cap with one group in the delivery first folds its oldest
-        entry into the next oldest, as the sequential rule would.  A
-        query that passes the cap with several groups replays the
-        delivery's ``runs`` through that rule (:meth:`_replay`).
+        A query whose groups all fall past its newest pending stamp (the
+        usual case: the cycle's own stamp) extends its block with them.
+        Otherwise each group goes through the sequential rule
+        (:func:`_add_exact`): a stamp already pending is incremented in
+        place, a new one inserted in order.  A query that reaches the cap
+        with one new stamp folds its oldest entry first, wherever the
+        stamp falls; one that passes the cap with several groups replays
+        the delivery's ``runs`` through that rule (:meth:`_replay`),
+        since the order of its stamps then decides what folds.
         """
-        table = self._rows
         group_slots = keys >> _CYCLE_BITS
         first = np.flatnonzero(np.concatenate(([True], group_slots[1:] != group_slots[:-1])))
-        slots = group_slots[first]
-        groups = np.diff(np.append(first, len(keys)))
-        lengths = self._len[slots]
-        newest = np.zeros(len(slots), np.int64)
-        held = lengths > 0
-        newest[held] = table[(self._base[slots] + lengths - 1)[held], 0]
-        late = (keys & _CYCLE_MASK) > np.repeat(newest, groups)
-        hit = np.zeros(len(keys), bool)
-        found = np.empty(0, np.int64)
-        if not late.all():
-            # One binary search per early group inside its block, all
-            # groups a round at a time: a block holds at most 64 stamps.
-            early = np.flatnonzero(~late)
-            block = np.repeat(np.arange(len(slots)), groups)[early]
-            lo = self._base[slots][block]
-            end = hi = lo + lengths[block]
-            wanted = keys[early] & _CYCLE_MASK
-            stamps_column = table[:, 0]
-            while (searching := lo < hi).any():
-                mid = (lo + hi) >> 1
-                below = stamps_column[np.where(searching, mid, 0)] < wanted
-                lo = np.where(searching & below, mid + 1, lo)
-                hi = np.where(searching & ~below, mid, hi)
-            match = lo < end
-            match[match] = stamps_column[lo[match]] == wanted[match]
-            hit[early[match]] = True
-            found = lo[match]
-        arriving = np.add.reduceat(~hit, first, dtype=np.int64)
-        in_order = np.logical_and.reduceat(late | hit, first)
-        over = lengths + arriving > _MAX_PENDING_PER_QUERY
-        replay = over & (groups > 1)
-        if replay.any():
-            replayed = np.repeat(replay, groups)
-            found = found[~replayed[hit]]
-            hit &= ~replayed
-        table[found, 1] += positives[hit]
-        table[found, 2] += negatives[hit]
-        grow = (arriving > 0) & ~replay
-        for path, chosen in ((self._append, grow & in_order), (self._rewrite, grow & ~in_order)):
-            if chosen.any():
-                entering = ~hit & np.repeat(chosen, groups)
-                path(
-                    slots[chosen],
-                    lengths[chosen],
-                    arriving[chosen],
-                    over[chosen],
-                    keys[entering],
-                    positives[entering],
-                    negatives[entering],
-                )
-        for slot in slots[replay].tolist():
-            self._replay(slot, runs, stamps, signs)
-
-    def _fold_oldest(self, slots) -> None:
-        """Fold each full block's oldest entry into the next oldest and
-        drop it, by sliding the block one row forward."""
-        oldest = self._base[slots]
-        table = self._rows
-        folded = int(table[oldest, 1:].sum())
+        bounds = (3 * np.append(first, len(keys))).tolist()
+        # The groups as flat triples, a block's layout: a block extends
+        # by one slice of them.
+        groups = array("q", np.column_stack((keys & _CYCLE_MASK, positives, negatives)).tobytes())
+        blocks, full = self._blocks, 3 * _MAX_PENDING_PER_QUERY
+        folded = 0
+        for slot, lo, hi in zip(group_slots[first].tolist(), bounds, bounds[1:]):
+            block = blocks[slot]
+            if not block or groups[lo] > block[-3]:
+                arriving = hi - lo
+                if len(block) + arriving <= full:
+                    block += groups[lo:hi]
+                    continue
+            else:
+                arriving = 3 * len(set(groups[lo:hi:3]).difference(block[0::3]))
+            if len(block) + arriving > full and hi - lo > 3:
+                folded += self._replay(slot, runs, stamps, signs)
+            else:
+                for at in range(lo, hi, 3):
+                    folded += _add_exact(block, *groups[at : at + 3])
         if folded:
             self._m_pending_folded.inc(folded)
-        table[oldest + 1, 1:] += table[oldest, 1:]
-        self._base[slots] += 1
-        self._room[slots] -= 1
-        self._len[slots] -= 1
 
-    def _append(self, slots, lengths, arriving, fold, keys, positives, negatives) -> None:
-        """Write new stamps, each past its block's newest, at the blocks'
-        ends."""
-        if fold.any():
-            self._fold_oldest(slots[fold])
-            lengths = lengths - fold
-        self._reserve(slots, lengths + arriving)
-        rows = self._rows
-        ends = _spans(self._base[slots] + lengths, arriving)
-        rows[ends, 0] = keys & _CYCLE_MASK
-        rows[ends, 1] = positives
-        rows[ends, 2] = negatives
-        self._len[slots] = lengths + arriving
-
-    def _rewrite(self, slots, lengths, arriving, fold, keys, positives, negatives) -> None:
-        """Merge new stamps into their blocks wherever they fall: each
-        block is read, merged by key and written back."""
-        if fold.any():
-            self._fold_oldest(slots[fold])
-            lengths = lengths - fold
-        old = self._rows[_spans(self._base[slots], lengths)]
-        old_keys = np.repeat(slots << _CYCLE_BITS, lengths) | old[:, 0]
-        at = np.searchsorted(old_keys, keys) + np.arange(len(keys))
-        merged = np.empty((len(old) + len(keys), 3), np.int64)
-        merged[at, 0] = keys & _CYCLE_MASK
-        merged[at, 1] = positives
-        merged[at, 2] = negatives
-        kept = np.ones(len(merged), bool)
-        kept[at] = False
-        merged[kept] = old
-        lengths = lengths + arriving
-        self._reserve(slots, lengths)
-        self._rows[_spans(self._base[slots], lengths)] = merged
-        self._len[slots] = lengths
-
-    def _reserve(self, slots, lengths) -> None:
-        """Room for ``lengths`` entries in each of ``slots``' blocks.  A
-        block too small moves, rows and all, past the last one with the
-        room :data:`_ROOM` gives (the table is packed first when it has
-        no rows left there: see :meth:`_pack`)."""
-        moving = lengths > self._room[slots]
-        if not moving.any():
-            return
-        moved = slots[moving]
-        rooms = _ROOM[lengths[moving]]
-        need = int(rooms.sum())
-        if self._end + need > len(self._rows):
-            wanted = self._len.copy()
-            wanted[slots[~moving]] = lengths[~moving]
-            self._pack(wanted, need)
-        held = self._len[moved]
-        source = _spans(self._base[moved], held)
-        self._base[moved] = self._end + np.cumsum(rooms) - rooms
-        self._rows[_spans(self._base[moved], held)] = self._rows[source]
-        self._room[moved] = rooms
-        self._end += need
-
-    def _pack(self, wanted, need: int) -> None:
-        """Close the gaps blocks left behind when they moved, emptied or
-        slid, so at least ``need`` rows are free past the last block.
-        Each block keeps the room for the entries it is to hold
-        (``wanted``, by slot), never more than it had, and moves towards
-        the front, in address order, a chunk of blocks at a time — in
-        place, so packing holds no second table.  A table still too
-        small is replaced by one a quarter larger than the packed blocks
-        and ``need``.  Moves and packing cost O(1) rows per row written."""
-        self._room = np.minimum(_ROOM[wanted], self._room)
-        held = np.flatnonzero(wanted)
-        held = held[np.argsort(self._base[held])]
-        rooms = self._room[held]
-        base = np.cumsum(rooms) - rooms
-        self._end = int(rooms.sum())
-        table = self._rows
-        if self._end + need > len(table):
-            table = np.empty(((self._end + need) * 5 // 4 + 64, 3), np.int64)
-        for chunk in range(0, len(held), 256):
-            part = held[chunk : chunk + 256]
-            lengths = self._len[part]
-            table[_spans(base[chunk : chunk + 256], lengths)] = self._rows[
-                _spans(self._base[part], lengths)
-            ]
-        self._base[held] = base
-        self._rows = table
-
-    def _replay(self, slot: int, runs, stamps, signs) -> None:
+    def _replay(self, slot: int, runs, stamps, signs) -> int:
         """Count ``slot``'s updates of a delivery into its block by the
         exact sequential rule: its runs in delivery order, each run's
-        stamps in order of first appearance."""
-        qid = self._qid_of[slot]
-        base, length = self._base[slot], self._len[slot]
-        entries = self._rows[base : base + length].tolist()
+        stamps in order of first appearance.  Returns how many updates
+        folds moved."""
+        qid, block = self._qid_of[slot], self._blocks[slot]
         folded = 0
         for run_qid, start, stop in runs:
             if run_qid != qid:
@@ -692,14 +531,8 @@ class FreshnessTracker:
                 if stamp:
                     groups.setdefault(stamp, [0, 0])[sign == -1] += 1
             for stamp, (positive, negative) in groups.items():
-                folded += _add_exact(entries, stamp, positive, negative)
-        if folded:
-            self._m_pending_folded.inc(folded)
-        length = np.array([len(entries)])
-        self._reserve(np.array([slot]), length)
-        base = self._base[slot]
-        self._rows[base : base + len(entries)] = entries
-        self._len[slot] = len(entries)
+                folded += _add_exact(block, stamp, positive, negative)
+        return folded
 
     def _summary_of(self, qid: int) -> "_QuerySummary | None":
         """``qid``'s summary, created while the tracked set has room."""
@@ -728,11 +561,11 @@ class FreshnessTracker:
         untracked = 0
         for qid in qids:
             slot = self._slot_of.get(qid)
-            if slot is None or not self._len[slot]:
+            block = None if slot is None else self._blocks[slot]
+            if not block:
                 continue
-            base = self._base[slot]
-            entries = self._rows[base : base + self._len[slot]].tolist()
-            self._len[slot] = 0
+            entries = list(zip(block[0::3], block[1::3], block[2::3]))
+            del block[:]
             summary = self._summary_of(qid)
             if summary is None:
                 untracked += sum(positive + negative for _, positive, negative in entries)
@@ -774,12 +607,12 @@ class FreshnessTracker:
 
     def forget_query(self, qid: int) -> None:
         """Drop ``qid``'s pending and summary state (unregistered) and
-        free its slot (the block's room stays with the slot)."""
+        free its slot."""
         self._per_query.pop(qid, None)
         slot = self._slot_of.pop(qid, None)
         if slot is None:
             return
-        self._len[slot] = 0
+        del self._blocks[slot][:]
         self._tracked[slot] = False
         self._qid_of[slot] = None
         self._free_slots.append(slot)
@@ -790,12 +623,11 @@ class FreshnessTracker:
         """qid -> its delivered but unacknowledged updates, as
         ``(stamp cycle, positives, negatives)`` per stamp ascending;
         queries with nothing pending are absent."""
-        out = {}
-        for slot in np.flatnonzero(self._len).tolist():
-            base = self._base[slot]
-            rows = self._rows[base : base + self._len[slot]].tolist()
-            out[self._qid_of[slot]] = [tuple(row) for row in rows]
-        return out
+        return {
+            self._qid_of[slot]: list(zip(block[0::3], block[1::3], block[2::3]))
+            for slot, block in enumerate(self._blocks)
+            if block
+        }
 
     def report_stamps(self) -> dict[int, int]:
         """oid -> the stamp cycle of its latest report."""

@@ -717,11 +717,12 @@ class ServiceRuntime:
             )  # fmt: skip
 
     def _report_run(self, pending: list, ats: list[int]) -> int:
-        """Report runs merged into one and judged whole — by the bounds
-        :meth:`_apply_op` applies to one report, after its conversions
-        for a loose run — through the batch door.  Each run is released
-        as it is merged, so no second copy of the columns outlives the
-        merge; a refused merge puts each back as its merged slice."""
+        """Report runs merged into one, after the conversions of a loose
+        run, through the batch door, where the engine judges the run
+        whole and refuses every row :meth:`_apply_op` would.  Each run is
+        released as it is merged, so no second copy of the columns
+        outlives the merge; a refused merge puts each back as its merged
+        slice."""
         merged = oids, xs, ys, vxs, vys, ts = ([], [], [], [], [], [])
         cuts = []
         try:
@@ -734,12 +735,6 @@ class ServiceRuntime:
                 for column, values in zip(merged, columns):
                     column += values
                 pending[at] = None
-            if not (
-                -_INT64_BOUND <= min(oids)
-                and max(oids) < _INT64_BOUND
-                and all(map(isfinite, chain(vxs, vys, ts)))
-            ):
-                raise ProtocolError("bad_value", "a row is out of range")
             batched = self.server.receive_object_reports(oids, xs, ys, vxs, vys, ts)
         except _BAD_VALUE:
             for (at, session, start), (*_, stop) in zip(cuts, [*cuts[1:], (len(oids),)]):

@@ -118,6 +118,23 @@ def test_a_non_finite_row_refuses_the_whole_call(bad):
     engine.report_objects([], [], [], [], [], [])
 
 
+@pytest.mark.parametrize("bad", [1 << 63, -(1 << 63) - 1])
+def test_an_oid_outside_int64_is_refused_by_both_doors(bad):
+    """Buffered, such an oid would fail the next evaluation for every
+    client; refused, nothing is buffered and the engine evaluates on."""
+    engine = make_engine()
+    engine.report_object(1, Point(0.5, 0.5), 1.0)
+    before = buffers(engine)
+    with pytest.raises(ValueError, match="outside int64"):
+        engine.report_object(bad, Point(0.5, 0.5), 1.0)
+    with pytest.raises(ValueError, match="outside int64"):
+        engine.report_objects([2, bad], [0.5, 0.5], [0.5, 0.5], [0, 0], [0, 0], [1.0, 1.0])
+    assert buffers(engine) == before
+    engine.report_objects([-(1 << 63), (1 << 63) - 1], [0.3, 0.4], [0.3, 0.4], [0, 0], [0, 0], [1.0, 1.0])
+    engine.evaluate(1.0)
+    assert engine.answer_of(100) == {1, -(1 << 63), (1 << 63) - 1}
+
+
 # ----------------------------------------------------------------------
 # The server door: accounted once, or row by row when a hook is installed
 # ----------------------------------------------------------------------

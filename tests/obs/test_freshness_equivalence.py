@@ -208,8 +208,10 @@ TestFreshnessEquivalence.settings = settings(deadline=None)
 def test_many_queries_pack_their_blocks_in_place():
     """Hundreds of queries growing, committing and taking stale stamps
     — half of them never committing, so their blocks fill and fold —
-    make the pending table move blocks and pack itself many times, over
-    more blocks than one packing chunk holds."""
+    over 90 cycles: every block extends, inserts stale stamps, folds at
+    the cap and empties on commit at a scale the state machine does not
+    reach.  (The name is from the shared-table layout that packed its
+    blocks in place; the load still covers every per-query block path.)"""
     rng = random.Random(7)
     clock = ManualClock()
     registries = MetricsRegistry(), MetricsRegistry()
