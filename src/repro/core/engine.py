@@ -540,8 +540,8 @@ class IncrementalEngine:
         """Register a continuous k-NN query anchored at ``center``."""
         self._check_fresh_qid(qid)
         _check_query_input(qid, t, center.x, center.y)
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
+        if not 0 < k < _INT64_BOUND:
+            raise ValueError(f"k must be positive and within int64, got {k}")
         self._pending_registrations[qid] = KnnQueryState(qid, center, k, t)
 
     def register_predictive_query(
@@ -564,25 +564,18 @@ class IncrementalEngine:
 
     def move_range_query(self, qid: int, region: Rect, t: float) -> None:
         """Buffer a moving range query's new region (service-area clipped)."""
-        self.check_kind(qid, QueryKind.RANGE)
-        _check_query_input(
-            qid, t, region.min_x, region.min_y, region.max_x, region.max_y
-        )
-        self._pending_moves[qid] = (self.grid.world.clip_or_pin(region), t)
+        self.check_move(qid, QueryKind.RANGE, region, t)
+        self.buffer_move(qid, QueryKind.RANGE, region, t)
 
     def move_knn_query(self, qid: int, center: Point, t: float) -> None:
         """Buffer a moving k-NN query's new focal point."""
-        self.check_kind(qid, QueryKind.KNN)
-        _check_query_input(qid, t, center.x, center.y)
-        self._pending_moves[qid] = (center, t)
+        self.check_move(qid, QueryKind.KNN, center, t)
+        self.buffer_move(qid, QueryKind.KNN, center, t)
 
     def move_predictive_query(self, qid: int, region: Rect, t: float) -> None:
         """Buffer a moving predictive query's new region (clipped)."""
-        self.check_kind(qid, QueryKind.PREDICTIVE_RANGE)
-        _check_query_input(
-            qid, t, region.min_x, region.min_y, region.max_x, region.max_y
-        )
-        self._pending_moves[qid] = (self.grid.world.clip_or_pin(region), t)
+        self.check_move(qid, QueryKind.PREDICTIVE_RANGE, region, t)
+        self.buffer_move(qid, QueryKind.PREDICTIVE_RANGE, region, t)
 
     def kind_of(self, qid: int) -> QueryKind | None:
         """The kind of a query that is registered or, in this batch,
@@ -592,18 +585,34 @@ class IncrementalEngine:
         qstore = self._qstore
         return _KIND_OF_CODE[qstore.kinds[qstore.row_of(qid)]] if qid in qstore else None
 
-    def check_kind(self, qid: int, kind: QueryKind) -> None:
-        """Refuse a ``kind`` move of a query known to be of another kind:
-        ``ValueError`` naming the qid and both kinds, nothing buffered.
-        The ``move_*`` doors run it first; an edge that may defer a move
-        runs it before deferring.  An unknown qid passes — ``evaluate``
-        then refuses the move with its ``KeyError`` (the server refuses
-        it first: it checks the query's binding too)."""
+    def check_move(self, qid: int, kind: QueryKind, target, t: float) -> None:
+        """The move doors' one judge: refuse a ``kind`` move of ``qid``
+        to ``target`` (a region, or a k-NN centre) at ``t`` when the
+        query is known to be of another kind, or when a value is one
+        the batch kernels cannot hold — ``ValueError``, nothing
+        buffered.  The ``move_*`` doors run it before
+        :meth:`buffer_move`; an edge that may defer a move runs it
+        before deferring.  An unknown qid passes — ``evaluate`` then
+        refuses the move with its ``KeyError`` (the server refuses it
+        first: it checks the query's binding too)."""
         known = self.kind_of(qid)
         if known is not None and known is not kind:
             raise ValueError(
                 f"query {qid} is a {known.value} query, not a {kind.value} query"
             )
+        if kind is QueryKind.KNN:
+            _check_query_input(qid, t, target.x, target.y)
+        else:
+            _check_query_input(
+                qid, t, target.min_x, target.min_y, target.max_x, target.max_y
+            )
+
+    def buffer_move(self, qid: int, kind: QueryKind, target, t: float) -> None:
+        """Buffer a move :meth:`check_move` passed; a region is clipped
+        to the service area."""
+        if kind is not QueryKind.KNN:
+            target = self.grid.world.clip_or_pin(target)
+        self._pending_moves[qid] = (target, t)
 
     def unregister_query(self, qid: int) -> None:
         """Buffer a query's removal; no further updates will be emitted.

@@ -334,25 +334,24 @@ class LocationAwareServer:
         t: float,
         velocity: Velocity = Velocity.ZERO,
     ) -> None:
-        """Ingest a location report, persisting the superseded location."""
-        if self.uplink_gate is not None and not self._gate(
-            "object_report",
-            self.receive_object_report,
-            (oid, location, t, velocity),
-        ):
-            return
+        """Ingest a location report, persisting the superseded location.
+        A report the engine refuses (``ValueError``) is refused before
+        it is counted, recorded, persisted or deferred."""
+        if self.uplink_gate is not None:
+            self.engine.checked_reports(
+                (oid,), (location.x,), (location.y,), (velocity.vx,), (velocity.vy,), (t,)
+            )
+            if not self._gate("object_report", self.receive_object_report, (oid, location, t, velocity)):
+                return
+        previous = self.engine.objects.get(oid) if self.history is not None else None
+        self.engine.report_object(oid, location, t, velocity)
         self.stats.record_uplink(ObjectReportMessage)
         if self.recorder.enabled:
             self.recorder.record("uplink_report", oid=oid, t=t)
-        if self.history is not None:
-            previous = self.engine.objects.get(oid)
-            if previous is not None:
-                self.history.append(
-                    LocationRecord(
-                        oid, previous.location, previous.velocity, previous.t
-                    )
-                )
-        self.engine.report_object(oid, location, t, velocity)
+        if previous is not None:
+            self.history.append(
+                LocationRecord(oid, previous.location, previous.velocity, previous.t)
+            )
 
     def receive_object_reports(self, oids, xs, ys, vxs, vys, ts) -> bool:
         """Ingest a run of location reports given as aligned lists —
@@ -385,35 +384,43 @@ class LocationAwareServer:
 
     def remove_object(self, oid: int) -> None:
         """An object leaves the system — an uplink message like any
-        report, and accounted as one (8 identifier bytes)."""
+        report, and accounted as one (8 identifier bytes).  The gate
+        comes first: whether the object is known (``KeyError``) depends
+        on reports it may itself have deferred."""
         if self.uplink_gate is not None and not self._gate(
             "object_removal", self.remove_object, (oid,)
         ):
             return
+        self.engine.remove_object(oid)
         self.stats.record_uplink(ObjectRemovalMessage)
         if self.recorder.enabled:
             self.recorder.record("uplink_removal", oid=oid)
-        self.engine.remove_object(oid)
 
     # ------------------------------------------------------------------
     # Uplink: query registration and movement
     # ------------------------------------------------------------------
 
+    # An unknown client (``KeyError``) is refused before the engine
+    # buffers the query, which would otherwise be evaluated unowned.
+
     def register_range_query(
         self, client_id: int, qid: int, region: Rect, t: float = 0.0
     ) -> None:
+        self._require_client(client_id)
         self.engine.register_range_query(qid, region, t)
         self._bind(qid, client_id)
 
     def register_knn_query(
         self, client_id: int, qid: int, center: Point, k: int, t: float = 0.0
     ) -> None:
+        self._require_client(client_id)
         self.engine.register_knn_query(qid, center, k, t)
         self._bind(qid, client_id)
 
     def register_predictive_query(
         self, client_id: int, qid: int, region: Rect, horizon: float, t: float = 0.0
     ) -> None:
+        self._require_client(client_id)
         self.engine.register_predictive_query(qid, region, horizon, t)
         self._bind(qid, client_id)
 
@@ -447,13 +454,16 @@ class LocationAwareServer:
         — the uplink proves the client is connected and has received
         everything sent so far (clients always wake up before resuming
         uplink after an outage) — so the moved queries then commit as
-        one run.  An unbound qid (``KeyError``) or a wrong kind
-        (``ValueError``) refuses the whole run before any gate could
-        defer a row of it or the engine buffer one.
+        one run.  An unbound qid (``KeyError``), or a wrong kind or a
+        value the engine refuses (``ValueError``,
+        :meth:`~repro.core.engine.IncrementalEngine.check_move`), refuses
+        the whole run before a row of it is counted, deferred or
+        buffered.
         """
-        for qid, kind in zip(qids, kinds):
+        check = self.engine.check_move
+        for qid, kind, target, t in zip(qids, kinds, targets, ts):
             self._require_binding(qid)
-            self.engine.check_kind(qid, kind)
+            check(qid, kind, target, t)
         if not self._per_message():
             self._move(qids, kinds, targets, ts)
             return True
@@ -498,6 +508,7 @@ class LocationAwareServer:
         checkpoint) to its owning client."""
         if qid not in self.engine.queries:
             raise KeyError(f"engine has no query {qid}")
+        self._require_client(client_id)
         self._bind(qid, client_id)
 
     def unregister_query(self, qid: int) -> None:
@@ -535,10 +546,10 @@ class LocationAwareServer:
         Returns the updates delivered (an
         :class:`~repro.core.updates.UpdateBatch`), for observability.
         """
+        link = self._links[client_id]  # an unknown client is refused first
         self.stats.record_uplink(WakeupMessage)
         self._m_wakeups.inc()
         self.recorder.record("wakeup_begin", client=client_id)
-        link = self._links[client_id]
         link.reconnect()
         if isinstance(link, ThrottledLink):
             # The recovery response gets a fresh cycle's worth of budget.
@@ -597,10 +608,10 @@ class LocationAwareServer:
         its client at the committed answer it rolled back to; the next
         recovery attempt retries it.
         """
+        link = self._links[client_id]  # an unknown client is refused first
         self.stats.record_uplink(WakeupMessage)
         self._m_wakeups.inc()
         self.recorder.record("wakeup_begin", client=client_id, via="naive")
-        link = self._links[client_id]
         link.reconnect()
         if isinstance(link, ThrottledLink):
             link.new_cycle()
@@ -818,9 +829,11 @@ class LocationAwareServer:
     # Internals
     # ------------------------------------------------------------------
 
-    def _bind(self, qid: int, client_id: int) -> None:
+    def _require_client(self, client_id: int) -> None:
         if client_id not in self._links:
             raise KeyError(f"unknown client {client_id}")
+
+    def _bind(self, qid: int, client_id: int) -> None:
         self._owner[qid] = client_id
         self._queries_of_client[client_id].add(qid)
         # A checkpoint-adopted query starts from its committed answer
@@ -851,20 +864,15 @@ class LocationAwareServer:
         )
 
     def _move(self, qids, kinds, targets, ts) -> None:
-        """Buffer checked moves in order, then commit the moved queries
+        """Buffer judged moves in order, then commit the moved queries
         as one run."""
-        engine = self.engine
+        buffer_move = self.engine.buffer_move
         for qid, kind, target, t in zip(qids, kinds, targets, ts):
             knn = kind is QueryKind.KNN
             self.stats.record_uplink(KnnMoveMessage if knn else QueryRegionMessage)
             if self.recorder.enabled:
                 self.recorder.record("uplink_move", qid=qid, query=kind.value, t=t)
-            if knn:
-                engine.move_knn_query(qid, target, t)
-            elif kind is QueryKind.RANGE:
-                engine.move_range_query(qid, target, t)
-            else:
-                engine.move_predictive_query(qid, target, t)
+            buffer_move(qid, kind, target, t)
         self._commit(qids, "uplink", True)
 
     def _commit(self, qids, via: str, notify: bool = False) -> None:

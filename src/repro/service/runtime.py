@@ -36,13 +36,18 @@ Design points:
   reaches the server as three runs — one merged report run
   (:meth:`~repro.core.server.LocationAwareServer.receive_object_reports`),
   one move run and one commit run — because within a drain they
-  commute; any other op closes the group.  A run holding any refusable
-  value is replayed, with the runs after it, entry by entry through the
-  per-op doors (:meth:`ServiceRuntime._replay`) — a report run that
-  holds one row by row through :meth:`ServiceRuntime._apply_op`, the
-  one per-row door — so exactly the bad rows are refused.  Admission,
+  commute; any other op closes the group.  A run its door refuses is
+  replayed, with the runs after it, entry by entry through the per-op
+  doors (:meth:`ServiceRuntime._replay`) — a refused report run row by
+  row — so exactly the rows a door refuses are refused.  Admission,
   backlog and every counter count rows.  Output is queued per session
   and written once per flush.
+* **The doors judge, the runtime types.**  A queued op's values are
+  only typed here (``int``, ``float``, :class:`~repro.geometry.Rect`,
+  :class:`~repro.geometry.Point`) and routed; the engine or server
+  door that acts on them judges its whole input before it counts,
+  defers or buffers anything, whoever calls it.  Only the immediate
+  ops, which act in the runtime itself, are judged here.
 * **Protocol completeness on the wire.**  The runtime subscribes to the
   server's observer hooks and emits ``wakeup_begin`` / ``wakeup_end`` /
   ``committed`` markers, each preceded by a flush of the affected
@@ -93,24 +98,29 @@ _INT64_BOUND = 1 << 63
 
 
 def _id_of(op: dict, field: str) -> int:
-    """An object, query or client id, refused when no int64 column
-    could hold it."""
+    """An immediate op's client or query id, refused when no int64
+    column could hold it."""
     ident = int(op[field])
     if not -_INT64_BOUND <= ident < _INT64_BOUND:
         raise ProtocolError("bad_value", f"{field} {ident} is outside int64")
     return ident
 
 
-def _finite(op: dict, *fields: str, default: float | None = None) -> list[float]:
-    """Float fields of one op, refused when any is NaN or infinite —
-    ``json.loads`` accepts both, the array kernels neither."""
-    values = [
-        float(op[field] if default is None else op.get(field, default))
-        for field in fields
-    ]
-    if not all(map(isfinite, values)):
-        raise ProtocolError("bad_value", f"{', '.join(fields)} must be finite")
-    return values
+def _rect_of(op: dict) -> Rect:
+    """A range or predictive op's region, typed."""
+    return Rect(float(op["minx"]), float(op["miny"]), float(op["maxx"]), float(op["maxy"]))
+
+
+#: The query kind a ``move`` op names.
+_KIND = {kind.value: kind for kind in QueryKind}
+
+
+def _move_of(op: dict) -> tuple:
+    """A move op's ``(qid, kind, target, t)``, typed."""
+    kind = _KIND[op["kind"]]
+    target = Point(float(op["cx"]), float(op["cy"])) if kind is QueryKind.KNN else _rect_of(op)
+    return int(op["qid"]), kind, target, float(op["t"])
+
 
 #: What a drain gathers into groups: report runs and the queued ops
 #: named (see ServiceRuntime._drain_uplinks).
@@ -506,8 +516,8 @@ class ServiceRuntime:
             await self._drain_writers()
 
     def _immediate_args(self, op: dict) -> tuple:
-        """The field values an immediate op acts on, validated like a
-        queued op's — and before anything is drained or registered."""
+        """The field values an immediate op acts on, judged before
+        anything is drained or registered."""
         name = op["op"]
         if name == "hello":
             budget = op.get("budget")
@@ -719,7 +729,7 @@ class ServiceRuntime:
     def _report_run(self, pending: list, ats: list[int]) -> int:
         """Report runs merged into one, after the conversions of a loose
         run, through the batch door, where the engine judges the run
-        whole and refuses every row :meth:`_apply_op` would.  Each run is
+        whole and refuses it whole.  Each run is
         released as it is merged, so no second copy of the columns
         outlives the merge; a refused merge puts each back as its merged
         slice."""
@@ -744,13 +754,13 @@ class ServiceRuntime:
         return len(oids)
 
     def _move_run(self, pending: list, ats: list[int]) -> int:
-        qids, kinds, targets, ts = zip(*(self._move_of(pending[at][1]) for at in ats))
+        qids, kinds, targets, ts = zip(*(_move_of(pending[at][1]) for at in ats))
         batched = self.server.receive_query_moves(qids, kinds, targets, ts)
         self._m_rows["batch" if batched else "scalar"].inc(len(ats))
         return len(ats)
 
     def _commit_run(self, pending: list, ats: list[int]) -> int:
-        batched = self.server.receive_commits([_id_of(pending[at][1], "qid") for at in ats])
+        batched = self.server.receive_commits([int(pending[at][1]["qid"]) for at in ats])
         self._m_rows["batch" if batched else "scalar"].inc(len(ats))
         return len(ats)
 
@@ -765,97 +775,45 @@ class ServiceRuntime:
             return False
         return True
 
-    def _move_of(self, op: dict) -> tuple:
-        """A move op's ``(qid, kind, target, t)``, its values refused as
-        :meth:`_apply_op` refuses them."""
-        qid = _id_of(op, "qid")
-        kind = op["kind"]
-        (t,) = _finite(op, "t")
-        if kind == "knn":
-            return qid, QueryKind.KNN, Point(*_finite(op, "cx", "cy")), t
-        kind = QueryKind.RANGE if kind == "range" else QueryKind.PREDICTIVE_RANGE
-        return qid, kind, self._rect_of(op), t
-
     def _apply_op(self, op: dict) -> None:
+        """One queued op: its values typed, then routed to its door,
+        which judges them."""
         server = self.server
         name = op["op"]
         if name == "report":
-            # The one per-row door (a lone bad report, and the replay
-            # of a run that held one).  Refused here: a value the batch
-            # kernels cannot hold would otherwise fail the shared cycle.
-            oid = int(op["oid"])
-            t = float(op["t"])
+            # A lone report, and the replay of a run that held a row the
+            # engine refused.
             vx, vy = float(op.get("vx", 0.0)), float(op.get("vy", 0.0))
-            if not -_INT64_BOUND <= oid < _INT64_BOUND:
-                raise ProtocolError("bad_value", f"oid {oid} is outside int64")
-            if not (isfinite(t) and isfinite(vx) and isfinite(vy)):
-                raise ProtocolError("bad_value", "t, vx and vy must be finite")
             server.receive_object_report(
-                oid,
+                int(op["oid"]),
                 Point(float(op["x"]), float(op["y"])),
-                t,
+                float(op["t"]),
                 Velocity(vx, vy) if vx or vy else Velocity.ZERO,
             )
         elif name == "move":
-            qid, kind, target, t = self._move_of(op)
-            try:
-                server.receive_query_moves((qid,), (kind,), (target,), (t,))
-            except ValueError:
-                # Every value is vouched for above, so this is the
-                # engine refusing a move of the wrong kind for its query.
-                known = server.engine.kind_of(qid)
-                raise ProtocolError(
-                    "bad_kind", f"query {qid} is a {known.value} query"
-                ) from None
+            qid, kind, target, t = _move_of(op)
+            server.receive_query_moves((qid,), (kind,), (target,), (t,))
         elif name == "register":
-            client_id = _id_of(op, "client")
-            qid = _id_of(op, "qid")
-            kind = op["kind"]
-            (t,) = _finite(op, "t", default=0.0)
+            client_id, qid, kind = int(op["client"]), int(op["qid"]), op["kind"]
+            t = float(op.get("t", 0.0))
             if kind == "range":
-                server.register_range_query(
-                    client_id, qid, self._rect_of(op), t
-                )
+                server.register_range_query(client_id, qid, _rect_of(op), t)
             elif kind == "knn":
-                k = int(op.get("k", 1))
-                if not 1 <= k < _INT64_BOUND:
-                    raise ProtocolError("bad_value", f"k must be >= 1, got {k}")
-                server.register_knn_query(
-                    client_id, qid, Point(*_finite(op, "cx", "cy")), k, t
-                )
+                center = Point(float(op["cx"]), float(op["cy"]))
+                server.register_knn_query(client_id, qid, center, int(op.get("k", 1)), t)
             else:
-                (horizon,) = _finite(op, "horizon", default=0.0)
-                if horizon < 0:
-                    raise ProtocolError(
-                        "bad_value", f"horizon must be >= 0, got {horizon}"
-                    )
-                server.register_predictive_query(
-                    client_id, qid, self._rect_of(op), horizon, t
-                )
+                horizon = float(op.get("horizon", 0.0))
+                server.register_predictive_query(client_id, qid, _rect_of(op), horizon, t)
         elif name == "commit":
-            server.receive_commit(_id_of(op, "qid"))
+            server.receive_commit(int(op["qid"]))
         elif name == "wakeup":
-            server.receive_wakeup(_id_of(op, "client"))
+            server.receive_wakeup(int(op["client"]))
         elif name == "remove":
-            server.remove_object(_id_of(op, "oid"))
+            server.remove_object(int(op["oid"]))
         elif name == "unregister":
-            server.unregister_query(_id_of(op, "qid"))
+            server.unregister_query(int(op["qid"]))
         else:  # pragma: no cover - decode_line already rejects these
             raise ProtocolError("bad_op", f"unroutable op {name!r}")
-
-    @staticmethod
-    def _rect_of(op: dict) -> Rect:
-        try:
-            minx, miny, maxx, maxy = _finite(op, "minx", "miny", "maxx", "maxy")
-        except KeyError as exc:
-            raise ProtocolError(
-                "missing_field", f"rect op missing {exc.args[0]!r}"
-            ) from exc
-        if minx > maxx or miny > maxy:
-            raise ProtocolError(
-                "bad_value", f"inverted rectangle ({minx}, {miny}, {maxx}, {maxy})"
-            )
-        return Rect(minx, miny, maxx, maxy)
 
     # -- downlink flushing ---------------------------------------------
 

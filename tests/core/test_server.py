@@ -214,7 +214,6 @@ class TestHostileReports:
 
     def test_the_service_edge_refuses_what_the_columns_cannot_hold(self):
         from repro.geometry import Velocity
-        from repro.service.protocol import ProtocolError
         from repro.service.runtime import ServiceRuntime
 
         runtime = ServiceRuntime(
@@ -227,11 +226,13 @@ class TestHostileReports:
             dict(t=float("nan")),
             dict(vx=float("inf")),
             dict(vy=float("nan")),
+            dict(x=float("nan")),
         ):
-            with pytest.raises(ProtocolError):
+            with pytest.raises(ValueError):
                 runtime._apply_op({**report, **bad})
-        with pytest.raises(ValueError):
-            runtime._apply_op({**report, "x": float("nan")})
+        # Refused at the door: nothing counted or buffered.
+        assert runtime.server.stats.uplink_messages == 0
+        assert not runtime.server.engine._pending_reports
         runtime._apply_op({**report, "oid": 2**63 - 1, "vx": 0.0})
         runtime._apply_op({**report, "oid": -(2**63), "vy": 0.5})
         runtime.run_cycle(1.0)

@@ -621,11 +621,33 @@ def test_a_move_of_the_wrong_kind_is_an_error_line_not_a_dead_cycle():
     assert [op["op"] for op in replies if op["op"] in ("error", "cycle")] == [
         "error", "cycle", "error", "cycle",
     ]  # fmt: skip
-    assert {op["detail"] for op in replies if op["op"] == "error"} == {
-        "move: query 2 is a knn query"
-    }
+    assert [op["detail"] for op in replies if op["op"] == "error"] == [
+        "move: query 2 is a knn query, not a range query",
+        "move: query 2 is a knn query, not a predictive query",
+    ]
     assert [op["uplink_errors"] for op in replies if op["op"] == "cycle"] == [1, 1]
     assert runtime.server.engine.answer_of(2) == {1}
+
+
+def test_a_register_before_hello_is_an_error_line_and_leaves_no_query():
+    """The server refuses the unknown client before the engine buffers
+    the query: no orphan is evaluated, and the qid stays free."""
+    register = {"op": "register", "client": 9, "kind": "range", **REGION}
+    runtime = Runtime()
+    writer = runtime.feed(
+        b"".join(encode({**register, "qid": qid}) for qid in range(100, 105))
+        + encode({"op": "tick", "now": 1.0})
+        + encode({"op": "hello", "client": 9})
+        + encode({**register, "qid": 100})
+        + encode({"op": "tick", "now": 2.0})
+    )
+    replies = [json.loads(line) for line in writer.sent.splitlines()]
+    assert [op["code"] for op in replies if op["op"] == "error"] == ["bad_op"] * 5
+    assert [(op["uplinks_applied"], op["uplink_errors"]) for op in replies if op["op"] == "cycle"] == [
+        (0, 5), (1, 0),
+    ]  # fmt: skip
+    assert sorted(runtime.server.engine.queries) == [100]
+    assert runtime.server.client_of(100) == 9
 
 
 def test_a_welcome_reaches_the_wire_without_a_cycle():
