@@ -12,7 +12,18 @@ savings ratio next to delivery-stage and commit-stage staleness
 percentiles (in cycles).
 
 The sweep is a characterization, not a gate: there is no assertion on
-the trade itself, only on snapshot well-formedness.  Runs two ways:
+the trade itself, only on snapshot well-formedness.  The freshness
+tracker attributes a fixed hashed sample of queries
+(``repro.obs.freshness.SAMPLE_BITS``), so each sweep point runs twice:
+once tracking every query (the constant patched to 0), which is the
+characterization above — the throttled client's per-query figures come
+from all of its summarised queries — and once at the production sample.
+At the full population the sample must give every stage and polarity's
+p50 / p95 / p99 on the registry histograms (the ``/metrics``
+distributions) within one ``FRESHNESS_CYCLE_BUCKETS`` bucket of the full
+run's, and must still measure the throttled client at both stages;
+``--quick``'s 40 queries hold three sampled ones, so it reports both
+without gating them.  Runs two ways:
 
 * under pytest (with pytest-benchmark)::
 
@@ -31,11 +42,15 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
+from contextlib import nullcontext
+from unittest import mock
 
 from conftest import scaled, write_bench_json
 
 from repro.core.server import LocationAwareServer
 from repro.geometry import Point, Rect
+from repro.obs import FRESHNESS_CYCLE_BUCKETS, freshness
 from repro.stats import format_table
 
 SEED = 53
@@ -59,11 +74,13 @@ COMMIT_EVERY = 3
 
 
 def run_sweep_point(
-    budget: int | None, n_objects: int, n_queries: int, cycles: int
+    budget: int | None, n_objects: int, n_queries: int, cycles: int, every_query: bool = True
 ):
-    """One deterministic run; returns the snapshot + per-cycle seconds."""
+    """One deterministic run; returns the snapshot + per-cycle seconds.
+    ``every_query`` tracks every query's freshness, not the sample."""
     rng = random.Random(SEED)
-    server = LocationAwareServer(grid_size=GRID_SIZE)
+    with mock.patch.object(freshness, "SAMPLE_BITS", 0) if every_query else nullcontext():
+        server = LocationAwareServer(grid_size=GRID_SIZE)
     server.register_client(0)  # healthy reference client
     if budget is None:
         server.register_client(1)
@@ -130,19 +147,49 @@ def stage_cycles(snapshot: dict, stage: str, qids) -> dict:
     return merged
 
 
+def fleet_cycles(snapshot: dict) -> dict:
+    """``stage/polarity`` -> the registry histograms' cycle p50/p95/p99."""
+    return {
+        f"{stage}/{polarity}": {q: summary["cycles"][q] for q in ("p50", "p95", "p99")}
+        for stage, polarities in snapshot["staleness"]["stages"].items()
+        for polarity, summary in polarities.items()
+    }
+
+
+def bucket_gap(full: dict, sampled: dict) -> int:
+    """The most histogram buckets any sampled fleet percentile lies from
+    the full run's (a series missing on one side counts as far off)."""
+    if full.keys() != sampled.keys():
+        return len(FRESHNESS_CYCLE_BUCKETS)
+    return max(
+        abs(bisect_left(FRESHNESS_CYCLE_BUCKETS, full[key][q]) - bisect_left(FRESHNESS_CYCLE_BUCKETS, sampled[key][q]))
+        for key in full
+        for q in full[key]
+    )
+
+
 def run_characterization(n_objects: int, n_queries: int, cycles: int):
     points = []
+    gated = n_queries >= FULL_QUERIES
+    throttled_qids = range(1, n_queries, 2)  # client 1's queries
     for budget in BUDGET_SWEEP:
         snapshot, timings = run_sweep_point(
             budget, n_objects, n_queries, cycles
         )
-        throttled_qids = range(1, n_queries, 2)  # client 1's queries
+        sampled, _ = run_sweep_point(budget, n_objects, n_queries, cycles, every_query=False)
         delivery = stage_cycles(snapshot, "delivery", throttled_qids)
         commit = stage_cycles(snapshot, "commit", throttled_qids)
-        # Well-formedness: the trade must actually be measured.
+        # Well-formedness: the trade must actually be measured (by the
+        # sample too, at the full population).
         assert snapshot["savings_ratio"] > 0.0
         assert delivery.get("count", 0) > 0, "no delivery staleness measured"
         assert commit.get("count", 0) > 0, "no commit staleness measured"
+        for stage in ("delivery", "commit"):
+            assert stage_cycles(sampled, stage, throttled_qids) or not gated, (
+                f"the sample measured no {stage} staleness of the throttled client"
+            )
+        gap = bucket_gap(fleet_cycles(snapshot), fleet_cycles(sampled))
+        assert gap <= 1 or not gated, f"sampled staleness {gap} buckets from full tracking at {budget}"
         points.append(
             {
                 "budget_bytes_per_cycle": budget,
@@ -151,6 +198,14 @@ def run_characterization(n_objects: int, n_queries: int, cycles: int):
                 "complete_bytes": snapshot["complete_bytes"],
                 "delivery_cycles": delivery,
                 "commit_cycles": commit,
+                "sampled": {
+                    "sample_ratio": sampled["staleness"]["sample_ratio"],
+                    "fleet_cycles": fleet_cycles(sampled),
+                    "fleet_bucket_gap": gap,
+                    "delivery_cycles": stage_cycles(sampled, "delivery", throttled_qids),
+                    "commit_cycles": stage_cycles(sampled, "commit", throttled_qids),
+                },
+                "fleet_cycles": fleet_cycles(snapshot),
                 "timings": timings,
             }
         )
@@ -163,6 +218,8 @@ def run_characterization(n_objects: int, n_queries: int, cycles: int):
             p["commit_cycles"].get("p50", 0.0),
             p["commit_cycles"].get("p95", 0.0),
             p["commit_cycles"].get("p99", 0.0),
+            p["sampled"]["commit_cycles"].get("p95", 0.0),
+            p["sampled"]["fleet_bucket_gap"],
         ]
         for p in points
     ]
@@ -174,6 +231,8 @@ def run_characterization(n_objects: int, n_queries: int, cycles: int):
             "commit p50",
             "commit p95",
             "commit p99",
+            "sampled commit p95",
+            "sampled fleet gap (buckets)",
         ],
         rows,
     )

@@ -14,14 +14,23 @@ commits and its pending blocks run full.  The garbage collector is
 collected before and disabled inside each timed cycle.  Modes alternate
 run by run so a drift in the box's load lands on all three alike.
 
+Cycle medians of separate runs spread too widely on a shared box to
+read a few milliseconds from, so the default mode's runs also time the
+freshness tracker from inside: a ``perf_counter`` wrapper around each
+of its public methods sums the seconds the tracker spends per timed
+cycle, which is reported per method and as a share of the cycle against
+the 2 % telemetry budget (the wrappers' own calls are in the default
+cycle, so the share reads a little high).
+
 It reports; it does not gate (shared CI runners are too noisy for a
 few-percent bound)::
 
-    PYTHONPATH=src python benchmarks/bench_telemetry_overhead.py            # full shapes
+    PYTHONPATH=src python benchmarks/bench_telemetry_overhead.py            # full shapes, 10 pairs
     PYTHONPATH=src python benchmarks/bench_telemetry_overhead.py --quick    # 1/10 populations
 
-The output is a markdown table: the median cycle per mode and the
-default mode's overhead over each telemetry-off mode.
+The output is two markdown tables: the median cycle per mode with the
+default mode's overhead over each telemetry-off mode, and the tracker's
+time per cycle, per method and in total.
 """
 
 from __future__ import annotations
@@ -49,8 +58,16 @@ SHAPES = ("sparse_mixed", "bulk_churn", "reconnect")
 SEED = config.DEFAULT_SEED
 #: Timed cycles per run (after the shape's warm-up rounds), full and quick.
 ROUNDS, QUICK_ROUNDS = 40, 10
-#: Alternating runs per mode; the table reports the median of their medians.
-RUNS = 3
+#: Alternating runs per mode, full and quick; the tables report the
+#: median of their medians.
+RUNS, QUICK_RUNS = 10, 2
+#: The tracker's public methods, each timed in the default mode.
+TRACKER_METHODS = (
+    "stamp_report", "stamp_reports", "forget", "end_cycle", "forget_query",
+    "observe_delivered", "observe_delivered_runs", "observe_undelivered", "observe_committed",
+)  # fmt: skip
+#: The telemetry budget: share of a cycle.
+BUDGET = 0.02
 #: name -> the engine keywords that select the mode.
 MODES = {
     "default": {},
@@ -173,12 +190,36 @@ def reconnect_shape(mode: str, quick: bool):
     return server, 2, prepare, run
 
 
-def run_mode(name: str, mode: str, rounds: int, quick: bool) -> float:
-    """Median seconds of ``rounds`` timed cycles of a fresh server."""
+def time_tracker(tracker) -> dict[str, float]:
+    """Wrap each public method of ``tracker`` (on the instance) to sum
+    its seconds; returns the running sums, by method."""
+    spent = dict.fromkeys(TRACKER_METHODS, 0.0)
+    for name in TRACKER_METHODS:
+        method = getattr(tracker, name, None)
+        if method is None:
+            continue
+
+        def timed(*args, _method=method, _name=name):
+            started = perf_counter()
+            try:
+                return _method(*args)
+            finally:
+                spent[_name] += perf_counter() - started
+
+        setattr(tracker, name, timed)
+    return spent
+
+
+def run_mode(name: str, mode: str, rounds: int, quick: bool) -> tuple[float, dict]:
+    """Median seconds of ``rounds`` timed cycles of a fresh server, and
+    (default mode only) the tracker's seconds per timed cycle by method."""
     build = reconnect_shape if name == "reconnect" else partial(replay_shape, name)
-    _, warmup, prepare, run = build(mode, quick)
+    server, warmup, prepare, run = build(mode, quick)
+    spent = time_tracker(server.freshness) if mode == "default" else {}
     seconds = []
     for number in range(warmup + rounds):
+        if number == warmup:
+            spent.update(dict.fromkeys(spent, 0.0))
         ops = prepare()
         gc.collect()
         gc.disable()
@@ -190,7 +231,7 @@ def run_mode(name: str, mode: str, rounds: int, quick: bool) -> float:
             gc.enable()
         if number >= warmup:
             seconds.append(closed - opened)
-    return statistics.median(seconds)
+    return statistics.median(seconds), {method: total / rounds for method, total in spent.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -198,20 +239,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true", help="1/10 populations, fewer rounds")
     args = parser.parse_args(argv)
     rounds = QUICK_ROUNDS if args.quick else ROUNDS
+    runs = QUICK_RUNS if args.quick else RUNS
     print(
         f"Telemetry overhead: median cycle per mode, seed {SEED}, "
-        f"{RUNS} alternating runs x {rounds} cycles{' (quick)' if args.quick else ''}\n"
+        f"{runs} alternating runs x {rounds} cycles{' (quick)' if args.quick else ''}\n"
     )
     print(
         "| shape | default ms | no_freshness ms | no_registry ms "
         "| default over no_freshness | default over no_registry |"
     )
     print("|---|---|---|---|---|---|")
+    tracker_rows = []
     for name in SHAPES:
         medians: dict[str, list[float]] = {mode: [] for mode in MODES}
-        for _ in range(RUNS):
+        spent: list[dict] = []
+        for _ in range(runs):
             for mode in MODES:
-                medians[mode].append(run_mode(name, mode, rounds, args.quick))
+                median, methods = run_mode(name, mode, rounds, args.quick)
+                medians[mode].append(median)
+                if methods:
+                    spent.append(methods)
         cycle = {mode: statistics.median(values) for mode, values in medians.items()}
         base = cycle["default"]
         print(
@@ -221,6 +268,23 @@ def main(argv: list[str] | None = None) -> int:
             f"| {base / cycle['no_registry'] - 1:+.1%} |"
         )
         sys.stdout.flush()
+        per_method = {m: statistics.median(run[m] for run in spent) for m in TRACKER_METHODS}
+        total = statistics.median(sum(run.values()) for run in spent)
+        tracker_rows.append((name, total, total / base, per_method))
+    print(
+        f"\nFreshness tracker time per cycle (default mode, perf_counter around "
+        f"each public method, median of {runs} runs; budget {BUDGET:.0%} of the cycle)\n"
+    )
+    print("| shape | tracker ms | share of cycle | within budget | ms per method |")
+    print("|---|---|---|---|---|")
+    for name, total, share, per_method in tracker_rows:
+        methods = ", ".join(
+            f"{method} {ms * 1e3:.2f}"
+            for method, ms in sorted(per_method.items(), key=lambda item: -item[1])
+            if ms >= 5e-6
+        )
+        verdict = "yes" if share <= BUDGET else "no"
+        print(f"| {name} | {total * 1e3:.2f} | {share:.1%} | {verdict} | {methods} |")
     return 0
 
 

@@ -438,9 +438,9 @@ class IncrementalEngine:
         span = (t + self.prediction_horizon) - t
         if not math.isfinite((x + vx * span) + (y + vy * span)):
             _check_motion(oid, x, y, t, vx, vy, self.prediction_horizon)
-        self._pending_removals.discard(oid)
+        if self._pending_removals:
+            self._pending_removals.discard(oid)
         self._pending_reports[oid] = (x, y, vx, vy, t)
-        self.freshness.stamp_report(oid)
 
     def report_objects(self, oids, xs, ys, vxs, vys, ts) -> None:
         """Buffer a run of reports given as aligned lists (ints for
@@ -459,7 +459,6 @@ class IncrementalEngine:
         if self._pending_removals:
             self._pending_removals.difference_update(oids)
         self._pending_reports.update(zip(oids, zip(xs, ys, vxs, vys, ts)))
-        self.freshness.stamp_reports(oids)
 
     def checked_reports(self, oids, xs, ys, vxs, vys, ts) -> tuple:
         """The ``(xs, ys)`` :meth:`report_objects` buffers for a non-empty
@@ -512,13 +511,17 @@ class IncrementalEngine:
         bug surfaces at the call site instead of as a silent no-op or
         an opaque index lookup failure later.
         """
-        if oid not in self.objects and oid not in self._pending_reports:
+        if not self.knows_object(oid):
             raise KeyError(f"cannot remove unknown object {oid}")
         self._pending_reports.pop(oid, None)
         self._pending_removals.add(oid)
         # The departure is this object's last provenance event: the
         # negative updates it triggers are attributed to it.
         self.freshness.stamp_report(oid)
+
+    def knows_object(self, oid: int) -> bool:
+        """True when ``oid`` is tracked or has a report buffered."""
+        return oid in self.objects or oid in self._pending_reports
 
     def register_range_query(self, qid: int, region: Rect, t: float = 0.0) -> None:
         """Register a continuous range query (stationary until moved).
@@ -936,6 +939,7 @@ class IncrementalEngine:
         if self._pending_reports:
             with self.tracer.span("report_ingest", self._m_ingest_seconds):
                 reports = ingest_reports(self._pending_reports, self.grid, self._ostore)
+                self.freshness.stamp_reports(reports.oids)
         elif not touched:
             return
         emitted_before = len(updates)

@@ -336,7 +336,13 @@ class LocationAwareServer:
     ) -> None:
         """Ingest a location report, persisting the superseded location.
         A report the engine refuses (``ValueError``) is refused before
-        it is counted, recorded, persisted or deferred."""
+        it is counted, recorded, persisted or deferred.  Off the
+        per-message path (:meth:`_per_message`) the report is counted
+        in a plain int that the stats settle on read."""
+        if self.uplink_gate is None and self.history is None and not self.recorder.enabled:
+            self.engine.report_object(oid, location, t, velocity)
+            self.stats.reports_taken += 1
+            return
         if self.uplink_gate is not None:
             self.engine.checked_reports(
                 (oid,), (location.x,), (location.y,), (velocity.vx,), (velocity.vy,), (t,)
@@ -384,13 +390,20 @@ class LocationAwareServer:
 
     def remove_object(self, oid: int) -> None:
         """An object leaves the system — an uplink message like any
-        report, and accounted as one (8 identifier bytes).  The gate
-        comes first: whether the object is known (``KeyError``) depends
-        on reports it may itself have deferred."""
-        if self.uplink_gate is not None and not self._gate(
-            "object_removal", self.remove_object, (oid,)
-        ):
-            return
+        report, and accounted as one (8 identifier bytes).  With a gate
+        installed the oid is judged first against the engine's objects,
+        its buffered reports and the gate's deferred ones (``KeyError``
+        for none, as ungated); a removal whose object only a deferred
+        report names is deferred behind it."""
+        if self.uplink_gate is not None:
+            report = self.receive_object_report
+            if not self.engine.knows_object(oid):
+                if not any(m == report and args[0] == oid for m, args in self._delayed_uplinks):
+                    raise KeyError(f"cannot remove unknown object {oid}")
+                self._delayed_uplinks.append((self.remove_object, (oid,)))
+                return
+            if not self._gate("object_removal", self.remove_object, (oid,)):
+                return
         self.engine.remove_object(oid)
         self.stats.record_uplink(ObjectRemovalMessage)
         if self.recorder.enabled:
@@ -662,6 +675,7 @@ class LocationAwareServer:
         latency lands in the ``server_cycle_seconds`` histogram.
         """
         self._replay_delayed_uplinks()
+        self.stats.settle()
         with self.tracer.span("cycle", histogram=self._m_cycle_seconds):
             for link in self._throttled:
                 link.new_cycle()

@@ -24,8 +24,9 @@ are three aligned int columns, read back as messages only on demand.
 from __future__ import annotations
 
 from collections import Counter as TallyCounter
+from threading import Lock
 
-from repro.net.messages import Message, UpdateMessage
+from repro.net.messages import Message, ObjectReportMessage, UpdateMessage
 from repro.obs import MetricsRegistry
 
 #: Fault-hook verdicts for one delivery attempt (see
@@ -81,6 +82,14 @@ class NetworkStats:
         # (dropped, client id) gauge pair of each rank in use.
         self._worst: list[ClientLink] = []
         self._worst_gauges: list[tuple[object, object]] = []
+        #: Object reports the per-report door took off the per-message
+        #: path: only the reporting thread writes it (one add per report),
+        #: and :meth:`settle` folds what it has not yet folded into the
+        #: uplink series before any registry read, from whichever thread.
+        self.reports_taken = 0
+        self._reports_settled = 0
+        self._settle_lock = Lock()
+        self.registry.on_read(self.settle)
 
     # -- recording -----------------------------------------------------
 
@@ -114,6 +123,14 @@ class NetworkStats:
         self._uplink_bytes.inc(kind.size_bytes)
         self._uplink_messages.inc()
         self._kind(self._uplink_kinds, "uplink:", kind).inc()
+
+    def settle(self) -> None:
+        """Fold the reports taken since the last settle into the uplink series."""
+        with self._settle_lock:
+            n = self.reports_taken - self._reports_settled
+            if n:
+                self._reports_settled += n
+                self.record_uplinks(ObjectReportMessage, n)
 
     def record_uplinks(self, kind: type[Message], n: int) -> None:
         """:meth:`record_uplink` for ``n`` messages of one kind."""
@@ -179,11 +196,11 @@ class NetworkStats:
 
     @property
     def uplink_bytes(self) -> int:
-        return int(self._uplink_bytes.value)
+        return int(self.registry.value_of("net_uplink_bytes_total"))
 
     @property
     def uplink_messages(self) -> int:
-        return int(self._uplink_messages.value)
+        return int(self.registry.value_of("net_uplink_messages_total"))
 
     @property
     def by_type(self) -> TallyCounter:

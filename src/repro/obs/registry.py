@@ -231,6 +231,18 @@ class MetricsRegistry:
         self._instruments: dict[tuple[str, tuple[tuple[str, str], ...]], object] = {}
         self._kinds: dict[str, str] = {}
         self._lock = Lock()
+        self._settles: list = []
+
+    def on_read(self, settle) -> None:
+        """Run ``settle()`` before every read of the registry's values
+        (iteration, :meth:`families`, :meth:`to_dict`, :meth:`value_of`):
+        a component that tallies a hot path in a plain int folds it into
+        its instruments there, so every read stays exact."""
+        self._settles.append(settle)
+
+    def settle(self) -> None:
+        for settle in self._settles:
+            settle()
 
     # -- instrument factories ------------------------------------------
 
@@ -287,6 +299,7 @@ class MetricsRegistry:
     # -- introspection / export ----------------------------------------
 
     def __iter__(self):
+        self.settle()
         return iter(self._instruments.values())
 
     def __len__(self) -> int:
@@ -297,6 +310,7 @@ class MetricsRegistry:
 
     def families(self) -> dict[str, list[object]]:
         """Instruments grouped by metric name, label-sorted within."""
+        self.settle()
         grouped: dict[str, list[object]] = {}
         for (name, __), instrument in sorted(self._instruments.items()):
             grouped.setdefault(name, []).append(instrument)
@@ -314,6 +328,7 @@ class MetricsRegistry:
 
     def value_of(self, name: str, labels: dict[str, str] | None = None) -> float:
         """Convenience: the current value of one counter/gauge (0.0 if absent)."""
+        self.settle()
         instrument = self._instruments.get((name, _label_key(labels)))
         return getattr(instrument, "value", 0.0) if instrument else 0.0
 
@@ -331,6 +346,9 @@ class NullRegistry(MetricsRegistry):
 
     def histogram(self, name, buckets=DEFAULT_SECONDS_BUCKETS, labels=None):  # type: ignore[override]
         return NULL_INSTRUMENT  # type: ignore[return-value]
+
+    def on_read(self, settle) -> None:
+        """Nothing is read back, and the shared instance keeps no callbacks."""
 
 
 NULL_REGISTRY = NullRegistry()

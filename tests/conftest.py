@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import settings
 
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect
+from repro.obs import freshness
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -21,6 +24,22 @@ settings.register_profile("soak", max_examples=1000)
 def rng() -> random.Random:
     """A deterministic RNG; tests must not depend on global random state."""
     return random.Random(0xC0FFEE)
+
+
+@contextmanager
+def tracking_every_query():
+    """Freshness trackers built inside track every query: the sample's
+    ``SAMPLE_BITS`` patched to 0."""
+    with mock.patch.object(freshness, "SAMPLE_BITS", 0):
+        yield
+
+
+@pytest.fixture
+def full_tracking():
+    """Tests of the per-query attribution rule itself, on small qids
+    that the production sample would mostly leave out."""
+    with tracking_every_query():
+        yield
 
 
 @pytest.fixture

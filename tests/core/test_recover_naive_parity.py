@@ -7,6 +7,8 @@ full-answer members in the freshness tracker, so a naive-recovery run
 looked artificially quiet next to ``receive_wakeup``.
 """
 
+import pytest
+
 from repro.core.server import LocationAwareServer
 from repro.geometry import Point, Rect
 from repro.obs import FlightRecorder
@@ -56,6 +58,7 @@ class TestRecorderParity:
         assert ends[0]["recovered"] == 0
 
 
+@pytest.mark.usefixtures("full_tracking")
 class TestFreshnessParity:
     def test_delivered_answer_members_are_attributed(self):
         server = make_server()

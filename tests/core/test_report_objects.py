@@ -6,13 +6,17 @@ buffer ``report_object`` writes; a run of rows must leave behind
 exactly what the rows one by one would have.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import IncrementalEngine, LocationAwareServer
 from repro.geometry import Point, Rect, Velocity
-from repro.obs import FlightRecorder
+from repro.net import ObjectReportMessage
+from repro.obs import FlightRecorder, prometheus_text
 from repro.storage import BufferPool, HistoryRepository, InMemoryDiskManager
 
 COORDS = st.floats(-0.5, 1.5).map(lambda v: round(v, 2))
@@ -236,3 +240,66 @@ def test_a_refused_run_applies_nothing_under_a_per_message_hook(hook):
     assert server.registry.value_of("net_uplink_messages_total") == before
     assert not server.engine._pending_reports and not server._delayed_uplinks
     assert (len(server.recorder.events()) if server.recorder.enabled else 0) == events
+
+
+@pytest.mark.parametrize("hook", HOOKS)
+def test_a_read_between_reports_sees_every_report(hook):
+    """The per-report door may only tally a report in an int, so every
+    read of the uplink series — the registry's, the exposition's and
+    the stats' — settles it first: a read after each report counts
+    every report taken so far (a gated one once it is replayed)."""
+    installed = HOOKS[hook]()
+    server = make_server(**{k: v for k, v in installed.items() if k != "gate"})
+    server.uplink_gate = installed.get("gate")
+    before = server.stats.uplink_messages
+
+    def reads() -> list[float]:
+        (exposed,) = [
+            float(line.split()[-1])
+            for line in prometheus_text(server.registry).splitlines()
+            if line.startswith("net_uplink_messages_total ")
+        ]
+        kind = {"type": "uplink:ObjectReportMessage"}
+        return [
+            server.registry.value_of("net_uplink_messages_total") - before,
+            server.registry.value_of("net_uplink_bytes_total") / ObjectReportMessage.size_bytes
+            - before,
+            server.registry.value_of("net_messages_total", kind) - before,
+            exposed - before,
+            server.stats.uplink_messages - before,
+            server.stats.by_type["uplink:ObjectReportMessage"] - before,
+        ]
+
+    for taken, (oid, x, y, vx, vy, t) in enumerate(RUN, 1):
+        server.receive_object_report(oid, Point(x, y), t, velocity_of(vx, vy))
+        assert reads() == [taken - len(server._delayed_uplinks)] * 6
+    server.evaluate_cycle(1.0)
+    assert reads() == [len(RUN)] * 6
+
+
+def test_reads_from_another_thread_lose_no_report():
+    """A reader thread settling the tally while the reporting thread
+    adds to it: every report is counted once (the tally is written only
+    by the reporting thread; a settle keeps its own watermark)."""
+    server = make_server()
+    before = server.stats.uplink_messages
+    reports, done = 20_000, threading.Event()
+
+    def read() -> None:
+        while not done.is_set():
+            server.registry.value_of("net_uplink_messages_total")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    reader = threading.Thread(target=read)
+    try:
+        reader.start()
+        where = Point(0.5, 0.5)
+        for oid in range(reports):
+            server.receive_object_report(oid % 50, where, 1.0)
+    finally:
+        done.set()
+        reader.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive()
+    assert server.stats.uplink_messages == before + reports

@@ -153,9 +153,13 @@ def targets(draw, kind):
 @st.composite
 def uplink_calls(draw):
     """One call of a door: a report (bad values, an oid outside
-    int64), a run of moves (bad values, wrong kinds, unbound qids) or a
-    registration (unknown clients, bad ``k`` and horizons, taken qids)."""
-    what = draw(st.sampled_from(["report", "move", "register"]))
+    int64), a removal (of an evaluated object, of one only a report in
+    this period names, of an unknown one), a run of moves (bad values,
+    wrong kinds, unbound qids) or a registration (unknown clients, bad
+    ``k`` and horizons, taken qids)."""
+    what = draw(st.sampled_from(["report", "remove", "move", "register"]))
+    if what == "remove":
+        return "remove_object", (draw(st.sampled_from([1, 2, 7, 404])),)
     if what == "report":
         oid = draw(st.sampled_from([1, 2, 7, 7, 1 << 63, -(1 << 63) - 1]))
         vx = draw(st.sampled_from([0.0] * 4 + [0.01, NAN, 1e308]))

@@ -4,8 +4,9 @@
 a dict of per-report stamp tuples, and per query a :class:`_Pending`
 holding its pending-commit stamps and counts, walked run by run and
 update group by update group, with the 64-stamp cap applied one ``add``
-at a time.  ``tests/obs/test_freshness_equivalence.py`` holds
-:class:`repro.obs.FreshnessTracker`'s array passes to it.
+at a time, for every query.  ``tests/obs/test_freshness_equivalence.py``
+holds :class:`repro.obs.FreshnessTracker`, fed the same calls, to this
+model fed only the tracker's sampled queries.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ import json
 import math
 import re
 
+import pytest
+
 from repro.obs import (
     FreshnessTracker,
     JsonlSink,
@@ -138,6 +140,7 @@ class TestPrometheusTextEdgeCases:
             assert pattern.match(line), f"malformed exposition line: {line!r}"
 
 
+@pytest.mark.usefixtures("full_tracking")
 class TestFreshnessSeriesRoundTrip:
     """The new freshness histograms travel intact through both
     exporters: text exposition and the dict/JSONL snapshot."""

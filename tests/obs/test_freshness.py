@@ -1,6 +1,8 @@
 """Freshness tracking: stamp/attribution cycle math, stage split,
 per-query summaries, bounds, and the null object."""
 
+import pytest
+
 from repro.obs import (
     NULL_FRESHNESS,
     FreshnessTracker,
@@ -8,6 +10,8 @@ from repro.obs import (
     prometheus_text,
 )
 from repro.obs.freshness import _MAX_PENDING_PER_QUERY, _exact_quantile
+
+pytestmark = pytest.mark.usefixtures("full_tracking")
 
 
 class ManualClock:

@@ -1,36 +1,50 @@
-"""The freshness tracker's array passes against the per-run model.
+"""The sampled freshness tracker against the per-run model.
 
 A hypothesis state machine drives :class:`repro.obs.FreshnessTracker`
 and :class:`~tests.obs.reference_freshness.ReferenceFreshnessTracker`
-(the tracker as it was before its read side went columnar) through the
-same calls under one :class:`ManualClock`: reports stamped one by one
-and in runs, departures, evaluations, delivery batches (runs mixing
-stamps, reports never stamped, the stale stamps of objects that stopped
-reporting, one query split over several runs), commits, unregistrations
-and long stretches without a commit that take queries past the 64-stamp
-pending cap, with a stale stamp or several new ones arriving at the
-cap.  The tracker commits a run of qids in one call; the reference
-commits them one by one.  After every step both sides must agree on every bucket count and
-count of all eight staleness histograms, their sums to 1e-9 relative,
-every counter and gauge, every query's summary, and every query's
-pending stamps and counts.
+(the per-run rule, tracking every query) through the same calls under
+one :class:`ManualClock`: reports stamped one by one and in runs,
+departures, evaluations, delivery batches (runs mixing stamps, reports
+never stamped, the stale stamps of objects that stopped reporting, one
+query split over several runs), commits, unregistrations and long
+stretches without a commit that take queries past the 64-stamp pending
+cap, with a stale stamp or several new ones arriving at the cap.
+
+The reference sees only the sampled queries' runs and commits: the
+tracker must equal the reference restricted to its sample.  After every
+step both sides agree on every bucket count and count of all eight
+staleness histograms, their sums to 1e-9 relative, every counter and
+gauge, every query's summary and pending stamps; the tracker's
+unsampled count is the unsampled updates delivered, and every delivered
+update is attributed, unattributed or unsampled exactly once.  The
+machine runs at the production ``SAMPLE_BITS`` and with it patched to
+0, where the sample is every query and the two trackers are equal.
+The tracker commits a run of qids in one call; the reference commits
+them one by one.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from contextlib import nullcontext
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.obs import FreshnessTracker, MetricsRegistry
 from repro.obs.freshness import _MAX_PENDING_PER_QUERY, POLARITIES, STAGES
+from tests.conftest import tracking_every_query
 from tests.obs.reference_freshness import ReferenceFreshnessTracker
 from tests.obs.test_freshness import ManualClock
 
-#: Query ids, int64 extremes included.
-QIDS = st.sampled_from([-(2**63), -3, 0, 5, 9, 10**12, 2**63 - 1])
+#: Whether a qid is in the production sample.
+in_sample = FreshnessTracker(MetricsRegistry()).sampled
+#: Query ids: int64 extremes and others the production sample leaves
+#: out, and three it keeps.
+QIDS = st.sampled_from(
+    [-(2**63), -3, 9, 10**12, 2**63 - 1, *[q for q in range(-64, 4096) if in_sample(q)][:3]]
+)
 #: Object ids: 0-9 report, 90-91 never do (no stamp).
 OIDS = st.sampled_from([*range(10), 90, 91, 2**63 - 1, -(2**63)])
 SIGNS = st.sampled_from([1, -1])
@@ -48,6 +62,7 @@ COUNTERS = (
     "freshness_pending_commit_folded_total",
     "freshness_tracked_objects",
 )
+DELIVERY = [("freshness_staleness_cycles", {"stage": "delivery", "polarity": p}) for p in POLARITIES]
 
 
 def close(a, b) -> bool:
@@ -59,8 +74,10 @@ def close(a, b) -> bool:
     return a == b
 
 
-def assert_same(registries, trackers, qids) -> None:
-    """Both trackers' telemetry and state agree (see the module docstring)."""
+def assert_same(registries, trackers, qids, delivered: tuple[int, int]) -> None:
+    """Both trackers' telemetry and state agree (see the module
+    docstring); ``delivered`` is how many updates were delivered in all
+    and how many of them to unsampled queries."""
     new, model = registries
     for stage in STAGES:
         for polarity in POLARITIES:
@@ -72,6 +89,11 @@ def assert_same(registries, trackers, qids) -> None:
                 assert close(got.sum, want.sum), (name, labels, got.sum, want.sum)
     for name in COUNTERS:
         assert new.value_of(name) == model.value_of(name), name
+    total, unsampled = delivered
+    assert new.value_of("freshness_unsampled_updates_total") == unsampled
+    attributed = sum(new.histogram(name, labels=labels).count for name, labels in DELIVERY)
+    unattributed = new.value_of("freshness_unattributed_updates_total")
+    assert attributed + unattributed + unsampled == total
     tracker, reference = trackers
     assert tracker.cycle == reference.cycle
     for qid in qids:
@@ -93,21 +115,40 @@ def columns(batch):
 
 
 class FreshnessEquivalence(RuleBasedStateMachine):
+    #: The tracker's ``SAMPLE_BITS``: None for the production value.
+    bits = None
+
     @initialize(tracked=st.integers(1, 4))
     def build(self, tracked):
         self.clock = ManualClock()
         self.registries = MetricsRegistry(), MetricsRegistry()
-        self.trackers = (
-            FreshnessTracker(self.registries[0], clock=self.clock, max_tracked_queries=tracked),
-            ReferenceFreshnessTracker(
-                self.registries[1], clock=self.clock, max_tracked_queries=tracked
-            ),
+        with nullcontext() if self.bits is None else tracking_every_query():
+            tracker = FreshnessTracker(
+                self.registries[0], clock=self.clock, max_tracked_queries=tracked
+            )
+        reference = ReferenceFreshnessTracker(
+            self.registries[1], clock=self.clock, max_tracked_queries=tracked
         )
+        self.trackers = tracker, reference
         self.qids: set[int] = set()
+        self.delivered = [0, 0]
 
     def both(self, method: str, *args) -> None:
         for tracker in self.trackers:
             getattr(tracker, method)(*[list(a) if isinstance(a, list) else a for a in args])
+
+    def deliver(self, batch) -> None:
+        """The whole batch to the tracker, its sampled runs to the reference."""
+        tracker, reference = self.trackers
+        self.qids.update(qid for qid, _ in batch)
+        tracker.observe_delivered_runs(*columns(batch))
+        kept = [(qid, updates) for qid, updates in batch if tracker.sampled(qid)]
+        if kept:
+            reference.observe_delivered_runs(*columns(kept))
+        self.delivered[0] += sum(len(updates) for _, updates in batch)
+        self.delivered[1] += sum(len(updates) for _, updates in batch) - sum(
+            len(updates) for _, updates in kept
+        )
 
     @rule(dt=st.sampled_from([0.0, 0.25, 1.0, 3.5]))
     def advance(self, dt):
@@ -131,8 +172,7 @@ class FreshnessEquivalence(RuleBasedStateMachine):
 
     @rule(batch=BATCHES)
     def observe_delivered_runs(self, batch):
-        self.qids.update(qid for qid, _ in batch)
-        self.both("observe_delivered_runs", *columns(batch))
+        self.deliver(batch)
 
     @rule(qid=QIDS, oid=OIDS, sign=SIGNS)
     def observe_undelivered(self, qid, oid, sign):
@@ -150,10 +190,10 @@ class FreshnessEquivalence(RuleBasedStateMachine):
 
     def commit_run(self, qids) -> None:
         """The tracker takes the run in one call; the reference commits
-        each qid in turn, every one at the same clock reading."""
+        each sampled qid in turn, every one at the same clock reading."""
         tracker, reference = self.trackers
         tracker.observe_committed(list(qids))
-        for qid in qids:
+        for qid in filter(tracker.sampled, qids):
             reference.observe_committed(qid)
 
     @rule(qid=QIDS)
@@ -177,8 +217,7 @@ class FreshnessEquivalence(RuleBasedStateMachine):
             self.clock.advance(0.5)
             self.both("stamp_report", FRESH_OID)
             self.both("end_cycle")
-            batch = [(qid, [(FRESH_OID, 1), (FRESH_OID, -1)]) for qid in qids]
-            self.both("observe_delivered_runs", *columns(batch))
+            self.deliver([(qid, [(FRESH_OID, 1), (FRESH_OID, -1)]) for qid in qids])
         if tail == "none":
             return
         self.clock.advance(0.5)
@@ -192,49 +231,60 @@ class FreshnessEquivalence(RuleBasedStateMachine):
             updates = [(STALE_OID, 1), (FRESH_OID, 1)]
         else:
             updates = [(FRESH_OID, 1), (STALE_OID, -1), (STALE_OID, 1)]
-        batch = [(qid, updates) for qid in qids]
-        self.both("observe_delivered_runs", *columns(batch))
+        self.deliver([(qid, updates) for qid in qids])
 
     @invariant()
     def same_telemetry(self):
         if hasattr(self, "trackers"):
-            assert_same(self.registries, self.trackers, self.qids)
+            assert_same(self.registries, self.trackers, self.qids, self.delivered)
+
+
+class FullTrackingEquivalence(FreshnessEquivalence):
+    bits = 0
 
 
 TestFreshnessEquivalence = FreshnessEquivalence.TestCase
 TestFreshnessEquivalence.settings = settings(deadline=None)
+TestFullTrackingEquivalence = FullTrackingEquivalence.TestCase
+TestFullTrackingEquivalence.settings = settings(deadline=None)
 
 
 def test_many_queries_pack_their_blocks_in_place():
     """Hundreds of queries growing, committing and taking stale stamps
-    — half of them never committing, so their blocks fill and fold —
-    over 90 cycles: every block extends, inserts stale stamps, folds at
-    the cap and empties on commit at a scale the state machine does not
-    reach.  (The name is from the shared-table layout that packed its
-    blocks in place; the load still covers every per-query block path.)"""
+    — half of them never committing, so their pending stamps fill and
+    fold — over 90 cycles, at the production sample: every sampled
+    query's pending list extends, inserts stale stamps, folds at the cap
+    and empties on commit at a scale the state machine does not reach.
+    (The name is from the shared-table layout that packed its blocks in
+    place; the load still covers every per-query pending path.)"""
     rng = random.Random(7)
     clock = ManualClock()
     registries = MetricsRegistry(), MetricsRegistry()
-    trackers = (
+    tracker, reference = trackers = (
         FreshnessTracker(registries[0], clock=clock),
         ReferenceFreshnessTracker(registries[1], clock=clock),
     )
     qids = range(600)
+    delivered = [0, 0]
     for cycle in range(90):
         clock.advance(0.5)
         reported = rng.sample(range(2000), 150)
-        for tracker in trackers:
-            tracker.stamp_reports(reported)
-            tracker.end_cycle()
+        for each in trackers:
+            each.stamp_reports(reported)
+            each.end_cycle()
         batch = [
             (qid, [(rng.randrange(2000), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))])
             for qid in [*range(300), *rng.sample(range(300, 600), 150)]
         ]
         committed = rng.sample(range(300, 600), 40)
-        for tracker in trackers:
-            tracker.observe_delivered_runs(*columns(batch))
-        trackers[0].observe_committed(committed)
-        for qid in committed:
-            trackers[1].observe_committed(qid)
-    assert_same(registries, trackers, qids)
+        tracker.observe_delivered_runs(*columns(batch))
+        kept = [(qid, updates) for qid, updates in batch if tracker.sampled(qid)]
+        reference.observe_delivered_runs(*columns(kept))
+        delivered[0] += sum(len(updates) for _, updates in batch)
+        delivered[1] += sum(len(updates) for qid, updates in batch if not tracker.sampled(qid))
+        tracker.observe_committed(committed)
+        for qid in filter(tracker.sampled, committed):
+            reference.observe_committed(qid)
+    assert_same(registries, trackers, qids, delivered)
     assert registries[0].value_of("freshness_pending_commit_folded_total") > 0
+    assert 0 < delivered[1] < delivered[0]

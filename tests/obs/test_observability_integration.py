@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.core import IncrementalEngine
 from repro.core.server import LocationAwareServer
 from repro.geometry import Point, Rect
@@ -18,6 +20,7 @@ def make_server(**kwargs):
     return server
 
 
+@pytest.mark.usefixtures("full_tracking")
 class TestServerFreshness:
     def test_same_cycle_delivery_is_fresh(self):
         server = make_server()
