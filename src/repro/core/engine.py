@@ -447,18 +447,27 @@ class IncrementalEngine:
         ``oids``, floats for the rest): what a loop of
         :meth:`report_object` over the rows would buffer, into the same
         dict — last report wins, an oid keeps the place of its first
-        report, a buffered removal is cancelled.
+        report, a buffered removal is cancelled — or nothing, the whole
+        call refused, when any row would be refused
+        (:meth:`checked_reports`, then :meth:`buffer_reports`)."""
+        if oids:
+            self.buffer_reports(oids, *self.checked_reports(oids, xs, ys, vxs, vys, ts), vxs, vys, ts)
 
-        The whole call is refused, with nothing buffered, when any row
-        would be refused by :meth:`report_object` (see
-        :meth:`checked_reports`).
-        """
-        if not oids:
-            return
-        xs, ys = self.checked_reports(oids, xs, ys, vxs, vys, ts)
+    def buffer_reports(self, oids, xs, ys, vxs, vys, ts) -> None:
+        """Buffer a run :meth:`checked_reports` passed, with the
+        ``(xs, ys)`` it returned."""
         if self._pending_removals:
             self._pending_removals.difference_update(oids)
         self._pending_reports.update(zip(oids, zip(xs, ys, vxs, vys, ts)))
+
+    def latest_report(self, oid: int) -> tuple | None:
+        """``(x, y, vx, vy, t)`` of ``oid``'s latest report, buffered or
+        else stored; ``None`` for an object neither holds."""
+        store = self._ostore
+        if oid in self._pending_reports or oid not in store:
+            return self._pending_reports.get(oid)
+        row = store.row_of(oid)
+        return store.xs[row], store.ys[row], store.vxs[row], store.vys[row], store.ts[row]
 
     def checked_reports(self, oids, xs, ys, vxs, vys, ts) -> tuple:
         """The ``(xs, ys)`` :meth:`report_objects` buffers for a non-empty

@@ -10,7 +10,15 @@ Binds the pieces together the way the paper's PLACE server does:
   handling implement out-of-sync recovery (Section 3.3);
 * superseded object locations are appended to the storage package's
   :class:`~repro.storage.HistoryRepository` ("the old information
-  becomes persistent and is stored in a repository server").
+  becomes persistent and is stored in a repository server"): each
+  report once, when the object's next report arrives.
+
+Each uplink kind has one door, a run (``receive_object_reports``,
+``receive_query_moves``, ``receive_commits``; the per-op doors are
+one-row calls of it).  The door judges the whole run, then an installed
+uplink gate judges each row in order, deferring a row as a call of its
+per-op door; the history and the flight recorder act on each remaining
+row, and the run is accounted once.
 
 The server never observes link state when sending — updates to a
 disconnected client are simply lost, which is exactly why the commit
@@ -225,14 +233,17 @@ class LocationAwareServer:
         for observer in self._observers:
             getattr(observer, event)(ident)
 
-    def _gate(self, kind: str, method, args: tuple) -> bool:
-        """Apply the installed uplink fault gate; True means "process
-        now".  The ``receive_*`` methods test ``uplink_gate is not
-        None`` inline first, so an ungated uplink never pays this call."""
-        if self.uplink_gate(kind):
-            return True
-        self._delayed_uplinks.append((method, args))
-        return False
+    def _gated(self, kind: str, calls, columns) -> list[list]:
+        """A run's ``columns`` cut to the rows the uplink gate lets
+        through now, asked once per row in order; a deferred row is kept
+        as its ``calls`` entry, ``(door, args)``: a per-op door call,
+        replayed next cycle."""
+        kept = []
+        for call in calls:
+            kept.append(self.uplink_gate(kind))
+            if not kept[-1]:
+                self._delayed_uplinks.append(call)
+        return [list(compress(column, kept)) for column in columns]
 
     def _replay_delayed_uplinks(self) -> None:
         """Deliver uplinks a fault schedule delayed into this cycle.
@@ -334,59 +345,49 @@ class LocationAwareServer:
         t: float,
         velocity: Velocity = Velocity.ZERO,
     ) -> None:
-        """Ingest a location report, persisting the superseded location.
-        A report the engine refuses (``ValueError``) is refused before
-        it is counted, recorded, persisted or deferred.  Off the
-        per-message path (:meth:`_per_message`) the report is counted
-        in a plain int that the stats settle on read."""
+        """Ingest a location report.  With no uplink gate, history or
+        armed recorder installed the engine buffers it and a plain int
+        counts it, which the stats settle on read; otherwise it is a
+        one-row :meth:`receive_object_reports`."""
         if self.uplink_gate is None and self.history is None and not self.recorder.enabled:
             self.engine.report_object(oid, location, t, velocity)
             self.stats.reports_taken += 1
-            return
-        if self.uplink_gate is not None:
-            self.engine.checked_reports(
+        else:
+            self.receive_object_reports(
                 (oid,), (location.x,), (location.y,), (velocity.vx,), (velocity.vy,), (t,)
             )
-            if not self._gate("object_report", self.receive_object_report, (oid, location, t, velocity)):
-                return
-        previous = self.engine.objects.get(oid) if self.history is not None else None
-        self.engine.report_object(oid, location, t, velocity)
-        self.stats.record_uplink(ObjectReportMessage)
+
+    def receive_object_reports(self, oids, xs, ys, vxs, vys, ts) -> None:
+        """Ingest a run of location reports given as aligned lists.  A
+        row the engine refuses (``ValueError``) refuses the run with
+        nothing counted, gated or buffered; a gate defers a row as a
+        :meth:`receive_object_report` call.  The history archives what
+        each row supersedes: the object's latest earlier report, be it
+        an earlier row, the buffered report or the stored state."""
+        if not oids:
+            return
+        engine = self.engine
+        cxs, cys = engine.checked_reports(oids, xs, ys, vxs, vys, ts)
+        if self.uplink_gate is not None:
+            door = self.receive_object_report
+            calls = [
+                (door, (oid, Point(x, y), t, Velocity(vx, vy) if vx or vy else Velocity.ZERO))
+                for oid, x, y, vx, vy, t in zip(oids, xs, ys, vxs, vys, ts)
+            ]
+            oids, cxs, cys, vxs, vys, ts = self._gated("object_report", calls, (oids, cxs, cys, vxs, vys, ts))
+        if self.history is not None:
+            latest = {}
+            for oid, *row in zip(oids, cxs, cys, vxs, vys, ts):
+                previous = latest.get(oid) or engine.latest_report(oid)
+                if previous is not None:
+                    x, y, vx, vy, t = previous
+                    self.history.append(LocationRecord(oid, Point(x, y), Velocity(vx, vy), t))
+                latest[oid] = row
         if self.recorder.enabled:
-            self.recorder.record("uplink_report", oid=oid, t=t)
-        if previous is not None:
-            self.history.append(
-                LocationRecord(oid, previous.location, previous.velocity, previous.t)
-            )
-
-    def receive_object_reports(self, oids, xs, ys, vxs, vys, ts) -> bool:
-        """Ingest a run of location reports given as aligned lists —
-        what :meth:`receive_object_report` row by row would leave
-        behind, accounted once.  True when the run went to the engine
-        as columns (then a non-finite coordinate refuses the whole
-        call, nothing accounted).
-
-        An uplink gate, an armed flight recorder and a history
-        repository are per message by contract — each may defer, record
-        or persist one report — so with any of them installed the rows
-        go through :meth:`receive_object_report` one by one, once the
-        engine has judged the run whole: a row it would refuse refuses
-        the call with nothing applied, as on the column path.
-        """
-        if self._per_message():
-            if oids:
-                self.engine.checked_reports(oids, xs, ys, vxs, vys, ts)
-            for oid, x, y, vx, vy, t in zip(oids, xs, ys, vxs, vys, ts):
-                self.receive_object_report(
-                    oid,
-                    Point(x, y),
-                    t,
-                    Velocity(vx, vy) if vx or vy else Velocity.ZERO,
-                )
-            return False
-        self.engine.report_objects(oids, xs, ys, vxs, vys, ts)
+            for oid, t in zip(oids, ts):
+                self.recorder.record("uplink_report", oid=oid, t=t)
+        engine.buffer_reports(oids, cxs, cys, vxs, vys, ts)
         self.stats.record_uplinks(ObjectReportMessage, len(oids))
-        return True
 
     def remove_object(self, oid: int) -> None:
         """An object leaves the system — an uplink message like any
@@ -402,10 +403,10 @@ class LocationAwareServer:
                     raise KeyError(f"cannot remove unknown object {oid}")
                 self._delayed_uplinks.append((self.remove_object, (oid,)))
                 return
-            if not self._gate("object_removal", self.remove_object, (oid,)):
+            if not self._gated("object_removal", [(self.remove_object, (oid,))], [[oid]])[0]:
                 return
         self.engine.remove_object(oid)
-        self.stats.record_uplink(ObjectRemovalMessage)
+        self.stats.record_uplinks(ObjectRemovalMessage, 1)
         if self.recorder.enabled:
             self.recorder.record("uplink_removal", oid=oid)
 
@@ -458,10 +459,10 @@ class LocationAwareServer:
             (qid,), (QueryKind.PREDICTIVE_RANGE,), (region,), (t,)
         )
 
-    def receive_query_moves(self, qids, kinds, targets, ts) -> bool:
+    def receive_query_moves(self, qids, kinds, targets, ts) -> None:
         """A run of query moves as aligned sequences — qid, its
         :class:`~repro.core.state.QueryKind`, its new region or center,
-        time — buffered in order; True when the run went as one.
+        time — buffered in order.
 
         Receiving anything from a moving query commits its latest answer
         — the uplink proves the client is connected and has received
@@ -471,20 +472,31 @@ class LocationAwareServer:
         value the engine refuses (``ValueError``,
         :meth:`~repro.core.engine.IncrementalEngine.check_move`), refuses
         the whole run before a row of it is counted, deferred or
-        buffered.
+        buffered.  An installed gate then judges each row in order,
+        deferring a row as a call of its ``receive_<kind>_query_move``
+        door; the recorder notes every remaining move, then every
+        commit.
         """
         check = self.engine.check_move
         for qid, kind, target, t in zip(qids, kinds, targets, ts):
             self._require_binding(qid)
             check(qid, kind, target, t)
-        if not self._per_message():
-            self._move(qids, kinds, targets, ts)
-            return True
+        if self.uplink_gate is not None:
+            calls = [
+                (getattr(self, f"receive_{kind.value}_query_move"), (qid, target, t))
+                for qid, kind, target, t in zip(qids, kinds, targets, ts)
+            ]
+            qids, kinds, targets, ts = self._gated("query_move", calls, (qids, kinds, targets, ts))
+        buffer_move = self.engine.buffer_move
+        knn = 0
         for qid, kind, target, t in zip(qids, kinds, targets, ts):
-            door = getattr(self, f"receive_{kind.value}_query_move")
-            if self.uplink_gate is None or self._gate("query_move", door, (qid, target, t)):
-                self._move([qid], [kind], [target], [t])
-        return False
+            knn += kind is QueryKind.KNN
+            if self.recorder.enabled:
+                self.recorder.record("uplink_move", qid=qid, query=kind.value, t=t)
+            buffer_move(qid, kind, target, t)
+        self.stats.record_uplinks(KnnMoveMessage, knn)
+        self.stats.record_uplinks(QueryRegionMessage, len(qids) - knn)
+        self._commit(qids, "uplink", True)
 
     def receive_commit(self, qid: int) -> None:
         """Explicit commit from a stationary query's client: a one-row
@@ -499,22 +511,17 @@ class LocationAwareServer:
         """
         self.receive_commits((qid,))
 
-    def receive_commits(self, qids) -> bool:
-        """Explicit commits, a run of qids in arrival order: what
-        :meth:`receive_commit` row by row would leave, accounted once;
-        True when the run went as one.  An unbound qid (``KeyError``)
-        refuses the whole run before any gate could defer a row of it."""
+    def receive_commits(self, qids) -> None:
+        """Explicit commits, a run of qids in arrival order, accounted
+        once.  An unbound qid (``KeyError``) refuses the whole run
+        before an installed gate judges its rows, deferring a row as a
+        :meth:`receive_commit` call."""
         for qid in qids:
             self._require_binding(qid)
-        if not self._per_message():
-            self.stats.record_uplinks(CommitMessage, len(qids))
-            self._commit(qids, "explicit", True)
-            return True
-        for qid in qids:
-            if self.uplink_gate is None or self._gate("commit", self.receive_commit, (qid,)):
-                self.stats.record_uplink(CommitMessage)
-                self._commit([qid], "explicit", True)
-        return False
+        if self.uplink_gate is not None:
+            (qids,) = self._gated("commit", [(self.receive_commit, (qid,)) for qid in qids], [qids])
+        self.stats.record_uplinks(CommitMessage, len(qids))
+        self._commit(qids, "explicit", True)
 
     def adopt_query(self, qid: int, client_id: int) -> None:
         """Bind an engine query that already exists (restored from a
@@ -559,15 +566,7 @@ class LocationAwareServer:
         Returns the updates delivered (an
         :class:`~repro.core.updates.UpdateBatch`), for observability.
         """
-        link = self._links[client_id]  # an unknown client is refused first
-        self.stats.record_uplink(WakeupMessage)
-        self._m_wakeups.inc()
-        self.recorder.record("wakeup_begin", client=client_id)
-        link.reconnect()
-        if isinstance(link, ThrottledLink):
-            # The recovery response gets a fresh cycle's worth of budget.
-            link.new_cycle()
-        self._notify("on_wakeup_begin", client_id)
+        link = self._wake(client_id)
         owned = sorted(self._queries_of_client[client_id])
         resume = self._resume_after.get(client_id)
         if resume is not None:
@@ -612,23 +611,15 @@ class LocationAwareServer:
 
         Returns the bytes delivered; used by the recovery ablation
         benchmark.  Mirrors :meth:`receive_wakeup`'s accounting — the
-        wakeup uplink is recorded in :class:`NetworkStats`, a throttled
-        link gets a fresh cycle budget, the flight recorder sees
-        ``wakeup_begin``/``wakeup_end``, and every full-answer member
-        is attributed in the freshness tracker — so the ablation
-        compares recovery strategies, not bookkeeping asymmetries.  A
+        same prologue (:meth:`_wake`), ``wakeup_end``, and every
+        full-answer member attributed in the freshness tracker — so the
+        ablation compares recovery strategies, not bookkeeping
+        asymmetries.  A
         full answer the link rejects leaves the query uncommitted and
         its client at the committed answer it rolled back to; the next
         recovery attempt retries it.
         """
-        link = self._links[client_id]  # an unknown client is refused first
-        self.stats.record_uplink(WakeupMessage)
-        self._m_wakeups.inc()
-        self.recorder.record("wakeup_begin", client=client_id, via="naive")
-        link.reconnect()
-        if isinstance(link, ThrottledLink):
-            link.new_cycle()
-        self._notify("on_wakeup_begin", client_id)
+        link = self._wake(client_id, via="naive")
         freshness = self.freshness
         total = 0
         committed = []
@@ -662,6 +653,21 @@ class LocationAwareServer:
             "wakeup_end", client=client_id, via="naive", recovered=recovered
         )
         return total
+
+    def _wake(self, client_id: int, **via) -> ClientLink:
+        """What every wakeup does first — account its uplink, note it
+        (``via`` tags the recorder's ``wakeup_begin``), reconnect the
+        link with a fresh cycle's budget, tell the observers — and the
+        client's link; an unknown client is refused before any of it."""
+        link = self._links[client_id]
+        self.stats.record_uplinks(WakeupMessage, 1)
+        self._m_wakeups.inc()
+        self.recorder.record("wakeup_begin", client=client_id, **via)
+        link.reconnect()
+        if isinstance(link, ThrottledLink):
+            link.new_cycle()
+        self._notify("on_wakeup_begin", client_id)
+        return link
 
     # ------------------------------------------------------------------
     # Evaluation cycles
@@ -865,29 +871,6 @@ class LocationAwareServer:
             self._lag[qid] = set(held.tolist())
         else:
             self._lag.pop(qid, None)
-
-    def _per_message(self) -> bool:
-        """True when an uplink gate, an armed flight recorder or a
-        history repository is installed: each acts per message by
-        contract (defers, records or persists one), so uplink runs then
-        go row by row."""
-        return (
-            self.uplink_gate is not None
-            or self.recorder.enabled
-            or self.history is not None
-        )
-
-    def _move(self, qids, kinds, targets, ts) -> None:
-        """Buffer judged moves in order, then commit the moved queries
-        as one run."""
-        buffer_move = self.engine.buffer_move
-        for qid, kind, target, t in zip(qids, kinds, targets, ts):
-            knn = kind is QueryKind.KNN
-            self.stats.record_uplink(KnnMoveMessage if knn else QueryRegionMessage)
-            if self.recorder.enabled:
-                self.recorder.record("uplink_move", qid=qid, query=kind.value, t=t)
-            buffer_move(qid, kind, target, t)
-        self._commit(qids, "uplink", True)
 
     def _commit(self, qids, via: str, notify: bool = False) -> None:
         """Commit each of ``qids``' delivered answer, in order — one read

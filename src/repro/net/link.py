@@ -82,8 +82,8 @@ class NetworkStats:
         # (dropped, client id) gauge pair of each rank in use.
         self._worst: list[ClientLink] = []
         self._worst_gauges: list[tuple[object, object]] = []
-        #: Object reports the per-report door took off the per-message
-        #: path: only the reporting thread writes it (one add per report),
+        #: Object reports the per-report door took with no hook
+        #: installed: only the reporting thread writes it (one add per report),
         #: and :meth:`settle` folds what it has not yet folded into the
         #: uplink series before any registry read, from whichever thread.
         self.reports_taken = 0
@@ -116,14 +116,6 @@ class NetworkStats:
         self._throttled_messages.inc()
         self.record(message, delivered=False)
 
-    def record_uplink(self, kind: type[Message]) -> None:
-        """Account one client-to-server message (reports, moves,
-        commits) by its class — every uplink kind is fixed-width, so
-        the hot uplink path builds no message object."""
-        self._uplink_bytes.inc(kind.size_bytes)
-        self._uplink_messages.inc()
-        self._kind(self._uplink_kinds, "uplink:", kind).inc()
-
     def settle(self) -> None:
         """Fold the reports taken since the last settle into the uplink series."""
         with self._settle_lock:
@@ -133,7 +125,12 @@ class NetworkStats:
                 self.record_uplinks(ObjectReportMessage, n)
 
     def record_uplinks(self, kind: type[Message], n: int) -> None:
-        """:meth:`record_uplink` for ``n`` messages of one kind."""
+        """Account ``n`` client-to-server messages (reports, moves,
+        commits, wakeups) of one class — every uplink kind is
+        fixed-width, so an uplink run builds no message object.  A
+        kind's series exists once a message of it was counted."""
+        if not n:
+            return
         self._uplink_bytes.inc(n * kind.size_bytes)
         self._uplink_messages.inc(n)
         self._kind(self._uplink_kinds, "uplink:", kind).inc(n)

@@ -219,8 +219,7 @@ class ServiceRuntime:
         counter = self.registry.counter
         # Which path a report, move or commit row took at the drain:
         # "batch" = the run doors, "scalar" = one ``_apply_op`` or one
-        # server call per row (a refusable value in the run, or a
-        # per-message hook installed on the server).
+        # server call per row (the replay of a run a door refused).
         self._m_rows = {
             path: counter("service_uplink_rows_total", labels={"path": path})
             for path in ("batch", "scalar")
@@ -745,23 +744,23 @@ class ServiceRuntime:
                 for column, values in zip(merged, columns):
                     column += values
                 pending[at] = None
-            batched = self.server.receive_object_reports(oids, xs, ys, vxs, vys, ts)
+            self.server.receive_object_reports(oids, xs, ys, vxs, vys, ts)
         except _BAD_VALUE:
             for (at, session, start), (*_, stop) in zip(cuts, [*cuts[1:], (len(oids),)]):
                 pending[at] = (session, tuple(column[start:stop] for column in merged), False)
             raise
-        self._m_rows["batch" if batched else "scalar"].inc(len(oids))
+        self._m_rows["batch"].inc(len(oids))
         return len(oids)
 
     def _move_run(self, pending: list, ats: list[int]) -> int:
         qids, kinds, targets, ts = zip(*(_move_of(pending[at][1]) for at in ats))
-        batched = self.server.receive_query_moves(qids, kinds, targets, ts)
-        self._m_rows["batch" if batched else "scalar"].inc(len(ats))
+        self.server.receive_query_moves(qids, kinds, targets, ts)
+        self._m_rows["batch"].inc(len(ats))
         return len(ats)
 
     def _commit_run(self, pending: list, ats: list[int]) -> int:
-        batched = self.server.receive_commits([int(pending[at][1]["qid"]) for at in ats])
-        self._m_rows["batch" if batched else "scalar"].inc(len(ats))
+        self.server.receive_commits([int(pending[at][1]["qid"]) for at in ats])
+        self._m_rows["batch"].inc(len(ats))
         return len(ats)
 
     def _apply_row(self, session: ClientSession, op: dict) -> bool:

@@ -173,6 +173,26 @@ class TestHistoryPersistence:
         assert naive_bytes == 16 + 20 * 8
 
 
+@pytest.mark.parametrize("as_run", [False, True], ids=["row_by_row", "one_run"])
+def test_each_superseded_report_is_archived_once(as_run):
+    """A report superseded in its own batch is archived when the next
+    one arrives, and the stored location it superseded once only:
+    the previous location is the latest earlier report, buffered,
+    stored or an earlier row of the same run."""
+    history = HistoryRepository(BufferPool(InMemoryDiskManager(), 8))
+    server = LocationAwareServer(grid_size=8, history=history)
+    server.receive_object_report(1, Point(0.1, 0.1), 0.0)
+    server.evaluate_cycle(0.0)
+    if as_run:
+        server.receive_object_reports([1, 1], [0.2, 0.3], [0.2, 0.3], [0.0, 0.0], [0.0, 0.0], [1.0, 1.5])
+    else:
+        server.receive_object_report(1, Point(0.2, 0.2), 1.0)
+        server.receive_object_report(1, Point(0.3, 0.3), 1.5)
+    server.evaluate_cycle(1.5)
+    server.receive_object_report(1, Point(0.4, 0.4), 3.0)
+    assert history.trajectory_of(1) == [(0.0, 0.1, 0.1), (1.0, 0.2, 0.2), (1.5, 0.3, 0.3)]
+
+
 class TestHostileReports:
     """Satellite: a hostile value is refused at the call that carried
     it and never reaches the shared cycle."""

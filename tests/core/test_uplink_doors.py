@@ -153,11 +153,21 @@ def targets(draw, kind):
 @st.composite
 def uplink_calls(draw):
     """One call of a door: a report (bad values, an oid outside
-    int64), a removal (of an evaluated object, of one only a report in
-    this period names, of an unknown one), a run of moves (bad values,
-    wrong kinds, unbound qids) or a registration (unknown clients, bad
-    ``k`` and horizons, taken qids)."""
-    what = draw(st.sampled_from(["report", "remove", "move", "register"]))
+    int64), a run of reports (as many), a removal (of an evaluated
+    object, of one only a report in this period names, of an unknown
+    one), a run of moves (bad values, wrong kinds, unbound qids), a run
+    of commits (unbound and repeated qids) or a registration (unknown
+    clients, bad ``k`` and horizons, taken qids)."""
+    what = draw(st.sampled_from(["report", "reports", "remove", "move", "commits", "register"]))
+    if what == "reports":
+        rows = []
+        for _ in range(draw(st.integers(2, 4))):
+            oid = draw(st.sampled_from([1, 2, 7, 7, 1 << 63, -(1 << 63) - 1]))
+            vx = draw(st.sampled_from([0.0] * 4 + [0.01, NAN, 1e308]))
+            rows.append((oid, draw(LOW), draw(HIGH), vx, 0.0, draw(TIMES)))
+        return "receive_object_reports", tuple(list(column) for column in zip(*rows))
+    if what == "commits":
+        return "receive_commits", (draw(st.lists(IDS, min_size=1, max_size=3)),)
     if what == "remove":
         return "remove_object", (draw(st.sampled_from([1, 2, 7, 404])),)
     if what == "report":
