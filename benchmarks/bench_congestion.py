@@ -6,15 +6,27 @@ Under a fixed per-cycle downlink budget, this ablation measures what
 fraction of each server's output actually reaches the client: the
 incremental stream (17 B per change) versus complete-answer
 retransmission (16 + 8·n B per query, every cycle).
+
+Under pytest it prints that table.  As a script, ``--ship`` times the
+link's one update door instead: µs per update for a 2,000-update slice
+(int64 columns, as the server ships them) through
+``ClientLink.deliver_updates``, the minimum of 5 × 20 calls, on a plain
+link, a throttled link whose budget never binds and a link with a fault
+hook that delivers everything (reported, not gated)::
+
+    PYTHONPATH=src python benchmarks/bench_congestion.py --ship
 """
 
 import random
+import sys
+import timeit
 
+import numpy as np
 from conftest import scaled
 
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect
-from repro.net import FullAnswerMessage, NetworkStats, ThrottledLink, UpdateMessage
+from repro.net import DELIVER, ClientLink, FullAnswerMessage, NetworkStats, ThrottledLink, UpdateMessage
 from repro.stats import format_table
 
 OBJECT_COUNT = scaled(2000)
@@ -96,3 +108,41 @@ def test_congestion(benchmark, record_series):
     )
 
     benchmark(delivered_fraction, incremental_stream, 16 * 1024)
+
+
+SHIP_ROWS, SHIP_CALLS, SHIP_REPEATS = 2000, 20, 5
+
+
+def ship_us_per_update() -> dict[str, float]:
+    """µs per update through ``deliver_updates``, per link kind."""
+    rng = np.random.default_rng(7)
+    qids = np.sort(rng.integers(0, 50, SHIP_ROWS))
+    oids = rng.integers(0, 10**6, SHIP_ROWS)
+    signs = np.where(rng.random(SHIP_ROWS) < 0.5, -1, 1)
+
+    def plain():
+        return ClientLink(1, NetworkStats())
+
+    def throttled():
+        return ThrottledLink(1, SHIP_ROWS * SHIP_CALLS * UpdateMessage.size_bytes, NetworkStats())
+
+    def hooked():
+        link = ClientLink(1, NetworkStats())
+        link.fault_hook = lambda _link, _message: DELIVER
+        return link
+
+    out = {}
+    for make in (plain, throttled, hooked):
+        best = float("inf")
+        for _ in range(SHIP_REPEATS):
+            link = make()
+            best = min(best, timeit.timeit(lambda: link.deliver_updates(qids, oids, signs), number=SHIP_CALLS))
+        out[make.__name__] = best / (SHIP_CALLS * SHIP_ROWS) * 1e6
+    return out
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--ship"]:
+        sys.exit("usage: bench_congestion.py --ship  (the table runs under pytest)")
+    print(f"deliver_updates, {SHIP_ROWS}-update slice, min of {SHIP_REPEATS} x {SHIP_CALLS} calls")
+    print(format_table(["link", "us per update"], [[k, v] for k, v in ship_us_per_update().items()]))

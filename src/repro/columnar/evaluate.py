@@ -93,9 +93,9 @@ BATCH_SIZE_BUCKETS: tuple[float, ...] = tuple(4.0**e for e in range(13))
 class ColumnarEvaluator:
     """Batch evaluator bound to one engine's live structures.
 
-    Emission goes through the update stream's ``push`` /
-    ``extend_columns`` contract, which keeps this package import-free
-    of :mod:`repro.core` (the engine imports us).
+    Emission goes through the update stream's ``extend_columns``
+    contract — one int64 array chunk a pass — which keeps this package
+    import-free of :mod:`repro.core` (the engine imports us).
     """
 
     def __init__(
@@ -168,7 +168,7 @@ class ColumnarEvaluator:
                 qid_arr, oid_arr, sign_arr, keys = joined
                 enters = sign_arr > 0
                 qstore.toggle(keys[~enters], keys[enters])
-                updates.extend_columns(qid_arr.tolist(), oid_arr.tolist(), sign_arr.tolist())
+                updates.extend_columns(qid_arr, oid_arr, sign_arr)
             if filled is not None:
                 self.install(updates, rows, *filled)
 
@@ -188,9 +188,9 @@ class ColumnarEvaluator:
         qrows, orows = key_rows(np.concatenate((left, joined)))
         order = np.argsort(qrows, kind="stable")
         updates.extend_columns(
-            np.frombuffer(qstore.qids, dtype=np.int64)[qrows[order]].tolist(),
-            np.frombuffer(self.ostore.oids, dtype=np.int64)[orows[order]].tolist(),
-            np.where(order < len(left), -1, 1).tolist(),
+            np.frombuffer(qstore.qids, dtype=np.int64)[qrows[order]],
+            np.frombuffer(self.ostore.oids, dtype=np.int64)[orows[order]],
+            np.where(order < len(left), -1, 1),
         )
 
     def _mark_knn(self, reports, knn_dirty) -> None:

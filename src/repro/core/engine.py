@@ -511,8 +511,9 @@ class IncrementalEngine:
                 _check_motion(oid, x, y, t, vx, vy, horizon)
         return xs, ys
 
-    def remove_object(self, oid: int) -> None:
-        """Buffer an object's departure from the system.
+    def remove_object(self, oid: int) -> tuple | None:
+        """Buffer an object's departure from the system; returns the
+        ``(x, y, vx, vy, t)`` report it cancelled, if one was buffered.
 
         The object must be tracked or have a report buffered in this
         batch; removing an unknown id raises a ``KeyError`` naming it
@@ -522,11 +523,12 @@ class IncrementalEngine:
         """
         if not self.knows_object(oid):
             raise KeyError(f"cannot remove unknown object {oid}")
-        self._pending_reports.pop(oid, None)
+        cancelled = self._pending_reports.pop(oid, None)
         self._pending_removals.add(oid)
         # The departure is this object's last provenance event: the
         # negative updates it triggers are attributed to it.
         self.freshness.stamp_report(oid)
+        return cancelled
 
     def knows_object(self, oid: int) -> bool:
         """True when ``oid`` is tracked or has a report buffered."""
@@ -713,9 +715,9 @@ class IncrementalEngine:
             out.append(answer)
         return out
 
-    def answer_sizes(self) -> list[int]:
-        """Every query's answer size, in no particular order."""
-        return self._qstore.answer_sizes().tolist()
+    def answer_sizes(self):
+        """Every query's answer size, in no particular order (int64)."""
+        return self._qstore.answer_sizes()
 
     def complete_answers(self) -> dict[int, frozenset[int]]:
         """Every query's full answer — what a snapshot server retransmits."""
@@ -744,7 +746,8 @@ class IncrementalEngine:
         reproduces the current answers exactly (tested property).
 
         The return value is an :class:`~repro.core.updates.UpdateBatch`
-        — sequence-shaped: iterate, index, and compare it like a list.
+        of int64 columns — sequence-shaped: iterate, index, and compare
+        it like a list.
 
         All buffered input is validated *before* any phase mutates state
         (a buffered move of an unknown query raises ``KeyError`` here,
@@ -810,6 +813,7 @@ class IncrementalEngine:
                 self._refresh_predictive(updates)
             with span("occupancy_sample", phase_counters["occupancy_sample"]):
                 self._sample_occupancy()
+            updates.columns()  # each phase appended one chunk: join them once
         self._m_updates_emitted.inc(len(updates))
         self._m_objects.set(self.object_count)
         self._m_queries.set(self.query_count)
@@ -873,7 +877,7 @@ class IncrementalEngine:
         qids = np.frombuffer(qstore.qids, dtype=np.int64)[qrows]
         held = oids[orows]
         order = np.lexsort((held, qids))
-        updates.extend_columns(qids[order].tolist(), held[order].tolist(), [-1] * len(held))
+        updates.extend_columns(qids[order], held[order], np.full(len(held), -1))
         knn_dirty.update(qids[np.frombuffer(qstore.kinds, dtype=np.int8)[qrows] == KIND_KNN].tolist())
 
     # ------------------------------------------------------------------
@@ -1006,7 +1010,7 @@ class IncrementalEngine:
         qids, oids, signs = self._columnar_evaluator.predictive_refresh(
             rows, self.now, self.prediction_horizon
         )
-        updates.extend_columns(qids.tolist(), oids.tolist(), signs.tolist())
+        updates.extend_columns(qids, oids, signs)
 
     # ------------------------------------------------------------------
     # Helpers

@@ -27,10 +27,13 @@ from a moving query, an explicit commit message from a stationary one,
 or the completion of a wakeup resynchronisation.
 
 Nor does the server walk its clients: a cycle costs what was reported
-and what changed.  The links with a byte budget to reset are listed at
-registration, and the clients whose link accepted mail are noted as it
-ships (:meth:`LocationAwareServer.take_mailed`) — the only links a
-transport has to flush.
+and what changed.  The stream stays int64 columns, grouped by owning
+client with one stable sort; each client's slice goes through its
+link's one update door, ``ClientLink.deliver_updates``.  The links with
+a byte budget to reset are listed at registration, and the clients
+whose link accepted mail are noted as it ships
+(:meth:`LocationAwareServer.take_mailed`) — the only links a transport
+has to flush.
 
 **Commit invariant (committed ⊆ delivered).**  The committed-answer
 repository must never get *ahead* of what a client actually received:
@@ -67,6 +70,7 @@ from repro.core.engine import DEFAULT_WORLD, IncrementalEngine
 from repro.core.state import QueryKind
 from repro.core.updates import UpdateBatch
 from repro.geometry import Point, Rect, Velocity
+from repro.grid.cellmath import ragged_arange
 from repro.net import (
     ClientLink,
     CommitMessage,
@@ -85,15 +89,22 @@ from repro.obs import FlightRecorder, MetricsRegistry
 from repro.storage import HistoryRepository, LocationRecord
 
 
-def _query_runs(qids: list[int]) -> list[tuple[int, int, int]]:
-    """``(qid, start, stop)`` of every maximal run of one qid in a
-    stream's qid column, in order — one numpy pass over the column."""
-    if not qids:
-        return []
-    column = np.fromiter(qids, np.int64, len(qids))
-    cuts = (np.flatnonzero(column[1:] != column[:-1]) + 1).tolist()
-    starts = [0, *cuts]
-    return list(zip(column[starts].tolist(), starts, [*cuts, len(qids)]))
+_NO_IDS = np.empty(0, dtype=np.int64)
+
+
+@dataclass(slots=True)
+class _Slices:
+    """Update rows grouped by link: ``columns`` (qids, oids, signs) and
+    each link's ``(link, start, stop)`` cut of them, in shipping order;
+    iterates as ``(link, qids, oids, signs, start)`` slices."""
+
+    columns: tuple
+    cuts: list
+
+    def __iter__(self):
+        qids, oids, signs = self.columns
+        for link, start, stop in self.cuts:
+            yield link, qids[start:stop], oids[start:stop], signs[start:stop], start
 
 
 @dataclass(slots=True)
@@ -177,8 +188,12 @@ class LocationAwareServer:
         self._throttled: list[ThrottledLink] = []
         # Clients whose link accepted mail since the last take_mailed().
         self._mailed: set[int] = set()
-        # qid -> the client that owns it.
+        # qid -> the client that owns it; the same table as int64
+        # columns for the cycle's group-by (see _owners), and the
+        # (qid, client or None) bindings made since its last read.
         self._owner: dict[int, int] = {}
+        self._owner_columns = (_NO_IDS, _NO_IDS)
+        self._rebound: list[tuple[int, int | None]] = []
         self._queries_of_client: dict[int, set[int]] = {}
         # qid -> the oids its client holds otherwise than the live
         # answer, only non-empty sets (see delivered_answer()).
@@ -186,6 +201,9 @@ class LocationAwareServer:
         # client -> the last query a wakeup delivered to, kept only
         # while the client's latest wakeup left some delta behind.
         self._resume_after: dict[int, int] = {}
+        # Objects whose buffered report a removal cancelled (archived)
+        # this batch: their stored location is already superseded.
+        self._cancelled: set[int] = set()
         # Fault-injection gate for uplink traffic: ``gate(kind) -> bool``
         # where False defers the uplink call to the start of the next
         # evaluation cycle (a slow/congested uplink path).  ``None``
@@ -376,12 +394,13 @@ class LocationAwareServer:
             ]
             oids, cxs, cys, vxs, vys, ts = self._gated("object_report", calls, (oids, cxs, cys, vxs, vys, ts))
         if self.history is not None:
-            latest = {}
+            latest, cancelled = {}, self._cancelled
             for oid, *row in zip(oids, cxs, cys, vxs, vys, ts):
-                previous = latest.get(oid) or engine.latest_report(oid)
-                if previous is not None:
-                    x, y, vx, vy, t = previous
-                    self.history.append(LocationRecord(oid, Point(x, y), Velocity(vx, vy), t))
+                previous = latest.get(oid)
+                if previous is None and oid not in cancelled:
+                    previous = engine.latest_report(oid)
+                cancelled.discard(oid)
+                self._archive(oid, previous)
                 latest[oid] = row
         if self.recorder.enabled:
             for oid, t in zip(oids, ts):
@@ -389,9 +408,19 @@ class LocationAwareServer:
         engine.buffer_reports(oids, cxs, cys, vxs, vys, ts)
         self.stats.record_uplinks(ObjectReportMessage, len(oids))
 
+    def _archive(self, oid: int, report) -> None:
+        """Append a superseded ``(x, y, vx, vy, t)`` report, if any, to
+        the history."""
+        if report is not None:
+            x, y, vx, vy, t = report
+            self.history.append(LocationRecord(oid, Point(x, y), Velocity(vx, vy), t))
+
     def remove_object(self, oid: int) -> None:
         """An object leaves the system — an uplink message like any
-        report, and accounted as one (8 identifier bytes).  With a gate
+        report, and accounted as one (8 identifier bytes).  A removal
+        supersedes the buffered report it cancels: the history archives
+        that report, and a later report of the batch archives nothing
+        for the stored location it had superseded.  With a gate
         installed the oid is judged first against the engine's objects,
         its buffered reports and the gate's deferred ones (``KeyError``
         for none, as ungated); a removal whose object only a deferred
@@ -405,7 +434,10 @@ class LocationAwareServer:
                 return
             if not self._gated("object_removal", [(self.remove_object, (oid,))], [[oid]])[0]:
                 return
-        self.engine.remove_object(oid)
+        cancelled = self.engine.remove_object(oid)
+        if self.history is not None and cancelled is not None:
+            self._archive(oid, cancelled)
+            self._cancelled.add(oid)
         self.stats.record_uplinks(ObjectRemovalMessage, 1)
         if self.recorder.enabled:
             self.recorder.record("uplink_removal", oid=oid)
@@ -536,6 +568,7 @@ class LocationAwareServer:
         if client_id is None:
             raise KeyError(f"unknown query {qid}")
         self._queries_of_client[client_id].discard(qid)
+        self._rebound.append((qid, None))
         self._lag.pop(qid, None)
         self.commits.forget(qid)
         self.engine.unregister_query(qid)
@@ -577,23 +610,22 @@ class LocationAwareServer:
         with self.tracer.span("recovery"):
             # Each delta flips the client's committed answer to the live
             # one like a cycle: once shipped, the lag is its refused part.
-            # The deltas ship in one call, one slice a query in order, so
-            # the freshness tracker takes the wakeup as one delivery.
-            deltas = []
+            # The deltas ship as one slice, a query after the other in
+            # order, so the freshness tracker takes the wakeup as one
+            # delivery.
+            deltas, sizes = UpdateBatch(), []
             for qid, live in zip(owned, self.engine.answer_arrays(owned)):
                 self._lag.pop(qid, None)
-                deltas.append(self.commits.recovery_updates(qid, live, into=UpdateBatch()))
-            sent = self._ship(
-                [
-                    (link, delta.qids, delta.oids, delta.signs, [(qid, 0, len(delta))])
-                    for qid, delta in zip(owned, deltas)
-                ]
-            )[1]
+                before = len(deltas)
+                self.commits.recovery_updates(qid, live, into=deltas)
+                sizes.append(len(deltas) - before)
+            columns = (deltas.qids, deltas.oids, deltas.signs)
+            sent = self._ship(_Slices(columns, [(link, 0, len(deltas))]))[1]
             shipped = Counter(sent.qids)
-            for qid, delta in zip(owned, deltas):
+            for qid, size in zip(owned, sizes):
                 if shipped[qid]:
                     last_served = qid
-                behind |= shipped[qid] < len(delta)
+                behind |= shipped[qid] < size
             self._commit(owned, "wakeup")
         if not behind:
             self._resume_after.pop(client_id, None)
@@ -686,6 +718,7 @@ class LocationAwareServer:
             for link in self._throttled:
                 link.new_cycle()
             updates = self.engine.evaluate(now)
+            self._cancelled.clear()
             complete_bytes, answer_objects = self._answer_totals()
             with self.tracer.span("downlink"):
                 attempted, delivered = self._ship(self._client_slices(updates))
@@ -705,107 +738,102 @@ class LocationAwareServer:
         self._m_savings_ratio.set(result.savings_ratio)
         return result
 
-    def _client_slices(self, updates):
-        """One column slice per owning client, ``(link, qids, oids,
-        signs, runs)``, clients ascending, ``runs`` the slice's query
-        runs as ``(qid, start, stop)``.
-
-        Every engine phase emits per query, and a query's pairs are
-        its net change over the evaluation, so the stream is a
-        sequence of query runs (a query may have one per phase; each
-        pair appears once): each run's owner is resolved once, and a
-        slice is its client's runs in stream order.  Links are independent FIFO
-        channels with per-link cycle budgets, so how the slices
-        interleave is unobservable.  Runs of queries unregistered in
-        this same batch have no owner and are skipped.
-        """
-        qids, oids, signs = updates.qids, updates.oids, updates.signs
-        owner = self._owner
-        runs_of: dict[int, list[tuple[int, int, int]]] = {}
-        for run in _query_runs(qids):
-            client_id = owner.get(run[0])
-            if client_id is not None:
-                runs_of.setdefault(client_id, []).append(run)
-        for client_id in sorted(runs_of):
-            link, runs = self._links[client_id], runs_of[client_id]
-            if len(runs) == 1:  # the usual client: one query, one run
-                ((qid, start, stop),) = runs
-                cut = slice(start, stop)
-                yield link, qids[cut], oids[cut], signs[cut], [(qid, 0, stop - start)]
-                continue
-            slice_qids, slice_oids, slice_signs, slice_runs = [], [], [], []
-            for qid, start, stop in runs:
-                at = len(slice_qids)
-                slice_runs.append((qid, at, at + stop - start))
-                slice_qids += qids[start:stop]
-                slice_oids += oids[start:stop]
-                slice_signs += signs[start:stop]
-            yield link, slice_qids, slice_oids, slice_signs, slice_runs
-
-    def _ship(self, slices) -> tuple[int, UpdateBatch]:
-        """Deliver ``(link, qids, oids, signs, runs)`` column slices
-        (``runs`` the slice's query runs, ``(qid, start, stop)``) and do
-        the bookkeeping every delivery owes; returns the number of
-        updates attempted and the batch of those delivered.
-
-        The one ship routine: evaluation cycles and wakeup recovery
-        both come through here, so the lag behind
-        :meth:`delivered_answer`, the freshness attribution and the
-        flight recorder cannot disagree about what a link accepted.  A
-        delivered update discards its oid from its query's lag and a
-        refused one toggles it; a link that refused nothing costs the
-        lag one test when no query lags.
-        """
-        attempted = 0
-        delivered = UpdateBatch()
-        delivered_runs: list[tuple[int, int, int]] = []
-        recorder = self.recorder
-        lag = self._lag
-        for link, qids, oids, signs, runs in slices:
-            if not qids:
-                continue
-            attempted += len(qids)
-            verdicts = link.deliver_updates(qids, oids, signs)
-            if verdicts is None or True in verdicts:
-                self._mailed.add(link.client_id)
-            if recorder.enabled:
-                for qid, oid, sign, ok in zip(
-                    qids, oids, signs, verdicts or repeat(True)
-                ):
-                    recorder.record(
-                        "downlink", qid=qid, oid=oid, sign=sign, ok=ok
-                    )
-            if verdicts is not None:
-                for qid, oid, sign, ok in zip(qids, oids, signs, verdicts):
-                    held = lag.get(qid, set())
-                    if ok:
-                        held.discard(oid)
-                    else:
-                        self.freshness.observe_undelivered(qid, oid, sign)
-                        held ^= {oid}
-                    if held:
-                        lag[qid] = held
-                    else:
-                        lag.pop(qid, None)
-                qids = list(compress(qids, verdicts))
-                oids = list(compress(oids, verdicts))
-                signs = list(compress(signs, verdicts))
-                runs = _query_runs(qids)
-            elif lag:
-                for qid, start, stop in runs:
-                    held = lag.get(qid)
-                    if held is not None:
-                        held.difference_update(oids[start:stop])
-                        if not held:
-                            del lag[qid]
-            base = len(delivered.qids)
-            delivered.extend_columns(qids, oids, signs)
-            for qid, start, stop in runs:
-                delivered_runs.append((qid, base + start, base + stop))
-        self.freshness.observe_delivered_runs(
-            delivered_runs, delivered.oids, delivered.signs
+    def _client_slices(self, updates) -> _Slices:
+        """The stream's rows grouped by owning client, clients ascending:
+        every engine phase emits per query, so the stream is a sequence
+        of query runs; each run's owner is read off the binding table
+        (a run of a query unregistered in this batch has none and is
+        dropped), and one stable sort of the runs by client keeps stream
+        order within a client.  The rows are gathered into one sorted
+        copy of each column, of which a link's slice is a view."""
+        qids, oids, signs = updates.columns()
+        bound, owners = self._owners()
+        starts = np.flatnonzero(np.concatenate(([True], qids[1:] != qids[:-1])))[: len(qids)]
+        lengths = np.diff(np.append(starts, len(qids)))
+        at = np.searchsorted(bound, qids[starts]).clip(max=max(len(bound) - 1, 0))
+        runs = np.flatnonzero(bound[at] == qids[starts]) if len(bound) else at[:0]
+        runs = runs[np.argsort(owners[at[runs]], kind="stable")]
+        clients = owners[at[runs]]
+        rows = ragged_arange(starts[runs], lengths[runs], np)[1]
+        first = np.flatnonzero(np.concatenate(([True], clients[1:] != clients[:-1])))[: len(runs)]
+        cuts = np.append(0, np.cumsum(lengths[runs]))[np.append(first, len(runs))].tolist()
+        links = map(self._links.__getitem__, clients[first].tolist())
+        return _Slices(
+            (qids[rows], oids[rows], signs[rows]), list(zip(links, cuts, cuts[1:]))
         )
-        return attempted, delivered
+
+    def _owners(self) -> tuple:
+        """The qid -> client table as ``(qids ascending, clients)`` int64
+        columns, with the bindings made since the last read merged in:
+        the latest binding of a qid wins, and an unbinding drops it."""
+        if self._rebound:
+            rebound, self._rebound = self._rebound, []
+            bound, owners = self._owner_columns
+            qids = np.concatenate((bound, [qid for qid, _ in rebound]), dtype=np.int64)
+            owners = np.concatenate((owners, [c or 0 for _, c in rebound]), dtype=np.int64)
+            live = np.concatenate((np.ones(len(bound), bool), [c is not None for _, c in rebound]))
+            latest = len(qids) - 1 - np.unique(qids[::-1], return_index=True)[1]
+            latest = latest[live[latest]]
+            self._owner_columns = qids[latest], owners[latest]
+        return self._owner_columns
+
+    def _ship(self, slices: _Slices) -> tuple[int, UpdateBatch]:
+        """Deliver ``slices``, each through its link's one door, then do
+        the bookkeeping every delivery owes once for all of them; returns
+        the number of updates attempted and the batch of those delivered.
+        Evaluation cycles and wakeup recovery both ship here, so the lag
+        behind :meth:`delivered_answer`, the freshness attribution and
+        the flight recorder cannot disagree about what a link accepted.
+        """
+        qids, oids, signs = (np.asarray(column, dtype=np.int64) for column in slices.columns)
+        recorder, mailed, refused = self.recorder, self._mailed, []
+        for link, slice_qids, slice_oids, slice_signs, start in slices:
+            if not len(slice_qids):
+                continue
+            verdicts = link.deliver_updates(slice_qids, slice_oids, slice_signs)
+            if verdicts is None or verdicts.any():
+                mailed.add(link.client_id)
+            if verdicts is not None:
+                refused.append((start, verdicts))
+            if recorder.enabled:
+                rows = (column[start : start + len(slice_qids)].tolist() for column in (qids, oids, signs))
+                oks = repeat(True) if verdicts is None else verdicts.tolist()
+                for qid, oid, sign, ok in zip(*rows, oks):
+                    recorder.record("downlink", qid=qid, oid=oid, sign=sign, ok=ok)
+        kept = None
+        if refused:
+            kept = np.ones(len(qids), dtype=bool)
+            for start, verdicts in refused:
+                kept[start : start + len(verdicts)] = verdicts
+        self._settle_lag(qids, oids, signs, kept)
+        attempted = len(qids)
+        if kept is not None:
+            qids, oids, signs = qids[kept], oids[kept], signs[kept]
+        self.freshness.observe_delivered_rows(qids, oids, signs)
+        return attempted, UpdateBatch(qids, oids, signs)
+
+    def _settle_lag(self, qids, oids, signs, kept) -> None:
+        """Bring the lag up to date with a shipment, ``kept`` the mask of
+        the rows delivered (``None``: all), row by row over the queries
+        that lag or had a row refused: a delivered update discards its
+        oid from its query's lag and a refused one toggles it."""
+        lag = self._lag
+        lagging = set(lag) if kept is None else {*lag, *qids[~kept].tolist()}
+        if not lagging:
+            return
+        rows = np.flatnonzero(np.isin(qids, np.fromiter(lagging, np.int64, len(lagging))))
+        oks = repeat(True) if kept is None else kept[rows].tolist()
+        for qid, oid, sign, ok in zip(qids[rows].tolist(), oids[rows].tolist(), signs[rows].tolist(), oks):
+            held = lag.get(qid, set())
+            if ok:
+                held.discard(oid)
+            else:
+                self.freshness.observe_undelivered(qid, oid, sign)
+                held ^= {oid}
+            if held:
+                lag[qid] = held
+            else:
+                lag.pop(qid, None)
 
     def savings_ratio(self) -> float:
         """Cumulative incremental bytes as a fraction of the complete
@@ -841,9 +869,13 @@ class LocationAwareServer:
         return self._answer_totals()[0]
 
     def _answer_totals(self) -> tuple[int, int]:
-        """``(complete-answer bytes, answer members)`` over all queries."""
+        """``(complete-answer bytes, answer members)`` over all queries:
+        a full answer's size is linear in its member count, so the total
+        is arithmetic on the query count and the members."""
         sizes = self.engine.answer_sizes()
-        return sum(map(full_answer_bytes, sizes)), sum(sizes)
+        members = int(sizes.sum())
+        per_member = full_answer_bytes(1) - full_answer_bytes(0)
+        return len(sizes) * full_answer_bytes(0) + members * per_member, members
 
     # ------------------------------------------------------------------
     # Internals
@@ -855,6 +887,7 @@ class LocationAwareServer:
 
     def _bind(self, qid: int, client_id: int) -> None:
         self._owner[qid] = client_id
+        self._rebound.append((qid, client_id))
         self._queries_of_client[client_id].add(qid)
         # A checkpoint-adopted query starts from its committed answer
         # (the client held it before the restart); a fresh one from ∅.

@@ -9,16 +9,20 @@ Two representations carry that language:
 
 * :class:`Update` — one materialised ``(qid, oid, sign)`` triple, the
   element type every consumer ultimately sees.
-* :class:`UpdateBatch` — the same stream as three parallel columns
-  (struct of arrays).  This is what ``evaluate()`` returns: the hot
-  emission paths append plain integers (or whole column slices) and
-  never allocate an :class:`Update` per change; iteration materialises
-  elements lazily, so code written against ``list[Update]`` — golden
-  tests, the oracle, examples — keeps working unchanged, in the same
-  order, with the same values.
+* :class:`UpdateBatch` — the same stream as three parallel int64 columns
+  (struct of arrays).  This is what ``evaluate()`` returns: each engine
+  phase appends one numpy chunk and never allocates an :class:`Update`
+  or a Python int per change; reading builds the ints once, on demand,
+  so code written against ``list[Update]`` — golden tests, the oracle,
+  examples — keeps working unchanged, in the same order, with the same
+  values.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class Update:
@@ -79,42 +83,30 @@ class Update:
 
 
 class UpdateBatch:
-    """An update stream as three parallel columns (struct of arrays).
+    """An update stream as three parallel int64 columns (struct of arrays).
 
-    The emission contract the engine writes through:
-
-    * ``push(qid, oid, sign)`` — append one change, integers only;
-    * ``extend_columns(qids, oids, signs)`` — append whole column
-      slices (the columnar emitter splices classification output in
-      C-speed ``list.extend`` calls);
-    * ``append(update)`` / ``extend(updates)`` — legacy element-wise
-      entry points, decomposed into the columns.
-
-    Reading is sequence-shaped and **lazily materialised**: iteration
-    and indexing build :class:`Update` objects on demand, ``==``
-    compares element-wise against any list/tuple of updates (so
-    ``evaluate(now) == []`` style assertions keep working), and
-    :meth:`tuples` exposes the raw triples without materialising
-    anything.  FIFO order is the column order — round-tripping through
-    :meth:`to_list` and :meth:`from_updates` is the identity (tested
-    property).
-
-    Columns are plain Python int lists: appends and slice-extends stay
-    in C, and the numpy consumers (server downlink group-by, bulk set
-    maintenance) lift them with one ``np.asarray`` when needed.
+    Producers append chunks: ``extend_columns(qids, oids, signs)`` one
+    aligned chunk (the emitters' numpy arrays, kept as they are), and
+    ``push`` / ``extend`` rows one at a time into a Python tail chunk
+    (recovery deltas, the reference engine).  :meth:`columns` joins the
+    chunks into three int64 arrays once.  Reading is sequence-shaped:
+    ``len``, iteration, indexing, ``==`` (element-wise against any
+    list/tuple of updates, so ``evaluate(now) == []`` keeps working) and
+    the ``qids`` / ``oids`` / ``signs`` lists build Python ints on first
+    read and keep them until the next append.  FIFO order is the column
+    order — :meth:`to_list` then :meth:`from_updates` is the identity
+    (tested property).
     """
 
-    __slots__ = ("qids", "oids", "signs")
+    __slots__ = ("_chunks", "_tail", "_len", "_columns", "_lists")
 
     def __init__(self, qids=None, oids=None, signs=None) -> None:
-        self.qids: list[int] = [] if qids is None else list(qids)
-        self.oids: list[int] = [] if oids is None else list(oids)
-        self.signs: list[int] = [] if signs is None else list(signs)
-        if not (len(self.qids) == len(self.oids) == len(self.signs)):
-            raise ValueError(
-                "column lengths differ: "
-                f"{len(self.qids)}/{len(self.oids)}/{len(self.signs)}"
-            )
+        self._chunks: list[tuple] = []
+        self._tail: tuple[list, list, list] | None = None
+        self._len = 0
+        self._columns = self._lists = None
+        if qids is not None:
+            self.extend_columns(qids, oids, signs)
 
     @classmethod
     def from_updates(cls, updates) -> "UpdateBatch":
@@ -129,56 +121,77 @@ class UpdateBatch:
 
     def push(self, qid: int, oid: int, sign: int) -> None:
         """Append one change without materialising an :class:`Update`."""
-        self.qids.append(qid)
-        self.oids.append(oid)
-        self.signs.append(sign)
+        tail = self._tail
+        if tail is None:
+            tail = self._tail = ([], [], [])
+            self._chunks.append(tail)
+        tail[0].append(qid)
+        tail[1].append(oid)
+        tail[2].append(sign)
+        self._len += 1
+        self._columns = self._lists = None
 
     def extend_columns(self, qids, oids, signs) -> None:
-        """Append aligned column slices (lists or any int sequences)."""
-        self.qids.extend(qids)
-        self.oids.extend(oids)
-        self.signs.extend(signs)
-
-    def append(self, update: Update) -> None:
-        self.qids.append(update.qid)
-        self.oids.append(update.oid)
-        self.signs.append(update.sign)
+        """Append one aligned chunk of columns (arrays or int sequences)."""
+        chunk = tuple(np.asarray(column, dtype=np.int64) for column in (qids, oids, signs))
+        if not (len(chunk[0]) == len(chunk[1]) == len(chunk[2])):
+            raise ValueError("column lengths differ: " + "/".join(str(len(c)) for c in chunk))
+        self._chunks.append(chunk)
+        self._tail = None
+        self._len += len(chunk[0])
+        self._columns = self._lists = None
 
     def extend(self, updates) -> None:
         if isinstance(updates, UpdateBatch):
-            self.extend_columns(updates.qids, updates.oids, updates.signs)
+            self.extend_columns(*updates.columns())
             return
         for update in updates:
-            self.qids.append(update.qid)
-            self.oids.append(update.oid)
-            self.signs.append(update.sign)
+            self.push(update.qid, update.oid, update.sign)
 
     # ------------------------------------------------------------------
-    # Sequence surface (lazy materialisation)
+    # Reading
     # ------------------------------------------------------------------
+
+    def columns(self) -> tuple:
+        """The stream as ``(qids, oids, signs)`` int64 arrays, the chunks
+        joined once (one chunk is returned as it is)."""
+        if self._columns is None:
+            chunks = self._chunks
+            if len(chunks) == 1 and chunks[0] is not self._tail:
+                self._columns = chunks[0]
+            else:
+                self._columns = tuple(
+                    np.concatenate([chunk[i] for chunk in chunks] or [_NO_ROWS], dtype=np.int64)
+                    for i in range(3)
+                )
+                self._chunks, self._tail = [self._columns], None
+        return self._columns
+
+    def _listed(self) -> tuple[list, list, list]:
+        if self._lists is None:
+            self._lists = tuple(column.tolist() for column in self.columns())
+        return self._lists
+
+    qids = property(lambda self: self._listed()[0])
+    oids = property(lambda self: self._listed()[1])
+    signs = property(lambda self: self._listed()[2])
 
     def __len__(self) -> int:
-        return len(self.qids)
+        return self._len
 
     def __iter__(self):
-        return map(Update, self.qids, self.oids, self.signs)
+        return map(Update, *self._listed())
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return UpdateBatch(
-                self.qids[index], self.oids[index], self.signs[index]
-            )
-        return Update(self.qids[index], self.oids[index], self.signs[index])
+            return UpdateBatch(*(column[index] for column in self.columns()))
+        return Update(*(column[index] for column in self._listed()))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, UpdateBatch):
-            return (
-                self.qids == other.qids
-                and self.oids == other.oids
-                and self.signs == other.signs
-            )
+            return self._listed() == other._listed()
         if isinstance(other, (list, tuple)):
-            if len(other) != len(self.qids):
+            if len(other) != self._len:
                 return False
             return all(mine == theirs for mine, theirs in zip(self, other))
         return NotImplemented
@@ -187,12 +200,12 @@ class UpdateBatch:
         return repr(list(self))
 
     def tuples(self):
-        """Iterate the raw ``(qid, oid, sign)`` triples, allocation-free."""
-        return zip(self.qids, self.oids, self.signs)
+        """Iterate the raw ``(qid, oid, sign)`` triples, no :class:`Update` built."""
+        return zip(*self._listed())
 
     def to_list(self) -> list[Update]:
         """Materialise the whole stream as ``list[Update]``."""
-        return list(map(Update, self.qids, self.oids, self.signs))
+        return list(self)
 
 
 def diff_answers(
@@ -221,17 +234,9 @@ def apply_updates(answer: set[int], updates) -> set[int]:
 
     The caller filters to a single query's updates; this helper is the
     client-side application rule and the test oracle for consistency.
-    Accepts a ``list[Update]`` or an :class:`UpdateBatch` (applied
-    column-wise, no element materialisation).
+    Accepts a ``list[Update]`` or an :class:`UpdateBatch`.
     """
     result = set(answer)
-    if isinstance(updates, UpdateBatch):
-        for oid, sign in zip(updates.oids, updates.signs):
-            if sign == 1:
-                result.add(oid)
-            else:
-                result.discard(oid)
-        return result
     for update in updates:
         if update.is_positive:
             result.add(update.oid)

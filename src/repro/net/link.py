@@ -17,14 +17,19 @@ most messages as ``link_worst_dropped_messages{rank}`` +
 series is keyed by a client id; one client's detail is read off its
 link (the service's ``GET /state?client=N``).
 
-A link's mailbox is an :class:`Inbox`: the ``(Q, ±A)`` tuples it holds
-are three aligned int columns, read back as messages only on demand.
+Update rows reach a link through one door,
+:meth:`ClientLink.deliver_updates`, a slice of the cycle's int64 columns
+at a time; its fleet aggregates are plain-int tallies, folded into the
+series on read.  A link's mailbox is an :class:`Inbox` of those slices.
 """
 
 from __future__ import annotations
 
 from collections import Counter as TallyCounter
+from operator import sub
 from threading import Lock
+
+import numpy as np
 
 from repro.net.messages import Message, ObjectReportMessage, UpdateMessage
 from repro.obs import MetricsRegistry
@@ -43,6 +48,9 @@ DUPLICATE = "duplicate"
 REORDER = "reorder"
 
 FAULT_ACTIONS = (DELIVER, DROP, DUPLICATE, REORDER)
+
+_SIZE = UpdateMessage.size_bytes  # wire bytes of one update row
+
 
 #: How many links — the ones that dropped the most messages — are
 #: exported by rank (the ``grid_hot_cell_*{rank}`` shape).
@@ -82,47 +90,44 @@ class NetworkStats:
         # (dropped, client id) gauge pair of each rank in use.
         self._worst: list[ClientLink] = []
         self._worst_gauges: list[tuple[object, object]] = []
-        #: Object reports the per-report door took with no hook
-        #: installed: only the reporting thread writes it (one add per report),
-        #: and :meth:`settle` folds what it has not yet folded into the
-        #: uplink series before any registry read, from whichever thread.
+        #: Plain-int tallies of the hot doors, one add per call from one
+        #: thread, folded by :meth:`settle` before any registry read: the
+        #: reports the unhooked per-report door took, and the update rows
+        #: :meth:`ClientLink.deliver_updates` delivered (each copy), lost
+        #: (dropped or throttled) and throttled.
         self.reports_taken = 0
-        self._reports_settled = 0
+        self.updates_delivered = self.updates_lost = self.updates_throttled = 0
+        self._settled = (0, 0, 0, 0)
         self._settle_lock = Lock()
         self.registry.on_read(self.settle)
 
     # -- recording -----------------------------------------------------
 
-    def record(self, message: Message, delivered: bool) -> None:
-        if delivered:
-            self._delivered_bytes.inc(message.size_bytes)
-            self._delivered_messages.inc()
-            self._kind(self._delivered_kinds, "", type(message)).inc()
-        else:
-            self._dropped_bytes.inc(message.size_bytes)
-            self._dropped_messages.inc()
-            self._kind(self._dropped_kinds, "dropped:", type(message)).inc()
-
-    def record_delivered_updates(self, count: int) -> None:
-        """Account ``count`` delivered :class:`UpdateMessage`\\ s at once."""
-        self._delivered_bytes.inc(count * UpdateMessage.size_bytes)
-        self._delivered_messages.inc(count)
-        self._kind(self._delivered_kinds, "", UpdateMessage).inc(count)
-
-    def record_throttled(self, message: Message) -> None:
-        """Account a message lost to a link's byte budget: a drop in
-        the aggregates, told apart by the throttle totals."""
-        self._throttled_bytes.inc(message.size_bytes)
-        self._throttled_messages.inc()
-        self.record(message, delivered=False)
+    def record(self, kind: type[Message], size: int, copies: int, lost: int = 0, throttled: int = 0) -> None:
+        """Account downlink messages of one class, ``size`` bytes each:
+        ``copies`` queued in an inbox, ``lost`` dropped, ``throttled`` of
+        them to a byte budget (told apart by the throttle totals)."""
+        if copies:
+            self._delivered_bytes.inc(copies * size)
+            self._delivered_messages.inc(copies)
+            self._kind(self._delivered_kinds, "", kind).inc(copies)
+            self._links_queued.add(copies)
+        if lost:
+            self._dropped_bytes.inc(lost * size)
+            self._dropped_messages.inc(lost)
+            self._kind(self._dropped_kinds, "dropped:", kind).inc(lost)
+        if throttled:
+            self._throttled_bytes.inc(throttled * size)
+            self._throttled_messages.inc(throttled)
 
     def settle(self) -> None:
-        """Fold the reports taken since the last settle into the uplink series."""
+        """Fold what the tallies gained since the last settle into the series."""
         with self._settle_lock:
-            n = self.reports_taken - self._reports_settled
-            if n:
-                self._reports_settled += n
-                self.record_uplinks(ObjectReportMessage, n)
+            taken = (self.reports_taken, self.updates_delivered, self.updates_lost, self.updates_throttled)
+            reports, *updates = map(sub, taken, self._settled)
+            self._settled = taken
+            self.record_uplinks(ObjectReportMessage, reports)
+            self.record(UpdateMessage, _SIZE, *updates)
 
     def record_uplinks(self, kind: type[Message], n: int) -> None:
         """Account ``n`` client-to-server messages (reports, moves,
@@ -177,19 +182,19 @@ class NetworkStats:
 
     @property
     def delivered_bytes(self) -> int:
-        return int(self._delivered_bytes.value)
+        return int(self.registry.value_of("net_delivered_bytes_total"))
 
     @property
     def dropped_bytes(self) -> int:
-        return int(self._dropped_bytes.value)
+        return int(self.registry.value_of("net_dropped_bytes_total"))
 
     @property
     def delivered_messages(self) -> int:
-        return int(self._delivered_messages.value)
+        return int(self.registry.value_of("net_delivered_messages_total"))
 
     @property
     def dropped_messages(self) -> int:
-        return int(self._dropped_messages.value)
+        return int(self.registry.value_of("net_dropped_messages_total"))
 
     @property
     def uplink_bytes(self) -> int:
@@ -211,32 +216,57 @@ class NetworkStats:
 class Inbox:
     """A link's mailbox as aligned columns.
 
-    Nearly everything a link holds is an update tuple ``(Q, ±A)``, so
-    the mailbox *is* three parallel int lists — ``qids``, ``oids``,
-    ``signs`` — and the rare other message (a
-    :class:`~repro.net.FullAnswerMessage`) sits in the sparse
-    ``others`` map ``{position: message}``, its row holding its ``qid``
-    and sign ``0``.  Reading is sequence-shaped and lazily materialised
-    exactly like :class:`~repro.core.updates.UpdateBatch`: ``len``,
-    iteration, indexing and ``==`` against a list build
-    :class:`UpdateMessage`\\ s on demand, so code written against
-    ``list[Message]`` keeps working, while the wire encoder and the
-    slice path touch only the columns.
+    Nearly everything a link holds is an update tuple ``(Q, ±A)``: the
+    mailbox keeps the ``qids`` / ``oids`` / ``signs`` slices it was
+    given — views of the cycle's sorted int64 arrays — and joins them
+    into three Python int lists only when read, by
+    :func:`~repro.service.protocol.encode_downlink`, iteration or
+    indexing.  The rare other message (a
+    :class:`~repro.net.FullAnswerMessage`) sits in the sparse ``others``
+    map ``{position: message}``, its row holding its ``qid`` and sign
+    ``0``.  ``len``, iteration, indexing and ``==`` against a list read
+    like ``list[Message]``.
     """
 
-    __slots__ = ("qids", "oids", "signs", "others")
+    __slots__ = ("_parts", "_size", "others")
 
-    def __init__(self, column=list) -> None:
-        self.qids = column()
-        self.oids = column()
-        self.signs = column()
+    def __init__(self, parts=None) -> None:
+        self._parts = [] if parts is None else parts
+        self._size = 0
         self.others: dict[int, Message] = {}
+
+    def extend(self, qids, oids, signs) -> None:
+        """Append aligned int64 column slices of update rows, kept as they
+        are; what the inbox held is joined first, so an undrained inbox
+        keeps no earlier cycle's arrays alive."""
+        if self._parts:
+            self.columns()
+        self._parts.append((qids, oids, signs))
+        self._size += len(qids)
+
+    def columns(self) -> tuple:
+        """``(qids, oids, signs)`` as int lists, the parts joined once;
+        ints joined earlier are extended in place."""
+        parts = self._parts
+        if len(parts) == 1:  # one slice, a cycle's usual mail, or ints already
+            qids, oids, signs = parts[0]
+            if type(qids) is np.ndarray:
+                self._parts = [(qids.tolist(), oids.tolist(), signs.tolist())]
+            return self._parts[0]
+        held = bool(parts) and type(parts[0][0]) is list
+        joined = parts[0] if held else ([], [], [])
+        for part in parts[held:]:
+            for column, rows in zip(joined, part):
+                column += rows.tolist() if type(rows) is np.ndarray else rows
+        self._parts = [joined]
+        return joined
 
     def add(self, message: Message, overtake: bool = False) -> None:
         """Append one message — or, with ``overtake`` (the reorder
         fault), slot it in ahead of the last one if that belongs to a
         different query: per-query FIFO is load-bearing."""
-        qids, others = self.qids, self.others
+        qids, oids, signs = self.columns()
+        others = self.others
         if type(message) is UpdateMessage:
             qid, oid, sign = message.qid, message.oid, message.sign
         else:
@@ -249,35 +279,32 @@ class Inbox:
         if not sign:
             others[at] = message
         qids.insert(at, qid)
-        self.oids.insert(at, oid)
-        self.signs.insert(at, sign)
+        oids.insert(at, oid)
+        signs.insert(at, sign)
+        self._size += 1
 
     def __len__(self) -> int:
-        return len(self.qids)
+        return self._size
 
     def __iter__(self):
         if not self.others:
-            return map(UpdateMessage, self.qids, self.oids, self.signs)
-        return map(self.__getitem__, range(len(self.qids)))
+            return map(UpdateMessage, *self.columns())
+        return map(self.__getitem__, range(self._size))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[at] for at in range(*index.indices(len(self.qids)))]
-        sign = self.signs[index]
+            return [self[at] for at in range(*index.indices(self._size))]
+        qids, oids, signs = self.columns()
+        sign = signs[index]
         if sign:
-            return UpdateMessage(self.qids[index], self.oids[index], sign)
-        return self.others[index % len(self.signs)]
+            return UpdateMessage(qids[index], oids[index], sign)
+        return self.others[index % len(signs)]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Inbox):
-            return (
-                self.qids == other.qids
-                and self.oids == other.oids
-                and self.signs == other.signs
-                and self.others == other.others
-            )
+            return self.columns() == other.columns() and self.others == other.others
         if isinstance(other, (list, tuple)):
-            return len(other) == len(self.qids) and all(
+            return len(other) == self._size and all(
                 mine == theirs for mine, theirs in zip(self, other)
             )
         return NotImplemented
@@ -286,9 +313,10 @@ class Inbox:
         return repr(list(self))
 
 
-#: What every idle link holds: one shared mailbox whose columns are
-#: tuples, so a stray write raises instead of landing in every link.
-_EMPTY = Inbox(column=tuple)
+#: What every idle link holds: one shared mailbox whose one part is a
+#: triple of tuples, so a stray write raises instead of landing in
+#: every link.
+_EMPTY = Inbox(parts=(((), (), ()),))
 
 
 class ClientLink:
@@ -305,9 +333,10 @@ class ClientLink:
     Two injectable hooks support the fault/consistency tooling:
 
     * ``fault_hook(link, message) -> action`` decides the fate of each
-      delivery attempt (one of :data:`FAULT_ACTIONS`); ``None`` means
-      no faults.  Faults apply only while connected — a disconnected
-      link loses everything regardless.
+      delivery attempt (one of :data:`FAULT_ACTIONS`), asked once per
+      row by :meth:`deliver_updates`; ``None`` means no faults.  Faults
+      apply only while connected — a disconnected link loses everything
+      regardless.
     * ``delivery_observer(client_id, message, delivered)`` is called
       once per wire outcome (including each duplicate copy), letting
       the consistency oracle mirror exactly what the client will see
@@ -360,67 +389,110 @@ class ClientLink:
             self.stats._links_connected.add(1)
 
     def deliver(self, message: Message) -> bool:
-        """Send ``message``; returns whether the client received it."""
-        action = DELIVER
-        if self.connected and self.fault_hook is not None:
-            action = self.fault_hook(self, message)
-        if not self.connected or action == DROP:
-            self.stats.record(message, delivered=False)
-            self.dropped_messages += 1
-            self.dropped_bytes += message.size_bytes
-            self.stats.rank_dropped(self)
+        """Send one message outside a slice — a full answer, or a lone
+        update — by :meth:`deliver_updates`' rule for one row; returns
+        whether the client received it."""
+        size = message.size_bytes
+        if self.budget_bytes_per_cycle is not None and size > self.remaining_budget:
             self._notify(message, False)
-            return False
-        self._accept(message, reorder=(action == REORDER))
-        if action == DUPLICATE:
-            self._accept(message, reorder=False)
-        return True
+            copies, dropped, throttled = 0, 0, 1
+        else:
+            copies = self._offer(message)
+            dropped, throttled = int(not copies), 0
+        self.stats.record(type(message), size, copies, dropped + throttled, throttled)
+        self._account(size, copies, int(copies > 0), dropped, throttled)
+        return copies > 0
 
-    def deliver_updates(self, qids, oids, signs) -> list[bool] | None:
-        """Send one cycle's slice of the update stream — aligned
-        ``qid``/``oid``/``sign`` column lists, in stream order.
+    def _offer(self, message: Message) -> int:
+        """One message's fate on the wire: lost while disconnected, else
+        the fault hook's verdict acted on; returns the copies the inbox
+        took (0 for a loss), each outcome told to the observer."""
+        hook = self.fault_hook
+        action = DROP if not self.connected else DELIVER if hook is None else hook(self, message)
+        if action == DROP:
+            self._notify(message, False)
+            return 0
+        copies, inbox = 2 if action == DUPLICATE else 1, self._mailbox()
+        for _ in range(copies):
+            inbox.add(message, action == REORDER)
+            self._notify(message, True)
+        return copies
 
-        Returns ``None`` when the client received every update, else
-        the per-update :meth:`deliver` verdicts.  A connected, unhooked,
-        unmetered link has nothing to decide per message, so it takes
-        the whole slice in three column extends with the accounting
-        done arithmetically and no message built; any other link goes
-        through :meth:`deliver` one message at a time, so fault hooks,
-        delivery observers and byte budgets see exactly the calls they
-        always saw.  A sign other than ``±1`` refuses the slice whole.
+    def deliver_updates(self, qids, oids, signs):
+        """Send one cycle's slice of the update stream — aligned int64
+        ``qid``/``oid``/``sign`` columns in stream order (int lists are
+        copied into arrays); the one door for update rows.  Returns
+        ``None`` when the client received every row, else the bool mask
+        of the rows it received; a sign other than ``±1`` refuses the
+        slice whole (``ValueError``).  The rule — the budget's prefix
+        cut, the hook asked per row, the observer told each outcome — is
+        DESIGN.md's *Downlink: one door over numpy columns*.
         """
-        count = len(signs)
-        if signs.count(1) + signs.count(-1) != count:
+        if type(signs) is not np.ndarray:
+            qids, oids, signs = (np.array(column, dtype=np.int64) for column in (qids, oids, signs))
+        listed = signs.tolist()
+        count = len(listed)
+        if listed.count(1) + listed.count(-1) != count:
             raise ValueError("every sign must be +1 or -1")
-        if (
-            self.connected
-            and self.fault_hook is None
-            and self.delivery_observer is None
-            and self.budget_bytes_per_cycle is None
-        ):
-            inbox = self._inbox
-            if inbox is _EMPTY:
-                inbox = self._inbox = Inbox()
-            inbox.qids.extend(qids)
-            inbox.oids.extend(oids)
-            inbox.signs.extend(signs)
-            self.stats.record_delivered_updates(count)
-            self.stats._links_queued.add(count)
-            self.delivered_messages += count
-            self.delivered_bytes += count * UpdateMessage.size_bytes
+        room = count if self.budget_bytes_per_cycle is None else self.remaining_budget // _SIZE
+        if self.connected and self.fault_hook is None:  # the prefix that fits, as it is
+            accepted = copies = room if room < count else count
+            kept, offered, dropped = slice(accepted), 0, 0
+            if accepted:
+                inbox = self._mailbox()
+                if accepted == count:
+                    inbox.extend(qids, oids, signs)
+                else:
+                    inbox.extend(qids[kept], oids[kept], signs[kept])
+        else:  # each row offered to the hook in order while the budget has room
+            kept, copies, dropped = [], 0, 0
+            for row, message in enumerate(map(UpdateMessage, qids.tolist(), oids.tolist(), listed)):
+                if len(kept) == room:
+                    break
+                taken = self._offer(message)
+                if taken:
+                    kept.append(row)
+                    copies += taken
+                else:
+                    dropped += 1
+            accepted = len(kept)
+            offered = accepted + dropped
+        if self.delivery_observer is not None:  # the rows no hook was offered
+            rows = map(UpdateMessage, qids[offered:].tolist(), oids[offered:].tolist(), listed[offered:])
+            for row, message in enumerate(rows, offered):
+                self.delivery_observer(self.client_id, message, row < accepted)
+        throttled = count - accepted - dropped
+        stats = self.stats
+        stats.updates_delivered += copies
+        stats.updates_lost += dropped + throttled
+        stats.updates_throttled += throttled
+        self._account(_SIZE, copies, accepted, dropped, throttled)
+        if accepted == count:
             return None
-        return list(map(self.deliver, map(UpdateMessage, qids, oids, signs)))
+        verdicts = np.zeros(count, dtype=bool)
+        verdicts[kept] = True
+        return verdicts
 
-    def _accept(self, message: Message, reorder: bool) -> None:
-        """Put one delivered copy in the inbox, with full accounting."""
-        self.stats.record(message, delivered=True)
-        self.stats._links_queued.add(1)
-        self.delivered_messages += 1
-        self.delivered_bytes += message.size_bytes
+    def _account(self, size: int, copies: int, accepted: int, dropped: int, throttled: int) -> None:
+        """The link's counters for one send, ``size`` bytes a message:
+        ``copies`` queued for ``accepted`` messages (each charged to a
+        budget once), ``dropped`` lost on the wire and ``throttled`` to
+        the budget."""
+        self.delivered_messages += copies
+        self.delivered_bytes += copies * size
+        if dropped:
+            self.dropped_messages += dropped
+            self.dropped_bytes += dropped * size
+            self.stats.rank_dropped(self)
+        if self.budget_bytes_per_cycle is not None:
+            self._spent_this_cycle += accepted * size
+            self.throttled_messages += throttled
+            self.throttled_bytes += throttled * size
+
+    def _mailbox(self) -> Inbox:
         if self._inbox is _EMPTY:
             self._inbox = Inbox()
-        self._inbox.add(message, reorder)
-        self._notify(message, True)
+        return self._inbox
 
     def _notify(self, message: Message, delivered: bool) -> None:
         if self.delivery_observer is not None:

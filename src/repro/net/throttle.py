@@ -8,16 +8,18 @@ per-cycle byte budget, messages beyond it dropped (the satellite slot is
 gone — there is no queueing for stale location data).  The congestion
 benchmark measures how much of each server's output actually fits.
 
-What a link lost to its budget is counted on the link
-(``throttled_messages`` / ``throttled_bytes``, plain ints like the base
-link's counters) and, fleet-wide, in ``net_throttled_messages_total`` /
+The base link's doors read the budget (a slice keeps the prefix that
+fits); a message lost to disconnection or an injected fault never
+occupied the wire slot, so it charges nothing.  What a link lost to its
+budget is counted on the link (``throttled_messages`` /
+``throttled_bytes``, plain ints like the base link's counters) and,
+fleet-wide, in ``net_throttled_messages_total`` /
 ``net_throttled_bytes_total``; no series is kept per client.
 """
 
 from __future__ import annotations
 
 from repro.net.link import ClientLink, NetworkStats
-from repro.net.messages import Message
 
 
 class ThrottledLink(ClientLink):
@@ -53,24 +55,3 @@ class ThrottledLink(ClientLink):
     def new_cycle(self) -> None:
         """Start a fresh evaluation period: the budget resets."""
         self._spent_this_cycle = 0
-
-    def deliver(self, message: Message) -> bool:
-        """Deliver within budget; over-budget messages are lost.
-
-        Throttled messages are recorded separately from disconnection
-        drops so the congestion benchmark can tell the two apart.  The
-        budget is charged only when the base link *accepts* the
-        delivery: a message lost to disconnection or an injected fault
-        never occupied the wire slot, so it must not starve the
-        in-cycle messages that follow it.
-        """
-        if message.size_bytes > self.remaining_budget:
-            self.throttled_messages += 1
-            self.throttled_bytes += message.size_bytes
-            self.stats.record_throttled(message)
-            self._notify(message, False)
-            return False
-        delivered = super().deliver(message)
-        if delivered:
-            self._spent_this_cycle += message.size_bytes
-        return delivered

@@ -289,6 +289,21 @@ class FreshnessTracker:
         self._m_pending_folded.inc(folded)
         self._observe("delivery", per_stamp.items(), now_ts)
 
+    def observe_delivered_rows(self, qids, oids, signs) -> None:
+        """:meth:`observe_delivered_runs` for int64 columns in delivery
+        order: the sample is the qid hash test over the whole column,
+        and the sampled rows are cut into query runs where the qid
+        changes."""
+        total = len(qids)
+        if self.sample_limit <= _MASK64:  # else every qid is sampled
+            picked = qids.view(np.uint64) * np.uint64(_FIBONACCI) < np.uint64(self.sample_limit)
+            qids, oids, signs = qids[picked], oids[picked], signs[picked]
+        self._m_unsampled.inc(total - len(qids))
+        cuts = (np.flatnonzero(qids[1:] != qids[:-1]) + 1).tolist()
+        starts = [0, *cuts] if len(qids) else []
+        runs = list(zip(qids[starts].tolist(), starts, [*cuts, len(qids)]))
+        self.observe_delivered_runs(runs, oids.tolist(), signs.tolist())
+
     def _observe(self, stage: str, totals, now_ts: float) -> None:
         """Histogram observations of ``(stamp, (positives, negatives))`` pairs."""
         hists = self._hists[(stage, "positive")], self._hists[(stage, "negative")]
@@ -390,7 +405,7 @@ class NullFreshnessTracker:
         return {}
 
     stamp_report = stamp_reports = forget = end_cycle = forget_query = observe_committed = _nothing
-    observe_delivered = observe_delivered_runs = observe_undelivered = _nothing
+    observe_delivered = observe_delivered_runs = observe_delivered_rows = observe_undelivered = _nothing
     pending_commit = report_stamps = query_summary = stage_summary = snapshot = _empty
 
 

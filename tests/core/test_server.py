@@ -193,6 +193,36 @@ def test_each_superseded_report_is_archived_once(as_run):
     assert history.trajectory_of(1) == [(0.0, 0.1, 0.1), (1.0, 0.2, 0.2), (1.5, 0.3, 0.3)]
 
 
+@pytest.mark.parametrize(
+    "steps, archived",
+    [
+        (["report", "remove", "report"], [(0.0, 0.1, 0.1), (1.0, 0.2, 0.2)]),
+        (["remove", "report"], [(0.0, 0.1, 0.1)]),
+        (["remove"], []),
+    ],
+    ids=["report_remove_report", "remove_report", "remove"],
+)
+def test_a_removal_archives_the_report_it_cancels(steps, archived):
+    """After a report at t0 is stored, a removal that cancels a buffered
+    report archives that report, and a report after it in the same
+    batch archives nothing for the stored location the cancelled one
+    already superseded.  With nothing buffered, the next report
+    archives the stored location, and a removal alone archives
+    nothing."""
+    history = HistoryRepository(BufferPool(InMemoryDiskManager(), 8))
+    server = LocationAwareServer(grid_size=8, history=history)
+    server.receive_object_report(1, Point(0.1, 0.1), 0.0)
+    server.evaluate_cycle(0.0)
+    reports = iter([(Point(0.2, 0.2), 1.0), (Point(0.3, 0.3), 2.0)])
+    for step in steps:
+        if step == "report":
+            server.receive_object_report(1, *next(reports))
+        else:
+            server.remove_object(1)
+    server.evaluate_cycle(2.0)
+    assert history.trajectory_of(1) == archived
+
+
 class TestHostileReports:
     """Satellite: a hostile value is refused at the call that carried
     it and never reaches the shared cycle."""

@@ -4,10 +4,11 @@ delivering one message per update.
 
 Two identical server stacks get the same random update streams over the
 same random mix of links.  One ships through ``evaluate_cycle`` and
-``receive_wakeup`` (owners resolved per query run,
-``ClientLink.deliver_updates`` per slice, the lag behind
-``delivered_answer`` kept from the verdicts, the freshness attribution
-per run); the other through :func:`reference_ship`, the per-message
+``receive_wakeup`` (owners resolved per query run, one stable sort by
+client, ``ClientLink.deliver_updates`` per slice, the lag behind
+``delivered_answer`` kept from the verdict masks, the freshness
+attribution over the delivered rows); the other through
+:func:`reference_ship`, the per-message
 loop the server used before slices, which folds every accepted update
 into its own delivered dict.  Everything observable must match:
 inboxes, traffic counters, per-link series, the cycle result, the
@@ -19,7 +20,9 @@ the answer, ``-o`` only when it is in), and come in the shapes the
 per-run paths see: scattered updates (runs of about one), long
 per-query runs (a member flipped back and forth), sign-sorted runs, and
 one query split across runs — over enough cycles for the pending-commit
-cap to fold.
+cap to fold.  A last property puts a throttled, a hooked, an observed
+and a dark link among plain ones: the plain links must see what they
+see when all links are plain.
 """
 
 import random
@@ -45,6 +48,10 @@ LINK_KINDS = st.one_of(
     st.just(("plain", None)),
     st.tuples(st.just("throttled"), st.integers(min_value=17, max_value=120)),
     st.tuples(st.just("faulty"), st.integers(min_value=0, max_value=10**6)),
+    st.tuples(
+        st.just("throttled+faulty"),
+        st.tuples(st.integers(min_value=17, max_value=120), st.integers(min_value=0, max_value=10**6)),
+    ),
     st.just(("observed", None)),
     st.just(("dark", None)),
 )
@@ -107,11 +114,13 @@ class Stack:
         #: are independent channels: only per-link order is defined).
         self.observed: dict[int, list] = {}
         for client_id, (kind, arg) in enumerate(link_kinds):
-            link = server.register_client(
-                client_id, downlink_budget=arg if kind == "throttled" else None
-            )
-            if kind == "faulty":
-                rng = random.Random(arg)
+            if kind == "throttled+faulty":  # a budget and a hook on one link
+                budget, seed = arg
+            else:
+                budget, seed = arg if kind == "throttled" else None, arg
+            link = server.register_client(client_id, downlink_budget=budget)
+            if kind in ("faulty", "throttled+faulty"):
+                rng = random.Random(seed)
                 link.fault_hook = lambda _l, _m, rng=rng: rng.choice(FAULT_ACTIONS)
             elif kind == "observed":
                 link.delivery_observer = self._observe
@@ -368,3 +377,41 @@ def test_a_lag_is_held_only_while_a_refusal_is_unsettled():
     server.evaluate_cycle(3.0)
     assert server._lag == {}
     assert server.delivered_answer(1) == frozenset()
+
+
+#: One link of each kind that acts inside the slice, set among plain ones.
+SPECIAL_LINKS = [("throttled", 34), ("faulty", 7), ("observed", None), ("dark", None)]
+
+
+@given(owner_seed=st.integers(min_value=0, max_value=10**6), cycles=CYCLES)
+@settings(deadline=None)
+def test_a_link_that_cuts_its_slice_leaves_its_plain_neighbours_alone(owner_seed, cycles):
+    """The downlink half of the neighbour property: a fleet of plain
+    links with one throttled, one hooked, one observed and one dark link
+    among them gives every plain link the inbox, link counters, lag and
+    delivered answers it gets when those four are plain too."""
+    plain = ("plain", None)
+    kinds = [plain, plain, *SPECIAL_LINKS, plain, plain]
+    rng = random.Random(owner_seed)
+    owners = {qid: rng.randrange(len(kinds)) for qid in QIDS}
+    mixed, uniform = Stack(kinds, owners), Stack([plain] * len(kinds), owners)
+    neighbours = [client for client, kind in enumerate(kinds) if kind == plain]
+
+    def seen_by_neighbours(stack: Stack) -> dict:
+        server = stack.server
+        seen = {}
+        for client in neighbours:
+            link = server.link_of(client)
+            counters = (link.delivered_messages, link.delivered_bytes, link.dropped_messages, link.dropped_bytes)
+            owned = sorted(server.queries_of(client))
+            lag = {qid: server._lag.get(qid) for qid in owned}
+            answers = {qid: server.delivered_answer(qid) for qid in owned}
+            seen[client] = (link._inbox, counters, lag, answers)
+        return seen
+
+    for now, (stamped, stream, commits, wakeups) in enumerate(cycles, start=1):
+        for stack in (mixed, uniform):
+            stack.begin(stamped, stream)
+            stack.server.evaluate_cycle(float(now))
+            stack.after(commits, wakeups)
+        assert seen_by_neighbours(mixed) == seen_by_neighbours(uniform)

@@ -3,7 +3,9 @@
 
 import gc
 import tracemalloc
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,8 +33,8 @@ MESSAGES = st.one_of(
 SLICES = st.lists(st.tuples(QIDS, OIDS, SIGNS), max_size=6)
 
 #: One step against the link: ``deliver`` carries the fault verdict it
-#: will meet, ``slice`` whether a hook is installed (the per-message
-#: fallback) or not (the three-extend path).
+#: will meet, ``slice`` the verdict its hook gives every row, or none
+#: (no hook: the slice joins the inbox as it is).
 STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("deliver"), MESSAGES, st.sampled_from(FAULT_ACTIONS)),
@@ -114,7 +116,11 @@ def test_link_mailbox_equals_a_list_of_messages(steps):
             verdict[0], link.fault_hook = action, hook if action else None
             columns = [list(column) for column in zip(*payload)] or [[], [], []]
             verdicts = link.deliver_updates(*columns)
-            assert (verdicts is None) == (action is None and model.connected)
+            received = model.connected and action != DROP
+            if verdicts is None:
+                assert received or not payload
+            else:
+                assert verdicts.tolist() == [received] * len(payload)
             for row in payload:
                 model.deliver(UpdateMessage(*row), action or DELIVER)
         elif op == "disconnect":
@@ -168,3 +174,18 @@ def test_series_count_does_not_grow_with_the_fleet():
             link.deliver(UpdateMessage(1, 1, 1))
         counts.append(len(stats.registry))
     assert counts[0] == counts[1] < 40
+
+
+def test_an_undrained_inbox_keeps_no_earlier_cycle_alive():
+    """A slice joins the inbox as a view of its cycle's array; the next
+    slice into an undrained inbox turns what it held into ints first,
+    so the earlier cycle's array is freed."""
+    link = ClientLink(1)
+    cycle = np.arange(3_000, dtype=np.int64)  # a cycle's sorted column
+    freed = weakref.ref(cycle)
+    assert link.deliver_updates(cycle[:2], cycle[:2], np.ones(2, dtype=np.int64)) is None
+    del cycle
+    assert link.deliver_updates(*[np.full(1, 5, dtype=np.int64)] * 2, np.ones(1, dtype=np.int64)) is None
+    gc.collect()
+    assert freed() is None
+    assert link.drain() == [UpdateMessage(0, 0, 1), UpdateMessage(1, 1, 1), UpdateMessage(5, 5, 1)]

@@ -36,8 +36,8 @@ class TestDelivery:
 
 
 class TestSliceDelivery:
-    """``deliver_updates``: whole slice at once on a plain link,
-    ``deliver`` verdicts on any other."""
+    """``deliver_updates``: ``None`` when every row was received, else
+    the mask of the rows received, whatever the link."""
 
     SLICE = ([1, 2, 1], [7, 8, 7], [1, 1, -1])
 
@@ -64,7 +64,7 @@ class TestSliceDelivery:
         link.fault_hook = lambda _link, message: (
             seen.append(message) or (DROP if message.qid == 2 else "deliver")
         )
-        assert link.deliver_updates(*self.SLICE) == [True, False, True]
+        assert link.deliver_updates(*self.SLICE).tolist() == [True, False, True]
         assert len(seen) == 3
         assert [m.qid for m in link.drain()] == [1, 1]
 
@@ -72,13 +72,13 @@ class TestSliceDelivery:
         observed = ClientLink(1)
         calls = []
         observed.delivery_observer = lambda *call: calls.append(call)
-        assert observed.deliver_updates(*self.SLICE) == [True, True, True]
+        assert observed.deliver_updates(*self.SLICE) is None
         assert len(calls) == 3
         dark = ClientLink(2)
         dark.disconnect()
-        assert dark.deliver_updates(*self.SLICE) == [False, False, False]
+        assert dark.deliver_updates(*self.SLICE).tolist() == [False, False, False]
         metered = ThrottledLink(3, budget_bytes_per_cycle=40)
-        assert metered.deliver_updates(*self.SLICE) == [True, True, False]
+        assert metered.deliver_updates(*self.SLICE).tolist() == [True, True, False]
         assert metered.throttled_messages == 1
 
 
